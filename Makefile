@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: test check rebaseline-virt rebaseline-bench serve
+.PHONY: test check bench bench-test rebaseline-virt rebaseline-bench serve
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -14,6 +14,15 @@ check:
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short ./...
+
+# The host-cost benchmark (bench/, a module of its own that the targets
+# above skip): the full report over the five pinned workloads, and the
+# benchmark's own tests. Everything it writes stays under .bench_build/.
+bench:
+	bash bench/run.sh
+
+bench-test:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # Refresh VIRT_baseline.json — the armed 0.1% virtual-metric gate.
 # Must match the "Virtual-metric regression gate" CI step exactly:
@@ -28,7 +37,7 @@ rebaseline-virt:
 # machine.
 rebaseline-bench:
 	set -o pipefail; \
-	$(GO) test -run '^$$' -bench 'BenchmarkVoteFanout|BenchmarkStateCommit|BenchmarkEventDecode|BenchmarkTracerOverhead|BenchmarkRelayerHubScan|BenchmarkMeshSerialVsParallel' -benchtime=3x -count=3 . | tee bench_raw.txt; \
+	$(GO) test -run '^$$' -bench 'BenchmarkVoteFanout|BenchmarkStateCommit|BenchmarkEventDecode|BenchmarkTracerOverhead|BenchmarkRelayerHubScan|BenchmarkMeshSerialVsParallel|BenchmarkKeeperRecvAck' -benchtime=3x -count=3 . | tee bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkNetemSend' -benchtime=3x -count=3 ./internal/netem | tee -a bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumTally' -benchtime=100x -count=3 ./internal/tendermint/consensus | tee -a bench_raw.txt
 	$(GO) run ./cmd/ibcbench -bench2json bench_raw.txt -out BENCH_baseline.json

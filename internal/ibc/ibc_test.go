@@ -33,7 +33,14 @@ type testChain struct {
 
 func newTestChain(t *testing.T, chainID string) *testChain {
 	t.Helper()
-	a := app.New(chainID, true)
+	return newTestChainProofs(t, chainID, true)
+}
+
+// newTestChainProofs builds the harness with proof verification on or
+// off; without it a test can drive one side of a handshake alone.
+func newTestChainProofs(t *testing.T, chainID string, fullProofs bool) *testChain {
+	t.Helper()
+	a := app.New(chainID, fullProofs)
 	k := ibc.NewKeeper(a)
 	tm := transfer.New(a, k)
 	c := &testChain{

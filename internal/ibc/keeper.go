@@ -1,9 +1,11 @@
 package ibc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"ibcbench/internal/abci"
@@ -56,6 +58,8 @@ type Keeper struct {
 	// admitted are not re-verified when this chain's light client accepts
 	// a header (the simulator's process-wide equivalent of verify-once).
 	voteVerifiers map[string]types.VoteVerifier
+	// memo remembers the decoded form of stored objects (see getJSON).
+	memo map[string]memoEntry
 }
 
 // NewKeeper creates the IBC keeper and registers its message handler on
@@ -64,6 +68,7 @@ func NewKeeper(a *app.App) *Keeper {
 	k := &Keeper{
 		ports:         make(map[string]PortModule),
 		voteVerifiers: make(map[string]types.VoteVerifier),
+		memo:          make(map[string]memoEntry),
 	}
 	a.RegisterRoute(RouteIBC, k.handle)
 	return k
@@ -81,15 +86,50 @@ func (k *Keeper) RegisterVoteVerifier(chainID string, vv types.VoteVerifier) {
 
 // --- stored-object helpers -------------------------------------------------
 
-func getJSON[T any](ctx *app.Context, key string) (*T, bool) {
+// memoEntry is one remembered decode: the stored bytes it was decoded
+// from and the decoded value (a *T for the key's object type).
+type memoEntry struct {
+	raw []byte
+	val any
+}
+
+// memoCap bounds the decode memo. Clients, connections and channels are
+// a handful of keys per chain, but every client update adds a consensus
+// state under a new key, so an unbounded memo would grow with the length
+// of the run. When it fills up it is dropped whole: the hot keys (the
+// ends of open channels, the consensus heights relayers currently prove
+// against) re-enter on their next read, which is cheaper and simpler
+// than tracking recency per read.
+const memoCap = 1024
+
+// getJSON reads and decodes a stored object. Every packet message reads
+// the same channel, connection and consensus state, so the decoded value
+// is remembered per key and reused while the stored bytes are unchanged.
+// The bytes still come from ctx.State on every call and are compared
+// against the remembered ones, which makes staged writes, aborted
+// transactions and deletes visible without any invalidation hook. The
+// caller owns the returned value (a shallow copy: slices inside it, such
+// as ClientState.Validators, are shared and must not be written to).
+func getJSON[T any](k *Keeper, ctx *app.Context, key string) (*T, bool) {
 	raw, ok := ctx.State.Get(key)
 	if !ok {
 		return nil, false
+	}
+	if e, ok := k.memo[key]; ok && bytes.Equal(e.raw, raw) {
+		v := *e.val.(*T) // a key always holds the same object type
+		return &v, true
 	}
 	var v T
 	if err := json.Unmarshal(raw, &v); err != nil {
 		return nil, false
 	}
+	if len(k.memo) >= memoCap {
+		clear(k.memo)
+	}
+	// State.Set copies what it stores and never writes to it again, so
+	// raw can be kept by reference.
+	cached := v
+	k.memo[key] = memoEntry{raw: raw, val: &cached}
 	return &v, true
 }
 
@@ -104,7 +144,7 @@ func setJSON(ctx *app.Context, key string, v any) {
 
 // Client returns a stored client state.
 func (k *Keeper) Client(ctx *app.Context, clientID string) (*ClientState, error) {
-	cs, ok := getJSON[ClientState](ctx, ClientStateKey(clientID))
+	cs, ok := getJSON[ClientState](k, ctx, ClientStateKey(clientID))
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrClientNotFound, clientID)
 	}
@@ -113,7 +153,7 @@ func (k *Keeper) Client(ctx *app.Context, clientID string) (*ClientState, error)
 
 // Consensus returns a stored consensus state at a height.
 func (k *Keeper) Consensus(ctx *app.Context, clientID string, height int64) (*ConsensusState, error) {
-	cs, ok := getJSON[ConsensusState](ctx, ConsensusStateKey(clientID, height))
+	cs, ok := getJSON[ConsensusState](k, ctx, ConsensusStateKey(clientID, height))
 	if !ok {
 		return nil, fmt.Errorf("%w: client %s height %d", ErrConsensusNotFound, clientID, height)
 	}
@@ -122,7 +162,7 @@ func (k *Keeper) Consensus(ctx *app.Context, clientID string, height int64) (*Co
 
 // Channel returns a stored channel end.
 func (k *Keeper) Channel(ctx *app.Context, port, channel string) (*ChannelEnd, error) {
-	ch, ok := getJSON[ChannelEnd](ctx, ChannelKey(port, channel))
+	ch, ok := getJSON[ChannelEnd](k, ctx, ChannelKey(port, channel))
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrChannelNotFound, port, channel)
 	}
@@ -131,7 +171,7 @@ func (k *Keeper) Channel(ctx *app.Context, port, channel string) (*ChannelEnd, e
 
 // Connection returns a stored connection end.
 func (k *Keeper) Connection(ctx *app.Context, connID string) (*ConnectionEnd, error) {
-	c, ok := getJSON[ConnectionEnd](ctx, ConnectionKey(connID))
+	c, ok := getJSON[ConnectionEnd](k, ctx, ConnectionKey(connID))
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrConnectionNotFound, connID)
 	}
@@ -531,7 +571,7 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 			"src_channel": channel,
 			"dst_port":    ch.CounterpartyPort,
 			"dst_channel": ch.CounterpartyChan,
-			"sequence":    fmt.Sprint(seq),
+			"sequence":    strconv.FormatUint(seq, 10),
 		},
 	}
 	return p, []abci.Event{ev}, nil
@@ -540,11 +580,11 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 func (k *Keeper) nextSequenceSend(ctx *app.Context, port, channel string) uint64 {
 	key := NextSequenceSendKey(port, channel)
 	raw, _ := ctx.State.Get(key)
-	var seq uint64 = 1
-	if len(raw) > 0 {
-		fmt.Sscan(string(raw), &seq)
+	seq, err := strconv.ParseUint(string(raw), 10, 64)
+	if err != nil {
+		seq = 1 // no counter stored yet
 	}
-	ctx.State.Set(key, []byte(fmt.Sprint(seq+1)))
+	ctx.State.Set(key, strconv.AppendUint(nil, seq+1, 10))
 	return seq
 }
 
@@ -612,7 +652,7 @@ func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledg
 		Attributes: map[string]string{
 			"packet":   string(raw),
 			"ack":      string(ack.Bytes()),
-			"sequence": fmt.Sprint(p.Sequence),
+			"sequence": strconv.FormatUint(p.Sequence, 10),
 		},
 	})
 	return nil

@@ -194,7 +194,7 @@ func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowle
 		return &ibc.Acknowledgement{Error: err.Error()}
 	}
 	if !ok {
-		return mw.inner.OnRecvPacket(ctx, p)
+		return mw.inner.ReceivePacket(ctx, p, data)
 	}
 
 	// Validate the outgoing channel before moving any funds: an error ack

@@ -212,6 +212,13 @@ func (m *Module) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowledgeme
 	if err := json.Unmarshal(p.Data, &data); err != nil {
 		return &ibc.Acknowledgement{Error: ErrBadPacketData.Error()}
 	}
+	return m.ReceivePacket(ctx, p, data)
+}
+
+// ReceivePacket is OnRecvPacket for a caller that has already decoded
+// p.Data: middleware that had to read the memo hands its PacketData on
+// instead of having the payload parsed a second time.
+func (m *Module) ReceivePacket(ctx *app.Context, p ibc.Packet, data PacketData) *ibc.Acknowledgement {
 	if _, _, err := m.ReceiveFunds(ctx, p, data, data.Receiver); err != nil {
 		return &ibc.Acknowledgement{Error: err.Error()}
 	}

@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"ibcbench/internal/merkle"
@@ -49,7 +50,12 @@ type Packet struct {
 // a digest of the packet data and timeouts.
 func (p *Packet) CommitmentBytes() []byte {
 	h := sha256.New()
-	fmt.Fprintf(h, "%d/%d/", p.TimeoutHeight, p.TimeoutTimestamp)
+	var buf [48]byte // two int64s in decimal and two slashes fit in 42
+	b := strconv.AppendInt(buf[:0], p.TimeoutHeight, 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(p.TimeoutTimestamp), 10)
+	b = append(b, '/')
+	h.Write(b)
 	h.Write(p.Data)
 	return h.Sum(nil)
 }
@@ -60,7 +66,11 @@ func ClientStateKey(clientID string) string {
 }
 
 func ConsensusStateKey(clientID string, height int64) string {
-	return fmt.Sprintf("clients/%s/consensusStates/%d", clientID, height)
+	var buf [keyBufLen]byte
+	b := append(buf[:0], "clients/"...)
+	b = append(b, clientID...)
+	b = append(b, "/consensusStates/"...)
+	return string(strconv.AppendInt(b, height, 10))
 }
 
 func ConnectionKey(connID string) string {
@@ -76,15 +86,34 @@ func NextSequenceSendKey(port, channel string) string {
 }
 
 func PacketCommitmentKey(port, channel string, seq uint64) string {
-	return fmt.Sprintf("commitments/ports/%s/channels/%s/sequences/%d", port, channel, seq)
+	return packetKey("commitments", port, channel, seq)
 }
 
 func PacketReceiptKey(port, channel string, seq uint64) string {
-	return fmt.Sprintf("receipts/ports/%s/channels/%s/sequences/%d", port, channel, seq)
+	return packetKey("receipts", port, channel, seq)
 }
 
 func PacketAckKey(port, channel string, seq uint64) string {
-	return fmt.Sprintf("acks/ports/%s/channels/%s/sequences/%d", port, channel, seq)
+	return packetKey("acks", port, channel, seq)
+}
+
+// keyBufLen sizes the stack buffer numbered keys are assembled in; the
+// simulator's keys are about 60 bytes, and a longer one only costs the
+// append an allocation.
+const keyBufLen = 128
+
+// packetKey builds "<kind>/ports/<port>/channels/<channel>/sequences/<seq>".
+// Every packet message builds two or three of these, so it appends into
+// one buffer instead of going through fmt.
+func packetKey(kind, port, channel string, seq uint64) string {
+	var buf [keyBufLen]byte
+	b := append(buf[:0], kind...)
+	b = append(b, "/ports/"...)
+	b = append(b, port...)
+	b = append(b, "/channels/"...)
+	b = append(b, channel...)
+	b = append(b, "/sequences/"...)
+	return string(strconv.AppendUint(b, seq, 10))
 }
 
 // ValidatorRecord pins one counterparty validator in a client state.

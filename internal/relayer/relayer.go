@@ -965,7 +965,18 @@ func (r *Relayer) scheduleClear(src, dst *endpoint) {
 			}
 			seen[h] = true
 			src.rpc.QueryBlockEvents(r.host, h, func(be *eventindex.BlockEvents, err error) {
-				if err != nil || r.stopped {
+				if err != nil {
+					// A lost query or reply: nothing else would ever
+					// re-scan this height, so it goes back on the list for
+					// another pass. A node that answers but does not have
+					// the height will not have it next time either.
+					if !errors.Is(err, rpc.ErrNotFound) {
+						r.addMissed(src, h)
+						r.scheduleClear(src, dst)
+					}
+					return
+				}
+				if r.stopped {
 					return
 				}
 				r.processBlock(src, dst, be)

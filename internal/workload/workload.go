@@ -11,7 +11,6 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -25,8 +24,6 @@ import (
 	"ibcbench/internal/tendermint/rpc"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/tendermint/types"
-
-	ibctypes "ibcbench/internal/ibc"
 )
 
 // Stats counts request outcomes (Table I's columns).
@@ -121,24 +118,35 @@ func NewOnChannel(sched *sim.Scheduler, rng *sim.RNG, src, dst *chain.Chain, sou
 }
 
 // recordBroadcasts keys each committed packet back to the virtual time
-// its transaction was broadcast.
+// its transaction was broadcast. The packets come from the chain's event
+// index, which decoded this block already: chain.New registers the index
+// hook ahead of every other commit hook. The index lists only successful
+// transactions that emitted packets; one that failed has none to record.
 func (g *Generator) recordBroadcasts(chainID string, cb *store.CommittedBlock) {
-	for i, tx := range cb.Block.Data {
-		at, ok := g.broadcastAt[tx.Hash()]
+	for _, te := range g.source.Events.At(cb.Block.Header.Height).Txs {
+		hash := te.Info.Tx.Hash()
+		at, ok := g.broadcastAt[hash]
 		if !ok {
 			continue
 		}
-		delete(g.broadcastAt, tx.Hash())
-		for _, ev := range cb.Results[i].Events {
+		delete(g.broadcastAt, hash)
+		// The index groups a transaction's sends by channel; walking its
+		// events with one cursor per channel restores event order across
+		// channels, the order PacketKeys promises.
+		taken := make(map[string]int, len(te.Sends))
+		for _, ev := range te.Info.Result.Events {
 			if ev.Type != "send_packet" {
 				continue
 			}
-			var p ibctypes.Packet
-			if err := json.Unmarshal([]byte(ev.Attributes["packet"]), &p); err != nil {
-				continue
+			channel := ev.Attributes["src_channel"]
+			sends := te.Sends[channel]
+			n := taken[channel]
+			if n >= len(sends) {
+				continue // an event the index could not decode
 			}
+			taken[channel] = n + 1
 			key := metrics.PacketKey{
-				SrcChain: chainID, Channel: p.SourceChannel, Sequence: p.Sequence,
+				SrcChain: chainID, Channel: sends[n].SourceChannel, Sequence: sends[n].Sequence,
 			}
 			g.keys = append(g.keys, key)
 			g.tracker.Record(key, metrics.StepTransferBroadcast, at)

@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
+	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/tendermint/rpc"
 )
@@ -76,5 +79,45 @@ func TestInjectDirectSingleBlock(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no single block carried all injected txs")
+	}
+}
+
+// TestPacketKeysFollowEventOrderAcrossChannels: the event index groups a
+// transaction's sends by channel, and PacketKeys must still list them in
+// the order the transaction emitted them.
+func TestPacketKeysFollowEventOrderAcrossChannels(t *testing.T) {
+	tb, g, tracker := testEnv(4)
+	second := chain.Link(tb.Pair.A, tb.Pair.B).ChannelAB
+	g.EnsureAccounts(1)
+	account := g.accounts[0]
+	channels := []string{g.SourceChannel, second, second, g.SourceChannel, second}
+	msgs := make([]app.Msg, len(channels))
+	for i, ch := range channels {
+		msgs[i] = transfer.MsgTransfer{
+			Sender: account, Receiver: "receiver", Token: app.Coin{Denom: "uatom", Amount: 1},
+			SourcePort: g.SourcePort, SourceChannel: ch, TimeoutHeight: 1000, Nonce: uint64(i),
+		}
+	}
+	tx := app.NewTx(account, 0, 1, msgs)
+	g.broadcastAt[tx.Hash()] = 0
+	if err := tb.Pair.A.Pool.Add(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Run(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Each channel numbers its own packets from 1.
+	want := []metrics.PacketKey{
+		{SrcChain: "ibc-0", Channel: g.SourceChannel, Sequence: 1},
+		{SrcChain: "ibc-0", Channel: second, Sequence: 1},
+		{SrcChain: "ibc-0", Channel: second, Sequence: 2},
+		{SrcChain: "ibc-0", Channel: g.SourceChannel, Sequence: 2},
+		{SrcChain: "ibc-0", Channel: second, Sequence: 3},
+	}
+	if got := g.PacketKeys(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("PacketKeys = %v, want %v", got, want)
+	}
+	if tracker.Tracked() != len(want) {
+		t.Fatalf("tracked = %d, want %d", tracker.Tracked(), len(want))
 	}
 }
