@@ -389,11 +389,11 @@ func BenchmarkStateCommit(b *testing.B) {
 
 // BenchmarkVoteFanout measures consensus block production as the
 // validator set grows. The shared vote-verification engine
-// (internal/tendermint/votesig) checks each gossiped vote's ed25519
-// signature exactly once chain-wide, so per-height signature work is
-// O(V) across the two voting stages; the `vals-13-reference` variant
-// runs the pre-engine per-receiver path (O(V^2) checks) as the
-// regression anchor. Virtual results are identical either way —
+// (internal/tendermint/votesig) admits each vote when the engine signs
+// it, so per-height signature work is the O(V) signing alone; the
+// `vals-13-reference` variant runs the per-receiver path (O(V^2)
+// checks on top) as the regression anchor. Virtual results are
+// identical either way —
 // blocks-per-virtual-minute must not move.
 func BenchmarkVoteFanout(b *testing.B) {
 	runChain := func(b *testing.B, vals int, reference bool) {

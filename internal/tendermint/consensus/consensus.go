@@ -203,11 +203,14 @@ type Engine struct {
 	// the ordinal-indexed round tallies.
 	ordinals map[valkey.Address]int
 
-	// votes is the chain's shared vote-verification engine: every
-	// gossiped vote's signature is checked exactly once chain-wide.
+	// valsHash is valset.Hash(): the set never changes for the engine's
+	// life, so every header reuses the one computation.
+	valsHash types.Hash
+
+	// votes is the chain's shared vote-verification engine: it signs
+	// every vote this engine casts and admits it, so only signatures the
+	// engine did not make are ever checked.
 	votes *votesig.Cache
-	// signBuf is the pooled sign-bytes buffer for castVote.
-	signBuf []byte
 
 	// votePool recycles gossiped vote allocations. A cast vote stays
 	// live for its height only (every receiver drops mismatched-height
@@ -285,6 +288,7 @@ func New(sched *sim.Scheduler, net *netem.Network, cfg Config, app abci.Applicat
 		})
 	}
 	e.valset = types.NewValidatorSet(vals)
+	e.valsHash = e.valset.Hash()
 	e.ordinals = make(map[valkey.Address]int, len(vals))
 	for i, val := range vals {
 		e.ordinals[val.Address] = i
@@ -297,7 +301,7 @@ func (e *Engine) ValidatorSet() *types.ValidatorSet { return e.valset }
 
 // VoteCache exposes the chain's shared vote-verification engine. Light
 // clients tracking this chain pass it to VerifyCommitCached so commit
-// signatures admitted through the live vote path are not re-verified.
+// signatures admitted when castVote signed them are not re-verified.
 func (e *Engine) VoteCache() *votesig.Cache { return e.votes }
 
 // PrimaryHost is the network host of the RPC-serving full node.
@@ -429,8 +433,8 @@ func (e *Engine) propose(n *node, h int64, r int32) {
 		LastBlockID:        e.lastBlockID,
 		LastCommitHash:     e.lastCommit.Hash(),
 		DataHash:           types.DataHash(txs),
-		ValidatorsHash:     e.valset.Hash(),
-		NextValidatorsHash: e.valset.Hash(),
+		ValidatorsHash:     e.valsHash,
+		NextValidatorsHash: e.valsHash,
 		AppHash:            e.lastAppHash,
 		ProposerAddress:    n.addr,
 	}
@@ -507,8 +511,7 @@ func (e *Engine) castVote(n *node, vt types.SignedMsgType, h int64, r int32, blo
 		Timestamp:        e.sched.Now(),
 		ValidatorAddress: n.addr,
 	}
-	e.signBuf = types.AppendVoteSignBytes(e.signBuf[:0], e.cfg.ChainID, &pv.v)
-	pv.v.Signature = n.key.Sign(e.signBuf)
+	e.votes.SignVote(n.key, &pv.v)
 	gen := pv.gen
 	for _, dst := range e.nodes {
 		dst := dst
@@ -526,11 +529,11 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 		return
 	}
 	// Resolve the claimed validator in the canonical set, then verify the
-	// signature through the shared engine: the first receiver performs
-	// the ed25519 check, every later receiver of the same vote hits the
-	// cache — O(V) checks per block instead of O(V^2). Forged, tampered
-	// and stranger votes are still rejected: only verified tuples enter
-	// the cache, and a hit requires byte-identical signatures.
+	// signature through the shared engine: a vote castVote signed was
+	// admitted at signing, so every receiver hits the cache and an honest
+	// run performs no ed25519 check at all. Forged, tampered and stranger
+	// votes are still rejected: only signed or verified tuples enter the
+	// cache, and a hit requires byte-identical signatures.
 	val := e.valset.ByAddress(v.ValidatorAddress)
 	if val == nil {
 		return

@@ -225,10 +225,11 @@ func AppendVoteSignBytes(dst []byte, chainID string, v *Vote) []byte {
 }
 
 // VoteVerifier abstracts vote-signature verification so a chain-scoped
-// cache (internal/tendermint/votesig) can admit each gossiped vote's
-// ed25519 signature exactly once chain-wide. Implementations MUST only
-// report true for signatures that verify under pub; callers MUST resolve
-// pub from the claimed validator address in the chain's canonical set.
+// cache (internal/tendermint/votesig) can answer for votes it signed or
+// already verified without repeating the ed25519 check. Implementations
+// MUST only report true for signatures that verify under pub; callers
+// MUST resolve pub from the claimed validator address in the chain's
+// canonical set.
 type VoteVerifier interface {
 	// VerifyVote reports whether v.Signature is valid for v's sign bytes
 	// under pub on the given chain.
@@ -317,8 +318,8 @@ func (vs *ValidatorSet) VerifyCommit(chainID string, blockID BlockID, height int
 // VerifyCommitCached is VerifyCommit with a batched fast path: commit
 // signatures already admitted through vv (the source chain's live vote
 // path) are not re-verified — a commit signature is byte-for-byte the
-// precommit vote the engine's shared cache already checked. A nil vv
-// verifies every signature directly.
+// precommit vote the engine's shared cache admitted when it was signed.
+// A nil vv verifies every signature directly.
 func (vs *ValidatorSet) VerifyCommitCached(chainID string, blockID BlockID, height int64, commit *Commit, vv VoteVerifier) error {
 	if commit == nil || commit.Height != height {
 		return ErrCommitHeightMismatch

@@ -5,24 +5,33 @@
 // (each of the ~2V votes per round is delivered to all V nodes). The
 // votes themselves are chain-global facts: a vote's sign bytes depend
 // only on (chainID, type, height, round, blockID) and its signature on
-// the validator's key, so one successful verification holds for every
-// receiver. The Cache records each *verified* (validator, height, round,
-// type, blockID) tuple together with the exact signature bytes that
-// passed; later deliveries of the same vote hit the cache and skip the
-// curve operation, pinning per-block verification work to O(V).
+// the validator's key. Every validator of a simulated chain lives in
+// this process, so the signer admits: SignVote signs the vote and
+// records its (validator, height, round, type, blockID) tuple together
+// with the exact signature bytes it produced. Every delivery of that
+// vote, and every light-client check of the commit signature it becomes,
+// hits the cache and skips the curve operation. Full ed25519 checks are
+// for signatures this process did not make.
 //
-// Safety: the cache stores only tuples that passed a full ed25519 check,
-// and a hit additionally requires the candidate signature to be
-// byte-identical to the admitted one — a tampered or forged signature
-// over a cached tuple never short-circuits; it falls through to a full
-// verification (and fails). Callers must resolve the public key from the
+// Safety: a hit has always ignored the public key it was handed and
+// trusted the admitted bytes — it only requires the candidate signature
+// to be byte-identical to the admitted one. What admission vouches for
+// used to be "verified under the valset key for that address"; admission
+// at signing replaces it by "produced by the private key whose public
+// half hashes to that address" (SignVote refuses any other address), and
+// an ed25519 signature made with a private key verifies under its public
+// half by construction. A tampered or forged signature over an admitted
+// tuple never short-circuits: it falls through to a full verification,
+// fails, and leaves the admitted entry alone. Foreign-chain, stranger and
+// pruned signatures get the full check too, and those that pass it are
+// admitted as before. Callers must resolve the public key from the
 // claimed validator address in the chain's canonical validator set,
-// otherwise a cached tuple could vouch for a key it was never checked
-// against.
+// otherwise an admitted tuple could vouch for a key it was never made
+// with or checked against.
 //
 // The same engine backs the batched VerifyCommit fast path: a block's
-// commit signatures are byte-for-byte the precommit votes the live path
-// already admitted, so light-client header verification skips them too
+// commit signatures are byte-for-byte the precommit votes SignVote
+// admitted, so light-client header verification skips them too
 // (types.ValidatorSet.VerifyCommitCached).
 package votesig
 
@@ -47,8 +56,9 @@ type key struct {
 
 // Stats reports the cache's verification counters.
 type Stats struct {
-	// Verifications counts full ed25519 checks performed (cache misses
-	// plus every check in reference mode).
+	// Verifications counts full ed25519 checks performed: signatures
+	// SignVote did not make (foreign, forged, tampered, pruned) plus every
+	// check in reference mode. An honest run performs none.
 	Verifications uint64
 	// Hits counts verifications skipped because the identical vote was
 	// already admitted.
@@ -67,7 +77,7 @@ type Stats struct {
 type Cache struct {
 	mu       sync.RWMutex
 	chainID  string
-	admitted map[key][]byte // verified tuple -> admitted signature bytes
+	admitted map[key][]byte // signed or verified tuple -> admitted signature bytes
 	buf      []byte         // pooled sign-bytes buffer (AppendVoteSignBytes)
 	stats    Stats
 }
@@ -87,9 +97,27 @@ func keyOf(v *types.Vote) key {
 	}
 }
 
+// SignVote signs v with key, stores the signature on the vote and admits
+// the vote's tuple with exactly those bytes, so no delivery of it is ever
+// verified. The signature slice is retained as returned by Sign (fresh
+// per call, never mutated). The vote must claim key's own address:
+// admission vouches for the address's key, so signing under any other
+// address is a programming error and panics.
+func (c *Cache) SignVote(key *valkey.PrivKey, v *types.Vote) {
+	if v.ValidatorAddress != key.Pub().Address() {
+		panic("votesig: SignVote for a validator address that is not the signing key's")
+	}
+	c.buf = types.AppendVoteSignBytes(c.buf[:0], c.chainID, v)
+	v.Signature = key.Sign(c.buf)
+	c.mu.Lock()
+	c.admitted[keyOf(v)] = v.Signature
+	c.mu.Unlock()
+}
+
 // VerifyVote implements types.VoteVerifier: it reports whether the vote's
-// signature is valid under pub, performing the ed25519 check at most once
-// chain-wide per distinct vote. Votes for a foreign chain ID never touch
+// signature is valid under pub, skipping the ed25519 check for a vote
+// SignVote produced and performing it at most once chain-wide for any
+// other distinct vote. Votes for a foreign chain ID never touch
 // the cache (they are verified directly) — a cache is bound to the chain
 // whose sign-bytes domain it admitted signatures under.
 func (c *Cache) VerifyVote(chainID string, v *types.Vote, pub valkey.PubKey) bool {

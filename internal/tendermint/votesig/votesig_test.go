@@ -11,8 +11,9 @@ import (
 
 const chainID = "cache-chain"
 
-func mkVote(key *valkey.PrivKey, vt types.SignedMsgType, h int64, r int32, id types.BlockID) *types.Vote {
-	v := &types.Vote{
+// unsignedVote builds a vote claiming key's own address.
+func unsignedVote(key *valkey.PrivKey, vt types.SignedMsgType, h int64, r int32, id types.BlockID) *types.Vote {
+	return &types.Vote{
 		Type:             vt,
 		Height:           h,
 		Round:            r,
@@ -20,6 +21,12 @@ func mkVote(key *valkey.PrivKey, vt types.SignedMsgType, h int64, r int32, id ty
 		Timestamp:        3 * time.Second,
 		ValidatorAddress: key.Pub().Address(),
 	}
+}
+
+// mkVote signs a vote outside the cache: a signature the cache did not
+// make, which it must verify before admitting.
+func mkVote(key *valkey.PrivKey, vt types.SignedMsgType, h int64, r int32, id types.BlockID) *types.Vote {
+	v := unsignedVote(key, vt, h, r, id)
 	v.Signature = key.Sign(types.VoteSignBytes(chainID, v))
 	return v
 }
@@ -166,6 +173,141 @@ func TestPruneBelow(t *testing.T) {
 	v := mkVote(key, types.PrevoteType, 2, 0, types.BlockID{Hash: types.Hash{2}})
 	if !c.VerifyVote(chainID, v, key.Pub()) {
 		t.Fatal("re-delivered pruned vote rejected")
+	}
+}
+
+// --- admission at signing -----------------------------------------------------
+
+// signVote signs a vote through the cache, the way consensus.castVote
+// does.
+func signVote(c *votesig.Cache, key *valkey.PrivKey, vt types.SignedMsgType, h int64, r int32, id types.BlockID) *types.Vote {
+	v := unsignedVote(key, vt, h, r, id)
+	c.SignVote(key, v)
+	return v
+}
+
+func TestSignedVoteHitsWithoutVerification(t *testing.T) {
+	c := votesig.New(chainID)
+	key := valkey.Derive(chainID, 0)
+	v := signVote(c, key, types.PrevoteType, 5, 0, types.BlockID{Hash: types.Hash{1}})
+	if !c.VerifyVote(chainID, v, key.Pub()) {
+		t.Fatal("signed vote rejected")
+	}
+	if st := c.Stats(); st.Verifications != 0 || st.Hits != 1 || st.Size != 1 {
+		t.Fatalf("first delivery of a signed vote: %+v, want 0 verifications, 1 hit, size 1", st)
+	}
+}
+
+func TestSignedTupleSurvivesBadSignatures(t *testing.T) {
+	c := votesig.New(chainID)
+	key := valkey.Derive(chainID, 0)
+	v := signVote(c, key, types.PrecommitType, 5, 0, types.BlockID{Hash: types.Hash{1}})
+
+	tampered := *v
+	tampered.Signature = append([]byte(nil), v.Signature...)
+	tampered.Signature[0] ^= 0x01
+	if c.VerifyVote(chainID, &tampered, key.Pub()) {
+		t.Fatal("bit-flipped signature accepted over a signed tuple")
+	}
+	// An attacker's signature over the same tuple, claiming the signer's
+	// address; the caller resolves the pubkey by that address.
+	forged := *v
+	forged.Signature = valkey.Derive(chainID, 9).Sign(types.VoteSignBytes(chainID, &forged))
+	if c.VerifyVote(chainID, &forged, key.Pub()) {
+		t.Fatal("attacker-signed vote accepted over a signed tuple")
+	}
+	if st := c.Stats(); st.Verifications != 2 || st.Rejected != 2 || st.Size != 1 {
+		t.Fatalf("bad signatures did not fall through to failing full checks: %+v", st)
+	}
+	// Neither failure evicted or overwrote the admitted entry.
+	if !c.VerifyVote(chainID, v, key.Pub()) {
+		t.Fatal("signed vote rejected after forgery attempts")
+	}
+	if st := c.Stats(); st.Verifications != 2 || st.Hits != 1 {
+		t.Fatalf("signed vote did not hit after forgery attempts: %+v", st)
+	}
+}
+
+func TestSignVoteRefusesAnotherKeysAddress(t *testing.T) {
+	c := votesig.New(chainID)
+	v := &types.Vote{
+		Type:             types.PrevoteType,
+		Height:           1,
+		ValidatorAddress: valkey.Derive(chainID, 0).Pub().Address(),
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SignVote signed a vote claiming another key's address")
+		}
+		if v.Signature != nil || c.Stats().Size != 0 {
+			t.Fatal("refused vote was signed or admitted")
+		}
+	}()
+	c.SignVote(valkey.Derive(chainID, 1), v)
+}
+
+func TestPrunedSignedTupleFallsBackToFullCheck(t *testing.T) {
+	c := votesig.New(chainID)
+	key := valkey.Derive(chainID, 0)
+	v := signVote(c, key, types.PrecommitType, 2, 0, types.BlockID{Hash: types.Hash{2}})
+	c.PruneBelow(3)
+	if st := c.Stats(); st.Size != 0 {
+		t.Fatalf("size after pruning = %d, want 0", st.Size)
+	}
+	if !c.VerifyVote(chainID, v, key.Pub()) {
+		t.Fatal("pruned signed vote rejected by the full check")
+	}
+	if st := c.Stats(); st.Verifications != 1 || st.Hits != 0 || st.Rejected != 0 {
+		t.Fatalf("pruned signed vote: %+v, want exactly one passing full check", st)
+	}
+}
+
+func TestReadOnlyHitsSignedCommitShapedVote(t *testing.T) {
+	c := votesig.New(chainID)
+	key := valkey.Derive(chainID, 0)
+	v := signVote(c, key, types.PrecommitType, 7, 1, types.BlockID{Hash: types.Hash{7}})
+	asCommitSig := *v
+	asCommitSig.Timestamp = 0
+	ro := c.ReadOnly()
+	// A hit never consults pub, a miss verifies under it: a key that cannot
+	// verify the signature tells the two apart.
+	wrong := valkey.Derive(chainID, 1).Pub()
+	if !ro.VerifyVote(chainID, &asCommitSig, wrong) {
+		t.Fatal("read-only view missed a signed precommit presented commit-shaped")
+	}
+	asCommitSig.Round++
+	if ro.VerifyVote(chainID, &asCommitSig, wrong) {
+		t.Fatal("read-only view vouched for a tuple that was never signed")
+	}
+	if st := c.Stats(); st.Verifications != 0 || st.Hits != 0 {
+		t.Fatalf("read-only view touched the owner's counters: %+v", st)
+	}
+}
+
+// TestSignVoteSignaturesVerifyByConstruction checks the claim admission
+// at signing rests on with real ed25519: every signature SignVote stores
+// verifies under the signer's public key over the vote's sign bytes.
+func TestSignVoteSignaturesVerifyByConstruction(t *testing.T) {
+	c := votesig.New(chainID)
+	n := 0
+	for ki := 0; ki < 4; ki++ {
+		key := valkey.Derive(chainID, ki)
+		for _, vt := range []types.SignedMsgType{types.PrevoteType, types.PrecommitType} {
+			for h := int64(1); h <= 5; h++ {
+				for r := int32(0); r < 3; r++ {
+					for _, id := range []types.BlockID{{}, {Hash: types.Hash{byte(h), byte(r), 0xa5}}} {
+						v := signVote(c, key, vt, h*1000003, r, id)
+						if !key.Pub().Verify(types.VoteSignBytes(chainID, v), v.Signature) {
+							t.Fatalf("signature for key %d type %d h %d r %d id %x does not verify", ki, vt, v.Height, r, id.Hash[:3])
+						}
+						n++
+					}
+				}
+			}
+		}
+	}
+	if st := c.Stats(); st.Size != n || st.Verifications != 0 {
+		t.Fatalf("after %d signed votes: %+v", n, st)
 	}
 }
 
