@@ -30,7 +30,7 @@ bench-test:
 # should differ from the committed one only when simulation behavior
 # intentionally moved.
 rebaseline-virt:
-	$(GO) run ./cmd/ibcbench -experiment topo -topology hub:3 -rate 5 -seeds 2 -windows 3 -out VIRT_baseline.json
+	$(GO) run ./cmd/ibcbench sweep -experiment topo -topology hub:3 -rate 5 -seeds 2 -windows 3 -out VIRT_baseline.json
 
 # Refresh BENCH_baseline.json — the warn-only 30% wall-clock trajectory.
 # Mirrors the CI bench job's "Hot-path benchmarks" step; run on a quiet
@@ -40,7 +40,7 @@ rebaseline-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkVoteFanout|BenchmarkStateCommit|BenchmarkEventDecode|BenchmarkTracerOverhead|BenchmarkRelayerHubScan|BenchmarkMeshSerialVsParallel|BenchmarkKeeperRecvAck' -benchtime=3x -count=3 . | tee bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkNetemSend' -benchtime=3x -count=3 ./internal/netem | tee -a bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumTally' -benchtime=100x -count=3 ./internal/tendermint/consensus | tee -a bench_raw.txt
-	$(GO) run ./cmd/ibcbench -bench2json bench_raw.txt -out BENCH_baseline.json
+	$(GO) run ./cmd/ibcbench bench2json bench_raw.txt -out BENCH_baseline.json
 	rm -f bench_raw.txt
 
 # Local experiment service over the default store directory.

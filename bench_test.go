@@ -2,8 +2,7 @@
 // figure of the paper's evaluation section (§IV). Each bench runs the
 // corresponding experiment driver once per iteration and reports the
 // headline metric via b.ReportMetric, so `go test -bench=. -benchmem`
-// reprints the paper's rows/series. EXPERIMENTS.md records paper-vs-
-// measured values.
+// reprints the paper's rows/series.
 package ibcbench_test
 
 import (
@@ -218,7 +217,11 @@ type recvAckRounds struct {
 func newRecvAckRounds(tb testing.TB, rounds int) *recvAckRounds {
 	tb.Helper()
 	const msgs, proofHeight = 100, 2
-	pair := chain.NewTestbed(chain.DefaultTestbed(1)).Pair
+	sched := sim.NewScheduler()
+	network := netem.New(sched, sim.NewRNG(1), netem.DefaultWAN())
+	pair := chain.Link(
+		chain.New(sched, network, chain.Config{ChainID: "ibc-0"}),
+		chain.New(sched, network, chain.Config{ChainID: "ibc-1"}))
 	r := &recvAckRounds{a: pair.A, b: pair.B}
 	must := func(c *chain.Chain, tx *app.Tx) abci.TxResult {
 		res := c.App.DeliverTx(tx)

@@ -1,7 +1,7 @@
 // bench2json converts `go test -bench` text output into the same JSON
 // metric-document shape -out produces, so hot-path benchmark runs can be
 // tracked (and diffed warn-only against a committed baseline) by the CI
-// bench job: `ibcbench -bench2json bench_raw.txt -out BENCH_ci.json`.
+// bench job: `ibcbench bench2json bench_raw.txt -out BENCH_ci.json`.
 package main
 
 import (

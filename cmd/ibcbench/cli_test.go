@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -14,6 +15,36 @@ import (
 func TestUnknownSubcommand(t *testing.T) {
 	if err := run([]string{"nope"}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
 		t.Fatalf("expected unknown-subcommand error, got %v", err)
+	}
+}
+
+// Every run names its subcommand: no arguments and a leading flag are
+// errors that point at the help page, and neither starts an experiment
+// (`gas` would take seconds and print its table).
+func TestNoFlatInvocation(t *testing.T) {
+	if err := run(nil); err == nil {
+		t.Error("no arguments: expected an error")
+	}
+	err := run([]string{"-experiment", "gas"})
+	if err == nil || !strings.Contains(err.Error(), "ibcbench help") {
+		t.Errorf("leading flag: expected an error naming `ibcbench help`, got %v", err)
+	}
+}
+
+// The docs, the Makefile, CI and the verify notes may only show
+// invocations that exist: a subcommand first, and no examples/ program.
+func TestDocsUseSubcommands(t *testing.T) {
+	flat := regexp.MustCompile("(^|[\\s`/])ibcbench\\s+-")
+	for _, path := range []string{"README.md", "Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(filepath.Join("../..", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			if flat.MatchString(line) || strings.Contains(line, "go run ./examples/") {
+				t.Errorf("%s:%d: invocation without a subcommand, or of a deleted example: %s", path, i+1, strings.TrimSpace(line))
+			}
+		}
 	}
 }
 
@@ -34,7 +65,7 @@ func TestRunScenarioCmdFromFile(t *testing.T) {
 	outPath := filepath.Join(t.TempDir(), "report.json")
 	var buf bytes.Buffer
 	err := runScenarioCmd([]string{
-		"-scenario", "../../examples/scenarios/quickstart.json", "-out", outPath,
+		"-scenario", "../../internal/scenario/testdata/quickstart.json", "-out", outPath,
 	}, &buf)
 	if err != nil {
 		t.Fatalf("run quickstart: %v\n%s", err, buf.String())
@@ -56,7 +87,7 @@ func TestRunScenarioCmdFromFile(t *testing.T) {
 }
 
 // -print must emit the canonical encoding of the registered spec —
-// what a user commits to examples/ after tweaking a builtin.
+// the starting point for a spec file of one's own.
 func TestRunScenarioCmdPrint(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runScenarioCmd([]string{"-name", "failover", "-print"}, &buf); err != nil {

@@ -21,11 +21,6 @@
 //	ibcbench bench2json bench.txt -out BENCH.json
 //	ibcbench serve -store runs/ -addr :8321  # HTTP dashboard over a store
 //
-// The original flat-flag invocation (`ibcbench -experiment topo ...`,
-// `-trace`, `-diff old new`, `-bench2json`) still works as a deprecated
-// alias for the corresponding subcommand and stays byte-identical on
-// stdout; the deprecation note goes to stderr.
-//
 // Sweeps fan (config, seed) executions out over a worker pool
 // (-workers, default GOMAXPROCS); results are identical to serial runs.
 // With -out, every experiment that ran dumps its result structs — plus
@@ -59,7 +54,7 @@ var subcommands = []struct {
 	run  func(args []string, w io.Writer) error
 }{
 	{"run", "execute one declarative scenario spec (-scenario FILE | -name NAME) and check its assertions", runScenarioCmd},
-	{"sweep", "run the paper's experiments (-experiment NAME|all); the old flat-flag driver", runSweep},
+	{"sweep", "run the paper's experiments (-experiment NAME|all)", runSweep},
 	{"search", "seeded chaos search over a spec's declared fault space; shrinks violations to a minimal replay", runSearchCmd},
 	{"suite", "run (or -lint) every registered scenario and report assertion verdicts", runSuiteCmd},
 	{"trace", "record (-out), summarize (-summary), validate (-validate) or analyze (-analyze) a Chrome trace", runTraceCmd},
@@ -69,25 +64,25 @@ var subcommands = []struct {
 }
 
 func run(args []string) error {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		name, rest := args[0], args[1:]
-		if name == "help" {
-			printUsage(os.Stdout)
-			return nil
-		}
-		for _, sc := range subcommands {
-			if sc.name == name {
-				return sc.run(rest, os.Stdout)
-			}
-		}
-		return fmt.Errorf("ibcbench: unknown subcommand %q (see `ibcbench help`)", name)
+	if len(args) == 0 {
+		printUsage(os.Stderr)
+		return fmt.Errorf("ibcbench: no subcommand given")
 	}
-	// Flat-flag invocation predates the subcommands; it remains the
-	// sweep driver (which also hosts the legacy -trace/-diff/-bench2json
-	// dispatch flags) so existing scripts keep working byte-identically
-	// on stdout. The note must stay on stderr: CI greps sweep stdout.
-	fmt.Fprintln(os.Stderr, "note: flat-flag invocation is deprecated; use `ibcbench sweep` (see `ibcbench help`)")
-	return runSweep(args, os.Stdout)
+	name, rest := args[0], args[1:]
+	switch name {
+	case "help", "-h", "-help", "--help":
+		printUsage(os.Stdout)
+		return nil
+	}
+	for _, sc := range subcommands {
+		if sc.name == name {
+			return sc.run(rest, os.Stdout)
+		}
+	}
+	if strings.HasPrefix(name, "-") {
+		return fmt.Errorf("ibcbench: flags follow a subcommand, got %q first (see `ibcbench help`)", name)
+	}
+	return fmt.Errorf("ibcbench: unknown subcommand %q (see `ibcbench help`)", name)
 }
 
 func printUsage(w io.Writer) {

@@ -13,7 +13,6 @@ import (
 	"os"
 	"strings"
 
-	"ibcbench/internal/experiments"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/scenario"
 )
@@ -157,7 +156,7 @@ func runSuiteCmd(args []string, w io.Writer) error {
 		rep *scenario.Report
 		err error
 	}
-	verdicts := experiments.ParallelMap(names, *workers, func(n string) verdict {
+	verdicts := scenario.ParallelMap(names, *workers, func(n string) verdict {
 		e, _ := scenario.Lookup(n)
 		rep, err := scenario.Run(e.Spec, *seed)
 		return verdict{rep, err}

@@ -17,7 +17,7 @@ func TestStoreFlagArchivesRuns(t *testing.T) {
 		t.Skip("full CLI runs")
 	}
 	dir := filepath.Join(t.TempDir(), "runs")
-	base := []string{"-experiment", "topo", "-topology", "hub:3", "-rate", "3", "-seeds", "1", "-windows", "2", "-store", dir}
+	base := []string{"sweep", "-experiment", "topo", "-topology", "hub:3", "-rate", "3", "-seeds", "1", "-windows", "2", "-store", dir}
 	if err := run(base); err != nil {
 		t.Fatalf("first archived run: %v", err)
 	}
@@ -25,7 +25,7 @@ func TestStoreFlagArchivesRuns(t *testing.T) {
 		t.Fatalf("second archived run: %v", err)
 	}
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	if err := run([]string{"-trace", trace, "-topology", "hub:3", "-rate", "3", "-windows", "2", "-store", dir}); err != nil {
+	if err := run([]string{"trace", "-out", trace, "-topology", "hub:3", "-rate", "3", "-windows", "2", "-store", dir}); err != nil {
 		t.Fatalf("traced archived run: %v", err)
 	}
 

@@ -1,9 +1,7 @@
 // The sweep driver: the paper's experiment suite behind one flag set.
-// This is also the flat-flag compatibility surface — `ibcbench
-// -experiment topo ...` lands here unchanged, so the flag set, the
-// config header and the stdout rendering must stay byte-compatible
-// with the pre-subcommand CLI (the VIRT regression gate diffs -out
-// documents across revisions).
+// The config header and the stdout rendering are compared across
+// revisions (the VIRT regression gate diffs -out documents), so both
+// must stay byte-stable.
 package main
 
 import (
@@ -25,10 +23,6 @@ import (
 // runSweep executes the selected experiments:
 //
 //	ibcbench sweep -experiment topo -topology hub:4 -rate 20 [...]
-//
-// It also hosts the legacy dispatch flags (-trace, -diff, -bench2json,
-// -validate-trace, -trace-analyze) so the deprecated flat invocation
-// keeps working through the same code path as before.
 func runSweep(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench sweep", flag.ContinueOnError)
 	var (
@@ -46,46 +40,12 @@ func runSweep(args []string, w io.Writer) error {
 		parallel   = fs.Int("parallel", 0, "intra-run partitioned workers: split each simulation's chains over N OS workers with byte-identical results (0/1 = serial scheduler); also the worker count of -experiment meshscale")
 		out        = fs.String("out", "", "write every experiment's result as JSON to this file (cross-PR regression tracking)")
 		storeDir   = fs.String("store", "", "archive the result document (the -out payload) into this experiment-store directory; browse it with `ibcbench serve -store DIR`")
-		diffOld    = fs.String("diff", "", "compare this -out result file against the positional argument and exit (deprecated alias for `ibcbench diff`)")
-		failPct    = fs.Float64("fail-on-change", -1, "with -diff: exit nonzero when any metric moves beyond this tolerance in percent (negative = report only; skipped when the files' config headers mismatch)")
-		benchTxt   = fs.String("bench2json", "", "convert `go test -bench` output in this file to a JSON metrics document (written to -out, default stdout) and exit (deprecated alias for `ibcbench bench2json`)")
-		tracePath  = fs.String("trace", "", "run one instrumented -topology scenario and write a Chrome trace-event file (Perfetto-loadable) here, then exit (deprecated alias for `ibcbench trace -out`)")
-		traceSum   = fs.Bool("trace-summary", false, "with or without -trace: run one instrumented scenario and print the top spans by total/self time per subsystem")
-		traceCheck = fs.String("validate-trace", "", "structurally validate a -trace output file (JSON shape, span timing, async begin/end balance) and exit (deprecated alias for `ibcbench trace -validate`)")
-		traceAna   = fs.String("trace-analyze", "", "analyze an exported -trace file: flame span tree plus per-packet critical-path latency tables, then exit (deprecated alias for `ibcbench trace -analyze`)")
-		topN       = fs.Int("top", 20, "row cap for -trace-summary and -trace-analyze tables (0 = unlimited)")
 		liveAddr   = fs.String("live", "", "stream live run telemetry to an `ibcbench serve` address (host:port) and archive the result there when the run completes")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *benchTxt != "" {
-		return runBench2JSON(*benchTxt, *out, w)
-	}
-	if *traceCheck != "" {
-		return runValidateTrace(*traceCheck, w)
-	}
-	if *traceAna != "" {
-		return runTraceAnalyze(*traceAna, *topN, w)
-	}
-	if *diffOld != "" {
-		if fs.NArg() < 1 {
-			return fmt.Errorf("usage: ibcbench -diff old.json new.json [-fail-on-change pct]")
-		}
-		newPath := fs.Arg(0)
-		// Flag parsing stops at the positional new.json; pick up trailing
-		// flags (-fail-on-change after the file names) with a second pass.
-		if fs.NArg() > 1 {
-			if err := fs.Parse(fs.Args()[1:]); err != nil {
-				return err
-			}
-			if fs.NArg() != 0 {
-				return fmt.Errorf("usage: ibcbench -diff old.json new.json [-fail-on-change pct]")
-			}
-		}
-		return runDiff(*diffOld, newPath, *failPct, w)
 	}
 	valSizes, err := parseValidatorList(*validators)
 	if err != nil {
@@ -132,29 +92,6 @@ func runSweep(args []string, w io.Writer) error {
 		lc = newLiveClient(*liveAddr)
 		opt.Live = &topo.LiveConfig{Hook: lc.Hook}
 	}
-	// The config header identifies what produced a result document;
-	// `ibcbench diff` warns field by field when comparing results whose
-	// headers disagree, and the store's trend/regression analysis treats
-	// runs with differing headers as incompatible trajectories.
-	cfgHeader := func() map[string]any {
-		return map[string]any{
-			"experiment": *exp, "seeds": *seeds, "windows": *windows,
-			"transfers": *transfers, "seed": *seed, "topology": *topology,
-			"rate": *rate, "regions": *regions, "forwarding": *forwarding,
-			"validators": *validators, "parallel": *parallel,
-			"netem": netem.DefaultWAN(),
-		}
-	}
-	if *tracePath != "" || *traceSum {
-		err := runTrace(opt, *topology, *rate, *forwarding, *seed, *tracePath, *traceSum, *topN,
-			*storeDir, cfgHeader(), w)
-		if lc != nil {
-			// The traced run archives locally (-store); just clear the
-			// session's live entries on the service.
-			lc.Finish("", "", nil)
-		}
-		return err
-	}
 	selected, err := experiments.Select(*exp)
 	if err != nil {
 		return err
@@ -183,7 +120,17 @@ func runSweep(args []string, w io.Writer) error {
 		}
 	}
 	if *out != "" || *storeDir != "" || lc != nil {
-		report["config"] = cfgHeader()
+		// The config header identifies what produced a result document;
+		// `ibcbench diff` warns field by field when comparing results whose
+		// headers disagree, and the store's trend/regression analysis treats
+		// runs with differing headers as incompatible trajectories.
+		report["config"] = map[string]any{
+			"experiment": *exp, "seeds": *seeds, "windows": *windows,
+			"transfers": *transfers, "seed": *seed, "topology": *topology,
+			"rate": *rate, "regions": *regions, "forwarding": *forwarding,
+			"validators": *validators, "parallel": *parallel,
+			"netem": netem.DefaultWAN(),
+		}
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			return fmt.Errorf("marshal results: %w", err)

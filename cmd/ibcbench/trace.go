@@ -1,9 +1,9 @@
-// Trace export, validation, and analysis: -trace runs one instrumented
-// scenario and writes a Chrome trace-event file (load it at
-// ui.perfetto.dev or chrome://tracing), -trace-summary prints the top
+// Trace export, validation, and analysis: `trace -out` runs one
+// instrumented scenario and writes a Chrome trace-event file (load it at
+// ui.perfetto.dev or chrome://tracing), `-summary` prints the top
 // spans by total/self time per subsystem (-top caps the table),
-// -validate-trace structurally checks an exported file (the CI smoke
-// step runs it against a short hub run), and -trace-analyze runs the
+// `-validate` structurally checks an exported file (the CI smoke
+// step runs it against a short hub run), and `-analyze` runs the
 // traceview flame/critical-path analytics over an exported file.
 package main
 

@@ -8,7 +8,6 @@ package chain
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/eventindex"
@@ -304,81 +303,6 @@ func mustSet(ctx *app.Context, key string, v any) {
 		panic(err)
 	}
 	ctx.State.Set(key, raw)
-}
-
-// Testbed is the complete two-chain environment of the paper's
-// experiments: a shared scheduler and network, two five-validator Gaia
-// chains, and a linked transfer channel.
-type Testbed struct {
-	Sched *sim.Scheduler
-	Net   *netem.Network
-	RNG   *sim.RNG
-	Pair  *Pair
-}
-
-// TestbedConfig selects the emulated network and chain parameters.
-type TestbedConfig struct {
-	Seed        int64
-	Network     netem.Config
-	Validators  int
-	FullProofs  bool
-	MaxBlockGas uint64
-	// ReferenceVoteVerify selects the O(V^2) per-receiver vote
-	// verification path (see Config.ReferenceVoteVerify).
-	ReferenceVoteVerify bool
-}
-
-// DefaultTestbed mirrors §III-C: 200 ms RTT WAN, five validators each.
-func DefaultTestbed(seed int64) TestbedConfig {
-	return TestbedConfig{
-		Seed:    seed,
-		Network: netem.DefaultWAN(),
-	}
-}
-
-// NewTestbed builds the two-chain environment.
-func NewTestbed(cfg TestbedConfig) *Testbed {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
-	network := netem.New(sched, rng, cfg.Network)
-	mk := func(id string) *Chain {
-		ccfg := Config{
-			ChainID: id, Validators: cfg.Validators, FullProofs: cfg.FullProofs,
-			ReferenceVoteVerify: cfg.ReferenceVoteVerify,
-		}
-		ccfg.Consensus = consensusDefault(id, cfg)
-		return New(sched, network, ccfg)
-	}
-	a := mk("ibc-0")
-	b := mk("ibc-1")
-	return &Testbed{
-		Sched: sched,
-		Net:   network,
-		RNG:   rng,
-		Pair:  Link(a, b),
-	}
-}
-
-func consensusDefault(id string, cfg TestbedConfig) consensus.Config {
-	c := consensus.DefaultConfig(id)
-	if cfg.Validators > 0 {
-		c.Validators = cfg.Validators
-	}
-	if cfg.MaxBlockGas > 0 {
-		c.MaxBlockGas = cfg.MaxBlockGas
-	}
-	return c
-}
-
-// Start begins block production on both chains.
-func (tb *Testbed) Start() {
-	tb.Pair.A.Start()
-	tb.Pair.B.Start()
-}
-
-// Run drives the simulation until the virtual deadline.
-func (tb *Testbed) Run(until time.Duration) error {
-	return tb.Sched.RunUntil(until)
 }
 
 // jsonMarshal is a tiny indirection so the seeding helpers don't pull

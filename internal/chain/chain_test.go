@@ -126,17 +126,17 @@ func TestAddRPCNodeDistinctHosts(t *testing.T) {
 	}
 }
 
+// The paper's testbed in miniature: two linked chains on one WAN.
 func TestTestbedProducesBlocks(t *testing.T) {
-	tb := NewTestbed(DefaultTestbed(3))
-	if tb.Pair.A.ID != "ibc-0" || tb.Pair.B.ID != "ibc-1" {
-		t.Fatalf("chain IDs %q / %q", tb.Pair.A.ID, tb.Pair.B.ID)
-	}
-	tb.Start()
-	if err := tb.Run(30 * time.Second); err != nil {
+	sched := sim.NewScheduler()
+	net := netem.New(sched, sim.NewRNG(3), netem.DefaultWAN())
+	pair := Link(newTestChain(t, sched, net, "ibc-0"), newTestChain(t, sched, net, "ibc-1"))
+	pair.A.Start()
+	pair.B.Start()
+	if err := sched.RunUntil(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Pair.A.Store.Height() < 3 || tb.Pair.B.Store.Height() < 3 {
-		t.Fatalf("heights %d / %d after 30s",
-			tb.Pair.A.Store.Height(), tb.Pair.B.Store.Height())
+	if pair.A.Store.Height() < 3 || pair.B.Store.Height() < 3 {
+		t.Fatalf("heights %d / %d after 30s", pair.A.Store.Height(), pair.B.Store.Height())
 	}
 }

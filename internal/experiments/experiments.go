@@ -1,15 +1,17 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§IV): each function regenerates the corresponding
-// rows/series on the simulated testbed. DESIGN.md carries the experiment
-// index; EXPERIMENTS.md records paper-vs-measured values.
+// rows/series on the simulated testbed. The registry (registry.go) is
+// the experiment index.
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"ibcbench/internal/app"
-	"ibcbench/internal/framework"
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/netem"
+	"ibcbench/internal/scenario"
 	"ibcbench/internal/simconf"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
@@ -54,6 +56,106 @@ func (o Options) seeds() int {
 	return o.Seeds
 }
 
+// windows resolves the submission-window count against a driver's default.
+func (o Options) windows(def int) int {
+	if o.Windows <= 0 {
+		return def
+	}
+	return o.Windows
+}
+
+// grid runs every (variant, seed) cell of a sweep on the worker pool:
+// seedOf(v, i) is variant v's i-th seed and run executes one cell. Each
+// cell is an independent deterministic simulation, so the pool size
+// never changes a result. Results come back grouped by variant, in seed
+// order; the first failing cell in input order aborts the sweep.
+func grid[R any](opt Options, label string, variants int,
+	seedOf func(variant, i int) int64, run func(variant int, seed int64) (R, error)) ([][]R, error) {
+	type cell struct {
+		variant int
+		seed    int64
+	}
+	var cells []cell
+	for v := 0; v < variants; v++ {
+		for i := 0; i < opt.seeds(); i++ {
+			cells = append(cells, cell{v, seedOf(v, i)})
+		}
+	}
+	type outcome struct {
+		res R
+		err error
+	}
+	outcomes := scenario.ParallelMap(cells, opt.Workers, func(c cell) outcome {
+		res, err := run(c.variant, c.seed)
+		return outcome{res, err}
+	})
+	byVariant := make([][]R, variants)
+	for i, o := range outcomes {
+		if o.err != nil {
+			return nil, fmt.Errorf("experiments: %s (cell %d, seed %d): %w", label, i, cells[i].seed, o.err)
+		}
+		byVariant[cells[i].variant] = append(byVariant[cells[i].variant], o.res)
+	}
+	return byVariant, nil
+}
+
+// specGrid is grid over declarative scenarios: one spec per variant,
+// lowered and run once per cell.
+func specGrid(opt Options, label string, specs []scenario.Spec, seedOf func(variant, i int) int64) ([][]*topo.Result, error) {
+	return grid(opt, label, len(specs), seedOf, func(v int, seed int64) (*topo.Result, error) {
+		sc, err := opt.compile(specs[v])
+		if err != nil {
+			return nil, err
+		}
+		return sc.Run(seed)
+	})
+}
+
+// compile lowers a driver-built spec. The live hook is attached
+// afterwards: it is a callback, not data a spec can carry.
+func (o Options) compile(s scenario.Spec) (topo.Scenario, error) {
+	sc, err := scenario.Compile(s)
+	if err != nil {
+		return topo.Scenario{}, err
+	}
+	sc.Deploy.Live = o.Live
+	return sc, nil
+}
+
+// topoSpec is the part every topology driver's spec shares: the preset
+// graph on opt's region preset, validator-set size and intra-run
+// workers, with every edge sustaining rate requests/second for the
+// given windows.
+func (o Options) topoSpec(name, preset string, rate, windows int) scenario.Spec {
+	return scenario.Spec{
+		Name:     name,
+		Topology: scenario.TopologySpec{Preset: preset},
+		Regions:  o.Regions,
+		Deploy:   scenario.DeploySpec{Validators: o.Validators, ParallelWorkers: o.Parallel},
+		Workload: scenario.WorkloadSpec{Rate: rate, Windows: windows},
+	}
+}
+
+// twoChain deploys the paper's two-chain testbed (§III-C) and starts
+// it: 200 ms WAN unless lan, five validators per chain, `relayers`
+// relayers (0 = one) on the single link. The link's A->B workload
+// generator exists before block production starts. The spec layer has
+// no LAN network, so this stays a DeployConfig.
+func twoChain(seed int64, relayers int, lan bool) (*topo.Deployment, *topo.Link) {
+	cfg := topo.DeployConfig{Seed: seed, RelayersPerEdge: relayers}
+	if lan {
+		cfg.Network = netem.DefaultLAN()
+	}
+	d, err := topo.Deploy(topo.TwoChain(), cfg)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: two-chain deploy: %v", err))
+	}
+	link := d.Links[0]
+	link.Forward()
+	d.Start()
+	return d, link
+}
+
 // --- Fig. 6 / Fig. 7 / Table I: Tendermint-side throughput sweep -------------
 
 // Table1Row is one row of Table I.
@@ -66,8 +168,8 @@ type Table1Row struct {
 
 // TendermintResult bundles the three artifacts of the submission sweep.
 type TendermintResult struct {
-	Fig6   framework.Series // throughput violins (TFPS)
-	Fig7   framework.Series // mean block interval (seconds)
+	Fig6   Series // throughput violins (TFPS)
+	Fig7   Series // mean block interval (seconds)
 	Table1 []Table1Row
 }
 
@@ -83,15 +185,11 @@ func Tendermint(opt Options) TendermintResult {
 	if rates == nil {
 		rates = DefaultTendermintRates
 	}
-	windows := opt.Windows
-	if windows <= 0 {
-		windows = 15
-	}
+	windows := opt.windows(15)
 	res := TendermintResult{
-		Fig6: framework.Series{Name: "Fig6 Tendermint throughput", XLabel: "rate(rps)", YLabel: "TFPS"},
-		Fig7: framework.Series{Name: "Fig7 block interval", XLabel: "rate(rps)", YLabel: "seconds"},
+		Fig6: Series{Name: "Fig6 Tendermint throughput", XLabel: "rate(rps)", YLabel: "TFPS"},
+		Fig7: Series{Name: "Fig7 block interval", XLabel: "rate(rps)", YLabel: "seconds"},
 	}
-	type job struct{ rate, seed int }
 	type run struct {
 		tput     float64
 		hasTput  bool
@@ -99,33 +197,28 @@ func Tendermint(opt Options) TendermintResult {
 		stats    workload.Stats
 		commit   int
 	}
-	var jobs []job
-	for _, rate := range rates {
-		for seed := 0; seed < opt.seeds(); seed++ {
-			jobs = append(jobs, job{rate, seed})
-		}
-	}
-	runs := ParallelMap(jobs, opt.Workers, func(j job) run {
-		env := framework.Setup(framework.SetupConfig{Seed: int64(1000*j.rate + j.seed)})
-		env.Workload.RunConstantRate(j.rate, windows)
+	seedOf := func(v, i int) int64 { return int64(1000*rates[v] + i) }
+	// A two-chain cell has no error to return.
+	runs, _ := grid(opt, "tendermint", len(rates), seedOf, func(v int, seed int64) (run, error) {
+		d, link := twoChain(seed, 0, false)
+		link.Forward().RunConstantRate(rates[v], windows)
 		// Run long enough for all windows even with stretched blocks.
 		deadline := time.Duration(windows+4) * simconf.MinBlockInterval * 16
-		runUntilHeight(env, int64(windows)+2, deadline)
+		runUntilHeight(d, int64(windows)+2, deadline)
 
-		st := env.Testbed.Pair.A.Store
+		st := link.Pair.A.Store
 		committed, span := committedTransfers(st, int64(windows))
-		r := run{interval: meanInterval(st).Seconds(), stats: env.Workload.Stats(), commit: committed}
+		r := run{interval: meanInterval(st).Seconds(), stats: link.Forward().Stats(), commit: committed}
 		if span > 0 {
 			r.tput = float64(committed) / span.Seconds()
 			r.hasTput = true
 		}
-		return r
+		return r, nil
 	})
 	for i, rate := range rates {
 		var tput, intervals []float64
 		row := Table1Row{Rate: rate}
-		for s := 0; s < opt.seeds(); s++ {
-			r := runs[i*opt.seeds()+s]
+		for _, r := range runs[i] {
 			if r.hasTput {
 				tput = append(tput, r.tput)
 			}
@@ -143,10 +236,10 @@ func Tendermint(opt Options) TendermintResult {
 
 // runUntilHeight advances the sim until chain A reaches height or the
 // deadline passes, stepping block by block.
-func runUntilHeight(env *framework.Environment, height int64, deadline time.Duration) {
+func runUntilHeight(d *topo.Deployment, height int64, deadline time.Duration) {
 	step := simconf.MinBlockInterval
-	for env.Scheduler().Now() < deadline && env.Testbed.Pair.A.Store.Height() < height {
-		_ = env.Run(env.Scheduler().Now() + step)
+	for d.Sched.Now() < deadline && d.Chains[0].Store.Height() < height {
+		_ = d.Run(d.Sched.Now() + step)
 	}
 }
 
@@ -166,7 +259,9 @@ func committedTransfers(st *store.Store, windows int64) (int, time.Duration) {
 		}
 		n := 0
 		for _, tx := range cb.Block.Data {
-			n += transferMsgs(tx)
+			if t, ok := tx.(*app.Tx); ok {
+				n += transferMsgs(t)
+			}
 		}
 		if n == 0 && first < 0 {
 			continue // skip warm-up empty blocks
@@ -184,11 +279,7 @@ func committedTransfers(st *store.Store, windows int64) (int, time.Duration) {
 	return count, last - first
 }
 
-func transferMsgs(tx interface{ Size() int }) int {
-	t, ok := tx.(*app.Tx)
-	if !ok {
-		return 0
-	}
+func transferMsgs(t *app.Tx) int {
 	n := 0
 	for _, m := range t.Msgs {
 		if m.MsgType() == "MsgTransfer" {
@@ -248,49 +339,36 @@ func RelayerSweep(opt Options, relayers int, lan bool) []RelayerPoint {
 	if rates == nil {
 		rates = DefaultRelayerRates
 	}
-	windows := opt.Windows
-	if windows <= 0 {
-		windows = 50
-	}
-	type job struct{ rate, seed int }
+	windows := opt.windows(50)
 	type run struct {
 		counts    map[metrics.Status]int
 		tput      float64
 		hasTput   bool
 		redundant float64
 	}
-	var jobs []job
-	for _, rate := range rates {
-		for seed := 0; seed < opt.seeds(); seed++ {
-			jobs = append(jobs, job{rate, seed})
-		}
-	}
-	runs := ParallelMap(jobs, opt.Workers, func(j job) run {
-		env := framework.Setup(framework.SetupConfig{
-			Seed:       int64(7000*j.rate + 31*relayers + j.seed),
-			Relayers:   relayers,
-			LANLatency: lan,
-		})
-		env.Workload.RunConstantRate(j.rate, windows)
+	seedOf := func(v, i int) int64 { return int64(7000*rates[v] + 31*relayers + i) }
+	// A two-chain cell has no error to return.
+	runs, _ := grid(opt, "relayer sweep", len(rates), seedOf, func(v int, seed int64) (run, error) {
+		d, link := twoChain(seed, relayers, lan)
+		link.Forward().RunConstantRate(rates[v], windows)
 		deadline := time.Duration(windows+8) * simconf.MinBlockInterval * 4
-		runUntilHeight(env, int64(windows), deadline)
-		now := env.Scheduler().Now()
-		r := run{counts: env.Tracker.CompletionCounts()}
+		runUntilHeight(d, int64(windows), deadline)
+		now := d.Sched.Now()
+		r := run{counts: link.Tracker.CompletionCounts()}
 		if now > 0 {
 			r.tput = float64(r.counts[metrics.StatusCompleted]) / now.Seconds()
 			r.hasTput = true
 		}
-		for _, rs := range env.Relayers {
+		for _, rs := range link.Relayers {
 			r.redundant += float64(rs.Stats().RedundantErrors)
 		}
-		return r
+		return r, nil
 	})
 	var out []RelayerPoint
 	for i, rate := range rates {
 		pt := RelayerPoint{Rate: rate, Relayers: relayers, LAN: lan}
 		var tputs []float64
-		for s := 0; s < opt.seeds(); s++ {
-			r := runs[i*opt.seeds()+s]
+		for _, r := range runs[i] {
 			if r.hasTput {
 				tputs = append(tputs, r.tput)
 			}
@@ -339,11 +417,11 @@ type Fig12Result struct {
 // Fig12 submits `transfers` requests within one block and reports the
 // 13-step breakdown. The paper's run uses 5,000 transfers.
 func Fig12(transfers int, seed int64) Fig12Result {
-	env := framework.Setup(framework.SetupConfig{Seed: seed})
-	env.Scheduler().At(time.Millisecond, func() { env.Workload.SubmitBatch(transfers) })
-	_ = env.Run(45 * time.Minute)
+	d, link := twoChain(seed, 0, false)
+	d.Sched.At(time.Millisecond, func() { link.Forward().SubmitBatch(transfers) })
+	_ = d.Run(45 * time.Minute)
 
-	t := env.Tracker
+	t := link.Tracker
 	res := Fig12Result{Transfers: transfers}
 	res.Completed = t.CompletionCounts()[metrics.StatusCompleted]
 	var firstBroadcast, lastAck time.Duration
@@ -397,10 +475,10 @@ func Fig13(transfers int, strategies []int, seed int64) []Fig13Row {
 	}
 	var out []Fig13Row
 	for _, blocks := range strategies {
-		env := framework.Setup(framework.SetupConfig{Seed: seed + int64(blocks)})
-		env.Workload.SubmitSpread(transfers, blocks)
-		_ = env.Run(45 * time.Minute)
-		t := env.Tracker
+		d, link := twoChain(seed+int64(blocks), 0, false)
+		link.Forward().SubmitSpread(transfers, blocks)
+		_ = d.Run(45 * time.Minute)
+		t := link.Tracker
 		first, _, ok1 := t.StepSpan(metrics.StepTransferBroadcast)
 		_, last, ok2 := t.StepSpan(metrics.StepAckConfirmation)
 		row := Fig13Row{
@@ -426,9 +504,9 @@ type GasRow struct {
 
 // GasTable measures per-class gas on a live run of 100 transfers.
 func GasTable(seed int64) []GasRow {
-	env := framework.Setup(framework.SetupConfig{Seed: seed})
-	env.Scheduler().At(time.Millisecond, func() { env.Workload.SubmitBatch(100) })
-	_ = env.Run(10 * time.Minute)
+	d, link := twoChain(seed, 0, false)
+	d.Sched.At(time.Millisecond, func() { link.Forward().SubmitBatch(100) })
+	_ = d.Run(10 * time.Minute)
 	want := map[string]uint64{
 		"MsgTransfer":        3669161,
 		"MsgRecvPacket":      7238699,
@@ -450,8 +528,8 @@ func GasTable(seed int64) []GasRow {
 			}
 		}
 	}
-	scan(env.Testbed.Pair.A.Store)
-	scan(env.Testbed.Pair.B.Store)
+	scan(link.Pair.A.Store)
+	scan(link.Pair.B.Store)
 	var out []GasRow
 	for _, k := range []string{"MsgTransfer", "MsgRecvPacket", "MsgAcknowledgement"} {
 		out = append(out, GasRow{MsgType: k, Measured: got[k], Paper: want[k]})
@@ -475,21 +553,20 @@ type WebSocketResult struct {
 // Transactions are injected directly into the mempool so they land in a
 // single block, as in the paper.
 func WebSocketLimit(seed int64, txs, timeoutBlocks int) WebSocketResult {
-	env := framework.Setup(framework.SetupConfig{Seed: seed})
-	env.Workload.TimeoutBlocks = int64(timeoutBlocks)
-	pair := env.Testbed.Pair
-	env.Scheduler().At(time.Millisecond, func() {
-		env.Workload.InjectDirect(txs * 100)
+	d, link := twoChain(seed, 0, false)
+	link.Forward().TimeoutBlocks = int64(timeoutBlocks)
+	d.Sched.At(time.Millisecond, func() {
+		link.Forward().InjectDirect(txs * 100)
 	})
 	// Run for 4x the timeout horizon, as the paper does.
-	_ = env.Run(time.Duration(4*timeoutBlocks+40) * simconf.MinBlockInterval)
+	_ = d.Run(time.Duration(4*timeoutBlocks+40) * simconf.MinBlockInterval)
 
-	counts := env.Tracker.CompletionCounts()
+	counts := link.Tracker.CompletionCounts()
 	res := WebSocketResult{
 		Transfers: txs * 100,
 		Completed: counts[metrics.StatusCompleted],
 	}
-	for _, r := range env.Relayers {
+	for _, r := range link.Relayers {
 		res.FramesLost += r.Stats().FramesLost
 		res.TimedOut += r.Stats().TimeoutsDelivered
 	}
@@ -498,6 +575,5 @@ func WebSocketLimit(seed int64, txs, timeoutBlocks int) WebSocketResult {
 	if res.Stuck < 0 {
 		res.Stuck = 0
 	}
-	_ = pair
 	return res
 }

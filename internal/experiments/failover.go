@@ -5,11 +5,9 @@ import (
 	"io"
 	"time"
 
-	"ibcbench/internal/chaos"
-	"ibcbench/internal/geo"
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/scenario"
 	"ibcbench/internal/simconf"
-	"ibcbench/internal/topo"
 )
 
 // DefaultFaultWindows are the swept primary-outage durations; 0 is the
@@ -60,72 +58,21 @@ type FailoverResult struct {
 // (every edge gets a standby; edge 0's primary is the fault target).
 // opt.Regions optionally places the deployment on a geo preset.
 func Failover(opt Options, spec string, rate int) (FailoverResult, error) {
-	tp, err := topo.ParseSpec(spec)
-	if err != nil {
-		return FailoverResult{}, err
-	}
-	model, err := geo.ParseSpec(opt.Regions)
-	if err != nil {
-		return FailoverResult{}, err
-	}
 	if rate <= 0 {
 		return FailoverResult{}, fmt.Errorf("experiments: failover needs a per-edge rate >= 1 (got %d)", rate)
 	}
-	windows := opt.Windows
-	if windows <= 0 {
-		windows = 6
+	specs := make([]scenario.Spec, len(DefaultFaultWindows))
+	for i, w := range DefaultFaultWindows {
+		specs[i] = failoverSpec(opt, spec, rate, w)
 	}
-	faultStart := 3 * simconf.MinBlockInterval
+	seedOf := func(w, i int) int64 { return int64(9000*(w+1) + i) }
+	perWin, err := specGrid(opt, "failover "+spec, specs, seedOf)
+	if err != nil {
+		return FailoverResult{}, err
+	}
 	out := FailoverResult{
 		Spec: spec, Regions: opt.Regions, Rate: rate,
-		Seeds: opt.seeds(), FaultStart: faultStart,
-	}
-
-	rates := make(map[int]int, len(tp.Edges))
-	for i := range tp.Edges {
-		rates[i] = rate
-	}
-	type cell struct {
-		winIdx int
-		seed   int64
-	}
-	var cells []cell
-	for w := range DefaultFaultWindows {
-		for s := 0; s < opt.seeds(); s++ {
-			cells = append(cells, cell{w, int64(9000*(w+1) + s)})
-		}
-	}
-	type cellRes struct {
-		winIdx int
-		res    *topo.Result
-		err    error
-	}
-	results := ParallelMap(cells, opt.Workers, func(c cell) cellRes {
-		w := DefaultFaultWindows[c.winIdx]
-		sc := topo.Scenario{
-			Name:         fmt.Sprintf("failover-%s-w%ds", spec, int(w.Seconds())),
-			Topology:     tp,
-			Deploy:       topo.DeployConfig{Geo: model, Standby: true, Validators: opt.Validators, ParallelWorkers: opt.Parallel, Live: opt.Live},
-			EdgeRates:    rates,
-			Windows:      windows,
-			RecordCurves: true,
-		}
-		if w > 0 {
-			sc.Chaos = chaos.Timeline{Events: []chaos.Event{
-				{At: faultStart, Kind: chaos.PartitionLink, Edge: 0, Relayer: 0},
-				{At: faultStart + w, Kind: chaos.HealLink, Edge: 0, Relayer: 0},
-			}}
-		}
-		res, rerr := sc.Run(c.seed)
-		return cellRes{winIdx: c.winIdx, res: res, err: rerr}
-	})
-
-	perWin := make([][]*topo.Result, len(DefaultFaultWindows))
-	for i, r := range results {
-		if r.err != nil {
-			return FailoverResult{}, fmt.Errorf("experiments: failover %s (cell %d): %w", spec, i, r.err)
-		}
-		perWin[r.winIdx] = append(perWin[r.winIdx], r.res)
+		Seeds: opt.seeds(), FaultStart: failoverFaultStart,
 	}
 	for w, runs := range perWin {
 		row := FailoverRow{Window: DefaultFaultWindows[w]}
@@ -149,6 +96,26 @@ func Failover(opt Options, spec string, rate int) (FailoverResult, error) {
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// failoverFaultStart is when the partition opens (virtual time).
+const failoverFaultStart = 3 * simconf.MinBlockInterval
+
+// failoverSpec is one fault window's scenario: a standby on every edge,
+// and edge 0's primary relayer partitioned for the window's duration
+// (0 = the fault-free baseline).
+func failoverSpec(opt Options, spec string, rate int, window time.Duration) scenario.Spec {
+	s := opt.topoSpec(fmt.Sprintf("failover-%s-w%ds", spec, int(window.Seconds())), spec, rate, opt.windows(6))
+	s.Deploy.Standby = true
+	s.RecordCurves = true
+	if window > 0 {
+		primary := 0
+		s.Chaos = []scenario.EventSpec{
+			{At: scenario.Duration(failoverFaultStart), Kind: "partition", Edge: 0, Relayer: &primary},
+			{At: scenario.Duration(failoverFaultStart + window), Kind: "heal", Edge: 0, Relayer: &primary},
+		}
+	}
+	return s
 }
 
 // Render writes the latency-vs-fault-window table plus each window's

@@ -82,7 +82,7 @@ func TestTopologySweepWithRegions(t *testing.T) {
 	if testing.Short() {
 		seeds = 1
 	}
-	res, err := TopologySweepMode(Options{Seeds: seeds, Windows: 2, Regions: "hubspoke:2"}, "two", 2, false)
+	res, err := TopologySweep(Options{Seeds: seeds, Windows: 2, Regions: "hubspoke:2"}, "two", 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTopologySweepWithRegions(t *testing.T) {
 	if res.Sample.Total[metrics.StatusCompleted] == 0 {
 		t.Fatal("no completions under region model")
 	}
-	if _, err := TopologySweepMode(Options{Seeds: 1, Regions: "nowhere"}, "two", 2, false); err == nil {
+	if _, err := TopologySweep(Options{Seeds: 1, Regions: "nowhere"}, "two", 2, false); err == nil {
 		t.Fatal("bad region preset accepted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/scenario"
 	"ibcbench/internal/topo"
 )
 
@@ -49,59 +50,27 @@ func ForwardingComparison(opt Options, spec string, transfers int) (ForwardingRe
 	if len(paths) == 0 {
 		return ForwardingResult{}, fmt.Errorf("experiments: no routes on %s", spec)
 	}
+	specs := make([]scenario.Spec, len(paths))
+	for h, path := range paths {
+		specs[h] = forwardingSpec(opt, spec, path, transfers)
+	}
+	seedOf := func(h, i int) int64 { return int64(1000*(h+1) + i) }
+	perHop, err := specGrid(opt, "forwarding "+spec, specs, seedOf)
+	if err != nil {
+		return ForwardingResult{}, err
+	}
 	out := ForwardingResult{Spec: spec, Transfers: transfers, Seeds: opt.seeds()}
-
-	type hopSeed struct {
-		hopIdx int
-		seed   int64
-	}
-	var cells []hopSeed
-	for h := range paths {
-		for s := 0; s < opt.seeds(); s++ {
-			cells = append(cells, hopSeed{h, int64(1000*(h+1) + s)})
-		}
-	}
-	type cellRes struct {
-		hopIdx   int
-		seq, fwd topo.RouteReport
-		err      error
-	}
-	results := ParallelMap(cells, opt.Workers, func(c hopSeed) cellRes {
-		path := paths[c.hopIdx]
-		sc := topo.Scenario{
-			Name:     fmt.Sprintf("%s-hops%d", spec, len(path)-1),
-			Topology: tp,
-			Deploy:   topo.DeployConfig{Validators: opt.Validators, ParallelWorkers: opt.Parallel, Live: opt.Live},
-			Routes: []topo.Route{
-				{Path: path, Transfers: transfers},
-				{Path: path, Transfers: transfers, Forwarded: true},
-			},
-		}
-		res, err := sc.Run(c.seed)
-		if err != nil {
-			return cellRes{hopIdx: c.hopIdx, err: err}
-		}
-		return cellRes{hopIdx: c.hopIdx, seq: res.Routes[0], fwd: res.Routes[1]}
-	})
-
-	perHop := make([][]cellRes, len(paths))
-	for i, r := range results {
-		if r.err != nil {
-			return ForwardingResult{}, fmt.Errorf("experiments: forwarding %s (cell %d): %w", spec, i, r.err)
-		}
-		perHop[r.hopIdx] = append(perHop[r.hopIdx], r)
-	}
 	for h, path := range paths {
 		row := ForwardingRow{Hops: len(path) - 1, Path: path}
 		var seqLat, fwdLat []float64
-		for _, r := range perHop[h] {
-			if r.seq.Completed {
+		for _, res := range perHop[h] {
+			if seq := res.Routes[0]; seq.Completed {
 				row.SeqCompleted++
-				seqLat = append(seqLat, r.seq.Latency.Seconds())
+				seqLat = append(seqLat, seq.Latency.Seconds())
 			}
-			if r.fwd.Completed {
+			if fwd := res.Routes[1]; fwd.Completed {
 				row.FwdCompleted++
-				fwdLat = append(fwdLat, r.fwd.Latency.Seconds())
+				fwdLat = append(fwdLat, fwd.Latency.Seconds())
 			}
 		}
 		row.Sequential = metrics.Summarize(seqLat)
@@ -112,6 +81,21 @@ func ForwardingComparison(opt Options, spec string, transfers int) (ForwardingRe
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// forwardingSpec is one hop count's scenario: the same route in both
+// modes and no other traffic. No region preset: the comparison runs on
+// the paper's uniform WAN.
+func forwardingSpec(opt Options, spec string, path []int, transfers int) scenario.Spec {
+	return scenario.Spec{
+		Name:     fmt.Sprintf("%s-hops%d", spec, len(path)-1),
+		Topology: scenario.TopologySpec{Preset: spec},
+		Deploy:   scenario.DeploySpec{Validators: opt.Validators, ParallelWorkers: opt.Parallel},
+		Workload: scenario.WorkloadSpec{Routes: []scenario.RouteSpec{
+			{Path: path, Transfers: transfers},
+			{Path: path, Transfers: transfers, Forwarded: true},
+		}},
+	}
 }
 
 // hopPaths picks one representative path per achievable hop count,

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"ibcbench/internal/metrics"
-	"ibcbench/internal/topo"
+	"ibcbench/internal/scenario"
 )
 
 // DefaultMeshScaleChains is the swept mesh width. The conservative
@@ -76,31 +76,21 @@ func MeshScale(opt Options, chains []int, workers int) (MeshScaleResult, error) 
 	if len(rates) == 0 {
 		rates = []int{2}
 	}
-	windows := opt.Windows
-	if windows <= 0 {
-		windows = 2
-	}
+	windows := opt.windows(2)
 	out := MeshScaleResult{Workers: workers, Seeds: opt.seeds(), Windows: windows}
 
 	run := func(n, vals, rate, w int, seed int64) ([]byte, float64, float64, error) {
-		tp := topo.Mesh(n)
-		edgeRates := make(map[int]int, len(tp.Edges))
-		for i := range tp.Edges {
-			edgeRates[i] = rate
-		}
-		s := topo.Scenario{
+		sc, err := opt.compile(scenario.Spec{
 			Name:     fmt.Sprintf("meshscale-%dx%d-r%d", n, vals, rate),
-			Topology: tp,
-			Deploy: topo.DeployConfig{
-				Validators:      vals,
-				ParallelWorkers: w,
-				Live:            opt.Live,
-			},
-			EdgeRates: edgeRates,
-			Windows:   windows,
+			Topology: scenario.TopologySpec{Preset: fmt.Sprintf("mesh:%d", n)},
+			Deploy:   scenario.DeploySpec{Validators: vals, ParallelWorkers: w},
+			Workload: scenario.WorkloadSpec{Rate: rate, Windows: windows},
+		})
+		if err != nil {
+			return nil, 0, 0, err
 		}
 		start := time.Now()
-		res, err := s.Run(seed)
+		res, err := sc.Run(seed)
 		if err != nil {
 			return nil, 0, 0, err
 		}

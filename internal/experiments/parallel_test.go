@@ -3,42 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
-
-func TestParallelMapPreservesOrder(t *testing.T) {
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	out := ParallelMap(items, 8, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestParallelMapRunsAllItemsOnce(t *testing.T) {
-	var calls atomic.Int64
-	out := ParallelMap(make([]struct{}, 37), 4, func(struct{}) int {
-		return int(calls.Add(1))
-	})
-	if calls.Load() != 37 || len(out) != 37 {
-		t.Fatalf("calls = %d, len = %d", calls.Load(), len(out))
-	}
-}
-
-func TestParallelMapEmptyAndSerial(t *testing.T) {
-	if out := ParallelMap(nil, 4, func(int) int { return 1 }); len(out) != 0 {
-		t.Fatalf("empty input gave %v", out)
-	}
-	out := ParallelMap([]int{1, 2, 3}, 1, func(i int) int { return i + 1 })
-	if out[0] != 2 || out[2] != 4 {
-		t.Fatalf("serial path broken: %v", out)
-	}
-}
 
 // TestParallelSweepMatchesSerial is the acceptance check for the parallel
 // seed runner: for a fixed seed grid, the worker pool must produce
@@ -74,7 +40,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 func TestTopologySweep(t *testing.T) {
 	opt := Options{Seeds: 2, Windows: 3}
-	res, err := TopologySweep(opt, "hub:2", 4)
+	res, err := TopologySweep(opt, "hub:2", 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +67,14 @@ func TestTopologySweep(t *testing.T) {
 		}
 	}
 
-	if _, err := TopologySweep(opt, "ring:9", 4); err == nil {
+	if _, err := TopologySweep(opt, "ring:9", 4, false); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 }
 
 func TestTopologySweepParallelMatchesSerial(t *testing.T) {
 	run := func(workers int) string {
-		res, err := TopologySweep(Options{Seeds: 2, Windows: 3, Workers: workers}, "line:3", 3)
+		res, err := TopologySweep(Options{Seeds: 2, Windows: 3, Workers: workers}, "line:3", 3, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -251,7 +251,7 @@ func runGas(ctx RunContext) error {
 }
 
 func runTopo(ctx RunContext) error {
-	res, err := TopologySweepMode(ctx.Opt, ctx.Topology, ctx.Rate, ctx.Forwarding)
+	res, err := TopologySweep(ctx.Opt, ctx.Topology, ctx.Rate, ctx.Forwarding)
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"ibcbench/internal/geo"
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/scenario"
 	"ibcbench/internal/topo"
 )
 
@@ -27,15 +27,6 @@ type TopologyResult struct {
 	Sample *topo.Result
 }
 
-// TopologySweep benchmarks an interchain topology: every edge sustains
-// `rate` requests/second for the configured windows, plus — on graphs of
-// three or more chains — one multi-hop route between the two
-// lowest-indexed non-adjacent leaves, exercised as sequential transfers.
-// Seeds run concurrently on the parallel runner.
-func TopologySweep(opt Options, spec string, rate int) (TopologyResult, error) {
-	return TopologySweepMode(opt, spec, rate, false)
-}
-
 // BuildTopologyScenario assembles the sweep's scenario for one topology
 // spec and per-edge rate without running it: every edge sustains `rate`
 // requests/second for the configured windows, plus the demo multi-hop
@@ -47,65 +38,38 @@ func BuildTopologyScenario(opt Options, spec string, rate int, forwarded bool) (
 	if err != nil {
 		return topo.Scenario{}, err
 	}
-	model, err := geo.ParseSpec(opt.Regions)
-	if err != nil {
-		return topo.Scenario{}, err
-	}
 	if rate <= 0 {
 		return topo.Scenario{}, fmt.Errorf("experiments: topology sweep needs a per-edge rate >= 1 (got %d)", rate)
 	}
-	windows := opt.Windows
-	if windows <= 0 {
-		windows = 10
-	}
-	sc := topo.Scenario{
-		Name:     spec,
-		Topology: tp,
-		Deploy:   topo.DeployConfig{Geo: model, Validators: opt.Validators, ParallelWorkers: opt.Parallel, Live: opt.Live},
-		Windows:  windows,
-	}
-	sc.EdgeRates = make(map[int]int, len(tp.Edges))
-	for i := range tp.Edges {
-		sc.EdgeRates[i] = rate
-	}
+	s := opt.topoSpec(spec, spec, rate, opt.windows(10))
 	if route := demoRoute(tp); route != nil {
-		sc.Routes = []topo.Route{{Path: route, Transfers: rate, Forwarded: forwarded}}
+		s.Workload.Routes = []scenario.RouteSpec{{Path: route, Transfers: rate, Forwarded: forwarded}}
 	}
-	return sc, nil
+	return opt.compile(s)
 }
 
-// TopologySweepMode is TopologySweep with the route mode as an explicit
-// experiment axis: forwarded routes ride the packet-forward middleware
-// instead of sequential legs.
-func TopologySweepMode(opt Options, spec string, rate int, forwarded bool) (TopologyResult, error) {
+// TopologySweep benchmarks an interchain topology: every edge sustains
+// `rate` requests/second for the configured windows, plus — on graphs of
+// three or more chains — one multi-hop route between the two
+// lowest-indexed non-adjacent leaves, run as sequential transfers or,
+// when forwarded, through the packet-forward middleware. Seeds run
+// concurrently on the parallel runner.
+func TopologySweep(opt Options, spec string, rate int, forwarded bool) (TopologyResult, error) {
 	sc, err := BuildTopologyScenario(opt, spec, rate, forwarded)
 	if err != nil {
 		return TopologyResult{}, err
 	}
-	tp := sc.Topology
-	seeds := make([]int64, opt.seeds())
-	for i := range seeds {
-		seeds[i] = int64(100*rate + i)
-	}
-	type seedRun struct {
-		res *topo.Result
-		err error
-	}
-	results := ParallelMap(seeds, opt.Workers, func(seed int64) seedRun {
-		res, rerr := sc.Run(seed)
-		return seedRun{res: res, err: rerr}
+	seedOf := func(_, i int) int64 { return int64(100*rate + i) }
+	runs, err := grid(opt, "topo "+spec, 1, seedOf, func(_ int, seed int64) (*topo.Result, error) {
+		return sc.Run(seed)
 	})
-	out := TopologyResult{Spec: spec, Rate: rate, Seeds: len(seeds)}
+	if err != nil {
+		return TopologyResult{}, err
+	}
+	out := TopologyResult{Spec: spec, Rate: rate, Seeds: opt.seeds(), Sample: runs[0][0]}
 	var tputs []float64
-	perEdge := make([][]float64, len(tp.Edges))
-	for i, r := range results {
-		if r.err != nil {
-			return TopologyResult{}, fmt.Errorf("experiments: scenario %s (seed %d): %w", spec, seeds[i], r.err)
-		}
-		res := r.res
-		if out.Sample == nil {
-			out.Sample = res
-		}
+	perEdge := make([][]float64, len(sc.Topology.Edges))
+	for _, res := range runs[0] {
 		tputs = append(tputs, res.Throughput)
 		out.RoutesCompleted += res.RoutesCompleted
 		for i, e := range res.Edges {

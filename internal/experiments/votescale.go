@@ -5,9 +5,8 @@ import (
 	"io"
 	"time"
 
-	"ibcbench/internal/geo"
 	"ibcbench/internal/metrics"
-	"ibcbench/internal/topo"
+	"ibcbench/internal/scenario"
 )
 
 // DefaultVoteScaleSizes is the swept validator-set range. The paper fixes
@@ -51,80 +50,34 @@ type VoteScaleResult struct {
 // (V, seed) cell records block production, end-to-end transfer latency
 // and the host-side wall cost.
 func VoteScale(opt Options, spec string, rate int, sizes []int) (VoteScaleResult, error) {
-	tp, err := topo.ParseSpec(spec)
-	if err != nil {
-		return VoteScaleResult{}, err
-	}
-	model, err := geo.ParseSpec(opt.Regions)
-	if err != nil {
-		return VoteScaleResult{}, err
-	}
 	if rate <= 0 {
 		return VoteScaleResult{}, fmt.Errorf("experiments: votescale needs a per-edge rate >= 1 (got %d)", rate)
 	}
 	if len(sizes) == 0 {
 		sizes = DefaultVoteScaleSizes
 	}
-	for _, v := range sizes {
+	specs := make([]scenario.Spec, len(sizes))
+	for i, v := range sizes {
 		if v < 4 {
 			return VoteScaleResult{}, fmt.Errorf("experiments: votescale needs >= 4 validators for BFT quorums (got %d)", v)
 		}
+		specs[i] = voteScaleSpec(opt, spec, rate, v)
 	}
-	windows := opt.Windows
-	if windows <= 0 {
-		windows = 4
-	}
-	rates := make(map[int]int, len(tp.Edges))
-	for i := range tp.Edges {
-		rates[i] = rate
+	seedOf := func(v, i int) int64 { return int64(700*(v+1) + i) }
+	perSize, err := specGrid(opt, "votescale "+spec, specs, seedOf)
+	if err != nil {
+		return VoteScaleResult{}, err
 	}
 	out := VoteScaleResult{Spec: spec, Rate: rate, Seeds: opt.seeds()}
-
-	type cell struct {
-		sizeIdx int
-		seed    int64
-	}
-	var cells []cell
-	for i := range sizes {
-		for s := 0; s < opt.seeds(); s++ {
-			cells = append(cells, cell{i, int64(700*(i+1) + s)})
-		}
-	}
-	scenarioFor := func(sizeIdx int) topo.Scenario {
-		return topo.Scenario{
-			Name:      fmt.Sprintf("votescale-%s-v%d", spec, sizes[sizeIdx]),
-			Topology:  tp,
-			Deploy:    topo.DeployConfig{Geo: model, Validators: sizes[sizeIdx], ParallelWorkers: opt.Parallel, Live: opt.Live},
-			EdgeRates: rates,
-			Windows:   windows,
-		}
-	}
-	type cellRes struct {
-		sizeIdx int
-		res     *topo.Result
-		err     error
-	}
-	results := ParallelMap(cells, opt.Workers, func(c cell) cellRes {
-		res, rerr := scenarioFor(c.sizeIdx).Run(c.seed)
-		return cellRes{sizeIdx: c.sizeIdx, res: res, err: rerr}
-	})
-
-	perSize := make([][]cellRes, len(sizes))
-	for i, r := range results {
-		if r.err != nil {
-			return VoteScaleResult{}, fmt.Errorf("experiments: votescale %s (cell %d): %w", spec, i, r.err)
-		}
-		perSize[r.sizeIdx] = append(perSize[r.sizeIdx], r)
-	}
 	for i, runs := range perSize {
 		row := VoteScalePoint{Validators: sizes[i]}
 		var bps, latency, completed []float64
-		for _, r := range runs {
-			bps = append(bps, r.res.BlocksPerSec)
-			completed = append(completed, float64(r.res.Total[metrics.StatusCompleted]))
+		for _, res := range runs {
+			bps = append(bps, res.BlocksPerSec)
+			completed = append(completed, float64(res.Total[metrics.StatusCompleted]))
 			var sum float64
 			var n int
-			for _, e := range r.res.Edges {
+			for _, e := range res.Edges {
 				if e.Latency.N > 0 {
 					sum += e.Latency.Mean * float64(e.Latency.N)
 					n += e.Latency.N
@@ -142,14 +95,26 @@ func VoteScale(opt Options, spec string, rate int, sizes []int) (VoteScaleResult
 	// Serial timing pass: one uncontended run per size gives the honest
 	// wall-cost-vs-V curve (virtual metrics above are unaffected by
 	// contention, so they can come from the parallel sweep).
-	for i := range sizes {
+	for i, s := range specs {
+		sc, err := opt.compile(s)
+		if err != nil {
+			return VoteScaleResult{}, err
+		}
 		start := time.Now()
-		if _, err := scenarioFor(i).Run(int64(700 * (i + 1))); err != nil {
+		if _, err := sc.Run(seedOf(i, 0)); err != nil {
 			return VoteScaleResult{}, fmt.Errorf("experiments: votescale %s timing pass (V=%d): %w", spec, sizes[i], err)
 		}
 		out.Rows[i].WallSecPerSeed = time.Since(start).Seconds()
 	}
 	return out, nil
+}
+
+// voteScaleSpec is one set size's scenario: every chain runs v
+// validators and every edge sustains rate requests/second.
+func voteScaleSpec(opt Options, spec string, rate, v int) scenario.Spec {
+	s := opt.topoSpec(fmt.Sprintf("votescale-%s-v%d", spec, v), spec, rate, opt.windows(4))
+	s.Deploy.Validators = v
+	return s
 }
 
 // Render writes the validator-scaling table.

@@ -1,5 +1,5 @@
 // Summary: aggregate complete spans into a per-subsystem total/self
-// time table — the `ibcbench -trace-summary` view. Self time subtracts
+// time table — the `ibcbench trace -summary` view. Self time subtracts
 // the duration of nested spans on the same track, so "block" minus its
 // nested "exec" shows pure consensus overhead.
 package obs

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"ibcbench/internal/chain"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/tendermint/rpc"
 	"ibcbench/internal/workload"
@@ -17,7 +16,7 @@ import (
 // pinned counters and completion span fingerprint the rescan's
 // virtual-time behaviour (guarding the shared-scan refactor).
 func TestClearRecoversDroppedFrames(t *testing.T) {
-	tb := chain.NewTestbed(chain.DefaultTestbed(31))
+	tb := newTestbed(31, false)
 	tracker := metrics.NewTracker()
 	rcfg := DefaultConfig("hermes-clear")
 	rcfg.Tracker = tracker

@@ -7,12 +7,37 @@ import (
 	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/netem"
+	"ibcbench/internal/sim"
 	"ibcbench/internal/workload"
 )
 
+// testbed is two linked default chains on one scheduler and WAN network.
+type testbed struct {
+	Sched *sim.Scheduler
+	RNG   *sim.RNG
+	Pair  *chain.Pair
+}
+
+func newTestbed(seed int64, fullProofs bool) *testbed {
+	sched, rng := sim.NewScheduler(), sim.NewRNG(seed)
+	net := netem.New(sched, rng, netem.DefaultWAN())
+	mk := func(id string) *chain.Chain {
+		return chain.New(sched, net, chain.Config{ChainID: id, FullProofs: fullProofs})
+	}
+	return &testbed{Sched: sched, RNG: rng, Pair: chain.Link(mk("ibc-0"), mk("ibc-1"))}
+}
+
+func (tb *testbed) Start() {
+	tb.Pair.A.Start()
+	tb.Pair.B.Start()
+}
+
+func (tb *testbed) Run(until time.Duration) error { return tb.Sched.RunUntil(until) }
+
 // env assembles testbed + relayer(s) + workload generator.
 type env struct {
-	tb       *chain.Testbed
+	tb       *testbed
 	relayers []*Relayer
 	tracker  *metrics.Tracker
 	gen      *workload.Generator
@@ -20,9 +45,7 @@ type env struct {
 
 func newEnv(t *testing.T, seed int64, relayers int, fullProofs bool) *env {
 	t.Helper()
-	cfg := chain.DefaultTestbed(seed)
-	cfg.FullProofs = fullProofs
-	tb := chain.NewTestbed(cfg)
+	tb := newTestbed(seed, fullProofs)
 	tracker := metrics.NewTracker()
 	e := &env{tb: tb, tracker: tracker}
 	for i := 0; i < relayers; i++ {

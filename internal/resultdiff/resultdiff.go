@@ -1,9 +1,9 @@
 // Package resultdiff holds the JSON result-document comparison
-// primitives shared by the CLI's `-diff` command and the experiment
+// primitives shared by the CLI's `diff` command and the experiment
 // store: flattening a document into dotted metric paths and diffing two
 // documents' config headers field by field. Both consumers need the
 // same semantics — a run archived by the store must group with exactly
-// the runs `-diff` would have compared gate-armed — so the logic lives
+// the runs `diff` would have compared gate-armed — so the logic lives
 // here once.
 package resultdiff
 
@@ -81,7 +81,7 @@ type FieldDiff struct {
 	OnlyIn   string
 }
 
-// String renders the difference the way `-diff` has always printed it.
+// String renders the difference the way `ibcbench diff` prints it.
 func (d FieldDiff) String() string {
 	if d.OnlyIn != "" {
 		return fmt.Sprintf("%s: only in %s", d.Path, d.OnlyIn)
@@ -120,7 +120,7 @@ func ConfigDiff(oldCfg, newCfg map[string]any) []FieldDiff {
 
 // Compatible reports whether two config headers agree on every field —
 // the store's grouping predicate for trend windows and the rolling
-// regression gate, matching the condition under which `-diff
+// regression gate, matching the condition under which `diff
 // -fail-on-change` stays armed.
 func Compatible(a, b map[string]any) bool {
 	if a == nil || b == nil {

@@ -1,5 +1,5 @@
-// Built-in named scenarios: the spec-file equivalents of today's
-// experiment entrypoints and examples/ programs, registered at init so
+// Built-in named scenarios: small demonstrations and spec equivalents
+// of the `sweep` experiments' single runs, registered at init so
 // `ibcbench suite` runs them and CI lints them. Each one is also a
 // living sample of the DSL — `ibcbench run -name <x> -print` dumps the
 // canonical spec text.
@@ -10,8 +10,8 @@ import "time"
 func intp(i int) *int { return &i }
 
 func init() {
-	// The paper's minimal testbed (examples/quickstart): two chains, one
-	// relayer, a trickle of transfers.
+	// The paper's minimal testbed: two chains, one relayer, a trickle of
+	// transfers.
 	Register(Entry{
 		Desc:  "two chains, one relayer, one window of transfers",
 		Short: true,
@@ -23,8 +23,8 @@ func init() {
 		},
 	})
 
-	// The CI topology smoke (`-experiment topo -topology hub:3 -rate 5
-	// -windows 3`), demo route included.
+	// The CI topology smoke (`sweep -experiment topo -topology hub:3
+	// -rate 5 -windows 3`), demo route included.
 	Register(Entry{
 		Desc:  "hub:3 sweep workload, 5 rps per edge plus the demo route",
 		Short: true,
@@ -40,7 +40,8 @@ func init() {
 		},
 	})
 
-	// Full mesh under uniform load (`-experiment topo -topology mesh:3`).
+	// Full mesh under uniform load (`sweep -experiment topo -topology
+	// mesh:3`).
 	Register(Entry{
 		Desc: "mesh:3 under 4 rps on every edge",
 		Spec: Spec{
@@ -51,8 +52,8 @@ func init() {
 		},
 	})
 
-	// examples/pfmroute: one multi-hop route in both modes across a
-	// 3-chain line — sequential legs vs packet-forward middleware.
+	// One multi-hop route in both modes across a 3-chain line —
+	// sequential legs vs packet-forward middleware.
 	Register(Entry{
 		Desc:  "line:3 route comparison, sequential legs vs packet forwarding",
 		Short: true,
@@ -67,10 +68,9 @@ func init() {
 		},
 	})
 
-	// examples/failover: geo-distributed hub, standby relayers, a
-	// mid-run relayer blackout plus a latency spike, healed before the
-	// deadline. Declares a fault space so it doubles as the default
-	// chaos-search demo.
+	// Geo-distributed hub, standby relayers, a mid-run relayer blackout
+	// plus a latency spike, healed before the deadline. Declares a fault
+	// space so it doubles as the default chaos-search demo.
 	Register(Entry{
 		Desc: "geo hub with standby relayers under partition + latency chaos",
 		Spec: Spec{

@@ -1,8 +1,8 @@
 // Compile lowers a declarative spec onto the existing run APIs:
 // topo.Scenario + topo.DeployConfig + chaos.Timeline + geo.Model. The
 // lowering adds no behaviour of its own — a spec equivalent to a
-// cmd/ibcbench flag invocation produces a byte-identical same-seed
-// topo.Result (pinned by TestCompileMatchesFlagInvocation).
+// hand-built topo.Scenario produces a byte-identical same-seed
+// topo.Result (pinned by experiments.TestSpecBuiltMatchesHandBuilt).
 package scenario
 
 import (

@@ -1,4 +1,4 @@
-package experiments
+package scenario
 
 import (
 	"runtime"

@@ -1,7 +1,7 @@
 // Run executes a spec end to end: compile, run on the virtual clock,
 // then check the spec's assertions over the quiescent deployment. The
-// topo.Result is untouched by the assertion pass — a spec equivalent to
-// a flag invocation stays byte-identical — and the violations ride
+// topo.Result is untouched by the assertion pass — it stays
+// byte-identical to a plain topo.Scenario run — and the violations ride
 // alongside in the Report.
 package scenario
 

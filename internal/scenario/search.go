@@ -1,7 +1,7 @@
 // Chaos search: seeded randomized fault-timeline generation over a
 // spec's declared fault space, hunting assertion violations. Every
 // candidate is a full deterministic run, candidates fan out across the
-// experiments.ParallelMap pool (each run can itself use -parallel
+// ParallelMap pool (each run can itself use -parallel
 // workers), and the FIRST violating candidate by generation index — not
 // completion order — wins, so a search with the same spec and seed
 // always returns the same counterexample. A found violation is shrunk
@@ -14,7 +14,6 @@ import (
 	"io"
 	"time"
 
-	"ibcbench/internal/experiments"
 	"ibcbench/internal/sim"
 )
 
@@ -212,7 +211,7 @@ func Search(s Spec, opt SearchOptions) (*SearchResult, error) {
 		violations []Violation
 		err        error
 	}
-	verdicts := experiments.ParallelMap(candidates, opt.Workers, func(events []EventSpec) verdict {
+	verdicts := ParallelMap(candidates, opt.Workers, func(events []EventSpec) verdict {
 		v, err := runWith(s, events)
 		return verdict{violations: v, err: err}
 	})

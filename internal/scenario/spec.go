@@ -1,15 +1,16 @@
 // Package scenario is the declarative run description layer: one JSON
 // spec covers topology, geo regions, deploy knobs, workload (per-edge
 // rates + multi-hop routes), a chaos fault timeline, and the invariant
-// assertions checked after the run — everything a `cmd/ibcbench` flag
-// invocation or an examples/ program expresses in Go, as data.
+// assertions checked after the run — everything an experiment driver
+// expresses in Go, as data.
 //
 // Specs round-trip: Parse(Encode(s)) == s, and Encode is canonical
 // (stable field order, sorted maps, duration strings), so a spec file is
 // diffable and a chaos-search counterexample commits as a regression
 // test. Compile lowers a spec onto the existing topo/chaos/geo APIs
-// without behavioural additions of its own — a spec equivalent to a flag
-// invocation produces a byte-identical same-seed topo.Result.
+// without behavioural additions of its own — a spec equivalent to a
+// hand-built topo.Scenario produces a byte-identical same-seed
+// topo.Result.
 package scenario
 
 import (

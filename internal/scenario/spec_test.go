@@ -46,41 +46,6 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExampleSpecsCompile keeps the committed examples/scenarios files
-// working: each parses, compiles and is canonical.
-func TestExampleSpecsCompile(t *testing.T) {
-	files, err := filepath.Glob("../../examples/scenarios/*.json")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no example specs found: %v", err)
-	}
-	for _, file := range files {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, err := Parse(data)
-		if err != nil {
-			t.Fatalf("parse %s: %v", file, err)
-		}
-		if _, err := Compile(spec); err != nil {
-			t.Fatalf("compile %s: %v", file, err)
-		}
-		enc, err := Encode(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if os.Getenv("UPDATE_GOLDEN") != "" {
-			if err := os.WriteFile(file, enc, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		if string(enc) != string(data) {
-			t.Errorf("%s is not canonical (run UPDATE_GOLDEN on it)", file)
-		}
-	}
-}
-
 func TestDurationForms(t *testing.T) {
 	spec := `{"name":"d","topology":{"preset":"two"},"deploy":{},"workload":{"rate":1},"until":"1m30s","chaos":[{"at":150000000,"kind":"latency-spike","edge":0,"extraLatency":"20ms"}]}`
 	s, err := Parse([]byte(spec))

@@ -2,7 +2,7 @@
 // path (per-packet step attribution) computed on demand from a run's
 // stored Chrome trace via internal/traceview. The JSON endpoints
 // return traceview's canonical documents byte-for-byte — the same
-// bytes `ibcbench -trace-analyze` pins in its determinism test — and
+// bytes `ibcbench trace -analyze` pins in its determinism test — and
 // the HTML pages inline the matching SVG with zero external assets,
 // like every other dashboard view.
 package serve

@@ -128,7 +128,7 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if charted == 0 {
-		b.WriteString("<p class=muted>No trend charts yet — archive runs with <code>ibcbench -experiment ... -store DIR</code> or POST result documents to <code>/api/ingest</code>.</p>\n")
+		b.WriteString("<p class=muted>No trend charts yet — archive runs with <code>ibcbench sweep -experiment ... -store DIR</code> or POST result documents to <code>/api/ingest</code>.</p>\n")
 	}
 	b.WriteString("<h2>Runs</h2>\n")
 	runsTable(&b, runs)

@@ -214,7 +214,7 @@ type diffRow struct {
 }
 
 // handleDiff compares two archived runs metric by metric, the stored
-// counterpart of `ibcbench -diff a.json b.json`: ?a=<id>&b=<id>.
+// counterpart of `ibcbench diff a.json b.json`: ?a=<id>&b=<id>.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	load := func(id string) (store.Meta, any, error) {

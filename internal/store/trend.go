@@ -1,6 +1,6 @@
 // Cross-run trend extraction and the rolling-median regression
 // detector: the store's generalization of the CLI's two-file
-// `-diff -fail-on-change` gate. Where the gate compares one run against
+// `diff -fail-on-change` gate. Where the gate compares one run against
 // one committed baseline, the detector compares the latest run against
 // the median of the last K *compatible* runs — runs whose config
 // headers agree field for field (resultdiff.Compatible), the same

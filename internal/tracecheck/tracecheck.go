@@ -1,10 +1,10 @@
 // Package tracecheck structurally validates Chrome trace-event
-// documents (the `-trace` export format): JSON shape, span timing, and
+// documents (the `ibcbench trace -out` export format): JSON shape, span timing, and
 // async begin/end balance. The checker streams the traceEvents array
 // with a json.Decoder so a violation is reported with the event's
 // index, line and byte offset — the exporter writes one event per line,
 // making the line number directly actionable. It is shared by the CLI's
-// `-validate-trace` command, the experiment service (which validates
+// `trace -validate` command, the experiment service (which validates
 // every trace at ingest time and badges invalid ones), and the
 // traceview analytics engine, which re-parses stored traces through the
 // same streaming reader.

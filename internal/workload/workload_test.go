@@ -9,11 +9,36 @@ import (
 	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/netem"
+	"ibcbench/internal/sim"
 	"ibcbench/internal/tendermint/rpc"
 )
 
-func testEnv(seed int64) (*chain.Testbed, *Generator, *metrics.Tracker) {
-	tb := chain.NewTestbed(chain.DefaultTestbed(seed))
+// testbed is two linked default chains on one scheduler and WAN network.
+type testbed struct {
+	Sched *sim.Scheduler
+	RNG   *sim.RNG
+	Pair  *chain.Pair
+}
+
+func newTestbed(seed int64) *testbed {
+	sched, rng := sim.NewScheduler(), sim.NewRNG(seed)
+	net := netem.New(sched, rng, netem.DefaultWAN())
+	mk := func(id string) *chain.Chain {
+		return chain.New(sched, net, chain.Config{ChainID: id})
+	}
+	return &testbed{Sched: sched, RNG: rng, Pair: chain.Link(mk("ibc-0"), mk("ibc-1"))}
+}
+
+func (tb *testbed) Start() {
+	tb.Pair.A.Start()
+	tb.Pair.B.Start()
+}
+
+func (tb *testbed) Run(until time.Duration) error { return tb.Sched.RunUntil(until) }
+
+func testEnv(seed int64) (*testbed, *Generator, *metrics.Tracker) {
+	tb := newTestbed(seed)
 	tracker := metrics.NewTracker()
 	node := tb.Pair.A.AddRPCNode(rpc.Config{})
 	g := New(tb.Sched, tb.RNG, tb.Pair, node, tracker)
