@@ -1,10 +1,11 @@
-# Developer entry points. The rebaseline targets mirror the CI jobs
-# byte for byte — refresh a committed baseline with them whenever an
-# intentional change moves the gated metrics, and commit the result.
+# Developer entry points. CI's virtual-metric gate calls `make
+# virt-gate`; refresh a committed baseline with the rebaseline targets
+# whenever an intentional change moves the gated metrics, and commit the
+# result.
 
 GO ?= go
 
-.PHONY: test check bench bench-test rebaseline-virt rebaseline-bench serve
+.PHONY: test check bench bench-test virt-gate rebaseline-virt rebaseline-bench serve
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -24,20 +25,25 @@ bench:
 bench-test:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
-# Refresh VIRT_baseline.json — the armed 0.1% virtual-metric gate.
-# Must match the "Virtual-metric regression gate" CI step exactly:
-# virtual-clock results are deterministic per seed, so the fresh file
-# should differ from the committed one only when simulation behavior
-# intentionally moved.
-rebaseline-virt:
-	$(GO) run ./cmd/ibcbench sweep -experiment topo -topology hub:3 -rate 5 -seeds 2 -windows 3 -out VIRT_baseline.json
+# The armed 0.1% virtual-metric gate (CI's "Virtual-metric regression
+# gate" step runs virt-gate) and the refresh of its baseline, one sweep
+# command line for both: virtual-clock results are deterministic per
+# seed, so the fresh file differs from the committed one only when
+# simulation behavior moved.
+VIRT_SWEEP = $(GO) run ./cmd/ibcbench sweep -experiment topo -topology hub:3 -rate 5 -seeds 2 -windows 3
 
-# Refresh BENCH_baseline.json — the warn-only 30% wall-clock trajectory.
-# Mirrors the CI bench job's "Hot-path benchmarks" step; run on a quiet
-# machine.
+virt-gate:
+	$(VIRT_SWEEP) -out VIRT_ci.json
+	$(GO) run ./cmd/ibcbench diff VIRT_baseline.json VIRT_ci.json -fail-on-change 0.1
+
+rebaseline-virt:
+	$(VIRT_SWEEP) -out VIRT_baseline.json
+
+# Refresh BENCH_baseline.json — the micro-benchmark trajectory. Mirrors
+# the CI bench job's "Hot-path benchmarks" step; run on a quiet machine.
 rebaseline-bench:
 	set -o pipefail; \
-	$(GO) test -run '^$$' -bench 'BenchmarkVoteFanout|BenchmarkStateCommit|BenchmarkEventDecode|BenchmarkTracerOverhead|BenchmarkRelayerHubScan|BenchmarkMeshSerialVsParallel|BenchmarkKeeperRecvAck' -benchtime=3x -count=3 . | tee bench_raw.txt; \
+	$(GO) test -run '^$$' -bench 'BenchmarkVoteFanout|BenchmarkStateCommit|BenchmarkEventDecode|BenchmarkKeeperRecvAck' -benchtime=3x -count=3 . | tee bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkNetemSend' -benchtime=3x -count=3 ./internal/netem | tee -a bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumTally' -benchtime=100x -count=3 ./internal/tendermint/consensus | tee -a bench_raw.txt
 	$(GO) run ./cmd/ibcbench bench2json bench_raw.txt -out BENCH_baseline.json

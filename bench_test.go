@@ -19,13 +19,10 @@ import (
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/merkle"
-	"ibcbench/internal/metrics"
 	"ibcbench/internal/netem"
-	"ibcbench/internal/obs"
 	"ibcbench/internal/sim"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/tendermint/types"
-	"ibcbench/internal/topo"
 )
 
 // benchOpts keeps bench iterations affordable; `cmd/ibcbench` runs the
@@ -306,33 +303,6 @@ func TestKeeperRecvAckAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per round", got)
 }
 
-// BenchmarkRelayerHubScan runs a full hub scenario per iteration; with
-// the shared index its host-side scan cost is O(1) in relayer count, so
-// doubling relayers must not double the event-decode work. allocs/op is
-// reported so CI tracks the batch-build slice recycling (packet and ack
-// buffers return to per-relayer free lists after submission).
-func BenchmarkRelayerHubScan(b *testing.B) {
-	for _, perEdge := range []int{1, 2} {
-		b.Run(fmt.Sprintf("relayers-per-edge-%d", perEdge), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := topo.Scenario{
-					Name:      "bench-hub",
-					Topology:  topo.Hub(3),
-					Deploy:    topo.DeployConfig{RelayersPerEdge: perEdge},
-					EdgeRates: map[int]int{0: 10, 1: 10, 2: 10},
-					Windows:   3,
-				}
-				res, err := s.Run(int64(17 + i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Total[metrics.StatusCompleted]), "completed")
-			}
-		})
-	}
-}
-
 // BenchmarkStateCommit measures block commits in full-proof mode: the
 // incremental path folds only the block's dirty keys into cached leaf
 // hashes, versus the old full merkle.NewTree rebuild over the state map.
@@ -421,73 +391,4 @@ func BenchmarkVoteFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("vals-%d", vals), func(b *testing.B) { runChain(b, vals, false) })
 	}
 	b.Run("vals-13-reference", func(b *testing.B) { runChain(b, 13, true) })
-}
-
-// BenchmarkTracerOverhead measures the observability tax on a full topo
-// scenario: `disabled` is the production default (nil Obs — the tracer
-// hooks must compile down to nil checks), `enabled` runs the same
-// workload with span recording, metric sampling and flush-time packet
-// synthesis attached. The CI bench job tracks both; enabled should sit
-// within ~5% of disabled, disabled within noise of the pre-obs baseline.
-func BenchmarkTracerOverhead(b *testing.B) {
-	run := func(b *testing.B, instrument bool) {
-		for i := 0; i < b.N; i++ {
-			sc, err := experiments.BuildTopologyScenario(benchOpts, "hub:3", 5, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var o *obs.Obs
-			if instrument {
-				o = obs.New()
-				sc.Deploy.Obs = o
-			}
-			res, err := sc.Run(42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Total[metrics.StatusCompleted] == 0 {
-				b.Fatal("no transfers completed")
-			}
-			b.ReportMetric(res.Throughput, "TFPS")
-			if instrument {
-				if o.Tracer.Len() == 0 {
-					b.Fatal("instrumented run recorded no events")
-				}
-				b.ReportMetric(float64(o.Tracer.Len()), "events")
-			}
-		}
-	}
-	b.Run("disabled", func(b *testing.B) { run(b, false) })
-	b.Run("enabled", func(b *testing.B) { run(b, true) })
-}
-
-var _ = metrics.StatusCompleted
-
-// BenchmarkMeshSerialVsParallel runs one full-mesh scenario per
-// iteration in both runner modes and reports wall time plus speedup.
-// The conservative partitioned runner is byte-identical to serial (the
-// experiment errors out otherwise), so the only degree of freedom is
-// wall clock: on a multi-core host speedup approaches
-// min(chains, workers, cores); on a single core it pins near 1.0 and
-// CI tracks it for regressions in synchronization overhead.
-func BenchmarkMeshSerialVsParallel(b *testing.B) {
-	for _, chains := range []int{4, 8} {
-		b.Run(fmt.Sprintf("chains-%d", chains), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.MeshScale(experiments.Options{
-					Seeds: 1, Windows: 2, Validators: 5, Rates: []int{3},
-				}, []int{chains}, chains)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row := res.Rows[0]
-				if !row.FingerprintEqual {
-					b.Fatal("parallel run diverged from serial")
-				}
-				b.ReportMetric(row.SerialWallSec*1e3, "serial-ms")
-				b.ReportMetric(row.ParallelWallSec*1e3, "parallel-ms")
-				b.ReportMetric(row.Speedup, "speedup")
-			}
-		})
-	}
 }

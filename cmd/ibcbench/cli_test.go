@@ -32,9 +32,11 @@ func TestNoFlatInvocation(t *testing.T) {
 }
 
 // The docs, the Makefile, CI and the verify notes may only show
-// invocations that exist: a subcommand first, and no examples/ program.
+// invocations that exist: a subcommand first, no examples/ program, and
+// no flag-built traced run (a trace is recorded by `run ... -trace`).
 func TestDocsUseSubcommands(t *testing.T) {
 	flat := regexp.MustCompile("(^|[\\s`/])ibcbench\\s+-")
+	oldTrace := regexp.MustCompile("\\btrace\\s+-(out|summary|topology)\\b")
 	for _, path := range []string{"README.md", "Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		data, err := os.ReadFile(filepath.Join("../..", path))
 		if err != nil {
@@ -43,6 +45,9 @@ func TestDocsUseSubcommands(t *testing.T) {
 		for i, line := range strings.Split(string(data), "\n") {
 			if flat.MatchString(line) || strings.Contains(line, "go run ./examples/") {
 				t.Errorf("%s:%d: invocation without a subcommand, or of a deleted example: %s", path, i+1, strings.TrimSpace(line))
+			}
+			if oldTrace.MatchString(line) {
+				t.Errorf("%s:%d: `trace` only validates and analyzes; record with `run ... -trace FILE`: %s", path, i+1, strings.TrimSpace(line))
 			}
 		}
 	}
@@ -174,6 +179,19 @@ func TestSearchCmdPlantedFixture(t *testing.T) {
 	if len(min.Chaos) == 0 || min.Faults != nil || min.Seed == 0 {
 		t.Errorf("minimal spec not committable: chaos=%d faults=%v seed=%d", len(min.Chaos), min.Faults, min.Seed)
 	}
+	// The replay is an ordinary run, so it can be traced, and a traced
+	// run still checks its assertions.
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	replay := []string{"-scenario", outPath, "-trace", tracePath}
+	if err := runScenarioCmd(append(replay, "-expect-violation"), &bytes.Buffer{}); err != nil {
+		t.Errorf("traced replay of the counterexample: %v", err)
+	}
+	if err := runScenarioCmd(replay, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "assertion violation") {
+		t.Errorf("traced replay without -expect-violation: expected a violation error, got %v", err)
+	}
+	if err := runTraceCmd([]string{"-validate", tracePath}, &bytes.Buffer{}); err != nil {
+		t.Errorf("trace of the violating run: %v", err)
+	}
 	// Without -expect-violation the same find is a nonzero exit.
 	err = runSearchCmd([]string{
 		"-scenario", "../../internal/scenario/testdata/planted.json", "-budget", "4",
@@ -229,15 +247,16 @@ func TestBench2JSONCmd(t *testing.T) {
 	}
 }
 
-// The trace subcommand's record->validate->analyze loop on a small run.
+// The record->validate->analyze loop on a small run: `run -trace`
+// records, the trace subcommand's two file tools read.
 func TestTraceCmdLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an instrumented scenario")
 	}
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	var buf bytes.Buffer
-	if err := runTraceCmd([]string{"-out", tracePath, "-topology", "two", "-rate", "2", "-windows", "1", "-seed", "7"}, &buf); err != nil {
-		t.Fatalf("trace record: %v", err)
+	if err := runScenarioCmd([]string{"-name", "hub", "-seed", "7", "-trace", tracePath}, &buf); err != nil {
+		t.Fatalf("run -trace: %v", err)
 	}
 	var check bytes.Buffer
 	if err := runTraceCmd([]string{"-validate", tracePath}, &check); err != nil {
@@ -255,5 +274,8 @@ func TestTraceCmdLoop(t *testing.T) {
 	}
 	if err := runTraceCmd(nil, &bytes.Buffer{}); err == nil {
 		t.Error("no mode flag: expected usage error")
+	}
+	if err := runTraceCmd([]string{"-out", tracePath, "-topology", "two"}, &bytes.Buffer{}); err == nil {
+		t.Error("trace -out: the flag-built run door is gone, expected a flag error")
 	}
 }

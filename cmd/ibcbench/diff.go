@@ -1,7 +1,8 @@
 // Result-file diffing: compare two -out JSON documents metric by metric
-// for cross-PR regression tracking of reproduced figures. The flatten
-// and config-header comparison primitives live in internal/resultdiff,
-// shared with the experiment store's run-compatibility check.
+// for cross-PR regression tracking of reproduced figures. The
+// comparison itself lives in internal/resultdiff, shared with the
+// service's /api/diff and the experiment store's run-compatibility
+// check; this file renders it as text and applies -fail-on-change.
 package main
 
 import (
@@ -11,7 +12,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 
 	"ibcbench/internal/resultdiff"
 )
@@ -62,77 +62,47 @@ func runDiff(oldPath, newPath string, failPct float64, w io.Writer) error {
 		return err
 	}
 	cfgDiffs := warnConfigMismatch(oldDoc, newDoc, w)
-	oldFlat := resultdiff.Flatten("", oldDoc)
-	newFlat := resultdiff.Flatten("", newDoc)
-	// The config header is compared (and warned about) above; keep it
-	// out of the metric diff so config-only differences don't inflate
-	// the changed-metric count regression gates key on.
-	resultdiff.DropConfig(oldFlat)
-	resultdiff.DropConfig(newFlat)
-
-	var changed, added, removed []string
-	unchanged := 0
-	for path := range oldFlat {
-		if _, ok := newFlat[path]; !ok {
-			removed = append(removed, path)
-		}
-	}
-	for path, nv := range newFlat {
-		ov, ok := oldFlat[path]
-		if !ok {
-			added = append(added, path)
-			continue
-		}
-		if ov == nv {
-			unchanged++
-			continue
-		}
-		changed = append(changed, path)
-	}
-	sort.Strings(changed)
-	sort.Strings(added)
-	sort.Strings(removed)
+	d := resultdiff.Metrics(oldDoc, newDoc)
 
 	fmt.Fprintf(w, "# diff %s -> %s\n", oldPath, newPath)
 	var exceeded []string
-	if len(changed) == 0 && len(added) == 0 && len(removed) == 0 {
-		fmt.Fprintf(w, "no differences (%d metrics compared)\n", unchanged)
+	if len(d.Changed) == 0 && len(d.Added) == 0 && len(d.Removed) == 0 {
+		fmt.Fprintf(w, "no differences (%d metrics compared)\n", d.Unchanged)
 		return nil
 	}
-	if len(changed) > 0 {
+	if len(d.Changed) > 0 {
 		fmt.Fprintf(w, "%-58s %14s %14s %14s %9s\n", "metric", "old", "new", "delta", "%")
-		for _, path := range changed {
-			ov, nv := oldFlat[path], newFlat[path]
-			on, oldNum := ov.(float64)
-			nn, newNum := nv.(float64)
+		for _, row := range d.Changed {
+			on, oldNum := row.Old.(float64)
+			nn, newNum := row.New.(float64)
 			if oldNum && newNum {
 				delta := nn - on
 				pct := "n/a"
-				if on != 0 {
-					pct = fmt.Sprintf("%+.1f%%", 100*delta/math.Abs(on))
+				if row.DeltaPct != nil {
+					pct = fmt.Sprintf("%+.1f%%", *row.DeltaPct)
 				}
-				if failPct >= 0 && (on == 0 || 100*math.Abs(delta)/math.Abs(on) > failPct) {
-					exceeded = append(exceeded, fmt.Sprintf("%s: %s -> %s (%s)", path, fmtNum(on), fmtNum(nn), pct))
+				if failPct >= 0 && (row.DeltaPct == nil || math.Abs(*row.DeltaPct) > failPct) {
+					exceeded = append(exceeded, fmt.Sprintf("%s: %s -> %s (%s)", row.Path, fmtNum(on), fmtNum(nn), pct))
 				}
 				sign := ""
 				if delta >= 0 {
 					sign = "+"
 				}
 				fmt.Fprintf(w, "%-58s %14s %14s %14s %9s\n",
-					path, fmtNum(on), fmtNum(nn), sign+fmtNum(delta), pct)
+					row.Path, fmtNum(on), fmtNum(nn), sign+fmtNum(delta), pct)
 			} else {
-				fmt.Fprintf(w, "%-58s %14v %14v\n", path, ov, nv)
+				fmt.Fprintf(w, "%-58s %14v %14v\n", row.Path, row.Old, row.New)
 			}
 		}
 	}
-	for _, path := range added {
-		fmt.Fprintf(w, "added:   %s = %v\n", path, newFlat[path])
+	for _, row := range d.Added {
+		fmt.Fprintf(w, "added:   %s = %v\n", row.Path, row.New)
 	}
-	for _, path := range removed {
-		fmt.Fprintf(w, "removed: %s = %v\n", path, oldFlat[path])
+	for _, row := range d.Removed {
+		fmt.Fprintf(w, "removed: %s = %v\n", row.Path, row.Old)
 	}
 	fmt.Fprintf(w, "%d changed, %d added, %d removed, %d unchanged\n",
-		len(changed), len(added), len(removed), unchanged)
+		len(d.Changed), len(d.Added), len(d.Removed), d.Unchanged)
 	if len(exceeded) > 0 {
 		if len(cfgDiffs) > 0 {
 			fmt.Fprintf(w, "fail-on-change gate skipped: config headers mismatch on %s (deltas reflect the config change)\n",

@@ -12,10 +12,11 @@
 //	ibcbench sweep -experiment topo -topology hub:4 -rate 20
 //	ibcbench run -scenario spec.json         # one declarative scenario
 //	ibcbench run -name failover              # a built-in scenario
+//	ibcbench run -name hub -trace trace.json # the same run, traced (Perfetto)
 //	ibcbench suite -short                    # smoke the scenario library
 //	ibcbench suite -lint                     # registry round-trip lint
 //	ibcbench search -scenario spec.json -budget 32  # seeded chaos search
-//	ibcbench trace -out trace.json -topology hub:3  # Perfetto trace
+//	ibcbench trace -validate trace.json      # structural check of a trace file
 //	ibcbench trace -analyze trace.json -top 30      # flame/critical path
 //	ibcbench diff old.json new.json -fail-on-change 10
 //	ibcbench bench2json bench.txt -out BENCH.json
@@ -53,11 +54,11 @@ var subcommands = []struct {
 	desc string
 	run  func(args []string, w io.Writer) error
 }{
-	{"run", "execute one declarative scenario spec (-scenario FILE | -name NAME) and check its assertions", runScenarioCmd},
+	{"run", "execute one declarative scenario spec (-scenario FILE | -name NAME) and check its assertions; -trace FILE records the run's Chrome trace", runScenarioCmd},
 	{"sweep", "run the paper's experiments (-experiment NAME|all)", runSweep},
 	{"search", "seeded chaos search over a spec's declared fault space; shrinks violations to a minimal replay", runSearchCmd},
 	{"suite", "run (or -lint) every registered scenario and report assertion verdicts", runSuiteCmd},
-	{"trace", "record (-out), summarize (-summary), validate (-validate) or analyze (-analyze) a Chrome trace", runTraceCmd},
+	{"trace", "validate (-validate FILE) or analyze (-analyze FILE [-top N]) a trace file recorded by `run -trace`", runTraceCmd},
 	{"diff", "compare two result documents metric by metric (old.json new.json [-fail-on-change pct])", runDiffCmd},
 	{"serve", "HTTP dashboard + ingest/queue API over an experiment store", runServe},
 	{"bench2json", "convert `go test -bench` output to a JSON metrics document", runBench2JSONCmd},

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"strings"
 
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/obs"
 	"ibcbench/internal/scenario"
 )
 
@@ -46,12 +48,15 @@ func loadSpec(path, name string) (scenario.Spec, error) {
 
 // runScenarioCmd executes one declarative scenario:
 //
-//	ibcbench run -scenario spec.json [-seed N] [-out report.json] [-store DIR]
+//	ibcbench run -scenario spec.json [-seed N] [-out report.json] [-trace trace.json] [-store DIR]
 //	ibcbench run -name failover
 //	ibcbench run -name failover -print   # emit the canonical spec
 //
-// The process exits nonzero when an assertion is violated;
-// -expect-violation inverts that (CI fixtures that must fail).
+// -trace instruments the same run and writes its Chrome trace-event
+// file; with -store the trace is attached to the archived report,
+// validated and badged like a server-side ingest. The process exits
+// nonzero when an assertion is violated; -expect-violation inverts
+// that (CI fixtures that must fail).
 func runScenarioCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench run", flag.ContinueOnError)
 	var (
@@ -59,6 +64,7 @@ func runScenarioCmd(args []string, w io.Writer) error {
 		name      = fs.String("name", "", "registered scenario name (see `ibcbench help`)")
 		seed      = fs.Int64("seed", 0, "override the spec's run seed (0 = spec seed, default 1)")
 		outPath   = fs.String("out", "", "write the full report (spec, result, verdicts) as JSON to this file")
+		tracePath = fs.String("trace", "", "instrument the run and write its Chrome trace-event file (Perfetto-loadable) here")
 		storeDir  = fs.String("store", "", "archive the report into this experiment-store directory")
 		printSpec = fs.Bool("print", false, "print the canonical spec encoding and exit without running")
 		expect    = fs.Bool("expect-violation", false, "exit nonzero unless at least one assertion is violated")
@@ -78,11 +84,27 @@ func runScenarioCmd(args []string, w io.Writer) error {
 		_, err = w.Write(data)
 		return err
 	}
-	rep, err := scenario.Run(s, *seed)
+	var o *obs.Obs
+	if *tracePath != "" {
+		o = obs.New()
+	}
+	rep, err := scenario.Run(s, *seed, o)
 	if err != nil {
 		return err
 	}
 	rep.Render(w)
+	var trace []byte
+	if o != nil {
+		var buf bytes.Buffer
+		if err := o.Tracer.WriteChrome(&buf); err != nil {
+			return fmt.Errorf("export trace: %w", err)
+		}
+		trace = buf.Bytes()
+		if err := os.WriteFile(*tracePath, trace, 0o644); err != nil {
+			return fmt.Errorf("write %s: %w", *tracePath, err)
+		}
+		fmt.Fprintf(os.Stderr, "trace (%d events) written to %s\n", o.Tracer.Len(), *tracePath)
+	}
 	if *outPath != "" || *storeDir != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -96,7 +118,7 @@ func runScenarioCmd(args []string, w io.Writer) error {
 			fmt.Fprintf(os.Stderr, "report written to %s\n", *outPath)
 		}
 		if *storeDir != "" {
-			if err := archiveRun(*storeDir, "scenario", data, nil, false, os.Stderr); err != nil {
+			if err := archiveRun(*storeDir, "scenario", data, trace, os.Stderr); err != nil {
 				return err
 			}
 		}
@@ -158,7 +180,7 @@ func runSuiteCmd(args []string, w io.Writer) error {
 	}
 	verdicts := scenario.ParallelMap(names, *workers, func(n string) verdict {
 		e, _ := scenario.Lookup(n)
-		rep, err := scenario.Run(e.Spec, *seed)
+		rep, err := scenario.Run(e.Spec, *seed, nil)
 		return verdict{rep, err}
 	})
 	failed := 0

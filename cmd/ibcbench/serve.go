@@ -14,6 +14,7 @@ import (
 	"ibcbench/internal/experiments"
 	"ibcbench/internal/serve"
 	"ibcbench/internal/store"
+	"ibcbench/internal/tracecheck"
 )
 
 // runServe starts the experiment service over a store directory:
@@ -42,13 +43,13 @@ func runServe(args []string, w io.Writer) error {
 	return http.ListenAndServe(*addr, srv)
 }
 
-// archiveRun ingests one result document (and optionally its trace)
-// into a local store. The commit comes from CaptureRunMeta and the
-// timestamp from the wall clock, so every CLI invocation lands as a
-// distinct run while re-posting an already-archived document through
-// /api/ingest stays idempotent (the poster supplies the stored
-// timestamp there).
-func archiveRun(dir, kind string, payload, trace []byte, traceValid bool, w io.Writer) error {
+// archiveRun ingests one result document into a local store; a non-nil
+// trace is attached with its tracecheck verdict. The commit comes from
+// CaptureRunMeta and the timestamp from the wall clock, so every CLI
+// invocation lands as a distinct run while re-posting an
+// already-archived document through /api/ingest stays idempotent (the
+// poster supplies the stored timestamp there).
+func archiveRun(dir, kind string, payload, trace []byte, w io.Writer) error {
 	st, err := store.Open(dir)
 	if err != nil {
 		return err
@@ -66,15 +67,14 @@ func archiveRun(dir, kind string, payload, trace []byte, traceValid bool, w io.W
 		fmt.Fprintf(w, "store: run %s already archived in %s\n", m.ID, dir)
 		return nil
 	}
+	badge := ""
 	if trace != nil {
-		if m, err = st.AttachTrace(m.ID, trace, traceValid); err != nil {
+		_, verr := tracecheck.Validate(trace)
+		if m, err = st.AttachTrace(m.ID, trace, verr == nil); err != nil {
 			return fmt.Errorf("attach trace to %s: %w", m.ID, err)
 		}
-	}
-	badge := ""
-	if m.HasTrace() {
 		badge = " + trace"
-		if !traceValid {
+		if verr != nil {
 			badge = " + trace (invalid)"
 		}
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // TestStoreFlagArchivesRuns drives the CLI auto-archival path end to
-// end: two topo runs and one traced run land in the same store, the
-// traced run carries a validated trace plus provenance, and the trend
-// across the archived documents is readable.
+// end: two topo sweeps and one traced scenario run land in the same
+// store, the traced run is an ordinary scenario report carrying a
+// validated trace, and the trend across the archived documents is
+// readable.
 func TestStoreFlagArchivesRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full CLI runs")
@@ -25,7 +26,7 @@ func TestStoreFlagArchivesRuns(t *testing.T) {
 		t.Fatalf("second archived run: %v", err)
 	}
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	if err := run([]string{"trace", "-out", trace, "-topology", "hub:3", "-rate", "3", "-windows", "2", "-store", dir}); err != nil {
+	if err := run([]string{"run", "-name", "hub", "-trace", trace, "-store", dir}); err != nil {
 		t.Fatalf("traced archived run: %v", err)
 	}
 
@@ -40,15 +41,14 @@ func TestStoreFlagArchivesRuns(t *testing.T) {
 	}
 	var traced *store.Meta
 	for i := range runs {
-		if runs[i].Kind == "trace" {
+		if runs[i].Kind == "scenario" {
 			traced = &runs[i]
-		}
-		if runs[i].Config["topology"] != "hub:3" {
+		} else if runs[i].Config["topology"] != "hub:3" {
 			t.Errorf("run %s config header not lifted: %v", runs[i].ID, runs[i].Config)
 		}
 	}
 	if traced == nil {
-		t.Fatal("no trace-kind run archived")
+		t.Fatal("no scenario-kind run archived")
 	}
 	if !traced.HasTrace() || !*traced.TraceValid {
 		t.Fatalf("traced run missing valid trace badge: %+v", traced)
@@ -56,12 +56,15 @@ func TestStoreFlagArchivesRuns(t *testing.T) {
 	if _, err := st.Trace(traced.ID); err != nil {
 		t.Fatalf("stored trace unreadable: %v", err)
 	}
+	if traced.Time == "" {
+		t.Error("archived traced run has no timestamp in the index")
+	}
 	_, payload, err := st.Get(traced.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(payload, []byte(`"Provenance"`)) || !bytes.Contains(payload, []byte(`"GoVersion"`)) {
-		t.Error("archived traced result lacks provenance stamp")
+	if !bytes.Contains(payload, []byte(`"spec"`)) || !bytes.Contains(payload, []byte(`"assertions"`)) {
+		t.Error("archived traced run is not a scenario report")
 	}
 
 	points, err := st.Trend("topo.Sample.BlocksPerSec", "experiment")

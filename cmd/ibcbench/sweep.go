@@ -143,7 +143,7 @@ func runSweep(args []string, w io.Writer) error {
 			fmt.Fprintf(os.Stderr, "results written to %s\n", *out)
 		}
 		if *storeDir != "" {
-			if err := archiveRun(*storeDir, "experiment", data, nil, false, os.Stderr); err != nil {
+			if err := archiveRun(*storeDir, "experiment", data, nil, os.Stderr); err != nil {
 				return err
 			}
 		}

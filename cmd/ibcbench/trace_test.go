@@ -2,26 +2,34 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"ibcbench/internal/experiments"
 )
 
-// TestTraceExportRoundTrip runs the CLI's trace path end to end: a short
-// instrumented hub run exports a Chrome trace that the structural
-// validator accepts, and the summary table names the expected
-// subsystems.
-func TestTraceExportRoundTrip(t *testing.T) {
+// recordTrace runs a built-in scenario with -trace and returns the
+// trace file's path.
+func recordTrace(t *testing.T, name string) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out bytes.Buffer
-	opt := experiments.Options{Seeds: 1, Windows: 2}
-	if err := runTrace(opt, "hub:3", 3, false, 7, path, true, 20, "", nil, &out); err != nil {
-		t.Fatal(err)
+	if err := runScenarioCmd([]string{"-name", name, "-trace", path}, &out); err != nil {
+		t.Fatalf("run -name %s -trace: %v\n%s", name, err, out.String())
 	}
+	if !strings.Contains(out.String(), "all held") {
+		t.Fatalf("traced run did not report its assertions:\n%s", out.String())
+	}
+	return path
+}
+
+// TestTraceExportRoundTrip runs the CLI's trace path end to end: a
+// traced hub run exports a Chrome trace that the structural validator
+// accepts, and the flame tree names the expected subsystems and spans.
+func TestTraceExportRoundTrip(t *testing.T) {
+	path := recordTrace(t, "hub")
 	var check bytes.Buffer
 	if err := runValidateTrace(path, &check); err != nil {
 		t.Fatal(err)
@@ -29,41 +37,84 @@ func TestTraceExportRoundTrip(t *testing.T) {
 	if !strings.Contains(check.String(), "OK") {
 		t.Fatalf("validator output %q", check.String())
 	}
+	var flame bytes.Buffer
+	if err := runTraceAnalyze(path, 0, &flame); err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"chain", "relayer", "block", "scan"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("summary misses %q:\n%s", want, out.String())
+		if !strings.Contains(flame.String(), want) {
+			t.Fatalf("flame tree misses %q:\n%s", want, flame.String())
 		}
 	}
 }
 
 // TestTraceAnalyzeRoundTrip: an exported forwarded-route trace feeds
-// the -trace-analyze path, which prints the flame span tree and the
-// critical-path tables deterministically.
+// `trace -analyze`, which prints the flame span tree and the
+// critical-path tables; two same-seed traced runs analyze to the same
+// bytes.
 func TestTraceAnalyzeRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	var out bytes.Buffer
-	opt := experiments.Options{Seeds: 1, Windows: 2}
-	if err := runTrace(opt, "line:3", 3, true, 7, path, false, 20, "", nil, &out); err != nil {
-		t.Fatal(err)
-	}
-	analyze := func() string {
+	analyze := func(path string) string {
 		var buf bytes.Buffer
 		if err := runTraceAnalyze(path, 15, &buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.String()
+		// The heading names the file; the tables must not depend on it.
+		_, tables, _ := strings.Cut(buf.String(), "\n")
+		return tables
 	}
-	got := analyze()
+	got := analyze(recordTrace(t, "pfmroute"))
 	for _, want := range []string{"span tree", "chain", "# critical path", "end-to-end", "attributed"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("analysis misses %q:\n%s", want, got)
 		}
 	}
-	if got != analyze() {
-		t.Fatal("same trace produced different analysis output")
+	if got != analyze(recordTrace(t, "pfmroute")) {
+		t.Fatal("two same-seed traced runs produced different analysis output")
 	}
 	if err := runTraceAnalyze(filepath.Join(t.TempDir(), "missing.json"), 15, io.Discard); err == nil {
 		t.Fatal("analyzer accepted a missing file")
+	}
+}
+
+// TestTracedRunIsTheSameRun: tracing attaches to a run, it does not
+// describe another one. A file spec with a chaos timeline gives the
+// same report traced and untraced, apart from the registry snapshot
+// that only an instrumented run has.
+func TestTracedRunIsTheSameRun(t *testing.T) {
+	const spec = "../../internal/scenario/testdata/failover.json"
+	dir := t.TempDir()
+	report := func(extra ...string) []byte {
+		out := filepath.Join(dir, "report.json")
+		args := append([]string{"-scenario", spec, "-out", out}, extra...)
+		if err := runScenarioCmd(args, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	plain := report()
+	tracePath := filepath.Join(dir, "trace.json")
+	traced := report("-trace", tracePath)
+	if err := runValidateTrace(tracePath, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	// RawMessage keeps the snapshot's exact bytes, so cutting the one
+	// field out of the traced document is a byte-level operation.
+	var doc struct {
+		Result struct{ Metrics json.RawMessage } `json:"result"`
+	}
+	if err := json.Unmarshal(traced, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Result.Metrics) == 0 || !bytes.Contains(plain, []byte(`"Faults": [`)) {
+		t.Fatalf("traced report has a %d-byte registry snapshot; untraced report:\n%s", len(doc.Result.Metrics), plain)
+	}
+	field := append([]byte(",\n    \"Metrics\": "), doc.Result.Metrics...)
+	if stripped := bytes.Replace(traced, field, nil, 1); !bytes.Equal(stripped, plain) {
+		t.Fatalf("traced report differs from the untraced one beyond result.Metrics:\n%s\nvs\n%s", stripped, plain)
 	}
 }
 

@@ -44,7 +44,9 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 				Name: "hub:3", Topology: topo.Hub(3), EdgeRates: uniform(topo.Hub(3), 3), Windows: 2,
 				Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3}},
 			},
-			spec: func() (topo.Scenario, error) { return BuildTopologyScenario(topoOpt, "hub:3", 3, false) },
+			spec: func() (topo.Scenario, error) {
+				return topoOpt.compile(topologySpec(topoOpt, topo.Hub(3), "hub:3", 3, false))
+			},
 		},
 		{
 			name: "topo hub:3 forwarded", seed: 300,
@@ -52,7 +54,9 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 				Name: "hub:3", Topology: topo.Hub(3), EdgeRates: uniform(topo.Hub(3), 3), Windows: 2,
 				Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3, Forwarded: true}},
 			},
-			spec: func() (topo.Scenario, error) { return BuildTopologyScenario(topoOpt, "hub:3", 3, true) },
+			spec: func() (topo.Scenario, error) {
+				return topoOpt.compile(topologySpec(topoOpt, topo.Hub(3), "hub:3", 3, true))
+			},
 		},
 		{
 			name: "forward line:3 two hops", seed: 2000, // 1000*(hop index 1 + 1) + 0

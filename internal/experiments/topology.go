@@ -27,27 +27,6 @@ type TopologyResult struct {
 	Sample *topo.Result
 }
 
-// BuildTopologyScenario assembles the sweep's scenario for one topology
-// spec and per-edge rate without running it: every edge sustains `rate`
-// requests/second for the configured windows, plus the demo multi-hop
-// route on graphs that have one. Exported so single-run drivers (the
-// CLI's trace exporter, the tracer-overhead benchmark) execute exactly
-// the workload the sweep measures.
-func BuildTopologyScenario(opt Options, spec string, rate int, forwarded bool) (topo.Scenario, error) {
-	tp, err := topo.ParseSpec(spec)
-	if err != nil {
-		return topo.Scenario{}, err
-	}
-	if rate <= 0 {
-		return topo.Scenario{}, fmt.Errorf("experiments: topology sweep needs a per-edge rate >= 1 (got %d)", rate)
-	}
-	s := opt.topoSpec(spec, spec, rate, opt.windows(10))
-	if route := demoRoute(tp); route != nil {
-		s.Workload.Routes = []scenario.RouteSpec{{Path: route, Transfers: rate, Forwarded: forwarded}}
-	}
-	return opt.compile(s)
-}
-
 // TopologySweep benchmarks an interchain topology: every edge sustains
 // `rate` requests/second for the configured windows, plus — on graphs of
 // three or more chains — one multi-hop route between the two
@@ -55,7 +34,14 @@ func BuildTopologyScenario(opt Options, spec string, rate int, forwarded bool) (
 // when forwarded, through the packet-forward middleware. Seeds run
 // concurrently on the parallel runner.
 func TopologySweep(opt Options, spec string, rate int, forwarded bool) (TopologyResult, error) {
-	sc, err := BuildTopologyScenario(opt, spec, rate, forwarded)
+	tp, err := topo.ParseSpec(spec)
+	if err != nil {
+		return TopologyResult{}, err
+	}
+	if rate <= 0 {
+		return TopologyResult{}, fmt.Errorf("experiments: topology sweep needs a per-edge rate >= 1 (got %d)", rate)
+	}
+	sc, err := opt.compile(topologySpec(opt, tp, spec, rate, forwarded))
 	if err != nil {
 		return TopologyResult{}, err
 	}
@@ -83,6 +69,16 @@ func TopologySweep(opt Options, spec string, rate int, forwarded bool) (Topology
 			out.Sample.Edges[i].From+"~"+out.Sample.Edges[i].To)
 	}
 	return out, nil
+}
+
+// topologySpec is the sweep's scenario: uniform per-edge load plus the
+// demo multi-hop route on graphs that have one.
+func topologySpec(opt Options, tp topo.Topology, spec string, rate int, forwarded bool) scenario.Spec {
+	s := opt.topoSpec(spec, spec, rate, opt.windows(10))
+	if route := demoRoute(tp); route != nil {
+		s.Workload.Routes = []scenario.RouteSpec{{Path: route, Transfers: rate, Forwarded: forwarded}}
+	}
+	return s
 }
 
 // demoRoute picks a representative multi-hop path: the two

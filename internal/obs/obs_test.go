@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -72,7 +71,7 @@ func TestNilSafety(t *testing.T) {
 	tr.Instant(track, name, 0)
 	tr.AsyncBegin(1, track, name, 0)
 	tr.Events(func(Event) { t.Fatal("nil tracer has events") })
-	if tr.Len() != 0 || tr.Summary() != nil {
+	if tr.Len() != 0 {
 		t.Fatal("nil tracer not empty")
 	}
 
@@ -193,81 +192,5 @@ func TestChromeWriterDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(build(), build()) {
 		t.Fatal("identical recordings produced different chrome documents")
-	}
-}
-
-func TestSummarySelfTime(t *testing.T) {
-	tr := NewTracer()
-	track := tr.Track("chain/ibc-0")
-	block := tr.Name("block")
-	exec := tr.Name("exec")
-	// block [0,100ms] containing exec [60ms,100ms]; second block with no
-	// child.
-	tr.CompleteAt(track, block, 0, 100*time.Millisecond)
-	tr.CompleteAt(track, exec, 60*time.Millisecond, 100*time.Millisecond)
-	tr.CompleteAt(track, block, 200*time.Millisecond, 250*time.Millisecond)
-
-	rows := tr.Summary()
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2: %+v", len(rows), rows)
-	}
-	if rows[0].Name != "block" || rows[0].Subsystem != "chain" {
-		t.Fatalf("top row = %+v", rows[0])
-	}
-	if rows[0].Total != 150*time.Millisecond {
-		t.Fatalf("block total = %v, want 150ms", rows[0].Total)
-	}
-	if rows[0].Self != 110*time.Millisecond {
-		t.Fatalf("block self = %v, want 110ms (100-40 child + 50)", rows[0].Self)
-	}
-	if rows[1].Name != "exec" || rows[1].Total != 40*time.Millisecond || rows[1].Self != 40*time.Millisecond {
-		t.Fatalf("exec row = %+v", rows[1])
-	}
-	var buf bytes.Buffer
-	WriteSummary(&buf, rows, 20)
-	if buf.Len() == 0 {
-		t.Fatal("empty summary table")
-	}
-}
-
-// TestSummaryTopCapAndTieOrder pins the -trace-summary contract the
-// CLI's -top flag relies on: equal-total rows tie-break by subsystem
-// then name (never recording order), a positive top caps the table,
-// and top <= 0 means unlimited.
-func TestSummaryTopCapAndTieOrder(t *testing.T) {
-	tr := NewTracer()
-	// Three names with identical 10ms totals, recorded in scrambled
-	// order across two subsystems.
-	for i, spec := range []struct{ track, name string }{
-		{"relayer/r0", "scan"},
-		{"chain/ibc-1", "exec"},
-		{"chain/ibc-0", "block"},
-	} {
-		track := tr.Track(spec.track)
-		start := time.Duration(i) * time.Second
-		tr.CompleteAt(track, tr.Name(spec.name), start, start+10*time.Millisecond)
-	}
-	rows := tr.Summary()
-	var got []string
-	for _, r := range rows {
-		got = append(got, r.Subsystem+"/"+r.Name)
-	}
-	want := []string{"chain/block", "chain/exec", "relayer/scan"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tie order = %v, want %v", got, want)
-		}
-	}
-
-	lines := func(top int) int {
-		var buf bytes.Buffer
-		WriteSummary(&buf, rows, top)
-		return strings.Count(buf.String(), "\n")
-	}
-	if n := lines(2); n != 3 { // header + 2 rows
-		t.Fatalf("top=2 wrote %d lines, want 3", n)
-	}
-	if n := lines(0); n != 4 { // header + all 3 rows
-		t.Fatalf("top=0 wrote %d lines, want 4", n)
 	}
 }

@@ -570,17 +570,28 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 
 // checkTimeouts builds MsgTimeouts on the packet source (dst here is the
 // counterparty of src) for pending packets whose timeout elapsed on src.
+// The order of the messages is the order of the txs and so decides the
+// block hashes: packets expiring on one frame are timed out in
+// (channel, sequence) order, never in map order.
 func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
+	var expired []pktID
 	for id, p := range r.pendingRecv {
-		if id.srcChain != srcChain.chain.ID {
-			continue
+		if id.srcChain == srcChain.chain.ID && p.TimeoutHeight > 0 && dstChain.height >= p.TimeoutHeight {
+			expired = append(expired, id)
 		}
-		expired := (p.TimeoutHeight > 0 && dstChain.height >= p.TimeoutHeight)
-		if !expired {
-			continue
-		}
+	}
+	if len(expired) > 1 {
+		sort.Slice(expired, func(i, j int) bool {
+			if expired[i].channel != expired[j].channel {
+				return expired[i].channel < expired[j].channel
+			}
+			return expired[i].seq < expired[j].seq
+		})
+	}
+	proofHeight := dstChain.height + 1
+	for _, id := range expired {
+		p := r.pendingRecv[id]
 		delete(r.pendingRecv, id)
-		proofHeight := dstChain.height + 1
 		srcChain.outbox = append(srcChain.outbox, outMsg{
 			msg: ibc.MsgTimeout{
 				Packet:          p,

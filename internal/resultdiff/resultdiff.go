@@ -1,14 +1,15 @@
-// Package resultdiff holds the JSON result-document comparison
-// primitives shared by the CLI's `diff` command and the experiment
-// store: flattening a document into dotted metric paths and diffing two
-// documents' config headers field by field. Both consumers need the
-// same semantics — a run archived by the store must group with exactly
-// the runs `diff` would have compared gate-armed — so the logic lives
-// here once.
+// Package resultdiff holds the JSON result-document comparison shared
+// by the CLI's `diff` command, the service's /api/diff and the
+// experiment store: flattening a document into dotted metric paths,
+// diffing two documents metric by metric, and diffing their config
+// headers field by field. All consumers need the same semantics — a run
+// archived by the store must group with exactly the runs `diff` would
+// have compared gate-armed — so the logic lives here once.
 package resultdiff
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -60,15 +61,67 @@ func ConfigHeader(doc any) map[string]any {
 	return cfg
 }
 
-// DropConfig removes the config header's flattened leaves from a metric
+// dropConfig removes the config header's flattened leaves from a metric
 // map, so config-only differences don't inflate the changed-metric
 // count regression gates key on.
-func DropConfig(flat map[string]any) {
+func dropConfig(flat map[string]any) {
 	for path := range flat {
 		if path == "config" || strings.HasPrefix(path, "config.") {
 			delete(flat, path)
 		}
 	}
+}
+
+// Row is one metric that differs between two documents: present on both
+// sides with different values, or on one side only (the other value nil).
+type Row struct {
+	Path     string
+	Old, New any
+	// DeltaPct is set only for numeric pairs with a nonzero old.
+	DeltaPct *float64
+}
+
+// Diff is the metric-by-metric comparison of two result documents, each
+// list sorted by path. The config headers are left out: ConfigDiff
+// compares those, and their differences are not metric changes.
+type Diff struct {
+	Changed, Added, Removed []Row
+	Unchanged               int
+}
+
+// Metrics compares every flattened leaf of two documents.
+func Metrics(oldDoc, newDoc any) Diff {
+	oldFlat, newFlat := Flatten("", oldDoc), Flatten("", newDoc)
+	dropConfig(oldFlat)
+	dropConfig(newFlat)
+	var d Diff
+	for path, ov := range oldFlat {
+		if _, ok := newFlat[path]; !ok {
+			d.Removed = append(d.Removed, Row{Path: path, Old: ov})
+		}
+	}
+	for path, nv := range newFlat {
+		ov, ok := oldFlat[path]
+		switch {
+		case !ok:
+			d.Added = append(d.Added, Row{Path: path, New: nv})
+		case ov == nv:
+			d.Unchanged++
+		default:
+			row := Row{Path: path, Old: ov, New: nv}
+			on, oldNum := ov.(float64)
+			nn, newNum := nv.(float64)
+			if oldNum && newNum && on != 0 {
+				pct := 100 * (nn - on) / math.Abs(on)
+				row.DeltaPct = &pct
+			}
+			d.Changed = append(d.Changed, row)
+		}
+	}
+	for _, rows := range [][]Row{d.Changed, d.Added, d.Removed} {
+		sort.Slice(rows, func(i, j int) bool { return rows[i].Path < rows[j].Path })
+	}
+	return d
 }
 
 // FieldDiff is one config-header field that differs between two

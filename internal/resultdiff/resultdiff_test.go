@@ -93,7 +93,7 @@ func TestCompatible(t *testing.T) {
 
 func TestDropConfig(t *testing.T) {
 	flat := Flatten("", parse(t, `{"config": {"seed": 1}, "m": 2}`))
-	DropConfig(flat)
+	dropConfig(flat)
 	if _, ok := flat["config.seed"]; ok {
 		t.Fatalf("config leaf survived: %v", flat)
 	}

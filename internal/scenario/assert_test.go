@@ -21,7 +21,7 @@ func TestStuckPacketsDetected(t *testing.T) {
 		Seed:  5,
 		Until: Duration(90 * time.Second),
 	}
-	rep, err := Run(spec, 0)
+	rep, err := Run(spec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCleanRunHoldsAllAssertions(t *testing.T) {
 		Workload: WorkloadSpec{Rate: 2, Windows: 1},
 		Seed:     11,
 	}
-	rep, err := Run(spec, 0)
+	rep, err := Run(spec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTimeoutRefundsHold(t *testing.T) {
 	if !ok {
 		t.Fatal("timeoutstorm builtin missing")
 	}
-	rep, err := Run(e.Spec, 0)
+	rep, err := Run(e.Spec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestConservationSeesVouchers(t *testing.T) {
 	if !ok {
 		t.Fatal("pfmroute builtin missing")
 	}
-	rep, err := Run(e.Spec, 0)
+	rep, err := Run(e.Spec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

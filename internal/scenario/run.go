@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 
+	"ibcbench/internal/obs"
 	"ibcbench/internal/topo"
 )
 
@@ -27,12 +28,16 @@ type Report struct {
 func (r *Report) Passed() bool { return len(r.Violations) == 0 }
 
 // Run compiles and executes the spec at the given seed (0 = the spec's
-// own seed, defaulting to 1) and checks its assertions.
-func Run(s Spec, seed int64) (*Report, error) {
+// own seed, defaulting to 1) and checks its assertions. o is the one
+// attachment a spec cannot carry as data: the run records its spans and
+// registry into it (nil = uninstrumented); the virtual result is the
+// same either way, apart from Result.Metrics.
+func Run(s Spec, seed int64, o *obs.Obs) (*Report, error) {
 	sc, err := Compile(s)
 	if err != nil {
 		return nil, err
 	}
+	sc.Deploy.Obs = o
 	if seed == 0 {
 		seed = s.Seed
 	}

@@ -173,7 +173,7 @@ func runWith(s Spec, events []EventSpec) ([]Violation, error) {
 	s2 := s
 	s2.Chaos = events
 	s2.Faults = nil
-	rep, err := Run(s2, 0)
+	rep, err := Run(s2, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func TestSearchFindsPlantedViolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("minimal spec does not re-parse: %v", err)
 	}
-	rep, err := Run(replayed, 0)
+	rep, err := Run(replayed, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func (s *Server) runQueued(id int) {
 	seed := job.Seed
 	s.queue.mu.Unlock()
 
-	rep, err := scenario.Run(spec, seed)
+	rep, err := scenario.Run(spec, seed, nil)
 	var runID string
 	var passed bool
 	var violations int

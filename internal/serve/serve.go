@@ -10,9 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -141,8 +139,8 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 
 // handleIngest archives a run document posted by CI or the CLI. The
 // body is the payload verbatim (a -out document, bench2json output, or
-// a traced result); query parameters carry the provenance the bytes
-// don't: ?kind=experiment|bench|trace, ?commit=<rev>, ?time=<rfc3339>.
+// a scenario report); query parameters carry the provenance the bytes
+// don't: ?kind=experiment|bench|scenario, ?commit=<rev>, ?time=<rfc3339>.
 // Re-posting identical content is idempotent — the response reports
 // created=false and nothing is written.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -204,7 +202,7 @@ func (s *Server) handleRegression(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reg)
 }
 
-// diffRow is one changed metric between two archived runs.
+// diffRow is resultdiff.Row on the wire.
 type diffRow struct {
 	Path string `json:"path"`
 	Old  any    `json:"old"`
@@ -243,43 +241,23 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	for _, d := range cfgDiff {
 		cfgRows = append(cfgRows, d.String())
 	}
-	oldFlat := resultdiff.Flatten("", docA)
-	newFlat := resultdiff.Flatten("", docB)
-	resultdiff.DropConfig(oldFlat)
-	resultdiff.DropConfig(newFlat)
+	d := resultdiff.Metrics(docA, docB)
 	var changed []diffRow
-	var added, removed []string
-	for path := range oldFlat {
-		if _, ok := newFlat[path]; !ok {
-			removed = append(removed, path)
-		}
+	for _, row := range d.Changed {
+		changed = append(changed, diffRow(row))
 	}
-	for path, nv := range newFlat {
-		ov, ok := oldFlat[path]
-		if !ok {
-			added = append(added, path)
-			continue
+	paths := func(rows []resultdiff.Row) []string {
+		var out []string
+		for _, row := range rows {
+			out = append(out, row.Path)
 		}
-		if ov == nv {
-			continue
-		}
-		row := diffRow{Path: path, Old: ov, New: nv}
-		if on, ok1 := ov.(float64); ok1 {
-			if nn, ok2 := nv.(float64); ok2 && on != 0 {
-				pct := 100 * (nn - on) / math.Abs(on)
-				row.DeltaPct = &pct
-			}
-		}
-		changed = append(changed, row)
+		return out
 	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i].Path < changed[j].Path })
-	sort.Strings(added)
-	sort.Strings(removed)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"a": metaA, "b": metaB,
 		"config_mismatch": cfgRows,
 		"changed":         changed,
-		"added":           added,
-		"removed":         removed,
+		"added":           paths(d.Added),
+		"removed":         paths(d.Removed),
 	})
 }

@@ -1,7 +1,7 @@
 // Package store is the persistent experiment archive behind `ibcbench
 // serve` and `-store`: a stdlib-only, append-only run database on a
-// plain directory. Every run — a `-out` result document, a bench2json
-// bench document, or a single traced result — is persisted verbatim
+// plain directory. Every run — a sweep's `-out` result document, a
+// bench2json bench document, or a scenario report — is persisted verbatim
 // under a content-addressed run ID derived from (kind, commit, config
 // header, seed, timestamp, payload), so re-posting the same run is
 // idempotent by construction and archived bytes round-trip identically.
@@ -44,8 +44,9 @@ type Meta struct {
 	// Seq is the monotone ingest sequence number (1-based); trends run
 	// in Seq order.
 	Seq int64 `json:"seq"`
-	// Kind classifies the payload: "experiment" (a -out document),
-	// "bench" (a bench2json document), "trace" (a single traced result).
+	// Kind classifies the payload: "experiment" (a sweep's -out
+	// document), "bench" (a bench2json document), "scenario" (a `run`
+	// report, its trace attached when the run was traced).
 	Kind string `json:"kind"`
 	// Commit is the VCS revision that produced the run ("" if unknown).
 	Commit string `json:"commit,omitempty"`

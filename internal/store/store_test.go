@@ -70,7 +70,6 @@ func TestResultJSONRoundTripByteIdentity(t *testing.T) {
 		}},
 		Total:      map[metrics.Status]int{metrics.StatusCompleted: 10},
 		Throughput: 0.11,
-		Provenance: &topo.Provenance{Commit: "abc123", GoVersion: "go1.22", Time: "2026-08-08T00:00:00Z"},
 	}
 	payload, err := json.MarshalIndent(map[string]any{
 		"config": map[string]any{"topology": "two", "seed": 7},
@@ -80,7 +79,7 @@ func TestResultJSONRoundTripByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := open(t, t.TempDir())
-	m, _, err := s.Ingest("trace", "abc123", "2026-08-08T00:00:00Z", payload)
+	m, _, err := s.Ingest("scenario", "abc123", "2026-08-08T00:00:00Z", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +218,7 @@ func TestConcurrentIngest(t *testing.T) {
 func TestAttachTraceUpdatesJournal(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
-	m, _, err := s.Ingest("trace", "c", "t0", doc("hub:3", 1, 0.8))
+	m, _, err := s.Ingest("scenario", "c", "t0", doc("hub:3", 1, 0.8))
 	if err != nil {
 		t.Fatal(err)
 	}

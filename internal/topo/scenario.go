@@ -108,19 +108,6 @@ type RouteReport struct {
 	Hops []metrics.Series
 }
 
-// Provenance identifies what produced a Result: filled at archive time
-// (the `-store` and experiment-service ingest paths), never during the
-// run itself, so same-seed results stay byte-identical whether or not
-// they are archived.
-type Provenance struct {
-	// Commit is the VCS revision of the tree that ran the scenario.
-	Commit string `json:",omitempty"`
-	// GoVersion is the toolchain that built the binary.
-	GoVersion string `json:",omitempty"`
-	// Time is the wall-clock archive timestamp (RFC3339).
-	Time string `json:",omitempty"`
-}
-
 // Result aggregates one scenario execution.
 type Result struct {
 	Name     string
@@ -147,10 +134,6 @@ type Result struct {
 	// scenario was deployed with DeployConfig.Obs); omitted from JSON so
 	// uninstrumented results stay byte-identical to earlier versions.
 	Metrics *obs.Snapshot `json:",omitempty"`
-	// Provenance records what produced the result — set only when the
-	// result is archived into an experiment store, so plain runs stay
-	// byte-identical to earlier versions.
-	Provenance *Provenance `json:",omitempty"`
 }
 
 // LiveConfig enables live run telemetry: Hook receives a progress

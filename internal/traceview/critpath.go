@@ -93,7 +93,7 @@ func stepRank(name string) int {
 }
 
 // CriticalPath analyzes every async flow in events. Events must be in
-// canonical order (FromTracer/FromChrome guarantee it); flows are
+// canonical order (FromChrome guarantees it); flows are
 // processed in first-appearance order and aggregation is commutative,
 // so the result depends only on the event multiset.
 func CriticalPath(events []Event) *CritPath {

@@ -1,9 +1,9 @@
 // Flame view: merge every complete span into one aggregated call tree
 // — run → subsystem → nested span names — with total and self time per
-// node. Nesting within a track is recovered by the same start-ordered
-// stack sweep the trace summary uses, then identical paths from every
-// track instance merge into one node, so "how much block time is
-// verify, across all chains" reads off a single row.
+// node. Nesting within a track is recovered by a start-ordered stack
+// sweep, then identical paths from every track instance merge into one
+// node, so "how much block time is verify, across all chains" reads
+// off a single row.
 package traceview
 
 import (

@@ -1,14 +1,12 @@
-// Package traceview is the trace analytics engine: it consumes the
-// Chrome/Perfetto event stream — either straight from a live
-// obs.Tracer buffer or re-parsed from a stored trace document through
-// the tracecheck streaming reader — and computes aggregate views the
-// raw event list cannot answer directly: a merged span tree / flame
-// view per subsystem with total/self time (flame.go), and per-packet
-// critical-path analysis over the lifecycle flows (critpath.go).
+// Package traceview is the trace analytics engine: it consumes an
+// exported Chrome/Perfetto trace document through the tracecheck
+// streaming reader and computes aggregate views the raw event list
+// cannot answer directly: a merged span tree / flame view per subsystem
+// with total/self time (flame.go), and per-packet critical-path
+// analysis over the lifecycle flows (critpath.go).
 //
-// Both sources normalize into the same []Event in the same canonical
-// order, so FromTracer on a run's buffers and FromChrome on the
-// exported bytes of that run yield identical analysis output, and a
+// FromChrome normalizes the document into []Event in a canonical
+// order, so the analysis depends only on the exported bytes and a
 // same-seed rerun produces byte-identical JSON and SVG documents —
 // the same determinism discipline the exporter itself follows.
 package traceview
@@ -21,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"ibcbench/internal/obs"
 	"ibcbench/internal/tracecheck"
 )
 
@@ -35,32 +32,6 @@ type Event struct {
 	Name  string
 	ID    string
 	Phase byte
-}
-
-// FromTracer normalizes a live tracer's buffers. Async IDs are
-// formatted exactly as the Chrome exporter writes them so the two
-// sources agree byte-for-byte downstream.
-func FromTracer(t *obs.Tracer) []Event {
-	if t == nil {
-		return nil
-	}
-	out := make([]Event, 0, t.Len())
-	t.Events(func(ev obs.Event) {
-		e := Event{
-			TS:    ev.TS,
-			Dur:   ev.Dur,
-			Track: t.TrackName(ev.Track),
-			Name:  t.NameString(ev.Name),
-			Phase: ev.Phase,
-		}
-		switch ev.Phase {
-		case obs.PhaseAsyncBegin, obs.PhaseAsyncInstant, obs.PhaseAsyncEnd:
-			e.ID = "0x" + strconv.FormatUint(ev.ID, 16)
-		}
-		out = append(out, e)
-	})
-	sortEvents(out)
-	return out
 }
 
 // FromChrome normalizes a stored trace-event document via the
@@ -138,7 +109,7 @@ func phaseRank(p byte) int {
 // sortEvents orders events by a canonical total key — (TS, phase,
 // track, name, id, dur) — so analysis output depends only on the
 // multiset of events, never on source or recording order. Tracks
-// compare by name here (not intern ID), which both sources share.
+// compare by name here, not by the exporter's tid.
 func sortEvents(evs []Event) {
 	sort.SliceStable(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
@@ -162,7 +133,7 @@ func sortEvents(evs []Event) {
 }
 
 // subsystemOf reduces a track name to its subsystem prefix ("chain/A"
-// → "chain"), matching the trace-summary grouping.
+// → "chain"), the flame tree's first level.
 func subsystemOf(track string) string {
 	if i := strings.IndexByte(track, '/'); i >= 0 {
 		return track[:i]
