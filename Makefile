@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test check bench bench-test virt-gate rebaseline-virt rebaseline-bench serve
+.PHONY: test check fuzz bench bench-test virt-gate rebaseline-virt rebaseline-bench serve
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -15,6 +15,14 @@ check:
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short ./...
+
+# Bounded run of the native fuzz targets (CI's "Codec fuzz" step): the
+# append codecs of the two hashed per-packet documents, differential
+# against encoding/json in both directions. A failure leaves its input
+# under the package's testdata/fuzz/; commit it with the fix.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzAckCodec -fuzztime 10s ./internal/ibc
+	$(GO) test -run '^$$' -fuzz FuzzPacketDataCodec -fuzztime 10s ./internal/ibc/transfer
 
 # The host-cost benchmark (bench/, a module of its own that the targets
 # above skip): the full report over the five pinned workloads, and the

@@ -6,7 +6,6 @@
 package ibcbench_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -163,8 +162,7 @@ func benchBlock(txs, msgs, nChans int) []*store.TxInfo {
 				DestChannel:   "channel-9",
 				Sequence:      uint64(i*msgs + j + 1),
 			}
-			raw, _ := json.Marshal(p)
-			events[j] = abci.Event{Type: "send_packet", Attributes: map[string]string{"packet": string(raw)}}
+			events[j] = abci.Event{Type: "send_packet", Data: p}
 			m[j] = ibc.MsgRecvPacket{Packet: p}
 		}
 		infos[i] = &store.TxInfo{
@@ -177,9 +175,9 @@ func benchBlock(txs, msgs, nChans int) []*store.TxInfo {
 	return infos
 }
 
-// BenchmarkEventDecode measures the single shared decode pass over one
+// BenchmarkEventDecode measures the single shared indexing pass over one
 // block against the pre-index behaviour of K relayer endpoints each
-// re-decoding the block for their own channel.
+// scanning the block for their own channel.
 func BenchmarkEventDecode(b *testing.B) {
 	infos := benchBlock(20, 100, 4)
 	b.Run("shared-index-1pass", func(b *testing.B) {
@@ -288,9 +286,11 @@ func BenchmarkKeeperRecvAck(b *testing.B) {
 
 // TestKeeperRecvAckAllocs puts a ceiling on the same round. With the
 // stored channel, connection and consensus state decoded per message it
-// took about 13 300 allocations; decoded once it takes about 6 900.
+// took about 13 300 allocations and decoded once about 6 900; with the
+// packet handed over in the event and the ack and packet data read
+// without encoding/json it takes about 4 400.
 func TestKeeperRecvAckAllocs(t *testing.T) {
-	const runs, ceiling = 5, 9000
+	const runs, ceiling = 5, 5500
 	r := newRecvAckRounds(t, runs+1) // AllocsPerRun adds a warm-up call
 	round := 0
 	got := testing.AllocsPerRun(runs, func() {

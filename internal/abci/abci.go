@@ -13,12 +13,15 @@ import (
 // CodeOK is the response code of a successful transaction.
 const CodeOK uint32 = 0
 
-// Event is a typed key-value event emitted by transaction execution.
-// Events are what the relayer's WebSocket subscription consumes to find
-// pending IBC messages.
+// Event is a typed event emitted by transaction execution; the relayer's
+// WebSocket subscription consumes them to find pending IBC messages.
+// Data is the value the emitter holds (an ibc.Packet on send_packet, an
+// ibc.AckWrite on write_acknowledgement; abci cannot name those types).
+// Events never leave the process — their wire cost is modelled in
+// virtual time from transaction sizes — so nothing serialises them.
 type Event struct {
-	Type       string
-	Attributes map[string]string
+	Type string
+	Data any
 }
 
 // TxResult is the outcome of executing one transaction.

@@ -35,7 +35,7 @@ func bankHandler(ctx *Context, msg Msg) (*Result, error) {
 	}
 	return &Result{
 		GasUsed: 5000,
-		Events:  []abci.Event{{Type: "transfer", Attributes: map[string]string{"to": m.to}}},
+		Events:  []abci.Event{{Type: "transfer", Data: m.to}},
 	}, nil
 }
 

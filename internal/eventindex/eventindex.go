@@ -1,41 +1,34 @@
-// Package eventindex is the shared per-chain event index: one decode
-// pass over a committed block's raw abci.Event payloads produces typed,
-// per-channel packet records that every consumer — relayers, trackers
-// and the packet-clearing loop — reads instead of re-parsing
-// TxInfo.Result.Events itself.
+// Package eventindex is the shared per-chain event index: one pass over
+// a committed block's abci.Events groups the packets they carry into
+// per-channel records that every consumer — relayers, trackers and the
+// packet-clearing loop — reads instead of walking TxInfo.Result.Events
+// itself. The events carry the keeper's own ibc.Packet and ibc.AckWrite
+// values, so the pass sorts and copies; nothing is parsed.
 //
-// Before this layer existed, every relayer endpoint re-decoded every
-// block's event JSON for its own channel, so a hub chain with K links
+// Before this layer existed, every relayer endpoint scanned every
+// block's events for its own channel, so a hub chain with K links
 // performed K full scans per block. The index is built exactly once per
 // commit (see chain.New wiring the IndexBlock hook before any RPC node)
-// and served by reference to all subscribers; ScanCount counts decode
+// and served by reference to all subscribers; ScanCount counts the
 // passes so tests can assert the scan is O(1) in relayer count.
 package eventindex
 
 import (
-	"encoding/json"
 	"time"
 
-	"ibcbench/internal/abci"
 	"ibcbench/internal/app"
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/tendermint/store"
 )
 
-// AckWrite pairs a write_acknowledgement packet with its raw ack bytes.
-type AckWrite struct {
-	Packet ibc.Packet
-	Ack    []byte
-}
-
-// TxEvents is the decoded per-channel view of one transaction's events.
+// TxEvents is the per-channel view of one transaction's events.
 // Map keys are the channel identifiers on the chain that emitted the
 // events: send_packet records key on the packet's source channel,
 // write_acknowledgement records on its destination channel.
 type TxEvents struct {
 	Info      *store.TxInfo
 	Sends     map[string][]ibc.Packet
-	AckWrites map[string][]AckWrite
+	AckWrites map[string][]ibc.AckWrite
 }
 
 // SendPackets returns the tx's send_packet packets for one channel, in
@@ -46,7 +39,7 @@ func (te *TxEvents) SendPackets(channel string) []ibc.Packet {
 
 // Acks returns the tx's write_acknowledgement records for one channel,
 // in event order.
-func (te *TxEvents) Acks(channel string) []AckWrite {
+func (te *TxEvents) Acks(channel string) []ibc.AckWrite {
 	return te.AckWrites[channel]
 }
 
@@ -64,7 +57,7 @@ type BlockEvents struct {
 	Txs []*TxEvents
 }
 
-// Decode performs the single decode pass over one block's transactions.
+// Decode performs the single pass over one block's transactions.
 // Failed transactions are skipped entirely (their partial events are
 // invisible to relayers, matching the pre-index behaviour).
 func Decode(height int64, blockTime time.Duration, txs []*store.TxInfo) *BlockEvents {
@@ -95,38 +88,22 @@ func decodeTx(info *store.TxInfo) *TxEvents {
 	for _, ev := range info.Result.Events {
 		switch ev.Type {
 		case "send_packet":
-			p, ok := decodePacket(ev)
-			if !ok {
-				continue
-			}
+			p := ev.Data.(ibc.Packet)
 			t := ensure()
 			if t.Sends == nil {
 				t.Sends = make(map[string][]ibc.Packet)
 			}
 			t.Sends[p.SourceChannel] = append(t.Sends[p.SourceChannel], p)
 		case "write_acknowledgement":
-			p, ok := decodePacket(ev)
-			if !ok {
-				continue
-			}
+			aw := ev.Data.(ibc.AckWrite)
 			t := ensure()
 			if t.AckWrites == nil {
-				t.AckWrites = make(map[string][]AckWrite)
+				t.AckWrites = make(map[string][]ibc.AckWrite)
 			}
-			t.AckWrites[p.DestChannel] = append(t.AckWrites[p.DestChannel],
-				AckWrite{Packet: p, Ack: []byte(ev.Attributes["ack"])})
+			t.AckWrites[aw.Packet.DestChannel] = append(t.AckWrites[aw.Packet.DestChannel], aw)
 		}
 	}
 	return te
-}
-
-// decodePacket extracts the packet payload of one event.
-func decodePacket(ev abci.Event) (ibc.Packet, bool) {
-	var p ibc.Packet
-	if err := json.Unmarshal([]byte(ev.Attributes["packet"]), &p); err != nil {
-		return ibc.Packet{}, false
-	}
-	return p, true
 }
 
 // Index is the append-only per-chain event index, populated once per
@@ -145,7 +122,7 @@ func New(chainID string) *Index {
 // ChainID reports the chain the index belongs to.
 func (x *Index) ChainID() string { return x.chainID }
 
-// IndexTxs decodes the next committed block from its TxInfos (shared
+// IndexTxs indexes the next committed block from its TxInfos (shared
 // with the store's cached materialization, avoiding reallocation).
 // Heights must be contiguous from 1 (the store enforces the same
 // invariant).
@@ -171,6 +148,6 @@ func (x *Index) At(height int64) *BlockEvents {
 // Height reports the latest indexed height.
 func (x *Index) Height() int64 { return int64(len(x.blocks)) }
 
-// ScanCount reports how many full decode passes have run — exactly one
+// ScanCount reports how many full passes have run — exactly one
 // per committed block regardless of how many relayers subscribe.
 func (x *Index) ScanCount() uint64 { return x.scans }

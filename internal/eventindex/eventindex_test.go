@@ -1,7 +1,6 @@
 package eventindex
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -11,17 +10,10 @@ import (
 	"ibcbench/internal/tendermint/store"
 )
 
-func packetEvent(t *testing.T, typ string, p ibc.Packet, ack string) abci.Event {
-	t.Helper()
-	raw, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attrs := map[string]string{"packet": string(raw)}
-	if ack != "" {
-		attrs["ack"] = ack
-	}
-	return abci.Event{Type: typ, Attributes: attrs}
+func sendEvent(p ibc.Packet) abci.Event { return abci.Event{Type: "send_packet", Data: p} }
+
+func ackEvent(p ibc.Packet, ack string) abci.Event {
+	return abci.Event{Type: "write_acknowledgement", Data: ibc.AckWrite{Packet: p, Ack: []byte(ack)}}
 }
 
 func txInfo(msgs int, code uint32, events ...abci.Event) *store.TxInfo {
@@ -41,11 +33,9 @@ func TestDecodePerChannel(t *testing.T) {
 	ackP := ibc.Packet{SourceChannel: "channel-7", DestChannel: "channel-0", Sequence: 2}
 	infos := []*store.TxInfo{
 		txInfo(3, abci.CodeOK,
-			packetEvent(t, "send_packet", p0, ""),
-			packetEvent(t, "send_packet", p1, ""),
-			packetEvent(t, "write_acknowledgement", ackP, "ACK")),
-		txInfo(2, 4, packetEvent(t, "send_packet", p0, "")), // failed tx: invisible
-		txInfo(5, abci.CodeOK),                              // no packet work
+			sendEvent(p0), sendEvent(p1), ackEvent(ackP, "ACK")),
+		txInfo(2, 4, sendEvent(p0)), // failed tx: invisible
+		txInfo(5, abci.CodeOK),      // no packet work
 	}
 	be := Decode(3, 5*time.Second, infos)
 	if be.Height != 3 || be.BlockTime != 5*time.Second {
@@ -80,8 +70,7 @@ func TestDecodePerChannel(t *testing.T) {
 func TestDecodeOrderPreserved(t *testing.T) {
 	var events []abci.Event
 	for seq := uint64(1); seq <= 5; seq++ {
-		events = append(events, packetEvent(t, "send_packet",
-			ibc.Packet{SourceChannel: "channel-0", Sequence: seq}, ""))
+		events = append(events, sendEvent(ibc.Packet{SourceChannel: "channel-0", Sequence: seq}))
 	}
 	be := Decode(1, 0, []*store.TxInfo{txInfo(5, abci.CodeOK, events...)})
 	got := be.Txs[0].SendPackets("channel-0")

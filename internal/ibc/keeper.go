@@ -108,29 +108,28 @@ const memoCap = 1024
 // The bytes still come from ctx.State on every call and are compared
 // against the remembered ones, which makes staged writes, aborted
 // transactions and deletes visible without any invalidation hook. The
-// caller owns the returned value (a shallow copy: slices inside it, such
-// as ClientState.Validators, are shared and must not be written to).
-func getJSON[T any](k *Keeper, ctx *app.Context, key string) (*T, bool) {
+// value is returned by value, so a memo hit allocates nothing and the
+// caller owns what it gets (a shallow copy: slices inside it, such as
+// ClientState.Validators, are shared and must not be written to).
+func getJSON[T any](k *Keeper, ctx *app.Context, key string) (zero T, ok bool) {
 	raw, ok := ctx.State.Get(key)
 	if !ok {
-		return nil, false
+		return zero, false
 	}
 	if e, ok := k.memo[key]; ok && bytes.Equal(e.raw, raw) {
-		v := *e.val.(*T) // a key always holds the same object type
-		return &v, true
+		return *e.val.(*T), true // a key always holds the same object type
 	}
-	var v T
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, false
+	v := new(T)
+	if err := json.Unmarshal(raw, v); err != nil {
+		return zero, false
 	}
 	if len(k.memo) >= memoCap {
 		clear(k.memo)
 	}
 	// State.Set copies what it stores and never writes to it again, so
 	// raw can be kept by reference.
-	cached := v
-	k.memo[key] = memoEntry{raw: raw, val: &cached}
-	return &v, true
+	k.memo[key] = memoEntry{raw: raw, val: v}
+	return *v, true
 }
 
 func setJSON(ctx *app.Context, key string, v any) {
@@ -143,51 +142,51 @@ func setJSON(ctx *app.Context, key string, v any) {
 }
 
 // Client returns a stored client state.
-func (k *Keeper) Client(ctx *app.Context, clientID string) (*ClientState, error) {
+func (k *Keeper) Client(ctx *app.Context, clientID string) (ClientState, error) {
 	cs, ok := getJSON[ClientState](k, ctx, ClientStateKey(clientID))
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrClientNotFound, clientID)
+		return cs, fmt.Errorf("%w: %s", ErrClientNotFound, clientID)
 	}
 	return cs, nil
 }
 
 // Consensus returns a stored consensus state at a height.
-func (k *Keeper) Consensus(ctx *app.Context, clientID string, height int64) (*ConsensusState, error) {
+func (k *Keeper) Consensus(ctx *app.Context, clientID string, height int64) (ConsensusState, error) {
 	cs, ok := getJSON[ConsensusState](k, ctx, ConsensusStateKey(clientID, height))
 	if !ok {
-		return nil, fmt.Errorf("%w: client %s height %d", ErrConsensusNotFound, clientID, height)
+		return cs, fmt.Errorf("%w: client %s height %d", ErrConsensusNotFound, clientID, height)
 	}
 	return cs, nil
 }
 
 // Channel returns a stored channel end.
-func (k *Keeper) Channel(ctx *app.Context, port, channel string) (*ChannelEnd, error) {
+func (k *Keeper) Channel(ctx *app.Context, port, channel string) (ChannelEnd, error) {
 	ch, ok := getJSON[ChannelEnd](k, ctx, ChannelKey(port, channel))
 	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrChannelNotFound, port, channel)
+		return ch, fmt.Errorf("%w: %s/%s", ErrChannelNotFound, port, channel)
 	}
 	return ch, nil
 }
 
 // Connection returns a stored connection end.
-func (k *Keeper) Connection(ctx *app.Context, connID string) (*ConnectionEnd, error) {
+func (k *Keeper) Connection(ctx *app.Context, connID string) (ConnectionEnd, error) {
 	c, ok := getJSON[ConnectionEnd](k, ctx, ConnectionKey(connID))
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrConnectionNotFound, connID)
+		return c, fmt.Errorf("%w: %s", ErrConnectionNotFound, connID)
 	}
 	return c, nil
 }
 
 // clientForChannel resolves the light client a channel's packets are
 // verified against.
-func (k *Keeper) clientForChannel(ctx *app.Context, port, channel string) (string, *ChannelEnd, error) {
+func (k *Keeper) clientForChannel(ctx *app.Context, port, channel string) (string, ChannelEnd, error) {
 	ch, err := k.Channel(ctx, port, channel)
 	if err != nil {
-		return "", nil, err
+		return "", ch, err
 	}
 	conn, err := k.Connection(ctx, ch.ConnectionID)
 	if err != nil {
-		return "", nil, err
+		return "", ch, err
 	}
 	return conn.ClientID, ch, nil
 }
@@ -562,19 +561,7 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 		TimeoutTimestamp: timeoutTimestamp,
 	}
 	ctx.State.Set(PacketCommitmentKey(port, channel, seq), p.CommitmentBytes())
-	raw, _ := json.Marshal(p)
-	ev := abci.Event{
-		Type: "send_packet",
-		Attributes: map[string]string{
-			"packet":      string(raw),
-			"src_port":    port,
-			"src_channel": channel,
-			"dst_port":    ch.CounterpartyPort,
-			"dst_channel": ch.CounterpartyChan,
-			"sequence":    strconv.FormatUint(seq, 10),
-		},
-	}
-	return p, []abci.Event{ev}, nil
+	return p, []abci.Event{{Type: "send_packet", Data: p}}, nil
 }
 
 func (k *Keeper) nextSequenceSend(ctx *app.Context, port, channel string) uint64 {
@@ -645,16 +632,9 @@ func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledg
 		return fmt.Errorf("ibc: acknowledgement for %s/%s seq %d already written",
 			p.DestPort, p.DestChannel, p.Sequence)
 	}
-	ctx.State.Set(key, hashAck(ack.Bytes()))
-	raw, _ := json.Marshal(p)
-	ctx.Emit(abci.Event{
-		Type: "write_acknowledgement",
-		Attributes: map[string]string{
-			"packet":   string(raw),
-			"ack":      string(ack.Bytes()),
-			"sequence": strconv.FormatUint(p.Sequence, 10),
-		},
-	})
+	raw := ack.Bytes()
+	ctx.State.Set(key, hashAck(raw))
+	ctx.Emit(abci.Event{Type: "write_acknowledgement", Data: AckWrite{Packet: p, Ack: raw}})
 	return nil
 }
 
@@ -710,7 +690,7 @@ func (k *Keeper) acknowledgePacket(ctx *app.Context, m MsgAcknowledgement) error
 // non-receipt on the destination past the timeout.
 func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 	p := m.Packet
-	clientID, ch, err := k.clientForChannel(ctx, p.SourcePort, p.SourceChannel)
+	clientID, _, err := k.clientForChannel(ctx, p.SourcePort, p.SourceChannel)
 	if err != nil {
 		return err
 	}
@@ -718,7 +698,6 @@ func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 	if !ctx.State.Has(commitKey) {
 		return fmt.Errorf("%w: timeout for seq %d", ErrRedundantPacket, p.Sequence)
 	}
-	_ = ch
 	// The consensus state at proofHeight must be past the timeout.
 	cons, err := k.Consensus(ctx, clientID, m.ProofHeight)
 	if err != nil {

@@ -63,6 +63,40 @@ func TestCommitmentBytesMatchFmtFormatting(t *testing.T) {
 	}
 }
 
+// Message digests are hashed into the tx hash; they are built with
+// appends and pinned against the fmt spelling they replaced.
+func TestMsgDigestsMatchFmtFormatting(t *testing.T) {
+	for _, p := range []ibc.Packet{
+		{},
+		{SourcePort: "transfer", SourceChannel: "channel-0", Sequence: 1},
+		{SourcePort: "a/b", SourceChannel: "channel-4294967295", Sequence: math.MaxUint64},
+	} {
+		id := fmt.Sprintf("%s/%s/%d", p.SourcePort, p.SourceChannel, p.Sequence)
+		for want, m := range map[string]interface{ Digest() []byte }{
+			"recv/" + id:    ibc.MsgRecvPacket{Packet: p},
+			"ack/" + id:     ibc.MsgAcknowledgement{Packet: p},
+			"timeout/" + id: ibc.MsgTimeout{Packet: p},
+		} {
+			if got := m.Digest(); string(got) != want {
+				t.Errorf("%T digest = %q, want %q", m, got, want)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { m.Digest() }); allocs != 1 {
+				t.Errorf("%T digest took %.0f allocations, want 1", m, allocs)
+			}
+		}
+	}
+	for _, clientID := range []string{"07-tendermint-0", "", "a/b"} {
+		for _, h := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
+			m := ibc.MsgUpdateClient{ClientID: clientID}
+			m.Bundle.Header.Height = h
+			want := fmt.Sprintf("update/%s/%d", clientID, h)
+			if got := m.Digest(); string(got) != want {
+				t.Errorf("update digest = %q, want %q", got, want)
+			}
+		}
+	}
+}
+
 // The send counter is stored as decimal text, as fmt.Sprint wrote it.
 func TestNextSequenceSendStoredAsDecimal(t *testing.T) {
 	c := newMemoChain(t)

@@ -163,9 +163,9 @@ func TestMemoReturnsCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			want = *ch
-		} else if *ch != want {
-			t.Fatalf("read %d saw the previous caller's write: %+v, want %+v", i, *ch, want)
+			want = ch
+		} else if ch != want {
+			t.Fatalf("read %d saw the previous caller's write: %+v, want %+v", i, ch, want)
 		}
 		ch.State = ibc.StateInit
 		ch.CounterpartyChan = "channel-666"

@@ -1,7 +1,7 @@
 package ibc
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"ibcbench/internal/simconf"
@@ -135,9 +135,13 @@ type MsgTimeout struct {
 	Relayer          string
 }
 
-// msgBase provides the app.Msg plumbing shared by IBC messages.
-func packetDigest(p *Packet) []byte {
-	return []byte(fmt.Sprintf("%s/%s/%d", p.SourcePort, p.SourceChannel, p.Sequence))
+// packetDigest builds "<kind><port>/<channel>/<sequence>" in one
+// allocation: what a packet message contributes to its tx hash.
+func packetDigest(kind string, p *Packet) []byte {
+	d := make([]byte, 0, len(kind)+len(p.SourcePort)+len(p.SourceChannel)+22) // 2 slashes, 20 digits
+	d = append(append(append(d, kind...), p.SourcePort...), '/')
+	d = append(append(d, p.SourceChannel...), '/')
+	return strconv.AppendUint(d, p.Sequence, 10)
 }
 
 // Route/MsgType/WireSize/Digest implementations.
@@ -151,7 +155,9 @@ func (MsgUpdateClient) Route() string   { return RouteIBC }
 func (MsgUpdateClient) MsgType() string { return "MsgUpdateClient" }
 func (MsgUpdateClient) WireSize() int   { return 1200 }
 func (m MsgUpdateClient) Digest() []byte {
-	return []byte(fmt.Sprintf("update/%s/%d", m.ClientID, m.Bundle.Header.Height))
+	d := make([]byte, 0, len("update/")+len(m.ClientID)+21) // slash, sign, 19 digits
+	d = append(append(append(d, "update/"...), m.ClientID...), '/')
+	return strconv.AppendInt(d, m.Bundle.Header.Height, 10)
 }
 
 func (MsgConnOpenInit) Route() string    { return RouteIBC }
@@ -197,20 +203,20 @@ func (m MsgChanOpenConfirm) Digest() []byte { return []byte("chanconfirm/" + m.P
 func (MsgRecvPacket) Route() string    { return RouteIBC }
 func (MsgRecvPacket) MsgType() string  { return "MsgRecvPacket" }
 func (MsgRecvPacket) WireSize() int    { return simconf.MsgRecvPacketBytes }
-func (m MsgRecvPacket) Digest() []byte { return append([]byte("recv/"), packetDigest(&m.Packet)...) }
+func (m MsgRecvPacket) Digest() []byte { return packetDigest("recv/", &m.Packet) }
 
 func (MsgAcknowledgement) Route() string   { return RouteIBC }
 func (MsgAcknowledgement) MsgType() string { return "MsgAcknowledgement" }
 func (MsgAcknowledgement) WireSize() int   { return simconf.MsgAckBytes }
 func (m MsgAcknowledgement) Digest() []byte {
-	return append([]byte("ack/"), packetDigest(&m.Packet)...)
+	return packetDigest("ack/", &m.Packet)
 }
 
 func (MsgTimeout) Route() string   { return RouteIBC }
 func (MsgTimeout) MsgType() string { return "MsgTimeout" }
 func (MsgTimeout) WireSize() int   { return simconf.MsgAckBytes }
 func (m MsgTimeout) Digest() []byte {
-	return append([]byte("timeout/"), packetDigest(&m.Packet)...)
+	return packetDigest("timeout/", &m.Packet)
 }
 
 // timeoutElapsed reports whether a packet can no longer be received at

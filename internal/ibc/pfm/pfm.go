@@ -185,8 +185,8 @@ func (mw *Middleware) NextHop(destChannel string, seq uint64) (string, uint64, b
 // local receive to the forwarding account, emit the next hop and answer
 // asynchronously.
 func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowledgement {
-	var data transfer.PacketData
-	if err := json.Unmarshal(p.Data, &data); err != nil {
+	data, err := transfer.ParsePacketData(p.Data)
+	if err != nil {
 		return mw.inner.OnRecvPacket(ctx, p) // inner owns the error ack
 	}
 	fwd, ok, err := ParseMemo(data.Memo)

@@ -133,14 +133,22 @@ func eventsOf(res abci.TxResult, typ string) []abci.Event {
 	return out
 }
 
+// packetOf returns the packet a send_packet or write_acknowledgement
+// event carries.
 func packetOf(t *testing.T, ev abci.Event) ibc.Packet {
 	t.Helper()
-	var p ibc.Packet
-	if err := json.Unmarshal([]byte(ev.Attributes["packet"]), &p); err != nil {
-		t.Fatalf("bad packet attr: %v", err)
+	switch d := ev.Data.(type) {
+	case ibc.Packet:
+		return d
+	case ibc.AckWrite:
+		return d.Packet
 	}
-	return p
+	t.Fatalf("%s event carries %T", ev.Type, ev.Data)
+	return ibc.Packet{}
 }
+
+// ackOf returns the ack bytes a write_acknowledgement event carries.
+func ackOf(ev abci.Event) []byte { return ev.Data.(ibc.AckWrite).Ack }
 
 // relayRecv delivers a packet to dst, returning the tx result.
 func relayRecv(t *testing.T, dst *testChain, p ibc.Packet) abci.TxResult {
@@ -273,7 +281,7 @@ func TestForwardMintPath(t *testing.T) {
 	}
 
 	// Ack hop 2 back to B: the middleware releases the origin's ack.
-	resAckB := relayAck(t, b, p2, []byte(acksC[0].Attributes["ack"]))
+	resAckB := relayAck(t, b, p2, ackOf(acksC[0]))
 	if !resAckB.IsOK() {
 		t.Fatalf("ack on B failed: %s", resAckB.Log)
 	}
@@ -285,12 +293,12 @@ func TestForwardMintPath(t *testing.T) {
 		t.Fatalf("B acked the wrong packet: %+v", orig)
 	}
 	var ack ibc.Acknowledgement
-	if err := json.Unmarshal([]byte(acksB[0].Attributes["ack"]), &ack); err != nil || !ack.Success() {
-		t.Fatalf("origin ack not success: %s", acksB[0].Attributes["ack"])
+	if err := json.Unmarshal(ackOf(acksB[0]), &ack); err != nil || !ack.Success() {
+		t.Fatalf("origin ack not success: %s", ackOf(acksB[0]))
 	}
 
 	// And the origin settles.
-	if res := relayAck(t, a, p1, []byte(acksB[0].Attributes["ack"])); !res.IsOK() {
+	if res := relayAck(t, a, p1, ackOf(acksB[0])); !res.IsOK() {
 		t.Fatalf("ack on A failed: %s", res.Log)
 	}
 	if got := bal(a, "alice", "uatom"); got != 95 {
@@ -323,9 +331,9 @@ func TestFullUnwindRestoresOrigin(t *testing.T) {
 	p2 := packetOf(t, eventsOf(resB, "send_packet")[0])
 	resC := relayRecv(t, c, p2)
 	ackC := eventsOf(resC, "write_acknowledgement")[0]
-	resAckB := relayAck(t, b, p2, []byte(ackC.Attributes["ack"]))
+	resAckB := relayAck(t, b, p2, ackOf(ackC))
 	ackB := eventsOf(resAckB, "write_acknowledgement")[0]
-	relayAck(t, a, p1, []byte(ackB.Attributes["ack"]))
+	relayAck(t, a, p1, ackOf(ackB))
 
 	nested := "transfer/channel-0/transfer/channel-0/uatom"
 	voucherB := "transfer/channel-0/uatom"
@@ -353,9 +361,9 @@ func TestFullUnwindRestoresOrigin(t *testing.T) {
 		t.Fatalf("return recv on A failed: %s", resA2.Log)
 	}
 	ackA2 := eventsOf(resA2, "write_acknowledgement")[0]
-	resAckB2 := relayAck(t, b, p4, []byte(ackA2.Attributes["ack"]))
+	resAckB2 := relayAck(t, b, p4, ackOf(ackA2))
 	ackB2 := eventsOf(resAckB2, "write_acknowledgement")[0]
-	if res := relayAck(t, c, p3, []byte(ackB2.Attributes["ack"])); !res.IsOK() {
+	if res := relayAck(t, c, p3, ackOf(ackB2)); !res.IsOK() {
 		t.Fatalf("final ack on C failed: %s", res.Log)
 	}
 
@@ -424,8 +432,8 @@ func TestForwardTimeoutRefundsOrigin(t *testing.T) {
 		t.Fatalf("B wrote %d acks on unwind", len(acks))
 	}
 	var ack ibc.Acknowledgement
-	if err := json.Unmarshal([]byte(acks[0].Attributes["ack"]), &ack); err != nil || ack.Success() {
-		t.Fatalf("unwind must write an error ack, got %s", acks[0].Attributes["ack"])
+	if err := json.Unmarshal(ackOf(acks[0]), &ack); err != nil || ack.Success() {
+		t.Fatalf("unwind must write an error ack, got %s", ackOf(acks[0]))
 	}
 	if fs := b.mw.Stats(); fs.Unwound != 1 {
 		t.Fatalf("unwound = %d", fs.Unwound)
@@ -444,7 +452,7 @@ func TestForwardTimeoutRefundsOrigin(t *testing.T) {
 	}
 
 	// The error ack reaches the origin: sender refunded, escrow released.
-	if res := relayAck(t, a, p1, []byte(acks[0].Attributes["ack"])); !res.IsOK() {
+	if res := relayAck(t, a, p1, ackOf(acks[0])); !res.IsOK() {
 		t.Fatalf("error ack on A failed: %s", res.Log)
 	}
 	if got := bal(a, "alice", "uatom"); got != 100 {
@@ -516,8 +524,8 @@ func TestForwardToBadChannelRefusesBeforeFunds(t *testing.T) {
 		t.Fatalf("B wrote %d acks, want one error ack", len(acks))
 	}
 	var ack ibc.Acknowledgement
-	if err := json.Unmarshal([]byte(acks[0].Attributes["ack"]), &ack); err != nil || ack.Success() {
-		t.Fatalf("want error ack, got %s", acks[0].Attributes["ack"])
+	if err := json.Unmarshal(ackOf(acks[0]), &ack); err != nil || ack.Success() {
+		t.Fatalf("want error ack, got %s", ackOf(acks[0]))
 	}
 	// Nothing moved on B: no mint, no escrow, no forwarder balance.
 	voucher := "transfer/channel-0/uatom"
@@ -528,7 +536,7 @@ func TestForwardToBadChannelRefusesBeforeFunds(t *testing.T) {
 		t.Fatalf("forwarder holds %d", got)
 	}
 	// Origin refunds on the error ack.
-	if res := relayAck(t, a, p1, []byte(acks[0].Attributes["ack"])); !res.IsOK() {
+	if res := relayAck(t, a, p1, ackOf(acks[0])); !res.IsOK() {
 		t.Fatalf("error ack on A failed: %s", res.Log)
 	}
 	if got := bal(a, "alice", "uatom"); got != 100 {
@@ -561,8 +569,8 @@ func TestUndecodableForwardMemoRefused(t *testing.T) {
 		t.Fatalf("B wrote %d acks", len(acks))
 	}
 	var ack ibc.Acknowledgement
-	if err := json.Unmarshal([]byte(acks[0].Attributes["ack"]), &ack); err != nil || ack.Success() {
-		t.Fatalf("want error ack for undecodable forward memo, got %s", acks[0].Attributes["ack"])
+	if err := json.Unmarshal(ackOf(acks[0]), &ack); err != nil || ack.Success() {
+		t.Fatalf("want error ack for undecodable forward memo, got %s", ackOf(acks[0]))
 	}
 	// The intermediate receiver got nothing.
 	if got := bal(b, ModuleAccount, "transfer/channel-0/uatom"); got != 0 {

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"ibcbench/internal/abci"
@@ -65,12 +66,19 @@ func (m MsgTransfer) WireSize() int { return simconf.MsgTransferBytes + len(m.Me
 // memo contributes only when present, keeping memo-less digests (and the
 // fingerprints pinned on them) unchanged.
 func (m MsgTransfer) Digest() []byte {
-	d := fmt.Sprintf("xfer/%s/%s/%s/%s/%d",
-		m.Sender, m.Receiver, m.Token, m.SourceChannel, m.Nonce)
+	// "xfer/<sender>/<receiver>/<amount><denom>/<channel>/<nonce>[/<memo>]":
+	// 6 slashes and two numbers of at most 20 digits.
+	d := make([]byte, 0, len("xfer")+6+40+len(m.Sender)+len(m.Receiver)+
+		len(m.Token.Denom)+len(m.SourceChannel)+len(m.Memo))
+	d = append(append(append(d, "xfer/"...), m.Sender...), '/')
+	d = append(append(d, m.Receiver...), '/')
+	d = append(append(strconv.AppendUint(d, m.Token.Amount, 10), m.Token.Denom...), '/')
+	d = append(append(d, m.SourceChannel...), '/')
+	d = strconv.AppendUint(d, m.Nonce, 10)
 	if m.Memo != "" {
-		d += "/" + m.Memo
+		d = append(append(d, '/'), m.Memo...)
 	}
-	return []byte(d)
+	return d
 }
 
 // PacketData is the ICS-20 packet payload.
@@ -80,6 +88,46 @@ type PacketData struct {
 	Sender   string `json:"sender"`
 	Receiver string `json:"receiver"`
 	Memo     string `json:"memo,omitempty"`
+}
+
+// Bytes serializes the payload: the bytes json.Marshal writes (they are
+// hashed into the packet commitment), appended directly.
+func (d PacketData) Bytes() []byte {
+	b := make([]byte, 0, 72+len(d.Denom)+len(d.Sender)+len(d.Receiver)+len(d.Memo)+len(d.Memo)/8)
+	b = ibc.AppendJSONString(append(b, `{"denom":`...), d.Denom)
+	b = strconv.AppendUint(append(b, `,"amount":`...), d.Amount, 10)
+	b = ibc.AppendJSONString(append(b, `,"sender":`...), d.Sender)
+	b = ibc.AppendJSONString(append(b, `,"receiver":`...), d.Receiver)
+	if d.Memo != "" {
+		b = ibc.AppendJSONString(append(b, `,"memo":`...), d.Memo)
+	}
+	return append(b, '}')
+}
+
+// ParsePacketData deserializes a packet payload. Bytes' own output is
+// read directly; any other document is json.Unmarshal's to accept or
+// refuse.
+func ParsePacketData(raw []byte) (PacketData, error) {
+	var d PacketData
+	r := ibc.JSONReader{Buf: raw}
+	r.Expect(`{"denom":`)
+	d.Denom = string(r.Bytes())
+	r.Expect(`,"amount":`)
+	d.Amount = r.Uint()
+	r.Expect(`,"sender":`)
+	d.Sender = string(r.Bytes())
+	r.Expect(`,"receiver":`)
+	d.Receiver = string(r.Bytes())
+	if r.Skip(`,"memo":`) {
+		d.Memo = string(r.Bytes())
+	}
+	r.Expect("}")
+	if r.Done() {
+		return d, nil
+	}
+	var slow PacketData // not d: the address taken would move d to the heap
+	err := json.Unmarshal(raw, &slow)
+	return slow, err
 }
 
 // Module is the ICS-20 application module for one chain.
@@ -154,16 +202,13 @@ func (m *Module) SendTransfer(ctx *app.Context, mt MsgTransfer) (ibc.Packet, []a
 			return ibc.Packet{}, nil, err
 		}
 	}
-	data, err := json.Marshal(PacketData{
+	data := PacketData{
 		Denom:    mt.Token.Denom,
 		Amount:   mt.Token.Amount,
 		Sender:   mt.Sender,
 		Receiver: mt.Receiver,
 		Memo:     mt.Memo,
-	})
-	if err != nil {
-		return ibc.Packet{}, nil, err
-	}
+	}.Bytes()
 	p, events, err := m.keeper.SendPacket(ctx, mt.SourcePort, mt.SourceChannel,
 		data, mt.TimeoutHeight, mt.TimeoutTimestamp)
 	if err != nil {
@@ -208,8 +253,8 @@ func (m *Module) UndoReceive(ctx *app.Context, p ibc.Packet, coin app.Coin, unes
 // OnRecvPacket implements ibc.PortModule: mint a voucher or unescrow the
 // original token for the packet's receiver.
 func (m *Module) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowledgement {
-	var data PacketData
-	if err := json.Unmarshal(p.Data, &data); err != nil {
+	data, err := ParsePacketData(p.Data)
+	if err != nil {
 		return &ibc.Acknowledgement{Error: ErrBadPacketData.Error()}
 	}
 	return m.ReceivePacket(ctx, p, data)
@@ -247,8 +292,8 @@ func (m *Module) OnTimeoutPacket(ctx *app.Context, p ibc.Packet) error {
 // burned voucher or release the escrow back to the sender. Exported so
 // forwarding middleware can unwind its own hop sends.
 func (m *Module) RefundPacket(ctx *app.Context, p ibc.Packet) error {
-	var data PacketData
-	if err := json.Unmarshal(p.Data, &data); err != nil {
+	data, err := ParsePacketData(p.Data)
+	if err != nil {
 		return ErrBadPacketData
 	}
 	coin := app.Coin{Denom: data.Denom, Amount: data.Amount}

@@ -168,7 +168,7 @@ type Relayer struct {
 	// reuse them instead of allocating per block. clearSeen is the
 	// clear pass's height-dedupe scratch map, reused likewise.
 	pktBuf    [][]ibc.Packet
-	ackBuf    [][]eventindex.AckWrite
+	ackBuf    [][]ibc.AckWrite
 	clearSeen map[int64]bool
 
 	stats   Stats
@@ -442,17 +442,17 @@ func (r *Relayer) getPktBuf(capHint int) []ibc.Packet {
 func (r *Relayer) putPktBuf(buf []ibc.Packet) { r.pktBuf = append(r.pktBuf, buf) }
 
 // getAckBuf pops a pooled ack-staging slice (or makes one).
-func (r *Relayer) getAckBuf(capHint int) []eventindex.AckWrite {
+func (r *Relayer) getAckBuf(capHint int) []ibc.AckWrite {
 	if n := len(r.ackBuf); n > 0 {
 		buf := r.ackBuf[n-1]
 		r.ackBuf[n-1] = nil
 		r.ackBuf = r.ackBuf[:n-1]
 		return buf[:0]
 	}
-	return make([]eventindex.AckWrite, 0, capHint)
+	return make([]ibc.AckWrite, 0, capHint)
 }
 
-func (r *Relayer) putAckBuf(buf []eventindex.AckWrite) { r.ackBuf = append(r.ackBuf, buf) }
+func (r *Relayer) putAckBuf(buf []ibc.AckWrite) { r.ackBuf = append(r.ackBuf, buf) }
 
 // buildRecvBatch turns one source tx's indexed send_packet records into
 // MsgRecvPackets destined for dst. The index slice is shared across

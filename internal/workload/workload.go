@@ -16,6 +16,7 @@ import (
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
+	"ibcbench/internal/ibc"
 	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/netem"
@@ -118,10 +119,12 @@ func NewOnChannel(sched *sim.Scheduler, rng *sim.RNG, src, dst *chain.Chain, sou
 }
 
 // recordBroadcasts keys each committed packet back to the virtual time
-// its transaction was broadcast. The packets come from the chain's event
-// index, which decoded this block already: chain.New registers the index
-// hook ahead of every other commit hook. The index lists only successful
-// transactions that emitted packets; one that failed has none to record.
+// its transaction was broadcast. The transactions come from the chain's
+// event index, which went over this block already: chain.New registers
+// the index hook ahead of every other commit hook. The index lists only
+// successful transactions that emitted packets; one that failed has none
+// to record. The packets are read off the transaction's own events,
+// which keeps event order across channels, the order PacketKeys promises.
 func (g *Generator) recordBroadcasts(chainID string, cb *store.CommittedBlock) {
 	for _, te := range g.source.Events.At(cb.Block.Header.Height).Txs {
 		hash := te.Info.Tx.Hash()
@@ -130,24 +133,12 @@ func (g *Generator) recordBroadcasts(chainID string, cb *store.CommittedBlock) {
 			continue
 		}
 		delete(g.broadcastAt, hash)
-		// The index groups a transaction's sends by channel; walking its
-		// events with one cursor per channel restores event order across
-		// channels, the order PacketKeys promises.
-		taken := make(map[string]int, len(te.Sends))
 		for _, ev := range te.Info.Result.Events {
 			if ev.Type != "send_packet" {
 				continue
 			}
-			channel := ev.Attributes["src_channel"]
-			sends := te.Sends[channel]
-			n := taken[channel]
-			if n >= len(sends) {
-				continue // an event the index could not decode
-			}
-			taken[channel] = n + 1
-			key := metrics.PacketKey{
-				SrcChain: chainID, Channel: sends[n].SourceChannel, Sequence: sends[n].Sequence,
-			}
+			p := ev.Data.(ibc.Packet)
+			key := metrics.PacketKey{SrcChain: chainID, Channel: p.SourceChannel, Sequence: p.Sequence}
 			g.keys = append(g.keys, key)
 			g.tracker.Record(key, metrics.StepTransferBroadcast, at)
 			// The Analysis module reads commitment directly from chain
