@@ -16,13 +16,15 @@ check:
 	$(GO) vet ./...
 	$(GO) test -short ./...
 
-# Bounded run of the native fuzz targets (CI's "Codec fuzz" step): the
-# append codecs of the two hashed per-packet documents, differential
-# against encoding/json in both directions. A failure leaves its input
-# under the package's testdata/fuzz/; commit it with the fix.
+# Bounded run of the native fuzz targets (CI's "Differential fuzz"
+# step): the append codecs of the two hashed per-packet documents against
+# encoding/json in both directions, and merkle.IncTree.Apply against the
+# full-rebuild merkle.NewTree. A failure leaves its input under the
+# package's testdata/fuzz/; commit it with the fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAckCodec -fuzztime 10s ./internal/ibc
 	$(GO) test -run '^$$' -fuzz FuzzPacketDataCodec -fuzztime 10s ./internal/ibc/transfer
+	$(GO) test -run '^$$' -fuzz FuzzIncTreeApply -fuzztime 10s ./internal/merkle
 
 # The host-cost benchmark (bench/, a module of its own that the targets
 # above skip): the full report over the five pinned workloads, and the

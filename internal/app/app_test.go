@@ -258,17 +258,17 @@ func TestStateSnapshotAndProofs(t *testing.T) {
 	if t1.Root() != root1 {
 		t.Fatal("historic tree root mismatch")
 	}
-	if v, ok := t1.Get([]byte("a")); !ok || string(v) != "1" {
+	if v, ok := t1.Get("a"); !ok || string(v) != "1" {
 		t.Fatalf("historic a = %q, %v", v, ok)
 	}
 	t2, err := s.TreeAt(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := t2.Get([]byte("a")); ok {
+	if _, ok := t2.Get("a"); ok {
 		t.Fatal("deleted key visible at height 2")
 	}
-	if v, _ := t2.Get([]byte("b")); string(v) != "3" {
+	if v, _ := t2.Get("b"); string(v) != "3" {
 		t.Fatalf("b at height 2 = %q", v)
 	}
 }

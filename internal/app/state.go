@@ -44,9 +44,15 @@ type State struct {
 	// into it instead of rebuilding the whole tree each height.
 	live *merkle.IncTree
 
-	// treeCache caches snapshot trees by height (small LRU).
-	treeCache map[int64]*merkle.Tree
-	treeOrder []int64
+	// trees caches the most recently built snapshot trees (a ring:
+	// treeNext is the slot the next one takes, evicting the oldest).
+	trees    [maxCachedTrees]cachedTree
+	treeNext int
+}
+
+type cachedTree struct {
+	height int64
+	tree   *merkle.Tree
 }
 
 type commitRecord struct {
@@ -56,7 +62,7 @@ type commitRecord struct {
 	prior map[string]*[]byte
 }
 
-// maxCachedTrees bounds the snapshot-tree LRU.
+// maxCachedTrees bounds the snapshot-tree cache.
 const maxCachedTrees = 4
 
 // NewState returns an empty store.
@@ -67,7 +73,6 @@ func NewState(fullProofs bool) *State {
 		blockChanged: make(map[string]*[]byte),
 		root:         sha256.Sum256([]byte("ibcbench/genesis")),
 		fullProofs:   fullProofs,
-		treeCache:    make(map[int64]*merkle.Tree),
 	}
 	if fullProofs {
 		s.live = merkle.NewIncTree()
@@ -135,8 +140,8 @@ func (s *State) Commit(height int64) merkle.Hash {
 	if s.fullProofs {
 		// Incremental commit: fold only the block's dirty keys into the
 		// cached leaf hashes. The root is identical to a full
-		// merkle.NewTree(s.data) rebuild (golden-root tests pin this)
-		// at O(dirty) cost instead of O(n) re-hashing.
+		// merkle.NewTree(s.data) rebuild (golden-root tests pin this);
+		// merkle.IncTree states what a block costs instead.
 		edits := make([]merkle.Edit, 0, len(s.blockChanged))
 		for k := range s.blockChanged {
 			if v, ok := s.data[k]; ok {
@@ -229,8 +234,10 @@ func (s *State) TreeAt(height int64) (*merkle.Tree, error) {
 	if !s.fullProofs {
 		return nil, fmt.Errorf("state: proofs disabled (performance mode)")
 	}
-	if t, ok := s.treeCache[height]; ok {
-		return t, nil
+	for _, c := range s.trees {
+		if c.tree != nil && c.height == height {
+			return c.tree, nil
+		}
 	}
 	var t *merkle.Tree
 	if height > 0 && height == s.Version() {
@@ -248,13 +255,8 @@ func (s *State) TreeAt(height int64) (*merkle.Tree, error) {
 	if got, want := t.Root(), mustRoot(s, height); got != want {
 		return nil, fmt.Errorf("state: reconstructed root mismatch at height %d", height)
 	}
-	s.treeCache[height] = t
-	s.treeOrder = append(s.treeOrder, height)
-	if len(s.treeOrder) > maxCachedTrees {
-		evict := s.treeOrder[0]
-		s.treeOrder = s.treeOrder[1:]
-		delete(s.treeCache, evict)
-	}
+	s.trees[s.treeNext] = cachedTree{height, t}
+	s.treeNext = (s.treeNext + 1) % maxCachedTrees
 	return t, nil
 }
 

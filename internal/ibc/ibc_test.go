@@ -139,7 +139,7 @@ func (c *testChain) prove(consHeight int64, key string) ([]byte, *ibc.Proof) {
 	if err != nil {
 		c.t.Fatalf("tree at %d: %v", consHeight-1, err)
 	}
-	value, mp, ok := tree.ProveMembership([]byte(key))
+	value, mp, ok := tree.ProveMembership(key)
 	if !ok {
 		c.t.Fatalf("key %q absent at height %d", key, consHeight-1)
 	}
@@ -153,7 +153,7 @@ func (c *testChain) proveAbsent(consHeight int64, key string) *ibc.Proof {
 	if err != nil {
 		c.t.Fatalf("tree at %d: %v", consHeight-1, err)
 	}
-	nm, ok := tree.ProveNonMembership([]byte(key))
+	nm, ok := tree.ProveNonMembership(key)
 	if !ok {
 		c.t.Fatalf("key %q present at height %d", key, consHeight-1)
 	}

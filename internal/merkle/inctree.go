@@ -1,6 +1,10 @@
 package merkle
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // Edit is one key's net change in a block commit.
 type Edit struct {
@@ -13,22 +17,24 @@ type Edit struct {
 // live application state: it keeps the sorted leaf array and every inner
 // level cached between commits and re-hashes only what a block's dirty
 // keys invalidate, while committing to exactly the same root as
-// NewTree(snapshot) would.
+// NewTree(snapshot) would. A block of d edits over n leaves costs:
 //
-//   - Value-only blocks re-hash d leaves plus their O(d log n) root
-//     paths.
-//   - Inserts/deletes shift the sorted suffix: unchanged leaves keep
-//     their cached digests (a move, not a re-hash) and only the inner
-//     nodes covering the shifted range are recomputed.
+//   - value-only: d leaf hashes plus their O(d log n) root paths, no
+//     moves;
+//   - with inserts or deletes: one merge pass of O(n + d) element moves
+//     (unchanged leaves keep their cached digests), then a re-hash of
+//     every inner node right of the first structural edit that covers
+//     a leaf — O(n) inner hashes in the worst case, which the
+//     sorted-array tree shape fixes.
 //
-// This replaces the per-commit full rebuild (n leaf hashes over the
-// whole key-value map plus a sort of every key), the dominant cost of
-// block commits in full-proof mode.
+// Snapshot is O(n) moves: three bulk copies, no per-key allocation.
 type IncTree struct {
 	keys   []string
 	values [][]byte
 	leaves []Hash
 	levels [][]Hash // levels[0] = leaves padded to a power of two
+
+	moves int // elements Apply has shifted so far (pins its O(n + d) bound in tests)
 }
 
 // NewIncTree returns an empty incremental tree (root = empty-tree root).
@@ -54,53 +60,78 @@ func (t *IncTree) Apply(edits []Edit) Hash {
 	if len(edits) == 0 {
 		return t.Root()
 	}
-	// Stable: duplicate-key edits keep input order, so last-writer-wins
-	// holds regardless of batch size.
-	sort.SliceStable(edits, func(i, j int) bool { return edits[i].Key < edits[j].Key })
+	// Stable: duplicate-key edits keep input order, so the last of a run
+	// of equal keys is the last writer.
+	slices.SortStableFunc(edits, func(a, b Edit) int { return strings.Compare(a.Key, b.Key) })
 
-	minIdx := -1 // leftmost touched leaf index
-	structural := false
-	var dirty []int // updated-in-place leaf indices (valid while !structural)
-	for _, e := range edits {
-		i := sort.SearchStrings(t.keys, e.Key)
-		found := i < len(t.keys) && t.keys[i] == e.Key
-		switch {
-		case e.Delete && !found:
+	// Left to right over the pre-block arrays: each edit is looked up
+	// once in the still-untouched suffix [r:], updates are overwritten,
+	// deletes dropped by moving the survivors down to the write cursor w,
+	// and inserts set aside with the compacted index they go before.
+	n := len(t.keys)
+	minIdx := -1                       // leftmost touched leaf index
+	var dirty []int                    // updated leaf indices (read only when nothing moved)
+	type insert struct{ edit, at int } // edits[edit] goes before compacted index at
+	var ins []insert
+	r, w := 0, 0
+	for j, e := range edits {
+		if j+1 < len(edits) && edits[j+1].Key == e.Key {
 			continue
-		case e.Delete:
-			t.keys = append(t.keys[:i], t.keys[i+1:]...)
-			t.values = append(t.values[:i], t.values[i+1:]...)
-			t.leaves = append(t.leaves[:i], t.leaves[i+1:]...)
-			structural = true
-		case found:
-			t.values[i] = e.Value
-			t.leaves[i] = LeafHash([]byte(e.Key), e.Value)
-			dirty = append(dirty, i)
-		default:
-			t.keys = append(t.keys, "")
-			copy(t.keys[i+1:], t.keys[i:])
-			t.keys[i] = e.Key
-			t.values = append(t.values, nil)
-			copy(t.values[i+1:], t.values[i:])
-			t.values[i] = e.Value
-			t.leaves = append(t.leaves, Hash{})
-			copy(t.leaves[i+1:], t.leaves[i:])
-			t.leaves[i] = LeafHash([]byte(e.Key), e.Value)
-			structural = true
 		}
-		if minIdx == -1 || i < minIdx {
+		i := r + sort.SearchStrings(t.keys[r:], e.Key)
+		found := i < n && t.keys[i] == e.Key
+		if e.Delete && !found {
+			continue
+		}
+		if minIdx == -1 {
 			minIdx = i
 		}
+		t.move(w, r, i-r)
+		w, r = w+i-r, i
+		switch {
+		case e.Delete:
+			r++
+		case found:
+			t.keys[w], t.values[w], t.leaves[w] = e.Key, e.Value, leafHash(e.Key, e.Value)
+			dirty = append(dirty, w)
+			w, r = w+1, r+1
+		default:
+			ins = append(ins, insert{j, w})
+		}
 	}
-	if minIdx == -1 {
+	if r == w && len(ins) == 0 { // nothing moved: value updates only, or no effective edit
+		t.rehashPaths(dirty)
 		return t.Root()
 	}
-	if structural {
-		t.rebuildFrom(minIdx)
-	} else {
-		t.rehashPaths(dirty)
+	t.move(w, r, n-r)
+	w += n - r
+
+	// Right to left: open every insert gap with one move of the leaves
+	// between it and the next gap, straight to their final positions.
+	size := w + len(ins)
+	t.keys = slices.Grow(t.keys[:w], len(ins))[:size]
+	t.values = slices.Grow(t.values[:w], len(ins))[:size]
+	t.leaves = slices.Grow(t.leaves[:w], len(ins))[:size]
+	for j := len(ins) - 1; j >= 0; j-- {
+		e, g := edits[ins[j].edit], ins[j].at
+		t.move(g+j+1, g, w-g)
+		w = g
+		t.keys[g+j], t.values[g+j], t.leaves[g+j] = e.Key, e.Value, leafHash(e.Key, e.Value)
 	}
+	t.rebuildFrom(minIdx)
 	return t.Root()
+}
+
+// move shifts n entries of the three parallel leaf arrays from src to
+// dst (overlap allowed).
+func (t *IncTree) move(dst, src, n int) {
+	if dst == src || n == 0 {
+		return
+	}
+	copy(t.keys[dst:dst+n], t.keys[src:src+n])
+	copy(t.values[dst:dst+n], t.values[src:src+n])
+	copy(t.leaves[dst:dst+n], t.leaves[src:src+n])
+	t.moves += n
 }
 
 // rebuildFrom recomputes the padded leaf level and all inner levels from
@@ -130,17 +161,21 @@ func (t *IncTree) rebuildFrom(from int) {
 	}
 	lv0 := t.levels[0]
 	copy(lv0[from:n], t.leaves[from:])
-	for i := n; i < m; i++ {
-		if i >= from {
-			lv0[i] = padLeaf
-		}
+	// A node over padding alone holds its level's constant: those are
+	// filled in, and only the live nodes of each row (from <= n, so lo
+	// never passes them) are hashed.
+	lo, live, pad := from, n, padLeaf
+	for i := live; i < m; i++ {
+		lv0[i] = pad
 	}
-	lo := from
 	for l := 1; l < len(t.levels); l++ {
-		lo /= 2
+		lo, live, pad = lo/2, (live+1)/2, InnerHash(pad, pad)
 		row, below := t.levels[l], t.levels[l-1]
-		for i := lo; i < len(row); i++ {
+		for i := lo; i < live; i++ {
 			row[i] = InnerHash(below[2*i], below[2*i+1])
+		}
+		for i := live; i < len(row); i++ {
+			row[i] = pad
 		}
 	}
 }
@@ -173,22 +208,19 @@ func (t *IncTree) rehashPaths(dirty []int) {
 }
 
 // Snapshot materializes the current state as an immutable Tree serving
-// proofs: levels are deep-copied (hash moves, no re-hashing) so later
-// Apply calls cannot invalidate outstanding proofs.
+// proofs: keys, values and levels are bulk-copied (moves, no re-hashing,
+// no per-key allocation) so later Apply calls cannot invalidate
+// outstanding proofs.
 func (t *IncTree) Snapshot() *Tree {
-	n := len(t.keys)
 	tr := &Tree{
-		keys:   make([][]byte, n),
-		values: append([][]byte(nil), t.values...),
+		keys:   slices.Clone(t.keys),
+		values: slices.Clone(t.values),
 		root:   t.Root(),
-	}
-	for i, k := range t.keys {
-		tr.keys[i] = []byte(k)
 	}
 	if len(t.levels) > 0 {
 		tr.levels = make([][]Hash, len(t.levels))
 		for l, row := range t.levels {
-			tr.levels[l] = append([]Hash(nil), row...)
+			tr.levels[l] = slices.Clone(row)
 		}
 	}
 	return tr

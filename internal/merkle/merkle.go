@@ -7,10 +7,14 @@
 // non-membership proofs (ICS-23). This package provides a deterministic
 // SHA-256 merkle tree over sorted key-value leaves with both proof kinds.
 //
-// The tree is a complete binary tree padded to a power of two, built once
-// in O(n) and serving proofs in O(log n) — the relayer requests one proof
-// per packet message, thousands per block, so proof generation must be
-// cheap.
+// The tree is a complete binary tree over the sorted leaves, padded to a
+// power of two. Tree is one immutable snapshot: NewTree sorts and hashes
+// every leaf (O(n log n)), a proof is one binary search plus a copy of
+// log n siblings. The live state is an IncTree, which pays per block
+// instead: O(n + d) element moves for d edits, plus a re-hash of the
+// inner nodes right of the first insert or delete (value-only blocks
+// re-hash d root paths), and O(n) moves with no per-key allocation for
+// the snapshot the block's proofs are served from.
 package merkle
 
 import (
@@ -43,30 +47,28 @@ var (
 
 // LeafHash hashes a key-value leaf with domain separation and length
 // prefixes.
-func LeafHash(key, value []byte) Hash {
-	h := sha256.New()
-	h.Write([]byte{leafPrefix})
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(key)))
-	h.Write(n[:])
-	h.Write(key)
-	binary.BigEndian.PutUint64(n[:], uint64(len(value)))
-	h.Write(n[:])
-	h.Write(value)
-	var out Hash
-	copy(out[:], h.Sum(nil))
-	return out
+func LeafHash(key, value []byte) Hash { return leafHash(key, value) }
+
+// leafHash assembles the leaf preimage in a stack buffer (a state key
+// plus a 32-byte commitment fits; a longer leaf spills to the heap) so
+// the tree can hash its string keys without converting them.
+func leafHash[K []byte | string](key K, value []byte) Hash {
+	var stack [192]byte
+	buf := append(stack[:0], leafPrefix)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(value)))
+	buf = append(buf, value...)
+	return sha256.Sum256(buf)
 }
 
 // InnerHash combines two child digests.
 func InnerHash(left, right Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{innerPrefix})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out Hash
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [1 + 2*sha256.Size]byte
+	buf[0] = innerPrefix
+	copy(buf[1:], left[:])
+	copy(buf[1+sha256.Size:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
 // levels builds the full tree bottom-up from (padded) leaves.
@@ -104,7 +106,7 @@ func HashLeaves(leaves []Hash) Hash {
 
 // Tree is an immutable merkle tree over a key-value snapshot.
 type Tree struct {
-	keys   [][]byte
+	keys   []string
 	values [][]byte
 	levels [][]Hash
 	root   Hash
@@ -117,15 +119,11 @@ func NewTree(kv map[string][]byte) *Tree {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	t := &Tree{
-		keys:   make([][]byte, len(keys)),
-		values: make([][]byte, len(keys)),
-	}
+	t := &Tree{keys: keys, values: make([][]byte, len(keys))}
 	leaves := make([]Hash, len(keys))
 	for i, k := range keys {
-		t.keys[i] = []byte(k)
 		t.values[i] = kv[k]
-		leaves[i] = LeafHash(t.keys[i], t.values[i])
+		leaves[i] = leafHash(k, t.values[i])
 	}
 	if len(leaves) == 0 {
 		t.root = emptyRoot
@@ -143,18 +141,12 @@ func (t *Tree) Root() Hash { return t.root }
 func (t *Tree) Len() int { return len(t.keys) }
 
 // Get returns the value for key and whether it is present.
-func (t *Tree) Get(key []byte) ([]byte, bool) {
-	i := t.search(key)
-	if i < len(t.keys) && bytes.Equal(t.keys[i], key) {
+func (t *Tree) Get(key string) ([]byte, bool) {
+	i := sort.SearchStrings(t.keys, key)
+	if i < len(t.keys) && t.keys[i] == key {
 		return t.values[i], true
 	}
 	return nil, false
-}
-
-func (t *Tree) search(key []byte) int {
-	return sort.Search(len(t.keys), func(i int) bool {
-		return bytes.Compare(t.keys[i], key) >= 0
-	})
 }
 
 // PathStep is one sibling digest on an audit path.
@@ -174,22 +166,24 @@ type MembershipProof struct {
 
 // ProveMembership builds a membership proof for key. It returns the bound
 // value along with the proof, or false if the key is absent.
-func (t *Tree) ProveMembership(key []byte) ([]byte, *MembershipProof, bool) {
-	i := t.search(key)
-	if i >= len(t.keys) || !bytes.Equal(t.keys[i], key) {
+func (t *Tree) ProveMembership(key string) ([]byte, *MembershipProof, bool) {
+	i := sort.SearchStrings(t.keys, key)
+	if i >= len(t.keys) || t.keys[i] != key {
 		return nil, nil, false
 	}
-	p := &MembershipProof{Index: i, Total: len(t.keys)}
+	return t.values[i], t.proveIndex(i), true
+}
+
+// proveIndex collects the audit path of leaf i.
+func (t *Tree) proveIndex(i int) *MembershipProof {
+	p := &MembershipProof{Index: i, Total: len(t.keys), Path: make([]PathStep, len(t.levels)-1)}
 	idx := i
-	for level := 0; level < len(t.levels)-1; level++ {
+	for level := range p.Path {
 		sib := idx ^ 1
-		p.Path = append(p.Path, PathStep{
-			Left:    sib < idx,
-			Sibling: t.levels[level][sib],
-		})
+		p.Path[level] = PathStep{Left: sib < idx, Sibling: t.levels[level][sib]}
 		idx /= 2
 	}
-	return t.values[i], p, true
+	return p
 }
 
 // RootFromProof recomputes the root implied by a leaf digest and path.
@@ -249,25 +243,17 @@ type NonMembershipProof struct {
 
 // ProveNonMembership builds an absence proof for key. It returns false if
 // the key is present.
-func (t *Tree) ProveNonMembership(key []byte) (*NonMembershipProof, bool) {
-	i := t.search(key)
-	if i < len(t.keys) && bytes.Equal(t.keys[i], key) {
+func (t *Tree) ProveNonMembership(key string) (*NonMembershipProof, bool) {
+	i := sort.SearchStrings(t.keys, key)
+	if i < len(t.keys) && t.keys[i] == key {
 		return nil, false
 	}
 	p := &NonMembershipProof{Total: len(t.keys)}
 	if i > 0 {
-		v, mp, ok := t.ProveMembership(t.keys[i-1])
-		if !ok {
-			return nil, false
-		}
-		p.LeftKey, p.LeftValue, p.LeftProof = t.keys[i-1], v, mp
+		p.LeftKey, p.LeftValue, p.LeftProof = []byte(t.keys[i-1]), t.values[i-1], t.proveIndex(i-1)
 	}
 	if i < len(t.keys) {
-		v, mp, ok := t.ProveMembership(t.keys[i])
-		if !ok {
-			return nil, false
-		}
-		p.RightKey, p.RightValue, p.RightProof = t.keys[i], v, mp
+		p.RightKey, p.RightValue, p.RightProof = []byte(t.keys[i]), t.values[i], t.proveIndex(i)
 	}
 	return p, true
 }

@@ -1,6 +1,8 @@
 package merkle
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -19,7 +21,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	p, ok := tr.ProveNonMembership([]byte("anything"))
+	p, ok := tr.ProveNonMembership("anything")
 	if !ok {
 		t.Fatal("empty tree could not prove absence")
 	}
@@ -30,7 +32,7 @@ func TestEmptyTree(t *testing.T) {
 
 func TestSingleLeaf(t *testing.T) {
 	tr := NewTree(map[string][]byte{"k": []byte("v")})
-	v, p, ok := tr.ProveMembership([]byte("k"))
+	v, p, ok := tr.ProveMembership("k")
 	if !ok || string(v) != "v" {
 		t.Fatalf("prove membership: ok=%v v=%q", ok, v)
 	}
@@ -47,7 +49,7 @@ func TestMembershipAllKeys(t *testing.T) {
 		kv := kvFixture(n)
 		tr := NewTree(kv)
 		for k, want := range kv {
-			v, p, ok := tr.ProveMembership([]byte(k))
+			v, p, ok := tr.ProveMembership(k)
 			if !ok {
 				t.Fatalf("n=%d key %q not provable", n, k)
 			}
@@ -63,7 +65,7 @@ func TestMembershipAllKeys(t *testing.T) {
 
 func TestMembershipRejectsTamper(t *testing.T) {
 	tr := NewTree(kvFixture(10))
-	v, p, _ := tr.ProveMembership([]byte("key/0003"))
+	v, p, _ := tr.ProveMembership("key/0003")
 	// Wrong key.
 	if err := VerifyMembership(tr.Root(), []byte("key/0004"), v, p); err == nil {
 		t.Fatal("verified wrong key")
@@ -95,7 +97,7 @@ func TestNonMembership(t *testing.T) {
 		"key/0009zzzz", // after last
 	}
 	for _, k := range cases {
-		p, ok := tr.ProveNonMembership([]byte(k))
+		p, ok := tr.ProveNonMembership(k)
 		if !ok {
 			t.Fatalf("could not prove absence of %q", k)
 		}
@@ -104,21 +106,21 @@ func TestNonMembership(t *testing.T) {
 		}
 	}
 	// Present key must not be provable absent.
-	if _, ok := tr.ProveNonMembership([]byte("key/0005")); ok {
+	if _, ok := tr.ProveNonMembership("key/0005"); ok {
 		t.Fatal("proved absence of present key")
 	}
 }
 
 func TestNonMembershipRejectsForgery(t *testing.T) {
 	tr := NewTree(kvFixture(10))
-	p, _ := tr.ProveNonMembership([]byte("key/0005x"))
+	p, _ := tr.ProveNonMembership("key/0005x")
 	// Using the proof for a key outside the (left, right) interval fails.
 	if err := VerifyNonMembership(tr.Root(), []byte("key/0007x"), p); err == nil {
 		t.Fatal("absence proof accepted for wrong key")
 	}
 	// A proof with non-adjacent neighbours fails.
-	p2, _ := tr.ProveNonMembership([]byte("key/0005x"))
-	_, lp, _ := tr.ProveMembership([]byte("key/0003"))
+	p2, _ := tr.ProveNonMembership("key/0005x")
+	_, lp, _ := tr.ProveMembership("key/0003")
 	p2.LeftKey = []byte("key/0003")
 	p2.LeftValue = []byte("value-3")
 	p2.LeftProof = lp
@@ -157,10 +159,10 @@ func TestLeafInnerDomainSeparation(t *testing.T) {
 
 func TestGet(t *testing.T) {
 	tr := NewTree(kvFixture(5))
-	if v, ok := tr.Get([]byte("key/0002")); !ok || string(v) != "value-2" {
+	if v, ok := tr.Get("key/0002"); !ok || string(v) != "value-2" {
 		t.Fatalf("get = %q, %v", v, ok)
 	}
-	if _, ok := tr.Get([]byte("missing")); ok {
+	if _, ok := tr.Get("missing"); ok {
 		t.Fatal("found missing key")
 	}
 }
@@ -175,7 +177,7 @@ func TestProofSoundnessProperty(t *testing.T) {
 		}
 		tr := NewTree(kv)
 		for k, v := range kv {
-			got, p, ok := tr.ProveMembership([]byte(k))
+			got, p, ok := tr.ProveMembership(k)
 			if !ok || string(got) != string(v) {
 				return false
 			}
@@ -185,7 +187,7 @@ func TestProofSoundnessProperty(t *testing.T) {
 		}
 		probeKey := "absent:" + probe
 		if _, present := kv[probeKey]; !present {
-			p, ok := tr.ProveNonMembership([]byte(probeKey))
+			p, ok := tr.ProveNonMembership(probeKey)
 			if !ok {
 				return false
 			}
@@ -208,7 +210,7 @@ func TestProofBindingProperty(t *testing.T) {
 		kv := kvFixture(size)
 		tr := NewTree(kv)
 		target := fmt.Sprintf("key/%04d", int(mutate)%size)
-		v, p, ok := tr.ProveMembership([]byte(target))
+		v, p, ok := tr.ProveMembership(target)
 		if !ok {
 			return false
 		}
@@ -219,5 +221,90 @@ func TestProofBindingProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// streamingLeafHash and streamingInnerHash are the sha256.New()
+// constructions LeafHash and InnerHash had before they assembled their
+// preimage in a stack buffer.
+func streamingLeafHash(key, value []byte) (out Hash) {
+	h := sha256.New()
+	h.Write([]byte{leafPrefix})
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], uint64(len(key)))
+	h.Write(n[:])
+	h.Write(key)
+	binary.BigEndian.PutUint64(n[:], uint64(len(value)))
+	h.Write(n[:])
+	h.Write(value)
+	h.Sum(out[:0])
+	return out
+}
+
+func streamingInnerHash(left, right Hash) (out Hash) {
+	h := sha256.New()
+	h.Write([]byte{innerPrefix})
+	h.Write(left[:])
+	h.Write(right[:])
+	h.Sum(out[:0])
+	return out
+}
+
+// TestHashMatchesStreamingSHA256 sweeps key and value lengths 0…1024
+// (across the stack buffer's size, in both fields) and checks every
+// digest, for []byte and string keys, against the streaming
+// construction.
+func TestHashMatchesStreamingSHA256(t *testing.T) {
+	blob := make([]byte, 2048)
+	for i := range blob {
+		blob[i] = byte(i*7 + i>>8)
+	}
+	check := func(kl, vl int) {
+		key, value := blob[:kl], blob[1024:1024+vl]
+		want := streamingLeafHash(key, value)
+		if got := LeafHash(key, value); got != want {
+			t.Fatalf("LeafHash(key %d B, value %d B) = %x, streaming %x", kl, vl, got, want)
+		}
+		if got := leafHash(string(key), value); got != want {
+			t.Fatalf("leafHash(string key %d B, value %d B) = %x, streaming %x", kl, vl, got, want)
+		}
+	}
+	for n := 0; n <= 1024; n++ {
+		for _, m := range []int{0, 1, 32, 150, 175, 1024} {
+			check(n, m)
+			check(m, n)
+		}
+	}
+	var l, r Hash
+	for i := 0; i < 64; i++ {
+		l, r = LeafHash(blob[:i], nil), LeafHash(nil, blob[:i])
+		if got, want := InnerHash(l, r), streamingInnerHash(l, r); got != want {
+			t.Fatalf("InnerHash #%d = %x, streaming %x", i, got, want)
+		}
+	}
+}
+
+var hashSink Hash // keeps the measured calls from being optimised away
+
+// TestHashAndProofAllocs pins what the hot path may allocate: nothing
+// to hash an inner node or a packet-commitment-sized leaf, and only the
+// proof and its path to prove a key.
+func TestHashAndProofAllocs(t *testing.T) {
+	l, r := LeafHash([]byte("l"), nil), LeafHash([]byte("r"), nil)
+	if got := testing.AllocsPerRun(100, func() { hashSink = InnerHash(l, r) }); got != 0 {
+		t.Errorf("InnerHash: %.0f allocations, want 0", got)
+	}
+	key := "commitments/ports/transfer/channels/channel-12/sequences/1234567"
+	commitment := make([]byte, sha256.Size)
+	if got := testing.AllocsPerRun(100, func() { hashSink = leafHash(key, commitment) }); got != 0 {
+		t.Errorf("leafHash(%d B string key, 32 B value): %.0f allocations, want 0", len(key), got)
+	}
+	keyBytes := []byte(key)
+	if got := testing.AllocsPerRun(100, func() { hashSink = LeafHash(keyBytes, commitment) }); got != 0 {
+		t.Errorf("LeafHash(%d B key, 32 B value): %.0f allocations, want 0", len(key), got)
+	}
+	tr := NewTree(kvFixture(1000))
+	if got := testing.AllocsPerRun(100, func() { tr.ProveMembership("key/0500") }); got > 2 {
+		t.Errorf("ProveMembership: %.0f allocations, want <= 2", got)
 	}
 }

@@ -618,13 +618,13 @@ func (r *Relayer) proveOn(src *endpoint, proofHeight int64, key string, membersh
 		return nil
 	}
 	if membership {
-		_, mp, ok := tree.ProveMembership([]byte(key))
+		_, mp, ok := tree.ProveMembership(key)
 		if !ok {
 			return nil
 		}
 		return &ibc.Proof{Membership: mp}
 	}
-	nm, ok := tree.ProveNonMembership([]byte(key))
+	nm, ok := tree.ProveNonMembership(key)
 	if !ok {
 		return nil
 	}
