@@ -288,9 +288,10 @@ func BenchmarkKeeperRecvAck(b *testing.B) {
 // stored channel, connection and consensus state decoded per message it
 // took about 13 300 allocations and decoded once about 6 900; with the
 // packet handed over in the event and the ack and packet data read
-// without encoding/json it takes about 4 400.
+// without encoding/json about 4 400; with app.State writing through to
+// its map under an undo journal it takes 3 681.
 func TestKeeperRecvAckAllocs(t *testing.T) {
-	const runs, ceiling = 5, 5500
+	const runs, ceiling = 5, 4050
 	r := newRecvAckRounds(t, runs+1) // AllocsPerRun adds a warm-up call
 	round := 0
 	got := testing.AllocsPerRun(runs, func() {

@@ -38,12 +38,6 @@ type Msg interface {
 	WireSize() int
 }
 
-// Result is the outcome of one message's execution.
-type Result struct {
-	GasUsed uint64
-	Events  []abci.Event
-}
-
 // Context is passed to message handlers.
 type Context struct {
 	ChainID string
@@ -53,26 +47,19 @@ type Context struct {
 	Bank    *Bank
 	App     *App
 
-	// events accumulates module-emitted events during message execution.
-	// Modules nested below the routed handler (middleware such as packet
-	// forwarding) cannot thread events through return values, so they emit
-	// here; DeliverTx drains after each successful message and discards on
-	// failure, matching the state rollback.
+	// events is the transaction's one event buffer: the routed handler and
+	// every module nested below it (middleware such as packet forwarding)
+	// emit here, in execution order. DeliverTx hands it to the result of a
+	// successful transaction and drops it with the writes of a failed one.
 	events []abci.Event
 }
 
 // Emit appends events to the transaction's event stream.
 func (c *Context) Emit(evs ...abci.Event) { c.events = append(c.events, evs...) }
 
-// TakeEvents drains and returns the accumulated events.
-func (c *Context) TakeEvents() []abci.Event {
-	evs := c.events
-	c.events = nil
-	return evs
-}
-
-// Handler executes one message kind.
-type Handler func(ctx *Context, msg Msg) (*Result, error)
+// Handler executes one message kind. Gas is not its business: DeliverTx
+// charges MsgGas(msg.MsgType()) for every routed message, failed or not.
+type Handler func(ctx *Context, msg Msg) error
 
 // Account is an externally-owned account.
 type Account struct {
@@ -327,43 +314,29 @@ func (a *App) DeliverTx(tx types.Tx) abci.TxResult {
 	for i, msg := range t.Msgs {
 		h, ok := a.routes[msg.Route()]
 		if !ok {
-			a.state.AbortTx()
-			a.txsFailed++
-			return abci.TxResult{
-				Code:    3,
-				Log:     fmt.Sprintf("no route %q", msg.Route()),
-				GasUsed: res.GasUsed,
-			}
+			res.Code, res.Log = 3, fmt.Sprintf("no route %q", msg.Route())
+			break
 		}
-		r, err := h(ctx, msg)
-		if r != nil {
-			res.GasUsed += r.GasUsed
+		res.GasUsed += MsgGas(msg.MsgType())
+		if err := h(ctx, msg); err != nil {
+			res.Code, res.Log = 4, fmt.Sprintf("msg %d (%s): %v", i, msg.MsgType(), err)
+			break
 		}
-		if err != nil {
-			ctx.TakeEvents() // failed msg: its events vanish with its writes
-			a.state.AbortTx()
-			a.txsFailed++
-			res.Code = 4
-			res.Log = fmt.Sprintf("msg %d (%s): %v", i, msg.MsgType(), err)
-			a.feesCollected += float64(res.GasUsed) * simconf.GasPriceTokens
-			return res
-		}
-		if r != nil {
-			res.Events = append(res.Events, r.Events...)
-		}
-		res.Events = append(res.Events, ctx.TakeEvents()...)
 		if res.GasUsed > t.GasLimit {
-			a.state.AbortTx()
-			a.txsFailed++
-			res.Code = 11 // SDK's ErrOutOfGas code
-			res.Log = ErrOutOfGas.Error()
-			a.feesCollected += float64(res.GasUsed) * simconf.GasPriceTokens
-			return res
+			res.Code, res.Log = 11, ErrOutOfGas.Error() // SDK's ErrOutOfGas code
+			break
 		}
+	}
+	a.feesCollected += float64(res.GasUsed) * simconf.GasPriceTokens
+	if !res.IsOK() {
+		// The events of a failed transaction vanish with its writes.
+		a.state.AbortTx()
+		a.txsFailed++
+		return res
 	}
 	a.state.CommitTx()
 	a.txsOK++
-	a.feesCollected += float64(res.GasUsed) * simconf.GasPriceTokens
+	res.Events = ctx.events
 	return res
 }
 

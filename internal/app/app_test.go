@@ -3,6 +3,7 @@ package app
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,18 +26,16 @@ func (m sendMsg) Digest() []byte {
 	return []byte(fmt.Sprintf("%s->%s:%s", m.from, m.to, m.coin))
 }
 
-func bankHandler(ctx *Context, msg Msg) (*Result, error) {
+func bankHandler(ctx *Context, msg Msg) error {
 	m, ok := msg.(sendMsg)
 	if !ok {
-		return nil, errors.New("bad msg")
+		return errors.New("bad msg")
 	}
 	if err := ctx.Bank.Send(m.from, m.to, m.coin); err != nil {
-		return &Result{GasUsed: 5000}, err
+		return err
 	}
-	return &Result{
-		GasUsed: 5000,
-		Events:  []abci.Event{{Type: "transfer", Data: m.to}},
-	}, nil
+	ctx.Emit(abci.Event{Type: "transfer", Data: m.to})
+	return nil
 }
 
 func newTestApp() *App {
@@ -106,14 +105,18 @@ func TestSequenceEnforcement(t *testing.T) {
 
 func TestFailedTxAtomicity(t *testing.T) {
 	a := newTestApp()
-	// Second message overdraws: the whole tx must roll back.
+	// Second message overdraws: the whole tx must roll back, the first
+	// message's event with its writes.
 	tx := NewTx("alice", 0, 1, []Msg{
 		sendMsg{"alice", "bob", Coin{"uatom", 600}},
 		sendMsg{"alice", "bob", Coin{"uatom", 600}},
 	})
 	res := deliverBlock(a, 1, tx)
-	if res[0].IsOK() {
-		t.Fatal("overdrawing tx succeeded")
+	if res[0].IsOK() || res[0].Code != 4 {
+		t.Fatalf("overdrawing tx: %+v, want code 4", res[0])
+	}
+	if len(res[0].Events) != 0 {
+		t.Fatalf("failed tx returned events: %+v", res[0].Events)
 	}
 	if got := a.Bank().Balance("bob", "uatom"); got != 0 {
 		t.Fatalf("partial execution leaked: bob = %d", got)
@@ -128,6 +131,24 @@ func TestFailedTxAtomicity(t *testing.T) {
 	ok, failed := a.TxStats()
 	if ok != 0 || failed != 1 {
 		t.Fatalf("stats = %d ok %d failed", ok, failed)
+	}
+
+	// The out-of-gas exit: both messages ran and emitted before the limit
+	// was crossed; the result still carries neither writes nor events.
+	tx = NewTx("alice", 1, 2, []Msg{
+		sendMsg{"alice", "bob", Coin{"uatom", 10}},
+		sendMsg{"alice", "bob", Coin{"uatom", 10}},
+	})
+	tx.GasLimit = simconf.GasTxOverhead + 2*MsgGas("MsgSend") - 1
+	res = deliverBlock(a, 2, tx)
+	if res[0].Code != 11 {
+		t.Fatalf("res = %+v, want out-of-gas code 11", res[0])
+	}
+	if len(res[0].Events) != 0 {
+		t.Fatalf("out-of-gas tx returned events: %+v", res[0].Events)
+	}
+	if a.Bank().Balance("bob", "uatom") != 0 || a.Bank().Balance("alice", "uatom") != 1000 {
+		t.Fatal("out-of-gas tx leaked state")
 	}
 }
 
@@ -160,7 +181,7 @@ func TestGasAccounting(t *testing.T) {
 	a := newTestApp()
 	tx := NewTx("alice", 0, 1, []Msg{sendMsg{"alice", "bob", Coin{"uatom", 1}}})
 	res := deliverBlock(a, 1, tx)
-	want := simconf.GasTxOverhead + 5000
+	want := simconf.GasTxOverhead + MsgGas("MsgSend")
 	if res[0].GasUsed != want {
 		t.Fatalf("gas = %d, want %d", res[0].GasUsed, want)
 	}
@@ -282,6 +303,72 @@ func TestStateTxRollback(t *testing.T) {
 	s.AbortTx()
 	if v, _ := s.Get("k"); string(v) != "committed" {
 		t.Fatalf("k = %q after abort", v)
+	}
+}
+
+// An aborted transaction leaves no trace: whatever it overwrote, deleted,
+// re-created or deleted without it being there is put back, and the block
+// commits the dirty set and root of a run that never saw it.
+func TestAbortRestoresOverwrittenAndDeletedKeys(t *testing.T) {
+	for _, fullProofs := range []bool{false, true} {
+		run := func(withAborted bool) *State {
+			s := NewState(fullProofs)
+			s.Set("keep", []byte("genesis"))
+			s.Set("gone", []byte("genesis"))
+			s.CommitTx()
+			s.Commit(1)
+
+			s.Set("keep", []byte("tx1")) // committed tx in the same block
+			s.Set("new", []byte("tx1"))
+			s.CommitTx()
+			if withAborted {
+				s.Set("keep", []byte("tx2"))  // overwrite
+				s.Set("keep", []byte("tx2b")) // ... twice
+				s.Delete("gone")              // delete
+				s.Set("gone", []byte("tx2"))  // re-create
+				s.Delete("new")               // delete what tx1 created
+				s.Delete("absent")            // delete of an absent key
+				s.Set("fresh", []byte("tx2")) // create
+				if v, _ := s.Get("keep"); string(v) != "tx2b" {
+					t.Fatalf("in-tx read of keep = %q", v)
+				}
+				if s.Has("new") || !s.Has("fresh") {
+					t.Fatal("in-tx writes not visible")
+				}
+				s.AbortTx()
+			}
+			s.Commit(2)
+			return s
+		}
+		want, got := run(false), run(true)
+		for k, v := range map[string]string{"keep": "tx1", "gone": "genesis", "new": "tx1"} {
+			if g, ok := got.Get(k); !ok || string(g) != v {
+				t.Fatalf("fullProofs=%v: %s = %q, %v after abort, want %q", fullProofs, k, g, ok, v)
+			}
+		}
+		if got.Has("absent") || got.Has("fresh") || got.Len() != want.Len() {
+			t.Fatalf("fullProofs=%v: aborted tx left keys behind (len %d, want %d)", fullProofs, got.Len(), want.Len())
+		}
+		// The non-proof root hashes the dirty keys themselves, the archive
+		// lists them: both must be tx1's two keys only.
+		if got.Root() != want.Root() {
+			t.Fatalf("fullProofs=%v: root differs from the run without the aborted tx", fullProofs)
+		}
+		if g, w := got.commits[1].prior, want.commits[1].prior; !reflect.DeepEqual(g, w) {
+			t.Fatalf("fullProofs=%v: archived %+v, want %+v", fullProofs, g, w)
+		}
+		if fullProofs {
+			if n := len(got.commits[1].prior); n != 2 {
+				t.Fatalf("block 2 archived %d keys, want 2 (keep, new)", n)
+			}
+			t1, err := got.TreeAt(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := t1.Get("keep"); string(v) != "genesis" {
+				t.Fatalf("height 1 keep = %q", v)
+			}
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ var (
 // Bank is the fungible-token module: balances, supply, mint/burn and
 // escrow, the substrate for ICS-20 transfers.
 //
-// Balances live in the application's staged State, so a failed
+// Balances live in the application's journalled State, so a failed
 // transaction rolls its bank effects back atomically.
 type Bank struct {
 	state *State

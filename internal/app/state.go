@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,22 +13,24 @@ import (
 
 // State is the application's versioned key-value store.
 //
-// The current data lives in a flat map; every Commit records the keys the
-// block changed together with their prior values, so snapshots at recent
-// heights can be reconstructed by undoing changes backwards. Merkle trees
-// over snapshots are built lazily and cached — the relayer requests one
-// proof per packet message against a given proof height, so tree
-// construction is amortized across thousands of proofs.
+// The current data lives in a flat map and every write goes straight into
+// it, leaving one undo entry on the block's journal. A transaction is a
+// mark on that journal: committing it moves the mark, aborting it undoes
+// the entries above the mark. In full-proof mode each Commit archives the
+// block's oldest entry per changed key, so snapshots at recent heights can
+// be reconstructed by undoing blocks backwards. Merkle trees over
+// snapshots are built lazily and cached — the relayer requests one proof
+// per packet message against a given proof height, so tree construction
+// is amortized across thousands of proofs.
 type State struct {
 	data map[string][]byte
 
-	// staged holds writes of the transaction currently executing, so a
-	// failed transaction can be rolled back atomically.
-	staged map[string]*[]byte // nil slot value = delete
-
-	// blockChanged accumulates the block's net changes: key -> value
-	// before the block (nil = key absent before).
-	blockChanged map[string]*[]byte
+	// journal holds one entry per write since the last Commit, oldest
+	// first; entries below txMark belong to committed transactions. It is
+	// the only record of prior values: AbortTx, the block's dirty-key set
+	// and the per-height archive are all read from it.
+	journal []undo
+	txMark  int
 
 	// commits[i] describes the commit that produced height i+1.
 	commits []commitRecord
@@ -55,11 +58,20 @@ type cachedTree struct {
 	tree   *merkle.Tree
 }
 
+// undo is what one write replaced: the key's value before it (had = false
+// when the key was absent).
+type undo struct {
+	key   string
+	prior []byte
+	had   bool
+}
+
 type commitRecord struct {
 	height int64
 	root   merkle.Hash
-	// prior maps each changed key to its pre-block value (nil = absent).
-	prior map[string]*[]byte
+	// prior holds, for each key the block changed, its pre-block value.
+	// Only kept with full proofs: nothing else rebuilds an older height.
+	prior []undo
 }
 
 // maxCachedTrees bounds the snapshot-tree cache.
@@ -68,11 +80,9 @@ const maxCachedTrees = 4
 // NewState returns an empty store.
 func NewState(fullProofs bool) *State {
 	s := &State{
-		data:         make(map[string][]byte),
-		staged:       make(map[string]*[]byte),
-		blockChanged: make(map[string]*[]byte),
-		root:         sha256.Sum256([]byte("ibcbench/genesis")),
-		fullProofs:   fullProofs,
+		data:       make(map[string][]byte),
+		root:       sha256.Sum256([]byte("ibcbench/genesis")),
+		fullProofs: fullProofs,
 	}
 	if fullProofs {
 		s.live = merkle.NewIncTree()
@@ -80,84 +90,88 @@ func NewState(fullProofs bool) *State {
 	return s
 }
 
-// Get reads a key, observing staged (in-tx) writes first.
+// Get reads a key, observing the executing transaction's writes. The
+// returned slice is the store's own: callers never write to it.
 func (s *State) Get(key string) ([]byte, bool) {
-	if v, ok := s.staged[key]; ok {
-		if v == nil {
-			return nil, false
-		}
-		return *v, true
-	}
 	v, ok := s.data[key]
 	return v, ok
 }
 
 // Has reports key presence.
 func (s *State) Has(key string) bool {
-	_, ok := s.Get(key)
+	_, ok := s.data[key]
 	return ok
 }
 
-// Set stages a write for the executing transaction.
+// Set writes a key for the executing transaction. The store owns value
+// from here on (it is kept by reference, here and in the journal), so the
+// caller hands over a slice nothing else will write to.
 func (s *State) Set(key string, value []byte) {
-	v := append([]byte(nil), value...)
-	s.staged[key] = &v
+	prior, had := s.data[key]
+	s.journal = append(s.journal, undo{key, prior, had})
+	s.data[key] = value
 }
 
-// Delete stages a deletion.
+// Delete removes a key for the executing transaction. Like a Set of an
+// equal value, a Delete of an absent key still marks the key changed in
+// this block.
 func (s *State) Delete(key string) {
-	s.staged[key] = nil
+	prior, had := s.data[key]
+	s.journal = append(s.journal, undo{key, prior, had})
+	delete(s.data, key)
 }
 
-// CommitTx applies the staged writes of a successful transaction.
-func (s *State) CommitTx() {
-	for k, v := range s.staged {
-		if _, tracked := s.blockChanged[k]; !tracked {
-			if old, ok := s.data[k]; ok {
-				oldCopy := append([]byte(nil), old...)
-				s.blockChanged[k] = &oldCopy
-			} else {
-				s.blockChanged[k] = nil
-			}
-		}
-		if v == nil {
-			delete(s.data, k)
+// CommitTx keeps the writes of a successful transaction.
+func (s *State) CommitTx() { s.txMark = len(s.journal) }
+
+// AbortTx undoes the writes of a failed transaction.
+func (s *State) AbortTx() {
+	rollback(s.data, s.journal[s.txMark:])
+	s.journal = s.journal[:s.txMark]
+}
+
+// rollback undoes entries over m, newest first.
+func rollback(m map[string][]byte, entries []undo) {
+	for i := len(entries) - 1; i >= 0; i-- {
+		if e := &entries[i]; e.had {
+			m[e.key] = e.prior
 		} else {
-			s.data[k] = *v
+			delete(m, e.key)
 		}
 	}
-	s.staged = make(map[string]*[]byte)
-}
-
-// AbortTx discards the staged writes of a failed transaction.
-func (s *State) AbortTx() {
-	s.staged = make(map[string]*[]byte)
 }
 
 // Commit finalizes a block at the given height and returns the new root.
 func (s *State) Commit(height int64) merkle.Hash {
 	s.AbortTx()
+	// The block's dirty keys, sorted: every key a committed transaction
+	// wrote, whether or not its value ended up different.
+	keys := make([]string, len(s.journal))
+	for i := range s.journal {
+		keys[i] = s.journal[i].key
+	}
+	sort.Strings(keys)
+	keys = slices.Compact(keys)
+	var prior []undo
 	if s.fullProofs {
 		// Incremental commit: fold only the block's dirty keys into the
 		// cached leaf hashes. The root is identical to a full
 		// merkle.NewTree(s.data) rebuild (golden-root tests pin this);
 		// merkle.IncTree states what a block costs instead.
-		edits := make([]merkle.Edit, 0, len(s.blockChanged))
-		for k := range s.blockChanged {
-			if v, ok := s.data[k]; ok {
-				edits = append(edits, merkle.Edit{Key: k, Value: v})
-			} else {
-				edits = append(edits, merkle.Edit{Key: k, Delete: true})
-			}
+		edits := make([]merkle.Edit, len(keys))
+		for i, k := range keys {
+			v, ok := s.data[k]
+			edits[i] = merkle.Edit{Key: k, Value: v, Delete: !ok}
 		}
 		s.root = s.live.Apply(edits)
+		// Archive each key's oldest entry, its pre-block value: walking
+		// newest-first, the oldest is the last to land in the key's slot.
+		prior = make([]undo, len(keys))
+		for i := len(s.journal) - 1; i >= 0; i-- {
+			prior[sort.SearchStrings(keys, s.journal[i].key)] = s.journal[i]
+		}
 	} else {
 		// Chain the sorted block changes onto the previous root.
-		keys := make([]string, 0, len(s.blockChanged))
-		for k := range s.blockChanged {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		h := sha256.New()
 		h.Write(s.root[:])
 		var n [8]byte
@@ -173,12 +187,8 @@ func (s *State) Commit(height int64) merkle.Hash {
 		}
 		copy(s.root[:], h.Sum(nil))
 	}
-	s.commits = append(s.commits, commitRecord{
-		height: height,
-		root:   s.root,
-		prior:  s.blockChanged,
-	})
-	s.blockChanged = make(map[string]*[]byte)
+	s.commits = append(s.commits, commitRecord{height: height, root: s.root, prior: prior})
+	s.journal, s.txMark = s.journal[:0], 0 // the buffer is reused by the next block
 	return s.root
 }
 
@@ -216,14 +226,9 @@ func (s *State) snapshotAt(height int64) (map[string][]byte, error) {
 	for k, v := range s.data {
 		snap[k] = v
 	}
+	rollback(snap, s.journal) // the open block's writes, if one is executing
 	for i := len(s.commits) - 1; i >= 0 && s.commits[i].height > height; i-- {
-		for k, prior := range s.commits[i].prior {
-			if prior == nil {
-				delete(snap, k)
-			} else {
-				snap[k] = *prior
-			}
-		}
+		rollback(snap, s.commits[i].prior)
 	}
 	return snap, nil
 }
@@ -271,14 +276,13 @@ func mustRoot(s *State, height int64) merkle.Hash {
 // FullProofs reports whether real merkle proofs are enabled.
 func (s *State) FullProofs() bool { return s.fullProofs }
 
-// Len reports the number of live keys (staged writes excluded).
+// Len reports the number of live keys.
 func (s *State) Len() int { return len(s.data) }
 
-// RangePrefix visits every committed key with the given prefix in
-// ascending key order (staged in-tx writes excluded), stopping early if
-// fn returns false. Deterministic iteration is the point: invariant
-// checkers enumerate `supply/` and `commitments/` ranges and must see
-// identical order across same-seed runs.
+// RangePrefix visits every key with the given prefix in ascending key
+// order, stopping early if fn returns false. Deterministic iteration is
+// the point: invariant checkers enumerate `supply/` and `commitments/`
+// ranges and must see identical order across same-seed runs.
 func (s *State) RangePrefix(prefix string, fn func(key string, value []byte) bool) {
 	keys := make([]string, 0, 16)
 	for k := range s.data {

@@ -298,13 +298,9 @@ func setChannel(ctx *app.Context, port, channel, connID, cpChannel string) {
 }
 
 func mustSet(ctx *app.Context, key string, v any) {
-	raw, err := jsonMarshal(v)
+	raw, err := json.Marshal(v)
 	if err != nil {
 		panic(err)
 	}
 	ctx.State.Set(key, raw)
 }
-
-// jsonMarshal is a tiny indirection so the seeding helpers don't pull
-// encoding/json into the public surface.
-func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }

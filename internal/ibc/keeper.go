@@ -106,7 +106,7 @@ const memoCap = 1024
 // the same channel, connection and consensus state, so the decoded value
 // is remembered per key and reused while the stored bytes are unchanged.
 // The bytes still come from ctx.State on every call and are compared
-// against the remembered ones, which makes staged writes, aborted
+// against the remembered ones, which makes in-transaction writes, aborted
 // transactions and deletes visible without any invalidation hook. The
 // value is returned by value, so a memo hit allocates nothing and the
 // caller owns what it gets (a shallow copy: slices inside it, such as
@@ -126,8 +126,8 @@ func getJSON[T any](k *Keeper, ctx *app.Context, key string) (zero T, ok bool) {
 	if len(k.memo) >= memoCap {
 		clear(k.memo)
 	}
-	// State.Set copies what it stores and never writes to it again, so
-	// raw can be kept by reference.
+	// The store owns its values and nobody writes to a stored slice (the
+	// rule on State.Set and State.Get), so raw can be kept by reference.
 	k.memo[key] = memoEntry{raw: raw, val: v}
 	return *v, true
 }
@@ -234,44 +234,37 @@ func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHei
 // --- message handler ---------------------------------------------------------
 
 // handle is the app.Handler for all core IBC messages.
-func (k *Keeper) handle(ctx *app.Context, msg app.Msg) (*app.Result, error) {
-	gas := app.MsgGas(msg.MsgType())
-	res := &app.Result{GasUsed: gas}
-	var err error
+func (k *Keeper) handle(ctx *app.Context, msg app.Msg) error {
 	switch m := msg.(type) {
 	case MsgCreateClient:
-		err = k.createClient(ctx, m)
+		return k.createClient(ctx, m)
 	case MsgUpdateClient:
-		err = k.updateClient(ctx, m)
+		return k.updateClient(ctx, m)
 	case MsgConnOpenInit:
-		err = k.connOpenInit(ctx, m)
+		return k.connOpenInit(ctx, m)
 	case MsgConnOpenTry:
-		err = k.connOpenTry(ctx, m)
+		return k.connOpenTry(ctx, m)
 	case MsgConnOpenAck:
-		err = k.connOpenAck(ctx, m)
+		return k.connOpenAck(ctx, m)
 	case MsgConnOpenConfirm:
-		err = k.connOpenConfirm(ctx, m)
+		return k.connOpenConfirm(ctx, m)
 	case MsgChanOpenInit:
-		err = k.chanOpenInit(ctx, m)
+		return k.chanOpenInit(ctx, m)
 	case MsgChanOpenTry:
-		err = k.chanOpenTry(ctx, m)
+		return k.chanOpenTry(ctx, m)
 	case MsgChanOpenAck:
-		err = k.chanOpenAck(ctx, m)
+		return k.chanOpenAck(ctx, m)
 	case MsgChanOpenConfirm:
-		err = k.chanOpenConfirm(ctx, m)
+		return k.chanOpenConfirm(ctx, m)
 	case MsgRecvPacket:
-		err = k.recvPacket(ctx, m)
+		return k.recvPacket(ctx, m)
 	case MsgAcknowledgement:
-		err = k.acknowledgePacket(ctx, m)
+		return k.acknowledgePacket(ctx, m)
 	case MsgTimeout:
-		err = k.timeoutPacket(ctx, m)
+		return k.timeoutPacket(ctx, m)
 	default:
-		err = fmt.Errorf("ibc: unknown message %T", msg)
+		return fmt.Errorf("ibc: unknown message %T", msg)
 	}
-	if err != nil {
-		return res, err
-	}
-	return res, nil
 }
 
 // --- clients -----------------------------------------------------------------
@@ -541,13 +534,13 @@ func (k *Keeper) chanOpenConfirm(ctx *app.Context, m MsgChanOpenConfirm) error {
 
 // SendPacket stores a packet commitment and emits the send_packet event
 // the relayer watches for. Called by port modules (e.g. transfer).
-func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte, timeoutHeight int64, timeoutTimestamp time.Duration) (Packet, []abci.Event, error) {
+func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte, timeoutHeight int64, timeoutTimestamp time.Duration) (Packet, error) {
 	ch, err := k.Channel(ctx, port, channel)
 	if err != nil {
-		return Packet{}, nil, err
+		return Packet{}, err
 	}
 	if ch.State != StateOpen {
-		return Packet{}, nil, fmt.Errorf("%w: %s/%s", ErrChannelNotOpen, port, channel)
+		return Packet{}, fmt.Errorf("%w: %s/%s", ErrChannelNotOpen, port, channel)
 	}
 	seq := k.nextSequenceSend(ctx, port, channel)
 	p := Packet{
@@ -561,7 +554,8 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 		TimeoutTimestamp: timeoutTimestamp,
 	}
 	ctx.State.Set(PacketCommitmentKey(port, channel, seq), p.CommitmentBytes())
-	return p, []abci.Event{{Type: "send_packet", Data: p}}, nil
+	ctx.Emit(abci.Event{Type: "send_packet", Data: p})
+	return p, nil
 }
 
 func (k *Keeper) nextSequenceSend(ctx *app.Context, port, channel string) uint64 {
@@ -577,9 +571,7 @@ func (k *Keeper) nextSequenceSend(ctx *app.Context, port, channel string) uint64
 
 // recvPacket verifies and executes an inbound packet, writing the
 // receipt and — unless the port module answers asynchronously — the
-// acknowledgement. Events flow through ctx.Emit so that packets emitted
-// by middleware during OnRecvPacket (forwarded next hops) land in the
-// same transaction result.
+// acknowledgement.
 func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 	p := m.Packet
 	clientID, ch, err := k.clientForChannel(ctx, p.DestPort, p.DestChannel)

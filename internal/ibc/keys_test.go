@@ -107,7 +107,7 @@ func TestNextSequenceSendStoredAsDecimal(t *testing.T) {
 			t.Fatalf("stored counter = %q, want %q", raw, fmt.Sprint(want))
 		}
 		c.mustDeliver("relayer", probeMsg{func(ctx *app.Context) error {
-			p, _, err := c.keeper.SendPacket(ctx, "transfer", memoChan, nil, 100, 0)
+			p, err := c.keeper.SendPacket(ctx, "transfer", memoChan, nil, 100, 0)
 			if err == nil && p.Sequence != want {
 				t.Errorf("sent sequence %d, want %d", p.Sequence, want)
 			}

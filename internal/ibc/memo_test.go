@@ -33,8 +33,8 @@ const (
 func newMemoChain(t *testing.T) *testChain {
 	t.Helper()
 	c := newTestChainProofs(t, "chain-a", false)
-	c.app.RegisterRoute("probe", func(ctx *app.Context, msg app.Msg) (*app.Result, error) {
-		return &app.Result{}, msg.(probeMsg).fn(ctx)
+	c.app.RegisterRoute("probe", func(ctx *app.Context, msg app.Msg) error {
+		return msg.(probeMsg).fn(ctx)
 	})
 	c.mustDeliver("relayer", ibc.MsgCreateClient{
 		ClientID: memoClient, State: ibc.ClientState{ChainID: "chain-x"}, InitialHeight: 1,
@@ -148,6 +148,56 @@ func TestMemoSeesClientUpdateInSameTx(t *testing.T) {
 	c.mustDeliver("relayer", updateMsg(9))
 	if got := height(ctxOf(c)); got != 12 {
 		t.Fatalf("after a lower header: height %d, want 12", got)
+	}
+}
+
+// The store keeps the slice it is handed and the memo keeps the slice it
+// read, so the memo, the store and the undo journal can all point at the
+// same bytes. That is sound only while nobody writes into them: a client
+// update inside a transaction must replace the stored slice (never edit
+// it), and a rollback must put the old one back untouched.
+func TestMemoSharesStoredBytesAcrossRollback(t *testing.T) {
+	c := newMemoChain(t)
+	c.mustDeliver("relayer", openMsgs(7)...)
+	key := ibc.ClientStateKey(memoClient)
+	height := func(ctx *app.Context) int64 {
+		cs, err := c.keeper.Client(ctx, memoClient)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs.LatestHeight
+	}
+	if got := height(ctxOf(c)); got != 7 { // the memo now holds the stored slice
+		t.Fatalf("before: height %d, want 7", got)
+	}
+	before, _ := c.app.State().Get(key)
+	snapshot := append([]byte(nil), before...)
+
+	fail := probeMsg{func(ctx *app.Context) error {
+		if got := height(ctx); got != 12 {
+			t.Errorf("inside the tx: height %d, want 12", got)
+		}
+		if raw, _ := ctx.State.Get(key); &raw[0] == &before[0] {
+			t.Error("the update wrote into the stored slice instead of replacing it")
+		}
+		return errors.New("boom")
+	}}
+	if errs := c.deliver("relayer", updateMsg(12), fail); errs == nil {
+		t.Fatal("the failing probe did not fail the tx")
+	}
+	after, _ := c.app.State().Get(key)
+	if &after[0] != &before[0] || string(after) != string(snapshot) {
+		t.Fatalf("rollback restored %q, want the untouched pre-tx slice %q", after, snapshot)
+	}
+	if got := height(ctxOf(c)); got != 7 {
+		t.Fatalf("after the rollback: height %d, want 7", got)
+	}
+	c.mustDeliver("relayer", updateMsg(12))
+	if got := height(ctxOf(c)); got != 12 {
+		t.Fatalf("after the commit: height %d, want 12", got)
+	}
+	if string(before) != string(snapshot) {
+		t.Fatalf("the replaced slice was written to: %q, want %q", before, snapshot)
 	}
 }
 

@@ -223,7 +223,7 @@ func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowle
 	if timeoutBlocks <= 0 {
 		timeoutBlocks = mw.TimeoutBlocks
 	}
-	next, events, err := mw.inner.SendTransfer(ctx, transfer.MsgTransfer{
+	next, err := mw.inner.SendTransfer(ctx, transfer.MsgTransfer{
 		Sender:        ModuleAccount,
 		Receiver:      fwd.Receiver,
 		Token:         coin,
@@ -241,7 +241,6 @@ func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowle
 		}
 		return &ibc.Acknowledgement{Error: fmt.Sprintf("pfm: forward failed: %v", err)}
 	}
-	ctx.Emit(events...)
 
 	rec := inFlight{Original: p, Coin: coin, Unescrowed: unescrowed}
 	raw, _ := json.Marshal(rec)

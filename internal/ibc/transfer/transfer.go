@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"time"
 
-	"ibcbench/internal/abci"
 	"ibcbench/internal/app"
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/ibc/denom"
@@ -171,35 +170,30 @@ func VoucherPrefix(port, channel string) string {
 }
 
 // handleMsg executes MsgTransfer.
-func (m *Module) handleMsg(ctx *app.Context, msg app.Msg) (*app.Result, error) {
+func (m *Module) handleMsg(ctx *app.Context, msg app.Msg) error {
 	mt, ok := msg.(MsgTransfer)
 	if !ok {
-		return nil, fmt.Errorf("transfer: unexpected msg %T", msg)
+		return fmt.Errorf("transfer: unexpected msg %T", msg)
 	}
-	res := &app.Result{GasUsed: app.MsgGas(mt.MsgType())}
-	_, ev, err := m.SendTransfer(ctx, mt)
-	if err != nil {
-		return res, err
-	}
-	res.Events = ev
-	return res, nil
+	_, err := m.SendTransfer(ctx, mt)
+	return err
 }
 
 // SendTransfer escrows or burns the token per trace rules and emits the
 // packet. Exported so middleware (packet forwarding) can originate the
 // next hop of a multi-hop route inside the receiving transaction.
-func (m *Module) SendTransfer(ctx *app.Context, mt MsgTransfer) (ibc.Packet, []abci.Event, error) {
+func (m *Module) SendTransfer(ctx *app.Context, mt MsgTransfer) (ibc.Packet, error) {
 	if denom.SenderChainIsSource(mt.SourcePort, mt.SourceChannel, mt.Token.Denom) {
 		// This chain is the token's source zone relative to the outgoing
 		// channel: lock in the channel escrow.
 		escrow := EscrowAccount(mt.SourcePort, mt.SourceChannel)
 		if err := ctx.Bank.Send(mt.Sender, escrow, mt.Token); err != nil {
-			return ibc.Packet{}, nil, err
+			return ibc.Packet{}, err
 		}
 	} else {
 		// Voucher returning toward its origin: burn here, unescrow there.
 		if err := ctx.Bank.Burn(mt.Sender, mt.Token); err != nil {
-			return ibc.Packet{}, nil, err
+			return ibc.Packet{}, err
 		}
 	}
 	data := PacketData{
@@ -209,13 +203,13 @@ func (m *Module) SendTransfer(ctx *app.Context, mt MsgTransfer) (ibc.Packet, []a
 		Receiver: mt.Receiver,
 		Memo:     mt.Memo,
 	}.Bytes()
-	p, events, err := m.keeper.SendPacket(ctx, mt.SourcePort, mt.SourceChannel,
+	p, err := m.keeper.SendPacket(ctx, mt.SourcePort, mt.SourceChannel,
 		data, mt.TimeoutHeight, mt.TimeoutTimestamp)
 	if err != nil {
-		return ibc.Packet{}, nil, err
+		return ibc.Packet{}, err
 	}
 	m.sent++
-	return p, events, nil
+	return p, nil
 }
 
 // ReceiveFunds executes the fund-movement half of packet receipt,
