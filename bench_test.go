@@ -393,20 +393,15 @@ func BenchmarkStateCommit(b *testing.B) {
 // BenchmarkVoteFanout measures consensus block production as the
 // validator set grows. The shared vote-verification engine
 // (internal/tendermint/votesig) admits each vote when the engine signs
-// it, so per-height signature work is the O(V) signing alone; the
-// `vals-13-reference` variant runs the per-receiver path (O(V^2)
-// checks on top) as the regression anchor. Virtual results are
-// identical either way —
-// blocks-per-virtual-minute must not move.
+// it, so per-height signature work is the O(V) signing alone.
+// Blocks-per-virtual-minute must not move.
 func BenchmarkVoteFanout(b *testing.B) {
-	runChain := func(b *testing.B, vals int, reference bool) {
+	runChain := func(b *testing.B, vals int) {
 		for i := 0; i < b.N; i++ {
 			sched := sim.NewScheduler()
 			rng := sim.NewRNG(int64(31 + i))
 			network := netem.New(sched, rng, netem.DefaultWAN())
-			c := chain.New(sched, network, chain.Config{
-				ChainID: "fanout", Validators: vals, ReferenceVoteVerify: reference,
-			})
+			c := chain.New(sched, network, chain.Config{ChainID: "fanout", Validators: vals})
 			c.Start()
 			if err := sched.RunUntil(60 * time.Second); err != nil {
 				b.Fatal(err)
@@ -418,7 +413,6 @@ func BenchmarkVoteFanout(b *testing.B) {
 		}
 	}
 	for _, vals := range []int{5, 9, 13} {
-		b.Run(fmt.Sprintf("vals-%d", vals), func(b *testing.B) { runChain(b, vals, false) })
+		b.Run(fmt.Sprintf("vals-%d", vals), func(b *testing.B) { runChain(b, vals) })
 	}
-	b.Run("vals-13-reference", func(b *testing.B) { runChain(b, 13, true) })
 }

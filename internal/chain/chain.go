@@ -8,6 +8,7 @@ package chain
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/eventindex"
@@ -23,6 +24,10 @@ import (
 	"ibcbench/internal/tendermint/store"
 )
 
+// primaryClientTimeout bounds how long clients of the primary full node
+// wait for a reply (relayers' own full nodes set theirs in AddRPCNode).
+const primaryClientTimeout = 10 * time.Second
+
 // Config parameterizes one chain.
 type Config struct {
 	ChainID    string
@@ -31,18 +36,6 @@ type Config struct {
 	// verification (correctness mode); performance experiments disable
 	// it — the proof-handling cost is modeled in virtual time either way.
 	FullProofs bool
-	// ReferenceVoteVerify disables the shared vote-verification engine
-	// (every validator re-verifies every gossiped vote — the O(V^2)
-	// reference path; results stay byte-identical).
-	ReferenceVoteVerify bool
-	// ReferenceQuorumTally disables the counted per-round quorum tallies
-	// (every received vote re-walks a power map — the reference path;
-	// results stay byte-identical).
-	ReferenceQuorumTally bool
-	// Consensus overrides; zero values take the paper defaults.
-	Consensus consensus.Config
-	// RPC overrides; zero value takes defaults.
-	RPC rpc.Config
 	// Obs attaches the run's observability sinks (nil = disabled). The
 	// chain forwards it to consensus and samples mempool depth and
 	// scheduler queue length per commit.
@@ -85,31 +78,14 @@ func New(sched *sim.Scheduler, network *netem.Network, cfg Config) *Chain {
 	// The middleware stack: PFM rebinds the transfer port, delegating
 	// plain packets to the transfer module underneath.
 	fwd := pfm.New(keeper, xfer)
-	pool := mempool.New(mempool.DefaultConfig(), a.CheckTx)
+	pool := mempool.New(a.CheckTx)
 	stor := store.New(cfg.ChainID)
+	engine := consensus.New(sched, network, consensus.Config{
+		ChainID:    cfg.ChainID,
+		Validators: cfg.Validators,
+		Obs:        cfg.Obs,
+	}, a, pool, stor)
 
-	ccfg := cfg.Consensus
-	if ccfg.ChainID == "" {
-		ccfg = consensus.DefaultConfig(cfg.ChainID)
-	}
-	if cfg.Validators > 0 {
-		ccfg.Validators = cfg.Validators
-	}
-	if cfg.ReferenceVoteVerify {
-		ccfg.ReferenceVoteVerify = true
-	}
-	if cfg.ReferenceQuorumTally {
-		ccfg.ReferenceQuorumTally = true
-	}
-	if cfg.Obs != nil {
-		ccfg.Obs = cfg.Obs
-	}
-	engine := consensus.New(sched, network, ccfg, a, pool, stor)
-
-	rcfg := cfg.RPC
-	if rcfg.BroadcastCost == 0 {
-		rcfg = rpc.DefaultConfig()
-	}
 	c := &Chain{
 		ID:       cfg.ChainID,
 		App:      a,
@@ -142,13 +118,13 @@ func New(sched *sim.Scheduler, network *netem.Network, cfg Config) *Chain {
 			depth.Observe(float64(pool.Size()))
 		})
 	}
-	c.RPC = c.newRPCNode(engine.PrimaryHost(), rcfg)
+	c.RPC = c.newRPCNode(engine.PrimaryHost(), primaryClientTimeout)
 	return c
 }
 
 // newRPCNode creates an RPC server backed by this chain's state.
-func (c *Chain) newRPCNode(host netem.Host, cfg rpc.Config) *rpc.Server {
-	srv := rpc.New(c.sched, c.network, host, cfg, c.Store, c.Pool,
+func (c *Chain) newRPCNode(host netem.Host, clientTimeout time.Duration) *rpc.Server {
+	srv := rpc.New(c.sched, c.network, host, clientTimeout, c.Store, c.Pool,
 		app.TxQueryCost, app.EventFrameBytes, c.App.AccountSequence, app.MsgCount, c.Events.At)
 	srv.SetSettledQuery(func(p rpc.SettledProbe) bool {
 		ctx := &app.Context{ChainID: c.ID, State: c.App.State(), Bank: c.App.Bank(), App: c.App}
@@ -164,18 +140,16 @@ func (c *Chain) newRPCNode(host netem.Host, cfg rpc.Config) *rpc.Server {
 
 // AddRPCNode attaches an additional full node serving RPC (the paper
 // runs one full node per relayer machine). It shares the canonical
-// store/mempool but has its own serial query queue.
-func (c *Chain) AddRPCNode(cfg rpc.Config) *rpc.Server {
+// store/mempool but has its own serial query queue; its clients wait up
+// to clientTimeout for a reply.
+func (c *Chain) AddRPCNode(clientTimeout time.Duration) *rpc.Server {
 	c.rpcNodes++
 	host := netem.Host(fmt.Sprintf("%s/fullnode%d", c.ID, c.rpcNodes))
-	if cfg.BroadcastCost == 0 {
-		cfg = rpc.DefaultConfig()
-	}
 	c.rpcHosts = append(c.rpcHosts, host)
 	for _, fn := range c.onHost {
 		fn(host)
 	}
-	return c.newRPCNode(host, cfg)
+	return c.newRPCNode(host, clientTimeout)
 }
 
 // Hosts lists every network host belonging to this chain: validator

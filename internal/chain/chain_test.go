@@ -8,7 +8,6 @@ import (
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/netem"
 	"ibcbench/internal/sim"
-	"ibcbench/internal/tendermint/rpc"
 )
 
 func newTestChain(t *testing.T, sched *sim.Scheduler, net *netem.Network, id string) *Chain {
@@ -116,8 +115,8 @@ func TestLinkAtExplicitOrdinals(t *testing.T) {
 func TestAddRPCNodeDistinctHosts(t *testing.T) {
 	sched, net := harness(t)
 	c := newTestChain(t, sched, net, "c")
-	n1 := c.AddRPCNode(rpc.Config{})
-	n2 := c.AddRPCNode(rpc.Config{})
+	n1 := c.AddRPCNode(primaryClientTimeout)
+	n2 := c.AddRPCNode(primaryClientTimeout)
 	if n1 == n2 {
 		t.Fatal("AddRPCNode returned the same node twice")
 	}

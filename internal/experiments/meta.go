@@ -3,7 +3,6 @@ package experiments
 import (
 	"os"
 	"os/exec"
-	"runtime"
 	"strings"
 )
 
@@ -12,8 +11,6 @@ import (
 type RunMeta struct {
 	// Commit is the VCS revision under test.
 	Commit string
-	// GoVersion is the toolchain that built the binary.
-	GoVersion string
 }
 
 // CaptureRunMeta resolves archival provenance: the commit comes from
@@ -22,11 +19,10 @@ type RunMeta struct {
 // checkouts), falling back to `git rev-parse`; an empty commit is fine
 // — the store keys runs by content, not provenance.
 func CaptureRunMeta() RunMeta {
-	m := RunMeta{GoVersion: runtime.Version()}
 	if c := os.Getenv("IBCBENCH_COMMIT"); c != "" {
-		m.Commit = c
-		return m
+		return RunMeta{Commit: c}
 	}
+	var m RunMeta
 	if out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output(); err == nil {
 		m.Commit = strings.TrimSpace(string(out))
 	}

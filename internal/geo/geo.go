@@ -171,9 +171,13 @@ func Uniform(k int, oneWay time.Duration) *Model {
 	return m
 }
 
+// maxSpecSize bounds a preset's size argument: a model holds a path per
+// region pair, so a hostile uniform:<k> would allocate k^2 paths.
+const maxSpecSize = 256
+
 // ParseSpec parses a CLI region preset: "3wan" (three-region WAN),
-// "hubspoke:<n>" or "uniform:<k>". Empty and "none" return nil (no
-// region model).
+// "hubspoke:<n>" or "uniform:<k>", with n and k at most 256. Empty and
+// "none" return nil (no region model).
 func ParseSpec(s string) (*Model, error) {
 	spec := strings.TrimSpace(strings.ToLower(s))
 	if spec == "" || spec == "none" {
@@ -183,7 +187,7 @@ func ParseSpec(s string) (*Model, error) {
 	n := 0
 	if hasArg {
 		v, err := strconv.Atoi(arg)
-		if err != nil || v < 1 {
+		if err != nil || v < 1 || v > maxSpecSize {
 			return nil, fmt.Errorf("geo: bad size %q in region spec %q", arg, s)
 		}
 		n = v

@@ -76,7 +76,7 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("%q should parse to no model (got %v, %v)", spec, m, err)
 		}
 	}
-	for _, spec := range []string{"mars", "hubspoke", "uniform:1", "hubspoke:x"} {
+	for _, spec := range []string{"mars", "hubspoke", "uniform:1", "hubspoke:x", "uniform:257", "hubspoke:99999999"} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Fatalf("spec %q accepted", spec)
 		}

@@ -18,9 +18,7 @@ import (
 func TestClearRecoversDroppedFrames(t *testing.T) {
 	tb := newTestbed(31, false)
 	tracker := metrics.NewTracker()
-	rcfg := DefaultConfig("hermes-clear")
-	rcfg.Tracker = tracker
-	rcfg.ClearIntervalBlocks = 2
+	rcfg := Config{Name: "hermes-clear", Tracker: tracker, ClearIntervalBlocks: 2}
 	r := New(tb.Sched, tb.RNG, rcfg, tb.Pair)
 	// Subscribe through a shim instead of r.Start(): frames of heights
 	// 2-6 on chain A are corrupted into frame-too-large errors.
@@ -33,7 +31,7 @@ func TestClearRecoversDroppedFrames(t *testing.T) {
 		r.onFrame(r.a, r.b, f)
 	})
 	r.b.rpc.Subscribe(r.host, func(f *rpc.EventFrame) { r.onFrame(r.b, r.a, f) })
-	gen := workload.New(tb.Sched, tb.RNG, tb.Pair, r.EndpointRPC("ibc-0"), tracker)
+	gen := workload.NewOnChannel(tb.Sched, tb.RNG, tb.Pair.A, tb.Pair.B, tb.Pair.ChannelAB, r.EndpointRPC("ibc-0"), tracker)
 	tb.Start()
 	tb.Sched.At(time.Second, func() { gen.SubmitBatch(300) })
 	if err := tb.Run(10 * time.Minute); err != nil {

@@ -35,22 +35,13 @@ import (
 	"ibcbench/internal/tendermint/store"
 )
 
-// Config parameterizes one relayer instance.
+// Config parameterizes one relayer instance. The Hermes processing model
+// — batch cap, per-message build and parse costs, batch overhead and the
+// confirmation poll — is the paper's calibration, read from simconf where
+// it is used.
 type Config struct {
 	// Name distinguishes relayer instances (account names derive from it).
 	Name string
-	// MaxMsgsPerTx is Hermes' batching limit (paper: 100).
-	MaxMsgsPerTx int
-	// BuildCostPerMsg is CPU time to assemble one outgoing message.
-	BuildCostPerMsg time.Duration
-	// ParseCostPerMsg is CPU time to extract one message from events.
-	ParseCostPerMsg time.Duration
-	// BatchOverhead is fixed scheduling cost per block of work.
-	BatchOverhead time.Duration
-	// ConfirmPoll is the confirmation polling interval.
-	ConfirmPoll time.Duration
-	// ConfirmAttempts bounds confirmation polling per transaction.
-	ConfirmAttempts int
 	// ClearIntervalBlocks re-scans for missed packets every N source
 	// blocks (0 disables clearing, the paper's stuck-packet setting).
 	ClearIntervalBlocks int64
@@ -62,18 +53,16 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// DefaultConfig returns the calibrated Hermes model.
-func DefaultConfig(name string) Config {
-	return Config{
-		Name:            name,
-		MaxMsgsPerTx:    simconf.RelayerMaxMsgsPerTx,
-		BuildCostPerMsg: simconf.RelayerBuildCostPerMsg,
-		ParseCostPerMsg: simconf.RelayerEventParseCostPerMsg,
-		BatchOverhead:   simconf.RelayerSchedulingOverheadPerBatch,
-		ConfirmPoll:     simconf.RelayerConfirmPollInterval,
-		ConfirmAttempts: 120,
-	}
-}
+const (
+	// confirmAttempts bounds confirmation polling per transaction: a
+	// minute of RelayerConfirmPollInterval polls.
+	confirmAttempts = 120
+	// fullNodeClientTimeout is how long the relayer waits on its own full
+	// nodes: Hermes tolerates long query latencies against its local full
+	// node, and the serial query queue regularly exceeds the primary
+	// node's client timeout.
+	fullNodeClientTimeout = 2 * time.Minute
+)
 
 // Stats aggregates the relayer's error and work counters.
 type Stats struct {
@@ -190,15 +179,6 @@ type Relayer struct {
 // node on each chain (the paper's one-relayer-per-machine deployment)
 // and funded relayer accounts.
 func New(sched *sim.Scheduler, rng *sim.RNG, cfg Config, pair *chain.Pair) *Relayer {
-	if cfg.MaxMsgsPerTx <= 0 {
-		cfg.MaxMsgsPerTx = simconf.RelayerMaxMsgsPerTx
-	}
-	if cfg.ConfirmPoll <= 0 {
-		cfg.ConfirmPoll = simconf.RelayerConfirmPollInterval
-	}
-	if cfg.ConfirmAttempts <= 0 {
-		cfg.ConfirmAttempts = 120
-	}
 	r := &Relayer{
 		sched: sched,
 		// Derive a private nonce stream: submission nonces then depend
@@ -227,12 +207,8 @@ func New(sched *sim.Scheduler, rng *sim.RNG, cfg Config, pair *chain.Pair) *Rela
 	acctB := cfg.Name + "-on-" + pair.B.ID
 	pair.A.App.CreateAccount(acctA, app.Coin{Denom: "stake", Amount: 1 << 50})
 	pair.B.App.CreateAccount(acctB, app.Coin{Denom: "stake", Amount: 1 << 50})
-	ncfg := rpc.DefaultConfig()
-	// Hermes tolerates long query latencies against its local full node;
-	// the serial query queue regularly exceeds the default client timeout.
-	ncfg.ClientTimeout = 2 * time.Minute
-	r.a = &endpoint{chain: pair.A, rpc: pair.A.AddRPCNode(ncfg), clientID: pair.ClientOnA, channel: pair.ChannelAB, account: acctA, clientHeights: make(map[int64]bool)}
-	r.b = &endpoint{chain: pair.B, rpc: pair.B.AddRPCNode(ncfg), clientID: pair.ClientOnB, channel: pair.ChannelBA, account: acctB, clientHeights: make(map[int64]bool)}
+	r.a = &endpoint{chain: pair.A, rpc: pair.A.AddRPCNode(fullNodeClientTimeout), clientID: pair.ClientOnA, channel: pair.ChannelAB, account: acctA, clientHeights: make(map[int64]bool)}
+	r.b = &endpoint{chain: pair.B, rpc: pair.B.AddRPCNode(fullNodeClientTimeout), clientID: pair.ClientOnB, channel: pair.ChannelBA, account: acctB, clientHeights: make(map[int64]bool)}
 	return r
 }
 
@@ -311,13 +287,7 @@ func (r *Relayer) onFrame(src, dst *endpoint, frame *rpc.EventFrame) {
 		r.tryFlush(dst)
 		return
 	}
-	be := frame.Events
-	if be == nil {
-		// Frames assembled without a shared index (hand-built in tests)
-		// fall back to a local decode pass.
-		be = eventindex.Decode(frame.Height, frame.BlockTime, frame.Txs)
-	}
-	r.processBlock(src, dst, be)
+	r.processBlock(src, dst, frame.Events)
 	// New destination-side heights unblock proof-height waits and may
 	// expire pending packets.
 	r.checkTimeouts(src, dst)
@@ -346,7 +316,7 @@ func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
 	if len(recvTxs) == 0 && len(ackTxs) == 0 {
 		return
 	}
-	parse := r.cfg.BatchOverhead + time.Duration(be.MsgCount)*r.cfg.ParseCostPerMsg
+	parse := simconf.RelayerSchedulingOverheadPerBatch + time.Duration(be.MsgCount)*simconf.RelayerEventParseCostPerMsg
 	r.cpu.Submit(parse, func() {
 		now := r.sched.Now()
 		if r.tr != nil {
@@ -420,7 +390,7 @@ func (r *Relayer) doPull(src *endpoint, attempt int, te *eventindex.TxEvents, fn
 			return
 		}
 		if err != nil {
-			r.sched.After(r.cfg.ConfirmPoll, func() { r.doPull(src, attempt+1, te, fn, done) })
+			r.sched.After(simconf.RelayerConfirmPollInterval, func() { r.doPull(src, attempt+1, te, fn, done) })
 			return
 		}
 		fn()
@@ -483,7 +453,7 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	for _, p := range fresh {
 		r.track(r.keyOf(src, p), metrics.StepTransferDataPull, now)
 	}
-	build := time.Duration(len(fresh)) * r.cfg.BuildCostPerMsg
+	build := time.Duration(len(fresh)) * simconf.RelayerBuildCostPerMsg
 	r.cpu.Submit(build, func() {
 		done := r.sched.Now()
 		if r.tr != nil {
@@ -532,7 +502,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	for _, w := range fresh {
 		r.track(r.keyOf(dst, w.Packet), metrics.StepRecvDataPull, now)
 	}
-	build := time.Duration(len(fresh)) * r.cfg.BuildCostPerMsg
+	build := time.Duration(len(fresh)) * simconf.RelayerBuildCostPerMsg
 	r.cpu.Submit(build, func() {
 		done := r.sched.Now()
 		if r.tr != nil {
@@ -664,7 +634,7 @@ func (r *Relayer) flushNext(dst *endpoint) {
 	// history, which the parallel runner reproduces exactly; the header
 	// read in clientUpdate is then immutable committed data.
 	n := 0
-	for n < len(dst.outbox) && n < r.cfg.MaxMsgsPerTx {
+	for n < len(dst.outbox) && n < simconf.RelayerMaxMsgsPerTx {
 		if dst.outbox[n].proofHeight > src.height {
 			break
 		}
@@ -749,7 +719,7 @@ func (r *Relayer) submitTx(dst *endpoint, msgs []app.Msg, batch []outMsg, meta t
 	if !dst.seqInit {
 		dst.rpc.QueryAccountSequence(r.host, dst.account, func(seq uint64, err error) {
 			if err != nil {
-				r.sched.After(r.cfg.ConfirmPoll, func() { r.submitTx(dst, msgs, batch, meta, attempt) })
+				r.sched.After(simconf.RelayerConfirmPollInterval, func() { r.submitTx(dst, msgs, batch, meta, attempt) })
 				return
 			}
 			dst.seq = seq
@@ -783,7 +753,7 @@ func (r *Relayer) submitTx(dst *endpoint, msgs []app.Msg, batch []outMsg, meta t
 			dst.seqInit = false
 			if attempt < 5 {
 				r.stats.Retries++
-				r.sched.After(r.cfg.ConfirmPoll, func() { r.submitTx(dst, msgs, batch, meta, attempt+1) })
+				r.sched.After(simconf.RelayerConfirmPollInterval, func() { r.submitTx(dst, msgs, batch, meta, attempt+1) })
 			} else {
 				r.stats.TxsFailed++
 				r.rollbackClient(dst, meta)
@@ -795,7 +765,7 @@ func (r *Relayer) submitTx(dst *endpoint, msgs []app.Msg, batch []outMsg, meta t
 			// and retry, then give the batch up to a later clearing pass.
 			if attempt < 5 {
 				r.stats.Retries++
-				r.sched.After(5*r.cfg.ConfirmPoll, func() { r.submitTx(dst, msgs, batch, meta, attempt+1) })
+				r.sched.After(5*simconf.RelayerConfirmPollInterval, func() { r.submitTx(dst, msgs, batch, meta, attempt+1) })
 			} else {
 				r.stats.TxsFailed++
 				r.rollbackClient(dst, meta)
@@ -809,13 +779,13 @@ func (r *Relayer) submitTx(dst *endpoint, msgs []app.Msg, batch []outMsg, meta t
 // confirmTx polls for a submitted transaction's commitment, recording
 // confirmation steps and handling redundant-packet failures.
 func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, meta txMeta, attempt int) {
-	if attempt >= r.cfg.ConfirmAttempts || r.stopped {
+	if attempt >= confirmAttempts || r.stopped {
 		r.stats.TxsFailed++
 		r.rollbackClient(dst, meta)
 		r.releaseBatch(dst, batch)
 		return
 	}
-	r.sched.After(r.cfg.ConfirmPoll, func() {
+	r.sched.After(simconf.RelayerConfirmPollInterval, func() {
 		dst.rpc.QueryTx(r.host, tx.Hash(), func(info *store.TxInfo, err error) {
 			if err != nil {
 				r.confirmTx(dst, tx, batch, meta, attempt+1)

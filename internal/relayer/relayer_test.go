@@ -49,13 +49,12 @@ func newEnv(t *testing.T, seed int64, relayers int, fullProofs bool) *env {
 	tracker := metrics.NewTracker()
 	e := &env{tb: tb, tracker: tracker}
 	for i := 0; i < relayers; i++ {
-		rcfg := DefaultConfig("hermes-" + string(rune('a'+i)))
-		rcfg.Tracker = tracker
+		rcfg := Config{Name: "hermes-" + string(rune('a'+i)), Tracker: tracker}
 		r := New(tb.Sched, tb.RNG, rcfg, tb.Pair)
 		r.Start()
 		e.relayers = append(e.relayers, r)
 	}
-	e.gen = workload.New(tb.Sched, tb.RNG, tb.Pair, e.relayers[0].EndpointRPC(tb.Pair.A.ID), tracker)
+	e.gen = workload.NewOnChannel(tb.Sched, tb.RNG, tb.Pair.A, tb.Pair.B, tb.Pair.ChannelAB, e.relayers[0].EndpointRPC(tb.Pair.A.ID), tracker)
 	tb.Start()
 	return e
 }

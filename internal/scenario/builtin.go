@@ -1,18 +1,18 @@
 // Built-in named scenarios: small demonstrations and spec equivalents
-// of the `sweep` experiments' single runs, registered at init so
-// `ibcbench suite` runs them and CI lints them. Each one is also a
-// living sample of the DSL — `ibcbench run -name <x> -print` dumps the
-// canonical spec text.
+// of the `sweep` experiments' single runs, which `ibcbench suite` runs
+// and CI lints. Each one is also a living sample of the DSL — `ibcbench
+// run -name <x> -print` dumps the canonical spec text.
 package scenario
 
 import "time"
 
 func intp(i int) *int { return &i }
 
-func init() {
+// builtins is the registry's table, in catalogue order.
+var builtins = []Entry{
 	// The paper's minimal testbed: two chains, one relayer, a trickle of
 	// transfers.
-	Register(Entry{
+	{
 		Desc:  "two chains, one relayer, one window of transfers",
 		Short: true,
 		Spec: Spec{
@@ -21,11 +21,11 @@ func init() {
 			Workload: WorkloadSpec{Rate: 1, Windows: 1},
 			Seed:     1,
 		},
-	})
+	},
 
 	// The CI topology smoke (`sweep -experiment topo -topology hub:3
 	// -rate 5 -windows 3`), demo route included.
-	Register(Entry{
+	{
 		Desc:  "hub:3 sweep workload, 5 rps per edge plus the demo route",
 		Short: true,
 		Spec: Spec{
@@ -38,11 +38,11 @@ func init() {
 			},
 			Seed: 500,
 		},
-	})
+	},
 
 	// Full mesh under uniform load (`sweep -experiment topo -topology
 	// mesh:3`).
-	Register(Entry{
+	{
 		Desc: "mesh:3 under 4 rps on every edge",
 		Spec: Spec{
 			Name:     "mesh",
@@ -50,11 +50,11 @@ func init() {
 			Workload: WorkloadSpec{Rate: 4, Windows: 4},
 			Seed:     400,
 		},
-	})
+	},
 
 	// One multi-hop route in both modes across a 3-chain line —
 	// sequential legs vs packet-forward middleware.
-	Register(Entry{
+	{
 		Desc:  "line:3 route comparison, sequential legs vs packet forwarding",
 		Short: true,
 		Spec: Spec{
@@ -66,12 +66,12 @@ func init() {
 			}},
 			Seed: 1,
 		},
-	})
+	},
 
 	// Geo-distributed hub, standby relayers, a mid-run relayer blackout
 	// plus a latency spike, healed before the deadline. Declares a fault
 	// space so it doubles as the default chaos-search demo.
-	Register(Entry{
+	{
 		Desc: "geo hub with standby relayers under partition + latency chaos",
 		Spec: Spec{
 			Name:     "failover",
@@ -94,12 +94,12 @@ func init() {
 			Seed:  42,
 			Until: Duration(6 * time.Minute),
 		},
-	})
+	},
 
 	// Hop-timeout unwinding: a forwarded route with a one-block timeout
 	// margin forces mid-route timeouts; the refund invariant must still
 	// hold once everything settles.
-	Register(Entry{
+	{
 		Desc: "forwarded route under a tiny hop-timeout margin (refund unwinding)",
 		Spec: Spec{
 			Name:     "timeoutstorm",
@@ -110,5 +110,5 @@ func init() {
 			Seed:         7,
 			SettleBlocks: 24,
 		},
-	})
+	},
 }

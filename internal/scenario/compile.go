@@ -33,15 +33,13 @@ func Compile(s Spec) (topo.Scenario, error) {
 		Name:     s.Name,
 		Topology: tp,
 		Deploy: topo.DeployConfig{
-			Geo:                  model,
-			Validators:           s.Deploy.Validators,
-			FullProofs:           s.Deploy.FullProofs,
-			RelayersPerEdge:      s.Deploy.RelayersPerEdge,
-			ClearIntervalBlocks:  s.Deploy.ClearIntervalBlocks,
-			MaxMsgsPerTx:         s.Deploy.MaxMsgsPerTx,
-			Standby:              s.Deploy.Standby,
-			FailoverDetectBlocks: s.Deploy.FailoverDetectBlocks,
-			ParallelWorkers:      s.Deploy.ParallelWorkers,
+			Geo:                 model,
+			Validators:          s.Deploy.Validators,
+			FullProofs:          s.Deploy.FullProofs,
+			RelayersPerEdge:     s.Deploy.RelayersPerEdge,
+			ClearIntervalBlocks: s.Deploy.ClearIntervalBlocks,
+			Standby:             s.Deploy.Standby,
+			ParallelWorkers:     s.Deploy.ParallelWorkers,
 		},
 		Windows:      s.Workload.Windows,
 		RecordCurves: s.RecordCurves,

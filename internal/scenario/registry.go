@@ -1,13 +1,11 @@
-// The named-scenario registry: a library of built-in specs (builtin.go)
-// plus anything the embedding program registers, runnable as a suite
-// from the CLI (`ibcbench suite`) and lintable in CI (every registered
-// spec must parse, encode, round-trip and compile).
+// The named-scenario registry: the table of built-in specs (builtin.go),
+// runnable as a suite from the CLI (`ibcbench suite`) and lintable in CI
+// (every registered spec must parse, encode, round-trip and compile).
 package scenario
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Entry is one registered scenario.
@@ -21,40 +19,21 @@ type Entry struct {
 	Short bool
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Entry{}
-)
-
-// Register adds a named scenario; duplicate names panic, as with
-// flag.Var — registration happens at init time.
-func Register(e Entry) {
-	if err := e.Spec.Validate(); err != nil {
-		panic(fmt.Sprintf("scenario.Register(%q): %v", e.Spec.Name, err))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[e.Spec.Name]; dup {
-		panic(fmt.Sprintf("scenario.Register(%q): duplicate name", e.Spec.Name))
-	}
-	registry[e.Spec.Name] = e
-}
-
 // Lookup fetches a registered scenario by name.
 func Lookup(name string) (Entry, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
+	for _, e := range builtins {
+		if e.Spec.Name == name {
+			return e, true
+		}
+	}
+	return Entry{}, false
 }
 
 // Names lists registered scenarios in sorted order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	out := make([]string, len(builtins))
+	for i, e := range builtins {
+		out[i] = e.Spec.Name
 	}
 	sort.Strings(out)
 	return out

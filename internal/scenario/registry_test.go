@@ -23,13 +23,16 @@ func TestRegistryLint(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
+// TestBuiltinNamesUnique: a name keys the registry, so no two built-ins
+// may share one (Lookup would silently serve the first).
+func TestBuiltinNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range builtins {
+		if seen[e.Spec.Name] {
+			t.Errorf("built-in name %q appears twice", e.Spec.Name)
 		}
-	}()
-	Register(Entry{Spec: Spec{Name: "quickstart", Topology: TopologySpec{Preset: "two"}}})
+		seen[e.Spec.Name] = true
+	}
 }
 
 // TestShortBuiltinsHoldAssertions runs every Short builtin end to end:

@@ -94,14 +94,12 @@ type EdgeSpec struct {
 // DeploySpec carries the deploy knobs a spec can set; zero values defer
 // to the topo.DeployConfig defaults.
 type DeploySpec struct {
-	Validators           int   `json:"validators,omitempty"`
-	RelayersPerEdge      int   `json:"relayersPerEdge,omitempty"`
-	Standby              bool  `json:"standby,omitempty"`
-	FullProofs           bool  `json:"fullProofs,omitempty"`
-	ClearIntervalBlocks  int64 `json:"clearIntervalBlocks,omitempty"`
-	MaxMsgsPerTx         int   `json:"maxMsgsPerTx,omitempty"`
-	FailoverDetectBlocks int   `json:"failoverDetectBlocks,omitempty"`
-	ParallelWorkers      int   `json:"parallelWorkers,omitempty"`
+	Validators          int   `json:"validators,omitempty"`
+	RelayersPerEdge     int   `json:"relayersPerEdge,omitempty"`
+	Standby             bool  `json:"standby,omitempty"`
+	FullProofs          bool  `json:"fullProofs,omitempty"`
+	ClearIntervalBlocks int64 `json:"clearIntervalBlocks,omitempty"`
+	ParallelWorkers     int   `json:"parallelWorkers,omitempty"`
 }
 
 // RouteSpec is one multi-hop transfer flow (topo.Route as data).

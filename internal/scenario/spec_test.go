@@ -74,6 +74,10 @@ func TestParseRejects(t *testing.T) {
 		"bad edgeRates key": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"edgeRates":{"a":1}}}`,
 		"recovery in space": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"faults":{"kinds":["heal"]}}`,
 		"trailing garbage":  `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{}} {"x":1}`,
+		// Calibration is not a spec knob: Hermes' batch cap and the
+		// failover detection window are fixed constants.
+		"deploy.maxMsgsPerTx":         `{"name":"x","topology":{"preset":"two"},"deploy":{"maxMsgsPerTx":50},"workload":{}}`,
+		"deploy.failoverDetectBlocks": `{"name":"x","topology":{"preset":"two"},"deploy":{"failoverDetectBlocks":3},"workload":{}}`,
 	}
 	for name, raw := range cases {
 		if _, err := Parse([]byte(raw)); err == nil {

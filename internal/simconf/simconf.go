@@ -6,6 +6,11 @@
 // experiment drivers reproduce the paper's *shapes* (who wins, by what
 // factor, where crossovers fall); absolute values track the paper because
 // these constants are fit to its reported measurements.
+//
+// Calibration is read where it is used — consensus, rpc, relayer and
+// workload name the constant at the point of use — and never copied into
+// a config field: a value that no spec, experiment or flag varies has one
+// place to live, and this is it.
 package simconf
 
 import "time"

@@ -33,61 +33,20 @@ import (
 // path for commits relayers submit a few blocks late.
 const voteCacheKeepHeights = 32
 
-// Config parameterizes one chain's consensus engine.
+// Config parameterizes one chain's consensus engine. The timing model —
+// block floor, round timeouts, execution time per gas and gossip
+// bandwidth — is the paper's calibration, read from simconf where it is
+// used.
 type Config struct {
 	ChainID string
 
-	// Validators is the validator-set size (paper: 5 per chain).
+	// Validators is the validator-set size (0 = the paper's 5 per chain).
 	Validators int
-
-	// MinBlockInterval floors the time between consecutive proposals.
-	MinBlockInterval time.Duration
-	// TimeoutPropose bounds the wait for a proposal each round.
-	TimeoutPropose time.Duration
-	// TimeoutRoundStep bounds the prevote/precommit waits.
-	TimeoutRoundStep time.Duration
-
-	// MaxBlockBytes and MaxBlockGas bound reaped blocks (0 = unlimited).
-	MaxBlockBytes int
-	MaxBlockGas   uint64
-
-	// ExecNanosPerGas converts executed gas into virtual execution time.
-	ExecNanosPerGas int64
-	// ProposalBytesPerSecond models block gossip bandwidth.
-	ProposalBytesPerSecond int64
-
-	// ReferenceVoteVerify disables the shared vote-verification engine:
-	// every receiving validator re-verifies every gossiped vote (the
-	// O(V^2) pre-cache behaviour). Simulation results are byte-identical
-	// either way — verification is wall-clock work, not virtual time —
-	// so this path exists to pin that equivalence and to count the
-	// fan-out's signature checks.
-	ReferenceVoteVerify bool
-
-	// ReferenceQuorumTally replaces the counted per-round tallies with
-	// the original map-walk recomputation on every quorum check (O(V)
-	// per received vote instead of O(1)). At most one block ID can ever
-	// exceed 2/3 of total power, so map iteration order never influenced
-	// the outcome; the flag exists to pin that equivalence.
-	ReferenceQuorumTally bool
 
 	// Obs attaches the run's observability sinks; nil (the default)
 	// disables instrumentation. Only the per-block commit path records
 	// spans — the per-vote hot path stays untouched.
 	Obs *obs.Obs
-}
-
-// DefaultConfig mirrors the paper's deployment (§III-C, §III-D).
-func DefaultConfig(chainID string) Config {
-	return Config{
-		ChainID:                chainID,
-		Validators:             simconf.DefaultValidators,
-		MinBlockInterval:       simconf.MinBlockInterval,
-		TimeoutPropose:         simconf.TimeoutPropose,
-		TimeoutRoundStep:       simconf.TimeoutRoundStep,
-		ExecNanosPerGas:        simconf.ExecNanosPerGas,
-		ProposalBytesPerSecond: simconf.ProposalBytesPerSecond,
-	}
 }
 
 // step is a node's position within a consensus round.
@@ -400,7 +359,7 @@ func (e *Engine) startRound(h int64, r int32) {
 			e.propose(n, h, r)
 		}
 		// Schedule the proposal timeout: prevote nil if nothing arrived.
-		e.sched.After(e.cfg.TimeoutPropose, func() {
+		e.sched.After(simconf.TimeoutPropose, func() {
 			if n.height == h && n.round == r && !n.prevoted[r] && !n.down {
 				e.castVote(n, types.PrevoteType, h, r, types.BlockID{})
 			}
@@ -408,12 +367,12 @@ func (e *Engine) startRound(h int64, r int32) {
 		// Round-failure fallbacks keep the protocol live when votes split
 		// (e.g. a proposal reached only part of the network): precommit
 		// nil late, and ultimately skip to the next round.
-		e.sched.After(e.cfg.TimeoutPropose+2*e.cfg.TimeoutRoundStep, func() {
+		e.sched.After(simconf.TimeoutPropose+2*simconf.TimeoutRoundStep, func() {
 			if n.height == h && n.round == r && n.step != stepCommitted && !n.precommitted[r] && !n.down {
 				e.castVote(n, types.PrecommitType, h, r, types.BlockID{})
 			}
 		})
-		e.sched.After(e.cfg.TimeoutPropose+4*e.cfg.TimeoutRoundStep, func() {
+		e.sched.After(simconf.TimeoutPropose+4*simconf.TimeoutRoundStep, func() {
 			if n.height == h && n.round == r && n.step != stepCommitted && !n.down {
 				e.advanceRound(h, r+1)
 			}
@@ -424,7 +383,7 @@ func (e *Engine) startRound(h int64, r int32) {
 // propose reaps the mempool, assembles the block and gossips it.
 func (e *Engine) propose(n *node, h int64, r int32) {
 	e.lastProposalTime = e.sched.Now()
-	txs := e.pool.Reap(e.cfg.MaxBlockBytes, e.cfg.MaxBlockGas)
+	txs := e.pool.Reap()
 	header := types.Header{
 		Version:            1,
 		ChainID:            e.cfg.ChainID,
@@ -440,11 +399,9 @@ func (e *Engine) propose(n *node, h int64, r int32) {
 	}
 	block := &types.Block{Header: header, Data: txs, LastCommit: e.lastCommit}
 
-	// Gossip the proposal: per-link latency plus size/bandwidth.
-	var extra time.Duration
-	if e.cfg.ProposalBytesPerSecond > 0 {
-		extra = time.Duration(int64(block.TotalSize()) * int64(time.Second) / e.cfg.ProposalBytesPerSecond)
-	}
+	// Gossip the proposal: per-link latency plus size/bandwidth (an empty
+	// block adds nothing to the latency).
+	extra := time.Duration(int64(block.TotalSize()) * int64(time.Second) / simconf.ProposalBytesPerSecond)
 	msg := &proposalMsg{height: h, round: r, block: block}
 	for _, dst := range e.nodes {
 		dst := dst
@@ -538,11 +495,7 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 	if val == nil {
 		return
 	}
-	if e.cfg.ReferenceVoteVerify {
-		if !e.votes.VerifyDirect(e.cfg.ChainID, v, val.PubKey) {
-			return
-		}
-	} else if !e.votes.VerifyVote(e.cfg.ChainID, v, val.PubKey) {
+	if !e.votes.VerifyVote(e.cfg.ChainID, v, val.PubKey) {
 		return
 	}
 	ord := e.ordinals[v.ValidatorAddress]
@@ -566,29 +519,11 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 	}
 }
 
-// quorumFor returns the block ID holding a 2/3+ power majority, if any.
-// The counted tally answers in O(distinct block IDs); reference mode
-// rebuilds the old per-check power map — at most one ID can exceed 2/3
-// of total power, so the map's iteration order never affected which ID
-// wins and both paths are byte-identical.
+// quorumFor returns the block ID holding a 2/3+ power majority, if any,
+// in O(distinct block IDs) from the tally's running power sums. At most
+// one ID can exceed 2/3 of total power, so the answer equals a walk over
+// the recorded votes (the tests keep that walk as the reference).
 func (e *Engine) quorumFor(rt *roundTally) (types.BlockID, bool) {
-	if e.cfg.ReferenceQuorumTally {
-		power := make(map[types.BlockID]int64)
-		for _, v := range rt.votes {
-			if v == nil {
-				continue
-			}
-			if val := e.valset.ByAddress(v.ValidatorAddress); val != nil {
-				power[v.BlockID] += val.VotingPower
-			}
-		}
-		for id, p := range power {
-			if p*3 > e.valset.TotalPower()*2 {
-				return id, true
-			}
-		}
-		return types.BlockID{}, false
-	}
 	for i := range rt.blocks {
 		if rt.blocks[i].power*3 > e.valset.TotalPower()*2 {
 			return rt.blocks[i].id, true
@@ -598,21 +533,7 @@ func (e *Engine) quorumFor(rt *roundTally) (types.BlockID, bool) {
 }
 
 // totalVotePower sums power across all votes in a round.
-func (e *Engine) totalVotePower(rt *roundTally) int64 {
-	if e.cfg.ReferenceQuorumTally {
-		var p int64
-		for _, v := range rt.votes {
-			if v == nil {
-				continue
-			}
-			if val := e.valset.ByAddress(v.ValidatorAddress); val != nil {
-				p += val.VotingPower
-			}
-		}
-		return p
-	}
-	return rt.totalPower
-}
+func (e *Engine) totalVotePower(rt *roundTally) int64 { return rt.totalPower }
 
 func (e *Engine) onPrevoteQuorum(n *node, r int32) {
 	if n.round != r || n.precommitted[r] {
@@ -632,7 +553,7 @@ func (e *Engine) onPrevoteQuorum(n *node, r int32) {
 	// timeout to let stragglers arrive.
 	if e.totalVotePower(rt) == e.valset.TotalPower() {
 		h := n.height
-		e.sched.After(e.cfg.TimeoutRoundStep, func() {
+		e.sched.After(simconf.TimeoutRoundStep, func() {
 			if n.height == h && n.round == r && !n.precommitted[r] && !n.down {
 				e.castVote(n, types.PrecommitType, h, r, types.BlockID{})
 			}
@@ -654,7 +575,7 @@ func (e *Engine) onPrecommitQuorum(n *node, r int32) {
 		if n.round == r {
 			h := n.height
 			next := r + 1
-			e.sched.After(e.cfg.TimeoutRoundStep/4, func() {
+			e.sched.After(simconf.TimeoutRoundStep/4, func() {
 				if n.height == h && n.round == r && n.step != stepCommitted {
 					e.advanceRound(h, next)
 				}
@@ -733,7 +654,7 @@ func (e *Engine) commitCanonical(block *types.Block, n *node, r int32, id types.
 	e.app.EndBlock(block.Header.Height)
 	appHash := e.app.Commit()
 
-	execTime := time.Duration(int64(gasUsed) * e.cfg.ExecNanosPerGas)
+	execTime := time.Duration(int64(gasUsed) * simconf.ExecNanosPerGas)
 	e.lastBlockID = id
 	e.lastCommit = commit
 	e.lastAppHash = appHash
@@ -759,7 +680,7 @@ func (e *Engine) commitCanonical(block *types.Block, n *node, r int32, id types.
 			fn(cb)
 		}
 		// Next proposal honours both execution time and the interval floor.
-		next := e.lastProposalTime + e.cfg.MinBlockInterval
+		next := e.lastProposalTime + simconf.MinBlockInterval
 		now := e.sched.Now()
 		if next < now {
 			next = now

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -57,29 +58,35 @@ func newHarness(tb testing.TB, mutate func(*Config)) *harness {
 	tb.Helper()
 	sched := sim.NewScheduler()
 	net := netem.New(sched, sim.NewRNG(1), netem.DefaultWAN())
-	cfg := DefaultConfig("chain-a")
+	cfg := Config{ChainID: "chain-a"}
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	app := &stubApp{}
-	pool := mempool.New(mempool.DefaultConfig(), app.CheckTx)
+	pool := mempool.New(app.CheckTx)
 	stor := store.New(cfg.ChainID)
 	eng := New(sched, net, cfg, app, pool, stor)
 	return &harness{sched: sched, net: net, app: app, pool: pool, store: stor, eng: eng}
 }
 
-// blockHashes lists the committed chain's header hashes, height 1 first.
-func (h *harness) blockHashes(t *testing.T) []types.Hash {
+// runEachEvent drives the harness to the virtual deadline one scheduler
+// event at a time, calling check after every event, so a test can inspect
+// every intermediate engine state of a run. The event sequence is the
+// one a single RunUntil would execute.
+func (h *harness) runEachEvent(t *testing.T, until time.Duration, check func()) {
 	t.Helper()
-	var hashes []types.Hash
-	for height := int64(1); height <= h.store.Height(); height++ {
-		cb, err := h.store.Block(height)
-		if err != nil {
-			t.Fatal(err)
+	defer func() { h.sched.MaxEvents = 0 }()
+	for {
+		h.sched.MaxEvents = h.sched.Processed() + 1
+		err := h.sched.RunUntil(until)
+		check()
+		if err == nil {
+			return
 		}
-		hashes = append(hashes, cb.Block.Header.Hash())
+		if !errors.Is(err, sim.ErrStopped) {
+			t.Fatalf("run: %v", err)
+		}
 	}
-	return hashes
 }
 
 func TestChainProducesBlocks(t *testing.T) {
@@ -301,9 +308,9 @@ func TestDeterminism(t *testing.T) {
 		sched := sim.NewScheduler()
 		net := netem.New(sched, sim.NewRNG(7), netem.DefaultWAN())
 		app := &stubApp{}
-		pool := mempool.New(mempool.DefaultConfig(), nil)
+		pool := mempool.New(nil)
 		stor := store.New("chain-a")
-		eng := New(sched, net, DefaultConfig("chain-a"), app, pool, stor)
+		eng := New(sched, net, Config{ChainID: "chain-a"}, app, pool, stor)
 		for i := 0; i < 10; i++ {
 			if err := pool.Add(stubTx{id: fmt.Sprintf("t%d", i), gas: 500}); err != nil {
 				panic(err)
@@ -329,12 +336,9 @@ func TestDeterminism(t *testing.T) {
 // --- shared vote-verification engine -----------------------------------------
 
 // run7 drives an honest 7-validator chain for 60 virtual seconds.
-func run7(t *testing.T, reference bool) *harness {
+func run7(t *testing.T) *harness {
 	t.Helper()
-	h := newHarness(t, func(c *Config) {
-		c.Validators = 7
-		c.ReferenceVoteVerify = reference
-	})
+	h := newHarness(t, func(c *Config) { c.Validators = 7 })
 	h.eng.Start()
 	if err := h.sched.RunUntil(60 * time.Second); err != nil {
 		t.Fatalf("run: %v", err)
@@ -351,7 +355,7 @@ func run7(t *testing.T, reference bool) *harness {
 // check is performed at all.
 func TestVoteVerificationPinnedLinear(t *testing.T) {
 	const vals = 7
-	h := run7(t, false)
+	h := run7(t)
 	st := h.eng.VoteCache().Stats()
 	if st.Verifications != 0 {
 		t.Fatalf("%d full verifications on an honest run, want 0", st.Verifications)
@@ -372,30 +376,52 @@ func TestVoteVerificationPinnedLinear(t *testing.T) {
 	}
 }
 
-// TestReferencePathCountsQuadraticFanout runs the same seed through the
-// shared engine and the per-receiver reference path: the chains must be
-// byte-identical while the shared path performs no signature check and
-// the reference path one per delivery.
+// TestReferencePathCountsQuadraticFanout replays the per-receiver
+// reference path — a full ed25519 check on every delivery — beside an
+// honest 7-validator run: each vote the engine casts is read in-package
+// while it is live and fully verified, and the run itself performs no
+// check at all. The reference path would have verified each vote once per
+// receiver, V x cast checks, and that is exactly the shared engine's hit
+// count.
 func TestReferencePathCountsQuadraticFanout(t *testing.T) {
-	shared, ref := run7(t, false), run7(t, true)
-	sharedChain, refChain := shared.blockHashes(t), ref.blockHashes(t)
-	if len(sharedChain) != len(refChain) {
-		t.Fatalf("chain lengths diverge: shared=%d reference=%d", len(sharedChain), len(refChain))
+	const vals = 7
+	h := newHarness(t, func(c *Config) { c.Validators = vals })
+	type voteID struct {
+		addr   valkey.Address
+		height int64
+		round  int32
+		typ    types.SignedMsgType
 	}
-	for i := range sharedChain {
-		if sharedChain[i] != refChain[i] {
-			t.Fatalf("block %d differs between shared and reference verification", i+1)
+	verified := map[voteID]bool{}
+	h.eng.Start()
+	h.runEachEvent(t, 60*time.Second, func() {
+		for _, pv := range h.eng.liveVote {
+			v := &pv.v
+			id := voteID{v.ValidatorAddress, v.Height, v.Round, v.Type}
+			if verified[id] {
+				continue
+			}
+			val := h.eng.valset.ByAddress(v.ValidatorAddress)
+			if !val.PubKey.Verify(types.VoteSignBytes("chain-a", v), v.Signature) {
+				t.Fatalf("cast vote %+v fails full verification", id)
+			}
+			verified[id] = true
 		}
+	})
+	if h.store.Height() < 10 {
+		t.Fatalf("height = %d, chain stalled", h.store.Height())
 	}
-	sharedStats, refStats := shared.eng.VoteCache().Stats(), ref.eng.VoteCache().Stats()
-	if sharedStats.Verifications != 0 {
-		t.Fatalf("shared path performed %d checks, want 0", sharedStats.Verifications)
+	st := h.eng.VoteCache().Stats()
+	if st.Verifications != 0 || st.Rejected != 0 {
+		t.Fatalf("shared path performed checks: %+v", st)
 	}
-	// Every delivery the shared path answers from the cache, the
-	// reference path verifies.
-	if refStats.Verifications != sharedStats.Hits || refStats.Hits != 0 || refStats.Rejected != 0 {
-		t.Fatalf("reference path: %+v, want %d verifications (one per delivery), no hits, none rejected",
-			refStats, sharedStats.Hits)
+	// The run is shorter than the prune window: Size counts every vote cast.
+	cast := uint64(len(verified))
+	if cast != uint64(st.Size) {
+		t.Fatalf("fully verified %d cast votes, the engine admitted %d", cast, st.Size)
+	}
+	if st.Hits != vals*cast {
+		t.Fatalf("hits = %d, want %d: one per delivery the reference path would verify", st.Hits, vals*cast)
 	}
 }
 
@@ -404,7 +430,7 @@ func TestReferencePathCountsQuadraticFanout(t *testing.T) {
 // signature, admitted at signing without a check, gets a real ed25519
 // verification here.
 func TestEveryCommittedBlockVerifiesUncached(t *testing.T) {
-	h := run7(t, false)
+	h := run7(t)
 	for height := int64(1); height <= h.store.Height(); height++ {
 		cb, err := h.store.Block(height)
 		if err != nil {
@@ -504,39 +530,75 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 
 // --- counted quorum tallies ---------------------------------------------------
 
-// TestQuorumTallyReferenceEquivalence runs the same seed through the
-// counted per-round tallies and the reference map-walk recomputation:
-// the chains must be byte-identical (at most one block ID can exceed
-// 2/3 of total power, so map iteration order never picked the winner).
-func TestQuorumTallyReferenceEquivalence(t *testing.T) {
-	run := func(reference bool) []types.Hash {
-		h := newHarness(t, func(c *Config) {
-			c.Validators = 7
-			c.ReferenceQuorumTally = reference
-		})
-		for i := 0; i < 20; i++ {
-			if err := h.pool.Add(stubTx{id: fmt.Sprintf("q%d", i), gas: 400}); err != nil {
-				t.Fatal(err)
-			}
+// referenceQuorum is the map-walk tally the counted round tallies
+// replaced: every check rebuilds per-block power from the recorded votes.
+// It returns the 2/3+ block (if any) and the total power voted.
+func referenceQuorum(e *Engine, rt *roundTally) (types.BlockID, bool, int64) {
+	power := make(map[types.BlockID]int64)
+	var total int64
+	for _, v := range rt.votes {
+		if v == nil {
+			continue
 		}
-		h.eng.Start()
-		if err := h.sched.RunUntil(60 * time.Second); err != nil {
+		if val := e.valset.ByAddress(v.ValidatorAddress); val != nil {
+			power[v.BlockID] += val.VotingPower
+			total += val.VotingPower
+		}
+	}
+	for id, p := range power {
+		if p*3 > e.valset.TotalPower()*2 {
+			return id, true, total
+		}
+	}
+	return types.BlockID{}, false, total
+}
+
+// TestQuorumTallyReferenceEquivalence compares the counted tallies with
+// the reference map walk on every tally of a 7-validator run, after every
+// event: quorumFor and totalVotePower must give its answers (at most one
+// block ID can exceed 2/3 of total power, so map iteration order never
+// picks the winner). One validator is down, so the rounds it should
+// propose fail and nil quorums are compared too.
+func TestQuorumTallyReferenceEquivalence(t *testing.T) {
+	h := newHarness(t, func(c *Config) { c.Validators = 7 })
+	for i := 0; i < 20; i++ {
+		if err := h.pool.Add(stubTx{id: fmt.Sprintf("q%d", i), gas: 400}); err != nil {
 			t.Fatal(err)
 		}
-		if h.store.Height() < 10 {
-			t.Fatalf("height = %d, chain stalled", h.store.Height())
-		}
-		return h.blockHashes(t)
 	}
-	counted := run(false)
-	reference := run(true)
-	if len(counted) != len(reference) {
-		t.Fatalf("chain lengths diverge: counted=%d reference=%d", len(counted), len(reference))
-	}
-	for i := range counted {
-		if counted[i] != reference[i] {
-			t.Fatalf("block %d differs between counted and reference tallies", i+1)
+	h.eng.SetValidatorDown(6, true)
+	h.eng.Start()
+	var checked, quorums, nilQuorums int
+	h.runEachEvent(t, 60*time.Second, func() {
+		for _, n := range h.eng.nodes {
+			for _, tallies := range []map[int32]*roundTally{n.prevotes, n.precommits} {
+				for r, rt := range tallies {
+					id, ok := h.eng.quorumFor(rt)
+					refID, refOK, refPower := referenceQuorum(h.eng, rt)
+					if id != refID || ok != refOK {
+						t.Fatalf("node %d height %d round %d: quorum (%x, %v), reference (%x, %v)",
+							n.index, n.height, r, id.Hash[:4], ok, refID.Hash[:4], refOK)
+					}
+					if p := h.eng.totalVotePower(rt); p != refPower {
+						t.Fatalf("node %d height %d round %d: power %d, reference %d", n.index, n.height, r, p, refPower)
+					}
+					checked++
+					if ok {
+						quorums++
+						if id.IsZero() {
+							nilQuorums++
+						}
+					}
+				}
+			}
 		}
+	})
+	t.Logf("%d tally states compared: %d with a quorum, %d of them nil", checked, quorums, nilQuorums)
+	if h.store.Height() < 8 {
+		t.Fatalf("height = %d, chain stalled", h.store.Height())
+	}
+	if nilQuorums == 0 || quorums == nilQuorums || quorums == checked {
+		t.Fatalf("%d of %d tallies had a quorum, %d nil: every outcome must be compared", quorums, checked, nilQuorums)
 	}
 }
 
@@ -574,8 +636,8 @@ func TestVotePoolSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkQuorumTally measures one quorum check on a full round of
 // prevotes: the counted tally answers from running power sums in
-// O(distinct block IDs); the reference path rebuilds a power map over
-// the whole validator set per check.
+// O(distinct block IDs); the reference map walk (referenceQuorum)
+// rebuilds a power map over the whole validator set per check.
 func BenchmarkQuorumTally(b *testing.B) {
 	for _, vals := range []int{4, 16, 64} {
 		h := newHarness(b, func(c *Config) { c.Validators = vals })
@@ -600,10 +662,8 @@ func BenchmarkQuorumTally(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("reference-vals-%d", vals), func(b *testing.B) {
 			b.ReportAllocs()
-			h.eng.cfg.ReferenceQuorumTally = true
-			defer func() { h.eng.cfg.ReferenceQuorumTally = false }()
 			for i := 0; i < b.N; i++ {
-				if _, ok := h.eng.quorumFor(rt); !ok {
+				if _, ok, _ := referenceQuorum(h.eng, rt); !ok {
 					b.Fatal("full round has no quorum")
 				}
 			}

@@ -24,26 +24,20 @@ var (
 	ErrTooLarge = errors.New("mempool: tx exceeds max size")
 )
 
+// Gaia's mempool bounds.
+const (
+	// maxTxs caps the number of pending transactions (Tendermint's
+	// mempool.size).
+	maxTxs = 5000
+	// maxTxBytes caps a single transaction's size.
+	maxTxBytes = 1 << 20
+)
+
 // CheckFunc validates a transaction for admission (the app's CheckTx).
 type CheckFunc func(types.Tx) error
 
-// Config bounds the pool. Zero values mean "unlimited" except MaxTxs.
-type Config struct {
-	// MaxTxs caps the number of pending transactions (Tendermint's
-	// mempool.size; Gaia default is 5000).
-	MaxTxs int
-	// MaxTxBytes caps a single transaction's size.
-	MaxTxBytes int
-}
-
-// DefaultConfig mirrors Gaia's defaults.
-func DefaultConfig() Config {
-	return Config{MaxTxs: 5000, MaxTxBytes: 1 << 20}
-}
-
 // Pool is a FIFO transaction pool with duplicate suppression.
 type Pool struct {
-	cfg     Config
 	check   CheckFunc
 	txs     []types.Tx
 	present map[types.Hash]bool
@@ -53,12 +47,8 @@ type Pool struct {
 }
 
 // New returns an empty pool. check may be nil (no app-level validation).
-func New(cfg Config, check CheckFunc) *Pool {
-	if cfg.MaxTxs <= 0 {
-		cfg.MaxTxs = DefaultConfig().MaxTxs
-	}
+func New(check CheckFunc) *Pool {
 	return &Pool{
-		cfg:     cfg,
 		check:   check,
 		present: make(map[types.Hash]bool),
 	}
@@ -75,11 +65,11 @@ func (p *Pool) Rejected() uint64 { return p.rejected }
 
 // Add validates and enqueues a transaction.
 func (p *Pool) Add(tx types.Tx) error {
-	if p.cfg.MaxTxBytes > 0 && tx.Size() > p.cfg.MaxTxBytes {
+	if tx.Size() > maxTxBytes {
 		p.rejected++
 		return ErrTooLarge
 	}
-	if len(p.txs) >= p.cfg.MaxTxs {
+	if len(p.txs) >= maxTxs {
 		p.rejected++
 		return ErrFull
 	}
@@ -100,24 +90,13 @@ func (p *Pool) Add(tx types.Tx) error {
 	return nil
 }
 
-// Reap returns up to the byte/gas bounded prefix of pending transactions
-// in FIFO order, without removing them. Zero bounds mean unlimited.
-func (p *Pool) Reap(maxBytes int, maxGas uint64) []types.Tx {
-	var (
-		out   []types.Tx
-		bytes int
-		gas   uint64
-	)
+// Reap returns every pending transaction in FIFO order, without removing
+// them: blocks are unbounded in bytes and gas, and a large block pays for
+// itself in execution time instead.
+func (p *Pool) Reap() []types.Tx {
+	var out []types.Tx
 	for _, tx := range p.txs {
-		if maxBytes > 0 && bytes+tx.Size() > maxBytes {
-			break
-		}
-		if maxGas > 0 && gas+tx.GasWanted() > maxGas {
-			break
-		}
 		out = append(out, tx)
-		bytes += tx.Size()
-		gas += tx.GasWanted()
 	}
 	return out
 }
@@ -144,10 +123,4 @@ func (p *Pool) Update(committed []types.Tx) {
 		p.txs[i] = nil
 	}
 	p.txs = kept
-}
-
-// Flush drops every pending transaction.
-func (p *Pool) Flush() {
-	p.txs = nil
-	p.present = make(map[types.Hash]bool)
 }

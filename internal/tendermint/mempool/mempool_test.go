@@ -22,13 +22,13 @@ func (t tx) GasWanted() uint64 { return t.gas }
 func mk(i int) tx { return tx{id: fmt.Sprintf("tx-%d", i), size: 10, gas: 100} }
 
 func TestAddAndReapFIFO(t *testing.T) {
-	p := New(Config{MaxTxs: 100}, nil)
+	p := New(nil)
 	for i := 0; i < 5; i++ {
 		if err := p.Add(mk(i)); err != nil {
 			t.Fatalf("add %d: %v", i, err)
 		}
 	}
-	got := p.Reap(0, 0)
+	got := p.Reap()
 	if len(got) != 5 {
 		t.Fatalf("reaped %d", len(got))
 	}
@@ -44,7 +44,7 @@ func TestAddAndReapFIFO(t *testing.T) {
 }
 
 func TestDuplicateRejected(t *testing.T) {
-	p := New(Config{MaxTxs: 10}, nil)
+	p := New(nil)
 	if err := p.Add(mk(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -57,27 +57,30 @@ func TestDuplicateRejected(t *testing.T) {
 }
 
 func TestCapacity(t *testing.T) {
-	p := New(Config{MaxTxs: 3}, nil)
-	for i := 0; i < 3; i++ {
+	p := New(nil)
+	for i := 0; i < maxTxs; i++ {
 		if err := p.Add(mk(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Add(mk(99)); !errors.Is(err, ErrFull) {
+	if err := p.Add(mk(maxTxs)); !errors.Is(err, ErrFull) {
 		t.Fatalf("err = %v, want ErrFull", err)
 	}
 }
 
 func TestTooLarge(t *testing.T) {
-	p := New(Config{MaxTxs: 10, MaxTxBytes: 5}, nil)
-	if err := p.Add(tx{id: "big", size: 6}); !errors.Is(err, ErrTooLarge) {
+	p := New(nil)
+	if err := p.Add(tx{id: "big", size: maxTxBytes + 1}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+	if err := p.Add(tx{id: "at-cap", size: maxTxBytes}); err != nil {
+		t.Fatalf("tx at the size cap rejected: %v", err)
 	}
 }
 
 func TestCheckFuncRejects(t *testing.T) {
 	bad := errors.New("ante: sequence mismatch")
-	p := New(Config{MaxTxs: 10}, func(types.Tx) error { return bad })
+	p := New(func(types.Tx) error { return bad })
 	if err := p.Add(mk(1)); !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want ante error", err)
 	}
@@ -86,23 +89,8 @@ func TestCheckFuncRejects(t *testing.T) {
 	}
 }
 
-func TestReapBounds(t *testing.T) {
-	p := New(Config{MaxTxs: 100}, nil)
-	for i := 0; i < 10; i++ {
-		if err := p.Add(mk(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := p.Reap(35, 0); len(got) != 3 { // 3 txs of 10 bytes fit in 35
-		t.Fatalf("byte-bounded reap = %d, want 3", len(got))
-	}
-	if got := p.Reap(0, 250); len(got) != 2 { // 2 txs of 100 gas fit in 250
-		t.Fatalf("gas-bounded reap = %d, want 2", len(got))
-	}
-}
-
 func TestUpdateRemovesCommitted(t *testing.T) {
-	p := New(Config{MaxTxs: 100}, nil)
+	p := New(nil)
 	for i := 0; i < 6; i++ {
 		if err := p.Add(mk(i)); err != nil {
 			t.Fatal(err)
@@ -112,7 +100,7 @@ func TestUpdateRemovesCommitted(t *testing.T) {
 	if p.Size() != 3 {
 		t.Fatalf("size = %d", p.Size())
 	}
-	got := p.Reap(0, 0)
+	got := p.Reap()
 	want := []string{"tx-1", "tx-3", "tx-5"}
 	for i := range want {
 		if got[i].(tx).id != want[i] {
@@ -125,24 +113,8 @@ func TestUpdateRemovesCommitted(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	p := New(Config{MaxTxs: 100}, nil)
-	for i := 0; i < 4; i++ {
-		if err := p.Add(mk(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Flush()
-	if p.Size() != 0 {
-		t.Fatalf("size after flush = %d", p.Size())
-	}
-	if err := p.Add(mk(0)); err != nil {
-		t.Fatalf("add after flush: %v", err)
-	}
-}
-
 func TestUpdateNoop(t *testing.T) {
-	p := New(Config{MaxTxs: 10}, nil)
+	p := New(nil)
 	if err := p.Add(mk(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -40,35 +40,6 @@ var (
 	ErrNotFound = errors.New("rpc: not found")
 )
 
-// Config parameterizes the service model.
-type Config struct {
-	// BroadcastCost is the serial service time per broadcast_tx.
-	BroadcastCost time.Duration
-	// StatusCost is the serial service time for light queries.
-	StatusCost time.Duration
-	// MaxFrameBytes caps WebSocket event frames (paper: 16 MiB).
-	MaxFrameBytes int
-	// PageScaleMsgs models pagination overhead: a data-pull's cost is
-	// scaled by (1 + (blockMsgs/PageScaleMsgs)^2), capturing the paper's
-	// observation that large blocks return hundreds of thousands of
-	// output lines across multiple pages whose cost grows superlinearly
-	// (§V). 0 disables scaling.
-	PageScaleMsgs int
-	// ClientTimeout bounds how long callers wait for a response.
-	ClientTimeout time.Duration
-}
-
-// DefaultConfig mirrors the calibrated service times.
-func DefaultConfig() Config {
-	return Config{
-		BroadcastCost: simconf.BroadcastTxCost,
-		StatusCost:    simconf.StatusQueryCost,
-		MaxFrameBytes: simconf.WebSocketMaxFrameBytes,
-		PageScaleMsgs: simconf.QueryPageScaleMsgs,
-		ClientTimeout: 10 * time.Second,
-	}
-}
-
 // EventFrame is one NewBlock notification delivered to subscribers.
 type EventFrame struct {
 	Height     int64
@@ -90,7 +61,8 @@ type Server struct {
 	sched *sim.Scheduler
 	net   *netem.Network
 	host  netem.Host
-	cfg   Config
+	// clientTimeout bounds how long callers wait for a response.
+	clientTimeout time.Duration
 
 	stor *store.Store
 	pool *mempool.Pool
@@ -128,12 +100,14 @@ type subscriber struct {
 	fn   func(*EventFrame)
 }
 
-// New creates the RPC server for a chain.
+// New creates the RPC server for a chain. Its service costs are the
+// calibrated simconf model; clientTimeout bounds how long callers wait
+// for a reply.
 func New(
 	sched *sim.Scheduler,
 	net *netem.Network,
 	host netem.Host,
-	cfg Config,
+	clientTimeout time.Duration,
 	stor *store.Store,
 	pool *mempool.Pool,
 	txQueryCost func(types.Tx) time.Duration,
@@ -146,7 +120,7 @@ func New(
 		sched:           sched,
 		net:             net,
 		host:            host,
-		cfg:             cfg,
+		clientTimeout:   clientTimeout,
 		stor:            stor,
 		pool:            pool,
 		serial:          sim.NewSerialResource(sched),
@@ -158,9 +132,12 @@ func New(
 	}
 }
 
-// pageFactor scales a data pull by the response size of its block.
+// pageFactor scales a data pull by the response size of its block:
+// (1 + (blockMsgs/QueryPageScaleMsgs)^2), the paper's observation that
+// large blocks return hundreds of thousands of output lines across
+// multiple pages whose cost grows superlinearly (§V).
 func (s *Server) pageFactor(height int64) float64 {
-	if s.cfg.PageScaleMsgs <= 0 || s.msgCount == nil {
+	if s.msgCount == nil {
 		return 1
 	}
 	infos, err := s.stor.TxsAtHeight(height)
@@ -171,7 +148,7 @@ func (s *Server) pageFactor(height int64) float64 {
 	for _, info := range infos {
 		total += s.msgCount(info.Tx)
 	}
-	x := float64(total) / float64(s.cfg.PageScaleMsgs)
+	x := float64(total) / simconf.QueryPageScaleMsgs
 	return 1 + x*x
 }
 
@@ -210,12 +187,10 @@ func request[T any](s *Server, from netem.Host, service func() time.Duration, fn
 		done = true
 		cb(v, err)
 	}
-	if s.cfg.ClientTimeout > 0 {
-		s.net.SchedulerFor(from).After(s.cfg.ClientTimeout, func() {
-			var zero T
-			finish(zero, ErrTimeout)
-		})
-	}
+	s.net.SchedulerFor(from).After(s.clientTimeout, func() {
+		var zero T
+		finish(zero, ErrTimeout)
+	})
 	s.net.Send(from, s.host, func() {
 		s.serial.Submit(service(), func() {
 			v, err := fn()
@@ -233,7 +208,7 @@ func flat(d time.Duration) func() time.Duration {
 // (after CheckTx) or rejected. The reply carries the CheckTx error.
 func (s *Server) BroadcastTxSync(from netem.Host, tx types.Tx, cb func(error)) {
 	s.broadcasts.Add(1)
-	request(s, from, flat(s.cfg.BroadcastCost), func() (struct{}, error) {
+	request(s, from, flat(simconf.BroadcastTxCost), func() (struct{}, error) {
 		return struct{}{}, s.pool.Add(tx)
 	}, func(_ struct{}, err error) {
 		if cb != nil {
@@ -246,7 +221,7 @@ func (s *Server) BroadcastTxSync(from netem.Host, tx types.Tx, cb func(error)) {
 // query; returns ErrNotFound while pending).
 func (s *Server) QueryTx(from netem.Host, hash types.Hash, cb func(*store.TxInfo, error)) {
 	s.queries.Add(1)
-	request(s, from, flat(s.cfg.StatusCost), func() (*store.TxInfo, error) {
+	request(s, from, flat(simconf.StatusQueryCost), func() (*store.TxInfo, error) {
 		info, err := s.stor.Tx(hash)
 		if err != nil {
 			return nil, ErrNotFound
@@ -266,7 +241,7 @@ func (s *Server) QueryTxData(from netem.Host, hash types.Hash, cb func(*store.Tx
 		// at the client's call time.
 		info, lookupErr := s.stor.Tx(hash)
 		if lookupErr != nil || s.txQueryCost == nil {
-			return s.cfg.StatusCost
+			return simconf.StatusQueryCost
 		}
 		return time.Duration(float64(s.txQueryCost(info.Tx)) * s.pageFactor(info.Height))
 	}, func() (*store.TxInfo, error) {
@@ -284,7 +259,7 @@ func (s *Server) QueryTxData(from netem.Host, hash types.Hash, cb func(*store.Tx
 // indexed query changes what the reply references, not what the
 // paper-calibrated service model costs.
 func (s *Server) blockQueryCost(height int64) time.Duration {
-	cost := s.cfg.StatusCost
+	cost := simconf.StatusQueryCost
 	if infos, err := s.stor.TxsAtHeight(height); err == nil && s.txQueryCost != nil {
 		pf := s.pageFactor(height)
 		for _, info := range infos {
@@ -328,7 +303,7 @@ func (s *Server) QueryBlockEvents(from netem.Host, height int64, cb func(*eventi
 // QueryAccountSequence resolves an account's committed sequence.
 func (s *Server) QueryAccountSequence(from netem.Host, account string, cb func(uint64, error)) {
 	s.queries.Add(1)
-	request(s, from, flat(s.cfg.StatusCost), func() (uint64, error) {
+	request(s, from, flat(simconf.StatusQueryCost), func() (uint64, error) {
 		if s.accountSeq == nil {
 			return 0, ErrNotFound
 		}
@@ -339,7 +314,7 @@ func (s *Server) QueryAccountSequence(from netem.Host, account string, cb func(u
 // QueryHeight reports the latest committed height (status query).
 func (s *Server) QueryHeight(from netem.Host, cb func(int64, error)) {
 	s.queries.Add(1)
-	request(s, from, flat(s.cfg.StatusCost), func() (int64, error) {
+	request(s, from, flat(simconf.StatusQueryCost), func() (int64, error) {
 		return s.stor.Height(), nil
 	}, cb)
 }
@@ -361,7 +336,7 @@ type SettledProbe struct {
 // (a single ABCI multi-query round trip).
 func (s *Server) QuerySettled(from netem.Host, probes []SettledProbe, cb func([]bool, error)) {
 	s.queries.Add(1)
-	request(s, from, flat(s.cfg.StatusCost), func() ([]bool, error) {
+	request(s, from, flat(simconf.StatusQueryCost), func() ([]bool, error) {
 		if s.settled == nil {
 			return nil, ErrNotFound
 		}
@@ -399,7 +374,7 @@ func (s *Server) PublishBlock(cb *store.CommittedBlock) {
 		BlockTime:  cb.Block.Header.Time,
 		FrameBytes: frameBytes,
 	}
-	if s.cfg.MaxFrameBytes > 0 && frameBytes > s.cfg.MaxFrameBytes {
+	if frameBytes > simconf.WebSocketMaxFrameBytes {
 		s.frameErrors++
 		frame.Err = ErrFrameTooLarge
 	} else {
@@ -427,7 +402,7 @@ func (s *Server) PublishBlock(cb *store.CommittedBlock) {
 // a height — what the relayer uses to build client updates.
 func (s *Server) QueryCommit(from netem.Host, height int64, cb func(*store.CommittedBlock, error)) {
 	s.queries.Add(1)
-	request(s, from, flat(s.cfg.StatusCost), func() (*store.CommittedBlock, error) {
+	request(s, from, flat(simconf.StatusQueryCost), func() (*store.CommittedBlock, error) {
 		blk, err := s.stor.Block(height)
 		if err != nil {
 			return nil, ErrNotFound

@@ -11,6 +11,7 @@ import (
 	"ibcbench/internal/eventindex"
 	"ibcbench/internal/netem"
 	"ibcbench/internal/sim"
+	"ibcbench/internal/simconf"
 	"ibcbench/internal/tendermint/mempool"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/tendermint/types"
@@ -35,7 +36,10 @@ type fixture struct {
 	client netem.Host
 }
 
-func newFixture(cfg Config) *fixture {
+// timeout is the client timeout a chain gives its primary node.
+const timeout = 10 * time.Second
+
+func newFixture(clientTimeout time.Duration) *fixture {
 	sched := sim.NewScheduler()
 	net := netem.New(sched, sim.NewRNG(1), netem.Config{
 		OneWayLatency:   100 * time.Millisecond,
@@ -43,8 +47,8 @@ func newFixture(cfg Config) *fixture {
 	})
 	stor := store.New("chain-a")
 	idx := eventindex.New("chain-a")
-	pool := mempool.New(mempool.DefaultConfig(), nil)
-	srv := New(sched, net, "chain-a/val0", cfg, stor, pool,
+	pool := mempool.New(nil)
+	srv := New(sched, net, "chain-a/val0", clientTimeout, stor, pool,
 		func(t types.Tx) time.Duration {
 			// 10ms per message: easy arithmetic for tests.
 			if tt, ok := t.(tx); ok {
@@ -94,7 +98,7 @@ func commitBlock(f *fixture, height int64, txs ...types.Tx) *store.CommittedBloc
 }
 
 func TestBroadcastAddsToMempool(t *testing.T) {
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	var got error
 	called := false
 	f.server.BroadcastTxSync(f.client, tx{id: "t1"}, func(err error) {
@@ -113,7 +117,7 @@ func TestBroadcastAddsToMempool(t *testing.T) {
 }
 
 func TestBroadcastReportsCheckTxError(t *testing.T) {
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	f.server.BroadcastTxSync(f.client, tx{id: "dup"}, nil)
 	var got error
 	f.server.BroadcastTxSync(f.client, tx{id: "dup"}, func(err error) { got = err })
@@ -128,7 +132,7 @@ func TestBroadcastReportsCheckTxError(t *testing.T) {
 func TestSerialQueryProcessing(t *testing.T) {
 	// Two heavy queries submitted together must be served back to back,
 	// not concurrently: the second completes ~one service time later.
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	heavy := tx{id: "h", msgs: 100} // 1s service each
 	commitBlock(f, 1, heavy)
 	var first, second time.Duration
@@ -144,7 +148,7 @@ func TestSerialQueryProcessing(t *testing.T) {
 }
 
 func TestQueryTxConfirmation(t *testing.T) {
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	pending := tx{id: "pending"}
 	var err1 error
 	f.server.QueryTx(f.client, pending.Hash(), func(_ *store.TxInfo, err error) { err1 = err })
@@ -166,9 +170,7 @@ func TestQueryTxConfirmation(t *testing.T) {
 }
 
 func TestClientTimeoutUnderBacklog(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ClientTimeout = 2 * time.Second
-	f := newFixture(cfg)
+	f := newFixture(2 * time.Second)
 	heavy := tx{id: "h", msgs: 1000} // 10s service
 	commitBlock(f, 1, heavy)
 	// The first request monopolizes the serial resource; the second
@@ -187,7 +189,7 @@ func TestClientTimeoutUnderBacklog(t *testing.T) {
 func nil1(*store.TxInfo, error) {}
 
 func TestQueryBlockTxs(t *testing.T) {
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	commitBlock(f, 1, tx{id: "a", msgs: 1}, tx{id: "b", msgs: 2})
 	var infos []*store.TxInfo
 	f.server.QueryBlockTxs(f.client, 1, func(is []*store.TxInfo, err error) { infos = is })
@@ -210,14 +212,14 @@ func TestQueryBlockTxs(t *testing.T) {
 func TestQueryBlockEventsMatchesBlockTxsCost(t *testing.T) {
 	// The indexed query must serve the shared BlockEvents at exactly the
 	// tx_search service cost: same reply time as QueryBlockTxs.
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	commitBlock(f, 1, tx{id: "a", msgs: 3}, tx{id: "b", msgs: 2})
 	var atTxs time.Duration
 	f.server.QueryBlockTxs(f.client, 1, func([]*store.TxInfo, error) { atTxs = f.sched.Now() })
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
-	f2 := newFixture(DefaultConfig())
+	f2 := newFixture(timeout)
 	commitBlock(f2, 1, tx{id: "a", msgs: 3}, tx{id: "b", msgs: 2})
 	var atEvents time.Duration
 	var be *eventindex.BlockEvents
@@ -247,7 +249,7 @@ func TestQueryBlockEventsMatchesBlockTxsCost(t *testing.T) {
 }
 
 func TestSubscriptionCarriesSharedIndex(t *testing.T) {
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	var frame *EventFrame
 	f.server.Subscribe(f.client, func(fr *EventFrame) { frame = fr })
 	// Registration rides the network; let it land before publishing.
@@ -268,7 +270,7 @@ func TestSubscriptionCarriesSharedIndex(t *testing.T) {
 }
 
 func TestQueryAccountSequence(t *testing.T) {
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	var seq uint64
 	f.server.QueryAccountSequence(f.client, "alice", func(s uint64, err error) { seq = s })
 	if err := f.sched.Run(); err != nil {
@@ -280,7 +282,7 @@ func TestQueryAccountSequence(t *testing.T) {
 }
 
 func TestQueryHeight(t *testing.T) {
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	commitBlock(f, 1)
 	commitBlock(f, 2)
 	var h int64
@@ -294,7 +296,7 @@ func TestQueryHeight(t *testing.T) {
 }
 
 func TestSubscriptionDeliversEvents(t *testing.T) {
-	f := newFixture(DefaultConfig())
+	f := newFixture(timeout)
 	var frames []*EventFrame
 	f.server.Subscribe(f.client, func(fr *EventFrame) { frames = append(frames, fr) })
 	if err := f.sched.Run(); err != nil {
@@ -314,15 +316,13 @@ func TestSubscriptionDeliversEvents(t *testing.T) {
 }
 
 func TestWebSocketFrameLimit(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxFrameBytes = 1000
-	f := newFixture(cfg)
+	f := newFixture(timeout)
 	var frame *EventFrame
 	f.server.Subscribe(f.client, func(fr *EventFrame) { frame = fr })
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cb := commitBlock(f, 1, tx{id: "big", bytes: 2000})
+	cb := commitBlock(f, 1, tx{id: "big", bytes: simconf.WebSocketMaxFrameBytes + 1})
 	f.server.PublishBlock(cb)
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
@@ -345,9 +345,7 @@ func TestBroadcastContentionDelaysConfirmation(t *testing.T) {
 	// Many broadcasts queued ahead of a confirmation query push its
 	// completion out: the Table I mechanism where high submission rates
 	// stress the shared RPC endpoint.
-	cfg := DefaultConfig()
-	cfg.ClientTimeout = 0
-	f := newFixture(cfg)
+	f := newFixture(timeout)
 	probe := tx{id: "probe"}
 	commitBlock(f, 1, probe)
 	var baseline time.Duration
@@ -356,7 +354,7 @@ func TestBroadcastContentionDelaysConfirmation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f2 := newFixture(cfg)
+	f2 := newFixture(timeout)
 	commitBlock(f2, 1, probe)
 	for i := 0; i < 100; i++ {
 		f2.server.BroadcastTxSync(f2.client, tx{id: fmt.Sprintf("flood-%d", i)}, nil)

@@ -57,8 +57,8 @@ type key struct {
 // Stats reports the cache's verification counters.
 type Stats struct {
 	// Verifications counts full ed25519 checks performed: signatures
-	// SignVote did not make (foreign, forged, tampered, pruned) plus every
-	// check in reference mode. An honest run performs none.
+	// SignVote did not make (foreign, forged, tampered, pruned). An honest
+	// run performs none.
 	Verifications uint64
 	// Hits counts verifications skipped because the identical vote was
 	// already admitted.
@@ -122,7 +122,7 @@ func (c *Cache) SignVote(key *valkey.PrivKey, v *types.Vote) {
 // whose sign-bytes domain it admitted signatures under.
 func (c *Cache) VerifyVote(chainID string, v *types.Vote, pub valkey.PubKey) bool {
 	if chainID != c.chainID {
-		return c.VerifyDirect(chainID, v, pub)
+		return c.fullVerify(chainID, v, pub)
 	}
 	k := keyOf(v)
 	c.mu.RLock()
@@ -139,14 +139,6 @@ func (c *Cache) VerifyVote(chainID string, v *types.Vote, pub valkey.PubKey) boo
 	c.admitted[k] = append([]byte(nil), v.Signature...)
 	c.mu.Unlock()
 	return true
-}
-
-// VerifyDirect performs the full signature check without consulting or
-// populating the cache — the O(V^2) reference path, kept so scenario
-// results can be pinned byte-identical against the shared engine while
-// the counters expose the verification-count difference.
-func (c *Cache) VerifyDirect(chainID string, v *types.Vote, pub valkey.PubKey) bool {
-	return c.fullVerify(chainID, v, pub)
 }
 
 func (c *Cache) fullVerify(chainID string, v *types.Vote, pub valkey.PubKey) bool {

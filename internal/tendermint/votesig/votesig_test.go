@@ -141,21 +141,6 @@ func TestForeignChainBypassesCache(t *testing.T) {
 	}
 }
 
-func TestVerifyDirectDoesNotPopulate(t *testing.T) {
-	c := votesig.New(chainID)
-	key := valkey.Derive(chainID, 0)
-	v := mkVote(key, types.PrevoteType, 1, 0, types.BlockID{})
-	for i := 0; i < 3; i++ {
-		if !c.VerifyDirect(chainID, v, key.Pub()) {
-			t.Fatal("valid vote rejected on reference path")
-		}
-	}
-	st := c.Stats()
-	if st.Verifications != 3 || st.Hits != 0 || st.Size != 0 {
-		t.Fatalf("reference path cached or hit: %+v", st)
-	}
-}
-
 func TestPruneBelow(t *testing.T) {
 	c := votesig.New(chainID)
 	key := valkey.Derive(chainID, 0)

@@ -16,7 +16,6 @@ import (
 	"ibcbench/internal/obs"
 	"ibcbench/internal/relayer"
 	"ibcbench/internal/sim"
-	"ibcbench/internal/simconf"
 	"ibcbench/internal/workload"
 )
 
@@ -27,16 +26,11 @@ type DeployConfig struct {
 	Network    netem.Config
 	Validators int
 	FullProofs bool
-	// ReferenceVoteVerify selects every chain's O(V^2) per-receiver vote
-	// verification path instead of the shared vote-verification engine
-	// (results are byte-identical; the counters differ).
-	ReferenceVoteVerify bool
 	// RelayersPerEdge is the default relayer count for edges that don't
 	// override it in their EdgeSpec.
 	RelayersPerEdge int
-	// ClearIntervalBlocks / MaxMsgsPerTx forward to every relayer.
+	// ClearIntervalBlocks forwards to every relayer.
 	ClearIntervalBlocks int64
-	MaxMsgsPerTx        int
 	// Geo places every host into a region of this model and compiles the
 	// inter-region matrix into per-host-pair netem overrides. Chains take
 	// their ChainSpec.Region or round-robin over the model's regions;
@@ -46,10 +40,6 @@ type DeployConfig struct {
 	// Standby adds a passive standby relayer plus a failover supervisor
 	// to every edge (per-edge opt-in via EdgeSpec.Standby).
 	Standby bool
-	// FailoverDetectBlocks is the supervisor's detection window in block
-	// intervals: missed health probes for this long activate the standby
-	// (0 = 2 blocks).
-	FailoverDetectBlocks int
 	// Obs attaches observability (span tracer + metrics registry) to the
 	// deployment; nil (the default) disables all instrumentation. Must be
 	// per-deployment — sweeps run seeds concurrently — so experiment
@@ -347,11 +337,10 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 			csched = par.Partition(i)
 		}
 		c := chain.New(csched, network, chain.Config{
-			ChainID:             t.ChainID(i),
-			Validators:          vals,
-			FullProofs:          cfg.FullProofs,
-			ReferenceVoteVerify: cfg.ReferenceVoteVerify,
-			Obs:                 cfg.Obs,
+			ChainID:    t.ChainID(i),
+			Validators: vals,
+			FullProofs: cfg.FullProofs,
+			Obs:        cfg.Obs,
 		})
 		if d.Geo != nil {
 			if err := validRegion(cfg.Geo, d.regions[i], t.ChainID(i)); err != nil {
@@ -376,10 +365,6 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 		}
 		d.Chains = append(d.Chains, c)
 	}
-	detect := cfg.FailoverDetectBlocks
-	if detect <= 0 {
-		detect = 2
-	}
 	for i, e := range t.Edges {
 		l := &Link{
 			Index:   i,
@@ -393,12 +378,11 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 			n = perEdge
 		}
 		newRelayer := func(j int, name string) *relayer.Relayer {
-			rcfg := relayer.DefaultConfig(name)
-			rcfg.Tracker = l.Tracker
-			rcfg.Obs = cfg.Obs
-			rcfg.ClearIntervalBlocks = cfg.ClearIntervalBlocks
-			if cfg.MaxMsgsPerTx > 0 {
-				rcfg.MaxMsgsPerTx = cfg.MaxMsgsPerTx
+			rcfg := relayer.Config{
+				Name:                name,
+				ClearIntervalBlocks: cfg.ClearIntervalBlocks,
+				Tracker:             l.Tracker,
+				Obs:                 cfg.Obs,
 			}
 			if j < 0 {
 				// The standby's takeover relies on gap-driven clearing.
@@ -430,7 +414,7 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 		}
 		if cfg.Standby || e.Standby {
 			l.Standby = newRelayer(-1, fmt.Sprintf("hermes-e%d-standby", i))
-			l.Failover = newFailover(d, l, time.Duration(detect)*simconf.MinBlockInterval)
+			l.Failover = newFailover(d, l)
 		}
 		d.Links = append(d.Links, l)
 	}

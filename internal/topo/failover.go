@@ -42,7 +42,6 @@ type Failover struct {
 	primary *relayer.Relayer
 	standby *relayer.Relayer
 	host    netem.Host
-	window  time.Duration
 	// sched owns the supervisor's events: the scheduler of the standby
 	// side's partition (the standby always sits with side B), so probes
 	// and pongs run on the clock that owns the supervisor's host.
@@ -58,17 +57,20 @@ type Failover struct {
 	downtime   metrics.Series
 }
 
+// failoverDetectBlocks is the supervisor's detection window in block
+// intervals: missed health probes for this long activate the standby.
+const failoverDetectBlocks = 2
+
 // newFailover wires a supervisor for the link's primary (relayer 0) and
 // standby, probing from the standby's host every fifth of a block
 // interval.
-func newFailover(d *Deployment, l *Link, window time.Duration) *Failover {
+func newFailover(d *Deployment, l *Link) *Failover {
 	f := &Failover{
 		dep:     d,
 		link:    l,
 		primary: l.Relayers[0],
 		standby: l.Standby,
 		host:    l.Standby.Host(),
-		window:  window,
 		sched:   d.schedFor(l.Spec.B),
 	}
 	f.downtime.Name = "downtime"
@@ -86,7 +88,7 @@ func (f *Failover) probe() {
 		}
 		f.dep.Net.Send(f.primary.Host(), f.host, func() { f.pong() })
 	})
-	if now-f.lastPong <= f.window {
+	if now-f.lastPong <= failoverDetectBlocks*simconf.MinBlockInterval {
 		return
 	}
 	if !f.down {

@@ -61,7 +61,7 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("%s parsed as %s", spec, tp.Name)
 		}
 	}
-	for _, spec := range []string{"", "ring:4", "hub", "line:1", "mesh:x"} {
+	for _, spec := range []string{"", "ring:4", "hub", "line:1", "mesh:x", "mesh:257", "hub:99999999"} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Fatalf("spec %q accepted", spec)
 		}

@@ -194,14 +194,19 @@ func (t Topology) Route(from, to int) ([]int, error) {
 	return nil, fmt.Errorf("topo: no route %d->%d", from, to)
 }
 
+// maxSpecSize bounds a preset's size argument. Every node deploys a full
+// chain, so a larger graph is a typo or hostile input, and mesh:<n> would
+// allocate n^2/2 edges before anything else could reject it.
+const maxSpecSize = 256
+
 // ParseSpec parses a CLI topology spec: "two", "line:<n>", "hub:<spokes>"
-// or "mesh:<n>".
+// or "mesh:<n>", with n at most 256.
 func ParseSpec(s string) (Topology, error) {
 	kind, arg, hasArg := strings.Cut(strings.TrimSpace(strings.ToLower(s)), ":")
 	n := 0
 	if hasArg {
 		v, err := strconv.Atoi(arg)
-		if err != nil || v < 1 {
+		if err != nil || v < 1 || v > maxSpecSize {
 			return Topology{}, fmt.Errorf("topo: bad size %q in spec %q", arg, s)
 		}
 		n = v

@@ -47,13 +47,10 @@ type Generator struct {
 	host    netem.Host
 	tracker *metrics.Tracker
 
-	// MsgsPerTx is the batch size per transaction (paper: 100).
-	MsgsPerTx int
 	// TimeoutBlocks sets packet timeout height = dest height + this.
 	TimeoutBlocks int64
-	// SourcePort/SourceChannel address the IBC channel transfers leave
-	// through (per-edge on multi-channel chains).
-	SourcePort    string
+	// SourceChannel is the transfer-port channel transfers leave through
+	// (per-edge on multi-channel chains).
 	SourceChannel string
 	// AccountPrefix namespaces this generator's user accounts so several
 	// generators can share one source chain without sequence clashes.
@@ -85,16 +82,9 @@ type Generator struct {
 	stats Stats
 }
 
-// New creates a generator submitting to the given RPC node of the source
-// chain (the relayer's full node, as in the paper's tool). Transfers run
-// in the pair's A -> B direction.
-func New(sched *sim.Scheduler, rng *sim.RNG, pair *chain.Pair, node *rpc.Server, tracker *metrics.Tracker) *Generator {
-	return NewOnChannel(sched, rng, pair.A, pair.B, pair.ChannelAB, node, tracker)
-}
-
 // NewOnChannel creates a generator submitting transfers from src to dst
-// over the given source-side channel — the building block for per-edge
-// workloads on arbitrary topologies.
+// over the given source-side channel, through the given RPC node of the
+// source chain (the relayer's full node, as in the paper's tool).
 func NewOnChannel(sched *sim.Scheduler, rng *sim.RNG, src, dst *chain.Chain, sourceChannel string, node *rpc.Server, tracker *metrics.Tracker) *Generator {
 	g := &Generator{
 		sched:         sched,
@@ -104,9 +94,7 @@ func NewOnChannel(sched *sim.Scheduler, rng *sim.RNG, src, dst *chain.Chain, sou
 		rpcNode:       node,
 		host:          netem.Host("workload/driver-" + src.ID + "-" + sourceChannel),
 		tracker:       tracker,
-		MsgsPerTx:     simconf.RelayerMaxMsgsPerTx,
 		TimeoutBlocks: 10000,
-		SourcePort:    "transfer",
 		SourceChannel: sourceChannel,
 		AccountPrefix: "user",
 		nextSeq:       make(map[string]uint64),
@@ -188,9 +176,10 @@ func (g *Generator) EnsureAccounts(n int) {
 }
 
 // SubmitBatch submits `transfers` transfer requests now, split into
-// transactions of MsgsPerTx messages from distinct accounts. It models
-// the paper's multi-account submission: each account signs with its
-// locally tracked sequence and retries through a re-query on mismatch.
+// transactions of 100 messages (RelayerMaxMsgsPerTx) from distinct
+// accounts. It models the paper's multi-account submission: each account
+// signs with its locally tracked sequence and retries through a re-query
+// on mismatch.
 func (g *Generator) SubmitBatch(transfers int) {
 	if transfers <= 0 {
 		return
@@ -199,13 +188,13 @@ func (g *Generator) SubmitBatch(transfers int) {
 	if g.tracker != nil {
 		g.tracker.AddRequested(transfers)
 	}
-	txCount := (transfers + g.MsgsPerTx - 1) / g.MsgsPerTx
+	txCount := (transfers + simconf.RelayerMaxMsgsPerTx - 1) / simconf.RelayerMaxMsgsPerTx
 	// Rotate through enough distinct accounts that a window never reuses
 	// an account from the previous two windows.
 	g.EnsureAccounts(3 * txCount)
 	remaining := transfers
 	for i := 0; i < txCount; i++ {
-		n := g.MsgsPerTx
+		n := simconf.RelayerMaxMsgsPerTx
 		if n > remaining {
 			n = remaining
 		}
@@ -225,7 +214,7 @@ func (g *Generator) submitTx(account string, n int, attempt int) {
 			Sender:        account,
 			Receiver:      "receiver-" + account,
 			Token:         app.Coin{Denom: "uatom", Amount: 1},
-			SourcePort:    g.SourcePort,
+			SourcePort:    transfer.PortID,
 			SourceChannel: g.SourceChannel,
 			TimeoutHeight: timeoutHeight,
 			Memo:          g.Memo,
@@ -298,12 +287,12 @@ func (g *Generator) InjectDirect(transfers int) {
 	if g.tracker != nil {
 		g.tracker.AddRequested(transfers)
 	}
-	txCount := (transfers + g.MsgsPerTx - 1) / g.MsgsPerTx
+	txCount := (transfers + simconf.RelayerMaxMsgsPerTx - 1) / simconf.RelayerMaxMsgsPerTx
 	g.EnsureAccounts(txCount)
 	remaining := transfers
 	timeoutHeight := g.destTop() + g.TimeoutBlocks
 	for i := 0; i < txCount; i++ {
-		n := g.MsgsPerTx
+		n := simconf.RelayerMaxMsgsPerTx
 		if n > remaining {
 			n = remaining
 		}
@@ -316,7 +305,7 @@ func (g *Generator) InjectDirect(transfers int) {
 				Sender:        account,
 				Receiver:      "receiver-" + account,
 				Token:         app.Coin{Denom: "uatom", Amount: 1},
-				SourcePort:    g.SourcePort,
+				SourcePort:    transfer.PortID,
 				SourceChannel: g.SourceChannel,
 				TimeoutHeight: timeoutHeight,
 				Memo:          g.Memo,

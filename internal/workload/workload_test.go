@@ -11,7 +11,6 @@ import (
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/netem"
 	"ibcbench/internal/sim"
-	"ibcbench/internal/tendermint/rpc"
 )
 
 // testbed is two linked default chains on one scheduler and WAN network.
@@ -40,8 +39,8 @@ func (tb *testbed) Run(until time.Duration) error { return tb.Sched.RunUntil(unt
 func testEnv(seed int64) (*testbed, *Generator, *metrics.Tracker) {
 	tb := newTestbed(seed)
 	tracker := metrics.NewTracker()
-	node := tb.Pair.A.AddRPCNode(rpc.Config{})
-	g := New(tb.Sched, tb.RNG, tb.Pair, node, tracker)
+	node := tb.Pair.A.AddRPCNode(10 * time.Second)
+	g := NewOnChannel(tb.Sched, tb.RNG, tb.Pair.A, tb.Pair.B, tb.Pair.ChannelAB, node, tracker)
 	tb.Start()
 	return tb, g, tracker
 }
@@ -120,7 +119,7 @@ func TestPacketKeysFollowEventOrderAcrossChannels(t *testing.T) {
 	for i, ch := range channels {
 		msgs[i] = transfer.MsgTransfer{
 			Sender: account, Receiver: "receiver", Token: app.Coin{Denom: "uatom", Amount: 1},
-			SourcePort: g.SourcePort, SourceChannel: ch, TimeoutHeight: 1000, Nonce: uint64(i),
+			SourcePort: transfer.PortID, SourceChannel: ch, TimeoutHeight: 1000, Nonce: uint64(i),
 		}
 	}
 	tx := app.NewTx(account, 0, 1, msgs)
