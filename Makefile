@@ -20,15 +20,17 @@ check:
 # step): the append codecs of the two hashed per-packet documents against
 # encoding/json in both directions, merkle.IncTree.Apply against the
 # full-rebuild merkle.NewTree, app.State's undo journal against a
-# map-copy-per-tx model, and the scenario spec's parse ⇄ encode round
-# trip. A failure leaves its input under the package's testdata/fuzz/;
-# commit it with the fix.
+# map-copy-per-tx model, the scenario spec's parse ⇄ encode round trip,
+# and the sign-on-demand vote cache against an eager-signing model. A
+# failure leaves its input under the package's testdata/fuzz/; commit it
+# with the fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAckCodec -fuzztime 10s ./internal/ibc
 	$(GO) test -run '^$$' -fuzz FuzzPacketDataCodec -fuzztime 10s ./internal/ibc/transfer
 	$(GO) test -run '^$$' -fuzz FuzzIncTreeApply -fuzztime 10s ./internal/merkle
 	$(GO) test -run '^$$' -fuzz FuzzStateJournal -fuzztime 10s ./internal/app
 	$(GO) test -run '^$$' -fuzz FuzzSpecRoundTrip -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzVoteCache -fuzztime 10s ./internal/tendermint/votesig
 
 # The host-cost benchmark (bench/, a module of its own that the targets
 # above skip): the full report over the five pinned workloads, and the

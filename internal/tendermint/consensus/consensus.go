@@ -140,8 +140,9 @@ func (n *node) tally(m map[int32]*roundTally, round int32, validators int) *roun
 // pooledVote is a recyclable gossiped vote. Delivery closures capture
 // the wrapper and the generation at cast time; a recycled wrapper bumps
 // the generation, so stale deliveries drop without touching the reused
-// vote. Signature bytes are never pooled (Sign allocates fresh), so
-// commits and the verification cache can retain them safely.
+// vote. A cast vote carries no signature bytes: the cache signs its tuple
+// only when commit assembly asks, into a fresh slice the commit and the
+// cache share, so recycling a wrapper never touches a commit.
 type pooledVote struct {
 	v   types.Vote
 	gen uint64
@@ -166,9 +167,10 @@ type Engine struct {
 	// life, so every header reuses the one computation.
 	valsHash types.Hash
 
-	// votes is the chain's shared vote-verification engine: it signs
-	// every vote this engine casts and admits it, so only signatures the
-	// engine did not make are ever checked.
+	// votes is the chain's shared vote-verification engine: it admits
+	// every vote this engine casts, so only signatures the engine did not
+	// make are ever checked, and signs only the precommits a commit
+	// carries.
 	votes *votesig.Cache
 
 	// votePool recycles gossiped vote allocations. A cast vote stays
@@ -260,7 +262,8 @@ func (e *Engine) ValidatorSet() *types.ValidatorSet { return e.valset }
 
 // VoteCache exposes the chain's shared vote-verification engine. Light
 // clients tracking this chain pass it to VerifyCommitCached so commit
-// signatures admitted when castVote signed them are not re-verified.
+// signatures the cache made for castVote's admitted precommits are not
+// re-verified.
 func (e *Engine) VoteCache() *votesig.Cache { return e.votes }
 
 // PrimaryHost is the network host of the RPC-serving full node.
@@ -435,7 +438,8 @@ func (e *Engine) onProposal(n *node, msg *proposalMsg) {
 	e.maybeCommit(n, msg.round)
 }
 
-// castVote signs and gossips a vote.
+// castVote admits and gossips a vote; it stays unsigned unless a commit
+// carries it.
 func (e *Engine) castVote(n *node, vt types.SignedMsgType, h int64, r int32, blockID types.BlockID) {
 	switch vt {
 	case types.PrevoteType:
@@ -486,11 +490,12 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 		return
 	}
 	// Resolve the claimed validator in the canonical set, then verify the
-	// signature through the shared engine: a vote castVote signed was
-	// admitted at signing, so every receiver hits the cache and an honest
-	// run performs no ed25519 check at all. Forged, tampered and stranger
-	// votes are still rejected: only signed or verified tuples enter the
-	// cache, and a hit requires byte-identical signatures.
+	// signature through the shared engine: castVote admitted every vote
+	// it cast, so every receiver hits the cache and an honest run performs
+	// no ed25519 check at all. Forged, tampered and stranger votes are
+	// still rejected: only admitted or verified tuples enter the cache, an
+	// unsigned vote hits only an admitted tuple, and a vote with bytes
+	// hits only on byte-identical signatures.
 	val := e.valset.ByAddress(v.ValidatorAddress)
 	if val == nil {
 		return
@@ -624,9 +629,10 @@ func (e *Engine) commitCanonical(block *types.Block, n *node, r int32, id types.
 	e.committedHeight = block.Header.Height
 
 	// Assemble the canonical commit from the precommits this node saw.
-	// Vote signatures are value-copied slice headers: Sign allocates a
-	// fresh slice per vote, so retiring the pooled vote wrappers at the
-	// next height never touches a commit's bytes.
+	// These are the only vote signatures anything reads, so this is where
+	// the cache signs: Signature makes each admitted precommit's bytes
+	// once, into a fresh slice, so retiring the pooled vote wrappers at
+	// the next height never touches a commit's bytes.
 	rt := n.tally(n.precommits, r, len(e.nodes))
 	commit := &types.Commit{Height: block.Header.Height, Round: r, BlockID: id}
 	for i, val := range e.valset.Validators {
@@ -638,7 +644,7 @@ func (e *Engine) commitCanonical(block *types.Block, n *node, r int32, id types.
 				sig.Flag = types.BlockIDFlagNil
 			}
 			sig.Timestamp = v.Timestamp
-			sig.Signature = v.Signature
+			sig.Signature = e.votes.Signature(v)
 		}
 		commit.Signatures = append(commit.Signatures, sig)
 	}

@@ -350,9 +350,9 @@ func run7(t *testing.T) *harness {
 }
 
 // TestVoteVerificationPinnedLinear pins the shared engine's signature
-// work on an honest run to zero: every vote is admitted when castVote
-// signs it, so each of its V deliveries hits the cache and no ed25519
-// check is performed at all.
+// work on an honest run to zero: castVote admits every vote it casts,
+// so each of its V deliveries hits the cache and no ed25519 check is
+// performed at all.
 func TestVoteVerificationPinnedLinear(t *testing.T) {
 	const vals = 7
 	h := run7(t)
@@ -402,7 +402,7 @@ func TestReferencePathCountsQuadraticFanout(t *testing.T) {
 				continue
 			}
 			val := h.eng.valset.ByAddress(v.ValidatorAddress)
-			if !val.PubKey.Verify(types.VoteSignBytes("chain-a", v), v.Signature) {
+			if !val.PubKey.Verify(types.VoteSignBytes("chain-a", v), h.eng.votes.Signature(v)) {
 				t.Fatalf("cast vote %+v fails full verification", id)
 			}
 			verified[id] = true
@@ -425,10 +425,43 @@ func TestReferencePathCountsQuadraticFanout(t *testing.T) {
 	}
 }
 
+// TestSignsOnlyCommitSignatures pins the signing work of an honest run:
+// the cache signs exactly the precommits commit assembly copies into a
+// block's commit, and no prevote, late precommit or precommit of a round
+// that did not commit.
+func TestSignsOnlyCommitSignatures(t *testing.T) {
+	const vals = 7
+	h := run7(t)
+	var carried uint64
+	for height := int64(1); height <= h.store.Height(); height++ {
+		cb, err := h.store.Block(height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sig := range cb.Commit.Signatures {
+			if sig.Flag != types.BlockIDFlagAbsent {
+				carried++
+			}
+		}
+	}
+	st := h.eng.VoteCache().Stats()
+	if st.Signed != carried {
+		t.Fatalf("%d signatures made, %d non-absent commit signatures stored", st.Signed, carried)
+	}
+	// The run is shorter than the prune window: Size counts every vote cast.
+	cast := uint64(st.Size)
+	if 2*st.Signed > cast {
+		t.Fatalf("%d signatures made for %d votes cast, want at most half", st.Signed, cast)
+	}
+	if st.Hits != vals*cast || st.Verifications != 0 || st.Rejected != 0 {
+		t.Fatalf("%+v, want %d hits and no full check", st, vals*cast)
+	}
+}
+
 // TestEveryCommittedBlockVerifiesUncached replays every committed block
 // of an honest run through plain VerifyCommit (nil verifier): each commit
-// signature, admitted at signing without a check, gets a real ed25519
-// verification here.
+// signature, made by the cache at commit assembly and never checked, gets
+// a real ed25519 verification here.
 func TestEveryCommittedBlockVerifiesUncached(t *testing.T) {
 	h := run7(t)
 	for height := int64(1); height <= h.store.Height(); height++ {

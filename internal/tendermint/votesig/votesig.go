@@ -6,33 +6,38 @@
 // votes themselves are chain-global facts: a vote's sign bytes depend
 // only on (chainID, type, height, round, blockID) and its signature on
 // the validator's key. Every validator of a simulated chain lives in
-// this process, so the signer admits: SignVote signs the vote and
-// records its (validator, height, round, type, blockID) tuple together
-// with the exact signature bytes it produced. Every delivery of that
-// vote, and every light-client check of the commit signature it becomes,
-// hits the cache and skips the curve operation. Full ed25519 checks are
-// for signatures this process did not make.
+// this process, so the signer admits: SignVote records the vote's
+// (validator, height, round, type, blockID) tuple together with the key
+// that vouches for it, and leaves the vote without signature bytes. The
+// only bytes anything reads are the precommits commit assembly copies
+// into a block's commit; Signature makes them, once per tuple, when it is
+// asked. Prevotes, the precommits a commit does not carry and those of
+// rounds that never commit are never signed. ed25519 signing is
+// deterministic, so a late signature is byte-identical to an early one.
+// Full ed25519 checks are for signatures this process did not make.
 //
-// Safety: a hit has always ignored the public key it was handed and
-// trusted the admitted bytes — it only requires the candidate signature
-// to be byte-identical to the admitted one. What admission vouches for
-// used to be "verified under the valset key for that address"; admission
-// at signing replaces it by "produced by the private key whose public
-// half hashes to that address" (SignVote refuses any other address), and
-// an ed25519 signature made with a private key verifies under its public
-// half by construction. A tampered or forged signature over an admitted
-// tuple never short-circuits: it falls through to a full verification,
-// fails, and leaves the admitted entry alone. Foreign-chain, stranger and
-// pruned signatures get the full check too, and those that pass it are
-// admitted as before. Callers must resolve the public key from the
-// claimed validator address in the chain's canonical validator set,
-// otherwise an admitted tuple could vouch for a key it was never made
-// with or checked against.
+// Safety: a hit never consults the public key it is handed. A vote with
+// no signature bytes hits only a tuple SignVote admitted; a vote that
+// carries bytes hits only when they equal the admitted tuple's stored
+// signature. What admission vouches for is either "verified under the
+// valset key for that address" (a full check passed) or "signed on
+// demand by the private key whose public half hashes to that address"
+// (SignVote refuses any other address), and an ed25519 signature made
+// with a private key verifies under its public half by construction.
+// Everything else gets the full check: a tampered or forged signature
+// over an admitted tuple falls through to it, fails, and leaves the
+// admitted entry alone; foreign-chain, stranger and pruned signatures, and
+// unsigned votes whose tuple SignVote did not admit, get it too, and
+// signatures that pass it are admitted. Callers must resolve the public
+// key from the claimed validator address in the chain's canonical
+// validator set, otherwise an admitted tuple could vouch for a key it was
+// never made with or checked against.
 //
 // The same engine backs the batched VerifyCommit fast path: a block's
-// commit signatures are byte-for-byte the precommit votes SignVote
-// admitted, so light-client header verification skips them too
-// (types.ValidatorSet.VerifyCommitCached).
+// commit signatures are byte-for-byte the bytes Signature returned for
+// the precommits SignVote admitted, so light-client header verification
+// skips them too (types.ValidatorSet.VerifyCommitCached). The cross-chain
+// ReadOnly view never hits a vote without bytes.
 package votesig
 
 import (
@@ -54,17 +59,37 @@ type key struct {
 	BlockID   types.Hash
 }
 
+// entry is one admitted tuple. signer is set when SignVote admitted it;
+// sig is the stored signature: the verified bytes of a tuple a full check
+// admitted, or the bytes Signature made with signer (nil until asked).
+type entry struct {
+	signer *valkey.PrivKey
+	sig    []byte
+}
+
+// vouches applies the hit rule: a vote without bytes needs a tuple
+// SignVote admitted, a vote with bytes needs them equal to the stored ones.
+func (e entry) vouches(sig []byte) bool {
+	if len(sig) == 0 {
+		return e.signer != nil
+	}
+	return bytes.Equal(e.sig, sig)
+}
+
 // Stats reports the cache's verification counters.
 type Stats struct {
-	// Verifications counts full ed25519 checks performed: signatures
-	// SignVote did not make (foreign, forged, tampered, pruned). An honest
-	// run performs none.
+	// Verifications counts full ed25519 checks performed: votes the hit
+	// rule does not vouch for (foreign, forged, tampered, pruned, unsigned
+	// but never admitted). An honest run performs none.
 	Verifications uint64
 	// Hits counts verifications skipped because the identical vote was
 	// already admitted.
 	Hits uint64
 	// Rejected counts signatures that failed the full check.
 	Rejected uint64
+	// Signed counts ed25519 signatures made: one per admitted tuple whose
+	// bytes Signature was asked for.
+	Signed uint64
 	// Size is the number of admitted tuples currently retained.
 	Size int
 }
@@ -77,14 +102,14 @@ type Stats struct {
 type Cache struct {
 	mu       sync.RWMutex
 	chainID  string
-	admitted map[key][]byte // signed or verified tuple -> admitted signature bytes
-	buf      []byte         // pooled sign-bytes buffer (AppendVoteSignBytes)
+	admitted map[key]entry
+	buf      []byte // pooled sign-bytes buffer (AppendVoteSignBytes)
 	stats    Stats
 }
 
 // New creates the cache for one chain.
 func New(chainID string) *Cache {
-	return &Cache{chainID: chainID, admitted: make(map[key][]byte)}
+	return &Cache{chainID: chainID, admitted: make(map[key]entry)}
 }
 
 func keyOf(v *types.Vote) key {
@@ -97,28 +122,53 @@ func keyOf(v *types.Vote) key {
 	}
 }
 
-// SignVote signs v with key, stores the signature on the vote and admits
-// the vote's tuple with exactly those bytes, so no delivery of it is ever
-// verified. The signature slice is retained as returned by Sign (fresh
-// per call, never mutated). The vote must claim key's own address:
-// admission vouches for the address's key, so signing under any other
-// address is a programming error and panics.
+// SignVote admits v's tuple on behalf of key without signing it: v keeps
+// no signature bytes, every delivery of it hits the cache, and Signature
+// makes the bytes with key if something asks for them. The vote must
+// claim key's own address: admission vouches for the address's key, so
+// admitting under any other address is a programming error and panics.
 func (c *Cache) SignVote(key *valkey.PrivKey, v *types.Vote) {
 	if v.ValidatorAddress != key.Pub().Address() {
 		panic("votesig: SignVote for a validator address that is not the signing key's")
 	}
-	c.buf = types.AppendVoteSignBytes(c.buf[:0], c.chainID, v)
-	v.Signature = key.Sign(c.buf)
 	c.mu.Lock()
-	c.admitted[keyOf(v)] = v.Signature
+	c.admitted[keyOf(v)] = entry{signer: key}
 	c.mu.Unlock()
+}
+
+// Signature returns v's signature bytes: its own when it carries them,
+// otherwise the signature of the tuple SignVote admitted, made with the
+// admitting key the first time it is asked for and the same slice on
+// every later call (fresh per tuple, never mutated, so commits may retain
+// it). It panics for a vote without bytes whose tuple SignVote did not
+// admit, or was pruned: a commit must never hash an empty signature.
+func (c *Cache) Signature(v *types.Vote) []byte {
+	if len(v.Signature) > 0 {
+		return v.Signature
+	}
+	k := keyOf(v)
+	c.mu.RLock()
+	e := c.admitted[k]
+	c.mu.RUnlock()
+	if e.signer == nil {
+		panic("votesig: Signature of an unsigned vote whose tuple SignVote did not admit")
+	}
+	if e.sig == nil {
+		c.buf = types.AppendVoteSignBytes(c.buf[:0], c.chainID, v)
+		e.sig = e.signer.Sign(c.buf)
+		c.stats.Signed++
+		c.mu.Lock()
+		c.admitted[k] = e
+		c.mu.Unlock()
+	}
+	return e.sig
 }
 
 // VerifyVote implements types.VoteVerifier: it reports whether the vote's
 // signature is valid under pub, skipping the ed25519 check for a vote
-// SignVote produced and performing it at most once chain-wide for any
-// other distinct vote. Votes for a foreign chain ID never touch
-// the cache (they are verified directly) — a cache is bound to the chain
+// the hit rule vouches for and performing it at most once chain-wide for
+// any other distinct vote. Votes for a foreign chain ID never touch the
+// cache (they are verified directly) — a cache is bound to the chain
 // whose sign-bytes domain it admitted signatures under.
 func (c *Cache) VerifyVote(chainID string, v *types.Vote, pub valkey.PubKey) bool {
 	if chainID != c.chainID {
@@ -126,17 +176,18 @@ func (c *Cache) VerifyVote(chainID string, v *types.Vote, pub valkey.PubKey) boo
 	}
 	k := keyOf(v)
 	c.mu.RLock()
-	sig, ok := c.admitted[k]
+	e, ok := c.admitted[k]
 	c.mu.RUnlock()
-	if ok && bytes.Equal(sig, v.Signature) {
+	if ok && e.vouches(v.Signature) {
 		c.stats.Hits++
 		return true
 	}
 	if !c.fullVerify(chainID, v, pub) {
 		return false
 	}
+	e.sig = append([]byte(nil), v.Signature...)
 	c.mu.Lock()
-	c.admitted[k] = append([]byte(nil), v.Signature...)
+	c.admitted[k] = e
 	c.mu.Unlock()
 	return true
 }
@@ -175,11 +226,12 @@ func (c *Cache) Stats() Stats {
 }
 
 // ReadOnly is a cross-chain view of the cache for light-client paths
-// that run on another chain's partition: a hit requires an admitted
-// byte-identical signature (lock-guarded read), a miss falls back to a
-// full ed25519 check against a private sign-bytes buffer. It never
-// admits tuples and never touches the owner's counters, so the owning
-// engine's verification stats stay single-writer.
+// that run on another chain's partition: a hit requires signature bytes
+// equal to an admitted tuple's stored ones (lock-guarded read), so a vote
+// without bytes never hits; a miss falls back to a full ed25519 check
+// against a private sign-bytes buffer. It never admits tuples, never
+// signs and never touches the owner's counters, so the owning engine's
+// verification stats stay single-writer.
 type ReadOnly struct {
 	c   *Cache
 	buf []byte
@@ -192,11 +244,11 @@ func (c *Cache) ReadOnly() *ReadOnly { return &ReadOnly{c: c} }
 
 // VerifyVote implements types.VoteVerifier without mutating the cache.
 func (r *ReadOnly) VerifyVote(chainID string, v *types.Vote, pub valkey.PubKey) bool {
-	if chainID == r.c.chainID {
+	if chainID == r.c.chainID && len(v.Signature) > 0 {
 		k := keyOf(v)
 		r.c.mu.RLock()
-		sig, ok := r.c.admitted[k]
-		hit := ok && bytes.Equal(sig, v.Signature)
+		e, ok := r.c.admitted[k]
+		hit := ok && e.vouches(v.Signature)
 		r.c.mu.RUnlock()
 		if hit {
 			return true

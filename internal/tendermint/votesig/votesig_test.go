@@ -163,8 +163,8 @@ func TestPruneBelow(t *testing.T) {
 
 // --- admission at signing -----------------------------------------------------
 
-// signVote signs a vote through the cache, the way consensus.castVote
-// does.
+// signVote admits an unsigned vote through the cache, the way
+// consensus.castVote does.
 func signVote(c *votesig.Cache, key *valkey.PrivKey, vt types.SignedMsgType, h int64, r int32, id types.BlockID) *types.Vote {
 	v := unsignedVote(key, vt, h, r, id)
 	c.SignVote(key, v)
@@ -189,7 +189,7 @@ func TestSignedTupleSurvivesBadSignatures(t *testing.T) {
 	v := signVote(c, key, types.PrecommitType, 5, 0, types.BlockID{Hash: types.Hash{1}})
 
 	tampered := *v
-	tampered.Signature = append([]byte(nil), v.Signature...)
+	tampered.Signature = append([]byte(nil), c.Signature(v)...)
 	tampered.Signature[0] ^= 0x01
 	if c.VerifyVote(chainID, &tampered, key.Pub()) {
 		t.Fatal("bit-flipped signature accepted over a signed tuple")
@@ -235,6 +235,9 @@ func TestPrunedSignedTupleFallsBackToFullCheck(t *testing.T) {
 	c := votesig.New(chainID)
 	key := valkey.Derive(chainID, 0)
 	v := signVote(c, key, types.PrecommitType, 2, 0, types.BlockID{Hash: types.Hash{2}})
+	// A pruned tuple vouches for nothing: only a vote carrying the bytes a
+	// commit holds can still pass, through the full check.
+	v.Signature = c.Signature(v)
 	c.PruneBelow(3)
 	if st := c.Stats(); st.Size != 0 {
 		t.Fatalf("size after pruning = %d, want 0", st.Size)
@@ -253,6 +256,7 @@ func TestReadOnlyHitsSignedCommitShapedVote(t *testing.T) {
 	v := signVote(c, key, types.PrecommitType, 7, 1, types.BlockID{Hash: types.Hash{7}})
 	asCommitSig := *v
 	asCommitSig.Timestamp = 0
+	asCommitSig.Signature = c.Signature(v)
 	ro := c.ReadOnly()
 	// A hit never consults pub, a miss verifies under it: a key that cannot
 	// verify the signature tells the two apart.
@@ -270,8 +274,9 @@ func TestReadOnlyHitsSignedCommitShapedVote(t *testing.T) {
 }
 
 // TestSignVoteSignaturesVerifyByConstruction checks the claim admission
-// at signing rests on with real ed25519: every signature SignVote stores
-// verifies under the signer's public key over the vote's sign bytes.
+// at signing rests on with real ed25519: every signature Signature makes
+// for a tuple SignVote admitted verifies under the signer's public key
+// over the vote's sign bytes.
 func TestSignVoteSignaturesVerifyByConstruction(t *testing.T) {
 	c := votesig.New(chainID)
 	n := 0
@@ -282,7 +287,7 @@ func TestSignVoteSignaturesVerifyByConstruction(t *testing.T) {
 				for r := int32(0); r < 3; r++ {
 					for _, id := range []types.BlockID{{}, {Hash: types.Hash{byte(h), byte(r), 0xa5}}} {
 						v := signVote(c, key, vt, h*1000003, r, id)
-						if !key.Pub().Verify(types.VoteSignBytes(chainID, v), v.Signature) {
+						if !key.Pub().Verify(types.VoteSignBytes(chainID, v), c.Signature(v)) {
 							t.Fatalf("signature for key %d type %d h %d r %d id %x does not verify", ki, vt, v.Height, r, id.Hash[:3])
 						}
 						n++
@@ -307,8 +312,9 @@ func TestVerifyCommitCachedSkipsAdmittedSignatures(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := valkey.Derive(chainID, i)
 		vals[i] = &types.Validator{Address: key.Pub().Address(), PubKey: key.Pub(), VotingPower: 10}
-		v := mkVote(key, types.PrecommitType, 3, 1, blockID)
-		// The live vote path admits every precommit once.
+		// The engine admits every precommit it casts, every delivery hits,
+		// and commit assembly reads the bytes through Signature.
+		v := signVote(c, key, types.PrecommitType, 3, 1, blockID)
 		if !c.VerifyVote(chainID, v, key.Pub()) {
 			t.Fatalf("live precommit %d rejected", i)
 		}
@@ -316,7 +322,7 @@ func TestVerifyCommitCachedSkipsAdmittedSignatures(t *testing.T) {
 			Flag:             types.BlockIDFlagCommit,
 			ValidatorAddress: v.ValidatorAddress,
 			Timestamp:        v.Timestamp,
-			Signature:        v.Signature,
+			Signature:        c.Signature(v),
 		})
 	}
 	vs := types.NewValidatorSet(vals)
@@ -340,5 +346,82 @@ func TestVerifyCommitCachedSkipsAdmittedSignatures(t *testing.T) {
 	// An unregistered verifier (nil) still verifies the commit fully.
 	if err := vs.VerifyCommitCached(chainID, blockID, 3, commit, nil); err != nil {
 		t.Fatalf("nil-verifier commit verification failed: %v", err)
+	}
+}
+
+// --- signing on demand --------------------------------------------------------
+
+func TestSignatureSignsOnceOnDemand(t *testing.T) {
+	c := votesig.New(chainID)
+	key := valkey.Derive(chainID, 0)
+	v := signVote(c, key, types.PrecommitType, 4, 0, types.BlockID{Hash: types.Hash{4}})
+	if v.Signature != nil {
+		t.Fatal("SignVote left signature bytes on the vote")
+	}
+	for i := 0; i < 3; i++ {
+		if !c.VerifyVote(chainID, v, key.Pub()) {
+			t.Fatalf("unsigned admitted vote rejected on delivery %d", i)
+		}
+	}
+	if st := c.Stats(); st.Signed != 0 || st.Hits != 3 || st.Verifications != 0 {
+		t.Fatalf("deliveries of an admitted vote: %+v, want 0 signed, 3 hits, 0 verifications", st)
+	}
+	sig := c.Signature(v)
+	if want := key.Sign(types.VoteSignBytes(chainID, v)); string(sig) != string(want) {
+		t.Fatal("on-demand signature differs from an eager one")
+	}
+	if again := c.Signature(v); &again[0] != &sig[0] {
+		t.Fatal("second Signature call returned a different slice")
+	}
+	if st := c.Stats(); st.Signed != 1 {
+		t.Fatalf("signed = %d after two Signature calls, want 1", st.Signed)
+	}
+	// A vote that carries bytes is its own signature; nothing is signed.
+	own := mkVote(key, types.PrevoteType, 4, 0, types.BlockID{})
+	if got := c.Signature(own); &got[0] != &own.Signature[0] {
+		t.Fatal("Signature replaced a vote's own bytes")
+	}
+	if st := c.Stats(); st.Signed != 1 {
+		t.Fatalf("signed = %d, want 1", st.Signed)
+	}
+}
+
+// TestSignatureRequiresAdmittedTuple pins the guard that keeps commit
+// assembly from hashing an empty signature: an unsigned vote whose tuple
+// SignVote did not admit — never admitted, pruned, or admitted only by a
+// full check of someone else's bytes — has no signature to give.
+func TestSignatureRequiresAdmittedTuple(t *testing.T) {
+	key := valkey.Derive(chainID, 0)
+	id := types.BlockID{Hash: types.Hash{6}}
+	cases := map[string]func(c *votesig.Cache) *types.Vote{
+		"never admitted": func(c *votesig.Cache) *types.Vote {
+			return unsignedVote(key, types.PrecommitType, 6, 0, id)
+		},
+		"pruned": func(c *votesig.Cache) *types.Vote {
+			v := signVote(c, key, types.PrecommitType, 6, 0, id)
+			c.PruneBelow(7)
+			return v
+		},
+		"admitted by a full check": func(c *votesig.Cache) *types.Vote {
+			if !c.VerifyVote(chainID, mkVote(key, types.PrecommitType, 6, 0, id), key.Pub()) {
+				t.Fatal("valid vote rejected")
+			}
+			return unsignedVote(key, types.PrecommitType, 6, 0, id)
+		},
+	}
+	for name, mk := range cases {
+		t.Run(name, func(t *testing.T) {
+			c := votesig.New(chainID)
+			v := mk(c)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Signature returned bytes for an unsigned vote with no admitted tuple")
+				}
+				if st := c.Stats(); st.Signed != 0 {
+					t.Fatalf("refused Signature signed anyway: %+v", st)
+				}
+			}()
+			c.Signature(v)
+		})
 	}
 }
