@@ -21,7 +21,9 @@ check:
 # encoding/json in both directions, merkle.IncTree.Apply against the
 # full-rebuild merkle.NewTree, app.State's undo journal against a
 # map-copy-per-tx model, the scenario spec's parse ⇄ encode round trip,
-# and the sign-on-demand vote cache against an eager-signing model. A
+# the sign-on-demand vote cache against an eager-signing model, the
+# denom trace's parse ⇄ string and prefix round trips, and the
+# forward-memo parser's validation and round trip. A
 # failure leaves its input under the package's testdata/fuzz/; commit it
 # with the fix.
 fuzz:
@@ -31,6 +33,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStateJournal -fuzztime 10s ./internal/app
 	$(GO) test -run '^$$' -fuzz FuzzSpecRoundTrip -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzVoteCache -fuzztime 10s ./internal/tendermint/votesig
+	$(GO) test -run '^$$' -fuzz FuzzDenomTrace -fuzztime 10s ./internal/ibc/denom
+	$(GO) test -run '^$$' -fuzz FuzzParseMemo -fuzztime 10s ./internal/ibc/pfm
 
 # The host-cost benchmark (bench/, a module of its own that the targets
 # above skip): the full report over the five pinned workloads, and the

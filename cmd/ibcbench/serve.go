@@ -5,10 +5,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"ibcbench/internal/experiments"
@@ -17,7 +22,16 @@ import (
 	"ibcbench/internal/tracecheck"
 )
 
-// runServe starts the experiment service over a store directory:
+// Server timeouts. WriteTimeout stays unset: /debug/pprof/profile
+// streams for as many seconds as the client asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
+)
+
+// runServe starts the experiment service over a store directory until
+// SIGINT or SIGTERM:
 //
 //	ibcbench serve [-store DIR] [-addr HOST:PORT] [-pprof]
 func runServe(args []string, w io.Writer) error {
@@ -32,15 +46,38 @@ func runServe(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return serveStore(ctx, st, *addr, *pprofOn, w)
+}
+
+// serveStore serves st on addr until ctx is done, then shuts the server
+// down, letting in-flight requests finish for up to shutdownGrace. It
+// closes st when it returns.
+func serveStore(ctx context.Context, st *store.Store, addr string, pprofOn bool, w io.Writer) error {
 	defer st.Close()
 	srv := serve.New(st)
 	note := ""
-	if *pprofOn {
+	if pprofOn {
 		srv.EnablePprof()
 		note = " (pprof on)"
 	}
-	fmt.Fprintf(w, "ibcbench serve: %d archived run(s) in %s — http://%s/%s\n", len(st.Runs()), st.Dir(), *addr, note)
-	return http.ListenAndServe(*addr, srv)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	fmt.Fprintf(w, "ibcbench serve: %d archived run(s) in %s — http://%s/%s\n", len(st.Runs()), st.Dir(), ln.Addr(), note)
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	return hs.Shutdown(sctx)
 }
 
 // archiveRun ingests one result document into a local store; a non-nil

@@ -17,7 +17,6 @@ import (
 
 	"ibcbench/internal/experiments"
 	"ibcbench/internal/netem"
-	"ibcbench/internal/topo"
 )
 
 // runSweep executes the selected experiments:
@@ -40,7 +39,6 @@ func runSweep(args []string, w io.Writer) error {
 		parallel   = fs.Int("parallel", 0, "intra-run partitioned workers: split each simulation's chains over N OS workers with byte-identical results (0/1 = serial scheduler); also the worker count of -experiment meshscale")
 		out        = fs.String("out", "", "write every experiment's result as JSON to this file (cross-PR regression tracking)")
 		storeDir   = fs.String("store", "", "archive the result document (the -out payload) into this experiment-store directory; browse it with `ibcbench serve -store DIR`")
-		liveAddr   = fs.String("live", "", "stream live run telemetry to an `ibcbench serve` address (host:port) and archive the result there when the run completes")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	)
@@ -87,18 +85,14 @@ func runSweep(args []string, w io.Writer) error {
 			fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memProfile)
 		}()
 	}
-	var lc *liveClient
-	if *liveAddr != "" {
-		lc = newLiveClient(*liveAddr)
-		opt.Live = &topo.LiveConfig{Hook: lc.Hook}
-	}
 	selected, err := experiments.Select(*exp)
 	if err != nil {
 		return err
 	}
+	keep := *out != "" || *storeDir != ""
 	report := map[string]any{}
 	record := func(key string, v any) {
-		if *out != "" || *storeDir != "" || lc != nil {
+		if keep {
 			report[key] = v
 		}
 	}
@@ -119,7 +113,7 @@ func runSweep(args []string, w io.Writer) error {
 			return err
 		}
 	}
-	if *out != "" || *storeDir != "" || lc != nil {
+	if keep {
 		// The config header identifies what produced a result document;
 		// `ibcbench diff` warns field by field when comparing results whose
 		// headers disagree, and the store's trend/regression analysis treats
@@ -146,18 +140,6 @@ func runSweep(args []string, w io.Writer) error {
 			if err := archiveRun(*storeDir, "experiment", data, nil, os.Stderr); err != nil {
 				return err
 			}
-		}
-		if lc != nil {
-			meta := experiments.CaptureRunMeta()
-			id, created, err := lc.Finish("experiment", meta.Commit, data)
-			if err != nil {
-				return fmt.Errorf("live finish: %w", err)
-			}
-			note := ""
-			if !created {
-				note = " (already archived)"
-			}
-			fmt.Fprintf(os.Stderr, "live: archived run %s%s\n", id, note)
 		}
 	}
 	return nil

@@ -41,12 +41,6 @@ type Options struct {
 	// workers (0/1 = the serial scheduler). Results are byte-identical
 	// either way; see topo.DeployConfig.ParallelWorkers.
 	Parallel int
-	// Live publishes periodic progress snapshots of every topology-
-	// scenario run (nil = disabled; see topo.LiveConfig). Sweeps run
-	// seeds concurrently, so the hook must be safe for concurrent use.
-	// The hook is read-only on the deployment and never changes
-	// simulation results.
-	Live *topo.LiveConfig
 }
 
 func (o Options) seeds() int {
@@ -103,23 +97,12 @@ func grid[R any](opt Options, label string, variants int,
 // lowered and run once per cell.
 func specGrid(opt Options, label string, specs []scenario.Spec, seedOf func(variant, i int) int64) ([][]*topo.Result, error) {
 	return grid(opt, label, len(specs), seedOf, func(v int, seed int64) (*topo.Result, error) {
-		sc, err := opt.compile(specs[v])
+		sc, err := scenario.Compile(specs[v])
 		if err != nil {
 			return nil, err
 		}
 		return sc.Run(seed)
 	})
-}
-
-// compile lowers a driver-built spec. The live hook is attached
-// afterwards: it is a callback, not data a spec can carry.
-func (o Options) compile(s scenario.Spec) (topo.Scenario, error) {
-	sc, err := scenario.Compile(s)
-	if err != nil {
-		return topo.Scenario{}, err
-	}
-	sc.Deploy.Live = o.Live
-	return sc, nil
 }
 
 // topoSpec is the part every topology driver's spec shares: the preset

@@ -80,7 +80,7 @@ func MeshScale(opt Options, chains []int, workers int) (MeshScaleResult, error) 
 	out := MeshScaleResult{Workers: workers, Seeds: opt.seeds(), Windows: windows}
 
 	run := func(n, vals, rate, w int, seed int64) ([]byte, float64, float64, error) {
-		sc, err := opt.compile(scenario.Spec{
+		sc, err := scenario.Compile(scenario.Spec{
 			Name:     fmt.Sprintf("meshscale-%dx%d-r%d", n, vals, rate),
 			Topology: scenario.TopologySpec{Preset: fmt.Sprintf("mesh:%d", n)},
 			Deploy:   scenario.DeploySpec{Validators: vals, ParallelWorkers: w},

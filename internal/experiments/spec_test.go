@@ -10,6 +10,7 @@ import (
 
 	"ibcbench/internal/chaos"
 	"ibcbench/internal/geo"
+	"ibcbench/internal/scenario"
 	"ibcbench/internal/simconf"
 	"ibcbench/internal/topo"
 )
@@ -45,7 +46,7 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 				Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3}},
 			},
 			spec: func() (topo.Scenario, error) {
-				return topoOpt.compile(topologySpec(topoOpt, topo.Hub(3), "hub:3", 3, false))
+				return scenario.Compile(topologySpec(topoOpt, topo.Hub(3), "hub:3", 3, false))
 			},
 		},
 		{
@@ -55,7 +56,7 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 				Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3, Forwarded: true}},
 			},
 			spec: func() (topo.Scenario, error) {
-				return topoOpt.compile(topologySpec(topoOpt, topo.Hub(3), "hub:3", 3, true))
+				return scenario.Compile(topologySpec(topoOpt, topo.Hub(3), "hub:3", 3, true))
 			},
 		},
 		{
@@ -68,7 +69,7 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 				},
 			},
 			spec: func() (topo.Scenario, error) {
-				return Options{}.compile(forwardingSpec(Options{}, "line:3", []int{0, 1, 2}, 2))
+				return scenario.Compile(forwardingSpec(Options{}, "line:3", []int{0, 1, 2}, 2))
 			},
 		},
 		{
@@ -84,7 +85,7 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 			},
 			spec: func() (topo.Scenario, error) {
 				opt := Options{Windows: 2, Regions: "3wan"}
-				return opt.compile(failoverSpec(opt, "hub:2", 2, 30*time.Second))
+				return scenario.Compile(failoverSpec(opt, "hub:2", 2, 30*time.Second))
 			},
 		},
 		{
@@ -94,7 +95,7 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 				Deploy:    topo.DeployConfig{Validators: 8},
 				EdgeRates: uniform(topo.TwoChain(), 2), Windows: 4,
 			},
-			spec: func() (topo.Scenario, error) { return Options{}.compile(voteScaleSpec(Options{}, "two", 2, 8)) },
+			spec: func() (topo.Scenario, error) { return scenario.Compile(voteScaleSpec(Options{}, "two", 2, 8)) },
 		},
 	}
 	for _, c := range cases {

@@ -41,7 +41,7 @@ func TopologySweep(opt Options, spec string, rate int, forwarded bool) (Topology
 	if rate <= 0 {
 		return TopologyResult{}, fmt.Errorf("experiments: topology sweep needs a per-edge rate >= 1 (got %d)", rate)
 	}
-	sc, err := opt.compile(topologySpec(opt, tp, spec, rate, forwarded))
+	sc, err := scenario.Compile(topologySpec(opt, tp, spec, rate, forwarded))
 	if err != nil {
 		return TopologyResult{}, err
 	}

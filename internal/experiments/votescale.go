@@ -96,7 +96,7 @@ func VoteScale(opt Options, spec string, rate int, sizes []int) (VoteScaleResult
 	// wall-cost-vs-V curve (virtual metrics above are unaffected by
 	// contention, so they can come from the parallel sweep).
 	for i, s := range specs {
-		sc, err := opt.compile(s)
+		sc, err := scenario.Compile(s)
 		if err != nil {
 			return VoteScaleResult{}, err
 		}

@@ -100,10 +100,11 @@ func (t Trace) AddPrefix(port, channel string) Trace {
 
 // TrimPrefix returns the trace with the outermost hop removed, the
 // receiving chain's view of a token returning toward its source. Calling
-// it on a native trace returns the trace unchanged.
+// it on a native trace returns the trace unchanged; a trace it makes
+// native has nil Hops, as Parse gives it.
 func (t Trace) TrimPrefix() Trace {
-	if len(t.Hops) == 0 {
-		return t
+	if len(t.Hops) <= 1 {
+		return Trace{Base: t.Base}
 	}
 	return Trace{Hops: t.Hops[1:], Base: t.Base}
 }

@@ -252,17 +252,6 @@ func MergeCounts(counts ...map[Status]int) map[Status]int {
 	return out
 }
 
-// CompletedCount is a shortcut for the fully-completed tally.
-func (t *Tracker) CompletedCount() int {
-	n := 0
-	for key := range t.packets {
-		if t.StatusOf(key) == StatusCompleted {
-			n++
-		}
-	}
-	return n
-}
-
 // CompletedBetween counts packets fully completed in a time window.
 func (t *Tracker) CompletedBetween(from, to time.Duration) int {
 	n := 0

@@ -14,7 +14,6 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"strings"
-	"time"
 
 	"ibcbench/internal/traceview"
 )
@@ -137,12 +136,4 @@ func analyticsNav(b *strings.Builder, id, active string) {
 	}
 	fmt.Fprintf(b, "<p><a href=\"/runs/%s\">← run</a> · %s · %s</p>\n",
 		url.PathEscape(id), link("flame", "/flame"), link("critpath", "/critpath"))
-}
-
-// fmtAge renders how long ago a live entry last updated.
-func fmtAge(since time.Duration) string {
-	if since < time.Second {
-		return "just now"
-	}
-	return since.Truncate(time.Second).String() + " ago"
 }

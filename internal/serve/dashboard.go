@@ -15,7 +15,6 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-	"time"
 
 	"ibcbench/internal/resultdiff"
 	"ibcbench/internal/store"
@@ -83,9 +82,8 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		metrics = defaultMetricCandidates
 	}
 	var b strings.Builder
-	live := s.liveEntries()
 	var extra []string
-	if len(live) > 0 || s.queueBusy() {
+	if s.queueBusy() {
 		// Refresh only while something is in flight — a static archive
 		// page should not poll.
 		extra = append(extra, `<meta http-equiv=refresh content=3>`)
@@ -94,7 +92,6 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	runs := s.st.Runs()
 	fmt.Fprintf(&b, "<h1>ibcbench experiment service</h1>\n<p class=muted>%d archived run(s) in <code>%s</code></p>\n",
 		len(runs), html.EscapeString(s.st.Dir()))
-	liveSection(&b, live)
 	queueSection(&b, s.queueJobs())
 	b.WriteString(`<form class=metric method=get action=/>` +
 		`<input type=text name=metric placeholder="chart a metric path, e.g. topo.Sample.BlocksPerSec">` +
@@ -218,26 +215,6 @@ func runsTable(b *strings.Builder, runs []store.Meta) {
 			html.EscapeString(m.Commit), m.Seed, html.EscapeString(m.Time), trace)
 	}
 	b.WriteString("</table>\n")
-}
-
-// liveSection renders the in-flight runs currently publishing
-// telemetry (POST /api/live/update — the CLI's -live flag). Virtual
-// sim time advances much faster than the wall clock, so the row shows
-// both: simulated progress plus how recently the process reported.
-func liveSection(b *strings.Builder, live []liveEntry) {
-	if len(live) == 0 {
-		return
-	}
-	b.WriteString("<h2>Live runs</h2>\n")
-	b.WriteString("<table>\n<tr><th>scenario</th><th>seed</th><th>sim time</th><th>blocks</th><th>packets</th><th>backlog</th><th>updates</th><th>last update</th></tr>\n")
-	for _, e := range live {
-		st := e.Status
-		fmt.Fprintf(b, "<tr><td><code>%s</code></td><td>%d</td><td>%v</td><td>%d</td><td>%d / %d</td><td>%d</td><td>%d</td><td class=muted>%s</td></tr>\n",
-			html.EscapeString(st.Name), st.Seed, st.Now, st.Blocks,
-			st.Completed, st.Tracked, st.Backlog, e.Updates, html.EscapeString(fmtAge(time.Since(e.Updated))))
-	}
-	b.WriteString("</table>\n")
-	b.WriteString("<p class=muted>Updating every 3 s while runs are in flight; a finished run converts into an archived row below.</p>\n")
 }
 
 // queueSection renders the scenario-queue job log (POST /api/queue):

@@ -61,7 +61,7 @@ func (s *Server) queueJobs() []queueJob {
 }
 
 // queueBusy reports whether any job is still queued or running — the
-// dashboard polls while the worker is busy, like it does for live runs.
+// dashboard polls exactly while the worker is busy.
 func (s *Server) queueBusy() bool {
 	s.queue.mu.Lock()
 	defer s.queue.mu.Unlock()
@@ -120,7 +120,7 @@ func (s *Server) handleQueuePost(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(s.queue.ch) == cap(s.queue.ch) {
 		s.queue.mu.Unlock()
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("queue full (%d pending)", queueDepth))
+		writeErr(w, http.StatusTooManyRequests, fmt.Errorf("queue full (%d pending)", queueDepth))
 		return
 	}
 	job.ID = len(s.queue.jobs) + 1

@@ -3,9 +3,12 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"ibcbench/internal/scenario"
 )
 
 // quickSpec is a tiny scenario the queue worker can run in well under a
@@ -151,6 +154,54 @@ func TestQueueDashboardSection(t *testing.T) {
 		if !strings.Contains(page, want) {
 			t.Errorf("dashboard missing %q", want)
 		}
+	}
+	if strings.Contains(page, refreshMeta) {
+		t.Error("dashboard auto-refreshes with nothing in flight")
+	}
+}
+
+const refreshMeta = "http-equiv=refresh"
+
+// serveDirect answers one request in-process, against a server whose
+// queue worker was never started.
+func serveDirect(s *Server, method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return rec
+}
+
+// The dashboard refreshes exactly while a job is queued or running.
+func TestDashboardRefreshesWhileQueueBusy(t *testing.T) {
+	s := newServer(t)
+	job := &queueJob{ID: 1, Scenario: "pending", Status: "queued"}
+	s.queue.jobs = append(s.queue.jobs, job)
+	for _, status := range []string{"queued", "running", "done", "failed"} {
+		job.Status = status
+		page := serveDirect(s, http.MethodGet, "/", "").Body.String()
+		busy := status == "queued" || status == "running"
+		if got := strings.Contains(page, refreshMeta); got != busy {
+			t.Errorf("job %s: refresh meta present = %v, want %v", status, got, busy)
+		}
+	}
+}
+
+// A full queue answers 429 and accepts nothing.
+func TestQueueFullIs429(t *testing.T) {
+	s := newServer(t)
+	s.queue.specs = map[int]scenario.Spec{}
+	s.queue.ch = make(chan int, queueDepth)
+	for i := 0; i < queueDepth; i++ {
+		s.queue.ch <- i + 1
+	}
+	rec := serveDirect(s, http.MethodPost, "/api/queue", quickSpec)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("full queue: status %d, want 429 (%s)", rec.Code, rec.Body)
+	}
+	if jobs := s.queueJobs(); len(jobs) != 0 {
+		t.Errorf("rejected post left %d job(s) in the log", len(jobs))
+	}
+	if len(s.queue.ch) != queueDepth {
+		t.Errorf("queue holds %d ids, want %d", len(s.queue.ch), queueDepth)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"ibcbench/internal/resultdiff"
 	"ibcbench/internal/store"
@@ -23,21 +22,17 @@ import (
 // hundred KB; traces can reach tens of MB).
 const maxBodyBytes = 256 << 20
 
-// Server routes requests onto one open store, plus an in-memory
-// registry of live (in-flight) runs publishing telemetry (live.go).
+// Server routes requests onto one open store.
 type Server struct {
 	st  *store.Store
 	mux *http.ServeMux
-
-	liveMu sync.Mutex
-	live   map[string]*liveEntry
 
 	queue queueState
 }
 
 // New builds the HTTP handler over an open store.
 func New(st *store.Store) *Server {
-	s := &Server{st: st, mux: http.NewServeMux(), live: map[string]*liveEntry{}}
+	s := &Server{st: st, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /api/runs", s.handleRuns)
 	s.mux.HandleFunc("GET /api/runs/{id}", s.handleRun)
 	s.mux.HandleFunc("GET /api/runs/{id}/payload", s.handlePayload)
@@ -51,9 +46,6 @@ func New(st *store.Store) *Server {
 	s.mux.HandleFunc("GET /api/diff", s.handleDiff)
 	s.mux.HandleFunc("GET /api/queue", s.handleQueueList)
 	s.mux.HandleFunc("POST /api/queue", s.handleQueuePost)
-	s.mux.HandleFunc("GET /api/live", s.handleLiveList)
-	s.mux.HandleFunc("POST /api/live/update", s.handleLiveUpdate)
-	s.mux.HandleFunc("POST /api/live/finish", s.handleLiveFinish)
 	s.mux.HandleFunc("GET /runs/{id}", s.handleRunPage)
 	s.mux.HandleFunc("GET /runs/{id}/flame", s.handleFlamePage)
 	s.mux.HandleFunc("GET /runs/{id}/critpath", s.handleCritPathPage)

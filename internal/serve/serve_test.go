@@ -13,18 +13,23 @@ import (
 	"ibcbench/internal/store"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *store.Store) {
+// newServer builds a server over a fresh store closed at cleanup.
+func newServer(t *testing.T) *Server {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	ts := httptest.NewServer(New(st))
-	t.Cleanup(func() {
-		ts.Close()
-		st.Close()
-	})
-	return ts, st
+	t.Cleanup(func() { st.Close() })
+	return New(st)
+}
+
+func newTestServer(t *testing.T) (*httptest.Server, *store.Store) {
+	t.Helper()
+	s := newServer(t)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return ts, s.st
 }
 
 func doc(topology string, seed int, bps float64) string {

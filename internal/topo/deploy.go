@@ -45,12 +45,6 @@ type DeployConfig struct {
 	// per-deployment — sweeps run seeds concurrently — so experiment
 	// drivers leave it nil and only single-run trace exports set it.
 	Obs *obs.Obs
-	// Live publishes periodic progress snapshots of the running
-	// scenario (nil = disabled). The hook only reads deployment state —
-	// no RNG draws — so enabling it never changes simulation results;
-	// it does add ticker events to the scheduler, so the
-	// sim/events_processed counter moves when Obs is also attached.
-	Live *LiveConfig
 	// ParallelWorkers > 1 runs the simulation on the conservative
 	// parallel scheduler: one partition per chain (its consensus actors,
 	// app, RPC nodes, attached relayers and workload drivers), advancing

@@ -136,38 +136,6 @@ type Result struct {
 	Metrics *obs.Snapshot `json:",omitempty"`
 }
 
-// LiveConfig enables live run telemetry: Hook receives a progress
-// snapshot every Interval of virtual time (default 4 block intervals)
-// plus one final sample when the run deadline is reached. The hook
-// runs on the scheduler's goroutine during the simulation — it must
-// not call back into the deployment — and typically POSTs the status
-// to an experiment service's /api/live endpoint.
-type LiveConfig struct {
-	// Interval is the virtual-time publishing period (0 = default).
-	Interval time.Duration
-	// Hook consumes each snapshot.
-	Hook func(obs.LiveStatus)
-}
-
-// liveStatus samples the deployment's aggregate progress. Read-only:
-// chain heights and tracker counts, plus the registry snapshot when
-// instrumented.
-func (d *Deployment) liveStatus(name string, seed int64) obs.LiveStatus {
-	st := obs.LiveStatus{Name: name, Seed: seed, Now: d.Sched.Now()}
-	for _, c := range d.Chains {
-		st.Blocks += c.Store.Height()
-	}
-	for _, l := range d.Links {
-		st.Tracked += l.Tracker.Tracked()
-		st.Completed += l.Tracker.CompletedCount()
-	}
-	st.Backlog = st.Tracked - st.Completed
-	if d.Obs != nil {
-		st.Snapshot = d.Obs.Reg.Snapshot()
-	}
-	return st
-}
-
 // routeRun tracks one in-flight multi-hop route.
 type routeRun struct {
 	route Route
@@ -238,22 +206,9 @@ func (s Scenario) RunDeployed(seed int64) (*Result, *Deployment, error) {
 			return nil, nil, err
 		}
 	}
-	live := s.Deploy.Live
-	if live != nil && live.Hook != nil {
-		iv := live.Interval
-		if iv <= 0 {
-			iv = 4 * simconf.MinBlockInterval
-		}
-		d.Sched.Tick(iv, func(*sim.Ticker) { live.Hook(d.liveStatus(s.Name, seed)) })
-	}
 	d.Start()
 	if err := d.Run(s.deadline(windows)); err != nil {
 		return nil, nil, err
-	}
-	if live != nil && live.Hook != nil {
-		// One final sample so the last published state reflects the
-		// finished run rather than the last tick.
-		live.Hook(d.liveStatus(s.Name, seed))
 	}
 	res := s.analyze(d, seed, runs)
 	if inj != nil {

@@ -191,60 +191,6 @@ func TestObservedRunResultUnchanged(t *testing.T) {
 	}
 }
 
-// TestLiveHookSamplesAndResultUnchanged pins the live-telemetry
-// contract: the hook fires periodically plus once at the deadline with
-// monotone counters and a registry snapshot, and attaching it never
-// perturbs the simulation result (the hook reads state without RNG
-// draws — only the Metrics snapshot moves, because the telemetry
-// ticker itself is a scheduled event the sim counts).
-func TestLiveHookSamplesAndResultUnchanged(t *testing.T) {
-	var samples []obs.LiveStatus
-	o := obs.New()
-	sc := traceScenario(o)
-	sc.Deploy.Live = &LiveConfig{Hook: func(st obs.LiveStatus) {
-		samples = append(samples, st)
-	}}
-	res, err := sc.Run(23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) < 2 {
-		t.Fatalf("live hook fired %d time(s), want periodic samples plus the final one", len(samples))
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Now < samples[i-1].Now || samples[i].Blocks < samples[i-1].Blocks ||
-			samples[i].Tracked < samples[i-1].Tracked || samples[i].Completed < samples[i-1].Completed {
-			t.Fatalf("sample %d regressed: %+v after %+v", i, samples[i], samples[i-1])
-		}
-	}
-	last := samples[len(samples)-1]
-	if last.Name != "hub3-trace" || last.Seed != 23 {
-		t.Fatalf("final sample identity %q/%d", last.Name, last.Seed)
-	}
-	if last.Blocks == 0 || last.Tracked == 0 {
-		t.Fatalf("final sample saw no progress: %+v", last)
-	}
-	if last.Backlog != last.Tracked-last.Completed {
-		t.Fatalf("backlog %d != tracked %d - completed %d", last.Backlog, last.Tracked, last.Completed)
-	}
-	if last.Snapshot == nil {
-		t.Fatal("instrumented run's final sample carries no registry snapshot")
-	}
-
-	// Same seed without the hook: identical result modulo the snapshot.
-	o2 := obs.New()
-	bare, err := traceScenario(o2).Run(23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Metrics, bare.Metrics = nil, nil
-	got, _ := json.Marshal(res)
-	want, _ := json.Marshal(bare)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("live hook changed the run result:\n%s\n%s", got, want)
-	}
-}
-
 // TestFoldedCounters spot-checks the registry fold: chain heights,
 // relayer work and simulator totals all land in the snapshot.
 func TestFoldedCounters(t *testing.T) {
