@@ -289,9 +289,10 @@ func BenchmarkKeeperRecvAck(b *testing.B) {
 // took about 13 300 allocations and decoded once about 6 900; with the
 // packet handed over in the event and the ack and packet data read
 // without encoding/json about 4 400; with app.State writing through to
-// its map under an undo journal it takes 3 681.
+// its map under an undo journal 3 681; with every state key built on the
+// stack and copied only on its first insert it takes 2 012.
 func TestKeeperRecvAckAllocs(t *testing.T) {
-	const runs, ceiling = 5, 4050
+	const runs, ceiling = 5, 2020
 	r := newRecvAckRounds(t, runs+1) // AllocsPerRun adds a warm-up call
 	round := 0
 	got := testing.AllocsPerRun(runs, func() {
@@ -314,7 +315,7 @@ func BenchmarkStateCommit(b *testing.B) {
 	const preload, dirtyPerBlock = 4096, 32
 	seedState := func(s *app.State) {
 		for i := 0; i < preload; i++ {
-			s.Set(fmt.Sprintf("key/%05d", i), []byte(fmt.Sprintf("val-%d", i)))
+			s.Set(fmt.Appendf(nil, "key/%05d", i), fmt.Appendf(nil, "val-%d", i))
 		}
 		s.CommitTx()
 		s.Commit(1)
@@ -325,7 +326,7 @@ func BenchmarkStateCommit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for d := 0; d < dirtyPerBlock; d++ {
-				s.Set(fmt.Sprintf("key/%05d", (i*dirtyPerBlock+d*7)%preload), []byte(fmt.Sprintf("v%d", i)))
+				s.Set(fmt.Appendf(nil, "key/%05d", (i*dirtyPerBlock+d*7)%preload), fmt.Appendf(nil, "v%d", i))
 			}
 			s.CommitTx()
 			s.Commit(int64(i + 2))
@@ -355,8 +356,8 @@ func BenchmarkStateCommit(b *testing.B) {
 			// A block's realistic mix: new packet commitments plus balance
 			// updates.
 			for d := 0; d < dirtyPerBlock/2; d++ {
-				s.Set(fmt.Sprintf("commitments/%d/%d", i, d), []byte("c"))
-				s.Set(fmt.Sprintf("key/%05d", (i+d*11)%preload), []byte(fmt.Sprintf("v%d", i)))
+				s.Set(fmt.Appendf(nil, "commitments/%d/%d", i, d), []byte("c"))
+				s.Set(fmt.Appendf(nil, "key/%05d", (i+d*11)%preload), fmt.Appendf(nil, "v%d", i))
 			}
 			s.CommitTx()
 			s.Commit(int64(i + 2))
@@ -376,8 +377,8 @@ func BenchmarkStateCommit(b *testing.B) {
 		block := func(i int) {
 			for d := 0; d < inserts; d++ {
 				at := d * (preload / inserts)
-				s.Set(fmt.Sprintf("key/%05d/%d", at, i), []byte("c"))
-				s.Delete(fmt.Sprintf("key/%05d/%d", at, i-1))
+				s.Set(fmt.Appendf(nil, "key/%05d/%d", at, i), []byte("c"))
+				s.Delete(fmt.Appendf(nil, "key/%05d/%d", at, i-1))
 			}
 			s.CommitTx()
 			s.Commit(int64(i + 3))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -257,14 +258,14 @@ func TestTxSize(t *testing.T) {
 
 func TestStateSnapshotAndProofs(t *testing.T) {
 	s := NewState(true)
-	s.Set("a", []byte("1"))
-	s.Set("b", []byte("2"))
+	s.Set([]byte("a"), []byte("1"))
+	s.Set([]byte("b"), []byte("2"))
 	s.CommitTx()
 	root1 := s.Commit(1)
 
-	s.Set("b", []byte("3"))
-	s.Delete("a")
-	s.Set("c", []byte("4"))
+	s.Set([]byte("b"), []byte("3"))
+	s.Delete([]byte("a"))
+	s.Set([]byte("c"), []byte("4"))
 	s.CommitTx()
 	root2 := s.Commit(2)
 	if root1 == root2 {
@@ -296,12 +297,12 @@ func TestStateSnapshotAndProofs(t *testing.T) {
 
 func TestStateTxRollback(t *testing.T) {
 	s := NewState(false)
-	s.Set("k", []byte("committed"))
+	s.Set([]byte("k"), []byte("committed"))
 	s.CommitTx()
-	s.Set("k", []byte("staged"))
-	s.Delete("k2")
+	s.Set([]byte("k"), []byte("staged"))
+	s.Delete([]byte("k2"))
 	s.AbortTx()
-	if v, _ := s.Get("k"); string(v) != "committed" {
+	if v, _ := s.Get([]byte("k")); string(v) != "committed" {
 		t.Fatalf("k = %q after abort", v)
 	}
 }
@@ -313,26 +314,26 @@ func TestAbortRestoresOverwrittenAndDeletedKeys(t *testing.T) {
 	for _, fullProofs := range []bool{false, true} {
 		run := func(withAborted bool) *State {
 			s := NewState(fullProofs)
-			s.Set("keep", []byte("genesis"))
-			s.Set("gone", []byte("genesis"))
+			s.Set([]byte("keep"), []byte("genesis"))
+			s.Set([]byte("gone"), []byte("genesis"))
 			s.CommitTx()
 			s.Commit(1)
 
-			s.Set("keep", []byte("tx1")) // committed tx in the same block
-			s.Set("new", []byte("tx1"))
+			s.Set([]byte("keep"), []byte("tx1")) // committed tx in the same block
+			s.Set([]byte("new"), []byte("tx1"))
 			s.CommitTx()
 			if withAborted {
-				s.Set("keep", []byte("tx2"))  // overwrite
-				s.Set("keep", []byte("tx2b")) // ... twice
-				s.Delete("gone")              // delete
-				s.Set("gone", []byte("tx2"))  // re-create
-				s.Delete("new")               // delete what tx1 created
-				s.Delete("absent")            // delete of an absent key
-				s.Set("fresh", []byte("tx2")) // create
-				if v, _ := s.Get("keep"); string(v) != "tx2b" {
+				s.Set([]byte("keep"), []byte("tx2"))  // overwrite
+				s.Set([]byte("keep"), []byte("tx2b")) // ... twice
+				s.Delete([]byte("gone"))              // delete
+				s.Set([]byte("gone"), []byte("tx2"))  // re-create
+				s.Delete([]byte("new"))               // delete what tx1 created
+				s.Delete([]byte("absent"))            // delete of an absent key
+				s.Set([]byte("fresh"), []byte("tx2")) // create
+				if v, _ := s.Get([]byte("keep")); string(v) != "tx2b" {
 					t.Fatalf("in-tx read of keep = %q", v)
 				}
-				if s.Has("new") || !s.Has("fresh") {
+				if s.Has([]byte("new")) || !s.Has([]byte("fresh")) {
 					t.Fatal("in-tx writes not visible")
 				}
 				s.AbortTx()
@@ -342,11 +343,11 @@ func TestAbortRestoresOverwrittenAndDeletedKeys(t *testing.T) {
 		}
 		want, got := run(false), run(true)
 		for k, v := range map[string]string{"keep": "tx1", "gone": "genesis", "new": "tx1"} {
-			if g, ok := got.Get(k); !ok || string(g) != v {
+			if g, ok := got.Get([]byte(k)); !ok || string(g) != v {
 				t.Fatalf("fullProofs=%v: %s = %q, %v after abort, want %q", fullProofs, k, g, ok, v)
 			}
 		}
-		if got.Has("absent") || got.Has("fresh") || got.Len() != want.Len() {
+		if got.Has([]byte("absent")) || got.Has([]byte("fresh")) || got.Len() != want.Len() {
 			t.Fatalf("fullProofs=%v: aborted tx left keys behind (len %d, want %d)", fullProofs, got.Len(), want.Len())
 		}
 		// The non-proof root hashes the dirty keys themselves, the archive
@@ -374,7 +375,7 @@ func TestAbortRestoresOverwrittenAndDeletedKeys(t *testing.T) {
 
 func TestStateRootChainsWithoutProofs(t *testing.T) {
 	s := NewState(false)
-	s.Set("a", []byte("1"))
+	s.Set([]byte("a"), []byte("1"))
 	s.CommitTx()
 	r1 := s.Commit(1)
 	r2 := s.Commit(2) // empty block still advances the chain hash? no:
@@ -512,5 +513,20 @@ func TestEventFrameBytes(t *testing.T) {
 	over := EventFrameBytes(mkTxs(1000))
 	if over <= simconf.WebSocketMaxFrameBytes {
 		t.Fatalf("100,000 transfers = %d bytes, should exceed 16MiB", over)
+	}
+}
+
+// The bank's keys are built by append; they are pinned against the fmt
+// formatting they replaced, after a prefix the builder must keep.
+func TestKeysMatchFmtFormatting(t *testing.T) {
+	long := strings.Repeat("transfer/channel-0/", 8) + "uatom"
+	for _, id := range []string{"uatom", "", "a/b", long} {
+		var b [KeyBufLen]byte
+		if got, want := appendBalanceKey(append(b[:0], "dst/"...), id, id), fmt.Sprintf("dst/balances/%s/%s", id, id); string(got) != want {
+			t.Errorf("balance key = %q, want %q", got, want)
+		}
+		if got, want := appendSupplyKey(append(b[:0], "dst/"...), id), fmt.Sprintf("dst/supply/%s", id); string(got) != want {
+			t.Errorf("supply key = %q, want %q", got, want)
+		}
 	}
 }

@@ -37,13 +37,16 @@ func NewBank(state *State) *Bank {
 	return &Bank{state: state}
 }
 
-func balanceKey(account, denom string) string {
-	return "balances/" + account + "/" + denom
+func appendBalanceKey(dst []byte, account, denom string) []byte {
+	dst = append(append(append(dst, "balances/"...), account...), '/')
+	return append(dst, denom...)
 }
 
-func supplyKey(denom string) string { return "supply/" + denom }
+func appendSupplyKey(dst []byte, denom string) []byte {
+	return append(append(dst, "supply/"...), denom...)
+}
 
-func (b *Bank) getUint(key string) uint64 {
+func (b *Bank) getUint(key []byte) uint64 {
 	raw, ok := b.state.Get(key)
 	if !ok || len(raw) != 8 {
 		return 0
@@ -51,7 +54,7 @@ func (b *Bank) getUint(key string) uint64 {
 	return binary.BigEndian.Uint64(raw)
 }
 
-func (b *Bank) setUint(key string, v uint64) {
+func (b *Bank) setUint(key []byte, v uint64) {
 	if v == 0 {
 		b.state.Delete(key)
 		return
@@ -63,19 +66,27 @@ func (b *Bank) setUint(key string, v uint64) {
 
 // Balance reports an account's balance in one denomination.
 func (b *Bank) Balance(account, denom string) uint64 {
-	return b.getUint(balanceKey(account, denom))
+	var k [KeyBufLen]byte
+	return b.getUint(appendBalanceKey(k[:0], account, denom))
 }
 
 // Supply reports the total minted amount of a denomination.
-func (b *Bank) Supply(denom string) uint64 { return b.getUint(supplyKey(denom)) }
+func (b *Bank) Supply(denom string) uint64 {
+	var k [KeyBufLen]byte
+	return b.getUint(appendSupplyKey(k[:0], denom))
+}
+
+// add raises the amount under key by delta.
+func (b *Bank) add(key []byte, delta uint64) { b.setUint(key, b.getUint(key)+delta) }
 
 func (b *Bank) credit(account, denom string, amount uint64) {
-	key := balanceKey(account, denom)
-	b.setUint(key, b.getUint(key)+amount)
+	var k [KeyBufLen]byte
+	b.add(appendBalanceKey(k[:0], account, denom), amount)
 }
 
 func (b *Bank) debit(account, denom string, amount uint64) error {
-	key := balanceKey(account, denom)
+	var k [KeyBufLen]byte
+	key := appendBalanceKey(k[:0], account, denom)
 	have := b.getUint(key)
 	if have < amount {
 		return fmt.Errorf("%w: %s has %d%s, need %d", ErrInsufficientFunds,
@@ -88,7 +99,8 @@ func (b *Bank) debit(account, denom string, amount uint64) error {
 // Mint creates new supply credited to an account.
 func (b *Bank) Mint(account string, coin Coin) {
 	b.credit(account, coin.Denom, coin.Amount)
-	b.setUint(supplyKey(coin.Denom), b.Supply(coin.Denom)+coin.Amount)
+	var k [KeyBufLen]byte
+	b.add(appendSupplyKey(k[:0], coin.Denom), coin.Amount)
 }
 
 // Burn destroys supply debited from an account.
@@ -96,7 +108,9 @@ func (b *Bank) Burn(account string, coin Coin) error {
 	if err := b.debit(account, coin.Denom, coin.Amount); err != nil {
 		return err
 	}
-	b.setUint(supplyKey(coin.Denom), b.Supply(coin.Denom)-coin.Amount)
+	var k [KeyBufLen]byte
+	key := appendSupplyKey(k[:0], coin.Denom)
+	b.setUint(key, b.getUint(key)-coin.Amount)
 	return nil
 }
 

@@ -21,7 +21,7 @@ func TestGoldenRoots(t *testing.T) {
 		24: "eedb650ba87b14128f81ab6e448929cb6cc594e7c16298a47332656d8b37d275",
 	}
 	s := NewState(true)
-	key := func(i int) string { return fmt.Sprintf("key/%04d", i) }
+	key := func(i int) []byte { return fmt.Appendf(nil, "key/%04d", i) }
 	val := func(h, i int) []byte { return []byte(fmt.Sprintf("val-%d-%d", h, i)) }
 	for h := int64(1); h <= 24; h++ {
 		for i := 0; i < 3; i++ {
@@ -51,11 +51,11 @@ func TestCommitMatchesFullRebuild(t *testing.T) {
 	s := NewState(true)
 	shadow := make(map[string][]byte)
 	set := func(k string, v []byte) {
-		s.Set(k, v)
+		s.Set([]byte(k), v)
 		shadow[k] = v
 	}
 	del := func(k string) {
-		s.Delete(k)
+		s.Delete([]byte(k))
 		delete(shadow, k)
 	}
 	for h := int64(1); h <= 40; h++ {

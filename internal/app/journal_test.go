@@ -102,7 +102,9 @@ func (n *naiveState) commit(height int64, fullProofs bool) {
 // (often an absent key), 4 sets the key to the value it already has, the
 // rest set a fresh value. The 16-key space under two prefixes makes the
 // same key being written many times per transaction and per block, and
-// re-creation after a delete, routine.
+// re-creation after a delete, routine. Every key reaches the store through
+// one reused buffer that is scribbled over after each call (callerKeys),
+// so a store keeping caller key bytes anywhere diverges from the model.
 func FuzzStateJournal(f *testing.F) {
 	f.Add([]byte{5, 1, 5, 2, 1, 0, 0, 0, 5, 1, 3, 2, 5, 9, 2, 0, 0, 0})             // commit, then an aborted overwrite/delete/create
 	f.Add([]byte{5, 3, 1, 0, 5, 3, 3, 3, 5, 3, 3, 7, 2, 0, 4, 3, 1, 0, 0, 0})       // abort after a committed tx in the same block; equal-value set
@@ -112,7 +114,7 @@ func FuzzStateJournal(f *testing.F) {
 	key := func(b byte) string { return fmt.Sprintf("%c/k%02d", 'a'+b%2, b%16) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, fullProofs := range []bool{false, true} {
-			s, n := NewState(fullProofs), newNaiveState()
+			s, n, ck := NewState(fullProofs), newNaiveState(), &callerKeys{}
 			height := int64(0)
 			for i := 0; i+1 < len(data); i += 2 {
 				switch op, k := data[i]%8, key(data[i+1]); op {
@@ -132,27 +134,40 @@ func FuzzStateJournal(f *testing.F) {
 					s.AbortTx()
 					n.abortTx()
 				case 3:
-					s.Delete(k)
+					ck.do(k, s.Delete)
 					n.del(k)
 				case 4:
 					if v, ok := n.cur[k]; ok {
-						s.Set(k, []byte(v))
+						ck.do(k, func(b []byte) { s.Set(b, []byte(v)) })
 						n.set(k, v)
 					}
 				default:
 					v := fmt.Sprintf("v%d", i)
-					s.Set(k, []byte(v))
+					ck.do(k, func(b []byte) { s.Set(b, []byte(v)) })
 					n.set(k, v)
 				}
-				checkReads(t, s, n, key)
+				checkReads(t, s, n, ck, key)
 			}
 			checkHistory(t, s, n, fullProofs, 1)
 		}
 	})
 }
 
+// callerKeys hands the store each key in one reused buffer and scribbles
+// over the buffer after the call, as a caller building its keys on the
+// stack does: a store that kept those bytes in its map, journal or
+// full-proof archive would find its keys rewritten under it.
+type callerKeys struct{ buf [8]byte }
+
+func (c *callerKeys) do(k string, f func(key []byte)) {
+	f(append(c.buf[:0], k...))
+	for i := range c.buf {
+		c.buf[i] = '#'
+	}
+}
+
 // checkReads compares every read the store offers with the model.
-func checkReads(t *testing.T, s *State, n *naiveState, key func(byte) string) {
+func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys, key func(byte) string) {
 	t.Helper()
 	if s.Len() != len(n.cur) {
 		t.Fatalf("Len = %d, model %d", s.Len(), len(n.cur))
@@ -160,8 +175,12 @@ func checkReads(t *testing.T, s *State, n *naiveState, key func(byte) string) {
 	for b := byte(0); b < 16; b++ {
 		k := key(b)
 		want, wantOK := n.cur[k]
-		if got, ok := s.Get(k); ok != wantOK || string(got) != want || s.Has(k) != wantOK {
-			t.Fatalf("Get(%q) = %q, %v (Has %v), model %q, %v", k, got, ok, s.Has(k), want, wantOK)
+		var got []byte
+		var ok, has bool
+		ck.do(k, func(b []byte) { got, ok = s.Get(b) })
+		ck.do(k, func(b []byte) { has = s.Has(b) })
+		if ok != wantOK || string(got) != want || has != wantOK {
+			t.Fatalf("Get(%q) = %q, %v (Has %v), model %q, %v", k, got, ok, has, want, wantOK)
 		}
 	}
 	for _, prefix := range []string{"", "a/", "b/", "c/"} {
@@ -239,6 +258,36 @@ func checkHistory(t *testing.T, s *State, n *naiveState, fullProofs bool, from i
 			}
 			if err := merkle.VerifyMembership(n.roots[h-1], []byte(k), v, p); err != nil {
 				t.Fatalf("TreeAt(%d) membership of %q: %v", h, k, err)
+			}
+		}
+	}
+}
+
+// A read makes no string and a write makes one only when it inserts a
+// key: the map's own string is what the journal records for every later
+// write, and what AbortTx puts back.
+func TestStateKeyAllocs(t *testing.T) {
+	for _, fullProofs := range []bool{false, true} {
+		s := NewState(fullProofs)
+		s.Set([]byte("present"), []byte("v"))
+		s.CommitTx()
+		present, absent, v := []byte("present"), []byte("absent"), []byte("w")
+		for _, c := range []struct {
+			name string
+			want float64
+			f    func()
+		}{
+			{"Get of a present key", 0, func() { s.Get(present) }},
+			{"Get of an absent key", 0, func() { s.Get(absent) }},
+			{"Has of a present key", 0, func() { s.Has(present) }},
+			{"Has of an absent key", 0, func() { s.Has(absent) }},
+			// AbortTx keeps the journal at one entry and the map at one key.
+			{"Set of an existing key", 0, func() { s.Set(present, v); s.AbortTx() }},
+			{"Delete of an existing key", 0, func() { s.Delete(present); s.AbortTx() }},
+			{"Set of a new key", 1, func() { s.Set(absent, v); s.AbortTx() }},
+		} {
+			if got := testing.AllocsPerRun(100, c.f); got != c.want {
+				t.Errorf("fullProofs=%v: %s took %.0f allocations, want %.0f", fullProofs, c.name, got, c.want)
 			}
 		}
 	}

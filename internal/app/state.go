@@ -13,6 +13,11 @@ import (
 
 // State is the application's versioned key-value store.
 //
+// Keys are bytes the store copies, so a caller may build every key in one
+// reused buffer (see KeyBufLen): a lookup makes no string, and only the
+// first insert of a key makes the one string its map entry, journal
+// entries and archive share. Values the store owns (see Set and Get).
+//
 // The current data lives in a flat map and every write goes straight into
 // it, leaving one undo entry on the block's journal. A transaction is a
 // mark on that journal: committing it moves the mark, aborting it undoes
@@ -23,7 +28,7 @@ import (
 // per packet message against a given proof height, so tree construction
 // is amortized across thousands of proofs.
 type State struct {
-	data map[string][]byte
+	data map[string]slot
 
 	// journal holds one entry per write since the last Commit, oldest
 	// first; entries below txMark belong to committed transactions. It is
@@ -51,7 +56,21 @@ type State struct {
 	// treeNext is the slot the next one takes, evicting the oldest).
 	trees    [maxCachedTrees]cachedTree
 	treeNext int
+
+	hashBuf []byte // the bytes a non-proof Commit hashes, reused
 }
+
+// slot is one map entry: the value, and the key string every later write
+// of the key records in the journal.
+type slot struct {
+	key string
+	val []byte
+}
+
+// KeyBufLen sizes the stack buffer callers build a state key in; the
+// simulator's keys are about 60 bytes, and a longer one only costs the
+// append an allocation.
+const KeyBufLen = 128
 
 type cachedTree struct {
 	height int64
@@ -80,7 +99,7 @@ const maxCachedTrees = 4
 // NewState returns an empty store.
 func NewState(fullProofs bool) *State {
 	s := &State{
-		data:       make(map[string][]byte),
+		data:       make(map[string]slot),
 		root:       sha256.Sum256([]byte("ibcbench/genesis")),
 		fullProofs: fullProofs,
 	}
@@ -92,33 +111,41 @@ func NewState(fullProofs bool) *State {
 
 // Get reads a key, observing the executing transaction's writes. The
 // returned slice is the store's own: callers never write to it.
-func (s *State) Get(key string) ([]byte, bool) {
-	v, ok := s.data[key]
-	return v, ok
+func (s *State) Get(key []byte) ([]byte, bool) {
+	e, ok := s.data[string(key)]
+	return e.val, ok
 }
 
 // Has reports key presence.
-func (s *State) Has(key string) bool {
-	_, ok := s.data[key]
+func (s *State) Has(key []byte) bool {
+	_, ok := s.data[string(key)]
 	return ok
 }
 
 // Set writes a key for the executing transaction. The store owns value
 // from here on (it is kept by reference, here and in the journal), so the
 // caller hands over a slice nothing else will write to.
-func (s *State) Set(key string, value []byte) {
-	prior, had := s.data[key]
-	s.journal = append(s.journal, undo{key, prior, had})
-	s.data[key] = value
+func (s *State) Set(key, value []byte) {
+	k := s.write(key)
+	s.data[k] = slot{k, value}
 }
 
 // Delete removes a key for the executing transaction. Like a Set of an
 // equal value, a Delete of an absent key still marks the key changed in
 // this block.
-func (s *State) Delete(key string) {
-	prior, had := s.data[key]
-	s.journal = append(s.journal, undo{key, prior, had})
-	delete(s.data, key)
+func (s *State) Delete(key []byte) {
+	delete(s.data, s.write(key))
+}
+
+// write journals what a write of key replaces and returns the key as the
+// store owns it: the map's string, or a copy made on first insert.
+func (s *State) write(key []byte) string {
+	e, had := s.data[string(key)]
+	if !had {
+		e.key = string(key)
+	}
+	s.journal = append(s.journal, undo{e.key, e.val, had})
+	return e.key
 }
 
 // CommitTx keeps the writes of a successful transaction.
@@ -126,15 +153,16 @@ func (s *State) CommitTx() { s.txMark = len(s.journal) }
 
 // AbortTx undoes the writes of a failed transaction.
 func (s *State) AbortTx() {
-	rollback(s.data, s.journal[s.txMark:])
+	rollback(s.data, s.journal[s.txMark:], func(e *undo) slot { return slot{e.key, e.prior} })
 	s.journal = s.journal[:s.txMark]
 }
 
-// rollback undoes entries over m, newest first.
-func rollback(m map[string][]byte, entries []undo) {
+// rollback undoes entries over m, newest first; val is the map value that
+// puts an entry's prior value back.
+func rollback[V any](m map[string]V, entries []undo, val func(*undo) V) {
 	for i := len(entries) - 1; i >= 0; i-- {
 		if e := &entries[i]; e.had {
-			m[e.key] = e.prior
+			m[e.key] = val(e)
 		} else {
 			delete(m, e.key)
 		}
@@ -160,8 +188,8 @@ func (s *State) Commit(height int64) merkle.Hash {
 		// merkle.IncTree states what a block costs instead.
 		edits := make([]merkle.Edit, len(keys))
 		for i, k := range keys {
-			v, ok := s.data[k]
-			edits[i] = merkle.Edit{Key: k, Value: v, Delete: !ok}
+			e, ok := s.data[k]
+			edits[i] = merkle.Edit{Key: k, Value: e.val, Delete: !ok}
 		}
 		s.root = s.live.Apply(edits)
 		// Archive each key's oldest entry, its pre-block value: walking
@@ -171,21 +199,19 @@ func (s *State) Commit(height int64) merkle.Hash {
 			prior[sort.SearchStrings(keys, s.journal[i].key)] = s.journal[i]
 		}
 	} else {
-		// Chain the sorted block changes onto the previous root.
-		h := sha256.New()
-		h.Write(s.root[:])
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(height))
-		h.Write(n[:])
+		// Chain the sorted block changes onto the previous root, hashed
+		// in one piece from the reused buffer.
+		b := append(s.hashBuf[:0], s.root[:]...)
+		b = binary.BigEndian.AppendUint64(b, uint64(height))
 		for _, k := range keys {
-			h.Write([]byte(k))
-			if v, ok := s.data[k]; ok {
-				h.Write(v)
+			b = append(b, k...)
+			if e, ok := s.data[k]; ok {
+				b = append(b, e.val...)
 			} else {
-				h.Write([]byte{0xff})
+				b = append(b, 0xff)
 			}
 		}
-		copy(s.root[:], h.Sum(nil))
+		s.root, s.hashBuf = sha256.Sum256(b), b
 	}
 	s.commits = append(s.commits, commitRecord{height: height, root: s.root, prior: prior})
 	s.journal, s.txMark = s.journal[:0], 0 // the buffer is reused by the next block
@@ -223,12 +249,13 @@ func (s *State) snapshotAt(height int64) (map[string][]byte, error) {
 		return nil, err
 	}
 	snap := make(map[string][]byte, len(s.data))
-	for k, v := range s.data {
-		snap[k] = v
+	for k, e := range s.data {
+		snap[k] = e.val
 	}
-	rollback(snap, s.journal) // the open block's writes, if one is executing
+	prior := func(e *undo) []byte { return e.prior }
+	rollback(snap, s.journal, prior) // the open block's writes, if one is executing
 	for i := len(s.commits) - 1; i >= 0 && s.commits[i].height > height; i-- {
-		rollback(snap, s.commits[i].prior)
+		rollback(snap, s.commits[i].prior, prior)
 	}
 	return snap, nil
 }
@@ -292,7 +319,7 @@ func (s *State) RangePrefix(prefix string, fn func(key string, value []byte) boo
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if !fn(k, s.data[k]) {
+		if !fn(k, s.data[k].val) {
 			return
 		}
 	}

@@ -247,11 +247,13 @@ func LinkAt(a, b *Chain, ordA, ordB int) *Pair {
 // The seeding helpers write the same stored objects the handshake would.
 
 func setClient(ctx *app.Context, clientID string, st ibc.ClientState) {
-	mustSet(ctx, ibc.ClientStateKey(clientID), st)
+	var b [app.KeyBufLen]byte
+	mustSet(ctx, ibc.AppendClientStateKey(b[:0], clientID), st)
 }
 
 func setConnection(ctx *app.Context, connID, clientID, cpConnID, cpClientID string) {
-	mustSet(ctx, ibc.ConnectionKey(connID), ibc.ConnectionEnd{
+	var b [app.KeyBufLen]byte
+	mustSet(ctx, ibc.AppendConnectionKey(b[:0], connID), ibc.ConnectionEnd{
 		State:                ibc.StateOpen,
 		ClientID:             clientID,
 		CounterpartyConnID:   cpConnID,
@@ -260,7 +262,8 @@ func setConnection(ctx *app.Context, connID, clientID, cpConnID, cpClientID stri
 }
 
 func setChannel(ctx *app.Context, port, channel, connID, cpChannel string) {
-	mustSet(ctx, ibc.ChannelKey(port, channel), ibc.ChannelEnd{
+	var b [app.KeyBufLen]byte
+	mustSet(ctx, ibc.AppendChannelKey(b[:0], port, channel), ibc.ChannelEnd{
 		State:            ibc.StateOpen,
 		Ordering:         ibc.Unordered,
 		CounterpartyPort: port,
@@ -268,10 +271,10 @@ func setChannel(ctx *app.Context, port, channel, connID, cpChannel string) {
 		ConnectionID:     connID,
 		Version:          "ics20-1",
 	})
-	ctx.State.Set(ibc.NextSequenceSendKey(port, channel), []byte("1"))
+	ctx.State.Set(ibc.AppendNextSequenceSendKey(b[:0], port, channel), []byte("1"))
 }
 
-func mustSet(ctx *app.Context, key string, v any) {
+func mustSet(ctx *app.Context, key []byte, v any) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		panic(err)

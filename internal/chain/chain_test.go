@@ -40,7 +40,7 @@ func TestNewAssemblesComponents(t *testing.T) {
 
 func channelEnd(t *testing.T, c *Chain, port, channel string) ibc.ChannelEnd {
 	t.Helper()
-	raw, ok := c.App.State().Get(ibc.ChannelKey(port, channel))
+	raw, ok := c.App.State().Get(ibc.AppendChannelKey(nil, port, channel))
 	if !ok {
 		t.Fatalf("%s: channel %s/%s not seeded", c.ID, port, channel)
 	}
@@ -67,8 +67,8 @@ func TestLinkSeedsBothEnds(t *testing.T) {
 	if endA.CounterpartyChan != p.ChannelBA || endB.CounterpartyChan != p.ChannelAB {
 		t.Fatalf("counterparty channels wrong: %+v / %+v", endA, endB)
 	}
-	if !a.App.State().Has(ibc.ClientStateKey(p.ClientOnA)) ||
-		!b.App.State().Has(ibc.ClientStateKey(p.ClientOnB)) {
+	if !a.App.State().Has(ibc.AppendClientStateKey(nil, p.ClientOnA)) ||
+		!b.App.State().Has(ibc.AppendClientStateKey(nil, p.ClientOnB)) {
 		t.Fatal("clients not seeded")
 	}
 }

@@ -111,12 +111,12 @@ const memoCap = 1024
 // value is returned by value, so a memo hit allocates nothing and the
 // caller owns what it gets (a shallow copy: slices inside it, such as
 // ClientState.Validators, are shared and must not be written to).
-func getJSON[T any](k *Keeper, ctx *app.Context, key string) (zero T, ok bool) {
+func getJSON[T any](k *Keeper, ctx *app.Context, key []byte) (zero T, ok bool) {
 	raw, ok := ctx.State.Get(key)
 	if !ok {
 		return zero, false
 	}
-	if e, ok := k.memo[key]; ok && bytes.Equal(e.raw, raw) {
+	if e, ok := k.memo[string(key)]; ok && bytes.Equal(e.raw, raw) {
 		return *e.val.(*T), true // a key always holds the same object type
 	}
 	v := new(T)
@@ -128,11 +128,11 @@ func getJSON[T any](k *Keeper, ctx *app.Context, key string) (zero T, ok bool) {
 	}
 	// The store owns its values and nobody writes to a stored slice (the
 	// rule on State.Set and State.Get), so raw can be kept by reference.
-	k.memo[key] = memoEntry{raw: raw, val: v}
+	k.memo[string(key)] = memoEntry{raw: raw, val: v}
 	return *v, true
 }
 
-func setJSON(ctx *app.Context, key string, v any) {
+func setJSON(ctx *app.Context, key []byte, v any) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		// Stored objects are plain structs; marshal cannot fail.
@@ -143,7 +143,8 @@ func setJSON(ctx *app.Context, key string, v any) {
 
 // Client returns a stored client state.
 func (k *Keeper) Client(ctx *app.Context, clientID string) (ClientState, error) {
-	cs, ok := getJSON[ClientState](k, ctx, ClientStateKey(clientID))
+	var b [app.KeyBufLen]byte
+	cs, ok := getJSON[ClientState](k, ctx, AppendClientStateKey(b[:0], clientID))
 	if !ok {
 		return cs, fmt.Errorf("%w: %s", ErrClientNotFound, clientID)
 	}
@@ -152,7 +153,8 @@ func (k *Keeper) Client(ctx *app.Context, clientID string) (ClientState, error) 
 
 // Consensus returns a stored consensus state at a height.
 func (k *Keeper) Consensus(ctx *app.Context, clientID string, height int64) (ConsensusState, error) {
-	cs, ok := getJSON[ConsensusState](k, ctx, ConsensusStateKey(clientID, height))
+	var b [app.KeyBufLen]byte
+	cs, ok := getJSON[ConsensusState](k, ctx, AppendConsensusStateKey(b[:0], clientID, height))
 	if !ok {
 		return cs, fmt.Errorf("%w: client %s height %d", ErrConsensusNotFound, clientID, height)
 	}
@@ -161,7 +163,8 @@ func (k *Keeper) Consensus(ctx *app.Context, clientID string, height int64) (Con
 
 // Channel returns a stored channel end.
 func (k *Keeper) Channel(ctx *app.Context, port, channel string) (ChannelEnd, error) {
-	ch, ok := getJSON[ChannelEnd](k, ctx, ChannelKey(port, channel))
+	var b [app.KeyBufLen]byte
+	ch, ok := getJSON[ChannelEnd](k, ctx, AppendChannelKey(b[:0], port, channel))
 	if !ok {
 		return ch, fmt.Errorf("%w: %s/%s", ErrChannelNotFound, port, channel)
 	}
@@ -170,7 +173,8 @@ func (k *Keeper) Channel(ctx *app.Context, port, channel string) (ChannelEnd, er
 
 // Connection returns a stored connection end.
 func (k *Keeper) Connection(ctx *app.Context, connID string) (ConnectionEnd, error) {
-	c, ok := getJSON[ConnectionEnd](k, ctx, ConnectionKey(connID))
+	var b [app.KeyBufLen]byte
+	c, ok := getJSON[ConnectionEnd](k, ctx, AppendConnectionKey(b[:0], connID))
 	if !ok {
 		return c, fmt.Errorf("%w: %s", ErrConnectionNotFound, connID)
 	}
@@ -195,8 +199,9 @@ func (k *Keeper) clientForChannel(ctx *app.Context, port, channel string) (strin
 
 // verifyMembership checks a counterparty state inclusion proof against
 // the consensus root at proofHeight. With proofs disabled (performance
-// mode) it only checks the consensus state exists.
-func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, key string, value []byte, proof *Proof) error {
+// mode) it only checks the consensus state exists, and key and value go
+// unread.
+func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, key, value []byte, proof *Proof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
@@ -205,16 +210,16 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 		return nil
 	}
 	if proof == nil || proof.Membership == nil {
-		return fmt.Errorf("%w: missing membership proof for %s", ErrProofVerify, key)
+		return fmt.Errorf("%w: missing membership proof for %s", ErrProofVerify, string(key))
 	}
-	if err := merkle.VerifyMembership(cons.Root, []byte(key), value, proof.Membership); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrProofVerify, key, err)
+	if err := merkle.VerifyMembership(cons.Root, key, value, proof.Membership); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrProofVerify, string(key), err)
 	}
 	return nil
 }
 
 // verifyNonMembership checks a counterparty absence proof.
-func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, key string, proof *Proof) error {
+func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, key []byte, proof *Proof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
@@ -223,10 +228,10 @@ func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHei
 		return nil
 	}
 	if proof == nil || proof.NonMembership == nil {
-		return fmt.Errorf("%w: missing non-membership proof for %s", ErrProofVerify, key)
+		return fmt.Errorf("%w: missing non-membership proof for %s", ErrProofVerify, string(key))
 	}
-	if err := merkle.VerifyNonMembership(cons.Root, []byte(key), proof.NonMembership); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrProofVerify, key, err)
+	if err := merkle.VerifyNonMembership(cons.Root, key, proof.NonMembership); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrProofVerify, string(key), err)
 	}
 	return nil
 }
@@ -245,17 +250,17 @@ func (k *Keeper) handle(ctx *app.Context, msg app.Msg) error {
 	case MsgConnOpenTry:
 		return k.connOpenTry(ctx, m)
 	case MsgConnOpenAck:
-		return k.connOpenAck(ctx, m)
+		return k.openConnection(ctx, m.ConnID, StateInit, StateTryOpen, m.ProofHeight, m.ProofTry)
 	case MsgConnOpenConfirm:
-		return k.connOpenConfirm(ctx, m)
+		return k.openConnection(ctx, m.ConnID, StateTryOpen, StateOpen, m.ProofHeight, m.ProofAck)
 	case MsgChanOpenInit:
 		return k.chanOpenInit(ctx, m)
 	case MsgChanOpenTry:
 		return k.chanOpenTry(ctx, m)
 	case MsgChanOpenAck:
-		return k.chanOpenAck(ctx, m)
+		return k.openChannel(ctx, m.Port, m.Channel, StateInit, StateTryOpen, m.ProofHeight, m.ProofTry)
 	case MsgChanOpenConfirm:
-		return k.chanOpenConfirm(ctx, m)
+		return k.openChannel(ctx, m.Port, m.Channel, StateTryOpen, StateOpen, m.ProofHeight, m.ProofAck)
 	case MsgRecvPacket:
 		return k.recvPacket(ctx, m)
 	case MsgAcknowledgement:
@@ -270,13 +275,15 @@ func (k *Keeper) handle(ctx *app.Context, msg app.Msg) error {
 // --- clients -----------------------------------------------------------------
 
 func (k *Keeper) createClient(ctx *app.Context, m MsgCreateClient) error {
-	if ctx.State.Has(ClientStateKey(m.ClientID)) {
+	var b [app.KeyBufLen]byte
+	key := AppendClientStateKey(b[:0], m.ClientID)
+	if ctx.State.Has(key) {
 		return fmt.Errorf("ibc: client %s exists", m.ClientID)
 	}
 	st := m.State
 	st.LatestHeight = m.InitialHeight
-	setJSON(ctx, ClientStateKey(m.ClientID), st)
-	setJSON(ctx, ConsensusStateKey(m.ClientID, m.InitialHeight), m.InitialConsensus)
+	setJSON(ctx, key, st)
+	setJSON(ctx, AppendConsensusStateKey(b[:0], m.ClientID, m.InitialHeight), m.InitialConsensus)
 	return nil
 }
 
@@ -310,11 +317,12 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 			return fmt.Errorf("ibc: header verification: %w", err)
 		}
 	}
+	var b [app.KeyBufLen]byte
 	if hdr.Height > cs.LatestHeight {
 		cs.LatestHeight = hdr.Height
-		setJSON(ctx, ClientStateKey(m.ClientID), cs)
+		setJSON(ctx, AppendClientStateKey(b[:0], m.ClientID), cs)
 	}
-	setJSON(ctx, ConsensusStateKey(m.ClientID, hdr.Height), ConsensusState{
+	setJSON(ctx, AppendConsensusStateKey(b[:0], m.ClientID, hdr.Height), ConsensusState{
 		Root:      hdr.AppHash,
 		Timestamp: hdr.Time,
 	})
@@ -324,13 +332,15 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 // --- connection handshake ------------------------------------------------------
 
 func (k *Keeper) connOpenInit(ctx *app.Context, m MsgConnOpenInit) error {
-	if ctx.State.Has(ConnectionKey(m.ConnID)) {
+	var b [app.KeyBufLen]byte
+	key := AppendConnectionKey(b[:0], m.ConnID)
+	if ctx.State.Has(key) {
 		return fmt.Errorf("ibc: connection %s exists", m.ConnID)
 	}
 	if _, err := k.Client(ctx, m.ClientID); err != nil {
 		return err
 	}
-	setJSON(ctx, ConnectionKey(m.ConnID), ConnectionEnd{
+	setJSON(ctx, key, ConnectionEnd{
 		State:                StateInit,
 		ClientID:             m.ClientID,
 		CounterpartyConnID:   m.CounterpartyConnID,
@@ -351,11 +361,12 @@ func (k *Keeper) connOpenTry(ctx *app.Context, m MsgConnOpenTry) error {
 		CounterpartyClientID: m.ClientID,
 	}
 	raw, _ := json.Marshal(expected)
+	var b [app.KeyBufLen]byte
 	if err := k.verifyMembership(ctx, m.ClientID, m.ProofHeight,
-		ConnectionKey(m.CounterpartyConnID), raw, m.ProofInit); err != nil {
+		AppendConnectionKey(b[:0], m.CounterpartyConnID), raw, m.ProofInit); err != nil {
 		return err
 	}
-	setJSON(ctx, ConnectionKey(m.ConnID), ConnectionEnd{
+	setJSON(ctx, AppendConnectionKey(b[:0], m.ConnID), ConnectionEnd{
 		State:                StateTryOpen,
 		ClientID:             m.ClientID,
 		CounterpartyConnID:   m.CounterpartyConnID,
@@ -364,58 +375,40 @@ func (k *Keeper) connOpenTry(ctx *app.Context, m MsgConnOpenTry) error {
 	return nil
 }
 
-func (k *Keeper) connOpenAck(ctx *app.Context, m MsgConnOpenAck) error {
-	conn, err := k.Connection(ctx, m.ConnID)
+// openConnection finishes the connection handshake on one end (ack on
+// the INIT end, confirm on the TRYOPEN end): the end must be in state
+// from, and the counterparty must prove its end in state cp.
+func (k *Keeper) openConnection(ctx *app.Context, connID string, from, cp HandshakeState, proofHeight int64, proof *Proof) error {
+	conn, err := k.Connection(ctx, connID)
 	if err != nil {
 		return err
 	}
-	if conn.State != StateInit {
-		return fmt.Errorf("%w: connection %s in state %d", ErrInvalidHandshake, m.ConnID, conn.State)
+	if conn.State != from {
+		return fmt.Errorf("%w: connection %s in state %d", ErrInvalidHandshake, connID, conn.State)
 	}
 	expected := ConnectionEnd{
-		State:                StateTryOpen,
+		State:                cp,
 		ClientID:             conn.CounterpartyClientID,
-		CounterpartyConnID:   m.ConnID,
+		CounterpartyConnID:   connID,
 		CounterpartyClientID: conn.ClientID,
 	}
 	raw, _ := json.Marshal(expected)
-	if err := k.verifyMembership(ctx, conn.ClientID, m.ProofHeight,
-		ConnectionKey(conn.CounterpartyConnID), raw, m.ProofTry); err != nil {
+	var b [app.KeyBufLen]byte
+	if err := k.verifyMembership(ctx, conn.ClientID, proofHeight,
+		AppendConnectionKey(b[:0], conn.CounterpartyConnID), raw, proof); err != nil {
 		return err
 	}
 	conn.State = StateOpen
-	setJSON(ctx, ConnectionKey(m.ConnID), conn)
-	return nil
-}
-
-func (k *Keeper) connOpenConfirm(ctx *app.Context, m MsgConnOpenConfirm) error {
-	conn, err := k.Connection(ctx, m.ConnID)
-	if err != nil {
-		return err
-	}
-	if conn.State != StateTryOpen {
-		return fmt.Errorf("%w: connection %s in state %d", ErrInvalidHandshake, m.ConnID, conn.State)
-	}
-	expected := ConnectionEnd{
-		State:                StateOpen,
-		ClientID:             conn.CounterpartyClientID,
-		CounterpartyConnID:   m.ConnID,
-		CounterpartyClientID: conn.ClientID,
-	}
-	raw, _ := json.Marshal(expected)
-	if err := k.verifyMembership(ctx, conn.ClientID, m.ProofHeight,
-		ConnectionKey(conn.CounterpartyConnID), raw, m.ProofAck); err != nil {
-		return err
-	}
-	conn.State = StateOpen
-	setJSON(ctx, ConnectionKey(m.ConnID), conn)
+	setJSON(ctx, AppendConnectionKey(b[:0], connID), conn)
 	return nil
 }
 
 // --- channel handshake ----------------------------------------------------------
 
 func (k *Keeper) chanOpenInit(ctx *app.Context, m MsgChanOpenInit) error {
-	if ctx.State.Has(ChannelKey(m.Port, m.Channel)) {
+	var b [app.KeyBufLen]byte
+	key := AppendChannelKey(b[:0], m.Port, m.Channel)
+	if ctx.State.Has(key) {
 		return fmt.Errorf("ibc: channel %s/%s exists", m.Port, m.Channel)
 	}
 	conn, err := k.Connection(ctx, m.ConnectionID)
@@ -425,7 +418,7 @@ func (k *Keeper) chanOpenInit(ctx *app.Context, m MsgChanOpenInit) error {
 	if conn.State != StateOpen {
 		return fmt.Errorf("%w: connection %s not open", ErrInvalidHandshake, m.ConnectionID)
 	}
-	setJSON(ctx, ChannelKey(m.Port, m.Channel), ChannelEnd{
+	setJSON(ctx, key, ChannelEnd{
 		State:            StateInit,
 		Ordering:         m.Ordering,
 		CounterpartyPort: m.CounterpartyPort,
@@ -453,11 +446,12 @@ func (k *Keeper) chanOpenTry(ctx *app.Context, m MsgChanOpenTry) error {
 		Version:          m.Version,
 	}
 	raw, _ := json.Marshal(expected)
+	var b [app.KeyBufLen]byte
 	if err := k.verifyMembership(ctx, conn.ClientID, m.ProofHeight,
-		ChannelKey(m.CounterpartyPort, m.CounterpartyChan), raw, m.ProofInit); err != nil {
+		AppendChannelKey(b[:0], m.CounterpartyPort, m.CounterpartyChan), raw, m.ProofInit); err != nil {
 		return err
 	}
-	setJSON(ctx, ChannelKey(m.Port, m.Channel), ChannelEnd{
+	setJSON(ctx, AppendChannelKey(b[:0], m.Port, m.Channel), ChannelEnd{
 		State:            StateTryOpen,
 		Ordering:         m.Ordering,
 		CounterpartyPort: m.CounterpartyPort,
@@ -468,65 +462,39 @@ func (k *Keeper) chanOpenTry(ctx *app.Context, m MsgChanOpenTry) error {
 	return nil
 }
 
-func (k *Keeper) chanOpenAck(ctx *app.Context, m MsgChanOpenAck) error {
-	ch, err := k.Channel(ctx, m.Port, m.Channel)
+// openChannel finishes the channel handshake on one end (ack on the INIT
+// end, confirm on the TRYOPEN end) and starts its send counter: the end
+// must be in state from, and the counterparty must prove its end in
+// state cp.
+func (k *Keeper) openChannel(ctx *app.Context, port, channel string, from, cp HandshakeState, proofHeight int64, proof *Proof) error {
+	ch, err := k.Channel(ctx, port, channel)
 	if err != nil {
 		return err
 	}
-	if ch.State != StateInit {
-		return fmt.Errorf("%w: channel %s/%s in state %d", ErrInvalidHandshake, m.Port, m.Channel, ch.State)
+	if ch.State != from {
+		return fmt.Errorf("%w: channel %s/%s in state %d", ErrInvalidHandshake, port, channel, ch.State)
 	}
 	conn, err := k.Connection(ctx, ch.ConnectionID)
 	if err != nil {
 		return err
 	}
 	expected := ChannelEnd{
-		State:            StateTryOpen,
+		State:            cp,
 		Ordering:         ch.Ordering,
-		CounterpartyPort: m.Port,
-		CounterpartyChan: m.Channel,
+		CounterpartyPort: port,
+		CounterpartyChan: channel,
 		ConnectionID:     conn.CounterpartyConnID,
 		Version:          ch.Version,
 	}
 	raw, _ := json.Marshal(expected)
-	if err := k.verifyMembership(ctx, conn.ClientID, m.ProofHeight,
-		ChannelKey(ch.CounterpartyPort, ch.CounterpartyChan), raw, m.ProofTry); err != nil {
+	var b [app.KeyBufLen]byte
+	if err := k.verifyMembership(ctx, conn.ClientID, proofHeight,
+		AppendChannelKey(b[:0], ch.CounterpartyPort, ch.CounterpartyChan), raw, proof); err != nil {
 		return err
 	}
 	ch.State = StateOpen
-	setJSON(ctx, ChannelKey(m.Port, m.Channel), ch)
-	ctx.State.Set(NextSequenceSendKey(m.Port, m.Channel), []byte("1"))
-	return nil
-}
-
-func (k *Keeper) chanOpenConfirm(ctx *app.Context, m MsgChanOpenConfirm) error {
-	ch, err := k.Channel(ctx, m.Port, m.Channel)
-	if err != nil {
-		return err
-	}
-	if ch.State != StateTryOpen {
-		return fmt.Errorf("%w: channel %s/%s in state %d", ErrInvalidHandshake, m.Port, m.Channel, ch.State)
-	}
-	conn, err := k.Connection(ctx, ch.ConnectionID)
-	if err != nil {
-		return err
-	}
-	expected := ChannelEnd{
-		State:            StateOpen,
-		Ordering:         ch.Ordering,
-		CounterpartyPort: m.Port,
-		CounterpartyChan: m.Channel,
-		ConnectionID:     conn.CounterpartyConnID,
-		Version:          ch.Version,
-	}
-	raw, _ := json.Marshal(expected)
-	if err := k.verifyMembership(ctx, conn.ClientID, m.ProofHeight,
-		ChannelKey(ch.CounterpartyPort, ch.CounterpartyChan), raw, m.ProofAck); err != nil {
-		return err
-	}
-	ch.State = StateOpen
-	setJSON(ctx, ChannelKey(m.Port, m.Channel), ch)
-	ctx.State.Set(NextSequenceSendKey(m.Port, m.Channel), []byte("1"))
+	setJSON(ctx, AppendChannelKey(b[:0], port, channel), ch)
+	ctx.State.Set(AppendNextSequenceSendKey(b[:0], port, channel), []byte("1"))
 	return nil
 }
 
@@ -542,7 +510,16 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 	if ch.State != StateOpen {
 		return Packet{}, fmt.Errorf("%w: %s/%s", ErrChannelNotOpen, port, channel)
 	}
-	seq := k.nextSequenceSend(ctx, port, channel)
+	// Every path that opens a channel stores the counter "1": reading an
+	// absent or bad one as 1 would overwrite a live commitment.
+	var b [app.KeyBufLen]byte
+	seqKey := AppendNextSequenceSendKey(b[:0], port, channel)
+	raw, _ := ctx.State.Get(seqKey)
+	seq, err := strconv.ParseUint(string(raw), 10, 64)
+	if err != nil {
+		return Packet{}, fmt.Errorf("ibc: send sequence of %s/%s: %q is not a counter", port, channel, raw)
+	}
+	ctx.State.Set(seqKey, strconv.AppendUint(nil, seq+1, 10))
 	p := Packet{
 		Sequence:         seq,
 		SourcePort:       port,
@@ -553,20 +530,9 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 		TimeoutHeight:    timeoutHeight,
 		TimeoutTimestamp: timeoutTimestamp,
 	}
-	ctx.State.Set(PacketCommitmentKey(port, channel, seq), p.CommitmentBytes())
+	ctx.State.Set(AppendPacketCommitmentKey(b[:0], port, channel, seq), p.CommitmentBytes())
 	ctx.Emit(abci.Event{Type: "send_packet", Data: p})
 	return p, nil
-}
-
-func (k *Keeper) nextSequenceSend(ctx *app.Context, port, channel string) uint64 {
-	key := NextSequenceSendKey(port, channel)
-	raw, _ := ctx.State.Get(key)
-	seq, err := strconv.ParseUint(string(raw), 10, 64)
-	if err != nil {
-		seq = 1 // no counter stored yet
-	}
-	ctx.State.Set(key, strconv.AppendUint(nil, seq+1, 10))
-	return seq
 }
 
 // recvPacket verifies and executes an inbound packet, writing the
@@ -588,14 +554,17 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 		return fmt.Errorf("%w: height %d time %v", ErrPacketTimedOut, ctx.Height, ctx.Time)
 	}
 	// Unordered channel: exactly-once via receipts.
-	receiptKey := PacketReceiptKey(p.DestPort, p.DestChannel, p.Sequence)
+	var b, pb [app.KeyBufLen]byte
+	receiptKey := AppendPacketReceiptKey(b[:0], p.DestPort, p.DestChannel, p.Sequence)
 	if ctx.State.Has(receiptKey) {
 		return fmt.Errorf("%w: %s/%s seq %d", ErrRedundantPacket, p.SourcePort, p.SourceChannel, p.Sequence)
 	}
 	// Verify the source chain committed this packet.
-	if err := k.verifyMembership(ctx, clientID, m.ProofHeight,
-		PacketCommitmentKey(p.SourcePort, p.SourceChannel, p.Sequence),
-		p.CommitmentBytes(), m.ProofCommitment); err != nil {
+	var key, commitment []byte // proof-only work, skipped without proofs
+	if ctx.State.FullProofs() {
+		key, commitment = AppendPacketCommitmentKey(pb[:0], p.SourcePort, p.SourceChannel, p.Sequence), p.CommitmentBytes()
+	}
+	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, key, commitment, m.ProofCommitment); err != nil {
 		return err
 	}
 	ctx.State.Set(receiptKey, []byte{1})
@@ -619,7 +588,8 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 // it directly; async middleware (packet forwarding) calls it when the
 // downstream hop acks, errors or times out.
 func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledgement) error {
-	key := PacketAckKey(p.DestPort, p.DestChannel, p.Sequence)
+	var b [app.KeyBufLen]byte
+	key := AppendPacketAckKey(b[:0], p.DestPort, p.DestChannel, p.Sequence)
 	if ctx.State.Has(key) {
 		return fmt.Errorf("ibc: acknowledgement for %s/%s seq %d already written",
 			p.DestPort, p.DestChannel, p.Sequence)
@@ -655,14 +625,17 @@ func (k *Keeper) acknowledgePacket(ctx *app.Context, m MsgAcknowledgement) error
 	if ch.State != StateOpen {
 		return fmt.Errorf("%w: %s/%s", ErrChannelNotOpen, p.SourcePort, p.SourceChannel)
 	}
-	commitKey := PacketCommitmentKey(p.SourcePort, p.SourceChannel, p.Sequence)
+	var b, pb [app.KeyBufLen]byte
+	commitKey := AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
 	if !ctx.State.Has(commitKey) {
 		// Already acknowledged or timed out: redundant relay.
 		return fmt.Errorf("%w: ack for seq %d", ErrRedundantPacket, p.Sequence)
 	}
-	if err := k.verifyMembership(ctx, clientID, m.ProofHeight,
-		PacketAckKey(p.DestPort, p.DestChannel, p.Sequence),
-		hashAck(m.Ack), m.ProofAcked); err != nil {
+	var key, ackHash []byte // proof-only work, skipped without proofs
+	if ctx.State.FullProofs() {
+		key, ackHash = AppendPacketAckKey(pb[:0], p.DestPort, p.DestChannel, p.Sequence), hashAck(m.Ack)
+	}
+	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, key, ackHash, m.ProofAcked); err != nil {
 		return err
 	}
 	ctx.State.Delete(commitKey)
@@ -686,7 +659,8 @@ func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 	if err != nil {
 		return err
 	}
-	commitKey := PacketCommitmentKey(p.SourcePort, p.SourceChannel, p.Sequence)
+	var b, pb [app.KeyBufLen]byte
+	commitKey := AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
 	if !ctx.State.Has(commitKey) {
 		return fmt.Errorf("%w: timeout for seq %d", ErrRedundantPacket, p.Sequence)
 	}
@@ -706,7 +680,7 @@ func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 		return fmt.Errorf("%w: seq %d at proof height %d", ErrTimeoutTooEarly, p.Sequence, m.ProofHeight)
 	}
 	if err := k.verifyNonMembership(ctx, clientID, m.ProofHeight,
-		PacketReceiptKey(p.DestPort, p.DestChannel, p.Sequence), m.ProofUnreceived); err != nil {
+		AppendPacketReceiptKey(pb[:0], p.DestPort, p.DestChannel, p.Sequence), m.ProofUnreceived); err != nil {
 		return err
 	}
 	ctx.State.Delete(commitKey)
@@ -727,10 +701,12 @@ func hashAck(ack []byte) []byte {
 // HasCommitment reports whether a packet commitment is still stored
 // (pending, not yet acknowledged or timed out).
 func (k *Keeper) HasCommitment(ctx *app.Context, port, channel string, seq uint64) bool {
-	return ctx.State.Has(PacketCommitmentKey(port, channel, seq))
+	var b [app.KeyBufLen]byte
+	return ctx.State.Has(AppendPacketCommitmentKey(b[:0], port, channel, seq))
 }
 
 // HasReceipt reports whether a packet was received.
 func (k *Keeper) HasReceipt(ctx *app.Context, port, channel string, seq uint64) bool {
-	return ctx.State.Has(PacketReceiptKey(port, channel, seq))
+	var b [app.KeyBufLen]byte
+	return ctx.State.Has(AppendPacketReceiptKey(b[:0], port, channel, seq))
 }

@@ -13,33 +13,49 @@ import (
 )
 
 // The state keys and the packet commitment are built with strconv
-// appends; golden roots and proofs depend on their bytes, so they are
-// pinned against the fmt formatting they replaced.
+// appends; golden roots and proofs depend on their bytes, so every layout
+// is pinned against the fmt formatting it replaced, in both its append
+// form (after a prefix the builder must keep) and its string wrapper.
 func TestKeysMatchFmtFormatting(t *testing.T) {
-	seqs := []uint64{0, 1, 9, 10, 12345, 10_000_000_000_000_000_000, math.MaxUint64}
-	ids := [][2]string{{"transfer", "channel-0"}, {"", ""}, {"a/b", "channel-4294967295"},
-		{"transfer", "a-channel-name-longer-than-the-stack-buffer-the-key-is-assembled-in-" +
-			"0123456789012345678901234567890123456789012345678901234567890123456789"}}
-	for _, id := range ids {
-		port, channel := id[0], id[1]
-		for _, seq := range seqs {
-			for _, k := range []struct{ name, got, layout string }{
-				{"commitment", ibc.PacketCommitmentKey(port, channel, seq), "commitments/ports/%s/channels/%s/sequences/%d"},
-				{"receipt", ibc.PacketReceiptKey(port, channel, seq), "receipts/ports/%s/channels/%s/sequences/%d"},
-				{"ack", ibc.PacketAckKey(port, channel, seq), "acks/ports/%s/channels/%s/sequences/%d"},
-			} {
-				if want := fmt.Sprintf(k.layout, port, channel, seq); k.got != want {
-					t.Errorf("%s key = %q, want %q", k.name, k.got, want)
-				}
-			}
+	long := "a-channel-name-longer-than-the-stack-buffer-the-key-is-assembled-in-" +
+		"0123456789012345678901234567890123456789012345678901234567890123456789"
+	if len(long) <= app.KeyBufLen {
+		t.Fatalf("the long id (%d bytes) fits the %d-byte key buffer", len(long), app.KeyBufLen)
+	}
+	check := func(layout string, appendKey func(dst []byte) []byte, wrapped, want string) {
+		t.Helper()
+		var b [app.KeyBufLen]byte
+		if got := appendKey(append(b[:0], "dst/"...)); string(got) != "dst/"+want {
+			t.Errorf("%s: append form = %q, want %q", layout, got, "dst/"+want)
+		}
+		if wrapped != want {
+			t.Errorf("%s: string form = %q, want %q", layout, wrapped, want)
 		}
 	}
-	for _, clientID := range []string{"07-tendermint-0", "", ids[3][1]} {
+	seqs := []uint64{0, 1, 9, 10, 12345, 10_000_000_000_000_000_000, math.MaxUint64}
+	for _, id := range [][2]string{{"transfer", "channel-0"}, {"", ""}, {"a/b", "channel-4294967295"}, {"transfer", long}} {
+		port, channel := id[0], id[1]
+		check("channel end", func(dst []byte) []byte { return ibc.AppendChannelKey(dst, port, channel) },
+			ibc.ChannelKey(port, channel), fmt.Sprintf("channelEnds/ports/%s/channels/%s", port, channel))
+		check("next sequence", func(dst []byte) []byte { return ibc.AppendNextSequenceSendKey(dst, port, channel) },
+			ibc.NextSequenceSendKey(port, channel), fmt.Sprintf("nextSequenceSend/ports/%s/channels/%s", port, channel))
+		for _, seq := range seqs {
+			check("commitment", func(dst []byte) []byte { return ibc.AppendPacketCommitmentKey(dst, port, channel, seq) },
+				ibc.PacketCommitmentKey(port, channel, seq), fmt.Sprintf("commitments/ports/%s/channels/%s/sequences/%d", port, channel, seq))
+			check("receipt", func(dst []byte) []byte { return ibc.AppendPacketReceiptKey(dst, port, channel, seq) },
+				ibc.PacketReceiptKey(port, channel, seq), fmt.Sprintf("receipts/ports/%s/channels/%s/sequences/%d", port, channel, seq))
+			check("ack", func(dst []byte) []byte { return ibc.AppendPacketAckKey(dst, port, channel, seq) },
+				ibc.PacketAckKey(port, channel, seq), fmt.Sprintf("acks/ports/%s/channels/%s/sequences/%d", port, channel, seq))
+		}
+	}
+	for _, id := range []string{"07-tendermint-0", "", "a/b", long} {
+		check("client state", func(dst []byte) []byte { return ibc.AppendClientStateKey(dst, id) },
+			ibc.ClientStateKey(id), fmt.Sprintf("clients/%s/clientState", id))
+		check("connection", func(dst []byte) []byte { return ibc.AppendConnectionKey(dst, id) },
+			ibc.ConnectionKey(id), fmt.Sprintf("connections/%s", id))
 		for _, h := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
-			want := fmt.Sprintf("clients/%s/consensusStates/%d", clientID, h)
-			if got := ibc.ConsensusStateKey(clientID, h); got != want {
-				t.Errorf("consensus key = %q, want %q", got, want)
-			}
+			check("consensus", func(dst []byte) []byte { return ibc.AppendConsensusStateKey(dst, id, h) },
+				ibc.ConsensusStateKey(id, h), fmt.Sprintf("clients/%s/consensusStates/%d", id, h))
 		}
 	}
 }
@@ -101,7 +117,7 @@ func TestMsgDigestsMatchFmtFormatting(t *testing.T) {
 func TestNextSequenceSendStoredAsDecimal(t *testing.T) {
 	c := newMemoChain(t)
 	c.mustDeliver("relayer", openMsgs(7)...)
-	key := ibc.NextSequenceSendKey("transfer", memoChan)
+	key := ibc.AppendNextSequenceSendKey(nil, "transfer", memoChan)
 	for want := uint64(1); want <= 12; want++ {
 		if raw, _ := c.app.State().Get(key); string(raw) != fmt.Sprint(want) {
 			t.Fatalf("stored counter = %q, want %q", raw, fmt.Sprint(want))
@@ -113,5 +129,38 @@ func TestNextSequenceSendStoredAsDecimal(t *testing.T) {
 			}
 			return err
 		}})
+	}
+}
+
+// Every path that opens a channel stores the send counter, so a counter
+// that is missing or not a number fails the send instead of being read as
+// 1, which would overwrite the live commitment of sequence 1.
+func TestBadSendCounterFailsSend(t *testing.T) {
+	c := newMemoChain(t)
+	c.mustDeliver("relayer", openMsgs(7)...)
+	send := func(data string) probeMsg {
+		return probeMsg{func(ctx *app.Context) error {
+			_, err := c.keeper.SendPacket(ctx, "transfer", memoChan, []byte(data), 100, 0)
+			return err
+		}}
+	}
+	c.mustDeliver("relayer", send("first"))
+	commitment := ibc.AppendPacketCommitmentKey(nil, "transfer", memoChan, 1)
+	before, ok := c.app.State().Get(commitment)
+	if !ok {
+		t.Fatal("sequence 1 was not committed")
+	}
+	counter := ibc.AppendNextSequenceSendKey(nil, "transfer", memoChan)
+	for name, corrupt := range map[string]func(*app.State){
+		"garbage": func(s *app.State) { s.Set(counter, []byte("garbage")) },
+		"absent":  func(s *app.State) { s.Delete(counter) },
+	} {
+		c.mustDeliver("relayer", probeMsg{func(ctx *app.Context) error { corrupt(ctx.State); return nil }})
+		if errs := c.deliver("relayer", send("second")); errs == nil {
+			t.Fatalf("%s counter: the send succeeded", name)
+		}
+		if after, _ := c.app.State().Get(commitment); !bytes.Equal(after, before) {
+			t.Fatalf("%s counter: the commitment of sequence 1 became %x, was %x", name, after, before)
+		}
 	}
 }

@@ -159,7 +159,7 @@ func TestMemoSeesClientUpdateInSameTx(t *testing.T) {
 func TestMemoSharesStoredBytesAcrossRollback(t *testing.T) {
 	c := newMemoChain(t)
 	c.mustDeliver("relayer", openMsgs(7)...)
-	key := ibc.ClientStateKey(memoClient)
+	key := ibc.AppendClientStateKey(nil, memoClient)
 	height := func(ctx *app.Context) int64 {
 		cs, err := c.keeper.Client(ctx, memoClient)
 		if err != nil {

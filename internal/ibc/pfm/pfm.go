@@ -116,8 +116,8 @@ type inFlight struct {
 	Unescrowed bool `json:"unescrowed"`
 }
 
-func inFlightKey(port, channel string, seq uint64) string {
-	return fmt.Sprintf("pfm/inflight/ports/%s/channels/%s/sequences/%d", port, channel, seq)
+func appendInFlightKey(dst []byte, port, channel string, seq uint64) []byte {
+	return ibc.AppendPacketKey(dst, "pfm/inflight", port, channel, seq)
 }
 
 // Stats counts middleware outcomes.
@@ -244,7 +244,8 @@ func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowle
 
 	rec := inFlight{Original: p, Coin: coin, Unescrowed: unescrowed}
 	raw, _ := json.Marshal(rec)
-	ctx.State.Set(inFlightKey(fwd.Port, fwd.Channel, next.Sequence), raw)
+	var b [app.KeyBufLen]byte
+	ctx.State.Set(appendInFlightKey(b[:0], fwd.Port, fwd.Channel, next.Sequence), raw)
 	mw.hops[hopRef{p.DestChannel, p.Sequence}] = hopRef{next.SourceChannel, next.Sequence}
 	mw.stats.Forwarded++
 	// Hold the origin's ack open until the next hop settles.
@@ -253,7 +254,8 @@ func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowle
 
 // takeInFlight pops the forwarding record of an outgoing packet, if any.
 func (mw *Middleware) takeInFlight(ctx *app.Context, p ibc.Packet) (inFlight, bool) {
-	key := inFlightKey(p.SourcePort, p.SourceChannel, p.Sequence)
+	var b [app.KeyBufLen]byte
+	key := appendInFlightKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
 	raw, ok := ctx.State.Get(key)
 	if !ok {
 		return inFlight{}, false

@@ -3,6 +3,8 @@ package pfm
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,7 +50,7 @@ func (c *testChain) ctx() *app.Context {
 	return &app.Context{ChainID: c.id, State: c.app.State(), Bank: c.app.Bank(), App: c.app}
 }
 
-func set(ctx *app.Context, key string, v any) {
+func set(ctx *app.Context, key []byte, v any) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		panic(err)
@@ -73,17 +75,17 @@ func link(a, b *testChain) (chanOnA, chanOnB string) {
 		chanID := fmt.Sprintf("channel-%d", s.ord)
 		cpChan := fmt.Sprintf("channel-%d", s.cpOrd)
 		ctx := s.host.ctx()
-		set(ctx, ibc.ClientStateKey(clientID), ibc.ClientState{ChainID: s.peer.id, LatestHeight: 1})
-		set(ctx, ibc.ConnectionKey(connID), ibc.ConnectionEnd{
+		set(ctx, ibc.AppendClientStateKey(nil, clientID), ibc.ClientState{ChainID: s.peer.id, LatestHeight: 1})
+		set(ctx, ibc.AppendConnectionKey(nil, connID), ibc.ConnectionEnd{
 			State: ibc.StateOpen, ClientID: clientID,
 			CounterpartyConnID: fmt.Sprintf("connection-%d", s.cpOrd),
 		})
-		set(ctx, ibc.ChannelKey(transfer.PortID, chanID), ibc.ChannelEnd{
+		set(ctx, ibc.AppendChannelKey(nil, transfer.PortID, chanID), ibc.ChannelEnd{
 			State: ibc.StateOpen, Ordering: ibc.Unordered,
 			CounterpartyPort: transfer.PortID, CounterpartyChan: cpChan,
 			ConnectionID: connID, Version: "ics20-1",
 		})
-		ctx.State.Set(ibc.NextSequenceSendKey(transfer.PortID, chanID), []byte("1"))
+		ctx.State.Set(ibc.AppendNextSequenceSendKey(nil, transfer.PortID, chanID), []byte("1"))
 		ctx.State.CommitTx()
 		s.host.clientFor[chanID] = clientID
 	}
@@ -94,7 +96,7 @@ func link(a, b *testChain) (chanOnA, chanOnB string) {
 // checks (existence-only in performance mode) pass at proofHeight.
 func (c *testChain) seedConsensus(channel string, height int64) {
 	ctx := c.ctx()
-	set(ctx, ibc.ConsensusStateKey(c.clientFor[channel], height),
+	set(ctx, ibc.AppendConsensusStateKey(nil, c.clientFor[channel], height),
 		ibc.ConsensusState{Root: merkle.Hash{}, Timestamp: time.Duration(height) * time.Second})
 	ctx.State.CommitTx()
 }
@@ -575,5 +577,20 @@ func TestUndecodableForwardMemoRefused(t *testing.T) {
 	// The intermediate receiver got nothing.
 	if got := bal(b, ModuleAccount, "transfer/channel-0/uatom"); got != 0 {
 		t.Fatalf("funds delivered despite refusal: %d", got)
+	}
+}
+
+// The in-flight record's key is built by append; it is pinned against the
+// fmt formatting it replaced, after a prefix the builder must keep.
+func TestKeysMatchFmtFormatting(t *testing.T) {
+	long := strings.Repeat("channel-", 20)
+	for _, id := range [][2]string{{"transfer", "channel-0"}, {"", ""}, {"a/b", "channel-4294967295"}, {"transfer", long}} {
+		for _, seq := range []uint64{0, 1, 12345, math.MaxUint64} {
+			var b [app.KeyBufLen]byte
+			want := fmt.Sprintf("dst/pfm/inflight/ports/%s/channels/%s/sequences/%d", id[0], id[1], seq)
+			if got := appendInFlightKey(append(b[:0], "dst/"...), id[0], id[1], seq); string(got) != want {
+				t.Errorf("in-flight key = %q, want %q", got, want)
+			}
+		}
 	}
 }

@@ -61,60 +61,56 @@ func (p *Packet) CommitmentBytes() []byte {
 	return h.Sum(nil)
 }
 
-// Key paths in the application state (ICS-24 host requirements).
-func ClientStateKey(clientID string) string {
-	return "clients/" + clientID + "/clientState"
+// Key paths in the application state (ICS-24 host requirements). Each
+// layout is spelled once, as an append into the caller's buffer: the
+// keeper builds its keys in an [app.KeyBufLen]byte on its stack, and the
+// State copies a key only when it first inserts it.
+
+func AppendClientStateKey(dst []byte, clientID string) []byte {
+	return append(append(append(dst, "clients/"...), clientID...), "/clientState"...)
 }
 
-func ConsensusStateKey(clientID string, height int64) string {
-	var buf [keyBufLen]byte
-	b := append(buf[:0], "clients/"...)
-	b = append(b, clientID...)
-	b = append(b, "/consensusStates/"...)
-	return string(strconv.AppendInt(b, height, 10))
+func AppendConsensusStateKey(dst []byte, clientID string, height int64) []byte {
+	dst = append(append(append(dst, "clients/"...), clientID...), "/consensusStates/"...)
+	return strconv.AppendInt(dst, height, 10)
 }
 
-func ConnectionKey(connID string) string {
-	return "connections/" + connID
+func AppendConnectionKey(dst []byte, connID string) []byte {
+	return append(append(dst, "connections/"...), connID...)
 }
 
-func ChannelKey(port, channel string) string {
-	return "channelEnds/ports/" + port + "/channels/" + channel
+func AppendChannelKey(dst []byte, port, channel string) []byte {
+	return appendChannelPath(append(dst, "channelEnds"...), port, channel)
 }
 
-func NextSequenceSendKey(port, channel string) string {
-	return "nextSequenceSend/ports/" + port + "/channels/" + channel
+func AppendNextSequenceSendKey(dst []byte, port, channel string) []byte {
+	return appendChannelPath(append(dst, "nextSequenceSend"...), port, channel)
 }
 
-func PacketCommitmentKey(port, channel string, seq uint64) string {
-	return packetKey("commitments", port, channel, seq)
+func AppendPacketCommitmentKey(dst []byte, port, channel string, seq uint64) []byte {
+	return AppendPacketKey(dst, "commitments", port, channel, seq)
 }
 
-func PacketReceiptKey(port, channel string, seq uint64) string {
-	return packetKey("receipts", port, channel, seq)
+func AppendPacketReceiptKey(dst []byte, port, channel string, seq uint64) []byte {
+	return AppendPacketKey(dst, "receipts", port, channel, seq)
 }
 
-func PacketAckKey(port, channel string, seq uint64) string {
-	return packetKey("acks", port, channel, seq)
+func AppendPacketAckKey(dst []byte, port, channel string, seq uint64) []byte {
+	return AppendPacketKey(dst, "acks", port, channel, seq)
 }
 
-// keyBufLen sizes the stack buffer numbered keys are assembled in; the
-// simulator's keys are about 60 bytes, and a longer one only costs the
-// append an allocation.
-const keyBufLen = 128
+// AppendPacketKey appends "<kind>/ports/<port>/channels/<channel>/sequences/<seq>",
+// the path of every per-packet record (middleware keep theirs under it
+// too, with a kind of their own).
+func AppendPacketKey(dst []byte, kind, port, channel string, seq uint64) []byte {
+	dst = append(appendChannelPath(append(dst, kind...), port, channel), "/sequences/"...)
+	return strconv.AppendUint(dst, seq, 10)
+}
 
-// packetKey builds "<kind>/ports/<port>/channels/<channel>/sequences/<seq>".
-// Every packet message builds two or three of these, so it appends into
-// one buffer instead of going through fmt.
-func packetKey(kind, port, channel string, seq uint64) string {
-	var buf [keyBufLen]byte
-	b := append(buf[:0], kind...)
-	b = append(b, "/ports/"...)
-	b = append(b, port...)
-	b = append(b, "/channels/"...)
-	b = append(b, channel...)
-	b = append(b, "/sequences/"...)
-	return string(strconv.AppendUint(b, seq, 10))
+// appendChannelPath appends "/ports/<port>/channels/<channel>".
+func appendChannelPath(dst []byte, port, channel string) []byte {
+	dst = append(append(dst, "/ports/"...), port...)
+	return append(append(dst, "/channels/"...), channel...)
 }
 
 // ValidatorRecord pins one counterparty validator in a client state.

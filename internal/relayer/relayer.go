@@ -460,12 +460,13 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 			r.tr.CompleteArg(r.otrack, r.nBuildRecv, done-build, done, uint64(len(fresh)))
 		}
 		proofHeight := te.Info.Height + 1
+		var kb [app.KeyBufLen]byte
 		for _, p := range fresh {
 			r.track(r.keyOf(src, p), metrics.StepRecvBuild, done)
 			dst.outbox = append(dst.outbox, outMsg{
 				msg: ibc.MsgRecvPacket{
 					Packet:          p,
-					ProofCommitment: r.proveOn(src, proofHeight, ibc.PacketCommitmentKey(p.SourcePort, p.SourceChannel, p.Sequence), true),
+					ProofCommitment: r.proveOn(src, proofHeight, ibc.AppendPacketCommitmentKey(kb[:0], p.SourcePort, p.SourceChannel, p.Sequence), true),
 					ProofHeight:     proofHeight,
 					Relayer:         dst.account,
 				},
@@ -509,6 +510,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 			r.tr.CompleteArg(r.otrack, r.nBuildAck, done-build, done, uint64(len(fresh)))
 		}
 		proofHeight := te.Info.Height + 1
+		var kb [app.KeyBufLen]byte
 		for _, w := range fresh {
 			p := w.Packet
 			key := r.keyOf(dst, p)
@@ -524,7 +526,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 				msg: ibc.MsgAcknowledgement{
 					Packet:      p,
 					Ack:         ack,
-					ProofAcked:  r.proveOn(src, proofHeight, ibc.PacketAckKey(p.DestPort, p.DestChannel, p.Sequence), true),
+					ProofAcked:  r.proveOn(src, proofHeight, ibc.AppendPacketAckKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence), true),
 					ProofHeight: proofHeight,
 					Relayer:     dst.account,
 				},
@@ -559,13 +561,14 @@ func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 		})
 	}
 	proofHeight := dstChain.height + 1
+	var kb [app.KeyBufLen]byte
 	for _, id := range expired {
 		p := r.pendingRecv[id]
 		delete(r.pendingRecv, id)
 		srcChain.outbox = append(srcChain.outbox, outMsg{
 			msg: ibc.MsgTimeout{
 				Packet:          p,
-				ProofUnreceived: r.proveOn(dstChain, proofHeight, ibc.PacketReceiptKey(p.DestPort, p.DestChannel, p.Sequence), false),
+				ProofUnreceived: r.proveOn(dstChain, proofHeight, ibc.AppendPacketReceiptKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence), false),
 				ProofHeight:     proofHeight,
 				Relayer:         srcChain.account,
 			},
@@ -578,7 +581,8 @@ func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 
 // proveOn fetches a proof from the counterparty chain's state (the RPC
 // cost of proof retrieval is folded into the calibrated data-pull cost).
-func (r *Relayer) proveOn(src *endpoint, proofHeight int64, key string, membership bool) *ibc.Proof {
+// The key's string is made only when there is a proof to look it up in.
+func (r *Relayer) proveOn(src *endpoint, proofHeight int64, key []byte, membership bool) *ibc.Proof {
 	st := src.chain.App.State()
 	if !st.FullProofs() {
 		return nil
@@ -587,14 +591,15 @@ func (r *Relayer) proveOn(src *endpoint, proofHeight int64, key string, membersh
 	if err != nil {
 		return nil
 	}
+	k := string(key)
 	if membership {
-		_, mp, ok := tree.ProveMembership(key)
+		_, mp, ok := tree.ProveMembership(k)
 		if !ok {
 			return nil
 		}
 		return &ibc.Proof{Membership: mp}
 	}
-	nm, ok := tree.ProveNonMembership(key)
+	nm, ok := tree.ProveNonMembership(k)
 	if !ok {
 		return nil
 	}

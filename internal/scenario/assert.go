@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/ibc/denom"
@@ -152,8 +153,8 @@ func collectSent(d *topo.Deployment) []sentPacket {
 // to the deadline — which feeds the conservation quiescence test.
 func classify(sp sentPacket, sides map[string]linkSide) (*Violation, bool) {
 	p := sp.p
-	key := ibc.PacketCommitmentKey(p.SourcePort, p.SourceChannel, p.Sequence)
-	if !sp.src.App.State().Has(key) {
+	var b [app.KeyBufLen]byte
+	if !sp.src.App.State().Has(ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)) {
 		return nil, false // acked or refunded — settled either way
 	}
 	side, ok := sides[sp.src.ID+"/"+p.SourceChannel]
@@ -165,7 +166,7 @@ func classify(sp sentPacket, sides map[string]linkSide) (*Violation, bool) {
 		}, true
 	}
 	dst := side.counterparty
-	received := dst.App.State().Has(ibc.PacketReceiptKey(p.DestPort, p.DestChannel, p.Sequence))
+	received := dst.App.State().Has(ibc.AppendPacketReceiptKey(b[:0], p.DestPort, p.DestChannel, p.Sequence))
 	if !received && timeoutElapsed(p, dst) {
 		return &Violation{
 			Assertion: AssertTimeoutRefunds,

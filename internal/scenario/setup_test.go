@@ -13,10 +13,10 @@ import (
 // of the benchmark's setup_s (which times the same three calls and moves
 // with host noise): work that a packet-path optimisation pushes into
 // construction — a table, a pool, a pre-sized map — shows here exactly.
-// The ceilings are the counts measured at PR 22 (PR 18's, less
-// app.State's two per-transaction maps and the copies and boxes each
-// genesis write made on its way through them); lower them when set-up
-// gets cheaper, and treat a rise as a regression to explain.
+// The ceilings are the measured counts plus the one-allocation jitter:
+// 435/1426/869/4240/4326 since genesis builds its state keys on the
+// stack and makes a key string only on a key's first insert. Lower them
+// when set-up gets cheaper, and treat a rise as a regression to explain.
 func TestSetupAllocsPerWorkload(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted")
@@ -25,11 +25,11 @@ func TestSetupAllocsPerWorkload(t *testing.T) {
 		name    string
 		ceiling float64 // the last digit moves by one between runs
 	}{
-		{"two-peak", 438},
-		{"hub4-2r-proofs", 1443},
-		{"line3-pfm-chaos", 878},
-		{"mesh8", 4297},
-		{"mesh8-par2", 4383},
+		{"two-peak", 436},
+		{"hub4-2r-proofs", 1427},
+		{"line3-pfm-chaos", 871},
+		{"mesh8", 4241},
+		{"mesh8-par2", 4327},
 	} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "bench", "workloads", w.name+".json"))
 		if err != nil {
