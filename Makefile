@@ -22,8 +22,9 @@ check:
 # full-rebuild merkle.NewTree, app.State's undo journal against a
 # map-copy-per-tx model, the scenario spec's parse ⇄ encode round trip,
 # the sign-on-demand vote cache against an eager-signing model, the
-# denom trace's parse ⇄ string and prefix round trips, and the
-# forward-memo parser's validation and round trip. A
+# denom trace's parse ⇄ string and prefix round trips, the
+# forward-memo parser's validation and round trip, and the packet
+# tracker's per-channel table against a map-keyed model. A
 # failure leaves its input under the package's testdata/fuzz/; commit it
 # with the fix.
 fuzz:
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzVoteCache -fuzztime 10s ./internal/tendermint/votesig
 	$(GO) test -run '^$$' -fuzz FuzzDenomTrace -fuzztime 10s ./internal/ibc/denom
 	$(GO) test -run '^$$' -fuzz FuzzParseMemo -fuzztime 10s ./internal/ibc/pfm
+	$(GO) test -run '^$$' -fuzz FuzzTracker -fuzztime 10s ./internal/metrics
 
 # The host-cost benchmark (bench/, a module of its own that the targets
 # above skip): the full report over the five pinned workloads, and the

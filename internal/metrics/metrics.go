@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -103,15 +104,55 @@ type PacketKey struct {
 	Sequence uint64
 }
 
-// packetRecord holds per-step completion times; zero = not reached
-// (guarded by the set bitmap so time 0 is representable).
-type packetRecord struct {
+// Lifecycle holds one packet's per-step times: at[i] is when step i+1
+// was reached, valid where bit i of set is on (so time 0 is
+// representable). It holds no pointer, so the collector skips chunks.
+type Lifecycle struct {
 	at  [NumSteps]time.Duration
-	set [NumSteps]bool
+	set uint16
 }
+
+// StepTime returns when the packet reached a step.
+func (l *Lifecycle) StepTime(step Step) (time.Duration, bool) {
+	i := int(step) - 1
+	if i < 0 || i >= NumSteps || l.set&(1<<i) == 0 {
+		return 0, false
+	}
+	return l.at[i], true
+}
+
+// status classifies by the furthest confirmation reached, in Status order.
+func (l *Lifecycle) status() Status {
+	for i, step := range [...]Step{StepAckConfirmation, StepRecvConfirmation, StepTransferConfirmation} {
+		if l.set&(1<<(step-1)) != 0 {
+			return StatusCompleted + Status(i)
+		}
+	}
+	return StatusNotCommitted
+}
+
+// chunkLen is the number of records in one chunk of a channel table.
+const chunkLen = 256
+
+// channelTable holds the records of the packets one chain sent on one
+// channel; the record of sequence s is chunks[s/chunkLen][s%chunkLen].
+type channelTable struct {
+	srcChain, channel string
+	chunks            []*[chunkLen]Lifecycle
+}
+
+// unseen is the record of every packet never recorded.
+var unseen Lifecycle
 
 // Tracker is the Cross-chain Event Processor: it aggregates events from
 // both blockchains and the relayer into per-packet lifecycles.
+//
+// It keeps one table per (source chain, channel), sorted by that pair.
+// IBC numbers a channel's packets densely from 1, so a sequence is an
+// index: a record is found by comparing against a link's one or two
+// channels, with no hashing, and walks go in (chain, channel, sequence)
+// order. Records are inline and pointer-free, in chunks allocated on
+// first touch, so growth never copies one.
 //
 // Writers lock: one link's tracker receives records from actors on both
 // of its chains' partitions. Readers (the analysis pass, the scenario
@@ -119,7 +160,8 @@ type packetRecord struct {
 // lock.
 type Tracker struct {
 	mu      sync.Mutex
-	packets map[PacketKey]*packetRecord
+	tables  []channelTable
+	tracked int
 
 	// requested counts transfers requested from the workload, including
 	// those that never committed (no packet key ever existed).
@@ -127,9 +169,7 @@ type Tracker struct {
 }
 
 // NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{packets: make(map[PacketKey]*packetRecord)}
-}
+func NewTracker() *Tracker { return &Tracker{} }
 
 // AddRequested registers transfers submitted by the workload before they
 // reach the chain.
@@ -139,8 +179,40 @@ func (t *Tracker) AddRequested(n int) {
 	t.mu.Unlock()
 }
 
-// Requested reports the number of workload-requested transfers.
-func (t *Tracker) Requested() int { return t.requested }
+// find returns the index of the key's table, or where it belongs.
+func (t *Tracker) find(key PacketKey) (int, bool) {
+	for i := range t.tables {
+		tb := &t.tables[i]
+		if tb.srcChain == key.SrcChain && tb.channel == key.Channel {
+			return i, true
+		}
+		if tb.srcChain > key.SrcChain || tb.srcChain == key.SrcChain && tb.channel > key.Channel {
+			return i, false
+		}
+	}
+	return len(t.tables), false
+}
+
+// slot returns a packet's record. A writer (grow) makes its table and
+// chunk on first touch; a reader gets unseen for a packet never recorded.
+func (t *Tracker) slot(key PacketKey, grow bool) *Lifecycle {
+	ti, ok := t.find(key)
+	if !ok && !grow {
+		return &unseen
+	} else if !ok {
+		t.tables = slices.Insert(t.tables, ti, channelTable{srcChain: key.SrcChain, channel: key.Channel})
+	}
+	tb := &t.tables[ti]
+	ci := int(key.Sequence / chunkLen)
+	if ci >= len(tb.chunks) || tb.chunks[ci] == nil {
+		if !grow {
+			return &unseen
+		}
+		tb.chunks = append(tb.chunks, make([]*[chunkLen]Lifecycle, max(0, ci+1-len(tb.chunks)))...)
+		tb.chunks[ci] = new([chunkLen]Lifecycle)
+	}
+	return &tb.chunks[ci][key.Sequence%chunkLen]
+}
 
 // Record marks a step reached for a packet at a virtual time. The
 // earliest recorded time wins — in virtual-time order that is exactly
@@ -154,85 +226,62 @@ func (t *Tracker) Record(key PacketKey, step Step, at time.Duration) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec, ok := t.packets[key]
-	if !ok {
-		rec = &packetRecord{}
-		t.packets[key] = rec
-	}
-	if rec.set[i] && rec.at[i] <= at {
+	rec := t.slot(key, true)
+	if rec.set&(1<<i) != 0 && rec.at[i] <= at {
 		return
 	}
-	rec.set[i] = true
+	if rec.set == 0 {
+		t.tracked++
+	}
+	rec.set |= 1 << i
 	rec.at[i] = at
 }
 
 // StepTime returns when a packet reached a step.
 func (t *Tracker) StepTime(key PacketKey, step Step) (time.Duration, bool) {
-	rec, ok := t.packets[key]
-	if !ok {
-		return 0, false
-	}
-	i := int(step) - 1
-	if !rec.set[i] {
-		return 0, false
-	}
-	return rec.at[i], true
+	return t.slot(key, false).StepTime(step)
 }
 
 // Tracked reports the number of packets with any recorded step.
-func (t *Tracker) Tracked() int { return len(t.packets) }
+func (t *Tracker) Tracked() int { return t.tracked }
 
-// Keys returns every tracked packet key in deterministic order (source
-// chain, channel, then sequence) — trace synthesis iterates this to emit
+// Walk calls fn on every tracked packet in deterministic order (source
+// chain, channel, then sequence) — trace synthesis walks this to emit
 // byte-identical per-packet spans across same-seed runs.
-func (t *Tracker) Keys() []PacketKey {
-	out := make([]PacketKey, 0, len(t.packets))
-	for key := range t.packets {
-		out = append(out, key)
+func (t *Tracker) Walk(fn func(key PacketKey, rec *Lifecycle)) {
+	for i := range t.tables {
+		tb := &t.tables[i]
+		for ci, c := range tb.chunks {
+			for j := 0; c != nil && j < chunkLen; j++ {
+				if c[j].set != 0 {
+					fn(PacketKey{SrcChain: tb.srcChain, Channel: tb.channel, Sequence: uint64(ci*chunkLen + j)}, &c[j])
+				}
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.SrcChain != b.SrcChain {
-			return a.SrcChain < b.SrcChain
-		}
-		if a.Channel != b.Channel {
-			return a.Channel < b.Channel
-		}
-		return a.Sequence < b.Sequence
-	})
-	return out
 }
 
 // StatusOf classifies one packet.
-func (t *Tracker) StatusOf(key PacketKey) Status {
-	rec, ok := t.packets[key]
-	if !ok {
-		return StatusNotCommitted
-	}
-	switch {
-	case rec.set[StepAckConfirmation-1]:
-		return StatusCompleted
-	case rec.set[StepRecvConfirmation-1]:
-		return StatusPartial
-	case rec.set[StepTransferConfirmation-1]:
-		return StatusInitiated
-	default:
-		return StatusNotCommitted
-	}
-}
+func (t *Tracker) StatusOf(key PacketKey) Status { return t.slot(key, false).status() }
 
-// CompletionCounts tallies packets by status (Figs. 10/11). Transfers
-// requested but never tracked count as not committed.
+// CompletionCounts tallies packets by status (Figs. 10/11). Requests
+// beyond the packets with a transfer broadcast — a step the workload
+// records for its own packets only, never a forwarded hop — count as
+// not committed.
 func (t *Tracker) CompletionCounts() map[Status]int {
 	out := map[Status]int{
 		StatusCompleted: 0, StatusPartial: 0,
 		StatusInitiated: 0, StatusNotCommitted: 0,
 	}
-	for key := range t.packets {
-		out[t.StatusOf(key)]++
-	}
-	if t.requested > len(t.packets) {
-		out[StatusNotCommitted] += t.requested - len(t.packets)
+	broadcast := 0
+	t.Walk(func(_ PacketKey, rec *Lifecycle) {
+		out[rec.status()]++
+		if _, ok := rec.StepTime(StepTransferBroadcast); ok {
+			broadcast++
+		}
+	})
+	if t.requested > broadcast {
+		out[StatusNotCommitted] += t.requested - broadcast
 	}
 	return out
 }
@@ -252,30 +301,18 @@ func MergeCounts(counts ...map[Status]int) map[Status]int {
 	return out
 }
 
-// CompletedBetween counts packets fully completed in a time window.
-func (t *Tracker) CompletedBetween(from, to time.Duration) int {
-	n := 0
-	for _, rec := range t.packets {
-		if rec.set[StepAckConfirmation-1] {
-			at := rec.at[StepAckConfirmation-1]
-			if at >= from && at <= to {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // CompletionTimes returns, for completed packets, the latency from
 // transfer broadcast to acknowledgement confirmation.
 func (t *Tracker) CompletionTimes() []time.Duration {
 	var out []time.Duration
-	for _, rec := range t.packets {
-		if rec.set[StepTransferBroadcast-1] && rec.set[StepAckConfirmation-1] {
-			out = append(out, rec.at[StepAckConfirmation-1]-rec.at[StepTransferBroadcast-1])
+	t.Walk(func(_ PacketKey, rec *Lifecycle) {
+		from, ok1 := rec.StepTime(StepTransferBroadcast)
+		to, ok2 := rec.StepTime(StepAckConfirmation)
+		if ok1 && ok2 {
+			out = append(out, to-from)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	})
+	slices.Sort(out)
 	return out
 }
 
@@ -283,23 +320,26 @@ func (t *Tracker) CompletionTimes() []time.Duration {
 // which each packet finished it — the curves of Figs. 12/13.
 func (t *Tracker) StepCompletionCurve(step Step) []time.Duration {
 	var out []time.Duration
-	i := int(step) - 1
-	for _, rec := range t.packets {
-		if rec.set[i] {
-			out = append(out, rec.at[i])
+	t.Walk(func(_ PacketKey, rec *Lifecycle) {
+		if at, ok := rec.StepTime(step); ok {
+			out = append(out, at)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	})
+	slices.Sort(out)
 	return out
 }
 
 // StepSpan reports the first and last completion times of a step.
 func (t *Tracker) StepSpan(step Step) (first, last time.Duration, ok bool) {
-	curve := t.StepCompletionCurve(step)
-	if len(curve) == 0 {
-		return 0, 0, false
-	}
-	return curve[0], curve[len(curve)-1], true
+	t.Walk(func(_ PacketKey, rec *Lifecycle) {
+		if at, reached := rec.StepTime(step); reached {
+			if !ok {
+				first, last, ok = at, at, true
+			}
+			first, last = min(first, at), max(last, at)
+		}
+	})
+	return first, last, ok
 }
 
 // Series is a named ordered collection of duration samples — e.g. the

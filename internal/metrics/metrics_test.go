@@ -29,7 +29,11 @@ func TestRecordFirstWriteWins(t *testing.T) {
 func TestStatusClassification(t *testing.T) {
 	tr := NewTracker()
 	tr.AddRequested(5)
-	// seq 1: completed; seq 2: partial; seq 3: initiated; seq 4: broadcast only.
+	// seq 1: completed; seq 2: partial; seq 3: initiated; seq 4: broadcast
+	// only; the fifth request never reached the chain.
+	for seq := uint64(1); seq <= 4; seq++ {
+		tr.Record(key(seq), StepTransferBroadcast, 0)
+	}
 	tr.Record(key(1), StepTransferConfirmation, 1)
 	tr.Record(key(1), StepRecvConfirmation, 2)
 	tr.Record(key(1), StepAckConfirmation, 3)
@@ -47,6 +51,39 @@ func TestStatusClassification(t *testing.T) {
 	}
 }
 
+// A forwarded hop packet is tracked on its outgoing link but was never
+// requested there, so it must not stand in for a request that never
+// committed.
+func TestHopPacketsDoNotHideUncommitted(t *testing.T) {
+	tr := NewTracker()
+	tr.AddRequested(3)
+	for seq := uint64(1); seq <= 2; seq++ {
+		tr.Record(key(seq), StepTransferBroadcast, 1)
+		tr.Record(key(seq), StepTransferConfirmation, 2)
+	}
+	hop := PacketKey{SrcChain: "b", Channel: "channel-1", Sequence: 1}
+	tr.Record(hop, StepTransferExtraction, 2)
+	tr.Record(hop, StepTransferConfirmation, 2)
+	counts := tr.CompletionCounts()
+	if counts[StatusInitiated] != 3 || counts[StatusNotCommitted] != 1 {
+		t.Fatalf("counts = %v, want 3 initiated and 1 not committed", counts)
+	}
+}
+
+// Recording a step of a packet whose chunk exists allocates nothing.
+func TestTrackerRecordAllocs(t *testing.T) {
+	tr := NewTracker()
+	tr.Record(key(1), StepTransferBroadcast, 1)
+	step := 0
+	got := testing.AllocsPerRun(100, func() {
+		step++
+		tr.Record(key(uint64(step%200)), Step(step%NumSteps+1), time.Duration(step))
+	})
+	if got != 0 {
+		t.Fatalf("Record allocated %.1f times per call", got)
+	}
+}
+
 func TestCompletionTimesAndWindow(t *testing.T) {
 	tr := NewTracker()
 	tr.Record(key(1), StepTransferBroadcast, 5*time.Second)
@@ -56,9 +93,6 @@ func TestCompletionTimesAndWindow(t *testing.T) {
 	lats := tr.CompletionTimes()
 	if len(lats) != 2 || lats[0] != 25*time.Second || lats[1] != 55*time.Second {
 		t.Fatalf("lats = %v", lats)
-	}
-	if n := tr.CompletedBetween(0, 40*time.Second); n != 1 {
-		t.Fatalf("window count = %d", n)
 	}
 	first, last, ok := tr.StepSpan(StepAckConfirmation)
 	if !ok || first != 30*time.Second || last != 60*time.Second {

@@ -13,7 +13,7 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
@@ -75,18 +75,17 @@ func Check(d *topo.Deployment, names []string) []Violation {
 		want[n] = true
 	}
 	sides := linkSides(d)
-	packets := collectSent(d)
 	var out []Violation
 	stuck := 0
-	for _, sp := range packets {
-		v, isStuck := classify(sp, sides)
+	eachSent(d, func(src *chain.Chain, p *ibc.Packet) {
+		v, isStuck := classify(src, p, sides)
 		if isStuck {
 			stuck++
 		}
 		if v != nil && want[v.Assertion] {
 			out = append(out, *v)
 		}
-	}
+	})
 	if want[AssertConservation] {
 		out = append(out, checkConservation(d, sides, stuck == 0)...)
 	}
@@ -114,17 +113,12 @@ func linkSides(d *topo.Deployment) map[string]linkSide {
 	return sides
 }
 
-// sentPacket is one send_packet occurrence with its source chain.
-type sentPacket struct {
-	src *chain.Chain
-	p   ibc.Packet
-}
-
-// collectSent walks every chain's event index in block order and
-// returns all packets sent during the run — workload transfers, route
-// legs, and middleware-emitted forward hops alike.
-func collectSent(d *topo.Deployment) []sentPacket {
-	var out []sentPacket
+// eachSent walks every chain's event index in block order and hands fn
+// every packet sent during the run — workload transfers, route legs, and
+// middleware-emitted forward hops alike. Within a transaction, channels
+// go in name order.
+func eachSent(d *topo.Deployment, fn func(src *chain.Chain, p *ibc.Packet)) {
+	var channels []string
 	for _, c := range d.Chains {
 		for h := int64(1); h <= c.Events.Height(); h++ {
 			be := c.Events.At(h)
@@ -132,36 +126,35 @@ func collectSent(d *topo.Deployment) []sentPacket {
 				continue
 			}
 			for _, te := range be.Txs {
-				channels := make([]string, 0, len(te.Sends))
+				channels = channels[:0]
 				for ch := range te.Sends {
 					channels = append(channels, ch)
 				}
-				sort.Strings(channels)
+				slices.Sort(channels)
 				for _, ch := range channels {
-					for _, p := range te.Sends[ch] {
-						out = append(out, sentPacket{src: c, p: p})
+					sends := te.Sends[ch]
+					for i := range sends {
+						fn(c, &sends[i])
 					}
 				}
 			}
 		}
 	}
-	return out
 }
 
 // classify checks one sent packet's settlement. It returns a violation
 // (or nil) plus whether the packet is stuck — its commitment survived
 // to the deadline — which feeds the conservation quiescence test.
-func classify(sp sentPacket, sides map[string]linkSide) (*Violation, bool) {
-	p := sp.p
+func classify(src *chain.Chain, p *ibc.Packet, sides map[string]linkSide) (*Violation, bool) {
 	var b [app.KeyBufLen]byte
-	if !sp.src.App.State().Has(ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)) {
+	if !src.App.State().Has(ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)) {
 		return nil, false // acked or refunded — settled either way
 	}
-	side, ok := sides[sp.src.ID+"/"+p.SourceChannel]
+	side, ok := sides[src.ID+"/"+p.SourceChannel]
 	if !ok {
 		return &Violation{
 			Assertion: AssertNoStuckPackets,
-			Chain:     sp.src.ID,
+			Chain:     src.ID,
 			Detail:    fmt.Sprintf("packet %s/%s#%d sent on unknown channel", p.SourcePort, p.SourceChannel, p.Sequence),
 		}, true
 	}
@@ -170,7 +163,7 @@ func classify(sp sentPacket, sides map[string]linkSide) (*Violation, bool) {
 	if !received && timeoutElapsed(p, dst) {
 		return &Violation{
 			Assertion: AssertTimeoutRefunds,
-			Chain:     sp.src.ID,
+			Chain:     src.ID,
 			Detail: fmt.Sprintf("packet %s/%s#%d timed out (height %d/time %v elapsed on %s) but was never refunded",
 				p.SourcePort, p.SourceChannel, p.Sequence, p.TimeoutHeight, p.TimeoutTimestamp, dst.ID),
 		}, true
@@ -181,7 +174,7 @@ func classify(sp sentPacket, sides map[string]linkSide) (*Violation, bool) {
 	}
 	return &Violation{
 		Assertion: AssertNoStuckPackets,
-		Chain:     sp.src.ID,
+		Chain:     src.ID,
 		Detail: fmt.Sprintf("packet %s/%s#%d stuck at deadline: %s",
 			p.SourcePort, p.SourceChannel, p.Sequence, state),
 	}, true
@@ -190,7 +183,7 @@ func classify(sp sentPacket, sides map[string]linkSide) (*Violation, bool) {
 // timeoutElapsed reports whether the packet's timeout passed on the
 // destination chain — the condition under which a relayer could prove
 // the timeout and trigger the refund.
-func timeoutElapsed(p ibc.Packet, dst *chain.Chain) bool {
+func timeoutElapsed(p *ibc.Packet, dst *chain.Chain) bool {
 	if p.TimeoutHeight > 0 && dst.Store.Height() >= p.TimeoutHeight {
 		return true
 	}

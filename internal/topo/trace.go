@@ -99,7 +99,7 @@ func forwardedOverrides(d *Deployment, runs []*routeRun) map[metrics.PacketKey]u
 // emitPacketSpans reconstructs each tracked packet's 13-step lifecycle
 // as one async span on its source chain's track: a begin at the first
 // recorded step, one instant per step, an end at the last. Links and
-// keys iterate in deterministic order, so same-seed traces are
+// the tracker's walk go in deterministic order, so same-seed traces are
 // byte-identical.
 func emitPacketSpans(d *Deployment, tr *obs.Tracer, overrides map[metrics.PacketKey]uint64) {
 	namePkt := tr.Name("pkt")
@@ -108,40 +108,28 @@ func emitPacketSpans(d *Deployment, tr *obs.Tracer, overrides map[metrics.Packet
 		stepNames[i] = tr.Name(metrics.Step(i + 1).String())
 	}
 	for _, l := range d.Links {
-		for _, key := range l.Tracker.Keys() {
-			var (
-				times [metrics.NumSteps]time.Duration
-				set   [metrics.NumSteps]bool
-				first = -1
-				last  = -1
-			)
-			for i := 0; i < metrics.NumSteps; i++ {
-				at, ok := l.Tracker.StepTime(key, metrics.Step(i+1))
-				if !ok {
-					continue
-				}
-				times[i], set[i] = at, true
-				if first < 0 {
-					first = i
-				}
-				last = i
-			}
-			if first < 0 {
-				continue
-			}
+		l.Tracker.Walk(func(key metrics.PacketKey, rec *metrics.Lifecycle) {
 			id := overrides[key]
 			if id == 0 {
 				id = packetTraceID(key)
 			}
 			track := tr.Track("chain/" + key.SrcChain)
-			tr.AsyncBegin(id, track, namePkt, times[first])
-			for i := 0; i < metrics.NumSteps; i++ {
-				if set[i] {
-					tr.AsyncInstant(id, track, stepNames[i], times[i])
+			begun := false
+			var last time.Duration
+			for i := range stepNames {
+				at, ok := rec.StepTime(metrics.Step(i + 1))
+				if !ok {
+					continue
 				}
+				if !begun {
+					tr.AsyncBegin(id, track, namePkt, at)
+					begun = true
+				}
+				tr.AsyncInstant(id, track, stepNames[i], at)
+				last = at
 			}
-			tr.AsyncEnd(id, track, namePkt, times[last])
-		}
+			tr.AsyncEnd(id, track, namePkt, last)
+		})
 	}
 }
 
