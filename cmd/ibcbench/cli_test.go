@@ -59,10 +59,38 @@ func TestHelpListsRegistries(t *testing.T) {
 	var buf bytes.Buffer
 	printUsage(&buf)
 	out := buf.String()
-	for _, want := range []string{"sweep", "search", "bench2json", "meshscale", "votescale", "quickstart", "timeoutstorm"} {
+	for _, want := range []string{"sweep", "search", "bench2json", "fig13", "votescale", "quickstart", "timeoutstorm"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("help output missing %q", want)
 		}
+	}
+}
+
+// A sweep document is a pure function of its flags: the worker pool size
+// changes neither a result nor the header, so the bytes match exactly.
+func TestSweepDocumentIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small votescale sweep twice")
+	}
+	dir := t.TempDir()
+	var docs [][]byte
+	for _, workers := range []string{"1", "4"} {
+		out := filepath.Join(dir, "votescale-w"+workers+".json")
+		err := runSweep([]string{
+			"-experiment", "votescale", "-topology", "two", "-validators", "4,8",
+			"-rate", "2", "-seeds", "1", "-windows", "1", "-workers", workers, "-out", out,
+		}, &bytes.Buffer{})
+		if err != nil {
+			t.Fatalf("-workers %s: %v", workers, err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, data)
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Errorf("-workers 1 and -workers 4 wrote different documents:\n%s\n---\n%s", docs[0], docs[1])
 	}
 }
 

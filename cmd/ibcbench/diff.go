@@ -25,7 +25,7 @@ import (
 // trailing flags).
 func runDiffCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench diff", flag.ContinueOnError)
-	failPct := fs.Float64("fail-on-change", -1, "exit nonzero when any metric moves beyond this tolerance in percent (negative = report only; skipped when the files' config headers mismatch)")
+	failPct := fs.Float64("fail-on-change", -1, "exit nonzero when any metric moves beyond this tolerance in percent (negative = report only); an armed gate also fails when the files' config headers mismatch")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -47,11 +47,12 @@ func runDiffCmd(args []string, w io.Writer) error {
 // runDiff loads two -out result files and prints per-metric deltas.
 // A non-negative failPct arms the CI regression gate: a non-nil error is
 // returned (and the process exits nonzero) when any numeric metric moves
-// beyond that tolerance in percent. Files whose config headers disagree
-// are excluded from the gate — their deltas measure the config change,
-// not a regression — as are added/removed metrics (new benchmarks must
-// not fail the gate). A metric moving off zero has no defined percent
-// change and always trips an armed gate.
+// beyond that tolerance in percent. An armed gate also fails when the
+// files' config headers disagree, moved metrics or not: a baseline made
+// with other flags cannot vouch for this run, so it must be refreshed,
+// not silently skipped. Added/removed metrics never trip the gate (new
+// benchmarks must not fail it). A metric moving off zero has no defined
+// percent change and always trips an armed gate.
 func runDiff(oldPath, newPath string, failPct float64, w io.Writer) error {
 	oldDoc, err := loadResults(oldPath)
 	if err != nil {
@@ -66,9 +67,9 @@ func runDiff(oldPath, newPath string, failPct float64, w io.Writer) error {
 
 	fmt.Fprintf(w, "# diff %s -> %s\n", oldPath, newPath)
 	var exceeded []string
-	if len(d.Changed) == 0 && len(d.Added) == 0 && len(d.Removed) == 0 {
+	moved := len(d.Changed)+len(d.Added)+len(d.Removed) > 0
+	if !moved {
 		fmt.Fprintf(w, "no differences (%d metrics compared)\n", d.Unchanged)
-		return nil
 	}
 	if len(d.Changed) > 0 {
 		fmt.Fprintf(w, "%-58s %14s %14s %14s %9s\n", "metric", "old", "new", "delta", "%")
@@ -101,17 +102,18 @@ func runDiff(oldPath, newPath string, failPct float64, w io.Writer) error {
 	for _, row := range d.Removed {
 		fmt.Fprintf(w, "removed: %s = %v\n", row.Path, row.Old)
 	}
-	fmt.Fprintf(w, "%d changed, %d added, %d removed, %d unchanged\n",
-		len(d.Changed), len(d.Added), len(d.Removed), d.Unchanged)
+	if moved {
+		fmt.Fprintf(w, "%d changed, %d added, %d removed, %d unchanged\n",
+			len(d.Changed), len(d.Added), len(d.Removed), d.Unchanged)
+	}
+	for _, m := range exceeded {
+		fmt.Fprintf(w, "exceeds ±%.1f%%: %s\n", failPct, m)
+	}
+	if failPct >= 0 && len(cfgDiffs) > 0 {
+		return fmt.Errorf("diff: config headers mismatch on %s; an armed gate needs a baseline made with the same flags",
+			resultdiff.FieldNames(cfgDiffs))
+	}
 	if len(exceeded) > 0 {
-		if len(cfgDiffs) > 0 {
-			fmt.Fprintf(w, "fail-on-change gate skipped: config headers mismatch on %s (deltas reflect the config change)\n",
-				resultdiff.FieldNames(cfgDiffs))
-			return nil
-		}
-		for _, m := range exceeded {
-			fmt.Fprintf(w, "exceeds ±%.1f%%: %s\n", failPct, m)
-		}
 		return fmt.Errorf("diff: %d metric(s) moved beyond ±%.1f%%", len(exceeded), failPct)
 	}
 	return nil
@@ -122,8 +124,7 @@ func runDiff(oldPath, newPath string, failPct float64, w io.Writer) error {
 // they disagree, naming each differing field: a metric diff across
 // different configurations measures the config change, not a
 // regression. Documents without a header (pre-header results) are
-// compared silently. The returned field diffs disarm the fail-on-change
-// gate when non-empty.
+// compared silently. Non-empty field diffs fail an armed gate.
 func warnConfigMismatch(oldDoc, newDoc any, w io.Writer) []resultdiff.FieldDiff {
 	diffs := resultdiff.ConfigDiff(resultdiff.ConfigHeader(oldDoc), resultdiff.ConfigHeader(newDoc))
 	if len(diffs) == 0 {

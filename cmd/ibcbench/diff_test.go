@@ -201,23 +201,36 @@ func TestDiffFailOnChangeIgnoresAddedRemoved(t *testing.T) {
 	}
 }
 
-func TestDiffFailOnChangeSkippedOnConfigMismatch(t *testing.T) {
-	// Config-mismatched files are excluded from the gate: the deltas
-	// measure the config change, not a regression.
+// An armed gate cannot be disarmed by a header change: mismatched config
+// headers are an error naming the differing fields, whether or not a
+// metric moved. Unarmed, the mismatch stays a warning.
+func TestDiffFailOnChangeErrorsOnConfigMismatch(t *testing.T) {
 	oldPath := writeTemp(t, "old.json", `{
-		"config": {"topology": "hub:4"},
+		"config": {"topology": "hub:4", "forwarding": false, "seed": 42},
 		"topo": {"Throughput": 100.0}
 	}`)
-	newPath := writeTemp(t, "new.json", `{
-		"config": {"topology": "hub:6"},
-		"topo": {"Throughput": 10.0}
-	}`)
-	var sb strings.Builder
-	if err := runDiff(oldPath, newPath, 5, &sb); err != nil {
-		t.Fatalf("gate fired across mismatched configs: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "gate skipped") {
-		t.Fatalf("skipped gate not reported:\n%s", sb.String())
+	for _, tput := range []string{"10.0", "100.0"} {
+		newPath := writeTemp(t, "new.json", `{
+			"config": {"topology": "hub:6", "seed": 42},
+			"topo": {"Throughput": `+tput+`}
+		}`)
+		var sb strings.Builder
+		err := runDiff(oldPath, newPath, 5, &sb)
+		if err == nil {
+			t.Fatalf("throughput %s: armed gate passed across mismatched configs:\n%s", tput, sb.String())
+		}
+		for _, field := range []string{"topology", "forwarding"} {
+			if !strings.Contains(err.Error(), field) {
+				t.Errorf("throughput %s: gate error %q does not name %s", tput, err, field)
+			}
+		}
+		if strings.Contains(err.Error(), "seed") {
+			t.Errorf("throughput %s: gate error %q names a matching field", tput, err)
+		}
+		sb.Reset()
+		if err := runDiff(oldPath, newPath, -1, &sb); err != nil || !strings.Contains(sb.String(), "WARNING") {
+			t.Errorf("throughput %s: unarmed diff: err=%v, want a warning only:\n%s", tput, err, sb.String())
+		}
 	}
 }
 

@@ -36,7 +36,6 @@ func runSweep(args []string, w io.Writer) error {
 		validators = fs.String("validators", "", "validator-set sizes: votescale sweeps the comma list (default 4,8,12,16,24,32); other topology experiments use the first value (\"\" = the paper's 5)")
 		forwarding = fs.Bool("forwarding", false, "run topo multi-hop routes through the packet-forward middleware instead of sequential legs")
 		workers    = fs.Int("workers", 0, "sweep worker pool size (0 = all cores, 1 = serial)")
-		parallel   = fs.Int("parallel", 0, "intra-run partitioned workers: split each simulation's chains over N OS workers with byte-identical results (0/1 = serial scheduler); also the worker count of -experiment meshscale")
 		out        = fs.String("out", "", "write every experiment's result as JSON to this file (cross-PR regression tracking)")
 		storeDir   = fs.String("store", "", "archive the result document (the -out payload) into this experiment-store directory; browse it with `ibcbench serve -store DIR`")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
@@ -49,7 +48,7 @@ func runSweep(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opt := experiments.Options{Seeds: *seeds, Windows: *windows, Workers: *workers, Regions: *regions, Parallel: *parallel}
+	opt := experiments.Options{Seeds: *seeds, Windows: *windows, Workers: *workers, Regions: *regions}
 	if len(valSizes) > 0 {
 		opt.Validators = valSizes[0]
 	}
@@ -104,7 +103,6 @@ func runSweep(args []string, w io.Writer) error {
 		Rate:       *rate,
 		Forwarding: *forwarding,
 		Validators: valSizes,
-		Parallel:   *parallel,
 		Out:        w,
 		Record:     record,
 	}
@@ -122,8 +120,7 @@ func runSweep(args []string, w io.Writer) error {
 			"experiment": *exp, "seeds": *seeds, "windows": *windows,
 			"transfers": *transfers, "seed": *seed, "topology": *topology,
 			"rate": *rate, "regions": *regions, "forwarding": *forwarding,
-			"validators": *validators, "parallel": *parallel,
-			"netem": netem.DefaultWAN(),
+			"validators": *validators, "netem": netem.DefaultWAN(),
 		}
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {

@@ -349,6 +349,7 @@ func (a *App) Commit() types.Hash {
 	root := a.state.Commit(a.curHeight)
 	// Reset mempool sequence views that fell behind committed state
 	// (recheck after commit).
+	// order-free: each account updates only its own view.
 	for _, acct := range a.accounts {
 		if acct.checkSequence < acct.Sequence {
 			acct.checkSequence = acct.Sequence
@@ -360,6 +361,7 @@ func (a *App) Commit() types.Hash {
 // ResetCheckState realigns every account's mempool sequence view with
 // committed state, modeling a mempool flush/recheck.
 func (a *App) ResetCheckState() {
+	// order-free: each account updates only its own view.
 	for _, acct := range a.accounts {
 		acct.checkSequence = acct.Sequence
 	}

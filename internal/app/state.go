@@ -249,6 +249,7 @@ func (s *State) snapshotAt(height int64) (map[string][]byte, error) {
 		return nil, err
 	}
 	snap := make(map[string][]byte, len(s.data))
+	// order-free: a map-into-map copy.
 	for k, e := range s.data {
 		snap[k] = e.val
 	}

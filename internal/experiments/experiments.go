@@ -37,10 +37,6 @@ type Options struct {
 	// deployments (0 = the paper's five); the votescale experiment sweeps
 	// this axis explicitly.
 	Validators int
-	// Parallel partitions each run's chains over this many intra-run
-	// workers (0/1 = the serial scheduler). Results are byte-identical
-	// either way; see topo.DeployConfig.ParallelWorkers.
-	Parallel int
 }
 
 func (o Options) seeds() int {
@@ -106,15 +102,14 @@ func specGrid(opt Options, label string, specs []scenario.Spec, seedOf func(vari
 }
 
 // topoSpec is the part every topology driver's spec shares: the preset
-// graph on opt's region preset, validator-set size and intra-run
-// workers, with every edge sustaining rate requests/second for the
-// given windows.
+// graph on opt's region preset and validator-set size, with every edge
+// sustaining rate requests/second for the given windows.
 func (o Options) topoSpec(name, preset string, rate, windows int) scenario.Spec {
 	return scenario.Spec{
 		Name:     name,
 		Topology: scenario.TopologySpec{Preset: preset},
 		Regions:  o.Regions,
-		Deploy:   scenario.DeploySpec{Validators: o.Validators, ParallelWorkers: o.Parallel},
+		Deploy:   scenario.DeploySpec{Validators: o.Validators},
 		Workload: scenario.WorkloadSpec{Rate: rate, Windows: windows},
 	}
 }
@@ -401,7 +396,7 @@ type Fig12Result struct {
 // 13-step breakdown. The paper's run uses 5,000 transfers.
 func Fig12(transfers int, seed int64) Fig12Result {
 	d, link := twoChain(seed, 0, false)
-	d.Sched.At(time.Millisecond, func() { link.Forward().SubmitBatch(transfers) })
+	link.Forward().SubmitSpread(transfers, 1)
 	_ = d.Run(45 * time.Minute)
 
 	t := link.Tracker
@@ -488,7 +483,7 @@ type GasRow struct {
 // GasTable measures per-class gas on a live run of 100 transfers.
 func GasTable(seed int64) []GasRow {
 	d, link := twoChain(seed, 0, false)
-	d.Sched.At(time.Millisecond, func() { link.Forward().SubmitBatch(100) })
+	link.Forward().SubmitSpread(100, 1)
 	_ = d.Run(10 * time.Minute)
 	want := map[string]uint64{
 		"MsgTransfer":        3669161,

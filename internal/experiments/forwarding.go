@@ -90,7 +90,7 @@ func forwardingSpec(opt Options, spec string, path []int, transfers int) scenari
 	return scenario.Spec{
 		Name:     fmt.Sprintf("%s-hops%d", spec, len(path)-1),
 		Topology: scenario.TopologySpec{Preset: spec},
-		Deploy:   scenario.DeploySpec{Validators: opt.Validators, ParallelWorkers: opt.Parallel},
+		Deploy:   scenario.DeploySpec{Validators: opt.Validators},
 		Workload: scenario.WorkloadSpec{Routes: []scenario.RouteSpec{
 			{Path: path, Transfers: transfers},
 			{Path: path, Transfers: transfers, Forwarded: true},

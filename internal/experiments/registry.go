@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -24,7 +23,6 @@ type RunContext struct {
 	Rate       int
 	Forwarding bool
 	Validators []int
-	Parallel   int
 	Out        io.Writer
 	Record     func(key string, v any)
 }
@@ -111,14 +109,8 @@ var registry = []Entry{
 	{
 		Name:      "votescale",
 		Selectors: []string{"votescale"},
-		Desc:      "validator-set scaling sweep on the shared vote-verification engine",
+		Desc:      "validator-set scaling sweep: block rate, latency and completion vs set size (host cost: BenchmarkVoteFanout)",
 		Run:       runVoteScale,
-	},
-	{
-		Name:      "meshscale",
-		Selectors: []string{"meshscale"},
-		Desc:      "serial-vs-parallel runner speedup grid on full-mesh topologies (fingerprint-checked)",
-		Run:       runMeshScale,
 	},
 	{
 		Name:      "ws",
@@ -290,36 +282,14 @@ func runFailover(ctx RunContext) error {
 }
 
 func runVoteScale(ctx RunContext) error {
-	// Validator-scaling: the shared vote-verification engine makes
-	// set size an affordable axis; blocks/s stays flat (virtual
-	// timing) while wall cost grows ~linearly instead of quadratically.
+	// Validator-scaling: blocks/s stays flat (virtual timing) while
+	// latency and completion show what set size costs the protocol.
+	// Host cost against set size is BenchmarkVoteFanout's.
 	res, err := VoteScale(ctx.Opt, ctx.Topology, ctx.Rate, ctx.Validators)
 	if err != nil {
 		return err
 	}
 	ctx.Record("votescale", res)
-	res.Render(ctx.Out)
-	fmt.Fprintln(ctx.Out)
-	return nil
-}
-
-func runMeshScale(ctx RunContext) error {
-	// Serial-vs-parallel scaling: each cell runs the same full-mesh
-	// scenario on both runners, checks result-fingerprint equality
-	// and reports the wall-clock speedup curve.
-	chains := DefaultMeshScaleChains
-	if strings.HasPrefix(ctx.Topology, "mesh:") {
-		n, err := strconv.Atoi(strings.TrimPrefix(ctx.Topology, "mesh:"))
-		if err != nil || n < 2 {
-			return fmt.Errorf("ibcbench: -experiment meshscale needs -topology mesh:n with n >= 2 (got %q)", ctx.Topology)
-		}
-		chains = []int{n}
-	}
-	res, err := MeshScale(ctx.Opt, chains, ctx.Parallel)
-	if err != nil {
-		return err
-	}
-	ctx.Record("meshscale", res)
 	res.Render(ctx.Out)
 	fmt.Fprintln(ctx.Out)
 	return nil

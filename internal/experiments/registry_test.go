@@ -12,7 +12,7 @@ func TestRegistryOrderAndShape(t *testing.T) {
 	wantNames := []string{
 		"tendermint", "fig8", "fig8-lan", "fig9", "fig9-lan",
 		"fig12", "fig13", "gas", "topo", "forward",
-		"failover", "votescale", "meshscale", "ws",
+		"failover", "votescale", "ws",
 	}
 	reg := Registry()
 	if len(reg) != len(wantNames) {
@@ -46,7 +46,7 @@ func TestSelect(t *testing.T) {
 		sel  string
 		want []string
 	}{
-		{"all", []string{"tendermint", "fig8", "fig8-lan", "fig9", "fig9-lan", "fig12", "fig13", "gas", "topo", "forward", "failover", "votescale", "meshscale", "ws"}},
+		{"all", []string{"tendermint", "fig8", "fig8-lan", "fig9", "fig9-lan", "fig12", "fig13", "gas", "topo", "forward", "failover", "votescale", "ws"}},
 		// The LAN cells ride along with the completion-breakdown
 		// figures (10/11), not with the base throughput selectors —
 		// the pre-registry driver behaved exactly this way.

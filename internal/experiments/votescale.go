@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/scenario"
@@ -28,13 +27,6 @@ type VoteScalePoint struct {
 	Latency metrics.Dist
 	// Completed is the aggregate completed-transfer distribution.
 	Completed metrics.Dist
-	// WallSecPerSeed is the host wall-clock cost of one simulation run at
-	// this size — the axis the shared vote-verification engine flattens
-	// from quadratic towards linear in V. It is measured by a dedicated
-	// serial pass (one run per size, first seed) after the sweep: cells
-	// inside the parallel worker pool contend for cores, which would
-	// corrupt the scaling curve this metric exists to show.
-	WallSecPerSeed float64
 }
 
 // VoteScaleResult is the validator-scaling experiment.
@@ -47,8 +39,8 @@ type VoteScaleResult struct {
 
 // VoteScale sweeps the validator-set size on one topology: every chain
 // runs V validators, every edge sustains `rate` requests/second, and each
-// (V, seed) cell records block production, end-to-end transfer latency
-// and the host-side wall cost.
+// (V, seed) cell records block production and end-to-end transfer
+// latency. The host cost against V is BenchmarkVoteFanout's to measure.
 func VoteScale(opt Options, spec string, rate int, sizes []int) (VoteScaleResult, error) {
 	if rate <= 0 {
 		return VoteScaleResult{}, fmt.Errorf("experiments: votescale needs a per-edge rate >= 1 (got %d)", rate)
@@ -92,20 +84,6 @@ func VoteScale(opt Options, spec string, rate int, sizes []int) (VoteScaleResult
 		row.Completed = metrics.Summarize(completed)
 		out.Rows = append(out.Rows, row)
 	}
-	// Serial timing pass: one uncontended run per size gives the honest
-	// wall-cost-vs-V curve (virtual metrics above are unaffected by
-	// contention, so they can come from the parallel sweep).
-	for i, s := range specs {
-		sc, err := scenario.Compile(s)
-		if err != nil {
-			return VoteScaleResult{}, err
-		}
-		start := time.Now()
-		if _, err := sc.Run(seedOf(i, 0)); err != nil {
-			return VoteScaleResult{}, fmt.Errorf("experiments: votescale %s timing pass (V=%d): %w", spec, sizes[i], err)
-		}
-		out.Rows[i].WallSecPerSeed = time.Since(start).Seconds()
-	}
 	return out, nil
 }
 
@@ -120,13 +98,12 @@ func voteScaleSpec(opt Options, spec string, rate, v int) scenario.Spec {
 // Render writes the validator-scaling table.
 func (r VoteScaleResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# votescale on %s: %d rps per edge, %d seeds\n", r.Spec, r.Rate, r.Seeds)
-	fmt.Fprintf(w, "%-12s %-12s %-26s %-18s %-12s\n",
-		"validators", "blocks/s", "latency mean-sec (seeds)", "completed", "wall-sec/seed")
+	fmt.Fprintf(w, "%-12s %-12s %-26s %s\n",
+		"validators", "blocks/s", "latency mean-sec (seeds)", "completed")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-12d %-12.3f %-26s %-18s %-12.2f\n",
+		fmt.Fprintf(w, "%-12d %-12.3f %-26s %s\n",
 			row.Validators, row.BlocksPerSec.Mean,
 			fmt.Sprintf("%.1f [%.1f..%.1f]", row.Latency.Mean, row.Latency.Min, row.Latency.Max),
-			fmt.Sprintf("%.0f (n=%d)", row.Completed.Mean, row.Completed.N),
-			row.WallSecPerSeed)
+			fmt.Sprintf("%.0f (n=%d)", row.Completed.Mean, row.Completed.N))
 	}
 }

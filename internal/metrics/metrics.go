@@ -294,6 +294,7 @@ func MergeCounts(counts ...map[Status]int) map[Status]int {
 		StatusInitiated: 0, StatusNotCommitted: 0,
 	}
 	for _, c := range counts {
+		// order-free: integer sums.
 		for s, n := range c {
 			out[s] += n
 		}

@@ -942,9 +942,7 @@ func (r *Relayer) scheduleClear(src, dst *endpoint) {
 			r.clearSeen = make(map[int64]bool, len(missed))
 		}
 		seen := r.clearSeen
-		for h := range seen {
-			delete(seen, h)
-		}
+		clear(seen)
 		for _, h := range missed {
 			if seen[h] {
 				continue

@@ -1,8 +1,7 @@
 // Chaos search: seeded randomized fault-timeline generation over a
 // spec's declared fault space, hunting assertion violations. Every
 // candidate is a full deterministic run, candidates fan out across the
-// ParallelMap pool (each run can itself use -parallel
-// workers), and the FIRST violating candidate by generation index — not
+// ParallelMap pool, and the FIRST violating candidate by generation index — not
 // completion order — wins, so a search with the same spec and seed
 // always returns the same counterexample. A found violation is shrunk
 // (shrink.go) to a minimal reproducing timeline and emitted as a

@@ -265,7 +265,8 @@ func (s Spec) Validate() error {
 	if _, err := parseGeo(s.Regions); err != nil {
 		return err
 	}
-	for edge := range s.Workload.EdgeRates {
+	// Sorted, so that of several bad keys the error always names the same.
+	for _, edge := range sortedEdgeKeys(s.Workload.EdgeRates) {
 		i, err := strconv.Atoi(edge)
 		if err != nil {
 			return fmt.Errorf("scenario: edgeRates key %q is not an edge index", edge)
@@ -392,17 +393,14 @@ func (s Spec) edgeRelayerSlots(tp topo.Topology, edge int) int {
 	return n
 }
 
-// sortedEdgeKeys returns EdgeRates keys in numeric order; callers have
-// validated that every key parses.
+// sortedEdgeKeys returns EdgeRates keys in string order. The order
+// matters to Compile only where two keys name one edge ("1" and "01"):
+// the later key wins, the same one every run.
 func sortedEdgeKeys(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, _ := strconv.Atoi(keys[i])
-		b, _ := strconv.Atoi(keys[j])
-		return a < b
-	})
+	sort.Strings(keys)
 	return keys
 }

@@ -132,6 +132,23 @@ func TestEdgeRateCompile(t *testing.T) {
 	}
 }
 
+// Validate checks edgeRates keys in sorted order, so with two bad keys
+// the error names the same one every call, not whichever the map yields
+// first.
+func TestValidateNamesFirstBadEdgeKey(t *testing.T) {
+	s := Spec{
+		Name:     "x",
+		Topology: TopologySpec{Preset: "two"},
+		Workload: WorkloadSpec{EdgeRates: map[string]int{"x": 1, "y": 2}},
+	}
+	for i := 0; i < 50; i++ {
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), `"x"`) {
+			t.Fatalf("call %d: got %v, want the error to name key \"x\"", i, err)
+		}
+	}
+}
+
 // TestExplicitTopology compiles a hand-built graph with regions and
 // per-edge relayer overrides.
 func TestExplicitTopology(t *testing.T) {

@@ -208,6 +208,7 @@ func (c *Cache) fullVerify(chainID string, v *types.Vote, pub valkey.PubKey) boo
 // back to a full verification in the light-client path.
 func (c *Cache) PruneBelow(h int64) {
 	c.mu.Lock()
+	// order-free: deletes by a per-key test.
 	for k := range c.admitted {
 		if k.Height < h {
 			delete(c.admitted, k)

@@ -266,40 +266,15 @@ func (s Scenario) deadline(windows int) time.Duration {
 	return d + s.ExtraSettle
 }
 
-// startLeg submits one route leg on a dedicated generator and polls the
-// edge tracker until every one of the leg's own packets completes, then
-// advances to the next hop. Attribution goes through the generator's
-// PacketKeys, so concurrent edge-rate traffic on the same channel never
-// advances a leg early.
+// startLeg submits one route leg on a dedicated generator and advances
+// to the next hop once the leg completes.
 func (d *Deployment) startLeg(rr *routeRun) {
 	if rr.hop == 0 {
 		rr.startedAt = d.Sched.Now()
 	}
 	from, to := rr.route.Path[rr.hop], rr.route.Path[rr.hop+1]
 	link, _ := d.LinkBetween(from, to)
-	gen := link.newRouteGenerator(from, rr.idx, rr.hop)
-	rr.legs = append(rr.legs, gen)
-	rr.links = append(rr.links, link)
-	gen.SubmitBatch(rr.route.Transfers)
-	d.Sched.Tick(simconf.MinBlockInterval, func(t *sim.Ticker) {
-		completed := 0
-		for _, key := range gen.PacketKeys() {
-			if link.Tracker.StatusOf(key) == metrics.StatusCompleted {
-				completed++
-			}
-		}
-		if completed < rr.route.Transfers {
-			return
-		}
-		t.Cancel()
-		rr.hop++
-		if rr.hop+1 >= len(rr.route.Path) {
-			rr.done = true
-			rr.doneAt = d.Sched.Now()
-			return
-		}
-		d.startLeg(rr)
-	})
+	d.submitAndAwait(rr, link, link.newRouteGenerator(from, rr.idx, rr.hop))
 }
 
 // startForwardedRoute submits the route's single user transfer batch with
@@ -317,6 +292,16 @@ func (d *Deployment) startForwardedRoute(rr *routeRun) {
 		return // unreachable: routes are validated before scheduling
 	}
 	gen.Memo = memo
+	d.submitAndAwait(rr, link, gen)
+}
+
+// submitAndAwait submits the route's batch on gen and polls link's
+// tracker once per block window until every one of gen's own packets
+// completes. Attribution goes through the generator's PacketKeys, so
+// concurrent edge-rate traffic on the same channel never completes a leg
+// early. A sequential route then starts its next leg; a forwarded route,
+// whose later hops the middleware emits, is done.
+func (d *Deployment) submitAndAwait(rr *routeRun, link *Link, gen *workload.Generator) {
 	rr.legs = append(rr.legs, gen)
 	rr.links = append(rr.links, link)
 	gen.SubmitBatch(rr.route.Transfers)
@@ -331,6 +316,11 @@ func (d *Deployment) startForwardedRoute(rr *routeRun) {
 			return
 		}
 		t.Cancel()
+		rr.hop++
+		if !rr.route.Forwarded && rr.hop+1 < len(rr.route.Path) {
+			d.startLeg(rr)
+			return
+		}
 		rr.done = true
 		rr.doneAt = d.Sched.Now()
 	})

@@ -181,34 +181,42 @@ func (g *Generator) EnsureAccounts(n int) {
 // signs with its locally tracked sequence and retries through a re-query
 // on mismatch.
 func (g *Generator) SubmitBatch(transfers int) {
+	txCount := g.request(transfers)
+	// Rotate through enough distinct accounts that a window never reuses
+	// an account from the previous two windows.
+	g.EnsureAccounts(3 * txCount)
+	for i := 0; i < txCount; i++ {
+		g.submitTx(g.accounts[g.acctCursor%len(g.accounts)], txSize(transfers, i), 0)
+		g.acctCursor++
+	}
+}
+
+// request counts transfers as requested and returns how many
+// transactions of at most RelayerMaxMsgsPerTx messages carry them.
+func (g *Generator) request(transfers int) int {
 	if transfers <= 0 {
-		return
+		return 0
 	}
 	g.stats.Requested += transfers
 	if g.tracker != nil {
 		g.tracker.AddRequested(transfers)
 	}
-	txCount := (transfers + simconf.RelayerMaxMsgsPerTx - 1) / simconf.RelayerMaxMsgsPerTx
-	// Rotate through enough distinct accounts that a window never reuses
-	// an account from the previous two windows.
-	g.EnsureAccounts(3 * txCount)
-	remaining := transfers
-	for i := 0; i < txCount; i++ {
-		n := simconf.RelayerMaxMsgsPerTx
-		if n > remaining {
-			n = remaining
-		}
-		remaining -= n
-		g.submitTx(g.accounts[g.acctCursor%len(g.accounts)], n, 0)
-		g.acctCursor++
-	}
+	return (transfers + simconf.RelayerMaxMsgsPerTx - 1) / simconf.RelayerMaxMsgsPerTx
 }
 
-// submitTx builds and broadcasts one batch transaction for an account.
-func (g *Generator) submitTx(account string, n int, attempt int) {
+// txSize is the message count of transaction i of a batch: full
+// transactions first, the remainder last.
+func txSize(transfers, i int) int {
+	return min(simconf.RelayerMaxMsgsPerTx, transfers-i*simconf.RelayerMaxMsgsPerTx)
+}
+
+// transferTx builds one batch transaction of n transfers from account at
+// its tracked sequence, numbering the messages from the generator's nonce,
+// and stamps its broadcast time.
+func (g *Generator) transferTx(account string, n int) (*app.Tx, uint64) {
 	timeoutHeight := g.destTop() + g.TimeoutBlocks
 	msgs := make([]app.Msg, n)
-	for j := 0; j < n; j++ {
+	for j := range msgs {
 		g.nonce++
 		msgs[j] = transfer.MsgTransfer{
 			Sender:        account,
@@ -224,6 +232,12 @@ func (g *Generator) submitTx(account string, n int, attempt int) {
 	seq := g.nextSeq[account]
 	tx := app.NewTx(account, seq, g.nonce, msgs)
 	g.broadcastAt[tx.Hash()] = g.sched.Now()
+	return tx, seq
+}
+
+// submitTx builds and broadcasts one batch transaction for an account.
+func (g *Generator) submitTx(account string, n int, attempt int) {
+	tx, seq := g.transferTx(account, n)
 	g.rpcNode.BroadcastTxSync(g.host, tx, func(err error) {
 		switch {
 		case err == nil:
@@ -248,18 +262,16 @@ func (g *Generator) submitTx(account string, n int, attempt int) {
 // convention: "a request rate of 1,000 transfers per second corresponds
 // to a batch of 5,000 transfers being submitted every 5 seconds").
 func (g *Generator) RunConstantRate(ratePerSec int, windows int) {
-	perWindow := ratePerSec * int(simconf.MinBlockInterval/time.Second)
-	for w := 0; w < windows; w++ {
-		w := w
-		g.sched.At(time.Duration(w)*simconf.MinBlockInterval+time.Millisecond, func() {
-			g.SubmitBatch(perWindow)
-		})
-	}
+	g.SubmitSpread(ratePerSec*int(simconf.MinBlockInterval/time.Second)*windows, windows)
 }
 
 // SubmitSpread splits total transfers evenly across numBlocks submission
-// windows (Fig. 13's submission strategies).
+// windows, 1 ms into each block window (Fig. 13's submission strategies;
+// one window is Fig. 12's single-block burst).
 func (g *Generator) SubmitSpread(total, numBlocks int) {
+	if numBlocks <= 0 {
+		return
+	}
 	per := total / numBlocks
 	extra := total - per*numBlocks
 	for wIdx := 0; wIdx < numBlocks; wIdx++ {
@@ -280,41 +292,12 @@ func (g *Generator) SubmitSpread(total, numBlocks int) {
 // block containing 1,000 cross-chain transactions with 100 IBC transfers
 // each". Bypasses the RPC submission path.
 func (g *Generator) InjectDirect(transfers int) {
-	if transfers <= 0 {
-		return
-	}
-	g.stats.Requested += transfers
-	if g.tracker != nil {
-		g.tracker.AddRequested(transfers)
-	}
-	txCount := (transfers + simconf.RelayerMaxMsgsPerTx - 1) / simconf.RelayerMaxMsgsPerTx
+	txCount := g.request(transfers)
 	g.EnsureAccounts(txCount)
-	remaining := transfers
-	timeoutHeight := g.destTop() + g.TimeoutBlocks
 	for i := 0; i < txCount; i++ {
-		n := simconf.RelayerMaxMsgsPerTx
-		if n > remaining {
-			n = remaining
-		}
-		remaining -= n
+		n := txSize(transfers, i)
 		account := g.accounts[i]
-		msgs := make([]app.Msg, n)
-		for j := 0; j < n; j++ {
-			g.nonce++
-			msgs[j] = transfer.MsgTransfer{
-				Sender:        account,
-				Receiver:      "receiver-" + account,
-				Token:         app.Coin{Denom: "uatom", Amount: 1},
-				SourcePort:    transfer.PortID,
-				SourceChannel: g.SourceChannel,
-				TimeoutHeight: timeoutHeight,
-				Memo:          g.Memo,
-				Nonce:         g.nonce,
-			}
-		}
-		seq := g.nextSeq[account]
-		tx := app.NewTx(account, seq, g.nonce, msgs)
-		g.broadcastAt[tx.Hash()] = g.sched.Now()
+		tx, seq := g.transferTx(account, n)
 		if err := g.source.Pool.Add(tx); err == nil {
 			g.nextSeq[account] = seq + 1
 			g.stats.Submitted += n
