@@ -23,8 +23,10 @@ check:
 # map-copy-per-tx model, the scenario spec's parse ⇄ encode round trip,
 # the sign-on-demand vote cache against an eager-signing model, the
 # denom trace's parse ⇄ string and prefix round trips, the
-# forward-memo parser's validation and round trip, and the packet
-# tracker's per-channel table against a map-keyed model. A
+# forward-memo parser's validation and round trip, the packet
+# tracker's per-channel table against a map-keyed model, the relayer's
+# per-endpoint sequence bitset against a map model, and the trace
+# validator on arbitrary bytes (it must never panic). A
 # failure leaves its input under the package's testdata/fuzz/; commit it
 # with the fix.
 fuzz:
@@ -37,6 +39,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDenomTrace -fuzztime 10s ./internal/ibc/denom
 	$(GO) test -run '^$$' -fuzz FuzzParseMemo -fuzztime 10s ./internal/ibc/pfm
 	$(GO) test -run '^$$' -fuzz FuzzTracker -fuzztime 10s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzSeqSet -fuzztime 10s ./internal/relayer
+	$(GO) test -run '^$$' -fuzz FuzzTracecheck -fuzztime 10s ./internal/tracecheck
 
 # The host-cost benchmark (bench/, a module of its own that the targets
 # above skip): the full report over the five pinned workloads, and the

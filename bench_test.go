@@ -162,7 +162,7 @@ func benchBlock(txs, msgs, nChans int) []*store.TxInfo {
 				DestChannel:   "channel-9",
 				Sequence:      uint64(i*msgs + j + 1),
 			}
-			events[j] = abci.Event{Type: "send_packet", Data: p}
+			events[j] = abci.Event{Type: "send_packet", Data: &p}
 			m[j] = ibc.MsgRecvPacket{Packet: p}
 		}
 		infos[i] = &store.TxInfo{
@@ -250,8 +250,8 @@ func newRecvAckRounds(tb testing.TB, rounds int) *recvAckRounds {
 		recvMsgs := make([]app.Msg, msgs)
 		ackMsgs := make([]app.Msg, msgs)
 		for j, p := range sent.Txs[0].SendPackets(pair.ChannelAB) {
-			recvMsgs[j] = ibc.MsgRecvPacket{Packet: p, ProofHeight: proofHeight, Relayer: "relayer"}
-			ackMsgs[j] = ibc.MsgAcknowledgement{Packet: p, Ack: ack, ProofHeight: proofHeight, Relayer: "relayer"}
+			recvMsgs[j] = ibc.MsgRecvPacket{Packet: *p, ProofHeight: proofHeight, Relayer: "relayer"}
+			ackMsgs[j] = ibc.MsgAcknowledgement{Packet: *p, Ack: ack, ProofHeight: proofHeight, Relayer: "relayer"}
 		}
 		r.recv = append(r.recv, app.NewTx("relayer", uint64(round+1), uint64(round+1), recvMsgs))
 		r.ack = append(r.ack, app.NewTx("relayer", uint64(round+1), uint64(round+1), ackMsgs))

@@ -15,8 +15,9 @@ const CodeOK uint32 = 0
 
 // Event is a typed event emitted by transaction execution; the relayer's
 // WebSocket subscription consumes them to find pending IBC messages.
-// Data is the value the emitter holds (an ibc.Packet on send_packet, an
-// ibc.AckWrite on write_acknowledgement; abci cannot name those types).
+// Data is the record the emitter holds (an *ibc.Packet on send_packet,
+// an *ibc.AckWrite on write_acknowledgement; abci cannot name those
+// types). Every reader shares that one record and none writes to it.
 // Events never leave the process — their wire cost is modelled in
 // virtual time from transaction sizes — so nothing serialises them.
 type Event struct {

@@ -57,7 +57,8 @@ type State struct {
 	trees    [maxCachedTrees]cachedTree
 	treeNext int
 
-	hashBuf []byte // the bytes a non-proof Commit hashes, reused
+	hashBuf []byte   // the bytes a non-proof Commit hashes, reused
+	keyBuf  []string // the block's dirty keys in Commit, reused
 }
 
 // slot is one map entry: the value, and the key string every later write
@@ -174,11 +175,12 @@ func (s *State) Commit(height int64) merkle.Hash {
 	s.AbortTx()
 	// The block's dirty keys, sorted: every key a committed transaction
 	// wrote, whether or not its value ended up different.
-	keys := make([]string, len(s.journal))
+	keys := s.keyBuf[:0]
 	for i := range s.journal {
-		keys[i] = s.journal[i].key
+		keys = append(keys, s.journal[i].key)
 	}
 	sort.Strings(keys)
+	s.keyBuf = keys
 	keys = slices.Compact(keys)
 	var prior []undo
 	if s.fullProofs {

@@ -1,9 +1,12 @@
 // Package eventindex is the shared per-chain event index: one pass over
 // a committed block's abci.Events groups the packets they carry into
-// per-channel records that every consumer — relayers, trackers and the
+// per-channel runs that every consumer — relayers, trackers and the
 // packet-clearing loop — reads instead of walking TxInfo.Result.Events
-// itself. The events carry the keeper's own ibc.Packet and ibc.AckWrite
-// values, so the pass sorts and copies; nothing is parsed.
+// itself. The events carry the keeper's own *ibc.Packet and
+// *ibc.AckWrite records, so the pass collects those pointers and groups
+// them by channel; nothing is parsed or copied. A record is immutable
+// once emitted: the index, every relayer and the workload share it, and
+// none of them writes through the pointer.
 //
 // Before this layer existed, every relayer endpoint scanned every
 // block's events for its own channel, so a hub chain with K links
@@ -14,6 +17,9 @@
 package eventindex
 
 import (
+	"slices"
+	"sort"
+	"strings"
 	"time"
 
 	"ibcbench/internal/app"
@@ -21,26 +27,42 @@ import (
 	"ibcbench/internal/tendermint/store"
 )
 
-// TxEvents is the per-channel view of one transaction's events.
-// Map keys are the channel identifiers on the chain that emitted the
-// events: send_packet records key on the packet's source channel,
-// write_acknowledgement records on its destination channel.
+// TxEvents is the per-channel view of one transaction's events, keyed on
+// the channel identifiers of the chain that emitted them: send_packet
+// records on the packet's source channel, write_acknowledgement records
+// on its destination channel.
 type TxEvents struct {
-	Info      *store.TxInfo
-	Sends     map[string][]ibc.Packet
-	AckWrites map[string][]ibc.AckWrite
+	Info *store.TxInfo
+	// Sends holds the tx's send_packet records sorted by source channel
+	// name, in event order within a channel.
+	Sends []*ibc.Packet
+	// AckWrites holds the tx's write_acknowledgement records sorted by
+	// destination channel name, in event order within a channel.
+	AckWrites []*ibc.AckWrite
 }
 
-// SendPackets returns the tx's send_packet packets for one channel, in
-// event order.
-func (te *TxEvents) SendPackets(channel string) []ibc.Packet {
-	return te.Sends[channel]
+// SendPackets returns the tx's send_packet records for one channel, in
+// event order (nil if it has none).
+func (te *TxEvents) SendPackets(channel string) []*ibc.Packet {
+	return channelRun(te.Sends, channel, func(p *ibc.Packet) string { return p.SourceChannel })
 }
 
 // Acks returns the tx's write_acknowledgement records for one channel,
-// in event order.
-func (te *TxEvents) Acks(channel string) []ibc.AckWrite {
-	return te.AckWrites[channel]
+// in event order (nil if it has none).
+func (te *TxEvents) Acks(channel string) []*ibc.AckWrite {
+	return channelRun(te.AckWrites, channel, func(aw *ibc.AckWrite) string { return aw.Packet.DestChannel })
+}
+
+// channelRun returns the run of recs, sorted by chOf, whose channel is
+// ch. Its capacity ends with the run, so an append by the caller cannot
+// write into the shared index.
+func channelRun[T any](recs []T, ch string, chOf func(T) string) []T {
+	lo := sort.Search(len(recs), func(i int) bool { return chOf(recs[i]) >= ch })
+	hi := lo + sort.Search(len(recs)-lo, func(i int) bool { return chOf(recs[lo+i]) != ch })
+	if lo == hi {
+		return nil
+	}
+	return recs[lo:hi:hi]
 }
 
 // BlockEvents is the typed index of one committed block.
@@ -76,34 +98,48 @@ func Decode(height int64, blockTime time.Duration, txs []*store.TxInfo) *BlockEv
 	return be
 }
 
-// decodeTx extracts one transaction's packet events (nil if it has none).
+// decodeTx collects one transaction's packet records (nil if it has
+// none) into slices sized by a counting pass, then groups them by
+// channel with a stable sort that a single-channel tx skips.
 func decodeTx(info *store.TxInfo) *TxEvents {
-	var te *TxEvents
-	ensure := func() *TxEvents {
-		if te == nil {
-			te = &TxEvents{Info: info}
+	var sends, acks int
+	for _, ev := range info.Result.Events {
+		switch ev.Type {
+		case "send_packet":
+			sends++
+		case "write_acknowledgement":
+			acks++
 		}
-		return te
+	}
+	if sends+acks == 0 {
+		return nil
+	}
+	te := &TxEvents{Info: info}
+	if sends > 0 {
+		te.Sends = make([]*ibc.Packet, 0, sends)
+	}
+	if acks > 0 {
+		te.AckWrites = make([]*ibc.AckWrite, 0, acks)
 	}
 	for _, ev := range info.Result.Events {
 		switch ev.Type {
 		case "send_packet":
-			p := ev.Data.(ibc.Packet)
-			t := ensure()
-			if t.Sends == nil {
-				t.Sends = make(map[string][]ibc.Packet)
-			}
-			t.Sends[p.SourceChannel] = append(t.Sends[p.SourceChannel], p)
+			te.Sends = append(te.Sends, ev.Data.(*ibc.Packet))
 		case "write_acknowledgement":
-			aw := ev.Data.(ibc.AckWrite)
-			t := ensure()
-			if t.AckWrites == nil {
-				t.AckWrites = make(map[string][]ibc.AckWrite)
-			}
-			t.AckWrites[aw.Packet.DestChannel] = append(t.AckWrites[aw.Packet.DestChannel], aw)
+			te.AckWrites = append(te.AckWrites, ev.Data.(*ibc.AckWrite))
 		}
 	}
+	byChannel(te.Sends, func(p *ibc.Packet) string { return p.SourceChannel })
+	byChannel(te.AckWrites, func(aw *ibc.AckWrite) string { return aw.Packet.DestChannel })
 	return te
+}
+
+// byChannel stable-sorts recs by chOf unless they are sorted already.
+func byChannel[T any](recs []T, chOf func(T) string) {
+	cmp := func(a, b T) int { return strings.Compare(chOf(a), chOf(b)) }
+	if !slices.IsSortedFunc(recs, cmp) {
+		slices.SortStableFunc(recs, cmp)
+	}
 }
 
 // Index is the append-only per-chain event index, populated once per

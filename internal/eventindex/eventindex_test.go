@@ -10,10 +10,10 @@ import (
 	"ibcbench/internal/tendermint/store"
 )
 
-func sendEvent(p ibc.Packet) abci.Event { return abci.Event{Type: "send_packet", Data: p} }
+func sendEvent(p ibc.Packet) abci.Event { return abci.Event{Type: "send_packet", Data: &p} }
 
 func ackEvent(p ibc.Packet, ack string) abci.Event {
-	return abci.Event{Type: "write_acknowledgement", Data: ibc.AckWrite{Packet: p, Ack: []byte(ack)}}
+	return abci.Event{Type: "write_acknowledgement", Data: &ibc.AckWrite{Packet: p, Ack: []byte(ack)}}
 }
 
 func txInfo(msgs int, code uint32, events ...abci.Event) *store.TxInfo {
@@ -100,4 +100,53 @@ func TestIndexScanCounting(t *testing.T) {
 		}
 	}()
 	x.IndexTxs(9, 0, nil)
+}
+
+// TestDecodeSharesTheEventRecords pins that the index points at the
+// records the events carry, grouped by channel in event order, instead of
+// copying them: SendPackets(ch)[i] is the send_packet event's own
+// *ibc.Packet, and Acks(ch)[i] the write_acknowledgement's *ibc.AckWrite.
+func TestDecodeSharesTheEventRecords(t *testing.T) {
+	events := []abci.Event{
+		sendEvent(ibc.Packet{SourceChannel: "channel-1", Sequence: 7}),
+		ackEvent(ibc.Packet{SourceChannel: "channel-5", DestChannel: "channel-1", Sequence: 3}, "A"),
+		sendEvent(ibc.Packet{SourceChannel: "channel-0", Sequence: 2}),
+		sendEvent(ibc.Packet{SourceChannel: "channel-1", Sequence: 8}),
+		ackEvent(ibc.Packet{SourceChannel: "channel-4", DestChannel: "channel-0", Sequence: 9}, "B"),
+	}
+	te := Decode(1, 0, []*store.TxInfo{txInfo(5, abci.CodeOK, events...)}).Txs[0]
+	for _, c := range []struct {
+		ch   string
+		want []*ibc.Packet
+	}{
+		{"channel-0", []*ibc.Packet{events[2].Data.(*ibc.Packet)}},
+		{"channel-1", []*ibc.Packet{events[0].Data.(*ibc.Packet), events[3].Data.(*ibc.Packet)}},
+	} {
+		ch, want := c.ch, c.want
+		got := te.SendPackets(ch)
+		if len(got) != len(want) {
+			t.Fatalf("SendPackets(%s) has %d records, want %d", ch, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("SendPackets(%s)[%d] = %p, not the event's own record %p", ch, i, got[i], want[i])
+			}
+		}
+	}
+	if got := te.Acks("channel-0"); len(got) != 1 || got[0] != events[4].Data.(*ibc.AckWrite) {
+		t.Fatalf("Acks(channel-0) = %v, not the event's own record", got)
+	}
+	if got := te.Acks("channel-1"); len(got) != 1 || got[0] != events[1].Data.(*ibc.AckWrite) {
+		t.Fatalf("Acks(channel-1) = %v, not the event's own record", got)
+	}
+	// Sends is grouped in channel-name order, and a run cannot be appended
+	// into its neighbour.
+	for i, want := range []uint64{2, 7, 8} {
+		if got := te.Sends[i].Sequence; got != want {
+			t.Fatalf("Sends[%d] has sequence %d, want %d (channel-name order)", i, got, want)
+		}
+	}
+	if run := te.SendPackets("channel-0"); cap(run) != len(run) {
+		t.Fatalf("SendPackets run has capacity %d past its length %d", cap(run), len(run))
+	}
 }

@@ -501,7 +501,9 @@ func (k *Keeper) openChannel(ctx *app.Context, port, channel string, from, cp Ha
 // --- packet lifecycle -------------------------------------------------------------
 
 // SendPacket stores a packet commitment and emits the send_packet event
-// the relayer watches for. Called by port modules (e.g. transfer).
+// the relayer watches for. Called by port modules (e.g. transfer). The
+// event carries a *Packet: the one record the event index, the relayers
+// and the workload all point at. It is immutable once emitted.
 func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte, timeoutHeight int64, timeoutTimestamp time.Duration) (Packet, error) {
 	ch, err := k.Channel(ctx, port, channel)
 	if err != nil {
@@ -531,7 +533,7 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 		TimeoutTimestamp: timeoutTimestamp,
 	}
 	ctx.State.Set(AppendPacketCommitmentKey(b[:0], port, channel, seq), p.CommitmentBytes())
-	ctx.Emit(abci.Event{Type: "send_packet", Data: p})
+	ctx.Emit(abci.Event{Type: "send_packet", Data: &p})
 	return p, nil
 }
 
@@ -586,7 +588,8 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 // and emits the write_acknowledgement event relayers turn into
 // MsgAcknowledgements. Port modules answering synchronously never call
 // it directly; async middleware (packet forwarding) calls it when the
-// downstream hop acks, errors or times out.
+// downstream hop acks, errors or times out. The event carries an
+// *AckWrite, shared and immutable once emitted like SendPacket's packet.
 func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledgement) error {
 	var b [app.KeyBufLen]byte
 	key := AppendPacketAckKey(b[:0], p.DestPort, p.DestChannel, p.Sequence)
@@ -596,7 +599,7 @@ func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledg
 	}
 	raw := ack.Bytes()
 	ctx.State.Set(key, hashAck(raw))
-	ctx.Emit(abci.Event{Type: "write_acknowledgement", Data: AckWrite{Packet: p, Ack: raw}})
+	ctx.Emit(abci.Event{Type: "write_acknowledgement", Data: &AckWrite{Packet: p, Ack: raw}})
 	return nil
 }
 

@@ -140,9 +140,9 @@ func eventsOf(res abci.TxResult, typ string) []abci.Event {
 func packetOf(t *testing.T, ev abci.Event) ibc.Packet {
 	t.Helper()
 	switch d := ev.Data.(type) {
-	case ibc.Packet:
-		return d
-	case ibc.AckWrite:
+	case *ibc.Packet:
+		return *d
+	case *ibc.AckWrite:
 		return d.Packet
 	}
 	t.Fatalf("%s event carries %T", ev.Type, ev.Data)
@@ -150,7 +150,7 @@ func packetOf(t *testing.T, ev abci.Event) ibc.Packet {
 }
 
 // ackOf returns the ack bytes a write_acknowledgement event carries.
-func ackOf(ev abci.Event) []byte { return ev.Data.(ibc.AckWrite).Ack }
+func ackOf(ev abci.Event) []byte { return ev.Data.(*ibc.AckWrite).Ack }
 
 // relayRecv delivers a packet to dst, returning the tx result.
 func relayRecv(t *testing.T, dst *testChain, p ibc.Packet) abci.TxResult {

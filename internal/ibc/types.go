@@ -212,7 +212,8 @@ func ParseAck(raw []byte) (Acknowledgement, error) {
 }
 
 // AckWrite is the payload of a write_acknowledgement event: the received
-// packet and the acknowledgement bytes stored (hashed) for it.
+// packet and the acknowledgement bytes stored (hashed) for it. The event
+// carries it by pointer, and no reader writes through that pointer.
 type AckWrite struct {
 	Packet Packet
 	Ack    []byte

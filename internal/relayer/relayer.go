@@ -18,6 +18,7 @@ package relayer
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -79,10 +80,28 @@ type Stats struct {
 	Retries uint64
 }
 
-type pktID struct {
-	srcChain string
-	channel  string
-	seq      uint64
+// seqSet is a set of packet sequences, one bit per sequence and grown
+// on the first add past its end. A channel's sequences are dense from 1,
+// so the set costs about a bit per packet and holds no pointer.
+type seqSet []uint64
+
+func (s *seqSet) add(seq uint64) {
+	w := seq / 64
+	if n := uint64(len(*s)); w >= n {
+		*s = append(*s, make([]uint64, w+1-n)...)
+	}
+	(*s)[w] |= 1 << (seq % 64)
+}
+
+func (s seqSet) has(seq uint64) bool {
+	w := seq / 64
+	return w < uint64(len(s)) && s[w]&(1<<(seq%64)) != 0
+}
+
+func (s seqSet) del(seq uint64) {
+	if w := seq / 64; w < uint64(len(s)) {
+		s[w] &^= 1 << (seq % 64)
+	}
 }
 
 // endpoint is one Chain Endpoint (Fig. 4): the relayer's view of and
@@ -105,6 +124,14 @@ type endpoint struct {
 	// height is the latest height observed via events.
 	height int64
 
+	// The packets sourced on this endpoint's channel, by sequence:
+	// recvSeen and ackSeen dedupe the ones the relayer already built a
+	// recv or an ack for, and pending holds the ones extracted but not
+	// yet known delivered, for timeout detection. Each packet is the
+	// event index's shared record.
+	recvSeen, ackSeen seqSet
+	pending           map[uint64]*ibc.Packet
+
 	// outbox holds built messages awaiting submission, each tagged with
 	// its packet and required proof height.
 	outbox []outMsg
@@ -115,7 +142,7 @@ type endpoint struct {
 
 type outMsg struct {
 	msg         app.Msg
-	packet      ibc.Packet
+	packet      *ibc.Packet // the event index's shared record
 	proofHeight int64
 	step        metrics.Step // broadcast step to record on acceptance
 	retried     bool
@@ -134,14 +161,6 @@ type Relayer struct {
 
 	a, b *endpoint
 
-	// seenRecv / seenAck dedupe packets this relayer already handled.
-	seenRecv map[pktID]bool
-	seenAck  map[pktID]bool
-
-	// pendingRecv tracks packets extracted but not yet known delivered,
-	// for timeout detection.
-	pendingRecv map[pktID]ibc.Packet
-
 	// missed heights per source endpoint for the clearing loop.
 	missedA []int64
 	missedB []int64
@@ -152,12 +171,12 @@ type Relayer struct {
 	pullRunning bool
 
 	// Batch-build freelists: the fresh-packet/ack staging slices live
-	// only until the build closure consumes them (contents are copied
-	// into outbox messages by value), so steady-state clearing passes
-	// reuse them instead of allocating per block. clearSeen is the
-	// clear pass's height-dedupe scratch map, reused likewise.
-	pktBuf    [][]ibc.Packet
-	ackBuf    [][]ibc.AckWrite
+	// only until the build closure consumes them, so steady-state
+	// clearing passes reuse them instead of allocating per block.
+	// clearSeen is the clear pass's height-dedupe scratch map, reused
+	// likewise.
+	pktBuf    [][]*ibc.Packet
+	ackBuf    [][]*ibc.AckWrite
 	clearSeen map[int64]bool
 
 	stats   Stats
@@ -185,13 +204,10 @@ func New(sched *sim.Scheduler, rng *sim.RNG, cfg Config, pair *chain.Pair) *Rela
 		// only on this relayer's own submit order, not on how draws from
 		// a shared stream interleave across relayers (which the parallel
 		// runner could not reproduce).
-		rng:         sim.NewRNG(rng.Int63()),
-		cfg:         cfg,
-		host:        netem.Host("relayer/" + cfg.Name),
-		cpu:         sim.NewSerialResource(sched),
-		seenRecv:    make(map[pktID]bool),
-		seenAck:     make(map[pktID]bool),
-		pendingRecv: make(map[pktID]ibc.Packet),
+		rng:  sim.NewRNG(rng.Int63()),
+		cfg:  cfg,
+		host: netem.Host("relayer/" + cfg.Name),
+		cpu:  sim.NewSerialResource(sched),
 	}
 	if cfg.Obs != nil {
 		r.tr = cfg.Obs.Tracer
@@ -333,7 +349,7 @@ func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
 		}
 		for _, te := range ackTxs {
 			for _, w := range te.Acks(src.channel) {
-				key := r.keyOf(dst, w.Packet) // packet's source is the counterparty
+				key := r.keyOf(dst, &w.Packet) // packet's source is the counterparty
 				r.track(key, metrics.StepRecvExtraction, now)
 				// The event subscription confirms commitment too; the
 				// polling path below is a fallback (first write wins).
@@ -399,44 +415,47 @@ func (r *Relayer) doPull(src *endpoint, attempt int, te *eventindex.TxEvents, fn
 }
 
 // getPktBuf pops a pooled packet-staging slice (or makes one).
-func (r *Relayer) getPktBuf(capHint int) []ibc.Packet {
+func (r *Relayer) getPktBuf(capHint int) []*ibc.Packet {
 	if n := len(r.pktBuf); n > 0 {
 		buf := r.pktBuf[n-1]
 		r.pktBuf[n-1] = nil
 		r.pktBuf = r.pktBuf[:n-1]
 		return buf[:0]
 	}
-	return make([]ibc.Packet, 0, capHint)
+	return make([]*ibc.Packet, 0, capHint)
 }
 
-func (r *Relayer) putPktBuf(buf []ibc.Packet) { r.pktBuf = append(r.pktBuf, buf) }
+func (r *Relayer) putPktBuf(buf []*ibc.Packet) { r.pktBuf = append(r.pktBuf, buf) }
 
 // getAckBuf pops a pooled ack-staging slice (or makes one).
-func (r *Relayer) getAckBuf(capHint int) []ibc.AckWrite {
+func (r *Relayer) getAckBuf(capHint int) []*ibc.AckWrite {
 	if n := len(r.ackBuf); n > 0 {
 		buf := r.ackBuf[n-1]
 		r.ackBuf[n-1] = nil
 		r.ackBuf = r.ackBuf[:n-1]
 		return buf[:0]
 	}
-	return make([]ibc.AckWrite, 0, capHint)
+	return make([]*ibc.AckWrite, 0, capHint)
 }
 
-func (r *Relayer) putAckBuf(buf []ibc.AckWrite) { r.ackBuf = append(r.ackBuf, buf) }
+func (r *Relayer) putAckBuf(buf []*ibc.AckWrite) { r.ackBuf = append(r.ackBuf, buf) }
 
 // buildRecvBatch turns one source tx's indexed send_packet records into
-// MsgRecvPackets destined for dst. The index slice is shared across
-// relayers and must not be mutated.
+// MsgRecvPackets destined for dst. The index slice and its records are
+// shared across relayers and must not be mutated. Every record is
+// sourced on src.channel, so its sequence alone keys src's sets.
 func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	packets := te.SendPackets(src.channel)
 	fresh := r.getPktBuf(len(packets))
 	for _, p := range packets {
-		id := pktID{src.chain.ID, p.SourceChannel, p.Sequence}
-		if r.seenRecv[id] {
+		if src.recvSeen.has(p.Sequence) {
 			continue
 		}
-		r.seenRecv[id] = true
-		r.pendingRecv[id] = p
+		src.recvSeen.add(p.Sequence)
+		if src.pending == nil {
+			src.pending = make(map[uint64]*ibc.Packet)
+		}
+		src.pending[p.Sequence] = p
 		// A packet already expired on the destination (typical when
 		// clearing a backlog after a partition) would be rejected there;
 		// leave it to the timeout path instead of building a doomed recv.
@@ -465,7 +484,7 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 			r.track(r.keyOf(src, p), metrics.StepRecvBuild, done)
 			dst.outbox = append(dst.outbox, outMsg{
 				msg: ibc.MsgRecvPacket{
-					Packet:          p,
+					Packet:          *p,
 					ProofCommitment: r.proveOn(src, proofHeight, ibc.AppendPacketCommitmentKey(kb[:0], p.SourcePort, p.SourceChannel, p.Sequence), true),
 					ProofHeight:     proofHeight,
 					Relayer:         dst.account,
@@ -482,17 +501,18 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 
 // buildAckBatch turns the indexed write_acknowledgement records on src
 // (the packet destination) into MsgAcknowledgements for dst (the packet
-// source).
+// source). A record received on src.channel was sent on its counterparty,
+// dst.channel, so its sequence alone keys dst's sets.
 func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	writes := te.Acks(src.channel)
 	fresh := r.getAckBuf(len(writes))
 	for _, w := range writes {
-		id := pktID{dst.chain.ID, w.Packet.SourceChannel, w.Packet.Sequence}
-		if r.seenAck[id] {
+		seq := w.Packet.Sequence
+		if dst.ackSeen.has(seq) {
 			continue
 		}
-		r.seenAck[id] = true
-		delete(r.pendingRecv, id)
+		dst.ackSeen.add(seq)
+		delete(dst.pending, seq)
 		fresh = append(fresh, w)
 	}
 	if len(fresh) == 0 {
@@ -501,7 +521,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	}
 	now := r.sched.Now()
 	for _, w := range fresh {
-		r.track(r.keyOf(dst, w.Packet), metrics.StepRecvDataPull, now)
+		r.track(r.keyOf(dst, &w.Packet), metrics.StepRecvDataPull, now)
 	}
 	build := time.Duration(len(fresh)) * simconf.RelayerBuildCostPerMsg
 	r.cpu.Submit(build, func() {
@@ -512,7 +532,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 		proofHeight := te.Info.Height + 1
 		var kb [app.KeyBufLen]byte
 		for _, w := range fresh {
-			p := w.Packet
+			p := &w.Packet
 			key := r.keyOf(dst, p)
 			r.track(key, metrics.StepAckBuild, done)
 			// Decode always pairs the event's ack bytes (possibly empty)
@@ -524,7 +544,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 			}
 			dst.outbox = append(dst.outbox, outMsg{
 				msg: ibc.MsgAcknowledgement{
-					Packet:      p,
+					Packet:      *p,
 					Ack:         ack,
 					ProofAcked:  r.proveOn(src, proofHeight, ibc.AppendPacketAckKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence), true),
 					ProofHeight: proofHeight,
@@ -543,31 +563,24 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 // checkTimeouts builds MsgTimeouts on the packet source (dst here is the
 // counterparty of src) for pending packets whose timeout elapsed on src.
 // The order of the messages is the order of the txs and so decides the
-// block hashes: packets expiring on one frame are timed out in
-// (channel, sequence) order, never in map order.
+// block hashes: packets expiring on one frame are timed out in sequence
+// order (all on srcChain's one channel), never in map order.
 func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
-	var expired []pktID
-	for id, p := range r.pendingRecv {
-		if id.srcChain == srcChain.chain.ID && p.TimeoutHeight > 0 && dstChain.height >= p.TimeoutHeight {
-			expired = append(expired, id)
+	var expired []uint64
+	for seq, p := range srcChain.pending {
+		if p.TimeoutHeight > 0 && dstChain.height >= p.TimeoutHeight {
+			expired = append(expired, seq)
 		}
 	}
-	if len(expired) > 1 {
-		sort.Slice(expired, func(i, j int) bool {
-			if expired[i].channel != expired[j].channel {
-				return expired[i].channel < expired[j].channel
-			}
-			return expired[i].seq < expired[j].seq
-		})
-	}
+	slices.Sort(expired)
 	proofHeight := dstChain.height + 1
 	var kb [app.KeyBufLen]byte
-	for _, id := range expired {
-		p := r.pendingRecv[id]
-		delete(r.pendingRecv, id)
+	for _, seq := range expired {
+		p := srcChain.pending[seq]
+		delete(srcChain.pending, seq)
 		srcChain.outbox = append(srcChain.outbox, outMsg{
 			msg: ibc.MsgTimeout{
-				Packet:          p,
+				Packet:          *p,
 				ProofUnreceived: r.proveOn(dstChain, proofHeight, ibc.AppendPacketReceiptKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence), false),
 				ProofHeight:     proofHeight,
 				Relayer:         srcChain.account,
@@ -804,8 +817,7 @@ func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, meta txMe
 					case metrics.StepRecvBroadcast:
 						r.stats.RecvDelivered++
 						r.track(key, metrics.StepRecvConfirmation, now)
-						id := pktID{r.counterpartOf(dst).chain.ID, m.packet.SourceChannel, m.packet.Sequence}
-						delete(r.pendingRecv, id)
+						delete(r.counterpartOf(dst).pending, m.packet.Sequence)
 					case metrics.StepAckBroadcast:
 						if _, isTimeout := m.msg.(ibc.MsgTimeout); isTimeout {
 							r.stats.TimeoutsDelivered++
@@ -886,8 +898,8 @@ func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
 // origin heights for the clearing pass, so the messages are rebuilt
 // instead of leaving the packets stuck — the height was processed
 // normally, so no frame gap would ever re-scan it. Recv packets also
-// stay in pendingRecv, keeping the timeout path armed; timed-out
-// packets whose MsgTimeout was lost re-enter pendingRecv for another
+// stay pending, keeping the timeout path armed; timed-out
+// packets whose MsgTimeout was lost re-enter pending for another
 // attempt.
 func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg) {
 	src := r.counterpartOf(dst)
@@ -896,9 +908,9 @@ func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg) {
 		switch m.msg.(type) {
 		case ibc.MsgRecvPacket, ibc.MsgAcknowledgement:
 			if _, isRecv := m.msg.(ibc.MsgRecvPacket); isRecv {
-				delete(r.seenRecv, pktID{src.chain.ID, m.packet.SourceChannel, m.packet.Sequence})
+				src.recvSeen.del(m.packet.Sequence)
 			} else {
-				delete(r.seenAck, pktID{dst.chain.ID, m.packet.SourceChannel, m.packet.Sequence})
+				dst.ackSeen.del(m.packet.Sequence)
 			}
 			// Both message kinds were built from an event on the
 			// counterparty at proofHeight-1; re-scan that height.
@@ -907,7 +919,7 @@ func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg) {
 				requeued = true
 			}
 		case ibc.MsgTimeout:
-			r.pendingRecv[pktID{dst.chain.ID, m.packet.SourceChannel, m.packet.Sequence}] = m.packet
+			dst.pending[m.packet.Sequence] = m.packet
 		}
 	}
 	if requeued {
@@ -984,7 +996,7 @@ func (r *Relayer) track(key metrics.PacketKey, step metrics.Step, at time.Durati
 }
 
 // keyOf identifies a packet originating on src.
-func (r *Relayer) keyOf(src *endpoint, p ibc.Packet) metrics.PacketKey {
+func (r *Relayer) keyOf(src *endpoint, p *ibc.Packet) metrics.PacketKey {
 	return metrics.PacketKey{SrcChain: src.chain.ID, Channel: p.SourceChannel, Sequence: p.Sequence}
 }
 

@@ -13,7 +13,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
@@ -116,9 +115,8 @@ func linkSides(d *topo.Deployment) map[string]linkSide {
 // eachSent walks every chain's event index in block order and hands fn
 // every packet sent during the run — workload transfers, route legs, and
 // middleware-emitted forward hops alike. Within a transaction, channels
-// go in name order.
+// go in name order, the order the index keeps them in.
 func eachSent(d *topo.Deployment, fn func(src *chain.Chain, p *ibc.Packet)) {
-	var channels []string
 	for _, c := range d.Chains {
 		for h := int64(1); h <= c.Events.Height(); h++ {
 			be := c.Events.At(h)
@@ -126,16 +124,8 @@ func eachSent(d *topo.Deployment, fn func(src *chain.Chain, p *ibc.Packet)) {
 				continue
 			}
 			for _, te := range be.Txs {
-				channels = channels[:0]
-				for ch := range te.Sends {
-					channels = append(channels, ch)
-				}
-				slices.Sort(channels)
-				for _, ch := range channels {
-					sends := te.Sends[ch]
-					for i := range sends {
-						fn(c, &sends[i])
-					}
+				for _, p := range te.Sends {
+					fn(c, p)
 				}
 			}
 		}

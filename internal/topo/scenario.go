@@ -169,20 +169,32 @@ func (s Scenario) RunDeployed(seed int64) (*Result, *Deployment, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	res, err := s.RunOn(d, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, d, nil
+}
+
+// RunOn is RunDeployed's second half: it drives the workload mix on d,
+// a fresh deployment of s.Topology made with s.Deploy at this seed, to
+// the deadline. A caller that deploys itself can attach commit hooks to
+// d's chains before the run starts.
+func (s Scenario) RunOn(d *Deployment, seed int64) (*Result, error) {
 	windows := s.Windows
 	if windows <= 0 {
 		windows = 10
 	}
 	for _, edge := range sortedKeys(s.EdgeRates) {
 		if edge < 0 || edge >= len(d.Links) {
-			return nil, nil, fmt.Errorf("topo: EdgeRates references edge %d of %d", edge, len(d.Links))
+			return nil, fmt.Errorf("topo: EdgeRates references edge %d of %d", edge, len(d.Links))
 		}
 		d.Links[edge].Forward().RunConstantRate(s.EdgeRates[edge], windows)
 	}
 	runs := make([]*routeRun, 0, len(s.Routes))
 	for i, rt := range s.Routes {
 		if err := s.validateRoute(rt); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rr := &routeRun{route: rt, idx: i}
 		runs = append(runs, rr)
@@ -203,12 +215,12 @@ func (s Scenario) RunDeployed(seed int64) (*Result, *Deployment, error) {
 		var err error
 		inj, err = chaos.Inject(d.Sched, d, s.Chaos)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	d.Start()
 	if err := d.Run(s.deadline(windows)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res := s.analyze(d, seed, runs)
 	if inj != nil {
@@ -217,7 +229,7 @@ func (s Scenario) RunDeployed(seed int64) (*Result, *Deployment, error) {
 	if d.Obs != nil {
 		foldObs(d, res, runs)
 	}
-	return res, d, nil
+	return res, nil
 }
 
 func (s Scenario) withSeed(seed int64) DeployConfig {

@@ -125,7 +125,7 @@ func (g *Generator) recordBroadcasts(chainID string, cb *store.CommittedBlock) {
 			if ev.Type != "send_packet" {
 				continue
 			}
-			p := ev.Data.(ibc.Packet)
+			p := ev.Data.(*ibc.Packet)
 			key := metrics.PacketKey{SrcChain: chainID, Channel: p.SourceChannel, Sequence: p.Sequence}
 			g.keys = append(g.keys, key)
 			g.tracker.Record(key, metrics.StepTransferBroadcast, at)
