@@ -60,7 +60,7 @@ var subcommands = []struct {
 	{"suite", "run (or -lint) every registered scenario and report assertion verdicts", runSuiteCmd},
 	{"trace", "validate (-validate FILE) or analyze (-analyze FILE [-top N]) a trace file recorded by `run -trace`", runTraceCmd},
 	{"diff", "compare two result documents metric by metric (old.json new.json [-fail-on-change pct])", runDiffCmd},
-	{"serve", "HTTP dashboard + ingest/queue API over an experiment store", runServe},
+	{"serve", "HTTP dashboard + ingest API over an experiment store", runServe},
 	{"bench2json", "convert `go test -bench` output to a JSON metrics document", runBench2JSONCmd},
 }
 

@@ -22,8 +22,8 @@ import (
 	"ibcbench/internal/tracecheck"
 )
 
-// Server timeouts. WriteTimeout stays unset: /debug/pprof/profile
-// streams for as many seconds as the client asks.
+// Server timeouts. WriteTimeout stays unset: a stored trace download
+// can be tens of MB, and a slow client must still get all of it.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -33,12 +33,11 @@ const (
 // runServe starts the experiment service over a store directory until
 // SIGINT or SIGTERM:
 //
-//	ibcbench serve [-store DIR] [-addr HOST:PORT] [-pprof]
+//	ibcbench serve [-store DIR] [-addr HOST:PORT]
 func runServe(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench serve", flag.ContinueOnError)
 	dir := fs.String("store", "ibcbench-store", "experiment store directory (created if missing)")
 	addr := fs.String("addr", "127.0.0.1:8321", "listen address")
-	pprofOn := fs.Bool("pprof", false, "expose the net/http/pprof profiling handlers under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -48,26 +47,20 @@ func runServe(args []string, w io.Writer) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return serveStore(ctx, st, *addr, *pprofOn, w)
+	return serveStore(ctx, st, *addr, w)
 }
 
 // serveStore serves st on addr until ctx is done, then shuts the server
 // down, letting in-flight requests finish for up to shutdownGrace. It
 // closes st when it returns.
-func serveStore(ctx context.Context, st *store.Store, addr string, pprofOn bool, w io.Writer) error {
+func serveStore(ctx context.Context, st *store.Store, addr string, w io.Writer) error {
 	defer st.Close()
-	srv := serve.New(st)
-	note := ""
-	if pprofOn {
-		srv.EnablePprof()
-		note = " (pprof on)"
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-	fmt.Fprintf(w, "ibcbench serve: %d archived run(s) in %s — http://%s/%s\n", len(st.Runs()), st.Dir(), ln.Addr(), note)
+	hs := &http.Server{Handler: serve.New(st), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	fmt.Fprintf(w, "ibcbench serve: %d archived run(s) in %s — http://%s/\n", len(st.Runs()), st.Dir(), ln.Addr())
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 	select {

@@ -25,7 +25,7 @@ func TestServeStoreShutsDownOnCancel(t *testing.T) {
 	defer cancel()
 	pr, pw := io.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- serveStore(ctx, st, "127.0.0.1:0", false, pw) }()
+	go func() { done <- serveStore(ctx, st, "127.0.0.1:0", pw) }()
 
 	banner, err := bufio.NewReader(pr).ReadString('\n')
 	if err != nil {

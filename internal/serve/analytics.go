@@ -11,23 +11,11 @@ import (
 	"fmt"
 	"html"
 	"net/http"
-	"net/http/pprof"
 	"net/url"
 	"strings"
 
 	"ibcbench/internal/traceview"
 )
-
-// EnablePprof mounts the net/http/pprof handlers on the service mux
-// (ibcbench serve -pprof). Off by default: profiling endpoints expose
-// process internals and cost CPU, so operators opt in explicitly.
-func (s *Server) EnablePprof() {
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
 
 // traceEvents loads a run's stored trace and parses it into canonical
 // traceview events. Missing run/trace → 404; a stored-but-unparseable

@@ -82,17 +82,10 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		metrics = defaultMetricCandidates
 	}
 	var b strings.Builder
-	var extra []string
-	if s.queueBusy() {
-		// Refresh only while something is in flight — a static archive
-		// page should not poll.
-		extra = append(extra, `<meta http-equiv=refresh content=3>`)
-	}
-	pageHead(&b, "ibcbench experiment service", extra...)
+	pageHead(&b, "ibcbench experiment service")
 	runs := s.st.Runs()
 	fmt.Fprintf(&b, "<h1>ibcbench experiment service</h1>\n<p class=muted>%d archived run(s) in <code>%s</code></p>\n",
 		len(runs), html.EscapeString(s.st.Dir()))
-	queueSection(&b, s.queueJobs())
 	b.WriteString(`<form class=metric method=get action=/>` +
 		`<input type=text name=metric placeholder="chart a metric path, e.g. topo.Sample.BlocksPerSec">` +
 		` <input type=submit value=Chart></form>` + "\n")
@@ -215,42 +208,6 @@ func runsTable(b *strings.Builder, runs []store.Meta) {
 			html.EscapeString(m.Commit), m.Seed, html.EscapeString(m.Time), trace)
 	}
 	b.WriteString("</table>\n")
-}
-
-// queueSection renders the scenario-queue job log (POST /api/queue):
-// queued and running jobs first justify the page's auto-refresh, and a
-// finished job links the archived run its report landed in.
-func queueSection(b *strings.Builder, jobs []queueJob) {
-	if len(jobs) == 0 {
-		return
-	}
-	b.WriteString("<h2>Scenario queue</h2>\n")
-	b.WriteString("<table>\n<tr><th>job</th><th>scenario</th><th>seed</th><th>status</th><th>verdict</th><th>run</th><th>queued</th></tr>\n")
-	for _, j := range jobs {
-		status := html.EscapeString(j.Status)
-		switch j.Status {
-		case "done":
-			status = `<span class="badge good">done</span>`
-		case "failed":
-			status = fmt.Sprintf(`<span class="badge bad">failed</span> <span class=muted>%s</span>`, html.EscapeString(j.Error))
-		}
-		verdict := `<span class=muted>–</span>`
-		if j.Passed != nil {
-			if *j.Passed {
-				verdict = `<span class="badge good">assertions held</span>`
-			} else {
-				verdict = fmt.Sprintf(`<span class="badge bad">%d violation(s)</span>`, j.Violations)
-			}
-		}
-		runLink := `<span class=muted>–</span>`
-		if j.RunID != "" {
-			runLink = fmt.Sprintf(`<a href="/runs/%s"><code>%s</code></a>`, url.PathEscape(j.RunID), html.EscapeString(j.RunID))
-		}
-		fmt.Fprintf(b, "<tr><td>%d</td><td><code>%s</code></td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td class=muted>%s</td></tr>\n",
-			j.ID, html.EscapeString(j.Scenario), j.Seed, status, verdict, runLink, html.EscapeString(j.Queued))
-	}
-	b.WriteString("</table>\n")
-	b.WriteString("<p class=muted>Queue specs with <code>POST /api/queue</code> (body: a scenario spec; optional <code>?seed=N</code>); finished reports archive as <code>scenario</code> runs below.</p>\n")
 }
 
 // trendSVG renders one metric's run sequence as an inline SVG line
@@ -424,18 +381,15 @@ func snapshotTables(b *strings.Builder, snap map[string]any) {
 	})
 }
 
-func pageHead(b *strings.Builder, title string, extraHead ...string) {
+func pageHead(b *strings.Builder, title string) {
 	fmt.Fprintf(b, `<!doctype html>
 <html lang=en>
 <meta charset=utf-8>
 <meta name=viewport content="width=device-width, initial-scale=1">
 <title>%s</title>
 <style>%s</style>
+<body>
 `, html.EscapeString(title), pageCSS)
-	for _, h := range extraHead {
-		b.WriteString(h + "\n")
-	}
-	b.WriteString("<body>\n")
 }
 
 func pageFoot(b *strings.Builder) {

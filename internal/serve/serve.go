@@ -8,6 +8,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,16 +19,18 @@ import (
 	"ibcbench/internal/tracecheck"
 )
 
-// maxBodyBytes bounds ingest payloads (result documents are a few
-// hundred KB; traces can reach tens of MB).
-const maxBodyBytes = 256 << 20
+// Upload limits, each a little over the largest real document: a
+// result document is at most about 100 KB (`sweep -experiment all`),
+// and a bench workload's trace reaches 69 MB (`two-peak`).
+const (
+	maxIngestBytes = 8 << 20
+	maxTraceBytes  = 128 << 20
+)
 
 // Server routes requests onto one open store.
 type Server struct {
 	st  *store.Store
 	mux *http.ServeMux
-
-	queue queueState
 }
 
 // New builds the HTTP handler over an open store.
@@ -44,8 +47,6 @@ func New(st *store.Store) *Server {
 	s.mux.HandleFunc("GET /api/trend", s.handleTrend)
 	s.mux.HandleFunc("GET /api/regression", s.handleRegression)
 	s.mux.HandleFunc("GET /api/diff", s.handleDiff)
-	s.mux.HandleFunc("GET /api/queue", s.handleQueueList)
-	s.mux.HandleFunc("POST /api/queue", s.handleQueuePost)
 	s.mux.HandleFunc("GET /runs/{id}", s.handleRunPage)
 	s.mux.HandleFunc("GET /runs/{id}/flame", s.handleFlamePage)
 	s.mux.HandleFunc("GET /runs/{id}/critpath", s.handleCritPathPage)
@@ -66,6 +67,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// readBody reads a request body of at most limit bytes. A larger body
+// answers 413 and nothing is read past the limit; a declared
+// Content-Length over it is refused before reading anything.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	if r.ContentLength > limit {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", r.ContentLength, limit))
+		return nil, false
+	}
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, err)
+		return nil, false
+	}
+	return data, true
 }
 
 // handleRuns lists every archived run in ingest order.
@@ -111,9 +133,8 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // structurally validated at ingest time (tracecheck) and the verdict
 // badges the run — an invalid trace is still stored for inspection.
 func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	data, ok := readBody(w, r, maxTraceBytes)
+	if !ok {
 		return
 	}
 	_, verr := tracecheck.Validate(data)
@@ -136,9 +157,8 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 // Re-posting identical content is idempotent — the response reports
 // created=false and nothing is written.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	payload, ok := readBody(w, r, maxIngestBytes)
+	if !ok {
 		return
 	}
 	q := r.URL.Query()

@@ -324,3 +324,55 @@ func TestDiffEndpointReportsConfigMismatch(t *testing.T) {
 		t.Errorf("changed rows missing BlocksPerSec +100%%: %+v", diff.Changed)
 	}
 }
+
+// zeros is an endless body that allocates nothing on the client side.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestOversizedBodiesAre413: an upload over its limit answers 413 and
+// stores nothing — whether the body streams past the limit or declares
+// an oversized Content-Length up front.
+func TestOversizedBodiesAre413(t *testing.T) {
+	s := newServer(t)
+	post := func(path string, body io.Reader, length int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec
+	}
+
+	// Streamed (no Content-Length) one byte past the ingest limit.
+	if rec := post("/api/ingest?kind=experiment", io.LimitReader(zeros{}, maxIngestBytes+1), -1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("streamed oversized ingest: status %d, want 413 (%s)", rec.Code, rec.Body)
+	}
+	if rec := post("/api/ingest?kind=experiment", zeros{}, maxIngestBytes+1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared oversized ingest: status %d, want 413 (%s)", rec.Code, rec.Body)
+	}
+	if runs := s.st.Runs(); len(runs) != 0 {
+		t.Fatalf("oversized ingest stored %d run(s)", len(runs))
+	}
+
+	ok := post("/api/ingest?kind=experiment&time=2026-08-01T00:00:00Z", strings.NewReader(doc("hub:3", 1, 0.8)), -1)
+	if ok.Code != http.StatusCreated {
+		t.Fatalf("ingest: status %d (%s)", ok.Code, ok.Body)
+	}
+	var created ingestResp
+	if err := json.NewDecoder(ok.Body).Decode(&created); err != nil {
+		t.Fatal(err)
+	}
+	id := created.Meta.ID
+	if rec := post("/api/runs/"+id+"/trace", zeros{}, maxTraceBytes+1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared oversized trace: status %d, want 413 (%s)", rec.Code, rec.Body)
+	}
+	if _, err := s.st.Trace(id); err == nil {
+		t.Fatal("oversized trace was attached")
+	}
+	if rec := post("/api/runs/"+id+"/trace", strings.NewReader(`{"traceEvents": [{"name": "block", "ph": "X", "ts": 1, "dur": 2}]}`), -1); rec.Code != http.StatusOK {
+		t.Fatalf("trace under the limit: status %d (%s)", rec.Code, rec.Body)
+	}
+}

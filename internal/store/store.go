@@ -18,12 +18,15 @@
 // references (harmless — the next ingest of the same content reuses
 // it). On open, a truncated or corrupt index tail — the torn-write
 // signature of a crash mid-append — is dropped and the file truncated
-// back to the last intact line. Later index lines for an existing ID
+// back to the last intact line. A corrupt line with intact lines after
+// it is not a torn write: Open refuses it, naming the line, and leaves
+// the file as it is. Later index lines for an existing ID
 // update its metadata (trace attachment), keeping the journal
 // append-only.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -115,8 +118,11 @@ func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.jsonl") 
 func (s *Store) runDir(id string) string { return filepath.Join(s.dir, "runs", id) }
 
 // replay loads index.jsonl, tolerating exactly one torn tail: every
-// line up to the first unparsable one is applied, and the file is
+// line up to the first unreadable one is applied, and the file is
 // truncated back to the last intact line so the journal is clean again.
+// An unreadable line followed by an intact one is damage, not a torn
+// write, and truncating would destroy records: replay reports it and
+// leaves the file alone.
 func (s *Store) replay() error {
 	data, err := os.ReadFile(s.indexPath())
 	if os.IsNotExist(err) {
@@ -125,22 +131,24 @@ func (s *Store) replay() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	good := 0 // bytes covered by intact, applied lines
-	for off := 0; off < len(data); {
-		nl := off
-		for nl < len(data) && data[nl] != '\n' {
-			nl++
-		}
-		if nl == len(data) {
+	good, badLine := 0, 0 // bytes of intact, applied lines; first unreadable line (1-based)
+	for off, line := 0, 1; off < len(data); line++ {
+		n := bytes.IndexByte(data[off:], '\n')
+		if n < 0 {
 			break // unterminated tail: torn write, drop it
 		}
 		var m Meta
-		if err := json.Unmarshal(data[off:nl], &m); err != nil || m.ID == "" {
-			break // corrupt tail line: drop it and everything after
+		intact := json.Unmarshal(data[off:off+n], &m) == nil && m.ID != ""
+		off += n + 1
+		switch {
+		case intact && badLine > 0:
+			return fmt.Errorf("store: %s line %d is unreadable but line %d after it is intact; not truncating", s.indexPath(), badLine, line)
+		case intact:
+			s.apply(&m)
+			good = off
+		case badLine == 0:
+			badLine = line
 		}
-		s.apply(&m)
-		good = nl + 1
-		off = good
 	}
 	if good < len(data) {
 		if err := os.Truncate(s.indexPath(), int64(good)); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +170,41 @@ func TestTruncatedIndexRecovery(t *testing.T) {
 				t.Fatalf("%d runs after recovery+ingest, want 4", got)
 			}
 		})
+	}
+}
+
+// TestCorruptMiddleLineRefused: an unreadable line with intact lines
+// after it is damage, not a torn tail. Open must name the line and
+// leave the file untouched instead of truncating the records after it.
+func TestCorruptMiddleLineRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	for i := 0; i < 3; i++ {
+		if _, _, err := s.Ingest("experiment", "c", fmt.Sprintf("t%d", i), doc("hub:3", int64(i), 0.8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	idx := filepath.Join(dir, "index.jsonl")
+	data, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	damaged := bytes.Join([][]byte{lines[0], []byte("not json at all\n"), lines[1], lines[2]}, nil)
+	if err := os.WriteFile(idx, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("Open on a corrupt middle line: %v, want an error naming line 2", err)
+	}
+	after, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, damaged) {
+		t.Fatalf("Open changed the damaged journal:\n%s", after)
 	}
 }
 

@@ -86,20 +86,19 @@ func (s Stats) PhaseList() string {
 	return buf.String()
 }
 
-// loc converts a decoder offset (which points just past the previous
-// token) into the 1-based line and offset of the next non-separator
-// byte — the start of the element about to be decoded.
-func loc(data []byte, off int64) (int, int64) {
-	i := off
-	for i < int64(len(data)) {
-		switch data[i] {
+// eventStart skips from a decoder offset (which points just past the
+// previous token) to the next non-separator byte — the start of the
+// element about to be decoded.
+func eventStart(data []byte, off int64) int64 {
+	for off < int64(len(data)) {
+		switch data[off] {
 		case ' ', '\t', '\r', '\n', ',', '[', ':':
-			i++
+			off++
 			continue
 		}
 		break
 	}
-	return 1 + bytes.Count(data[:i], []byte{'\n'}), i
+	return off
 }
 
 // Events streams every element of the document's traceEvents array to
@@ -129,6 +128,9 @@ func Events(data []byte, fn func(ev Event, index, line int, offset int64) error)
 		return &Error{Index: -1, Msg: fmt.Sprintf("not a trace-event document: top-level %v, want object", tok)}
 	}
 	sawEvents := false
+	// Event offsets only grow, so each event's line counts the newlines
+	// since the previous one: a single pass over the document.
+	line, counted := 1, int64(0)
 	for dec.More() {
 		keyTok, err := dec.Token()
 		if err != nil {
@@ -154,7 +156,9 @@ func Events(data []byte, fn func(ev Event, index, line int, offset int64) error)
 			if err := dec.Decode(&ev); err != nil {
 				return syntax(err)
 			}
-			line, at := loc(data, off)
+			at := eventStart(data, off)
+			line += bytes.Count(data[counted:at], []byte{'\n'})
+			counted = at
 			if err := fn(ev, i, line, at); err != nil {
 				return err
 			}

@@ -2,8 +2,10 @@ package tracecheck
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 const validDoc = `{"displayTimeUnit":"ms","traceEvents":[
@@ -201,5 +203,44 @@ func TestValidateNestedAsyncSameKey(t *testing.T) {
 ]}`
 	if _, err := Validate([]byte(doc)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateLargeTraceLinear: a real bench workload's trace holds
+// hundreds of thousands of events, one per line. Locating each event
+// must not rescan the document from the start, or validation turns
+// quadratic and a 69 MB trace runs for minutes. The violation planted
+// on the last event must still carry its exact line and offset.
+func TestValidateLargeTraceLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 300k-event trace")
+	}
+	const n = 300_000
+	var doc strings.Builder
+	doc.WriteString(`{"displayTimeUnit":"ms","traceEvents":[` + "\n")
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&doc, `{"ph":"X","pid":1,"tid":%d,"ts":%d,"dur":1,"name":"block","cat":"sim"},`+"\n", i%4, i)
+	}
+	lastOffset := doc.Len()
+	doc.WriteString(`{"ph":"X","pid":1,"tid":1,"ts":0,"dur":1,"name":"rewound","cat":"sim"}` + "\n]}\n")
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := Validate([]byte(doc.String()))
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("Validate on %d events still running after 60s", n)
+	}
+	var verr *Error
+	if !errors.As(err, &verr) {
+		t.Fatalf("error type %T: %v", err, err)
+	}
+	if verr.Index != n-1 || verr.Line != n+1 || verr.Offset != int64(lastOffset) || verr.Name != "rewound" {
+		t.Fatalf("violation at index %d line %d offset %d name %q, want %d/%d/%d/rewound",
+			verr.Index, verr.Line, verr.Offset, verr.Name, n-1, n+1, lastOffset)
 	}
 }
