@@ -26,9 +26,10 @@ check:
 # forward-memo parser's validation and round trip, the packet
 # tracker's per-channel table against a map-keyed model, the relayer's
 # per-endpoint sequence bitset against a map model, the trace
-# validator on arbitrary bytes (it must never panic), and the store's
+# validator on arbitrary bytes (it must never panic), the store's
 # journal replay on arbitrary index bytes (it must never panic or keep
-# a line that does not parse). The store target writes files on every
+# a line that does not parse), and bench2json on arbitrary bytes (it
+# must never panic, and whatever it accepts must marshal to JSON). The store target writes files on every
 # input, so it caps minimization, which would otherwise spend the whole
 # run shrinking its first new input. A
 # failure leaves its input under the package's testdata/fuzz/; commit it
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSeqSet -fuzztime 10s ./internal/relayer
 	$(GO) test -run '^$$' -fuzz FuzzTracecheck -fuzztime 10s ./internal/tracecheck
 	$(GO) test -run '^$$' -fuzz FuzzStoreReplay -fuzztime 10s -fuzzminimizetime 100x ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzBench2JSON -fuzztime 10s ./cmd/ibcbench
 
 # The host-cost benchmark (bench/, a module of its own that the targets
 # above skip): the full report over the five pinned workloads, and the

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"runtime"
@@ -94,7 +95,7 @@ func parseBenchOutput(r io.Reader, procs int) (map[string]map[string]float64, er
 	sums := make(map[string]map[string]*acc)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
+	for line := 1; sc.Scan(); line++ {
 		m := benchLineRE.FindStringSubmatch(strings.TrimSpace(sc.Text()))
 		if m == nil {
 			continue
@@ -107,19 +108,28 @@ func parseBenchOutput(r io.Reader, procs int) (map[string]map[string]float64, er
 		// Measurements come in "value unit" pairs (ns/op, B/op,
 		// allocs/op, b.ReportMetric units).
 		for i := 0; i+1 < len(fields); i += 2 {
+			unit := fields[i+1]
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bench2json: bad value %q for %s", fields[i], name)
+				return nil, fmt.Errorf("bench2json: line %d: bad value %q for %s %s", line, fields[i], name, unit)
+			}
+			// JSON has no NaN or infinity: a 0/0 b.ReportMetric prints
+			// NaN, and a sum of repeats can overflow to +Inf.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("bench2json: line %d: non-finite value %q for %s %s", line, fields[i], name, unit)
 			}
 			if sums[name] == nil {
 				sums[name] = make(map[string]*acc)
 			}
-			unit := fields[i+1]
 			if sums[name][unit] == nil {
 				sums[name][unit] = &acc{}
 			}
-			sums[name][unit].sum += v
-			sums[name][unit].n++
+			a := sums[name][unit]
+			a.sum += v
+			a.n++
+			if math.IsInf(a.sum, 0) {
+				return nil, fmt.Errorf("bench2json: line %d: mean of %s %s overflows", line, name, unit)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {

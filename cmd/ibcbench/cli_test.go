@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -66,22 +68,25 @@ func TestHelpListsRegistries(t *testing.T) {
 	}
 }
 
-// A sweep document is a pure function of its flags: the worker pool size
-// changes neither a result nor the header, so the bytes match exactly.
+// A sweep document is a pure function of its flags: the width of the
+// worker pool (GOMAXPROCS) changes neither a result nor the header, so
+// the bytes match exactly.
 func TestSweepDocumentIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a small votescale sweep twice")
 	}
 	dir := t.TempDir()
 	var docs [][]byte
-	for _, workers := range []string{"1", "4"} {
-		out := filepath.Join(dir, "votescale-w"+workers+".json")
+	for _, procs := range []int{1, 4} {
+		out := filepath.Join(dir, fmt.Sprintf("votescale-p%d.json", procs))
+		prev := runtime.GOMAXPROCS(procs)
 		err := runSweep([]string{
 			"-experiment", "votescale", "-topology", "two", "-validators", "4,8",
-			"-rate", "2", "-seeds", "1", "-windows", "1", "-workers", workers, "-out", out,
+			"-rate", "2", "-seeds", "1", "-windows", "1", "-out", out,
 		}, &bytes.Buffer{})
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
-			t.Fatalf("-workers %s: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		data, err := os.ReadFile(out)
 		if err != nil {
@@ -90,7 +95,7 @@ func TestSweepDocumentIndependentOfWorkers(t *testing.T) {
 		docs = append(docs, data)
 	}
 	if !bytes.Equal(docs[0], docs[1]) {
-		t.Errorf("-workers 1 and -workers 4 wrote different documents:\n%s\n---\n%s", docs[0], docs[1])
+		t.Errorf("GOMAXPROCS=1 and GOMAXPROCS=4 wrote different documents:\n%s\n---\n%s", docs[0], docs[1])
 	}
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -300,4 +302,38 @@ func TestBench2JSONRejectsEmptyInput(t *testing.T) {
 	if err := runBench2JSON(p, "", io.Discard); err == nil {
 		t.Fatal("empty bench output accepted")
 	}
+}
+
+// JSON has no NaN or infinity, so a non-finite value or mean must fail
+// the conversion with the benchmark, unit and line that caused it.
+func TestBench2JSONRejectsNonFinite(t *testing.T) {
+	cases := map[string]struct{ raw, want string }{
+		"NaN metric":       {"BenchmarkRatio \t 3 \t 100 ns/op \t NaN hits/op\n", "line 1: non-finite value \"NaN\" for BenchmarkRatio hits/op"},
+		"+Inf metric":      {"goos: linux\nBenchmarkRate \t 1 \t +Inf tfps\n", "line 2: non-finite value \"+Inf\" for BenchmarkRate tfps"},
+		"overflowing mean": {"BenchmarkHuge \t 1 \t 1e308 ns/op\nBenchmarkHuge \t 1 \t 1e308 ns/op\n", "line 2: mean of BenchmarkHuge ns/op overflows"},
+	}
+	for name, c := range cases {
+		p := writeTemp(t, "nonfinite.txt", c.raw)
+		err := runBench2JSON(p, "", io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", name, err, c.want)
+		}
+	}
+}
+
+// FuzzBench2JSON: the parser never panics on arbitrary bytes, and
+// whatever it accepts marshals to JSON.
+func FuzzBench2JSON(f *testing.F) {
+	f.Add([]byte("BenchmarkVoteFanout/vals-13-8 \t 3 \t 30000000 ns/op \t 12.00 blocks-per-vmin\nPASS\n"), uint8(8))
+	f.Add([]byte("BenchmarkNetemSend \t 3 \t 100 ns/op \t 0 B/op \t 0 allocs/op\n"), uint8(1))
+	f.Add([]byte("BenchmarkX \t 1 \t NaN ns/op\nBenchmarkX \t 1 \t 1e308 ns/op\n"), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, procs uint8) {
+		doc, err := parseBenchOutput(bytes.NewReader(data), int(procs))
+		if err != nil {
+			return
+		}
+		if _, err := json.Marshal(map[string]any{"bench": doc}); err != nil {
+			t.Fatalf("accepted output does not marshal: %v", err)
+		}
+	})
 }

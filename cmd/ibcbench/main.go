@@ -22,8 +22,9 @@
 //	ibcbench bench2json bench.txt -out BENCH.json
 //	ibcbench serve -store runs/ -addr :8321  # HTTP dashboard over a store
 //
-// Sweeps fan (config, seed) executions out over a worker pool
-// (-workers, default GOMAXPROCS); results are identical to serial runs.
+// sweep, suite and search fan their independent runs out over a pool of
+// GOMAXPROCS workers; results are identical to serial runs
+// (GOMAXPROCS=1).
 // With -out, every experiment that ran dumps its result structs — plus
 // a config header (topology, region preset, netem config, seed) — to
 // one JSON document for cross-PR regression tracking of reproduced
@@ -92,6 +93,7 @@ func printUsage(w io.Writer) {
 	for _, sc := range subcommands {
 		fmt.Fprintf(w, "  %-11s %s\n", sc.name, sc.desc)
 	}
+	fmt.Fprintln(w, "\nsweep, suite and search run on GOMAXPROCS workers; GOMAXPROCS=1 runs them\nserially, with the same output.")
 	fmt.Fprintln(w, "\nexperiments (ibcbench sweep -experiment X):")
 	for _, e := range experiments.Registry() {
 		fmt.Fprintf(w, "  %-11s %s\n", e.Name, e.Desc)

@@ -135,15 +135,14 @@ func runScenarioCmd(args []string, w io.Writer) error {
 // runSuiteCmd runs every registered scenario and reports one verdict
 // line each:
 //
-//	ibcbench suite [-short] [-seed N] [-workers N]
+//	ibcbench suite [-short] [-seed N]
 //	ibcbench suite -lint     # round-trip/compile lint only, no runs
 func runSuiteCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench suite", flag.ContinueOnError)
 	var (
-		short   = fs.Bool("short", false, "run only the scenarios marked cheap enough for smoke suites")
-		lint    = fs.Bool("lint", false, "lint the registry (validate, compile, canonical round trip) without running anything")
-		seed    = fs.Int64("seed", 0, "override every spec's run seed (0 = each spec's own)")
-		workers = fs.Int("workers", 0, "scenario worker pool size (0 = all cores, 1 = serial)")
+		short = fs.Bool("short", false, "run only the scenarios marked cheap enough for smoke suites")
+		lint  = fs.Bool("lint", false, "lint the registry (validate, compile, canonical round trip) without running anything")
+		seed  = fs.Int64("seed", 0, "override every spec's run seed (0 = each spec's own)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -178,7 +177,7 @@ func runSuiteCmd(args []string, w io.Writer) error {
 		rep *scenario.Report
 		err error
 	}
-	verdicts := scenario.ParallelMap(names, *workers, func(n string) verdict {
+	verdicts := scenario.ParallelMap(names, func(n string) verdict {
 		e, _ := scenario.Lookup(n)
 		rep, err := scenario.Run(e.Spec, *seed, nil)
 		return verdict{rep, err}
@@ -219,14 +218,12 @@ func runSuiteCmd(args []string, w io.Writer) error {
 func runSearchCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench search", flag.ContinueOnError)
 	var (
-		specPath     = fs.String("scenario", "", "scenario spec file (JSON) with a faults block")
-		name         = fs.String("name", "", "registered scenario name (see `ibcbench help`)")
-		budget       = fs.Int("budget", 0, "candidate timelines to generate and run (0 = 16)")
-		seed         = fs.Int64("seed", 0, "timeline-generator seed (0 = 1); the run seed comes from the spec")
-		shrinkBudget = fs.Int("shrink-budget", 0, "extra runs the minimizer may spend (0 = 64)")
-		workers      = fs.Int("workers", 0, "concurrent candidate runs (0 = all cores, 1 = serial)")
-		outPath      = fs.String("out", "", "write the minimal counterexample spec to this file")
-		expect       = fs.Bool("expect-violation", false, "exit nonzero unless the search finds a counterexample")
+		specPath = fs.String("scenario", "", "scenario spec file (JSON) with a faults block")
+		name     = fs.String("name", "", "registered scenario name (see `ibcbench help`)")
+		budget   = fs.Int("budget", 0, "candidate timelines to generate and run (0 = 16)")
+		seed     = fs.Int64("seed", 0, "timeline-generator seed (0 = 1); the run seed comes from the spec")
+		outPath  = fs.String("out", "", "write the minimal counterexample spec to this file")
+		expect   = fs.Bool("expect-violation", false, "exit nonzero unless the search finds a counterexample")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -235,9 +232,7 @@ func runSearchCmd(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := scenario.Search(s, scenario.SearchOptions{
-		Budget: *budget, Seed: *seed, Workers: *workers, ShrinkBudget: *shrinkBudget,
-	})
+	res, err := scenario.Search(s, scenario.SearchOptions{Budget: *budget, Seed: *seed})
 	if err != nil {
 		return err
 	}

@@ -12,11 +12,12 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
-	"ibcbench/internal/experiments"
 	"ibcbench/internal/serve"
 	"ibcbench/internal/store"
 	"ibcbench/internal/tracecheck"
@@ -75,7 +76,7 @@ func serveStore(ctx context.Context, st *store.Store, addr string, w io.Writer) 
 
 // archiveRun ingests one result document into a local store; a non-nil
 // trace is attached with its tracecheck verdict. The commit comes from
-// CaptureRunMeta and the timestamp from the wall clock, so every CLI
+// headCommit and the timestamp from the wall clock, so every CLI
 // invocation lands as a distinct run while re-posting an
 // already-archived document through /api/ingest stays idempotent (the
 // poster supplies the stored timestamp there).
@@ -85,11 +86,10 @@ func archiveRun(dir, kind string, payload, trace []byte, w io.Writer) error {
 		return err
 	}
 	defer st.Close()
-	meta := experiments.CaptureRunMeta()
 	// Nanosecond stamps keep back-to-back same-seed invocations distinct
 	// — virtual-clock results are byte-identical, so a coarser stamp
 	// would dedupe them into one run.
-	m, created, err := st.Ingest(kind, meta.Commit, time.Now().UTC().Format(time.RFC3339Nano), payload)
+	m, created, err := st.Ingest(kind, headCommit(), time.Now().UTC().Format(time.RFC3339Nano), payload)
 	if err != nil {
 		return fmt.Errorf("archive in %s: %w", dir, err)
 	}
@@ -110,4 +110,14 @@ func archiveRun(dir, kind string, payload, trace []byte, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "store: archived run %s (seq %d)%s in %s\n", m.ID, m.Seq, badge, dir)
 	return nil
+}
+
+// headCommit is the checkout's revision, or "" outside a git checkout:
+// the store keys runs by content, so provenance is optional.
+func headCommit() string {
+	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
 }

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -35,11 +33,8 @@ func runSweep(args []string, w io.Writer) error {
 		regions    = fs.String("regions", "", "geo region preset for topo/failover deployments: 3wan|hubspoke:n|uniform:k (\"\" = the paper's uniform WAN)")
 		validators = fs.String("validators", "", "validator-set sizes: votescale sweeps the comma list (default 4,8,12,16,24,32); other topology experiments use the first value (\"\" = the paper's 5)")
 		forwarding = fs.Bool("forwarding", false, "run topo multi-hop routes through the packet-forward middleware instead of sequential legs")
-		workers    = fs.Int("workers", 0, "sweep worker pool size (0 = all cores, 1 = serial)")
 		out        = fs.String("out", "", "write every experiment's result as JSON to this file (cross-PR regression tracking)")
 		storeDir   = fs.String("store", "", "archive the result document (the -out payload) into this experiment-store directory; browse it with `ibcbench serve -store DIR`")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
-		memProfile = fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,41 +43,9 @@ func runSweep(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opt := experiments.Options{Seeds: *seeds, Windows: *windows, Workers: *workers, Regions: *regions}
+	opt := experiments.Options{Seeds: *seeds, Windows: *windows, Regions: *regions}
 	if len(valSizes) > 0 {
 		opt.Validators = valSizes[0]
-	}
-	// Profiling brackets everything from here on — the simulation work.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			fmt.Fprintf(os.Stderr, "cpu profile written to %s\n", *cpuProfile)
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memProfile)
-		}()
 	}
 	selected, err := experiments.Select(*exp)
 	if err != nil {

@@ -1,9 +1,14 @@
 package ibcbench_test
 
 import (
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,5 +49,58 @@ func TestServeImportsNoSimulator(t *testing.T) {
 	slices.Sort(got)
 	if !slices.Equal(got, want) {
 		t.Fatalf("internal/serve imports, transitively:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// TestInternalTouchesNoHost pins where host concerns live: no non-test
+// package under internal/ spawns a process, profiles the host or reads
+// the environment, so a result depends only on the experiment it is
+// given. Commit lookup and profiling belong to cmd/ibcbench and bench/.
+func TestInternalTouchesNoHost(t *testing.T) {
+	banned := map[string]bool{"os/exec": true, "runtime/pprof": true, "net/http/pprof": true}
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		checked++
+		osName := ""
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if banned[p] {
+				t.Errorf("%s imports %s", path, p)
+			}
+			if p == "os" {
+				osName = "os"
+				if imp.Name != nil {
+					osName = imp.Name.Name
+				}
+			}
+		}
+		if osName == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == osName && (sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv") {
+				t.Errorf("%s: calls os.%s", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no non-test Go files under internal/")
 	}
 }

@@ -26,10 +26,6 @@ type Options struct {
 	Rates []int
 	// Windows is the number of submission block-windows.
 	Windows int
-	// Workers bounds the sweep worker pool (0 = GOMAXPROCS, 1 = serial).
-	// Each (config, seed) execution is an independent deterministic
-	// simulation, so parallel and serial sweeps yield identical results.
-	Workers int
 	// Regions optionally places topology deployments on a geo region
 	// preset (see geo.ParseSpec; "" = the paper's uniform WAN).
 	Regions string
@@ -54,11 +50,12 @@ func (o Options) windows(def int) int {
 	return o.Windows
 }
 
-// grid runs every (variant, seed) cell of a sweep on the worker pool:
-// seedOf(v, i) is variant v's i-th seed and run executes one cell. Each
-// cell is an independent deterministic simulation, so the pool size
-// never changes a result. Results come back grouped by variant, in seed
-// order; the first failing cell in input order aborts the sweep.
+// grid runs every (variant, seed) cell of a sweep on the
+// scenario.ParallelMap pool: seedOf(v, i) is variant v's i-th seed and
+// run executes one cell. Each cell is an independent deterministic
+// simulation, so the pool width never changes a result. Results come
+// back grouped by variant, in seed order; the first failing cell in
+// input order aborts the sweep.
 func grid[R any](opt Options, label string, variants int,
 	seedOf func(variant, i int) int64, run func(variant int, seed int64) (R, error)) ([][]R, error) {
 	type cell struct {
@@ -75,7 +72,7 @@ func grid[R any](opt Options, label string, variants int,
 		res R
 		err error
 	}
-	outcomes := scenario.ParallelMap(cells, opt.Workers, func(c cell) outcome {
+	outcomes := scenario.ParallelMap(cells, func(c cell) outcome {
 		res, err := run(c.variant, c.seed)
 		return outcome{res, err}
 	})
@@ -446,27 +443,33 @@ type Fig13Row struct {
 // 1..64 blocks.
 var DefaultStrategies = []int{1, 2, 4, 8, 16, 32, 64}
 
-// Fig13 measures completion latency for each submission strategy.
+// Fig13 measures completion latency for each submission strategy, one
+// run per strategy at seed+blocks.
 func Fig13(transfers int, strategies []int, seed int64) []Fig13Row {
 	if strategies == nil {
 		strategies = DefaultStrategies
 	}
-	var out []Fig13Row
-	for _, blocks := range strategies {
-		d, link := twoChain(seed+int64(blocks), 0, false)
-		link.Forward().SubmitSpread(transfers, blocks)
+	seedOf := func(v, _ int) int64 { return seed + int64(strategies[v]) }
+	// A two-chain cell has no error to return.
+	runs, _ := grid(Options{Seeds: 1}, "fig13", len(strategies), seedOf, func(v int, seed int64) (Fig13Row, error) {
+		d, link := twoChain(seed, 0, false)
+		link.Forward().SubmitSpread(transfers, strategies[v])
 		_ = d.Run(45 * time.Minute)
 		t := link.Tracker
 		first, _, ok1 := t.StepSpan(metrics.StepTransferBroadcast)
 		_, last, ok2 := t.StepSpan(metrics.StepAckConfirmation)
 		row := Fig13Row{
-			Blocks:    blocks,
+			Blocks:    strategies[v],
 			Completed: t.CompletionCounts()[metrics.StatusCompleted],
 		}
 		if ok1 && ok2 {
 			row.Completion = last - first
 		}
-		out = append(out, row)
+		return row, nil
+	})
+	out := make([]Fig13Row, len(runs))
+	for v, r := range runs {
+		out[v] = r[0]
 	}
 	return out
 }

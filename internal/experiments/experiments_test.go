@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -179,7 +180,8 @@ func TestWebSocketLimit(t *testing.T) {
 }
 
 func TestForwardingComparisonShape(t *testing.T) {
-	res, err := ForwardingComparison(Options{Seeds: 1, Workers: 1}, "line:3", 2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a serial pool
+	res, err := ForwardingComparison(Options{Seeds: 1}, "line:3", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,24 +2,29 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// atProcs returns fn's result with GOMAXPROCS, the width of the sweep
+// pool, set to n: 1 runs the cells serially.
+func atProcs[R any](n int, fn func() R) R {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return fn()
+}
 
 // TestParallelSweepMatchesSerial is the acceptance check for the parallel
 // seed runner: for a fixed seed grid, the worker pool must produce
 // byte-identical results to serial execution.
 func TestParallelSweepMatchesSerial(t *testing.T) {
-	opts := func(workers int) Options {
-		o := Options{Seeds: 2, Rates: []int{40, 120}, Windows: 10, Workers: workers}
-		if testing.Short() {
-			o.Rates = []int{60}
-			o.Windows = 8
-		}
-		return o
+	opt := Options{Seeds: 2, Rates: []int{40, 120}, Windows: 10}
+	if testing.Short() {
+		opt.Rates = []int{60}
+		opt.Windows = 8
 	}
-	serial := fmt.Sprintf("%+v", RelayerSweep(opts(1), 1, false))
-	parallel := fmt.Sprintf("%+v", RelayerSweep(opts(4), 1, false))
+	sweep := func() string { return fmt.Sprintf("%+v", RelayerSweep(opt, 1, false)) }
+	serial, parallel := atProcs(1, sweep), atProcs(4, sweep)
 	if serial != parallel {
 		t.Fatalf("relayer sweep diverged:\nserial:   %s\nparallel: %s", serial, parallel)
 	}
@@ -28,11 +33,9 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		// mode keeps the relayer identity plus the (fast) topology one.
 		return
 	}
-	sOpt, pOpt := opts(1), opts(4)
-	sOpt.Rates, pOpt.Rates = []int{500, 2000}, []int{500, 2000}
-	sOpt.Windows, pOpt.Windows = 5, 5
-	serial = fmt.Sprintf("%+v", Tendermint(sOpt))
-	parallel = fmt.Sprintf("%+v", Tendermint(pOpt))
+	opt.Rates, opt.Windows = []int{500, 2000}, 5
+	sweep = func() string { return fmt.Sprintf("%+v", Tendermint(opt)) }
+	serial, parallel = atProcs(1, sweep), atProcs(4, sweep)
 	if serial != parallel {
 		t.Fatalf("tendermint sweep diverged:\nserial:   %s\nparallel: %s", serial, parallel)
 	}
@@ -73,8 +76,8 @@ func TestTopologySweep(t *testing.T) {
 }
 
 func TestTopologySweepParallelMatchesSerial(t *testing.T) {
-	run := func(workers int) string {
-		res, err := TopologySweep(Options{Seeds: 2, Windows: 3, Workers: workers}, "line:3", 3, false)
+	run := func() string {
+		res, err := TopologySweep(Options{Seeds: 2, Windows: 3}, "line:3", 3, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +86,7 @@ func TestTopologySweepParallelMatchesSerial(t *testing.T) {
 		res.Render(&sb)
 		return sb.String()
 	}
-	if s, p := run(1), run(4); s != p {
+	if s, p := atProcs(1, run), atProcs(4, run); s != p {
 		t.Fatalf("topology sweep diverged:\nserial:   %s\nparallel: %s", s, p)
 	}
 }

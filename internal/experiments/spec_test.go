@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -126,7 +127,8 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 // variant-major in seed order, results come back grouped by variant, and
 // the first failing cell in input order is the one reported.
 func TestGrid(t *testing.T) {
-	opt := Options{Seeds: 3, Workers: 4}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // a 4-wide pool
+	opt := Options{Seeds: 3}
 	seedOf := func(v, i int) int64 { return int64(100*(v+1) + i) }
 	got, err := grid(opt, "demo", 2, seedOf, func(v int, seed int64) (string, error) {
 		return fmt.Sprintf("v%d/s%d", v, seed), nil

@@ -83,7 +83,7 @@ func Compile(s Spec) (topo.Scenario, error) {
 func compileEvent(ev EventSpec) chaos.Event {
 	out := chaos.Event{
 		At:           ev.At.D(),
-		Kind:         chaos.Kind(eventKinds[ev.Kind]),
+		Kind:         eventKinds[ev.Kind],
 		Edge:         ev.Edge,
 		ExtraLatency: ev.ExtraLatency.D(),
 		ExtraDrop:    ev.ExtraDrop,

@@ -24,11 +24,6 @@ type SearchOptions struct {
 	// Seed drives the timeline generator — independent of the spec's
 	// run seed, which every candidate executes under (0 = 1).
 	Seed int64
-	// Workers bounds concurrent candidate runs (<= 0 = GOMAXPROCS).
-	Workers int
-	// ShrinkBudget bounds the extra runs spent minimizing a violation
-	// (0 = 64).
-	ShrinkBudget int
 }
 
 // Counterexample is one found violation, shrunk.
@@ -59,79 +54,51 @@ type SearchResult struct {
 	Counterexample *Counterexample `json:"counterexample,omitempty"`
 }
 
-// faultSpace is a spec's FaultSpace with defaults resolved.
-type faultSpace struct {
-	kinds      []string
-	edges      []int
-	maxEvents  int
-	horizon    time.Duration
-	maxWindow  time.Duration
-	maxLatency time.Duration
-	maxDrop    float64
-	unhealed   float64
-}
+// Generated fault magnitudes: a latency spike adds at most
+// maxExtraLatency, a drop burst loses at most maxExtraDrop of an edge's
+// messages.
+const (
+	maxExtraLatency = 400 * time.Millisecond
+	maxExtraDrop    = 0.5
+)
 
-// resolveFaults fills the fault-space defaults; the spec must declare
-// one to be searchable.
-func resolveFaults(s Spec) (faultSpace, error) {
+// resolveFaults returns the spec's fault space with its defaults
+// filled in; the spec must declare one to be searchable.
+func resolveFaults(s Spec) (FaultSpace, error) {
 	if s.Faults == nil {
-		return faultSpace{}, fmt.Errorf("scenario %s: no fault space declared — add a \"faults\" block to search it", s.Name)
+		return FaultSpace{}, fmt.Errorf("scenario %s: no fault space declared — add a \"faults\" block to search it", s.Name)
 	}
-	tp, err := s.topology()
-	if err != nil {
-		return faultSpace{}, err
+	f := *s.Faults
+	if len(f.Kinds) == 0 {
+		f.Kinds = []string{"partition", "latency-spike", "drop-burst", "relayer-pause"}
 	}
-	f := s.Faults
-	fs := faultSpace{
-		kinds:      f.Kinds,
-		edges:      f.Edges,
-		maxEvents:  f.MaxEvents,
-		horizon:    f.Horizon.D(),
-		maxWindow:  f.MaxFaultWindow.D(),
-		maxLatency: f.MaxExtraLatency.D(),
-		maxDrop:    f.MaxExtraDrop,
-		unhealed:   f.Unhealed,
+	if f.MaxEvents <= 0 {
+		f.MaxEvents = 4
 	}
-	if len(fs.kinds) == 0 {
-		fs.kinds = []string{"partition", "latency-spike", "drop-burst", "relayer-pause"}
+	if f.Horizon <= 0 {
+		f.Horizon = Duration(60 * time.Second)
 	}
-	if len(fs.edges) == 0 {
-		for i := range tp.Edges {
-			fs.edges = append(fs.edges, i)
-		}
+	if f.MaxFaultWindow <= 0 {
+		f.MaxFaultWindow = Duration(30 * time.Second)
 	}
-	if fs.maxEvents <= 0 {
-		fs.maxEvents = 4
-	}
-	if fs.horizon <= 0 {
-		fs.horizon = 60 * time.Second
-	}
-	if fs.maxWindow <= 0 {
-		fs.maxWindow = 30 * time.Second
-	}
-	if fs.maxLatency <= 0 {
-		fs.maxLatency = 400 * time.Millisecond
-	}
-	if fs.maxDrop <= 0 {
-		fs.maxDrop = 0.5
-	}
-	return fs, nil
+	return f, nil
 }
 
 // generateTimeline draws one candidate fault timeline. All times are
 // millisecond-quantized so emitted specs stay readable, and recovery
 // events (heal, spike/burst clear, resume) pair each fault unless the
-// unhealed probability leaves it open.
-func generateTimeline(rng *sim.RNG, s Spec, fs faultSpace) []EventSpec {
+// unhealed probability leaves it open. Every edge of the topology is a
+// target.
+func generateTimeline(rng *sim.RNG, s Spec, fs FaultSpace) []EventSpec {
 	tp, _ := s.topology()
 	var events []EventSpec
-	n := 1 + rng.Intn(fs.maxEvents)
+	n := 1 + rng.Intn(fs.MaxEvents)
 	for i := 0; i < n; i++ {
-		kind := fs.kinds[rng.Intn(len(fs.kinds))]
-		edge := fs.edges[rng.Intn(len(fs.edges))]
-		at := time.Duration(1+rng.Int63n(int64(fs.horizon/time.Millisecond))) * time.Millisecond
-		window := time.Duration(1+rng.Int63n(int64(fs.maxWindow/time.Millisecond))) * time.Millisecond
-		recovers := rng.Float64() >= fs.unhealed
+		kind := fs.Kinds[rng.Intn(len(fs.Kinds))]
+		edge := rng.Intn(len(tp.Edges))
+		at := time.Duration(1+rng.Int63n(int64(fs.Horizon.D()/time.Millisecond))) * time.Millisecond
+		window := time.Duration(1+rng.Int63n(int64(fs.MaxFaultWindow.D()/time.Millisecond))) * time.Millisecond
+		recovers := rng.Float64() >= fs.Unhealed
 		switch kind {
 		case "partition":
 			relayer := -1
@@ -143,14 +110,14 @@ func generateTimeline(rng *sim.RNG, s Spec, fs faultSpace) []EventSpec {
 				events = append(events, EventSpec{At: Duration(at + window), Kind: "heal", Edge: edge, Relayer: intp(relayer)})
 			}
 		case "latency-spike":
-			extra := time.Duration(1+rng.Int63n(int64(fs.maxLatency/time.Millisecond))) * time.Millisecond
+			extra := time.Duration(1+rng.Int63n(int64(maxExtraLatency/time.Millisecond))) * time.Millisecond
 			events = append(events, EventSpec{At: Duration(at), Kind: "latency-spike", Edge: edge, ExtraLatency: Duration(extra)})
 			if recovers {
 				events = append(events, EventSpec{At: Duration(at + window), Kind: "latency-spike", Edge: edge})
 			}
 		case "drop-burst":
 			// Quantized to 1% steps so emitted specs diff cleanly.
-			drop := float64(1+rng.Intn(int(fs.maxDrop*100))) / 100
+			drop := float64(1+rng.Intn(int(maxExtraDrop*100))) / 100
 			events = append(events, EventSpec{At: Duration(at), Kind: "drop-burst", Edge: edge, ExtraDrop: drop})
 			if recovers {
 				events = append(events, EventSpec{At: Duration(at + window), Kind: "drop-burst", Edge: edge})
@@ -210,7 +177,7 @@ func Search(s Spec, opt SearchOptions) (*SearchResult, error) {
 		violations []Violation
 		err        error
 	}
-	verdicts := ParallelMap(candidates, opt.Workers, func(events []EventSpec) verdict {
+	verdicts := ParallelMap(candidates, func(events []EventSpec) verdict {
 		v, err := runWith(s, events)
 		return verdict{violations: v, err: err}
 	})
@@ -223,7 +190,7 @@ func Search(s Spec, opt SearchOptions) (*SearchResult, error) {
 			continue
 		}
 		ce := &Counterexample{Candidate: i, Events: candidates[i], Violations: v.violations}
-		minEvents, minViolations, runs, serr := shrink(s, candidates[i], opt.ShrinkBudget)
+		minEvents, minViolations, runs, serr := shrink(s, candidates[i])
 		if serr != nil {
 			return nil, fmt.Errorf("scenario %s: shrinking candidate %d: %w", s.Name, i, serr)
 		}

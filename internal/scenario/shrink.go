@@ -8,24 +8,24 @@
 // valid timeline.
 package scenario
 
+// shrinkBudget caps the removal runs one shrink spends.
+const shrinkBudget = 64
+
 // shrink minimizes events against the spec, returning the minimal
 // timeline, the violations of its final verifying run, and the number
-// of runs spent. budget <= 0 defaults to 64. The input timeline is
-// known-violating, so shrink never returns an empty non-violating
-// result: a removal is only kept when the violation persists.
-func shrink(s Spec, events []EventSpec, budget int) ([]EventSpec, []Violation, int, error) {
-	if budget <= 0 {
-		budget = 64
-	}
+// of runs spent. The input timeline is known-violating, so shrink never
+// returns an empty non-violating result: a removal is only kept when
+// the violation persists.
+func shrink(s Spec, events []EventSpec) ([]EventSpec, []Violation, int, error) {
 	cur := append([]EventSpec(nil), events...)
 	// The caller observed the violation on the full timeline; re-derive
 	// its verdicts only when we never manage a successful removal.
 	var curViolations []Violation
 	runs := 0
 	improved := true
-	for improved && runs < budget {
+	for improved && runs < shrinkBudget {
 		improved = false
-		for i := 0; i < len(cur) && runs < budget; i++ {
+		for i := 0; i < len(cur) && runs < shrinkBudget; i++ {
 			trial := make([]EventSpec, 0, len(cur)-1)
 			trial = append(trial, cur[:i]...)
 			trial = append(trial, cur[i+1:]...)

@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"time"
 
+	"ibcbench/internal/chaos"
 	"ibcbench/internal/topo"
 )
 
@@ -146,13 +147,12 @@ type EventSpec struct {
 
 // FaultSpace declares the randomized timeline space chaos search draws
 // candidates from. Absent fields fall back to permissive defaults
-// resolved at search time.
+// resolved at search time. Every edge is a target, and fault magnitudes
+// are search's constants (maxExtraLatency, maxExtraDrop).
 type FaultSpace struct {
 	// Kinds restricts the fault types generated (fault names as in
 	// EventSpec.Kind, recovery kinds implied). Empty = all fault kinds.
 	Kinds []string `json:"kinds,omitempty"`
-	// Edges restricts targeted edges. Empty = every edge.
-	Edges []int `json:"edges,omitempty"`
 	// MaxEvents bounds the fault count per candidate (recovery events
 	// not counted). 0 = 4.
 	MaxEvents int `json:"maxEvents,omitempty"`
@@ -161,10 +161,6 @@ type FaultSpace struct {
 	// MaxFaultWindow bounds the duration between a fault and its paired
 	// recovery event. 0 = 30s.
 	MaxFaultWindow Duration `json:"maxFaultWindow,omitempty"`
-	// MaxExtraLatency bounds latency-spike magnitudes. 0 = 400ms.
-	MaxExtraLatency Duration `json:"maxExtraLatency,omitempty"`
-	// MaxExtraDrop bounds drop-burst probabilities. 0 = 0.5.
-	MaxExtraDrop float64 `json:"maxExtraDrop,omitempty"`
 	// Unhealed is the probability a generated fault is left open — no
 	// recovery event — planting permanent partitions and crashed
 	// relayers. 0 = every fault recovers.
@@ -238,16 +234,16 @@ func DefaultAssertions() []string {
 	return []string{AssertConservation, AssertNoStuckPackets, AssertTimeoutRefunds}
 }
 
-// eventKinds maps spec kind names onto chaos kinds (chaos.Kind.String()
-// is the inverse).
-var eventKinds = map[string]int{
-	"partition":      1, // chaos.PartitionLink
-	"heal":           2, // chaos.HealLink
-	"latency-spike":  3, // chaos.LatencySpike
-	"drop-burst":     4, // chaos.DropBurst
-	"relayer-pause":  5, // chaos.RelayerPause
-	"relayer-resume": 6, // chaos.RelayerResume
-}
+// eventKinds maps spec kind names onto chaos kinds: a spec names a
+// kind by its chaos.Kind.String().
+var eventKinds = func() map[string]chaos.Kind {
+	m := make(map[string]chaos.Kind)
+	for _, k := range []chaos.Kind{chaos.PartitionLink, chaos.HealLink, chaos.LatencySpike,
+		chaos.DropBurst, chaos.RelayerPause, chaos.RelayerResume} {
+		m[k.String()] = k
+	}
+	return m
+}()
 
 // Validate checks everything checkable without deploying: topology
 // well-formedness, region spec, route paths, chaos event targets against
@@ -305,7 +301,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	if s.Faults != nil {
-		if err := s.validateFaults(tp); err != nil {
+		if err := s.Faults.validate(); err != nil {
 			return err
 		}
 	}
@@ -347,8 +343,7 @@ func (s Spec) validateEvent(i int, ev EventSpec, tp topo.Topology) error {
 	return nil
 }
 
-func (s Spec) validateFaults(tp topo.Topology) error {
-	f := s.Faults
+func (f *FaultSpace) validate() error {
 	for _, k := range f.Kinds {
 		if _, ok := eventKinds[k]; !ok {
 			return fmt.Errorf("scenario: fault space names unknown kind %q", k)
@@ -357,19 +352,11 @@ func (s Spec) validateFaults(tp topo.Topology) error {
 			return fmt.Errorf("scenario: fault space lists recovery kind %q (recoveries are generated, not drawn)", k)
 		}
 	}
-	for _, e := range f.Edges {
-		if e < 0 || e >= len(tp.Edges) {
-			return fmt.Errorf("scenario: fault space targets edge %d of %d", e, len(tp.Edges))
-		}
-	}
 	if f.MaxEvents < 0 {
 		return fmt.Errorf("scenario: fault space maxEvents %d negative", f.MaxEvents)
 	}
-	if f.Horizon < 0 || f.MaxFaultWindow < 0 || f.MaxExtraLatency < 0 {
+	if f.Horizon < 0 || f.MaxFaultWindow < 0 {
 		return fmt.Errorf("scenario: fault space has a negative duration bound")
-	}
-	if f.MaxExtraDrop < 0 || f.MaxExtraDrop > 1 {
-		return fmt.Errorf("scenario: fault space maxExtraDrop %.3f outside [0,1]", f.MaxExtraDrop)
 	}
 	if f.Unhealed < 0 || f.Unhealed > 1 {
 		return fmt.Errorf("scenario: fault space unhealed %.3f outside [0,1]", f.Unhealed)

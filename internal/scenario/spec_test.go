@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ibcbench/internal/chaos"
 )
 
 // TestGoldenRoundTrip pins the canonical encoding: every golden file
@@ -78,11 +80,30 @@ func TestParseRejects(t *testing.T) {
 		// failover detection window are fixed constants.
 		"deploy.maxMsgsPerTx":         `{"name":"x","topology":{"preset":"two"},"deploy":{"maxMsgsPerTx":50},"workload":{}}`,
 		"deploy.failoverDetectBlocks": `{"name":"x","topology":{"preset":"two"},"deploy":{"failoverDetectBlocks":3},"workload":{}}`,
+		// Search draws over every edge with fixed fault magnitudes.
+		"faults.edges":           `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"faults":{"edges":[0]}}`,
+		"faults.maxExtraLatency": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"faults":{"maxExtraLatency":"1s"}}`,
+		"faults.maxExtraDrop":    `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"faults":{"maxExtraDrop":0.2}}`,
 	}
 	for name, raw := range cases {
 		if _, err := Parse([]byte(raw)); err == nil {
 			t.Errorf("%s: parse accepted %s", name, raw)
 		}
+	}
+}
+
+// TestEventKindsRoundTrip: every chaos kind is a spec kind under its
+// String() name and compiles back to itself.
+func TestEventKindsRoundTrip(t *testing.T) {
+	n := 0
+	for k := chaos.Kind(1); !strings.HasPrefix(k.String(), "Kind("); k++ {
+		n++
+		if got := compileEvent(EventSpec{Kind: k.String()}).Kind; got != k {
+			t.Errorf("kind %q compiles to %v, want %v", k.String(), got, k)
+		}
+	}
+	if n != len(eventKinds) || n == 0 {
+		t.Errorf("chaos has %d kinds, the spec table %d", n, len(eventKinds))
 	}
 }
 
