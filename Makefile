@@ -18,9 +18,9 @@ check:
 
 # Bounded run of the native fuzz targets (CI's "Differential fuzz"
 # step): the append codecs of the two hashed per-packet documents against
-# encoding/json in both directions, merkle.IncTree.Apply against the
-# full-rebuild merkle.NewTree, app.State's undo journal against a
-# map-copy-per-tx model, the scenario spec's parse ⇄ encode round trip,
+# encoding/json in both directions, merkle.IncTree.Apply's roots and
+# proofs against the full-rebuild merkle.NewTree, app.State's undo
+# journal and proofs against a map-copy-per-tx model, the scenario spec's parse ⇄ encode round trip,
 # the sign-on-demand vote cache against an eager-signing model, the
 # denom trace's parse ⇄ string and prefix round trips, the
 # forward-memo parser's validation and round trip, the packet

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"ibcbench/internal/abci"
+	"ibcbench/internal/merkle"
 	"ibcbench/internal/simconf"
 	"ibcbench/internal/tendermint/types"
 )
@@ -273,25 +275,112 @@ func TestStateSnapshotAndProofs(t *testing.T) {
 	}
 
 	// Proofs against the old height still verify.
-	t1, err := s.TreeAt(1)
-	if err != nil {
-		t.Fatal(err)
+	v, p, err := s.ProveMembership(1, []byte("a"))
+	if err != nil || string(v) != "1" {
+		t.Fatalf("historic a = %q, %v", v, err)
 	}
-	if t1.Root() != root1 {
-		t.Fatal("historic tree root mismatch")
+	if err := merkle.VerifyMembership(root1, []byte("a"), v, p); err != nil {
+		t.Fatalf("historic proof of a: %v", err)
 	}
-	if v, ok := t1.Get("a"); !ok || string(v) != "1" {
-		t.Fatalf("historic a = %q, %v", v, ok)
+	nm, err := s.ProveNonMembership(2, []byte("a"))
+	if err != nil || nm == nil {
+		t.Fatalf("deleted key not provably absent at height 2: %v", err)
 	}
-	t2, err := s.TreeAt(2)
-	if err != nil {
-		t.Fatal(err)
+	if err := merkle.VerifyNonMembership(root2, []byte("a"), nm); err != nil {
+		t.Fatalf("absence proof of a: %v", err)
 	}
-	if _, ok := t2.Get("a"); ok {
-		t.Fatal("deleted key visible at height 2")
+	if v, p, err = s.ProveMembership(2, []byte("b")); err != nil || string(v) != "3" {
+		t.Fatalf("b at height 2 = %q, %v", v, err)
 	}
-	if v, _ := t2.Get("b"); string(v) != "3" {
-		t.Fatalf("b at height 2 = %q", v)
+	if err := merkle.VerifyMembership(root2, []byte("b"), v, p); err != nil {
+		t.Fatalf("proof of b at height 2: %v", err)
+	}
+}
+
+// A proof at Version() is read from the live tree while the next block
+// executes: it reflects the committed state, not the block's Sets and
+// Deletes, committed transactions or not. A proof two commits old comes
+// from the rebuild path. Both equal the full rebuild's.
+func TestProofsServeCommittedState(t *testing.T) {
+	s, model := NewState(true), map[string]string{}
+	commit := func(height int64, writes map[string]string) map[string][]byte {
+		for _, k := range sortedKeys(writes) {
+			if v := writes[k]; v == "" {
+				s.Delete([]byte(k))
+				delete(model, k)
+			} else {
+				s.Set([]byte(k), []byte(v))
+				model[k] = v
+			}
+		}
+		s.CommitTx()
+		s.Commit(height)
+		return byteMap(model)
+	}
+	h1 := commit(1, map[string]string{"a": "1", "b": "2", "c": "3"})
+	commit(2, map[string]string{"b": "20", "a": "", "d": "4"})
+	h3 := commit(3, map[string]string{"c": "30", "b": "", "e": "5"})
+
+	// Block 4 executes: one committed transaction, one in flight.
+	s.Set([]byte("d"), []byte("40"))
+	s.Delete([]byte("c"))
+	s.CommitTx()
+	s.Set([]byte("f"), []byte("6"))
+	s.Delete([]byte("e"))
+	keys := []string{"a", "b", "c", "d", "e", "f", "g"}
+	for _, c := range []struct {
+		height int64
+		kv     map[string][]byte
+	}{{3, h3}, {1, h1}} {
+		ref := merkle.NewTree(c.kv)
+		if root, _ := s.RootAt(c.height); ref.Root() != root {
+			t.Fatalf("height %d: model root differs from the committed one", c.height)
+		}
+		for _, k := range keys {
+			checkProof(t, s, ref, c.height, k)
+		}
+	}
+	if v, _ := s.Get([]byte("d")); string(v) != "40" || s.Has([]byte("e")) {
+		t.Fatalf("proofs disturbed the executing block: d = %q, e present %v", v, s.Has([]byte("e")))
+	}
+
+	// Committing block 4 drops the in-flight transaction; its height is
+	// now the live one and height 3 is rebuilt.
+	s.Commit(4)
+	h4 := map[string][]byte{"d": []byte("40"), "e": []byte("5")}
+	for _, c := range []struct {
+		height int64
+		kv     map[string][]byte
+	}{{4, h4}, {3, h3}} {
+		for _, k := range keys {
+			checkProof(t, s, merkle.NewTree(c.kv), c.height, k)
+		}
+	}
+}
+
+// TestLiveProofAllocs pins the first proof at each new height to the
+// proof and its path at any state size: it reads the live tree in place,
+// with no O(n) copy of it. Each run commits an empty block first, which
+// allocates nothing, so no cached tree can serve the proof.
+func TestLiveProofAllocs(t *testing.T) {
+	for _, n := range []int{100, 3000} {
+		s := NewState(true)
+		var kb [KeyBufLen]byte
+		for i := 0; i < n; i++ {
+			s.Set(fmt.Appendf(kb[:0], "commitments/ports/transfer/channels/channel-0/sequences/%08d", i), []byte("v"))
+		}
+		s.CommitTx()
+		s.Commit(1)
+		s.commits = slices.Grow(s.commits, 100) // so the runs' empty commits never grow it
+		key := []byte("commitments/ports/transfer/channels/channel-0/sequences/00000042")
+		got := testing.AllocsPerRun(20, func() {
+			h := s.Version() + 1
+			s.Commit(h)
+			s.ProveMembership(h, key)
+		})
+		if got > 2 {
+			t.Fatalf("n=%d: a proof at a new live height took %.0f allocations, want <= 2", n, got)
+		}
 	}
 }
 
@@ -362,12 +451,8 @@ func TestAbortRestoresOverwrittenAndDeletedKeys(t *testing.T) {
 			if n := len(got.commits[1].prior); n != 2 {
 				t.Fatalf("block 2 archived %d keys, want 2 (keep, new)", n)
 			}
-			t1, err := got.TreeAt(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, _ := t1.Get("keep"); string(v) != "genesis" {
-				t.Fatalf("height 1 keep = %q", v)
+			if v, _, err := got.ProveMembership(1, []byte("keep")); err != nil || string(v) != "genesis" {
+				t.Fatalf("height 1 keep = %q, %v", v, err)
 			}
 		}
 	}
@@ -384,8 +469,11 @@ func TestStateRootChainsWithoutProofs(t *testing.T) {
 	if r1 == r2 {
 		t.Fatal("empty commit left root unchanged")
 	}
-	if _, err := s.TreeAt(1); err == nil {
-		t.Fatal("performance mode served a proof tree")
+	if _, _, err := s.ProveMembership(1, []byte("a")); err == nil {
+		t.Fatal("performance mode served a membership proof")
+	}
+	if _, err := s.ProveNonMembership(1, []byte("b")); err == nil {
+		t.Fatal("performance mode served a non-membership proof")
 	}
 }
 

@@ -1,10 +1,12 @@
 package app
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -126,7 +128,7 @@ func FuzzStateJournal(f *testing.F) {
 						t.Fatalf("fullProofs=%v height %d: root %x, model %x", fullProofs, height, got, n.root)
 					}
 					checkCommit(t, s, n, fullProofs, dirtyKeys)
-					checkHistory(t, s, n, fullProofs, max(1, height-7))
+					checkHistory(t, s, n, fullProofs, max(1, height-7), key)
 				case 1:
 					s.CommitTx()
 					n.commitTx()
@@ -148,7 +150,7 @@ func FuzzStateJournal(f *testing.F) {
 				}
 				checkReads(t, s, n, ck, key)
 			}
-			checkHistory(t, s, n, fullProofs, 1)
+			checkHistory(t, s, n, fullProofs, 1, key)
 		}
 	})
 }
@@ -219,8 +221,8 @@ func checkCommit(t *testing.T, s *State, n *naiveState, fullProofs bool, dirtyKe
 				t.Fatalf("non-proof commit record of height %d holds history: %+v", c.height, c.prior)
 			}
 		}
-		if _, err := s.TreeAt(last.height); err == nil {
-			t.Fatal("performance mode served a proof tree")
+		if _, _, err := s.ProveMembership(last.height, []byte("a/k00")); err == nil {
+			t.Fatal("performance mode served a proof")
 		}
 	} else if len(last.prior) != dirtyKeys || cap(last.prior) != dirtyKeys {
 		t.Fatalf("height %d archived %d entries (cap %d) for %d dirty keys",
@@ -229,11 +231,12 @@ func checkCommit(t *testing.T, s *State, n *naiveState, fullProofs bool, dirtyKe
 }
 
 // checkHistory compares every height from `from` up with the model's copy
-// of it: the root, and with full proofs the tree TreeAt serves (from its
-// ring, the live tree or a rollback + rebuild) and a proof of a live key.
-// The fuzz loop calls it for the recent heights after each Commit and for
-// all of them at the end, which keeps one input's cost linear.
-func checkHistory(t *testing.T, s *State, n *naiveState, fullProofs bool, from int64) {
+// of it: the root, and with full proofs every proof State serves there
+// (from the live tree, its ring or a rollback + rebuild) against the full
+// rebuild's — for each key of the key space, the gap after it and both
+// ends. The fuzz loop calls it for the recent heights after each Commit
+// and for all of them at the end, which keeps one input's cost linear.
+func checkHistory(t *testing.T, s *State, n *naiveState, fullProofs bool, from int64, key func(byte) string) {
 	t.Helper()
 	for h := from; h <= int64(len(n.heights)); h++ {
 		if got, err := s.RootAt(h); err != nil || got != n.roots[h-1] {
@@ -242,24 +245,43 @@ func checkHistory(t *testing.T, s *State, n *naiveState, fullProofs bool, from i
 		if !fullProofs {
 			continue
 		}
-		tree, err := s.TreeAt(h)
-		if err != nil {
-			t.Fatalf("TreeAt(%d) at version %d: %v", h, s.Version(), err)
+		ref := merkle.NewTree(byteMap(n.heights[h-1]))
+		checkProof(t, s, ref, h, "a")
+		checkProof(t, s, ref, h, "z")
+		for b := byte(0); b < 16; b++ {
+			checkProof(t, s, ref, h, key(b))
+			checkProof(t, s, ref, h, key(b)+"!")
 		}
-		model := n.heights[h-1]
-		if want := merkle.NewTree(byteMap(model)); tree.Root() != want.Root() || tree.Len() != len(model) {
-			t.Fatalf("TreeAt(%d): root %x over %d keys, model %x over %d", h, tree.Root(), tree.Len(), want.Root(), len(model))
-		}
-		if keys := sortedKeys(model); len(keys) > 0 {
-			k := keys[int(h)%len(keys)]
-			v, p, ok := tree.ProveMembership(k)
-			if !ok || string(v) != model[k] {
-				t.Fatalf("TreeAt(%d) key %q: ok=%v value %q, model %q", h, k, ok, v, model[k])
-			}
-			if err := merkle.VerifyMembership(n.roots[h-1], []byte(k), v, p); err != nil {
-				t.Fatalf("TreeAt(%d) membership of %q: %v", h, k, err)
-			}
-		}
+	}
+}
+
+// checkProof compares the proofs State serves for k at height h with
+// those of ref, the full rebuild of h's map: a present key's membership
+// proof, or an absent key's non-membership proof, must be deeply equal
+// and verify against ref's root, and the other kind must be nil.
+func checkProof(t *testing.T, s *State, ref *merkle.Tree, h int64, k string) {
+	t.Helper()
+	v, mp, err := s.ProveMembership(h, []byte(k))
+	if err != nil {
+		t.Fatalf("ProveMembership(%d, %q) at version %d: %v", h, k, s.Version(), err)
+	}
+	nm, err := s.ProveNonMembership(h, []byte(k))
+	if err != nil {
+		t.Fatalf("ProveNonMembership(%d, %q) at version %d: %v", h, k, s.Version(), err)
+	}
+	wantV, wantMP, present := ref.ProveMembership([]byte(k))
+	wantNM, _ := ref.ProveNonMembership([]byte(k))
+	if !bytes.Equal(v, wantV) || !reflect.DeepEqual(mp, wantMP) || !reflect.DeepEqual(nm, wantNM) {
+		t.Fatalf("height %d key %q: value %q membership %+v non-membership %+v; full rebuild %q %+v %+v",
+			h, k, v, mp, nm, wantV, wantMP, wantNM)
+	}
+	if present {
+		err = merkle.VerifyMembership(ref.Root(), []byte(k), v, mp)
+	} else {
+		err = merkle.VerifyNonMembership(ref.Root(), []byte(k), nm)
+	}
+	if err != nil {
+		t.Fatalf("height %d key %q (present %v): %v", h, k, present, err)
 	}
 }
 

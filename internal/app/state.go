@@ -23,10 +23,12 @@ import (
 // mark on that journal: committing it moves the mark, aborting it undoes
 // the entries above the mark. In full-proof mode each Commit archives the
 // block's oldest entry per changed key, so snapshots at recent heights can
-// be reconstructed by undoing blocks backwards. Merkle trees over
-// snapshots are built lazily and cached — the relayer requests one proof
-// per packet message against a given proof height, so tree construction
-// is amortized across thousands of proofs.
+// be reconstructed by undoing blocks backwards. Proofs are served, never
+// trees: one at the latest height is read from the live merkle tree in
+// place, and an older height's tree is rebuilt from its snapshot on first
+// request and cached — the relayer requests one proof per packet message
+// against a given proof height, so a rebuild is amortized across
+// thousands of proofs.
 type State struct {
 	data map[string]slot
 
@@ -52,7 +54,7 @@ type State struct {
 	// into it instead of rebuilding the whole tree each height.
 	live *merkle.IncTree
 
-	// trees caches the most recently built snapshot trees (a ring:
+	// trees caches the most recently rebuilt older-height trees (a ring:
 	// treeNext is the slot the next one takes, evicting the oldest).
 	trees    [maxCachedTrees]cachedTree
 	treeNext int
@@ -94,7 +96,7 @@ type commitRecord struct {
 	prior []undo
 }
 
-// maxCachedTrees bounds the snapshot-tree cache.
+// maxCachedTrees bounds the rebuilt-tree cache.
 const maxCachedTrees = 4
 
 // NewState returns an empty store.
@@ -246,10 +248,7 @@ func (s *State) RootAt(height int64) (merkle.Hash, error) {
 
 // snapshotAt reconstructs the key-value map as of a committed height by
 // undoing newer block changes.
-func (s *State) snapshotAt(height int64) (map[string][]byte, error) {
-	if _, err := s.RootAt(height); err != nil {
-		return nil, err
-	}
+func (s *State) snapshotAt(height int64) map[string][]byte {
 	snap := make(map[string][]byte, len(s.data))
 	// order-free: a map-into-map copy.
 	for k, e := range s.data {
@@ -260,47 +259,61 @@ func (s *State) snapshotAt(height int64) (map[string][]byte, error) {
 	for i := len(s.commits) - 1; i >= 0 && s.commits[i].height > height; i-- {
 		rollback(snap, s.commits[i].prior, prior)
 	}
-	return snap, nil
+	return snap
 }
 
-// TreeAt returns the (cached) merkle tree of the snapshot at a height.
-// Only available with full proofs enabled.
-func (s *State) TreeAt(height int64) (*merkle.Tree, error) {
+// ProveMembership returns key's value at a committed height and its
+// proof against that height's root; the proof is nil when the key is
+// absent there. Only available with full proofs enabled.
+func (s *State) ProveMembership(height int64, key []byte) ([]byte, *merkle.MembershipProof, error) {
+	t, err := s.treeAt(height)
+	if err != nil {
+		return nil, nil, err
+	}
+	v, p, _ := t.ProveMembership(key)
+	return v, p, nil
+}
+
+// ProveNonMembership proves key absent at a committed height; the proof
+// is nil when the key is present there. Only available with full proofs
+// enabled.
+func (s *State) ProveNonMembership(height int64, key []byte) (*merkle.NonMembershipProof, error) {
+	t, err := s.treeAt(height)
+	if err != nil {
+		return nil, err
+	}
+	p, _ := t.ProveNonMembership(key)
+	return p, nil
+}
+
+// treeAt returns the merkle tree of the state at a committed height. At
+// the latest height that is the live tree itself: the executing block
+// writes only data and the journal until Commit. An older height's tree
+// is rebuilt from its snapshot and cached. No tree leaves State, so
+// nothing holds the live arrays across a Commit.
+func (s *State) treeAt(height int64) (*merkle.Tree, error) {
 	if !s.fullProofs {
 		return nil, fmt.Errorf("state: proofs disabled (performance mode)")
+	}
+	if height > 0 && height == s.Version() {
+		return &s.live.Tree, nil
 	}
 	for _, c := range s.trees {
 		if c.tree != nil && c.height == height {
 			return c.tree, nil
 		}
 	}
-	var t *merkle.Tree
-	if height > 0 && height == s.Version() {
-		// The live incremental tree already holds this height: snapshot
-		// it (hash moves only) instead of reconstructing and re-hashing
-		// the whole key space.
-		t = s.live.Snapshot()
-	} else {
-		snap, err := s.snapshotAt(height)
-		if err != nil {
-			return nil, err
-		}
-		t = merkle.NewTree(snap)
+	want, err := s.RootAt(height)
+	if err != nil {
+		return nil, err
 	}
-	if got, want := t.Root(), mustRoot(s, height); got != want {
+	t := merkle.NewTree(s.snapshotAt(height))
+	if t.Root() != want {
 		return nil, fmt.Errorf("state: reconstructed root mismatch at height %d", height)
 	}
 	s.trees[s.treeNext] = cachedTree{height, t}
 	s.treeNext = (s.treeNext + 1) % maxCachedTrees
 	return t, nil
-}
-
-func mustRoot(s *State, height int64) merkle.Hash {
-	r, err := s.RootAt(height)
-	if err != nil {
-		return merkle.Hash{}
-	}
-	return r
 }
 
 // FullProofs reports whether real merkle proofs are enabled.

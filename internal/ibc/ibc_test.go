@@ -135,12 +135,11 @@ func (c *testChain) clientState() ibc.ClientState {
 // consensus height consHeight (state at consHeight-1).
 func (c *testChain) prove(consHeight int64, key string) ([]byte, *ibc.Proof) {
 	c.t.Helper()
-	tree, err := c.app.State().TreeAt(consHeight - 1)
+	value, mp, err := c.app.State().ProveMembership(consHeight-1, []byte(key))
 	if err != nil {
-		c.t.Fatalf("tree at %d: %v", consHeight-1, err)
+		c.t.Fatalf("proof at %d: %v", consHeight-1, err)
 	}
-	value, mp, ok := tree.ProveMembership(key)
-	if !ok {
+	if mp == nil {
 		c.t.Fatalf("key %q absent at height %d", key, consHeight-1)
 	}
 	return value, &ibc.Proof{Membership: mp}
@@ -149,12 +148,11 @@ func (c *testChain) prove(consHeight int64, key string) ([]byte, *ibc.Proof) {
 // proveAbsent builds a non-membership proof.
 func (c *testChain) proveAbsent(consHeight int64, key string) *ibc.Proof {
 	c.t.Helper()
-	tree, err := c.app.State().TreeAt(consHeight - 1)
+	nm, err := c.app.State().ProveNonMembership(consHeight-1, []byte(key))
 	if err != nil {
-		c.t.Fatalf("tree at %d: %v", consHeight-1, err)
+		c.t.Fatalf("proof at %d: %v", consHeight-1, err)
 	}
-	nm, ok := tree.ProveNonMembership(key)
-	if !ok {
+	if nm == nil {
 		c.t.Fatalf("key %q present at height %d", key, consHeight-1)
 	}
 	return &ibc.Proof{NonMembership: nm}

@@ -13,10 +13,10 @@ type Edit struct {
 	Delete bool
 }
 
-// IncTree is the incrementally-maintained variant of Tree used for the
-// live application state: it keeps the sorted leaf array and every inner
-// level cached between commits and re-hashes only what a block's dirty
-// keys invalidate, while committing to exactly the same root as
+// IncTree is the incrementally-maintained Tree of the live application
+// state: it keeps the sorted leaf array and every inner level cached
+// between commits and re-hashes only what a block's dirty keys
+// invalidate, while committing to exactly the same root as
 // NewTree(snapshot) would. A block of d edits over n leaves costs:
 //
 //   - value-only: d leaf hashes plus their O(d log n) root paths, no
@@ -27,29 +27,18 @@ type Edit struct {
 //     a leaf — O(n) inner hashes in the worst case, which the
 //     sorted-array tree shape fixes.
 //
-// Snapshot is O(n) moves: three bulk copies, no per-key allocation.
+// Its proofs are read from the live arrays in place. Each copies its
+// siblings, so a proof taken before an Apply still verifies against the
+// root it was taken at.
 type IncTree struct {
-	keys   []string
-	values [][]byte
-	leaves []Hash
-	levels [][]Hash // levels[0] = leaves padded to a power of two
+	Tree
+	leaves []Hash // the unpadded leaf digests, moved in step with keys
 
 	moves int // elements Apply has shifted so far (pins its O(n + d) bound in tests)
 }
 
 // NewIncTree returns an empty incremental tree (root = empty-tree root).
-func NewIncTree() *IncTree { return &IncTree{} }
-
-// Len reports the number of live leaves.
-func (t *IncTree) Len() int { return len(t.keys) }
-
-// Root returns the current commitment.
-func (t *IncTree) Root() Hash {
-	if len(t.levels) == 0 {
-		return emptyRoot
-	}
-	return t.levels[len(t.levels)-1][0]
-}
+func NewIncTree() *IncTree { return &IncTree{Tree: Tree{root: emptyRoot}} }
 
 // Apply folds one block's dirty keys into the tree and returns the new
 // root. Edits are applied in key order regardless of input order, so map
@@ -101,7 +90,7 @@ func (t *IncTree) Apply(edits []Edit) Hash {
 	}
 	if r == w && len(ins) == 0 { // nothing moved: value updates only, or no effective edit
 		t.rehashPaths(dirty)
-		return t.Root()
+		return t.setRoot()
 	}
 	t.move(w, r, n-r)
 	w += n - r
@@ -119,7 +108,7 @@ func (t *IncTree) Apply(edits []Edit) Hash {
 		t.keys[g+j], t.values[g+j], t.leaves[g+j] = e.Key, e.Value, leafHash(e.Key, e.Value)
 	}
 	t.rebuildFrom(minIdx)
-	return t.Root()
+	return t.setRoot()
 }
 
 // move shifts n entries of the three parallel leaf arrays from src to
@@ -205,23 +194,4 @@ func (t *IncTree) rehashPaths(dirty []int) {
 		}
 		idxs = next
 	}
-}
-
-// Snapshot materializes the current state as an immutable Tree serving
-// proofs: keys, values and levels are bulk-copied (moves, no re-hashing,
-// no per-key allocation) so later Apply calls cannot invalidate
-// outstanding proofs.
-func (t *IncTree) Snapshot() *Tree {
-	tr := &Tree{
-		keys:   slices.Clone(t.keys),
-		values: slices.Clone(t.values),
-		root:   t.Root(),
-	}
-	if len(t.levels) > 0 {
-		tr.levels = make([][]Hash, len(t.levels))
-		for l, row := range t.levels {
-			tr.levels[l] = slices.Clone(row)
-		}
-	}
-	return tr
 }

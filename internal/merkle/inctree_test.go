@@ -3,6 +3,7 @@ package merkle
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -93,7 +94,7 @@ func TestIncTreeEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestIncTreeSnapshotServesProofs(t *testing.T) {
+func TestIncTreeServesProofs(t *testing.T) {
 	inc := NewIncTree()
 	kv := make(map[string][]byte)
 	var edits []Edit
@@ -103,28 +104,35 @@ func TestIncTreeSnapshotServesProofs(t *testing.T) {
 		edits = append(edits, Edit{Key: k, Value: v})
 	}
 	root := inc.Apply(edits)
-	snap := inc.Snapshot()
-	if snap.Root() != root {
-		t.Fatal("snapshot root mismatch")
+	if inc.Root() != root {
+		t.Fatal("live root mismatch")
 	}
-	v, mp, ok := snap.ProveMembership("key17")
+	v, mp, ok := inc.ProveMembership([]byte("key17"))
 	if !ok || string(v) != "val17" {
 		t.Fatalf("membership proof: ok=%v v=%q", ok, v)
 	}
 	if err := VerifyMembership(root, []byte("key17"), v, mp); err != nil {
 		t.Fatal(err)
 	}
-	nm, ok := snap.ProveNonMembership("key17x")
+	nm, ok := inc.ProveNonMembership([]byte("key17x"))
 	if !ok {
 		t.Fatal("non-membership proof failed")
 	}
 	if err := VerifyNonMembership(root, []byte("key17x"), nm); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the live tree must not invalidate the snapshot's proofs.
-	inc.Apply([]Edit{{Key: "key17", Value: []byte("overwritten")}, {Key: "aaa", Value: []byte("new")}})
+	// A proof copies its siblings: rewriting the live arrays under it
+	// must not invalidate it against the root it was taken at.
+	root2 := inc.Apply([]Edit{{Key: "key17", Value: []byte("overwritten")}, {Key: "aaa", Value: []byte("new")}})
 	if err := VerifyMembership(root, []byte("key17"), v, mp); err != nil {
-		t.Fatalf("snapshot proof invalidated by later Apply: %v", err)
+		t.Fatalf("proof invalidated by later Apply: %v", err)
+	}
+	if err := VerifyNonMembership(root, []byte("key17x"), nm); err != nil {
+		t.Fatalf("absence proof invalidated by later Apply: %v", err)
+	}
+	v2, mp2, _ := inc.ProveMembership([]byte("key17"))
+	if err := VerifyMembership(root2, []byte("key17"), v2, mp2); err != nil || string(v2) != "overwritten" {
+		t.Fatalf("proof after Apply: value %q, %v", v2, err)
 	}
 }
 
@@ -176,21 +184,9 @@ func TestApplyMovesAreLinear(t *testing.T) {
 	}
 }
 
-// TestSnapshotAllocsPerLevel pins Snapshot to one allocation per level
-// plus the Tree, its key and value arrays and the level table — never
-// one per key.
-func TestSnapshotAllocsPerLevel(t *testing.T) {
-	for _, n := range []int{100, 3000} {
-		inc := seededIncTree(n)
-		want := float64(len(inc.levels) + 4)
-		if got := testing.AllocsPerRun(20, func() { inc.Snapshot() }); got > want {
-			t.Fatalf("n=%d: Snapshot took %.0f allocations, want <= %.0f (levels + 4)", n, got, want)
-		}
-	}
-}
-
 // FuzzIncTreeApply drives IncTree with batches decoded from the input
-// and checks it against the full-rebuild reference after every batch.
+// and checks it against the full-rebuild reference after every batch:
+// its root and every proof it serves from the live arrays.
 // Input bytes are read in (op, key) pairs: op%4 == 0 ends the batch (so
 // empty batches occur), 3 deletes (often an absent key), 1 and 2 set;
 // the 48-key space makes updates, duplicate keys within a batch and
@@ -211,21 +207,19 @@ func FuzzIncTreeApply(f *testing.F) {
 		inc := NewIncTree()
 		model := make(map[string][]byte)
 		var batch []Edit
+		var before []proved
+		beforeRoot := inc.Root()
 		flush := func() {
-			before, beforeModel := inc.Snapshot(), make(map[string][]byte, len(model))
-			for k, v := range model {
-				beforeModel[k] = v
-			}
 			applyRef(model, batch) // before Apply re-sorts the batch
 			root := inc.Apply(batch)
 			batch = batch[:0]
 			if want := NewTree(model).Root(); root != want {
 				t.Fatalf("root %x != full rebuild %x (n=%d)", root, want, len(model))
 			}
-			// The snapshot taken before the batch shares nothing with the
+			// The proofs taken before the batch share nothing with the
 			// live arrays the batch just rewrote.
-			checkProofs(t, before, beforeModel)
-			checkProofs(t, inc.Snapshot(), model)
+			verifyProofs(t, beforeRoot, before)
+			before, beforeRoot = checkProofs(t, &inc.Tree, model), root
 		}
 		for i := 0; i+1 < len(data); i += 2 {
 			switch op, k := data[i]%4, key(data[i+1]); op {
@@ -241,32 +235,58 @@ func FuzzIncTreeApply(f *testing.F) {
 	})
 }
 
-// checkProofs verifies, against the snapshot's own root, a membership
-// proof for every key of model and a non-membership proof for the gap
-// after each key and for both ends of the key space.
-func checkProofs(t *testing.T, snap *Tree, model map[string][]byte) {
+// proved is one proof a tree served: a membership proof of key's value,
+// or a non-membership proof of key.
+type proved struct {
+	key   string
+	value []byte
+	mp    *MembershipProof
+	nm    *NonMembershipProof
+}
+
+// checkProofs compares tree with NewTree(model): a membership proof for
+// every key of model, and a non-membership proof for the gap after each
+// key and for both ends of the key space, must equal the full rebuild's
+// and verify against the root. It returns the proofs.
+func checkProofs(t *testing.T, tree *Tree, model map[string][]byte) []proved {
 	t.Helper()
-	if snap.Len() != len(model) {
-		t.Fatalf("snapshot has %d leaves, model %d", snap.Len(), len(model))
+	ref := NewTree(model)
+	if tree.Len() != ref.Len() || tree.Root() != ref.Root() {
+		t.Fatalf("tree has %d leaves, root %x; full rebuild %d, %x", tree.Len(), tree.Root(), ref.Len(), ref.Root())
 	}
+	var out []proved
 	absent := []string{"a", "z"}
 	for k, want := range model {
-		v, p, ok := snap.ProveMembership(k)
-		if !ok || string(v) != string(want) {
-			t.Fatalf("key %q: ok=%v value %q, want %q", k, ok, v, want)
+		v, p, ok := tree.ProveMembership([]byte(k))
+		_, wantP, _ := ref.ProveMembership([]byte(k))
+		if !ok || string(v) != string(want) || !reflect.DeepEqual(p, wantP) {
+			t.Fatalf("key %q: ok=%v value %q proof %+v, full rebuild %q %+v", k, ok, v, p, want, wantP)
 		}
-		if err := VerifyMembership(snap.Root(), []byte(k), v, p); err != nil {
-			t.Fatalf("membership of %q: %v", k, err)
-		}
+		out = append(out, proved{key: k, value: v, mp: p})
 		absent = append(absent, k+"!")
 	}
 	for _, k := range absent {
-		p, ok := snap.ProveNonMembership(k)
-		if !ok {
-			t.Fatalf("absent key %q not provable", k)
+		p, ok := tree.ProveNonMembership([]byte(k))
+		wantP, _ := ref.ProveNonMembership([]byte(k))
+		if !ok || !reflect.DeepEqual(p, wantP) {
+			t.Fatalf("absent key %q: ok=%v proof %+v, full rebuild %+v", k, ok, p, wantP)
 		}
-		if err := VerifyNonMembership(snap.Root(), []byte(k), p); err != nil {
-			t.Fatalf("non-membership of %q: %v", k, err)
+		out = append(out, proved{key: k, nm: p})
+	}
+	verifyProofs(t, tree.Root(), out)
+	return out
+}
+
+// verifyProofs checks every proof against root.
+func verifyProofs(t *testing.T, root Hash, proofs []proved) {
+	t.Helper()
+	for _, p := range proofs {
+		if p.mp != nil {
+			if err := VerifyMembership(root, []byte(p.key), p.value, p.mp); err != nil {
+				t.Fatalf("membership of %q: %v", p.key, err)
+			}
+		} else if err := VerifyNonMembership(root, []byte(p.key), p.nm); err != nil {
+			t.Fatalf("non-membership of %q: %v", p.key, err)
 		}
 	}
 }

@@ -8,13 +8,12 @@
 // SHA-256 merkle tree over sorted key-value leaves with both proof kinds.
 //
 // The tree is a complete binary tree over the sorted leaves, padded to a
-// power of two. Tree is one immutable snapshot: NewTree sorts and hashes
-// every leaf (O(n log n)), a proof is one binary search plus a copy of
+// power of two. NewTree builds one from a snapshot, sorting and hashing
+// every leaf (O(n log n)); a proof is one binary search plus a copy of
 // log n siblings. The live state is an IncTree, which pays per block
 // instead: O(n + d) element moves for d edits, plus a re-hash of the
 // inner nodes right of the first insert or delete (value-only blocks
-// re-hash d root paths), and O(n) moves with no per-key allocation for
-// the snapshot the block's proofs are served from.
+// re-hash d root paths). It serves its proofs from those arrays in place.
 package merkle
 
 import (
@@ -104,11 +103,12 @@ func HashLeaves(leaves []Hash) Hash {
 	return lv[len(lv)-1][0]
 }
 
-// Tree is an immutable merkle tree over a key-value snapshot.
+// Tree is a merkle tree over a sorted key-value set. NewTree builds an
+// immutable one; IncTree embeds one and keeps it current.
 type Tree struct {
 	keys   []string
 	values [][]byte
-	levels [][]Hash
+	levels [][]Hash // levels[0] = leaf digests padded to a power of two
 	root   Hash
 }
 
@@ -125,13 +125,21 @@ func NewTree(kv map[string][]byte) *Tree {
 		t.values[i] = kv[k]
 		leaves[i] = leafHash(k, t.values[i])
 	}
-	if len(leaves) == 0 {
-		t.root = emptyRoot
-		return t
+	if len(leaves) > 0 {
+		t.levels = buildLevels(leaves)
 	}
-	t.levels = buildLevels(leaves)
-	t.root = t.levels[len(t.levels)-1][0]
+	t.setRoot()
 	return t
+}
+
+// setRoot records the top of the levels (or the empty-tree root) as the
+// tree's commitment and returns it.
+func (t *Tree) setRoot() Hash {
+	t.root = emptyRoot
+	if len(t.levels) > 0 {
+		t.root = t.levels[len(t.levels)-1][0]
+	}
+	return t.root
 }
 
 // Root returns the tree's commitment.
@@ -140,10 +148,16 @@ func (t *Tree) Root() Hash { return t.root }
 // Len reports the number of (real, unpadded) leaves.
 func (t *Tree) Len() int { return len(t.keys) }
 
+// find returns the leaf index of key, or of the first key above it, and
+// whether key is present. Comparing with string(key) makes no string.
+func (t *Tree) find(key []byte) (int, bool) {
+	i := sort.Search(len(t.keys), func(i int) bool { return t.keys[i] >= string(key) })
+	return i, i < len(t.keys) && t.keys[i] == string(key)
+}
+
 // Get returns the value for key and whether it is present.
-func (t *Tree) Get(key string) ([]byte, bool) {
-	i := sort.SearchStrings(t.keys, key)
-	if i < len(t.keys) && t.keys[i] == key {
+func (t *Tree) Get(key []byte) ([]byte, bool) {
+	if i, ok := t.find(key); ok {
 		return t.values[i], true
 	}
 	return nil, false
@@ -166,9 +180,9 @@ type MembershipProof struct {
 
 // ProveMembership builds a membership proof for key. It returns the bound
 // value along with the proof, or false if the key is absent.
-func (t *Tree) ProveMembership(key string) ([]byte, *MembershipProof, bool) {
-	i := sort.SearchStrings(t.keys, key)
-	if i >= len(t.keys) || t.keys[i] != key {
+func (t *Tree) ProveMembership(key []byte) ([]byte, *MembershipProof, bool) {
+	i, ok := t.find(key)
+	if !ok {
 		return nil, nil, false
 	}
 	return t.values[i], t.proveIndex(i), true
@@ -243,9 +257,9 @@ type NonMembershipProof struct {
 
 // ProveNonMembership builds an absence proof for key. It returns false if
 // the key is present.
-func (t *Tree) ProveNonMembership(key string) (*NonMembershipProof, bool) {
-	i := sort.SearchStrings(t.keys, key)
-	if i < len(t.keys) && t.keys[i] == key {
+func (t *Tree) ProveNonMembership(key []byte) (*NonMembershipProof, bool) {
+	i, ok := t.find(key)
+	if ok {
 		return nil, false
 	}
 	p := &NonMembershipProof{Total: len(t.keys)}

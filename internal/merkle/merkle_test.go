@@ -21,7 +21,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	p, ok := tr.ProveNonMembership("anything")
+	p, ok := tr.ProveNonMembership([]byte("anything"))
 	if !ok {
 		t.Fatal("empty tree could not prove absence")
 	}
@@ -32,7 +32,7 @@ func TestEmptyTree(t *testing.T) {
 
 func TestSingleLeaf(t *testing.T) {
 	tr := NewTree(map[string][]byte{"k": []byte("v")})
-	v, p, ok := tr.ProveMembership("k")
+	v, p, ok := tr.ProveMembership([]byte("k"))
 	if !ok || string(v) != "v" {
 		t.Fatalf("prove membership: ok=%v v=%q", ok, v)
 	}
@@ -49,7 +49,7 @@ func TestMembershipAllKeys(t *testing.T) {
 		kv := kvFixture(n)
 		tr := NewTree(kv)
 		for k, want := range kv {
-			v, p, ok := tr.ProveMembership(k)
+			v, p, ok := tr.ProveMembership([]byte(k))
 			if !ok {
 				t.Fatalf("n=%d key %q not provable", n, k)
 			}
@@ -65,7 +65,7 @@ func TestMembershipAllKeys(t *testing.T) {
 
 func TestMembershipRejectsTamper(t *testing.T) {
 	tr := NewTree(kvFixture(10))
-	v, p, _ := tr.ProveMembership("key/0003")
+	v, p, _ := tr.ProveMembership([]byte("key/0003"))
 	// Wrong key.
 	if err := VerifyMembership(tr.Root(), []byte("key/0004"), v, p); err == nil {
 		t.Fatal("verified wrong key")
@@ -97,7 +97,7 @@ func TestNonMembership(t *testing.T) {
 		"key/0009zzzz", // after last
 	}
 	for _, k := range cases {
-		p, ok := tr.ProveNonMembership(k)
+		p, ok := tr.ProveNonMembership([]byte(k))
 		if !ok {
 			t.Fatalf("could not prove absence of %q", k)
 		}
@@ -106,21 +106,21 @@ func TestNonMembership(t *testing.T) {
 		}
 	}
 	// Present key must not be provable absent.
-	if _, ok := tr.ProveNonMembership("key/0005"); ok {
+	if _, ok := tr.ProveNonMembership([]byte("key/0005")); ok {
 		t.Fatal("proved absence of present key")
 	}
 }
 
 func TestNonMembershipRejectsForgery(t *testing.T) {
 	tr := NewTree(kvFixture(10))
-	p, _ := tr.ProveNonMembership("key/0005x")
+	p, _ := tr.ProveNonMembership([]byte("key/0005x"))
 	// Using the proof for a key outside the (left, right) interval fails.
 	if err := VerifyNonMembership(tr.Root(), []byte("key/0007x"), p); err == nil {
 		t.Fatal("absence proof accepted for wrong key")
 	}
 	// A proof with non-adjacent neighbours fails.
-	p2, _ := tr.ProveNonMembership("key/0005x")
-	_, lp, _ := tr.ProveMembership("key/0003")
+	p2, _ := tr.ProveNonMembership([]byte("key/0005x"))
+	_, lp, _ := tr.ProveMembership([]byte("key/0003"))
 	p2.LeftKey = []byte("key/0003")
 	p2.LeftValue = []byte("value-3")
 	p2.LeftProof = lp
@@ -159,10 +159,10 @@ func TestLeafInnerDomainSeparation(t *testing.T) {
 
 func TestGet(t *testing.T) {
 	tr := NewTree(kvFixture(5))
-	if v, ok := tr.Get("key/0002"); !ok || string(v) != "value-2" {
+	if v, ok := tr.Get([]byte("key/0002")); !ok || string(v) != "value-2" {
 		t.Fatalf("get = %q, %v", v, ok)
 	}
-	if _, ok := tr.Get("missing"); ok {
+	if _, ok := tr.Get([]byte("missing")); ok {
 		t.Fatal("found missing key")
 	}
 }
@@ -177,7 +177,7 @@ func TestProofSoundnessProperty(t *testing.T) {
 		}
 		tr := NewTree(kv)
 		for k, v := range kv {
-			got, p, ok := tr.ProveMembership(k)
+			got, p, ok := tr.ProveMembership([]byte(k))
 			if !ok || string(got) != string(v) {
 				return false
 			}
@@ -187,7 +187,7 @@ func TestProofSoundnessProperty(t *testing.T) {
 		}
 		probeKey := "absent:" + probe
 		if _, present := kv[probeKey]; !present {
-			p, ok := tr.ProveNonMembership(probeKey)
+			p, ok := tr.ProveNonMembership([]byte(probeKey))
 			if !ok {
 				return false
 			}
@@ -210,7 +210,7 @@ func TestProofBindingProperty(t *testing.T) {
 		kv := kvFixture(size)
 		tr := NewTree(kv)
 		target := fmt.Sprintf("key/%04d", int(mutate)%size)
-		v, p, ok := tr.ProveMembership(target)
+		v, p, ok := tr.ProveMembership([]byte(target))
 		if !ok {
 			return false
 		}
@@ -303,8 +303,10 @@ func TestHashAndProofAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { hashSink = LeafHash(keyBytes, commitment) }); got != 0 {
 		t.Errorf("LeafHash(%d B key, 32 B value): %.0f allocations, want 0", len(key), got)
 	}
-	tr := NewTree(kvFixture(1000))
-	if got := testing.AllocsPerRun(100, func() { tr.ProveMembership("key/0500") }); got > 2 {
-		t.Errorf("ProveMembership: %.0f allocations, want <= 2", got)
+	kv := kvFixture(1000)
+	kv[key] = commitment
+	tr := NewTree(kv)
+	if got := testing.AllocsPerRun(100, func() { tr.ProveMembership(keyBytes) }); got > 2 {
+		t.Errorf("ProveMembership(%d B key): %.0f allocations, want <= 2", len(keyBytes), got)
 	}
 }

@@ -18,6 +18,7 @@ package relayer
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -594,29 +595,29 @@ func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 
 // proveOn fetches a proof from the counterparty chain's state (the RPC
 // cost of proof retrieval is folded into the calibrated data-pull cost).
-// The key's string is made only when there is a proof to look it up in.
+// A key absent (membership) or present (non-membership) at the height
+// gives nil: a timeout's packet may have been received after all. Any
+// other State error is a simulator fault, not a failed relayer tx.
 func (r *Relayer) proveOn(src *endpoint, proofHeight int64, key []byte, membership bool) *ibc.Proof {
 	st := src.chain.App.State()
 	if !st.FullProofs() {
 		return nil
 	}
-	tree, err := st.TreeAt(proofHeight - 1)
-	if err != nil {
-		return nil
-	}
-	k := string(key)
+	h := proofHeight - 1
+	var proof ibc.Proof
+	var err error
 	if membership {
-		_, mp, ok := tree.ProveMembership(k)
-		if !ok {
-			return nil
-		}
-		return &ibc.Proof{Membership: mp}
+		_, proof.Membership, err = st.ProveMembership(h, key)
+	} else {
+		proof.NonMembership, err = st.ProveNonMembership(h, key)
 	}
-	nm, ok := tree.ProveNonMembership(k)
-	if !ok {
+	if err != nil {
+		panic(fmt.Sprintf("relayer: proof of %q on %s at height %d: %v", string(key), src.chain.ID, h, err))
+	}
+	if proof.Membership == nil && proof.NonMembership == nil {
 		return nil
 	}
-	return &ibc.Proof{NonMembership: nm}
+	return &proof
 }
 
 // tryFlush starts the submission loop for an endpoint's outbox.

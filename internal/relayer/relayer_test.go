@@ -1,6 +1,8 @@
 package relayer
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,6 +109,34 @@ func TestFullProofModeCompletes(t *testing.T) {
 	if counts[metrics.StatusCompleted] != 120 {
 		t.Fatalf("full-proof completion = %v (stats %+v)", counts, e.relayers[0].Stats())
 	}
+}
+
+// Under full proofs a proof State cannot serve is a simulator fault:
+// proveOn panics naming the chain, height and key instead of handing
+// the relayer a nil proof, which would only fail its tx. An absent key
+// is not a fault.
+func TestProveOnPanicsOnStateError(t *testing.T) {
+	e := newEnv(t, 3, 1, true)
+	if err := e.tb.Run(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r := e.relayers[0]
+	h := r.a.chain.App.State().Version()
+	if h == 0 {
+		t.Fatal("no committed height after 30 s")
+	}
+	if p := r.proveOn(r.a, h+1, []byte("absent"), true); p != nil {
+		t.Fatalf("membership proof of an absent key = %+v, want nil", p)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{r.a.chain.ID, fmt.Sprintf("height %d", h+5), `"absent"`} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %s", msg, want)
+			}
+		}
+	}()
+	r.proveOn(r.a, h+6, []byte("absent"), false)
 }
 
 func TestTwoRelayersRedundancy(t *testing.T) {
