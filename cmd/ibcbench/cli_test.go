@@ -156,6 +156,29 @@ func TestRunScenarioCmdFlagErrors(t *testing.T) {
 	}
 }
 
+// A bad count is refused before any experiment runs, with an error that
+// names the flag: `-transfers 0` used to run fig12 empty and print a NaN
+// share, and fig13 seven empty cells.
+func TestSweepFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-experiment", "fig12", "-transfers", "0"}, "-transfers"},
+		{[]string{"-experiment", "fig13", "-transfers", "-5"}, "-transfers"},
+		{[]string{"-experiment", "votescale", "-validators", "4,0"}, "-validators"},
+	} {
+		var out bytes.Buffer
+		err := runSweep(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("args %v: got error %v, want one naming %s", tc.args, err, tc.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v: printed output before refusing:\n%s", tc.args, out.String())
+		}
+	}
+}
+
 func TestSuiteLint(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runSuiteCmd([]string{"-lint"}, &buf); err != nil {

@@ -39,6 +39,9 @@ func runSweep(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *transfers < 1 {
+		return fmt.Errorf("ibcbench: -transfers %d: must be a positive integer", *transfers)
+	}
 	valSizes, err := parseValidatorList(*validators)
 	if err != nil {
 		return err

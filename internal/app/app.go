@@ -357,12 +357,3 @@ func (a *App) Commit() types.Hash {
 	}
 	return root
 }
-
-// ResetCheckState realigns every account's mempool sequence view with
-// committed state, modeling a mempool flush/recheck.
-func (a *App) ResetCheckState() {
-	// order-free: each account updates only its own view.
-	for _, acct := range a.accounts {
-		acct.checkSequence = acct.Sequence
-	}
-}

@@ -6,7 +6,6 @@
 package chain
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -187,23 +186,15 @@ type Pair struct {
 	ClientOnB string
 }
 
-// Link seeds both chains' IBC state with open clients, a connection and
-// an unordered transfer channel (the fast-path equivalent of the paper's
-// `hermes create channel` setup; the full message-driven handshake is
-// exercised in the ibc package tests). Each call consumes the next free
-// client/connection/channel ordinal on each chain, so a chain can be
-// linked to many counterparties (hub, mesh and line topologies).
+// Link opens an unordered transfer channel between two chains, seeding
+// both ends open with ibc.SeedOpenEnd. Each call consumes the next free
+// ordinal n on each chain, so on a the link uses channel-n, connection-n
+// and 07-tendermint-n, and a chain can be linked to many counterparties
+// (hub, mesh and line topologies).
 func Link(a, b *Chain) *Pair {
 	ordA, ordB := a.links, b.links
 	a.links++
 	b.links++
-	return LinkAt(a, b, ordA, ordB)
-}
-
-// LinkAt links two chains using explicit per-chain identifier ordinals:
-// on a the link uses channel-<ordA>/connection-<ordA>/07-tendermint-<ordA>,
-// and symmetrically on b.
-func LinkAt(a, b *Chain, ordA, ordB int) *Pair {
 	// Each side's light client tracks the counterparty; share that
 	// chain's vote-verification engine so header commits whose signatures
 	// were already admitted through its live vote path skip re-checks.
@@ -219,65 +210,11 @@ func LinkAt(a, b *Chain, ordA, ordB int) *Pair {
 		ClientOnA: fmt.Sprintf("07-tendermint-%d", ordA),
 		ClientOnB: fmt.Sprintf("07-tendermint-%d", ordB),
 	}
-	connA := fmt.Sprintf("connection-%d", ordA)
-	connB := fmt.Sprintf("connection-%d", ordB)
-	type side struct {
-		host, peer                   *Chain
-		clientID, connID, chanID     string
-		cpClientID, cpConnID, cpChan string
-	}
-	for _, s := range []side{
-		{a, b, p.ClientOnA, connA, p.ChannelAB, p.ClientOnB, connB, p.ChannelBA},
-		{b, a, p.ClientOnB, connB, p.ChannelBA, p.ClientOnA, connA, p.ChannelAB},
-	} {
-		ctx := &app.Context{
-			ChainID: s.host.ID, Height: 0, Time: 0,
-			State: s.host.App.State(), Bank: s.host.App.Bank(), App: s.host.App,
-		}
-		state := s.peer.ClientStateFor()
-		state.LatestHeight = 1
-		setClient(ctx, s.clientID, state)
-		setConnection(ctx, s.connID, s.clientID, s.cpConnID, s.cpClientID)
-		setChannel(ctx, p.Port, s.chanID, s.connID, s.cpChan)
-		ctx.State.CommitTx()
-	}
+	endA := ibc.EndIDs{Port: p.Port, Channel: p.ChannelAB, Connection: fmt.Sprintf("connection-%d", ordA), Client: p.ClientOnA}
+	endB := ibc.EndIDs{Port: p.Port, Channel: p.ChannelBA, Connection: fmt.Sprintf("connection-%d", ordB), Client: p.ClientOnB}
+	ibc.SeedOpenEnd(a.App.State(), endA, endB, b.ClientStateFor())
+	a.App.State().CommitTx()
+	ibc.SeedOpenEnd(b.App.State(), endB, endA, a.ClientStateFor())
+	b.App.State().CommitTx()
 	return p
-}
-
-// The seeding helpers write the same stored objects the handshake would.
-
-func setClient(ctx *app.Context, clientID string, st ibc.ClientState) {
-	var b [app.KeyBufLen]byte
-	mustSet(ctx, ibc.AppendClientStateKey(b[:0], clientID), st)
-}
-
-func setConnection(ctx *app.Context, connID, clientID, cpConnID, cpClientID string) {
-	var b [app.KeyBufLen]byte
-	mustSet(ctx, ibc.AppendConnectionKey(b[:0], connID), ibc.ConnectionEnd{
-		State:                ibc.StateOpen,
-		ClientID:             clientID,
-		CounterpartyConnID:   cpConnID,
-		CounterpartyClientID: cpClientID,
-	})
-}
-
-func setChannel(ctx *app.Context, port, channel, connID, cpChannel string) {
-	var b [app.KeyBufLen]byte
-	mustSet(ctx, ibc.AppendChannelKey(b[:0], port, channel), ibc.ChannelEnd{
-		State:            ibc.StateOpen,
-		Ordering:         ibc.Unordered,
-		CounterpartyPort: port,
-		CounterpartyChan: cpChannel,
-		ConnectionID:     connID,
-		Version:          "ics20-1",
-	})
-	ctx.State.Set(ibc.AppendNextSequenceSendKey(b[:0], port, channel), []byte("1"))
-}
-
-func mustSet(ctx *app.Context, key []byte, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	ctx.State.Set(key, raw)
 }

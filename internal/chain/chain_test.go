@@ -1,10 +1,10 @@
 package chain
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
+	"ibcbench/internal/app"
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/netem"
 	"ibcbench/internal/sim"
@@ -40,13 +40,10 @@ func TestNewAssemblesComponents(t *testing.T) {
 
 func channelEnd(t *testing.T, c *Chain, port, channel string) ibc.ChannelEnd {
 	t.Helper()
-	raw, ok := c.App.State().Get(ibc.AppendChannelKey(nil, port, channel))
-	if !ok {
-		t.Fatalf("%s: channel %s/%s not seeded", c.ID, port, channel)
-	}
-	var end ibc.ChannelEnd
-	if err := json.Unmarshal(raw, &end); err != nil {
-		t.Fatal(err)
+	ctx := &app.Context{ChainID: c.ID, State: c.App.State(), Bank: c.App.Bank(), App: c.App}
+	end, err := c.Keeper.Channel(ctx, port, channel)
+	if err != nil {
+		t.Fatalf("%s: channel %s/%s not seeded: %v", c.ID, port, channel, err)
 	}
 	return end
 }
@@ -96,19 +93,6 @@ func TestLinkOrdinalsAdvancePerChain(t *testing.T) {
 	end := channelEnd(t, hub, p2.Port, "channel-1")
 	if end.CounterpartyChan != "channel-0" {
 		t.Fatalf("hub channel-1 counterparty = %q", end.CounterpartyChan)
-	}
-}
-
-func TestLinkAtExplicitOrdinals(t *testing.T) {
-	sched, net := harness(t)
-	a := newTestChain(t, sched, net, "a")
-	b := newTestChain(t, sched, net, "b")
-	p := LinkAt(a, b, 4, 7)
-	if p.ChannelAB != "channel-4" || p.ChannelBA != "channel-7" {
-		t.Fatalf("channels %q / %q", p.ChannelAB, p.ChannelBA)
-	}
-	if p.ClientOnA != "07-tendermint-4" || p.ClientOnB != "07-tendermint-7" {
-		t.Fatalf("clients %q / %q", p.ClientOnA, p.ClientOnB)
 	}
 }
 

@@ -1,6 +1,8 @@
 package ibc_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -29,6 +31,10 @@ type testChain struct {
 	height  int64
 	appHash map[int64]types.Hash // app hash after executing block h
 	nonce   uint64
+	// links numbers this chain's links as chain.Link does; clientOf maps
+	// a counterparty's chain ID to this chain's client of it.
+	links    int
+	clientOf map[string]string
 }
 
 func newTestChain(t *testing.T, chainID string) *testChain {
@@ -37,7 +43,8 @@ func newTestChain(t *testing.T, chainID string) *testChain {
 }
 
 // newTestChainProofs builds the harness with proof verification on or
-// off; without it a test can drive one side of a handshake alone.
+// off; without it a test can write a client's consensus states from
+// headers nobody signed.
 func newTestChainProofs(t *testing.T, chainID string, fullProofs bool) *testChain {
 	t.Helper()
 	a := app.New(chainID, fullProofs)
@@ -45,7 +52,7 @@ func newTestChainProofs(t *testing.T, chainID string, fullProofs bool) *testChai
 	tm := transfer.New(a, k)
 	c := &testChain{
 		t: t, chainID: chainID, app: a, keeper: k, transfer: tm,
-		appHash: make(map[int64]types.Hash),
+		appHash: make(map[int64]types.Hash), clientOf: make(map[string]string),
 	}
 	vals := make([]*types.Validator, 4)
 	for i := range vals {
@@ -159,74 +166,37 @@ func (c *testChain) proveAbsent(consHeight int64, key string) *ibc.Proof {
 }
 
 // updateClientTo relays a header so dst's client of src reaches height h.
-func updateClientTo(dst, src *testChain, clientID string, h int64) {
-	dst.mustDeliver("relayer", ibc.MsgUpdateClient{ClientID: clientID, Bundle: src.headerBundle(h)})
+func updateClientTo(dst, src *testChain, h int64) {
+	dst.mustDeliver("relayer", ibc.MsgUpdateClient{ClientID: dst.clientOf[src.chainID], Bundle: src.headerBundle(h)})
 }
 
-// linkChains runs the full connection + channel handshake between two
-// chains via relayer-style transactions with real proofs.
-func linkChains(t *testing.T, a, b *testChain) {
+// linkChains opens a transfer channel between two chains the way
+// chain.Link does: each end is seeded open under the chain's next link
+// ordinal, and each client pins the counterparty's validator set, so
+// every later header and packet is verified with full proofs.
+func linkChains(t *testing.T, a, b *testChain) (onA, onB ibc.EndIDs) {
 	t.Helper()
-	// Clients.
-	a.mustDeliver("relayer", ibc.MsgCreateClient{
-		ClientID: "client-b", State: b.clientState(),
-		InitialHeight:    b.height + 1,
-		InitialConsensus: ibc.ConsensusState{Root: b.appHash[b.height], Timestamp: 0},
-	})
-	b.mustDeliver("relayer", ibc.MsgCreateClient{
-		ClientID: "client-a", State: a.clientState(),
-		InitialHeight:    a.height + 1,
-		InitialConsensus: ibc.ConsensusState{Root: a.appHash[a.height], Timestamp: 0},
-	})
-	// Connection handshake.
-	a.mustDeliver("relayer", ibc.MsgConnOpenInit{
-		ConnID: "conn-a", ClientID: "client-b",
-		CounterpartyConnID: "conn-b", CounterpartyClientID: "client-a",
-	})
-	updateClientTo(b, a, "client-a", a.height+1)
-	initVal, initProof := a.prove(a.height+1, ibc.ConnectionKey("conn-a"))
-	_ = initVal
-	b.mustDeliver("relayer", ibc.MsgConnOpenTry{
-		ConnID: "conn-b", ClientID: "client-a",
-		CounterpartyConnID: "conn-a", CounterpartyClientID: "client-b",
-		ProofInit: initProof, ProofHeight: a.height + 1,
-	})
-	updateClientTo(a, b, "client-b", b.height+1)
-	_, tryProof := b.prove(b.height+1, ibc.ConnectionKey("conn-b"))
-	a.mustDeliver("relayer", ibc.MsgConnOpenAck{
-		ConnID: "conn-a", ProofTry: tryProof, ProofHeight: b.height + 1,
-	})
-	updateClientTo(b, a, "client-a", a.height+1)
-	_, ackProof := a.prove(a.height+1, ibc.ConnectionKey("conn-a"))
-	b.mustDeliver("relayer", ibc.MsgConnOpenConfirm{
-		ConnID: "conn-b", ProofAck: ackProof, ProofHeight: a.height + 1,
-	})
-	// Channel handshake.
-	a.mustDeliver("relayer", ibc.MsgChanOpenInit{
-		Port: "transfer", Channel: "channel-0", ConnectionID: "conn-a",
-		CounterpartyPort: "transfer", CounterpartyChan: "channel-0",
-		Ordering: ibc.Unordered, Version: "ics20-1",
-	})
-	updateClientTo(b, a, "client-a", a.height+1)
-	_, chInit := a.prove(a.height+1, ibc.ChannelKey("transfer", "channel-0"))
-	b.mustDeliver("relayer", ibc.MsgChanOpenTry{
-		Port: "transfer", Channel: "channel-0", ConnectionID: "conn-b",
-		CounterpartyPort: "transfer", CounterpartyChan: "channel-0",
-		Ordering: ibc.Unordered, Version: "ics20-1",
-		ProofInit: chInit, ProofHeight: a.height + 1,
-	})
-	updateClientTo(a, b, "client-b", b.height+1)
-	_, chTry := b.prove(b.height+1, ibc.ChannelKey("transfer", "channel-0"))
-	a.mustDeliver("relayer", ibc.MsgChanOpenAck{
-		Port: "transfer", Channel: "channel-0",
-		ProofTry: chTry, ProofHeight: b.height + 1,
-	})
-	updateClientTo(b, a, "client-a", a.height+1)
-	_, chAck := a.prove(a.height+1, ibc.ChannelKey("transfer", "channel-0"))
-	b.mustDeliver("relayer", ibc.MsgChanOpenConfirm{
-		Port: "transfer", Channel: "channel-0",
-		ProofAck: chAck, ProofHeight: a.height + 1,
-	})
+	end := func(c *testChain) ibc.EndIDs {
+		ord := c.links
+		c.links++
+		return ibc.EndIDs{
+			Port:       "transfer",
+			Channel:    fmt.Sprintf("channel-%d", ord),
+			Connection: fmt.Sprintf("connection-%d", ord),
+			Client:     fmt.Sprintf("07-tendermint-%d", ord),
+		}
+	}
+	onA, onB = end(a), end(b)
+	for _, s := range []struct {
+		host, peer *testChain
+		self, cp   ibc.EndIDs
+	}{{a, b, onA, onB}, {b, a, onB, onA}} {
+		ibc.SeedOpenEnd(s.host.app.State(), s.self, s.cp, s.peer.clientState())
+		s.host.app.State().CommitTx()
+		s.host.clientOf[s.peer.chainID] = s.self.Client
+		s.host.emptyBlock() // commit the ends, so a proof can show them
+	}
+	return onA, onB
 }
 
 func ctxOf(c *testChain) *app.Context {
@@ -236,19 +206,102 @@ func ctxOf(c *testChain) *app.Context {
 	}
 }
 
-func TestHandshakeOpensChannel(t *testing.T) {
-	a := newTestChain(t, "chain-a")
-	b := newTestChain(t, "chain-b")
-	linkChains(t, a, b)
-	for _, c := range []*testChain{a, b} {
-		ch, err := c.keeper.Channel(ctxOf(c), "transfer", "channel-0")
-		if err != nil {
-			t.Fatalf("%s: %v", c.chainID, err)
+// TestSeededEndsNameEachOther pins what the connection and channel
+// handshakes' proofs required of an open channel, now that its ends are
+// seeded: each end's stored connection and channel are exactly the bytes
+// its counterparty's handshake would have proven (counterparty
+// connection, client, port and channel; OPEN; unordered; ics20-1), its
+// client pins the counterparty's validators and its send counter is 1.
+// A chain linked to three counterparties takes the next ordinal each
+// time and keeps its earlier ends.
+func TestSeededEndsNameEachOther(t *testing.T) {
+	hub := newTestChain(t, "hub")
+	spokes := []*testChain{newTestChain(t, "s0"), newTestChain(t, "s1"), newTestChain(t, "s2")}
+	ends := make([][2]ibc.EndIDs, len(spokes))
+	for i, s := range spokes {
+		onHub, onSpoke := linkChains(t, hub, s)
+		ends[i] = [2]ibc.EndIDs{onHub, onSpoke}
+	}
+	for i, s := range spokes {
+		onHub, onSpoke := ends[i][0], ends[i][1]
+		if onHub.Channel != fmt.Sprintf("channel-%d", i) || onHub.Connection != fmt.Sprintf("connection-%d", i) ||
+			onHub.Client != fmt.Sprintf("07-tendermint-%d", i) {
+			t.Errorf("hub's link %d: %+v, want ordinal %d", i, onHub, i)
 		}
-		if ch.State != ibc.StateOpen {
-			t.Fatalf("%s channel state = %d, want open", c.chainID, ch.State)
+		if onSpoke.Channel != "channel-0" || onSpoke.Connection != "connection-0" || onSpoke.Client != "07-tendermint-0" {
+			t.Errorf("spoke %d's first link: %+v, want ordinal 0", i, onSpoke)
+		}
+		checkSeededEnd(t, hub, onHub, s)
+		checkSeededEnd(t, s, onSpoke, hub)
+	}
+}
+
+// checkSeededEnd reads self's end on c and checks that peer stores the
+// counterparty end the handshake's proofs expected of it.
+func checkSeededEnd(t *testing.T, c *testChain, self ibc.EndIDs, peer *testChain) {
+	t.Helper()
+	ctx := ctxOf(c)
+	ch, err := c.keeper.Channel(ctx, self.Port, self.Channel)
+	if err != nil {
+		t.Fatalf("%s: %v", c.chainID, err)
+	}
+	conn, err := c.keeper.Connection(ctx, ch.ConnectionID)
+	if err != nil {
+		t.Fatalf("%s: %v", c.chainID, err)
+	}
+	if ch.State != ibc.StateOpen || ch.Ordering != ibc.Unordered || ch.Version != "ics20-1" ||
+		ch.ConnectionID != self.Connection || conn.State != ibc.StateOpen || conn.ClientID != self.Client {
+		t.Errorf("%s %s: channel %+v over connection %+v", c.chainID, self.Channel, ch, conn)
+	}
+	// What the counterparty must store, as the handshake's ack and
+	// confirm steps built it from this end before verifying its proof.
+	wantConn := ibc.ConnectionEnd{
+		State:                ibc.StateOpen,
+		ClientID:             conn.CounterpartyClientID,
+		CounterpartyConnID:   ch.ConnectionID,
+		CounterpartyClientID: conn.ClientID,
+	}
+	wantChan := ibc.ChannelEnd{
+		State:            ibc.StateOpen,
+		Ordering:         ch.Ordering,
+		CounterpartyPort: self.Port,
+		CounterpartyChan: self.Channel,
+		ConnectionID:     conn.CounterpartyConnID,
+		Version:          ch.Version,
+	}
+	for _, w := range []struct {
+		key  string
+		want any
+	}{
+		{ibc.ConnectionKey(conn.CounterpartyConnID), wantConn},
+		{ibc.ChannelKey(ch.CounterpartyPort, ch.CounterpartyChan), wantChan},
+	} {
+		got, _ := peer.app.State().Get([]byte(w.key))
+		if want := mustJSON(t, w.want); !bytes.Equal(got, want) {
+			t.Errorf("%s stores %s = %s, want %s", peer.chainID, w.key, got, want)
 		}
 	}
+	cs, err := c.keeper.Client(ctx, conn.ClientID)
+	if err != nil {
+		t.Fatalf("%s: %v", c.chainID, err)
+	}
+	pinned := peer.clientState()
+	pinned.LatestHeight = 1
+	if raw, want := mustJSON(t, cs), mustJSON(t, pinned); !bytes.Equal(raw, want) {
+		t.Errorf("%s client %s = %s, want %s", c.chainID, conn.ClientID, raw, want)
+	}
+	if raw, _ := c.app.State().Get([]byte(ibc.NextSequenceSendKey(self.Port, self.Channel))); string(raw) != "1" {
+		t.Errorf("%s %s: send counter %q, want 1", c.chainID, self.Channel, raw)
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // relayTransfer performs one full transfer lifecycle A -> B with proofs
@@ -284,7 +337,7 @@ func relayTransfer(t *testing.T, a, b *testChain, sender, receiver string, amoun
 	// Fix the timeout to the value actually used at send time.
 	packet.TimeoutHeight = sendHeight - 1 + 1000
 
-	updateClientTo(b, a, "client-a", sendHeight+1)
+	updateClientTo(b, a, sendHeight+1)
 	_, commitProof := a.prove(sendHeight+1, ibc.PacketCommitmentKey("transfer", "channel-0", seq))
 	b.mustDeliver("relayer", ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: commitProof, ProofHeight: sendHeight + 1,
@@ -292,7 +345,7 @@ func relayTransfer(t *testing.T, a, b *testChain, sender, receiver string, amoun
 	recvHeight := b.height
 
 	ack := ibc.Acknowledgement{Result: []byte("AQ==")}
-	updateClientTo(a, b, "client-b", recvHeight+1)
+	updateClientTo(a, b, recvHeight+1)
 	_, ackProof := b.prove(recvHeight+1, ibc.PacketAckKey("transfer", "channel-0", seq))
 	a.mustDeliver("relayer", ibc.MsgAcknowledgement{
 		Packet: packet, Ack: ack.Bytes(), ProofAcked: ackProof, ProofHeight: recvHeight + 1,
@@ -364,7 +417,7 @@ func TestVoucherRoundTripRestoresOriginalDenom(t *testing.T) {
 		Data:          mustPacketData(t, voucher, 150, "bob", "alice"),
 		TimeoutHeight: sendHeight - 1 + 1000,
 	}
-	updateClientTo(a, b, "client-b", sendHeight+1)
+	updateClientTo(a, b, sendHeight+1)
 	_, proof := b.prove(sendHeight+1, ibc.PacketCommitmentKey("transfer", "channel-0", 1))
 	a.mustDeliver("relayer", ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1,
@@ -422,7 +475,7 @@ func TestRedundantRecvRejected(t *testing.T) {
 		Data:          mustPacketData(t, "uatom", 10, "alice", "bob"),
 		TimeoutHeight: sendHeight - 1 + 1000,
 	}
-	updateClientTo(b, a, "client-a", sendHeight+1)
+	updateClientTo(b, a, sendHeight+1)
 	_, proof := a.prove(sendHeight+1, ibc.PacketCommitmentKey("transfer", "channel-0", 1))
 	recv := ibc.MsgRecvPacket{Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1}
 	b.mustDeliver("relayer", recv)
@@ -469,7 +522,7 @@ func TestTimeoutRefundsEscrow(t *testing.T) {
 		b.emptyBlock()
 	}
 	// Receive must now be rejected on B.
-	updateClientTo(b, a, "client-a", a.height+1)
+	updateClientTo(b, a, a.height+1)
 	_, proof := a.prove(a.height+1, ibc.PacketCommitmentKey("transfer", "channel-0", 1))
 	errs := b.deliver("relayer", ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: proof, ProofHeight: a.height + 1,
@@ -478,7 +531,7 @@ func TestTimeoutRefundsEscrow(t *testing.T) {
 		t.Fatal("expired packet accepted")
 	}
 	// Relay the timeout to A with a non-receipt proof.
-	updateClientTo(a, b, "client-b", b.height+1)
+	updateClientTo(a, b, b.height+1)
 	absent := b.proveAbsent(b.height+1, ibc.PacketReceiptKey("transfer", "channel-0", 1))
 	a.mustDeliver("relayer", ibc.MsgTimeout{
 		Packet: packet, ProofUnreceived: absent, ProofHeight: b.height + 1,
@@ -512,7 +565,7 @@ func TestTimeoutTooEarlyRejected(t *testing.T) {
 		Data:          mustPacketData(t, "uatom", 5, "alice", "bob"),
 		TimeoutHeight: b.height - 1 + 1000,
 	}
-	updateClientTo(a, b, "client-b", b.height+1)
+	updateClientTo(a, b, b.height+1)
 	absent := b.proveAbsent(b.height+1, ibc.PacketReceiptKey("transfer", "channel-0", 1))
 	errs := a.deliver("relayer", ibc.MsgTimeout{
 		Packet: packet, ProofUnreceived: absent, ProofHeight: b.height + 1,
@@ -538,9 +591,9 @@ func TestForgedProofRejected(t *testing.T) {
 		Data:          mustPacketData(t, "uatom", 999999, "alice", "bob"),
 		TimeoutHeight: 100000,
 	}
-	updateClientTo(b, a, "client-a", a.height+1)
+	updateClientTo(b, a, a.height+1)
 	// Use a proof for an unrelated key.
-	_, wrongProof := a.prove(a.height+1, ibc.ConnectionKey("conn-a"))
+	_, wrongProof := a.prove(a.height+1, ibc.ConnectionKey("connection-0"))
 	errs := b.deliver("relayer", ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: wrongProof, ProofHeight: a.height + 1,
 	})
@@ -562,7 +615,7 @@ func TestUpdateClientRejectsForgedHeader(t *testing.T) {
 	// A header signed by the wrong chain's validators must be rejected.
 	forged := b.headerBundle(b.height + 1)
 	forged.Header.ChainID = "chain-a"
-	errs := b.deliver("relayer", ibc.MsgUpdateClient{ClientID: "client-a", Bundle: forged})
+	errs := b.deliver("relayer", ibc.MsgUpdateClient{ClientID: b.clientOf[a.chainID], Bundle: forged})
 	if errs == nil {
 		t.Fatal("forged header accepted")
 	}
@@ -570,7 +623,7 @@ func TestUpdateClientRejectsForgedHeader(t *testing.T) {
 	// signature binds the header).
 	tampered := a.headerBundle(a.height + 1)
 	tampered.Header.AppHash[0] ^= 1
-	errs = b.deliver("relayer", ibc.MsgUpdateClient{ClientID: "client-a", Bundle: tampered})
+	errs = b.deliver("relayer", ibc.MsgUpdateClient{ClientID: b.clientOf[a.chainID], Bundle: tampered})
 	if errs == nil {
 		t.Fatal("tampered header accepted")
 	}
@@ -629,13 +682,13 @@ func TestErrorAckRefunds(t *testing.T) {
 	// directly after B received — craft: receive normally, then A
 	// processes an error ack (proof checked against B's written ack, so
 	// use performance-mode-style direct call instead).
-	updateClientTo(b, a, "client-a", sendHeight+1)
+	updateClientTo(b, a, sendHeight+1)
 	_, proof := a.prove(sendHeight+1, ibc.PacketCommitmentKey("transfer", "channel-0", 1))
 	b.mustDeliver("relayer", ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1,
 	})
 	recvHeight := b.height
-	updateClientTo(a, b, "client-b", recvHeight+1)
+	updateClientTo(a, b, recvHeight+1)
 	_, ackProof := b.prove(recvHeight+1, ibc.PacketAckKey("transfer", "channel-0", 1))
 	// The real ack was a success; verify the keeper rejects a mismatched
 	// (error) ack proof, which protects refund correctness.

@@ -22,7 +22,6 @@ var (
 	ErrConnectionNotFound = errors.New("ibc: connection not found")
 	ErrChannelNotFound    = errors.New("ibc: channel not found")
 	ErrChannelNotOpen     = errors.New("ibc: channel not open")
-	ErrInvalidHandshake   = errors.New("ibc: handshake state mismatch")
 	// ErrRedundantPacket is the failure two uncoordinated relayers hit
 	// when both deliver the same packet: "packet messages are redundant"
 	// (§IV-A).
@@ -132,13 +131,13 @@ func getJSON[T any](k *Keeper, ctx *app.Context, key []byte) (zero T, ok bool) {
 	return *v, true
 }
 
-func setJSON(ctx *app.Context, key []byte, v any) {
+func setJSON(st *app.State, key []byte, v any) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		// Stored objects are plain structs; marshal cannot fail.
 		panic(err)
 	}
-	ctx.State.Set(key, raw)
+	st.Set(key, raw)
 }
 
 // Client returns a stored client state.
@@ -241,26 +240,8 @@ func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHei
 // handle is the app.Handler for all core IBC messages.
 func (k *Keeper) handle(ctx *app.Context, msg app.Msg) error {
 	switch m := msg.(type) {
-	case MsgCreateClient:
-		return k.createClient(ctx, m)
 	case MsgUpdateClient:
 		return k.updateClient(ctx, m)
-	case MsgConnOpenInit:
-		return k.connOpenInit(ctx, m)
-	case MsgConnOpenTry:
-		return k.connOpenTry(ctx, m)
-	case MsgConnOpenAck:
-		return k.openConnection(ctx, m.ConnID, StateInit, StateTryOpen, m.ProofHeight, m.ProofTry)
-	case MsgConnOpenConfirm:
-		return k.openConnection(ctx, m.ConnID, StateTryOpen, StateOpen, m.ProofHeight, m.ProofAck)
-	case MsgChanOpenInit:
-		return k.chanOpenInit(ctx, m)
-	case MsgChanOpenTry:
-		return k.chanOpenTry(ctx, m)
-	case MsgChanOpenAck:
-		return k.openChannel(ctx, m.Port, m.Channel, StateInit, StateTryOpen, m.ProofHeight, m.ProofTry)
-	case MsgChanOpenConfirm:
-		return k.openChannel(ctx, m.Port, m.Channel, StateTryOpen, StateOpen, m.ProofHeight, m.ProofAck)
 	case MsgRecvPacket:
 		return k.recvPacket(ctx, m)
 	case MsgAcknowledgement:
@@ -273,19 +254,6 @@ func (k *Keeper) handle(ctx *app.Context, msg app.Msg) error {
 }
 
 // --- clients -----------------------------------------------------------------
-
-func (k *Keeper) createClient(ctx *app.Context, m MsgCreateClient) error {
-	var b [app.KeyBufLen]byte
-	key := AppendClientStateKey(b[:0], m.ClientID)
-	if ctx.State.Has(key) {
-		return fmt.Errorf("ibc: client %s exists", m.ClientID)
-	}
-	st := m.State
-	st.LatestHeight = m.InitialHeight
-	setJSON(ctx, key, st)
-	setJSON(ctx, AppendConsensusStateKey(b[:0], m.ClientID, m.InitialHeight), m.InitialConsensus)
-	return nil
-}
 
 func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 	cs, err := k.Client(ctx, m.ClientID)
@@ -320,182 +288,51 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 	var b [app.KeyBufLen]byte
 	if hdr.Height > cs.LatestHeight {
 		cs.LatestHeight = hdr.Height
-		setJSON(ctx, AppendClientStateKey(b[:0], m.ClientID), cs)
+		setJSON(ctx.State, AppendClientStateKey(b[:0], m.ClientID), cs)
 	}
-	setJSON(ctx, AppendConsensusStateKey(b[:0], m.ClientID, hdr.Height), ConsensusState{
+	setJSON(ctx.State, AppendConsensusStateKey(b[:0], m.ClientID, hdr.Height), ConsensusState{
 		Root:      hdr.AppHash,
 		Timestamp: hdr.Time,
 	})
 	return nil
 }
 
-// --- connection handshake ------------------------------------------------------
+// --- opening a channel ---------------------------------------------------------
 
-func (k *Keeper) connOpenInit(ctx *app.Context, m MsgConnOpenInit) error {
+// EndIDs names one chain's end of a channel: its port and channel, the
+// connection the channel runs over, and the light client of the
+// counterparty that the connection verifies proofs against.
+type EndIDs struct {
+	Port, Channel, Connection, Client string
+}
+
+// SeedOpenEnd writes self's end of an open channel to the counterparty
+// end cp, as a completed connection and channel handshake leaves it: the
+// counterparty's client state at height 1 (its consensus states arrive
+// with the first MsgUpdateClient), the open connection end, the open
+// unordered ics20-1 channel end and the send counter 1. The handshake
+// itself is not simulated: the paper opens its channel once, with
+// `hermes create channel`, before it measures. The writes join st's
+// current transaction; the caller commits it.
+func SeedOpenEnd(st *app.State, self, cp EndIDs, client ClientState) {
 	var b [app.KeyBufLen]byte
-	key := AppendConnectionKey(b[:0], m.ConnID)
-	if ctx.State.Has(key) {
-		return fmt.Errorf("ibc: connection %s exists", m.ConnID)
-	}
-	if _, err := k.Client(ctx, m.ClientID); err != nil {
-		return err
-	}
-	setJSON(ctx, key, ConnectionEnd{
-		State:                StateInit,
-		ClientID:             m.ClientID,
-		CounterpartyConnID:   m.CounterpartyConnID,
-		CounterpartyClientID: m.CounterpartyClientID,
+	client.LatestHeight = 1
+	setJSON(st, AppendClientStateKey(b[:0], self.Client), client)
+	setJSON(st, AppendConnectionKey(b[:0], self.Connection), ConnectionEnd{
+		State:                StateOpen,
+		ClientID:             self.Client,
+		CounterpartyConnID:   cp.Connection,
+		CounterpartyClientID: cp.Client,
 	})
-	return nil
-}
-
-func (k *Keeper) connOpenTry(ctx *app.Context, m MsgConnOpenTry) error {
-	if _, err := k.Client(ctx, m.ClientID); err != nil {
-		return err
-	}
-	// Verify the counterparty recorded INIT for this pair.
-	expected := ConnectionEnd{
-		State:                StateInit,
-		ClientID:             m.CounterpartyClientID,
-		CounterpartyConnID:   m.ConnID,
-		CounterpartyClientID: m.ClientID,
-	}
-	raw, _ := json.Marshal(expected)
-	var b [app.KeyBufLen]byte
-	if err := k.verifyMembership(ctx, m.ClientID, m.ProofHeight,
-		AppendConnectionKey(b[:0], m.CounterpartyConnID), raw, m.ProofInit); err != nil {
-		return err
-	}
-	setJSON(ctx, AppendConnectionKey(b[:0], m.ConnID), ConnectionEnd{
-		State:                StateTryOpen,
-		ClientID:             m.ClientID,
-		CounterpartyConnID:   m.CounterpartyConnID,
-		CounterpartyClientID: m.CounterpartyClientID,
+	setJSON(st, AppendChannelKey(b[:0], self.Port, self.Channel), ChannelEnd{
+		State:            StateOpen,
+		Ordering:         Unordered,
+		CounterpartyPort: cp.Port,
+		CounterpartyChan: cp.Channel,
+		ConnectionID:     self.Connection,
+		Version:          "ics20-1",
 	})
-	return nil
-}
-
-// openConnection finishes the connection handshake on one end (ack on
-// the INIT end, confirm on the TRYOPEN end): the end must be in state
-// from, and the counterparty must prove its end in state cp.
-func (k *Keeper) openConnection(ctx *app.Context, connID string, from, cp HandshakeState, proofHeight int64, proof *Proof) error {
-	conn, err := k.Connection(ctx, connID)
-	if err != nil {
-		return err
-	}
-	if conn.State != from {
-		return fmt.Errorf("%w: connection %s in state %d", ErrInvalidHandshake, connID, conn.State)
-	}
-	expected := ConnectionEnd{
-		State:                cp,
-		ClientID:             conn.CounterpartyClientID,
-		CounterpartyConnID:   connID,
-		CounterpartyClientID: conn.ClientID,
-	}
-	raw, _ := json.Marshal(expected)
-	var b [app.KeyBufLen]byte
-	if err := k.verifyMembership(ctx, conn.ClientID, proofHeight,
-		AppendConnectionKey(b[:0], conn.CounterpartyConnID), raw, proof); err != nil {
-		return err
-	}
-	conn.State = StateOpen
-	setJSON(ctx, AppendConnectionKey(b[:0], connID), conn)
-	return nil
-}
-
-// --- channel handshake ----------------------------------------------------------
-
-func (k *Keeper) chanOpenInit(ctx *app.Context, m MsgChanOpenInit) error {
-	var b [app.KeyBufLen]byte
-	key := AppendChannelKey(b[:0], m.Port, m.Channel)
-	if ctx.State.Has(key) {
-		return fmt.Errorf("ibc: channel %s/%s exists", m.Port, m.Channel)
-	}
-	conn, err := k.Connection(ctx, m.ConnectionID)
-	if err != nil {
-		return err
-	}
-	if conn.State != StateOpen {
-		return fmt.Errorf("%w: connection %s not open", ErrInvalidHandshake, m.ConnectionID)
-	}
-	setJSON(ctx, key, ChannelEnd{
-		State:            StateInit,
-		Ordering:         m.Ordering,
-		CounterpartyPort: m.CounterpartyPort,
-		CounterpartyChan: m.CounterpartyChan,
-		ConnectionID:     m.ConnectionID,
-		Version:          m.Version,
-	})
-	return nil
-}
-
-func (k *Keeper) chanOpenTry(ctx *app.Context, m MsgChanOpenTry) error {
-	conn, err := k.Connection(ctx, m.ConnectionID)
-	if err != nil {
-		return err
-	}
-	if conn.State != StateOpen {
-		return fmt.Errorf("%w: connection %s not open", ErrInvalidHandshake, m.ConnectionID)
-	}
-	expected := ChannelEnd{
-		State:            StateInit,
-		Ordering:         m.Ordering,
-		CounterpartyPort: m.Port,
-		CounterpartyChan: m.Channel,
-		ConnectionID:     conn.CounterpartyConnID,
-		Version:          m.Version,
-	}
-	raw, _ := json.Marshal(expected)
-	var b [app.KeyBufLen]byte
-	if err := k.verifyMembership(ctx, conn.ClientID, m.ProofHeight,
-		AppendChannelKey(b[:0], m.CounterpartyPort, m.CounterpartyChan), raw, m.ProofInit); err != nil {
-		return err
-	}
-	setJSON(ctx, AppendChannelKey(b[:0], m.Port, m.Channel), ChannelEnd{
-		State:            StateTryOpen,
-		Ordering:         m.Ordering,
-		CounterpartyPort: m.CounterpartyPort,
-		CounterpartyChan: m.CounterpartyChan,
-		ConnectionID:     m.ConnectionID,
-		Version:          m.Version,
-	})
-	return nil
-}
-
-// openChannel finishes the channel handshake on one end (ack on the INIT
-// end, confirm on the TRYOPEN end) and starts its send counter: the end
-// must be in state from, and the counterparty must prove its end in
-// state cp.
-func (k *Keeper) openChannel(ctx *app.Context, port, channel string, from, cp HandshakeState, proofHeight int64, proof *Proof) error {
-	ch, err := k.Channel(ctx, port, channel)
-	if err != nil {
-		return err
-	}
-	if ch.State != from {
-		return fmt.Errorf("%w: channel %s/%s in state %d", ErrInvalidHandshake, port, channel, ch.State)
-	}
-	conn, err := k.Connection(ctx, ch.ConnectionID)
-	if err != nil {
-		return err
-	}
-	expected := ChannelEnd{
-		State:            cp,
-		Ordering:         ch.Ordering,
-		CounterpartyPort: port,
-		CounterpartyChan: channel,
-		ConnectionID:     conn.CounterpartyConnID,
-		Version:          ch.Version,
-	}
-	raw, _ := json.Marshal(expected)
-	var b [app.KeyBufLen]byte
-	if err := k.verifyMembership(ctx, conn.ClientID, proofHeight,
-		AppendChannelKey(b[:0], ch.CounterpartyPort, ch.CounterpartyChan), raw, proof); err != nil {
-		return err
-	}
-	ch.State = StateOpen
-	setJSON(ctx, AppendChannelKey(b[:0], port, channel), ch)
-	ctx.State.Set(AppendNextSequenceSendKey(b[:0], port, channel), []byte("1"))
-	return nil
+	st.Set(AppendNextSequenceSendKey(b[:0], self.Port, self.Channel), []byte("1"))
 }
 
 // --- packet lifecycle -------------------------------------------------------------
@@ -512,8 +349,8 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 	if ch.State != StateOpen {
 		return Packet{}, fmt.Errorf("%w: %s/%s", ErrChannelNotOpen, port, channel)
 	}
-	// Every path that opens a channel stores the counter "1": reading an
-	// absent or bad one as 1 would overwrite a live commitment.
+	// SeedOpenEnd stores the counter "1": reading an absent or bad one as
+	// 1 would overwrite a live commitment.
 	var b [app.KeyBufLen]byte
 	seqKey := AppendNextSequenceSendKey(b[:0], port, channel)
 	raw, _ := ctx.State.Get(seqKey)

@@ -28,37 +28,28 @@ const (
 	memoChan   = "channel-0"
 )
 
-// newMemoChain returns a chain without proof verification holding a
-// client of "chain-x" at height 1 and a connection in INIT.
+// newMemoChain returns a chain without proof verification and with no
+// IBC state yet: openMsgs writes it.
 func newMemoChain(t *testing.T) *testChain {
 	t.Helper()
 	c := newTestChainProofs(t, "chain-a", false)
 	c.app.RegisterRoute("probe", func(ctx *app.Context, msg app.Msg) error {
 		return msg.(probeMsg).fn(ctx)
 	})
-	c.mustDeliver("relayer", ibc.MsgCreateClient{
-		ClientID: memoClient, State: ibc.ClientState{ChainID: "chain-x"}, InitialHeight: 1,
-	})
-	c.mustDeliver("relayer", ibc.MsgConnOpenInit{
-		ConnID: memoConn, ClientID: memoClient,
-		CounterpartyConnID: "conn-x", CounterpartyClientID: "client-a",
-	})
 	return c
 }
 
-// openMsgs finishes the connection, opens a transfer channel over it and
-// raises the client to the given height.
+// openMsgs seeds an open transfer channel to "chain-x", with its client
+// and connection, and raises the client to the given height.
 func openMsgs(height int64) []app.Msg {
-	return []app.Msg{
-		ibc.MsgConnOpenAck{ConnID: memoConn, ProofHeight: 1},
-		ibc.MsgChanOpenInit{
-			Port: "transfer", Channel: memoChan, ConnectionID: memoConn,
-			CounterpartyPort: "transfer", CounterpartyChan: "channel-9",
-			Ordering: ibc.Unordered, Version: "ics20-1",
-		},
-		ibc.MsgChanOpenAck{Port: "transfer", Channel: memoChan, ProofHeight: 1},
-		updateMsg(height),
-	}
+	seed := probeMsg{func(ctx *app.Context) error {
+		ibc.SeedOpenEnd(ctx.State,
+			ibc.EndIDs{Port: "transfer", Channel: memoChan, Connection: memoConn, Client: memoClient},
+			ibc.EndIDs{Port: "transfer", Channel: "channel-9", Connection: "conn-x", Client: "client-a"},
+			ibc.ClientState{ChainID: "chain-x"})
+		return nil
+	}}
+	return []app.Msg{seed, updateMsg(height)}
 }
 
 func updateMsg(height int64) ibc.MsgUpdateClient {
@@ -70,7 +61,7 @@ func updateMsg(height int64) ibc.MsgUpdateClient {
 // view is what the keeper reports for the objects openMsgs writes.
 type view struct {
 	conn, channel ibc.HandshakeState // 0 = not found
-	clientHeight  int64
+	clientHeight  int64              // 0 = not found
 	consensusAt7  bool
 }
 
@@ -85,19 +76,19 @@ func viewOf(t *testing.T, k *ibc.Keeper, ctx *app.Context) view {
 	} else if !errors.Is(err, ibc.ErrChannelNotFound) {
 		t.Fatalf("channel: %v", err)
 	}
-	cs, err := k.Client(ctx, memoClient)
-	if err != nil {
-		t.Fatal(err)
+	if cs, err := k.Client(ctx, memoClient); err == nil {
+		v.clientHeight = cs.LatestHeight
+	} else if !errors.Is(err, ibc.ErrClientNotFound) {
+		t.Fatalf("client: %v", err)
 	}
-	v.clientHeight = cs.LatestHeight
-	_, err = k.Consensus(ctx, memoClient, 7)
+	_, err := k.Consensus(ctx, memoClient, 7)
 	v.consensusAt7 = err == nil
 	return v
 }
 
 func TestMemoForgetsRolledBackWrites(t *testing.T) {
 	c := newMemoChain(t)
-	committed := view{conn: ibc.StateInit, clientHeight: 1}
+	var committed view
 	staged := view{conn: ibc.StateOpen, channel: ibc.StateOpen, clientHeight: 7, consensusAt7: true}
 	if got := viewOf(t, c.keeper, ctxOf(c)); got != committed {
 		t.Fatalf("before: %+v, want %+v", got, committed)
@@ -217,13 +208,14 @@ func TestMemoReturnsCopies(t *testing.T) {
 		} else if ch != want {
 			t.Fatalf("read %d saw the previous caller's write: %+v, want %+v", i, ch, want)
 		}
-		ch.State = ibc.StateInit
+		ch.State = 0
 		ch.CounterpartyChan = "channel-666"
 	}
 }
 
 func TestMemoStaysUnderItsBound(t *testing.T) {
 	c := newMemoChain(t)
+	c.mustDeliver("relayer", openMsgs(1)...)
 	const first, heights = 100, ibc.MemoCap + 50
 	for h := int64(first); h < first+heights; h += 50 {
 		msgs := make([]app.Msg, 50)

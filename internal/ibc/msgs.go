@@ -19,91 +19,10 @@ type HeaderBundle struct {
 	Commit *types.Commit
 }
 
-// MsgCreateClient initializes a light client for a counterparty chain.
-type MsgCreateClient struct {
-	ClientID string
-	State    ClientState
-	// InitialConsensus seeds the first consensus state.
-	InitialHeight    int64
-	InitialConsensus ConsensusState
-}
-
 // MsgUpdateClient submits a new counterparty header.
 type MsgUpdateClient struct {
 	ClientID string
 	Bundle   HeaderBundle
-}
-
-// MsgConnOpenInit starts the connection handshake (chain A).
-type MsgConnOpenInit struct {
-	ConnID               string
-	ClientID             string
-	CounterpartyConnID   string
-	CounterpartyClientID string
-}
-
-// MsgConnOpenTry answers on chain B with proof of A's INIT state.
-type MsgConnOpenTry struct {
-	ConnID               string
-	ClientID             string
-	CounterpartyConnID   string
-	CounterpartyClientID string
-	ProofInit            *Proof
-	ProofHeight          int64
-}
-
-// MsgConnOpenAck confirms on chain A with proof of B's TRYOPEN state.
-type MsgConnOpenAck struct {
-	ConnID      string
-	ProofTry    *Proof
-	ProofHeight int64
-}
-
-// MsgConnOpenConfirm finalizes on chain B with proof of A's OPEN state.
-type MsgConnOpenConfirm struct {
-	ConnID      string
-	ProofAck    *Proof
-	ProofHeight int64
-}
-
-// MsgChanOpenInit starts the channel handshake (chain A).
-type MsgChanOpenInit struct {
-	Port             string
-	Channel          string
-	ConnectionID     string
-	CounterpartyPort string
-	CounterpartyChan string
-	Ordering         Order
-	Version          string
-}
-
-// MsgChanOpenTry answers on chain B.
-type MsgChanOpenTry struct {
-	Port             string
-	Channel          string
-	ConnectionID     string
-	CounterpartyPort string
-	CounterpartyChan string
-	Ordering         Order
-	Version          string
-	ProofInit        *Proof
-	ProofHeight      int64
-}
-
-// MsgChanOpenAck confirms on chain A.
-type MsgChanOpenAck struct {
-	Port        string
-	Channel     string
-	ProofTry    *Proof
-	ProofHeight int64
-}
-
-// MsgChanOpenConfirm finalizes on chain B.
-type MsgChanOpenConfirm struct {
-	Port        string
-	Channel     string
-	ProofAck    *Proof
-	ProofHeight int64
 }
 
 // MsgRecvPacket delivers a packet to the destination chain with proof of
@@ -146,11 +65,6 @@ func packetDigest(kind string, p *Packet) []byte {
 
 // Route/MsgType/WireSize/Digest implementations.
 
-func (MsgCreateClient) Route() string    { return RouteIBC }
-func (MsgCreateClient) MsgType() string  { return "MsgCreateClient" }
-func (MsgCreateClient) WireSize() int    { return 2000 }
-func (m MsgCreateClient) Digest() []byte { return []byte("create/" + m.ClientID) }
-
 func (MsgUpdateClient) Route() string   { return RouteIBC }
 func (MsgUpdateClient) MsgType() string { return "MsgUpdateClient" }
 func (MsgUpdateClient) WireSize() int   { return 1200 }
@@ -159,46 +73,6 @@ func (m MsgUpdateClient) Digest() []byte {
 	d = append(append(append(d, "update/"...), m.ClientID...), '/')
 	return strconv.AppendInt(d, m.Bundle.Header.Height, 10)
 }
-
-func (MsgConnOpenInit) Route() string    { return RouteIBC }
-func (MsgConnOpenInit) MsgType() string  { return "MsgConnOpenInit" }
-func (MsgConnOpenInit) WireSize() int    { return 300 }
-func (m MsgConnOpenInit) Digest() []byte { return []byte("conninit/" + m.ConnID) }
-
-func (MsgConnOpenTry) Route() string    { return RouteIBC }
-func (MsgConnOpenTry) MsgType() string  { return "MsgConnOpenTry" }
-func (MsgConnOpenTry) WireSize() int    { return 900 }
-func (m MsgConnOpenTry) Digest() []byte { return []byte("conntry/" + m.ConnID) }
-
-func (MsgConnOpenAck) Route() string    { return RouteIBC }
-func (MsgConnOpenAck) MsgType() string  { return "MsgConnOpenAck" }
-func (MsgConnOpenAck) WireSize() int    { return 900 }
-func (m MsgConnOpenAck) Digest() []byte { return []byte("connack/" + m.ConnID) }
-
-func (MsgConnOpenConfirm) Route() string    { return RouteIBC }
-func (MsgConnOpenConfirm) MsgType() string  { return "MsgConnOpenConfirm" }
-func (MsgConnOpenConfirm) WireSize() int    { return 900 }
-func (m MsgConnOpenConfirm) Digest() []byte { return []byte("connconfirm/" + m.ConnID) }
-
-func (MsgChanOpenInit) Route() string    { return RouteIBC }
-func (MsgChanOpenInit) MsgType() string  { return "MsgChanOpenInit" }
-func (MsgChanOpenInit) WireSize() int    { return 300 }
-func (m MsgChanOpenInit) Digest() []byte { return []byte("chaninit/" + m.Port + "/" + m.Channel) }
-
-func (MsgChanOpenTry) Route() string    { return RouteIBC }
-func (MsgChanOpenTry) MsgType() string  { return "MsgChanOpenTry" }
-func (MsgChanOpenTry) WireSize() int    { return 900 }
-func (m MsgChanOpenTry) Digest() []byte { return []byte("chantry/" + m.Port + "/" + m.Channel) }
-
-func (MsgChanOpenAck) Route() string    { return RouteIBC }
-func (MsgChanOpenAck) MsgType() string  { return "MsgChanOpenAck" }
-func (MsgChanOpenAck) WireSize() int    { return 900 }
-func (m MsgChanOpenAck) Digest() []byte { return []byte("chanack/" + m.Port + "/" + m.Channel) }
-
-func (MsgChanOpenConfirm) Route() string    { return RouteIBC }
-func (MsgChanOpenConfirm) MsgType() string  { return "MsgChanOpenConfirm" }
-func (MsgChanOpenConfirm) WireSize() int    { return 900 }
-func (m MsgChanOpenConfirm) Digest() []byte { return []byte("chanconfirm/" + m.Port + "/" + m.Channel) }
 
 func (MsgRecvPacket) Route() string    { return RouteIBC }
 func (MsgRecvPacket) MsgType() string  { return "MsgRecvPacket" }

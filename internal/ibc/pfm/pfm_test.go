@@ -59,37 +59,30 @@ func set(ctx *app.Context, key []byte, v any) {
 }
 
 // link seeds an open client/connection/channel pair between two chains,
-// consuming each chain's next free ordinal (mirrors chain.Link).
+// consuming each chain's next free ordinal (as chain.Link numbers them).
 func link(a, b *testChain) (chanOnA, chanOnB string) {
 	ordA, ordB := a.links, b.links
 	a.links++
 	b.links++
-	type side struct {
-		host       *testChain
-		peer       *testChain
-		ord, cpOrd int
+	end := func(ord int) ibc.EndIDs {
+		return ibc.EndIDs{
+			Port:       transfer.PortID,
+			Channel:    fmt.Sprintf("channel-%d", ord),
+			Connection: fmt.Sprintf("connection-%d", ord),
+			Client:     fmt.Sprintf("07-tendermint-%d", ord),
+		}
 	}
-	for _, s := range []side{{a, b, ordA, ordB}, {b, a, ordB, ordA}} {
-		clientID := fmt.Sprintf("07-tendermint-%d", s.ord)
-		connID := fmt.Sprintf("connection-%d", s.ord)
-		chanID := fmt.Sprintf("channel-%d", s.ord)
-		cpChan := fmt.Sprintf("channel-%d", s.cpOrd)
-		ctx := s.host.ctx()
-		set(ctx, ibc.AppendClientStateKey(nil, clientID), ibc.ClientState{ChainID: s.peer.id, LatestHeight: 1})
-		set(ctx, ibc.AppendConnectionKey(nil, connID), ibc.ConnectionEnd{
-			State: ibc.StateOpen, ClientID: clientID,
-			CounterpartyConnID: fmt.Sprintf("connection-%d", s.cpOrd),
-		})
-		set(ctx, ibc.AppendChannelKey(nil, transfer.PortID, chanID), ibc.ChannelEnd{
-			State: ibc.StateOpen, Ordering: ibc.Unordered,
-			CounterpartyPort: transfer.PortID, CounterpartyChan: cpChan,
-			ConnectionID: connID, Version: "ics20-1",
-		})
-		ctx.State.Set(ibc.AppendNextSequenceSendKey(nil, transfer.PortID, chanID), []byte("1"))
-		ctx.State.CommitTx()
-		s.host.clientFor[chanID] = clientID
+	endA, endB := end(ordA), end(ordB)
+	for _, s := range []struct {
+		host, peer *testChain
+		self, cp   ibc.EndIDs
+	}{{a, b, endA, endB}, {b, a, endB, endA}} {
+		st := s.host.app.State()
+		ibc.SeedOpenEnd(st, s.self, s.cp, ibc.ClientState{ChainID: s.peer.id})
+		st.CommitTx()
+		s.host.clientFor[s.self.Channel] = s.self.Client
 	}
-	return fmt.Sprintf("channel-%d", ordA), fmt.Sprintf("channel-%d", ordB)
+	return endA.Channel, endB.Channel
 }
 
 // seedConsensus materializes a counterparty consensus state so proof

@@ -1,8 +1,10 @@
 // Package ibc implements the core Inter-Blockchain Communication
 // protocol (§II-B of the paper): light clients tracking counterparty
-// consensus, the connection and channel handshakes, and the packet
-// lifecycle — send commitments, receipts, acknowledgements and timeouts —
-// with merkle proof verification against counterparty state roots.
+// consensus, the open channel ends a relayer works over (seeded by
+// SeedOpenEnd, as the paper opens its channel once before measuring),
+// and the packet lifecycle — send commitments, receipts,
+// acknowledgements and timeouts — with merkle proof verification against
+// counterparty state roots.
 package ibc
 
 import (
@@ -16,24 +18,20 @@ import (
 	"ibcbench/internal/merkle"
 )
 
-// State machine phases for connections and channels.
+// HandshakeState is the phase of a connection or channel end.
 type HandshakeState byte
 
-// Handshake states (INIT/TRYOPEN/OPEN as in ICS-3 / ICS-4).
-const (
-	StateInit HandshakeState = iota + 1
-	StateTryOpen
-	StateOpen
-)
+// StateOpen is a finished handshake's state, stored as the value ICS-3
+// and ICS-4 give it. INIT (1) and TRYOPEN (2) are never stored: every
+// end is seeded open.
+const StateOpen HandshakeState = 3
 
 // Order is the channel ordering mode.
 type Order byte
 
-// Channel orderings: the paper's experiments use an unordered channel.
-const (
-	Unordered Order = iota + 1
-	Ordered
-)
+// Unordered is the ordering of the paper's channel, stored as the value
+// ICS-4 gives it.
+const Unordered Order = 1
 
 // Packet is an IBC packet (ICS-4).
 type Packet struct {

@@ -1,20 +1,18 @@
 // Package obs is the simulator's observability spine: a span-based
-// tracer and a labeled metrics registry, both driven by the virtual sim
-// clock. Because every timestamp is virtual time — never wall clock —
-// same-seed runs emit byte-identical trace and registry documents, the
-// same equivalence-pinning discipline the rest of the simulator follows.
+// tracer and a labeled metrics registry. Every event carries the virtual
+// time its caller passes in — never wall clock — so same-seed runs emit
+// byte-identical trace and registry documents, the same
+// equivalence-pinning discipline the rest of the simulator follows.
 //
 // The tracer records into a chunked append-only buffer of pointer-free
 // Event values: steady-state recording allocates nothing (a fresh chunk
-// appears once per chunkSize events), names and tracks are interned to
-// small integer IDs at setup time, and spans are plain stack values — no
-// per-span heap object ever exists. Every recording method is nil-safe,
-// so instrumented components pay a single predictable branch when
-// tracing is disabled.
+// appears once per chunkSize events), and names and tracks are interned
+// to small integer IDs at setup time. Every recording method is
+// nil-safe, so instrumented components pay a single predictable branch
+// when tracing is disabled.
 //
-// Exports: Chrome trace-event JSON (chrome.go, loadable in Perfetto /
-// chrome://tracing) and a per-subsystem total/self-time table
-// (summary.go).
+// Export: Chrome trace-event JSON (chrome.go, loadable in Perfetto /
+// chrome://tracing).
 package obs
 
 import (
@@ -56,12 +54,10 @@ type Event struct {
 	HasArg bool
 }
 
-// Tracer records events against the sim clock. The zero value is not
-// usable; create one through New. A nil *Tracer is a valid no-op target
-// for every recording method.
+// Tracer records events at the virtual times its callers give. The
+// zero value is not usable; create one through New. A nil *Tracer is a
+// valid no-op target for every recording method.
 type Tracer struct {
-	clock func() time.Duration
-
 	// mu guards interning and the event buffer. Under parallel
 	// simulation several partition workers record into one tracer;
 	// serial runs pay one uncontended lock per event. Export-side
@@ -78,24 +74,12 @@ type Tracer struct {
 	cur  []Event   // open chunk being filled
 }
 
-// NewTracer returns an empty tracer with an unbound (zero) clock; Bind
-// attaches the scheduler clock once the deployment exists.
+// NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
 	return &Tracer{
-		clock:    func() time.Duration { return 0 },
 		nameIDs:  make(map[string]NameID),
 		trackIDs: make(map[string]TrackID),
 	}
-}
-
-// Bind attaches the virtual clock (typically sim.Scheduler.Now). Events
-// recorded through Begin/End/Instant use it; explicit-timestamp methods
-// (CompleteAt and friends) do not need it.
-func (t *Tracer) Bind(clock func() time.Duration) {
-	if t == nil || clock == nil {
-		return
-	}
-	t.clock = clock
 }
 
 // Track interns a timeline name, returning a stable small ID. Repeated
@@ -173,49 +157,9 @@ func (t *Tracer) record(ev Event) {
 	t.cur = append(t.cur, ev)
 }
 
-// Span is an open complete-span handle — a stack value, never heap
-// allocated. End it through Tracer.End.
-type Span struct {
-	track TrackID
-	name  NameID
-	start time.Duration
-}
-
-// Begin opens a span at the current virtual time.
-func (t *Tracer) Begin(track TrackID, name NameID) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{track: track, name: name, start: t.clock()}
-}
-
-// End records the span as a complete event ending now.
-func (t *Tracer) End(sp Span) {
-	if t == nil {
-		return
-	}
-	now := t.clock()
-	t.record(Event{TS: sp.start, Dur: now - sp.start, Track: sp.track, Name: sp.name, Phase: PhaseComplete})
-}
-
-// Complete records a complete span from start to the current time.
-func (t *Tracer) Complete(track TrackID, name NameID, start time.Duration) {
-	if t == nil {
-		return
-	}
-	t.CompleteAt(track, name, start, t.clock())
-}
-
-// CompleteAt records a complete span with explicit bounds.
-func (t *Tracer) CompleteAt(track TrackID, name NameID, start, end time.Duration) {
-	if t == nil {
-		return
-	}
-	t.record(Event{TS: start, Dur: end - start, Track: track, Name: name, Phase: PhaseComplete})
-}
-
-// CompleteArg is CompleteAt with a numeric payload (block height, batch
-// size) — numeric because formatting a per-event name would allocate.
+// CompleteArg records a complete span with explicit bounds and a
+// numeric payload (block height, batch size) — numeric because
+// formatting a per-event name would allocate.
 func (t *Tracer) CompleteArg(track TrackID, name NameID, start, end time.Duration, arg uint64) {
 	if t == nil {
 		return
@@ -304,15 +248,7 @@ type Obs struct {
 	Reg    *Registry
 }
 
-// New creates an observability bundle with an unbound clock.
+// New creates an observability bundle.
 func New() *Obs {
 	return &Obs{Tracer: NewTracer(), Reg: NewRegistry()}
-}
-
-// Bind attaches the deployment's virtual clock to the tracer.
-func (o *Obs) Bind(clock func() time.Duration) {
-	if o == nil {
-		return
-	}
-	o.Tracer.Bind(clock)
 }

@@ -1,4 +1,4 @@
-// Registry: labeled counters, gauges and histograms for run-wide
+// Registry: labeled counters and histograms for run-wide
 // component metrics. Like everything in the simulator it is
 // single-threaded — one registry belongs to one deployment — and its
 // snapshot sorts every section by name so the JSON document is
@@ -12,20 +12,6 @@ import "sort"
 type Counter struct {
 	name string
 	v    uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
 }
 
 // Set overwrites the value — used when folding a component's own counter
@@ -42,25 +28,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge tracks a sampled level, remembering the last and peak values.
-type Gauge struct {
-	name      string
-	last, max float64
-	samples   uint64
-}
-
-// Set records a sample.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.last = v
-	if g.samples == 0 || v > g.max {
-		g.max = v
-	}
-	g.samples++
 }
 
 // histBounds are the fixed 1-2-5 decade bucket upper bounds shared by
@@ -111,7 +78,6 @@ func (h *Histogram) Observe(v float64) {
 // Registry owns one run's instruments.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -119,7 +85,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -136,19 +101,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns (creating on first use) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (creating on first use) the named histogram.
@@ -173,14 +125,6 @@ type CounterSnap struct {
 	Value uint64
 }
 
-// GaugeSnap is one gauge's snapshot row.
-type GaugeSnap struct {
-	Name    string
-	Last    float64
-	Max     float64
-	Samples uint64
-}
-
 // Bucket is one non-empty histogram bucket: Le is the inclusive upper
 // bound, Count the samples that landed in (previous bound, Le].
 type Bucket struct {
@@ -203,7 +147,6 @@ type HistogramSnap struct {
 // by name.
 type Snapshot struct {
 	Counters   []CounterSnap   `json:",omitempty"`
-	Gauges     []GaugeSnap     `json:",omitempty"`
 	Histograms []HistogramSnap `json:",omitempty"`
 }
 
@@ -216,10 +159,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{}
 	for _, name := range sortedNames(r.counters) {
 		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: r.counters[name].v})
-	}
-	for _, name := range sortedNames(r.gauges) {
-		g := r.gauges[name]
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Last: g.last, Max: g.max, Samples: g.samples})
 	}
 	for _, name := range sortedNames(r.hists) {
 		h := r.hists[name]

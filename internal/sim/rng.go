@@ -26,9 +26,6 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// NormFloat64 returns a standard-normal value.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // Jitter returns base scaled by a truncated-normal multiplicative factor
 // with the given relative standard deviation. The result is never
 // negative and never more than 4 standard deviations from base.
@@ -49,9 +46,3 @@ func (g *RNG) Jitter(base float64, relStd float64) float64 {
 	}
 	return v
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -397,16 +397,3 @@ func (s *Server) PublishBlock(cb *store.CommittedBlock) {
 		s.net.Send(s.host, sub.host, func() { sub.fn(frame) })
 	}
 }
-
-// QueryCommit returns the committed block (header + commit signatures) at
-// a height — what the relayer uses to build client updates.
-func (s *Server) QueryCommit(from netem.Host, height int64, cb func(*store.CommittedBlock, error)) {
-	s.queries.Add(1)
-	request(s, from, flat(simconf.StatusQueryCost), func() (*store.CommittedBlock, error) {
-		blk, err := s.stor.Block(height)
-		if err != nil {
-			return nil, ErrNotFound
-		}
-		return blk, nil
-	}, cb)
-}

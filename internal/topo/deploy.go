@@ -70,8 +70,8 @@ type Link struct {
 	// edges up with metrics.MergeCounts.
 	Tracker *metrics.Tracker
 
-	dep      *Deployment
-	fwd, rev *workload.Generator
+	dep *Deployment
+	fwd *workload.Generator
 	// legGens are the dedicated generators of route legs that crossed
 	// this edge, kept for workload accounting.
 	legGens []*workload.Generator
@@ -105,14 +105,6 @@ func (l *Link) Forward() *workload.Generator {
 		l.fwd = l.newGenerator(l.Pair.A, l.Pair.B, l.Pair.ChannelAB, "f")
 	}
 	return l.fwd
-}
-
-// Reverse returns the B -> A generator.
-func (l *Link) Reverse() *workload.Generator {
-	if l.rev == nil {
-		l.rev = l.newGenerator(l.Pair.B, l.Pair.A, l.Pair.ChannelBA, "r")
-	}
-	return l.rev
 }
 
 func (l *Link) newGenerator(src, dst *chain.Chain, channel, dir string) *workload.Generator {
@@ -302,7 +294,6 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 		network.SetPartitioner(par)
 	}
 	d := &Deployment{Topology: t, Sched: sched, Net: network, RNG: rng, Obs: cfg.Obs, par: par}
-	cfg.Obs.Bind(sched.Now)
 	if cfg.Geo != nil {
 		asg, err := geo.NewAssignment(cfg.Geo)
 		if err != nil {

@@ -116,9 +116,6 @@ func (f *Failover) pong() {
 	}
 }
 
-// Active reports whether the standby has taken over.
-func (f *Failover) Active() bool { return f.active }
-
 // TakeoverTimes returns the virtual times of each standby activation —
 // trace export marks them as instants on the supervised edge's track.
 func (f *Failover) TakeoverTimes() []time.Duration { return f.takeoverAt }

@@ -391,9 +391,6 @@ func (s Scenario) analyze(d *Deployment, seed int64, runs []*routeRun) *Result {
 		if l.fwd != nil {
 			gens = append([]*workload.Generator{l.fwd}, gens...)
 		}
-		if l.rev != nil {
-			gens = append([]*workload.Generator{l.rev}, gens...)
-		}
 		for _, g := range gens {
 			st := g.Stats()
 			rep.Workload.Requested += st.Requested
@@ -454,29 +451,42 @@ func (d *Deployment) routeReport(rr *routeRun) RouteReport {
 		}
 		return rep
 	}
+	rep.Hops = append(rep.Hops, hopSeries(0, rr.legs[0].PacketKeys(), rr.links[0].Tracker))
+	d.walkForwardedHops(rr, func(hop int, link *Link, keys []metrics.PacketKey) {
+		rep.Hops = append(rep.Hops, hopSeries(hop, keys, link.Tracker))
+	})
+	return rep
+}
+
+// walkForwardedHops follows a forwarded route's first-leg packets across
+// its intermediate chains through each one's packet-forward middleware.
+// visit sees every later hop in order, with the link the hop crosses and
+// the hop's packets aligned with the first leg's: keys[i] is where
+// first-leg packet i went, or the zero key once it stopped resolving
+// (not yet forwarded, or refused).
+func (d *Deployment) walkForwardedHops(rr *routeRun, visit func(hop int, link *Link, keys []metrics.PacketKey)) {
 	path := rr.route.Path
 	keys := rr.legs[0].PacketKeys()
-	rep.Hops = append(rep.Hops, hopSeries(0, keys, rr.links[0].Tracker))
 	for j := 1; j+1 < len(path); j++ {
 		mid := d.Chains[path[j]]
 		inLink, _ := d.LinkBetween(path[j-1], path[j])
 		outLink, _ := d.LinkBetween(path[j], path[j+1])
 		if inLink == nil || outLink == nil {
-			break
+			return
 		}
 		inChan := inLink.ChannelFrom(path[j]) // dest channel of hop-j packets
-		next := make([]metrics.PacketKey, 0, len(keys))
-		for _, key := range keys {
-			outChan, outSeq, ok := mid.Forward.NextHop(inChan, key.Sequence)
-			if !ok {
+		next := make([]metrics.PacketKey, len(keys))
+		for i, key := range keys {
+			if key == (metrics.PacketKey{}) {
 				continue
 			}
-			next = append(next, metrics.PacketKey{SrcChain: mid.ID, Channel: outChan, Sequence: outSeq})
+			if outChan, outSeq, ok := mid.Forward.NextHop(inChan, key.Sequence); ok {
+				next[i] = metrics.PacketKey{SrcChain: mid.ID, Channel: outChan, Sequence: outSeq}
+			}
 		}
 		keys = next
-		rep.Hops = append(rep.Hops, hopSeries(j, keys, outLink.Tracker))
+		visit(j, outLink, keys)
 	}
-	return rep
 }
 
 // Render writes the result as an aligned per-edge table plus totals.

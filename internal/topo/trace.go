@@ -53,45 +53,23 @@ func foldObs(d *Deployment, res *Result, runs []*routeRun) {
 }
 
 // forwardedOverrides maps every middleware-emitted hop packet of a
-// forwarded route to its origin packet's trace ID, walking the same
-// NextHop chain routeReport uses for latency attribution. With the map
-// in hand, hop 2+ spans (and timeout-unwind refund legs, which keep the
-// same hop keys) join the origin's async trace instead of starting their
-// own.
+// forwarded route to its origin packet's trace ID. With the map in hand,
+// hop 2+ spans (and timeout-unwind refund legs, which keep the same hop
+// keys) join the origin's async trace instead of starting their own.
 func forwardedOverrides(d *Deployment, runs []*routeRun) map[metrics.PacketKey]uint64 {
 	overrides := make(map[metrics.PacketKey]uint64)
 	for _, rr := range runs {
 		if !rr.route.Forwarded || len(rr.legs) == 0 {
 			continue
 		}
-		path := rr.route.Path
-		keys := rr.legs[0].PacketKeys()
-		origin := make([]uint64, len(keys))
-		for i, key := range keys {
-			origin[i] = packetTraceID(key)
-		}
-		for j := 1; j+1 < len(path); j++ {
-			mid := d.Chains[path[j]]
-			inLink, _ := d.LinkBetween(path[j-1], path[j])
-			if inLink == nil {
-				break
-			}
-			inChan := inLink.ChannelFrom(path[j])
-			next := make([]metrics.PacketKey, len(keys))
+		first := rr.legs[0].PacketKeys()
+		d.walkForwardedHops(rr, func(_ int, _ *Link, keys []metrics.PacketKey) {
 			for i, key := range keys {
-				if origin[i] == 0 {
-					continue
+				if key != (metrics.PacketKey{}) {
+					overrides[key] = packetTraceID(first[i])
 				}
-				outChan, outSeq, ok := mid.Forward.NextHop(inChan, key.Sequence)
-				if !ok {
-					origin[i] = 0
-					continue
-				}
-				next[i] = metrics.PacketKey{SrcChain: mid.ID, Channel: outChan, Sequence: outSeq}
-				overrides[next[i]] = origin[i]
 			}
-			keys = next
-		}
+		})
 	}
 	return overrides
 }
