@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test check fuzz bench bench-test virt-gate rebaseline-virt rebaseline-bench serve
+.PHONY: test check fuzz bench bench-test virt-gate rebaseline-virt rebaseline-bench serve reach
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -81,6 +81,34 @@ rebaseline-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumTally' -benchtime=100x -count=3 ./internal/tendermint/consensus | tee -a bench_raw.txt
 	$(GO) run ./cmd/ibcbench bench2json bench_raw.txt -out BENCH_baseline.json
 	rm -f bench_raw.txt
+
+# Reachability report, a measuring tool and not a gate: build ibcbench
+# with coverage over every package into .reach/, run the commands a user
+# runs (the benchmark workloads, the built-in and testdata scenarios, the
+# full sweep, a chaos search, the suite and both trace tools), then print
+# every function under internal/ that none of them executed. The service
+# and viewer packages are left out: the service runs no simulation. The
+# planted search finds its counterexample and exits 1, by design. About a
+# minute on two cores.
+REACH = .reach
+REACH_SKIP = ibcbench/internal/(serve|store|resultdiff|traceview|tracecheck)/
+
+reach:
+	rm -rf $(REACH) && mkdir -p $(REACH)/cov
+	$(GO) build -cover -coverpkg=ibcbench/... -o $(REACH)/ibcbench ./cmd/ibcbench
+	set -e; export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; bin=$(REACH)/ibcbench; \
+	for w in bench/workloads/*.json; do $$bin run -scenario $$w -seed 11 -out $(REACH)/out.json >/dev/null; done; \
+	for x in failover hub mesh pfmroute quickstart timeoutstorm; do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
+	for s in internal/scenario/testdata/*.json; do $$bin run -scenario $$s >/dev/null; done; \
+	$$bin sweep -experiment all -transfers 500 -out $(REACH)/out.json >/dev/null; \
+	$$bin search -scenario internal/scenario/testdata/planted.json -budget 6 >/dev/null || true; \
+	$$bin suite -short >/dev/null; \
+	$$bin suite -lint >/dev/null; \
+	$$bin run -name pfmroute -trace $(REACH)/trace.json >/dev/null; \
+	$$bin trace -validate $(REACH)/trace.json >/dev/null; \
+	$$bin trace -analyze $(REACH)/trace.json >/dev/null
+	@$(GO) tool covdata func -i $(REACH)/cov | grep -E '[[:space:]]0\.0%$$' | grep '^ibcbench/internal/' | grep -v -E '^$(REACH_SKIP)' | tee $(REACH)/unreached.txt
+	@echo "$$(wc -l < $(REACH)/unreached.txt) functions under internal/ unreached"
 
 # Local experiment service over the default store directory.
 serve:

@@ -1,7 +1,7 @@
 // Package geo is the region model for geo-distributed deployments: named
 // regions connected by an inter-region one-way latency/jitter/drop
-// matrix, host→region assignment, and a compiler that turns both into
-// the full per-host-pair netem link override set.
+// matrix, and a host→region assignment that installs each placed host's
+// netem link overrides to every host placed before it.
 //
 // The paper's testbed enforces one uniform 200 ms RTT between all
 // machines (§III-C); real interchain deployments span continents, so
@@ -17,7 +17,6 @@ package geo
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -210,10 +209,10 @@ func ParseSpec(s string) (*Model, error) {
 	}
 }
 
-// --- assignment + compiler ---------------------------------------------------
+// --- assignment --------------------------------------------------------------
 
-// Assignment maps hosts to a model's regions and compiles per-host-pair
-// netem overrides.
+// Assignment maps hosts to a model's regions and installs per-host-pair
+// netem overrides as hosts are placed.
 type Assignment struct {
 	model      *Model
 	hostRegion map[netem.Host]Region
@@ -227,9 +226,6 @@ func NewAssignment(m *Model) (*Assignment, error) {
 	return &Assignment{model: m, hostRegion: make(map[netem.Host]Region)}, nil
 }
 
-// Model returns the assignment's region model.
-func (a *Assignment) Model() *Model { return a.model }
-
 // Place assigns a host to a region.
 func (a *Assignment) Place(h netem.Host, r Region) error {
 	for _, have := range a.model.Regions {
@@ -241,61 +237,9 @@ func (a *Assignment) Place(h netem.Host, r Region) error {
 	return fmt.Errorf("geo: placing %s in unknown region %q", h, r)
 }
 
-// RegionOf reports a host's region.
-func (a *Assignment) RegionOf(h netem.Host) (Region, bool) {
-	r, ok := a.hostRegion[h]
-	return r, ok
-}
-
-// Hosts returns the assigned hosts in deterministic (sorted) order.
-func (a *Assignment) Hosts() []netem.Host {
-	out := make([]netem.Host, 0, len(a.hostRegion))
-	for h := range a.hostRegion {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// LinkOverride is one compiled directed host-pair override.
-type LinkOverride struct {
-	From, To netem.Host
-	Path     Path
-}
-
-// Compile emits the full per-host-pair directed override set: every
-// ordered pair of distinct assigned hosts gets the path of its region
-// pair (same-region pairs get Intra). Order is deterministic.
-func (a *Assignment) Compile() []LinkOverride {
-	hosts := a.Hosts()
-	out := make([]LinkOverride, 0, len(hosts)*(len(hosts)-1))
-	for _, from := range hosts {
-		for _, to := range hosts {
-			if from == to {
-				continue
-			}
-			p, ok := a.model.Path(a.hostRegion[from], a.hostRegion[to])
-			if !ok {
-				// Unreachable on validated models.
-				continue
-			}
-			out = append(out, LinkOverride{From: from, To: to, Path: p})
-		}
-	}
-	return out
-}
-
-// Apply compiles the assignment and installs every override on the
-// network.
-func (a *Assignment) Apply(n *netem.Network) {
-	for _, o := range a.Compile() {
-		n.SetLinkProfile(o.From, o.To, netem.Profile{OneWay: o.Path.OneWay, Jitter: o.Path.Jitter, Drop: o.Path.Drop})
-	}
-}
-
-// PlaceAndApply places one late-created host (workload drivers and
-// relayer full nodes appear after deployment compiles the initial set)
-// and installs only the pairs involving it.
+// PlaceAndApply places one host and installs the paths in both
+// directions between it and every host already placed (same-region pairs
+// get Intra). Placing every host this way covers every ordered pair.
 func (a *Assignment) PlaceAndApply(n *netem.Network, h netem.Host, r Region) error {
 	if err := a.Place(h, r); err != nil {
 		return err

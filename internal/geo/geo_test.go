@@ -83,46 +83,43 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-// TestCompileCompleteness: the compiled override set covers every
-// ordered pair of distinct assigned hosts, with the matrix path for
-// cross-region pairs and Intra for same-region pairs.
+// TestCompileCompleteness: placing hosts one by one installs every
+// ordered pair of distinct hosts, with the matrix path for cross-region
+// pairs and Intra for same-region pairs.
 func TestCompileCompleteness(t *testing.T) {
 	m := ThreeRegionWAN()
 	a, err := NewAssignment(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts := map[netem.Host]Region{
-		"eu/val0": "eu-west", "eu/val1": "eu-west",
-		"us/val0": "us-east", "ap/val0": "ap-south",
-	}
-	for h, r := range hosts {
-		if err := a.Place(h, r); err != nil {
+	n := netem.New(sim.NewScheduler(), sim.NewRNG(1), netem.DefaultWAN())
+	hosts := []netem.Host{"eu/val0", "eu/val1", "us/val0", "ap/val0"}
+	regions := []Region{"eu-west", "eu-west", "us-east", "ap-south"}
+	for i, h := range hosts {
+		if err := a.PlaceAndApply(n, h, regions[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	overrides := a.Compile()
-	n := len(hosts)
-	if len(overrides) != n*(n-1) {
-		t.Fatalf("compiled %d overrides, want full pair set %d", len(overrides), n*(n-1))
-	}
-	seen := map[[2]netem.Host]Path{}
-	for _, o := range overrides {
-		if o.From == o.To {
-			t.Fatalf("self-pair override %s", o.From)
+	for i, from := range hosts {
+		for j, to := range hosts {
+			if i == j {
+				continue
+			}
+			want, _ := m.Path(regions[i], regions[j])
+			if got := n.Latency(from, to); got != want.OneWay {
+				t.Fatalf("%s -> %s latency %v, want %v", from, to, got, want.OneWay)
+			}
 		}
-		seen[[2]netem.Host{o.From, o.To}] = o.Path
 	}
-	// Same-region pair: intra profile.
-	if got := seen[[2]netem.Host{"eu/val0", "eu/val1"}]; got.OneWay != m.Intra.OneWay {
-		t.Fatalf("intra-region pair got %v, want %v", got.OneWay, m.Intra.OneWay)
+	// Spot-check the intra path and both directions of one cross pair.
+	if got := n.Latency("eu/val1", "eu/val0"); got != m.Intra.OneWay {
+		t.Fatalf("intra-region pair got %v, want %v", got, m.Intra.OneWay)
 	}
-	// Cross-region pairs: the directed matrix entries.
-	if got := seen[[2]netem.Host{"eu/val0", "us/val0"}]; got.OneWay != 40*time.Millisecond {
-		t.Fatalf("eu->us pair got %v", got.OneWay)
+	if got := n.Latency("eu/val0", "us/val0"); got != 40*time.Millisecond {
+		t.Fatalf("eu->us pair got %v", got)
 	}
-	if got := seen[[2]netem.Host{"us/val0", "eu/val0"}]; got.OneWay != 45*time.Millisecond {
-		t.Fatalf("us->eu pair got %v", got.OneWay)
+	if got := n.Latency("us/val0", "eu/val0"); got != 45*time.Millisecond {
+		t.Fatalf("us->eu pair got %v", got)
 	}
 }
 
@@ -138,9 +135,8 @@ func TestApplyAsymmetricOnNetwork(t *testing.T) {
 			t.Fatal(e)
 		}
 	}
-	must(a.Place("h-eu", "eu-west"))
-	must(a.Place("h-us", "us-east"))
-	a.Apply(n)
+	must(a.PlaceAndApply(n, "h-eu", "eu-west"))
+	must(a.PlaceAndApply(n, "h-us", "us-east"))
 	if got := n.Latency("h-eu", "h-us"); got != 40*time.Millisecond {
 		t.Fatalf("eu->us latency %v", got)
 	}
@@ -150,7 +146,7 @@ func TestApplyAsymmetricOnNetwork(t *testing.T) {
 	if got := n.RTT("h-eu", "h-us"); got != 85*time.Millisecond {
 		t.Fatalf("rtt %v", got)
 	}
-	// Late host joins us-east: pairs in both directions appear.
+	// A third host joins ap-south: pairs in both directions appear.
 	must(a.PlaceAndApply(n, "h-late", "ap-south"))
 	if got := n.Latency("h-late", "h-eu"); got != 95*time.Millisecond {
 		t.Fatalf("ap->eu latency %v", got)

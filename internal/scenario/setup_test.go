@@ -19,10 +19,9 @@ import (
 // with host noise): work that a packet-path optimisation pushes into
 // construction — a table, a pool, a pre-sized map — shows here exactly.
 // The ceilings are the measured counts plus the one-allocation jitter:
-// 430/1397/855/4127/4213 since a relayer makes its dedupe sets and
-// pending-timeout map on first use (three maps fewer per relayer). Lower
-// them when set-up gets cheaper, and treat a rise as a regression to
-// explain.
+// 389/1296/793/3966/4052 since a validator keeps one height's votes in
+// one slice instead of five per-round maps. Lower them when set-up gets
+// cheaper, and treat a rise as a regression to explain.
 func TestSetupAllocsPerWorkload(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted")
@@ -31,11 +30,11 @@ func TestSetupAllocsPerWorkload(t *testing.T) {
 		name    string
 		ceiling float64 // the last digit moves by one between runs
 	}{
-		{"two-peak", 431},
-		{"hub4-2r-proofs", 1398},
-		{"line3-pfm-chaos", 856},
-		{"mesh8", 4128},
-		{"mesh8-par2", 4214},
+		{"two-peak", 390},
+		{"hub4-2r-proofs", 1297},
+		{"line3-pfm-chaos", 794},
+		{"mesh8", 3967},
+		{"mesh8-par2", 4053},
 	} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "bench", "workloads", w.name+".json"))
 		if err != nil {

@@ -39,11 +39,6 @@ const (
 const (
 	// MinBlockInterval is Tendermint's timeout_commit-driven floor.
 	MinBlockInterval = 5 * time.Second
-	// TimeoutPropose bounds how long validators wait for a proposal
-	// before prevoting nil and moving to the next round.
-	TimeoutPropose = 3 * time.Second
-	// TimeoutRoundStep bounds prevote/precommit waits per round.
-	TimeoutRoundStep = 1 * time.Second
 	// ExecNanosPerGas converts block gas to execution time. Fit so a
 	// block of ~650 x 100-msg transfer txs (13,000 RPS x 5 s / 100)
 	// pushes the interval towards the paper's observed tens of seconds

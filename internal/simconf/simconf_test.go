@@ -42,9 +42,6 @@ func TestConsensusTimingOrdering(t *testing.T) {
 	if MinBlockInterval != 5*time.Second {
 		t.Errorf("block floor %v, paper pins 5 s (§III-D)", MinBlockInterval)
 	}
-	if TimeoutPropose >= MinBlockInterval || TimeoutRoundStep >= TimeoutPropose {
-		t.Error("consensus timeouts must nest inside the block interval")
-	}
 }
 
 // TestWebSocketFrameKnee pins §V's overflow boundary: 1,000 txs of 100

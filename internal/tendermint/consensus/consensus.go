@@ -1,7 +1,14 @@
 // Package consensus implements the Tendermint BFT consensus engine
-// described in §II-A of the paper: rounds with an elected proposer, two
-// voting stages (pre-vote and pre-commit), 2/3+ quorums, tolerance of up
-// to one third arbitrary validators, and a minimum block interval.
+// described in §II-A of the paper: an elected proposer, two voting stages
+// (pre-vote and pre-commit), 2/3+ quorums and a minimum block interval.
+//
+// Every height runs exactly one round. Tendermint's round change exists
+// to outlive crashed validators and lost messages; here every validator
+// of a chain is always up and no message between two of them is ever
+// dropped (chaos faults only touch cross-group pairs), so each validator
+// receives the proposal, prevotes and precommits it, and round 0 always
+// commits. A height whose precommits all arrive without a 2/3 quorum for
+// one block is a defect, and the engine panics rather than stall.
 //
 // Validators are actors exchanging signed proposal and vote messages over
 // the emulated network; a designated primary full node's commit defines
@@ -34,9 +41,8 @@ import (
 const voteCacheKeepHeights = 32
 
 // Config parameterizes one chain's consensus engine. The timing model —
-// block floor, round timeouts, execution time per gas and gossip
-// bandwidth — is the paper's calibration, read from simconf where it is
-// used.
+// block floor, execution time per gas and gossip bandwidth — is the
+// paper's calibration, read from simconf where it is used.
 type Config struct {
 	ChainID string
 
@@ -49,51 +55,33 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// step is a node's position within a consensus round.
-type step byte
-
-const (
-	stepPropose step = iota + 1
-	stepPrevote
-	stepPrecommit
-	stepCommitted
-)
-
 // proposalMsg carries a proposed block between validators.
 type proposalMsg struct {
 	height int64
-	round  int32
 	block  *types.Block
 }
 
-// blockPower accumulates one block ID's voting power within a round.
+// blockPower accumulates one block ID's voting power within a height.
 type blockPower struct {
 	id    types.BlockID
 	power int64
 }
 
-// roundTally is one node's received votes for a (height, round, type):
-// votes indexed by validator ordinal (nil = not seen) with running power
-// counts, so duplicate detection and the 2/3 quorum check are O(1) per
-// vote instead of a map walk over the validator set.
+// roundTally is one node's received votes of one type for its current
+// height: votes indexed by validator ordinal (nil = not seen) with running
+// power counts, so duplicate detection and the 2/3 quorum check are O(1)
+// per vote instead of a map walk over the validator set.
 type roundTally struct {
 	votes      []*types.Vote
 	totalPower int64
 	blocks     []blockPower
 }
 
-// count reports recorded votes (nil tally = none).
-func (rt *roundTally) count() int {
-	if rt == nil {
-		return 0
-	}
-	n := 0
-	for _, v := range rt.votes {
-		if v != nil {
-			n++
-		}
-	}
-	return n
+// reset empties the tally for a new height, keeping its storage.
+func (rt *roundTally) reset() {
+	clear(rt.votes)
+	rt.totalPower = 0
+	rt.blocks = rt.blocks[:0]
 }
 
 // add records a verified, non-duplicate vote's power.
@@ -108,33 +96,23 @@ func (rt *roundTally) add(id types.BlockID, power int64) {
 	rt.blocks = append(rt.blocks, blockPower{id: id, power: power})
 }
 
-// node is one validator actor.
+// node is one validator actor. Its proposal, tallies and vote flags
+// belong to its current height's only round.
 type node struct {
 	index int
 	host  netem.Host
 	key   *valkey.PrivKey
 	addr  valkey.Address
-	down  bool
 
-	height int64
-	round  int32
-	step   step
+	height    int64
+	committed bool
 
-	proposals  map[int32]*types.Block
-	prevotes   map[int32]*roundTally
-	precommits map[int32]*roundTally
+	proposal   *types.Block
+	prevotes   roundTally
+	precommits roundTally
 
-	prevoted     map[int32]bool
-	precommitted map[int32]bool
-}
-
-func (n *node) tally(m map[int32]*roundTally, round int32, validators int) *roundTally {
-	rt, ok := m[round]
-	if !ok {
-		rt = &roundTally{votes: make([]*types.Vote, validators)}
-		m[round] = rt
-	}
-	return rt
+	prevoted     bool
+	precommitted bool
 }
 
 // pooledVote is a recyclable gossiped vote. Delivery closures capture
@@ -204,7 +182,6 @@ type Engine struct {
 	onCommit []func(*store.CommittedBlock)
 
 	started bool
-	halted  bool
 }
 
 // New assembles an engine. The mempool and store are owned by the caller
@@ -236,16 +213,14 @@ func New(sched *sim.Scheduler, net *netem.Network, cfg Config, app abci.Applicat
 			PubKey:      key.Pub(),
 			VotingPower: 10,
 		}
+		votes := make([]*types.Vote, 2*cfg.Validators)
 		e.nodes = append(e.nodes, &node{
-			index:        i,
-			host:         netem.Host(fmt.Sprintf("%s/val%d", cfg.ChainID, i)),
-			key:          key,
-			addr:         key.Pub().Address(),
-			proposals:    make(map[int32]*types.Block),
-			prevotes:     make(map[int32]*roundTally),
-			precommits:   make(map[int32]*roundTally),
-			prevoted:     make(map[int32]bool),
-			precommitted: make(map[int32]bool),
+			index:      i,
+			host:       netem.Host(fmt.Sprintf("%s/val%d", cfg.ChainID, i)),
+			key:        key,
+			addr:       key.Pub().Address(),
+			prevotes:   roundTally{votes: votes[:cfg.Validators:cfg.Validators]},
+			precommits: roundTally{votes: votes[cfg.Validators:]},
 		})
 	}
 	e.valset = types.NewValidatorSet(vals)
@@ -285,7 +260,7 @@ func (e *Engine) Store() *store.Store { return e.stor }
 // EmptyBlocks reports how many committed blocks carried no transactions.
 func (e *Engine) EmptyBlocks() uint64 { return e.emptyBlocks }
 
-// TotalRounds reports consensus rounds run, including failed ones.
+// TotalRounds reports consensus rounds run: one per height started.
 func (e *Engine) TotalRounds() uint64 { return e.totalRounds }
 
 // OnCommit registers a callback fired when a block becomes available at
@@ -293,17 +268,6 @@ func (e *Engine) TotalRounds() uint64 { return e.totalRounds }
 func (e *Engine) OnCommit(fn func(*store.CommittedBlock)) {
 	e.onCommit = append(e.onCommit, fn)
 }
-
-// SetValidatorDown injects a validator crash (or recovery). The engine
-// tolerates < 1/3 of voting power down.
-func (e *Engine) SetValidatorDown(index int, down bool) {
-	if index >= 0 && index < len(e.nodes) {
-		e.nodes[index].down = down
-	}
-}
-
-// Halt stops proposing new blocks after the current height completes.
-func (e *Engine) Halt() { e.halted = true }
 
 // Start schedules the first proposal. Call once.
 func (e *Engine) Start() {
@@ -316,9 +280,7 @@ func (e *Engine) Start() {
 }
 
 func (e *Engine) startHeight(h int64) {
-	if e.halted {
-		return
-	}
+	e.totalRounds++
 	e.votes.PruneBelow(h - voteCacheKeepHeights)
 	// Retire the previous height's gossiped votes: nothing references
 	// them past this point (tallies are reset below, commit signatures
@@ -332,59 +294,19 @@ func (e *Engine) startHeight(h int64) {
 	e.liveVote = e.liveVote[:0]
 	for _, n := range e.nodes {
 		n.height = h
-		n.round = 0
-		n.step = stepPropose
-		n.proposals = make(map[int32]*types.Block)
-		n.prevotes = make(map[int32]*roundTally)
-		n.precommits = make(map[int32]*roundTally)
-		n.prevoted = make(map[int32]bool)
-		n.precommitted = make(map[int32]bool)
+		n.committed = false
+		n.proposal = nil
+		n.prevotes.reset()
+		n.precommits.reset()
+		n.prevoted = false
+		n.precommitted = false
 	}
-	e.startRound(h, 0)
-}
-
-func (e *Engine) startRound(h int64, r int32) {
-	e.totalRounds++
-	proposer := e.valset.Proposer(h, r)
-	for _, n := range e.nodes {
-		if n.height != h {
-			return // height already advanced
-		}
-		n.round = r
-		n.step = stepPropose
-	}
-	for _, n := range e.nodes {
-		n := n
-		if n.down {
-			continue
-		}
-		if n.addr == proposer.Address {
-			e.propose(n, h, r)
-		}
-		// Schedule the proposal timeout: prevote nil if nothing arrived.
-		e.sched.After(simconf.TimeoutPropose, func() {
-			if n.height == h && n.round == r && !n.prevoted[r] && !n.down {
-				e.castVote(n, types.PrevoteType, h, r, types.BlockID{})
-			}
-		})
-		// Round-failure fallbacks keep the protocol live when votes split
-		// (e.g. a proposal reached only part of the network): precommit
-		// nil late, and ultimately skip to the next round.
-		e.sched.After(simconf.TimeoutPropose+2*simconf.TimeoutRoundStep, func() {
-			if n.height == h && n.round == r && n.step != stepCommitted && !n.precommitted[r] && !n.down {
-				e.castVote(n, types.PrecommitType, h, r, types.BlockID{})
-			}
-		})
-		e.sched.After(simconf.TimeoutPropose+4*simconf.TimeoutRoundStep, func() {
-			if n.height == h && n.round == r && n.step != stepCommitted && !n.down {
-				e.advanceRound(h, r+1)
-			}
-		})
-	}
+	proposer := e.valset.Proposer(h, 0)
+	e.propose(e.nodes[e.ordinals[proposer.Address]], h)
 }
 
 // propose reaps the mempool, assembles the block and gossips it.
-func (e *Engine) propose(n *node, h int64, r int32) {
+func (e *Engine) propose(n *node, h int64) {
 	e.lastProposalTime = e.sched.Now()
 	txs := e.pool.Reap()
 	header := types.Header{
@@ -405,7 +327,7 @@ func (e *Engine) propose(n *node, h int64, r int32) {
 	// Gossip the proposal: per-link latency plus size/bandwidth (an empty
 	// block adds nothing to the latency).
 	extra := time.Duration(int64(block.TotalSize()) * int64(time.Second) / simconf.ProposalBytesPerSecond)
-	msg := &proposalMsg{height: h, round: r, block: block}
+	msg := &proposalMsg{height: h, block: block}
 	for _, dst := range e.nodes {
 		dst := dst
 		e.net.Send(n.host, dst.host, func() {
@@ -419,10 +341,7 @@ func (e *Engine) propose(n *node, h int64, r int32) {
 }
 
 func (e *Engine) onProposal(n *node, msg *proposalMsg) {
-	if n.down || n.height != msg.height || n.round != msg.round {
-		return
-	}
-	if n.proposals[msg.round] != nil {
+	if n.height != msg.height || n.proposal != nil {
 		return
 	}
 	// Validate the header chains onto our view.
@@ -430,30 +349,26 @@ func (e *Engine) onProposal(n *node, msg *proposalMsg) {
 	if h.ChainID != e.cfg.ChainID || h.Height != msg.height || h.LastBlockID != e.lastBlockID {
 		return
 	}
-	n.proposals[msg.round] = msg.block
-	if !n.prevoted[msg.round] {
-		e.castVote(n, types.PrevoteType, msg.height, msg.round, types.BlockID{Hash: h.Hash()})
-	}
+	n.proposal = msg.block
+	e.castVote(n, types.PrevoteType, types.BlockID{Hash: h.Hash()})
 	// If a quorum of precommits arrived before the proposal, commit now.
-	e.maybeCommit(n, msg.round)
+	e.maybeCommit(n)
 }
 
-// castVote admits and gossips a vote; it stays unsigned unless a commit
-// carries it.
-func (e *Engine) castVote(n *node, vt types.SignedMsgType, h int64, r int32, blockID types.BlockID) {
+// castVote admits and gossips n's vote for its height; it stays unsigned
+// unless a commit carries it.
+func (e *Engine) castVote(n *node, vt types.SignedMsgType, blockID types.BlockID) {
 	switch vt {
 	case types.PrevoteType:
-		if n.prevoted[r] {
+		if n.prevoted {
 			return
 		}
-		n.prevoted[r] = true
-		n.step = stepPrevote
+		n.prevoted = true
 	case types.PrecommitType:
-		if n.precommitted[r] {
+		if n.precommitted {
 			return
 		}
-		n.precommitted[r] = true
-		n.step = stepPrecommit
+		n.precommitted = true
 	}
 	var pv *pooledVote
 	if k := len(e.votePool); k > 0 {
@@ -466,8 +381,7 @@ func (e *Engine) castVote(n *node, vt types.SignedMsgType, h int64, r int32, blo
 	e.liveVote = append(e.liveVote, pv)
 	pv.v = types.Vote{
 		Type:             vt,
-		Height:           h,
-		Round:            r,
+		Height:           n.height,
 		BlockID:          blockID,
 		Timestamp:        e.sched.Now(),
 		ValidatorAddress: n.addr,
@@ -486,7 +400,7 @@ func (e *Engine) castVote(n *node, vt types.SignedMsgType, h int64, r int32, blo
 }
 
 func (e *Engine) onVote(n *node, v *types.Vote) {
-	if n.down || n.height != v.Height {
+	if n.height != v.Height || v.Round != 0 {
 		return
 	}
 	// Resolve the claimed validator in the canonical set, then verify the
@@ -506,21 +420,19 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 	ord := e.ordinals[v.ValidatorAddress]
 	switch v.Type {
 	case types.PrevoteType:
-		rt := n.tally(n.prevotes, v.Round, len(e.nodes))
-		if rt.votes[ord] != nil {
+		if n.prevotes.votes[ord] != nil {
 			return
 		}
-		rt.votes[ord] = v
-		rt.add(v.BlockID, val.VotingPower)
-		e.onPrevoteQuorum(n, v.Round)
+		n.prevotes.votes[ord] = v
+		n.prevotes.add(v.BlockID, val.VotingPower)
+		e.onPrevoteQuorum(n)
 	case types.PrecommitType:
-		rt := n.tally(n.precommits, v.Round, len(e.nodes))
-		if rt.votes[ord] != nil {
+		if n.precommits.votes[ord] != nil {
 			return
 		}
-		rt.votes[ord] = v
-		rt.add(v.BlockID, val.VotingPower)
-		e.onPrecommitQuorum(n, v.Round)
+		n.precommits.votes[ord] = v
+		n.precommits.add(v.BlockID, val.VotingPower)
+		e.onPrecommitQuorum(n)
 	}
 }
 
@@ -537,92 +449,62 @@ func (e *Engine) quorumFor(rt *roundTally) (types.BlockID, bool) {
 	return types.BlockID{}, false
 }
 
-// totalVotePower sums power across all votes in a round.
-func (e *Engine) totalVotePower(rt *roundTally) int64 { return rt.totalPower }
-
-func (e *Engine) onPrevoteQuorum(n *node, r int32) {
-	if n.round != r || n.precommitted[r] {
+func (e *Engine) onPrevoteQuorum(n *node) {
+	if n.precommitted {
 		return
 	}
-	rt := n.tally(n.prevotes, r, len(e.nodes))
-	if id, ok := e.quorumFor(rt); ok {
+	if id, ok := e.quorumFor(&n.prevotes); ok {
 		// Precommit the majority block if we have it, nil otherwise.
-		if prop := n.proposals[r]; !id.IsZero() && prop != nil && prop.Header.Hash() == id.Hash {
-			e.castVote(n, types.PrecommitType, n.height, r, id)
+		if !id.IsZero() && n.proposal != nil && n.proposal.Header.Hash() == id.Hash {
+			e.castVote(n, types.PrecommitType, id)
 		} else {
-			e.castVote(n, types.PrecommitType, n.height, r, types.BlockID{})
+			e.castVote(n, types.PrecommitType, types.BlockID{})
 		}
-		return
-	}
-	// All power voted without a majority: precommit nil after a step
-	// timeout to let stragglers arrive.
-	if e.totalVotePower(rt) == e.valset.TotalPower() {
-		h := n.height
-		e.sched.After(simconf.TimeoutRoundStep, func() {
-			if n.height == h && n.round == r && !n.precommitted[r] && !n.down {
-				e.castVote(n, types.PrecommitType, h, r, types.BlockID{})
-			}
-		})
 	}
 }
 
-func (e *Engine) onPrecommitQuorum(n *node, r int32) {
-	if n.height == 0 || n.step == stepCommitted {
+func (e *Engine) onPrecommitQuorum(n *node) {
+	if n.committed {
 		return
 	}
-	rt := n.tally(n.precommits, r, len(e.nodes))
-	id, ok := e.quorumFor(rt)
-	if !ok {
+	rt := &n.precommits
+	if id, ok := e.quorumFor(rt); ok && !id.IsZero() {
+		e.maybeCommit(n)
 		return
 	}
-	if id.IsZero() {
-		// Round failed; advance.
-		if n.round == r {
-			h := n.height
-			next := r + 1
-			e.sched.After(simconf.TimeoutRoundStep/4, func() {
-				if n.height == h && n.round == r && n.step != stepCommitted {
-					e.advanceRound(h, next)
-				}
-			})
+	if rt.totalPower == e.valset.TotalPower() {
+		// Every precommit is in and no block holds 2/3: there is no later
+		// round to move to, so the height could never commit.
+		split := ""
+		for _, b := range rt.blocks {
+			split += fmt.Sprintf(" %x=%d", b.id.Hash[:4], b.power)
 		}
-		return
+		panic(fmt.Sprintf("consensus: chain %s height %d: all %d precommit power tallied without a 2/3 block quorum (split:%s)",
+			e.cfg.ChainID, n.height, rt.totalPower, split))
 	}
-	e.maybeCommit(n, r)
-}
-
-// advanceRound moves every live node to the next round exactly once.
-func (e *Engine) advanceRound(h int64, next int32) {
-	for _, n := range e.nodes {
-		if n.height != h || n.round >= next || n.step == stepCommitted {
-			return
-		}
-	}
-	e.startRound(h, next)
 }
 
 // maybeCommit commits at node n if it has the proposal and a precommit
 // quorum for it.
-func (e *Engine) maybeCommit(n *node, r int32) {
-	prop := n.proposals[r]
-	if n.step == stepCommitted || prop == nil {
+func (e *Engine) maybeCommit(n *node) {
+	prop := n.proposal
+	if n.committed || prop == nil {
 		return
 	}
-	rt := n.tally(n.precommits, r, len(e.nodes))
-	id, ok := e.quorumFor(rt)
+	id, ok := e.quorumFor(&n.precommits)
 	if !ok || id.IsZero() || prop.Header.Hash() != id.Hash {
 		return
 	}
-	n.step = stepCommitted
+	n.committed = true
 	if n.index == e.primary {
-		e.commitCanonical(prop, n, r, id)
+		e.commitCanonical(prop, n, id)
 	}
 }
 
 // commitCanonical executes the block against the application and, after
 // the gas-proportional execution time, appends it to the store and fires
 // commit callbacks. It then schedules the next height.
-func (e *Engine) commitCanonical(block *types.Block, n *node, r int32, id types.BlockID) {
+func (e *Engine) commitCanonical(block *types.Block, n *node, id types.BlockID) {
 	if block.Header.Height <= e.committedHeight {
 		return
 	}
@@ -633,11 +515,10 @@ func (e *Engine) commitCanonical(block *types.Block, n *node, r int32, id types.
 	// the cache signs: Signature makes each admitted precommit's bytes
 	// once, into a fresh slice, so retiring the pooled vote wrappers at
 	// the next height never touches a commit's bytes.
-	rt := n.tally(n.precommits, r, len(e.nodes))
-	commit := &types.Commit{Height: block.Header.Height, Round: r, BlockID: id}
+	commit := &types.Commit{Height: block.Header.Height, BlockID: id}
 	for i, val := range e.valset.Validators {
 		sig := types.CommitSig{Flag: types.BlockIDFlagAbsent, ValidatorAddress: val.Address}
-		if v := rt.votes[i]; v != nil {
+		if v := n.precommits.votes[i]; v != nil {
 			if v.BlockID == id {
 				sig.Flag = types.BlockIDFlagCommit
 			} else {

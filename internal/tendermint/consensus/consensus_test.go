@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +68,25 @@ func newHarness(tb testing.TB, mutate func(*Config)) *harness {
 	stor := store.New(cfg.ChainID)
 	eng := New(sched, net, cfg, app, pool, stor)
 	return &harness{sched: sched, net: net, app: app, pool: pool, store: stor, eng: eng}
+}
+
+// count reports the votes a tally has recorded.
+func (rt *roundTally) count() int {
+	n := 0
+	for _, v := range rt.votes {
+		if v != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// vote makes validator n's vote the way castVote does, admitted to the
+// chain's cache, without gossiping it.
+func (h *harness) vote(n *node, vt types.SignedMsgType, height int64, id types.BlockID) *types.Vote {
+	v := &types.Vote{Type: vt, Height: height, BlockID: id, ValidatorAddress: n.addr}
+	h.eng.votes.SignVote(n.key, v)
+	return v
 }
 
 // runEachEvent drives the harness to the virtual deadline one scheduler
@@ -189,58 +209,6 @@ func TestHeadersChainTogether(t *testing.T) {
 	}
 }
 
-func TestToleratesMinorityValidatorFailure(t *testing.T) {
-	h := newHarness(t, nil)
-	// Take down a non-primary validator (node 0 is the RPC full node
-	// whose commit defines block availability).
-	h.eng.SetValidatorDown(4, true) // 1 of 5 down: < 1/3 power
-	h.eng.Start()
-	if err := h.sched.RunUntil(90 * time.Second); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if h.store.Height() < 8 {
-		t.Fatalf("height = %d with one validator down, chain stalled", h.store.Height())
-	}
-	// Rounds where the down validator proposes must have failed over.
-	if h.eng.TotalRounds() <= uint64(h.store.Height()) {
-		t.Fatalf("rounds = %d, expected failed rounds beyond %d heights",
-			h.eng.TotalRounds(), h.store.Height())
-	}
-}
-
-func TestHaltsWithMajorityFailure(t *testing.T) {
-	h := newHarness(t, nil)
-	h.eng.SetValidatorDown(3, true)
-	h.eng.SetValidatorDown(4, true) // 2 of 5 down: 40% > 1/3
-	h.eng.Start()
-	if err := h.sched.RunUntil(120 * time.Second); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if h.store.Height() != 0 {
-		t.Fatalf("chain committed %d blocks with >1/3 power down", h.store.Height())
-	}
-}
-
-func TestRecoveryAfterValidatorRestart(t *testing.T) {
-	h := newHarness(t, nil)
-	h.eng.SetValidatorDown(3, true)
-	h.eng.SetValidatorDown(4, true)
-	h.eng.Start()
-	if err := h.sched.RunUntil(60 * time.Second); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if h.store.Height() != 0 {
-		t.Fatal("committed during outage")
-	}
-	h.eng.SetValidatorDown(4, false)
-	if err := h.sched.RunUntil(180 * time.Second); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if h.store.Height() == 0 {
-		t.Fatal("chain did not recover after validator restart")
-	}
-}
-
 func TestExecutionTimeStretchesInterval(t *testing.T) {
 	h := newHarness(t, nil)
 	// One enormous block: gas chosen so execution takes ~20s
@@ -283,23 +251,6 @@ func TestOnCommitCallback(t *testing.T) {
 		if got != int64(i+1) {
 			t.Fatalf("callback heights out of order: %v", heights)
 		}
-	}
-}
-
-func TestHalt(t *testing.T) {
-	h := newHarness(t, nil)
-	h.eng.Start()
-	if err := h.sched.RunUntil(12 * time.Second); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	h.eng.Halt()
-	before := h.store.Height()
-	if err := h.sched.RunUntil(60 * time.Second); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	// At most one in-flight height may complete after Halt.
-	if h.store.Height() > before+1 {
-		t.Fatalf("height advanced from %d to %d after halt", before, h.store.Height())
 	}
 }
 
@@ -366,7 +317,7 @@ func TestVoteVerificationPinnedLinear(t *testing.T) {
 	// The run is shorter than the prune window, so every vote cast is
 	// still admitted: Size counts them.
 	cast := uint64(st.Size)
-	// At most one prevote + one precommit per validator per round.
+	// At most one prevote + one precommit per validator per height.
 	if max := 2 * vals * h.eng.TotalRounds(); cast == 0 || cast > max {
 		t.Fatalf("%d votes cast over %d rounds, want 1..%d", cast, h.eng.TotalRounds(), max)
 	}
@@ -427,8 +378,7 @@ func TestReferencePathCountsQuadraticFanout(t *testing.T) {
 
 // TestSignsOnlyCommitSignatures pins the signing work of an honest run:
 // the cache signs exactly the precommits commit assembly copies into a
-// block's commit, and no prevote, late precommit or precommit of a round
-// that did not commit.
+// block's commit, and no prevote or late precommit.
 func TestSignsOnlyCommitSignatures(t *testing.T) {
 	const vals = 7
 	h := run7(t)
@@ -483,7 +433,7 @@ func TestEveryCommittedBlockVerifiesUncached(t *testing.T) {
 // votes directly into the gossip handler with the cache enabled.
 func TestCacheRejectsInjectedVotes(t *testing.T) {
 	h := newHarness(t, nil)
-	// Place every node at height 1, round 0 without running the network.
+	// Place every node at height 1 without running the network.
 	h.eng.startHeight(1)
 	receiver := h.eng.nodes[1]
 
@@ -497,7 +447,7 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 	}
 	forged.Signature = valkey.Derive("attacker", 0).Sign(types.VoteSignBytes("chain-a", forged))
 	h.eng.onVote(receiver, forged)
-	if receiver.prevotes[0].count() != 0 {
+	if receiver.prevotes.count() != 0 {
 		t.Fatal("forged vote recorded")
 	}
 
@@ -511,12 +461,27 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 	}
 	alien.Signature = stranger.Sign(types.VoteSignBytes("chain-a", alien))
 	h.eng.onVote(receiver, alien)
-	if receiver.prevotes[0].count() != 0 {
+	if receiver.prevotes.count() != 0 {
 		t.Fatal("stranger vote recorded")
 	}
 
-	// Valid vote from validator 2 (keys are derived deterministically).
+	// Well signed by validator 2 but for round 1: a height runs only
+	// round 0, so the vote has no tally.
 	val2 := valkey.Derive("chain-a", 2)
+	later := &types.Vote{
+		Type:             types.PrevoteType,
+		Height:           1,
+		Round:            1,
+		BlockID:          types.BlockID{Hash: types.Hash{9}},
+		ValidatorAddress: val2.Pub().Address(),
+	}
+	later.Signature = val2.Sign(types.VoteSignBytes("chain-a", later))
+	h.eng.onVote(receiver, later)
+	if receiver.prevotes.count() != 0 {
+		t.Fatal("round-1 vote recorded")
+	}
+
+	// Valid vote from validator 2 (keys are derived deterministically).
 	good := &types.Vote{
 		Type:             types.PrevoteType,
 		Height:           1,
@@ -526,16 +491,16 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 	}
 	good.Signature = val2.Sign(types.VoteSignBytes("chain-a", good))
 	h.eng.onVote(receiver, good)
-	if receiver.prevotes[0].count() != 1 {
+	if receiver.prevotes.count() != 1 {
 		t.Fatal("valid vote not recorded")
 	}
 
 	// Duplicate delivery: recorded once, power not double-counted.
 	h.eng.onVote(receiver, good)
-	if receiver.prevotes[0].count() != 1 {
+	if receiver.prevotes.count() != 1 {
 		t.Fatal("duplicate vote double-recorded")
 	}
-	if p := h.eng.totalVotePower(receiver.prevotes[0]); p != 10 {
+	if p := receiver.prevotes.totalPower; p != 10 {
 		t.Fatalf("duplicate vote double-counted power: %d", p)
 	}
 
@@ -545,7 +510,7 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 	tampered.Signature[0] ^= 0xff
 	other := h.eng.nodes[3]
 	h.eng.onVote(other, &tampered)
-	if other.prevotes[0].count() != 0 {
+	if other.prevotes.count() != 0 {
 		t.Fatal("tampered vote accepted via cache")
 	}
 
@@ -553,7 +518,7 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 	before := h.eng.VoteCache().Stats()
 	h.eng.onVote(other, good)
 	after := h.eng.VoteCache().Stats()
-	if other.prevotes[0].count() != 1 {
+	if other.prevotes.count() != 1 {
 		t.Fatal("valid vote not recorded at second node")
 	}
 	if after.Hits != before.Hits+1 || after.Verifications != before.Verifications {
@@ -587,51 +552,117 @@ func referenceQuorum(e *Engine, rt *roundTally) (types.BlockID, bool, int64) {
 }
 
 // TestQuorumTallyReferenceEquivalence compares the counted tallies with
-// the reference map walk on every tally of a 7-validator run, after every
-// event: quorumFor and totalVotePower must give its answers (at most one
-// block ID can exceed 2/3 of total power, so map iteration order never
-// picks the winner). One validator is down, so the rounds it should
-// propose fail and nil quorums are compared too.
+// the reference map walk: quorumFor and the running power sum must give
+// its answers (at most one block ID can exceed 2/3 of total power, so map
+// iteration order never picks the winner). First on every tally of an
+// honest 7-validator run after every event, where the only quorums are
+// for proposed blocks; then on tallies crafted at the primary of a
+// 5-validator chain for the outcomes an honest run never reaches.
 func TestQuorumTallyReferenceEquivalence(t *testing.T) {
+	compare := func(e *Engine, n *node, rt *roundTally) (types.BlockID, bool) {
+		t.Helper()
+		id, ok := e.quorumFor(rt)
+		refID, refOK, refPower := referenceQuorum(e, rt)
+		if id != refID || ok != refOK {
+			t.Fatalf("node %d height %d: quorum (%x, %v), reference (%x, %v)",
+				n.index, n.height, id.Hash[:4], ok, refID.Hash[:4], refOK)
+		}
+		if rt.totalPower != refPower {
+			t.Fatalf("node %d height %d: power %d, reference %d", n.index, n.height, rt.totalPower, refPower)
+		}
+		return id, ok
+	}
+
 	h := newHarness(t, func(c *Config) { c.Validators = 7 })
 	for i := 0; i < 20; i++ {
 		if err := h.pool.Add(stubTx{id: fmt.Sprintf("q%d", i), gas: 400}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h.eng.SetValidatorDown(6, true)
 	h.eng.Start()
-	var checked, quorums, nilQuorums int
+	var checked, quorums int
 	h.runEachEvent(t, 60*time.Second, func() {
 		for _, n := range h.eng.nodes {
-			for _, tallies := range []map[int32]*roundTally{n.prevotes, n.precommits} {
-				for r, rt := range tallies {
-					id, ok := h.eng.quorumFor(rt)
-					refID, refOK, refPower := referenceQuorum(h.eng, rt)
-					if id != refID || ok != refOK {
-						t.Fatalf("node %d height %d round %d: quorum (%x, %v), reference (%x, %v)",
-							n.index, n.height, r, id.Hash[:4], ok, refID.Hash[:4], refOK)
-					}
-					if p := h.eng.totalVotePower(rt); p != refPower {
-						t.Fatalf("node %d height %d round %d: power %d, reference %d", n.index, n.height, r, p, refPower)
-					}
-					checked++
-					if ok {
-						quorums++
-						if id.IsZero() {
-							nilQuorums++
-						}
+			for _, rt := range []*roundTally{&n.prevotes, &n.precommits} {
+				id, ok := compare(h.eng, n, rt)
+				checked++
+				if ok {
+					quorums++
+					if id.IsZero() {
+						t.Fatalf("node %d height %d: nil quorum on an honest run", n.index, n.height)
 					}
 				}
 			}
 		}
 	})
-	t.Logf("%d tally states compared: %d with a quorum, %d of them nil", checked, quorums, nilQuorums)
+	t.Logf("%d tally states compared, %d with a quorum", checked, quorums)
 	if h.store.Height() < 8 {
 		t.Fatalf("height = %d, chain stalled", h.store.Height())
 	}
-	if nilQuorums == 0 || quorums == nilQuorums || quorums == checked {
-		t.Fatalf("%d of %d tallies had a quorum, %d nil: every outcome must be compared", quorums, checked, nilQuorums)
+	if quorums == 0 || quorums == checked {
+		t.Fatalf("%d of %d tallies had a quorum: both outcomes must be compared", quorums, checked)
+	}
+
+	// Crafted precommits at the primary, which holds the proposal for
+	// block A: one entry per validator, "-" for a precommit that never
+	// arrives. Only a 2/3 quorum for A commits.
+	for _, c := range []struct {
+		name      string
+		votes     string
+		quorum    bool
+		nilQuorum bool
+		commits   bool
+	}{
+		{"block quorum", "AAAA-", true, false, true},
+		{"nil quorum", "0000-", true, true, false},
+		{"split vote", "AAB0-", false, false, false},
+		{"two of five absent", "AAA--", false, false, false},
+	} {
+		h := newHarness(t, nil)
+		h.eng.startHeight(1)
+		primary := h.eng.nodes[h.eng.primary]
+		primary.proposal = &types.Block{Header: types.Header{ChainID: "chain-a", Height: 1}}
+		ids := map[byte]types.BlockID{
+			'A': {Hash: primary.proposal.Header.Hash()},
+			'B': {Hash: types.Hash{0xb}},
+			'0': {},
+		}
+		for i, n := range h.eng.nodes {
+			if id, ok := ids[c.votes[i]]; ok {
+				h.eng.onVote(primary, h.vote(n, types.PrecommitType, 1, id))
+			}
+		}
+		id, ok := compare(h.eng, primary, &primary.precommits)
+		if ok != c.quorum || (ok && id.IsZero() != c.nilQuorum) {
+			t.Fatalf("%s: quorum (%x, %v), want quorum %v nil %v", c.name, id.Hash[:4], ok, c.quorum, c.nilQuorum)
+		}
+		if primary.committed != c.commits || (h.eng.committedHeight == 1) != c.commits {
+			t.Fatalf("%s: committed %v (height %d), want %v", c.name, primary.committed, h.eng.committedHeight, c.commits)
+		}
+	}
+}
+
+// TestSplitPrecommitsPanic: with every precommit of a height tallied and
+// no 2/3 quorum for one block there is no later round to move to, so the
+// primary panics, naming the chain and the height, instead of stalling.
+func TestSplitPrecommitsPanic(t *testing.T) {
+	h := newHarness(t, nil)
+	h.eng.startHeight(1)
+	primary := h.eng.nodes[h.eng.primary]
+	got := func() (got any) {
+		defer func() { got = recover() }()
+		for i, n := range h.eng.nodes {
+			id := types.BlockID{Hash: types.Hash{7}}
+			if i >= 3 {
+				id = types.BlockID{}
+			}
+			h.eng.onVote(primary, h.vote(n, types.PrecommitType, 1, id))
+		}
+		return nil
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "chain-a") || !strings.Contains(msg, "height 1") {
+		t.Fatalf("3 block / 2 nil precommits: recovered %v, want a panic naming chain-a and height 1", got)
 	}
 }
 

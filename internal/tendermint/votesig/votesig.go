@@ -11,9 +11,8 @@
 // that vouches for it, and leaves the vote without signature bytes. The
 // only bytes anything reads are the precommits commit assembly copies
 // into a block's commit; Signature makes them, once per tuple, when it is
-// asked. Prevotes, the precommits a commit does not carry and those of
-// rounds that never commit are never signed. ed25519 signing is
-// deterministic, so a late signature is byte-identical to an early one.
+// asked. Prevotes and the precommits a commit does not carry are never
+// signed. ed25519 signing is deterministic, so a late signature is byte-identical to an early one.
 // Full ed25519 checks are for signatures this process did not make.
 //
 // Safety: a hit never consults the public key it is handed. A vote with
