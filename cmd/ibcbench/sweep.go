@@ -30,7 +30,7 @@ func runSweep(args []string, w io.Writer) error {
 		seed       = fs.Int64("seed", 42, "base RNG seed")
 		topology   = fs.String("topology", "hub:4", "topo/forward/failover experiment graph: two|line:n|hub:n|mesh:n")
 		rate       = fs.Int("rate", 20, "per-edge input rate (rps) for topo/failover; transfers per route for forward")
-		regions    = fs.String("regions", "", "geo region preset for topo/failover deployments: 3wan|hubspoke:n|uniform:k (\"\" = the paper's uniform WAN)")
+		regions    = fs.String("regions", "", "geo region preset for topo/failover deployments: 3wan (\"\" = the paper's uniform WAN)")
 		validators = fs.String("validators", "", "validator-set sizes: votescale sweeps the comma list (default 4,8,12,16,24,32); other topology experiments use the first value (\"\" = the paper's 5)")
 		forwarding = fs.Bool("forwarding", false, "run topo multi-hop routes through the packet-forward middleware instead of sequential legs")
 		out        = fs.String("out", "", "write every experiment's result as JSON to this file (cross-PR regression tracking)")

@@ -82,7 +82,7 @@ func TestTopologySweepWithRegions(t *testing.T) {
 	if testing.Short() {
 		seeds = 1
 	}
-	res, err := TopologySweep(Options{Seeds: seeds, Windows: 2, Regions: "hubspoke:2"}, "two", 2, false)
+	res, err := TopologySweep(Options{Seeds: seeds, Windows: 2, Regions: "3wan"}, "two", 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

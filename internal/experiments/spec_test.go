@@ -21,13 +21,6 @@ import (
 // experiment, the hand-built scenario and the spec-built one produce
 // byte-identical results at the driver's own seed for that cell.
 func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
-	uniform := func(tp topo.Topology, rate int) map[int]int {
-		rates := make(map[int]int, len(tp.Edges))
-		for i := range tp.Edges {
-			rates[i] = rate
-		}
-		return rates
-	}
 	threeWAN, err := geo.ParseSpec("3wan")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +36,7 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 		{
 			name: "topo hub:3 sequential", seed: 300, // 100*rate + 0
 			hand: topo.Scenario{
-				Name: "hub:3", Topology: topo.Hub(3), EdgeRates: uniform(topo.Hub(3), 3), Windows: 2,
+				Name: "hub:3", Topology: topo.Hub(3), Rate: 3, Windows: 2,
 				Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3}},
 			},
 			spec: func() (topo.Scenario, error) {
@@ -53,7 +46,7 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 		{
 			name: "topo hub:3 forwarded", seed: 300,
 			hand: topo.Scenario{
-				Name: "hub:3", Topology: topo.Hub(3), EdgeRates: uniform(topo.Hub(3), 3), Windows: 2,
+				Name: "hub:3", Topology: topo.Hub(3), Rate: 3, Windows: 2,
 				Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3, Forwarded: true}},
 			},
 			spec: func() (topo.Scenario, error) {
@@ -77,8 +70,8 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 			name: "failover hub:2 3wan 30s", seed: 18000, // 9000*(window index 1 + 1) + 0
 			hand: topo.Scenario{
 				Name: "failover-hub:2-w30s", Topology: topo.Hub(2),
-				Deploy:    topo.DeployConfig{Geo: threeWAN, Standby: true},
-				EdgeRates: uniform(topo.Hub(2), 2), Windows: 2, RecordCurves: true,
+				Deploy: topo.DeployConfig{Geo: threeWAN, Standby: true},
+				Rate:   2, Windows: 2, RecordCurves: true,
 				Chaos: chaos.Timeline{Events: []chaos.Event{
 					{At: faultStart, Kind: chaos.PartitionLink, Edge: 0, Relayer: 0},
 					{At: faultStart + 30*time.Second, Kind: chaos.HealLink, Edge: 0, Relayer: 0},
@@ -93,8 +86,8 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 			name: "votescale two V=8", seed: 1400, // 700*(size index 1 + 1) + 0
 			hand: topo.Scenario{
 				Name: "votescale-two-v8", Topology: topo.TwoChain(),
-				Deploy:    topo.DeployConfig{Validators: 8},
-				EdgeRates: uniform(topo.TwoChain(), 2), Windows: 4,
+				Deploy: topo.DeployConfig{Validators: 8},
+				Rate:   2, Windows: 4,
 			},
 			spec: func() (topo.Scenario, error) { return scenario.Compile(voteScaleSpec(Options{}, "two", 2, 8)) },
 		},

@@ -6,18 +6,13 @@
 // The paper's testbed enforces one uniform 200 ms RTT between all
 // machines (§III-C); real interchain deployments span continents, so
 // chains, validators and relayers placed in different regions should see
-// heterogeneous paths. Presets cover the common shapes:
-//
-//	ThreeRegionWAN()   eu-west / us-east / ap-south, asymmetric paths
-//	HubAndSpoke(n)     a core region plus n edge regions; edge-to-edge
-//	                   paths are slower than edge-to-core
-//	Uniform(k, d)      k regions, every inter-region path d one-way
-//	                   (the paper's testbed as a degenerate region model)
+// heterogeneous paths. The one preset, ThreeRegionWAN, spans eu-west,
+// us-east and ap-south with asymmetric paths; no model at all is the
+// paper's uniform testbed.
 package geo
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -69,12 +64,6 @@ func (m *Model) SetPath(a, b Region, p Path) {
 	m.paths[[2]Region{a, b}] = p
 }
 
-// SetSymmetric sets both directions of a pair to the same path.
-func (m *Model) SetSymmetric(a, b Region, p Path) {
-	m.SetPath(a, b, p)
-	m.SetPath(b, a, p)
-}
-
 // Path resolves the directed path between two regions (a == b → Intra).
 func (m *Model) Path(a, b Region) (Path, bool) {
 	if a == b {
@@ -85,7 +74,7 @@ func (m *Model) Path(a, b Region) (Path, bool) {
 }
 
 // RegionAt returns region i modulo the region count, the round-robin
-// default placement for chains without an explicit region.
+// placement of chains.
 func (m *Model) RegionAt(i int) Region {
 	return m.Regions[i%len(m.Regions)]
 }
@@ -111,7 +100,7 @@ func (m *Model) Validate() error {
 
 // --- presets -----------------------------------------------------------------
 
-// lanIntra is the within-region path of the presets, matching the
+// lanIntra is the within-region path of the preset, matching the
 // paper's "<0.5 ms" LAN observation.
 func lanIntra() Path {
 	return Path{OneWay: 200 * time.Microsecond, Jitter: -1, Drop: -1}
@@ -133,79 +122,16 @@ func ThreeRegionWAN() *Model {
 	return m
 }
 
-// HubAndSpoke models one core region plus n edge regions: edge-to-core
-// is one WAN hop, edge-to-edge hairpins through the core and costs two.
-func HubAndSpoke(spokes int) *Model {
-	m := NewModel(fmt.Sprintf("hubspoke:%d", spokes), lanIntra())
-	const hop = 50 * time.Millisecond
-	core := Region("core")
-	m.AddRegion(core)
-	edges := make([]Region, spokes)
-	for i := range edges {
-		edges[i] = Region(fmt.Sprintf("edge-%d", i+1))
-		m.SetSymmetric(core, edges[i], Path{OneWay: hop, Jitter: -1, Drop: -1})
-	}
-	for i := range edges {
-		for j := i + 1; j < len(edges); j++ {
-			m.SetSymmetric(edges[i], edges[j], Path{OneWay: 2 * hop, Jitter: -1, Drop: -1})
-		}
-	}
-	return m
-}
-
-// Uniform models k regions with one uniform inter-region latency — the
-// paper's single-condition testbed expressed as a region model.
-func Uniform(k int, oneWay time.Duration) *Model {
-	m := NewModel(fmt.Sprintf("uniform:%d", k), lanIntra())
-	regions := make([]Region, k)
-	for i := range regions {
-		regions[i] = Region(fmt.Sprintf("region-%d", i))
-		m.AddRegion(regions[i])
-	}
-	for i := range regions {
-		for j := i + 1; j < len(regions); j++ {
-			m.SetSymmetric(regions[i], regions[j], Path{OneWay: oneWay, Jitter: -1, Drop: -1})
-		}
-	}
-	return m
-}
-
-// maxSpecSize bounds a preset's size argument: a model holds a path per
-// region pair, so a hostile uniform:<k> would allocate k^2 paths.
-const maxSpecSize = 256
-
-// ParseSpec parses a CLI region preset: "3wan" (three-region WAN),
-// "hubspoke:<n>" or "uniform:<k>", with n and k at most 256. Empty and
-// "none" return nil (no region model).
+// ParseSpec parses a CLI region preset: "3wan" (three-region WAN). Empty
+// and "none" return nil (no region model).
 func ParseSpec(s string) (*Model, error) {
-	spec := strings.TrimSpace(strings.ToLower(s))
-	if spec == "" || spec == "none" {
+	switch strings.TrimSpace(strings.ToLower(s)) {
+	case "", "none":
 		return nil, nil
-	}
-	kind, arg, hasArg := strings.Cut(spec, ":")
-	n := 0
-	if hasArg {
-		v, err := strconv.Atoi(arg)
-		if err != nil || v < 1 || v > maxSpecSize {
-			return nil, fmt.Errorf("geo: bad size %q in region spec %q", arg, s)
-		}
-		n = v
-	}
-	switch kind {
-	case "3wan", "three-region-wan":
+	case "3wan":
 		return ThreeRegionWAN(), nil
-	case "hubspoke":
-		if n < 1 {
-			return nil, fmt.Errorf("geo: hubspoke needs spokes>=1 (got %q)", s)
-		}
-		return HubAndSpoke(n), nil
-	case "uniform":
-		if n < 2 {
-			return nil, fmt.Errorf("geo: uniform needs k>=2 (got %q)", s)
-		}
-		return Uniform(n, 100*time.Millisecond), nil
 	default:
-		return nil, fmt.Errorf("geo: unknown region preset %q (want 3wan|hubspoke:n|uniform:k)", s)
+		return nil, fmt.Errorf("geo: unknown region preset %q (want 3wan or none)", s)
 	}
 }
 

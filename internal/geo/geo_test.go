@@ -9,10 +9,8 @@ import (
 )
 
 func TestPresetsValidate(t *testing.T) {
-	for _, m := range []*Model{ThreeRegionWAN(), HubAndSpoke(3), Uniform(4, 100*time.Millisecond)} {
-		if err := m.Validate(); err != nil {
-			t.Fatalf("%s invalid: %v", m.Name, err)
-		}
+	if m := ThreeRegionWAN(); m.Validate() != nil {
+		t.Fatalf("%s invalid: %v", m.Name, m.Validate())
 	}
 }
 
@@ -34,15 +32,6 @@ func TestThreeRegionWANAsymmetric(t *testing.T) {
 	}
 }
 
-func TestHubAndSpokeHairpin(t *testing.T) {
-	m := HubAndSpoke(3)
-	core, _ := m.Path("edge-1", "core")
-	cross, _ := m.Path("edge-1", "edge-2")
-	if cross.OneWay != 2*core.OneWay {
-		t.Fatalf("edge-to-edge %v, want 2x edge-to-core %v", cross.OneWay, core.OneWay)
-	}
-}
-
 func TestValidateRejectsIncompleteMatrix(t *testing.T) {
 	m := NewModel("partial", lanIntra())
 	m.AddRegion("a")
@@ -58,17 +47,13 @@ func TestValidateRejectsIncompleteMatrix(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	for spec, name := range map[string]string{
-		"3wan":       "3wan",
-		"hubspoke:4": "hubspoke:4",
-		"uniform:3":  "uniform:3",
-	} {
+	for _, spec := range []string{"3wan", " 3WAN "} {
 		m, err := ParseSpec(spec)
 		if err != nil || m == nil {
-			t.Fatalf("%s: %v", spec, err)
+			t.Fatalf("%q: %v", spec, err)
 		}
-		if m.Name != name {
-			t.Fatalf("%s parsed as %s", spec, m.Name)
+		if m.Name != "3wan" {
+			t.Fatalf("%q parsed as %s", spec, m.Name)
 		}
 	}
 	for _, spec := range []string{"", "none"} {
@@ -76,7 +61,10 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("%q should parse to no model (got %v, %v)", spec, m, err)
 		}
 	}
-	for _, spec := range []string{"mars", "hubspoke", "uniform:1", "hubspoke:x", "uniform:257", "hubspoke:99999999"} {
+	// The hub-and-spoke and uniform presets and the long 3wan alias are
+	// gone: 3wan is the one region model.
+	for _, spec := range []string{"mars", "hubspoke", "uniform:1", "hubspoke:x", "uniform:257", "hubspoke:99999999",
+		"hubspoke:3", "uniform:2", "three-region-wan"} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Fatalf("spec %q accepted", spec)
 		}

@@ -7,7 +7,6 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"ibcbench/internal/chaos"
@@ -21,7 +20,7 @@ func Compile(s Spec) (topo.Scenario, error) {
 	if err := s.Validate(); err != nil {
 		return topo.Scenario{}, err
 	}
-	tp, err := s.topology()
+	tp, err := topo.ParseSpec(s.Topology.Preset)
 	if err != nil {
 		return topo.Scenario{}, err
 	}
@@ -41,27 +40,11 @@ func Compile(s Spec) (topo.Scenario, error) {
 			Standby:             s.Deploy.Standby,
 			ParallelWorkers:     s.Deploy.ParallelWorkers,
 		},
+		Rate:         s.Workload.Rate,
 		Windows:      s.Workload.Windows,
 		RecordCurves: s.RecordCurves,
 		Until:        s.Until.D(),
 		ExtraSettle:  time.Duration(s.SettleBlocks) * simconf.MinBlockInterval,
-	}
-	rates := make(map[int]int, len(tp.Edges))
-	if s.Workload.Rate > 0 {
-		for i := range tp.Edges {
-			rates[i] = s.Workload.Rate
-		}
-	}
-	for _, k := range sortedEdgeKeys(s.Workload.EdgeRates) {
-		i, _ := strconv.Atoi(k)
-		if r := s.Workload.EdgeRates[k]; r > 0 {
-			rates[i] = r
-		} else {
-			delete(rates, i)
-		}
-	}
-	if len(rates) > 0 {
-		sc.EdgeRates = rates
 	}
 	for _, rt := range s.Workload.Routes {
 		sc.Routes = append(sc.Routes, topo.Route{
@@ -96,33 +79,6 @@ func compileEvent(ev EventSpec) chaos.Event {
 		out.Relayer = *ev.Relayer
 	}
 	return out
-}
-
-// topology resolves the spec's graph: preset string or explicit lists.
-func (s Spec) topology() (topo.Topology, error) {
-	t := s.Topology
-	switch {
-	case t.Preset != "" && (len(t.Chains) > 0 || len(t.Edges) > 0):
-		return topo.Topology{}, fmt.Errorf("scenario: topology sets both preset and explicit chains/edges")
-	case t.Preset != "":
-		return topo.ParseSpec(t.Preset)
-	default:
-		out := topo.Topology{Name: s.Name}
-		for _, c := range t.Chains {
-			out.Chains = append(out.Chains, topo.ChainSpec{
-				ID: c.ID, Validators: c.Validators, Region: geo.Region(c.Region),
-			})
-		}
-		for _, e := range t.Edges {
-			out.Edges = append(out.Edges, topo.EdgeSpec{
-				A: e.A, B: e.B, Relayers: e.Relayers, Standby: e.Standby,
-			})
-		}
-		if err := out.Validate(); err != nil {
-			return topo.Topology{}, fmt.Errorf("scenario: %w", err)
-		}
-		return out, nil
-	}
 }
 
 func parseGeo(spec string) (*geo.Model, error) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ibcbench/internal/sim"
+	"ibcbench/internal/topo"
 )
 
 // SearchOptions bounds one chaos search.
@@ -90,7 +91,7 @@ func resolveFaults(s Spec) (FaultSpace, error) {
 // unhealed probability leaves it open. Every edge of the topology is a
 // target.
 func generateTimeline(rng *sim.RNG, s Spec, fs FaultSpace) []EventSpec {
-	tp, _ := s.topology()
+	tp, _ := topo.ParseSpec(s.Topology.Preset)
 	var events []EventSpec
 	n := 1 + rng.Intn(fs.MaxEvents)
 	for i := 0; i < n; i++ {
@@ -102,7 +103,7 @@ func generateTimeline(rng *sim.RNG, s Spec, fs FaultSpace) []EventSpec {
 		switch kind {
 		case "partition":
 			relayer := -1
-			if slots := s.edgeRelayerSlots(tp, edge); rng.Intn(2) == 0 {
+			if slots := s.edgeRelayerSlots(); rng.Intn(2) == 0 {
 				relayer = rng.Intn(slots)
 			}
 			events = append(events, EventSpec{At: Duration(at), Kind: "partition", Edge: edge, Relayer: intp(relayer)})
@@ -123,7 +124,7 @@ func generateTimeline(rng *sim.RNG, s Spec, fs FaultSpace) []EventSpec {
 				events = append(events, EventSpec{At: Duration(at + window), Kind: "drop-burst", Edge: edge})
 			}
 		case "relayer-pause":
-			relayer := rng.Intn(s.edgeRelayerSlots(tp, edge))
+			relayer := rng.Intn(s.edgeRelayerSlots())
 			events = append(events, EventSpec{At: Duration(at), Kind: "relayer-pause", Edge: edge, Relayer: intp(relayer)})
 			if recovers {
 				events = append(events, EventSpec{At: Duration(at + window), Kind: "relayer-resume", Edge: edge, Relayer: intp(relayer)})

@@ -1,24 +1,21 @@
 // Package scenario is the declarative run description layer: one JSON
-// spec covers topology, geo regions, deploy knobs, workload (per-edge
-// rates + multi-hop routes), a chaos fault timeline, and the invariant
-// assertions checked after the run — everything an experiment driver
-// expresses in Go, as data.
+// spec covers the topology preset, the region preset, deploy knobs, the
+// workload (one rate on every edge plus multi-hop routes), a chaos fault
+// timeline, and the invariant assertions checked after the run —
+// everything an experiment driver expresses in Go, as data.
 //
 // Specs round-trip: Parse(Encode(s)) == s, and Encode is canonical
-// (stable field order, sorted maps, duration strings), so a spec file is
-// diffable and a chaos-search counterexample commits as a regression
-// test. Compile lowers a spec onto the existing topo/chaos/geo APIs
-// without behavioural additions of its own — a spec equivalent to a
-// hand-built topo.Scenario produces a byte-identical same-seed
-// topo.Result.
+// (stable field order, duration strings), so a spec file is diffable and
+// a chaos-search counterexample commits as a regression test. Compile
+// lowers a spec onto the existing topo/chaos/geo APIs without
+// behavioural additions of its own — a spec equivalent to a hand-built
+// topo.Scenario produces a byte-identical same-seed topo.Result.
 package scenario
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
 	"time"
 
 	"ibcbench/internal/chaos"
@@ -63,33 +60,10 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// TopologySpec names the interchain graph: either a preset string
-// understood by topo.ParseSpec ("two", "line:4", "hub:3", "mesh:3") or
-// an explicit chain/edge list. Exactly one form must be used.
+// TopologySpec names the interchain graph by a preset string understood
+// by topo.ParseSpec ("two", "line:4", "hub:3", "mesh:3").
 type TopologySpec struct {
-	Preset string      `json:"preset,omitempty"`
-	Chains []ChainSpec `json:"chains,omitempty"`
-	Edges  []EdgeSpec  `json:"edges,omitempty"`
-}
-
-// ChainSpec is one explicit chain node.
-type ChainSpec struct {
-	// ID overrides the default "ibc-<index>" chain identifier.
-	ID string `json:"id,omitempty"`
-	// Validators overrides the validator-set size (0 = paper default).
-	Validators int `json:"validators,omitempty"`
-	// Region pins the chain into a named region of the geo model.
-	Region string `json:"region,omitempty"`
-}
-
-// EdgeSpec is one explicit inter-chain link.
-type EdgeSpec struct {
-	A int `json:"a"`
-	B int `json:"b"`
-	// Relayers overrides the per-edge relayer count (0 = deploy default).
-	Relayers int `json:"relayers,omitempty"`
-	// Standby adds a passive standby relayer with failover supervision.
-	Standby bool `json:"standby,omitempty"`
+	Preset string `json:"preset,omitempty"`
 }
 
 // DeploySpec carries the deploy knobs a spec can set; zero values defer
@@ -116,11 +90,8 @@ type RouteSpec struct {
 // WorkloadSpec describes the constant-rate traffic and routes.
 type WorkloadSpec struct {
 	// Rate applies to every edge (requests/second, A->B). Zero means no
-	// blanket rate; per-edge overrides below still apply.
+	// constant-rate traffic, only the routes.
 	Rate int `json:"rate,omitempty"`
-	// EdgeRates overrides single edges: "<edge index>" -> rate. A zero
-	// rate removes the blanket rate from that edge.
-	EdgeRates map[string]int `json:"edgeRates,omitempty"`
 	// Windows is the number of constant-rate submission windows
 	// (0 = the topo default of 10).
 	Windows int `json:"windows,omitempty"`
@@ -171,8 +142,8 @@ type FaultSpace struct {
 type Spec struct {
 	Name     string       `json:"name"`
 	Topology TopologySpec `json:"topology"`
-	// Regions selects a geo model by spec string ("3wan", "hubspoke:4",
-	// "uniform:3"); empty or "none" = no geo model.
+	// Regions selects a geo model by spec string ("3wan"); empty or
+	// "none" = no geo model.
 	Regions  string       `json:"regions,omitempty"`
 	Deploy   DeploySpec   `json:"deploy"`
 	Workload WorkloadSpec `json:"workload"`
@@ -214,8 +185,8 @@ func Parse(data []byte) (Spec, error) {
 }
 
 // Encode renders the canonical byte form: two-space indent, stable field
-// order (struct order), sorted maps, trailing newline. Parse(Encode(s))
-// round-trips, and byte-identical specs mean byte-identical runs.
+// order (struct order), trailing newline. Parse(Encode(s)) round-trips,
+// and byte-identical specs mean byte-identical runs.
 func Encode(s Spec) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -246,36 +217,40 @@ var eventKinds = func() map[string]chaos.Kind {
 }()
 
 // Validate checks everything checkable without deploying: topology
-// well-formedness, region spec, route paths, chaos event targets against
-// the per-edge relayer counts the deploy will produce, assertion names,
-// and fault-space sanity. Compile re-runs it, so a spec that validates
-// compiles.
+// preset, region spec, count and duration signs, route paths, chaos
+// event targets against the per-edge relayer counts the deploy will
+// produce, assertion names, and fault-space sanity. Compile re-runs it,
+// so a spec that validates compiles.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name")
 	}
-	tp, err := s.topology()
+	tp, err := topo.ParseSpec(s.Topology.Preset)
 	if err != nil {
 		return err
 	}
 	if _, err := parseGeo(s.Regions); err != nil {
 		return err
 	}
-	// Sorted, so that of several bad keys the error always names the same.
-	for _, edge := range sortedEdgeKeys(s.Workload.EdgeRates) {
-		i, err := strconv.Atoi(edge)
-		if err != nil {
-			return fmt.Errorf("scenario: edgeRates key %q is not an edge index", edge)
+	// Zero selects a default, so a negative value would otherwise run on
+	// that default without a word.
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"deploy.validators", int64(s.Deploy.Validators)},
+		{"deploy.relayersPerEdge", int64(s.Deploy.RelayersPerEdge)},
+		{"deploy.clearIntervalBlocks", s.Deploy.ClearIntervalBlocks},
+		{"deploy.parallelWorkers", int64(s.Deploy.ParallelWorkers)},
+		{"workload.rate", int64(s.Workload.Rate)},
+		{"workload.windows", int64(s.Workload.Windows)},
+		{"settleBlocks", int64(s.SettleBlocks)},
+		{"until", int64(s.Until)},
+		{"seed", s.Seed},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("scenario: negative %s %d", f.name, f.v)
 		}
-		if i < 0 || i >= len(tp.Edges) {
-			return fmt.Errorf("scenario: edgeRates targets edge %d of %d", i, len(tp.Edges))
-		}
-		if s.Workload.EdgeRates[edge] < 0 {
-			return fmt.Errorf("scenario: edge %d has negative rate", i)
-		}
-	}
-	if s.Workload.Rate < 0 {
-		return fmt.Errorf("scenario: negative workload rate %d", s.Workload.Rate)
 	}
 	for i, rt := range s.Workload.Routes {
 		if len(rt.Path) < 2 {
@@ -283,6 +258,12 @@ func (s Spec) Validate() error {
 		}
 		if rt.Transfers <= 0 {
 			return fmt.Errorf("scenario: route %d has no transfers", i)
+		}
+		if rt.TimeoutBlocks < 0 {
+			return fmt.Errorf("scenario: route %d has negative timeoutBlocks %d", i, rt.TimeoutBlocks)
+		}
+		if rt.TimeoutBlocks != 0 && !rt.Forwarded {
+			return fmt.Errorf("scenario: route %d sets timeoutBlocks without forwarded (only the forward middleware reads it)", i)
 		}
 		for h := 0; h+1 < len(rt.Path); h++ {
 			if _, ok := tp.EdgeBetween(rt.Path[h], rt.Path[h+1]); !ok {
@@ -305,9 +286,6 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
-	if s.Seed < 0 {
-		return fmt.Errorf("scenario: negative seed %d", s.Seed)
-	}
 	return nil
 }
 
@@ -321,7 +299,7 @@ func (s Spec) validateEvent(i int, ev EventSpec, tp topo.Topology) error {
 	if ev.Edge < 0 || ev.Edge >= len(tp.Edges) {
 		return fmt.Errorf("scenario: chaos event %d targets edge %d of %d", i, ev.Edge, len(tp.Edges))
 	}
-	n := s.edgeRelayerSlots(tp, ev.Edge)
+	n := s.edgeRelayerSlots()
 	switch ev.Kind {
 	case "partition", "heal":
 		if ev.Relayer != nil && *ev.Relayer >= n {
@@ -364,30 +342,12 @@ func (f *FaultSpace) validate() error {
 	return nil
 }
 
-// edgeRelayerSlots mirrors the deploy wiring: per-edge override or
-// deploy default (min 1), plus one standby slot when enabled.
-func (s Spec) edgeRelayerSlots(tp topo.Topology, edge int) int {
-	n := tp.Edges[edge].Relayers
-	if n <= 0 {
-		n = s.Deploy.RelayersPerEdge
-	}
-	if n <= 0 {
-		n = 1
-	}
-	if s.Deploy.Standby || tp.Edges[edge].Standby {
+// edgeRelayerSlots mirrors the deploy wiring: the deploy-wide relayer
+// count (min 1), plus one standby slot when enabled.
+func (s Spec) edgeRelayerSlots() int {
+	n := max(s.Deploy.RelayersPerEdge, 1)
+	if s.Deploy.Standby {
 		n++
 	}
 	return n
-}
-
-// sortedEdgeKeys returns EdgeRates keys in string order. The order
-// matters to Compile only where two keys name one edge ("1" and "01"):
-// the later key wins, the same one every run.
-func sortedEdgeKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

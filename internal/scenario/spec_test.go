@@ -67,13 +67,11 @@ func TestParseRejects(t *testing.T) {
 		"unknown field":     `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"bogus":1}`,
 		"missing name":      `{"topology":{"preset":"two"},"deploy":{},"workload":{}}`,
 		"bad preset":        `{"name":"x","topology":{"preset":"ring:9"},"deploy":{},"workload":{}}`,
-		"preset and chains": `{"name":"x","topology":{"preset":"two","chains":[{},{}]},"deploy":{},"workload":{}}`,
 		"bad kind":          `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"chaos":[{"at":"1s","kind":"meteor","edge":0}]}`,
 		"edge out of range": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"chaos":[{"at":"1s","kind":"partition","edge":3}]}`,
 		"relayer ordinal":   `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"chaos":[{"at":"1s","kind":"relayer-pause","edge":0,"relayer":5}]}`,
 		"route off-graph":   `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"routes":[{"path":[0,2],"transfers":1}]}}`,
 		"bad assertion":     `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"assertions":["no-bugs"]}`,
-		"bad edgeRates key": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"edgeRates":{"a":1}}}`,
 		"recovery in space": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"faults":{"kinds":["heal"]}}`,
 		"trailing garbage":  `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{}} {"x":1}`,
 		// Calibration is not a spec knob: Hermes' batch cap and the
@@ -84,10 +82,44 @@ func TestParseRejects(t *testing.T) {
 		"faults.edges":           `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"faults":{"edges":[0]}}`,
 		"faults.maxExtraLatency": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"faults":{"maxExtraLatency":"1s"}}`,
 		"faults.maxExtraDrop":    `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"faults":{"maxExtraDrop":0.2}}`,
+		// A preset names the graph, one rate loads every edge, and 3wan is
+		// the one region model.
+		"topology.chains":          `{"name":"x","topology":{"chains":[{},{}]},"deploy":{},"workload":{}}`,
+		"topology.edges":           `{"name":"x","topology":{"preset":"two","edges":[{"a":0,"b":1}]},"deploy":{},"workload":{}}`,
+		"workload.edgeRates":       `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"edgeRates":{"0":1}}}`,
+		"regions hubspoke:3":       `{"name":"x","topology":{"preset":"two"},"regions":"hubspoke:3","deploy":{},"workload":{}}`,
+		"regions uniform:2":        `{"name":"x","topology":{"preset":"two"},"regions":"uniform:2","deploy":{},"workload":{}}`,
+		"regions three-region-wan": `{"name":"x","topology":{"preset":"two"},"regions":"three-region-wan","deploy":{},"workload":{}}`,
+		// Zero selects a default; a negative value is a typo, not a
+		// default.
+		"negative validators":          `{"name":"x","topology":{"preset":"two"},"deploy":{"validators":-3},"workload":{}}`,
+		"negative relayersPerEdge":     `{"name":"x","topology":{"preset":"two"},"deploy":{"relayersPerEdge":-1},"workload":{}}`,
+		"negative clearIntervalBlocks": `{"name":"x","topology":{"preset":"two"},"deploy":{"clearIntervalBlocks":-1},"workload":{}}`,
+		"negative parallelWorkers":     `{"name":"x","topology":{"preset":"two"},"deploy":{"parallelWorkers":-2},"workload":{}}`,
+		"negative windows":             `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"windows":-2}}`,
+		"negative settleBlocks":        `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"settleBlocks":-4}`,
+		"negative until":               `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"until":"-1m"}`,
+		"negative timeoutBlocks":       `{"name":"x","topology":{"preset":"line:3"},"deploy":{},"workload":{"routes":[{"path":[0,1,2],"transfers":1,"forwarded":true,"timeoutBlocks":-5}]}}`,
+		// Only the forward middleware reads a route's timeout margin.
+		"timeoutBlocks on sequential route": `{"name":"x","topology":{"preset":"line:3"},"deploy":{},"workload":{"routes":[{"path":[0,1,2],"transfers":1,"timeoutBlocks":7}]}}`,
+	}
+	// The removed graph surface is refused by name, not ignored.
+	named := map[string]string{
+		"topology.chains":          `"chains"`,
+		"topology.edges":           `"edges"`,
+		"workload.edgeRates":       `"edgeRates"`,
+		"regions hubspoke:3":       `"hubspoke:3"`,
+		"regions uniform:2":        `"uniform:2"`,
+		"regions three-region-wan": `"three-region-wan"`,
 	}
 	for name, raw := range cases {
-		if _, err := Parse([]byte(raw)); err == nil {
+		_, err := Parse([]byte(raw))
+		if err == nil {
 			t.Errorf("%s: parse accepted %s", name, raw)
+			continue
+		}
+		if want := named[name]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %s", name, err, want)
 		}
 	}
 }
@@ -130,74 +162,4 @@ func TestRelayerResolution(t *testing.T) {
 	if got := sc.Chaos.Events[2].Relayer; got != 0 {
 		t.Errorf("bare pause relayer = %d, want 0", got)
 	}
-}
-
-// TestEdgeRateCompile pins blanket + override + removal semantics.
-func TestEdgeRateCompile(t *testing.T) {
-	s, err := Parse([]byte(`{"name":"x","topology":{"preset":"hub:3"},"deploy":{},"workload":{"rate":4,"edgeRates":{"1":9,"2":0}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Compile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]int{0: 4, 1: 9}
-	if len(sc.EdgeRates) != len(want) {
-		t.Fatalf("EdgeRates = %v, want %v", sc.EdgeRates, want)
-	}
-	for k, v := range want {
-		if sc.EdgeRates[k] != v {
-			t.Errorf("EdgeRates[%d] = %d, want %d", k, sc.EdgeRates[k], v)
-		}
-	}
-}
-
-// Validate checks edgeRates keys in sorted order, so with two bad keys
-// the error names the same one every call, not whichever the map yields
-// first.
-func TestValidateNamesFirstBadEdgeKey(t *testing.T) {
-	s := Spec{
-		Name:     "x",
-		Topology: TopologySpec{Preset: "two"},
-		Workload: WorkloadSpec{EdgeRates: map[string]int{"x": 1, "y": 2}},
-	}
-	for i := 0; i < 50; i++ {
-		err := s.Validate()
-		if err == nil || !strings.Contains(err.Error(), `"x"`) {
-			t.Fatalf("call %d: got %v, want the error to name key \"x\"", i, err)
-		}
-	}
-}
-
-// TestExplicitTopology compiles a hand-built graph with regions and
-// per-edge relayer overrides.
-func TestExplicitTopology(t *testing.T) {
-	raw := `{"name":"custom","topology":{"chains":[{"id":"alpha","region":"eu-west"},{"validators":7}],"edges":[{"a":0,"b":1,"relayers":2,"standby":true}]},"regions":"3wan","deploy":{},"workload":{"rate":1}}`
-	s, err := Parse([]byte(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Compile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Topology.Chains[0].ID != "alpha" || sc.Topology.Chains[1].Validators != 7 {
-		t.Errorf("chains = %+v", sc.Topology.Chains)
-	}
-	if sc.Topology.Edges[0].Relayers != 2 || !sc.Topology.Edges[0].Standby {
-		t.Errorf("edges = %+v", sc.Topology.Edges)
-	}
-	if !strings.Contains(string(mustEncode(t, s)), `"region": "eu-west"`) {
-		t.Error("region lost in encoding")
-	}
-}
-
-func mustEncode(t *testing.T, s Spec) []byte {
-	t.Helper()
-	data, err := Encode(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }

@@ -26,19 +26,18 @@ type DeployConfig struct {
 	Network    netem.Config
 	Validators int
 	FullProofs bool
-	// RelayersPerEdge is the default relayer count for edges that don't
-	// override it in their EdgeSpec.
+	// RelayersPerEdge is every edge's relayer count (0 = one).
 	RelayersPerEdge int
 	// ClearIntervalBlocks forwards to every relayer.
 	ClearIntervalBlocks int64
 	// Geo places every host into a region of this model and compiles the
-	// inter-region matrix into per-host-pair netem overrides. Chains take
-	// their ChainSpec.Region or round-robin over the model's regions;
-	// relayer j of an edge lands in the region of side A (even j) or B
-	// (odd j); standbys land on side B.
+	// inter-region matrix into per-host-pair netem overrides. Chain i
+	// lands in region i modulo the region count; relayer j of an edge
+	// lands in the region of side A (even j) or B (odd j); standbys land
+	// on side B.
 	Geo *geo.Model
 	// Standby adds a passive standby relayer plus a failover supervisor
-	// to every edge (per-edge opt-in via EdgeSpec.Standby).
+	// to every edge.
 	Standby bool
 	// Obs attaches observability (span tracer + metrics registry) to the
 	// deployment; nil (the default) disables all instrumentation. Must be
@@ -215,14 +214,6 @@ func (d *Deployment) TotalProcessed() uint64 {
 	return d.Sched.Processed()
 }
 
-// RegionOf reports the region chain i was placed in ("" without geo).
-func (d *Deployment) RegionOf(i int) geo.Region {
-	if d.regions == nil {
-		return ""
-	}
-	return d.regions[i]
-}
-
 // placeWithChain places a late-created host (workload driver) in the
 // given chain's region.
 func (d *Deployment) placeWithChain(h netem.Host, c *chain.Chain) {
@@ -273,10 +264,7 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 	if cfg.Network.OneWayLatency == 0 {
 		cfg.Network = netem.DefaultWAN()
 	}
-	perEdge := cfg.RelayersPerEdge
-	if perEdge <= 0 {
-		perEdge = 1
-	}
+	perEdge := max(cfg.RelayersPerEdge, 1)
 	// The parallel runner needs a positive latency lookahead; decide
 	// before constructing the network so the deployment consumes the
 	// seed RNG identically in both modes.
@@ -301,36 +289,26 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 		}
 		d.Geo = asg
 		d.regions = make([]geo.Region, len(t.Chains))
-		for i, spec := range t.Chains {
-			d.regions[i] = spec.Region
-			if d.regions[i] == "" {
-				d.regions[i] = cfg.Geo.RegionAt(i)
-			}
+		for i := range d.regions {
+			d.regions[i] = cfg.Geo.RegionAt(i)
 		}
 	}
 	placeChainHost := func(i int) func(netem.Host) {
 		region := d.regions[i]
 		return func(h netem.Host) { _ = d.Geo.PlaceAndApply(d.Net, h, region) }
 	}
-	for i, spec := range t.Chains {
-		vals := spec.Validators
-		if vals == 0 {
-			vals = cfg.Validators
-		}
+	for i := range t.Chains {
 		csched := sched
 		if par != nil {
 			csched = par.Partition(i)
 		}
 		c := chain.New(csched, network, chain.Config{
 			ChainID:    t.ChainID(i),
-			Validators: vals,
+			Validators: cfg.Validators,
 			FullProofs: cfg.FullProofs,
 			Obs:        cfg.Obs,
 		})
 		if d.Geo != nil {
-			if err := validRegion(cfg.Geo, d.regions[i], t.ChainID(i)); err != nil {
-				return nil, err
-			}
 			place := placeChainHost(i)
 			for _, h := range c.Hosts() {
 				place(h)
@@ -357,10 +335,6 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 			Pair:    chain.Link(d.Chains[e.A], d.Chains[e.B]),
 			Tracker: metrics.NewTracker(),
 			dep:     d,
-		}
-		n := e.Relayers
-		if n <= 0 {
-			n = perEdge
 		}
 		newRelayer := func(j int, name string) *relayer.Relayer {
 			rcfg := relayer.Config{
@@ -392,28 +366,18 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 			}
 			return r
 		}
-		for j := 0; j < n; j++ {
+		for j := 0; j < perEdge; j++ {
 			r := newRelayer(j, fmt.Sprintf("hermes-e%d-%d", i, j))
 			r.Start()
 			l.Relayers = append(l.Relayers, r)
 		}
-		if cfg.Standby || e.Standby {
+		if cfg.Standby {
 			l.Standby = newRelayer(-1, fmt.Sprintf("hermes-e%d-standby", i))
 			l.Failover = newFailover(d, l)
 		}
 		d.Links = append(d.Links, l)
 	}
 	return d, nil
-}
-
-// validRegion checks a chain's region exists in the model.
-func validRegion(m *geo.Model, r geo.Region, chainID string) error {
-	for _, have := range m.Regions {
-		if have == r {
-			return nil
-		}
-	}
-	return fmt.Errorf("topo: chain %s placed in unknown region %q of model %s", chainID, r, m.Name)
 }
 
 // Start begins block production on every chain.

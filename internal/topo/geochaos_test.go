@@ -12,30 +12,24 @@ import (
 )
 
 // TestGeoDeploymentHeterogeneousPaths pins the region model end to end:
-// chains placed in different regions of an asymmetric matrix see the
-// matrix latencies host-pair by host-pair (validators, relayer machines,
-// relayer full nodes and workload drivers included), intra-region pairs
-// see the LAN path, and transfers still complete over the heterogeneous
-// network.
+// chains placed round-robin into the regions of an asymmetric matrix see
+// the matrix latencies host-pair by host-pair (validators, relayer
+// machines, relayer full nodes and workload drivers included),
+// intra-region pairs see the LAN path, and transfers still complete over
+// the heterogeneous network.
 func TestGeoDeploymentHeterogeneousPaths(t *testing.T) {
-	tp := TwoChain()
-	tp.Chains[0].Region = "eu-west"
-	tp.Chains[1].Region = "ap-south"
-	d, err := Deploy(tp, DeployConfig{Seed: 5, Geo: geo.ThreeRegionWAN()})
+	d, err := Deploy(TwoChain(), DeployConfig{Seed: 5, Geo: geo.ThreeRegionWAN()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.RegionOf(0); got != "eu-west" {
-		t.Fatalf("chain 0 region %q", got)
-	}
-	h0 := d.Chains[0].Hosts()
-	h1 := d.Chains[1].Hosts()
+	h0 := d.Chains[0].Hosts() // eu-west
+	h1 := d.Chains[1].Hosts() // us-east
 	// Cross-region paths carry the asymmetric matrix values.
-	if got := d.Net.Latency(h0[0], h1[0]); got != 90*time.Millisecond {
-		t.Fatalf("eu->ap latency %v, want 90ms", got)
+	if got := d.Net.Latency(h0[0], h1[0]); got != 40*time.Millisecond {
+		t.Fatalf("eu->us latency %v, want 40ms", got)
 	}
-	if got := d.Net.Latency(h1[0], h0[0]); got != 95*time.Millisecond {
-		t.Fatalf("ap->eu latency %v, want 95ms", got)
+	if got := d.Net.Latency(h1[0], h0[0]); got != 45*time.Millisecond {
+		t.Fatalf("us->eu latency %v, want 45ms", got)
 	}
 	// Intra-region pairs (two validators of one chain) are LAN-like.
 	if got := d.Net.Latency(h0[0], h0[1]); got != 200*time.Microsecond {
@@ -47,7 +41,7 @@ func TestGeoDeploymentHeterogeneousPaths(t *testing.T) {
 	if got := d.Net.Latency(rh, h0[len(h0)-1]); got != 200*time.Microsecond {
 		t.Fatalf("relayer->local fullnode latency %v", got)
 	}
-	if got := d.Net.Latency(rh, h1[0]); got != 90*time.Millisecond {
+	if got := d.Net.Latency(rh, h1[0]); got != 40*time.Millisecond {
 		t.Fatalf("relayer->remote chain latency %v", got)
 	}
 	// Workload drivers land in the source chain's region.
@@ -66,23 +60,31 @@ func TestGeoDeploymentHeterogeneousPaths(t *testing.T) {
 	}
 }
 
-// TestGeoRoundRobinAndValidation covers default placement and region
-// validation errors.
+// TestGeoRoundRobinAndValidation covers round-robin placement, read off
+// the installed latencies, and the rejection of an incomplete model.
 func TestGeoRoundRobinAndValidation(t *testing.T) {
 	d, err := Deploy(Hub(2), DeployConfig{Seed: 1, Geo: geo.ThreeRegionWAN()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []geo.Region{"eu-west", "us-east", "ap-south"}
-	for i := 0; i < 3; i++ {
-		if got := d.RegionOf(i); got != want[i] {
-			t.Fatalf("chain %d region %q, want %q", i, got, want[i])
+	// Chains 0, 1, 2 land in eu-west, us-east, ap-south.
+	m := geo.ThreeRegionWAN()
+	regions := []geo.Region{"eu-west", "us-east", "ap-south"}
+	for i := range regions {
+		for j := range regions {
+			if i == j {
+				continue
+			}
+			want, _ := m.Path(regions[i], regions[j])
+			if got := d.Net.Latency(d.Chains[i].Hosts()[0], d.Chains[j].Hosts()[0]); got != want.OneWay {
+				t.Fatalf("chain %d -> chain %d latency %v, want %v (%s -> %s)", i, j, got, want.OneWay, regions[i], regions[j])
+			}
 		}
 	}
-	bad := TwoChain()
-	bad.Chains[0].Region = "atlantis"
-	if _, err := Deploy(bad, DeployConfig{Geo: geo.ThreeRegionWAN()}); err == nil {
-		t.Fatal("unknown region accepted")
+	partial := geo.NewModel("partial", geo.Path{OneWay: time.Millisecond})
+	partial.SetPath("a", "b", geo.Path{OneWay: time.Millisecond})
+	if _, err := Deploy(TwoChain(), DeployConfig{Geo: partial}); err == nil {
+		t.Fatal("incomplete region model accepted")
 	}
 }
 
@@ -227,13 +229,10 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 func TestChaosScenarioDeterminism(t *testing.T) {
 	run := func() (string, []byte) {
 		sc := Scenario{
-			Name:     "chaos-det",
-			Topology: Hub(2),
-			Deploy:   DeployConfig{Standby: true},
-			EdgeRates: map[int]int{
-				0: 2,
-				1: 2,
-			},
+			Name:         "chaos-det",
+			Topology:     Hub(2),
+			Deploy:       DeployConfig{Standby: true},
+			Rate:         2,
 			Windows:      3,
 			RecordCurves: true,
 			Chaos: chaos.Timeline{Events: []chaos.Event{

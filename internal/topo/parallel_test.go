@@ -62,10 +62,8 @@ func TestParallelHubEquivalence(t *testing.T) {
 	s := Scenario{
 		Name:     "par-hub",
 		Topology: Hub(3),
-		EdgeRates: map[int]int{
-			0: 2, 1: 2, 2: 1,
-		},
-		Windows: 3,
+		Rate:     2,
+		Windows:  3,
 	}
 	assertEquivalent(t, s, []int64{1, 7}, []int{2, 4})
 }
@@ -76,10 +74,8 @@ func TestParallelMeshEquivalence(t *testing.T) {
 	s := Scenario{
 		Name:     "par-mesh",
 		Topology: Mesh(4),
-		EdgeRates: map[int]int{
-			0: 1, 2: 1, 5: 1,
-		},
-		Windows: 2,
+		Rate:     1,
+		Windows:  2,
 	}
 	assertEquivalent(t, s, []int64{3}, []int{2, 4})
 }
@@ -88,10 +84,10 @@ func TestParallelMeshEquivalence(t *testing.T) {
 // plus middleware-forwarded multi-hop packets across three partitions.
 func TestParallelForwardedRouteEquivalence(t *testing.T) {
 	s := Scenario{
-		Name:      "par-fwd",
-		Topology:  Line(3),
-		EdgeRates: map[int]int{0: 1},
-		Windows:   2,
+		Name:     "par-fwd",
+		Topology: Line(3),
+		Rate:     1,
+		Windows:  2,
 		Routes: []Route{
 			{Path: []int{0, 1, 2}, Transfers: 3, Forwarded: true},
 			{Path: []int{2, 1, 0}, Transfers: 2},
@@ -105,10 +101,10 @@ func TestParallelForwardedRouteEquivalence(t *testing.T) {
 // standby failover, the harshest global/partition interleaving.
 func TestParallelChaosFailoverEquivalence(t *testing.T) {
 	s := Scenario{
-		Name:      "par-chaos",
-		Topology:  TwoChain(),
-		EdgeRates: map[int]int{0: 2},
-		Windows:   3,
+		Name:     "par-chaos",
+		Topology: TwoChain(),
+		Rate:     2,
+		Windows:  3,
 		Deploy: DeployConfig{
 			Standby:             true,
 			ClearIntervalBlocks: 2,

@@ -1,12 +1,12 @@
-// Scenario: a topology bundled with a workload mix — constant per-edge
-// transfer rates plus multi-hop routes executed as sequential transfers —
-// and run options, producing per-edge and aggregate reports.
+// Scenario: a topology bundled with a workload mix — one constant
+// transfer rate on every edge plus multi-hop routes executed as
+// sequential transfers — and run options, producing per-edge and
+// aggregate reports.
 package topo
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"ibcbench/internal/chaos"
@@ -49,9 +49,10 @@ type Scenario struct {
 	Name     string
 	Topology Topology
 	Deploy   DeployConfig
-	// EdgeRates maps edge index -> constant input rate (requests/second,
-	// A -> B direction) sustained for Windows block windows.
-	EdgeRates map[int]int
+	// Rate is every edge's constant input rate (requests/second, A -> B
+	// direction) sustained for Windows block windows; 0 = no constant-rate
+	// traffic.
+	Rate int
 	// Windows is the number of constant-rate submission windows.
 	Windows int
 	// Routes are multi-hop flows started at scenario begin.
@@ -185,11 +186,10 @@ func (s Scenario) RunOn(d *Deployment, seed int64) (*Result, error) {
 	if windows <= 0 {
 		windows = 10
 	}
-	for _, edge := range sortedKeys(s.EdgeRates) {
-		if edge < 0 || edge >= len(d.Links) {
-			return nil, fmt.Errorf("topo: EdgeRates references edge %d of %d", edge, len(d.Links))
+	if s.Rate > 0 {
+		for _, l := range d.Links {
+			l.Forward().RunConstantRate(s.Rate, windows)
 		}
-		d.Links[edge].Forward().RunConstantRate(s.EdgeRates[edge], windows)
 	}
 	runs := make([]*routeRun, 0, len(s.Routes))
 	for i, rt := range s.Routes {
@@ -336,17 +336,6 @@ func (d *Deployment) submitAndAwait(rr *routeRun, link *Link, gen *workload.Gene
 		rr.done = true
 		rr.doneAt = d.Sched.Now()
 	})
-}
-
-// sortedKeys returns map keys in ascending order for deterministic
-// iteration.
-func sortedKeys(m map[int]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 func (s Scenario) analyze(d *Deployment, seed int64, runs []*routeRun) *Result {

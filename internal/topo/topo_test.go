@@ -407,12 +407,12 @@ func TestReverseDirection(t *testing.T) {
 	}
 }
 
-func TestScenarioEdgeRates(t *testing.T) {
+func TestScenarioRate(t *testing.T) {
 	sc := Scenario{
-		Name:      "hub2-rates",
-		Topology:  Hub(2),
-		EdgeRates: map[int]int{0: 4, 1: 4},
-		Windows:   4,
+		Name:     "hub2-rates",
+		Topology: Hub(2),
+		Rate:     4,
+		Windows:  4,
 	}
 	res, err := sc.Run(5)
 	if err != nil {
@@ -442,9 +442,6 @@ func TestScenarioRejectsBadInput(t *testing.T) {
 	if _, err := (Scenario{Topology: Line(3), Routes: []Route{{Path: []int{0, 2}, Transfers: 1}}}).Run(1); err == nil {
 		t.Fatal("route without edge accepted")
 	}
-	if _, err := (Scenario{Topology: TwoChain(), EdgeRates: map[int]int{5: 10}}).Run(1); err == nil {
-		t.Fatal("rate on missing edge accepted")
-	}
 	if _, err := (Scenario{Topology: TwoChain(), Routes: []Route{{Path: []int{0, 1}}}}).Run(1); err == nil {
 		t.Fatal("zero-transfer route accepted")
 	}
@@ -454,10 +451,10 @@ func TestScenarioRejectsBadInput(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() string {
 		sc := Scenario{
-			Name:      "hub2",
-			Topology:  Hub(2),
-			EdgeRates: map[int]int{0: 2, 1: 2},
-			Windows:   3,
+			Name:     "hub2",
+			Topology: Hub(2),
+			Rate:     2,
+			Windows:  3,
 		}
 		res, err := sc.Run(77)
 		if err != nil {

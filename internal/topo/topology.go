@@ -1,11 +1,13 @@
-// Package topo is the N-chain topology and scenario subsystem: a
-// declarative interchain graph (chains as nodes, IBC links as edges,
-// relayers assigned per edge), a deployer instantiating it on the shared
-// discrete-event scheduler, and a scenario layer bundling a topology with
-// a workload mix (per-edge rates and multi-hop routes).
+// Package topo is the N-chain topology and scenario subsystem: an
+// interchain graph (chains as nodes, IBC links as edges, the same
+// relayer count on every edge), a deployer instantiating it on the
+// shared discrete-event scheduler, and a scenario layer bundling a
+// topology with a workload mix (one rate on every edge and multi-hop
+// routes).
 //
 // The paper evaluates IBC on a fixed two-chain testbed; real Cosmos
-// deployments are hubs and meshes. Presets cover the common shapes:
+// deployments are hubs and meshes. Presets, the only way a run names its
+// graph, cover the common shapes:
 //
 //	TwoChain()  A — B                      (the paper's testbed)
 //	Line(n)     0 — 1 — 2 — ... — n-1      (packet forwarding chains)
@@ -17,20 +19,12 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"ibcbench/internal/geo"
 )
 
 // ChainSpec declares one blockchain node of the graph.
 type ChainSpec struct {
 	// ID is the chain identifier; empty defaults to "ibc-<index>".
 	ID string
-	// Validators overrides the validator-set size (0 = paper default).
-	Validators int
-	// Region places the chain's machines in a named region of the
-	// deployment's geo model (empty = round-robin over the model's
-	// regions). Ignored without a geo model.
-	Region geo.Region
 }
 
 // EdgeSpec declares one IBC link between two chains.
@@ -38,11 +32,6 @@ type EdgeSpec struct {
 	// A and B index into Topology.Chains. Workload direction conventions
 	// treat A as the source side.
 	A, B int
-	// Relayers overrides the per-edge relayer count (0 = deploy default).
-	Relayers int
-	// Standby adds a passive standby relayer with failover supervision
-	// to this edge (also enabled globally via DeployConfig.Standby).
-	Standby bool
 }
 
 // Topology is the declarative interchain graph.

@@ -109,12 +109,12 @@ func TestForwardedTimeoutUnwindLinksOrigin(t *testing.T) {
 // determinism and result-identity tests.
 func traceScenario(o *obs.Obs) Scenario {
 	return Scenario{
-		Name:      "hub3-trace",
-		Topology:  Hub(3),
-		Deploy:    DeployConfig{Obs: o},
-		EdgeRates: map[int]int{0: 3, 1: 3, 2: 3},
-		Windows:   2,
-		Routes:    []Route{{Path: []int{1, 0, 2}, Transfers: 2, Forwarded: true}},
+		Name:     "hub3-trace",
+		Topology: Hub(3),
+		Deploy:   DeployConfig{Obs: o},
+		Rate:     3,
+		Windows:  2,
+		Routes:   []Route{{Path: []int{1, 0, 2}, Transfers: 2, Forwarded: true}},
 	}
 }
 

@@ -14,14 +14,4 @@ func TestDeployValidatorsOverride(t *testing.T) {
 			t.Fatalf("chain %d validator set size = %d, want 9", i, got)
 		}
 	}
-	// Per-chain spec overrides still win over the deploy default.
-	tp := TwoChain()
-	tp.Chains[1].Validators = 5
-	d, err = Deploy(tp, DeployConfig{Validators: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := d.Chains[0].Engine.ValidatorSet().Size(), d.Chains[1].Engine.ValidatorSet().Size(); a != 9 || b != 5 {
-		t.Fatalf("validator sizes = %d,%d, want 9,5", a, b)
-	}
 }

@@ -17,12 +17,12 @@ import (
 // and multi-hop lifecycle flows.
 func forwardedScenario(o *obs.Obs) topo.Scenario {
 	return topo.Scenario{
-		Name:      "line3-forward-analytics",
-		Topology:  topo.Line(3),
-		Deploy:    topo.DeployConfig{Obs: o},
-		EdgeRates: map[int]int{0: 2, 1: 2},
-		Windows:   2,
-		Routes:    []topo.Route{{Path: []int{0, 1, 2}, Transfers: 2, Forwarded: true}},
+		Name:     "line3-forward-analytics",
+		Topology: topo.Line(3),
+		Deploy:   topo.DeployConfig{Obs: o},
+		Rate:     2,
+		Windows:  2,
+		Routes:   []topo.Route{{Path: []int{0, 1, 2}, Transfers: 2, Forwarded: true}},
 	}
 }
 
