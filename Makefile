@@ -83,9 +83,11 @@ rebaseline-bench:
 	rm -f bench_raw.txt
 
 # Reachability report, a measuring tool and not a gate: build ibcbench
-# with coverage over every package into .reach/, run the commands a user
-# runs (the benchmark workloads, the built-in and testdata scenarios, the
-# full sweep, a chaos search, the suite and both trace tools), then print
+# and the benchmark (bench/, whose children read counters no command
+# prints) with coverage over every package into .reach/, run the
+# commands a user runs (the benchmark workloads, the built-in and
+# testdata scenarios, the full sweep, a chaos search, the suite and both
+# trace tools) and one observed benchmark child per workload, then print
 # every function under internal/ that none of them executed. The service
 # and viewer packages are left out: the service runs no simulation. The
 # planted search finds its counterexample and exits 1, by design. About a
@@ -96,8 +98,10 @@ REACH_SKIP = ibcbench/internal/(serve|store|resultdiff|traceview|tracecheck)/
 reach:
 	rm -rf $(REACH) && mkdir -p $(REACH)/cov
 	$(GO) build -cover -coverpkg=ibcbench/... -o $(REACH)/ibcbench ./cmd/ibcbench
+	GOPROXY=off $(GO) build -C bench -cover -coverpkg=ibcbench/... -o $(CURDIR)/$(REACH)/bench .
 	set -e; export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; bin=$(REACH)/ibcbench; \
-	for w in bench/workloads/*.json; do $$bin run -scenario $$w -seed 11 -out $(REACH)/out.json >/dev/null; done; \
+	for w in bench/workloads/*.json; do $$bin run -scenario $$w -seed 11 -out $(REACH)/out.json >/dev/null; \
+		$(REACH)/bench -child -workload $$(basename $$w .json) -seed 11 -mode obs >/dev/null; done; \
 	for x in failover hub mesh pfmroute quickstart timeoutstorm; do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
 	for s in internal/scenario/testdata/*.json; do $$bin run -scenario $$s >/dev/null; done; \
 	$$bin sweep -experiment all -transfers 500 -out $(REACH)/out.json >/dev/null; \

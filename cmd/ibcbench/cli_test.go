@@ -115,12 +115,18 @@ func TestRunScenarioCmdFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep scenario.Report
+	// The report is read as a document, not decoded back into Go types:
+	// nothing in the program reads a report it wrote.
+	var rep struct {
+		Spec       struct{ Name string } `json:"spec"`
+		Result     map[string]any        `json:"result"`
+		Violations []any                 `json:"violations"`
+	}
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report not valid JSON: %v", err)
 	}
-	if !rep.Passed() || rep.Result == nil || rep.Spec.Name != "quickstart" {
-		t.Errorf("unexpected report: passed=%v result=%p name=%q", rep.Passed(), rep.Result, rep.Spec.Name)
+	if len(rep.Violations) != 0 || rep.Result == nil || rep.Spec.Name != "quickstart" {
+		t.Errorf("unexpected report: violations=%v result=%v name=%q", rep.Violations, rep.Result != nil, rep.Spec.Name)
 	}
 }
 
@@ -167,6 +173,9 @@ func TestSweepFlagErrors(t *testing.T) {
 		{[]string{"-experiment", "fig12", "-transfers", "0"}, "-transfers"},
 		{[]string{"-experiment", "fig13", "-transfers", "-5"}, "-transfers"},
 		{[]string{"-experiment", "votescale", "-validators", "4,0"}, "-validators"},
+		{[]string{"-experiment", "topo", "-topology", "two", "-rate", "1", "-seeds", "0", "-windows", "1"}, "-seeds"},
+		{[]string{"-experiment", "topo", "-topology", "two", "-rate", "1", "-seeds", "1", "-windows", "-2"}, "-windows"},
+		{[]string{"-experiment", "forward", "-topology", "line:3", "-rate", "-4", "-seeds", "1"}, "-rate"},
 	} {
 		var out bytes.Buffer
 		err := runSweep(tc.args, &out)

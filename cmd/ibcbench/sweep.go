@@ -39,8 +39,15 @@ func runSweep(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *transfers < 1 {
-		return fmt.Errorf("ibcbench: -transfers %d: must be a positive integer", *transfers)
+	// An out-of-range count is refused, never swapped for a default the
+	// -out header would misreport. -windows 0 is the paper default.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"transfers", *transfers, 1}, {"seeds", *seeds, 1}, {"windows", *windows, 0}, {"rate", *rate, 1}} {
+		if f.val < f.min {
+			return fmt.Errorf("ibcbench: -%s %d: must be at least %d", f.name, f.val, f.min)
+		}
 	}
 	valSizes, err := parseValidatorList(*validators)
 	if err != nil {

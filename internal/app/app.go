@@ -176,9 +176,8 @@ type App struct {
 	curHeight int64
 	curTime   time.Duration
 
-	feesCollected float64
-	txsOK         uint64
-	txsFailed     uint64
+	txsOK     uint64
+	txsFailed uint64
 }
 
 var _ abci.Application = (*App)(nil)
@@ -196,23 +195,11 @@ func New(chainID string, fullProofs bool) *App {
 	}
 }
 
-// ChainID reports the chain this app serves.
-func (a *App) ChainID() string { return a.chainID }
-
 // Bank exposes the bank module.
 func (a *App) Bank() *Bank { return a.bank }
 
 // State exposes the IBC store.
 func (a *App) State() *State { return a.state }
-
-// Height reports the height currently executing (or last executed).
-func (a *App) Height() int64 { return a.curHeight }
-
-// Now reports the block time currently executing.
-func (a *App) Now() time.Duration { return a.curTime }
-
-// FeesCollected reports total fees paid (gas x price), in tokens.
-func (a *App) FeesCollected() float64 { return a.feesCollected }
 
 // TxStats reports (succeeded, failed) executed transaction counts.
 func (a *App) TxStats() (ok, failed uint64) { return a.txsOK, a.txsFailed }
@@ -232,9 +219,6 @@ func (a *App) CreateAccount(name string, coins ...Coin) *Account {
 	a.state.CommitTx() // genesis writes apply immediately
 	return acct
 }
-
-// Account looks up an account (nil if missing).
-func (a *App) Account(name string) *Account { return a.accounts[name] }
 
 // AccountSequence reports the committed sequence for an account, which is
 // what clients query before signing.
@@ -327,7 +311,6 @@ func (a *App) DeliverTx(tx types.Tx) abci.TxResult {
 			break
 		}
 	}
-	a.feesCollected += float64(res.GasUsed) * simconf.GasPriceTokens
 	if !res.IsOK() {
 		// The events of a failed transaction vanish with its writes.
 		a.state.AbortTx()

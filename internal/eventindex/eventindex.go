@@ -145,18 +145,12 @@ func byChannel[T any](recs []T, chOf func(T) string) {
 // Index is the append-only per-chain event index, populated once per
 // committed block from the consensus engine's commit hook.
 type Index struct {
-	chainID string
-	blocks  []*BlockEvents // index 0 = height 1
-	scans   uint64
+	blocks []*BlockEvents // index 0 = height 1
+	scans  uint64
 }
 
 // New returns an empty index for one chain.
-func New(chainID string) *Index {
-	return &Index{chainID: chainID}
-}
-
-// ChainID reports the chain the index belongs to.
-func (x *Index) ChainID() string { return x.chainID }
+func New() *Index { return &Index{} }
 
 // IndexTxs indexes the next committed block from its TxInfos (shared
 // with the store's cached materialization, avoiding reallocation).

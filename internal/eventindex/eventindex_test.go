@@ -82,8 +82,8 @@ func TestDecodeOrderPreserved(t *testing.T) {
 }
 
 func TestIndexScanCounting(t *testing.T) {
-	x := New("chain-a")
-	if x.ChainID() != "chain-a" || x.Height() != 0 || x.At(1) != nil {
+	x := New()
+	if x.Height() != 0 || x.At(1) != nil {
 		t.Fatalf("fresh index = %+v", x)
 	}
 	be1 := x.IndexTxs(1, time.Second, nil)

@@ -181,6 +181,9 @@ func TestWebSocketLimit(t *testing.T) {
 
 func TestForwardingComparisonShape(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a serial pool
+	if _, err := ForwardingComparison(Options{Seeds: 1}, "line:3", 0); err == nil {
+		t.Fatal("zero transfers per route accepted")
+	}
 	res, err := ForwardingComparison(Options{Seeds: 1}, "line:3", 2)
 	if err != nil {
 		t.Fatal(err)

@@ -43,8 +43,8 @@ func ForwardingComparison(opt Options, spec string, transfers int) (ForwardingRe
 	if err != nil {
 		return ForwardingResult{}, err
 	}
-	if transfers <= 0 {
-		transfers = 5
+	if transfers < 1 {
+		return ForwardingResult{}, fmt.Errorf("experiments: forwarding comparison needs transfers >= 1 per route (got %d)", transfers)
 	}
 	paths := hopPaths(tp)
 	if len(paths) == 0 {

@@ -131,9 +131,6 @@ func TestApplyAsymmetricOnNetwork(t *testing.T) {
 	if got := n.Latency("h-us", "h-eu"); got != 45*time.Millisecond {
 		t.Fatalf("us->eu latency %v", got)
 	}
-	if got := n.RTT("h-eu", "h-us"); got != 85*time.Millisecond {
-		t.Fatalf("rtt %v", got)
-	}
 	// A third host joins ap-south: pairs in both directions appear.
 	must(a.PlaceAndApply(n, "h-late", "ap-south"))
 	if got := n.Latency("h-late", "h-eu"); got != 95*time.Millisecond {

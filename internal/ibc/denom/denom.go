@@ -80,9 +80,6 @@ func (t Trace) String() string {
 // IsNative reports whether the token sits in its origin zone (no hops).
 func (t Trace) IsNative() bool { return len(t.Hops) == 0 }
 
-// Depth is the number of hops in the trace (0 = native).
-func (t Trace) Depth() int { return len(t.Hops) }
-
 // HasPrefix reports whether the trace's outermost hop is (port, channel)
 // — i.e. the token entered the current chain through that channel.
 func (t Trace) HasPrefix(port, channel string) bool {

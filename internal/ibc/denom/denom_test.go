@@ -20,9 +20,9 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		tr := Parse(c.denom)
-		if tr.Depth() != c.hops || tr.Base != c.base {
+		if len(tr.Hops) != c.hops || tr.Base != c.base {
 			t.Fatalf("Parse(%q) = %d hops, base %q; want %d, %q",
-				c.denom, tr.Depth(), tr.Base, c.hops, c.base)
+				c.denom, len(tr.Hops), tr.Base, c.hops, c.base)
 		}
 		if tr.String() != c.denom {
 			t.Fatalf("round trip %q -> %q", c.denom, tr.String())
@@ -47,8 +47,8 @@ func TestPrefixRules(t *testing.T) {
 	if nested.String() != "transfer/channel-7/transfer/channel-1/uatom" {
 		t.Fatalf("nested = %q", nested.String())
 	}
-	if nested.Depth() != 2 || nested.IsNative() {
-		t.Fatalf("nested depth = %d", nested.Depth())
+	if len(nested.Hops) != 2 || nested.IsNative() {
+		t.Fatalf("nested depth = %d", len(nested.Hops))
 	}
 	back := nested.TrimPrefix()
 	if back.String() != tr.String() {

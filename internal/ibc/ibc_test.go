@@ -123,7 +123,7 @@ func (c *testChain) headerBundle(h int64) ibc.HeaderBundle {
 		commit.Signatures = append(commit.Signatures, types.CommitSig{
 			Flag:             types.BlockIDFlagCommit,
 			ValidatorAddress: val.Address,
-			Signature:        c.keys[i].Sign(types.VoteSignBytes(c.chainID, vote)),
+			Signature:        c.keys[i].Sign(types.AppendVoteSignBytes(nil, c.chainID, vote)),
 		})
 	}
 	return ibc.HeaderBundle{Header: hdr, Commit: commit}
@@ -350,7 +350,7 @@ func relayTransfer(t *testing.T, a, b *testChain, sender, receiver string, amoun
 	a.mustDeliver("relayer", ibc.MsgAcknowledgement{
 		Packet: packet, Ack: ack.Bytes(), ProofAcked: ackProof, ProofHeight: recvHeight + 1,
 	})
-	return transfer.VoucherPrefix("transfer", "channel-0") + "uatom"
+	return "transfer/channel-0/uatom"
 }
 
 func mustPacketData(t *testing.T, denom string, amount uint64, sender, receiver string) []byte {
@@ -444,7 +444,7 @@ func TestEscrowVoucherInvariant(t *testing.T) {
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 100000})
 	b.app.CreateAccount("bob")
 	linkChains(t, a, b)
-	voucher := transfer.VoucherPrefix("transfer", "channel-0") + "uatom"
+	voucher := "transfer/channel-0/uatom"
 	escrow := transfer.EscrowAccount("transfer", "channel-0")
 	for i := 0; i < 5; i++ {
 		relayTransfer(t, a, b, "alice", "bob", uint64(100+i))
@@ -489,7 +489,7 @@ func TestRedundantRecvRejected(t *testing.T) {
 		t.Fatalf("error = %q, want redundant-packet", errs[0])
 	}
 	// Funds were minted exactly once.
-	voucher := transfer.VoucherPrefix("transfer", "channel-0") + "uatom"
+	voucher := "transfer/channel-0/uatom"
 	if got := b.app.Bank().Balance("bob", voucher); got != 10 {
 		t.Fatalf("bob = %d after redundant delivery", got)
 	}
@@ -603,7 +603,7 @@ func TestForgedProofRejected(t *testing.T) {
 	if !strings.Contains(errs[0], "proof") {
 		t.Fatalf("error = %q", errs[0])
 	}
-	if got := b.app.Bank().Balance("bob", transfer.VoucherPrefix("transfer", "channel-0")+"uatom"); got != 0 {
+	if got := b.app.Bank().Balance("bob", "transfer/channel-0/uatom"); got != 0 {
 		t.Fatalf("forged mint: %d", got)
 	}
 }

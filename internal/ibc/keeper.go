@@ -280,7 +280,7 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 		blockID := types.BlockID{Hash: hdr.Hash()}
 		// Batched fast path: signatures the source chain's live vote path
 		// already admitted are not re-verified (nil verifier = full check).
-		if err := vs.VerifyCommitCached(cs.ChainID, blockID, hdr.Height,
+		if err := vs.VerifyCommit(cs.ChainID, blockID, hdr.Height,
 			m.Bundle.Commit, k.voteVerifiers[cs.ChainID]); err != nil {
 			return fmt.Errorf("ibc: header verification: %w", err)
 		}

@@ -150,9 +150,6 @@ func New(a *app.App, k *ibc.Keeper) *Module {
 	return m
 }
 
-// Keeper exposes the IBC keeper the module sends packets through.
-func (m *Module) Keeper() *ibc.Keeper { return m.keeper }
-
 // Stats reports (sent, received, acked, refunded) packet counts.
 func (m *Module) Stats() (sent, received, acked, refunded uint64) {
 	return m.sent, m.received, m.acked, m.refunded
@@ -162,11 +159,6 @@ func (m *Module) Stats() (sent, received, acked, refunded uint64) {
 // channel.
 func EscrowAccount(port, channel string) string {
 	return "escrow/" + port + "/" + channel
-}
-
-// VoucherPrefix is the denom trace prefix added on the receiving chain.
-func VoucherPrefix(port, channel string) string {
-	return port + "/" + channel + "/"
 }
 
 // handleMsg executes MsgTransfer.

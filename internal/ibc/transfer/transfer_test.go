@@ -5,18 +5,20 @@ import (
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/ibc"
+	"ibcbench/internal/ibc/denom"
 )
 
 func TestVoucherPrefixAndEscrowNames(t *testing.T) {
-	if got := VoucherPrefix("transfer", "channel-0"); got != "transfer/channel-0/" {
-		t.Fatalf("prefix = %q", got)
+	native := denom.Parse("uatom")
+	if got := native.AddPrefix("transfer", "channel-0").String(); got != "transfer/channel-0/uatom" {
+		t.Fatalf("voucher = %q", got)
 	}
 	if got := EscrowAccount("transfer", "channel-0"); got != "escrow/transfer/channel-0" {
 		t.Fatalf("escrow = %q", got)
 	}
 	// Different channels produce non-fungible denominations (§IV-A).
-	a := VoucherPrefix("transfer", "channel-0") + "uatom"
-	b := VoucherPrefix("transfer", "channel-1") + "uatom"
+	a := native.AddPrefix("transfer", "channel-0").String()
+	b := native.AddPrefix("transfer", "channel-1").String()
 	if a == b {
 		t.Fatal("channel traces collide")
 	}
@@ -93,7 +95,7 @@ func TestRefundRemintsBurnedVoucher(t *testing.T) {
 	m := New(a, k)
 	a.CreateAccount("bob")
 	ctx := &app.Context{ChainID: "c", State: a.State(), Bank: a.Bank(), App: a}
-	voucher := VoucherPrefix("transfer", "channel-0") + "uatom"
+	voucher := "transfer/channel-0/uatom"
 	pkt := ibc.Packet{
 		SourcePort: "transfer", SourceChannel: "channel-0",
 		Data: []byte(`{"denom":"` + voucher + `","amount":7,"sender":"bob","receiver":"x"}`),

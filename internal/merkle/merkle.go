@@ -94,7 +94,7 @@ func buildLevels(leaves []Hash) [][]Hash {
 }
 
 // HashLeaves computes the root commitment over a sequence of leaf
-// digests (used for block data, evidence and commit hashes).
+// digests (used for block data and commit hashes).
 func HashLeaves(leaves []Hash) Hash {
 	if len(leaves) == 0 {
 		return emptyRoot

@@ -86,17 +86,6 @@ func (s Status) String() string {
 // tallies serialize with readable JSON keys in persisted run results.
 func (s Status) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
-// UnmarshalText parses a status name written by MarshalText.
-func (s *Status) UnmarshalText(text []byte) error {
-	for _, c := range []Status{StatusCompleted, StatusPartial, StatusInitiated, StatusNotCommitted} {
-		if string(text) == c.String() {
-			*s = c
-			return nil
-		}
-	}
-	return fmt.Errorf("metrics: unknown status %q", text)
-}
-
 // PacketKey identifies one cross-chain transfer packet.
 type PacketKey struct {
 	SrcChain string
@@ -159,9 +148,8 @@ var unseen Lifecycle
 // driver's route polling) run with every partition quiesced and need no
 // lock.
 type Tracker struct {
-	mu      sync.Mutex
-	tables  []channelTable
-	tracked int
+	mu     sync.Mutex
+	tables []channelTable
 
 	// requested counts transfers requested from the workload, including
 	// those that never committed (no packet key ever existed).
@@ -230,9 +218,6 @@ func (t *Tracker) Record(key PacketKey, step Step, at time.Duration) {
 	if rec.set&(1<<i) != 0 && rec.at[i] <= at {
 		return
 	}
-	if rec.set == 0 {
-		t.tracked++
-	}
 	rec.set |= 1 << i
 	rec.at[i] = at
 }
@@ -241,9 +226,6 @@ func (t *Tracker) Record(key PacketKey, step Step, at time.Duration) {
 func (t *Tracker) StepTime(key PacketKey, step Step) (time.Duration, bool) {
 	return t.slot(key, false).StepTime(step)
 }
-
-// Tracked reports the number of packets with any recorded step.
-func (t *Tracker) Tracked() int { return t.tracked }
 
 // Walk calls fn on every tracked packet in deterministic order (source
 // chain, channel, then sequence) — trace synthesis walks this to emit
@@ -375,15 +357,6 @@ func (s Series) Max() time.Duration {
 		}
 	}
 	return m
-}
-
-// Dist summarizes the series in seconds.
-func (s Series) Dist() Dist {
-	samples := make([]float64, len(s.Samples))
-	for i, d := range s.Samples {
-		samples[i] = d.Seconds()
-	}
-	return Summarize(samples)
 }
 
 // Dist is a five-number-plus-moments summary used for violin plots.

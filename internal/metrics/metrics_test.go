@@ -177,8 +177,4 @@ func TestSeries(t *testing.T) {
 	if s.Max() != 5*time.Second {
 		t.Fatalf("max = %v", s.Max())
 	}
-	d := s.Dist()
-	if d.N != 3 || d.Min != 2 || d.Max != 5 {
-		t.Fatalf("dist = %+v", d)
-	}
 }

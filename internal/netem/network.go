@@ -227,12 +227,6 @@ func (n *Network) SetLinkProfile(from, to Host, p Profile) {
 	}
 }
 
-// SetLinkLatency overrides only the one-way latency from one host to
-// another, inheriting the config's jitter and drop rate.
-func (n *Network) SetLinkLatency(from, to Host, d time.Duration) {
-	n.SetLinkProfile(from, to, Profile{OneWay: d, Jitter: -1, Drop: -1})
-}
-
 // SetLinkExtraLatency sets the latency component of a directed pair's
 // fault overlay (0 clears it; the drop component is untouched, so
 // spikes and bursts on one pair compose).
@@ -284,14 +278,6 @@ func (n *Network) Heal(a, b Host) {
 			n.dropState(k.from, k.to, st)
 		}
 	}
-}
-
-// Partitioned reports whether the directed pair is currently severed.
-func (n *Network) Partitioned(from, to Host) bool {
-	n.linkMu.RLock()
-	defer n.linkMu.RUnlock()
-	st, ok := n.links[linkKey{from, to}]
-	return ok && st.partitioned > 0
 }
 
 // Sent reports the number of messages handed to the network.
@@ -402,11 +388,6 @@ func (n *Network) MinCrossPartitionLatency(partOf func(string) int) time.Duratio
 		}
 	}
 	return min
-}
-
-// RTT reports the emulated round-trip time between two hosts.
-func (n *Network) RTT(a, b Host) time.Duration {
-	return n.Latency(a, b) + n.Latency(b, a)
 }
 
 // String summarizes the network configuration.

@@ -42,7 +42,7 @@ func TestLoopback(t *testing.T) {
 func TestLinkOverride(t *testing.T) {
 	cfg := Config{OneWayLatency: 100 * time.Millisecond}
 	s, n := newNet(cfg)
-	n.SetLinkLatency("a", "b", 5*time.Millisecond)
+	n.SetLinkProfile("a", "b", Profile{OneWay: 5 * time.Millisecond, Jitter: -1, Drop: -1})
 	var at time.Duration
 	n.Send("a", "b", func() { at = s.Now() })
 	var back time.Duration
@@ -56,8 +56,8 @@ func TestLinkOverride(t *testing.T) {
 	if back != 100*time.Millisecond {
 		t.Fatalf("reverse direction %v, want default", back)
 	}
-	if rtt := n.RTT("a", "b"); rtt != 105*time.Millisecond {
-		t.Fatalf("rtt = %v", rtt)
+	if ab, ba := n.Latency("a", "b"), n.Latency("b", "a"); ab != 5*time.Millisecond || ba != 100*time.Millisecond {
+		t.Fatalf("latency a->b %v, b->a %v; want 5ms, 100ms", ab, ba)
 	}
 }
 
@@ -215,22 +215,32 @@ func TestOverlayComponentsCompose(t *testing.T) {
 }
 
 func TestPartitionsRefcount(t *testing.T) {
-	_, n := newNet(Config{OneWayLatency: time.Millisecond})
+	s, n := newNet(Config{OneWayLatency: time.Millisecond})
+	// delivers reports whether a message sent now from one host to the
+	// other arrives.
+	delivers := func(from, to Host) bool {
+		ok := false
+		n.Send(from, to, func() { ok = true })
+		if err := s.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return ok
+	}
 	n.Partition("a", "b") // fault 1 (e.g. whole-link blackout)
 	n.Partition("a", "b") // fault 2 (e.g. relayer-host partition)
-	if !n.Partitioned("a", "b") || !n.Partitioned("b", "a") {
+	if delivers("a", "b") || delivers("b", "a") {
 		t.Fatal("partition not visible")
 	}
 	n.Heal("a", "b") // fault 2 heals; fault 1 still severs the pair
-	if !n.Partitioned("a", "b") {
+	if delivers("a", "b") {
 		t.Fatal("healing one overlapping fault un-severed the pair")
 	}
 	n.Heal("a", "b")
-	if n.Partitioned("a", "b") {
+	if !delivers("a", "b") || !delivers("b", "a") {
 		t.Fatal("heal not visible")
 	}
 	n.Heal("a", "b") // unbalanced heal is a no-op
-	if n.Partitioned("a", "b") {
+	if !delivers("a", "b") {
 		t.Fatal("unbalanced heal partitioned the pair")
 	}
 }
@@ -301,7 +311,7 @@ func BenchmarkNetemSend(b *testing.B) {
 	b.Run("other-pairs-overridden", func(b *testing.B) {
 		bench(b, func(n *Network) {
 			for i := 0; i < 64; i++ {
-				n.SetLinkLatency(Host(fmt.Sprintf("x%d", i)), "y", 5*time.Millisecond)
+				n.SetLinkProfile(Host(fmt.Sprintf("x%d", i)), "y", Profile{OneWay: 5 * time.Millisecond, Jitter: -1, Drop: -1})
 			}
 		})
 	})

@@ -117,19 +117,6 @@ func (t *Tracer) Name(s string) NameID {
 	return id
 }
 
-// TrackName resolves a track ID back to its registered name.
-func (t *Tracer) TrackName(id TrackID) string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(id) >= len(t.tracks) {
-		return ""
-	}
-	return t.tracks[id]
-}
-
 // NameString resolves a name ID back to its registered string.
 func (t *Tracer) NameString(id NameID) string {
 	if t == nil {

@@ -17,9 +17,6 @@ func TestTracerInterning(t *testing.T) {
 	if got := tr.Track("chain/ibc-0"); got != a {
 		t.Fatalf("re-interning track: got %d want %d", got, a)
 	}
-	if tr.TrackName(a) != "chain/ibc-0" {
-		t.Fatalf("TrackName(%d) = %q", a, tr.TrackName(a))
-	}
 	n := tr.Name("block")
 	if got := tr.Name("block"); got != n {
 		t.Fatalf("re-interning name: got %d want %d", got, n)

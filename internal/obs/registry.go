@@ -22,14 +22,6 @@ func (c *Counter) Set(v uint64) {
 	}
 }
 
-// Value reports the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // histBounds are the fixed 1-2-5 decade bucket upper bounds shared by
 // every histogram; a fixed layout keeps Observe allocation-free and the
 // snapshot deterministic.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ibcbench/internal/chain"
-	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/netem"
 	"ibcbench/internal/sim"
@@ -77,7 +76,7 @@ func TestSingleTransferCompletes(t *testing.T) {
 		t.Fatalf("latency = %v, want ~21s", lat)
 	}
 	// Funds moved: 1 voucher minted on B.
-	voucher := transfer.VoucherPrefix("transfer", "channel-0") + "uatom"
+	voucher := "transfer/channel-0/uatom"
 	if got := e.tb.Pair.B.App.Bank().Supply(voucher); got != 1 {
 		t.Fatalf("voucher supply = %d", got)
 	}

@@ -102,12 +102,6 @@ func (p *Parallel) Global() *Scheduler { return p.global }
 // Partition returns chain partition i's scheduler (0-based).
 func (p *Parallel) Partition(i int) *Scheduler { return p.parts[i] }
 
-// Partitions reports the number of chain partitions.
-func (p *Parallel) Partitions() int { return len(p.parts) }
-
-// Horizon reports the synchronization window bound.
-func (p *Parallel) Horizon() time.Duration { return p.horizon }
-
 // SetHorizon replaces the window bound — deployments compute the exact
 // cross-partition latency floor only after every link profile exists.
 // Call only between runs (or before the first), never mid-window.

@@ -16,9 +16,6 @@ type SerialResource struct {
 	// busyUntil is the virtual time at which the resource frees up.
 	busyUntil time.Duration
 
-	// queued counts requests accepted but not yet completed.
-	queued int
-
 	// totalBusy accumulates service time, for utilization metrics.
 	totalBusy time.Duration
 }
@@ -28,24 +25,11 @@ func NewSerialResource(s *Scheduler) *SerialResource {
 	return &SerialResource{sched: s}
 }
 
-// Pending reports the number of requests accepted but not completed.
-func (r *SerialResource) Pending() int { return r.queued }
-
 // BusyTime reports accumulated service time across all requests.
 func (r *SerialResource) BusyTime() time.Duration { return r.totalBusy }
 
-// Backlog reports how long a request submitted now would wait before its
-// service begins.
-func (r *SerialResource) Backlog() time.Duration {
-	now := r.sched.Now()
-	if r.busyUntil <= now {
-		return 0
-	}
-	return r.busyUntil - now
-}
-
-// Submit enqueues a request with the given service time. done fires at the
-// virtual time the request finishes; it may be nil.
+// Submit enqueues a request with the given service time. done, which is
+// required, fires at the virtual time the request finishes.
 func (r *SerialResource) Submit(service time.Duration, done func()) {
 	if service < 0 {
 		service = 0
@@ -57,11 +41,5 @@ func (r *SerialResource) Submit(service time.Duration, done func()) {
 	finish := start + service
 	r.busyUntil = finish
 	r.totalBusy += service
-	r.queued++
-	r.sched.At(finish, func() {
-		r.queued--
-		if done != nil {
-			done()
-		}
-	})
+	r.sched.At(finish, done)
 }

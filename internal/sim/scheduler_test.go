@@ -251,24 +251,6 @@ func TestSerialResourceIdleGap(t *testing.T) {
 	}
 }
 
-func TestSerialResourceBacklog(t *testing.T) {
-	s := NewScheduler()
-	r := NewSerialResource(s)
-	r.Submit(4*time.Second, nil)
-	if got := r.Backlog(); got != 4*time.Second {
-		t.Fatalf("backlog = %v, want 4s", got)
-	}
-	if r.Pending() != 1 {
-		t.Fatalf("pending = %d", r.Pending())
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if r.Backlog() != 0 || r.Pending() != 0 {
-		t.Fatalf("backlog = %v pending = %d after drain", r.Backlog(), r.Pending())
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

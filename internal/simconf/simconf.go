@@ -28,8 +28,6 @@ const (
 	// GasTxOverhead is the fixed per-transaction gas (signature
 	// verification, ante handler).
 	GasTxOverhead uint64 = 60000
-	// GasPriceTokens is the Hermes config gas price: 0.01 token/gas.
-	GasPriceTokens = 0.01
 )
 
 // Consensus timing (§III-D): "the time interval between the creation of

@@ -236,7 +236,7 @@ func New(sched *sim.Scheduler, net *netem.Network, cfg Config, app abci.Applicat
 func (e *Engine) ValidatorSet() *types.ValidatorSet { return e.valset }
 
 // VoteCache exposes the chain's shared vote-verification engine. Light
-// clients tracking this chain pass it to VerifyCommitCached so commit
+// clients tracking this chain pass it to VerifyCommit so commit
 // signatures the cache made for castVote's admitted precommits are not
 // re-verified.
 func (e *Engine) VoteCache() *votesig.Cache { return e.votes }
@@ -253,9 +253,6 @@ func (e *Engine) Hosts() []netem.Host {
 	}
 	return out
 }
-
-// Store exposes the canonical block store.
-func (e *Engine) Store() *store.Store { return e.stor }
 
 // EmptyBlocks reports how many committed blocks carried no transactions.
 func (e *Engine) EmptyBlocks() uint64 { return e.emptyBlocks }

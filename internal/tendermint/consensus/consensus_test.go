@@ -65,7 +65,7 @@ func newHarness(tb testing.TB, mutate func(*Config)) *harness {
 	}
 	app := &stubApp{}
 	pool := mempool.New(app.CheckTx)
-	stor := store.New(cfg.ChainID)
+	stor := store.New()
 	eng := New(sched, net, cfg, app, pool, stor)
 	return &harness{sched: sched, net: net, app: app, pool: pool, store: stor, eng: eng}
 }
@@ -185,7 +185,7 @@ func TestCommitVerifiableByLightClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		blockID := types.BlockID{Hash: cb.Block.Header.Hash()}
-		if err := h.eng.ValidatorSet().VerifyCommit("chain-a", blockID, height, cb.Commit); err != nil {
+		if err := h.eng.ValidatorSet().VerifyCommit("chain-a", blockID, height, cb.Commit, nil); err != nil {
 			t.Fatalf("commit for height %d fails light-client verification: %v", height, err)
 		}
 	}
@@ -260,7 +260,7 @@ func TestDeterminism(t *testing.T) {
 		net := netem.New(sched, sim.NewRNG(7), netem.DefaultWAN())
 		app := &stubApp{}
 		pool := mempool.New(nil)
-		stor := store.New("chain-a")
+		stor := store.New()
 		eng := New(sched, net, Config{ChainID: "chain-a"}, app, pool, stor)
 		for i := 0; i < 10; i++ {
 			if err := pool.Add(stubTx{id: fmt.Sprintf("t%d", i), gas: 500}); err != nil {
@@ -353,7 +353,7 @@ func TestReferencePathCountsQuadraticFanout(t *testing.T) {
 				continue
 			}
 			val := h.eng.valset.ByAddress(v.ValidatorAddress)
-			if !val.PubKey.Verify(types.VoteSignBytes("chain-a", v), h.eng.votes.Signature(v)) {
+			if !val.PubKey.Verify(types.AppendVoteSignBytes(nil, "chain-a", v), h.eng.votes.Signature(v)) {
 				t.Fatalf("cast vote %+v fails full verification", id)
 			}
 			verified[id] = true
@@ -420,7 +420,7 @@ func TestEveryCommittedBlockVerifiesUncached(t *testing.T) {
 			t.Fatal(err)
 		}
 		blockID := types.BlockID{Hash: cb.Block.Header.Hash()}
-		if err := h.eng.ValidatorSet().VerifyCommit("chain-a", blockID, height, cb.Commit); err != nil {
+		if err := h.eng.ValidatorSet().VerifyCommit("chain-a", blockID, height, cb.Commit, nil); err != nil {
 			t.Fatalf("height %d: commit fails full verification: %v", height, err)
 		}
 	}
@@ -445,7 +445,7 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 		BlockID:          types.BlockID{Hash: types.Hash{9}},
 		ValidatorAddress: h.eng.nodes[0].addr,
 	}
-	forged.Signature = valkey.Derive("attacker", 0).Sign(types.VoteSignBytes("chain-a", forged))
+	forged.Signature = valkey.Derive("attacker", 0).Sign(types.AppendVoteSignBytes(nil, "chain-a", forged))
 	h.eng.onVote(receiver, forged)
 	if receiver.prevotes.count() != 0 {
 		t.Fatal("forged vote recorded")
@@ -459,7 +459,7 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 		Round:            0,
 		ValidatorAddress: stranger.Pub().Address(),
 	}
-	alien.Signature = stranger.Sign(types.VoteSignBytes("chain-a", alien))
+	alien.Signature = stranger.Sign(types.AppendVoteSignBytes(nil, "chain-a", alien))
 	h.eng.onVote(receiver, alien)
 	if receiver.prevotes.count() != 0 {
 		t.Fatal("stranger vote recorded")
@@ -475,7 +475,7 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 		BlockID:          types.BlockID{Hash: types.Hash{9}},
 		ValidatorAddress: val2.Pub().Address(),
 	}
-	later.Signature = val2.Sign(types.VoteSignBytes("chain-a", later))
+	later.Signature = val2.Sign(types.AppendVoteSignBytes(nil, "chain-a", later))
 	h.eng.onVote(receiver, later)
 	if receiver.prevotes.count() != 0 {
 		t.Fatal("round-1 vote recorded")
@@ -489,7 +489,7 @@ func TestCacheRejectsInjectedVotes(t *testing.T) {
 		BlockID:          types.BlockID{Hash: types.Hash{9}},
 		ValidatorAddress: val2.Pub().Address(),
 	}
-	good.Signature = val2.Sign(types.VoteSignBytes("chain-a", good))
+	good.Signature = val2.Sign(types.AppendVoteSignBytes(nil, "chain-a", good))
 	h.eng.onVote(receiver, good)
 	if receiver.prevotes.count() != 1 {
 		t.Fatal("valid vote not recorded")

@@ -152,12 +152,6 @@ func (s *Server) pageFactor(height int64) float64 {
 	return 1 + x*x
 }
 
-// Host reports the node's network address.
-func (s *Server) Host() netem.Host { return s.host }
-
-// Backlog reports the serial queue's current wait time (diagnostics).
-func (s *Server) Backlog() time.Duration { return s.serial.Backlog() }
-
 // BusyTime reports accumulated serial service time.
 func (s *Server) BusyTime() time.Duration { return s.serial.BusyTime() }
 
@@ -255,9 +249,6 @@ func (s *Server) QueryTxData(from netem.Host, hash types.Hash, cb func(*store.Tx
 
 // blockQueryCost is the tx_search service cost for one height: the
 // light-query floor plus the size-proportional pull cost of every tx.
-// QueryBlockTxs and QueryBlockEvents must charge identically — the
-// indexed query changes what the reply references, not what the
-// paper-calibrated service model costs.
 func (s *Server) blockQueryCost(height int64) time.Duration {
 	cost := simconf.StatusQueryCost
 	if infos, err := s.stor.TxsAtHeight(height); err == nil && s.txQueryCost != nil {
@@ -269,23 +260,11 @@ func (s *Server) blockQueryCost(height int64) time.Duration {
 	return cost
 }
 
-// QueryBlockTxs returns all transactions at a height (the paper's
-// tx_search --events tx.height=X), with size-proportional cost.
-func (s *Server) QueryBlockTxs(from netem.Host, height int64, cb func([]*store.TxInfo, error)) {
-	s.queries.Add(1)
-	request(s, from, func() time.Duration { return s.blockQueryCost(height) }, func() ([]*store.TxInfo, error) {
-		infos, err := s.stor.TxsAtHeight(height)
-		if err != nil {
-			return nil, ErrNotFound
-		}
-		return infos, nil
-	}, cb)
-}
-
-// QueryBlockEvents is QueryBlockTxs through the shared event index: the
-// wire/service cost is identical (the relayer still pays for the full
-// tx_search response), but the reply is the block's already-decoded
-// per-channel packet records instead of raw transactions to re-parse.
+// QueryBlockEvents is the relayer's block query (the paper's tx_search
+// --events tx.height=X). It costs the full tx_search response
+// (blockQueryCost), but the reply is the block's already-decoded
+// per-channel packet records from the shared event index, not raw
+// transactions to re-parse.
 func (s *Server) QueryBlockEvents(from netem.Host, height int64, cb func(*eventindex.BlockEvents, error)) {
 	s.queries.Add(1)
 	request(s, from, func() time.Duration { return s.blockQueryCost(height) }, func() (*eventindex.BlockEvents, error) {
@@ -308,14 +287,6 @@ func (s *Server) QueryAccountSequence(from netem.Host, account string, cb func(u
 			return 0, ErrNotFound
 		}
 		return s.accountSeq(account)
-	}, cb)
-}
-
-// QueryHeight reports the latest committed height (status query).
-func (s *Server) QueryHeight(from netem.Host, cb func(int64, error)) {
-	s.queries.Add(1)
-	request(s, from, flat(simconf.StatusQueryCost), func() (int64, error) {
-		return s.stor.Height(), nil
 	}, cb)
 }
 

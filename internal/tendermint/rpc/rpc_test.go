@@ -45,8 +45,8 @@ func newFixture(clientTimeout time.Duration) *fixture {
 		OneWayLatency:   100 * time.Millisecond,
 		LoopbackLatency: time.Millisecond,
 	})
-	stor := store.New("chain-a")
-	idx := eventindex.New("chain-a")
+	stor := store.New()
+	idx := eventindex.New()
 	pool := mempool.New(nil)
 	srv := New(sched, net, "chain-a/val0", clientTimeout, stor, pool,
 		func(t types.Tx) time.Duration {
@@ -188,59 +188,36 @@ func TestClientTimeoutUnderBacklog(t *testing.T) {
 
 func nil1(*store.TxInfo, error) {}
 
-func TestQueryBlockTxs(t *testing.T) {
-	f := newFixture(timeout)
-	commitBlock(f, 1, tx{id: "a", msgs: 1}, tx{id: "b", msgs: 2})
-	var infos []*store.TxInfo
-	f.server.QueryBlockTxs(f.client, 1, func(is []*store.TxInfo, err error) { infos = is })
-	if err := f.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 2 {
-		t.Fatalf("infos = %d", len(infos))
-	}
-	var missErr error
-	f.server.QueryBlockTxs(f.client, 9, func(_ []*store.TxInfo, err error) { missErr = err })
-	if err := f.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(missErr, ErrNotFound) {
-		t.Fatalf("missing block err = %v", missErr)
-	}
-}
-
-func TestQueryBlockEventsMatchesBlockTxsCost(t *testing.T) {
-	// The indexed query must serve the shared BlockEvents at exactly the
-	// tx_search service cost: same reply time as QueryBlockTxs.
+func TestQueryBlockEvents(t *testing.T) {
+	// The indexed query serves the shared BlockEvents at exactly the
+	// tx_search service cost: one network hop each way plus
+	// blockQueryCost.
 	f := newFixture(timeout)
 	commitBlock(f, 1, tx{id: "a", msgs: 3}, tx{id: "b", msgs: 2})
-	var atTxs time.Duration
-	f.server.QueryBlockTxs(f.client, 1, func([]*store.TxInfo, error) { atTxs = f.sched.Now() })
+	want := 2*100*time.Millisecond + f.server.blockQueryCost(1)
+	if want <= 2*100*time.Millisecond+simconf.StatusQueryCost {
+		t.Fatalf("blockQueryCost(1) = %v, want the per-tx pull cost on top of the floor", f.server.blockQueryCost(1))
+	}
+	var at time.Duration
+	var be *eventindex.BlockEvents
+	f.server.QueryBlockEvents(f.client, 1, func(b *eventindex.BlockEvents, err error) {
+		be, at = b, f.sched.Now()
+	})
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
-	f2 := newFixture(timeout)
-	commitBlock(f2, 1, tx{id: "a", msgs: 3}, tx{id: "b", msgs: 2})
-	var atEvents time.Duration
-	var be *eventindex.BlockEvents
-	f2.server.QueryBlockEvents(f2.client, 1, func(b *eventindex.BlockEvents, err error) {
-		be, atEvents = b, f2.sched.Now()
-	})
-	if err := f2.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if atEvents != atTxs {
-		t.Fatalf("QueryBlockEvents at %v, QueryBlockTxs at %v: costs diverged", atEvents, atTxs)
+	if at != want {
+		t.Fatalf("QueryBlockEvents replied at %v, want %v", at, want)
 	}
 	if be == nil || be.Height != 1 {
 		t.Fatalf("block events = %+v", be)
 	}
-	if be != f2.idx.At(1) {
+	if be != f.idx.At(1) {
 		t.Fatal("query did not serve the shared index instance")
 	}
 	var missErr error
-	f2.server.QueryBlockEvents(f2.client, 9, func(_ *eventindex.BlockEvents, err error) { missErr = err })
-	if err := f2.sched.Run(); err != nil {
+	f.server.QueryBlockEvents(f.client, 9, func(_ *eventindex.BlockEvents, err error) { missErr = err })
+	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(missErr, ErrNotFound) {
@@ -278,20 +255,6 @@ func TestQueryAccountSequence(t *testing.T) {
 	}
 	if seq != 7 {
 		t.Fatalf("seq = %d", seq)
-	}
-}
-
-func TestQueryHeight(t *testing.T) {
-	f := newFixture(timeout)
-	commitBlock(f, 1)
-	commitBlock(f, 2)
-	var h int64
-	f.server.QueryHeight(f.client, func(got int64, err error) { h = got })
-	if err := f.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if h != 2 {
-		t.Fatalf("height = %d", h)
 	}
 }
 

@@ -38,7 +38,6 @@ type CommittedBlock struct {
 // committed blocks themselves are immutable once appended.
 type Store struct {
 	mu      sync.RWMutex
-	chainID string
 	blocks  []*CommittedBlock // index 0 = height 1
 	txIndex map[types.Hash]*TxInfo
 	// txsByHeight caches each block's TxInfo slice (the same records the
@@ -47,16 +46,10 @@ type Store struct {
 	txsByHeight [][]*TxInfo
 }
 
-// New returns an empty store for the given chain.
-func New(chainID string) *Store {
-	return &Store{
-		chainID: chainID,
-		txIndex: make(map[types.Hash]*TxInfo),
-	}
+// New returns an empty store.
+func New() *Store {
+	return &Store{txIndex: make(map[types.Hash]*TxInfo)}
 }
-
-// ChainID reports the chain the store belongs to.
-func (s *Store) ChainID() string { return s.chainID }
 
 // Height reports the latest committed height (0 before the first block).
 func (s *Store) Height() int64 {

@@ -26,7 +26,7 @@ func block(height int64, txs ...types.Tx) *CommittedBlock {
 }
 
 func TestAppendAndLookup(t *testing.T) {
-	s := New("chain-a")
+	s := New()
 	if s.Height() != 0 {
 		t.Fatalf("initial height = %d", s.Height())
 	}
@@ -53,7 +53,7 @@ func TestAppendAndLookup(t *testing.T) {
 }
 
 func TestAppendRejectsGaps(t *testing.T) {
-	s := New("chain-a")
+	s := New()
 	if err := s.Append(block(2)); err == nil {
 		t.Fatal("accepted height gap")
 	}
@@ -66,7 +66,7 @@ func TestAppendRejectsGaps(t *testing.T) {
 }
 
 func TestAppendRejectsResultMismatch(t *testing.T) {
-	s := New("chain-a")
+	s := New()
 	cb := block(1, tx("a"))
 	cb.Results = nil
 	if err := s.Append(cb); err == nil {
@@ -75,7 +75,7 @@ func TestAppendRejectsResultMismatch(t *testing.T) {
 }
 
 func TestNotFound(t *testing.T) {
-	s := New("chain-a")
+	s := New()
 	if _, err := s.Block(1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
@@ -91,7 +91,7 @@ func TestNotFound(t *testing.T) {
 }
 
 func TestTxsAtHeight(t *testing.T) {
-	s := New("chain-a")
+	s := New()
 	var txs []types.Tx
 	for i := 0; i < 20; i++ {
 		txs = append(txs, tx(fmt.Sprintf("t%d", i)))

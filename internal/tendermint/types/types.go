@@ -1,6 +1,7 @@
 // Package types defines the Tendermint block structure described in §II-A
-// of the paper: Header, Data, Evidence and LastCommit fields, votes,
-// commits and validator sets.
+// of the paper: Header, Data and LastCommit fields, votes, commits and
+// validator sets. No run builds evidence of misbehaviour, so a block
+// carries none and its header's EvidenceHash is always zero.
 package types
 
 import (
@@ -106,14 +107,6 @@ func (h *Header) Hash() Hash {
 	return out
 }
 
-// Evidence is a proof of validator misbehaviour (empty in the absence of
-// misbehaviour; carried for structural fidelity and punished by the app).
-type Evidence struct {
-	ValidatorAddress valkey.Address
-	Height           int64
-	Kind             string
-}
-
 // CommitSig is one validator's entry in a block's LastCommit.
 type CommitSig struct {
 	Flag             BlockIDFlag
@@ -151,11 +144,11 @@ func (c *Commit) Hash() Hash {
 	return merkle.HashLeaves(leaves)
 }
 
-// Block is a Tendermint block (Fig. 1): Header, Data, Evidence, LastCommit.
+// Block is a Tendermint block (Fig. 1) without evidence: Header, Data,
+// LastCommit.
 type Block struct {
 	Header     Header
 	Data       []Tx
-	Evidence   []Evidence
 	LastCommit *Commit
 }
 
@@ -164,21 +157,6 @@ func DataHash(txs []Tx) Hash {
 	leaves := make([]merkle.Hash, len(txs))
 	for i, tx := range txs {
 		leaves[i] = tx.Hash()
-	}
-	return merkle.HashLeaves(leaves)
-}
-
-// EvidenceHash commits to the evidence list.
-func EvidenceHash(evs []Evidence) Hash {
-	leaves := make([]merkle.Hash, len(evs))
-	for i, ev := range evs {
-		h := sha256.New()
-		h.Write(ev.ValidatorAddress[:])
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(ev.Height))
-		h.Write(buf[:])
-		h.Write([]byte(ev.Kind))
-		copy(leaves[i][:], h.Sum(nil))
 	}
 	return merkle.HashLeaves(leaves)
 }
@@ -203,12 +181,8 @@ type Vote struct {
 	Signature        []byte
 }
 
-// VoteSignBytes produces the canonical bytes a validator signs for a vote.
-func VoteSignBytes(chainID string, v *Vote) []byte {
-	return AppendVoteSignBytes(make([]byte, 0, 64+len(chainID)), chainID, v)
-}
-
-// AppendVoteSignBytes appends the canonical vote sign bytes to dst and
+// AppendVoteSignBytes appends the canonical bytes a validator signs for a
+// vote to dst and
 // returns the extended slice. Hot paths (the consensus engine signs and
 // the shared vote-verification cache checks every gossiped vote) pass a
 // pooled buffer so per-vote encoding allocates nothing in steady state.
@@ -267,9 +241,6 @@ func NewValidatorSet(vals []*Validator) *ValidatorSet {
 // TotalPower reports the sum of voting power.
 func (vs *ValidatorSet) TotalPower() int64 { return vs.totalPower }
 
-// Size reports the number of validators.
-func (vs *ValidatorSet) Size() int { return len(vs.Validators) }
-
 // ByAddress looks a validator up; nil if absent.
 func (vs *ValidatorSet) ByAddress(a valkey.Address) *Validator {
 	return vs.byAddr[a]
@@ -311,16 +282,12 @@ var (
 // VerifyCommit checks that a commit carries valid signatures from more
 // than 2/3 of the validator set's voting power for the given block. This
 // is the check light clients perform when accepting counterparty headers.
-func (vs *ValidatorSet) VerifyCommit(chainID string, blockID BlockID, height int64, commit *Commit) error {
-	return vs.VerifyCommitCached(chainID, blockID, height, commit, nil)
-}
-
-// VerifyCommitCached is VerifyCommit with a batched fast path: commit
-// signatures already admitted through vv (the source chain's live vote
-// path) are not re-verified — a commit signature is byte-for-byte the
-// precommit vote the engine's shared cache admitted when it was signed.
-// A nil vv verifies every signature directly.
-func (vs *ValidatorSet) VerifyCommitCached(chainID string, blockID BlockID, height int64, commit *Commit, vv VoteVerifier) error {
+// Signatures go through vv (the source chain's live vote path), which
+// answers without re-verifying those it already admitted: a commit
+// signature is byte-for-byte the precommit vote the engine's shared cache
+// admitted when it was signed. A nil vv verifies every signature
+// directly.
+func (vs *ValidatorSet) VerifyCommit(chainID string, blockID BlockID, height int64, commit *Commit, vv VoteVerifier) error {
 	if commit == nil || commit.Height != height {
 		return ErrCommitHeightMismatch
 	}
@@ -349,7 +316,7 @@ func (vs *ValidatorSet) VerifyCommitCached(chainID string, blockID BlockID, heig
 		if vv != nil {
 			ok = vv.VerifyVote(chainID, &vote, val.PubKey)
 		} else {
-			ok = val.PubKey.Verify(VoteSignBytes(chainID, &vote), sig.Signature)
+			ok = val.PubKey.Verify(AppendVoteSignBytes(nil, chainID, &vote), sig.Signature)
 		}
 		if !ok {
 			return fmt.Errorf("types: invalid signature from %s", sig.ValidatorAddress)

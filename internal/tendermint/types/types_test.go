@@ -46,7 +46,7 @@ func signCommit(chainID string, vs *ValidatorSet, keys []*valkey.PrivKey, blockI
 				ValidatorAddress: v.Address,
 			}
 			sig.Flag = BlockIDFlagCommit
-			sig.Signature = keys[i].Sign(VoteSignBytes(chainID, vote))
+			sig.Signature = keys[i].Sign(AppendVoteSignBytes(nil, chainID, vote))
 		}
 		c.Signatures = append(c.Signatures, sig)
 	}
@@ -109,18 +109,18 @@ func TestVerifyCommitQuorum(t *testing.T) {
 
 	// 4 of 5 (80% > 2/3) passes.
 	c := signCommit(chainID, vs, keys, blockID, 7, 4)
-	if err := vs.VerifyCommit(chainID, blockID, 7, c); err != nil {
+	if err := vs.VerifyCommit(chainID, blockID, 7, c, nil); err != nil {
 		t.Fatalf("quorum commit rejected: %v", err)
 	}
 	// Exactly 2/3 does NOT pass (need strictly more).
 	vs3, keys3 := makeValSet(chainID, 3)
 	c3 := signCommit(chainID, vs3, keys3, blockID, 7, 2)
-	if err := vs3.VerifyCommit(chainID, blockID, 7, c3); err != ErrInsufficientPower {
+	if err := vs3.VerifyCommit(chainID, blockID, 7, c3, nil); err != ErrInsufficientPower {
 		t.Fatalf("2/3 exactly: err = %v, want ErrInsufficientPower", err)
 	}
 	// 3 of 5 fails.
 	c = signCommit(chainID, vs, keys, blockID, 7, 3)
-	if err := vs.VerifyCommit(chainID, blockID, 7, c); err != ErrInsufficientPower {
+	if err := vs.VerifyCommit(chainID, blockID, 7, c, nil); err != ErrInsufficientPower {
 		t.Fatalf("err = %v, want ErrInsufficientPower", err)
 	}
 }
@@ -132,29 +132,29 @@ func TestVerifyCommitRejectsForgery(t *testing.T) {
 	good := signCommit(chainID, vs, keys, blockID, 7, 4)
 
 	// Wrong height.
-	if err := vs.VerifyCommit(chainID, blockID, 8, good); err != ErrCommitHeightMismatch {
+	if err := vs.VerifyCommit(chainID, blockID, 8, good, nil); err != ErrCommitHeightMismatch {
 		t.Fatalf("wrong height: %v", err)
 	}
 	// Wrong block.
 	other := BlockID{Hash: sha256.Sum256([]byte("other"))}
-	if err := vs.VerifyCommit(chainID, other, 7, good); err != ErrCommitWrongBlockID {
+	if err := vs.VerifyCommit(chainID, other, 7, good, nil); err != ErrCommitWrongBlockID {
 		t.Fatalf("wrong block: %v", err)
 	}
 	// Commit signed for a different chain ID must not verify.
 	foreign := signCommit("chain-b", vs, keys, blockID, 7, 4)
-	if err := vs.VerifyCommit(chainID, blockID, 7, foreign); err == nil {
+	if err := vs.VerifyCommit(chainID, blockID, 7, foreign, nil); err == nil {
 		t.Fatal("cross-chain replayed commit accepted")
 	}
 	// Tampered signature.
 	bad := signCommit(chainID, vs, keys, blockID, 7, 4)
 	bad.Signatures[0].Signature[0] ^= 1
-	if err := vs.VerifyCommit(chainID, blockID, 7, bad); err == nil {
+	if err := vs.VerifyCommit(chainID, blockID, 7, bad, nil); err == nil {
 		t.Fatal("tampered signature accepted")
 	}
 	// Duplicate signatures must not double-count power.
 	dup := signCommit(chainID, vs, keys, blockID, 7, 3)
 	dup.Signatures = append(dup.Signatures, dup.Signatures[0], dup.Signatures[1])
-	if err := vs.VerifyCommit(chainID, blockID, 7, dup); err != ErrInsufficientPower {
+	if err := vs.VerifyCommit(chainID, blockID, 7, dup, nil); err != ErrInsufficientPower {
 		t.Fatalf("duplicated signatures inflated power: %v", err)
 	}
 	// Unknown validator signatures contribute nothing.
@@ -164,9 +164,9 @@ func TestVerifyCommitRejectsForgery(t *testing.T) {
 	sc.Signatures = append(sc.Signatures, CommitSig{
 		Flag:             BlockIDFlagCommit,
 		ValidatorAddress: stranger.Pub().Address(),
-		Signature:        stranger.Sign(VoteSignBytes(chainID, vote)),
+		Signature:        stranger.Sign(AppendVoteSignBytes(nil, chainID, vote)),
 	})
-	if err := vs.VerifyCommit(chainID, blockID, 7, sc); err != ErrInsufficientPower {
+	if err := vs.VerifyCommit(chainID, blockID, 7, sc, nil); err != ErrInsufficientPower {
 		t.Fatalf("stranger signature counted: %v", err)
 	}
 }
@@ -188,17 +188,6 @@ func TestCommitHash(t *testing.T) {
 	c2 := &Commit{Height: 1, Signatures: []CommitSig{{Flag: BlockIDFlagNil}}}
 	if c1.Hash() == c2.Hash() {
 		t.Fatal("commit hash insensitive to flags")
-	}
-}
-
-func TestEvidenceHash(t *testing.T) {
-	e1 := []Evidence{{Height: 1, Kind: "duplicate-vote"}}
-	e2 := []Evidence{{Height: 2, Kind: "duplicate-vote"}}
-	if EvidenceHash(e1) == EvidenceHash(e2) {
-		t.Fatal("evidence hash insensitive to height")
-	}
-	if EvidenceHash(nil) != EvidenceHash([]Evidence{}) {
-		t.Fatal("empty evidence hash unstable")
 	}
 }
 
@@ -224,7 +213,7 @@ func TestProposerEmptySet(t *testing.T) {
 	if vs.Proposer(1, 0) != nil {
 		t.Fatal("empty set returned a proposer")
 	}
-	if vs.TotalPower() != 0 || vs.Size() != 0 {
+	if vs.TotalPower() != 0 || len(vs.Validators) != 0 {
 		t.Fatal("empty set has power or size")
 	}
 }
@@ -246,7 +235,7 @@ func TestByAddress(t *testing.T) {
 func TestVoteSignBytesDistinct(t *testing.T) {
 	mk := func(tp SignedMsgType, h int64, r int32, id string, chain string) string {
 		v := &Vote{Type: tp, Height: h, Round: r, BlockID: BlockID{Hash: sha256.Sum256([]byte(id))}}
-		return string(VoteSignBytes(chain, v))
+		return string(AppendVoteSignBytes(nil, chain, v))
 	}
 	seen := map[string]string{}
 	cases := map[string]string{

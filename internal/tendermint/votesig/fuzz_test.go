@@ -39,7 +39,7 @@ func (m *eagerCache) verify(chain int, chainID string, v *types.Vote, pub valkey
 		}
 	}
 	m.verifications++
-	if !pub.Verify(types.VoteSignBytes(chainID, v), v.Signature) {
+	if !pub.Verify(types.AppendVoteSignBytes(nil, chainID, v), v.Signature) {
 		m.rejected++
 		return false
 	}
@@ -175,7 +175,7 @@ func FuzzVoteCache(f *testing.F) {
 				if castKeys[k] != nil {
 					continue
 				}
-				eager := key.Sign(types.VoteSignBytes(chainIDs[chain], v))
+				eager := key.Sign(types.AppendVoteSignBytes(nil, chainIDs[chain], v))
 				caches[chain].SignVote(key, v)
 				if v.Signature != nil {
 					t.Fatal("SignVote put bytes on the vote")
@@ -205,7 +205,7 @@ func FuzzVoteCache(f *testing.F) {
 				deliver(target, cv.chain, v, v, cv.key.Pub())
 			case 4:
 				victim, v := tuple(chain, arg)
-				v.Signature = keys[chain][(arg+1)&3].Sign(types.VoteSignBytes(chainIDs[chain], v))
+				v.Signature = keys[chain][(arg+1)&3].Sign(types.AppendVoteSignBytes(nil, chainIDs[chain], v))
 				deliver(target, chain, v, v, victim.Pub())
 			case 5:
 				key, v := tuple(chain, arg)
@@ -239,7 +239,7 @@ func FuzzVoteCache(f *testing.F) {
 				}
 				v := commitShaped(cv.v, sig)
 				got := caches[target].ReadOnly().VerifyVote(chainIDs[cv.chain], v, cv.key.Pub())
-				want := cv.key.Pub().Verify(types.VoteSignBytes(chainIDs[cv.chain], v), sig)
+				want := cv.key.Pub().Verify(types.AppendVoteSignBytes(nil, chainIDs[cv.chain], v), sig)
 				if got != want {
 					t.Fatalf("ReadOnly %d: VerifyVote(%+v) = %v, ed25519 %v", target, v, got, want)
 				}

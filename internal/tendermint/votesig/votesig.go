@@ -32,10 +32,10 @@
 // validator set, otherwise an admitted tuple could vouch for a key it was
 // never made with or checked against.
 //
-// The same engine backs the batched VerifyCommit fast path: a block's
+// The same engine backs light-client header verification: a block's
 // commit signatures are byte-for-byte the bytes Signature returned for
-// the precommits SignVote admitted, so light-client header verification
-// skips them too (types.ValidatorSet.VerifyCommitCached). The cross-chain
+// the precommits SignVote admitted, so types.ValidatorSet.VerifyCommit
+// skips them too when given this cache. The cross-chain
 // ReadOnly view never hits a vote without bytes.
 package votesig
 

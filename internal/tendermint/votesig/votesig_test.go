@@ -27,7 +27,7 @@ func unsignedVote(key *valkey.PrivKey, vt types.SignedMsgType, h int64, r int32,
 // make, which it must verify before admitting.
 func mkVote(key *valkey.PrivKey, vt types.SignedMsgType, h int64, r int32, id types.BlockID) *types.Vote {
 	v := unsignedVote(key, vt, h, r, id)
-	v.Signature = key.Sign(types.VoteSignBytes(chainID, v))
+	v.Signature = key.Sign(types.AppendVoteSignBytes(nil, chainID, v))
 	return v
 }
 
@@ -92,7 +92,7 @@ func TestForgedVoteRejected(t *testing.T) {
 		BlockID:          types.BlockID{Hash: types.Hash{2}},
 		ValidatorAddress: victim.Pub().Address(),
 	}
-	forged.Signature = attacker.Sign(types.VoteSignBytes(chainID, forged))
+	forged.Signature = attacker.Sign(types.AppendVoteSignBytes(nil, chainID, forged))
 	// The caller resolves the pubkey by the claimed address (the
 	// victim's), so the forgery fails and is never admitted.
 	if c.VerifyVote(chainID, forged, victim.Pub()) {
@@ -129,7 +129,7 @@ func TestForeignChainBypassesCache(t *testing.T) {
 		Type: types.PrevoteType, Height: 1, Round: 0,
 		ValidatorAddress: key.Pub().Address(),
 	}
-	v.Signature = key.Sign(types.VoteSignBytes("other-chain", v))
+	v.Signature = key.Sign(types.AppendVoteSignBytes(nil, "other-chain", v))
 	for i := 0; i < 2; i++ {
 		if !c.VerifyVote("other-chain", v, key.Pub()) {
 			t.Fatal("foreign-chain vote rejected")
@@ -197,7 +197,7 @@ func TestSignedTupleSurvivesBadSignatures(t *testing.T) {
 	// An attacker's signature over the same tuple, claiming the signer's
 	// address; the caller resolves the pubkey by that address.
 	forged := *v
-	forged.Signature = valkey.Derive(chainID, 9).Sign(types.VoteSignBytes(chainID, &forged))
+	forged.Signature = valkey.Derive(chainID, 9).Sign(types.AppendVoteSignBytes(nil, chainID, &forged))
 	if c.VerifyVote(chainID, &forged, key.Pub()) {
 		t.Fatal("attacker-signed vote accepted over a signed tuple")
 	}
@@ -287,7 +287,7 @@ func TestSignVoteSignaturesVerifyByConstruction(t *testing.T) {
 				for r := int32(0); r < 3; r++ {
 					for _, id := range []types.BlockID{{}, {Hash: types.Hash{byte(h), byte(r), 0xa5}}} {
 						v := signVote(c, key, vt, h*1000003, r, id)
-						if !key.Pub().Verify(types.VoteSignBytes(chainID, v), c.Signature(v)) {
+						if !key.Pub().Verify(types.AppendVoteSignBytes(nil, chainID, v), c.Signature(v)) {
 							t.Fatalf("signature for key %d type %d h %d r %d id %x does not verify", ki, vt, v.Height, r, id.Hash[:3])
 						}
 						n++
@@ -327,7 +327,7 @@ func TestVerifyCommitCachedSkipsAdmittedSignatures(t *testing.T) {
 	}
 	vs := types.NewValidatorSet(vals)
 	before := c.Stats().Verifications
-	if err := vs.VerifyCommitCached(chainID, blockID, 3, commit, c); err != nil {
+	if err := vs.VerifyCommit(chainID, blockID, 3, commit, c); err != nil {
 		t.Fatalf("cached commit verification failed: %v", err)
 	}
 	if after := c.Stats().Verifications; after != before {
@@ -339,12 +339,12 @@ func TestVerifyCommitCachedSkipsAdmittedSignatures(t *testing.T) {
 	bad.Signatures = append([]types.CommitSig(nil), commit.Signatures...)
 	bad.Signatures[2].Signature = append([]byte(nil), bad.Signatures[2].Signature...)
 	bad.Signatures[2].Signature[5] ^= 0x01
-	if err := vs.VerifyCommitCached(chainID, blockID, 3, bad, c); err == nil {
+	if err := vs.VerifyCommit(chainID, blockID, 3, bad, c); err == nil {
 		t.Fatal("tampered commit signature accepted through the fast path")
 	}
 
 	// An unregistered verifier (nil) still verifies the commit fully.
-	if err := vs.VerifyCommitCached(chainID, blockID, 3, commit, nil); err != nil {
+	if err := vs.VerifyCommit(chainID, blockID, 3, commit, nil); err != nil {
 		t.Fatalf("nil-verifier commit verification failed: %v", err)
 	}
 }
@@ -367,7 +367,7 @@ func TestSignatureSignsOnceOnDemand(t *testing.T) {
 		t.Fatalf("deliveries of an admitted vote: %+v, want 0 signed, 3 hits, 0 verifications", st)
 	}
 	sig := c.Signature(v)
-	if want := key.Sign(types.VoteSignBytes(chainID, v)); string(sig) != string(want) {
+	if want := key.Sign(types.AppendVoteSignBytes(nil, chainID, v)); string(sig) != string(want) {
 		t.Fatal("on-demand signature differs from an eager one")
 	}
 	if again := c.Signature(v); &again[0] != &sig[0] {

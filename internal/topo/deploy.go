@@ -432,9 +432,6 @@ func parallelLookahead(cfg DeployConfig) time.Duration {
 	return min
 }
 
-// Chain returns the deployed chain at node index i.
-func (d *Deployment) Chain(i int) *chain.Chain { return d.Chains[i] }
-
 // LinkBetween returns the deployed link between two node indices.
 func (d *Deployment) LinkBetween(a, b int) (*Link, bool) {
 	idx, ok := d.Topology.EdgeBetween(a, b)

@@ -41,7 +41,7 @@ func TestHubSharedScanSingleDecodePass(t *testing.T) {
 		if want == 0 || counts[metrics.StatusCompleted] != want {
 			t.Fatalf("edge %d: completion %v, want %d completed", l.Index, counts, want)
 		}
-		if got := l.Tracker.Tracked(); got != want {
+		if got := trackedPackets(l.Tracker); got != want {
 			t.Fatalf("edge %d tracked %d packets, want %d (cross-channel leakage?)",
 				l.Index, got, want)
 		}

@@ -9,19 +9,16 @@ import (
 	"ibcbench/internal/obs"
 )
 
-// asyncBeginIDs collects, per track name, the async trace IDs opened on
-// that track.
-func asyncBeginIDs(tr *obs.Tracer) map[string]map[uint64]bool {
-	out := map[string]map[uint64]bool{}
+// asyncBeginIDs collects the async trace IDs opened on the named track.
+// Interning is idempotent, so Track resolves the name to the ID the run
+// recorded under.
+func asyncBeginIDs(tr *obs.Tracer, track string) map[uint64]bool {
+	id := tr.Track(track)
+	out := map[uint64]bool{}
 	tr.Events(func(ev obs.Event) {
-		if ev.Phase != obs.PhaseAsyncBegin {
-			return
+		if ev.Phase == obs.PhaseAsyncBegin && ev.Track == id {
+			out[ev.ID] = true
 		}
-		track := tr.TrackName(ev.Track)
-		if out[track] == nil {
-			out[track] = map[uint64]bool{}
-		}
-		out[track][ev.ID] = true
 	})
 	return out
 }
@@ -49,9 +46,8 @@ func TestForwardedRouteSharedTraceID(t *testing.T) {
 	if res.RoutesCompleted != 1 {
 		t.Fatalf("route did not complete: %+v", res.Routes)
 	}
-	ids := asyncBeginIDs(o.Tracer)
-	origin := ids["chain/"+sc.Topology.ChainID(0)]
-	mid := ids["chain/"+sc.Topology.ChainID(1)]
+	origin := asyncBeginIDs(o.Tracer, "chain/"+sc.Topology.ChainID(0))
+	mid := asyncBeginIDs(o.Tracer, "chain/"+sc.Topology.ChainID(1))
 	if len(origin) != transfers {
 		t.Fatalf("origin chain opened %d traces, want %d", len(origin), transfers)
 	}
@@ -89,9 +85,8 @@ func TestForwardedTimeoutUnwindLinksOrigin(t *testing.T) {
 	if res.RoutesCompleted != 1 {
 		t.Fatal("unwound route never settled on the origin")
 	}
-	ids := asyncBeginIDs(o.Tracer)
-	origin := ids["chain/"+sc.Topology.ChainID(0)]
-	mid := ids["chain/"+sc.Topology.ChainID(1)]
+	origin := asyncBeginIDs(o.Tracer, "chain/"+sc.Topology.ChainID(0))
+	mid := asyncBeginIDs(o.Tracer, "chain/"+sc.Topology.ChainID(1))
 	if len(origin) != transfers {
 		t.Fatalf("origin chain opened %d traces, want %d", len(origin), transfers)
 	}

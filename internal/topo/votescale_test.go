@@ -10,7 +10,7 @@ func TestDeployValidatorsOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range d.Chains {
-		if got := c.Engine.ValidatorSet().Size(); got != 9 {
+		if got := len(c.Engine.ValidatorSet().Validators); got != 9 {
 			t.Fatalf("chain %d validator set size = %d, want 9", i, got)
 		}
 	}

@@ -61,8 +61,8 @@ func TestSubmitBatchCommits(t *testing.T) {
 		t.Fatalf("committed txs = %d, want 3", ok)
 	}
 	// Broadcast + confirmation recorded for every packet.
-	if tracker.Tracked() != 250 {
-		t.Fatalf("tracked = %d", tracker.Tracked())
+	if n := trackedPackets(tracker); n != 250 {
+		t.Fatalf("tracked = %d", n)
 	}
 	counts := tracker.CompletionCounts()
 	if counts[metrics.StatusInitiated] != 250 {
@@ -141,7 +141,14 @@ func TestPacketKeysFollowEventOrderAcrossChannels(t *testing.T) {
 	if got := g.PacketKeys(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("PacketKeys = %v, want %v", got, want)
 	}
-	if tracker.Tracked() != len(want) {
-		t.Fatalf("tracked = %d, want %d", tracker.Tracked(), len(want))
+	if n := trackedPackets(tracker); n != len(want) {
+		t.Fatalf("tracked = %d, want %d", n, len(want))
 	}
+}
+
+// trackedPackets counts the packets with any recorded step.
+func trackedPackets(tr *metrics.Tracker) int {
+	n := 0
+	tr.Walk(func(metrics.PacketKey, *metrics.Lifecycle) { n++ })
+	return n
 }
