@@ -58,19 +58,25 @@ bench:
 bench-test:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
-# The armed 0.1% virtual-metric gate (CI's "Virtual-metric regression
-# gate" step runs virt-gate) and the refresh of its baseline, one sweep
-# command line for both: virtual-clock results are deterministic per
-# seed, so the fresh file differs from the committed one only when
-# simulation behavior moved.
+# The armed 0.1% virtual-metric gates (CI's "Virtual-metric regression
+# gate" step runs virt-gate) and the refresh of their baselines, one
+# sweep command line per gate for both: virtual-clock results are
+# deterministic per seed, so a fresh file differs from the committed one
+# only when simulation behavior moved. The second gate is the failover
+# sweep on the 3wan region table, the one run of the CLI that places
+# hosts in regions.
 VIRT_SWEEP = $(GO) run ./cmd/ibcbench sweep -experiment topo -topology hub:3 -rate 5 -seeds 2 -windows 3
+VIRT_3WAN_SWEEP = $(GO) run ./cmd/ibcbench sweep -experiment failover -topology hub:3 -regions 3wan -rate 2 -seeds 1 -windows 2
 
 virt-gate:
 	$(VIRT_SWEEP) -out VIRT_ci.json
 	$(GO) run ./cmd/ibcbench diff VIRT_baseline.json VIRT_ci.json -fail-on-change 0.1
+	$(VIRT_3WAN_SWEEP) -out VIRT_3wan_ci.json
+	$(GO) run ./cmd/ibcbench diff VIRT_3wan_baseline.json VIRT_3wan_ci.json -fail-on-change 0.1
 
 rebaseline-virt:
 	$(VIRT_SWEEP) -out VIRT_baseline.json
+	$(VIRT_3WAN_SWEEP) -out VIRT_3wan_baseline.json
 
 # Refresh BENCH_baseline.json — the micro-benchmark trajectory. Mirrors
 # the CI bench job's "Hot-path benchmarks" step; run on a quiet machine.
@@ -102,7 +108,7 @@ reach:
 	set -e; export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; bin=$(REACH)/ibcbench; \
 	for w in bench/workloads/*.json; do $$bin run -scenario $$w -seed 11 -out $(REACH)/out.json >/dev/null; \
 		$(REACH)/bench -child -workload $$(basename $$w .json) -seed 11 -mode obs >/dev/null; done; \
-	for x in failover hub mesh pfmroute quickstart timeoutstorm; do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
+	for x in failover hub mesh pfmroute quickstart timeoutproofs timeoutstorm; do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
 	for s in internal/scenario/testdata/*.json; do $$bin run -scenario $$s >/dev/null; done; \
 	$$bin sweep -experiment all -transfers 500 -out $(REACH)/out.json >/dev/null; \
 	$$bin search -scenario internal/scenario/testdata/planted.json -budget 6 >/dev/null || true; \

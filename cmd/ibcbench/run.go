@@ -187,16 +187,16 @@ func runSuiteCmd(args []string, w io.Writer) error {
 		switch {
 		case v.err != nil:
 			failed++
-			fmt.Fprintf(w, "FAIL %-12s %v\n", names[i], v.err)
+			fmt.Fprintf(w, "FAIL %-13s %v\n", names[i], v.err)
 		case !v.rep.Passed():
 			failed++
-			fmt.Fprintf(w, "FAIL %-12s %d violation(s)\n", names[i], len(v.rep.Violations))
+			fmt.Fprintf(w, "FAIL %-13s %d violation(s)\n", names[i], len(v.rep.Violations))
 			for _, viol := range v.rep.Violations {
 				fmt.Fprintf(w, "     VIOLATION %s\n", viol)
 			}
 		default:
 			done := v.rep.Result.Total[metrics.StatusCompleted] + v.rep.Result.RoutesCompleted
-			fmt.Fprintf(w, "PASS %-12s %d assertion(s) held, %d transfer(s)/route(s) completed\n",
+			fmt.Fprintf(w, "PASS %-13s %d assertion(s) held, %d transfer(s)/route(s) completed\n",
 				names[i], len(v.rep.Assertions), done)
 		}
 	}

@@ -6,7 +6,8 @@
 // DropBurst, RelayerPause, RelayerResume — so a scenario's chaos
 // schedule is part of its configuration: the same seed and timeline
 // reproduce byte-identical results, and every applied fault is recorded
-// in a Log folded into the scenario result.
+// in a Log folded into the scenario result. A timeline is checked once,
+// by the scenario spec that declares it; the injector trusts it.
 package chaos
 
 import (
@@ -92,47 +93,9 @@ type Timeline struct {
 // Empty reports whether the timeline schedules nothing.
 func (t Timeline) Empty() bool { return len(t.Events) == 0 }
 
-// Validate checks every event against the target's edge/relayer counts.
-func (t Timeline) Validate(target Target) error {
-	for i, ev := range t.Events {
-		if ev.At < 0 {
-			return fmt.Errorf("chaos: event %d at negative time %v", i, ev.At)
-		}
-		if ev.Edge < 0 || ev.Edge >= target.Edges() {
-			return fmt.Errorf("chaos: event %d targets edge %d of %d", i, ev.Edge, target.Edges())
-		}
-		n := target.EdgeRelayers(ev.Edge)
-		switch ev.Kind {
-		case PartitionLink, HealLink:
-			if ev.Relayer >= n {
-				return fmt.Errorf("chaos: event %d targets relayer %d of %d on edge %d", i, ev.Relayer, n, ev.Edge)
-			}
-		case LatencySpike:
-			if ev.ExtraLatency < 0 {
-				return fmt.Errorf("chaos: event %d has negative latency spike", i)
-			}
-		case DropBurst:
-			if ev.ExtraDrop < 0 || ev.ExtraDrop > 1 {
-				return fmt.Errorf("chaos: event %d drop burst %.3f outside [0,1]", i, ev.ExtraDrop)
-			}
-		case RelayerPause, RelayerResume:
-			if ev.Relayer < 0 || ev.Relayer >= n {
-				return fmt.Errorf("chaos: event %d targets relayer %d of %d on edge %d", i, ev.Relayer, n, ev.Edge)
-			}
-		default:
-			return fmt.Errorf("chaos: event %d has unknown kind %d", i, int(ev.Kind))
-		}
-	}
-	return nil
-}
-
 // Target is the deployment surface a timeline drives. Implemented by
 // topo.Deployment.
 type Target interface {
-	// Edges reports the topology's edge count.
-	Edges() int
-	// EdgeRelayers reports the relayer count of one edge.
-	EdgeRelayers(edge int) int
 	// PartitionEdge severs edge paths (relayer < 0: the whole link;
 	// otherwise that relayer's host only). HealEdge reverses it;
 	// overlapping partitions compose, each heal undoing one fault.
@@ -165,13 +128,12 @@ type Injector struct {
 	log Log
 }
 
-// Inject validates the timeline and schedules every event. Events are
-// scheduled in (At, index) order before the simulation starts, so runs
-// are deterministic. The returned injector exposes the fault log.
-func Inject(sched *sim.Scheduler, target Target, tl Timeline) (*Injector, error) {
-	if err := tl.Validate(target); err != nil {
-		return nil, err
-	}
+// Inject schedules every event. Events are scheduled in (At, index)
+// order before the simulation starts, so runs are deterministic. The
+// timeline is trusted: scenario.Spec.Validate checked its times, edges,
+// relayer ordinals and magnitudes against the deployment it targets.
+// The returned injector exposes the fault log.
+func Inject(sched *sim.Scheduler, target Target, tl Timeline) *Injector {
 	events := append([]Event(nil), tl.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	in := &Injector{}
@@ -179,7 +141,7 @@ func Inject(sched *sim.Scheduler, target Target, tl Timeline) (*Injector, error)
 		ev := ev
 		sched.At(ev.At, func() { in.apply(target, ev) })
 	}
-	return in, nil
+	return in
 }
 
 func (in *Injector) apply(target Target, ev Event) {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,13 +11,9 @@ import (
 
 // fakeTarget records applied faults as strings.
 type fakeTarget struct {
-	edges    int
-	relayers int
-	log      []string
+	log []string
 }
 
-func (f *fakeTarget) Edges() int             { return f.edges }
-func (f *fakeTarget) EdgeRelayers(int) int   { return f.relayers }
 func (f *fakeTarget) PartitionEdge(e, r int) { f.log = append(f.log, fmt.Sprintf("part:%d/%d", e, r)) }
 func (f *fakeTarget) HealEdge(e, r int)      { f.log = append(f.log, fmt.Sprintf("heal:%d/%d", e, r)) }
 func (f *fakeTarget) SetEdgeExtraLatency(e int, lat time.Duration) {
@@ -30,34 +27,11 @@ func (f *fakeTarget) ResumeRelayer(e, r int) {
 	f.log = append(f.log, fmt.Sprintf("resume:%d/%d", e, r))
 }
 
-func TestValidateRejectsBadEvents(t *testing.T) {
-	target := &fakeTarget{edges: 2, relayers: 1}
-	bad := []Timeline{
-		{Events: []Event{{At: -time.Second, Kind: HealLink}}},
-		{Events: []Event{{Kind: PartitionLink, Edge: 2}}},
-		{Events: []Event{{Kind: PartitionLink, Edge: -1}}},
-		{Events: []Event{{Kind: RelayerPause, Edge: 0, Relayer: 1}}},
-		{Events: []Event{{Kind: RelayerPause, Edge: 0, Relayer: -1}}},
-		{Events: []Event{{Kind: PartitionLink, Edge: 0, Relayer: 5}}},
-		{Events: []Event{{Kind: DropBurst, Edge: 0, ExtraDrop: 1.5}}},
-		{Events: []Event{{Kind: LatencySpike, Edge: 0, ExtraLatency: -time.Second}}},
-		{Events: []Event{{Kind: Kind(99), Edge: 0}}},
-	}
-	for i, tl := range bad {
-		if err := tl.Validate(target); err == nil {
-			t.Fatalf("case %d: bad timeline accepted", i)
-		}
-		if _, err := Inject(sim.NewScheduler(), target, tl); err == nil {
-			t.Fatalf("case %d: bad timeline injected", i)
-		}
-	}
-}
-
 // TestInjectAppliesInTimeOrder: events fire at their virtual times in
 // (At, declaration) order regardless of declaration order, and the log
 // records each application.
 func TestInjectAppliesInTimeOrder(t *testing.T) {
-	target := &fakeTarget{edges: 2, relayers: 2}
+	target := &fakeTarget{}
 	tl := Timeline{Events: []Event{
 		{At: 30 * time.Second, Kind: HealLink, Edge: 0, Relayer: -1},
 		{At: 10 * time.Second, Kind: PartitionLink, Edge: 0, Relayer: -1},
@@ -67,10 +41,7 @@ func TestInjectAppliesInTimeOrder(t *testing.T) {
 		{At: 40 * time.Second, Kind: DropBurst, Edge: 1, ExtraDrop: 0.5},
 	}}
 	s := sim.NewScheduler()
-	inj, err := Inject(s, target, tl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := Inject(s, target, tl)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +76,25 @@ func TestInjectAppliesInTimeOrder(t *testing.T) {
 }
 
 func TestStandbyOrdinalAllowedForPartition(t *testing.T) {
-	// PartitionLink accepts relayer ordinals up to the target's count
-	// (the standby is the last ordinal) and -1 for the whole link.
-	target := &fakeTarget{edges: 1, relayers: 2}
+	// PartitionLink passes its relayer ordinal through: -1 for the whole
+	// link, the last ordinal for the standby, each logged by what it
+	// severed.
+	target := &fakeTarget{}
 	tl := Timeline{Events: []Event{
 		{Kind: PartitionLink, Edge: 0, Relayer: -1},
 		{Kind: PartitionLink, Edge: 0, Relayer: 1},
 	}}
-	if err := tl.Validate(target); err != nil {
+	s := sim.NewScheduler()
+	inj := Inject(s, target, tl)
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if got := strings.Join(target.log, " "); got != "part:0/-1 part:0/1" {
+		t.Fatalf("applied %s", got)
+	}
+	log := inj.Log().Applied
+	if log[0].Desc != "partition edge 0 (whole link)" || log[1].Desc != "partition edge 0 (relayer 1 host)" {
+		t.Fatalf("descriptions %q / %q", log[0].Desc, log[1].Desc)
 	}
 }
 

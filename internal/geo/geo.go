@@ -1,14 +1,15 @@
-// Package geo is the region model for geo-distributed deployments: named
-// regions connected by an inter-region one-way latency/jitter/drop
-// matrix, and a host→region assignment that installs each placed host's
-// netem link overrides to every host placed before it.
+// Package geo is the region model for geo-distributed deployments: a
+// latency table over named regions, and a host→region assignment that
+// installs each placed host's one-way latencies to every host placed
+// before it as netem link latencies.
 //
 // The paper's testbed enforces one uniform 200 ms RTT between all
 // machines (§III-C); real interchain deployments span continents, so
 // chains, validators and relayers placed in different regions should see
 // heterogeneous paths. The one preset, ThreeRegionWAN, spans eu-west,
 // us-east and ap-south with asymmetric paths; no model at all is the
-// paper's uniform testbed.
+// paper's uniform testbed. A table sets latency only: jitter and drop
+// stay the network config's on every path.
 package geo
 
 import (
@@ -22,55 +23,14 @@ import (
 // Region names one deployment region.
 type Region string
 
-// Path describes one directed inter-region path. Jitter/Drop semantics
-// follow netem.Profile: negative values inherit the network config.
-type Path struct {
-	OneWay time.Duration
-	Jitter float64
-	Drop   float64
-}
-
-// Model is a set of regions plus the directed path matrix between them.
+// Model is a region latency table.
 type Model struct {
 	Name    string
 	Regions []Region
-	// Intra is the path between distinct hosts of the same region
-	// (typically LAN-like).
-	Intra Path
-	// paths maps directed region pairs; both directions must be present
-	// for every distinct pair (asymmetric matrices are allowed).
-	paths map[[2]Region]Path
-}
-
-// NewModel starts an empty model with the given intra-region path.
-func NewModel(name string, intra Path) *Model {
-	return &Model{Name: name, Intra: intra, paths: make(map[[2]Region]Path)}
-}
-
-// AddRegion appends a region (idempotent).
-func (m *Model) AddRegion(r Region) {
-	for _, have := range m.Regions {
-		if have == r {
-			return
-		}
-	}
-	m.Regions = append(m.Regions, r)
-}
-
-// SetPath sets the directed path a -> b.
-func (m *Model) SetPath(a, b Region, p Path) {
-	m.AddRegion(a)
-	m.AddRegion(b)
-	m.paths[[2]Region{a, b}] = p
-}
-
-// Path resolves the directed path between two regions (a == b → Intra).
-func (m *Model) Path(a, b Region) (Path, bool) {
-	if a == b {
-		return m.Intra, true
-	}
-	p, ok := m.paths[[2]Region{a, b}]
-	return p, ok
+	// OneWay[i][j] is the one-way latency from a host in Regions[i] to a
+	// host in Regions[j]. The diagonal is the path between distinct
+	// hosts of one region.
+	OneWay [][]time.Duration
 }
 
 // RegionAt returns region i modulo the region count, the round-robin
@@ -79,47 +39,31 @@ func (m *Model) RegionAt(i int) Region {
 	return m.Regions[i%len(m.Regions)]
 }
 
-// Validate checks the matrix is complete: at least one region, and every
-// ordered pair of distinct regions has a path.
-func (m *Model) Validate() error {
-	if len(m.Regions) == 0 {
-		return fmt.Errorf("geo: model %q has no regions", m.Name)
-	}
-	for _, a := range m.Regions {
-		for _, b := range m.Regions {
-			if a == b {
-				continue
-			}
-			if _, ok := m.paths[[2]Region{a, b}]; !ok {
-				return fmt.Errorf("geo: model %q missing path %s -> %s", m.Name, a, b)
-			}
+// index resolves a region of the table to its row.
+func (m *Model) index(r Region) int {
+	for i, have := range m.Regions {
+		if have == r {
+			return i
 		}
 	}
-	return nil
-}
-
-// --- presets -----------------------------------------------------------------
-
-// lanIntra is the within-region path of the preset, matching the
-// paper's "<0.5 ms" LAN observation.
-func lanIntra() Path {
-	return Path{OneWay: 200 * time.Microsecond, Jitter: -1, Drop: -1}
+	panic(fmt.Sprintf("geo: region %q is not in model %q", r, m.Name))
 }
 
 // ThreeRegionWAN models a three-continent deployment with asymmetric
 // one-way paths (routing asymmetry makes real one-way latencies differ
-// by direction).
+// by direction). Within a region, hosts sit on a LAN, matching the
+// paper's "<0.5 ms" observation.
 func ThreeRegionWAN() *Model {
-	m := NewModel("3wan", lanIntra())
-	const eu, us, ap = Region("eu-west"), Region("us-east"), Region("ap-south")
-	set := func(a, b Region, fwd, rev time.Duration) {
-		m.SetPath(a, b, Path{OneWay: fwd, Jitter: -1, Drop: -1})
-		m.SetPath(b, a, Path{OneWay: rev, Jitter: -1, Drop: -1})
+	const lan, ms = 200 * time.Microsecond, time.Millisecond
+	return &Model{
+		Name:    "3wan",
+		Regions: []Region{"eu-west", "us-east", "ap-south"},
+		OneWay: [][]time.Duration{
+			{lan, 40 * ms, 90 * ms},
+			{45 * ms, lan, 110 * ms},
+			{95 * ms, 115 * ms, lan},
+		},
 	}
-	set(eu, us, 40*time.Millisecond, 45*time.Millisecond)
-	set(eu, ap, 90*time.Millisecond, 95*time.Millisecond)
-	set(us, ap, 110*time.Millisecond, 115*time.Millisecond)
-	return m
 }
 
 // ParseSpec parses a CLI region preset: "3wan" (three-region WAN). Empty
@@ -135,51 +79,36 @@ func ParseSpec(s string) (*Model, error) {
 	}
 }
 
-// --- assignment --------------------------------------------------------------
-
-// Assignment maps hosts to a model's regions and installs per-host-pair
-// netem overrides as hosts are placed.
+// Assignment places hosts in a model's regions, one deployment's worth.
 type Assignment struct {
-	model      *Model
-	hostRegion map[netem.Host]Region
+	Model  *Model
+	placed []placement
 }
 
-// NewAssignment validates the model and returns an empty assignment.
-func NewAssignment(m *Model) (*Assignment, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &Assignment{model: m, hostRegion: make(map[netem.Host]Region)}, nil
+type placement struct {
+	host   netem.Host
+	region int
 }
 
-// Place assigns a host to a region.
-func (a *Assignment) Place(h netem.Host, r Region) error {
-	for _, have := range a.model.Regions {
-		if have == r {
-			a.hostRegion[h] = r
-			return nil
-		}
-	}
-	return fmt.Errorf("geo: placing %s in unknown region %q", h, r)
+// NewAssignment returns an empty assignment over the model.
+func NewAssignment(m *Model) *Assignment {
+	return &Assignment{Model: m}
 }
 
-// PlaceAndApply places one host and installs the paths in both
-// directions between it and every host already placed (same-region pairs
-// get Intra). Placing every host this way covers every ordered pair.
-func (a *Assignment) PlaceAndApply(n *netem.Network, h netem.Host, r Region) error {
-	if err := a.Place(h, r); err != nil {
-		return err
-	}
-	for other, or := range a.hostRegion {
-		if other == h {
-			continue
-		}
-		if p, ok := a.model.Path(r, or); ok {
-			n.SetLinkProfile(h, other, netem.Profile{OneWay: p.OneWay, Jitter: p.Jitter, Drop: p.Drop})
-		}
-		if p, ok := a.model.Path(or, r); ok {
-			n.SetLinkProfile(other, h, netem.Profile{OneWay: p.OneWay, Jitter: p.Jitter, Drop: p.Drop})
+// Place puts h in region r and installs the table's latencies in both
+// directions between h and every host placed before it. Placing every
+// host this way covers every ordered pair; placing a host again is a
+// no-op.
+func (a *Assignment) Place(n *netem.Network, h netem.Host, r Region) {
+	for _, p := range a.placed {
+		if p.host == h {
+			return
 		}
 	}
-	return nil
+	ri := a.Model.index(r)
+	for _, p := range a.placed {
+		n.SetLinkLatency(h, p.host, a.Model.OneWay[ri][p.region])
+		n.SetLinkLatency(p.host, h, a.Model.OneWay[p.region][ri])
+	}
+	a.placed = append(a.placed, placement{h, ri})
 }

@@ -8,41 +8,32 @@ import (
 	"ibcbench/internal/sim"
 )
 
-func TestPresetsValidate(t *testing.T) {
-	if m := ThreeRegionWAN(); m.Validate() != nil {
-		t.Fatalf("%s invalid: %v", m.Name, m.Validate())
-	}
+// latency reads the table by region name.
+func latency(m *Model, from, to Region) time.Duration {
+	return m.OneWay[m.index(from)][m.index(to)]
 }
 
 func TestThreeRegionWANAsymmetric(t *testing.T) {
 	m := ThreeRegionWAN()
-	fwd, ok := m.Path("eu-west", "us-east")
-	if !ok {
-		t.Fatal("missing eu->us path")
+	fwd, rev := latency(m, "eu-west", "us-east"), latency(m, "us-east", "eu-west")
+	if fwd == rev {
+		t.Fatalf("matrix not asymmetric: both directions %v", fwd)
 	}
-	rev, ok := m.Path("us-east", "eu-west")
-	if !ok {
-		t.Fatal("missing us->eu path")
+	if fwd != 40*time.Millisecond || rev != 45*time.Millisecond {
+		t.Fatalf("eu<->us paths = %v / %v", fwd, rev)
 	}
-	if fwd.OneWay == rev.OneWay {
-		t.Fatalf("matrix not asymmetric: both directions %v", fwd.OneWay)
+	// The table is square over the regions, with the LAN path on the
+	// diagonal.
+	for i, row := range m.OneWay {
+		if len(row) != len(m.Regions) {
+			t.Fatalf("row %d has %d entries for %d regions", i, len(row), len(m.Regions))
+		}
+		if row[i] != 200*time.Microsecond {
+			t.Fatalf("%s intra-region latency %v", m.Regions[i], row[i])
+		}
 	}
-	if fwd.OneWay != 40*time.Millisecond || rev.OneWay != 45*time.Millisecond {
-		t.Fatalf("eu<->us paths = %v / %v", fwd.OneWay, rev.OneWay)
-	}
-}
-
-func TestValidateRejectsIncompleteMatrix(t *testing.T) {
-	m := NewModel("partial", lanIntra())
-	m.AddRegion("a")
-	m.AddRegion("b")
-	m.SetPath("a", "b", Path{OneWay: time.Millisecond})
-	// b -> a missing.
-	if err := m.Validate(); err == nil {
-		t.Fatal("incomplete matrix accepted")
-	}
-	if _, err := NewAssignment(m); err == nil {
-		t.Fatal("assignment over incomplete matrix accepted")
+	if len(m.OneWay) != len(m.Regions) {
+		t.Fatalf("%d rows for %d regions", len(m.OneWay), len(m.Regions))
 	}
 }
 
@@ -72,36 +63,30 @@ func TestParseSpec(t *testing.T) {
 }
 
 // TestCompileCompleteness: placing hosts one by one installs every
-// ordered pair of distinct hosts, with the matrix path for cross-region
-// pairs and Intra for same-region pairs.
+// ordered pair of distinct hosts, with the table's cross-region entry
+// or its within-region diagonal.
 func TestCompileCompleteness(t *testing.T) {
 	m := ThreeRegionWAN()
-	a, err := NewAssignment(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewAssignment(m)
 	n := netem.New(sim.NewScheduler(), sim.NewRNG(1), netem.DefaultWAN())
 	hosts := []netem.Host{"eu/val0", "eu/val1", "us/val0", "ap/val0"}
 	regions := []Region{"eu-west", "eu-west", "us-east", "ap-south"}
 	for i, h := range hosts {
-		if err := a.PlaceAndApply(n, h, regions[i]); err != nil {
-			t.Fatal(err)
-		}
+		a.Place(n, h, regions[i])
 	}
 	for i, from := range hosts {
 		for j, to := range hosts {
 			if i == j {
 				continue
 			}
-			want, _ := m.Path(regions[i], regions[j])
-			if got := n.Latency(from, to); got != want.OneWay {
-				t.Fatalf("%s -> %s latency %v, want %v", from, to, got, want.OneWay)
+			if got, want := n.Latency(from, to), latency(m, regions[i], regions[j]); got != want {
+				t.Fatalf("%s -> %s latency %v, want %v", from, to, got, want)
 			}
 		}
 	}
 	// Spot-check the intra path and both directions of one cross pair.
-	if got := n.Latency("eu/val1", "eu/val0"); got != m.Intra.OneWay {
-		t.Fatalf("intra-region pair got %v, want %v", got, m.Intra.OneWay)
+	if got := n.Latency("eu/val1", "eu/val0"); got != 200*time.Microsecond {
+		t.Fatalf("intra-region pair got %v", got)
 	}
 	if got := n.Latency("eu/val0", "us/val0"); got != 40*time.Millisecond {
 		t.Fatalf("eu->us pair got %v", got)
@@ -109,22 +94,23 @@ func TestCompileCompleteness(t *testing.T) {
 	if got := n.Latency("us/val0", "eu/val0"); got != 45*time.Millisecond {
 		t.Fatalf("us->eu pair got %v", got)
 	}
+	// Placing a host again leaves its pairs, and its own loopback, as
+	// they were.
+	a.Place(n, "eu/val0", "eu-west")
+	if got := n.Latency("eu/val0", "eu/val0"); got != netem.DefaultWAN().LoopbackLatency {
+		t.Fatalf("re-placed host's loopback latency %v", got)
+	}
+	if got := n.Latency("ap/val0", "eu/val0"); got != 95*time.Millisecond {
+		t.Fatalf("ap->eu pair after re-placing got %v", got)
+	}
 }
 
 func TestApplyAsymmetricOnNetwork(t *testing.T) {
 	s := sim.NewScheduler()
 	n := netem.New(s, sim.NewRNG(1), netem.DefaultWAN())
-	a, err := NewAssignment(ThreeRegionWAN())
-	if err != nil {
-		t.Fatal(err)
-	}
-	must := func(e error) {
-		if e != nil {
-			t.Fatal(e)
-		}
-	}
-	must(a.PlaceAndApply(n, "h-eu", "eu-west"))
-	must(a.PlaceAndApply(n, "h-us", "us-east"))
+	a := NewAssignment(ThreeRegionWAN())
+	a.Place(n, "h-eu", "eu-west")
+	a.Place(n, "h-us", "us-east")
 	if got := n.Latency("h-eu", "h-us"); got != 40*time.Millisecond {
 		t.Fatalf("eu->us latency %v", got)
 	}
@@ -132,7 +118,7 @@ func TestApplyAsymmetricOnNetwork(t *testing.T) {
 		t.Fatalf("us->eu latency %v", got)
 	}
 	// A third host joins ap-south: pairs in both directions appear.
-	must(a.PlaceAndApply(n, "h-late", "ap-south"))
+	a.Place(n, "h-late", "ap-south")
 	if got := n.Latency("h-late", "h-eu"); got != 95*time.Millisecond {
 		t.Fatalf("ap->eu latency %v", got)
 	}
@@ -142,15 +128,5 @@ func TestApplyAsymmetricOnNetwork(t *testing.T) {
 	// Unassigned hosts keep the config default.
 	if got := n.Latency("h-eu", "stranger"); got != 100*time.Millisecond {
 		t.Fatalf("unassigned pair latency %v", got)
-	}
-}
-
-func TestPlaceRejectsUnknownRegion(t *testing.T) {
-	a, err := NewAssignment(ThreeRegionWAN())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Place("h", "atlantis"); err == nil {
-		t.Fatal("unknown region accepted")
 	}
 }

@@ -8,10 +8,11 @@
 // processes on the same host are delivered with loopback latency.
 //
 // Beyond the paper's uniform matrix, individual directed host pairs can
-// carry their own Profile (latency, jitter, drop) — the compilation
-// target of the geo region model — plus a transient overlay (extra
-// latency / extra drop) used by chaos fault injection for latency spikes
-// and drop bursts, and a partition flag severing the pair entirely.
+// carry their own base latency — the geo region table, installed host
+// pair by host pair — plus a transient overlay (extra latency / extra
+// drop) used by chaos fault injection for latency spikes and drop
+// bursts, and a partition flag severing the pair entirely. Jitter and
+// drop rate are the Config's on every pair.
 package netem
 
 import (
@@ -63,27 +64,12 @@ func DefaultLAN() Config {
 	}
 }
 
-// Profile describes one directed host pair's path characteristics.
-// Negative Jitter/Drop inherit the network Config's values.
-type Profile struct {
-	// OneWay is the base one-way latency of the path.
-	OneWay time.Duration
-	// Jitter is the relative standard deviation per delivery (<0 inherits
-	// the Config default).
-	Jitter float64
-	// Drop is the loss probability on the path (<0 inherits the Config
-	// default).
-	Drop float64
-}
-
-// linkState is the resolved per-pair state: the base profile merged with
-// any chaos overlay and the partition flag. One struct — and therefore
-// one map lookup — covers everything Send needs to know about a pair.
+// linkState is the resolved per-pair state: the base latency, any chaos
+// overlay and the partition flag. One struct — and therefore one map
+// lookup — covers everything Send needs to know about a pair.
 type linkState struct {
-	hasProfile bool
+	hasLatency bool
 	latency    time.Duration
-	jitter     float64
-	drop       float64
 
 	// Chaos overlays: transient additive latency and drop, settable
 	// independently so a latency spike and a drop burst on the same pair
@@ -128,7 +114,7 @@ type Network struct {
 	// linkMu guards links: Send and Latency only read (link mutation is
 	// confined to deploy time and quiesced chaos barriers).
 	linkMu sync.RWMutex
-	// links holds per-directed-pair overrides (profiles, overlays,
+	// links holds per-directed-pair overrides (latencies, overlays,
 	// partitions). The hot path consults it with a single lookup, skipped
 	// entirely while the map is empty.
 	links map[linkKey]*linkState
@@ -205,26 +191,19 @@ func (n *Network) state(from, to Host) *linkState {
 // dropState removes a pair's entry when it no longer overrides anything,
 // keeping the empty-map fast path available after heals/clears.
 func (n *Network) dropState(from, to Host, st *linkState) {
-	if !st.hasProfile && st.partitioned == 0 && st.extraLatency == 0 && st.extraDrop == 0 {
+	if !st.hasLatency && st.partitioned == 0 && st.extraLatency == 0 && st.extraDrop == 0 {
 		delete(n.links, linkKey{from, to})
 	}
 }
 
-// SetLinkProfile overrides the directed path from one host to another.
-func (n *Network) SetLinkProfile(from, to Host, p Profile) {
+// SetLinkLatency overrides the base one-way latency from one host to
+// another.
+func (n *Network) SetLinkLatency(from, to Host, d time.Duration) {
 	n.linkMu.Lock()
 	defer n.linkMu.Unlock()
 	st := n.state(from, to)
-	st.hasProfile = true
-	st.latency = p.OneWay
-	st.jitter = p.Jitter
-	if p.Jitter < 0 {
-		st.jitter = n.cfg.JitterRelStd
-	}
-	st.drop = p.Drop
-	if p.Drop < 0 {
-		st.drop = n.cfg.DropRate
-	}
+	st.hasLatency = true
+	st.latency = d
 }
 
 // SetLinkExtraLatency sets the latency component of a directed pair's
@@ -292,7 +271,7 @@ func (n *Network) Latency(from, to Host) time.Duration {
 	n.linkMu.RLock()
 	defer n.linkMu.RUnlock()
 	if st, ok := n.links[linkKey{from, to}]; ok {
-		if st.hasProfile {
+		if st.hasLatency {
 			return st.latency + st.extraLatency
 		}
 		if from == to {
@@ -317,12 +296,11 @@ func (n *Network) Latency(from, to Host) time.Duration {
 func (n *Network) Send(from, to Host, fn func()) {
 	n.sent.Add(1)
 	base := n.cfg.OneWayLatency
-	jitter := n.cfg.JitterRelStd
 	drop := n.cfg.DropRate
 	if from == to {
 		base = n.cfg.LoopbackLatency
 	}
-	// One lookup resolves profile, overlay and partition together.
+	// One lookup resolves latency, overlay and partition together.
 	n.linkMu.RLock()
 	if len(n.links) > 0 {
 		if st, ok := n.links[linkKey{from, to}]; ok {
@@ -331,8 +309,8 @@ func (n *Network) Send(from, to Host, fn func()) {
 				n.dropped.Add(1)
 				return
 			}
-			if st.hasProfile {
-				base, jitter, drop = st.latency, st.jitter, st.drop
+			if st.hasLatency {
+				base = st.latency
 			}
 			base += st.extraLatency
 			drop += st.extraDrop
@@ -344,7 +322,7 @@ func (n *Network) Send(from, to Host, fn func()) {
 		n.dropped.Add(1)
 		return
 	}
-	d := time.Duration(rng.Jitter(float64(base), jitter))
+	d := time.Duration(rng.Jitter(float64(base), n.cfg.JitterRelStd))
 	if n.parts == nil {
 		n.sched.After(d, fn)
 		return
@@ -362,32 +340,34 @@ func (n *Network) Send(from, to Host, fn func()) {
 
 // MinCrossPartitionLatency reports a lower bound on the jittered
 // delivery latency of every cross-partition send: the minimum over the
-// network default and all cross-partition link profiles of
+// network default and all cross-partition link latencies of
 // base·(1−4·jitter) — sim.RNG.Jitter truncates at ±4σ, and chaos
 // overlays only ever add latency. A non-positive bound means the
 // deployment has no usable lookahead (parallel runs must fall back to
 // serial). partOf resolves a host to its partition slot.
 func (n *Network) MinCrossPartitionLatency(partOf func(string) int) time.Duration {
-	eff := func(base time.Duration, jitter float64) time.Duration {
-		if jitter <= 0 {
-			return base
-		}
-		return time.Duration(float64(base) * (1 - 4*jitter))
-	}
 	// Pairs without an override use the config default; include it
 	// unconditionally since future hosts may appear on default links.
-	min := eff(n.cfg.OneWayLatency, n.cfg.JitterRelStd)
+	min := n.cfg.OneWayLatency
 	n.linkMu.RLock()
 	defer n.linkMu.RUnlock()
+	// order-free: a minimum
 	for k, st := range n.links {
-		if !st.hasProfile || partOf(string(k.from)) == partOf(string(k.to)) {
-			continue
-		}
-		if e := eff(st.latency, st.jitter); e < min {
-			min = e
+		if st.hasLatency && st.latency < min && partOf(string(k.from)) != partOf(string(k.to)) {
+			min = st.latency
 		}
 	}
-	return min
+	return n.cfg.MinJittered(min)
+}
+
+// MinJittered is the least delivery latency a send over a base latency
+// can draw: base·(1−4·JitterRelStd), since sim.RNG.Jitter truncates at
+// ±4σ.
+func (c Config) MinJittered(base time.Duration) time.Duration {
+	if c.JitterRelStd <= 0 {
+		return base
+	}
+	return time.Duration(float64(base) * (1 - 4*c.JitterRelStd))
 }
 
 // String summarizes the network configuration.

@@ -42,7 +42,7 @@ func TestLoopback(t *testing.T) {
 func TestLinkOverride(t *testing.T) {
 	cfg := Config{OneWayLatency: 100 * time.Millisecond}
 	s, n := newNet(cfg)
-	n.SetLinkProfile("a", "b", Profile{OneWay: 5 * time.Millisecond, Jitter: -1, Drop: -1})
+	n.SetLinkLatency("a", "b", 5*time.Millisecond)
 	var at time.Duration
 	n.Send("a", "b", func() { at = s.Now() })
 	var back time.Duration
@@ -123,21 +123,18 @@ func TestJitterVariesDelivery(t *testing.T) {
 	}
 }
 
-func TestLinkProfileOverridesJitterAndDrop(t *testing.T) {
-	cfg := Config{OneWayLatency: 100 * time.Millisecond, JitterRelStd: 0}
-	s, n := newNet(cfg)
-	n.SetLinkProfile("a", "b", Profile{OneWay: 10 * time.Millisecond, Jitter: 0, Drop: 1})
+// TestLinkLatencyKeepsConfigDrop: an overridden pair changes latency
+// only; the config's drop rate still applies to it.
+func TestLinkLatencyKeepsConfigDrop(t *testing.T) {
+	s, n := newNet(Config{OneWayLatency: 100 * time.Millisecond, DropRate: 1})
+	n.SetLinkLatency("a", "b", 10*time.Millisecond)
 	delivered := 0
-	n.Send("a", "b", func() { delivered++ }) // dropped: per-link Drop=1
-	n.Send("b", "a", func() { delivered++ }) // default path
+	n.Send("a", "b", func() { delivered++ })
 	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if delivered != 1 {
-		t.Fatalf("delivered %d, want 1 (a->b drops at rate 1)", delivered)
-	}
-	if n.Dropped() != 1 {
-		t.Fatalf("dropped = %d", n.Dropped())
+	if delivered != 0 || n.Dropped() != 1 {
+		t.Fatalf("delivered %d, dropped %d; the config drops every send", delivered, n.Dropped())
 	}
 }
 
@@ -305,13 +302,13 @@ func BenchmarkNetemSend(b *testing.B) {
 	})
 	b.Run("with-profile", func(b *testing.B) {
 		bench(b, func(n *Network) {
-			n.SetLinkProfile("a", "b", Profile{OneWay: 40 * time.Millisecond, Jitter: -1, Drop: -1})
+			n.SetLinkLatency("a", "b", 40*time.Millisecond)
 		})
 	})
 	b.Run("other-pairs-overridden", func(b *testing.B) {
 		bench(b, func(n *Network) {
 			for i := 0; i < 64; i++ {
-				n.SetLinkProfile(Host(fmt.Sprintf("x%d", i)), "y", Profile{OneWay: 5 * time.Millisecond, Jitter: -1, Drop: -1})
+				n.SetLinkLatency(Host(fmt.Sprintf("x%d", i)), "y", 5*time.Millisecond)
 			}
 		})
 	})

@@ -111,4 +111,22 @@ var builtins = []Entry{
 			SettleBlocks: 24,
 		},
 	},
+
+	// The same storm under full proofs: every hop timeout's MsgTimeout
+	// carries a non-membership proof of the destination receipt, the leg
+	// no proof-free run reaches.
+	{
+		Desc:  "timeoutstorm under full Merkle proofs (non-membership timeout proofs)",
+		Short: true,
+		Spec: Spec{
+			Name:     "timeoutproofs",
+			Topology: TopologySpec{Preset: "line:3"},
+			Deploy:   DeploySpec{FullProofs: true},
+			Workload: WorkloadSpec{Routes: []RouteSpec{
+				{Path: []int{0, 1, 2}, Transfers: 3, Forwarded: true, TimeoutBlocks: 1},
+			}},
+			Seed:         7,
+			SettleBlocks: 24,
+		},
+	},
 }

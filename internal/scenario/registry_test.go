@@ -138,3 +138,38 @@ func TestSameSeedSameBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestTimeoutProofsReachNonMembership: under full proofs the storm's
+// hop timeouts are still delivered, each MsgTimeout proving the absence
+// of the destination receipt, and the forward middleware on the middle
+// chain refunds every unwound hop.
+func TestTimeoutProofsReachNonMembership(t *testing.T) {
+	e, ok := Lookup("timeoutproofs")
+	if !ok || !e.Spec.Deploy.FullProofs {
+		t.Fatal("timeoutproofs is not a full-proof built-in")
+	}
+	sc, err := Compile(e.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dep, err := sc.RunDeployed(e.Spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := Check(dep, DefaultAssertions()); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+	var timeouts uint64
+	for _, l := range dep.Links {
+		for _, r := range l.Relayers {
+			timeouts += r.Stats().TimeoutsDelivered
+		}
+	}
+	if timeouts == 0 {
+		t.Fatal("no MsgTimeout delivered with full proofs")
+	}
+	if unwound := dep.Chains[1].Forward.Stats().Unwound; unwound == 0 {
+		t.Fatal("the middle chain's forward middleware refunded nothing")
+	}
+	t.Logf("%d timeouts delivered with non-membership proofs", timeouts)
+}

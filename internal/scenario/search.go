@@ -92,6 +92,7 @@ func resolveFaults(s Spec) (FaultSpace, error) {
 // target.
 func generateTimeline(rng *sim.RNG, s Spec, fs FaultSpace) []EventSpec {
 	tp, _ := topo.ParseSpec(s.Topology.Preset)
+	slots := topo.RelayerSlots(s.Deploy.RelayersPerEdge, s.Deploy.Standby)
 	var events []EventSpec
 	n := 1 + rng.Intn(fs.MaxEvents)
 	for i := 0; i < n; i++ {
@@ -103,7 +104,7 @@ func generateTimeline(rng *sim.RNG, s Spec, fs FaultSpace) []EventSpec {
 		switch kind {
 		case "partition":
 			relayer := -1
-			if slots := s.edgeRelayerSlots(); rng.Intn(2) == 0 {
+			if rng.Intn(2) == 0 {
 				relayer = rng.Intn(slots)
 			}
 			events = append(events, EventSpec{At: Duration(at), Kind: "partition", Edge: edge, Relayer: intp(relayer)})
@@ -124,7 +125,7 @@ func generateTimeline(rng *sim.RNG, s Spec, fs FaultSpace) []EventSpec {
 				events = append(events, EventSpec{At: Duration(at + window), Kind: "drop-burst", Edge: edge})
 			}
 		case "relayer-pause":
-			relayer := rng.Intn(s.edgeRelayerSlots())
+			relayer := rng.Intn(slots)
 			events = append(events, EventSpec{At: Duration(at), Kind: "relayer-pause", Edge: edge, Relayer: intp(relayer)})
 			if recovers {
 				events = append(events, EventSpec{At: Duration(at + window), Kind: "relayer-resume", Edge: edge, Relayer: intp(relayer)})

@@ -83,7 +83,8 @@ type RouteSpec struct {
 	Transfers int   `json:"transfers"`
 	Forwarded bool  `json:"forwarded,omitempty"`
 	// TimeoutBlocks overrides the forward middleware's per-hop timeout
-	// margin (Forwarded mode only; tiny values inject hop timeouts).
+	// margin (Forwarded mode on a path of three or more nodes only; tiny
+	// values inject hop timeouts).
 	TimeoutBlocks int64 `json:"timeoutBlocks,omitempty"`
 }
 
@@ -159,7 +160,7 @@ type Spec struct {
 	Until Duration `json:"until,omitempty"`
 	// SettleBlocks extends the derived deadline by that many block
 	// intervals so refunds and backlog clearing quiesce before the
-	// assertions run. Ignored when Until is set.
+	// assertions run. A spec sets Until or SettleBlocks, not both.
 	SettleBlocks int `json:"settleBlocks,omitempty"`
 	// RecordCurves includes per-edge cleared-backlog curves in results.
 	RecordCurves bool `json:"recordCurves,omitempty"`
@@ -218,9 +219,10 @@ var eventKinds = func() map[string]chaos.Kind {
 
 // Validate checks everything checkable without deploying: topology
 // preset, region spec, count and duration signs, route paths, chaos
-// event targets against the per-edge relayer counts the deploy will
-// produce, assertion names, and fault-space sanity. Compile re-runs it,
-// so a spec that validates compiles.
+// event targets against the per-edge relayer slots the deploy will
+// produce, assertion names, and fault-space sanity. It is the one check
+// of a run's shape: topo and chaos trust what it passed, and Compile
+// re-runs it, so a spec that validates compiles and deploys.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name")
@@ -252,6 +254,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: negative %s %d", f.name, f.v)
 		}
 	}
+	if s.Until != 0 && s.SettleBlocks != 0 {
+		return fmt.Errorf("scenario: until %v and settleBlocks %d are exclusive (settleBlocks extends only a derived deadline)", s.Until, s.SettleBlocks)
+	}
 	for i, rt := range s.Workload.Routes {
 		if len(rt.Path) < 2 {
 			return fmt.Errorf("scenario: route %d path %v too short", i, rt.Path)
@@ -264,6 +269,9 @@ func (s Spec) Validate() error {
 		}
 		if rt.TimeoutBlocks != 0 && !rt.Forwarded {
 			return fmt.Errorf("scenario: route %d sets timeoutBlocks without forwarded (only the forward middleware reads it)", i)
+		}
+		if rt.TimeoutBlocks != 0 && len(rt.Path) == 2 {
+			return fmt.Errorf("scenario: route %d sets timeoutBlocks on a two-node path (no intermediate chain forwards it)", i)
 		}
 		for h := 0; h+1 < len(rt.Path); h++ {
 			if _, ok := tp.EdgeBetween(rt.Path[h], rt.Path[h+1]); !ok {
@@ -299,7 +307,7 @@ func (s Spec) validateEvent(i int, ev EventSpec, tp topo.Topology) error {
 	if ev.Edge < 0 || ev.Edge >= len(tp.Edges) {
 		return fmt.Errorf("scenario: chaos event %d targets edge %d of %d", i, ev.Edge, len(tp.Edges))
 	}
-	n := s.edgeRelayerSlots()
+	n := topo.RelayerSlots(s.Deploy.RelayersPerEdge, s.Deploy.Standby)
 	switch ev.Kind {
 	case "partition", "heal":
 		if ev.Relayer != nil && *ev.Relayer >= n {
@@ -340,14 +348,4 @@ func (f *FaultSpace) validate() error {
 		return fmt.Errorf("scenario: fault space unhealed %.3f outside [0,1]", f.Unhealed)
 	}
 	return nil
-}
-
-// edgeRelayerSlots mirrors the deploy wiring: the deploy-wide relayer
-// count (min 1), plus one standby slot when enabled.
-func (s Spec) edgeRelayerSlots() int {
-	n := max(s.Deploy.RelayersPerEdge, 1)
-	if s.Deploy.Standby {
-		n++
-	}
-	return n
 }

@@ -100,8 +100,22 @@ func TestParseRejects(t *testing.T) {
 		"negative settleBlocks":        `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"settleBlocks":-4}`,
 		"negative until":               `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"until":"-1m"}`,
 		"negative timeoutBlocks":       `{"name":"x","topology":{"preset":"line:3"},"deploy":{},"workload":{"routes":[{"path":[0,1,2],"transfers":1,"forwarded":true,"timeoutBlocks":-5}]}}`,
-		// Only the forward middleware reads a route's timeout margin.
-		"timeoutBlocks on sequential route": `{"name":"x","topology":{"preset":"line:3"},"deploy":{},"workload":{"routes":[{"path":[0,1,2],"transfers":1,"timeoutBlocks":7}]}}`,
+		// Only the forward middleware reads a route's timeout margin, and
+		// a two-node forwarded route crosses no middleware.
+		"timeoutBlocks on sequential route":   `{"name":"x","topology":{"preset":"line:3"},"deploy":{},"workload":{"routes":[{"path":[0,1,2],"transfers":1,"timeoutBlocks":7}]}}`,
+		"timeoutBlocks on two-node forwarded": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"routes":[{"path":[0,1],"transfers":1,"forwarded":true,"timeoutBlocks":1}]}}`,
+		// A fixed deadline leaves nothing for settleBlocks to extend.
+		"until with settleBlocks": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"rate":1},"until":"1m","settleBlocks":40}`,
+		// The spec is the one place a run's shape is checked: nothing
+		// below it re-checks routes or chaos targets.
+		"negative at":                `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"chaos":[{"at":"-1s","kind":"heal","edge":0}]}`,
+		"edge -1":                    `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"chaos":[{"at":"1s","kind":"partition","edge":-1}]}`,
+		"pause relayer -1":           `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"chaos":[{"at":"1s","kind":"relayer-pause","edge":0,"relayer":-1}]}`,
+		"partition relayer >= slots": `{"name":"x","topology":{"preset":"two"},"deploy":{"standby":true},"workload":{},"chaos":[{"at":"1s","kind":"partition","edge":0,"relayer":2}]}`,
+		"burst 1.5":                  `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"chaos":[{"at":"1s","kind":"drop-burst","edge":0,"extraDrop":1.5}]}`,
+		"negative spike":             `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"chaos":[{"at":"1s","kind":"latency-spike","edge":0,"extraLatency":"-1s"}]}`,
+		"one-node path":              `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"routes":[{"path":[0],"transfers":1}]}}`,
+		"zero transfers":             `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"routes":[{"path":[0,1],"transfers":0}]}}`,
 	}
 	// The removed graph surface is refused by name, not ignored.
 	named := map[string]string{
@@ -111,6 +125,11 @@ func TestParseRejects(t *testing.T) {
 		"regions hubspoke:3":       `"hubspoke:3"`,
 		"regions uniform:2":        `"uniform:2"`,
 		"regions three-region-wan": `"three-region-wan"`,
+		"until with settleBlocks":  "until",
+	}
+	// The pair is refused naming both fields.
+	if _, err := Parse([]byte(cases["until with settleBlocks"])); err == nil || !strings.Contains(err.Error(), "settleBlocks") {
+		t.Errorf("until with settleBlocks: error %v does not name settleBlocks", err)
 	}
 	for name, raw := range cases {
 		_, err := Parse([]byte(raw))

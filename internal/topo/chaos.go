@@ -11,13 +11,6 @@ import (
 	"ibcbench/internal/netem"
 )
 
-// Edges implements chaos.Target.
-func (d *Deployment) Edges() int { return len(d.Links) }
-
-// EdgeRelayers implements chaos.Target: active relayers first, the
-// standby (if any) as the last ordinal.
-func (d *Deployment) EdgeRelayers(edge int) int { return d.Links[edge].relayerCount() }
-
 // edgeGroups returns the edge's host groups: chain A's machines, chain
 // B's machines, then one group per relayer machine (standby last).
 func (d *Deployment) edgeGroups(edge int) [][]netem.Host {

@@ -5,6 +5,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ibcbench/internal/chain"
@@ -30,11 +31,11 @@ type DeployConfig struct {
 	RelayersPerEdge int
 	// ClearIntervalBlocks forwards to every relayer.
 	ClearIntervalBlocks int64
-	// Geo places every host into a region of this model and compiles the
-	// inter-region matrix into per-host-pair netem overrides. Chain i
-	// lands in region i modulo the region count; relayer j of an edge
-	// lands in the region of side A (even j) or B (odd j); standbys land
-	// on side B.
+	// Geo places every host into a region of this latency table and
+	// installs the table's latencies as per-host-pair netem overrides.
+	// Chain i lands in region i modulo the region count; relayer j of an
+	// edge lands in the region of side A (even j) or B (odd j); standbys
+	// land on side B.
 	Geo *geo.Model
 	// Standby adds a passive standby relayer plus a failover supervisor
 	// to every edge.
@@ -145,11 +146,8 @@ func (l *Link) newRouteGenerator(from, route, hop int) *workload.Generator {
 // frame subscription runs identically under the serial scheduler, keeping
 // the two modes' event streams byte-identical.
 func (d *Deployment) attachDriver(g *workload.Generator, src, dst *chain.Chain) {
-	if d.par != nil {
-		d.par.AssignHost(string(g.Host()), d.chainIndex(src))
-	}
+	d.adopt(g.Host(), d.chainIndex(src))
 	g.ObserveDestHeight(dst.RPC)
-	d.placeWithChain(g.Host(), src)
 }
 
 // ChannelFrom reports the channel identifier on the `from` side of the
@@ -178,9 +176,6 @@ type Deployment struct {
 	// Sched is its global scheduler and every chain cluster lives on its
 	// own partition scheduler.
 	par *sim.Parallel
-
-	// regions holds each chain's resolved region (empty without geo).
-	regions []geo.Region
 }
 
 // Parallel reports whether the deployment runs on the parallel scheduler.
@@ -214,19 +209,27 @@ func (d *Deployment) TotalProcessed() uint64 {
 	return d.Sched.Processed()
 }
 
-// placeWithChain places a late-created host (workload driver) in the
-// given chain's region.
-func (d *Deployment) placeWithChain(h netem.Host, c *chain.Chain) {
-	if d.Geo == nil {
-		return
+// adopt assigns a host to chain i's event partition and region: the
+// chain's own machines, the relayer full nodes attached to it, and the
+// relayers and workload drivers that sit with it.
+func (d *Deployment) adopt(h netem.Host, i int) {
+	if d.par != nil {
+		d.par.AssignHost(string(h), i)
 	}
-	for i, have := range d.Chains {
-		if have == c {
-			// Placement over a validated model cannot fail.
-			_ = d.Geo.PlaceAndApply(d.Net, h, d.regions[i])
-			return
-		}
+	if d.Geo != nil {
+		d.Geo.Place(d.Net, h, d.Geo.Model.RegionAt(i))
 	}
+}
+
+// RelayerSlots is the relayer ordinal count of every edge: the active
+// relayers (relayersPerEdge, at least one), then the standby when
+// enabled. Chaos events and failover address a relayer by its ordinal.
+func RelayerSlots(relayersPerEdge int, standby bool) int {
+	n := max(relayersPerEdge, 1)
+	if standby {
+		n++
+	}
+	return n
 }
 
 // ForwardMemo builds the nested packet-forward memo that routes a
@@ -234,15 +237,13 @@ func (d *Deployment) placeWithChain(h netem.Host, c *chain.Chain) {
 // naming that chain's outgoing channel toward the next node and carrying
 // the rest of the route in Next. A two-node path needs no forwarding and
 // yields "". timeoutBlocks (0 = middleware default) applies per hop.
-func (d *Deployment) ForwardMemo(path []int, finalReceiver string, timeoutBlocks int64) (string, error) {
+// Consecutive nodes of path must share an edge.
+func (d *Deployment) ForwardMemo(path []int, finalReceiver string, timeoutBlocks int64) string {
 	var next *pfm.ForwardMetadata
 	// Build innermost-first: hop j runs on chain path[j], sending to
 	// path[j+1].
 	for j := len(path) - 2; j >= 1; j-- {
-		link, ok := d.LinkBetween(path[j], path[j+1])
-		if !ok {
-			return "", fmt.Errorf("topo: forward memo: no link %d-%d", path[j], path[j+1])
-		}
+		link, _ := d.LinkBetween(path[j], path[j+1])
 		next = &pfm.ForwardMetadata{
 			Receiver:      finalReceiver,
 			Port:          transfer.PortID,
@@ -251,20 +252,18 @@ func (d *Deployment) ForwardMemo(path []int, finalReceiver string, timeoutBlocks
 			Next:          next,
 		}
 	}
-	return pfm.Memo(next), nil
+	return pfm.Memo(next)
 }
 
 // Deploy instantiates the topology: a shared scheduler/network, one chain
 // per node, a seeded IBC channel plus started relayers per edge.
-// Chains do not produce blocks until Start.
+// Chains do not produce blocks until Start. The topology is a preset,
+// well formed by construction, so the error is always nil.
 func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Network.OneWayLatency == 0 {
 		cfg.Network = netem.DefaultWAN()
 	}
-	perEdge := max(cfg.RelayersPerEdge, 1)
+	perEdge := RelayerSlots(cfg.RelayersPerEdge, false)
 	// The parallel runner needs a positive latency lookahead; decide
 	// before constructing the network so the deployment consumes the
 	// seed RNG identically in both modes.
@@ -283,19 +282,7 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 	}
 	d := &Deployment{Topology: t, Sched: sched, Net: network, RNG: rng, Obs: cfg.Obs, par: par}
 	if cfg.Geo != nil {
-		asg, err := geo.NewAssignment(cfg.Geo)
-		if err != nil {
-			return nil, err
-		}
-		d.Geo = asg
-		d.regions = make([]geo.Region, len(t.Chains))
-		for i := range d.regions {
-			d.regions[i] = cfg.Geo.RegionAt(i)
-		}
-	}
-	placeChainHost := func(i int) func(netem.Host) {
-		region := d.regions[i]
-		return func(h netem.Host) { _ = d.Geo.PlaceAndApply(d.Net, h, region) }
+		d.Geo = geo.NewAssignment(cfg.Geo)
 	}
 	for i := range t.Chains {
 		csched := sched
@@ -308,23 +295,15 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 			FullProofs: cfg.FullProofs,
 			Obs:        cfg.Obs,
 		})
-		if d.Geo != nil {
-			place := placeChainHost(i)
-			for _, h := range c.Hosts() {
-				place(h)
-			}
-			// Relayer full nodes attach to the chain later; place them in
-			// the chain's region as they appear.
-			c.OnHost(place)
-		}
-		if par != nil {
+		if par != nil || d.Geo != nil {
 			// Every chain host — validators, the primary full node and
-			// full nodes attached later — lives in the chain's partition.
+			// the relayer full nodes attached later — lives in the chain's
+			// partition and region.
 			i := i
 			for _, h := range c.Hosts() {
-				par.AssignHost(string(h), i)
+				d.adopt(h, i)
 			}
-			c.OnHost(func(h netem.Host) { par.AssignHost(string(h), i) })
+			c.OnHost(func(h netem.Host) { d.adopt(h, i) })
 		}
 		d.Chains = append(d.Chains, c)
 	}
@@ -358,12 +337,7 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 				side = e.B
 			}
 			r := relayer.New(d.schedFor(side), rng, rcfg, l.Pair)
-			if par != nil {
-				par.AssignHost(string(r.Host()), side)
-			}
-			if d.Geo != nil {
-				_ = d.Geo.PlaceAndApply(d.Net, r.Host(), d.regions[side])
-			}
+			d.adopt(r.Host(), side)
 			return r
 		}
 		for j := 0; j < perEdge; j++ {
@@ -399,37 +373,19 @@ func (d *Deployment) Run(until time.Duration) error {
 }
 
 // parallelLookahead is the deploy-time conservative lower bound on every
-// cross-partition delivery latency: the network default and, with a geo
-// model, every region path including the intra-region one (two chains may
-// share a region). Each base shrinks by 4 relative standard deviations —
-// sim.RNG.Jitter truncates there — and chaos overlays only add latency.
+// cross-partition delivery latency: the least of the network default
+// and, with a region table, every entry including the within-region
+// diagonal (two chains may share a region), shrunk by the config's
+// jitter (netem.Config.MinJittered); chaos overlays only add latency.
 // The exact (larger) per-link bound replaces it at Run time.
 func parallelLookahead(cfg DeployConfig) time.Duration {
-	eff := func(base time.Duration, jitter float64) time.Duration {
-		if jitter < 0 {
-			jitter = cfg.Network.JitterRelStd
-		}
-		if jitter <= 0 {
-			return base
-		}
-		return time.Duration(float64(base) * (1 - 4*jitter))
-	}
-	min := eff(cfg.Network.OneWayLatency, cfg.Network.JitterRelStd)
+	floor := cfg.Network.OneWayLatency
 	if cfg.Geo != nil {
-		if e := eff(cfg.Geo.Intra.OneWay, cfg.Geo.Intra.Jitter); e < min {
-			min = e
-		}
-		for _, a := range cfg.Geo.Regions {
-			for _, b := range cfg.Geo.Regions {
-				if p, ok := cfg.Geo.Path(a, b); ok {
-					if e := eff(p.OneWay, p.Jitter); e < min {
-						min = e
-					}
-				}
-			}
+		for _, row := range cfg.Geo.OneWay {
+			floor = min(floor, slices.Min(row))
 		}
 	}
-	return min
+	return cfg.Network.MinJittered(floor)
 }
 
 // LinkBetween returns the deployed link between two node indices.

@@ -7,7 +7,8 @@
 //
 // The paper evaluates IBC on a fixed two-chain testbed; real Cosmos
 // deployments are hubs and meshes. Presets, the only way a run names its
-// graph, cover the common shapes:
+// graph, cover the common shapes, and each is well formed by
+// construction (ParseSpec bounds the sizes):
 //
 //	TwoChain()  A — B                      (the paper's testbed)
 //	Line(n)     0 — 1 — 2 — ... — n-1      (packet forwarding chains)
@@ -95,40 +96,6 @@ func (t Topology) ChainID(i int) string {
 		return t.Chains[i].ID
 	}
 	return fmt.Sprintf("ibc-%d", i)
-}
-
-// Validate checks graph well-formedness: at least two chains, edge
-// endpoints in range and distinct, no duplicate links or chain IDs.
-func (t Topology) Validate() error {
-	if len(t.Chains) < 2 {
-		return fmt.Errorf("topo: need at least 2 chains, have %d", len(t.Chains))
-	}
-	ids := make(map[string]bool, len(t.Chains))
-	for i := range t.Chains {
-		id := t.ChainID(i)
-		if ids[id] {
-			return fmt.Errorf("topo: duplicate chain ID %q", id)
-		}
-		ids[id] = true
-	}
-	if len(t.Edges) == 0 {
-		return fmt.Errorf("topo: no edges")
-	}
-	seen := make(map[[2]int]bool, len(t.Edges))
-	for _, e := range t.Edges {
-		if e.A < 0 || e.A >= len(t.Chains) || e.B < 0 || e.B >= len(t.Chains) {
-			return fmt.Errorf("topo: edge %d-%d out of range", e.A, e.B)
-		}
-		if e.A == e.B {
-			return fmt.Errorf("topo: self-edge on node %d", e.A)
-		}
-		key := [2]int{min(e.A, e.B), max(e.A, e.B)}
-		if seen[key] {
-			return fmt.Errorf("topo: duplicate edge %d-%d", e.A, e.B)
-		}
-		seen[key] = true
-	}
-	return nil
 }
 
 // EdgeBetween finds the edge index linking nodes a and b (either

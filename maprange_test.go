@@ -22,6 +22,7 @@ import (
 var orderSensitive = []string{
 	"app", "ibc/...", "relayer", "workload", "eventindex", "chain",
 	"tendermint/...", "topo", "scenario", "experiments", "metrics", "obs",
+	"geo", "netem", "chaos",
 }
 
 // TestMapRangesAreOrderFree is a lint: every range over a map in the
