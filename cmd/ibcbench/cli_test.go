@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -179,6 +180,29 @@ func TestSweepFlagErrors(t *testing.T) {
 	} {
 		var out bytes.Buffer
 		err := runSweep(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("args %v: got error %v, want one naming %s", tc.args, err, tc.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v: printed output before refusing:\n%s", tc.args, out.String())
+		}
+	}
+}
+
+// A negative count is refused, not read as its default: `search -budget
+// -3` used to run 16 candidates and `trace -analyze -top -1` printed
+// every row.
+func TestNegativeCountFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		cmd  func([]string, io.Writer) error
+		args []string
+		flag string
+	}{
+		{runSearchCmd, []string{"-scenario", "../../internal/scenario/testdata/planted.json", "-budget", "-3"}, "-budget"},
+		{runTraceCmd, []string{"-analyze", "no-such-trace.json", "-top", "-1"}, "-top"},
+	} {
+		var out bytes.Buffer
+		err := tc.cmd(tc.args, &out)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("args %v: got error %v, want one naming %s", tc.args, err, tc.flag)
 		}

@@ -228,6 +228,9 @@ func runSearchCmd(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *budget < 0 {
+		return fmt.Errorf("ibcbench: -budget %d: must be at least 0", *budget)
+	}
 	s, err := loadSpec(*specPath, *name)
 	if err != nil {
 		return err

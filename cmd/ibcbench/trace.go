@@ -30,6 +30,9 @@ func runTraceCmd(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *topN < 0 {
+		return fmt.Errorf("ibcbench: -top %d: must be at least 0", *topN)
+	}
 	switch {
 	case *checkPath != "":
 		return runValidateTrace(*checkPath, w)

@@ -19,9 +19,9 @@ import (
 // with host noise): work that a packet-path optimisation pushes into
 // construction — a table, a pool, a pre-sized map — shows here exactly.
 // The ceilings are the measured counts plus the one-allocation jitter:
-// 384/1289/787/3951/4036 since Deploy stopped re-validating the preset
-// graph (two maps per deploy). Lower them when set-up gets cheaper, and
-// treat a rise as a regression to explain.
+// 364/1239/757/3871/3956 since valkey.Derive stopped generating curve
+// keys (two allocations per validator). Lower them when set-up gets
+// cheaper, and treat a rise as a regression to explain.
 func TestSetupAllocsPerWorkload(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted")
@@ -30,11 +30,11 @@ func TestSetupAllocsPerWorkload(t *testing.T) {
 		name    string
 		ceiling float64 // the last digit moves by one between runs
 	}{
-		{"two-peak", 385},
-		{"hub4-2r-proofs", 1290},
-		{"line3-pfm-chaos", 788},
-		{"mesh8", 3952},
-		{"mesh8-par2", 4037},
+		{"two-peak", 365},
+		{"hub4-2r-proofs", 1240},
+		{"line3-pfm-chaos", 758},
+		{"mesh8", 3872},
+		{"mesh8-par2", 3957},
 	} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "bench", "workloads", w.name+".json"))
 		if err != nil {

@@ -403,7 +403,7 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 	// Resolve the claimed validator in the canonical set, then verify the
 	// signature through the shared engine: castVote admitted every vote
 	// it cast, so every receiver hits the cache and an honest run performs
-	// no ed25519 check at all. Forged, tampered and stranger votes are
+	// no signature check at all. Forged, tampered and stranger votes are
 	// still rejected: only admitted or verified tuples enter the cache, an
 	// unsigned vote hits only an admitted tuple, and a vote with bytes
 	// hits only on byte-identical signatures.

@@ -302,7 +302,7 @@ func run7(t *testing.T) *harness {
 
 // TestVoteVerificationPinnedLinear pins the shared engine's signature
 // work on an honest run to zero: castVote admits every vote it casts,
-// so each of its V deliveries hits the cache and no ed25519 check is
+// so each of its V deliveries hits the cache and no signature check is
 // performed at all.
 func TestVoteVerificationPinnedLinear(t *testing.T) {
 	const vals = 7
@@ -328,7 +328,7 @@ func TestVoteVerificationPinnedLinear(t *testing.T) {
 }
 
 // TestReferencePathCountsQuadraticFanout replays the per-receiver
-// reference path — a full ed25519 check on every delivery — beside an
+// reference path — a full signature check on every delivery — beside an
 // honest 7-validator run: each vote the engine casts is read in-package
 // while it is live and fully verified, and the run itself performs no
 // check at all. The reference path would have verified each vote once per
@@ -411,7 +411,7 @@ func TestSignsOnlyCommitSignatures(t *testing.T) {
 // TestEveryCommittedBlockVerifiesUncached replays every committed block
 // of an honest run through plain VerifyCommit (nil verifier): each commit
 // signature, made by the cache at commit assembly and never checked, gets
-// a real ed25519 verification here.
+// a full valkey.PubKey.Verify here.
 func TestEveryCommittedBlockVerifiesUncached(t *testing.T) {
 	h := run7(t)
 	for height := int64(1); height <= h.store.Height(); height++ {

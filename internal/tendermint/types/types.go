@@ -200,7 +200,7 @@ func AppendVoteSignBytes(dst []byte, chainID string, v *Vote) []byte {
 
 // VoteVerifier abstracts vote-signature verification so a chain-scoped
 // cache (internal/tendermint/votesig) can answer for votes it signed or
-// already verified without repeating the ed25519 check. Implementations
+// already verified without repeating the signature check. Implementations
 // MUST only report true for signatures that verify under pub; callers
 // MUST resolve pub from the claimed validator address in the chain's
 // canonical set.

@@ -22,8 +22,8 @@ type eagerKey struct {
 
 // eagerCache is the model: the cache as it was when every vote was
 // signed when cast. Each admitted tuple holds the eager signature bytes,
-// a hit needs byte-identical bytes, and everything else is a full ed25519
-// check, counted like Stats counts it.
+// a hit needs byte-identical bytes, and everything else is a full
+// signature check, counted like Stats counts it.
 type eagerCache struct {
 	chainID                       string
 	admitted                      map[eagerKey][]byte
@@ -81,7 +81,7 @@ type castVote struct {
 //	7 ReadOnly.VerifyVote of a commit-shaped vote: its bytes, flipped
 //	  bytes, or none.
 //
-// Every accept/reject must be ed25519's verdict on the eager vote, every
+// Every accept/reject must be valkey's verdict on the eager vote, every
 // Signature must equal the eager bytes (the same slice on every call),
 // and Verifications, Rejected, Hits and Size must equal the model's;
 // Signed must be the number of cast votes whose bytes were asked for.
@@ -124,7 +124,7 @@ func FuzzVoteCache(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
-			data = data[:256] // 128 calls: ed25519 makes longer inputs slow, not deeper
+			data = data[:256] // 128 calls: longer inputs are slower, not deeper
 		}
 		caches := [2]*votesig.Cache{votesig.New(chainIDs[0]), votesig.New(chainIDs[1])}
 		models := [2]*eagerCache{
@@ -137,7 +137,7 @@ func FuzzVoteCache(f *testing.F) {
 
 		// sigOf is what a commit would carry for cv: the bytes Signature
 		// gives while the vote is live, the ones it gave (or would have
-		// given: ed25519 is deterministic) once it is retired.
+		// given: signing is deterministic) once it is retired.
 		sigOf := func(cv *castVote) []byte {
 			if !cv.live {
 				return cv.eager
@@ -241,7 +241,7 @@ func FuzzVoteCache(f *testing.F) {
 				got := caches[target].ReadOnly().VerifyVote(chainIDs[cv.chain], v, cv.key.Pub())
 				want := cv.key.Pub().Verify(types.AppendVoteSignBytes(nil, chainIDs[cv.chain], v), sig)
 				if got != want {
-					t.Fatalf("ReadOnly %d: VerifyVote(%+v) = %v, ed25519 %v", target, v, got, want)
+					t.Fatalf("ReadOnly %d: VerifyVote(%+v) = %v, valkey %v", target, v, got, want)
 				}
 			}
 			var gotSigned uint64

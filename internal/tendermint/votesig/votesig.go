@@ -1,7 +1,7 @@
 // Package votesig is the per-chain shared vote-verification engine.
 //
 // In the gossip protocol every validator re-verified every vote it
-// received, making block production O(V^2) in ed25519 signature checks
+// received, making block production O(V^2) in signature checks
 // (each of the ~2V votes per round is delivered to all V nodes). The
 // votes themselves are chain-global facts: a vote's sign bytes depend
 // only on (chainID, type, height, round, blockID) and its signature on
@@ -12,8 +12,9 @@
 // only bytes anything reads are the precommits commit assembly copies
 // into a block's commit; Signature makes them, once per tuple, when it is
 // asked. Prevotes and the precommits a commit does not carry are never
-// signed. ed25519 signing is deterministic, so a late signature is byte-identical to an early one.
-// Full ed25519 checks are for signatures this process did not make.
+// signed. valkey signing is deterministic, so a late signature is
+// byte-identical to an early one. Full checks (valkey.PubKey.Verify) are
+// for signatures this process did not make.
 //
 // Safety: a hit never consults the public key it is handed. A vote with
 // no signature bytes hits only a tuple SignVote admitted; a vote that
@@ -21,7 +22,7 @@
 // signature. What admission vouches for is either "verified under the
 // valset key for that address" (a full check passed) or "signed on
 // demand by the private key whose public half hashes to that address"
-// (SignVote refuses any other address), and an ed25519 signature made
+// (SignVote refuses any other address), and a valkey signature made
 // with a private key verifies under its public half by construction.
 // Everything else gets the full check: a tampered or forged signature
 // over an admitted tuple falls through to it, fails, and leaves the
@@ -77,7 +78,7 @@ func (e entry) vouches(sig []byte) bool {
 
 // Stats reports the cache's verification counters.
 type Stats struct {
-	// Verifications counts full ed25519 checks performed: votes the hit
+	// Verifications counts full signature checks performed: votes the hit
 	// rule does not vouch for (foreign, forged, tampered, pruned, unsigned
 	// but never admitted). An honest run performs none.
 	Verifications uint64
@@ -86,7 +87,7 @@ type Stats struct {
 	Hits uint64
 	// Rejected counts signatures that failed the full check.
 	Rejected uint64
-	// Signed counts ed25519 signatures made: one per admitted tuple whose
+	// Signed counts signatures made: one per admitted tuple whose
 	// bytes Signature was asked for.
 	Signed uint64
 	// Size is the number of admitted tuples currently retained.
@@ -164,7 +165,7 @@ func (c *Cache) Signature(v *types.Vote) []byte {
 }
 
 // VerifyVote implements types.VoteVerifier: it reports whether the vote's
-// signature is valid under pub, skipping the ed25519 check for a vote
+// signature is valid under pub, skipping the signature check for a vote
 // the hit rule vouches for and performing it at most once chain-wide for
 // any other distinct vote. Votes for a foreign chain ID never touch the
 // cache (they are verified directly) — a cache is bound to the chain
@@ -228,7 +229,7 @@ func (c *Cache) Stats() Stats {
 // ReadOnly is a cross-chain view of the cache for light-client paths
 // that run on another chain's partition: a hit requires signature bytes
 // equal to an admitted tuple's stored ones (lock-guarded read), so a vote
-// without bytes never hits; a miss falls back to a full ed25519 check
+// without bytes never hits; a miss falls back to a full signature check
 // against a private sign-bytes buffer. It never admits tuples, never
 // signs and never touches the owner's counters, so the owning engine's
 // verification stats stay single-writer.

@@ -274,7 +274,7 @@ func TestReadOnlyHitsSignedCommitShapedVote(t *testing.T) {
 }
 
 // TestSignVoteSignaturesVerifyByConstruction checks the claim admission
-// at signing rests on with real ed25519: every signature Signature makes
+// at signing rests on with real valkey keys: every signature Signature makes
 // for a tuple SignVote admitted verifies under the signer's public key
 // over the vote's sign bytes.
 func TestSignVoteSignaturesVerifyByConstruction(t *testing.T) {
