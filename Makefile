@@ -28,8 +28,10 @@ check:
 # per-endpoint sequence bitset against a map model, the trace
 # validator on arbitrary bytes (it must never panic), the store's
 # journal replay on arbitrary index bytes (it must never panic or keep
-# a line that does not parse), and bench2json on arbitrary bytes (it
-# must never panic, and whatever it accepts must marshal to JSON). The store target writes files on every
+# a line that does not parse), bench2json on arbitrary bytes (it
+# must never panic, and whatever it accepts must marshal to JSON), and
+# the scheduler's heap with cancellation against a sorted-slice model.
+# The store target writes files on every
 # input, so it caps minimization, which would otherwise spend the whole
 # run shrinking its first new input. A
 # failure leaves its input under the package's testdata/fuzz/; commit it
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTracecheck -fuzztime 10s ./internal/tracecheck
 	$(GO) test -run '^$$' -fuzz FuzzStoreReplay -fuzztime 10s -fuzzminimizetime 100x ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzBench2JSON -fuzztime 10s ./cmd/ibcbench
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerQueue -fuzztime 10s ./internal/sim
 
 # The host-cost benchmark (bench/, a module of its own that the targets
 # above skip): the full report over the five pinned workloads, and the
@@ -108,7 +111,7 @@ reach:
 	set -e; export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; bin=$(REACH)/ibcbench; \
 	for w in bench/workloads/*.json; do $$bin run -scenario $$w -seed 11 -out $(REACH)/out.json >/dev/null; \
 		$(REACH)/bench -child -workload $$(basename $$w .json) -seed 11 -mode obs >/dev/null; done; \
-	for x in failover hub mesh pfmroute quickstart timeoutproofs timeoutstorm; do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
+	for x in failover hub mesh pfmroute plaintimeout quickstart timeoutproofs timeoutstorm; do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
 	for s in internal/scenario/testdata/*.json; do $$bin run -scenario $$s >/dev/null; done; \
 	$$bin sweep -experiment all -transfers 500 -out $(REACH)/out.json >/dev/null; \
 	$$bin search -scenario internal/scenario/testdata/planted.json -budget 6 >/dev/null || true; \

@@ -42,7 +42,7 @@ func TestInjectAppliesInTimeOrder(t *testing.T) {
 	}}
 	s := sim.NewScheduler()
 	inj := Inject(s, target, tl)
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
@@ -86,7 +86,7 @@ func TestStandbyOrdinalAllowedForPartition(t *testing.T) {
 	}}
 	s := sim.NewScheduler()
 	inj := Inject(s, target, tl)
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(target.log, " "); got != "part:0/-1 part:0/1" {

@@ -18,7 +18,7 @@ func TestSendLatency(t *testing.T) {
 	s, n := newNet(cfg)
 	var at time.Duration
 	n.Send("a", "b", func() { at = s.Now() })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if at != 100*time.Millisecond {
@@ -31,7 +31,7 @@ func TestLoopback(t *testing.T) {
 	s, n := newNet(cfg)
 	var at time.Duration
 	n.Send("a", "a", func() { at = s.Now() })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if at != time.Millisecond {
@@ -47,7 +47,7 @@ func TestLinkOverride(t *testing.T) {
 	n.Send("a", "b", func() { at = s.Now() })
 	var back time.Duration
 	n.Send("b", "a", func() { back = s.Now() })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if at != 5*time.Millisecond {
@@ -68,7 +68,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	n.Send("a", "b", func() { delivered++ })
 	n.Send("b", "a", func() { delivered++ })
 	n.Send("a", "c", func() { delivered++ })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if delivered != 1 {
@@ -79,7 +79,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 	n.Heal("a", "b")
 	n.Send("a", "b", func() { delivered++ })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if delivered != 2 {
@@ -94,7 +94,7 @@ func TestDropRate(t *testing.T) {
 	for i := 0; i < total; i++ {
 		n.Send("a", "b", func() { delivered++ })
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if delivered < total/3 || delivered > 2*total/3 {
@@ -115,7 +115,7 @@ func TestJitterVariesDelivery(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		n.Send("a", "b", func() { seen[s.Now()] = true })
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if len(seen) < 10 {
@@ -130,7 +130,7 @@ func TestLinkLatencyKeepsConfigDrop(t *testing.T) {
 	n.SetLinkLatency("a", "b", 10*time.Millisecond)
 	delivered := 0
 	n.Send("a", "b", func() { delivered++ })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if delivered != 0 || n.Dropped() != 1 {
@@ -144,7 +144,7 @@ func TestLinkOverlaySpikeAndClear(t *testing.T) {
 	n.SetLinkExtraLatency("a", "b", 40*time.Millisecond)
 	var at time.Duration
 	n.Send("a", "b", func() { at = s.Now() })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if at != 50*time.Millisecond {
@@ -154,8 +154,9 @@ func TestLinkOverlaySpikeAndClear(t *testing.T) {
 		t.Fatalf("Latency under overlay = %v", got)
 	}
 	n.SetLinkExtraLatency("a", "b", 0)
-	n.Send("a", "b", func() { at = s.Now() - at })
-	if err := s.Run(); err != nil {
+	start := s.Now()
+	n.Send("a", "b", func() { at = s.Now() - start })
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if at != 10*time.Millisecond {
@@ -168,7 +169,7 @@ func TestLinkOverlayDropBurst(t *testing.T) {
 	n.SetLinkExtraDrop("a", "b", 1)
 	delivered := 0
 	n.Send("a", "b", func() { delivered++ })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if delivered != 0 || n.Dropped() != 1 {
@@ -176,7 +177,7 @@ func TestLinkOverlayDropBurst(t *testing.T) {
 	}
 	n.SetLinkExtraDrop("a", "b", 0)
 	n.Send("a", "b", func() { delivered++ })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if delivered != 1 {
@@ -192,7 +193,7 @@ func TestOverlayComponentsCompose(t *testing.T) {
 	n.SetLinkExtraDrop("a", "b", 1)
 	delivered := 0
 	n.Send("a", "b", func() { delivered++ })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if delivered != 0 {
@@ -203,7 +204,7 @@ func TestOverlayComponentsCompose(t *testing.T) {
 	var at time.Duration
 	start := s.Now()
 	n.Send("a", "b", func() { at = s.Now() - start })
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if at != 50*time.Millisecond {
@@ -218,7 +219,7 @@ func TestPartitionsRefcount(t *testing.T) {
 	delivers := func(from, to Host) bool {
 		ok := false
 		n.Send(from, to, func() { ok = true })
-		if err := s.Run(); err != nil {
+		if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return ok
@@ -251,12 +252,12 @@ func TestSendSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ { // warm the event freelist and queue capacity
 		n.Send("a", "b", fn)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
 		n.Send("a", "b", fn)
-		if err := s.Run(); err != nil {
+		if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 	})
@@ -280,20 +281,20 @@ func BenchmarkNetemSend(b *testing.B) {
 		for i := 0; i < 64; i++ {
 			n.Send("a", "b", fn)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			n.Send("a", "b", fn)
-			if s.Len() >= 1024 {
-				if err := s.Run(); err != nil {
+			if i%1024 == 1023 { // 1 024 events queued
+				if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-		if err := s.Run(); err != nil {
+		if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ibcbench/internal/chain"
+	"ibcbench/internal/ibc"
+	"ibcbench/internal/ibc/transfer"
 )
 
 // TestStuckPacketsDetected plants a permanent whole-link partition
@@ -133,5 +137,53 @@ func TestLostClearQueryIsRetried(t *testing.T) {
 	}
 	if dep.Net.Dropped() == 0 {
 		t.Error("the burst dropped nothing: the test no longer exercises a lost query")
+	}
+}
+
+// TestPlainTimeoutRefundsSender is RelayPacketTest's timeout case on
+// the plaintimeout built-in: the relayer is cut off until every packet
+// has expired, proves the timeouts once healed, and each sender ends
+// with the balance it started with while the escrow holds nothing.
+func TestPlainTimeoutRefundsSender(t *testing.T) {
+	e, ok := Lookup("plaintimeout")
+	if !ok {
+		t.Fatal("plaintimeout builtin missing")
+	}
+	sc, err := Compile(e.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dep, err := sc.RunDeployed(e.Spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := Check(dep, DefaultAssertions()); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+	src := dep.Chains[0]
+	if _, _, _, refunded := src.Transfer.Stats(); refunded == 0 {
+		t.Fatal("the transfer module refunded nothing")
+	}
+	const start = 1 << 50 // what workload.EnsureAccounts funds
+	sent := 0
+	eachSent(dep, func(c *chain.Chain, p *ibc.Packet) {
+		if c != src {
+			return
+		}
+		sent++
+		data, err := transfer.ParsePacketData(p.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := src.App.Bank().Balance(data.Sender, data.Denom); got != start {
+			t.Errorf("sender %s holds %d %s, started with %d", data.Sender, got, data.Denom, start)
+		}
+		escrow := transfer.EscrowAccount(p.SourcePort, p.SourceChannel)
+		if got := src.App.Bank().Balance(escrow, data.Denom); got != 0 {
+			t.Errorf("escrow %s still holds %d %s", escrow, got, data.Denom)
+		}
+	})
+	if want := e.Spec.Workload.Routes[0].Transfers; sent != want {
+		t.Fatalf("source sent %d packets, want %d", sent, want)
 	}
 }

@@ -96,6 +96,29 @@ var builtins = []Entry{
 		},
 	},
 
+	// A plain ICS-20 timeout, no middleware: the only relayer's host is
+	// cut off for longer than the packets' timeout, so once the link
+	// heals the relayer proves the timeouts on the source and the
+	// transfer module refunds the sender. Its RPC replies lost to the
+	// partition run the client timeouts out.
+	{
+		Desc:  "two chains, relayer cut off past the packet timeout, then healed (timeout refunds)",
+		Short: true,
+		Spec: Spec{
+			Name:     "plaintimeout",
+			Topology: TopologySpec{Preset: "two"},
+			Deploy:   DeploySpec{ClearIntervalBlocks: 1},
+			Workload: WorkloadSpec{Routes: []RouteSpec{
+				{Path: []int{0, 1}, Transfers: 3, TimeoutBlocks: 2},
+			}},
+			Chaos: []EventSpec{
+				{At: Duration(2 * time.Second), Kind: "partition", Edge: 0, Relayer: intp(0)},
+				{At: Duration(45 * time.Second), Kind: "heal", Edge: 0, Relayer: intp(0)},
+			},
+			Seed: 3,
+		},
+	},
+
 	// Hop-timeout unwinding: a forwarded route with a one-block timeout
 	// margin forces mid-route timeouts; the refund invariant must still
 	// hold once everything settles.

@@ -82,9 +82,11 @@ type RouteSpec struct {
 	Path      []int `json:"path"`
 	Transfers int   `json:"transfers"`
 	Forwarded bool  `json:"forwarded,omitempty"`
-	// TimeoutBlocks overrides the forward middleware's per-hop timeout
-	// margin (Forwarded mode on a path of three or more nodes only; tiny
-	// values inject hop timeouts).
+	// TimeoutBlocks sets the packet timeout margin: each sequential
+	// leg's packets time out this many destination blocks after they
+	// are sent, and a forwarded route (three or more nodes) carries it as
+	// the forward middleware's per-hop margin. Tiny values inject
+	// timeouts; 0 keeps the defaults.
 	TimeoutBlocks int64 `json:"timeoutBlocks,omitempty"`
 }
 
@@ -267,11 +269,8 @@ func (s Spec) Validate() error {
 		if rt.TimeoutBlocks < 0 {
 			return fmt.Errorf("scenario: route %d has negative timeoutBlocks %d", i, rt.TimeoutBlocks)
 		}
-		if rt.TimeoutBlocks != 0 && !rt.Forwarded {
-			return fmt.Errorf("scenario: route %d sets timeoutBlocks without forwarded (only the forward middleware reads it)", i)
-		}
-		if rt.TimeoutBlocks != 0 && len(rt.Path) == 2 {
-			return fmt.Errorf("scenario: route %d sets timeoutBlocks on a two-node path (no intermediate chain forwards it)", i)
+		if rt.TimeoutBlocks != 0 && rt.Forwarded && len(rt.Path) == 2 {
+			return fmt.Errorf("scenario: route %d sets timeoutBlocks on a two-node forwarded path (no intermediate chain forwards it)", i)
 		}
 		for h := 0; h+1 < len(rt.Path); h++ {
 			if _, ok := tp.EdgeBetween(rt.Path[h], rt.Path[h+1]); !ok {

@@ -100,9 +100,8 @@ func TestParseRejects(t *testing.T) {
 		"negative settleBlocks":        `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"settleBlocks":-4}`,
 		"negative until":               `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"until":"-1m"}`,
 		"negative timeoutBlocks":       `{"name":"x","topology":{"preset":"line:3"},"deploy":{},"workload":{"routes":[{"path":[0,1,2],"transfers":1,"forwarded":true,"timeoutBlocks":-5}]}}`,
-		// Only the forward middleware reads a route's timeout margin, and
-		// a two-node forwarded route crosses no middleware.
-		"timeoutBlocks on sequential route":   `{"name":"x","topology":{"preset":"line:3"},"deploy":{},"workload":{"routes":[{"path":[0,1,2],"transfers":1,"timeoutBlocks":7}]}}`,
+		// A forwarded route's margin is the forward middleware's, and a
+		// two-node forwarded route crosses no middleware.
 		"timeoutBlocks on two-node forwarded": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"routes":[{"path":[0,1],"transfers":1,"forwarded":true,"timeoutBlocks":1}]}}`,
 		// A fixed deadline leaves nothing for settleBlocks to extend.
 		"until with settleBlocks": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"rate":1},"until":"1m","settleBlocks":40}`,

@@ -7,13 +7,12 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"time"
 )
 
-// ErrStopped is returned by Run when the scheduler was stopped explicitly
-// before the event queue drained.
+// ErrStopped is returned by RunUntil when the scheduler was stopped
+// before reaching its deadline.
 var ErrStopped = errors.New("sim: scheduler stopped")
 
 // Event is a callback scheduled to fire at a virtual time.
@@ -30,46 +29,99 @@ type event struct {
 	seq   uint64
 	fn    func()
 
-	// index is maintained by the heap implementation.
+	// index is the event's slot in the queue while it is queued.
 	index int
 }
 
+// before is the dispatch order. Every key is unique (seq is), so any
+// correct heap pops events in exactly this order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	if e.ctime != o.ctime {
+		return e.ctime < o.ctime
+	}
+	return e.seq < o.seq
+}
+
+// eventQueue is a 4-ary min-heap on before that keeps every event's
+// index current, so Cancel can remove an event from the middle. Four
+// children per node halve the depth of a binary heap, and sifting down
+// compares siblings that share a cache line.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	if q[i].ctime != q[j].ctime {
-		return q[i].ctime < q[j].ctime
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
-	}
-	ev.index = len(*q)
+func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+// remove takes the event at slot i out of the queue and returns it.
+func (q *eventQueue) remove(i int) *event {
+	h := *q
+	ev := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n {
+		// The last event fills the hole and may belong above or below it.
+		if i > 0 && last.before(h[(i-1)/4]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
 	return ev
+}
+
+// up places ev, which belongs at slot i or above it, by moving
+// later-dispatched parents down.
+func (q eventQueue) up(i int, ev *event) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down places ev, which belongs at slot i or below it, by moving its
+// earliest child up while that child dispatches before ev.
+func (q eventQueue) down(i int, ev *event) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(ev) {
+			break
+		}
+		q[i] = q[m]
+		q[i].index = i
+		i = m
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// Timer names one event scheduled by After, for Cancel. The zero Timer
+// names nothing.
+type Timer struct {
+	ev  *event
+	seq uint64
 }
 
 // Scheduler owns the virtual clock and the pending event queue.
@@ -90,7 +142,8 @@ type Scheduler struct {
 	// runaway-simulation protection.
 	processed uint64
 
-	// MaxEvents aborts Run once this many events have fired (0 = no cap).
+	// MaxEvents stops the run once this many events have fired (0 = no
+	// cap).
 	MaxEvents uint64
 }
 
@@ -105,9 +158,6 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // Processed reports how many events have executed.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// Len reports the number of pending events.
-func (s *Scheduler) Len() int { return len(s.queue) }
-
 // At schedules fn to run at virtual time t. Times in the past are clamped
 // to the current time, so the event runs on the next dispatch.
 func (s *Scheduler) At(t time.Duration, fn func()) {
@@ -121,9 +171,9 @@ func (s *Scheduler) At(t time.Duration, fn func()) {
 // parallel runner uses it to merge cross-partition messages that were
 // created on another partition's clock; At/After route through it with
 // ctime = now.
-func (s *Scheduler) injectAt(t, ctime time.Duration, fn func()) {
+func (s *Scheduler) injectAt(t, ctime time.Duration, fn func()) *event {
 	if fn == nil {
-		return
+		return nil
 	}
 	s.seq++
 	var ev *event
@@ -135,7 +185,8 @@ func (s *Scheduler) injectAt(t, ctime time.Duration, fn func()) {
 	} else {
 		ev = &event{at: t, ctime: ctime, seq: s.seq, fn: fn}
 	}
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
+	return ev
 }
 
 // nextAt peeks the earliest pending event time (ok=false when empty).
@@ -169,47 +220,45 @@ func (s *Scheduler) runWindow(end time.Duration) bool {
 	return true
 }
 
-// After schedules fn to run delta after the current virtual time.
-func (s *Scheduler) After(delta time.Duration, fn func()) {
+// After schedules fn to run delta after the current virtual time and
+// returns a Timer that Cancel takes to unschedule it.
+func (s *Scheduler) After(delta time.Duration, fn func()) Timer {
 	if delta < 0 {
 		delta = 0
 	}
-	s.At(s.now+delta, fn)
+	ev := s.injectAt(s.now+delta, s.now, fn)
+	if ev == nil {
+		return Timer{}
+	}
+	return Timer{ev: ev, seq: ev.seq}
 }
 
-// Stop halts the run loop after the currently executing event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
+// Cancel removes t's event from the queue, so it never fires. Events are
+// recycled, so the Timer's seq tells its event from a later one in the
+// same slot: cancelling a Timer whose event already fired or was
+// cancelled does nothing. No other event's dispatch order changes, since
+// every key was fixed when its event was scheduled.
+func (s *Scheduler) Cancel(t Timer) {
+	ev := t.ev
+	if ev == nil || ev.seq != t.seq || ev.index >= len(s.queue) || s.queue[ev.index] != ev {
+		return
+	}
+	s.queue.remove(ev.index)
+	ev.fn = nil
+	s.free = append(s.free, ev)
+}
 
 // step executes the earliest pending event, advancing the clock. The
 // event is recycled before its callback runs, so a callback that
 // schedules follow-up work reuses the just-freed slot.
 func (s *Scheduler) step() {
-	ev, ok := heap.Pop(&s.queue).(*event)
-	if !ok {
-		return
-	}
+	ev := s.queue.remove(0)
 	s.now = ev.at
 	s.processed++
 	fn := ev.fn
 	ev.fn = nil
 	s.free = append(s.free, ev)
 	fn()
-}
-
-// Run dispatches events until the queue is empty or Stop is called.
-// It returns ErrStopped if stopped early, and nil when drained.
-func (s *Scheduler) Run() error {
-	s.stopped = false
-	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
-		if s.MaxEvents > 0 && s.processed >= s.MaxEvents {
-			return ErrStopped
-		}
-		s.step()
-	}
-	return nil
 }
 
 // RunUntil dispatches events with timestamps at or before deadline.

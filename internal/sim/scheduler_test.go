@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -346,4 +347,236 @@ func TestSerialResourceProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestCancelledEventNeverFires(t *testing.T) {
+	s := NewScheduler()
+	var got []int
+	s.After(time.Second, func() { got = append(got, 1) })
+	tm := s.After(2*time.Second, func() { got = append(got, 2) })
+	s.After(3*time.Second, func() { got = append(got, 3) })
+	s.Cancel(tm)
+	if s.Len() != 2 {
+		t.Fatalf("len = %d after cancel, want 2", s.Len())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("fired %v, want [1 3]", got)
+	}
+	if s.Processed() != 2 {
+		t.Fatalf("processed = %d, want 2", s.Processed())
+	}
+}
+
+// TestCancelStaleTimerIsNoOp: a Timer whose event fired, was cancelled
+// or was recycled into a new event names nothing; cancelling it leaves
+// the event now in that slot queued.
+func TestCancelStaleTimerIsNoOp(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	done := s.After(time.Second, func() { fired++ })
+	if err := s.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	s.Cancel(done) // fired
+	cancelled := s.After(time.Second, func() { t.Fatal("cancelled event fired") })
+	s.Cancel(cancelled)
+	s.Cancel(cancelled) // already cancelled
+	// The next event reuses the freed slot of one of the handles above.
+	reused := s.After(time.Second, func() { fired++ })
+	if reused.ev != done.ev && reused.ev != cancelled.ev {
+		t.Fatal("the new event did not reuse a freed slot")
+	}
+	s.Cancel(done)
+	s.Cancel(cancelled)
+	s.Cancel(Timer{})
+	if s.Len() != 1 {
+		t.Fatalf("len = %d, want the reused event still queued", s.Len())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 2 {
+		t.Fatalf("fired %d, want 2", fired)
+	}
+}
+
+// TestCancelKeepsSurvivorOrder: cancelling events dispatches the rest in
+// the order, and at the times, of the same schedule with the cancelled
+// callbacks made no-ops.
+func TestCancelKeepsSurvivorOrder(t *testing.T) {
+	type firing struct {
+		id int
+		at time.Duration
+	}
+	run := func(cancel bool) []firing {
+		s := NewScheduler()
+		rng := NewRNG(5)
+		var got []firing
+		dead := map[int]bool{}
+		var timers []Timer
+		var ids []int
+		next := 0
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			id := next
+			next++
+			delay := time.Duration(rng.Intn(50)) * time.Millisecond
+			tm := s.After(delay, func() {
+				if dead[id] {
+					return
+				}
+				got = append(got, firing{id, s.Now()})
+				if depth < 3 {
+					schedule(depth + 1)
+					schedule(depth + 1)
+				}
+			})
+			timers, ids = append(timers, tm), append(ids, id)
+			if rng.Intn(3) == 0 && len(timers) > 1 {
+				k := rng.Intn(len(timers))
+				dead[ids[k]] = true
+				if cancel {
+					s.Cancel(timers[k])
+				}
+			}
+		}
+		for i := 0; i < 40; i++ {
+			schedule(0)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want, got := run(false), run(true)
+	if len(got) != len(want) {
+		t.Fatalf("%d survivors fired, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// FuzzSchedulerQueue runs random At/After/Cancel/step sequences against
+// a sorted-slice model of the queue. Each op is two bytes, a kind and an
+// argument. An event whose kind has the nest bit schedules a child from
+// inside its callback, reusing the slot its own firing just freed.
+func FuzzSchedulerQueue(f *testing.F) {
+	const at, after, cancel, step, nest = 0, 1, 2, 3, 4
+	f.Add([]byte{at, 5, after, 3, after, 3, cancel, 1, step, 0, step, 0, step, 0})
+	f.Add([]byte{after | nest, 0, after, 0, step, 0, cancel, 0, cancel, 1, after, 9, cancel, 0, step, 0})
+	f.Add([]byte{after, 7, after, 2, after, 4, after, 1, cancel, 2, step, 0, at, 0, cancel, 2, step, 0})
+	type mev struct {
+		at, ctime time.Duration
+		seq       uint64
+		id        int
+		child     time.Duration // delay of the nested event, or -1
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewScheduler()
+		var model []mev // sorted by (at, ctime, seq)
+		var seq uint64
+		var fired []int
+		insert := func(e mev) {
+			seq++
+			e.seq = seq
+			i := sort.Search(len(model), func(i int) bool {
+				m := model[i]
+				if m.at != e.at {
+					return m.at > e.at
+				}
+				return m.ctime > e.ctime || (m.ctime == e.ctime && m.seq > e.seq)
+			})
+			model = append(model, mev{})
+			copy(model[i+1:], model[i:])
+			model[i] = e
+		}
+		// fn fires event id; a child's id is -id-1.
+		fn := func(id int, child time.Duration) func() {
+			return func() {
+				fired = append(fired, id)
+				if child >= 0 {
+					s.After(child, func() { fired = append(fired, -id-1) })
+				}
+			}
+		}
+		var timers []Timer
+		var timerIDs []int
+		ids := 0
+		for ; len(data) >= 2; data = data[2:] {
+			kind, arg := data[0], time.Duration(data[1])*time.Millisecond
+			child := time.Duration(-1)
+			if kind&nest != 0 {
+				child = arg % (7 * time.Millisecond)
+			}
+			switch kind & 3 {
+			case at:
+				s.At(arg, fn(ids, child))
+				insert(mev{at: max(arg, s.Now()), ctime: s.Now(), id: ids, child: child})
+				ids++
+			case after:
+				timers = append(timers, s.After(arg, fn(ids, child)))
+				timerIDs = append(timerIDs, ids)
+				insert(mev{at: s.Now() + arg, ctime: s.Now(), id: ids, child: child})
+				ids++
+			case cancel:
+				if len(timers) == 0 {
+					continue
+				}
+				k := int(data[1]) % len(timers)
+				s.Cancel(timers[k])
+				for i, m := range model {
+					if m.id == timerIDs[k] {
+						model = append(model[:i], model[i+1:]...)
+						break
+					}
+				}
+			case step:
+				if len(model) == 0 {
+					continue
+				}
+				head := model[0]
+				model = model[1:]
+				fired = fired[:0]
+				s.step()
+				if len(fired) != 1 || fired[0] != head.id || s.Now() != head.at {
+					t.Fatalf("step fired %v at %v, model has %d at %v", fired, s.Now(), head.id, head.at)
+				}
+				if head.child >= 0 {
+					insert(mev{at: head.at + head.child, ctime: head.at, id: -head.id - 1, child: -1})
+				}
+			}
+			if s.Len() != len(model) {
+				t.Fatalf("queue holds %d events, model %d", s.Len(), len(model))
+			}
+		}
+		fired = fired[:0]
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// Draining fires the model's events in order, children of the
+		// drained events included.
+		var want []int
+		for len(model) > 0 {
+			head := model[0]
+			model = model[1:]
+			want = append(want, head.id)
+			if head.child >= 0 {
+				insert(mev{at: head.at + head.child, ctime: head.at, id: -head.id - 1, child: -1})
+			}
+		}
+		if len(fired) != len(want) {
+			t.Fatalf("drain fired %v, model %v", fired, want)
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("drain fired %v, model %v", fired, want)
+			}
+		}
+	})
 }

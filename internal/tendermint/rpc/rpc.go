@@ -166,43 +166,72 @@ func (s *Server) SetSettledQuery(fn func(SettledProbe) bool) { s.settled = fn }
 
 // request runs fn on the serial resource after the client->server hop,
 // then delivers the reply after the server->client hop. A client-side
-// timeout aborts waiting (the server still does the work).
+// timeout aborts waiting (the server still does the work); a reply that
+// arrives first cancels the timeout, so an answered request leaves
+// nothing queued.
 //
 // The service cost is resolved on the server at arrival time — client
 // callers may live on another partition, where the server's store is
 // not coherently readable. The timeout runs on the caller's partition
-// clock: both it and the reply mutate the caller-owned `done` flag.
+// clock, where the reply lands too: both touch only the call's own
+// state, and Cancel acts on the scheduler that holds the timer.
 func request[T any](s *Server, from netem.Host, service func() time.Duration, fn func() (T, error), cb func(T, error)) {
-	done := false
-	finish := func(v T, err error) {
-		if done {
-			return
-		}
-		done = true
-		cb(v, err)
-	}
-	s.net.SchedulerFor(from).After(s.clientTimeout, func() {
-		var zero T
-		finish(zero, ErrTimeout)
-	})
-	s.net.Send(from, s.host, func() {
-		s.serial.Submit(service(), func() {
-			v, err := fn()
-			s.net.Send(s.host, from, func() { finish(v, err) })
-		})
-	})
+	c := &call[T]{s: s, from: from, service: service, fn: fn, cb: cb}
+	c.timer = s.net.SchedulerFor(from).After(s.clientTimeout, c.timeout)
+	s.net.Send(from, s.host, c.arrive)
 }
 
-// flat wraps a fixed service cost for request.
-func flat(d time.Duration) func() time.Duration {
-	return func() time.Duration { return d }
+// call is one request in flight: a single allocation holding what the
+// hops, the service and the timeout share.
+type call[T any] struct {
+	s       *Server
+	from    netem.Host
+	service func() time.Duration
+	fn      func() (T, error)
+	cb      func(T, error)
+	timer   sim.Timer
+	done    bool
+	v       T
+	err     error
 }
+
+// arrive queues the request on the serial resource (server side).
+func (c *call[T]) arrive() { c.s.serial.Submit(c.service(), c.serve) }
+
+// serve computes the reply and sends it back (server side).
+func (c *call[T]) serve() {
+	c.v, c.err = c.fn()
+	c.s.net.Send(c.s.host, c.from, c.reply)
+}
+
+func (c *call[T]) reply() { c.finish(c.v, c.err) }
+
+func (c *call[T]) timeout() {
+	var zero T
+	c.finish(zero, ErrTimeout)
+}
+
+// finish calls back once, with whichever of the reply and the timeout
+// came first, and unschedules the timeout.
+func (c *call[T]) finish(v T, err error) {
+	if c.done {
+		return
+	}
+	c.done = true
+	c.s.net.SchedulerFor(c.from).Cancel(c.timer)
+	c.cb(v, err)
+}
+
+// Flat service costs, as top-level funcs so passing one allocates
+// nothing.
+func broadcastCost() time.Duration { return simconf.BroadcastTxCost }
+func statusCost() time.Duration    { return simconf.StatusQueryCost }
 
 // BroadcastTxSync submits a transaction: it is accepted into the mempool
 // (after CheckTx) or rejected. The reply carries the CheckTx error.
 func (s *Server) BroadcastTxSync(from netem.Host, tx types.Tx, cb func(error)) {
 	s.broadcasts.Add(1)
-	request(s, from, flat(simconf.BroadcastTxCost), func() (struct{}, error) {
+	request(s, from, broadcastCost, func() (struct{}, error) {
 		return struct{}{}, s.pool.Add(tx)
 	}, func(_ struct{}, err error) {
 		if cb != nil {
@@ -215,7 +244,7 @@ func (s *Server) BroadcastTxSync(from netem.Host, tx types.Tx, cb func(error)) {
 // query; returns ErrNotFound while pending).
 func (s *Server) QueryTx(from netem.Host, hash types.Hash, cb func(*store.TxInfo, error)) {
 	s.queries.Add(1)
-	request(s, from, flat(simconf.StatusQueryCost), func() (*store.TxInfo, error) {
+	request(s, from, statusCost, func() (*store.TxInfo, error) {
 		info, err := s.stor.Tx(hash)
 		if err != nil {
 			return nil, ErrNotFound
@@ -282,7 +311,7 @@ func (s *Server) QueryBlockEvents(from netem.Host, height int64, cb func(*eventi
 // QueryAccountSequence resolves an account's committed sequence.
 func (s *Server) QueryAccountSequence(from netem.Host, account string, cb func(uint64, error)) {
 	s.queries.Add(1)
-	request(s, from, flat(simconf.StatusQueryCost), func() (uint64, error) {
+	request(s, from, statusCost, func() (uint64, error) {
 		if s.accountSeq == nil {
 			return 0, ErrNotFound
 		}
@@ -307,7 +336,7 @@ type SettledProbe struct {
 // (a single ABCI multi-query round trip).
 func (s *Server) QuerySettled(from netem.Host, probes []SettledProbe, cb func([]bool, error)) {
 	s.queries.Add(1)
-	request(s, from, flat(simconf.StatusQueryCost), func() ([]bool, error) {
+	request(s, from, statusCost, func() ([]bool, error) {
 		if s.settled == nil {
 			return nil, ErrNotFound
 		}

@@ -29,6 +29,7 @@ func (t tx) GasWanted() uint64 { return 1 }
 
 type fixture struct {
 	sched  *sim.Scheduler
+	net    *netem.Network
 	server *Server
 	stor   *store.Store
 	pool   *mempool.Pool
@@ -76,7 +77,7 @@ func newFixture(clientTimeout time.Duration) *fixture {
 			return 0
 		},
 		idx.At)
-	return &fixture{sched: sched, server: srv, stor: stor, pool: pool, idx: idx, client: "relayer-host"}
+	return &fixture{sched: sched, net: net, server: srv, stor: stor, pool: pool, idx: idx, client: "relayer-host"}
 }
 
 func commitBlock(f *fixture, height int64, txs ...types.Tx) *store.CommittedBlock {
@@ -105,7 +106,7 @@ func TestBroadcastAddsToMempool(t *testing.T) {
 		called = true
 		got = err
 	})
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if !called || got != nil {
@@ -121,7 +122,7 @@ func TestBroadcastReportsCheckTxError(t *testing.T) {
 	f.server.BroadcastTxSync(f.client, tx{id: "dup"}, nil)
 	var got error
 	f.server.BroadcastTxSync(f.client, tx{id: "dup"}, func(err error) { got = err })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(got, mempool.ErrDuplicate) {
@@ -138,7 +139,7 @@ func TestSerialQueryProcessing(t *testing.T) {
 	var first, second time.Duration
 	f.server.QueryTxData(f.client, heavy.Hash(), func(*store.TxInfo, error) { first = f.sched.Now() })
 	f.server.QueryTxData(f.client, heavy.Hash(), func(*store.TxInfo, error) { second = f.sched.Now() })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	gap := second - first
@@ -152,7 +153,7 @@ func TestQueryTxConfirmation(t *testing.T) {
 	pending := tx{id: "pending"}
 	var err1 error
 	f.server.QueryTx(f.client, pending.Hash(), func(_ *store.TxInfo, err error) { err1 = err })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(err1, ErrNotFound) {
@@ -161,7 +162,7 @@ func TestQueryTxConfirmation(t *testing.T) {
 	commitBlock(f, 1, pending)
 	var info *store.TxInfo
 	f.server.QueryTx(f.client, pending.Hash(), func(i *store.TxInfo, err error) { info = i })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if info == nil || info.Height != 1 {
@@ -178,7 +179,7 @@ func TestClientTimeoutUnderBacklog(t *testing.T) {
 	f.server.QueryTxData(f.client, heavy.Hash(), nil1)
 	var got error
 	f.server.QueryTx(f.client, heavy.Hash(), func(_ *store.TxInfo, err error) { got = err })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(got, ErrTimeout) {
@@ -187,6 +188,50 @@ func TestClientTimeoutUnderBacklog(t *testing.T) {
 }
 
 func nil1(*store.TxInfo, error) {}
+
+// TestAnsweredRequestLeavesNothingQueued: the reply cancels the client
+// timeout, so no event fires after the callback.
+func TestAnsweredRequestLeavesNothingQueued(t *testing.T) {
+	f := newFixture(timeout)
+	var at time.Duration
+	var fired uint64
+	f.server.QueryAccountSequence(f.client, "alice", func(uint64, error) {
+		at, fired = f.sched.Now(), f.sched.Processed()
+	})
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if at == 0 || at >= timeout {
+		t.Fatalf("replied at %v, want before the %v timeout", at, timeout)
+	}
+	if n := f.sched.Processed(); n != fired {
+		t.Fatalf("%d events fired after the reply (the client timeout stayed queued)", n-fired)
+	}
+}
+
+// TestDroppedReplyTimesOut: a reply the network loses leaves the client
+// timeout armed, and it calls back once, with ErrTimeout, at exactly
+// the client timeout.
+func TestDroppedReplyTimesOut(t *testing.T) {
+	f := newFixture(timeout)
+	f.net.SetLinkExtraDrop("chain-a/val0", f.client, 1)
+	calls := 0
+	var got error
+	var at time.Duration
+	f.server.QueryAccountSequence(f.client, "alice", func(_ uint64, err error) {
+		calls++
+		got, at = err, f.sched.Now()
+	})
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || !errors.Is(got, ErrTimeout) || at != timeout {
+		t.Fatalf("%d callbacks, last err %v at %v; want one ErrTimeout at %v", calls, got, at, timeout)
+	}
+	if busy := f.server.BusyTime(); busy != simconf.StatusQueryCost {
+		t.Fatalf("server busy %v, want the query served (%v) and only its reply lost", busy, simconf.StatusQueryCost)
+	}
+}
 
 func TestQueryBlockEvents(t *testing.T) {
 	// The indexed query serves the shared BlockEvents at exactly the
@@ -203,7 +248,7 @@ func TestQueryBlockEvents(t *testing.T) {
 	f.server.QueryBlockEvents(f.client, 1, func(b *eventindex.BlockEvents, err error) {
 		be, at = b, f.sched.Now()
 	})
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if at != want {
@@ -217,7 +262,7 @@ func TestQueryBlockEvents(t *testing.T) {
 	}
 	var missErr error
 	f.server.QueryBlockEvents(f.client, 9, func(_ *eventindex.BlockEvents, err error) { missErr = err })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(missErr, ErrNotFound) {
@@ -230,12 +275,12 @@ func TestSubscriptionCarriesSharedIndex(t *testing.T) {
 	var frame *EventFrame
 	f.server.Subscribe(f.client, func(fr *EventFrame) { frame = fr })
 	// Registration rides the network; let it land before publishing.
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	cb := commitBlock(f, 1, tx{id: "a", bytes: 100})
 	f.server.PublishBlock(cb)
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if frame == nil || frame.Events == nil {
@@ -250,7 +295,7 @@ func TestQueryAccountSequence(t *testing.T) {
 	f := newFixture(timeout)
 	var seq uint64
 	f.server.QueryAccountSequence(f.client, "alice", func(s uint64, err error) { seq = s })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if seq != 7 {
@@ -262,12 +307,12 @@ func TestSubscriptionDeliversEvents(t *testing.T) {
 	f := newFixture(timeout)
 	var frames []*EventFrame
 	f.server.Subscribe(f.client, func(fr *EventFrame) { frames = append(frames, fr) })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	cb := commitBlock(f, 1, tx{id: "a", bytes: 100})
 	f.server.PublishBlock(cb)
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if len(frames) != 1 {
@@ -282,12 +327,12 @@ func TestWebSocketFrameLimit(t *testing.T) {
 	f := newFixture(timeout)
 	var frame *EventFrame
 	f.server.Subscribe(f.client, func(fr *EventFrame) { frame = fr })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	cb := commitBlock(f, 1, tx{id: "big", bytes: simconf.WebSocketMaxFrameBytes + 1})
 	f.server.PublishBlock(cb)
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if frame == nil {
@@ -313,7 +358,7 @@ func TestBroadcastContentionDelaysConfirmation(t *testing.T) {
 	commitBlock(f, 1, probe)
 	var baseline time.Duration
 	f.server.QueryTx(f.client, probe.Hash(), func(*store.TxInfo, error) { baseline = f.sched.Now() })
-	if err := f.sched.Run(); err != nil {
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 
@@ -324,7 +369,7 @@ func TestBroadcastContentionDelaysConfirmation(t *testing.T) {
 	}
 	var loaded time.Duration
 	f2.server.QueryTx(f2.client, probe.Hash(), func(*store.TxInfo, error) { loaded = f2.sched.Now() })
-	if err := f2.sched.Run(); err != nil {
+	if err := f2.sched.RunUntil(f2.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if loaded < baseline+500*time.Millisecond {

@@ -34,9 +34,11 @@ type Route struct {
 	Transfers int
 	// Forwarded selects native packet forwarding over sequential legs.
 	Forwarded bool
-	// TimeoutBlocks overrides the middleware's per-hop timeout margin in
-	// Forwarded mode (0 = pfm default). Tiny values inject hop timeouts
-	// for refund-unwinding experiments.
+	// TimeoutBlocks overrides the packet timeout margin (0 = defaults):
+	// each sequential leg's packets time out this many destination
+	// blocks after they are sent; in Forwarded mode it is the
+	// middleware's per-hop margin. Tiny values inject timeouts for
+	// refund experiments.
 	TimeoutBlocks int64
 }
 
@@ -264,7 +266,11 @@ func (d *Deployment) startLeg(rr *routeRun) {
 	}
 	from, to := rr.route.Path[rr.hop], rr.route.Path[rr.hop+1]
 	link, _ := d.LinkBetween(from, to)
-	d.submitAndAwait(rr, link, link.newRouteGenerator(from, rr.idx, rr.hop))
+	gen := link.newRouteGenerator(from, rr.idx, rr.hop)
+	if rr.route.TimeoutBlocks > 0 {
+		gen.TimeoutBlocks = rr.route.TimeoutBlocks
+	}
+	d.submitAndAwait(rr, link, gen)
 }
 
 // startForwardedRoute submits the route's single user transfer batch with
