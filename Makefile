@@ -18,8 +18,10 @@ check:
 
 # Bounded run of the native fuzz targets (CI's "Differential fuzz"
 # step): the append codecs of the two hashed per-packet documents against
-# encoding/json in both directions, merkle.IncTree.Apply's roots and
-# proofs against the full-rebuild merkle.NewTree, app.State's undo
+# encoding/json in both directions, the light-client state encoders
+# against json.Marshal, merkle.IncTree.Apply's roots and proofs against
+# the full-rebuild merkle.NewTree, merkle.Verifier's verdicts against
+# merkle.VerifyMembership's, app.State's undo
 # journal and proofs against a map-copy-per-tx model, the scenario spec's parse ⇄ encode round trip,
 # the sign-on-demand vote cache against an eager-signing model, the
 # denom trace's parse ⇄ string and prefix round trips, the
@@ -38,8 +40,10 @@ check:
 # with the fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAckCodec -fuzztime 10s ./internal/ibc
+	$(GO) test -run '^$$' -fuzz FuzzStoredObjectCodecs -fuzztime 10s ./internal/ibc
 	$(GO) test -run '^$$' -fuzz FuzzPacketDataCodec -fuzztime 10s ./internal/ibc/transfer
 	$(GO) test -run '^$$' -fuzz FuzzIncTreeApply -fuzztime 10s ./internal/merkle
+	$(GO) test -run '^$$' -fuzz FuzzVerifier -fuzztime 10s ./internal/merkle
 	$(GO) test -run '^$$' -fuzz FuzzStateJournal -fuzztime 10s ./internal/app
 	$(GO) test -run '^$$' -fuzz FuzzSpecRoundTrip -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzVoteCache -fuzztime 10s ./internal/tendermint/votesig
@@ -111,7 +115,7 @@ reach:
 	set -e; export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; bin=$(REACH)/ibcbench; \
 	for w in bench/workloads/*.json; do $$bin run -scenario $$w -seed 11 -out $(REACH)/out.json >/dev/null; \
 		$(REACH)/bench -child -workload $$(basename $$w .json) -seed 11 -mode obs >/dev/null; done; \
-	for x in failover hub mesh pfmroute plaintimeout quickstart timeoutproofs timeoutstorm; do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
+	for x in failover hub mesh pfmroute plaintimeout quickstart roundtrip timeoutproofs timeoutstorm; do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
 	for s in internal/scenario/testdata/*.json; do $$bin run -scenario $$s >/dev/null; done; \
 	$$bin sweep -experiment all -transfers 500 -out $(REACH)/out.json >/dev/null; \
 	$$bin search -scenario internal/scenario/testdata/planted.json -budget 6 >/dev/null || true; \

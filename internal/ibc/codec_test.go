@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"ibcbench/internal/ibc"
+	"ibcbench/internal/merkle"
 )
 
 // Acknowledgement is written with appends and read back without
@@ -95,5 +97,84 @@ func FuzzAckCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, result []byte, errText string, raw []byte) {
 		checkAckDecode(t, checkAckEncode(t, ibc.Acknowledgement{Result: result, Error: errText}))
 		checkAckDecode(t, raw)
+	})
+}
+
+// The light-client states updateClient stores are written with appends.
+// Their bytes are hashed into the app root, so they must be exactly
+// json.Marshal's.
+
+var clientStateCases = []ibc.ClientState{
+	{},
+	{ChainID: "ibc-0", LatestHeight: 7, Validators: []ibc.ValidatorRecord{}},
+	{ChainID: "ibc-1", LatestHeight: 1, Validators: []ibc.ValidatorRecord{
+		{PubKey: []byte{0xfb, 0xff, 0xfe, 0x3e, 0x3f}, Power: 10},
+		{PubKey: nil, Power: -3},
+		{PubKey: []byte{}, Power: 0},
+	}},
+	{ChainID: "q\"uote\\ <tag> &   \x00 bad\xff", LatestHeight: -1 << 63},
+}
+
+var consensusStateCases = []ibc.ConsensusState{
+	{},
+	{Root: merkle.Hash{0: 1, 31: 200}, Timestamp: 5 * time.Second},
+	{Root: allBytes(0xff), Timestamp: -1},
+	{Root: allBytes(0x80), Timestamp: -1 << 63},
+}
+
+func allBytes(b byte) (h merkle.Hash) {
+	for i := range h {
+		h[i] = b
+	}
+	return h
+}
+
+func checkStoredObjectCodecs(t *testing.T, cs ibc.ClientState, cons ibc.ConsensusState) {
+	t.Helper()
+	for _, c := range []struct {
+		v   any
+		got []byte
+	}{
+		{cs, ibc.AppendClientState([]byte("prefix"), &cs)[len("prefix"):]},
+		{cons, ibc.AppendConsensusState(nil, &cons)},
+	} {
+		want, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.got, want) {
+			t.Fatalf("encoding %#v\n got %s\nwant %s", c.v, c.got, want)
+		}
+	}
+}
+
+func TestStoredObjectCodecsMatchEncodingJSON(t *testing.T) {
+	for _, cs := range clientStateCases {
+		for _, cons := range consensusStateCases {
+			checkStoredObjectCodecs(t, cs, cons)
+		}
+	}
+}
+
+// FuzzStoredObjectCodecs builds a client state with one validator per
+// fuzzed key (nil when the key's first byte is odd) and a consensus state
+// whose root is the fuzzed bytes padded or cut to 32.
+func FuzzStoredObjectCodecs(f *testing.F) {
+	f.Add("ibc-0", int64(7), false, []byte("key-one"), []byte{0, 1, 2}, int64(10), []byte{}, int64(5e9))
+	f.Add("\x00\xff ", int64(-1), true, []byte{1}, []byte(nil), int64(-1), bytes.Repeat([]byte{0xff}, 40), int64(-1))
+	f.Fuzz(func(t *testing.T, chainID string, height int64, nilVals bool, key1, key2 []byte, power int64, root []byte, ts int64) {
+		cs := ibc.ClientState{ChainID: chainID, LatestHeight: height}
+		if !nilVals {
+			cs.Validators = []ibc.ValidatorRecord{}
+			for i, k := range [][]byte{key1, key2} {
+				if len(k) > 0 && k[0]%2 == 1 {
+					k = nil
+				}
+				cs.Validators = append(cs.Validators, ibc.ValidatorRecord{PubKey: k, Power: power - int64(i)})
+			}
+		}
+		cons := ibc.ConsensusState{Timestamp: time.Duration(ts)}
+		copy(cons.Root[:], root)
+		checkStoredObjectCodecs(t, cs, cons)
 	})
 }

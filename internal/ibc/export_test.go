@@ -6,6 +6,13 @@ const MemoCap = memoCap
 // MemoLen reports how many decoded objects the keeper remembers.
 func (k *Keeper) MemoLen() int { return len(k.memo) }
 
+// The light-client state encoders, for the tests that hold them to
+// json.Marshal.
+var (
+	AppendClientState    = appendClientState
+	AppendConsensusState = appendConsensusState
+)
+
 // The string forms of the state keys, for the tests that prove or read
 // them.
 

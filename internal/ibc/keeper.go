@@ -59,6 +59,13 @@ type Keeper struct {
 	voteVerifiers map[string]types.VoteVerifier
 	// memo remembers the decoded form of stored objects (see getJSON).
 	memo map[string]memoEntry
+	// enc is the buffer the light-client states are encoded into before
+	// they are copied out to the store (see setRemembered).
+	enc []byte
+	// verifiers holds one merkle.Verifier per light client, made on
+	// first use: the proofs of one relayed batch share a root and most
+	// of their path.
+	verifiers map[string]*merkle.Verifier
 }
 
 // NewKeeper creates the IBC keeper and registers its message handler on
@@ -104,6 +111,8 @@ const memoCap = 1024
 // getJSON reads and decodes a stored object. Every packet message reads
 // the same channel, connection and consensus state, so the decoded value
 // is remembered per key and reused while the stored bytes are unchanged.
+// The light-client states are remembered when they are written
+// (setRemembered), so their reads decode nothing.
 // The bytes still come from ctx.State on every call and are compared
 // against the remembered ones, which makes in-transaction writes, aborted
 // transactions and deletes visible without any invalidation hook. The
@@ -122,13 +131,31 @@ func getJSON[T any](k *Keeper, ctx *app.Context, key []byte) (zero T, ok bool) {
 	if err := json.Unmarshal(raw, v); err != nil {
 		return zero, false
 	}
+	k.remember(key, raw, v)
+	return *v, true
+}
+
+// remember records v as the decode of raw, the bytes stored under key.
+func (k *Keeper) remember(key, raw []byte, v any) {
 	if len(k.memo) >= memoCap {
 		clear(k.memo)
 	}
 	// The store owns its values and nobody writes to a stored slice (the
 	// rule on State.Set and State.Get), so raw can be kept by reference.
 	k.memo[string(key)] = memoEntry{raw: raw, val: v}
-	return *v, true
+}
+
+// setRemembered stores a copy of k.enc, the encoding of *v, under key
+// and remembers *v as its decode, so the next read of key is a memo hit.
+// That holds only if json.Unmarshal makes *v again of those bytes. It
+// does for the light-client states updateClient writes: their strings
+// and slices come from an earlier decode, and the numbers it sets
+// round-trip. A write in a transaction that aborts leaves the memo
+// holding bytes the store no longer returns, so the next read misses.
+func setRemembered[T any](k *Keeper, st *app.State, key []byte, v *T) {
+	raw := bytes.Clone(k.enc)
+	st.Set(key, raw)
+	k.remember(key, raw, v)
 }
 
 func setJSON(st *app.State, key []byte, v any) {
@@ -211,7 +238,15 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 	if proof == nil || proof.Membership == nil {
 		return fmt.Errorf("%w: missing membership proof for %s", ErrProofVerify, string(key))
 	}
-	if err := merkle.VerifyMembership(cons.Root, key, value, proof.Membership); err != nil {
+	v := k.verifiers[clientID]
+	if v == nil {
+		if k.verifiers == nil {
+			k.verifiers = make(map[string]*merkle.Verifier)
+		}
+		v = new(merkle.Verifier)
+		k.verifiers[clientID] = v
+	}
+	if err := v.VerifyMembership(cons.Root, key, value, proof.Membership); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrProofVerify, string(key), err)
 	}
 	return nil
@@ -288,12 +323,12 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 	var b [app.KeyBufLen]byte
 	if hdr.Height > cs.LatestHeight {
 		cs.LatestHeight = hdr.Height
-		setJSON(ctx.State, AppendClientStateKey(b[:0], m.ClientID), cs)
+		k.enc = appendClientState(k.enc[:0], &cs)
+		setRemembered(k, ctx.State, AppendClientStateKey(b[:0], m.ClientID), &cs)
 	}
-	setJSON(ctx.State, AppendConsensusStateKey(b[:0], m.ClientID, hdr.Height), ConsensusState{
-		Root:      hdr.AppHash,
-		Timestamp: hdr.Time,
-	})
+	cons := ConsensusState{Root: hdr.AppHash, Timestamp: hdr.Time}
+	k.enc = appendConsensusState(k.enc[:0], &cons)
+	setRemembered(k, ctx.State, AppendConsensusStateKey(b[:0], m.ClientID, hdr.Height), &cons)
 	return nil
 }
 

@@ -111,6 +111,62 @@ func TestMemoForgetsRolledBackWrites(t *testing.T) {
 	if got := viewOf(t, c.keeper, ctxOf(c)); got != staged {
 		t.Fatalf("after the commit: %+v, want %+v", got, staged)
 	}
+	// An update remembers what it writes; once its transaction aborts,
+	// the reads see the pre-transaction states again.
+	if errs := c.deliver("relayer", updateMsg(12), probeMsg{func(ctx *app.Context) error {
+		if cs, err := c.keeper.Client(ctx, memoClient); err != nil || cs.LatestHeight != 12 {
+			t.Errorf("inside the aborted update: client %+v, %v; want height 12", cs, err)
+		}
+		return errors.New("boom")
+	}}); errs == nil {
+		t.Fatal("the failing probe did not fail the tx")
+	}
+	if got := viewOf(t, c.keeper, ctxOf(c)); got != staged {
+		t.Fatalf("after the aborted update: %+v, want %+v", got, staged)
+	}
+	if _, err := c.keeper.Consensus(ctxOf(c), memoClient, 12); !errors.Is(err, ibc.ErrConsensusNotFound) {
+		t.Fatalf("after the aborted update: consensus state at 12: %v, want not found", err)
+	}
+}
+
+// firstCallAllocs counts the allocations of one call of read.
+// AllocsPerRun's warm-up call would fill the memo by itself, so it is
+// skipped.
+func firstCallAllocs(read func()) float64 {
+	warm := true
+	return testing.AllocsPerRun(1, func() {
+		if warm {
+			warm = false
+			return
+		}
+		read()
+	})
+}
+
+// A light-client state is remembered when updateClient writes it, so the
+// reads that follow (a relayed batch's proof checks) decode nothing.
+func TestLightClientReadsAfterUpdateAllocateNothing(t *testing.T) {
+	c := newMemoChain(t)
+	c.mustDeliver("relayer", openMsgs(7)...)
+	for _, h := range []int64{12, 13} {
+		c.mustDeliver("relayer", updateMsg(h))
+		ctx := ctxOf(c)
+		var cs ibc.ClientState
+		var cons ibc.ConsensusState
+		var err error
+		if n := firstCallAllocs(func() { cs, err = c.keeper.Client(ctx, memoClient) }); n != 0 {
+			t.Errorf("height %d: the client read after its update made %.0f allocations, want 0", h, n)
+		}
+		if err != nil || cs.LatestHeight != h || cs.ChainID != "chain-x" {
+			t.Fatalf("height %d: client %+v, %v", h, cs, err)
+		}
+		if n := firstCallAllocs(func() { cons, err = c.keeper.Consensus(ctx, memoClient, h) }); n != 0 {
+			t.Errorf("height %d: the consensus read after its update made %.0f allocations, want 0", h, n)
+		}
+		if want := time.Duration(h) * time.Second; err != nil || cons.Timestamp != want {
+			t.Fatalf("height %d: consensus %+v, %v; want timestamp %v", h, cons, err, want)
+		}
+	}
 }
 
 func TestMemoSeesClientUpdateInSameTx(t *testing.T) {
@@ -223,6 +279,9 @@ func TestMemoStaysUnderItsBound(t *testing.T) {
 			msgs[i] = updateMsg(h + int64(i))
 		}
 		c.mustDeliver("relayer", msgs...)
+		if n := c.keeper.MemoLen(); n > ibc.MemoCap {
+			t.Fatalf("memo holds %d entries after writing up to height %d, bound %d", n, h+49, ibc.MemoCap)
+		}
 	}
 	ctx := ctxOf(c)
 	check := func(h int64) {

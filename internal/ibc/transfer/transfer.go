@@ -210,20 +210,31 @@ func (m *Module) SendTransfer(ctx *app.Context, mt MsgTransfer) (ibc.Packet, err
 // It reports the credited coin and whether the unescrow path ran (the
 // information an unwinding middleware needs to reverse it).
 func (m *Module) ReceiveFunds(ctx *app.Context, p ibc.Packet, data PacketData, receiver string) (app.Coin, bool, error) {
-	tr := denom.Parse(data.Denom)
-	if tr.HasPrefix(p.SourcePort, p.SourceChannel) {
+	d, home := ReceivedDenom(p, data.Denom)
+	coin := app.Coin{Denom: d, Amount: data.Amount}
+	if home {
 		// Token is returning home: release from this chain's escrow.
-		coin := app.Coin{Denom: tr.TrimPrefix().String(), Amount: data.Amount}
 		escrow := EscrowAccount(p.DestPort, p.DestChannel)
 		if err := ctx.Bank.Send(escrow, receiver, coin); err != nil {
 			return app.Coin{}, false, err
 		}
 		return coin, true, nil
 	}
-	// Mint a voucher with this channel's trace prefix.
-	coin := app.Coin{Denom: tr.AddPrefix(p.DestPort, p.DestChannel).String(), Amount: data.Amount}
 	ctx.Bank.Mint(receiver, coin)
 	return coin, false, nil
+}
+
+// ReceivedDenom is the denom a packet of p's route carrying packetDenom
+// credits on its destination, and whether the token is returning home
+// there: then its trace loses p's source hop and the escrow releases
+// it, and otherwise it gains p's destination hop as a minted voucher.
+// Only p's ports and channels are read.
+func ReceivedDenom(p ibc.Packet, packetDenom string) (string, bool) {
+	tr := denom.Parse(packetDenom)
+	if tr.HasPrefix(p.SourcePort, p.SourceChannel) {
+		return tr.TrimPrefix().String(), true
+	}
+	return tr.AddPrefix(p.DestPort, p.DestChannel).String(), false
 }
 
 // UndoReceive reverses a ReceiveFunds: re-escrow an unescrowed coin or

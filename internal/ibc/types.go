@@ -132,6 +132,44 @@ type ConsensusState struct {
 	Timestamp time.Duration `json:"timestamp"`
 }
 
+// appendClientState appends the bytes json.Marshal writes for cs.
+func appendClientState(dst []byte, cs *ClientState) []byte {
+	dst = AppendJSONString(append(dst, `{"chain_id":`...), cs.ChainID)
+	dst = strconv.AppendInt(append(dst, `,"latest_height":`...), cs.LatestHeight, 10)
+	dst = append(dst, `,"validators":`...)
+	if cs.Validators == nil {
+		return append(dst, "null}"...)
+	}
+	dst = append(dst, '[')
+	for i, vr := range cs.Validators {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"pub_key":`...)
+		if vr.PubKey == nil {
+			dst = append(dst, "null"...)
+		} else {
+			dst = append(base64.StdEncoding.AppendEncode(append(dst, '"'), vr.PubKey), '"')
+		}
+		dst = append(strconv.AppendInt(append(dst, `,"power":`...), vr.Power, 10), '}')
+	}
+	return append(dst, "]}"...)
+}
+
+// appendConsensusState appends the bytes json.Marshal writes for cs: the
+// root is an array, so it is written as 32 numbers, not in base64.
+func appendConsensusState(dst []byte, cs *ConsensusState) []byte {
+	dst = append(dst, `{"root":[`...)
+	for i, b := range cs.Root {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, uint64(b), 10)
+	}
+	dst = strconv.AppendInt(append(dst, `],"timestamp":`...), int64(cs.Timestamp), 10)
+	return append(dst, '}')
+}
+
 // ConnectionEnd is the stored connection state (ICS-3).
 type ConnectionEnd struct {
 	State                HandshakeState `json:"state"`

@@ -21,6 +21,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"sort"
 )
 
@@ -219,23 +220,109 @@ func RootFromProof(leaf Hash, path []PathStep) Hash {
 // left child), which binds the index used by non-membership adjacency
 // checks.
 func VerifyMembership(root Hash, key, value []byte, p *MembershipProof) error {
-	if p == nil || p.Index < 0 {
-		return ErrProofInvalid
-	}
-	idx := p.Index
-	for _, st := range p.Path {
-		if st.Left != (idx&1 == 1) {
-			return ErrProofInvalid
-		}
-		idx /= 2
-	}
-	if idx != 0 {
+	if !indexMatchesPath(p) {
 		return ErrProofInvalid
 	}
 	if got := RootFromProof(LeafHash(key, value), p.Path); got != root {
 		return ErrProofInvalid
 	}
 	return nil
+}
+
+// indexMatchesPath reports whether p is non-nil and its Index agrees with
+// its direction flags, with no index bit left above the path.
+func indexMatchesPath(p *MembershipProof) bool {
+	if p == nil || p.Index < 0 {
+		return false
+	}
+	idx := p.Index
+	for _, st := range p.Path {
+		if st.Left != (idx&1 == 1) {
+			return false
+		}
+		idx /= 2
+	}
+	return idx == 0
+}
+
+// verifierDepth is the longest path a Verifier remembers (2^32 leaves).
+const verifierDepth = 32
+
+// Verifier is VerifyMembership with a memory of the last proof it
+// accepted: its root, its index, and its node and sibling at every
+// level. The proofs of one batch share a root and most of their upper
+// path, so a later proof under the same root stops hashing at the first
+// level where its position meets the remembered one, if its node there
+// equals the remembered node and its siblings above equal the
+// remembered siblings: from that level up the two computations are the
+// same, and the remembered one reached the root. Its verdict is
+// VerifyMembership's for every input, whatever it accepted before. The
+// zero value remembers nothing.
+type Verifier struct {
+	root  Hash
+	n     int // the remembered path's length; 0 = nothing remembered
+	index int
+	nodes [verifierDepth]Hash // nodes[l] is the node at level l (0 = the leaf)
+	sibs  [verifierDepth]Hash
+}
+
+// VerifyMembership checks that (key, value) is committed by root, as the
+// package function does.
+func (v *Verifier) VerifyMembership(root Hash, key, value []byte, p *MembershipProof) error {
+	if p == nil || len(p.Path) == 0 || len(p.Path) > verifierDepth {
+		return VerifyMembership(root, key, value, p)
+	}
+	if !indexMatchesPath(p) {
+		return ErrProofInvalid
+	}
+	n := len(p.Path)
+	// meet is the first level at which p's position is the remembered
+	// proof's, or n (the root, no saving) when there is none.
+	meet := n
+	if v.n == n && v.root == root {
+		meet = bits.Len(uint(p.Index ^ v.index))
+	}
+	var nodes [verifierDepth]Hash
+	cur := LeafHash(key, value)
+	for l, st := range p.Path {
+		if l == meet && cur == v.nodes[l] && v.sameAbove(l, p.Path) {
+			v.remember(l, p, &nodes)
+			return nil
+		}
+		nodes[l] = cur
+		if st.Left {
+			cur = InnerHash(st.Sibling, cur)
+		} else {
+			cur = InnerHash(cur, st.Sibling)
+		}
+	}
+	if cur != root {
+		return ErrProofInvalid
+	}
+	v.root, v.n = root, n
+	v.remember(n, p, &nodes)
+	return nil
+}
+
+// sameAbove reports whether path's siblings from level l up are the
+// remembered ones.
+func (v *Verifier) sameAbove(l int, path []PathStep) bool {
+	for i := l; i < len(path); i++ {
+		if path[i].Sibling != v.sibs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// remember records an accepted proof's nodes and siblings below level l
+// and its index; the levels from l up are already remembered.
+func (v *Verifier) remember(l int, p *MembershipProof, nodes *[verifierDepth]Hash) {
+	copy(v.nodes[:l], nodes[:l])
+	for i := 0; i < l; i++ {
+		v.sibs[i] = p.Path[i].Sibling
+	}
+	v.index = p.Index
 }
 
 // NonMembershipProof proves a key is absent from the committed snapshot.

@@ -187,3 +187,68 @@ func TestPlainTimeoutRefundsSender(t *testing.T) {
 		t.Fatalf("source sent %d packets, want %d", sent, want)
 	}
 }
+
+// TestRoundTripComesHome is RelayPacketTest's balance check carried
+// around the roundtrip built-in's closed path: each leg spends what the
+// previous one delivered, so once the route completes every route
+// account is back at its starting balance on every chain, no voucher
+// supply is outstanding and no escrow holds anything.
+func TestRoundTripComesHome(t *testing.T) {
+	e, ok := Lookup("roundtrip")
+	if !ok {
+		t.Fatal("roundtrip builtin missing")
+	}
+	sc, err := Compile(e.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, dep, err := sc.RunDeployed(e.Spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := Check(dep, DefaultAssertions()); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+	route := e.Spec.Workload.Routes[0]
+	if res.RoutesCompleted != 1 {
+		t.Fatalf("%d routes completed, want 1", res.RoutesCompleted)
+	}
+	origin := dep.Chains[route.Path[0]]
+	const start = 1 << 50 // what workload.EnsureAccounts funds
+	sent, vouchers := 0, map[string]bool{}
+	eachSent(dep, func(c *chain.Chain, p *ibc.Packet) {
+		sent++
+		data, err := transfer.ParsePacketData(p.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data.Receiver != data.Sender {
+			t.Errorf("%s sent to %s: a round trip keeps one name", data.Sender, data.Receiver)
+		}
+		bank := c.App.Bank()
+		want := uint64(0)
+		if c == origin {
+			want = start
+		} else {
+			vouchers[data.Denom] = true
+			if got := bank.Supply(data.Denom); got != 0 {
+				t.Errorf("%s: %d %s still in supply", c.ID, got, data.Denom)
+			}
+		}
+		if got := bank.Balance(data.Sender, data.Denom); got != want {
+			t.Errorf("%s: %s holds %d %s, started with %d", c.ID, data.Sender, got, data.Denom, want)
+		}
+		escrow := transfer.EscrowAccount(p.SourcePort, p.SourceChannel)
+		if got := bank.Balance(escrow, data.Denom); got != 0 {
+			t.Errorf("%s: escrow %s still holds %d %s", c.ID, escrow, got, data.Denom)
+		}
+	})
+	if want := (len(route.Path) - 1) * route.Transfers; sent != want {
+		t.Fatalf("the route sent %d packets, want %d", sent, want)
+	}
+	// One voucher on the middle chain, sent out and back, and the
+	// voucher of a voucher on the far one.
+	if len(vouchers) != 2 {
+		t.Fatalf("vouchers sent %v, want two trace denoms", vouchers)
+	}
+}

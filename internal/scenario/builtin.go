@@ -68,6 +68,23 @@ var builtins = []Entry{
 		},
 	},
 
+	// A sequential route that comes home: each leg spends what the last
+	// one delivered, so the tokens go out as vouchers of vouchers and
+	// come back unescrowed hop by hop, the ICS-20 unwind no one-way
+	// route reaches.
+	{
+		Desc:  "line:3 round trip 0->1->2->1->0, each leg spending what the last delivered",
+		Short: true,
+		Spec: Spec{
+			Name:     "roundtrip",
+			Topology: TopologySpec{Preset: "line:3"},
+			Workload: WorkloadSpec{Routes: []RouteSpec{
+				{Path: []int{0, 1, 2, 1, 0}, Transfers: 4},
+			}},
+			Seed: 1,
+		},
+	},
+
 	// Geo-distributed hub, standby relayers, a mid-run relayer blackout
 	// plus a latency spike, healed before the deadline. Declares a fault
 	// space so it doubles as the default chaos-search demo.

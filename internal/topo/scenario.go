@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"ibcbench/internal/chaos"
+	"ibcbench/internal/ibc"
+	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/obs"
 	"ibcbench/internal/relayer"
@@ -259,16 +261,30 @@ func (s Scenario) deadline(windows int) time.Duration {
 }
 
 // startLeg submits one route leg on a dedicated generator and advances
-// to the next hop once the leg completes.
+// to the next hop once the leg completes. On a path that ends where it
+// starts, each leg spends what the previous one delivered, so the last
+// leg brings the first leg's tokens home.
 func (d *Deployment) startLeg(rr *routeRun) {
 	if rr.hop == 0 {
 		rr.startedAt = d.Sched.Now()
 	}
-	from, to := rr.route.Path[rr.hop], rr.route.Path[rr.hop+1]
+	path := rr.route.Path
+	from, to := path[rr.hop], path[rr.hop+1]
 	link, _ := d.LinkBetween(from, to)
 	gen := link.newRouteGenerator(from, rr.idx, rr.hop)
 	if rr.route.TimeoutBlocks > 0 {
 		gen.TimeoutBlocks = rr.route.TimeoutBlocks
+	}
+	if path[0] == path[len(path)-1] {
+		gen.RoundTrip = true
+		if rr.hop > 0 {
+			prev, pl := rr.legs[rr.hop-1], rr.links[rr.hop-1]
+			held, _ := transfer.ReceivedDenom(ibc.Packet{
+				SourcePort: transfer.PortID, SourceChannel: pl.ChannelFrom(path[rr.hop-1]),
+				DestPort: transfer.PortID, DestChannel: pl.ChannelFrom(from),
+			}, prev.Denom)
+			gen.Carry(prev, held)
+		}
 	}
 	d.submitAndAwait(rr, link, gen)
 }

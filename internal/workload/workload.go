@@ -58,6 +58,15 @@ type Generator struct {
 	// Memo is attached to every transfer (a pfm forward memo turns the
 	// generator's transfers into multi-hop forwarded routes).
 	Memo string
+	// Denom is the token each transfer sends one unit of: uatom, which
+	// the generator funds its accounts with, unless Carry set it.
+	Denom string
+	// RoundTrip sends every transfer to its sender's own name on the
+	// destination, where the next leg of a round trip spends it (Carry).
+	RoundTrip bool
+	// carried is set by Carry: the accounts hold what they send, so
+	// none is created or funded.
+	carried bool
 
 	accounts []string
 	nextSeq  map[string]uint64
@@ -97,6 +106,7 @@ func NewOnChannel(sched *sim.Scheduler, rng *sim.RNG, src, dst *chain.Chain, sou
 		TimeoutBlocks: 10000,
 		SourceChannel: sourceChannel,
 		AccountPrefix: "user",
+		Denom:         "uatom",
 		nextSeq:       make(map[string]uint64),
 		broadcastAt:   make(map[types.Hash]time.Duration),
 	}
@@ -175,6 +185,24 @@ func (g *Generator) EnsureAccounts(n int) {
 	}
 }
 
+// Carry makes g the next leg of a round trip after prev, whose transfers
+// have all landed on g's source chain as denom: g sends denom from the
+// accounts prev sent from, each to its own name again. The accounts are
+// registered on g's source chain if they are new there, and g signs at
+// their committed sequences.
+func (g *Generator) Carry(prev *Generator, denom string) {
+	g.Denom, g.RoundTrip, g.carried = denom, true, true
+	a := g.source.App
+	for _, name := range prev.accounts[:prev.acctCursor] {
+		seq, err := a.AccountSequence(name)
+		if err != nil {
+			a.CreateAccount(name)
+		}
+		g.accounts = append(g.accounts, name)
+		g.nextSeq[name] = seq
+	}
+}
+
 // SubmitBatch submits `transfers` transfer requests now, split into
 // transactions of 100 messages (RelayerMaxMsgsPerTx) from distinct
 // accounts. It models the paper's multi-account submission: each account
@@ -182,9 +210,11 @@ func (g *Generator) EnsureAccounts(n int) {
 // on mismatch.
 func (g *Generator) SubmitBatch(transfers int) {
 	txCount := g.request(transfers)
-	// Rotate through enough distinct accounts that a window never reuses
-	// an account from the previous two windows.
-	g.EnsureAccounts(3 * txCount)
+	if !g.carried {
+		// Rotate through enough distinct accounts that a window never
+		// reuses an account from the previous two windows.
+		g.EnsureAccounts(3 * txCount)
+	}
 	for i := 0; i < txCount; i++ {
 		g.submitTx(g.accounts[g.acctCursor%len(g.accounts)], txSize(transfers, i), 0)
 		g.acctCursor++
@@ -218,10 +248,14 @@ func (g *Generator) transferTx(account string, n int) (*app.Tx, uint64) {
 	msgs := make([]app.Msg, n)
 	for j := range msgs {
 		g.nonce++
+		receiver := account
+		if !g.RoundTrip {
+			receiver = "receiver-" + account
+		}
 		msgs[j] = transfer.MsgTransfer{
 			Sender:        account,
-			Receiver:      "receiver-" + account,
-			Token:         app.Coin{Denom: "uatom", Amount: 1},
+			Receiver:      receiver,
+			Token:         app.Coin{Denom: g.Denom, Amount: 1},
 			SourcePort:    transfer.PortID,
 			SourceChannel: g.SourceChannel,
 			TimeoutHeight: timeoutHeight,
