@@ -3,8 +3,6 @@ package app
 import (
 	"errors"
 	"fmt"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -270,14 +268,6 @@ func TestStateSnapshotAndProofs(t *testing.T) {
 		t.Fatal("roots did not change")
 	}
 
-	// Proofs against the old height still verify.
-	v, p, err := s.ProveMembership(1, []byte("a"))
-	if err != nil || string(v) != "1" {
-		t.Fatalf("historic a = %q, %v", v, err)
-	}
-	if err := merkle.VerifyMembership(root1, []byte("a"), v, p); err != nil {
-		t.Fatalf("historic proof of a: %v", err)
-	}
 	nm, err := s.ProveNonMembership(2, []byte("a"))
 	if err != nil || nm == nil {
 		t.Fatalf("deleted key not provably absent at height 2: %v", err)
@@ -285,7 +275,8 @@ func TestStateSnapshotAndProofs(t *testing.T) {
 	if err := merkle.VerifyNonMembership(root2, []byte("a"), nm); err != nil {
 		t.Fatalf("absence proof of a: %v", err)
 	}
-	if v, p, err = s.ProveMembership(2, []byte("b")); err != nil || string(v) != "3" {
+	v, p, err := s.ProveMembership(2, []byte("b"))
+	if err != nil || string(v) != "3" {
 		t.Fatalf("b at height 2 = %q, %v", v, err)
 	}
 	if err := merkle.VerifyMembership(root2, []byte("b"), v, p); err != nil {
@@ -293,10 +284,95 @@ func TestStateSnapshotAndProofs(t *testing.T) {
 	}
 }
 
+// Proofs are served at the latest committed height only: an older height,
+// a height not yet committed and a state with no commit are all refused.
+func TestProofsOnlyAtLatestHeight(t *testing.T) {
+	s := NewState(true)
+	if _, _, err := s.ProveMembership(0, []byte("a")); err == nil {
+		t.Fatal("a state with no commit served a proof")
+	}
+	for h := int64(1); h <= 3; h++ {
+		s.Set([]byte("a"), fmt.Appendf(nil, "%d", h))
+		s.CommitTx()
+		s.Commit(h)
+	}
+	for _, h := range []int64{0, 1, 2, 4} {
+		if _, _, err := s.ProveMembership(h, []byte("a")); err == nil {
+			t.Errorf("membership proof served at height %d, latest 3", h)
+		}
+		if _, err := s.ProveNonMembership(h, []byte("b")); err == nil {
+			t.Errorf("non-membership proof served at height %d, latest 3", h)
+		}
+	}
+	if v, p, err := s.ProveMembership(3, []byte("a")); err != nil || p == nil || string(v) != "3" {
+		t.Fatalf("a at the latest height = %q, %v, %v", v, p, err)
+	}
+}
+
+// A key's membership proof is built once per height: a second request
+// before the next Commit gets the same proof. A Commit that changes the
+// tree forgets it; the fresh proof verifies against the new root, and the
+// one handed out before still verifies against the root it was built at.
+func TestRepeatedProofIsShared(t *testing.T) {
+	s := NewState(true)
+	for _, k := range []string{"a", "b", "c", "d", "e"} {
+		s.Set([]byte(k), []byte("v-"+k))
+	}
+	s.CommitTx()
+	root1 := s.Commit(1)
+	v1, p1, _ := s.ProveMembership(1, []byte("c"))
+	if _, again, _ := s.ProveMembership(1, []byte("c")); again != p1 || p1 == nil {
+		t.Fatalf("second proof of c at height 1 is %p, first %p", again, p1)
+	}
+
+	s.Set([]byte("d"), []byte("changed"))
+	s.CommitTx()
+	root2 := s.Commit(2)
+	v2, p2, _ := s.ProveMembership(2, []byte("c"))
+	if p2 == p1 {
+		t.Fatal("a Commit that changed the tree kept the old proof")
+	}
+	if err := merkle.VerifyMembership(root2, []byte("c"), v2, p2); err != nil {
+		t.Fatalf("fresh proof against the new root: %v", err)
+	}
+	if err := merkle.VerifyMembership(root1, []byte("c"), v1, p1); err != nil {
+		t.Fatalf("old proof against the old root: %v", err)
+	}
+	if merkle.VerifyMembership(root2, []byte("c"), v1, p1) == nil {
+		t.Fatal("old proof verifies against the new root")
+	}
+}
+
+// A full-proof Commit of a block that only overwrites values allocates
+// nothing once its buffers have grown: the dirty keys, the edits and the
+// tree's dirty leaf indices are all reused.
+func TestValueOnlyCommitAllocs(t *testing.T) {
+	s := NewState(true)
+	keys := make([][]byte, 1000)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "key/%05d", i)
+		s.Set(keys[i], []byte("v"))
+	}
+	s.CommitTx()
+	s.Commit(1)
+	vals := [][]byte{[]byte("x"), []byte("y")}
+	i := 0
+	got := testing.AllocsPerRun(20, func() {
+		for d := 0; d < 32; d++ {
+			s.Set(keys[(i*32+d*7)%len(keys)], vals[i%2])
+		}
+		s.CommitTx()
+		s.Commit(s.Version() + 1)
+		i++
+	})
+	if got != 0 {
+		t.Fatalf("a value-only full-proof Commit took %.0f allocations, want 0", got)
+	}
+}
+
 // A proof at Version() is read from the live tree while the next block
 // executes: it reflects the committed state, not the block's Sets and
-// Deletes, committed transactions or not. A proof two commits old comes
-// from the rebuild path. Both equal the full rebuild's.
+// Deletes, committed transactions or not. It equals the full rebuild's.
 func TestProofsServeCommittedState(t *testing.T) {
 	s, model := NewState(true), map[string]string{}
 	commit := func(height int64, writes map[string]string) map[string][]byte {
@@ -313,7 +389,7 @@ func TestProofsServeCommittedState(t *testing.T) {
 		s.Commit(height)
 		return byteMap(model)
 	}
-	h1 := commit(1, map[string]string{"a": "1", "b": "2", "c": "3"})
+	commit(1, map[string]string{"a": "1", "b": "2", "c": "3"})
 	commit(2, map[string]string{"b": "20", "a": "", "d": "4"})
 	h3 := commit(3, map[string]string{"c": "30", "b": "", "e": "5"})
 
@@ -324,40 +400,27 @@ func TestProofsServeCommittedState(t *testing.T) {
 	s.Set([]byte("f"), []byte("6"))
 	s.Delete([]byte("e"))
 	keys := []string{"a", "b", "c", "d", "e", "f", "g"}
-	for _, c := range []struct {
-		height int64
-		kv     map[string][]byte
-	}{{3, h3}, {1, h1}} {
-		ref := merkle.NewTree(c.kv)
-		if root, _ := s.RootAt(c.height); ref.Root() != root {
-			t.Fatalf("height %d: model root differs from the committed one", c.height)
-		}
-		for _, k := range keys {
-			checkProof(t, s, ref, c.height, k)
-		}
+	for _, k := range keys {
+		checkProof(t, s, merkle.NewTree(h3), 3, k)
 	}
 	if v, _ := s.Get([]byte("d")); string(v) != "40" || s.Has([]byte("e")) {
 		t.Fatalf("proofs disturbed the executing block: d = %q, e present %v", v, s.Has([]byte("e")))
 	}
 
 	// Committing block 4 drops the in-flight transaction; its height is
-	// now the live one and height 3 is rebuilt.
+	// now the live one.
 	s.Commit(4)
 	h4 := map[string][]byte{"d": []byte("40"), "e": []byte("5")}
-	for _, c := range []struct {
-		height int64
-		kv     map[string][]byte
-	}{{4, h4}, {3, h3}} {
-		for _, k := range keys {
-			checkProof(t, s, merkle.NewTree(c.kv), c.height, k)
-		}
+	for _, k := range keys {
+		checkProof(t, s, merkle.NewTree(h4), 4, k)
 	}
 }
 
-// TestLiveProofAllocs pins the first proof at each new height to the
-// proof and its path at any state size: it reads the live tree in place,
-// with no O(n) copy of it. Each run commits an empty block first, which
-// allocates nothing, so no cached tree can serve the proof.
+// TestLiveProofAllocs pins the first proof of a key at each new height to
+// the proof and its path at any state size: it reads the live tree in
+// place, with no O(n) copy of it. Each run commits a block that changes
+// one other value first, which allocates nothing and forgets the proof
+// the run before built.
 func TestLiveProofAllocs(t *testing.T) {
 	for _, n := range []int{100, 3000} {
 		s := NewState(true)
@@ -367,10 +430,13 @@ func TestLiveProofAllocs(t *testing.T) {
 		}
 		s.CommitTx()
 		s.Commit(1)
-		s.commits = slices.Grow(s.commits, 100) // so the runs' empty commits never grow it
 		key := []byte("commitments/ports/transfer/channels/channel-0/sequences/00000042")
+		other := []byte("commitments/ports/transfer/channels/channel-0/sequences/00000007")
+		vals := [][]byte{[]byte("x"), []byte("y")}
 		got := testing.AllocsPerRun(20, func() {
 			h := s.Version() + 1
+			s.Set(other, vals[h%2])
+			s.CommitTx()
 			s.Commit(h)
 			s.ProveMembership(h, key)
 		})
@@ -435,21 +501,10 @@ func TestAbortRestoresOverwrittenAndDeletedKeys(t *testing.T) {
 		if got.Has([]byte("absent")) || got.Has([]byte("fresh")) || got.Len() != want.Len() {
 			t.Fatalf("fullProofs=%v: aborted tx left keys behind (len %d, want %d)", fullProofs, got.Len(), want.Len())
 		}
-		// The non-proof root hashes the dirty keys themselves, the archive
-		// lists them: both must be tx1's two keys only.
+		// The non-proof root hashes the dirty keys themselves: they must
+		// be tx1's two keys only.
 		if got.root != want.root {
 			t.Fatalf("fullProofs=%v: root differs from the run without the aborted tx", fullProofs)
-		}
-		if g, w := got.commits[1].prior, want.commits[1].prior; !reflect.DeepEqual(g, w) {
-			t.Fatalf("fullProofs=%v: archived %+v, want %+v", fullProofs, g, w)
-		}
-		if fullProofs {
-			if n := len(got.commits[1].prior); n != 2 {
-				t.Fatalf("block 2 archived %d keys, want 2 (keep, new)", n)
-			}
-			if v, _, err := got.ProveMembership(1, []byte("keep")); err != nil || string(v) != "genesis" {
-				t.Fatalf("height 1 keep = %q, %v", v, err)
-			}
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // naiveState is the reference FuzzStateJournal diffs State against: no
-// journal, no marks. A transaction is a full copy of the map, a height is
-// another, the proof root is a full merkle.NewTree rebuild and the
+// journal, no marks. A transaction is a full copy of the map, the latest
+// height is another, the proof root is a full merkle.NewTree rebuild and the
 // non-proof root is the hash chain over the block's dirty keys as the
 // store defined it when it kept a map of them: every key a committed
 // transaction wrote, changed or not.
@@ -24,9 +24,9 @@ type naiveState struct {
 	cur       map[string]string // what reads see, in-tx writes included
 	committed map[string]string // cur as of the last CommitTx/AbortTx/Commit
 	txDirty   map[string]bool
-	dirty     map[string]bool     // the block's dirty keys
-	heights   []map[string]string // heights[h-1] = the map at height h
-	roots     []merkle.Hash
+	dirty     map[string]bool   // the block's dirty keys
+	height    int64             // the latest committed height
+	latest    map[string]string // the map at that height
 	root      merkle.Hash
 }
 
@@ -93,8 +93,7 @@ func (n *naiveState) commit(height int64, fullProofs bool) {
 		}
 		copy(n.root[:], h.Sum(nil))
 	}
-	n.heights = append(n.heights, maps.Clone(n.cur))
-	n.roots = append(n.roots, n.root)
+	n.height, n.latest = height, maps.Clone(n.cur)
 	n.dirty = map[string]bool{}
 }
 
@@ -122,13 +121,12 @@ func FuzzStateJournal(f *testing.F) {
 				switch op, k := data[i]%8, key(data[i+1]); op {
 				case 0:
 					height++
-					dirtyKeys := len(n.dirty)
 					n.commit(height, fullProofs)
 					if got := s.Commit(height); got != n.root {
 						t.Fatalf("fullProofs=%v height %d: root %x, model %x", fullProofs, height, got, n.root)
 					}
-					checkCommit(t, s, n, fullProofs, dirtyKeys)
-					checkHistory(t, s, n, fullProofs, max(1, height-7), key)
+					checkCommit(t, s, n)
+					checkLatest(t, s, n, fullProofs, key)
 				case 1:
 					s.CommitTx()
 					n.commitTx()
@@ -150,7 +148,7 @@ func FuzzStateJournal(f *testing.F) {
 				}
 				checkReads(t, s, n, ck, key)
 			}
-			checkHistory(t, s, n, fullProofs, 1, key)
+			checkLatest(t, s, n, fullProofs, key)
 		}
 	})
 }
@@ -158,7 +156,7 @@ func FuzzStateJournal(f *testing.F) {
 // callerKeys hands the store each key in one reused buffer and scribbles
 // over the buffer after the call, as a caller building its keys on the
 // stack does: a store that kept those bytes in its map, journal or
-// full-proof archive would find its keys rewritten under it.
+// merkle tree would find its keys rewritten under it.
 type callerKeys struct{ buf [8]byte }
 
 func (c *callerKeys) do(k string, f func(key []byte)) {
@@ -203,55 +201,56 @@ func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys, key func(
 	}
 }
 
-// checkCommit runs after a Commit: the journal is spent and the new
-// commit record holds what the mode promises — one archived entry per
-// dirty key with full proofs, no history at all without.
-func checkCommit(t *testing.T, s *State, n *naiveState, fullProofs bool, dirtyKeys int) {
+// checkCommit runs after a Commit: the journal is spent and the version
+// is the model's.
+func checkCommit(t *testing.T, s *State, n *naiveState) {
 	t.Helper()
 	if len(s.journal) != 0 || s.txMark != 0 {
 		t.Fatalf("journal not reset by Commit: %d entries, mark %d", len(s.journal), s.txMark)
 	}
-	if s.Version() != int64(len(n.heights)) {
-		t.Fatalf("Version = %d, model %d", s.Version(), len(n.heights))
-	}
-	last := s.commits[len(s.commits)-1]
-	if !fullProofs {
-		for _, c := range s.commits {
-			if c.prior != nil {
-				t.Fatalf("non-proof commit record of height %d holds history: %+v", c.height, c.prior)
-			}
-		}
-		if _, _, err := s.ProveMembership(last.height, []byte("a/k00")); err == nil {
-			t.Fatal("performance mode served a proof")
-		}
-	} else if len(last.prior) != dirtyKeys || cap(last.prior) != dirtyKeys {
-		t.Fatalf("height %d archived %d entries (cap %d) for %d dirty keys",
-			last.height, len(last.prior), cap(last.prior), dirtyKeys)
+	if s.Version() != n.height {
+		t.Fatalf("Version = %d, model %d", s.Version(), n.height)
 	}
 }
 
-// checkHistory compares every height from `from` up with the model's copy
-// of it: the root, and with full proofs every proof State serves there
-// (from the live tree, its ring or a rollback + rebuild) against the full
-// rebuild's — for each key of the key space, the gap after it and both
-// ends. The fuzz loop calls it for the recent heights after each Commit
-// and for all of them at the end, which keeps one input's cost linear.
-func checkHistory(t *testing.T, s *State, n *naiveState, fullProofs bool, from int64, key func(byte) string) {
+// checkLatest compares the latest committed height with the model's copy
+// of it. Performance mode serves no proof. With full proofs every proof
+// State serves there must equal the full rebuild's, for each key of the
+// key space, the gap after it and both ends; a repeated membership proof
+// is the one handed out before, and it still verifies; and the height
+// below is refused. The fuzz loop calls it after each Commit, and at the
+// end while the last block's writes are still open.
+func checkLatest(t *testing.T, s *State, n *naiveState, fullProofs bool, key func(byte) string) {
 	t.Helper()
-	for h := from; h <= int64(len(n.heights)); h++ {
-		if got, err := s.RootAt(h); err != nil || got != n.roots[h-1] {
-			t.Fatalf("RootAt(%d) = %x, %v, model %x", h, got, err, n.roots[h-1])
+	h := n.height
+	if !fullProofs {
+		if _, _, err := s.ProveMembership(h, []byte("a/k00")); err == nil {
+			t.Fatal("performance mode served a proof")
 		}
-		if !fullProofs {
-			continue
+		return
+	}
+	if h == 0 {
+		return
+	}
+	ref := merkle.NewTree(byteMap(n.latest))
+	checkProof(t, s, ref, h, "a")
+	checkProof(t, s, ref, h, "z")
+	for b := byte(0); b < 16; b++ {
+		checkProof(t, s, ref, h, key(b))
+		checkProof(t, s, ref, h, key(b)+"!")
+		_, first, _ := s.ProveMembership(h, []byte(key(b)))
+		v, again, _ := s.ProveMembership(h, []byte(key(b)))
+		if again != first {
+			t.Fatalf("height %d key %q: a repeated proof is a new one", h, key(b))
 		}
-		ref := merkle.NewTree(byteMap(n.heights[h-1]))
-		checkProof(t, s, ref, h, "a")
-		checkProof(t, s, ref, h, "z")
-		for b := byte(0); b < 16; b++ {
-			checkProof(t, s, ref, h, key(b))
-			checkProof(t, s, ref, h, key(b)+"!")
+		if again != nil {
+			if err := merkle.VerifyMembership(ref.Root(), []byte(key(b)), v, again); err != nil {
+				t.Fatalf("height %d key %q: repeated proof: %v", h, key(b), err)
+			}
 		}
+	}
+	if _, _, err := s.ProveMembership(h-1, []byte(key(0))); err == nil {
+		t.Fatalf("height %d served a proof at %d", h, h-1)
 	}
 }
 

@@ -15,52 +15,42 @@ import (
 //
 // Keys are bytes the store copies, so a caller may build every key in one
 // reused buffer (see KeyBufLen): a lookup makes no string, and only the
-// first insert of a key makes the one string its map entry, journal
-// entries and archive share. Values the store owns (see Set and Get).
+// first insert of a key makes the one string its map entry and journal
+// entries share. Values the store owns (see Set and Get).
 //
 // The current data lives in a flat map and every write goes straight into
 // it, leaving one undo entry on the block's journal. A transaction is a
 // mark on that journal: committing it moves the mark, aborting it undoes
-// the entries above the mark. In full-proof mode each Commit archives the
-// block's oldest entry per changed key, so snapshots at recent heights can
-// be reconstructed by undoing blocks backwards. Proofs are served, never
-// trees: one at the latest height is read from the live merkle tree in
-// place, and an older height's tree is rebuilt from its snapshot on first
-// request and cached — the relayer requests one proof per packet message
-// against a given proof height, so a rebuild is amortized across
-// thousands of proofs.
+// the entries above the mark. Proofs are served at one height, the latest
+// committed one, from the live merkle tree in place: the executing block
+// writes only the map and the journal until Commit. No older height is
+// kept, so a request for one is an error.
 type State struct {
 	data map[string]slot
 
 	// journal holds one entry per write since the last Commit, oldest
 	// first; entries below txMark belong to committed transactions. It is
-	// the only record of prior values: AbortTx, the block's dirty-key set
-	// and the per-height archive are all read from it.
+	// the only record of prior values: AbortTx and the block's dirty-key
+	// set are both read from it.
 	journal []undo
 	txMark  int
 
-	// commits[i] describes the commit that produced height i+1.
-	commits []commitRecord
-
-	root merkle.Hash
+	version int64 // the latest committed height (0 if none)
+	root    merkle.Hash
 
 	// fullProofs selects real merkle roots and proofs; when false the
 	// root is a cheap running hash chain and proofs are placeholders
 	// (see Config.FullProofs in the chain package).
 	fullProofs bool
 
-	// live is the incrementally-maintained merkle tree over the current
+	// live is the incrementally-maintained merkle tree over the committed
 	// data (full-proof mode only): Commit folds the block's dirty keys
 	// into it instead of rebuilding the whole tree each height.
 	live *merkle.IncTree
 
-	// trees caches the most recently rebuilt older-height trees (a ring:
-	// treeNext is the slot the next one takes, evicting the oldest).
-	trees    [maxCachedTrees]cachedTree
-	treeNext int
-
-	hashBuf []byte   // the bytes a non-proof Commit hashes, reused
-	keyBuf  []string // the block's dirty keys in Commit, reused
+	hashBuf []byte        // the bytes a non-proof Commit hashes, reused
+	keyBuf  []string      // the block's dirty keys in Commit, reused
+	edits   []merkle.Edit // the block's edits in a full-proof Commit, reused
 }
 
 // slot is one map entry: the value, and the key string every later write
@@ -75,11 +65,6 @@ type slot struct {
 // append an allocation.
 const KeyBufLen = 128
 
-type cachedTree struct {
-	height int64
-	tree   *merkle.Tree
-}
-
 // undo is what one write replaced: the key's value before it (had = false
 // when the key was absent).
 type undo struct {
@@ -87,17 +72,6 @@ type undo struct {
 	prior []byte
 	had   bool
 }
-
-type commitRecord struct {
-	height int64
-	root   merkle.Hash
-	// prior holds, for each key the block changed, its pre-block value.
-	// Only kept with full proofs: nothing else rebuilds an older height.
-	prior []undo
-}
-
-// maxCachedTrees bounds the rebuilt-tree cache.
-const maxCachedTrees = 4
 
 // NewState returns an empty store.
 func NewState(fullProofs bool) *State {
@@ -154,22 +128,16 @@ func (s *State) write(key []byte) string {
 // CommitTx keeps the writes of a successful transaction.
 func (s *State) CommitTx() { s.txMark = len(s.journal) }
 
-// AbortTx undoes the writes of a failed transaction.
+// AbortTx undoes the writes of a failed transaction, newest first.
 func (s *State) AbortTx() {
-	rollback(s.data, s.journal[s.txMark:], func(e *undo) slot { return slot{e.key, e.prior} })
-	s.journal = s.journal[:s.txMark]
-}
-
-// rollback undoes entries over m, newest first; val is the map value that
-// puts an entry's prior value back.
-func rollback[V any](m map[string]V, entries []undo, val func(*undo) V) {
-	for i := len(entries) - 1; i >= 0; i-- {
-		if e := &entries[i]; e.had {
-			m[e.key] = val(e)
+	for i := len(s.journal) - 1; i >= s.txMark; i-- {
+		if e := &s.journal[i]; e.had {
+			s.data[e.key] = slot{e.key, e.prior}
 		} else {
-			delete(m, e.key)
+			delete(s.data, e.key)
 		}
 	}
+	s.journal = s.journal[:s.txMark]
 }
 
 // Commit finalizes a block at the given height and returns the new root.
@@ -184,24 +152,17 @@ func (s *State) Commit(height int64) merkle.Hash {
 	sort.Strings(keys)
 	s.keyBuf = keys
 	keys = slices.Compact(keys)
-	var prior []undo
 	if s.fullProofs {
 		// Incremental commit: fold only the block's dirty keys into the
 		// cached leaf hashes. The root is identical to a full
 		// merkle.NewTree(s.data) rebuild (golden-root tests pin this);
 		// merkle.IncTree states what a block costs instead.
-		edits := make([]merkle.Edit, len(keys))
-		for i, k := range keys {
+		edits := s.edits[:0]
+		for _, k := range keys {
 			e, ok := s.data[k]
-			edits[i] = merkle.Edit{Key: k, Value: e.val, Delete: !ok}
+			edits = append(edits, merkle.Edit{Key: k, Value: e.val, Delete: !ok})
 		}
-		s.root = s.live.Apply(edits)
-		// Archive each key's oldest entry, its pre-block value: walking
-		// newest-first, the oldest is the last to land in the key's slot.
-		prior = make([]undo, len(keys))
-		for i := len(s.journal) - 1; i >= 0; i-- {
-			prior[sort.SearchStrings(keys, s.journal[i].key)] = s.journal[i]
-		}
+		s.root, s.edits = s.live.Apply(edits), edits
 	} else {
 		// Chain the sorted block changes onto the previous root, hashed
 		// in one piece from the reused buffer.
@@ -217,100 +178,48 @@ func (s *State) Commit(height int64) merkle.Hash {
 		}
 		s.root, s.hashBuf = sha256.Sum256(b), b
 	}
-	s.commits = append(s.commits, commitRecord{height: height, root: s.root, prior: prior})
+	s.version = height
 	s.journal, s.txMark = s.journal[:0], 0 // the buffer is reused by the next block
 	return s.root
 }
 
 // Version returns the latest committed height (0 if none).
-func (s *State) Version() int64 {
-	if len(s.commits) == 0 {
-		return 0
-	}
-	return s.commits[len(s.commits)-1].height
-}
+func (s *State) Version() int64 { return s.version }
 
-// RootAt returns the committed root at a height.
-func (s *State) RootAt(height int64) (merkle.Hash, error) {
-	for i := len(s.commits) - 1; i >= 0; i-- {
-		if s.commits[i].height == height {
-			return s.commits[i].root, nil
-		}
-		if s.commits[i].height < height {
-			break
-		}
-	}
-	return merkle.Hash{}, fmt.Errorf("state: no commit at height %d", height)
-}
-
-// snapshotAt reconstructs the key-value map as of a committed height by
-// undoing newer block changes.
-func (s *State) snapshotAt(height int64) map[string][]byte {
-	snap := make(map[string][]byte, len(s.data))
-	// order-free: a map-into-map copy.
-	for k, e := range s.data {
-		snap[k] = e.val
-	}
-	prior := func(e *undo) []byte { return e.prior }
-	rollback(snap, s.journal, prior) // the open block's writes, if one is executing
-	for i := len(s.commits) - 1; i >= 0 && s.commits[i].height > height; i-- {
-		rollback(snap, s.commits[i].prior, prior)
-	}
-	return snap
-}
-
-// ProveMembership returns key's value at a committed height and its
-// proof against that height's root; the proof is nil when the key is
-// absent there. Only available with full proofs enabled.
+// ProveMembership returns key's value at the latest committed height and
+// its proof against that height's root; the proof is nil when the key is
+// absent. Until the next Commit that changes the tree, every request for
+// a key gets the same proof, which no one may write to. Only available
+// with full proofs enabled, and only at Version().
 func (s *State) ProveMembership(height int64, key []byte) ([]byte, *merkle.MembershipProof, error) {
-	t, err := s.treeAt(height)
-	if err != nil {
+	if err := s.provable(height); err != nil {
 		return nil, nil, err
 	}
-	v, p, _ := t.ProveMembership(key)
+	v, p, _ := s.live.ProveMembership(key)
 	return v, p, nil
 }
 
-// ProveNonMembership proves key absent at a committed height; the proof
-// is nil when the key is present there. Only available with full proofs
-// enabled.
+// ProveNonMembership proves key absent at the latest committed height;
+// the proof is nil when the key is present. Only available with full
+// proofs enabled, and only at Version().
 func (s *State) ProveNonMembership(height int64, key []byte) (*merkle.NonMembershipProof, error) {
-	t, err := s.treeAt(height)
-	if err != nil {
+	if err := s.provable(height); err != nil {
 		return nil, err
 	}
-	p, _ := t.ProveNonMembership(key)
+	p, _ := s.live.ProveNonMembership(key)
 	return p, nil
 }
 
-// treeAt returns the merkle tree of the state at a committed height. At
-// the latest height that is the live tree itself: the executing block
-// writes only data and the journal until Commit. An older height's tree
-// is rebuilt from its snapshot and cached. No tree leaves State, so
-// nothing holds the live arrays across a Commit.
-func (s *State) treeAt(height int64) (*merkle.Tree, error) {
+// provable refuses a proof request the live tree cannot answer: any in
+// performance mode, and any at a height other than the latest committed.
+func (s *State) provable(height int64) error {
 	if !s.fullProofs {
-		return nil, fmt.Errorf("state: proofs disabled (performance mode)")
+		return fmt.Errorf("state: proofs disabled (performance mode)")
 	}
-	if height > 0 && height == s.Version() {
-		return &s.live.Tree, nil
+	if v := s.Version(); v == 0 || height != v {
+		return fmt.Errorf("state: no proofs at height %d: only the latest committed height (%d) is served", height, v)
 	}
-	for _, c := range s.trees {
-		if c.tree != nil && c.height == height {
-			return c.tree, nil
-		}
-	}
-	want, err := s.RootAt(height)
-	if err != nil {
-		return nil, err
-	}
-	t := merkle.NewTree(s.snapshotAt(height))
-	if t.Root() != want {
-		return nil, fmt.Errorf("state: reconstructed root mismatch at height %d", height)
-	}
-	s.trees[s.treeNext] = cachedTree{height, t}
-	s.treeNext = (s.treeNext + 1) % maxCachedTrees
-	return t, nil
+	return nil
 }
 
 // FullProofs reports whether real merkle proofs are enabled.

@@ -12,6 +12,7 @@ import (
 	"ibcbench/internal/app"
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/ibc/transfer"
+	"ibcbench/internal/merkle"
 	"ibcbench/internal/tendermint/types"
 	"ibcbench/internal/valkey"
 )
@@ -140,7 +141,7 @@ func (c *testChain) clientState() ibc.ClientState {
 
 // prove builds a membership proof of key in this chain's state as of
 // consensus height consHeight (state at consHeight-1).
-func (c *testChain) prove(consHeight int64, key string) ([]byte, *ibc.Proof) {
+func (c *testChain) prove(consHeight int64, key string) ([]byte, *merkle.MembershipProof) {
 	c.t.Helper()
 	value, mp, err := c.app.State().ProveMembership(consHeight-1, []byte(key))
 	if err != nil {
@@ -149,11 +150,11 @@ func (c *testChain) prove(consHeight int64, key string) ([]byte, *ibc.Proof) {
 	if mp == nil {
 		c.t.Fatalf("key %q absent at height %d", key, consHeight-1)
 	}
-	return value, &ibc.Proof{Membership: mp}
+	return value, mp
 }
 
 // proveAbsent builds a non-membership proof.
-func (c *testChain) proveAbsent(consHeight int64, key string) *ibc.Proof {
+func (c *testChain) proveAbsent(consHeight int64, key string) *merkle.NonMembershipProof {
 	c.t.Helper()
 	nm, err := c.app.State().ProveNonMembership(consHeight-1, []byte(key))
 	if err != nil {
@@ -162,7 +163,7 @@ func (c *testChain) proveAbsent(consHeight int64, key string) *ibc.Proof {
 	if nm == nil {
 		c.t.Fatalf("key %q present at height %d", key, consHeight-1)
 	}
-	return &ibc.Proof{NonMembership: nm}
+	return nm
 }
 
 // updateClientTo relays a header so dst's client of src reaches height h.

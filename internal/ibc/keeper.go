@@ -227,7 +227,7 @@ func (k *Keeper) clientForChannel(ctx *app.Context, port, channel string) (strin
 // the consensus root at proofHeight. With proofs disabled (performance
 // mode) it only checks the consensus state exists, and key and value go
 // unread.
-func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, key, value []byte, proof *Proof) error {
+func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, key, value []byte, proof *merkle.MembershipProof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
@@ -235,7 +235,7 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 	if !ctx.State.FullProofs() {
 		return nil
 	}
-	if proof == nil || proof.Membership == nil {
+	if proof == nil {
 		return fmt.Errorf("%w: missing membership proof for %s", ErrProofVerify, string(key))
 	}
 	v := k.verifiers[clientID]
@@ -246,14 +246,14 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 		v = new(merkle.Verifier)
 		k.verifiers[clientID] = v
 	}
-	if err := v.VerifyMembership(cons.Root, key, value, proof.Membership); err != nil {
+	if err := v.VerifyMembership(cons.Root, key, value, proof); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrProofVerify, string(key), err)
 	}
 	return nil
 }
 
 // verifyNonMembership checks a counterparty absence proof.
-func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, key []byte, proof *Proof) error {
+func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, key []byte, proof *merkle.NonMembershipProof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
@@ -261,10 +261,10 @@ func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHei
 	if !ctx.State.FullProofs() {
 		return nil
 	}
-	if proof == nil || proof.NonMembership == nil {
+	if proof == nil {
 		return fmt.Errorf("%w: missing non-membership proof for %s", ErrProofVerify, string(key))
 	}
-	if err := merkle.VerifyNonMembership(cons.Root, key, proof.NonMembership); err != nil {
+	if err := merkle.VerifyNonMembership(cons.Root, key, proof); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrProofVerify, string(key), err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"ibcbench/internal/merkle"
 	"ibcbench/internal/simconf"
 	"ibcbench/internal/tendermint/types"
 )
@@ -27,9 +28,14 @@ type MsgUpdateClient struct {
 
 // MsgRecvPacket delivers a packet to the destination chain with proof of
 // the source chain's packet commitment.
+//
+// The proof of a packet message is nil in performance mode (full proofs
+// disabled), where verification is skipped: the virtual-time cost of
+// proof handling is still modeled by the relayer's data-pull and build
+// steps. Relayers share one proof of a key, so no one writes to it.
 type MsgRecvPacket struct {
 	Packet          Packet
-	ProofCommitment *Proof
+	ProofCommitment *merkle.MembershipProof
 	ProofHeight     int64
 	Relayer         string
 }
@@ -39,7 +45,7 @@ type MsgRecvPacket struct {
 type MsgAcknowledgement struct {
 	Packet      Packet
 	Ack         []byte
-	ProofAcked  *Proof
+	ProofAcked  *merkle.MembershipProof
 	ProofHeight int64
 	Relayer     string
 }
@@ -48,7 +54,7 @@ type MsgAcknowledgement struct {
 // destination never received it before the timeout.
 type MsgTimeout struct {
 	Packet           Packet
-	ProofUnreceived  *Proof
+	ProofUnreceived  *merkle.NonMembershipProof
 	ProofHeight      int64
 	NextSequenceRecv uint64
 	Relayer          string

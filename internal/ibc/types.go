@@ -254,13 +254,3 @@ type AckWrite struct {
 	Packet Packet
 	Ack    []byte
 }
-
-// Proof carries a membership or non-membership proof for a state key on
-// the counterparty, verified against a consensus state root. In
-// performance mode (full proofs disabled) both fields are nil and
-// verification is skipped — the virtual-time cost of proof handling is
-// still modeled by the relayer's data-pull and build steps.
-type Proof struct {
-	Membership    *merkle.MembershipProof
-	NonMembership *merkle.NonMembershipProof
-}

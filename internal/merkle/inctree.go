@@ -29,16 +29,47 @@ type Edit struct {
 //
 // Its proofs are read from the live arrays in place. Each copies its
 // siblings, so a proof taken before an Apply still verifies against the
-// root it was taken at.
+// root it was taken at. A membership proof is built once per leaf between
+// two Applies: every later request for the key gets the same one.
 type IncTree struct {
 	Tree
 	leaves []Hash // the unpadded leaf digests, moved in step with keys
 
+	// proofs holds the membership proofs handed out since the last Apply
+	// with an edit, by leaf index; that Apply forgets them all.
+	proofs map[int]*MembershipProof
+
+	dirty []int    // Apply's updated leaf indices, reused
+	ins   []insert // Apply's set-aside inserts, reused
+
 	moves int // elements Apply has shifted so far (pins its O(n + d) bound in tests)
 }
 
+// insert is an edit Apply set aside: edits[edit] goes before compacted
+// leaf index at.
+type insert struct{ edit, at int }
+
 // NewIncTree returns an empty incremental tree (root = empty-tree root).
 func NewIncTree() *IncTree { return &IncTree{Tree: Tree{root: emptyRoot}} }
+
+// ProveMembership is Tree.ProveMembership, remembered: until the next
+// Apply with an edit, every request for a key returns the proof the first
+// one built.
+func (t *IncTree) ProveMembership(key []byte) ([]byte, *MembershipProof, bool) {
+	i, ok := t.find(key)
+	if !ok {
+		return nil, nil, false
+	}
+	p := t.proofs[i]
+	if p == nil {
+		if t.proofs == nil {
+			t.proofs = make(map[int]*MembershipProof)
+		}
+		p = t.proveIndex(i)
+		t.proofs[i] = p
+	}
+	return t.values[i], p, true
+}
 
 // Apply folds one block's dirty keys into the tree and returns the new
 // root. Edits are applied in key order regardless of input order, so map
@@ -49,6 +80,7 @@ func (t *IncTree) Apply(edits []Edit) Hash {
 	if len(edits) == 0 {
 		return t.Root()
 	}
+	clear(t.proofs)
 	// Stable: duplicate-key edits keep input order, so the last of a run
 	// of equal keys is the last writer.
 	slices.SortStableFunc(edits, func(a, b Edit) int { return strings.Compare(a.Key, b.Key) })
@@ -58,10 +90,9 @@ func (t *IncTree) Apply(edits []Edit) Hash {
 	// deletes dropped by moving the survivors down to the write cursor w,
 	// and inserts set aside with the compacted index they go before.
 	n := len(t.keys)
-	minIdx := -1                       // leftmost touched leaf index
-	var dirty []int                    // updated leaf indices (read only when nothing moved)
-	type insert struct{ edit, at int } // edits[edit] goes before compacted index at
-	var ins []insert
+	minIdx := -1         // leftmost touched leaf index
+	dirty := t.dirty[:0] // updated leaf indices (read only when nothing moved)
+	ins := t.ins[:0]
 	r, w := 0, 0
 	for j, e := range edits {
 		if j+1 < len(edits) && edits[j+1].Key == e.Key {
@@ -88,6 +119,7 @@ func (t *IncTree) Apply(edits []Edit) Hash {
 			ins = append(ins, insert{j, w})
 		}
 	}
+	t.dirty, t.ins = dirty, ins
 	if r == w && len(ins) == 0 { // nothing moved: value updates only, or no effective edit
 		t.rehashPaths(dirty)
 		return t.setRoot()

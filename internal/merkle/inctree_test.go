@@ -186,7 +186,8 @@ func TestApplyMovesAreLinear(t *testing.T) {
 
 // FuzzIncTreeApply drives IncTree with batches decoded from the input
 // and checks it against the full-rebuild reference after every batch:
-// its root and every proof it serves from the live arrays.
+// its root and every proof it serves from the live arrays, and that a
+// repeated membership proof is the one it served first.
 // Input bytes are read in (op, key) pairs: op%4 == 0 ends the batch (so
 // empty batches occur), 3 deletes (often an absent key), 1 and 2 set;
 // the 48-key space makes updates, duplicate keys within a batch and
@@ -219,7 +220,12 @@ func FuzzIncTreeApply(f *testing.F) {
 			// The proofs taken before the batch share nothing with the
 			// live arrays the batch just rewrote.
 			verifyProofs(t, beforeRoot, before)
-			before, beforeRoot = checkProofs(t, &inc.Tree, model), root
+			before, beforeRoot = checkProofs(t, inc, model), root
+			for _, p := range before {
+				if _, again, _ := inc.ProveMembership([]byte(p.key)); p.mp != nil && again != p.mp {
+					t.Fatalf("key %q: a repeated proof is a new one", p.key)
+				}
+			}
 		}
 		for i := 0; i+1 < len(data); i += 2 {
 			switch op, k := data[i]%4, key(data[i+1]); op {
@@ -244,11 +250,20 @@ type proved struct {
 	nm    *NonMembershipProof
 }
 
+// prover is the proof surface checkProofs reads: a Tree, or an IncTree
+// with its remembered membership proofs.
+type prover interface {
+	Len() int
+	Root() Hash
+	ProveMembership(key []byte) ([]byte, *MembershipProof, bool)
+	ProveNonMembership(key []byte) (*NonMembershipProof, bool)
+}
+
 // checkProofs compares tree with NewTree(model): a membership proof for
 // every key of model, and a non-membership proof for the gap after each
 // key and for both ends of the key space, must equal the full rebuild's
 // and verify against the root. It returns the proofs.
-func checkProofs(t *testing.T, tree *Tree, model map[string][]byte) []proved {
+func checkProofs(t *testing.T, tree prover, model map[string][]byte) []proved {
 	t.Helper()
 	ref := NewTree(model)
 	if tree.Len() != ref.Len() || tree.Root() != ref.Root() {

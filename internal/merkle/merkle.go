@@ -171,7 +171,9 @@ type PathStep struct {
 	Sibling Hash
 }
 
-// MembershipProof proves a key-value pair is committed by a root.
+// MembershipProof proves a key-value pair is committed by a root. A
+// proof is immutable once built: IncTree hands the same one to every
+// requester of its key, and VerifyMembership and Verifier only read it.
 type MembershipProof struct {
 	// Index is the leaf position in the sorted order; Total the leaf count.
 	Index int

@@ -28,6 +28,7 @@ import (
 	"ibcbench/internal/chain"
 	"ibcbench/internal/eventindex"
 	"ibcbench/internal/ibc"
+	"ibcbench/internal/merkle"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/netem"
 	"ibcbench/internal/obs"
@@ -128,10 +129,13 @@ type endpoint struct {
 	// The packets sourced on this endpoint's channel, by sequence:
 	// recvSeen and ackSeen dedupe the ones the relayer already built a
 	// recv or an ack for, and pending holds the ones extracted but not
-	// yet known delivered, for timeout detection. Each packet is the
-	// event index's shared record.
-	recvSeen, ackSeen seqSet
-	pending           map[uint64]*ibc.Packet
+	// yet known delivered, for timeout detection. received holds the
+	// ones known received, unconfirmed the ones whose recv may have landed
+	// unseen. Each packet is the event index's shared record.
+	recvSeen, ackSeen, received, unconfirmed seqSet
+	pending                                  map[uint64]*ibc.Packet
+
+	missed []int64 // heights of this chain queued for the clearing pass
 
 	// outbox holds built messages awaiting submission, each tagged with
 	// its packet and required proof height.
@@ -145,8 +149,17 @@ type outMsg struct {
 	msg         app.Msg
 	packet      *ibc.Packet // the event index's shared record
 	proofHeight int64
-	step        metrics.Step // broadcast step to record on acceptance
+	origin      int64 // the counterparty height of the event it was built from
 	retried     bool
+}
+
+// step is the broadcast step to record when the message is accepted: a
+// timeout, like an ack, completes the packet on its source.
+func (m outMsg) step() metrics.Step {
+	if _, ok := m.msg.(ibc.MsgRecvPacket); ok {
+		return metrics.StepRecvBroadcast
+	}
+	return metrics.StepAckBroadcast
 }
 
 // Relayer is one Hermes instance relaying both directions of a channel.
@@ -161,10 +174,6 @@ type Relayer struct {
 	cpu *sim.SerialResource
 
 	a, b *endpoint
-
-	// missed heights per source endpoint for the clearing loop.
-	missedA []int64
-	missedB []int64
 
 	// pullQueue serializes data pulls: Hermes issues its RPC queries one
 	// at a time and waits for each response (§IV-B).
@@ -263,15 +272,6 @@ func (r *Relayer) Resume() { r.stopped = false }
 // process answers no health probes (failover supervisors ping this).
 func (r *Relayer) Stopped() bool { return r.stopped }
 
-// addMissed queues a source height for the clearing pass.
-func (r *Relayer) addMissed(src *endpoint, h int64) {
-	if src == r.a {
-		r.missedA = append(r.missedA, h)
-	} else {
-		r.missedB = append(r.missedB, h)
-	}
-}
-
 // onFrame is the Supervisor receiving one block's events from src.
 func (r *Relayer) onFrame(src, dst *endpoint, frame *rpc.EventFrame) {
 	if r.stopped {
@@ -285,7 +285,7 @@ func (r *Relayer) onFrame(src, dst *endpoint, frame *rpc.EventFrame) {
 		// the shared event index makes the re-scan one indexed query per
 		// height instead of a per-relayer decode.
 		for h := src.height + 1; h < frame.Height; h++ {
-			r.addMissed(src, h)
+			src.missed = append(src.missed, h)
 		}
 		r.scheduleClear(src, dst)
 	}
@@ -296,7 +296,7 @@ func (r *Relayer) onFrame(src, dst *endpoint, frame *rpc.EventFrame) {
 		// "Failed to collect events": the block's packets are invisible.
 		r.stats.FramesLost++
 		if r.cfg.ClearIntervalBlocks > 0 {
-			r.addMissed(src, frame.Height)
+			src.missed = append(src.missed, frame.Height)
 			r.scheduleClear(src, dst)
 		}
 		r.checkTimeouts(src, dst)
@@ -350,6 +350,7 @@ func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
 		}
 		for _, te := range ackTxs {
 			for _, w := range te.Acks(src.channel) {
+				dst.received.add(w.Packet.Sequence)
 				key := r.keyOf(dst, &w.Packet) // packet's source is the counterparty
 				r.track(key, metrics.StepRecvExtraction, now)
 				// The event subscription confirms commitment too; the
@@ -415,31 +416,17 @@ func (r *Relayer) doPull(src *endpoint, attempt int, te *eventindex.TxEvents, fn
 	})
 }
 
-// getPktBuf pops a pooled packet-staging slice (or makes one).
-func (r *Relayer) getPktBuf(capHint int) []*ibc.Packet {
-	if n := len(r.pktBuf); n > 0 {
-		buf := r.pktBuf[n-1]
-		r.pktBuf[n-1] = nil
-		r.pktBuf = r.pktBuf[:n-1]
+// popBuf pops a pooled staging slice (or makes one); the caller appends
+// it back to the pool once consumed.
+func popBuf[T any](pool *[][]T, capHint int) []T {
+	if n := len(*pool); n > 0 {
+		buf := (*pool)[n-1]
+		(*pool)[n-1] = nil
+		*pool = (*pool)[:n-1]
 		return buf[:0]
 	}
-	return make([]*ibc.Packet, 0, capHint)
+	return make([]T, 0, capHint)
 }
-
-func (r *Relayer) putPktBuf(buf []*ibc.Packet) { r.pktBuf = append(r.pktBuf, buf) }
-
-// getAckBuf pops a pooled ack-staging slice (or makes one).
-func (r *Relayer) getAckBuf(capHint int) []*ibc.AckWrite {
-	if n := len(r.ackBuf); n > 0 {
-		buf := r.ackBuf[n-1]
-		r.ackBuf[n-1] = nil
-		r.ackBuf = r.ackBuf[:n-1]
-		return buf[:0]
-	}
-	return make([]*ibc.AckWrite, 0, capHint)
-}
-
-func (r *Relayer) putAckBuf(buf []*ibc.AckWrite) { r.ackBuf = append(r.ackBuf, buf) }
 
 // buildRecvBatch turns one source tx's indexed send_packet records into
 // MsgRecvPackets destined for dst. The index slice and its records are
@@ -447,7 +434,7 @@ func (r *Relayer) putAckBuf(buf []*ibc.AckWrite) { r.ackBuf = append(r.ackBuf, b
 // sourced on src.channel, so its sequence alone keys src's sets.
 func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	packets := te.SendPackets(src.channel)
-	fresh := r.getPktBuf(len(packets))
+	fresh := popBuf(&r.pktBuf, len(packets))
 	for _, p := range packets {
 		if src.recvSeen.has(p.Sequence) {
 			continue
@@ -466,7 +453,7 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 		fresh = append(fresh, p)
 	}
 	if len(fresh) == 0 {
-		r.putPktBuf(fresh)
+		r.pktBuf = append(r.pktBuf, fresh)
 		return
 	}
 	now := r.sched.Now()
@@ -479,23 +466,23 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 		if r.tr != nil {
 			r.tr.CompleteArg(r.otrack, r.nBuildRecv, done-build, done, uint64(len(fresh)))
 		}
-		proofHeight := te.Info.Height + 1
+		proofHeight := proofHeightOn(src, te.Info.Height)
 		var kb [app.KeyBufLen]byte
 		for _, p := range fresh {
 			r.track(r.keyOf(src, p), metrics.StepRecvBuild, done)
 			dst.outbox = append(dst.outbox, outMsg{
 				msg: ibc.MsgRecvPacket{
 					Packet:          *p,
-					ProofCommitment: r.proveOn(src, proofHeight, ibc.AppendPacketCommitmentKey(kb[:0], p.SourcePort, p.SourceChannel, p.Sequence), true),
+					ProofCommitment: proveMember(src, proofHeight, ibc.AppendPacketCommitmentKey(kb[:0], p.SourcePort, p.SourceChannel, p.Sequence)),
 					ProofHeight:     proofHeight,
 					Relayer:         dst.account,
 				},
 				packet:      p,
 				proofHeight: proofHeight,
-				step:        metrics.StepRecvBroadcast,
+				origin:      te.Info.Height,
 			})
 		}
-		r.putPktBuf(fresh)
+		r.pktBuf = append(r.pktBuf, fresh)
 		r.tryFlush(dst)
 	})
 }
@@ -506,7 +493,7 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 // dst.channel, so its sequence alone keys dst's sets.
 func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	writes := te.Acks(src.channel)
-	fresh := r.getAckBuf(len(writes))
+	fresh := popBuf(&r.ackBuf, len(writes))
 	for _, w := range writes {
 		seq := w.Packet.Sequence
 		if dst.ackSeen.has(seq) {
@@ -517,7 +504,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 		fresh = append(fresh, w)
 	}
 	if len(fresh) == 0 {
-		r.putAckBuf(fresh)
+		r.ackBuf = append(r.ackBuf, fresh)
 		return
 	}
 	now := r.sched.Now()
@@ -530,7 +517,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 		if r.tr != nil {
 			r.tr.CompleteArg(r.otrack, r.nBuildAck, done-build, done, uint64(len(fresh)))
 		}
-		proofHeight := te.Info.Height + 1
+		proofHeight := proofHeightOn(src, te.Info.Height)
 		var kb [app.KeyBufLen]byte
 		for _, w := range fresh {
 			p := &w.Packet
@@ -547,25 +534,26 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 				msg: ibc.MsgAcknowledgement{
 					Packet:      *p,
 					Ack:         ack,
-					ProofAcked:  r.proveOn(src, proofHeight, ibc.AppendPacketAckKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence), true),
+					ProofAcked:  proveMember(src, proofHeight, ibc.AppendPacketAckKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence)),
 					ProofHeight: proofHeight,
 					Relayer:     dst.account,
 				},
 				packet:      p,
 				proofHeight: proofHeight,
-				step:        metrics.StepAckBroadcast,
+				origin:      te.Info.Height,
 			})
 		}
-		r.putAckBuf(fresh)
+		r.ackBuf = append(r.ackBuf, fresh)
 		r.tryFlush(dst)
 	})
 }
 
 // checkTimeouts builds MsgTimeouts on the packet source (dst here is the
-// counterparty of src) for pending packets whose timeout elapsed on src.
-// The order of the messages is the order of the txs and so decides the
-// block hashes: packets expiring on one frame are timed out in sequence
-// order (all on srcChain's one channel), never in map order.
+// counterparty of src) for pending packets whose timeout elapsed on src
+// and which src has not received. The order of the messages is the order
+// of the txs and so decides the block hashes: packets expiring on one
+// frame are timed out in sequence order (all on srcChain's one channel),
+// never in map order.
 func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 	var expired []uint64
 	for seq, p := range srcChain.pending {
@@ -574,50 +562,77 @@ func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 		}
 	}
 	slices.Sort(expired)
-	proofHeight := dstChain.height + 1
+	proofHeight := proofHeightOn(dstChain, dstChain.height)
 	var kb [app.KeyBufLen]byte
 	for _, seq := range expired {
+		// Only a packet not received can time out, judged by the
+		// relayer's own history of dstChain (which the parallel runner
+		// reproduces) and under full proofs by the absence proof. A recv
+		// in flight keeps its packet pending; a receipt is never deleted.
+		if srcChain.unconfirmed.has(seq) {
+			continue
+		}
 		p := srcChain.pending[seq]
 		delete(srcChain.pending, seq)
+		proof := proveAbsent(dstChain, proofHeight, ibc.AppendPacketReceiptKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence))
+		if srcChain.received.has(seq) || proof == nil && dstChain.chain.App.State().FullProofs() {
+			continue
+		}
 		srcChain.outbox = append(srcChain.outbox, outMsg{
 			msg: ibc.MsgTimeout{
 				Packet:          *p,
-				ProofUnreceived: r.proveOn(dstChain, proofHeight, ibc.AppendPacketReceiptKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence), false),
+				ProofUnreceived: proof,
 				ProofHeight:     proofHeight,
 				Relayer:         srcChain.account,
 			},
 			packet:      p,
 			proofHeight: proofHeight,
-			step:        metrics.StepAckBroadcast, // timeout completes the packet on source
 		})
 	}
 }
 
-// proveOn fetches a proof from the counterparty chain's state (the RPC
-// cost of proof retrieval is folded into the calibrated data-pull cost).
-// A key absent (membership) or present (non-membership) at the height
-// gives nil: a timeout's packet may have been received after all. Any
-// other State error is a simulator fault, not a failed relayer tx.
-func (r *Relayer) proveOn(src *endpoint, proofHeight int64, key []byte, membership bool) *ibc.Proof {
+// proofHeightOn is the proof height of a message built now from an event
+// at height h of src: h+1, or under full proofs src's latest committed
+// height plus one, the only height its State proves at (later than h+1
+// after a retried pull, a clearing pass or a standby's back-fill).
+func proofHeightOn(src *endpoint, h int64) int64 {
+	if st := src.chain.App.State(); st.FullProofs() {
+		return st.Version() + 1
+	}
+	return h + 1
+}
+
+// proveMember fetches the proof of key on the counterparty chain src at
+// proofHeight-1 (the RPC cost of proof retrieval is folded into the
+// calibrated data-pull cost). It is nil in performance mode and when key
+// is absent.
+func proveMember(src *endpoint, proofHeight int64, key []byte) *merkle.MembershipProof {
 	st := src.chain.App.State()
 	if !st.FullProofs() {
 		return nil
 	}
-	h := proofHeight - 1
-	var proof ibc.Proof
-	var err error
-	if membership {
-		_, proof.Membership, err = st.ProveMembership(h, key)
-	} else {
-		proof.NonMembership, err = st.ProveNonMembership(h, key)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("relayer: proof of %q on %s at height %d: %v", string(key), src.chain.ID, h, err))
-	}
-	if proof.Membership == nil && proof.NonMembership == nil {
+	_, proof, err := st.ProveMembership(proofHeight-1, key)
+	mustProve(src, proofHeight, key, err)
+	return proof
+}
+
+// proveAbsent is proveMember for key's absence: nil when key is present.
+func proveAbsent(src *endpoint, proofHeight int64, key []byte) *merkle.NonMembershipProof {
+	st := src.chain.App.State()
+	if !st.FullProofs() {
 		return nil
 	}
-	return &proof
+	proof, err := st.ProveNonMembership(proofHeight-1, key)
+	mustProve(src, proofHeight, key, err)
+	return proof
+}
+
+// mustProve panics on a State error (a height other than the latest
+// committed one, say): a simulator fault, not a failed relayer tx.
+func mustProve(src *endpoint, proofHeight int64, key []byte, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("relayer: proof of %q on %s at height %d: %v", string(key), src.chain.ID, proofHeight-1, err))
+	}
 }
 
 // tryFlush starts the submission loop for an endpoint's outbox.
@@ -674,6 +689,9 @@ func (r *Relayer) flushNext(dst *endpoint) {
 	// updates, so the submission path rolls the local view back.
 	var updHeights []int64
 	for _, m := range batch {
+		if m.step() == metrics.StepRecvBroadcast {
+			src.unconfirmed.add(m.packet.Sequence)
+		}
 		h := m.proofHeight
 		if h <= 0 || dst.clientHeights[h] {
 			continue
@@ -762,7 +780,7 @@ func (r *Relayer) submitTx(dst *endpoint, msgs []app.Msg, batch []outMsg, meta t
 				r.tr.CompleteArg(r.otrack, r.nSubmit, subStart, now, uint64(len(batch)))
 			}
 			for _, m := range batch {
-				r.track(r.keyOfMsg(dst, m), m.step, now)
+				r.track(r.keyOfMsg(dst, m), m.step(), now)
 			}
 			r.confirmTx(dst, tx, batch, meta, 0)
 			// Pipeline: submit the next batch immediately.
@@ -814,11 +832,13 @@ func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, meta txMe
 			if info.Result.IsOK() {
 				for _, m := range batch {
 					key := r.keyOfMsg(dst, m)
-					switch m.step {
+					switch m.step() {
 					case metrics.StepRecvBroadcast:
 						r.stats.RecvDelivered++
 						r.track(key, metrics.StepRecvConfirmation, now)
-						delete(r.counterpartOf(dst).pending, m.packet.Sequence)
+						src := r.counterpartOf(dst)
+						src.unconfirmed.del(m.packet.Sequence)
+						delete(src.pending, m.packet.Sequence)
 					case metrics.StepAckBroadcast:
 						if _, isTimeout := m.msg.(ibc.MsgTimeout); isTimeout {
 							r.stats.TimeoutsDelivered++
@@ -856,18 +876,23 @@ func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, meta txMe
 // cleared on the source (ack/timeout). Models Hermes' unreceived_packets
 // / unreceived_acks re-query before a rebuild, as one batched RPC
 // against committed state (like every other state read, so it works
-// across partition boundaries).
+// across partition boundaries). A settled recv marks its packet received.
 func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
+	src := r.counterpartOf(dst)
 	var candidates []outMsg
 	var probes []rpc.SettledProbe
 	for _, m := range batch {
+		_, isRecv := m.msg.(ibc.MsgRecvPacket)
 		if m.retried {
+			if isRecv {
+				src.unconfirmed.del(m.packet.Sequence)
+			}
 			continue
 		}
 		m.retried = true
 		p := m.packet
 		probe := rpc.SettledProbe{Port: p.DestPort, Channel: p.DestChannel, Sequence: p.Sequence}
-		if _, isRecv := m.msg.(ibc.MsgRecvPacket); !isRecv {
+		if !isRecv {
 			probe = rpc.SettledProbe{Ack: true, Port: p.SourcePort, Channel: p.SourceChannel, Sequence: p.Sequence}
 		}
 		candidates = append(candidates, m)
@@ -877,15 +902,21 @@ func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
 		return
 	}
 	dst.rpc.QuerySettled(r.host, probes, func(settled []bool, err error) {
-		if r.stopped {
-			return
-		}
 		var retry []outMsg
 		for i, m := range candidates {
-			if err == nil && i < len(settled) && settled[i] {
-				continue
+			ok := err == nil && i < len(settled) && settled[i]
+			if _, isRecv := m.msg.(ibc.MsgRecvPacket); isRecv {
+				src.unconfirmed.del(m.packet.Sequence)
+				if ok {
+					src.received.add(m.packet.Sequence)
+				}
 			}
-			retry = append(retry, m)
+			if !ok {
+				retry = append(retry, m)
+			}
+		}
+		if r.stopped {
+			return
 		}
 		if len(retry) > 0 {
 			dst.outbox = append(dst.outbox, retry...)
@@ -907,20 +938,19 @@ func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg) {
 	requeued := false
 	for _, m := range batch {
 		switch m.msg.(type) {
-		case ibc.MsgRecvPacket, ibc.MsgAcknowledgement:
-			if _, isRecv := m.msg.(ibc.MsgRecvPacket); isRecv {
-				src.recvSeen.del(m.packet.Sequence)
-			} else {
-				dst.ackSeen.del(m.packet.Sequence)
-			}
-			// Both message kinds were built from an event on the
-			// counterparty at proofHeight-1; re-scan that height.
-			if r.cfg.ClearIntervalBlocks > 0 && m.proofHeight > 1 {
-				r.addMissed(src, m.proofHeight-1)
-				requeued = true
-			}
+		case ibc.MsgRecvPacket:
+			src.recvSeen.del(m.packet.Sequence)
+			src.unconfirmed.del(m.packet.Sequence)
+		case ibc.MsgAcknowledgement:
+			dst.ackSeen.del(m.packet.Sequence)
 		case ibc.MsgTimeout:
 			dst.pending[m.packet.Sequence] = m.packet
+		}
+		// A recv or an ack was built from an event on the counterparty (a
+		// timeout has no origin); re-scan its height.
+		if r.cfg.ClearIntervalBlocks > 0 && m.origin > 0 {
+			src.missed = append(src.missed, m.origin)
+			requeued = true
 		}
 	}
 	if requeued {
@@ -935,18 +965,11 @@ func (r *Relayer) scheduleClear(src, dst *endpoint) {
 		if r.stopped {
 			return
 		}
-		missed := r.missedA
-		if src == r.b {
-			missed = r.missedB
-		}
+		missed := src.missed
 		if len(missed) == 0 {
 			return
 		}
-		if src == r.a {
-			r.missedA = nil
-		} else {
-			r.missedB = nil
-		}
+		src.missed = nil
 		// Dedupe: a released batch queues one entry per message, and gaps
 		// can overlap earlier misses — one indexed query per height. The
 		// scratch map is relayer-owned and only used within this event,
@@ -968,7 +991,7 @@ func (r *Relayer) scheduleClear(src, dst *endpoint) {
 					// another pass. A node that answers but does not have
 					// the height will not have it next time either.
 					if !errors.Is(err, rpc.ErrNotFound) {
-						r.addMissed(src, h)
+						src.missed = append(src.missed, h)
 						r.scheduleClear(src, dst)
 					}
 					return
@@ -1003,12 +1026,10 @@ func (r *Relayer) keyOf(src *endpoint, p *ibc.Packet) metrics.PacketKey {
 
 // keyOfMsg identifies the packet of an outgoing message submitted to dst.
 func (r *Relayer) keyOfMsg(dst *endpoint, m outMsg) metrics.PacketKey {
-	switch m.msg.(type) {
-	case ibc.MsgRecvPacket:
+	if m.step() == metrics.StepRecvBroadcast {
 		return r.keyOf(r.counterpartOf(dst), m.packet)
-	default: // acks and timeouts land on the packet's source chain
-		return r.keyOf(dst, m.packet)
 	}
+	return r.keyOf(dst, m.packet) // acks and timeouts land on the packet's source chain
 }
 
 func containsRedundant(log string) bool {

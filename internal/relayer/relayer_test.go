@@ -2,11 +2,14 @@ package relayer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ibcbench/internal/chain"
+	"ibcbench/internal/eventindex"
+	"ibcbench/internal/ibc"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/netem"
 	"ibcbench/internal/sim"
@@ -111,7 +114,7 @@ func TestFullProofModeCompletes(t *testing.T) {
 }
 
 // Under full proofs a proof State cannot serve is a simulator fault:
-// proveOn panics naming the chain, height and key instead of handing
+// proveMember and proveAbsent panic naming the chain, height and key instead of handing
 // the relayer a nil proof, which would only fail its tx. An absent key
 // is not a fault.
 func TestProveOnPanicsOnStateError(t *testing.T) {
@@ -124,7 +127,7 @@ func TestProveOnPanicsOnStateError(t *testing.T) {
 	if h == 0 {
 		t.Fatal("no committed height after 30 s")
 	}
-	if p := r.proveOn(r.a, h+1, []byte("absent"), true); p != nil {
+	if p := proveMember(r.a, h+1, []byte("absent")); p != nil {
 		t.Fatalf("membership proof of an absent key = %+v, want nil", p)
 	}
 	defer func() {
@@ -135,7 +138,7 @@ func TestProveOnPanicsOnStateError(t *testing.T) {
 			}
 		}
 	}()
-	r.proveOn(r.a, h+6, []byte("absent"), false)
+	proveAbsent(r.a, h+6, []byte("absent"))
 }
 
 func TestTwoRelayersRedundancy(t *testing.T) {
@@ -229,5 +232,51 @@ func TestBatchBufferRecycling(t *testing.T) {
 	if len(r.pktBuf) != warmPkt || len(r.ackBuf) != warmAck {
 		t.Fatalf("free lists grew after warmup: pkt %d->%d ack %d->%d",
 			warmPkt, len(r.pktBuf), warmAck, len(r.ackBuf))
+	}
+}
+
+// checkTimeouts refunds only a packet the relayer has no sign was
+// received: of four expired packets, the one whose write_acknowledgement
+// it parsed in a destination block and the one whose failed recv a probe
+// found settled leave pending unrefunded, the one with its recv still
+// unconfirmed stays pending, and only sequence 3 is timed out.
+func TestTimeoutsSkipReceivedPackets(t *testing.T) {
+	tb := newTestbed(1, false)
+	r := New(tb.Sched, tb.RNG, Config{Name: "hermes-t"}, tb.Pair)
+	packet := func(seq uint64) *ibc.Packet {
+		return &ibc.Packet{Sequence: seq, SourcePort: "transfer", SourceChannel: r.a.channel, DestPort: "transfer", DestChannel: r.b.channel, TimeoutHeight: 2}
+	}
+	r.a.pending = map[uint64]*ibc.Packet{1: packet(1), 2: packet(2), 3: packet(3), 4: packet(4)}
+	ack := &eventindex.TxEvents{AckWrites: []*ibc.AckWrite{{Packet: *packet(1)}}}
+	r.processBlock(r.b, r.a, &eventindex.BlockEvents{Height: 2, MsgCount: 1, Txs: []*eventindex.TxEvents{ack}})
+	r.Stop() // the block is parsed, its ack pull abandoned
+	st := tb.Pair.B.App.State()
+	st.Set(ibc.AppendPacketReceiptKey(nil, "transfer", r.b.channel, 4), []byte{1})
+	st.CommitTx()
+	r.a.unconfirmed.add(2)
+	r.a.unconfirmed.add(4)
+	r.retryUnsettled(r.b, []outMsg{{msg: ibc.MsgRecvPacket{Packet: *packet(4)}, packet: packet(4)}})
+	if err := tb.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r.b.height = 2
+	r.checkTimeouts(r.b, r.a)
+	if len(r.a.outbox) != 1 || r.a.outbox[0].packet.Sequence != 3 {
+		t.Fatalf("outbox = %+v, want one timeout, of sequence 3", r.a.outbox)
+	}
+	if _, ok := r.a.outbox[0].msg.(ibc.MsgTimeout); !ok || len(r.a.pending) != 1 || r.a.pending[2] == nil {
+		t.Fatalf("outbox %+v, pending %v: want a MsgTimeout and sequence 2 still pending", r.a.outbox, r.a.pending)
+	}
+}
+
+// A released recv or ack re-queues the counterparty height its event was
+// seen at, which under full proofs may lie below its proof height.
+func TestReleaseRescansTheEventHeight(t *testing.T) {
+	tb := newTestbed(1, false)
+	r := New(tb.Sched, tb.RNG, Config{Name: "hermes-t", ClearIntervalBlocks: 1}, tb.Pair)
+	p := &ibc.Packet{Sequence: 1, SourcePort: "transfer", SourceChannel: r.a.channel, DestPort: "transfer", DestChannel: r.b.channel}
+	r.releaseBatch(r.b, []outMsg{{msg: ibc.MsgRecvPacket{Packet: *p}, packet: p, proofHeight: 9, origin: 4}})
+	if !slices.Equal(r.a.missed, []int64{4}) {
+		t.Fatalf("missed = %v, want [4]", r.a.missed)
 	}
 }

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -185,6 +187,126 @@ func TestPlainTimeoutRefundsSender(t *testing.T) {
 	})
 	if want := e.Spec.Workload.Routes[0].Transfers; sent != want {
 		t.Fatalf("source sent %d packets, want %d", sent, want)
+	}
+}
+
+// receivedTimeoutSpec is plaintimeout with a five-block timeout and the
+// relayer cut off from 11 s to 16 s: the packets' recv lands on the
+// destination in a block whose frame the cut drops, while the relayer's
+// confirmation of it hangs, and their timeouts elapse before either
+// reaches the relayer.
+func receivedTimeoutSpec(t *testing.T) Spec {
+	t.Helper()
+	e, ok := Lookup("plaintimeout")
+	if !ok {
+		t.Fatal("plaintimeout builtin missing")
+	}
+	spec := e.Spec
+	route := spec.Workload.Routes[0]
+	route.TimeoutBlocks = 5
+	spec.Workload.Routes = []RouteSpec{route}
+	spec.Chaos = []EventSpec{
+		{At: Duration(11 * time.Second), Kind: "partition", Edge: 0, Relayer: intp(0)},
+		{At: Duration(16 * time.Second), Kind: "heal", Edge: 0, Relayer: intp(0)},
+	}
+	return spec
+}
+
+// TestReceivedPacketIsNotTimedOut: a relayer that built a MsgTimeout
+// for the packets of receivedTimeoutSpec anyway had the source refund
+// packets the destination had minted vouchers for, in performance mode
+// where no non-membership proof stops it, and Check reported the voucher
+// supply above the escrow.
+func TestReceivedPacketIsNotTimedOut(t *testing.T) {
+	spec := receivedTimeoutSpec(t)
+	for seed := int64(1); seed <= 3; seed++ {
+		sc, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dep, err := sc.RunDeployed(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := Check(dep, DefaultAssertions()); len(v) != 0 {
+			t.Fatalf("seed %d: violations: %v", seed, v)
+		}
+	}
+}
+
+// TestParallelTimeoutsMatchSerial runs expiring packets through the
+// parallel runner: the relayer decides whether a packet timed out from
+// its own history of the destination, not from that chain's live state,
+// which another worker may be writing. Both plaintimeout (packets that
+// were never received, refunded) and receivedTimeoutSpec (packets that
+// were) must give the serial result byte for byte; run it with -race.
+func TestParallelTimeoutsMatchSerial(t *testing.T) {
+	e, ok := Lookup("plaintimeout")
+	if !ok {
+		t.Fatal("plaintimeout builtin missing")
+	}
+	for _, spec := range []Spec{e.Spec, receivedTimeoutSpec(t)} {
+		var want []byte
+		for _, workers := range []int{0, 2} {
+			spec.Deploy.ParallelWorkers = workers
+			sc, err := Compile(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, dep, err := sc.RunDeployed(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dep.Parallel() != (workers > 0) {
+				t.Fatalf("workers %d: parallel = %v", workers, dep.Parallel())
+			}
+			if v := Check(dep, DefaultAssertions()); len(v) != 0 {
+				t.Fatalf("workers %d: violations: %v", workers, v)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 0 {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s: parallel result diverged from serial\nserial:   %.400s\nparallel: %.400s", spec.Name, want, got)
+			}
+		}
+	}
+}
+
+// TestFullProofsSurviveRelayerFaults runs full proofs through faults
+// that make the relayer build a message after the source committed the
+// next block: timeoutproofs with a relayer partition and clearing, and
+// the failover built-in (a partition, a standby taking over). The state
+// proves at its latest height only, so the relayer must prove there, not
+// at the height it saw the event at (which panicked on both).
+func TestFullProofsSurviveRelayerFaults(t *testing.T) {
+	tp, ok := Lookup("timeoutproofs")
+	if !ok {
+		t.Fatal("timeoutproofs builtin missing")
+	}
+	fo, ok := Lookup("failover")
+	if !ok {
+		t.Fatal("failover builtin missing")
+	}
+	cleared := tp.Spec
+	cleared.Deploy.ClearIntervalBlocks = 1
+	cleared.Chaos = []EventSpec{
+		{At: Duration(3 * time.Second), Kind: "partition", Edge: 0, Relayer: intp(0)},
+		{At: Duration(9 * time.Second), Kind: "heal", Edge: 0, Relayer: intp(0)},
+	}
+	standby := fo.Spec
+	standby.Deploy.FullProofs = true
+	for _, spec := range []Spec{cleared, standby} {
+		rep, err := Run(spec, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Passed() {
+			t.Fatalf("%s: violations: %v", spec.Name, rep.Violations)
+		}
 	}
 }
 
