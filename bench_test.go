@@ -290,9 +290,11 @@ func BenchmarkKeeperRecvAck(b *testing.B) {
 // packet handed over in the event and the ack and packet data read
 // without encoding/json about 4 400; with app.State writing through to
 // its map under an undo journal 3 681; with every state key built on the
-// stack and copied only on its first insert it takes 2 012.
+// stack and copied only on its first insert 2 012; with message digests
+// appended into the tx hash, the voucher denom read off the packet's
+// denom string and the success ack a shared literal it takes 1 012.
 func TestKeeperRecvAckAllocs(t *testing.T) {
-	const runs, ceiling = 5, 2020
+	const runs, ceiling = 5, 1020
 	r := newRecvAckRounds(t, runs+1) // AllocsPerRun adds a warm-up call
 	round := 0
 	got := testing.AllocsPerRun(runs, func() {

@@ -137,14 +137,18 @@ func (tx *Tx) Hash() types.Hash {
 		h.Write(n[:])
 		binary.BigEndian.PutUint64(n[:], tx.Nonce)
 		h.Write(n[:])
+		// One buffer carries every message's route, type and digest in
+		// turn; a message that binds its content appends it there. It
+		// fits a transfer with a forward memo, so it is made only once.
+		d := make([]byte, 0, 256)
 		for _, m := range tx.Msgs {
-			h.Write([]byte(m.Route()))
-			h.Write([]byte(m.MsgType()))
-			if d, ok := m.(interface{ Digest() []byte }); ok {
-				h.Write(d.Digest())
+			d = append(append(d[:0], m.Route()...), m.MsgType()...)
+			if a, ok := m.(interface{ AppendDigest([]byte) []byte }); ok {
+				d = a.AppendDigest(d)
 			}
+			h.Write(d)
 		}
-		copy(tx.hash[:], h.Sum(nil))
+		h.Sum(tx.hash[:0])
 		tx.hashSet = true
 	}
 	return tx.hash

@@ -23,8 +23,8 @@ type sendMsg struct {
 func (m sendMsg) Route() string   { return "bank" }
 func (m sendMsg) MsgType() string { return "MsgSend" }
 func (m sendMsg) WireSize() int   { return 120 }
-func (m sendMsg) Digest() []byte {
-	return []byte(fmt.Sprintf("%s->%s:%s", m.from, m.to, m.coin))
+func (m sendMsg) AppendDigest(dst []byte) []byte {
+	return fmt.Appendf(dst, "%s->%s:%s", m.from, m.to, m.coin)
 }
 
 func bankHandler(ctx *Context, msg Msg) error {
@@ -625,7 +625,9 @@ type typedMsg struct {
 func (m typedMsg) Route() string   { return "ibc" }
 func (m typedMsg) MsgType() string { return m.kind }
 func (m typedMsg) WireSize() int   { return 100 }
-func (m typedMsg) Digest() []byte  { return []byte(fmt.Sprintf("%s/%d", m.kind, m.i)) }
+func (m typedMsg) AppendDigest(dst []byte) []byte {
+	return fmt.Appendf(dst, "%s/%d", m.kind, m.i)
+}
 
 func manyMsgs(kind string, n int) []Msg {
 	out := make([]Msg, n)

@@ -77,15 +77,41 @@ func TestAckCodecMatchesEncodingJSON(t *testing.T) {
 }
 
 // Bytes' own output must take the direct path, or the codec is
-// encoding/json with extra steps: the success ack costs its Result.
+// encoding/json with extra steps: the success ack is the shared
+// SuccessAck and costs nothing, any other ack costs its Result or Error.
 func TestParseAckReadsItsOwnBytesDirectly(t *testing.T) {
-	raw := ibc.Acknowledgement{Result: []byte("AQ==")}.Bytes()
-	if got := testing.AllocsPerRun(20, func() {
-		if _, err := ibc.ParseAck(raw); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		ack    ibc.Acknowledgement
+		allocs float64
+	}{
+		{*ibc.SuccessAck, 0},
+		{ibc.Acknowledgement{Result: []byte{0}}, 1},
+		{ibc.Acknowledgement{Error: "transfer: malformed packet data"}, 1},
+	} {
+		raw := c.ack.Bytes()
+		if got := testing.AllocsPerRun(20, func() {
+			if _, err := ibc.ParseAck(raw); err != nil {
+				t.Fatal(err)
+			}
+		}); got != c.allocs {
+			t.Errorf("ParseAck(%s) took %.0f allocations, want %.0f", raw, got, c.allocs)
 		}
-	}); got > 1 {
-		t.Errorf("ParseAck(%s) took %.0f allocations, want 1", raw, got)
+	}
+}
+
+// The success ack's encoding and commitment are source literals; they
+// must be what Bytes and hashAck compute, and ParseAck of them must give
+// the shared value.
+func TestSuccessAckLiterals(t *testing.T) {
+	if got := ibc.SuccessAck.Bytes(); !bytes.Equal(got, ibc.SuccessAckBytes) {
+		t.Fatalf("SuccessAck.Bytes() = %s, literal %s", got, ibc.SuccessAckBytes)
+	}
+	if got := ibc.HashAck(ibc.SuccessAck.Bytes()); !bytes.Equal(got, ibc.SuccessAckCommitment) {
+		t.Fatalf("hashAck(success) = %x, literal %x", got, ibc.SuccessAckCommitment)
+	}
+	got, err := ibc.ParseAck(ibc.SuccessAckBytes)
+	if err != nil || !got.Success() || &got.Result[0] != &ibc.SuccessAck.Result[0] {
+		t.Fatalf("ParseAck(success) = %+v, %v; want the shared SuccessAck", got, err)
 	}
 }
 

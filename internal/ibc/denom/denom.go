@@ -24,10 +24,8 @@ type Hop struct {
 	Channel string
 }
 
-// String renders the hop as "port/channel".
-func (h Hop) String() string { return h.Port + "/" + h.Channel }
-
-// Trace is a parsed denomination: the hop path plus the base denom.
+// Trace is a parsed denomination: the hop path plus the base denom. The
+// transfer rules below never build one; they read the denom string.
 type Trace struct {
 	Hops []Hop
 	Base string
@@ -47,13 +45,13 @@ func isChannelID(s string) bool {
 
 // Parse splits a full denomination into its trace. Pairs of path
 // elements are consumed as (port, channel) hops while the second element
-// is a valid channel identifier; everything after the last hop is the
-// base denom. A denom with no hops parses as a native token.
+// is a valid channel identifier and another element follows it;
+// everything after the last hop is the base denom. A denom with no hops
+// parses as a native token.
 func Parse(denom string) Trace {
 	parts := strings.Split(denom, "/")
 	var hops []Hop
 	i := 0
-	// A hop is consumed only while a non-empty base remains after it.
 	for i+2 < len(parts) && parts[i] != "" && isChannelID(parts[i+1]) {
 		hops = append(hops, Hop{Port: parts[i], Channel: parts[i+1]})
 		i += 2
@@ -80,30 +78,22 @@ func (t Trace) String() string {
 // IsNative reports whether the token sits in its origin zone (no hops).
 func (t Trace) IsNative() bool { return len(t.Hops) == 0 }
 
-// HasPrefix reports whether the trace's outermost hop is (port, channel)
-// — i.e. the token entered the current chain through that channel.
-func (t Trace) HasPrefix(port, channel string) bool {
-	return len(t.Hops) > 0 && t.Hops[0].Port == port && t.Hops[0].Channel == channel
-}
-
-// AddPrefix returns the trace with one more outermost hop, the receiving
-// chain's view of an incoming token that is moving away from its source.
-func (t Trace) AddPrefix(port, channel string) Trace {
-	hops := make([]Hop, 0, len(t.Hops)+1)
-	hops = append(hops, Hop{Port: port, Channel: channel})
-	hops = append(hops, t.Hops...)
-	return Trace{Hops: hops, Base: t.Base}
-}
-
-// TrimPrefix returns the trace with the outermost hop removed, the
-// receiving chain's view of a token returning toward its source. Calling
-// it on a native trace returns the trace unchanged; a trace it makes
-// native has nil Hops, as Parse gives it.
-func (t Trace) TrimPrefix() Trace {
-	if len(t.Hops) <= 1 {
-		return Trace{Base: t.Base}
+// CutHop reports whether denom's outermost hop is (port, channel), that
+// is whether Parse(denom).Hops[0] is that hop, and if so returns the rest
+// of the denom after it: the trace with that hop removed, as a substring.
+// It reads the string without splitting it: Parse takes a leading
+// "port/channel/" as a hop exactly when the port is non-empty and has no
+// slash and the channel is a channel identifier.
+func CutHop(denom, port, channel string) (rest string, ok bool) {
+	if port == "" || strings.IndexByte(port, '/') >= 0 || !isChannelID(channel) {
+		return "", false
 	}
-	return Trace{Hops: t.Hops[1:], Base: t.Base}
+	n := len(port) + 1 + len(channel) + 1
+	if len(denom) < n || denom[:len(port)] != port || denom[len(port)] != '/' ||
+		denom[len(port)+1:n-1] != channel || denom[n-1] != '/' {
+		return "", false
+	}
+	return denom[n:], true
 }
 
 // ReceiverChainIsSource reports whether a packet is returning a token to
@@ -112,7 +102,8 @@ func (t Trace) TrimPrefix() Trace {
 // counterparty minted it as a voucher of this channel and the receiving
 // chain holds the escrowed original (ICS-20 unwind rule).
 func ReceiverChainIsSource(sourcePort, sourceChannel, packetDenom string) bool {
-	return Parse(packetDenom).HasPrefix(sourcePort, sourceChannel)
+	_, ok := CutHop(packetDenom, sourcePort, sourceChannel)
+	return ok
 }
 
 // SenderChainIsSource reports whether the sending chain is the source

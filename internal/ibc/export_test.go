@@ -13,6 +13,14 @@ var (
 	AppendConsensusState = appendConsensusState
 )
 
+// The success ack's literals and the ack commitment, for the test that
+// holds the first to the second.
+var (
+	SuccessAckBytes      = successAckBytes
+	SuccessAckCommitment = successAckCommitment
+	HashAck              = hashAck
+)
+
 // The string forms of the state keys, for the tests that prove or read
 // them.
 

@@ -462,6 +462,8 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 // it directly; async middleware (packet forwarding) calls it when the
 // downstream hop acks, errors or times out. The event carries an
 // *AckWrite, shared and immutable once emitted like SendPacket's packet.
+// A success ack stores and emits the shared literals of its encoding and
+// commitment.
 func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledgement) error {
 	var b [app.KeyBufLen]byte
 	key := AppendPacketAckKey(b[:0], p.DestPort, p.DestChannel, p.Sequence)
@@ -469,8 +471,12 @@ func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledg
 		return fmt.Errorf("ibc: acknowledgement for %s/%s seq %d already written",
 			p.DestPort, p.DestChannel, p.Sequence)
 	}
-	raw := ack.Bytes()
-	ctx.State.Set(key, hashAck(raw))
+	raw, commitment := successAckBytes, successAckCommitment
+	if ack.Error != "" || string(ack.Result) != string(SuccessAck.Result) {
+		raw = ack.Bytes()
+		commitment = hashAck(raw)
+	}
+	ctx.State.Set(key, commitment)
 	ctx.Emit(abci.Event{Type: "write_acknowledgement", Data: &AckWrite{Packet: p, Ack: raw}})
 	return nil
 }

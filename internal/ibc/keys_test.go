@@ -79,36 +79,39 @@ func TestCommitmentBytesMatchFmtFormatting(t *testing.T) {
 	}
 }
 
-// Message digests are hashed into the tx hash; they are built with
-// appends and pinned against the fmt spelling they replaced.
+// Message digests are appended into the tx hash's buffer; they are
+// pinned against the fmt spelling they replaced, and a buffer with room
+// for the digest takes no allocation.
 func TestMsgDigestsMatchFmtFormatting(t *testing.T) {
+	type digester interface{ AppendDigest([]byte) []byte }
+	check := func(m digester, want string) {
+		t.Helper()
+		if got := m.AppendDigest(nil); string(got) != want {
+			t.Errorf("%T digest = %q, want %q", m, got, want)
+		}
+		if got := m.AppendDigest([]byte("prefix")); string(got) != "prefix"+want {
+			t.Errorf("%T digest after a prefix = %q, want %q", m, got, "prefix"+want)
+		}
+		buf := make([]byte, 0, len(want))
+		if allocs := testing.AllocsPerRun(20, func() { m.AppendDigest(buf) }); allocs != 0 {
+			t.Errorf("%T digest into a sized buffer took %.0f allocations, want 0", m, allocs)
+		}
+	}
 	for _, p := range []ibc.Packet{
 		{},
 		{SourcePort: "transfer", SourceChannel: "channel-0", Sequence: 1},
 		{SourcePort: "a/b", SourceChannel: "channel-4294967295", Sequence: math.MaxUint64},
 	} {
 		id := fmt.Sprintf("%s/%s/%d", p.SourcePort, p.SourceChannel, p.Sequence)
-		for want, m := range map[string]interface{ Digest() []byte }{
-			"recv/" + id:    ibc.MsgRecvPacket{Packet: p},
-			"ack/" + id:     ibc.MsgAcknowledgement{Packet: p},
-			"timeout/" + id: ibc.MsgTimeout{Packet: p},
-		} {
-			if got := m.Digest(); string(got) != want {
-				t.Errorf("%T digest = %q, want %q", m, got, want)
-			}
-			if allocs := testing.AllocsPerRun(20, func() { m.Digest() }); allocs != 1 {
-				t.Errorf("%T digest took %.0f allocations, want 1", m, allocs)
-			}
-		}
+		check(ibc.MsgRecvPacket{Packet: p}, "recv/"+id)
+		check(ibc.MsgAcknowledgement{Packet: p}, "ack/"+id)
+		check(ibc.MsgTimeout{Packet: p}, "timeout/"+id)
 	}
 	for _, clientID := range []string{"07-tendermint-0", "", "a/b"} {
 		for _, h := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
 			m := ibc.MsgUpdateClient{ClientID: clientID}
 			m.Bundle.Header.Height = h
-			want := fmt.Sprintf("update/%s/%d", clientID, h)
-			if got := m.Digest(); string(got) != want {
-				t.Errorf("update digest = %q, want %q", got, want)
-			}
+			check(m, fmt.Sprintf("update/%s/%d", clientID, h))
 		}
 	}
 }

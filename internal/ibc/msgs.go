@@ -60,43 +60,43 @@ type MsgTimeout struct {
 	Relayer          string
 }
 
-// packetDigest builds "<kind><port>/<channel>/<sequence>" in one
-// allocation: what a packet message contributes to its tx hash.
-func packetDigest(kind string, p *Packet) []byte {
-	d := make([]byte, 0, len(kind)+len(p.SourcePort)+len(p.SourceChannel)+22) // 2 slashes, 20 digits
-	d = append(append(append(d, kind...), p.SourcePort...), '/')
-	d = append(append(d, p.SourceChannel...), '/')
-	return strconv.AppendUint(d, p.Sequence, 10)
+// appendPacketDigest appends "<kind><port>/<channel>/<sequence>": what
+// a packet message contributes to its tx hash.
+func appendPacketDigest(dst []byte, kind string, p *Packet) []byte {
+	dst = append(append(append(dst, kind...), p.SourcePort...), '/')
+	dst = append(append(dst, p.SourceChannel...), '/')
+	return strconv.AppendUint(dst, p.Sequence, 10)
 }
 
-// Route/MsgType/WireSize/Digest implementations.
+// Route/MsgType/WireSize/AppendDigest implementations.
 
 func (MsgUpdateClient) Route() string   { return RouteIBC }
 func (MsgUpdateClient) MsgType() string { return "MsgUpdateClient" }
 func (MsgUpdateClient) WireSize() int   { return 1200 }
-func (m MsgUpdateClient) Digest() []byte {
-	d := make([]byte, 0, len("update/")+len(m.ClientID)+21) // slash, sign, 19 digits
-	d = append(append(append(d, "update/"...), m.ClientID...), '/')
-	return strconv.AppendInt(d, m.Bundle.Header.Height, 10)
+func (m MsgUpdateClient) AppendDigest(dst []byte) []byte {
+	dst = append(append(append(dst, "update/"...), m.ClientID...), '/')
+	return strconv.AppendInt(dst, m.Bundle.Header.Height, 10)
 }
 
-func (MsgRecvPacket) Route() string    { return RouteIBC }
-func (MsgRecvPacket) MsgType() string  { return "MsgRecvPacket" }
-func (MsgRecvPacket) WireSize() int    { return simconf.MsgRecvPacketBytes }
-func (m MsgRecvPacket) Digest() []byte { return packetDigest("recv/", &m.Packet) }
+func (MsgRecvPacket) Route() string   { return RouteIBC }
+func (MsgRecvPacket) MsgType() string { return "MsgRecvPacket" }
+func (MsgRecvPacket) WireSize() int   { return simconf.MsgRecvPacketBytes }
+func (m MsgRecvPacket) AppendDigest(dst []byte) []byte {
+	return appendPacketDigest(dst, "recv/", &m.Packet)
+}
 
 func (MsgAcknowledgement) Route() string   { return RouteIBC }
 func (MsgAcknowledgement) MsgType() string { return "MsgAcknowledgement" }
 func (MsgAcknowledgement) WireSize() int   { return simconf.MsgAckBytes }
-func (m MsgAcknowledgement) Digest() []byte {
-	return packetDigest("ack/", &m.Packet)
+func (m MsgAcknowledgement) AppendDigest(dst []byte) []byte {
+	return appendPacketDigest(dst, "ack/", &m.Packet)
 }
 
 func (MsgTimeout) Route() string   { return RouteIBC }
 func (MsgTimeout) MsgType() string { return "MsgTimeout" }
 func (MsgTimeout) WireSize() int   { return simconf.MsgAckBytes }
-func (m MsgTimeout) Digest() []byte {
-	return packetDigest("timeout/", &m.Packet)
+func (m MsgTimeout) AppendDigest(dst []byte) []byte {
+	return appendPacketDigest(dst, "timeout/", &m.Packet)
 }
 
 // timeoutElapsed reports whether a packet can no longer be received at

@@ -278,7 +278,7 @@ func (mw *Middleware) OnAcknowledgementPacket(ctx *app.Context, p ibc.Packet, ac
 	if ack.Success() {
 		mw.stats.Completed++
 		// The hop settled: release the origin's held ack as success.
-		return mw.keeper.WriteAcknowledgement(ctx, rec.Original, ibc.Acknowledgement{Result: []byte("AQ==")})
+		return mw.keeper.WriteAcknowledgement(ctx, rec.Original, *ibc.SuccessAck)
 	}
 	return mw.unwind(ctx, p, rec, "pfm: forward rejected: "+ack.Error)
 }

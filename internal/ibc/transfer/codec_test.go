@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -128,8 +129,9 @@ func FuzzPacketDataCodec(f *testing.F) {
 	})
 }
 
-// MsgTransfer.Digest is hashed into the tx hash; it is built with
-// appends and pinned against the fmt spelling it replaced.
+// MsgTransfer.AppendDigest writes into the tx hash's buffer; it is
+// pinned against the fmt spelling it replaced, and a buffer with room for
+// the digest takes no allocation.
 func TestMsgTransferDigestMatchesFmtFormatting(t *testing.T) {
 	for _, m := range []MsgTransfer{
 		{},
@@ -143,13 +145,52 @@ func TestMsgTransferDigestMatchesFmtFormatting(t *testing.T) {
 		if m.Memo != "" {
 			want += "/" + m.Memo
 		}
-		if got := m.Digest(); string(got) != want {
-			t.Errorf("Digest = %q, want %q", got, want)
+		if got := m.AppendDigest(nil); string(got) != want {
+			t.Errorf("AppendDigest = %q, want %q", got, want)
+		}
+		if got := m.AppendDigest([]byte("prefix")); string(got) != "prefix"+want {
+			t.Errorf("AppendDigest after a prefix = %q, want %q", got, "prefix"+want)
+		}
+		buf := make([]byte, 0, len(want))
+		if got := testing.AllocsPerRun(20, func() { m.AppendDigest(buf) }); got != 0 {
+			t.Errorf("AppendDigest into a sized buffer took %.0f allocations, want 0", got)
 		}
 	}
-	m := MsgTransfer{Sender: "user-0001", Receiver: "receiver-user-0001", Token: app.Coin{Denom: "uatom", Amount: 1},
-		SourceChannel: "channel-0", Memo: forwardMemo, Nonce: 9}
-	if got := testing.AllocsPerRun(20, func() { m.Digest() }); got != 1 {
-		t.Errorf("Digest took %.0f allocations, want 1", got)
+}
+
+// transferTx is a workload-shaped transaction: 100 transfers, the last
+// one carrying a forward memo.
+func transferTx() *app.Tx {
+	msgs := make([]app.Msg, 100)
+	for i := range msgs {
+		m := MsgTransfer{Sender: "user-0007", Receiver: "receiver-user-0007", Token: app.Coin{Denom: "uatom", Amount: 1},
+			SourcePort: PortID, SourceChannel: "channel-0", TimeoutHeight: 10012, Nonce: uint64(4700 + i)}
+		if i == len(msgs)-1 {
+			m.Memo = forwardMemo
+		}
+		msgs[i] = m
+	}
+	return &app.Tx{Signer: "user-0007", Sequence: 3, Nonce: 4799, Msgs: msgs}
+}
+
+// The tx hash binds every message's route, type and digest in order; a
+// fixed transfer tx keeps the hash it had when each message returned its
+// digest in a slice of its own.
+func TestTransferTxHashGolden(t *testing.T) {
+	const want = "8a68523b7db5d5fe1b4d3d9d9c506dac256b3507d0a566de84b13955ab597fe2"
+	h := transferTx().Hash()
+	if got := hex.EncodeToString(h[:]); got != want {
+		t.Fatalf("tx hash = %s, want %s", got, want)
+	}
+}
+
+// Hashing a 100-transfer tx allocates at most its one digest buffer.
+func TestTxHashAllocs(t *testing.T) {
+	tx := transferTx()
+	if got := testing.AllocsPerRun(20, func() {
+		fresh := *tx // an unhashed copy
+		fresh.Hash()
+	}); got > 1 {
+		t.Fatalf("Tx.Hash of a 100-transfer tx took %.0f allocations, want at most 1", got)
 	}
 }

@@ -61,23 +61,21 @@ func (MsgTransfer) MsgType() string { return "MsgTransfer" }
 // WireSize implements app.Msg.
 func (m MsgTransfer) WireSize() int { return simconf.MsgTransferBytes + len(m.Memo) }
 
-// Digest binds the transfer's content into the enclosing tx hash. The
-// memo contributes only when present, keeping memo-less digests (and the
-// fingerprints pinned on them) unchanged.
-func (m MsgTransfer) Digest() []byte {
-	// "xfer/<sender>/<receiver>/<amount><denom>/<channel>/<nonce>[/<memo>]":
-	// 6 slashes and two numbers of at most 20 digits.
-	d := make([]byte, 0, len("xfer")+6+40+len(m.Sender)+len(m.Receiver)+
-		len(m.Token.Denom)+len(m.SourceChannel)+len(m.Memo))
-	d = append(append(append(d, "xfer/"...), m.Sender...), '/')
-	d = append(append(d, m.Receiver...), '/')
-	d = append(append(strconv.AppendUint(d, m.Token.Amount, 10), m.Token.Denom...), '/')
-	d = append(append(d, m.SourceChannel...), '/')
-	d = strconv.AppendUint(d, m.Nonce, 10)
+// AppendDigest appends what binds the transfer's content into the
+// enclosing tx hash:
+// "xfer/<sender>/<receiver>/<amount><denom>/<channel>/<nonce>[/<memo>]".
+// The memo contributes only when present, keeping memo-less digests (and
+// the fingerprints pinned on them) unchanged.
+func (m MsgTransfer) AppendDigest(dst []byte) []byte {
+	dst = append(append(append(dst, "xfer/"...), m.Sender...), '/')
+	dst = append(append(dst, m.Receiver...), '/')
+	dst = append(append(strconv.AppendUint(dst, m.Token.Amount, 10), m.Token.Denom...), '/')
+	dst = append(append(dst, m.SourceChannel...), '/')
+	dst = strconv.AppendUint(dst, m.Nonce, 10)
 	if m.Memo != "" {
-		d = append(append(d, '/'), m.Memo...)
+		dst = append(append(dst, '/'), m.Memo...)
 	}
-	return d
+	return dst
 }
 
 // PacketData is the ICS-20 packet payload.
@@ -228,13 +226,14 @@ func (m *Module) ReceiveFunds(ctx *app.Context, p ibc.Packet, data PacketData, r
 // credits on its destination, and whether the token is returning home
 // there: then its trace loses p's source hop and the escrow releases
 // it, and otherwise it gains p's destination hop as a minted voucher.
-// Only p's ports and channels are read.
+// Only p's ports and channels are read. Going home allocates nothing
+// (the denom is a substring of packetDenom); a voucher allocates its
+// one new name.
 func ReceivedDenom(p ibc.Packet, packetDenom string) (string, bool) {
-	tr := denom.Parse(packetDenom)
-	if tr.HasPrefix(p.SourcePort, p.SourceChannel) {
-		return tr.TrimPrefix().String(), true
+	if rest, ok := denom.CutHop(packetDenom, p.SourcePort, p.SourceChannel); ok {
+		return rest, true
 	}
-	return tr.AddPrefix(p.DestPort, p.DestChannel).String(), false
+	return p.DestPort + "/" + p.DestChannel + "/" + packetDenom, false
 }
 
 // UndoReceive reverses a ReceiveFunds: re-escrow an unescrowed coin or
@@ -265,7 +264,7 @@ func (m *Module) ReceivePacket(ctx *app.Context, p ibc.Packet, data PacketData) 
 		return &ibc.Acknowledgement{Error: err.Error()}
 	}
 	m.received++
-	return &ibc.Acknowledgement{Result: []byte("AQ==")}
+	return ibc.SuccessAck
 }
 
 // OnAcknowledgementPacket implements ibc.PortModule: refund on error ack.

@@ -5,22 +5,47 @@ import (
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/ibc"
-	"ibcbench/internal/ibc/denom"
 )
 
 func TestVoucherPrefixAndEscrowNames(t *testing.T) {
-	native := denom.Parse("uatom")
-	if got := native.AddPrefix("transfer", "channel-0").String(); got != "transfer/channel-0/uatom" {
-		t.Fatalf("voucher = %q", got)
+	in := func(channel string) ibc.Packet {
+		return ibc.Packet{SourcePort: PortID, SourceChannel: "channel-9", DestPort: PortID, DestChannel: channel}
+	}
+	if got, home := ReceivedDenom(in("channel-0"), "uatom"); got != "transfer/channel-0/uatom" || home {
+		t.Fatalf("voucher = %q (home %v)", got, home)
 	}
 	if got := EscrowAccount("transfer", "channel-0"); got != "escrow/transfer/channel-0" {
 		t.Fatalf("escrow = %q", got)
 	}
 	// Different channels produce non-fungible denominations (§IV-A).
-	a := native.AddPrefix("transfer", "channel-0").String()
-	b := native.AddPrefix("transfer", "channel-1").String()
+	a, _ := ReceivedDenom(in("channel-0"), "uatom")
+	b, _ := ReceivedDenom(in("channel-1"), "uatom")
 	if a == b {
 		t.Fatal("channel traces collide")
+	}
+}
+
+// A token going home is credited as a substring of the packet's denom;
+// only a minted voucher allocates, for its new name.
+func TestReceivedDenomAllocs(t *testing.T) {
+	p := ibc.Packet{SourcePort: PortID, SourceChannel: "channel-3", DestPort: PortID, DestChannel: "channel-7"}
+	for _, c := range []struct {
+		denom, want string
+		home        bool
+		allocs      float64
+	}{
+		{"transfer/channel-3/uatom", "uatom", true, 0},
+		{"transfer/channel-3/transfer/channel-1/uatom", "transfer/channel-1/uatom", true, 0},
+		{"uatom", "transfer/channel-7/uatom", false, 1},
+		{"transfer/channel-1/uatom", "transfer/channel-7/transfer/channel-1/uatom", false, 1},
+	} {
+		got, home := ReceivedDenom(p, c.denom)
+		if got != c.want || home != c.home {
+			t.Errorf("ReceivedDenom(%q) = %q, %v; want %q, %v", c.denom, got, home, c.want, c.home)
+		}
+		if n := testing.AllocsPerRun(20, func() { ReceivedDenom(p, c.denom) }); n != c.allocs {
+			t.Errorf("ReceivedDenom(%q) took %.0f allocations, want %.0f", c.denom, n, c.allocs)
+		}
 	}
 }
 
@@ -34,7 +59,7 @@ func TestMsgTransferMsgInterface(t *testing.T) {
 	}
 	m2 := m
 	m2.Nonce = 2
-	if string(m.Digest()) == string(m2.Digest()) {
+	if string(m.AppendDigest(nil)) == string(m2.AppendDigest(nil)) {
 		t.Fatal("digest ignores nonce")
 	}
 }

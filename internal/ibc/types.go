@@ -197,6 +197,27 @@ type Acknowledgement struct {
 // Success reports whether the acknowledgement is a success ack.
 func (a Acknowledgement) Success() bool { return a.Error == "" }
 
+// SuccessAck is the one success acknowledgement the transfer module and
+// the forwarding middleware answer with (result 0x01, base64 "AQ=="). It
+// is shared and immutable like an emitted AckWrite: no one writes to it
+// or to its Result.
+var SuccessAck = &Acknowledgement{Result: []byte("AQ==")}
+
+// successAckBytes is SuccessAck.Bytes(), and successAckCommitment its
+// hashAck, spelled out so that writing or reading a success ack encodes,
+// hashes and decodes nothing (TestSuccessAckLiterals recomputes both).
+// The store and every write_acknowledgement event share them, so they
+// are never written to either.
+var (
+	successAckBytes      = []byte(`{"result":"QVE9PQ=="}`)
+	successAckCommitment = []byte{
+		0x4e, 0xaf, 0x86, 0x63, 0x92, 0x79, 0x6e, 0x83,
+		0x36, 0xbd, 0x4c, 0x39, 0x07, 0x2f, 0xb5, 0xbd,
+		0x66, 0x8d, 0xf3, 0xfc, 0x0c, 0xce, 0x4b, 0xe2,
+		0xf0, 0x7f, 0x5b, 0xa1, 0xcc, 0x70, 0x80, 0xf3,
+	}
+)
+
 // Bytes serializes the acknowledgement: the bytes json.Marshal writes
 // (their hash is the stored ack commitment), appended directly.
 func (a Acknowledgement) Bytes() []byte {
@@ -216,9 +237,13 @@ func (a Acknowledgement) Bytes() []byte {
 	return append(b, '}')
 }
 
-// ParseAck deserializes an acknowledgement. Bytes' own output is read
-// directly; any other document is json.Unmarshal's to accept or refuse.
+// ParseAck deserializes an acknowledgement. The success ack's bytes give
+// the shared SuccessAck; any other output of Bytes is read directly, and
+// any other document is json.Unmarshal's to accept or refuse.
 func ParseAck(raw []byte) (Acknowledgement, error) {
+	if string(raw) == string(successAckBytes) {
+		return *SuccessAck, nil
+	}
 	var a Acknowledgement
 	r := JSONReader{Buf: raw}
 	r.Expect("{")

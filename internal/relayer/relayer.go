@@ -528,7 +528,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 			// mirroring the pre-index fallback exactly.
 			ack := w.Ack
 			if ack == nil {
-				ack = ibc.Acknowledgement{Result: []byte("AQ==")}.Bytes()
+				ack = ibc.SuccessAck.Bytes()
 			}
 			dst.outbox = append(dst.outbox, outMsg{
 				msg: ibc.MsgAcknowledgement{

@@ -3,6 +3,8 @@
 // safety surface are built in — voucher supply conservation across all
 // zones, no permanently-stuck packets, and every elapsed timeout
 // refunded — and chaos search hunts fault timelines that break them.
+// Run also checks conservation's over-minting half at every commit
+// (commitcheck.go).
 //
 // All checks are state-based rather than event-based: a packet
 // commitment is deleted on both acknowledgement and timeout refund, so
@@ -55,6 +57,10 @@ type Violation struct {
 	// the packet source for stuck/timeout).
 	Chain  string `json:"chain"`
 	Detail string `json:"detail"`
+	// Height is, for a violation found at a commit, the height of the
+	// block whose commit showed it, on the chain Detail names first; 0
+	// for one found at quiescence.
+	Height int64 `json:"height,omitempty"`
 }
 
 func (v Violation) String() string {
@@ -66,6 +72,13 @@ func (v Violation) String() string {
 // order: packet checks first in chain/send order, then conservation in
 // chain/denom order.
 func Check(d *topo.Deployment, names []string) []Violation {
+	return check(d, names, nil)
+}
+
+// check is Check after a run whose commits w watched (nil if none): w's
+// verdicts lead the conservation section in the order found, and a
+// voucher they name is not reported again at quiescence.
+func check(d *topo.Deployment, names []string, w *conservationWatch) []Violation {
 	if len(names) == 0 {
 		names = DefaultAssertions()
 	}
@@ -86,7 +99,10 @@ func Check(d *topo.Deployment, names []string) []Violation {
 		}
 	})
 	if want[AssertConservation] {
-		out = append(out, checkConservation(d, sides, stuck == 0)...)
+		if w != nil {
+			out = append(out, w.out...)
+		}
+		out = append(out, checkConservation(d, sides, stuck == 0, w)...)
 	}
 	return out
 }
@@ -188,8 +204,9 @@ func timeoutElapsed(p *ibc.Packet, dst *chain.Chain) bool {
 // checkConservation verifies every voucher denom's backing. quiescent
 // marks that no packet is in flight, so supply and escrow must agree
 // exactly; with traffic still stuck mid-link only over-minting (supply
-// above escrow) is provably wrong.
-func checkConservation(d *topo.Deployment, sides map[string]linkSide, quiescent bool) []Violation {
+// above escrow) is provably wrong. A voucher w reported over-minted at a
+// commit is skipped.
+func checkConservation(d *topo.Deployment, sides map[string]linkSide, quiescent bool, w *conservationWatch) []Violation {
 	var out []Violation
 	const supplyPrefix = "supply/"
 	for _, c := range d.Chains {
@@ -216,7 +233,7 @@ func checkConservation(d *topo.Deployment, sides map[string]linkSide, quiescent 
 			escrow := side.counterparty.App.Bank().Balance(
 				transfer.EscrowAccount(hop.Port, side.counterpartyChannel), inner)
 			switch {
-			case supply > escrow:
+			case supply > escrow && !w.reported(c, dn):
 				out = append(out, Violation{
 					Assertion: AssertConservation,
 					Chain:     c.ID,

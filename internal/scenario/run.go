@@ -1,4 +1,5 @@
-// Run executes a spec end to end: compile, run on the virtual clock,
+// Run executes a spec end to end: compile, run on the virtual clock
+// with conservation checked at every commit of a serial deployment,
 // then check the spec's assertions over the quiescent deployment. The
 // topo.Result is untouched by the assertion pass — it stays
 // byte-identical to a plain topo.Scenario run — and the violations ride
@@ -8,6 +9,7 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"ibcbench/internal/obs"
 	"ibcbench/internal/topo"
@@ -44,19 +46,29 @@ func Run(s Spec, seed int64, o *obs.Obs) (*Report, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	res, dep, err := sc.RunDeployed(seed)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
 	names := s.Assertions
 	if len(names) == 0 {
 		names = DefaultAssertions()
+	}
+	cfg := sc.Deploy
+	cfg.Seed = seed
+	dep, err := topo.Deploy(sc.Topology, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	var c3 *conservationWatch
+	if !dep.Parallel() && slices.Contains(names, AssertConservation) {
+		c3 = watchConservation(dep)
+	}
+	res, err := sc.RunOn(dep, seed)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return &Report{
 		Spec:       s,
 		Result:     res,
 		Assertions: names,
-		Violations: Check(dep, names),
+		Violations: check(dep, names, c3),
 	}, nil
 }
 

@@ -70,7 +70,10 @@ type Generator struct {
 
 	accounts []string
 	nextSeq  map[string]uint64
-	nonce    uint64
+	// receivers holds each account's destination name, built the first
+	// time the account sends (the map is made then too).
+	receivers map[string]string
+	nonce     uint64
 	// acctCursor rotates account usage across batches: the paper scales
 	// the number of concurrent user accounts with the submitted volume,
 	// so consecutive windows never reuse an account whose previous
@@ -245,13 +248,13 @@ func txSize(transfers, i int) int {
 // and stamps its broadcast time.
 func (g *Generator) transferTx(account string, n int) (*app.Tx, uint64) {
 	timeoutHeight := g.destTop() + g.TimeoutBlocks
+	receiver := account
+	if !g.RoundTrip {
+		receiver = g.receiverOf(account)
+	}
 	msgs := make([]app.Msg, n)
 	for j := range msgs {
 		g.nonce++
-		receiver := account
-		if !g.RoundTrip {
-			receiver = "receiver-" + account
-		}
 		msgs[j] = transfer.MsgTransfer{
 			Sender:        account,
 			Receiver:      receiver,
@@ -267,6 +270,20 @@ func (g *Generator) transferTx(account string, n int) (*app.Tx, uint64) {
 	tx := app.NewTx(account, seq, g.nonce, msgs)
 	g.broadcastAt[tx.Hash()] = g.sched.Now()
 	return tx, seq
+}
+
+// receiverOf names the destination account an account's transfers
+// credit.
+func (g *Generator) receiverOf(account string) string {
+	r, ok := g.receivers[account]
+	if !ok {
+		if g.receivers == nil {
+			g.receivers = make(map[string]string)
+		}
+		r = "receiver-" + account
+		g.receivers[account] = r
+	}
+	return r
 }
 
 // submitTx builds and broadcasts one batch transaction for an account.
