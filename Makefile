@@ -27,7 +27,8 @@ check:
 # denom trace's parse ⇄ string and prefix round trips, the
 # forward-memo parser's validation and round trip, the packet
 # tracker's per-channel table against a map-keyed model, the relayer's
-# per-endpoint sequence bitset against a map model, the trace
+# per-endpoint packet table against a map-keyed model over a destination
+# chain's ground truth (no timeout for a received packet), the trace
 # validator on arbitrary bytes (it must never panic), the store's
 # journal replay on arbitrary index bytes (it must never panic or keep
 # a line that does not parse), bench2json on arbitrary bytes (it
@@ -50,7 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDenomTrace -fuzztime 10s ./internal/ibc/denom
 	$(GO) test -run '^$$' -fuzz FuzzParseMemo -fuzztime 10s ./internal/ibc/pfm
 	$(GO) test -run '^$$' -fuzz FuzzTracker -fuzztime 10s ./internal/metrics
-	$(GO) test -run '^$$' -fuzz FuzzSeqSet -fuzztime 10s ./internal/relayer
+	$(GO) test -run '^$$' -fuzz FuzzRelayerPackets -fuzztime 10s ./internal/relayer
 	$(GO) test -run '^$$' -fuzz FuzzTracecheck -fuzztime 10s ./internal/tracecheck
 	$(GO) test -run '^$$' -fuzz FuzzStoreReplay -fuzztime 10s -fuzzminimizetime 100x ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzBench2JSON -fuzztime 10s ./cmd/ibcbench

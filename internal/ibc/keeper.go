@@ -441,7 +441,7 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, key, commitment, m.ProofCommitment); err != nil {
 		return err
 	}
-	ctx.State.Set(receiptKey, []byte{1})
+	ctx.State.Set(receiptKey, receiptValue)
 
 	mod, ok := k.ports[p.DestPort]
 	if !ok {

@@ -203,6 +203,10 @@ func (a Acknowledgement) Success() bool { return a.Error == "" }
 // or to its Result.
 var SuccessAck = &Acknowledgement{Result: []byte("AQ==")}
 
+// receiptValue is the value of every stored packet receipt. The store
+// shares it across receipts, so it is never written to.
+var receiptValue = []byte{1}
+
 // successAckBytes is SuccessAck.Bytes(), and successAckCommitment its
 // hashAck, spelled out so that writing or reading a success ack encodes,
 // hashes and decodes nothing (TestSuccessAckLiterals recomputes both).

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -82,30 +81,6 @@ type Stats struct {
 	Retries uint64
 }
 
-// seqSet is a set of packet sequences, one bit per sequence and grown
-// on the first add past its end. A channel's sequences are dense from 1,
-// so the set costs about a bit per packet and holds no pointer.
-type seqSet []uint64
-
-func (s *seqSet) add(seq uint64) {
-	w := seq / 64
-	if n := uint64(len(*s)); w >= n {
-		*s = append(*s, make([]uint64, w+1-n)...)
-	}
-	(*s)[w] |= 1 << (seq % 64)
-}
-
-func (s seqSet) has(seq uint64) bool {
-	w := seq / 64
-	return w < uint64(len(s)) && s[w]&(1<<(seq%64)) != 0
-}
-
-func (s seqSet) del(seq uint64) {
-	if w := seq / 64; w < uint64(len(s)) {
-		s[w] &^= 1 << (seq % 64)
-	}
-}
-
 // endpoint is one Chain Endpoint (Fig. 4): the relayer's view of and
 // submission pipeline into one chain.
 type endpoint struct {
@@ -123,26 +98,17 @@ type endpoint struct {
 	// submission and rolled back when the carrying transaction fails).
 	clientHeights map[int64]bool
 
-	// height is the latest height observed via events.
-	height int64
+	height int64 // the latest height observed via events
 
-	// The packets sourced on this endpoint's channel, by sequence:
-	// recvSeen and ackSeen dedupe the ones the relayer already built a
-	// recv or an ack for, and pending holds the ones extracted but not
-	// yet known delivered, for timeout detection. received holds the
-	// ones known received, unconfirmed the ones whose recv may have landed
-	// unseen. Each packet is the event index's shared record.
-	recvSeen, ackSeen, received, unconfirmed seqSet
-	pending                                  map[uint64]*ibc.Packet
+	// packets are the ones sourced on this endpoint's channel: every
+	// recv, ack and timeout the relayer builds for them is a transition
+	// of their rows.
+	packets packetTable
 
 	missed []int64 // heights of this chain queued for the clearing pass
 
-	// outbox holds built messages awaiting submission, each tagged with
-	// its packet and required proof height.
-	outbox []outMsg
-
-	// flushing guards the sequential submission loop.
-	flushing bool
+	outbox   []outMsg // built messages awaiting submission
+	flushing bool     // guards the sequential submission loop
 }
 
 type outMsg struct {
@@ -150,13 +116,23 @@ type outMsg struct {
 	packet      *ibc.Packet // the event index's shared record
 	proofHeight int64
 	origin      int64 // the counterparty height of the event it was built from
-	retried     bool
+}
+
+// kind is what m does to its packet.
+func (m outMsg) kind() msgKind {
+	switch m.msg.(type) {
+	case ibc.MsgRecvPacket:
+		return kindRecv
+	case ibc.MsgTimeout:
+		return kindTimeout
+	}
+	return kindAck
 }
 
 // step is the broadcast step to record when the message is accepted: a
 // timeout, like an ack, completes the packet on its source.
 func (m outMsg) step() metrics.Step {
-	if _, ok := m.msg.(ibc.MsgRecvPacket); ok {
+	if m.kind() == kindRecv {
 		return metrics.StepRecvBroadcast
 	}
 	return metrics.StepAckBroadcast
@@ -292,21 +268,18 @@ func (r *Relayer) onFrame(src, dst *endpoint, frame *rpc.EventFrame) {
 	if frame.Height > src.height {
 		src.height = frame.Height
 	}
-	if frame.Err != nil {
+	if frame.Err == nil {
+		r.processBlock(src, dst, frame.Events)
+	} else {
 		// "Failed to collect events": the block's packets are invisible.
 		r.stats.FramesLost++
 		if r.cfg.ClearIntervalBlocks > 0 {
 			src.missed = append(src.missed, frame.Height)
 			r.scheduleClear(src, dst)
 		}
-		r.checkTimeouts(src, dst)
-		r.tryFlush(src)
-		r.tryFlush(dst)
-		return
 	}
-	r.processBlock(src, dst, frame.Events)
 	// New destination-side heights unblock proof-height waits and may
-	// expire pending packets.
+	// expire packets.
 	r.checkTimeouts(src, dst)
 	r.tryFlush(src)
 	r.tryFlush(dst)
@@ -336,10 +309,8 @@ func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
 	parse := simconf.RelayerSchedulingOverheadPerBatch + time.Duration(be.MsgCount)*simconf.RelayerEventParseCostPerMsg
 	r.cpu.Submit(parse, func() {
 		now := r.sched.Now()
-		if r.tr != nil {
-			// The scan span covers the charged parse service time.
-			r.tr.CompleteArg(r.otrack, r.nScan, now-parse, now, uint64(be.MsgCount))
-		}
+		// The scan span covers the charged parse service time.
+		r.tr.CompleteArg(r.otrack, r.nScan, now-parse, now, uint64(be.MsgCount))
 		// Record extraction + confirmation for every packet seen.
 		for _, te := range recvTxs {
 			for _, p := range te.SendPackets(src.channel) {
@@ -350,7 +321,7 @@ func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
 		}
 		for _, te := range ackTxs {
 			for _, w := range te.Acks(src.channel) {
-				dst.received.add(w.Packet.Sequence)
+				dst.packets.row(w.Packet.Sequence).received()
 				key := r.keyOf(dst, &w.Packet) // packet's source is the counterparty
 				r.track(key, metrics.StepRecvExtraction, now)
 				// The event subscription confirms commitment too; the
@@ -360,10 +331,10 @@ func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
 		}
 		// Data pulls: one heavy query per tx, serial on the source RPC.
 		for _, te := range recvTxs {
-			r.pullTxData(src, 0, te, func() { r.buildRecvBatch(src, dst, te) })
+			r.pullTxData(src, te, func() { r.buildRecvBatch(src, dst, te) })
 		}
 		for _, te := range ackTxs {
-			r.pullTxData(src, 0, te, func() { r.buildAckBatch(src, dst, te) })
+			r.pullTxData(src, te, func() { r.buildAckBatch(src, dst, te) })
 		}
 	})
 }
@@ -373,14 +344,8 @@ func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
 // next — §IV-B), retrying on timeouts. The response payload itself is
 // already decoded in the event index; the pull pays the wire/service
 // cost and fn consumes the indexed records.
-func (r *Relayer) pullTxData(src *endpoint, attempt int, te *eventindex.TxEvents, fn func()) {
-	r.enqueuePull(func(done func()) {
-		r.doPull(src, attempt, te, fn, done)
-	})
-}
-
-func (r *Relayer) enqueuePull(job func(func())) {
-	r.pullQueue = append(r.pullQueue, job)
+func (r *Relayer) pullTxData(src *endpoint, te *eventindex.TxEvents, fn func()) {
+	r.pullQueue = append(r.pullQueue, func(done func()) { r.doPull(src, 0, te, fn, done) })
 	r.runPulls()
 }
 
@@ -431,26 +396,17 @@ func popBuf[T any](pool *[][]T, capHint int) []T {
 // buildRecvBatch turns one source tx's indexed send_packet records into
 // MsgRecvPackets destined for dst. The index slice and its records are
 // shared across relayers and must not be mutated. Every record is
-// sourced on src.channel, so its sequence alone keys src's sets.
+// sourced on src.channel, so its sequence alone keys src's table.
 func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	packets := te.SendPackets(src.channel)
 	fresh := popBuf(&r.pktBuf, len(packets))
 	for _, p := range packets {
-		if src.recvSeen.has(p.Sequence) {
-			continue
-		}
-		src.recvSeen.add(p.Sequence)
-		if src.pending == nil {
-			src.pending = make(map[uint64]*ibc.Packet)
-		}
-		src.pending[p.Sequence] = p
 		// A packet already expired on the destination (typical when
 		// clearing a backlog after a partition) would be rejected there;
 		// leave it to the timeout path instead of building a doomed recv.
-		if p.TimeoutHeight > 0 && dst.height >= p.TimeoutHeight {
-			continue
+		if src.packets.row(p.Sequence).sighted(p, p.TimeoutHeight > 0 && dst.height >= p.TimeoutHeight) {
+			fresh = append(fresh, p)
 		}
-		fresh = append(fresh, p)
 	}
 	if len(fresh) == 0 {
 		r.pktBuf = append(r.pktBuf, fresh)
@@ -463,9 +419,7 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	build := time.Duration(len(fresh)) * simconf.RelayerBuildCostPerMsg
 	r.cpu.Submit(build, func() {
 		done := r.sched.Now()
-		if r.tr != nil {
-			r.tr.CompleteArg(r.otrack, r.nBuildRecv, done-build, done, uint64(len(fresh)))
-		}
+		r.tr.CompleteArg(r.otrack, r.nBuildRecv, done-build, done, uint64(len(fresh)))
 		proofHeight := proofHeightOn(src, te.Info.Height)
 		var kb [app.KeyBufLen]byte
 		for _, p := range fresh {
@@ -490,18 +444,14 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 // buildAckBatch turns the indexed write_acknowledgement records on src
 // (the packet destination) into MsgAcknowledgements for dst (the packet
 // source). A record received on src.channel was sent on its counterparty,
-// dst.channel, so its sequence alone keys dst's sets.
+// dst.channel, so its sequence alone keys dst's table.
 func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	writes := te.Acks(src.channel)
 	fresh := popBuf(&r.ackBuf, len(writes))
 	for _, w := range writes {
-		seq := w.Packet.Sequence
-		if dst.ackSeen.has(seq) {
-			continue
+		if dst.packets.row(w.Packet.Sequence).ackSighted() {
+			fresh = append(fresh, w)
 		}
-		dst.ackSeen.add(seq)
-		delete(dst.pending, seq)
-		fresh = append(fresh, w)
 	}
 	if len(fresh) == 0 {
 		r.ackBuf = append(r.ackBuf, fresh)
@@ -514,9 +464,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	build := time.Duration(len(fresh)) * simconf.RelayerBuildCostPerMsg
 	r.cpu.Submit(build, func() {
 		done := r.sched.Now()
-		if r.tr != nil {
-			r.tr.CompleteArg(r.otrack, r.nBuildAck, done-build, done, uint64(len(fresh)))
-		}
+		r.tr.CompleteArg(r.otrack, r.nBuildAck, done-build, done, uint64(len(fresh)))
 		proofHeight := proofHeightOn(src, te.Info.Height)
 		var kb [app.KeyBufLen]byte
 		for _, w := range fresh {
@@ -548,47 +496,61 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 	})
 }
 
-// checkTimeouts builds MsgTimeouts on the packet source (dst here is the
-// counterparty of src) for pending packets whose timeout elapsed on src
-// and which src has not received. The order of the messages is the order
-// of the txs and so decides the block hashes: packets expiring on one
-// frame are timed out in sequence order (all on srcChain's one channel),
-// never in map order.
+// checkTimeouts times out, on the packet source srcChain, the expirable
+// packets whose timeout elapsed on dstChain, walking srcChain's table in
+// sequence order: the order of the messages is the order of the txs and
+// so decides the block hashes. Only a packet not received may time out.
+// Under full proofs the absence proof decides. In performance mode one
+// batched receipt probe to dstChain does, and it is exact: the relayer
+// has seen dstChain at or past the timeout height, where every recv is
+// rejected, so a receipt absent now stays absent.
 func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
-	var expired []uint64
-	for seq, p := range srcChain.pending {
-		if p.TimeoutHeight > 0 && dstChain.height >= p.TimeoutHeight {
-			expired = append(expired, seq)
-		}
-	}
-	slices.Sort(expired)
+	t := &srcChain.packets
 	proofHeight := proofHeightOn(dstChain, dstChain.height)
+	full := dstChain.chain.App.State().FullProofs()
+	var probes []rpc.SettledProbe
 	var kb [app.KeyBufLen]byte
-	for _, seq := range expired {
-		// Only a packet not received can time out, judged by the
-		// relayer's own history of dstChain (which the parallel runner
-		// reproduces) and under full proofs by the absence proof. A recv
-		// in flight keeps its packet pending; a receipt is never deleted.
-		if srcChain.unconfirmed.has(seq) {
+	for seq, ok := t.expired(0, dstChain.height); ok; seq, ok = t.expired(seq+1, dstChain.height) {
+		row := t.row(seq)
+		p := row.p
+		if !full {
+			row.st = pktTimeoutProbing
+			probes = append(probes, rpc.SettledProbe{Port: p.DestPort, Channel: p.DestChannel, Sequence: seq})
 			continue
 		}
-		p := srcChain.pending[seq]
-		delete(srcChain.pending, seq)
-		proof := proveAbsent(dstChain, proofHeight, ibc.AppendPacketReceiptKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence))
-		if srcChain.received.has(seq) || proof == nil && dstChain.chain.App.State().FullProofs() {
+		proof := proveAbsent(dstChain, proofHeight, ibc.AppendPacketReceiptKey(kb[:0], p.DestPort, p.DestChannel, seq))
+		if proof == nil {
+			row.received()
 			continue
 		}
-		srcChain.outbox = append(srcChain.outbox, outMsg{
-			msg: ibc.MsgTimeout{
-				Packet:          *p,
-				ProofUnreceived: proof,
-				ProofHeight:     proofHeight,
-				Relayer:         srcChain.account,
-			},
-			packet:      p,
-			proofHeight: proofHeight,
-		})
+		row.st = pktTimeoutBuilt
+		r.queueTimeout(srcChain, p, proof, proofHeight)
 	}
+	if len(probes) == 0 {
+		return
+	}
+	dstChain.rpc.QuerySettled(r.host, probes, func(settled []bool, err error) {
+		for i, probe := range probes {
+			ok := err == nil && i < len(settled) && !r.stopped
+			if row := t.row(probe.Sequence); row.timeoutProbed(ok, ok && settled[i]) {
+				r.queueTimeout(srcChain, row.p, nil, proofHeight)
+			}
+		}
+	})
+}
+
+// queueTimeout queues p's MsgTimeout on its source.
+func (r *Relayer) queueTimeout(src *endpoint, p *ibc.Packet, proof *merkle.NonMembershipProof, proofHeight int64) {
+	src.outbox = append(src.outbox, outMsg{
+		msg: ibc.MsgTimeout{
+			Packet:          *p,
+			ProofUnreceived: proof,
+			ProofHeight:     proofHeight,
+			Relayer:         src.account,
+		},
+		packet:      p,
+		proofHeight: proofHeight,
+	})
 }
 
 // proofHeightOn is the proof height of a message built now from an event
@@ -666,12 +628,9 @@ func (r *Relayer) flushNext(dst *endpoint) {
 	// frame. Gating on the event-observed height (not a live store read)
 	// keeps the decision a function of this relayer's own message
 	// history, which the parallel runner reproduces exactly; the header
-	// read in clientUpdate is then immutable committed data.
+	// read for a client update is then immutable committed data.
 	n := 0
-	for n < len(dst.outbox) && n < simconf.RelayerMaxMsgsPerTx {
-		if dst.outbox[n].proofHeight > src.height {
-			break
-		}
+	for n < len(dst.outbox) && n < simconf.RelayerMaxMsgsPerTx && dst.outbox[n].proofHeight <= src.height {
 		n++
 	}
 	if n == 0 {
@@ -689,8 +648,8 @@ func (r *Relayer) flushNext(dst *endpoint) {
 	// updates, so the submission path rolls the local view back.
 	var updHeights []int64
 	for _, m := range batch {
-		if m.step() == metrics.StepRecvBroadcast {
-			src.unconfirmed.add(m.packet.Sequence)
+		if m.kind() == kindRecv {
+			src.packets.row(m.packet.Sequence).submitted()
 		}
 		h := m.proofHeight
 		if h <= 0 || dst.clientHeights[h] {
@@ -699,166 +658,132 @@ func (r *Relayer) flushNext(dst *endpoint) {
 		dst.clientHeights[h] = true
 		updHeights = append(updHeights, h)
 	}
-	sort.Slice(updHeights, func(i, j int) bool { return updHeights[i] < updHeights[j] })
+	slices.Sort(updHeights)
 	msgs := make([]app.Msg, 0, n+len(updHeights))
-	meta := txMeta{updHeights: updHeights}
 	for _, h := range updHeights {
-		if upd := r.clientUpdate(src, dst, h); upd != nil {
-			msgs = append(msgs, *upd)
+		// dst's client of src is updated with the signed header in src's
+		// store.
+		if blk, err := src.chain.Store.Block(h); err == nil {
+			msgs = append(msgs, ibc.MsgUpdateClient{ClientID: dst.clientID, Bundle: ibc.HeaderBundle{Header: blk.Block.Header, Commit: blk.Commit}})
 		}
 	}
 	for _, m := range batch {
 		msgs = append(msgs, m.msg)
 	}
-	r.submitTx(dst, msgs, batch, meta, 0)
+	r.submitTx(dst, msgs, batch, updHeights, 0)
 }
 
-// txMeta remembers a submission's optimistic client-update advances so
-// a failed transaction can undo them (a reverted MsgUpdateClient never
-// stored its consensus state).
-type txMeta struct {
-	updHeights []int64
-}
-
-// rollbackClient undoes a reverted transaction's client updates.
-func (r *Relayer) rollbackClient(dst *endpoint, meta txMeta) {
-	for _, h := range meta.updHeights {
+// rollbackClient undoes the optimistic client-update advances upd of a
+// reverted transaction: its MsgUpdateClients never stored a consensus
+// state.
+func (r *Relayer) rollbackClient(dst *endpoint, upd []int64) {
+	for _, h := range upd {
 		delete(dst.clientHeights, h)
 	}
 }
 
-// clientUpdate builds a MsgUpdateClient for dst's client of src at the
-// given height, reading the signed header from src's store.
-func (r *Relayer) clientUpdate(src, dst *endpoint, height int64) *app.Msg {
-	blk, err := src.chain.Store.Block(height)
-	if err != nil {
-		return nil
-	}
-	var m app.Msg = ibc.MsgUpdateClient{
-		ClientID: dst.clientID,
-		Bundle:   ibc.HeaderBundle{Header: blk.Block.Header, Commit: blk.Commit},
-	}
-	return &m
-}
-
 // submitTx broadcasts one relayer transaction, handling sequence
 // initialization, mismatch recovery and confirmation polling.
-func (r *Relayer) submitTx(dst *endpoint, msgs []app.Msg, batch []outMsg, meta txMeta, attempt int) {
+func (r *Relayer) submitTx(dst *endpoint, msgs []app.Msg, batch []outMsg, upd []int64, attempt int) {
 	if r.stopped {
 		// Crash injection mid-submission: abandon the batch like the
 		// confirmation path does, so a post-resume clearing pass can
 		// rebuild it.
 		dst.flushing = false
-		r.rollbackClient(dst, meta)
-		r.releaseBatch(dst, batch)
+		r.releaseBatch(dst, batch, upd)
 		return
 	}
 	if !dst.seqInit {
 		dst.rpc.QueryAccountSequence(r.host, dst.account, func(seq uint64, err error) {
 			if err != nil {
-				r.sched.After(simconf.RelayerConfirmPollInterval, func() { r.submitTx(dst, msgs, batch, meta, attempt) })
+				r.sched.After(simconf.RelayerConfirmPollInterval, func() { r.submitTx(dst, msgs, batch, upd, attempt) })
 				return
 			}
 			dst.seq = seq
 			dst.seqInit = true
-			r.submitTx(dst, msgs, batch, meta, attempt)
+			r.submitTx(dst, msgs, batch, upd, attempt)
 		})
 		return
 	}
 	tx := app.NewTx(dst.account, dst.seq, uint64(r.rng.Int63n(1<<62)), msgs)
 	r.stats.TxsSubmitted++
-	var subStart time.Duration
-	if r.tr != nil {
-		subStart = r.sched.Now()
-	}
+	subStart := r.sched.Now()
 	dst.rpc.BroadcastTxSync(r.host, tx, func(err error) {
-		switch {
-		case err == nil:
+		if err == nil {
 			dst.seq++
 			now := r.sched.Now()
-			if r.tr != nil {
-				r.tr.CompleteArg(r.otrack, r.nSubmit, subStart, now, uint64(len(batch)))
-			}
+			r.tr.CompleteArg(r.otrack, r.nSubmit, subStart, now, uint64(len(batch)))
 			for _, m := range batch {
-				r.track(r.keyOfMsg(dst, m), m.step(), now)
+				r.track(r.keyOf(r.sourceOf(dst, m), m.packet), m.step(), now)
 			}
-			r.confirmTx(dst, tx, batch, meta, 0)
+			r.confirmTx(dst, tx, batch, upd, 0)
 			// Pipeline: submit the next batch immediately.
 			r.flushNext(dst)
-		case errors.Is(err, app.ErrSequenceMismatch):
+			return
+		}
+		// A sequence mismatch re-reads the account sequence; a full
+		// mempool, an RPC timeout or a partitioned path backs off. Either
+		// retries, then gives the batch up to a later clearing pass.
+		backoff := 5 * simconf.RelayerConfirmPollInterval
+		if errors.Is(err, app.ErrSequenceMismatch) {
 			r.stats.SeqMismatchErrors++
 			dst.seqInit = false
-			if attempt < 5 {
-				r.stats.Retries++
-				r.sched.After(simconf.RelayerConfirmPollInterval, func() { r.submitTx(dst, msgs, batch, meta, attempt+1) })
-			} else {
-				r.stats.TxsFailed++
-				r.rollbackClient(dst, meta)
-				r.releaseBatch(dst, batch)
-				r.flushNext(dst)
-			}
-		default:
-			// Mempool full, RPC timeout or a partitioned path: back off
-			// and retry, then give the batch up to a later clearing pass.
-			if attempt < 5 {
-				r.stats.Retries++
-				r.sched.After(5*simconf.RelayerConfirmPollInterval, func() { r.submitTx(dst, msgs, batch, meta, attempt+1) })
-			} else {
-				r.stats.TxsFailed++
-				r.rollbackClient(dst, meta)
-				r.releaseBatch(dst, batch)
-				r.flushNext(dst)
-			}
+			backoff = simconf.RelayerConfirmPollInterval
 		}
+		if attempt < 5 {
+			r.stats.Retries++
+			r.sched.After(backoff, func() { r.submitTx(dst, msgs, batch, upd, attempt+1) })
+			return
+		}
+		r.stats.TxsFailed++
+		r.releaseBatch(dst, batch, upd)
+		r.flushNext(dst)
 	})
 }
 
 // confirmTx polls for a submitted transaction's commitment, recording
 // confirmation steps and handling redundant-packet failures.
-func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, meta txMeta, attempt int) {
+func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, upd []int64, attempt int) {
 	if attempt >= confirmAttempts || r.stopped {
 		r.stats.TxsFailed++
-		r.rollbackClient(dst, meta)
-		r.releaseBatch(dst, batch)
+		r.releaseBatch(dst, batch, upd)
 		return
 	}
 	r.sched.After(simconf.RelayerConfirmPollInterval, func() {
 		dst.rpc.QueryTx(r.host, tx.Hash(), func(info *store.TxInfo, err error) {
 			if err != nil {
-				r.confirmTx(dst, tx, batch, meta, attempt+1)
+				r.confirmTx(dst, tx, batch, upd, attempt+1)
 				return
 			}
 			now := r.sched.Now()
 			if info.Result.IsOK() {
 				for _, m := range batch {
-					key := r.keyOfMsg(dst, m)
-					switch m.step() {
-					case metrics.StepRecvBroadcast:
+					key := r.keyOf(r.sourceOf(dst, m), m.packet)
+					k := m.kind()
+					r.rowOf(dst, m).confirmed(k)
+					switch k {
+					case kindRecv:
 						r.stats.RecvDelivered++
 						r.track(key, metrics.StepRecvConfirmation, now)
-						src := r.counterpartOf(dst)
-						src.unconfirmed.del(m.packet.Sequence)
-						delete(src.pending, m.packet.Sequence)
-					case metrics.StepAckBroadcast:
-						if _, isTimeout := m.msg.(ibc.MsgTimeout); isTimeout {
-							r.stats.TimeoutsDelivered++
-						} else {
-							r.stats.AcksDelivered++
-						}
-						r.track(key, metrics.StepAckExtraction, now)
-						r.track(key, metrics.StepAckConfirmation, now)
+						continue
+					case kindTimeout:
+						r.stats.TimeoutsDelivered++
+					default:
+						r.stats.AcksDelivered++
 					}
+					r.track(key, metrics.StepAckExtraction, now)
+					r.track(key, metrics.StepAckConfirmation, now)
 				}
 				return
 			}
 			// Failed transaction: with two relayers this is typically
 			// "packet messages are redundant".
 			r.stats.TxsFailed++
-			r.rollbackClient(dst, meta)
-			if containsRedundant(info.Result.Log) {
+			r.rollbackClient(dst, upd)
+			if strings.Contains(info.Result.Log, "redundant") {
 				r.stats.RedundantErrors++
 			}
-			// Retry non-retried messages once: a partially redundant
+			// Retry each message once: a partially redundant
 			// batch reverts its legitimate messages too. Messages whose
 			// packet another relayer already settled on chain are filtered
 			// out first (Hermes re-queries unreceived_packets before
@@ -870,29 +795,24 @@ func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, meta txMe
 	})
 }
 
-// retryUnsettled re-queues a failed batch's not-yet-retried messages
-// after filtering out those another relayer already settled on chain —
-// the receipt exists on the destination (recv) or the commitment is
-// cleared on the source (ack/timeout). Models Hermes' unreceived_packets
-// / unreceived_acks re-query before a rebuild, as one batched RPC
-// against committed state (like every other state read, so it works
-// across partition boundaries). A settled recv marks its packet received.
+// retryUnsettled re-queues a failed batch's messages on their first
+// attempt after filtering out those another relayer already settled on
+// chain — the receipt exists on the destination (recv) or the commitment
+// is cleared on the source (ack/timeout). Models Hermes'
+// unreceived_packets / unreceived_acks re-query before a rebuild, as one
+// batched RPC against committed state (like every other state read, so
+// it works across partition boundaries). A settled recv marks its packet
+// received.
 func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
-	src := r.counterpartOf(dst)
 	var candidates []outMsg
 	var probes []rpc.SettledProbe
 	for _, m := range batch {
-		_, isRecv := m.msg.(ibc.MsgRecvPacket)
-		if m.retried {
-			if isRecv {
-				src.unconfirmed.del(m.packet.Sequence)
-			}
+		p := m.packet
+		if !r.rowOf(dst, m).failed(m.kind()) {
 			continue
 		}
-		m.retried = true
-		p := m.packet
 		probe := rpc.SettledProbe{Port: p.DestPort, Channel: p.DestChannel, Sequence: p.Sequence}
-		if !isRecv {
+		if m.kind() != kindRecv {
 			probe = rpc.SettledProbe{Ack: true, Port: p.SourcePort, Channel: p.SourceChannel, Sequence: p.Sequence}
 		}
 		candidates = append(candidates, m)
@@ -905,18 +825,9 @@ func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
 		var retry []outMsg
 		for i, m := range candidates {
 			ok := err == nil && i < len(settled) && settled[i]
-			if _, isRecv := m.msg.(ibc.MsgRecvPacket); isRecv {
-				src.unconfirmed.del(m.packet.Sequence)
-				if ok {
-					src.received.add(m.packet.Sequence)
-				}
-			}
-			if !ok {
+			if r.rowOf(dst, m).probed(m.kind(), ok, !r.stopped) {
 				retry = append(retry, m)
 			}
-		}
-		if r.stopped {
-			return
 		}
 		if len(retry) > 0 {
 			dst.outbox = append(dst.outbox, retry...)
@@ -925,27 +836,19 @@ func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
 	})
 }
 
-// releaseBatch forgets the seen-marks of messages whose delivery could
-// not be confirmed (network failures, partitions) and re-queues their
-// origin heights for the clearing pass, so the messages are rebuilt
+// releaseBatch gives back messages whose delivery could not be confirmed
+// (network failures, partitions) to their packets' tables and re-queues
+// their origin heights for the clearing pass, so the messages are rebuilt
 // instead of leaving the packets stuck — the height was processed
-// normally, so no frame gap would ever re-scan it. Recv packets also
-// stay pending, keeping the timeout path armed; timed-out
-// packets whose MsgTimeout was lost re-enter pending for another
-// attempt.
-func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg) {
+// normally, so no frame gap would ever re-scan it. A released recv
+// leaves its packet expirable, and so does a released timeout. The
+// batch's client updates upd are rolled back.
+func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg, upd []int64) {
+	r.rollbackClient(dst, upd)
 	src := r.counterpartOf(dst)
 	requeued := false
 	for _, m := range batch {
-		switch m.msg.(type) {
-		case ibc.MsgRecvPacket:
-			src.recvSeen.del(m.packet.Sequence)
-			src.unconfirmed.del(m.packet.Sequence)
-		case ibc.MsgAcknowledgement:
-			dst.ackSeen.del(m.packet.Sequence)
-		case ibc.MsgTimeout:
-			dst.pending[m.packet.Sequence] = m.packet
-		}
+		r.rowOf(dst, m).released(m.kind(), m.packet)
 		// A recv or an ack was built from an event on the counterparty (a
 		// timeout has no origin); re-scan its height.
 		if r.cfg.ClearIntervalBlocks > 0 && m.origin > 0 {
@@ -1003,11 +906,9 @@ func (r *Relayer) scheduleClear(src, dst *endpoint) {
 				r.tryFlush(dst)
 			})
 		}
-		if r.tr != nil {
-			// One clear-pass instant per pass, tagged with the number of
-			// re-scanned heights.
-			r.tr.InstantArg(r.otrack, r.nClear, r.sched.Now(), uint64(len(seen)))
-		}
+		// One clear-pass instant per pass, tagged with the number of
+		// re-scanned heights.
+		r.tr.InstantArg(r.otrack, r.nClear, r.sched.Now(), uint64(len(seen)))
 	})
 }
 
@@ -1024,14 +925,16 @@ func (r *Relayer) keyOf(src *endpoint, p *ibc.Packet) metrics.PacketKey {
 	return metrics.PacketKey{SrcChain: src.chain.ID, Channel: p.SourceChannel, Sequence: p.Sequence}
 }
 
-// keyOfMsg identifies the packet of an outgoing message submitted to dst.
-func (r *Relayer) keyOfMsg(dst *endpoint, m outMsg) metrics.PacketKey {
-	if m.step() == metrics.StepRecvBroadcast {
-		return r.keyOf(r.counterpartOf(dst), m.packet)
+// sourceOf is the packet source of an outgoing message submitted to dst:
+// acks and timeouts land on the packet's source chain.
+func (r *Relayer) sourceOf(dst *endpoint, m outMsg) *endpoint {
+	if m.kind() == kindRecv {
+		return r.counterpartOf(dst)
 	}
-	return r.keyOf(dst, m.packet) // acks and timeouts land on the packet's source chain
+	return dst
 }
 
-func containsRedundant(log string) bool {
-	return strings.Contains(log, "redundant")
+// rowOf is the table row of the packet of a message submitted to dst.
+func (r *Relayer) rowOf(dst *endpoint, m outMsg) *packetRow {
+	return r.sourceOf(dst, m).packets.row(m.packet.Sequence)
 }

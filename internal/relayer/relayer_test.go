@@ -235,37 +235,49 @@ func TestBatchBufferRecycling(t *testing.T) {
 	}
 }
 
-// checkTimeouts refunds only a packet the relayer has no sign was
-// received: of four expired packets, the one whose write_acknowledgement
-// it parsed in a destination block and the one whose failed recv a probe
-// found settled leave pending unrefunded, the one with its recv still
-// unconfirmed stays pending, and only sequence 3 is timed out.
+// checkTimeouts refunds only a packet that was not received: of five
+// expired packets, the one whose write_acknowledgement the relayer parsed
+// in a destination block and the one whose failed recv a probe found
+// settled are known received, the one with its recv in flight is left
+// alone, the one whose receipt the relayer never saw is found by the
+// timeout's own receipt probe, and only sequence 3 is timed out.
 func TestTimeoutsSkipReceivedPackets(t *testing.T) {
 	tb := newTestbed(1, false)
 	r := New(tb.Sched, tb.RNG, Config{Name: "hermes-t"}, tb.Pair)
 	packet := func(seq uint64) *ibc.Packet {
 		return &ibc.Packet{Sequence: seq, SourcePort: "transfer", SourceChannel: r.a.channel, DestPort: "transfer", DestChannel: r.b.channel, TimeoutHeight: 2}
 	}
-	r.a.pending = map[uint64]*ibc.Packet{1: packet(1), 2: packet(2), 3: packet(3), 4: packet(4)}
+	for seq := uint64(1); seq <= 5; seq++ {
+		r.a.packets.row(seq).sighted(packet(seq), false)
+	}
 	ack := &eventindex.TxEvents{AckWrites: []*ibc.AckWrite{{Packet: *packet(1)}}}
 	r.processBlock(r.b, r.a, &eventindex.BlockEvents{Height: 2, MsgCount: 1, Txs: []*eventindex.TxEvents{ack}})
 	r.Stop() // the block is parsed, its ack pull abandoned
 	st := tb.Pair.B.App.State()
-	st.Set(ibc.AppendPacketReceiptKey(nil, "transfer", r.b.channel, 4), []byte{1})
+	for _, seq := range []uint64{4, 5} {
+		st.Set(ibc.AppendPacketReceiptKey(nil, "transfer", r.b.channel, seq), []byte{1})
+	}
 	st.CommitTx()
-	r.a.unconfirmed.add(2)
-	r.a.unconfirmed.add(4)
+	r.a.packets.row(2).submitted()
+	r.a.packets.row(4).submitted()
 	r.retryUnsettled(r.b, []outMsg{{msg: ibc.MsgRecvPacket{Packet: *packet(4)}, packet: packet(4)}})
 	if err := tb.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	r.Resume()
 	r.b.height = 2
 	r.checkTimeouts(r.b, r.a)
-	if len(r.a.outbox) != 1 || r.a.outbox[0].packet.Sequence != 3 {
+	if err := tb.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.a.outbox) != 1 || r.a.outbox[0].packet.Sequence != 3 || r.a.outbox[0].kind() != kindTimeout {
 		t.Fatalf("outbox = %+v, want one timeout, of sequence 3", r.a.outbox)
 	}
-	if _, ok := r.a.outbox[0].msg.(ibc.MsgTimeout); !ok || len(r.a.pending) != 1 || r.a.pending[2] == nil {
-		t.Fatalf("outbox %+v, pending %v: want a MsgTimeout and sequence 2 still pending", r.a.outbox, r.a.pending)
+	want := []pktState{1: pktReceived, 2: pktRecvSubmitted, 3: pktTimeoutBuilt, 4: pktReceived, 5: pktReceived}
+	for seq := uint64(1); seq <= 5; seq++ {
+		if got := r.a.packets.row(seq).st; got != want[seq] {
+			t.Errorf("sequence %d in state %d, want %d", seq, got, want[seq])
+		}
 	}
 }
 
@@ -275,7 +287,7 @@ func TestReleaseRescansTheEventHeight(t *testing.T) {
 	tb := newTestbed(1, false)
 	r := New(tb.Sched, tb.RNG, Config{Name: "hermes-t", ClearIntervalBlocks: 1}, tb.Pair)
 	p := &ibc.Packet{Sequence: 1, SourcePort: "transfer", SourceChannel: r.a.channel, DestPort: "transfer", DestChannel: r.b.channel}
-	r.releaseBatch(r.b, []outMsg{{msg: ibc.MsgRecvPacket{Packet: *p}, packet: p, proofHeight: 9, origin: 4}})
+	r.releaseBatch(r.b, []outMsg{{msg: ibc.MsgRecvPacket{Packet: *p}, packet: p, proofHeight: 9, origin: 4}}, nil)
 	if !slices.Equal(r.a.missed, []int64{4}) {
 		t.Fatalf("missed = %v, want [4]", r.a.missed)
 	}

@@ -374,3 +374,33 @@ func TestRoundTripComesHome(t *testing.T) {
 		t.Fatalf("vouchers sent %v, want two trace denoms", vouchers)
 	}
 }
+
+// TestRelayerRetriesAfterPartition reaches the relayer's submission
+// retry paths, which no built-in run does: with plaintimeout's partition
+// moved to 16 s and a four-block timeout, a transaction the relayer
+// broadcasts just before the link is cut is stranded by it. Broadcasts
+// time out and back off, a sequence mismatch re-reads the account
+// sequence, and the packets are still refunded with every assertion
+// holding.
+func TestRelayerRetriesAfterPartition(t *testing.T) {
+	e, ok := Lookup("plaintimeout")
+	if !ok {
+		t.Fatal("plaintimeout builtin missing")
+	}
+	spec := e.Spec
+	spec.Workload.Routes = []RouteSpec{spec.Workload.Routes[0]}
+	spec.Workload.Routes[0].TimeoutBlocks = 4
+	spec.Chaos = append([]EventSpec(nil), spec.Chaos...)
+	spec.Chaos[0].At = Duration(16 * time.Second)
+	rep, err := Run(spec, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Passed() {
+		t.Fatalf("violations: %v", rep.Violations)
+	}
+	st := rep.Result.Edges[0].Relayers[0]
+	if st.SeqMismatchErrors != 1 || st.Retries != 2 || st.TimeoutsDelivered != 3 {
+		t.Fatalf("relayer stats %+v: want 1 sequence mismatch, 2 retries and 3 timeouts delivered", st)
+	}
+}

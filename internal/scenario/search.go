@@ -192,7 +192,7 @@ func Search(s Spec, opt SearchOptions) (*SearchResult, error) {
 			continue
 		}
 		ce := &Counterexample{Candidate: i, Events: candidates[i], Violations: v.violations}
-		minEvents, minViolations, runs, serr := shrink(s, candidates[i])
+		minEvents, minViolations, runs, serr := shrink(s, candidates[i], v.violations)
 		if serr != nil {
 			return nil, fmt.Errorf("scenario %s: shrinking candidate %d: %w", s.Name, i, serr)
 		}
