@@ -23,7 +23,7 @@ check:
 # the full-rebuild merkle.NewTree, merkle.Verifier's verdicts against
 # merkle.VerifyMembership's, app.State's undo
 # journal and proofs against a map-copy-per-tx model, the scenario spec's parse ⇄ encode round trip,
-# the sign-on-demand vote cache against an eager-signing model, the
+# VerifyCommit on mutated commits against a naive per-signature model, the
 # denom trace's parse ⇄ string and prefix round trips, the
 # forward-memo parser's validation and round trip, the packet
 # tracker's per-channel table against a map-keyed model, the relayer's
@@ -47,7 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzVerifier -fuzztime 10s ./internal/merkle
 	$(GO) test -run '^$$' -fuzz FuzzStateJournal -fuzztime 10s ./internal/app
 	$(GO) test -run '^$$' -fuzz FuzzSpecRoundTrip -fuzztime 10s ./internal/scenario
-	$(GO) test -run '^$$' -fuzz FuzzVoteCache -fuzztime 10s ./internal/tendermint/votesig
+	$(GO) test -run '^$$' -fuzz FuzzVerifyCommit -fuzztime 10s ./internal/tendermint/types
 	$(GO) test -run '^$$' -fuzz FuzzDenomTrace -fuzztime 10s ./internal/ibc/denom
 	$(GO) test -run '^$$' -fuzz FuzzParseMemo -fuzztime 10s ./internal/ibc/pfm
 	$(GO) test -run '^$$' -fuzz FuzzTracker -fuzztime 10s ./internal/metrics

@@ -395,9 +395,8 @@ func BenchmarkStateCommit(b *testing.B) {
 }
 
 // BenchmarkVoteFanout measures consensus block production as the
-// validator set grows. The shared vote-verification engine
-// (internal/tendermint/votesig) admits each vote when the engine casts
-// it and signs only the precommits a block's commit carries, so
+// validator set grows. Votes travel unsigned and unverified; commit
+// assembly signs only the precommits a block's commit carries, so
 // per-height signature work is the 2/3+ quorum's signing alone
 // (signs-per-block). Blocks-per-virtual-minute must not move.
 func BenchmarkVoteFanout(b *testing.B) {

@@ -195,13 +195,6 @@ func Link(a, b *Chain) *Pair {
 	ordA, ordB := a.links, b.links
 	a.links++
 	b.links++
-	// Each side's light client tracks the counterparty; share that
-	// chain's vote-verification engine so header commits whose signatures
-	// were already admitted through its live vote path skip re-checks.
-	// The read-only view keeps the light-client path off the owner's
-	// counters and buffers, so it can run on another partition.
-	a.Keeper.RegisterVoteVerifier(b.ID, b.Engine.VoteCache().ReadOnly())
-	b.Keeper.RegisterVoteVerifier(a.ID, a.Engine.VoteCache().ReadOnly())
 	p := &Pair{
 		A: a, B: b,
 		Port:      transfer.PortID,

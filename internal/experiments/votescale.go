@@ -9,10 +9,10 @@ import (
 )
 
 // DefaultVoteScaleSizes is the swept validator-set range. The paper fixes
-// five validators per chain; the shared vote-verification engine makes
-// larger sets affordable (O(V) signature checks per block instead of
-// O(V^2)), so set size becomes an experiment axis like topology, regions
-// and fault windows.
+// five validators per chain; votes travel unsigned and only a commit's
+// precommits are signed (O(V) signatures per block, no vote verified
+// inside a chain), so larger sets are affordable and set size becomes an
+// experiment axis like topology, regions and fault windows.
 var DefaultVoteScaleSizes = []int{4, 8, 12, 16, 24, 32}
 
 // VoteScalePoint summarizes one validator-set size across seeds.

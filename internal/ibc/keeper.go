@@ -52,11 +52,6 @@ type PortModule interface {
 // modules.
 type Keeper struct {
 	ports map[string]PortModule
-	// voteVerifiers maps a counterparty chain ID to that chain's shared
-	// vote-verification engine: commit signatures its consensus already
-	// admitted are not re-verified when this chain's light client accepts
-	// a header (the simulator's process-wide equivalent of verify-once).
-	voteVerifiers map[string]types.VoteVerifier
 	// memo remembers the decoded form of stored objects (see getJSON).
 	memo map[string]memoEntry
 	// enc is the buffer the light-client states are encoded into before
@@ -72,9 +67,8 @@ type Keeper struct {
 // the app under RouteIBC.
 func NewKeeper(a *app.App) *Keeper {
 	k := &Keeper{
-		ports:         make(map[string]PortModule),
-		voteVerifiers: make(map[string]types.VoteVerifier),
-		memo:          make(map[string]memoEntry),
+		ports: make(map[string]PortModule),
+		memo:  make(map[string]memoEntry),
 	}
 	a.RegisterRoute(RouteIBC, k.handle)
 	return k
@@ -82,13 +76,6 @@ func NewKeeper(a *app.App) *Keeper {
 
 // BindPort attaches a module to a port.
 func (k *Keeper) BindPort(port string, m PortModule) { k.ports[port] = m }
-
-// RegisterVoteVerifier wires a counterparty chain's vote-verification
-// engine into this keeper's light-client header checks. Unregistered
-// counterparties fall back to full per-signature verification.
-func (k *Keeper) RegisterVoteVerifier(chainID string, vv types.VoteVerifier) {
-	k.voteVerifiers[chainID] = vv
-}
 
 // --- stored-object helpers -------------------------------------------------
 
@@ -299,9 +286,9 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 	if hdr.ChainID != cs.ChainID {
 		return fmt.Errorf("ibc: header chain %q, client tracks %q", hdr.ChainID, cs.ChainID)
 	}
-	// Verify the commit under the pinned validator set. In performance
-	// mode the signatures are still structurally present; verification
-	// runs whenever the commit carries signatures.
+	// Under full proofs, verify every commit signature under the pinned
+	// validator set; performance mode trusts the header as it trusts
+	// proofs.
 	if ctx.State.FullProofs() {
 		vals := make([]*types.Validator, len(cs.Validators))
 		for i, vr := range cs.Validators {
@@ -313,10 +300,7 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 		}
 		vs := types.NewValidatorSet(vals)
 		blockID := types.BlockID{Hash: hdr.Hash()}
-		// Batched fast path: signatures the source chain's live vote path
-		// already admitted are not re-verified (nil verifier = full check).
-		if err := vs.VerifyCommit(cs.ChainID, blockID, hdr.Height,
-			m.Bundle.Commit, k.voteVerifiers[cs.ChainID]); err != nil {
+		if err := vs.VerifyCommit(cs.ChainID, blockID, hdr.Height, m.Bundle.Commit); err != nil {
 			return fmt.Errorf("ibc: header verification: %w", err)
 		}
 	}

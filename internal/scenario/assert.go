@@ -3,7 +3,8 @@
 // safety surface are built in — voucher supply conservation across all
 // zones, no permanently-stuck packets, and every elapsed timeout
 // refunded — and chaos search hunts fault timelines that break them.
-// Run also checks conservation's over-minting half at every commit
+// Run also checks conservation's over-minting half, and that no packet
+// commitment is deleted before its receipt or timeout, at every commit
 // (commitcheck.go).
 //
 // All checks are state-based rather than event-based: a packet
@@ -76,9 +77,10 @@ func Check(d *topo.Deployment, names []string) []Violation {
 }
 
 // check is Check after a run whose commits w watched (nil if none): w's
-// verdicts lead the conservation section in the order found, and a
+// premature deletions lead the packet section and its conservation
+// verdicts the conservation section, each in the order found, and a
 // voucher they name is not reported again at quiescence.
-func check(d *topo.Deployment, names []string, w *conservationWatch) []Violation {
+func check(d *topo.Deployment, names []string, w *commitWatch) []Violation {
 	if len(names) == 0 {
 		names = DefaultAssertions()
 	}
@@ -88,6 +90,9 @@ func check(d *topo.Deployment, names []string, w *conservationWatch) []Violation
 	}
 	sides := linkSides(d)
 	var out []Violation
+	if w != nil && want[AssertTimeoutRefunds] {
+		out = append(out, w.deleted...)
+	}
 	stuck := 0
 	eachSent(d, func(src *chain.Chain, p *ibc.Packet) {
 		v, isStuck := classify(src, p, sides)
@@ -206,7 +211,7 @@ func timeoutElapsed(p *ibc.Packet, dst *chain.Chain) bool {
 // exactly; with traffic still stuck mid-link only over-minting (supply
 // above escrow) is provably wrong. A voucher w reported over-minted at a
 // commit is skipped.
-func checkConservation(d *topo.Deployment, sides map[string]linkSide, quiescent bool, w *conservationWatch) []Violation {
+func checkConservation(d *topo.Deployment, sides map[string]linkSide, quiescent bool, w *commitWatch) []Violation {
 	var out []Violation
 	const supplyPrefix = "supply/"
 	for _, c := range d.Chains {

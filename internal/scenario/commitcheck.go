@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/ibc/transfer"
@@ -10,23 +11,35 @@ import (
 	"ibcbench/internal/topo"
 )
 
-// conservationWatch checks supply against escrow at every commit:
-// AssertConservation's over-minting half applied after each block of a
-// serial deployment instead of once at quiescence, so a voucher minted
-// without backing, or backing released under a live voucher, is
-// reported at the height that did it. Escrow above supply stays a
-// quiescence-only verdict (Check): in flight, a token is escrowed before
-// its voucher is minted.
+// commitWatch checks two rules after every commit of a serial
+// deployment, each at the height that breaks it rather than once at
+// quiescence.
 //
-// The vouchers it compares are learned from the packets sent: every
-// voucher a chain mints is the ReceivedDenom of a packet sent to it, and
-// a burned voucher re-minted by a refund was minted that way first. So a
-// commit costs two balance reads per voucher, not a scan of the state.
-type conservationWatch struct {
+// C3 is AssertConservation's over-minting half: a voucher minted
+// without backing, or backing released under a live voucher. Escrow
+// above supply stays a quiescence-only verdict (Check): in flight, a
+// token is escrowed before its voucher is minted. The vouchers it
+// compares are learned from the packets sent: every voucher a chain
+// mints is the ReceivedDenom of a packet sent to it, and a burned
+// voucher re-minted by a refund was minted that way first. So a commit
+// costs two balance reads per voucher, not a scan of the state.
+//
+// C5 is the deletion half of "commitments and receipts only move
+// forward": a packet's source commitment may disappear only once the
+// destination holds its receipt (an ack) or the destination's latest
+// committed header meets its timeout (a refund, by the rule MsgTimeout
+// applies). A commit costs one state read per packet still in flight
+// from the committing chain. A violation is an AssertTimeoutRefunds
+// verdict: the packet's tokens were returned, or lost, on no proof.
+type commitWatch struct {
 	sides    map[string]linkSide
 	vouchers []watchedVoucher
 	index    map[voucherOn]int // into vouchers
-	out      []Violation
+	out      []Violation       // C3's verdicts
+	// inFlight holds each chain's sent packets whose commitment was
+	// stored at its last commit.
+	inFlight map[*chain.Chain][]*ibc.Packet
+	deleted  []Violation // C5's verdicts
 }
 
 // voucherOn names a voucher denom on the chain that mints it.
@@ -45,27 +58,31 @@ type watchedVoucher struct {
 	reported      bool
 }
 
-// watchConservation attaches the check to every chain of a deployment
-// before it runs. Only a serial deployment may have it: a hook reads other chains'
-// banks, which under the parallel runner belong to other workers.
-func watchConservation(d *topo.Deployment) *conservationWatch {
-	w := &conservationWatch{sides: linkSides(d), index: make(map[voucherOn]int)}
+// watchCommits attaches the checks to every chain of a deployment before
+// it runs. Only a serial deployment may have them: a hook reads other
+// chains' state, which under the parallel runner belongs to other
+// workers.
+func watchCommits(d *topo.Deployment) *commitWatch {
+	w := &commitWatch{sides: linkSides(d), index: make(map[voucherOn]int), inFlight: make(map[*chain.Chain][]*ibc.Packet)}
 	for _, c := range d.Chains {
 		c.Engine.OnCommit(func(cb *store.CommittedBlock) { w.commit(c, cb.Block.Header.Height) })
 	}
 	return w
 }
 
-// commit learns the vouchers c's block at height h can mint, then checks
-// every voucher known so far that has not yet been reported.
-func (w *conservationWatch) commit(c *chain.Chain, h int64) {
+// commit learns the packets c's block at height h sent and the vouchers
+// they can mint, checks the deletions of c's in-flight commitments, then
+// checks every voucher known so far that has not yet been reported.
+func (w *commitWatch) commit(c *chain.Chain, h int64) {
 	if be := c.Events.At(h); be != nil {
 		for _, te := range be.Txs {
 			for _, p := range te.Sends {
 				w.learn(c, p)
+				w.inFlight[c] = append(w.inFlight[c], p)
 			}
 		}
 	}
+	w.settle(c, h)
 	for i := range w.vouchers {
 		v := &w.vouchers[i]
 		if v.reported {
@@ -86,9 +103,42 @@ func (w *conservationWatch) commit(c *chain.Chain, h int64) {
 	}
 }
 
+// settle drops from c's in-flight packets each one whose commitment is
+// gone at height h, and reports it when the destination neither holds its
+// receipt nor has reached its timeout.
+func (w *commitWatch) settle(c *chain.Chain, h int64) {
+	var b, rb [app.KeyBufLen]byte
+	pending := w.inFlight[c]
+	live := pending[:0]
+	for _, p := range pending {
+		key := ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
+		if c.App.State().Has(key) {
+			live = append(live, p)
+			continue
+		}
+		side, ok := w.sides[c.ID+"/"+p.SourceChannel]
+		if !ok {
+			continue // Check reports a packet on an unknown channel
+		}
+		dst := side.counterparty
+		if dst.App.State().Has(ibc.AppendPacketReceiptKey(rb[:0], p.DestPort, p.DestChannel, p.Sequence)) || timeoutElapsed(p, dst) {
+			continue
+		}
+		w.deleted = append(w.deleted, Violation{
+			Assertion: AssertTimeoutRefunds,
+			Chain:     c.ID,
+			Height:    h,
+			Detail: fmt.Sprintf("after %s committed height %d: commitment %s deleted, but %s holds no receipt and is at height %d, short of the timeout (height %d/time %v)",
+				c.ID, h, key, dst.ID, dst.Store.Height(), p.TimeoutHeight, p.TimeoutTimestamp),
+		})
+	}
+	clear(pending[len(live):])
+	w.inFlight[c] = live
+}
+
 // learn records the voucher packet p, sent from src, mints on its
 // destination, unless it carries its token home or cannot be decoded.
-func (w *conservationWatch) learn(src *chain.Chain, p *ibc.Packet) {
+func (w *commitWatch) learn(src *chain.Chain, p *ibc.Packet) {
 	data, err := transfer.ParsePacketData(p.Data)
 	if err != nil {
 		return
@@ -114,7 +164,7 @@ func (w *conservationWatch) learn(src *chain.Chain, p *ibc.Packet) {
 }
 
 // reported tells whether w already reported voucher dn on c.
-func (w *conservationWatch) reported(c *chain.Chain, dn string) bool {
+func (w *commitWatch) reported(c *chain.Chain, dn string) bool {
 	if w == nil {
 		return false
 	}

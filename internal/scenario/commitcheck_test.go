@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ibcbench/internal/app"
+	"ibcbench/internal/ibc"
 	"ibcbench/internal/sim"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
@@ -112,7 +113,7 @@ func TestConservationCheckedPerCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := dep.Chains[0]
-	var w *conservationWatch
+	var w *commitWatch
 	var refundHeight int64
 	src.Engine.OnCommit(func(cb *store.CommittedBlock) { // before w's hooks, so w sees it at this height
 		if refundHeight != 0 || len(w.vouchers) == 0 {
@@ -128,7 +129,7 @@ func TestConservationCheckedPerCommit(t *testing.T) {
 		src.App.State().CommitTx()
 		refundHeight = cb.Block.Header.Height
 	})
-	w = watchConservation(dep)
+	w = watchCommits(dep)
 	if _, err := sc.RunOn(dep, spec.Seed); err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +153,63 @@ func TestConservationCheckedPerCommit(t *testing.T) {
 	// after the per-commit check it does not report it a second time.
 	if q := Check(dep, DefaultAssertions()); len(q) != 1 || q[0].Assertion != AssertConservation || q[0].Height != 0 {
 		t.Fatalf("quiescent Check = %v, want the one conservation verdict", q)
+	}
+	if all := check(dep, DefaultAssertions(), w); len(all) != 1 || all[0] != v {
+		t.Fatalf("check after the per-commit check = %v, want its verdict alone", all)
+	}
+}
+
+// TestPrematureDeletionCheckedPerCommit: the per-commit check reports a
+// packet commitment deleted while its packet is neither received nor
+// timed out, at the height of the block that deleted it, under
+// timeout-refunds. The deletion is planted: the first ibc-0 commit that
+// sends a packet deletes that packet's commitment again, which no
+// relayer has had the chance to deliver.
+func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
+	spec := Spec{Name: "premature", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 1}, Seed: 1}
+	sc, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sc.Deploy
+	cfg.Seed = spec.Seed
+	dep, err := topo.Deploy(sc.Topology, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := dep.Chains[0]
+	var plantHeight int64
+	var key string
+	src.Engine.OnCommit(func(cb *store.CommittedBlock) { // before w's hooks, so w sees it at this height
+		be := src.Events.At(cb.Block.Header.Height)
+		if plantHeight != 0 || be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
+			return
+		}
+		p := be.Txs[0].Sends[0]
+		key = string(ibc.AppendPacketCommitmentKey(nil, p.SourcePort, p.SourceChannel, p.Sequence))
+		src.App.State().Delete([]byte(key))
+		src.App.State().CommitTx()
+		plantHeight = cb.Block.Header.Height
+	})
+	w := watchCommits(dep)
+	if _, err := sc.RunOn(dep, spec.Seed); err != nil {
+		t.Fatal(err)
+	}
+	if plantHeight == 0 {
+		t.Fatal("ibc-0 sent no packet: nothing was deleted")
+	}
+	if len(w.deleted) != 1 {
+		t.Fatalf("the per-commit check reported %d premature deletions, want 1: %v", len(w.deleted), w.deleted)
+	}
+	v := w.deleted[0]
+	at := fmt.Sprintf("after %s committed height %d: commitment %s deleted", src.ID, plantHeight, key)
+	if v.Assertion != AssertTimeoutRefunds || v.Chain != src.ID || v.Height != plantHeight || !strings.HasPrefix(v.Detail, at) {
+		t.Fatalf("the per-commit check reported %+v, want %s on %s at height %d for %s",
+			v, AssertTimeoutRefunds, src.ID, plantHeight, key)
+	}
+	// The quiescent check sees a settled packet; only the watch reports it.
+	if q := Check(dep, DefaultAssertions()); len(q) != 0 {
+		t.Fatalf("quiescent Check = %v, want nothing", q)
 	}
 	if all := check(dep, DefaultAssertions(), w); len(all) != 1 || all[0] != v {
 		t.Fatalf("check after the per-commit check = %v, want its verdict alone", all)

@@ -56,9 +56,9 @@ func Run(s Spec, seed int64, o *obs.Obs) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	var c3 *conservationWatch
-	if !dep.Parallel() && slices.Contains(names, AssertConservation) {
-		c3 = watchConservation(dep)
+	var w *commitWatch
+	if !dep.Parallel() && (slices.Contains(names, AssertConservation) || slices.Contains(names, AssertTimeoutRefunds)) {
+		w = watchCommits(dep)
 	}
 	res, err := sc.RunOn(dep, seed)
 	if err != nil {
@@ -68,7 +68,7 @@ func Run(s Spec, seed int64, o *obs.Obs) (*Report, error) {
 		Spec:       s,
 		Result:     res,
 		Assertions: names,
-		Violations: check(dep, names, c3),
+		Violations: check(dep, names, w),
 	}, nil
 }
 

@@ -31,14 +31,8 @@ import (
 	"ibcbench/internal/tendermint/mempool"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/tendermint/types"
-	"ibcbench/internal/tendermint/votesig"
 	"ibcbench/internal/valkey"
 )
-
-// voteCacheKeepHeights is the trailing window of committed heights whose
-// admitted votes stay cached, serving the light-client VerifyCommit fast
-// path for commits relayers submit a few blocks late.
-const voteCacheKeepHeights = 32
 
 // Config parameterizes one chain's consensus engine. The timing model —
 // block floor, execution time per gas and gossip bandwidth — is the
@@ -118,9 +112,9 @@ type node struct {
 // pooledVote is a recyclable gossiped vote. Delivery closures capture
 // the wrapper and the generation at cast time; a recycled wrapper bumps
 // the generation, so stale deliveries drop without touching the reused
-// vote. A cast vote carries no signature bytes: the cache signs its tuple
-// only when commit assembly asks, into a fresh slice the commit and the
-// cache share, so recycling a wrapper never touches a commit.
+// vote. A vote carries no signature: commit assembly signs the
+// precommits it copies into fresh slices, so recycling a wrapper never
+// touches a commit.
 type pooledVote struct {
 	v   types.Vote
 	gen uint64
@@ -136,20 +130,15 @@ type Engine struct {
 	pool   *mempool.Pool
 	stor   *store.Store
 	valset *types.ValidatorSet
-	nodes  []*node
-	// ordinals maps validator addresses to their valset index, backing
-	// the ordinal-indexed round tallies.
-	ordinals map[valkey.Address]int
+	// nodes[i] is valset.Validators[i]; round tallies are indexed the same.
+	nodes []*node
 
 	// valsHash is valset.Hash(): the set never changes for the engine's
 	// life, so every header reuses the one computation.
 	valsHash types.Hash
 
-	// votes is the chain's shared vote-verification engine: it admits
-	// every vote this engine casts, so only signatures the engine did not
-	// make are ever checked, and signs only the precommits a commit
-	// carries.
-	votes *votesig.Cache
+	// signer signs the precommits commit assembly copies into a commit.
+	signer CommitSigner
 
 	// votePool recycles gossiped vote allocations. A cast vote stays
 	// live for its height only (every receiver drops mismatched-height
@@ -197,7 +186,6 @@ func New(sched *sim.Scheduler, net *netem.Network, cfg Config, app abci.Applicat
 		app:   app,
 		pool:  pool,
 		stor:  stor,
-		votes: votesig.New(cfg.ChainID),
 	}
 	if cfg.Obs != nil {
 		e.tr = cfg.Obs.Tracer
@@ -225,21 +213,45 @@ func New(sched *sim.Scheduler, net *netem.Network, cfg Config, app abci.Applicat
 	}
 	e.valset = types.NewValidatorSet(vals)
 	e.valsHash = e.valset.Hash()
-	e.ordinals = make(map[valkey.Address]int, len(vals))
-	for i, val := range vals {
-		e.ordinals[val.Address] = i
-	}
 	return e
 }
 
 // ValidatorSet exposes the chain's validator set (for light clients).
 func (e *Engine) ValidatorSet() *types.ValidatorSet { return e.valset }
 
-// VoteCache exposes the chain's shared vote-verification engine. Light
-// clients tracking this chain pass it to VerifyCommit so commit
-// signatures the cache made for castVote's admitted precommits are not
-// re-verified.
-func (e *Engine) VoteCache() *votesig.Cache { return e.votes }
+// CommitSigner signs the precommits a block's commit carries, the only
+// vote signatures anything reads: the votes validators gossip within a
+// chain carry none, and a light client verifies the commit signatures
+// of every header it accepts (types.ValidatorSet.VerifyCommit).
+type CommitSigner struct {
+	buf   []byte // sign bytes, reused across signatures
+	stats SignerStats
+}
+
+// SignerStats counts a chain's signing work.
+type SignerStats struct {
+	// Signed counts commit signatures made.
+	Signed uint64
+	// Verifications, Hits and Rejected always read 0: no vote is verified
+	// inside a chain. They remain only for the benchmark's work counts,
+	// which read them through VoteCache; its next revision removes them
+	// together with its tendermint.votesig rows.
+	Verifications, Hits, Rejected uint64
+}
+
+// sign returns v's signature under key, made into a fresh slice.
+func (s *CommitSigner) sign(key *valkey.PrivKey, chainID string, v *types.Vote) []byte {
+	s.buf = types.AppendVoteSignBytes(s.buf[:0], chainID, v)
+	s.stats.Signed++
+	return key.Sign(s.buf)
+}
+
+// Stats snapshots the signing counters.
+func (s *CommitSigner) Stats() SignerStats { return s.stats }
+
+// VoteCache exposes the chain's commit signer under the name the
+// benchmark reads it by.
+func (e *Engine) VoteCache() *CommitSigner { return &e.signer }
 
 // PrimaryHost is the network host of the RPC-serving full node.
 func (e *Engine) PrimaryHost() netem.Host { return e.nodes[e.primary].host }
@@ -278,7 +290,6 @@ func (e *Engine) Start() {
 
 func (e *Engine) startHeight(h int64) {
 	e.totalRounds++
-	e.votes.PruneBelow(h - voteCacheKeepHeights)
 	// Retire the previous height's gossiped votes: nothing references
 	// them past this point (tallies are reset below, commit signatures
 	// were value-copied at commit time), and the generation bump turns
@@ -299,7 +310,8 @@ func (e *Engine) startHeight(h int64) {
 		n.precommitted = false
 	}
 	proposer := e.valset.Proposer(h, 0)
-	e.propose(e.nodes[e.ordinals[proposer.Address]], h)
+	i, _ := e.valset.Index(proposer.Address)
+	e.propose(e.nodes[i], h)
 }
 
 // propose reaps the mempool, assembles the block and gossips it.
@@ -352,8 +364,7 @@ func (e *Engine) onProposal(n *node, msg *proposalMsg) {
 	e.maybeCommit(n)
 }
 
-// castVote admits and gossips n's vote for its height; it stays unsigned
-// unless a commit carries it.
+// castVote gossips n's vote for its height, unsigned.
 func (e *Engine) castVote(n *node, vt types.SignedMsgType, blockID types.BlockID) {
 	switch vt {
 	case types.PrevoteType:
@@ -383,7 +394,6 @@ func (e *Engine) castVote(n *node, vt types.SignedMsgType, blockID types.BlockID
 		Timestamp:        e.sched.Now(),
 		ValidatorAddress: n.addr,
 	}
-	e.votes.SignVote(n.key, &pv.v)
 	gen := pv.gen
 	for _, dst := range e.nodes {
 		dst := dst
@@ -400,21 +410,13 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 	if n.height != v.Height || v.Round != 0 {
 		return
 	}
-	// Resolve the claimed validator in the canonical set, then verify the
-	// signature through the shared engine: castVote admitted every vote
-	// it cast, so every receiver hits the cache and an honest run performs
-	// no signature check at all. Forged, tampered and stranger votes are
-	// still rejected: only admitted or verified tuples enter the cache, an
-	// unsigned vote hits only an admitted tuple, and a vote with bytes
-	// hits only on byte-identical signatures.
-	val := e.valset.ByAddress(v.ValidatorAddress)
-	if val == nil {
+	// Votes come only from this chain's validators, all in this process,
+	// so none is verified; a stranger's address has no tally slot.
+	ord, ok := e.valset.Index(v.ValidatorAddress)
+	if !ok {
 		return
 	}
-	if !e.votes.VerifyVote(e.cfg.ChainID, v, val.PubKey) {
-		return
-	}
-	ord := e.ordinals[v.ValidatorAddress]
+	val := e.valset.Validators[ord]
 	switch v.Type {
 	case types.PrevoteType:
 		if n.prevotes.votes[ord] != nil {
@@ -509,9 +511,7 @@ func (e *Engine) commitCanonical(block *types.Block, n *node, id types.BlockID) 
 
 	// Assemble the canonical commit from the precommits this node saw.
 	// These are the only vote signatures anything reads, so this is where
-	// the cache signs: Signature makes each admitted precommit's bytes
-	// once, into a fresh slice, so retiring the pooled vote wrappers at
-	// the next height never touches a commit's bytes.
+	// each is signed, with its validator's own key.
 	commit := &types.Commit{Height: block.Header.Height, BlockID: id}
 	for i, val := range e.valset.Validators {
 		sig := types.CommitSig{Flag: types.BlockIDFlagAbsent, ValidatorAddress: val.Address}
@@ -522,7 +522,7 @@ func (e *Engine) commitCanonical(block *types.Block, n *node, id types.BlockID) 
 				sig.Flag = types.BlockIDFlagNil
 			}
 			sig.Timestamp = v.Timestamp
-			sig.Signature = e.votes.Signature(v)
+			sig.Signature = e.signer.sign(e.nodes[i].key, e.cfg.ChainID, v)
 		}
 		commit.Signatures = append(commit.Signatures, sig)
 	}

@@ -170,7 +170,9 @@ func (b *Block) TotalSize() int {
 	return n
 }
 
-// Vote is a single consensus vote (prevote or precommit).
+// Vote is a single consensus vote (prevote or precommit). It carries no
+// signature: every validator of a chain lives in this process, so only
+// the precommits a commit carries are ever signed (CommitSig.Signature).
 type Vote struct {
 	Type             SignedMsgType
 	Height           int64
@@ -178,14 +180,12 @@ type Vote struct {
 	BlockID          BlockID
 	Timestamp        time.Duration
 	ValidatorAddress valkey.Address
-	Signature        []byte
 }
 
 // AppendVoteSignBytes appends the canonical bytes a validator signs for a
-// vote to dst and
-// returns the extended slice. Hot paths (the consensus engine signs and
-// the shared vote-verification cache checks every gossiped vote) pass a
-// pooled buffer so per-vote encoding allocates nothing in steady state.
+// vote to dst and returns the extended slice. The validator and the
+// timestamp are not part of them, so every precommit of one commit signs
+// the same bytes.
 func AppendVoteSignBytes(dst []byte, chainID string, v *Vote) []byte {
 	dst = append(dst, byte(v.Type))
 	var n [8]byte
@@ -196,18 +196,6 @@ func AppendVoteSignBytes(dst []byte, chainID string, v *Vote) []byte {
 	dst = append(dst, v.BlockID.Hash[:]...)
 	dst = append(dst, chainID...)
 	return dst
-}
-
-// VoteVerifier abstracts vote-signature verification so a chain-scoped
-// cache (internal/tendermint/votesig) can answer for votes it signed or
-// already verified without repeating the signature check. Implementations
-// MUST only report true for signatures that verify under pub; callers
-// MUST resolve pub from the claimed validator address in the chain's
-// canonical set.
-type VoteVerifier interface {
-	// VerifyVote reports whether v.Signature is valid for v's sign bytes
-	// under pub on the given chain.
-	VerifyVote(chainID string, v *Vote, pub valkey.PubKey) bool
 }
 
 // Validator is one member of the validator set.
@@ -221,7 +209,7 @@ type Validator struct {
 type ValidatorSet struct {
 	Validators []*Validator
 	totalPower int64
-	byAddr     map[valkey.Address]*Validator
+	byAddr     map[valkey.Address]int // into Validators
 }
 
 // NewValidatorSet builds a set; order is preserved and determines the
@@ -229,11 +217,11 @@ type ValidatorSet struct {
 func NewValidatorSet(vals []*Validator) *ValidatorSet {
 	vs := &ValidatorSet{
 		Validators: append([]*Validator(nil), vals...),
-		byAddr:     make(map[valkey.Address]*Validator, len(vals)),
+		byAddr:     make(map[valkey.Address]int, len(vals)),
 	}
-	for _, v := range vals {
+	for i, v := range vals {
 		vs.totalPower += v.VotingPower
-		vs.byAddr[v.Address] = v
+		vs.byAddr[v.Address] = i
 	}
 	return vs
 }
@@ -241,9 +229,10 @@ func NewValidatorSet(vals []*Validator) *ValidatorSet {
 // TotalPower reports the sum of voting power.
 func (vs *ValidatorSet) TotalPower() int64 { return vs.totalPower }
 
-// ByAddress looks a validator up; nil if absent.
-func (vs *ValidatorSet) ByAddress(a valkey.Address) *Validator {
-	return vs.byAddr[a]
+// Index returns a's position in Validators.
+func (vs *ValidatorSet) Index(a valkey.Address) (int, bool) {
+	i, ok := vs.byAddr[a]
+	return i, ok
 }
 
 // Proposer selects the proposer for a height/round by rotation: "In each
@@ -281,47 +270,35 @@ var (
 
 // VerifyCommit checks that a commit carries valid signatures from more
 // than 2/3 of the validator set's voting power for the given block. This
-// is the check light clients perform when accepting counterparty headers.
-// Signatures go through vv (the source chain's live vote path), which
-// answers without re-verifying those it already admitted: a commit
-// signature is byte-for-byte the precommit vote the engine's shared cache
-// admitted when it was signed. A nil vv verifies every signature
-// directly.
-func (vs *ValidatorSet) VerifyCommit(chainID string, blockID BlockID, height int64, commit *Commit, vv VoteVerifier) error {
+// is the check light clients perform when accepting counterparty headers,
+// and the one place a vote signature meets bytes this chain did not make:
+// every counted signature gets a full valkey.PubKey.Verify. Signatures
+// without the commit flag, from strangers or repeating a counted
+// validator add nothing. The precommits for one block all sign the same
+// bytes, so they are built once per call, and the allocations of a call
+// do not grow with the number of signatures.
+func (vs *ValidatorSet) VerifyCommit(chainID string, blockID BlockID, height int64, commit *Commit) error {
 	if commit == nil || commit.Height != height {
 		return ErrCommitHeightMismatch
 	}
 	if commit.BlockID != blockID {
 		return ErrCommitWrongBlockID
 	}
+	vote := Vote{Type: PrecommitType, Height: commit.Height, Round: commit.Round, BlockID: commit.BlockID}
+	var buf [128]byte
+	signBytes := AppendVoteSignBytes(buf[:0], chainID, &vote)
+	seen := make([]bool, len(vs.Validators))
 	var signed int64
-	vote := Vote{
-		Type:    PrecommitType,
-		Height:  commit.Height,
-		Round:   commit.Round,
-		BlockID: commit.BlockID,
-	}
-	seen := make(map[valkey.Address]bool, len(commit.Signatures))
 	for _, sig := range commit.Signatures {
-		if sig.Flag != BlockIDFlagCommit {
+		i, ok := vs.byAddr[sig.ValidatorAddress]
+		if sig.Flag != BlockIDFlagCommit || !ok || seen[i] {
 			continue
 		}
-		val := vs.byAddr[sig.ValidatorAddress]
-		if val == nil || seen[sig.ValidatorAddress] {
-			continue
-		}
-		vote.ValidatorAddress = sig.ValidatorAddress
-		vote.Signature = sig.Signature
-		ok := false
-		if vv != nil {
-			ok = vv.VerifyVote(chainID, &vote, val.PubKey)
-		} else {
-			ok = val.PubKey.Verify(AppendVoteSignBytes(nil, chainID, &vote), sig.Signature)
-		}
-		if !ok {
+		val := vs.Validators[i]
+		if !val.PubKey.Verify(signBytes, sig.Signature) {
 			return fmt.Errorf("types: invalid signature from %s", sig.ValidatorAddress)
 		}
-		seen[sig.ValidatorAddress] = true
+		seen[i] = true
 		signed += val.VotingPower
 	}
 	if signed*3 <= vs.totalPower*2 {

@@ -109,18 +109,18 @@ func TestVerifyCommitQuorum(t *testing.T) {
 
 	// 4 of 5 (80% > 2/3) passes.
 	c := signCommit(chainID, vs, keys, blockID, 7, 4)
-	if err := vs.VerifyCommit(chainID, blockID, 7, c, nil); err != nil {
+	if err := vs.VerifyCommit(chainID, blockID, 7, c); err != nil {
 		t.Fatalf("quorum commit rejected: %v", err)
 	}
 	// Exactly 2/3 does NOT pass (need strictly more).
 	vs3, keys3 := makeValSet(chainID, 3)
 	c3 := signCommit(chainID, vs3, keys3, blockID, 7, 2)
-	if err := vs3.VerifyCommit(chainID, blockID, 7, c3, nil); err != ErrInsufficientPower {
+	if err := vs3.VerifyCommit(chainID, blockID, 7, c3); err != ErrInsufficientPower {
 		t.Fatalf("2/3 exactly: err = %v, want ErrInsufficientPower", err)
 	}
 	// 3 of 5 fails.
 	c = signCommit(chainID, vs, keys, blockID, 7, 3)
-	if err := vs.VerifyCommit(chainID, blockID, 7, c, nil); err != ErrInsufficientPower {
+	if err := vs.VerifyCommit(chainID, blockID, 7, c); err != ErrInsufficientPower {
 		t.Fatalf("err = %v, want ErrInsufficientPower", err)
 	}
 }
@@ -132,43 +132,80 @@ func TestVerifyCommitRejectsForgery(t *testing.T) {
 	good := signCommit(chainID, vs, keys, blockID, 7, 4)
 
 	// Wrong height.
-	if err := vs.VerifyCommit(chainID, blockID, 8, good, nil); err != ErrCommitHeightMismatch {
+	if err := vs.VerifyCommit(chainID, blockID, 8, good); err != ErrCommitHeightMismatch {
 		t.Fatalf("wrong height: %v", err)
 	}
 	// Wrong block.
 	other := BlockID{Hash: sha256.Sum256([]byte("other"))}
-	if err := vs.VerifyCommit(chainID, other, 7, good, nil); err != ErrCommitWrongBlockID {
+	if err := vs.VerifyCommit(chainID, other, 7, good); err != ErrCommitWrongBlockID {
 		t.Fatalf("wrong block: %v", err)
 	}
 	// Commit signed for a different chain ID must not verify.
 	foreign := signCommit("chain-b", vs, keys, blockID, 7, 4)
-	if err := vs.VerifyCommit(chainID, blockID, 7, foreign, nil); err == nil {
+	if err := vs.VerifyCommit(chainID, blockID, 7, foreign); err == nil {
 		t.Fatal("cross-chain replayed commit accepted")
 	}
 	// Tampered signature.
 	bad := signCommit(chainID, vs, keys, blockID, 7, 4)
 	bad.Signatures[0].Signature[0] ^= 1
-	if err := vs.VerifyCommit(chainID, blockID, 7, bad, nil); err == nil {
+	if err := vs.VerifyCommit(chainID, blockID, 7, bad); err == nil {
 		t.Fatal("tampered signature accepted")
+	}
+	// Forged: validator 0's entry signed by a key outside the set.
+	forged := signCommit(chainID, vs, keys, blockID, 7, 4)
+	vote := &Vote{Type: PrecommitType, Height: 7, BlockID: blockID}
+	forged.Signatures[0].Signature = valkey.Derive("attacker", 0).Sign(AppendVoteSignBytes(nil, chainID, vote))
+	if err := vs.VerifyCommit(chainID, blockID, 7, forged); err == nil {
+		t.Fatal("forged signature accepted")
+	}
+	// Tampered after an accepted verification of the same commit: a
+	// verdict leaves nothing behind that vouches for the next one.
+	if err := vs.VerifyCommit(chainID, blockID, 7, good); err != nil {
+		t.Fatalf("good commit rejected: %v", err)
+	}
+	good.Signatures[1].Signature[0] ^= 0xff
+	if err := vs.VerifyCommit(chainID, blockID, 7, good); err == nil {
+		t.Fatal("tampered copy of a verified signature accepted")
 	}
 	// Duplicate signatures must not double-count power.
 	dup := signCommit(chainID, vs, keys, blockID, 7, 3)
 	dup.Signatures = append(dup.Signatures, dup.Signatures[0], dup.Signatures[1])
-	if err := vs.VerifyCommit(chainID, blockID, 7, dup, nil); err != ErrInsufficientPower {
+	if err := vs.VerifyCommit(chainID, blockID, 7, dup); err != ErrInsufficientPower {
 		t.Fatalf("duplicated signatures inflated power: %v", err)
 	}
 	// Unknown validator signatures contribute nothing.
 	stranger := valkey.Derive("stranger", 0)
 	sc := signCommit(chainID, vs, keys, blockID, 7, 3)
-	vote := &Vote{Type: PrecommitType, Height: 7, BlockID: blockID, ValidatorAddress: stranger.Pub().Address()}
+	vote = &Vote{Type: PrecommitType, Height: 7, BlockID: blockID, ValidatorAddress: stranger.Pub().Address()}
 	sc.Signatures = append(sc.Signatures, CommitSig{
 		Flag:             BlockIDFlagCommit,
 		ValidatorAddress: stranger.Pub().Address(),
 		Signature:        stranger.Sign(AppendVoteSignBytes(nil, chainID, vote)),
 	})
-	if err := vs.VerifyCommit(chainID, blockID, 7, sc, nil); err != ErrInsufficientPower {
+	if err := vs.VerifyCommit(chainID, blockID, 7, sc); err != ErrInsufficientPower {
 		t.Fatalf("stranger signature counted: %v", err)
 	}
+}
+
+// TestVerifyCommitAllocsFlatInSignatures: the allocations of one
+// VerifyCommit call do not grow with the signatures the commit holds.
+func TestVerifyCommitAllocsFlatInSignatures(t *testing.T) {
+	const chainID = "chain-a"
+	blockID := BlockID{Hash: sha256.Sum256([]byte("block"))}
+	allocs := map[int]float64{}
+	for _, n := range []int{5, 13} {
+		vs, keys := makeValSet(chainID, n)
+		c := signCommit(chainID, vs, keys, blockID, 7, n)
+		allocs[n] = testing.AllocsPerRun(100, func() {
+			if err := vs.VerifyCommit(chainID, blockID, 7, c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[5] != allocs[13] {
+		t.Fatalf("VerifyCommit allocates %v at 5 signatures and %v at 13", allocs[5], allocs[13])
+	}
+	t.Logf("%v allocations per call", allocs[5])
 }
 
 func TestValidatorSetHashChangesWithMembership(t *testing.T) {

@@ -150,10 +150,6 @@ func foldMetrics(d *Deployment) {
 	reg := d.Obs.Reg
 	for _, c := range d.Chains {
 		p := "chain/" + c.ID + "/"
-		vs := c.Engine.VoteCache().Stats()
-		reg.SetCounter(p+"votesig_verifications", vs.Verifications)
-		reg.SetCounter(p+"votesig_hits", vs.Hits)
-		reg.SetCounter(p+"votesig_rejected", vs.Rejected)
 		reg.SetCounter(p+"height", uint64(c.Store.Height()))
 		reg.SetCounter(p+"empty_blocks", c.Engine.EmptyBlocks())
 		reg.SetCounter(p+"rounds", c.Engine.TotalRounds())

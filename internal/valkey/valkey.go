@@ -12,8 +12,8 @@
 // Verify recomputes the hash from the seed Derive recorded for the
 // public key, so it still refuses a signature of another message, a
 // signature made by another key, a tampered signature and any key
-// Derive never produced. That rests on the premise votesig already
-// rests on: every validator lives in this process.
+// Derive never produced. That rests on the premise that lets votes
+// travel unsigned inside a chain: every validator lives in this process.
 package valkey
 
 import (
