@@ -145,28 +145,6 @@ func TestVerifyCommitRejectsForgery(t *testing.T) {
 	if err := vs.VerifyCommit(chainID, blockID, 7, foreign); err == nil {
 		t.Fatal("cross-chain replayed commit accepted")
 	}
-	// Tampered signature.
-	bad := signCommit(chainID, vs, keys, blockID, 7, 4)
-	bad.Signatures[0].Signature[0] ^= 1
-	if err := vs.VerifyCommit(chainID, blockID, 7, bad); err == nil {
-		t.Fatal("tampered signature accepted")
-	}
-	// Forged: validator 0's entry signed by a key outside the set.
-	forged := signCommit(chainID, vs, keys, blockID, 7, 4)
-	vote := &Vote{Type: PrecommitType, Height: 7, BlockID: blockID}
-	forged.Signatures[0].Signature = valkey.Derive("attacker", 0).Sign(AppendVoteSignBytes(nil, chainID, vote))
-	if err := vs.VerifyCommit(chainID, blockID, 7, forged); err == nil {
-		t.Fatal("forged signature accepted")
-	}
-	// Tampered after an accepted verification of the same commit: a
-	// verdict leaves nothing behind that vouches for the next one.
-	if err := vs.VerifyCommit(chainID, blockID, 7, good); err != nil {
-		t.Fatalf("good commit rejected: %v", err)
-	}
-	good.Signatures[1].Signature[0] ^= 0xff
-	if err := vs.VerifyCommit(chainID, blockID, 7, good); err == nil {
-		t.Fatal("tampered copy of a verified signature accepted")
-	}
 	// Duplicate signatures must not double-count power.
 	dup := signCommit(chainID, vs, keys, blockID, 7, 3)
 	dup.Signatures = append(dup.Signatures, dup.Signatures[0], dup.Signatures[1])
@@ -176,7 +154,7 @@ func TestVerifyCommitRejectsForgery(t *testing.T) {
 	// Unknown validator signatures contribute nothing.
 	stranger := valkey.Derive("stranger", 0)
 	sc := signCommit(chainID, vs, keys, blockID, 7, 3)
-	vote = &Vote{Type: PrecommitType, Height: 7, BlockID: blockID, ValidatorAddress: stranger.Pub().Address()}
+	vote := &Vote{Type: PrecommitType, Height: 7, BlockID: blockID, ValidatorAddress: stranger.Pub().Address()}
 	sc.Signatures = append(sc.Signatures, CommitSig{
 		Flag:             BlockIDFlagCommit,
 		ValidatorAddress: stranger.Pub().Address(),
@@ -184,6 +162,49 @@ func TestVerifyCommitRejectsForgery(t *testing.T) {
 	})
 	if err := vs.VerifyCommit(chainID, blockID, 7, sc); err != ErrInsufficientPower {
 		t.Fatalf("stranger signature counted: %v", err)
+	}
+}
+
+// TestVerifyCommitRejectsTamperedSignature: a commit signature with a
+// flipped bit fails, and a verdict on a commit leaves nothing behind that
+// vouches for a tampered copy of it.
+func TestVerifyCommitRejectsTamperedSignature(t *testing.T) {
+	const chainID = "chain-a"
+	vs, keys := makeValSet(chainID, 5)
+	blockID := BlockID{Hash: sha256.Sum256([]byte("block"))}
+
+	bad := signCommit(chainID, vs, keys, blockID, 7, 4)
+	bad.Signatures[0].Signature[0] ^= 1
+	if err := vs.VerifyCommit(chainID, blockID, 7, bad); err == nil {
+		t.Fatal("tampered signature accepted")
+	}
+	good := signCommit(chainID, vs, keys, blockID, 7, 4)
+	if err := vs.VerifyCommit(chainID, blockID, 7, good); err != nil {
+		t.Fatalf("good commit rejected: %v", err)
+	}
+	good.Signatures[1].Signature[0] ^= 0xff
+	if err := vs.VerifyCommit(chainID, blockID, 7, good); err == nil {
+		t.Fatal("tampered copy of a verified signature accepted")
+	}
+	// A failed verification does not spoil the untampered commit.
+	good.Signatures[1].Signature[0] ^= 0xff
+	if err := vs.VerifyCommit(chainID, blockID, 7, good); err != nil {
+		t.Fatalf("good commit rejected after a tampered copy: %v", err)
+	}
+}
+
+// TestVerifyCommitRejectsForgedSignature: an entry that claims a set
+// member's address but is signed by a key outside the set fails.
+func TestVerifyCommitRejectsForgedSignature(t *testing.T) {
+	const chainID = "chain-a"
+	vs, keys := makeValSet(chainID, 5)
+	blockID := BlockID{Hash: sha256.Sum256([]byte("block"))}
+
+	forged := signCommit(chainID, vs, keys, blockID, 7, 4)
+	vote := &Vote{Type: PrecommitType, Height: 7, BlockID: blockID}
+	forged.Signatures[0].Signature = valkey.Derive("attacker", 0).Sign(AppendVoteSignBytes(nil, chainID, vote))
+	if err := vs.VerifyCommit(chainID, blockID, 7, forged); err == nil {
+		t.Fatal("forged signature accepted")
 	}
 }
 
