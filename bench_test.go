@@ -401,6 +401,7 @@ func BenchmarkStateCommit(b *testing.B) {
 // (signs-per-block). Blocks-per-virtual-minute must not move.
 func BenchmarkVoteFanout(b *testing.B) {
 	runChain := func(b *testing.B, vals int) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sched := sim.NewScheduler()
 			rng := sim.NewRNG(int64(31 + i))

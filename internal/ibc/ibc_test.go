@@ -630,6 +630,33 @@ func TestUpdateClientRejectsForgedHeader(t *testing.T) {
 	}
 }
 
+// TestRewrittenClientVerifiesUnderItsNewSet: the validator set a light
+// client keeps is checked against its stored records on every update,
+// so once the client is rewritten to pin another chain's validators, a
+// header signed by the old ones no longer verifies.
+func TestRewrittenClientVerifiesUnderItsNewSet(t *testing.T) {
+	a := newTestChain(t, "chain-a")
+	b := newTestChain(t, "chain-b")
+	c := newTestChain(t, "chain-c")
+	linkChains(t, a, b)
+	client := b.clientOf[a.chainID]
+	a.emptyBlock()
+	b.mustDeliver("relayer", ibc.MsgUpdateClient{ClientID: client, Bundle: a.headerBundle(a.height)})
+
+	rewritten := c.clientState()
+	rewritten.ChainID, rewritten.LatestHeight = a.chainID, a.height
+	raw, err := json.Marshal(rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.app.State().Set([]byte(ibc.ClientStateKey(client)), raw)
+	b.app.State().CommitTx()
+	a.emptyBlock()
+	if errs := b.deliver("relayer", ibc.MsgUpdateClient{ClientID: client, Bundle: a.headerBundle(a.height)}); errs == nil {
+		t.Fatal("a header signed by the validators the client no longer pins was accepted")
+	}
+}
+
 func TestAckParsing(t *testing.T) {
 	ok := ibc.Acknowledgement{Result: []byte("AQ==")}
 	parsed, err := ibc.ParseAck(ok.Bytes())

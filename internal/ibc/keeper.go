@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -61,6 +62,17 @@ type Keeper struct {
 	// first use: the proofs of one relayed batch share a root and most
 	// of their path.
 	verifiers map[string]*merkle.Verifier
+	// valsets holds the validator set each light client verifies commits
+	// under, made on its first full-proof update: the set a client pins
+	// never changes, so it is built once and not per header.
+	valsets map[string]clientValset
+}
+
+// clientValset is a light client's validator set and the stored
+// records it was built from.
+type clientValset struct {
+	recs []ValidatorRecord
+	set  *types.ValidatorSet
 }
 
 // NewKeeper creates the IBC keeper and registers its message handler on
@@ -290,15 +302,10 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 	// validator set; performance mode trusts the header as it trusts
 	// proofs.
 	if ctx.State.FullProofs() {
-		vals := make([]*types.Validator, len(cs.Validators))
-		for i, vr := range cs.Validators {
-			pk, err := valkey.PubKeyFromBytes(vr.PubKey)
-			if err != nil {
-				return fmt.Errorf("ibc: client %s validator %d: %w", m.ClientID, i, err)
-			}
-			vals[i] = &types.Validator{Address: pk.Address(), PubKey: pk, VotingPower: vr.Power}
+		vs, err := k.validatorSet(m.ClientID, cs.Validators)
+		if err != nil {
+			return err
 		}
-		vs := types.NewValidatorSet(vals)
 		blockID := types.BlockID{Hash: hdr.Hash()}
 		if err := vs.VerifyCommit(cs.ChainID, blockID, hdr.Height, m.Bundle.Commit); err != nil {
 			return fmt.Errorf("ibc: header verification: %w", err)
@@ -314,6 +321,32 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 	k.enc = appendConsensusState(k.enc[:0], &cons)
 	setRemembered(k, ctx.State, AppendConsensusStateKey(b[:0], m.ClientID, hdr.Height), &cons)
 	return nil
+}
+
+// validatorSet returns the set client clientID verifies commits under,
+// given its stored validator records. The set kept for the client is
+// reused only while the records are the ones it was built from, so a
+// rewritten client never verifies under a stale set.
+func (k *Keeper) validatorSet(clientID string, recs []ValidatorRecord) (*types.ValidatorSet, error) {
+	if c, ok := k.valsets[clientID]; ok && slices.EqualFunc(c.recs, recs, func(a, b ValidatorRecord) bool {
+		return a.Power == b.Power && bytes.Equal(a.PubKey, b.PubKey)
+	}) {
+		return c.set, nil
+	}
+	vals := make([]*types.Validator, len(recs))
+	for i, vr := range recs {
+		pk, err := valkey.PubKeyFromBytes(vr.PubKey)
+		if err != nil {
+			return nil, fmt.Errorf("ibc: client %s validator %d: %w", clientID, i, err)
+		}
+		vals[i] = &types.Validator{Address: pk.Address(), PubKey: pk, VotingPower: vr.Power}
+	}
+	if k.valsets == nil {
+		k.valsets = make(map[string]clientValset)
+	}
+	c := clientValset{recs: recs, set: types.NewValidatorSet(vals)}
+	k.valsets[clientID] = c
+	return c.set, nil
 }
 
 // --- opening a channel ---------------------------------------------------------

@@ -91,9 +91,9 @@ type Partitioner interface {
 	PartitionOf(host string) int
 	// SchedulerOf returns the scheduler behind a partition slot.
 	SchedulerOf(slot int) *sim.Scheduler
-	// Post delivers fn to slot dst at virtual time at, created at ctime
+	// Post delivers h to slot dst at virtual time at, created at ctime
 	// on slot src.
-	Post(src, dst int, at, ctime time.Duration, fn func())
+	Post(src, dst int, at, ctime time.Duration, h sim.Handler)
 }
 
 // Network delivers messages between hosts with emulated latency.
@@ -293,7 +293,12 @@ func (n *Network) Latency(from, to Host) time.Duration {
 // partition owning `from` (or at a quiesced barrier, when every clock
 // agrees) — which every component satisfies by construction, since
 // actors only emit from their own host.
-func (n *Network) Send(from, to Host, fn func()) {
+func (n *Network) Send(from, to Host, fn func()) { n.SendHandler(from, to, sim.Func(fn)) }
+
+// SendHandler is Send for a handler the caller owns, and reports
+// whether the message was scheduled (false: dropped). A caller that
+// counts its messages in flight counts only the scheduled ones.
+func (n *Network) SendHandler(from, to Host, h sim.Handler) bool {
 	n.sent.Add(1)
 	base := n.cfg.OneWayLatency
 	drop := n.cfg.DropRate
@@ -307,7 +312,7 @@ func (n *Network) Send(from, to Host, fn func()) {
 			if st.partitioned > 0 {
 				n.linkMu.RUnlock()
 				n.dropped.Add(1)
-				return
+				return false
 			}
 			if st.hasLatency {
 				base = st.latency
@@ -320,22 +325,23 @@ func (n *Network) Send(from, to Host, fn func()) {
 	rng := n.hostRNG(from)
 	if drop > 0 && rng.Float64() < drop {
 		n.dropped.Add(1)
-		return
+		return false
 	}
 	d := time.Duration(rng.Jitter(float64(base), n.cfg.JitterRelStd))
 	if n.parts == nil {
-		n.sched.After(d, fn)
-		return
+		n.sched.AfterHandler(d, h)
+		return true
 	}
 	sp := n.parts.PartitionOf(string(from))
 	dp := n.parts.PartitionOf(string(to))
 	if sp == dp {
 		// Same partition (or both global): an ordinary scheduler event.
-		n.parts.SchedulerOf(dp).After(d, fn)
-		return
+		n.parts.SchedulerOf(dp).AfterHandler(d, h)
+		return true
 	}
 	now := n.parts.SchedulerOf(sp).Now()
-	n.parts.Post(sp, dp, now+d, now, fn)
+	n.parts.Post(sp, dp, now+d, now, h)
+	return true
 }
 
 // MinCrossPartitionLatency reports a lower bound on the jittered

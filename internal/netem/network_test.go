@@ -87,6 +87,31 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 }
 
+// hop is a handler that counts its deliveries.
+type hop struct{ n int }
+
+func (h *hop) Fire() { h.n++ }
+
+// TestSendHandlerReportsDrops: SendHandler says whether it scheduled the
+// message, and only a scheduled message is delivered.
+func TestSendHandlerReportsDrops(t *testing.T) {
+	s, n := newNet(Config{OneWayLatency: time.Millisecond})
+	n.Partition("a", "b")
+	n.SetLinkExtraDrop("a", "c", 1)
+	var h hop
+	for _, to := range []Host{"b", "c", "d"} {
+		if got, want := n.SendHandler("a", to, &h), to == "d"; got != want {
+			t.Fatalf("send a->%s reported scheduled=%v, want %v", to, got, want)
+		}
+	}
+	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if h.n != 1 || n.Dropped() != 2 {
+		t.Fatalf("delivered %d, dropped %d; want 1 and 2", h.n, n.Dropped())
+	}
+}
+
 func TestDropRate(t *testing.T) {
 	s, n := newNet(Config{OneWayLatency: time.Millisecond, DropRate: 0.5})
 	delivered := 0

@@ -11,7 +11,7 @@ import (
 	"ibcbench/internal/topo"
 )
 
-// commitWatch checks two rules after every commit of a serial
+// commitWatch checks three rules after every commit of a serial
 // deployment, each at the height that breaks it rather than once at
 // quiescence.
 //
@@ -31,15 +31,31 @@ import (
 // applies). A commit costs one state read per packet still in flight
 // from the committing chain. A violation is an AssertTimeoutRefunds
 // verdict: the packet's tokens were returned, or lost, on no proof.
+//
+// C4 is the receive third of "exactly once": a chain writes one
+// acknowledgement per packet it receives, so every write_acknowledgement
+// record of a committed block names a (destination channel, sequence)
+// the chain never acknowledged before. A repeat means a replay was
+// accepted and its tokens delivered twice, an AssertConservation
+// verdict. A commit costs one set lookup per acknowledgement written.
 type commitWatch struct {
 	sides    map[string]linkSide
 	vouchers []watchedVoucher
 	index    map[voucherOn]int // into vouchers
-	out      []Violation       // C3's verdicts
+	out      []Violation       // C3's and C4's verdicts, in the order found
+	// acked maps each packet a chain acknowledged to the height it did.
+	acked map[ackedOn]int64
 	// inFlight holds each chain's sent packets whose commitment was
 	// stored at its last commit.
 	inFlight map[*chain.Chain][]*ibc.Packet
 	deleted  []Violation // C5's verdicts
+}
+
+// ackedOn names one received packet on the chain that received it.
+type ackedOn struct {
+	chain    *chain.Chain
+	channel  string
+	sequence uint64
 }
 
 // voucherOn names a voucher denom on the chain that mints it.
@@ -63,7 +79,12 @@ type watchedVoucher struct {
 // chains' state, which under the parallel runner belongs to other
 // workers.
 func watchCommits(d *topo.Deployment) *commitWatch {
-	w := &commitWatch{sides: linkSides(d), index: make(map[voucherOn]int), inFlight: make(map[*chain.Chain][]*ibc.Packet)}
+	w := &commitWatch{
+		sides:    linkSides(d),
+		index:    make(map[voucherOn]int),
+		acked:    make(map[ackedOn]int64),
+		inFlight: make(map[*chain.Chain][]*ibc.Packet),
+	}
 	for _, c := range d.Chains {
 		c.Engine.OnCommit(func(cb *store.CommittedBlock) { w.commit(c, cb.Block.Header.Height) })
 	}
@@ -71,14 +92,18 @@ func watchCommits(d *topo.Deployment) *commitWatch {
 }
 
 // commit learns the packets c's block at height h sent and the vouchers
-// they can mint, checks the deletions of c's in-flight commitments, then
-// checks every voucher known so far that has not yet been reported.
+// they can mint, checks the acknowledgements it wrote and the deletions
+// of c's in-flight commitments, then checks every voucher known so far
+// that has not yet been reported.
 func (w *commitWatch) commit(c *chain.Chain, h int64) {
 	if be := c.Events.At(h); be != nil {
 		for _, te := range be.Txs {
 			for _, p := range te.Sends {
 				w.learn(c, p)
 				w.inFlight[c] = append(w.inFlight[c], p)
+			}
+			for _, aw := range te.AckWrites {
+				w.ackedOnce(c, h, &aw.Packet)
 			}
 		}
 	}
@@ -101,6 +126,25 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 			})
 		}
 	}
+}
+
+// ackedOnce records that c acknowledged p at height h, and reports it
+// if c had acknowledged p before.
+func (w *commitWatch) ackedOnce(c *chain.Chain, h int64, p *ibc.Packet) {
+	key := ackedOn{c, p.DestChannel, p.Sequence}
+	first, ok := w.acked[key]
+	if !ok {
+		w.acked[key] = h
+		return
+	}
+	var b [app.KeyBufLen]byte
+	w.out = append(w.out, Violation{
+		Assertion: AssertConservation,
+		Chain:     c.ID,
+		Height:    h,
+		Detail: fmt.Sprintf("after %s committed height %d: receipt %s acknowledged again (first at height %d): a replay was accepted",
+			c.ID, h, ibc.AppendPacketReceiptKey(b[:0], p.DestPort, p.DestChannel, p.Sequence), first),
+	})
 }
 
 // settle drops from c's in-flight packets each one whose commitment is

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -213,5 +214,88 @@ func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
 	}
 	if all := check(dep, DefaultAssertions(), w); len(all) != 1 || all[0] != v {
 		t.Fatalf("check after the per-commit check = %v, want its verdict alone", all)
+	}
+}
+
+// TestReplayCheckedPerCommit: the per-commit check reports an
+// acknowledgement written twice for one packet, at the height of the
+// block that wrote it again. The defect is planted as a receipt never
+// written: after each ibc-1 commit, the keys of the packets it
+// acknowledged are deleted again (the receipt, and the acknowledgement
+// that would refuse the second write). Relayer 0 is paused while
+// relayer 1 delivers; on resuming, its clearing pass finds no receipt
+// for the packets it missed and delivers them again, and ibc-1 takes
+// each for a first delivery.
+func TestReplayCheckedPerCommit(t *testing.T) {
+	spec := Spec{
+		Name:     "replay",
+		Topology: TopologySpec{Preset: "two"},
+		Deploy:   DeploySpec{RelayersPerEdge: 2, ClearIntervalBlocks: 1},
+		Workload: WorkloadSpec{Rate: 2, Windows: 2},
+		Chaos: []EventSpec{
+			{At: Duration(12 * time.Second), Kind: "relayer-pause", Edge: 0, Relayer: intp(0)},
+			{At: Duration(30 * time.Second), Kind: "relayer-resume", Edge: 0, Relayer: intp(0)},
+		},
+		Seed: 1,
+	}
+	sc, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sc.Deploy
+	cfg.Seed = spec.Seed
+	dep, err := topo.Deploy(sc.Topology, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := dep.Chains[1]
+	firstAck := map[string]int64{} // receipt key -> height first acknowledged
+	var replayHeight int64
+	var replayKey string
+	dst.Engine.OnCommit(func(cb *store.CommittedBlock) { // before w's hooks
+		h := cb.Block.Header.Height
+		be := dst.Events.At(h)
+		if be == nil {
+			return
+		}
+		for _, te := range be.Txs {
+			for _, aw := range te.AckWrites {
+				p := aw.Packet
+				key := string(ibc.AppendPacketReceiptKey(nil, p.DestPort, p.DestChannel, p.Sequence))
+				if _, again := firstAck[key]; again && replayHeight == 0 {
+					replayHeight, replayKey = h, key
+				} else if !again {
+					firstAck[key] = h
+				}
+				dst.App.State().Delete([]byte(key))
+				dst.App.State().Delete(ibc.AppendPacketAckKey(nil, p.DestPort, p.DestChannel, p.Sequence))
+			}
+		}
+		dst.App.State().CommitTx()
+	})
+	w := watchCommits(dep)
+	if _, err := sc.RunOn(dep, spec.Seed); err != nil {
+		t.Fatal(err)
+	}
+	if replayHeight == 0 {
+		t.Fatal("no packet was delivered twice: nothing was replayed")
+	}
+	var replays []Violation
+	for _, v := range w.out {
+		if strings.Contains(v.Detail, "acknowledged again") {
+			replays = append(replays, v)
+		}
+	}
+	if len(replays) == 0 {
+		t.Fatalf("the per-commit check reported no replay; its verdicts: %v", w.out)
+	}
+	v := replays[0]
+	at := fmt.Sprintf("after %s committed height %d: receipt %s acknowledged again (first at height %d)",
+		dst.ID, replayHeight, replayKey, firstAck[replayKey])
+	if v.Assertion != AssertConservation || v.Chain != dst.ID || v.Height != replayHeight || !strings.HasPrefix(v.Detail, at) {
+		t.Fatalf("the first replay verdict is %+v, want %s on %s at height %d: %q", v, AssertConservation, dst.ID, replayHeight, at)
+	}
+	if all := check(dep, DefaultAssertions(), w); !slices.Contains(all, v) {
+		t.Fatalf("check after the per-commit check = %v, want it to carry %v", all, v)
 	}
 }

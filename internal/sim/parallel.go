@@ -43,7 +43,7 @@ type pmsg struct {
 	dst   int
 	at    time.Duration
 	ctime time.Duration
-	fn    func()
+	h     Handler
 }
 
 // Parallel coordinates one run across partitioned schedulers.
@@ -124,20 +124,20 @@ func (p *Parallel) SchedulerOf(slot int) *Scheduler {
 	return p.parts[slot-1]
 }
 
-// Post delivers fn to partition slot dst at virtual time `at`, created
+// Post delivers h to partition slot dst at virtual time `at`, created
 // at `ctime` on slot src. Posts from partition workers buffer until the
 // window barrier; posts from the global slot (which only executes at
 // barriers) inject directly.
-func (p *Parallel) Post(src, dst int, at, ctime time.Duration, fn func()) {
+func (p *Parallel) Post(src, dst int, at, ctime time.Duration, h Handler) {
 	if src == GlobalPartition || !p.inWindow {
 		// Global posts and posts outside a window (deployment wiring,
 		// quiesced barriers) happen on the coordinating goroutine with
 		// every clock agreed — inject in creation order, which is the
 		// serial scheduler's order for these events.
-		p.SchedulerOf(dst).injectAt(at, ctime, fn)
+		p.SchedulerOf(dst).injectAt(at, ctime, h)
 		return
 	}
-	p.mail[src] = append(p.mail[src], pmsg{dst: dst, at: at, ctime: ctime, fn: fn})
+	p.mail[src] = append(p.mail[src], pmsg{dst: dst, at: at, ctime: ctime, h: h})
 }
 
 // Stop requests the run to halt at the next window barrier. Partitions
@@ -303,8 +303,8 @@ func (p *Parallel) flushMail(end time.Duration) {
 			panic(fmt.Sprintf("sim: horizon violation: message created at %v arrives at %v inside window ending %v",
 				m.ctime, m.at, end))
 		}
-		p.SchedulerOf(m.dst).injectAt(m.at, m.ctime, m.fn)
-		m.fn = nil
+		p.SchedulerOf(m.dst).injectAt(m.at, m.ctime, m.h)
+		m.h = nil
 	}
 	p.mergeBuf = buf[:0]
 }

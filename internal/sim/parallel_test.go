@@ -52,7 +52,7 @@ func TestParallelMatchesSerialOrder(t *testing.T) {
 		func(i int) *Scheduler { return par.Partition(i) },
 		func(src, dst int, delay time.Duration, fn func()) {
 			now := par.SchedulerOf(src).Now()
-			par.Post(src, dst, now+delay, now, fn)
+			par.Post(src, dst, now+delay, now, Func(fn))
 		},
 		par.RunUntil,
 	)
@@ -126,7 +126,7 @@ func TestParallelZeroLatencySelfLinks(t *testing.T) {
 func TestParallelSameTimestampCrossPartitionFIFO(t *testing.T) {
 	par := NewParallel(3, 3, 10*time.Millisecond)
 	var order []string
-	mark := func(s string) func() { return func() { order = append(order, s) } }
+	mark := func(s string) Func { return func() { order = append(order, s) } }
 	// Both partitions 1 and 2 post to partition 0: identical arrival time,
 	// but partition 2's messages were created earlier.
 	par.Partition(0).At(20*time.Millisecond, func() {
@@ -225,7 +225,7 @@ func TestParallelZeroHorizonErrors(t *testing.T) {
 func TestParallelDeployTimePostsInjectDirectly(t *testing.T) {
 	par := NewParallel(2, 2, 10*time.Millisecond)
 	var got bool
-	par.Post(1, 2, 3*time.Millisecond, 0, func() { got = true })
+	par.Post(1, 2, 3*time.Millisecond, 0, Func(func() { got = true }))
 	if err := par.RunUntil(5 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,11 @@ func (r *SerialResource) BusyTime() time.Duration { return r.totalBusy }
 // Submit enqueues a request with the given service time. done, which is
 // required, fires at the virtual time the request finishes.
 func (r *SerialResource) Submit(service time.Duration, done func()) {
+	r.SubmitHandler(service, handler(done))
+}
+
+// SubmitHandler is Submit for a Handler.
+func (r *SerialResource) SubmitHandler(service time.Duration, done Handler) {
 	if service < 0 {
 		service = 0
 	}
@@ -41,5 +46,5 @@ func (r *SerialResource) Submit(service time.Duration, done func()) {
 	finish := start + service
 	r.busyUntil = finish
 	r.totalBusy += service
-	r.sched.At(finish, done)
+	r.sched.AtHandler(finish, done)
 }

@@ -4,6 +4,13 @@
 // execute on a shared virtual clock owned by a Scheduler. Virtual seconds
 // elapse in real microseconds, which lets the experiment drivers replay
 // hours of the paper's wall-clock experiments deterministically and fast.
+//
+// An event runs a Handler. At, After and SerialResource.Submit take a
+// plain func(), wrapped as a Func, which allocates nothing; AtHandler,
+// AfterHandler, SubmitHandler and Parallel.Post take a Handler. The
+// per-message paths (gossiped votes and proposals, RPC hops) schedule
+// records they own and reuse, because a closure made per message costs
+// one allocation per message.
 package sim
 
 import (
@@ -15,7 +22,25 @@ import (
 // before reaching its deadline.
 var ErrStopped = errors.New("sim: scheduler stopped")
 
-// Event is a callback scheduled to fire at a virtual time.
+// Handler is the work an event does when it fires.
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to Handler. A func value is a single
+// pointer, so converting one to Handler allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// handler wraps fn, keeping nil nil.
+func handler(fn func()) Handler {
+	if fn == nil {
+		return nil
+	}
+	return Func(fn)
+}
+
+// event is a handler scheduled to fire at a virtual time.
 type event struct {
 	at time.Duration
 	// ctime is the virtual time the event was created at. Ordering ties
@@ -27,7 +52,7 @@ type event struct {
 	// scheduler would have dispatched them in.
 	ctime time.Duration
 	seq   uint64
-	fn    func()
+	h     Handler
 
 	// index is the event's slot in the queue while it is queued.
 	index int
@@ -160,19 +185,22 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 
 // At schedules fn to run at virtual time t. Times in the past are clamped
 // to the current time, so the event runs on the next dispatch.
-func (s *Scheduler) At(t time.Duration, fn func()) {
+func (s *Scheduler) At(t time.Duration, fn func()) { s.AtHandler(t, handler(fn)) }
+
+// AtHandler is At for a Handler.
+func (s *Scheduler) AtHandler(t time.Duration, h Handler) {
 	if t < s.now {
 		t = s.now
 	}
-	s.injectAt(t, s.now, fn)
+	s.injectAt(t, s.now, h)
 }
 
-// injectAt schedules fn at time t with an explicit creation time. The
+// injectAt schedules h at time t with an explicit creation time. The
 // parallel runner uses it to merge cross-partition messages that were
 // created on another partition's clock; At/After route through it with
 // ctime = now.
-func (s *Scheduler) injectAt(t, ctime time.Duration, fn func()) *event {
-	if fn == nil {
+func (s *Scheduler) injectAt(t, ctime time.Duration, h Handler) *event {
+	if h == nil {
 		return nil
 	}
 	s.seq++
@@ -181,9 +209,9 @@ func (s *Scheduler) injectAt(t, ctime time.Duration, fn func()) *event {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.at, ev.ctime, ev.seq, ev.fn = t, ctime, s.seq, fn
+		ev.at, ev.ctime, ev.seq, ev.h = t, ctime, s.seq, h
 	} else {
-		ev = &event{at: t, ctime: ctime, seq: s.seq, fn: fn}
+		ev = &event{at: t, ctime: ctime, seq: s.seq, h: h}
 	}
 	s.queue.push(ev)
 	return ev
@@ -223,10 +251,15 @@ func (s *Scheduler) runWindow(end time.Duration) bool {
 // After schedules fn to run delta after the current virtual time and
 // returns a Timer that Cancel takes to unschedule it.
 func (s *Scheduler) After(delta time.Duration, fn func()) Timer {
+	return s.AfterHandler(delta, handler(fn))
+}
+
+// AfterHandler is After for a Handler.
+func (s *Scheduler) AfterHandler(delta time.Duration, h Handler) Timer {
 	if delta < 0 {
 		delta = 0
 	}
-	ev := s.injectAt(s.now+delta, s.now, fn)
+	ev := s.injectAt(s.now+delta, s.now, h)
 	if ev == nil {
 		return Timer{}
 	}
@@ -244,21 +277,21 @@ func (s *Scheduler) Cancel(t Timer) {
 		return
 	}
 	s.queue.remove(ev.index)
-	ev.fn = nil
+	ev.h = nil
 	s.free = append(s.free, ev)
 }
 
 // step executes the earliest pending event, advancing the clock. The
-// event is recycled before its callback runs, so a callback that
+// event is recycled before its handler fires, so a handler that
 // schedules follow-up work reuses the just-freed slot.
 func (s *Scheduler) step() {
 	ev := s.queue.remove(0)
 	s.now = ev.at
 	s.processed++
-	fn := ev.fn
-	ev.fn = nil
+	h := ev.h
+	ev.h = nil
 	s.free = append(s.free, ev)
-	fn()
+	h.Fire()
 }
 
 // RunUntil dispatches events with timestamps at or before deadline.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -107,6 +108,44 @@ func TestSchedulerEventRecycling(t *testing.T) {
 	if s.Processed() != 2*n {
 		t.Fatalf("processed = %d", s.Processed())
 	}
+}
+
+// counter is a Handler that records its firings.
+type counter struct {
+	s    *Scheduler
+	name string
+	log  *[]string
+}
+
+func (c *counter) Fire() { *c.log = append(*c.log, fmt.Sprintf("%s@%v", c.name, c.s.Now())) }
+
+// TestHandlersShareTheFuncOrder: a handler and a func scheduled through
+// either form are events of one kind, dispatched in one (at, seq) order,
+// and wrapping a func as a Handler allocates nothing.
+func TestHandlersShareTheFuncOrder(t *testing.T) {
+	s := NewScheduler()
+	var log []string
+	mark := func(name string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s@%v", name, s.Now())) }
+	}
+	s.AfterHandler(2*time.Millisecond, &counter{s, "h1", &log})
+	s.After(time.Millisecond, mark("f1"))
+	s.AtHandler(time.Millisecond, &counter{s, "h2", &log})
+	s.At(2*time.Millisecond, mark("f2"))
+	NewSerialResource(s).SubmitHandler(time.Millisecond, &counter{s, "h3", &log})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[f1@1ms h2@1ms h3@1ms h1@2ms f2@2ms]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+	fn := func() {}
+	var h Handler
+	if a := testing.AllocsPerRun(100, func() { h = Func(fn) }); a != 0 {
+		t.Fatalf("wrapping a func allocates %.1f times", a)
+	}
+	_ = h
 }
 
 func TestSchedulerStop(t *testing.T) {

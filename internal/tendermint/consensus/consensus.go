@@ -49,10 +49,38 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// proposalMsg carries a proposed block between validators.
+// proposalMsg carries a proposed block between validators. It holds
+// one delivery record per validator, which the network schedules in
+// place of a closure.
 type proposalMsg struct {
+	e      *Engine
 	height int64
 	block  *types.Block
+	// extra is the block's size over the gossip bandwidth, a second hop
+	// after the network latency (0 for an empty block).
+	extra      time.Duration
+	deliveries []proposalDelivery
+}
+
+// proposalDelivery is a proposal's trip to one validator: the network
+// hop and then, for a non-empty block, the bandwidth-delay hop.
+type proposalDelivery struct {
+	msg    *proposalMsg
+	dst    *node
+	hopped bool // the network hop is done
+}
+
+// Fire ends one hop: after the network hop of a non-empty block it
+// schedules the bandwidth delay, after the last hop it hands over the
+// proposal.
+func (d *proposalDelivery) Fire() {
+	m := d.msg
+	if m.extra > 0 && !d.hopped {
+		d.hopped = true
+		m.e.sched.AfterHandler(m.extra, d)
+		return
+	}
+	m.e.onProposal(d.dst, m)
 }
 
 // blockPower accumulates one block ID's voting power within a height.
@@ -109,15 +137,41 @@ type node struct {
 	precommitted bool
 }
 
-// pooledVote is a recyclable gossiped vote. Delivery closures capture
-// the wrapper and the generation at cast time; a recycled wrapper bumps
-// the generation, so stale deliveries drop without touching the reused
-// vote. A vote carries no signature: commit assembly signs the
-// precommits it copies into fresh slices, so recycling a wrapper never
-// touches a commit.
+// pooledVote is a recyclable gossiped vote with one delivery record per
+// validator, which the network schedules in place of a closure. The
+// vote is live for its height; startHeight retires it, and a delivery
+// that fires after that drops it, as the height check in onVote would.
+// inFlight counts the deliveries the network scheduled and that have
+// not fired, so a retired vote returns to the pool only once none is
+// queued: a queued delivery never reads a reused vote. A vote carries
+// no signature: commit assembly signs the precommits it copies into
+// fresh slices, so recycling a vote never touches a commit.
 type pooledVote struct {
-	v   types.Vote
-	gen uint64
+	v          types.Vote
+	e          *Engine
+	deliveries []voteDelivery
+	inFlight   int
+	live       bool
+}
+
+// voteDelivery is a vote's trip to one validator.
+type voteDelivery struct {
+	pv  *pooledVote
+	dst *node
+}
+
+// Fire hands the vote to its validator while the vote is live, and
+// returns a retired vote to the pool when its last delivery lands.
+func (d *voteDelivery) Fire() {
+	pv := d.pv
+	pv.inFlight--
+	if pv.live {
+		pv.e.onVote(d.dst, &pv.v)
+		return
+	}
+	if pv.inFlight == 0 {
+		pv.e.votePool = append(pv.e.votePool, pv)
+	}
 }
 
 // Engine drives consensus for one chain.
@@ -140,12 +194,12 @@ type Engine struct {
 	// signer signs the precommits commit assembly copies into a commit.
 	signer CommitSigner
 
-	// votePool recycles gossiped vote allocations. A cast vote stays
-	// live for its height only (every receiver drops mismatched-height
-	// votes before any other use), so startHeight retires the previous
-	// height's votes back to the free list; the generation stamp turns a
-	// late delivery of a retired vote into the same silent drop the
-	// height check used to produce.
+	// votePool recycles gossiped votes and their delivery records. A
+	// cast vote stays live for its height only (every receiver drops
+	// mismatched-height votes before any other use), so startHeight
+	// retires the previous height's votes (liveVote): one with no
+	// delivery queued goes back to the free list at once, and one with
+	// deliveries queued goes back when the last of them fires.
 	votePool []*pooledVote
 	liveVote []*pooledVote
 
@@ -290,16 +344,7 @@ func (e *Engine) Start() {
 
 func (e *Engine) startHeight(h int64) {
 	e.totalRounds++
-	// Retire the previous height's gossiped votes: nothing references
-	// them past this point (tallies are reset below, commit signatures
-	// were value-copied at commit time), and the generation bump turns
-	// any still-in-flight delivery into the drop the height check in
-	// onVote would have produced anyway.
-	for _, pv := range e.liveVote {
-		pv.gen++
-		e.votePool = append(e.votePool, pv)
-	}
-	e.liveVote = e.liveVote[:0]
+	e.retireVotes()
 	for _, n := range e.nodes {
 		n.height = h
 		n.committed = false
@@ -312,6 +357,21 @@ func (e *Engine) startHeight(h int64) {
 	proposer := e.valset.Proposer(h, 0)
 	i, _ := e.valset.Index(proposer.Address)
 	e.propose(e.nodes[i], h)
+}
+
+// retireVotes retires the previous height's gossiped votes: nothing
+// references them past this point (startHeight resets the tallies,
+// commit signatures were value-copied at commit time), and a delivery
+// still queued drops its vote, as the height check in onVote would.
+func (e *Engine) retireVotes() {
+	for _, pv := range e.liveVote {
+		pv.live = false
+		if pv.inFlight == 0 {
+			e.votePool = append(e.votePool, pv)
+		}
+	}
+	clear(e.liveVote)
+	e.liveVote = e.liveVote[:0]
 }
 
 // propose reaps the mempool, assembles the block and gossips it.
@@ -335,17 +395,17 @@ func (e *Engine) propose(n *node, h int64) {
 
 	// Gossip the proposal: per-link latency plus size/bandwidth (an empty
 	// block adds nothing to the latency).
-	extra := time.Duration(int64(block.TotalSize()) * int64(time.Second) / simconf.ProposalBytesPerSecond)
-	msg := &proposalMsg{height: h, block: block}
-	for _, dst := range e.nodes {
-		dst := dst
-		e.net.Send(n.host, dst.host, func() {
-			if extra == 0 {
-				e.onProposal(dst, msg)
-				return
-			}
-			e.sched.After(extra, func() { e.onProposal(dst, msg) })
-		})
+	msg := &proposalMsg{
+		e:          e,
+		height:     h,
+		block:      block,
+		extra:      time.Duration(int64(block.TotalSize()) * int64(time.Second) / simconf.ProposalBytesPerSecond),
+		deliveries: make([]proposalDelivery, len(e.nodes)),
+	}
+	for i, dst := range e.nodes {
+		d := &msg.deliveries[i]
+		d.msg, d.dst = msg, dst
+		e.net.SendHandler(n.host, dst.host, d)
 	}
 }
 
@@ -378,14 +438,8 @@ func (e *Engine) castVote(n *node, vt types.SignedMsgType, blockID types.BlockID
 		}
 		n.precommitted = true
 	}
-	var pv *pooledVote
-	if k := len(e.votePool); k > 0 {
-		pv = e.votePool[k-1]
-		e.votePool[k-1] = nil
-		e.votePool = e.votePool[:k-1]
-	} else {
-		pv = &pooledVote{}
-	}
+	pv := e.newVote()
+	pv.live = true
 	e.liveVote = append(e.liveVote, pv)
 	pv.v = types.Vote{
 		Type:             vt,
@@ -394,16 +448,27 @@ func (e *Engine) castVote(n *node, vt types.SignedMsgType, blockID types.BlockID
 		Timestamp:        e.sched.Now(),
 		ValidatorAddress: n.addr,
 	}
-	gen := pv.gen
-	for _, dst := range e.nodes {
-		dst := dst
-		e.net.Send(n.host, dst.host, func() {
-			if pv.gen != gen {
-				return // vote retired: its height already committed
-			}
-			e.onVote(dst, &pv.v)
-		})
+	for i := range pv.deliveries {
+		if e.net.SendHandler(n.host, pv.deliveries[i].dst.host, &pv.deliveries[i]) {
+			pv.inFlight++
+		}
 	}
+}
+
+// newVote takes a vote from the pool, or makes one with its delivery
+// records the first time the pool runs dry.
+func (e *Engine) newVote() *pooledVote {
+	if k := len(e.votePool); k > 0 {
+		pv := e.votePool[k-1]
+		e.votePool[k-1] = nil
+		e.votePool = e.votePool[:k-1]
+		return pv
+	}
+	pv := &pooledVote{e: e, deliveries: make([]voteDelivery, len(e.nodes))}
+	for i, dst := range e.nodes {
+		pv.deliveries[i] = voteDelivery{pv: pv, dst: dst}
+	}
+	return pv
 }
 
 func (e *Engine) onVote(n *node, v *types.Vote) {
@@ -512,7 +577,11 @@ func (e *Engine) commitCanonical(block *types.Block, n *node, id types.BlockID) 
 	// Assemble the canonical commit from the precommits this node saw.
 	// These are the only vote signatures anything reads, so this is where
 	// each is signed, with its validator's own key.
-	commit := &types.Commit{Height: block.Header.Height, BlockID: id}
+	commit := &types.Commit{
+		Height:     block.Header.Height,
+		BlockID:    id,
+		Signatures: make([]types.CommitSig, 0, len(e.valset.Validators)),
+	}
 	for i, val := range e.valset.Validators {
 		sig := types.CommitSig{Flag: types.BlockIDFlagAbsent, ValidatorAddress: val.Address}
 		if v := n.precommits.votes[i]; v != nil {

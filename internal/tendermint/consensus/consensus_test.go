@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -560,6 +561,89 @@ func TestVotePoolSteadyStateAllocs(t *testing.T) {
 	}
 	if len(h.eng.votePool) == 0 {
 		t.Fatal("free list empty after a committed height: startHeight is not retiring votes")
+	}
+}
+
+// TestRetiredVoteWaitsForItsDeliveries: a vote retired while one of its
+// deliveries is still queued is not delivered by it, and its pooled
+// record is not cast again until that delivery has fired. A delivery
+// the network dropped is never counted as queued.
+func TestRetiredVoteWaitsForItsDeliveries(t *testing.T) {
+	h := newHarness(t, nil)
+	e := h.eng
+	for _, n := range e.nodes {
+		n.height = 1
+	}
+	from, slow := e.nodes[0], e.nodes[1]
+	h.net.SetLinkExtraLatency(from.host, slow.host, 10*time.Second)
+	id := types.BlockID{Hash: types.Hash{1}}
+	e.castVote(from, types.PrevoteType, id)
+	pv := e.liveVote[0]
+	if err := h.sched.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if pv.inFlight != 1 {
+		t.Fatalf("%d deliveries queued after 1 s, want the slow one", pv.inFlight)
+	}
+	e.retireVotes()
+	if slices.Contains(e.votePool, pv) {
+		t.Fatal("a vote went back to the pool with a delivery queued")
+	}
+	e.castVote(e.nodes[2], types.PrevoteType, id)
+	if e.liveVote[0] == pv {
+		t.Fatal("a vote with a delivery queued was cast again")
+	}
+	if err := h.sched.RunUntil(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if v := slow.prevotes.votes[0]; v != nil {
+		t.Fatalf("the retired vote was delivered: %+v", v)
+	}
+	if pv.inFlight != 0 || !slices.Contains(e.votePool, pv) {
+		t.Fatalf("after its last delivery: %d queued, pooled %v; want 0 and true",
+			pv.inFlight, slices.Contains(e.votePool, pv))
+	}
+
+	e.retireVotes()
+	h.net.Partition(from.host, slow.host)
+	e.castVote(from, types.PrecommitType, id)
+	cut := e.liveVote[0]
+	if cut.inFlight != len(e.nodes)-1 {
+		t.Fatalf("%d deliveries counted across a partition, want %d", cut.inFlight, len(e.nodes)-1)
+	}
+	if err := h.sched.RunUntil(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	e.retireVotes()
+	if cut.inFlight != 0 || !slices.Contains(e.votePool, cut) {
+		t.Fatalf("the partitioned vote: %d queued, pooled %v; want 0 and true",
+			cut.inFlight, slices.Contains(e.votePool, cut))
+	}
+}
+
+// TestVoteBroadcastAllocatesNothing: once the pool holds a vote, casting
+// one to 5 validators, delivering it and retiring it allocates nothing.
+func TestVoteBroadcastAllocatesNothing(t *testing.T) {
+	h := newHarness(t, nil)
+	e := h.eng
+	id := types.BlockID{Hash: types.Hash{1}}
+	broadcast := func() {
+		for _, n := range e.nodes {
+			n.height, n.prevoted = 1, false
+			n.prevotes.reset()
+		}
+		e.castVote(e.nodes[0], types.PrevoteType, id)
+		if err := h.sched.RunUntil(h.sched.Now() + time.Second); err != nil {
+			t.Fatal(err)
+		}
+		e.retireVotes()
+	}
+	broadcast() // makes the pooled vote and its delivery records
+	if got := e.nodes[4].prevotes.count(); got != 1 {
+		t.Fatalf("validator 4 tallied %d prevotes, want the one cast", got)
+	}
+	if a := testing.AllocsPerRun(100, broadcast); a != 0 {
+		t.Fatalf("a 5-validator vote broadcast allocates %.1f times, want 0", a)
 	}
 }
 

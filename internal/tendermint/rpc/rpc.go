@@ -177,12 +177,14 @@ func (s *Server) SetSettledQuery(fn func(SettledProbe) bool) { s.settled = fn }
 // state, and Cancel acts on the scheduler that holds the timer.
 func request[T any](s *Server, from netem.Host, service func() time.Duration, fn func() (T, error), cb func(T, error)) {
 	c := &call[T]{s: s, from: from, service: service, fn: fn, cb: cb}
-	c.timer = s.net.SchedulerFor(from).After(s.clientTimeout, c.timeout)
-	s.net.Send(from, s.host, c.arrive)
+	c.timer = s.net.SchedulerFor(from).AfterHandler(s.clientTimeout, (*callTimeout[T])(c))
+	s.net.SendHandler(from, s.host, c)
 }
 
-// call is one request in flight: a single allocation holding what the
-// hops, the service and the timeout share.
+// call is one request in flight: the single allocation of a request,
+// holding what the hops, the service and the timeout share. It is the
+// handler of its own hops, which run one after another (stage), and,
+// converted to callTimeout, of its timeout, which races them.
 type call[T any] struct {
 	s       *Server
 	from    netem.Host
@@ -190,25 +192,43 @@ type call[T any] struct {
 	fn      func() (T, error)
 	cb      func(T, error)
 	timer   sim.Timer
+	stage   callStage
 	done    bool
 	v       T
 	err     error
 }
 
-// arrive queues the request on the serial resource (server side).
-func (c *call[T]) arrive() { c.s.serial.Submit(c.service(), c.serve) }
+// callStage is the hop a call's next Fire ends.
+type callStage uint8
 
-// serve computes the reply and sends it back (server side).
-func (c *call[T]) serve() {
-	c.v, c.err = c.fn()
-	c.s.net.Send(c.s.host, c.from, c.reply)
+const (
+	stageArrive callStage = iota // client -> server: queue on the serial resource
+	stageServe                   // service done: compute the reply, send it back
+	stageReply                   // server -> client: call back
+)
+
+// Fire ends the call's current hop and starts the next.
+func (c *call[T]) Fire() {
+	switch c.stage {
+	case stageArrive:
+		c.stage = stageServe
+		c.s.serial.SubmitHandler(c.service(), c)
+	case stageServe:
+		c.v, c.err = c.fn()
+		c.stage = stageReply
+		c.s.net.SendHandler(c.s.host, c.from, c)
+	case stageReply:
+		c.finish(c.v, c.err)
+	}
 }
 
-func (c *call[T]) reply() { c.finish(c.v, c.err) }
+// callTimeout is a call seen as the handler of its client-side timeout.
+type callTimeout[T any] call[T]
 
-func (c *call[T]) timeout() {
+// Fire expires the call, unless its reply came first.
+func (t *callTimeout[T]) Fire() {
 	var zero T
-	c.finish(zero, ErrTimeout)
+	(*call[T])(t).finish(zero, ErrTimeout)
 }
 
 // finish calls back once, with whichever of the reply and the timeout

@@ -233,6 +233,53 @@ func TestDroppedReplyTimesOut(t *testing.T) {
 	}
 }
 
+// TestLateReplyCallsBackOnce: a reply that lands after the client
+// timeout finds the call answered and calls back no second time.
+func TestLateReplyCallsBackOnce(t *testing.T) {
+	f := newFixture(150 * time.Millisecond) // under the 200 ms round trip
+	calls := 0
+	var got error
+	f.server.QueryAccountSequence(f.client, "alice", func(_ uint64, err error) {
+		calls++
+		got = err
+	})
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || !errors.Is(got, ErrTimeout) {
+		t.Fatalf("%d callbacks, last err %v; want one ErrTimeout", calls, got)
+	}
+	// arrive, serve, timeout and the late reply.
+	if n := f.sched.Processed(); n != 4 {
+		t.Fatalf("%d events fired, want 4 (the reply was not delivered)", n)
+	}
+}
+
+// TestQueryTxAllocatesTheCallAlone: after warm-up, a QueryTx round trip
+// allocates the call and QueryTx's own lookup closure, and nothing per
+// hop.
+func TestQueryTxAllocatesTheCallAlone(t *testing.T) {
+	f := newFixture(timeout)
+	committed := tx{id: "c"}
+	commitBlock(f, 1, committed)
+	hash := committed.Hash()
+	var info *store.TxInfo
+	cb := func(i *store.TxInfo, _ error) { info = i }
+	roundTrip := func() {
+		f.server.QueryTx(f.client, hash, cb)
+		if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip()
+	if info == nil || info.Height != 1 {
+		t.Fatalf("info = %+v", info)
+	}
+	if a := testing.AllocsPerRun(100, roundTrip); a > 2 {
+		t.Fatalf("a QueryTx round trip allocates %.1f times, want at most 2", a)
+	}
+}
+
 func TestQueryBlockEvents(t *testing.T) {
 	// The indexed query serves the shared BlockEvents at exactly the
 	// tx_search service cost: one network hop each way plus
