@@ -90,9 +90,9 @@ type Tx struct {
 var _ types.Tx = (*Tx)(nil)
 
 // NewTx assembles a transaction. Gas limit defaults to the standard
-// gas-wanted estimate for its messages. The hash is sealed eagerly so a
-// transaction crossing partition boundaries never lazily writes its
-// cache fields from a foreign goroutine.
+// gas-wanted estimate for its messages. The hash and size are sealed
+// eagerly, so a transaction that several chains' readers share is never
+// written after it is built.
 func NewTx(signer string, sequence uint64, nonce uint64, msgs []Msg) *Tx {
 	tx := &Tx{Signer: signer, Sequence: sequence, Nonce: nonce, Msgs: msgs}
 	tx.GasLimit = GasWantedFor(msgs)

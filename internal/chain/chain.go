@@ -190,7 +190,9 @@ type Pair struct {
 // both ends open with ibc.SeedOpenEnd. Each call consumes the next free
 // ordinal n on each chain, so on a the link uses channel-n, connection-n
 // and 07-tendermint-n, and a chain can be linked to many counterparties
-// (hub, mesh and line topologies).
+// (hub, mesh and line topologies). Each keeper gets the other chain's
+// state for its new client, the stand-in for an absence proof in
+// performance mode (ibc.Keeper.SetCounterpartyState).
 func Link(a, b *Chain) *Pair {
 	ordA, ordB := a.links, b.links
 	a.links++
@@ -209,5 +211,7 @@ func Link(a, b *Chain) *Pair {
 	a.App.State().CommitTx()
 	ibc.SeedOpenEnd(b.App.State(), endB, endA, a.ClientStateFor())
 	b.App.State().CommitTx()
+	a.Keeper.SetCounterpartyState(p.ClientOnA, b.App.State())
+	b.Keeper.SetCounterpartyState(p.ClientOnB, a.App.State())
 	return p
 }

@@ -1,13 +1,17 @@
 package chain
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"ibcbench/internal/abci"
 	"ibcbench/internal/app"
 	"ibcbench/internal/ibc"
+	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/netem"
 	"ibcbench/internal/sim"
+	"ibcbench/internal/tendermint/types"
 )
 
 func newTestChain(t *testing.T, sched *sim.Scheduler, net *netem.Network, id string) *Chain {
@@ -121,5 +125,82 @@ func TestTestbedProducesBlocks(t *testing.T) {
 	}
 	if pair.A.Store.Height() < 3 || pair.B.Store.Height() < 3 {
 		t.Fatalf("heights %d / %d after 30s", pair.A.Store.Height(), pair.B.Store.Height())
+	}
+}
+
+// deliverBlock executes msgs as the one tx of block h on c's app,
+// outside consensus, and returns the tx's result.
+func deliverBlock(t *testing.T, c *Chain, h int64, signer string, msgs ...app.Msg) abci.TxResult {
+	t.Helper()
+	seq, err := c.App.AccountSequence(signer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := app.NewTx(signer, seq, uint64(h), msgs)
+	tx.GasLimit = 1 << 40
+	c.App.BeginBlock(h, time.Duration(h)*5*time.Second)
+	res := c.App.DeliverTx(tx)
+	c.App.EndBlock(h)
+	c.App.Commit()
+	return res
+}
+
+// headerOf is a header of c at height h, for a counterparty's light
+// client; performance mode trusts it unsigned.
+func headerOf(c *Chain, h int64) ibc.HeaderBundle {
+	return ibc.HeaderBundle{Header: types.Header{ChainID: c.ID, Height: h, Time: time.Duration(h) * 5 * time.Second}}
+}
+
+// TestTimeoutOfReceivedPacketRefused submits a MsgTimeout for a packet
+// the destination has received, straight to the source chain: no
+// relayer builds it, so no receipt probe stands in the way. In
+// performance mode there is no absence proof to refute it; the keeper
+// checks the counterparty's committed state, which holds the receipt,
+// and refuses the timeout instead of refunding the sender a second time.
+func TestTimeoutOfReceivedPacketRefused(t *testing.T) {
+	sched, net := harness(t)
+	a := newTestChain(t, sched, net, "a")
+	b := newTestChain(t, sched, net, "b")
+	p := Link(a, b)
+	a.App.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 1000})
+	for _, c := range []*Chain{a, b} {
+		c.App.CreateAccount("relayer", app.Coin{Denom: "stake", Amount: 1 << 40})
+	}
+
+	res := deliverBlock(t, a, 1, "alice", transfer.MsgTransfer{
+		Sender: "alice", Receiver: "bob", Token: app.Coin{Denom: "uatom", Amount: 77},
+		SourcePort: p.Port, SourceChannel: p.ChannelAB, TimeoutHeight: 3,
+	})
+	if !res.IsOK() {
+		t.Fatalf("transfer: %s", res.Log)
+	}
+	var packet *ibc.Packet
+	for _, ev := range res.Events {
+		if pk, ok := ev.Data.(*ibc.Packet); ok {
+			packet = pk
+		}
+	}
+	if packet == nil {
+		t.Fatal("transfer emitted no packet")
+	}
+
+	// b receives the packet at height 2, before its timeout height.
+	if res := deliverBlock(t, b, 1, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnB, Bundle: headerOf(a, 2)}); !res.IsOK() {
+		t.Fatalf("update b's client: %s", res.Log)
+	}
+	if res := deliverBlock(t, b, 2, "relayer", ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
+		t.Fatalf("recv: %s", res.Log)
+	}
+
+	// A timeout at a proof height past the timeout height, with no proof.
+	if res := deliverBlock(t, a, 2, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnA, Bundle: headerOf(b, 5)}); !res.IsOK() {
+		t.Fatalf("update a's client: %s", res.Log)
+	}
+	res = deliverBlock(t, a, 3, "relayer", ibc.MsgTimeout{Packet: *packet, ProofHeight: 5})
+	if res.IsOK() || !strings.Contains(res.Log, ibc.ErrProofVerify.Error()) {
+		t.Fatalf("timeout of a received packet: code %d log %q, want %v", res.Code, res.Log, ibc.ErrProofVerify)
+	}
+	if got := a.App.Bank().Balance("alice", "uatom"); got != 923 {
+		t.Fatalf("alice holds %d uatom after the refused timeout, want 923", got)
 	}
 }

@@ -31,8 +31,8 @@ type TopologyResult struct {
 // `rate` requests/second for the configured windows, plus — on graphs of
 // three or more chains — one multi-hop route between the two
 // lowest-indexed non-adjacent leaves, run as sequential transfers or,
-// when forwarded, through the packet-forward middleware. Seeds run
-// concurrently on the parallel runner.
+// when forwarded, through the packet-forward middleware. Seeds run as
+// whole runs side by side on scenario.ParallelMap (see grid).
 func TopologySweep(opt Options, spec string, rate int, forwarded bool) (TopologyResult, error) {
 	tp, err := topo.ParseSpec(spec)
 	if err != nil {

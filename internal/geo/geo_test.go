@@ -8,6 +8,28 @@ import (
 	"ibcbench/internal/sim"
 )
 
+// probe is a network without jitter, so a message arrives exactly one
+// base latency after it is sent: latency measures a pair by delivery.
+type probe struct {
+	s *sim.Scheduler
+	n *netem.Network
+}
+
+func newProbe() probe {
+	cfg := netem.DefaultWAN()
+	cfg.JitterRelStd = 0
+	s := sim.NewScheduler()
+	return probe{s, netem.New(s, sim.NewRNG(1), cfg)}
+}
+
+func (p probe) latency(from, to netem.Host) time.Duration {
+	start := p.s.Now()
+	var at time.Duration
+	p.n.Send(from, to, func() { at = p.s.Now() })
+	p.s.RunUntil(start + time.Hour)
+	return at - start
+}
+
 // latency reads the table by region name.
 func latency(m *Model, from, to Region) time.Duration {
 	return m.OneWay[m.index(from)][m.index(to)]
@@ -68,65 +90,64 @@ func TestParseSpec(t *testing.T) {
 func TestCompileCompleteness(t *testing.T) {
 	m := ThreeRegionWAN()
 	a := NewAssignment(m)
-	n := netem.New(sim.NewScheduler(), sim.NewRNG(1), netem.DefaultWAN())
+	p := newProbe()
 	hosts := []netem.Host{"eu/val0", "eu/val1", "us/val0", "ap/val0"}
 	regions := []Region{"eu-west", "eu-west", "us-east", "ap-south"}
 	for i, h := range hosts {
-		a.Place(n, h, regions[i])
+		a.Place(p.n, h, regions[i])
 	}
 	for i, from := range hosts {
 		for j, to := range hosts {
 			if i == j {
 				continue
 			}
-			if got, want := n.Latency(from, to), latency(m, regions[i], regions[j]); got != want {
+			if got, want := p.latency(from, to), latency(m, regions[i], regions[j]); got != want {
 				t.Fatalf("%s -> %s latency %v, want %v", from, to, got, want)
 			}
 		}
 	}
 	// Spot-check the intra path and both directions of one cross pair.
-	if got := n.Latency("eu/val1", "eu/val0"); got != 200*time.Microsecond {
+	if got := p.latency("eu/val1", "eu/val0"); got != 200*time.Microsecond {
 		t.Fatalf("intra-region pair got %v", got)
 	}
-	if got := n.Latency("eu/val0", "us/val0"); got != 40*time.Millisecond {
+	if got := p.latency("eu/val0", "us/val0"); got != 40*time.Millisecond {
 		t.Fatalf("eu->us pair got %v", got)
 	}
-	if got := n.Latency("us/val0", "eu/val0"); got != 45*time.Millisecond {
+	if got := p.latency("us/val0", "eu/val0"); got != 45*time.Millisecond {
 		t.Fatalf("us->eu pair got %v", got)
 	}
 	// Placing a host again leaves its pairs, and its own loopback, as
 	// they were.
-	a.Place(n, "eu/val0", "eu-west")
-	if got := n.Latency("eu/val0", "eu/val0"); got != netem.DefaultWAN().LoopbackLatency {
+	a.Place(p.n, "eu/val0", "eu-west")
+	if got := p.latency("eu/val0", "eu/val0"); got != netem.DefaultWAN().LoopbackLatency {
 		t.Fatalf("re-placed host's loopback latency %v", got)
 	}
-	if got := n.Latency("ap/val0", "eu/val0"); got != 95*time.Millisecond {
+	if got := p.latency("ap/val0", "eu/val0"); got != 95*time.Millisecond {
 		t.Fatalf("ap->eu pair after re-placing got %v", got)
 	}
 }
 
 func TestApplyAsymmetricOnNetwork(t *testing.T) {
-	s := sim.NewScheduler()
-	n := netem.New(s, sim.NewRNG(1), netem.DefaultWAN())
+	p := newProbe()
 	a := NewAssignment(ThreeRegionWAN())
-	a.Place(n, "h-eu", "eu-west")
-	a.Place(n, "h-us", "us-east")
-	if got := n.Latency("h-eu", "h-us"); got != 40*time.Millisecond {
+	a.Place(p.n, "h-eu", "eu-west")
+	a.Place(p.n, "h-us", "us-east")
+	if got := p.latency("h-eu", "h-us"); got != 40*time.Millisecond {
 		t.Fatalf("eu->us latency %v", got)
 	}
-	if got := n.Latency("h-us", "h-eu"); got != 45*time.Millisecond {
+	if got := p.latency("h-us", "h-eu"); got != 45*time.Millisecond {
 		t.Fatalf("us->eu latency %v", got)
 	}
 	// A third host joins ap-south: pairs in both directions appear.
-	a.Place(n, "h-late", "ap-south")
-	if got := n.Latency("h-late", "h-eu"); got != 95*time.Millisecond {
+	a.Place(p.n, "h-late", "ap-south")
+	if got := p.latency("h-late", "h-eu"); got != 95*time.Millisecond {
 		t.Fatalf("ap->eu latency %v", got)
 	}
-	if got := n.Latency("h-us", "h-late"); got != 110*time.Millisecond {
+	if got := p.latency("h-us", "h-late"); got != 110*time.Millisecond {
 		t.Fatalf("us->ap latency %v", got)
 	}
 	// Unassigned hosts keep the config default.
-	if got := n.Latency("h-eu", "stranger"); got != 100*time.Millisecond {
+	if got := p.latency("h-eu", "stranger"); got != 100*time.Millisecond {
 		t.Fatalf("unassigned pair latency %v", got)
 	}
 }

@@ -194,6 +194,7 @@ func linkChains(t *testing.T, a, b *testChain) (onA, onB ibc.EndIDs) {
 	}{{a, b, onA, onB}, {b, a, onB, onA}} {
 		ibc.SeedOpenEnd(s.host.app.State(), s.self, s.cp, s.peer.clientState())
 		s.host.app.State().CommitTx()
+		s.host.keeper.SetCounterpartyState(s.self.Client, s.peer.app.State())
 		s.host.clientOf[s.peer.chainID] = s.self.Client
 		s.host.emptyBlock() // commit the ends, so a proof can show them
 	}

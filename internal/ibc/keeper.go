@@ -66,6 +66,9 @@ type Keeper struct {
 	// under, made on its first full-proof update: the set a client pins
 	// never changes, so it is built once and not per header.
 	valsets map[string]clientValset
+	// counterparties holds, per light client, the state of the chain
+	// that client tracks (see SetCounterpartyState).
+	counterparties map[string]*app.State
 }
 
 // clientValset is a light client's validator set and the stored
@@ -88,6 +91,20 @@ func NewKeeper(a *app.App) *Keeper {
 
 // BindPort attaches a module to a port.
 func (k *Keeper) BindPort(port string, m PortModule) { k.ports[port] = m }
+
+// SetCounterpartyState hands the keeper the state of the chain that
+// light client clientID tracks. It is the simulator's stand-in for an
+// absence proof in performance mode, where none is carried: a timeout
+// is refused when that state holds the packet's receipt, which is what
+// the proof would disprove. A chain executes each block within one
+// event, so whenever this keeper runs, the counterparty's state is its
+// committed state.
+func (k *Keeper) SetCounterpartyState(clientID string, st *app.State) {
+	if k.counterparties == nil {
+		k.counterparties = make(map[string]*app.State)
+	}
+	k.counterparties[clientID] = st
+}
 
 // --- stored-object helpers -------------------------------------------------
 
@@ -251,13 +268,18 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 	return nil
 }
 
-// verifyNonMembership checks a counterparty absence proof.
+// verifyNonMembership checks a counterparty absence proof. With proofs
+// disabled (performance mode) it checks the counterparty's committed
+// state instead, when the keeper has it.
 func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, key []byte, proof *merkle.NonMembershipProof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
 	}
 	if !ctx.State.FullProofs() {
+		if cp := k.counterparties[clientID]; cp != nil && cp.Has(key) {
+			return fmt.Errorf("%w: %s is present on the counterparty", ErrProofVerify, string(key))
+		}
 		return nil
 	}
 	if proof == nil {

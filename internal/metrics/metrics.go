@@ -144,9 +144,9 @@ var unseen Lifecycle
 // first touch, so growth never copies one.
 //
 // Writers lock: one link's tracker receives records from actors on both
-// of its chains' partitions. Readers (the analysis pass, the scenario
-// driver's route polling) run with every partition quiesced and need no
-// lock.
+// of its chains, though a serial run never contends. Readers (the
+// analysis pass, the scenario driver's route polling) run between
+// events and need no lock.
 type Tracker struct {
 	mu     sync.Mutex
 	tables []channelTable
@@ -206,7 +206,7 @@ func (t *Tracker) slot(key PacketKey, grow bool) *Lifecycle {
 // earliest recorded time wins — in virtual-time order that is exactly
 // the old first-write-wins rule (a redundant relayer's later duplicate
 // completion never moves the time), stated in a form independent of the
-// order concurrent partitions happen to call in.
+// order its callers happen to call in.
 func (t *Tracker) Record(key PacketKey, step Step, at time.Duration) {
 	i := int(step) - 1
 	if i < 0 || i >= NumSteps {

@@ -83,45 +83,27 @@ type linkState struct {
 	partitioned int
 }
 
-// Partitioner routes deliveries between partitioned schedulers; the
-// parallel runner (sim.Parallel) implements it. Slot 0 is the global
-// partition, which executes only at quiesced window barriers.
-type Partitioner interface {
-	// PartitionOf resolves a host name to its partition slot (0 = global).
-	PartitionOf(host string) int
-	// SchedulerOf returns the scheduler behind a partition slot.
-	SchedulerOf(slot int) *sim.Scheduler
-	// Post delivers h to slot dst at virtual time at, created at ctime
-	// on slot src.
-	Post(src, dst int, at, ctime time.Duration, h sim.Handler)
-}
-
 // Network delivers messages between hosts with emulated latency.
 type Network struct {
 	sched *sim.Scheduler
 	cfg   Config
 
 	// netSeed derives every host's private latency/drop RNG stream, so a
-	// host's draw sequence depends only on its own send order — the
-	// property that lets partitioned runs consume streams identically to
-	// the serial scheduler.
+	// host's draw sequence depends only on its own send order, not on
+	// which other hosts sent in between.
 	netSeed int64
-	// rngMu guards the stream map only; each stream itself is drawn from
-	// exclusively by its host's owning partition.
+	// rngMu guards the stream map only; each stream is drawn from only
+	// by its own host's sends.
 	rngMu    sync.RWMutex
 	hostRNGs map[Host]*sim.RNG
 
-	// linkMu guards links: Send and Latency only read (link mutation is
-	// confined to deploy time and quiesced chaos barriers).
+	// linkMu guards links: Send only reads, and links change only at
+	// deploy time and in chaos events.
 	linkMu sync.RWMutex
 	// links holds per-directed-pair overrides (latencies, overlays,
 	// partitions). The hot path consults it with a single lookup, skipped
 	// entirely while the map is empty.
 	links map[linkKey]*linkState
-
-	// parts is nil in serial runs; when set, deliveries route to the
-	// destination host's partition scheduler or its barrier mailbox.
-	parts Partitioner
 
 	sent    atomic.Uint64
 	dropped atomic.Uint64
@@ -139,21 +121,6 @@ func New(s *sim.Scheduler, rng *sim.RNG, cfg Config) *Network {
 		cfg:      cfg,
 		links:    make(map[linkKey]*linkState),
 	}
-}
-
-// SetPartitioner routes subsequent deliveries through partitioned
-// schedulers. Call before any Send.
-func (n *Network) SetPartitioner(p Partitioner) { n.parts = p }
-
-// SchedulerFor returns the scheduler owning a host's events: the shared
-// scheduler in serial runs, the host's partition scheduler when
-// partitioned. Components use it to run host-local work (client
-// timeouts, retries) on the clock that owns the host.
-func (n *Network) SchedulerFor(h Host) *sim.Scheduler {
-	if n.parts == nil {
-		return n.sched
-	}
-	return n.parts.SchedulerOf(n.parts.PartitionOf(string(h)))
 }
 
 // hostRNG returns the sender's private stream, derived from the network
@@ -265,34 +232,11 @@ func (n *Network) Sent() uint64 { return n.sent.Load() }
 // Dropped reports messages lost to DropRate, overlays or partitions.
 func (n *Network) Dropped() uint64 { return n.dropped.Load() }
 
-// Latency reports the base one-way latency between two hosts, including
-// any active overlay's extra latency.
-func (n *Network) Latency(from, to Host) time.Duration {
-	n.linkMu.RLock()
-	defer n.linkMu.RUnlock()
-	if st, ok := n.links[linkKey{from, to}]; ok {
-		if st.hasLatency {
-			return st.latency + st.extraLatency
-		}
-		if from == to {
-			return n.cfg.LoopbackLatency + st.extraLatency
-		}
-		return n.cfg.OneWayLatency + st.extraLatency
-	}
-	if from == to {
-		return n.cfg.LoopbackLatency
-	}
-	return n.cfg.OneWayLatency
-}
-
 // Send delivers fn on the destination host after the emulated latency.
 // Messages may be dropped by partitions or the configured drop rate.
 //
 // Latency and drop draws consume the sender host's private stream, so
-// they depend only on that host's own send order. Send must run on the
-// partition owning `from` (or at a quiesced barrier, when every clock
-// agrees) — which every component satisfies by construction, since
-// actors only emit from their own host.
+// they depend only on that host's own send order.
 func (n *Network) Send(from, to Host, fn func()) { n.SendHandler(from, to, sim.Func(fn)) }
 
 // SendHandler is Send for a handler the caller owns, and reports
@@ -327,53 +271,8 @@ func (n *Network) SendHandler(from, to Host, h sim.Handler) bool {
 		n.dropped.Add(1)
 		return false
 	}
-	d := time.Duration(rng.Jitter(float64(base), n.cfg.JitterRelStd))
-	if n.parts == nil {
-		n.sched.AfterHandler(d, h)
-		return true
-	}
-	sp := n.parts.PartitionOf(string(from))
-	dp := n.parts.PartitionOf(string(to))
-	if sp == dp {
-		// Same partition (or both global): an ordinary scheduler event.
-		n.parts.SchedulerOf(dp).AfterHandler(d, h)
-		return true
-	}
-	now := n.parts.SchedulerOf(sp).Now()
-	n.parts.Post(sp, dp, now+d, now, h)
+	n.sched.AfterHandler(time.Duration(rng.Jitter(float64(base), n.cfg.JitterRelStd)), h)
 	return true
-}
-
-// MinCrossPartitionLatency reports a lower bound on the jittered
-// delivery latency of every cross-partition send: the minimum over the
-// network default and all cross-partition link latencies of
-// base·(1−4·jitter) — sim.RNG.Jitter truncates at ±4σ, and chaos
-// overlays only ever add latency. A non-positive bound means the
-// deployment has no usable lookahead (parallel runs must fall back to
-// serial). partOf resolves a host to its partition slot.
-func (n *Network) MinCrossPartitionLatency(partOf func(string) int) time.Duration {
-	// Pairs without an override use the config default; include it
-	// unconditionally since future hosts may appear on default links.
-	min := n.cfg.OneWayLatency
-	n.linkMu.RLock()
-	defer n.linkMu.RUnlock()
-	// order-free: a minimum
-	for k, st := range n.links {
-		if st.hasLatency && st.latency < min && partOf(string(k.from)) != partOf(string(k.to)) {
-			min = st.latency
-		}
-	}
-	return n.cfg.MinJittered(min)
-}
-
-// MinJittered is the least delivery latency a send over a base latency
-// can draw: base·(1−4·JitterRelStd), since sim.RNG.Jitter truncates at
-// ±4σ.
-func (c Config) MinJittered(base time.Duration) time.Duration {
-	if c.JitterRelStd <= 0 {
-		return base
-	}
-	return time.Duration(float64(base) * (1 - 4*c.JitterRelStd))
 }
 
 // String summarizes the network configuration.

@@ -56,9 +56,6 @@ func TestLinkOverride(t *testing.T) {
 	if back != 100*time.Millisecond {
 		t.Fatalf("reverse direction %v, want default", back)
 	}
-	if ab, ba := n.Latency("a", "b"), n.Latency("b", "a"); ab != 5*time.Millisecond || ba != 100*time.Millisecond {
-		t.Fatalf("latency a->b %v, b->a %v; want 5ms, 100ms", ab, ba)
-	}
 }
 
 func TestPartitionAndHeal(t *testing.T) {
@@ -174,9 +171,6 @@ func TestLinkOverlaySpikeAndClear(t *testing.T) {
 	}
 	if at != 50*time.Millisecond {
 		t.Fatalf("spiked delivery at %v, want 50ms", at)
-	}
-	if got := n.Latency("a", "b"); got != 50*time.Millisecond {
-		t.Fatalf("Latency under overlay = %v", got)
 	}
 	n.SetLinkExtraLatency("a", "b", 0)
 	start := s.Now()

@@ -24,8 +24,7 @@ import (
 // Events are emitted in a canonical total order — (TS, phase, track,
 // name, id, arg, dur) — rather than recording order, so two runs that
 // record the same multiset of events produce byte-identical documents
-// even when the recording interleaving differs (parallel vs serial
-// execution of the same deployment).
+// even when the recording interleaving differs.
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")

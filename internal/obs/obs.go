@@ -58,11 +58,10 @@ type Event struct {
 // zero value is not usable; create one through New. A nil *Tracer is a
 // valid no-op target for every recording method.
 type Tracer struct {
-	// mu guards interning and the event buffer. Under parallel
-	// simulation several partition workers record into one tracer;
-	// serial runs pay one uncontended lock per event. Export-side
-	// readers (Events, Len) run only while the simulation is quiesced
-	// but take the lock anyway for -race cleanliness.
+	// mu guards interning and the event buffer. A serial run pays one
+	// uncontended lock per event. Export-side readers (Events, Len) run
+	// only between events but take the lock anyway for -race
+	// cleanliness.
 	mu sync.Mutex
 
 	names    []string

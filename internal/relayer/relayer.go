@@ -188,8 +188,7 @@ func New(sched *sim.Scheduler, rng *sim.RNG, cfg Config, pair *chain.Pair) *Rela
 		sched: sched,
 		// Derive a private nonce stream: submission nonces then depend
 		// only on this relayer's own submit order, not on how draws from
-		// a shared stream interleave across relayers (which the parallel
-		// runner could not reproduce).
+		// a shared stream interleave across relayers.
 		rng:  sim.NewRNG(rng.Int63()),
 		cfg:  cfg,
 		host: netem.Host("relayer/" + cfg.Name),
@@ -627,8 +626,8 @@ func (r *Relayer) flushNext(dst *endpoint) {
 	// counterparty can be submitted; the rest wait for the next block
 	// frame. Gating on the event-observed height (not a live store read)
 	// keeps the decision a function of this relayer's own message
-	// history, which the parallel runner reproduces exactly; the header
-	// read for a client update is then immutable committed data.
+	// history; the header read for a client update is then immutable
+	// committed data.
 	n := 0
 	for n < len(dst.outbox) && n < simconf.RelayerMaxMsgsPerTx && dst.outbox[n].proofHeight <= src.height {
 		n++
@@ -800,9 +799,8 @@ func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, upd []int
 // chain — the receipt exists on the destination (recv) or the commitment
 // is cleared on the source (ack/timeout). Models Hermes'
 // unreceived_packets / unreceived_acks re-query before a rebuild, as one
-// batched RPC against committed state (like every other state read, so
-// it works across partition boundaries). A settled recv marks its packet
-// received.
+// batched RPC against committed state, like every other state read. A
+// settled recv marks its packet received.
 func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
 	var candidates []outMsg
 	var probes []rpc.SettledProbe

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -230,48 +228,6 @@ func TestReceivedPacketIsNotTimedOut(t *testing.T) {
 		}
 		if v := Check(dep, DefaultAssertions()); len(v) != 0 {
 			t.Fatalf("seed %d: violations: %v", seed, v)
-		}
-	}
-}
-
-// TestParallelTimeoutsMatchSerial runs expiring packets through the
-// parallel runner: the relayer decides whether a packet timed out from
-// its own history of the destination, not from that chain's live state,
-// which another worker may be writing. Both plaintimeout (packets that
-// were never received, refunded) and receivedTimeoutSpec (packets that
-// were) must give the serial result byte for byte; run it with -race.
-func TestParallelTimeoutsMatchSerial(t *testing.T) {
-	e, ok := Lookup("plaintimeout")
-	if !ok {
-		t.Fatal("plaintimeout builtin missing")
-	}
-	for _, spec := range []Spec{e.Spec, receivedTimeoutSpec(t)} {
-		var want []byte
-		for _, workers := range []int{0, 2} {
-			spec.Deploy.ParallelWorkers = workers
-			sc, err := Compile(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, dep, err := sc.RunDeployed(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dep.Parallel() != (workers > 0) {
-				t.Fatalf("workers %d: parallel = %v", workers, dep.Parallel())
-			}
-			if v := Check(dep, DefaultAssertions()); len(v) != 0 {
-				t.Fatalf("workers %d: violations: %v", workers, v)
-			}
-			got, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if workers == 0 {
-				want = got
-			} else if !bytes.Equal(got, want) {
-				t.Errorf("%s: parallel result diverged from serial\nserial:   %.400s\nparallel: %.400s", spec.Name, want, got)
-			}
 		}
 	}
 }

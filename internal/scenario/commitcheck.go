@@ -75,9 +75,7 @@ type watchedVoucher struct {
 }
 
 // watchCommits attaches the checks to every chain of a deployment before
-// it runs. Only a serial deployment may have them: a hook reads other
-// chains' state, which under the parallel runner belongs to other
-// workers.
+// it runs.
 func watchCommits(d *topo.Deployment) *commitWatch {
 	w := &commitWatch{
 		sides:    linkSides(d),

@@ -38,7 +38,6 @@ func Compile(s Spec) (topo.Scenario, error) {
 			RelayersPerEdge:     s.Deploy.RelayersPerEdge,
 			ClearIntervalBlocks: s.Deploy.ClearIntervalBlocks,
 			Standby:             s.Deploy.Standby,
-			ParallelWorkers:     s.Deploy.ParallelWorkers,
 		},
 		Rate:         s.Workload.Rate,
 		Windows:      s.Workload.Windows,

@@ -57,7 +57,7 @@ func Run(s Spec, seed int64, o *obs.Obs) (*Report, error) {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	var w *commitWatch
-	if !dep.Parallel() && (slices.Contains(names, AssertConservation) || slices.Contains(names, AssertTimeoutRefunds)) {
+	if slices.Contains(names, AssertConservation) || slices.Contains(names, AssertTimeoutRefunds) {
 		w = watchCommits(dep)
 	}
 	res, err := sc.RunOn(dep, seed)

@@ -74,7 +74,12 @@ type DeploySpec struct {
 	Standby             bool  `json:"standby,omitempty"`
 	FullProofs          bool  `json:"fullProofs,omitempty"`
 	ClearIntervalBlocks int64 `json:"clearIntervalBlocks,omitempty"`
-	ParallelWorkers     int   `json:"parallelWorkers,omitempty"`
+	// ParallelWorkers has no effect: every run goes through one serial
+	// scheduler. It is still parsed, and a negative value is still
+	// rejected, because the benchmark's mesh8-par2 workload sets it.
+	// The benchmark change that retires mesh8-par2 deletes the field,
+	// and from then on a spec that sets it is rejected.
+	ParallelWorkers int `json:"parallelWorkers,omitempty"`
 }
 
 // RouteSpec is one multi-hop transfer flow (topo.Route as data).

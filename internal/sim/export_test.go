@@ -1,7 +1,7 @@
 package sim
 
 // Run loops and probes only this package's tests use: production runs
-// go through RunUntil or the parallel runner's windows.
+// go through RunUntil.
 
 // Len reports the number of pending events.
 func (s *Scheduler) Len() int { return len(s.queue) }

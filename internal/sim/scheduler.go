@@ -7,7 +7,7 @@
 //
 // An event runs a Handler. At, After and SerialResource.Submit take a
 // plain func(), wrapped as a Func, which allocates nothing; AtHandler,
-// AfterHandler, SubmitHandler and Parallel.Post take a Handler. The
+// AfterHandler and SubmitHandler take a Handler. The
 // per-message paths (gossiped votes and proposals, RPC hops) schedule
 // records they own and reuse, because a closure made per message costs
 // one allocation per message.
@@ -43,16 +43,10 @@ func handler(fn func()) Handler {
 // event is a handler scheduled to fire at a virtual time.
 type event struct {
 	at time.Duration
-	// ctime is the virtual time the event was created at. Ordering ties
-	// on (at, ctime) before falling back to seq: within one scheduler
-	// seq is assigned in creation order and the clock never runs
-	// backwards, so (at, ctime, seq) sorts exactly like (at, seq) — but
-	// it lets the parallel runner merge cross-partition messages (which
-	// carry their true creation time) into the position the serial
-	// scheduler would have dispatched them in.
-	ctime time.Duration
-	seq   uint64
-	h     Handler
+	// seq is assigned in creation order and breaks ties on at, so events
+	// due at one instant fire in the order they were scheduled.
+	seq uint64
+	h   Handler
 
 	// index is the event's slot in the queue while it is queued.
 	index int
@@ -63,9 +57,6 @@ type event struct {
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
-	}
-	if e.ctime != o.ctime {
-		return e.ctime < o.ctime
 	}
 	return e.seq < o.seq
 }
@@ -192,14 +183,11 @@ func (s *Scheduler) AtHandler(t time.Duration, h Handler) {
 	if t < s.now {
 		t = s.now
 	}
-	s.injectAt(t, s.now, h)
+	s.push(t, h)
 }
 
-// injectAt schedules h at time t with an explicit creation time. The
-// parallel runner uses it to merge cross-partition messages that were
-// created on another partition's clock; At/After route through it with
-// ctime = now.
-func (s *Scheduler) injectAt(t, ctime time.Duration, h Handler) *event {
+// push schedules h at time t, which is not before now.
+func (s *Scheduler) push(t time.Duration, h Handler) *event {
 	if h == nil {
 		return nil
 	}
@@ -209,43 +197,12 @@ func (s *Scheduler) injectAt(t, ctime time.Duration, h Handler) *event {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.at, ev.ctime, ev.seq, ev.h = t, ctime, s.seq, h
+		ev.at, ev.seq, ev.h = t, s.seq, h
 	} else {
-		ev = &event{at: t, ctime: ctime, seq: s.seq, h: h}
+		ev = &event{at: t, seq: s.seq, h: h}
 	}
 	s.queue.push(ev)
 	return ev
-}
-
-// nextAt peeks the earliest pending event time (ok=false when empty).
-func (s *Scheduler) nextAt() (time.Duration, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
-}
-
-// runWindow dispatches every event with at < end, then parks the clock
-// at end. It returns false if the scheduler was stopped (or hit
-// MaxEvents) mid-window. The parallel runner drains each partition's
-// window [start, end) this way: the exclusive bound keeps events at
-// exactly `end` for the next window, after the barrier has merged any
-// cross-partition messages landing there.
-func (s *Scheduler) runWindow(end time.Duration) bool {
-	for len(s.queue) > 0 && s.queue[0].at < end {
-		if s.stopped {
-			return false
-		}
-		if s.MaxEvents > 0 && s.processed >= s.MaxEvents {
-			s.stopped = true
-			return false
-		}
-		s.step()
-	}
-	if s.now < end {
-		s.now = end
-	}
-	return true
 }
 
 // After schedules fn to run delta after the current virtual time and
@@ -259,7 +216,7 @@ func (s *Scheduler) AfterHandler(delta time.Duration, h Handler) Timer {
 	if delta < 0 {
 		delta = 0
 	}
-	ev := s.injectAt(s.now+delta, s.now, h)
+	ev := s.push(s.now+delta, h)
 	if ev == nil {
 		return Timer{}
 	}

@@ -56,6 +56,8 @@ type proposalMsg struct {
 	e      *Engine
 	height int64
 	block  *types.Block
+	// id is the block's ID, hashed once when the block is proposed.
+	id types.BlockID
 	// extra is the block's size over the gossip bandwidth, a second hop
 	// after the network latency (0 for an empty block).
 	extra      time.Duration
@@ -129,7 +131,7 @@ type node struct {
 	height    int64
 	committed bool
 
-	proposal   *types.Block
+	proposal   *proposalMsg
 	prevotes   roundTally
 	precommits roundTally
 
@@ -399,6 +401,7 @@ func (e *Engine) propose(n *node, h int64) {
 		e:          e,
 		height:     h,
 		block:      block,
+		id:         types.BlockID{Hash: block.Header.Hash()},
 		extra:      time.Duration(int64(block.TotalSize()) * int64(time.Second) / simconf.ProposalBytesPerSecond),
 		deliveries: make([]proposalDelivery, len(e.nodes)),
 	}
@@ -418,8 +421,8 @@ func (e *Engine) onProposal(n *node, msg *proposalMsg) {
 	if h.ChainID != e.cfg.ChainID || h.Height != msg.height || h.LastBlockID != e.lastBlockID {
 		return
 	}
-	n.proposal = msg.block
-	e.castVote(n, types.PrevoteType, types.BlockID{Hash: h.Hash()})
+	n.proposal = msg
+	e.castVote(n, types.PrevoteType, msg.id)
 	// If a quorum of precommits arrived before the proposal, commit now.
 	e.maybeCommit(n)
 }
@@ -519,7 +522,7 @@ func (e *Engine) onPrevoteQuorum(n *node) {
 	}
 	if id, ok := e.quorumFor(&n.prevotes); ok {
 		// Precommit the majority block if we have it, nil otherwise.
-		if !id.IsZero() && n.proposal != nil && n.proposal.Header.Hash() == id.Hash {
+		if !id.IsZero() && n.proposal != nil && n.proposal.id == id {
 			e.castVote(n, types.PrecommitType, id)
 		} else {
 			e.castVote(n, types.PrecommitType, types.BlockID{})
@@ -556,12 +559,12 @@ func (e *Engine) maybeCommit(n *node) {
 		return
 	}
 	id, ok := e.quorumFor(&n.precommits)
-	if !ok || id.IsZero() || prop.Header.Hash() != id.Hash {
+	if !ok || id.IsZero() || prop.id != id {
 		return
 	}
 	n.committed = true
 	if n.index == e.primary {
-		e.commitCanonical(prop, n, id)
+		e.commitCanonical(prop.block, n, id)
 	}
 }
 

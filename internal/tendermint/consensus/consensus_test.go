@@ -487,9 +487,10 @@ func TestQuorumTallyReferenceEquivalence(t *testing.T) {
 		h := newHarness(t, nil)
 		h.eng.startHeight(1)
 		primary := h.eng.nodes[h.eng.primary]
-		primary.proposal = &types.Block{Header: types.Header{ChainID: "chain-a", Height: 1}}
+		block := &types.Block{Header: types.Header{ChainID: "chain-a", Height: 1}}
+		primary.proposal = &proposalMsg{block: block, id: types.BlockID{Hash: block.Header.Hash()}}
 		ids := map[byte]types.BlockID{
-			'A': {Hash: primary.proposal.Header.Hash()},
+			'A': primary.proposal.id,
 			'B': {Hash: types.Hash{0xb}},
 			'0': {},
 		}

@@ -87,9 +87,8 @@ type Server struct {
 
 	subs []subscriber
 
-	// Counters are atomic: they increment at the client's call site,
-	// which under the parallel runner is the caller's partition, not the
-	// server's.
+	// Counters are atomic: they increment at the client's call site.
+	// A run is serial, so nothing contends for them.
 	broadcasts  atomic.Uint64
 	queries     atomic.Uint64
 	frameErrors uint64
@@ -170,14 +169,12 @@ func (s *Server) SetSettledQuery(fn func(SettledProbe) bool) { s.settled = fn }
 // arrives first cancels the timeout, so an answered request leaves
 // nothing queued.
 //
-// The service cost is resolved on the server at arrival time — client
-// callers may live on another partition, where the server's store is
-// not coherently readable. The timeout runs on the caller's partition
-// clock, where the reply lands too: both touch only the call's own
-// state, and Cancel acts on the scheduler that holds the timer.
+// The service cost is resolved on the server at arrival time, from the
+// store as it is then. The timeout and the reply touch only the call's
+// own state.
 func request[T any](s *Server, from netem.Host, service func() time.Duration, fn func() (T, error), cb func(T, error)) {
 	c := &call[T]{s: s, from: from, service: service, fn: fn, cb: cb}
-	c.timer = s.net.SchedulerFor(from).AfterHandler(s.clientTimeout, (*callTimeout[T])(c))
+	c.timer = s.sched.AfterHandler(s.clientTimeout, (*callTimeout[T])(c))
 	s.net.SendHandler(from, s.host, c)
 }
 
@@ -238,7 +235,7 @@ func (c *call[T]) finish(v T, err error) {
 		return
 	}
 	c.done = true
-	c.s.net.SchedulerFor(c.from).Cancel(c.timer)
+	c.s.sched.Cancel(c.timer)
 	c.cb(v, err)
 }
 
@@ -351,9 +348,9 @@ type SettledProbe struct {
 
 // QuerySettled resolves a batch of packet-settlement probes against
 // committed application state — the relayer's post-failure redundancy
-// check, performed over RPC like every other state read so it works
-// across partition boundaries. One flat status query covers the batch
-// (a single ABCI multi-query round trip).
+// check, performed over RPC like every other state read a relayer
+// makes. One flat status query covers the batch (a single ABCI
+// multi-query round trip).
 func (s *Server) QuerySettled(from netem.Host, probes []SettledProbe, cb func([]bool, error)) {
 	s.queries.Add(1)
 	request(s, from, statusCost, func() ([]bool, error) {
@@ -369,9 +366,7 @@ func (s *Server) QuerySettled(from netem.Host, probes []SettledProbe, cb func([]
 }
 
 // Subscribe registers a WebSocket NewBlock subscription from a host.
-// The registration rides the network like a real subscription request,
-// so it lands on the server's partition regardless of where the caller
-// runs (a standby relayer taking over mid-run subscribes cross-partition)
+// The registration rides the network like a real subscription request
 // and takes effect one client->server hop later.
 func (s *Server) Subscribe(from netem.Host, fn func(*EventFrame)) {
 	s.net.Send(from, s.host, func() {

@@ -32,10 +32,9 @@ type CommittedBlock struct {
 }
 
 // Store is the append-only block store of one chain. Appends happen on
-// the owning chain's scheduler; under parallel runs other partitions
-// (light-client update paths reading proof blocks) may query
-// concurrently, so the indexes are guarded by a read/write lock. The
-// committed blocks themselves are immutable once appended.
+// the owning chain's scheduler; the indexes are guarded by a read/write
+// lock, which a serial run never contends. The committed blocks
+// themselves are immutable once appended.
 type Store struct {
 	mu      sync.RWMutex
 	blocks  []*CommittedBlock // index 0 = height 1

@@ -5,7 +5,6 @@ package topo
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"ibcbench/internal/chain"
@@ -45,14 +44,6 @@ type DeployConfig struct {
 	// per-deployment — sweeps run seeds concurrently — so experiment
 	// drivers leave it nil and only single-run trace exports set it.
 	Obs *obs.Obs
-	// ParallelWorkers > 1 runs the simulation on the conservative
-	// parallel scheduler: one partition per chain (its consensus actors,
-	// app, RPC nodes, attached relayers and workload drivers), advancing
-	// in lockstep windows bounded by the minimum cross-partition network
-	// latency. Results are byte-identical to the serial scheduler. The
-	// deployment falls back to serial when it has a single chain, full
-	// proofs, or no usable latency lookahead.
-	ParallelWorkers int
 }
 
 // Link is one deployed edge: the seeded channel pair, its relayers, its
@@ -109,7 +100,7 @@ func (l *Link) Forward() *workload.Generator {
 
 func (l *Link) newGenerator(src, dst *chain.Chain, channel, dir string) *workload.Generator {
 	d := l.dep
-	g := workload.NewOnChannel(d.schedFor(d.chainIndex(src)), d.RNG, src, dst, channel,
+	g := workload.NewOnChannel(d.Sched, d.RNG, src, dst, channel,
 		l.Relayers[0].EndpointRPC(src.ID), l.Tracker)
 	// Namespace accounts per edge+direction: several generators can share
 	// one source chain (a hub) without sequence clashes.
@@ -131,7 +122,7 @@ func (l *Link) newRouteGenerator(from, route, hop int) *workload.Generator {
 	if d.Chains[from] != l.Pair.A {
 		src, dst, channel = l.Pair.B, l.Pair.A, l.Pair.ChannelBA
 	}
-	g := workload.NewOnChannel(d.schedFor(d.chainIndex(src)), d.RNG, src, dst, channel,
+	g := workload.NewOnChannel(d.Sched, d.RNG, src, dst, channel,
 		l.Relayers[0].EndpointRPC(src.ID), l.Tracker)
 	g.AccountPrefix = fmt.Sprintf("route-r%d-h%d", route, hop)
 	d.attachDriver(g, src, dst)
@@ -139,14 +130,11 @@ func (l *Link) newRouteGenerator(from, route, hop int) *workload.Generator {
 	return g
 }
 
-// attachDriver wires a freshly created workload driver into the source
-// chain's event partition and region, and routes its destination-height
-// view (packet timeout stamping) through delivered block frames so the
-// value never depends on another partition's instantaneous state. The
-// frame subscription runs identically under the serial scheduler, keeping
-// the two modes' event streams byte-identical.
+// attachDriver places a freshly created workload driver in the source
+// chain's region and stamps its packets' timeout heights from the
+// destination's delivered block frames (see ObserveDestHeight).
 func (d *Deployment) attachDriver(g *workload.Generator, src, dst *chain.Chain) {
-	d.adopt(g.Host(), d.chainIndex(src))
+	d.place(g.Host(), d.chainIndex(src))
 	g.ObserveDestHeight(dst.RPC)
 }
 
@@ -171,23 +159,6 @@ type Deployment struct {
 	Geo *geo.Assignment
 	// Obs is the deployment's observability bundle (nil = disabled).
 	Obs *obs.Obs
-
-	// par is the conservative parallel runner (nil = serial). When set,
-	// Sched is its global scheduler and every chain cluster lives on its
-	// own partition scheduler.
-	par *sim.Parallel
-}
-
-// Parallel reports whether the deployment runs on the parallel scheduler.
-func (d *Deployment) Parallel() bool { return d.par != nil }
-
-// schedFor returns the scheduler owning chain i's event partition: the
-// shared scheduler when serial, the chain's private partition otherwise.
-func (d *Deployment) schedFor(i int) *sim.Scheduler {
-	if d.par == nil {
-		return d.Sched
-	}
-	return d.par.Partition(i)
 }
 
 // chainIndex resolves a deployed chain back to its node index.
@@ -200,22 +171,14 @@ func (d *Deployment) chainIndex(c *chain.Chain) int {
 	return -1
 }
 
-// TotalProcessed sums executed events across every scheduler of the
-// deployment (global plus partitions under the parallel runner).
-func (d *Deployment) TotalProcessed() uint64 {
-	if d.par != nil {
-		return d.par.Processed()
-	}
-	return d.Sched.Processed()
-}
+// TotalProcessed reports the events the deployment's scheduler has
+// executed.
+func (d *Deployment) TotalProcessed() uint64 { return d.Sched.Processed() }
 
-// adopt assigns a host to chain i's event partition and region: the
-// chain's own machines, the relayer full nodes attached to it, and the
-// relayers and workload drivers that sit with it.
-func (d *Deployment) adopt(h netem.Host, i int) {
-	if d.par != nil {
-		d.par.AssignHost(string(h), i)
-	}
+// place puts a host in chain i's region, if the deployment has a region
+// model: the chain's own machines, the relayer full nodes attached to it,
+// and the relayers and workload drivers that sit with it.
+func (d *Deployment) place(h netem.Host, i int) {
 	if d.Geo != nil {
 		d.Geo.Place(d.Net, h, d.Geo.Model.RegionAt(i))
 	}
@@ -264,46 +227,29 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 		cfg.Network = netem.DefaultWAN()
 	}
 	perEdge := RelayerSlots(cfg.RelayersPerEdge, false)
-	// The parallel runner needs a positive latency lookahead; decide
-	// before constructing the network so the deployment consumes the
-	// seed RNG identically in both modes.
-	var par *sim.Parallel
-	if cfg.ParallelWorkers > 1 && len(t.Chains) > 1 && !cfg.FullProofs && parallelLookahead(cfg) > 0 {
-		par = sim.NewParallel(len(t.Chains), cfg.ParallelWorkers, 0)
-	}
 	sched := sim.NewScheduler()
-	if par != nil {
-		sched = par.Global()
-	}
 	rng := sim.NewRNG(cfg.Seed)
 	network := netem.New(sched, rng, cfg.Network)
-	if par != nil {
-		network.SetPartitioner(par)
-	}
-	d := &Deployment{Topology: t, Sched: sched, Net: network, RNG: rng, Obs: cfg.Obs, par: par}
+	d := &Deployment{Topology: t, Sched: sched, Net: network, RNG: rng, Obs: cfg.Obs}
 	if cfg.Geo != nil {
 		d.Geo = geo.NewAssignment(cfg.Geo)
 	}
 	for i := range t.Chains {
-		csched := sched
-		if par != nil {
-			csched = par.Partition(i)
-		}
-		c := chain.New(csched, network, chain.Config{
+		c := chain.New(sched, network, chain.Config{
 			ChainID:    t.ChainID(i),
 			Validators: cfg.Validators,
 			FullProofs: cfg.FullProofs,
 			Obs:        cfg.Obs,
 		})
-		if par != nil || d.Geo != nil {
+		if d.Geo != nil {
 			// Every chain host — validators, the primary full node and
 			// the relayer full nodes attached later — lives in the chain's
-			// partition and region.
+			// region.
 			i := i
 			for _, h := range c.Hosts() {
-				d.adopt(h, i)
+				d.place(h, i)
 			}
-			c.OnHost(func(h netem.Host) { d.adopt(h, i) })
+			c.OnHost(func(h netem.Host) { d.place(h, i) })
 		}
 		d.Chains = append(d.Chains, c)
 	}
@@ -331,13 +277,13 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 			// Even ordinals sit with side A, odd ones (and the standby)
 			// with side B — a partitioned primary leaves a reachable
 			// standby. The same side choice places the relayer's host in
-			// that chain's region and event partition.
+			// that chain's region.
 			side := e.A
 			if j < 0 || j%2 == 1 {
 				side = e.B
 			}
-			r := relayer.New(d.schedFor(side), rng, rcfg, l.Pair)
-			d.adopt(r.Host(), side)
+			r := relayer.New(sched, rng, rcfg, l.Pair)
+			d.place(r.Host(), side)
 			return r
 		}
 		for j := 0; j < perEdge; j++ {
@@ -361,32 +307,8 @@ func (d *Deployment) Start() {
 	}
 }
 
-// Run drives the simulation to the virtual deadline. Under the parallel
-// runner the exact cross-partition latency floor is computed here — every
-// link profile exists by now — and bounds each synchronization window.
-func (d *Deployment) Run(until time.Duration) error {
-	if d.par != nil {
-		d.par.SetHorizon(d.Net.MinCrossPartitionLatency(d.par.PartitionOf))
-		return d.par.RunUntil(until)
-	}
-	return d.Sched.RunUntil(until)
-}
-
-// parallelLookahead is the deploy-time conservative lower bound on every
-// cross-partition delivery latency: the least of the network default
-// and, with a region table, every entry including the within-region
-// diagonal (two chains may share a region), shrunk by the config's
-// jitter (netem.Config.MinJittered); chaos overlays only add latency.
-// The exact (larger) per-link bound replaces it at Run time.
-func parallelLookahead(cfg DeployConfig) time.Duration {
-	floor := cfg.Network.OneWayLatency
-	if cfg.Geo != nil {
-		for _, row := range cfg.Geo.OneWay {
-			floor = min(floor, slices.Min(row))
-		}
-	}
-	return cfg.Network.MinJittered(floor)
-}
+// Run drives the simulation to the virtual deadline.
+func (d *Deployment) Run(until time.Duration) error { return d.Sched.RunUntil(until) }
 
 // LinkBetween returns the deployed link between two node indices.
 func (d *Deployment) LinkBetween(a, b int) (*Link, bool) {

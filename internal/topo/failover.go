@@ -42,10 +42,6 @@ type Failover struct {
 	primary *relayer.Relayer
 	standby *relayer.Relayer
 	host    netem.Host
-	// sched owns the supervisor's events: the scheduler of the standby
-	// side's partition (the standby always sits with side B), so probes
-	// and pongs run on the clock that owns the supervisor's host.
-	sched *sim.Scheduler
 
 	lastPong  time.Duration
 	active    bool
@@ -71,17 +67,16 @@ func newFailover(d *Deployment, l *Link) *Failover {
 		primary: l.Relayers[0],
 		standby: l.Standby,
 		host:    l.Standby.Host(),
-		sched:   d.schedFor(l.Spec.B),
 	}
 	f.downtime.Name = "downtime"
 	interval := simconf.MinBlockInterval / 5
-	f.sched.Tick(interval, func(*sim.Ticker) { f.probe() })
+	d.Sched.Tick(interval, func(*sim.Ticker) { f.probe() })
 	return f
 }
 
 // probe sends one health ping and evaluates the detection window.
 func (f *Failover) probe() {
-	now := f.sched.Now()
+	now := f.dep.Sched.Now()
 	f.dep.Net.Send(f.host, f.primary.Host(), func() {
 		if f.primary.Stopped() {
 			return // crashed process: no pong
@@ -108,7 +103,7 @@ func (f *Failover) probe() {
 
 // pong records a healthy primary, closing any open outage window.
 func (f *Failover) pong() {
-	now := f.sched.Now()
+	now := f.dep.Sched.Now()
 	f.lastPong = now
 	if f.down {
 		f.downtime.Add(now - f.downSince)
@@ -129,7 +124,7 @@ func (f *Failover) Report() *FailoverReport {
 		Standby:   f.standby.Stats(),
 	}
 	if f.down {
-		rep.Downtime.Add(f.sched.Now() - f.downSince)
+		rep.Downtime.Add(f.dep.Sched.Now() - f.downSince)
 	}
 	return rep
 }

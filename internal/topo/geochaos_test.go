@@ -9,7 +9,23 @@ import (
 	"ibcbench/internal/chaos"
 	"ibcbench/internal/geo"
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/netem"
 )
+
+// flatWAN is the paper's WAN without jitter: a message arrives exactly
+// one base latency after it is sent, so oneWay measures a pair's
+// installed latency by delivery.
+var flatWAN = netem.Config{OneWayLatency: 100 * time.Millisecond, LoopbackLatency: 200 * time.Microsecond}
+
+// oneWay sends a message from one host to another and reports how long
+// it took to arrive. It runs the deployment for a virtual second.
+func oneWay(d *Deployment, from, to netem.Host) time.Duration {
+	start := d.Sched.Now()
+	var at time.Duration
+	d.Net.Send(from, to, func() { at = d.Sched.Now() })
+	d.Sched.RunUntil(start + time.Second)
+	return at - start
+}
 
 // TestGeoDeploymentHeterogeneousPaths pins the region model end to end:
 // chains placed round-robin into the regions of an asymmetric matrix see
@@ -18,35 +34,35 @@ import (
 // intra-region pairs see the LAN path, and transfers still complete over
 // the heterogeneous network.
 func TestGeoDeploymentHeterogeneousPaths(t *testing.T) {
-	d, err := Deploy(TwoChain(), DeployConfig{Seed: 5, Geo: geo.ThreeRegionWAN()})
+	d, err := Deploy(TwoChain(), DeployConfig{Seed: 5, Network: flatWAN, Geo: geo.ThreeRegionWAN()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h0 := d.Chains[0].Hosts() // eu-west
 	h1 := d.Chains[1].Hosts() // us-east
 	// Cross-region paths carry the asymmetric matrix values.
-	if got := d.Net.Latency(h0[0], h1[0]); got != 40*time.Millisecond {
+	if got := oneWay(d, h0[0], h1[0]); got != 40*time.Millisecond {
 		t.Fatalf("eu->us latency %v, want 40ms", got)
 	}
-	if got := d.Net.Latency(h1[0], h0[0]); got != 45*time.Millisecond {
+	if got := oneWay(d, h1[0], h0[0]); got != 45*time.Millisecond {
 		t.Fatalf("us->eu latency %v, want 45ms", got)
 	}
 	// Intra-region pairs (two validators of one chain) are LAN-like.
-	if got := d.Net.Latency(h0[0], h0[1]); got != 200*time.Microsecond {
+	if got := oneWay(d, h0[0], h0[1]); got != 200*time.Microsecond {
 		t.Fatalf("intra-region latency %v, want 200µs", got)
 	}
 	// The relayer machine sits on side A (eu-west): local to chain 0's
 	// full nodes, a WAN hop from chain 1.
 	rh := d.Links[0].Relayers[0].Host()
-	if got := d.Net.Latency(rh, h0[len(h0)-1]); got != 200*time.Microsecond {
+	if got := oneWay(d, rh, h0[len(h0)-1]); got != 200*time.Microsecond {
 		t.Fatalf("relayer->local fullnode latency %v", got)
 	}
-	if got := d.Net.Latency(rh, h1[0]); got != 40*time.Millisecond {
+	if got := oneWay(d, rh, h1[0]); got != 40*time.Millisecond {
 		t.Fatalf("relayer->remote chain latency %v", got)
 	}
 	// Workload drivers land in the source chain's region.
 	gen := d.Links[0].Forward()
-	if got := d.Net.Latency(gen.Host(), h0[0]); got != 200*time.Microsecond {
+	if got := oneWay(d, gen.Host(), h0[0]); got != 200*time.Microsecond {
 		t.Fatalf("workload->source latency %v", got)
 	}
 	// The heterogeneous network still completes transfers end to end.
@@ -65,7 +81,7 @@ func TestGeoDeploymentHeterogeneousPaths(t *testing.T) {
 // region i.
 func TestGeoRoundRobinAndValidation(t *testing.T) {
 	m := geo.ThreeRegionWAN()
-	d, err := Deploy(Hub(2), DeployConfig{Seed: 1, Geo: m})
+	d, err := Deploy(Hub(2), DeployConfig{Seed: 1, Network: flatWAN, Geo: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +94,7 @@ func TestGeoRoundRobinAndValidation(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if got, want := d.Net.Latency(d.Chains[i].Hosts()[0], d.Chains[j].Hosts()[0]), m.OneWay[i][j]; got != want {
+			if got, want := oneWay(d, d.Chains[i].Hosts()[0], d.Chains[j].Hosts()[0]), m.OneWay[i][j]; got != want {
 				t.Fatalf("chain %d -> chain %d latency %v, want %v (%s -> %s)", i, j, got, want, m.Regions[i], m.Regions[j])
 			}
 		}

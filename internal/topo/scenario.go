@@ -200,11 +200,11 @@ func (s Scenario) RunOn(d *Deployment, seed int64) (*Result, error) {
 	for i, rt := range s.Routes {
 		rr := &routeRun{route: rt, idx: i}
 		runs = append(runs, rr)
-		// Route drivers run on the global scheduler. Staggered off the
-		// constant-rate submission grid (w·block+1ms) so a route start
-		// never shares a timestamp with partition-local workload events —
-		// cross-scheduler ties at one instant are the only place the
-		// parallel runner's dispatch order could diverge from serial.
+		// Route starts sit off the constant-rate submission grid
+		// (w·block+1ms), one microsecond apart, so no route start shares
+		// a timestamp with a workload event or with another route.
+		// Every route's timing, and so every result, depends on this
+		// offset.
 		startAt := 1500*time.Microsecond + time.Duration(i)*time.Microsecond
 		if rt.Forwarded {
 			d.Sched.At(startAt, func() { d.startForwardedRoute(rr) })

@@ -153,11 +153,9 @@ func (g *Generator) recordBroadcasts(chainID string, cb *store.CommittedBlock) {
 // ObserveDestHeight replaces the generator's destination-height view
 // (used only to stamp packet timeout heights) with one tracked from the
 // given destination RPC node's block frames. The default closure reads
-// the destination store directly — fine on a shared scheduler, but under
-// the parallel runner the destination commits on another partition, so
-// the value would depend on cross-partition timing. The observed height
-// is a function of delivered frames, which the runner reproduces
-// exactly.
+// the destination store directly; the observed height lags it by a
+// frame's network delivery, as a client's view of another chain does,
+// and every deployed generator stamps its timeouts this way.
 func (g *Generator) ObserveDestHeight(node *rpc.Server) {
 	var observed int64
 	g.destTop = func() int64 { return observed }
