@@ -90,7 +90,7 @@ rebaseline-virt:
 # the CI bench job's "Hot-path benchmarks" step; run on a quiet machine.
 rebaseline-bench:
 	set -o pipefail; \
-	$(GO) test -run '^$$' -bench 'BenchmarkVoteFanout|BenchmarkStateCommit|BenchmarkEventDecode|BenchmarkKeeperRecvAck' -benchtime=3x -count=3 . | tee bench_raw.txt; \
+	$(GO) test -run '^$$' -bench 'BenchmarkVoteFanout|BenchmarkStateCommit|BenchmarkEventDecode|BenchmarkKeeperRecvAck|BenchmarkScenarioRunChecks' -benchtime=3x -count=3 . | tee bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkNetemSend' -benchtime=3x -count=3 ./internal/netem | tee -a bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumTally' -benchtime=100x -count=3 ./internal/tendermint/consensus | tee -a bench_raw.txt
 	$(GO) run ./cmd/ibcbench bench2json bench_raw.txt -out BENCH_baseline.json

@@ -7,6 +7,7 @@ package ibcbench_test
 
 import (
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/merkle"
 	"ibcbench/internal/netem"
+	"ibcbench/internal/scenario"
 	"ibcbench/internal/sim"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/tendermint/types"
@@ -420,5 +422,42 @@ func BenchmarkVoteFanout(b *testing.B) {
 	}
 	for _, vals := range []int{5, 9, 13} {
 		b.Run(fmt.Sprintf("vals-%d", vals), func(b *testing.B) { runChain(b, vals) })
+	}
+}
+
+// BenchmarkScenarioRunChecks measures what the assertions cost a run:
+// the two-peak benchmark workload through scenario.Run at seed 11, with
+// the default assertions (on: the per-commit checks and the quiescent
+// Check) and with no-stuck-packets alone (off: no per-commit watch, and
+// no quiescent conservation pass).
+func BenchmarkScenarioRunChecks(b *testing.B) {
+	data, err := os.ReadFile("bench/workloads/two-peak.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := scenario.Parse(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name       string
+		assertions []string
+	}{
+		{"on", nil},
+		{"off", []string{scenario.AssertNoStuckPackets}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := spec
+			s.Assertions = bc.assertions
+			for i := 0; i < b.N; i++ {
+				rep, err := scenario.Run(s, 11, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Passed() {
+					b.Fatalf("violations: %v", rep.Violations)
+				}
+			}
+		})
 	}
 }

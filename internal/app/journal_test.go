@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -121,9 +122,13 @@ func FuzzStateJournal(f *testing.F) {
 				switch op, k := data[i]%8, key(data[i+1]); op {
 				case 0:
 					height++
+					written := sortedKeys(n.dirty)
 					n.commit(height, fullProofs)
 					if got := s.Commit(height); got != n.root {
 						t.Fatalf("fullProofs=%v height %d: root %x, model %x", fullProofs, height, got, n.root)
+					}
+					if got := s.Written(); !slices.Equal(got, written) {
+						t.Fatalf("fullProofs=%v height %d: Written %q, model %q", fullProofs, height, got, written)
 					}
 					checkCommit(t, s, n)
 					checkLatest(t, s, n, fullProofs, key)

@@ -49,7 +49,7 @@ type State struct {
 	live *merkle.IncTree
 
 	hashBuf []byte        // the bytes a non-proof Commit hashes, reused
-	keyBuf  []string      // the block's dirty keys in Commit, reused
+	keyBuf  []string      // the last block's dirty keys (Written), reused
 	edits   []merkle.Edit // the block's edits in a full-proof Commit, reused
 }
 
@@ -150,8 +150,8 @@ func (s *State) Commit(height int64) merkle.Hash {
 		keys = append(keys, s.journal[i].key)
 	}
 	sort.Strings(keys)
-	s.keyBuf = keys
 	keys = slices.Compact(keys)
+	s.keyBuf = keys
 	if s.fullProofs {
 		// Incremental commit: fold only the block's dirty keys into the
 		// cached leaf hashes. The root is identical to a full
@@ -182,6 +182,11 @@ func (s *State) Commit(height int64) merkle.Hash {
 	s.journal, s.txMark = s.journal[:0], 0 // the buffer is reused by the next block
 	return s.root
 }
+
+// Written returns the keys the latest Commit's block set or deleted,
+// sorted and without repeats. The slice is the store's own, reused by
+// the next Commit: read it before then, and never write to it.
+func (s *State) Written() []string { return s.keyBuf }
 
 // Version returns the latest committed height (0 if none).
 func (s *State) Version() int64 { return s.version }

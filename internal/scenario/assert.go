@@ -3,9 +3,8 @@
 // safety surface are built in — voucher supply conservation across all
 // zones, no permanently-stuck packets, and every elapsed timeout
 // refunded — and chaos search hunts fault timelines that break them.
-// Run also checks conservation's over-minting half, and that no packet
-// commitment is deleted before its receipt or timeout, at every commit
-// (commitcheck.go).
+// Run also checks, at every commit, the rules one block can break
+// (commitcheck.go), at a few table lookups per key the block wrote.
 //
 // All checks are state-based rather than event-based: a packet
 // commitment is deleted on both acknowledgement and timeout refund, so
@@ -15,7 +14,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
@@ -43,14 +44,6 @@ const (
 	AssertTimeoutRefunds = "timeout-refunds"
 )
 
-func knownAssertion(name string) bool {
-	switch name {
-	case AssertConservation, AssertNoStuckPackets, AssertTimeoutRefunds:
-		return true
-	}
-	return false
-}
-
 // Violation is one failed invariant instance.
 type Violation struct {
 	Assertion string `json:"assertion"`
@@ -71,124 +64,80 @@ func (v Violation) String() string {
 // Check runs the named assertions (nil = DefaultAssertions) over a
 // finished deployment and returns every violation in deterministic
 // order: packet checks first in chain/send order, then conservation in
-// chain/denom order.
+// chain/denom order. It fills a commit watch's in-flight packets from
+// the event index and classifies what is left.
 func Check(d *topo.Deployment, names []string) []Violation {
 	return check(d, names, nil)
 }
 
 // check is Check after a run whose commits w watched (nil if none): w's
-// premature deletions lead the packet section and its conservation
-// verdicts the conservation section, each in the order found, and a
-// voucher they name is not reported again at quiescence.
+// verdicts lead, in the order found, and a voucher it reported is not
+// reported again at quiescence.
 func check(d *topo.Deployment, names []string, w *commitWatch) []Violation {
 	if len(names) == 0 {
 		names = DefaultAssertions()
 	}
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
+	if w == nil {
+		w = newCommitWatch(d)
+		for _, c := range d.Chains {
+			for h := int64(1); h <= c.Events.Height(); h++ {
+				w.addSends(c, h)
+			}
+		}
 	}
-	sides := linkSides(d)
+	type stuckPacket struct {
+		Violation
+		chain, ord int
+	}
+	var stuck []stuckPacket
+	for at, e := range w.ends { // order-free: sorted into chain/send order below
+		for _, f := range e.flight {
+			if f.p == nil {
+				continue
+			}
+			if assertion, detail := classify(at.chain, e.side.chain, f.p); assertion != "" {
+				stuck = append(stuck, stuckPacket{Violation{Assertion: assertion, Chain: at.chain.ID, Detail: detail}, slices.Index(d.Chains, at.chain), f.ord})
+			}
+		}
+	}
+	slices.SortFunc(stuck, func(a, b stuckPacket) int { return cmp.Or(cmp.Compare(a.chain, b.chain), cmp.Compare(a.ord, b.ord)) })
 	var out []Violation
-	if w != nil && want[AssertTimeoutRefunds] {
-		out = append(out, w.deleted...)
+	for _, v := range w.out {
+		if slices.Contains(names, v.Assertion) {
+			out = append(out, v)
+		}
 	}
-	stuck := 0
-	eachSent(d, func(src *chain.Chain, p *ibc.Packet) {
-		v, isStuck := classify(src, p, sides)
-		if isStuck {
-			stuck++
+	for _, v := range stuck {
+		if slices.Contains(names, v.Assertion) {
+			out = append(out, v.Violation)
 		}
-		if v != nil && want[v.Assertion] {
-			out = append(out, *v)
-		}
-	})
-	if want[AssertConservation] {
-		if w != nil {
-			out = append(out, w.out...)
-		}
-		out = append(out, checkConservation(d, sides, stuck == 0, w)...)
+	}
+	if slices.Contains(names, AssertConservation) {
+		out = append(out, checkConservation(d, w, len(stuck) == 0)...)
 	}
 	return out
 }
 
-// linkSide resolves one (chain, channel) endpoint to its counterparty.
-type linkSide struct {
-	counterparty *chain.Chain
-	// counterpartyChannel is the channel id of the same link on the
-	// counterparty chain — where the escrow backing this side's vouchers
-	// lives.
-	counterpartyChannel string
-}
-
-// linkSides indexes every deployed channel endpoint. Channel ids are
-// per-chain ordinals, so (chain ID, channel) is unique.
-func linkSides(d *topo.Deployment) map[string]linkSide {
-	sides := make(map[string]linkSide, 2*len(d.Links))
-	for _, l := range d.Links {
-		p := l.Pair
-		sides[p.A.ID+"/"+p.ChannelAB] = linkSide{counterparty: p.B, counterpartyChannel: p.ChannelBA}
-		sides[p.B.ID+"/"+p.ChannelBA] = linkSide{counterparty: p.A, counterpartyChannel: p.ChannelAB}
-	}
-	return sides
-}
-
-// eachSent walks every chain's event index in block order and hands fn
-// every packet sent during the run — workload transfers, route legs, and
-// middleware-emitted forward hops alike. Within a transaction, channels
-// go in name order, the order the index keeps them in.
-func eachSent(d *topo.Deployment, fn func(src *chain.Chain, p *ibc.Packet)) {
-	for _, c := range d.Chains {
-		for h := int64(1); h <= c.Events.Height(); h++ {
-			be := c.Events.At(h)
-			if be == nil {
-				continue
-			}
-			for _, te := range be.Txs {
-				for _, p := range te.Sends {
-					fn(c, p)
-				}
-			}
-		}
-	}
-}
-
-// classify checks one sent packet's settlement. It returns a violation
-// (or nil) plus whether the packet is stuck — its commitment survived
-// to the deadline — which feeds the conservation quiescence test.
-func classify(src *chain.Chain, p *ibc.Packet, sides map[string]linkSide) (*Violation, bool) {
+// classify checks one packet left in flight from src to dst (nil on an
+// unknown channel) at quiescence, and returns the assertion it breaks
+// and why: none if its commitment is gone after all, acked or refunded
+// in a block no commit hook saw.
+func classify(src, dst *chain.Chain, p *ibc.Packet) (assertion, detail string) {
 	var b [app.KeyBufLen]byte
 	if !src.App.State().Has(ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)) {
-		return nil, false // acked or refunded — settled either way
+		return "", ""
 	}
-	side, ok := sides[src.ID+"/"+p.SourceChannel]
-	if !ok {
-		return &Violation{
-			Assertion: AssertNoStuckPackets,
-			Chain:     src.ID,
-			Detail:    fmt.Sprintf("packet %s/%s#%d sent on unknown channel", p.SourcePort, p.SourceChannel, p.Sequence),
-		}, true
+	id := fmt.Sprintf("packet %s/%s#%d", p.SourcePort, p.SourceChannel, p.Sequence)
+	switch {
+	case dst == nil:
+		return AssertNoStuckPackets, id + " sent on unknown channel"
+	case dst.App.State().Has(ibc.AppendPacketReceiptKey(b[:0], p.DestPort, p.DestChannel, p.Sequence)):
+		return AssertNoStuckPackets, id + " stuck at deadline: received on " + dst.ID + " but its ack never settled"
+	case timeoutElapsed(p, dst):
+		return AssertTimeoutRefunds, fmt.Sprintf("%s timed out (height %d/time %v elapsed on %s) but was never refunded",
+			id, p.TimeoutHeight, p.TimeoutTimestamp, dst.ID)
 	}
-	dst := side.counterparty
-	received := dst.App.State().Has(ibc.AppendPacketReceiptKey(b[:0], p.DestPort, p.DestChannel, p.Sequence))
-	if !received && timeoutElapsed(p, dst) {
-		return &Violation{
-			Assertion: AssertTimeoutRefunds,
-			Chain:     src.ID,
-			Detail: fmt.Sprintf("packet %s/%s#%d timed out (height %d/time %v elapsed on %s) but was never refunded",
-				p.SourcePort, p.SourceChannel, p.Sequence, p.TimeoutHeight, p.TimeoutTimestamp, dst.ID),
-		}, true
-	}
-	state := "in flight (no receipt on " + dst.ID + ")"
-	if received {
-		state = "received on " + dst.ID + " but its ack never settled"
-	}
-	return &Violation{
-		Assertion: AssertNoStuckPackets,
-		Chain:     src.ID,
-		Detail: fmt.Sprintf("packet %s/%s#%d stuck at deadline: %s",
-			p.SourcePort, p.SourceChannel, p.Sequence, state),
-	}, true
+	return AssertNoStuckPackets, id + " stuck at deadline: in flight (no receipt on " + dst.ID + ")"
 }
 
 // timeoutElapsed reports whether the packet's timeout passed on the
@@ -211,50 +160,48 @@ func timeoutElapsed(p *ibc.Packet, dst *chain.Chain) bool {
 // exactly; with traffic still stuck mid-link only over-minting (supply
 // above escrow) is provably wrong. A voucher w reported over-minted at a
 // commit is skipped.
-func checkConservation(d *topo.Deployment, sides map[string]linkSide, quiescent bool, w *commitWatch) []Violation {
+func checkConservation(d *topo.Deployment, w *commitWatch, quiescent bool) []Violation {
 	var out []Violation
-	const supplyPrefix = "supply/"
 	for _, c := range d.Chains {
-		c.App.State().RangePrefix(supplyPrefix, func(key string, _ []byte) bool {
-			dn := key[len(supplyPrefix):]
-			trace := denom.Parse(dn)
-			if trace.IsNative() {
-				// Native supply is not conserved by construction: account
-				// bootstrap mints balances on first use.
-				return true
-			}
-			supply := c.App.Bank().Supply(dn)
-			hop := trace.Hops[0]
-			side, ok := sides[c.ID+"/"+hop.Channel]
-			if !ok {
-				out = append(out, Violation{
-					Assertion: AssertConservation,
-					Chain:     c.ID,
-					Detail:    fmt.Sprintf("voucher %s references unknown channel %s (supply %d)", dn, hop.Channel, supply),
-				})
-				return true
-			}
-			inner := denom.Trace{Hops: trace.Hops[1:], Base: trace.Base}.String()
-			escrow := side.counterparty.App.Bank().Balance(
-				transfer.EscrowAccount(hop.Port, side.counterpartyChannel), inner)
-			switch {
-			case supply > escrow && !w.reported(c, dn):
-				out = append(out, Violation{
-					Assertion: AssertConservation,
-					Chain:     c.ID,
-					Detail: fmt.Sprintf("voucher %s supply %d exceeds the %d escrowed as %s on %s",
-						dn, supply, escrow, inner, side.counterparty.ID),
-				})
-			case quiescent && escrow > supply:
-				out = append(out, Violation{
-					Assertion: AssertConservation,
-					Chain:     c.ID,
-					Detail: fmt.Sprintf("quiescent but %d %s stay escrowed on %s against a voucher supply of only %d %s",
-						escrow, inner, side.counterparty.ID, supply, dn),
-				})
+		c.App.State().RangePrefix("supply/", func(key string, _ []byte) bool {
+			dn := key[len("supply/"):]
+			if detail, over := voucherVerdict(c, dn, w, quiescent); detail != "" && !(over && w.minted[c.ID+" "+dn]) {
+				out = append(out, Violation{Assertion: AssertConservation, Chain: c.ID, Detail: detail})
 			}
 			return true
 		})
 	}
 	return out
+}
+
+// voucherVerdict checks the backing of denom dn on c, if it is a
+// voucher: inner tokens escrowed on the counterparty its outermost hop
+// names, by the escrow account of the hop's port and the counterparty's
+// end of the channel. It returns why the backing is wrong ("" if it is
+// not): supply above escrow (over), or escrow above supply once
+// quiescent.
+func voucherVerdict(c *chain.Chain, dn string, w *commitWatch, quiescent bool) (detail string, over bool) {
+	trace := denom.Parse(dn)
+	if trace.IsNative() {
+		// Native supply is not conserved by construction: account
+		// bootstrap mints balances on first use.
+		return "", false
+	}
+	supply := c.App.Bank().Supply(dn)
+	hop := trace.Hops[0]
+	e := w.ends[chanEnd{c, hop.Channel}]
+	if e == nil || e.side.chain == nil {
+		return fmt.Sprintf("voucher %s references unknown channel %s (supply %d)", dn, hop.Channel, supply), false
+	}
+	inner, on := denom.Trace{Hops: trace.Hops[1:], Base: trace.Base}.String(), e.side.chain
+	escrow := on.App.Bank().Balance(transfer.EscrowAccount(hop.Port, e.side.channel), inner)
+	switch {
+	case supply > escrow:
+		return fmt.Sprintf("voucher %s supply %d exceeds the %d escrowed as %s on %s",
+			dn, supply, escrow, inner, on.ID), true
+	case quiescent && escrow > supply:
+		return fmt.Sprintf("quiescent but %d %s stay escrowed on %s against a voucher supply of only %d %s",
+			escrow, inner, on.ID, supply, dn), false
+	}
+	return "", false
 }

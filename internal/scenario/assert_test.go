@@ -8,6 +8,7 @@ import (
 	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/ibc/transfer"
+	"ibcbench/internal/topo"
 )
 
 // TestStuckPacketsDetected plants a permanent whole-link partition
@@ -358,5 +359,21 @@ func TestRelayerRetriesAfterPartition(t *testing.T) {
 	st := rep.Result.Edges[0].Relayers[0]
 	if st.SeqMismatchErrors != 1 || st.Retries != 2 || st.TimeoutsDelivered != 3 {
 		t.Fatalf("relayer stats %+v: want 1 sequence mismatch, 2 retries and 3 timeouts delivered", st)
+	}
+}
+
+// eachSent hands fn every packet the deployment's chains sent, chain by
+// chain in block order.
+func eachSent(d *topo.Deployment, fn func(src *chain.Chain, p *ibc.Packet)) {
+	for _, c := range d.Chains {
+		for h := int64(1); h <= c.Events.Height(); h++ {
+			if be := c.Events.At(h); be != nil {
+				for _, te := range be.Txs {
+					for _, p := range te.Sends {
+						fn(c, p)
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,214 +2,259 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc"
-	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
 )
 
-// commitWatch checks three rules after every commit of a serial
-// deployment, each at the height that breaks it rather than once at
-// quiescence.
+// commitWatch checks, after every commit, the rules one block can break,
+// at the height that breaks them. It reads only the keys the block
+// wrote (app.State.Written) and the packets it sent, and reads a value
+// back only where the write may have been a deletion: a commit costs a
+// few table lookups per key written, however many packets are in flight.
 //
-// C3 is AssertConservation's over-minting half: a voucher minted
-// without backing, or backing released under a live voucher. Escrow
-// above supply stays a quiescence-only verdict (Check): in flight, a
-// token is escrowed before its voucher is minted. The vouchers it
-// compares are learned from the packets sent: every voucher a chain
-// mints is the ReceivedDenom of a packet sent to it, and a burned
-// voucher re-minted by a refund was minted that way first. So a commit
-// costs two balance reads per voucher, not a scan of the state.
+//   - C3, conservation's over-minting half: a block that writes a
+//     voucher's supply, or the escrow behind it, re-checks that voucher
+//     by Check's rule (escrow above supply is a verdict only at
+//     quiescence: in flight, a token is escrowed before it is minted).
+//   - C4, exactly-once receipt: a receipt written again while it is
+//     stored means a replay was accepted, its tokens delivered twice (a
+//     conservation verdict).
+//   - C5, commitments and receipts only move forward (a timeout-refunds
+//     verdict): a commitment is deleted only once the destination holds
+//     the receipt or its latest header meets the timeout (the rule
+//     MsgTimeout applies), a receipt is never deleted, and
+//     nextSequenceSend never falls.
 //
-// C5 is the deletion half of "commitments and receipts only move
-// forward": a packet's source commitment may disappear only once the
-// destination holds its receipt (an ack) or the destination's latest
-// committed header meets its timeout (a refund, by the rule MsgTimeout
-// applies). A commit costs one state read per packet still in flight
-// from the committing chain. A violation is an AssertTimeoutRefunds
-// verdict: the packet's tokens were returned, or lost, on no proof.
-//
-// C4 is the receive third of "exactly once": a chain writes one
-// acknowledgement per packet it receives, so every write_acknowledgement
-// record of a committed block names a (destination channel, sequence)
-// the chain never acknowledged before. A repeat means a replay was
-// accepted and its tokens delivered twice, an AssertConservation
-// verdict. A commit costs one set lookup per acknowledgement written.
+// A packet stays in flight until the block that deletes its commitment,
+// so at quiescence the flight tables hold what Check classifies; Check
+// without a watch fills them from the event index.
 type commitWatch struct {
-	sides    map[string]linkSide
-	vouchers []watchedVoucher
-	index    map[voucherOn]int // into vouchers
-	out      []Violation       // C3's and C4's verdicts, in the order found
-	// acked maps each packet a chain acknowledged to the height it did.
-	acked map[ackedOn]int64
-	// inFlight holds each chain's sent packets whose commitment was
-	// stored at its last commit.
-	inFlight map[*chain.Chain][]*ibc.Packet
-	deleted  []Violation // C5's verdicts
+	ends   map[chanEnd]*endWatch
+	minted map[string]bool // "chain-ID denom" of each voucher C3 reported
+	sent   int             // packets sent so far, for send order
+	out    []Violation     // every per-commit verdict, in the order found
 }
 
-// ackedOn names one received packet on the chain that received it.
-type ackedOn struct {
-	chain    *chain.Chain
-	channel  string
-	sequence uint64
+// chanEnd names one channel end; channel ids are per-chain ordinals.
+type chanEnd struct {
+	chain   *chain.Chain
+	channel string
 }
 
-// voucherOn names a voucher denom on the chain that mints it.
-type voucherOn struct {
-	chain *chain.Chain
-	denom string
+// endWatch is what the checks keep about one channel end.
+type endWatch struct {
+	side chanEnd // the counterparty end; no chain if no link deployed it
+	// flight holds the packets sent here whose commitment is stored, row i
+	// for sequence base+i: sequences are dense, so no map is needed.
+	flight   []inFlight
+	base     uint64
+	received seqSet // sequences whose receipt was written here
+	nextSend uint64 // the last nextSequenceSend value seen
 }
 
-// watchedVoucher is one voucher and the escrow behind it: inner held by
-// escrowAccount on the counterparty, the chain its outermost hop names.
-type watchedVoucher struct {
-	voucherOn
-	inner         string
-	counterparty  *chain.Chain
-	escrowAccount string
-	reported      bool
+// inFlight is one sent packet and its place in send order.
+type inFlight struct {
+	p   *ibc.Packet
+	ord int
+}
+
+// send puts f in flight, after dropping the leading settled rows. A
+// sequence below the table, sent again after nextSequenceSend fell
+// (which C5 reports), is left out.
+func (e *endWatch) send(f inFlight) {
+	for len(e.flight) > 0 && e.flight[0].p == nil {
+		e.flight, e.base = e.flight[1:], e.base+1
+	}
+	if len(e.flight) == 0 {
+		e.base = f.p.Sequence
+	}
+	for f.p.Sequence >= e.base+uint64(len(e.flight)) {
+		e.flight = append(e.flight, inFlight{})
+	}
+	if i := f.p.Sequence - e.base; i < uint64(len(e.flight)) {
+		e.flight[i] = f
+	}
+}
+
+func newCommitWatch(d *topo.Deployment) *commitWatch {
+	w := &commitWatch{ends: make(map[chanEnd]*endWatch, 2*len(d.Links)), minted: make(map[string]bool)}
+	for _, l := range d.Links {
+		p := l.Pair
+		w.ends[chanEnd{p.A, p.ChannelAB}] = &endWatch{side: chanEnd{p.B, p.ChannelBA}}
+		w.ends[chanEnd{p.B, p.ChannelBA}] = &endWatch{side: chanEnd{p.A, p.ChannelAB}}
+	}
+	return w
+}
+
+// end returns c's end of channel (adding an undeployed one on first
+// use), or e, c's end of channel last: sends and keys come by channel.
+func (w *commitWatch) end(e *endWatch, last string, c *chain.Chain, channel string) *endWatch {
+	if e != nil && last == channel {
+		return e
+	}
+	if e = w.ends[chanEnd{c, channel}]; e == nil {
+		e = &endWatch{}
+		w.ends[chanEnd{c, channel}] = e
+	}
+	return e
 }
 
 // watchCommits attaches the checks to every chain of a deployment before
 // it runs.
 func watchCommits(d *topo.Deployment) *commitWatch {
-	w := &commitWatch{
-		sides:    linkSides(d),
-		index:    make(map[voucherOn]int),
-		acked:    make(map[ackedOn]int64),
-		inFlight: make(map[*chain.Chain][]*ibc.Packet),
-	}
+	w := newCommitWatch(d)
 	for _, c := range d.Chains {
 		c.Engine.OnCommit(func(cb *store.CommittedBlock) { w.commit(c, cb.Block.Header.Height) })
 	}
 	return w
 }
 
-// commit learns the packets c's block at height h sent and the vouchers
-// they can mint, checks the acknowledgements it wrote and the deletions
-// of c's in-flight commitments, then checks every voucher known so far
-// that has not yet been reported.
-func (w *commitWatch) commit(c *chain.Chain, h int64) {
-	if be := c.Events.At(h); be != nil {
-		for _, te := range be.Txs {
-			for _, p := range te.Sends {
-				w.learn(c, p)
-				w.inFlight[c] = append(w.inFlight[c], p)
-			}
-			for _, aw := range te.AckWrites {
-				w.ackedOnce(c, h, &aw.Packet)
-			}
-		}
-	}
-	w.settle(c, h)
-	for i := range w.vouchers {
-		v := &w.vouchers[i]
-		if v.reported {
-			continue
-		}
-		supply := v.chain.App.Bank().Supply(v.denom)
-		escrow := v.counterparty.App.Bank().Balance(v.escrowAccount, v.inner)
-		if supply > escrow {
-			v.reported = true
-			w.out = append(w.out, Violation{
-				Assertion: AssertConservation,
-				Chain:     v.chain.ID,
-				Height:    h,
-				Detail: fmt.Sprintf("after %s committed height %d: voucher %s supply %d exceeds the %d escrowed as %s on %s",
-					c.ID, h, v.denom, supply, escrow, v.inner, v.counterparty.ID),
-			})
-		}
-	}
-}
-
-// ackedOnce records that c acknowledged p at height h, and reports it
-// if c had acknowledged p before.
-func (w *commitWatch) ackedOnce(c *chain.Chain, h int64, p *ibc.Packet) {
-	key := ackedOn{c, p.DestChannel, p.Sequence}
-	first, ok := w.acked[key]
-	if !ok {
-		w.acked[key] = h
-		return
-	}
+// addSends puts in flight the packets c's block at height h sent whose
+// commitment is still stored: one already acked or refunded has settled.
+func (w *commitWatch) addSends(c *chain.Chain, h int64) {
 	var b [app.KeyBufLen]byte
-	w.out = append(w.out, Violation{
-		Assertion: AssertConservation,
-		Chain:     c.ID,
-		Height:    h,
-		Detail: fmt.Sprintf("after %s committed height %d: receipt %s acknowledged again (first at height %d): a replay was accepted",
-			c.ID, h, ibc.AppendPacketReceiptKey(b[:0], p.DestPort, p.DestChannel, p.Sequence), first),
-	})
+	var e *endWatch
+	var last string
+	for _, te := range c.Events.At(h).Txs {
+		for _, p := range te.Sends {
+			if c.App.State().Has(ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)) {
+				e, last = w.end(e, last, c, p.SourceChannel), p.SourceChannel
+				e.send(inFlight{p, w.sent})
+			}
+			w.sent++
+		}
+	}
 }
 
-// settle drops from c's in-flight packets each one whose commitment is
-// gone at height h, and reports it when the destination neither holds its
-// receipt nor has reached its timeout.
-func (w *commitWatch) settle(c *chain.Chain, h int64) {
-	var b, rb [app.KeyBufLen]byte
-	pending := w.inFlight[c]
-	live := pending[:0]
-	for _, p := range pending {
-		key := ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
-		if c.App.State().Has(key) {
-			live = append(live, p)
+// commit checks every key c's block at height h wrote. A key is read
+// back only where the write may have been a deletion: the commitment of
+// a packet sent before this block, or a receipt written before.
+func (w *commitWatch) commit(c *chain.Chain, h int64) {
+	start := w.sent
+	w.addSends(c, h)
+	st := c.App.State()
+	var e *endWatch
+	var last string
+	for _, k := range st.Written() {
+		if dn, ok := strings.CutPrefix(k, "supply/"); ok {
+			w.checkVoucher(c, h, c, dn)
 			continue
 		}
-		side, ok := w.sides[c.ID+"/"+p.SourceChannel]
+		// transfer.EscrowAccount's balances: escrow/<port>/<channel>/<denom>.
+		if rest, ok := strings.CutPrefix(k, "balances/escrow/"); ok {
+			port, rest, _ := strings.Cut(rest, "/")
+			channel, inner, _ := strings.Cut(rest, "/")
+			if end := w.ends[chanEnd{c, channel}]; end != nil && end.side.chain != nil {
+				w.checkVoucher(c, h, end.side.chain, port+"/"+end.side.channel+"/"+inner)
+			}
+			continue
+		}
+		kind, channel, seq, ok := cutChannelKey(k)
 		if !ok {
-			continue // Check reports a packet on an unknown channel
-		}
-		dst := side.counterparty
-		if dst.App.State().Has(ibc.AppendPacketReceiptKey(rb[:0], p.DestPort, p.DestChannel, p.Sequence)) || timeoutElapsed(p, dst) {
 			continue
 		}
-		w.deleted = append(w.deleted, Violation{
-			Assertion: AssertTimeoutRefunds,
-			Chain:     c.ID,
-			Height:    h,
-			Detail: fmt.Sprintf("after %s committed height %d: commitment %s deleted, but %s holds no receipt and is at height %d, short of the timeout (height %d/time %v)",
-				c.ID, h, key, dst.ID, dst.Store.Height(), p.TimeoutHeight, p.TimeoutTimestamp),
-		})
+		e, last = w.end(e, last, c, channel), channel
+		switch kind {
+		case "commitments":
+			// A packet sent before this block (below the table, seq-base
+			// wraps past its length) settles. Its destination must have
+			// written the receipt, in a block the watch saw (the relayer
+			// learns of it only after), or reached the timeout.
+			i := seq - e.base
+			if i >= uint64(len(e.flight)) || e.flight[i].p == nil || e.flight[i].ord >= start || st.Has([]byte(k)) {
+				continue
+			}
+			p, dst := e.flight[i].p, e.side.chain
+			e.flight[i] = inFlight{}
+			if dst != nil && !w.ends[e.side].received.has(seq) && !timeoutElapsed(p, dst) {
+				w.report(c, h, AssertTimeoutRefunds, "commitment %s deleted, but %s holds no receipt and is at height %d, short of the timeout (height %d/time %v)",
+					k, dst.ID, dst.Store.Height(), p.TimeoutHeight, p.TimeoutTimestamp)
+			}
+		case "receipts":
+			switch {
+			case !e.received.add(seq):
+			case st.Has([]byte(k)):
+				w.report(c, h, AssertConservation, "receipt %s written again: a replay was accepted", k)
+			default:
+				w.report(c, h, AssertTimeoutRefunds, "receipt %s deleted: receipts only grow", k)
+			}
+		case "nextSequenceSend":
+			raw, _ := st.Get([]byte(k))
+			next, _ := strconv.ParseUint(string(raw), 10, 64)
+			if next < e.nextSend {
+				w.report(c, h, AssertTimeoutRefunds, "%s fell from %d to %d: send sequences only grow", k, e.nextSend, next)
+			}
+			e.nextSend = next
+		}
 	}
-	clear(pending[len(live):])
-	w.inFlight[c] = live
 }
 
-// learn records the voucher packet p, sent from src, mints on its
-// destination, unless it carries its token home or cannot be decoded.
-func (w *commitWatch) learn(src *chain.Chain, p *ibc.Packet) {
-	data, err := transfer.ParsePacketData(p.Data)
-	if err != nil {
-		return
-	}
-	dn, home := transfer.ReceivedDenom(*p, data.Denom)
-	out, ok := w.sides[src.ID+"/"+p.SourceChannel]
-	if home || !ok {
-		return
-	}
-	key := voucherOn{out.counterparty, dn}
-	if _, ok := w.index[key]; ok {
-		return
-	}
-	w.index[key] = len(w.vouchers)
-	// Check's rule for the escrow behind a voucher: named by the
-	// voucher's hop port and the sender's end of the channel.
-	w.vouchers = append(w.vouchers, watchedVoucher{
-		voucherOn:     key,
-		inner:         data.Denom,
-		counterparty:  src,
-		escrowAccount: transfer.EscrowAccount(p.DestPort, p.SourceChannel),
-	})
+// report records a verdict on c's commit at height h.
+func (w *commitWatch) report(c *chain.Chain, h int64, assertion, format string, args ...any) {
+	w.out = append(w.out, Violation{Assertion: assertion, Chain: c.ID, Height: h,
+		Detail: fmt.Sprintf("after %s committed height %d: ", c.ID, h) + fmt.Sprintf(format, args...)})
 }
 
-// reported tells whether w already reported voucher dn on c.
-func (w *commitWatch) reported(c *chain.Chain, dn string) bool {
-	if w == nil {
-		return false
+// checkVoucher re-checks voucher dn on v after c's commit at height h
+// wrote its supply or its escrow, and reports it over-minted once.
+func (w *commitWatch) checkVoucher(c *chain.Chain, h int64, v *chain.Chain, dn string) {
+	if detail, over := voucherVerdict(v, dn, w, false); over && !w.minted[v.ID+" "+dn] {
+		w.minted[v.ID+" "+dn] = true
+		w.out = append(w.out, Violation{Assertion: AssertConservation, Chain: v.ID, Height: h,
+			Detail: fmt.Sprintf("after %s committed height %d: %s", c.ID, h, detail)})
 	}
-	i, ok := w.index[voucherOn{c, dn}]
-	return ok && w.vouchers[i].reported
+}
+
+// cutChannelKey splits a key of ibc.AppendPacketKey's layout, or of a
+// per-channel one such as ibc.AppendNextSequenceSendKey's (seq 0), into
+// its kind, channel and sequence; ok is false for any other layout.
+func cutChannelKey(k string) (kind, channel string, seq uint64, ok bool) {
+	kind, rest, _ := strings.Cut(k, "/")
+	if rest, ok = strings.CutPrefix(rest, "ports/"); !ok {
+		return "", "", 0, false
+	}
+	_, rest, ok = strings.Cut(rest, "/channels/")
+	channel, rest, hasSeq := strings.Cut(rest, "/sequences/")
+	if hasSeq {
+		var err error
+		seq, err = strconv.ParseUint(rest, 10, 64)
+		ok = ok && err == nil
+	}
+	return kind, channel, seq, ok
+}
+
+// seqSet holds a set of one channel end's sequences: all up to lo, and
+// lo+1+i for each bit i of bits. Receipts are written roughly in
+// sequence, so the set keeps about a word per 64 sequences out of order.
+type seqSet struct {
+	lo   uint64
+	bits []uint64
+}
+
+// has reports whether seq is in the set.
+func (a *seqSet) has(seq uint64) bool {
+	i := seq - a.lo - 1
+	return seq <= a.lo || i/64 < uint64(len(a.bits)) && a.bits[i/64]&(1<<(i%64)) != 0
+}
+
+// add puts seq in the set and reports whether it was there already.
+func (a *seqSet) add(seq uint64) bool {
+	if a.has(seq) {
+		return true
+	}
+	i := seq - a.lo - 1
+	for uint64(len(a.bits)) <= i/64 {
+		a.bits = append(a.bits, 0)
+	}
+	a.bits[i/64] |= 1 << (i % 64)
+	for len(a.bits) > 0 && a.bits[0] == ^uint64(0) {
+		a.bits, a.lo = a.bits[1:], a.lo+64
+	}
+	return false
 }

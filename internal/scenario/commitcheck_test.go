@@ -8,7 +8,10 @@ import (
 	"time"
 
 	"ibcbench/internal/app"
+	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc"
+	"ibcbench/internal/ibc/denom"
+	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/sim"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
@@ -96,13 +99,9 @@ func TestTimeoutSearchFindsNoDoubleRefund(t *testing.T) {
 	}
 }
 
-// TestConservationCheckedPerCommit: the per-commit check reports a
-// refund of a received packet at the height of the ibc-0 block that
-// refunded, not at quiescence. The refund is planted after the fact: the
-// first ibc-0 commit that sees the voucher minted on ibc-1 releases one
-// escrowed token, as the timeout of a received packet did.
-func TestConservationCheckedPerCommit(t *testing.T) {
-	spec := missedReceiptSpec()
+// deployed compiles spec and deploys it at the spec's seed, unstarted.
+func deployed(t *testing.T, spec Spec) (topo.Scenario, *topo.Deployment) {
+	t.Helper()
 	sc, err := Compile(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -113,39 +112,60 @@ func TestConservationCheckedPerCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := dep.Chains[0]
-	var w *commitWatch
-	var refundHeight int64
-	src.Engine.OnCommit(func(cb *store.CommittedBlock) { // before w's hooks, so w sees it at this height
-		if refundHeight != 0 || len(w.vouchers) == 0 {
+	return sc, dep
+}
+
+// A planted write lands after a commit, in the chain's next block: its
+// app hash is the first to hold the write, and the block's write set is
+// where the watch reads it. So each planted test below expects its
+// verdict at the planting chain's next height.
+
+// TestConservationCheckedPerCommit: the per-commit check reports a
+// refund of a received packet at the height of the ibc-0 block that
+// refunded, not at quiescence. The refund is planted after the fact: the
+// first ibc-0 commit that sees a voucher minted on ibc-1 releases one
+// escrowed token behind it, as the timeout of a received packet did.
+func TestConservationCheckedPerCommit(t *testing.T) {
+	spec := missedReceiptSpec()
+	sc, dep := deployed(t, spec)
+	src, dst := dep.Chains[0], dep.Chains[1]
+	w := watchCommits(dep)
+	var plantHeight int64
+	src.Engine.OnCommit(func(cb *store.CommittedBlock) {
+		if plantHeight != 0 {
 			return
 		}
-		v := w.vouchers[0]
-		if v.chain.App.Bank().Supply(v.denom) == 0 {
+		var voucher denom.Trace
+		dst.App.State().RangePrefix("supply/", func(key string, _ []byte) bool {
+			voucher = denom.Parse(strings.TrimPrefix(key, "supply/"))
+			return voucher.IsNative()
+		})
+		if voucher.IsNative() {
 			return
 		}
-		if err := src.App.Bank().Send(v.escrowAccount, "refunded", app.Coin{Denom: v.inner, Amount: 1}); err != nil {
+		escrow := transfer.EscrowAccount(voucher.Hops[0].Port, dep.Links[0].Pair.ChannelAB)
+		if err := src.App.Bank().Send(escrow, "refunded", app.Coin{Denom: voucher.Base, Amount: 1}); err != nil {
 			t.Fatal(err)
 		}
 		src.App.State().CommitTx()
-		refundHeight = cb.Block.Header.Height
+		plantHeight = cb.Block.Header.Height
 	})
-	w = watchCommits(dep)
 	if _, err := sc.RunOn(dep, spec.Seed); err != nil {
 		t.Fatal(err)
 	}
-	if refundHeight == 0 {
+	if plantHeight == 0 {
 		t.Fatal("ibc-1 minted no voucher: nothing was refunded")
 	}
 	if len(w.out) != 1 {
 		t.Fatalf("the per-commit check reported %d violations, want 1: %v", len(w.out), w.out)
 	}
 	v := w.out[0]
-	at := fmt.Sprintf("after %s committed height %d:", src.ID, refundHeight)
-	if v.Assertion != AssertConservation || v.Chain != dep.Chains[1].ID || v.Height != refundHeight ||
+	refundHeight := plantHeight + 1
+	at := fmt.Sprintf("after %s committed height %d: voucher ", src.ID, refundHeight)
+	if v.Assertion != AssertConservation || v.Chain != dst.ID || v.Height != refundHeight ||
 		!strings.HasPrefix(v.Detail, at) {
 		t.Fatalf("the per-commit check reported %+v, want %s on %s at %s height %d",
-			v, AssertConservation, dep.Chains[1].ID, src.ID, refundHeight)
+			v, AssertConservation, dst.ID, src.ID, refundHeight)
 	}
 	if last := src.Store.Height(); last <= refundHeight {
 		t.Fatalf("ibc-0 ended at height %d: the refund at %d was not before quiescence", last, refundHeight)
@@ -160,69 +180,130 @@ func TestConservationCheckedPerCommit(t *testing.T) {
 	}
 }
 
-// TestPrematureDeletionCheckedPerCommit: the per-commit check reports a
-// packet commitment deleted while its packet is neither received nor
-// timed out, at the height of the block that deleted it, under
-// timeout-refunds. The deletion is planted: the first ibc-0 commit that
-// sends a packet deletes that packet's commitment again, which no
-// relayer has had the chance to deliver.
-func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
-	spec := Spec{Name: "premature", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 1}, Seed: 1}
-	sc, err := Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sc.Deploy
-	cfg.Seed = spec.Seed
-	dep, err := topo.Deploy(sc.Topology, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := dep.Chains[0]
-	var plantHeight int64
-	var key string
-	src.Engine.OnCommit(func(cb *store.CommittedBlock) { // before w's hooks, so w sees it at this height
-		be := src.Events.At(cb.Block.Header.Height)
-		if plantHeight != 0 || be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
-			return
-		}
-		p := be.Txs[0].Sends[0]
-		key = string(ibc.AppendPacketCommitmentKey(nil, p.SourcePort, p.SourceChannel, p.Sequence))
-		src.App.State().Delete([]byte(key))
-		src.App.State().CommitTx()
-		plantHeight = cb.Block.Header.Height
-	})
+// plantedOnce runs a two-chain, one-window spec at seed 1 with a watch,
+// after running plant at each commit of chain i until it reports a
+// planted write, and returns the planting chain, the height of the
+// commit after which it planted, the watch's verdicts and those of the
+// quiescent Check alone.
+func plantedOnce(t *testing.T, i int, plant func(c *chain.Chain, h int64) bool) (*chain.Chain, int64, []Violation, []Violation) {
+	t.Helper()
+	spec := Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 1}, Seed: 1}
+	sc, dep := deployed(t, spec)
+	c := dep.Chains[i]
 	w := watchCommits(dep)
+	var plantHeight int64
+	c.Engine.OnCommit(func(cb *store.CommittedBlock) {
+		if h := cb.Block.Header.Height; plantHeight == 0 && plant(c, h) {
+			c.App.State().CommitTx()
+			plantHeight = h
+		}
+	})
 	if _, err := sc.RunOn(dep, spec.Seed); err != nil {
 		t.Fatal(err)
 	}
 	if plantHeight == 0 {
-		t.Fatal("ibc-0 sent no packet: nothing was deleted")
+		t.Fatalf("%s: nothing was planted", c.ID)
 	}
-	if len(w.deleted) != 1 {
-		t.Fatalf("the per-commit check reported %d premature deletions, want 1: %v", len(w.deleted), w.deleted)
+	if c.Store.Height() <= plantHeight {
+		t.Fatalf("%s ended at height %d, the height of the plant", c.ID, plantHeight)
 	}
-	v := w.deleted[0]
-	at := fmt.Sprintf("after %s committed height %d: commitment %s deleted", src.ID, plantHeight, key)
-	if v.Assertion != AssertTimeoutRefunds || v.Chain != src.ID || v.Height != plantHeight || !strings.HasPrefix(v.Detail, at) {
-		t.Fatalf("the per-commit check reported %+v, want %s on %s at height %d for %s",
-			v, AssertTimeoutRefunds, src.ID, plantHeight, key)
+	if q := check(dep, DefaultAssertions(), w); len(q) < len(w.out) || !slices.Equal(q[:len(w.out)], w.out) {
+		t.Fatalf("check after the per-commit check = %v, want it to lead with %v", q, w.out)
 	}
-	// The quiescent check sees a settled packet; only the watch reports it.
-	if q := Check(dep, DefaultAssertions()); len(q) != 0 {
-		t.Fatalf("quiescent Check = %v, want nothing", q)
+	return c, plantHeight, w.out, Check(dep, DefaultAssertions())
+}
+
+// wantOneVerdict fails unless exactly one of the verdicts in all names
+// rule, and it is a verdict of assertion on c at height h whose detail
+// begins with prefix. (A planted defect may break other rules later.)
+func wantOneVerdict(t *testing.T, all []Violation, rule, assertion string, c *chain.Chain, h int64, prefix string) {
+	t.Helper()
+	var got []Violation
+	for _, v := range all {
+		if strings.Contains(v.Detail, rule) {
+			got = append(got, v)
+		}
 	}
-	if all := check(dep, DefaultAssertions(), w); len(all) != 1 || all[0] != v {
-		t.Fatalf("check after the per-commit check = %v, want its verdict alone", all)
+	if len(got) != 1 {
+		t.Fatalf("the per-commit check reported %d violations of %q, want 1: %v", len(got), rule, all)
+	}
+	if v := got[0]; v.Assertion != assertion || v.Chain != c.ID || v.Height != h || !strings.HasPrefix(v.Detail, prefix) {
+		t.Fatalf("the per-commit check reported %+v, want %s on %s at height %d: %q", v, assertion, c.ID, h, prefix)
 	}
 }
 
-// TestReplayCheckedPerCommit: the per-commit check reports an
-// acknowledgement written twice for one packet, at the height of the
-// block that wrote it again. The defect is planted as a receipt never
-// written: after each ibc-1 commit, the keys of the packets it
-// acknowledged are deleted again (the receipt, and the acknowledgement
-// that would refuse the second write). Relayer 0 is paused while
+// TestPrematureDeletionCheckedPerCommit: the per-commit check reports a
+// packet commitment deleted while its packet is neither received nor
+// timed out, at the height of the block that deleted it, under
+// timeout-refunds. The deletion is planted: the first ibc-0 commit that
+// sends a packet deletes that packet's commitment again, before a
+// relayer has had the chance to deliver it.
+func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
+	var key string
+	src, h, got, quiet := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
+		be := c.Events.At(h)
+		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
+			return false
+		}
+		p := be.Txs[0].Sends[0]
+		key = string(ibc.AppendPacketCommitmentKey(nil, p.SourcePort, p.SourceChannel, p.Sequence))
+		c.App.State().Delete([]byte(key))
+		return true
+	})
+	wantOneVerdict(t, got, "short of the timeout", AssertTimeoutRefunds, src, h+1,
+		fmt.Sprintf("after %s committed height %d: commitment %s deleted, but ", src.ID, h+1, key))
+	// The quiescent check sees a settled packet; only the watch reports it.
+	if len(quiet) != 0 {
+		t.Fatalf("quiescent Check = %v, want nothing", quiet)
+	}
+}
+
+// TestDeletedReceiptCheckedPerCommit: C5's growth half reports a receipt
+// deleted, at the height of the block that deleted it. The deletion is
+// planted: the first ibc-1 commit that writes an acknowledgement
+// deletes that packet's receipt again.
+func TestDeletedReceiptCheckedPerCommit(t *testing.T) {
+	var key string
+	dst, h, got, _ := plantedOnce(t, 1, func(c *chain.Chain, h int64) bool {
+		be := c.Events.At(h)
+		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].AckWrites) == 0 {
+			return false
+		}
+		p := be.Txs[0].AckWrites[0].Packet
+		key = string(ibc.AppendPacketReceiptKey(nil, p.DestPort, p.DestChannel, p.Sequence))
+		c.App.State().Delete([]byte(key))
+		return true
+	})
+	wantOneVerdict(t, got, "receipts only grow", AssertTimeoutRefunds, dst, h+1,
+		fmt.Sprintf("after %s committed height %d: receipt %s deleted: receipts only grow", dst.ID, h+1, key))
+}
+
+// TestLoweredSendSequenceCheckedPerCommit: C5's growth half reports a
+// channel end's nextSequenceSend set back, at the height of the block
+// that set it. The write is planted: the first ibc-0 commit that sends
+// on a channel sets its next send sequence back to 1.
+func TestLoweredSendSequenceCheckedPerCommit(t *testing.T) {
+	var key string
+	src, h, got, _ := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
+		be := c.Events.At(h)
+		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
+			return false
+		}
+		p := be.Txs[0].Sends[0]
+		key = string(ibc.AppendNextSequenceSendKey(nil, p.SourcePort, p.SourceChannel))
+		c.App.State().Set([]byte(key), []byte("1"))
+		return true
+	})
+	wantOneVerdict(t, got, "send sequences only grow", AssertTimeoutRefunds, src, h+1,
+		fmt.Sprintf("after %s committed height %d: %s fell from ", src.ID, h+1, key))
+}
+
+// TestReplayCheckedPerCommit: the per-commit check reports a receipt
+// written again for one packet, at the height of the block that wrote it
+// again. The defect is planted as a receipt never written: after each
+// ibc-1 commit, the keys of the packets it acknowledged are deleted
+// again (the receipt, and the acknowledgement that would refuse the
+// second write). Relayer 0 is paused while
 // relayer 1 delivers; on resuming, its clearing pass finds no receipt
 // for the packets it missed and delivers them again, and ibc-1 takes
 // each for a first delivery.
@@ -238,21 +319,13 @@ func TestReplayCheckedPerCommit(t *testing.T) {
 		},
 		Seed: 1,
 	}
-	sc, err := Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sc.Deploy
-	cfg.Seed = spec.Seed
-	dep, err := topo.Deploy(sc.Topology, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, dep := deployed(t, spec)
 	dst := dep.Chains[1]
 	firstAck := map[string]int64{} // receipt key -> height first acknowledged
 	var replayHeight int64
 	var replayKey string
-	dst.Engine.OnCommit(func(cb *store.CommittedBlock) { // before w's hooks
+	w := watchCommits(dep)
+	dst.Engine.OnCommit(func(cb *store.CommittedBlock) {
 		h := cb.Block.Header.Height
 		be := dst.Events.At(h)
 		if be == nil {
@@ -273,7 +346,6 @@ func TestReplayCheckedPerCommit(t *testing.T) {
 		}
 		dst.App.State().CommitTx()
 	})
-	w := watchCommits(dep)
 	if _, err := sc.RunOn(dep, spec.Seed); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +354,7 @@ func TestReplayCheckedPerCommit(t *testing.T) {
 	}
 	var replays []Violation
 	for _, v := range w.out {
-		if strings.Contains(v.Detail, "acknowledged again") {
+		if strings.Contains(v.Detail, "written again") {
 			replays = append(replays, v)
 		}
 	}
@@ -290,12 +362,69 @@ func TestReplayCheckedPerCommit(t *testing.T) {
 		t.Fatalf("the per-commit check reported no replay; its verdicts: %v", w.out)
 	}
 	v := replays[0]
-	at := fmt.Sprintf("after %s committed height %d: receipt %s acknowledged again (first at height %d)",
-		dst.ID, replayHeight, replayKey, firstAck[replayKey])
+	at := fmt.Sprintf("after %s committed height %d: receipt %s written again: a replay was accepted",
+		dst.ID, replayHeight, replayKey)
 	if v.Assertion != AssertConservation || v.Chain != dst.ID || v.Height != replayHeight || !strings.HasPrefix(v.Detail, at) {
 		t.Fatalf("the first replay verdict is %+v, want %s on %s at height %d: %q", v, AssertConservation, dst.ID, replayHeight, at)
 	}
 	if all := check(dep, DefaultAssertions(), w); !slices.Contains(all, v) {
 		t.Fatalf("check after the per-commit check = %v, want it to carry %v", all, v)
+	}
+}
+
+// TestSeqSetReportsExactlyTheRepeats: the low-water mark and bitset C4
+// keeps per channel take receipts out of order, across a word, with a
+// gap filled later, and report a sequence exactly when it was added
+// before.
+func TestSeqSetReportsExactlyTheRepeats(t *testing.T) {
+	var a seqSet
+	seen := map[uint64]bool{}
+	for i, seq := range []uint64{3, 1, 70, 3, 1, 2, 70, 2, 65, 64, 63} {
+		if got := a.add(seq); got != seen[seq] {
+			t.Fatalf("add %d (#%d) reported a repeat: %v, want %v", seq, i, got, seen[seq])
+		}
+		seen[seq] = true
+	}
+	for seq := uint64(4); seq <= 200; seq++ {
+		if got := a.add(seq); got != seen[seq] {
+			t.Fatalf("add %d reported a repeat: %v, want %v", seq, got, seen[seq])
+		}
+		seen[seq] = true
+	}
+	if a.lo != 192 || len(a.bits) != 1 {
+		t.Fatalf("after 1..200 the set keeps lo %d and %d words, want 192 and 1", a.lo, len(a.bits))
+	}
+	for _, seq := range []uint64{1, 64, 192, 193, 200} {
+		if !a.add(seq) {
+			t.Fatalf("add %d after 1..200 reported no repeat", seq)
+		}
+	}
+	if a.add(201) {
+		t.Fatal("add 201 reported a repeat")
+	}
+}
+
+// TestCutChannelKeyInvertsTheLayouts: the watch reads back the keys the
+// keeper builds.
+func TestCutChannelKeyInvertsTheLayouts(t *testing.T) {
+	for _, c := range []struct {
+		key  []byte
+		kind string
+		seq  uint64
+	}{
+		{ibc.AppendPacketCommitmentKey(nil, "transfer", "channel-3", 17), "commitments", 17},
+		{ibc.AppendPacketReceiptKey(nil, "transfer", "channel-3", 1), "receipts", 1},
+		{ibc.AppendPacketAckKey(nil, "transfer", "channel-3", 120), "acks", 120},
+		{ibc.AppendNextSequenceSendKey(nil, "transfer", "channel-3"), "nextSequenceSend", 0},
+	} {
+		kind, channel, seq, ok := cutChannelKey(string(c.key))
+		if !ok || kind != c.kind || channel != "channel-3" || seq != c.seq {
+			t.Errorf("cutChannelKey(%q) = %q %q %d %v", c.key, kind, channel, seq, ok)
+		}
+	}
+	for _, k := range []string{"supply/transfer/channel-0/stake", "balances/escrow/transfer/channel-0/stake", "clients/07-tendermint-0/clientState"} {
+		if _, _, _, ok := cutChannelKey(k); ok {
+			t.Errorf("cutChannelKey(%q) is ok", k)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Run executes a spec end to end: compile, run on the virtual clock
-// with conservation checked at every commit of a serial deployment,
-// then check the spec's assertions over the quiescent deployment. The
+// with the per-commit checks watching every block, then check the
+// spec's assertions over the quiescent deployment. The
 // topo.Result is untouched by the assertion pass — it stays
 // byte-identical to a plain topo.Scenario run — and the violations ride
 // alongside in the Report.

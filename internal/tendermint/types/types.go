@@ -130,16 +130,13 @@ func (c *Commit) Hash() Hash {
 	}
 	leaves := make([]merkle.Hash, 0, len(c.Signatures))
 	for _, s := range c.Signatures {
-		h := sha256.New()
-		h.Write([]byte{byte(s.Flag)})
-		h.Write(s.ValidatorAddress[:])
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(s.Timestamp))
-		h.Write(buf[:])
-		h.Write(s.Signature)
-		var lh merkle.Hash
-		copy(lh[:], h.Sum(nil))
-		leaves = append(leaves, lh)
+		// flag ‖ address ‖ timestamp ‖ signature, built on the stack: a
+		// valkey signature is 64 bytes, and only a longer one allocates.
+		var buf [128]byte
+		b := append(buf[:0], byte(s.Flag))
+		b = append(b, s.ValidatorAddress[:]...)
+		b = binary.BigEndian.AppendUint64(b, uint64(s.Timestamp))
+		leaves = append(leaves, sha256.Sum256(append(b, s.Signature...)))
 	}
 	return merkle.HashLeaves(leaves)
 }

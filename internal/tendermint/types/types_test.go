@@ -2,6 +2,7 @@ package types
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -246,6 +247,30 @@ func TestCommitHash(t *testing.T) {
 	c2 := &Commit{Height: 1, Signatures: []CommitSig{{Flag: BlockIDFlagNil}}}
 	if c1.Hash() == c2.Hash() {
 		t.Fatal("commit hash insensitive to flags")
+	}
+}
+
+// TestCommitHashGolden pins Commit.Hash of a fixed commit holding each
+// flag, a signature of the usual length, an empty one and a long one, to
+// the bytes the block headers of every recorded run were built with.
+func TestCommitHashGolden(t *testing.T) {
+	sig := func(n int, b byte) []byte {
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = b + byte(i)
+		}
+		return s
+	}
+	c := &Commit{Height: 7, Signatures: []CommitSig{
+		{Flag: BlockIDFlagCommit, ValidatorAddress: valkey.Address{1, 2, 3}, Timestamp: 5 * time.Second, Signature: sig(64, 0x10)},
+		{Flag: BlockIDFlagNil, ValidatorAddress: valkey.Address{4}, Timestamp: 5*time.Second + 7, Signature: sig(64, 0x80)},
+		{Flag: BlockIDFlagAbsent, ValidatorAddress: valkey.Address{5, 6}},
+		{Flag: BlockIDFlagCommit, ValidatorAddress: valkey.Address{19: 9}, Timestamp: -1, Signature: sig(300, 0x33)},
+	}}
+	const want = "9cd1edbafb49dd7129a7c11bb39a6b7b5edf1848f6d47695013fedb59bde9b0c"
+	h := c.Hash()
+	if got := hex.EncodeToString(h[:]); got != want {
+		t.Fatalf("Commit.Hash = %s, want %s", got, want)
 	}
 }
 
