@@ -37,13 +37,17 @@ func NewBank(state *State) *Bank {
 	return &Bank{state: state}
 }
 
+// The bank's key layouts: BalancePrefix + account + "/" + denom, and
+// SupplyPrefix + denom.
+const BalancePrefix, SupplyPrefix = "balances/", "supply/"
+
 func appendBalanceKey(dst []byte, account, denom string) []byte {
-	dst = append(append(append(dst, "balances/"...), account...), '/')
+	dst = append(append(append(dst, BalancePrefix...), account...), '/')
 	return append(dst, denom...)
 }
 
 func appendSupplyKey(dst []byte, denom string) []byte {
-	return append(append(dst, "supply/"...), denom...)
+	return append(append(dst, SupplyPrefix...), denom...)
 }
 
 func (b *Bank) getUint(key []byte) uint64 {

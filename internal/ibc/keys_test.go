@@ -32,20 +32,33 @@ func TestKeysMatchFmtFormatting(t *testing.T) {
 			t.Errorf("%s: string form = %q, want %q", layout, wrapped, want)
 		}
 	}
+	// CutPacketKey reads the per-channel layouts back (seq 0 for the
+	// ones without a sequence) and refuses every other one.
+	cut := func(key, kind, channel string, seq uint64) {
+		t.Helper()
+		if k, c, s, ok := ibc.CutPacketKey(key); !ok || k != kind || c != channel || s != seq {
+			t.Errorf("CutPacketKey(%q) = %q %q %d %v, want %q %q %d", key, k, c, s, ok, kind, channel, seq)
+		}
+	}
 	seqs := []uint64{0, 1, 9, 10, 12345, 10_000_000_000_000_000_000, math.MaxUint64}
 	for _, id := range [][2]string{{"transfer", "channel-0"}, {"", ""}, {"a/b", "channel-4294967295"}, {"transfer", long}} {
 		port, channel := id[0], id[1]
 		check("channel end", func(dst []byte) []byte { return ibc.AppendChannelKey(dst, port, channel) },
 			ibc.ChannelKey(port, channel), fmt.Sprintf("channelEnds/ports/%s/channels/%s", port, channel))
+		cut(ibc.ChannelKey(port, channel), "channelEnds", channel, 0)
 		check("next sequence", func(dst []byte) []byte { return ibc.AppendNextSequenceSendKey(dst, port, channel) },
 			ibc.NextSequenceSendKey(port, channel), fmt.Sprintf("nextSequenceSend/ports/%s/channels/%s", port, channel))
+		cut(ibc.NextSequenceSendKey(port, channel), "nextSequenceSend", channel, 0)
 		for _, seq := range seqs {
 			check("commitment", func(dst []byte) []byte { return ibc.AppendPacketCommitmentKey(dst, port, channel, seq) },
 				ibc.PacketCommitmentKey(port, channel, seq), fmt.Sprintf("commitments/ports/%s/channels/%s/sequences/%d", port, channel, seq))
+			cut(ibc.PacketCommitmentKey(port, channel, seq), "commitments", channel, seq)
 			check("receipt", func(dst []byte) []byte { return ibc.AppendPacketReceiptKey(dst, port, channel, seq) },
 				ibc.PacketReceiptKey(port, channel, seq), fmt.Sprintf("receipts/ports/%s/channels/%s/sequences/%d", port, channel, seq))
+			cut(ibc.PacketReceiptKey(port, channel, seq), "receipts", channel, seq)
 			check("ack", func(dst []byte) []byte { return ibc.AppendPacketAckKey(dst, port, channel, seq) },
 				ibc.PacketAckKey(port, channel, seq), fmt.Sprintf("acks/ports/%s/channels/%s/sequences/%d", port, channel, seq))
+			cut(ibc.PacketAckKey(port, channel, seq), "acks", channel, seq)
 		}
 	}
 	for _, id := range []string{"07-tendermint-0", "", "a/b", long} {
@@ -56,6 +69,17 @@ func TestKeysMatchFmtFormatting(t *testing.T) {
 		for _, h := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
 			check("consensus", func(dst []byte) []byte { return ibc.AppendConsensusStateKey(dst, id, h) },
 				ibc.ConsensusStateKey(id, h), fmt.Sprintf("clients/%s/consensusStates/%d", id, h))
+		}
+		for _, k := range []string{ibc.ClientStateKey(id), ibc.ConnectionKey(id), ibc.ConsensusStateKey(id, 42)} {
+			if _, _, _, ok := ibc.CutPacketKey(k); ok {
+				t.Errorf("CutPacketKey(%q) is ok", k)
+			}
+		}
+	}
+	for _, k := range []string{"supply/transfer/channel-0/stake", "balances/escrow/transfer/channel-0/stake",
+		ibc.PacketReceiptKey("transfer", "channel-0", 1) + "x", "receipts/ports/transfer/channels/channel-0/sequences/"} {
+		if _, _, _, ok := ibc.CutPacketKey(k); ok {
+			t.Errorf("CutPacketKey(%q) is ok", k)
 		}
 	}
 }

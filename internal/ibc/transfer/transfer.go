@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"ibcbench/internal/app"
@@ -157,6 +158,15 @@ func (m *Module) Stats() (sent, received, acked, refunded uint64) {
 // channel.
 func EscrowAccount(port, channel string) string {
 	return "escrow/" + port + "/" + channel
+}
+
+// CutEscrowBalanceKey splits the bank key of an EscrowAccount's balance
+// in dn into its parts; ok is false for any other key.
+func CutEscrowBalanceKey(k string) (port, channel, dn string, ok bool) {
+	rest, ok := strings.CutPrefix(k, app.BalancePrefix+"escrow/")
+	port, rest, _ = strings.Cut(rest, "/")
+	channel, dn, found := strings.Cut(rest, "/")
+	return port, channel, dn, ok && found
 }
 
 // handleMsg executes MsgTransfer.

@@ -25,6 +25,26 @@ func TestVoucherPrefixAndEscrowNames(t *testing.T) {
 	}
 }
 
+// CutEscrowBalanceKey reads back the key the bank writes for an escrow
+// balance, and refuses every other balance or supply key.
+func TestCutEscrowBalanceKeyInvertsTheBank(t *testing.T) {
+	st := app.NewState(false)
+	bank := app.NewBank(st)
+	bank.Mint(EscrowAccount(PortID, "channel-3"), app.Coin{Denom: "transfer/channel-1/uatom", Amount: 5})
+	bank.Mint("alice", app.Coin{Denom: "uatom", Amount: 5})
+	st.CommitTx()
+	st.Commit(1)
+	var got []string
+	for _, k := range st.Written() {
+		if port, channel, dn, ok := CutEscrowBalanceKey(k); ok {
+			got = append(got, port+" "+channel+" "+dn)
+		}
+	}
+	if len(got) != 1 || got[0] != "transfer channel-3 transfer/channel-1/uatom" {
+		t.Fatalf("escrow balances among %q = %q", st.Written(), got)
+	}
+}
+
 // A token going home is credited as a substring of the packet's denom;
 // only a minted voucher allocates, for its new name.
 func TestReceivedDenomAllocs(t *testing.T) {

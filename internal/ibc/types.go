@@ -8,11 +8,13 @@
 package ibc
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"ibcbench/internal/merkle"
@@ -103,6 +105,20 @@ func AppendPacketAckKey(dst []byte, port, channel string, seq uint64) []byte {
 func AppendPacketKey(dst []byte, kind, port, channel string, seq uint64) []byte {
 	dst = append(appendChannelPath(append(dst, kind...), port, channel), "/sequences/"...)
 	return strconv.AppendUint(dst, seq, 10)
+}
+
+// CutPacketKey splits a key of AppendPacketKey's layout, or of a
+// per-channel one such as AppendNextSequenceSendKey's (seq 0), into its
+// kind, channel and sequence; ok is false for a key of any other layout.
+func CutPacketKey(k string) (kind, channel string, seq uint64, ok bool) {
+	kind, rest, _ := strings.Cut(k, "/")
+	if rest, ok = strings.CutPrefix(rest, "ports/"); !ok {
+		return "", "", 0, false
+	}
+	_, rest, ok = strings.Cut(rest, "/channels/")
+	channel, num, hasSeq := strings.Cut(rest, "/sequences/")
+	seq, err := strconv.ParseUint(cmp.Or(num, "0"), 10, 64) // no error to allocate for a key without one
+	return kind, channel, seq, ok && err == nil && hasSeq == (num != "")
 }
 
 // appendChannelPath appends "/ports/<port>/channels/<channel>".

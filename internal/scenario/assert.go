@@ -4,7 +4,8 @@
 // zones, no permanently-stuck packets, and every elapsed timeout
 // refunded — and chaos search hunts fault timelines that break them.
 // Run also checks, at every commit, the rules one block can break
-// (commitcheck.go), at a few table lookups per key the block wrote.
+// (commitcheck.go), at a few table lookups per key the block wrote and
+// per packet it acknowledged.
 //
 // All checks are state-based rather than event-based: a packet
 // commitment is deleted on both acknowledgement and timeout refund, so
@@ -163,8 +164,8 @@ func timeoutElapsed(p *ibc.Packet, dst *chain.Chain) bool {
 func checkConservation(d *topo.Deployment, w *commitWatch, quiescent bool) []Violation {
 	var out []Violation
 	for _, c := range d.Chains {
-		c.App.State().RangePrefix("supply/", func(key string, _ []byte) bool {
-			dn := key[len("supply/"):]
+		c.App.State().RangePrefix(app.SupplyPrefix, func(key string, _ []byte) bool {
+			dn := key[len(app.SupplyPrefix):]
 			if detail, over := voucherVerdict(c, dn, w, quiescent); detail != "" && !(over && w.minted[c.ID+" "+dn]) {
 				out = append(out, Violation{Assertion: AssertConservation, Chain: c.ID, Detail: detail})
 			}

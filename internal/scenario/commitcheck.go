@@ -8,27 +8,30 @@ import (
 	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc"
+	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
 )
 
 // commitWatch checks, after every commit, the rules one block can break,
 // at the height that breaks them. It reads only the keys the block
-// wrote (app.State.Written) and the packets it sent, and reads a value
-// back only where the write may have been a deletion: a commit costs a
-// few table lookups per key written, however many packets are in flight.
+// wrote (app.State.Written) and the packets it sent and acknowledged,
+// and reads a value back only where the write may have been a deletion:
+// a commit costs a few table lookups per key written and per packet
+// event, however many packets are in flight.
 //
 //   - C3, conservation's over-minting half: a block that writes a
 //     voucher's supply, or the escrow behind it, re-checks that voucher
 //     by Check's rule (escrow above supply is a verdict only at
 //     quiescence: in flight, a token is escrowed before it is minted).
-//   - C4, exactly-once receipt: a receipt written again while it is
-//     stored means a replay was accepted, its tokens delivered twice (a
+//   - C4, exactly-once receipt: a chain acknowledges each packet it
+//     receives once, so a second write_acknowledgement for one sequence
+//     means a replay was accepted, its tokens delivered twice (a
 //     conservation verdict).
 //   - C5, commitments and receipts only move forward (a timeout-refunds
-//     verdict): a commitment is deleted only once the destination holds
-//     the receipt or its latest header meets the timeout (the rule
-//     MsgTimeout applies), a receipt is never deleted, and
+//     verdict): a commitment is deleted only once the destination has
+//     acknowledged the packet or its latest header meets the timeout
+//     (the rule MsgTimeout applies), a receipt is never deleted, and
 //     nextSequenceSend never falls.
 //
 // A packet stays in flight until the block that deletes its commitment,
@@ -54,7 +57,7 @@ type endWatch struct {
 	// for sequence base+i: sequences are dense, so no map is needed.
 	flight   []inFlight
 	base     uint64
-	received seqSet // sequences whose receipt was written here
+	received seqSet // sequences acknowledged here
 	nextSend uint64 // the last nextSequenceSend value seen
 }
 
@@ -92,13 +95,10 @@ func newCommitWatch(d *topo.Deployment) *commitWatch {
 	return w
 }
 
-// end returns c's end of channel (adding an undeployed one on first
-// use), or e, c's end of channel last: sends and keys come by channel.
-func (w *commitWatch) end(e *endWatch, last string, c *chain.Chain, channel string) *endWatch {
-	if e != nil && last == channel {
-		return e
-	}
-	if e = w.ends[chanEnd{c, channel}]; e == nil {
+// end returns c's end of channel, adding an undeployed one on first use.
+func (w *commitWatch) end(c *chain.Chain, channel string) *endWatch {
+	e := w.ends[chanEnd{c, channel}]
+	if e == nil {
 		e = &endWatch{}
 		w.ends[chanEnd{c, channel}] = e
 	}
@@ -119,85 +119,77 @@ func watchCommits(d *topo.Deployment) *commitWatch {
 // commitment is still stored: one already acked or refunded has settled.
 func (w *commitWatch) addSends(c *chain.Chain, h int64) {
 	var b [app.KeyBufLen]byte
-	var e *endWatch
-	var last string
 	for _, te := range c.Events.At(h).Txs {
 		for _, p := range te.Sends {
 			if c.App.State().Has(ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)) {
-				e, last = w.end(e, last, c, p.SourceChannel), p.SourceChannel
-				e.send(inFlight{p, w.sent})
+				w.end(c, p.SourceChannel).send(inFlight{p, w.sent})
 			}
 			w.sent++
 		}
 	}
 }
 
-// commit checks every key c's block at height h wrote. A key is read
-// back only where the write may have been a deletion: the commitment of
-// a packet sent before this block, or a receipt written before.
+// commit checks the packets c's block at height h acknowledged (a
+// repeat is C4's verdict) and every key it wrote. A key is read back
+// only where the write may have been a deletion: the commitment of a
+// packet sent before this block, or a receipt.
 func (w *commitWatch) commit(c *chain.Chain, h int64) {
 	start := w.sent
 	w.addSends(c, h)
-	st := c.App.State()
-	var e *endWatch
-	var last string
-	for _, k := range st.Written() {
-		if dn, ok := strings.CutPrefix(k, "supply/"); ok {
-			w.checkVoucher(c, h, c, dn)
-			continue
+	for _, te := range c.Events.At(h).Txs {
+		for _, aw := range te.AckWrites {
+			if p := &aw.Packet; w.end(c, p.DestChannel).received.add(p.Sequence) {
+				w.report(c, h, c, AssertConservation, "receipt %s acknowledged again: a replay was accepted",
+					ibc.AppendPacketReceiptKey(nil, p.DestPort, p.DestChannel, p.Sequence))
+			}
 		}
-		// transfer.EscrowAccount's balances: escrow/<port>/<channel>/<denom>.
-		if rest, ok := strings.CutPrefix(k, "balances/escrow/"); ok {
-			port, rest, _ := strings.Cut(rest, "/")
-			channel, inner, _ := strings.Cut(rest, "/")
+	}
+	st := c.App.State()
+	for _, k := range st.Written() {
+		if dn, ok := strings.CutPrefix(k, app.SupplyPrefix); ok {
+			w.checkVoucher(c, h, c, dn)
+		} else if port, channel, inner, ok := transfer.CutEscrowBalanceKey(k); ok {
 			if end := w.ends[chanEnd{c, channel}]; end != nil && end.side.chain != nil {
 				w.checkVoucher(c, h, end.side.chain, port+"/"+end.side.channel+"/"+inner)
 			}
-			continue
-		}
-		kind, channel, seq, ok := cutChannelKey(k)
-		if !ok {
-			continue
-		}
-		e, last = w.end(e, last, c, channel), channel
-		switch kind {
-		case "commitments":
-			// A packet sent before this block (below the table, seq-base
-			// wraps past its length) settles. Its destination must have
-			// written the receipt, in a block the watch saw (the relayer
-			// learns of it only after), or reached the timeout.
-			i := seq - e.base
-			if i >= uint64(len(e.flight)) || e.flight[i].p == nil || e.flight[i].ord >= start || st.Has([]byte(k)) {
-				continue
+		} else if kind, channel, seq, ok := ibc.CutPacketKey(k); ok {
+			switch kind {
+			case "commitments":
+				// A packet sent before this block (below the table, seq-base
+				// wraps past its length) settles. Its destination must have
+				// acknowledged it, in a block the watch saw (the relayer
+				// learns of it only after), or reached the timeout.
+				e := w.end(c, channel)
+				i := seq - e.base
+				if i >= uint64(len(e.flight)) || e.flight[i].p == nil || e.flight[i].ord >= start || st.Has([]byte(k)) {
+					continue
+				}
+				p, dst := e.flight[i].p, e.side.chain
+				e.flight[i] = inFlight{}
+				if dst != nil && !w.ends[e.side].received.has(seq) && !timeoutElapsed(p, dst) {
+					w.report(c, h, c, AssertTimeoutRefunds, "commitment %s deleted, but %s has not acknowledged it and is at height %d, short of the timeout (height %d/time %v)",
+						k, dst.ID, dst.Store.Height(), p.TimeoutHeight, p.TimeoutTimestamp)
+				}
+			case "receipts":
+				if !st.Has([]byte(k)) {
+					w.report(c, h, c, AssertTimeoutRefunds, "receipt %s deleted: receipts only grow", k)
+				}
+			case "nextSequenceSend":
+				e := w.end(c, channel)
+				raw, _ := st.Get([]byte(k))
+				next, _ := strconv.ParseUint(string(raw), 10, 64)
+				if next < e.nextSend {
+					w.report(c, h, c, AssertTimeoutRefunds, "%s fell from %d to %d: send sequences only grow", k, e.nextSend, next)
+				}
+				e.nextSend = next
 			}
-			p, dst := e.flight[i].p, e.side.chain
-			e.flight[i] = inFlight{}
-			if dst != nil && !w.ends[e.side].received.has(seq) && !timeoutElapsed(p, dst) {
-				w.report(c, h, AssertTimeoutRefunds, "commitment %s deleted, but %s holds no receipt and is at height %d, short of the timeout (height %d/time %v)",
-					k, dst.ID, dst.Store.Height(), p.TimeoutHeight, p.TimeoutTimestamp)
-			}
-		case "receipts":
-			switch {
-			case !e.received.add(seq):
-			case st.Has([]byte(k)):
-				w.report(c, h, AssertConservation, "receipt %s written again: a replay was accepted", k)
-			default:
-				w.report(c, h, AssertTimeoutRefunds, "receipt %s deleted: receipts only grow", k)
-			}
-		case "nextSequenceSend":
-			raw, _ := st.Get([]byte(k))
-			next, _ := strconv.ParseUint(string(raw), 10, 64)
-			if next < e.nextSend {
-				w.report(c, h, AssertTimeoutRefunds, "%s fell from %d to %d: send sequences only grow", k, e.nextSend, next)
-			}
-			e.nextSend = next
 		}
 	}
 }
 
-// report records a verdict on c's commit at height h.
-func (w *commitWatch) report(c *chain.Chain, h int64, assertion, format string, args ...any) {
-	w.out = append(w.out, Violation{Assertion: assertion, Chain: c.ID, Height: h,
+// report records a verdict on chain on, after c's commit at height h.
+func (w *commitWatch) report(c *chain.Chain, h int64, on *chain.Chain, assertion, format string, args ...any) {
+	w.out = append(w.out, Violation{Assertion: assertion, Chain: on.ID, Height: h,
 		Detail: fmt.Sprintf("after %s committed height %d: ", c.ID, h) + fmt.Sprintf(format, args...)})
 }
 
@@ -206,31 +198,12 @@ func (w *commitWatch) report(c *chain.Chain, h int64, assertion, format string, 
 func (w *commitWatch) checkVoucher(c *chain.Chain, h int64, v *chain.Chain, dn string) {
 	if detail, over := voucherVerdict(v, dn, w, false); over && !w.minted[v.ID+" "+dn] {
 		w.minted[v.ID+" "+dn] = true
-		w.out = append(w.out, Violation{Assertion: AssertConservation, Chain: v.ID, Height: h,
-			Detail: fmt.Sprintf("after %s committed height %d: %s", c.ID, h, detail)})
+		w.report(c, h, v, AssertConservation, "%s", detail)
 	}
-}
-
-// cutChannelKey splits a key of ibc.AppendPacketKey's layout, or of a
-// per-channel one such as ibc.AppendNextSequenceSendKey's (seq 0), into
-// its kind, channel and sequence; ok is false for any other layout.
-func cutChannelKey(k string) (kind, channel string, seq uint64, ok bool) {
-	kind, rest, _ := strings.Cut(k, "/")
-	if rest, ok = strings.CutPrefix(rest, "ports/"); !ok {
-		return "", "", 0, false
-	}
-	_, rest, ok = strings.Cut(rest, "/channels/")
-	channel, rest, hasSeq := strings.Cut(rest, "/sequences/")
-	if hasSeq {
-		var err error
-		seq, err = strconv.ParseUint(rest, 10, 64)
-		ok = ok && err == nil
-	}
-	return kind, channel, seq, ok
 }
 
 // seqSet holds a set of one channel end's sequences: all up to lo, and
-// lo+1+i for each bit i of bits. Receipts are written roughly in
+// lo+1+i for each bit i of bits. Packets are acknowledged roughly in
 // sequence, so the set keeps about a word per 64 sequences out of order.
 type seqSet struct {
 	lo   uint64

@@ -136,8 +136,8 @@ func TestConservationCheckedPerCommit(t *testing.T) {
 			return
 		}
 		var voucher denom.Trace
-		dst.App.State().RangePrefix("supply/", func(key string, _ []byte) bool {
-			voucher = denom.Parse(strings.TrimPrefix(key, "supply/"))
+		dst.App.State().RangePrefix(app.SupplyPrefix, func(key string, _ []byte) bool {
+			voucher = denom.Parse(strings.TrimPrefix(key, app.SupplyPrefix))
 			return voucher.IsNative()
 		})
 		if voucher.IsNative() {
@@ -183,13 +183,14 @@ func TestConservationCheckedPerCommit(t *testing.T) {
 // plantedOnce runs a two-chain, one-window spec at seed 1 with a watch,
 // after running plant at each commit of chain i until it reports a
 // planted write, and returns the planting chain, the height of the
-// commit after which it planted, the watch's verdicts and those of the
+// commit after which it planted, the watch's verdicts, those of check
+// after the watch (which lead with the watch's), and those of the
 // quiescent Check alone.
-func plantedOnce(t *testing.T, i int, plant func(c *chain.Chain, h int64) bool) (*chain.Chain, int64, []Violation, []Violation) {
+func plantedOnce(t *testing.T, i int, plant func(c *chain.Chain, h int64) bool) (c *chain.Chain, h int64, got, all, quiet []Violation) {
 	t.Helper()
 	spec := Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 1}, Seed: 1}
 	sc, dep := deployed(t, spec)
-	c := dep.Chains[i]
+	c = dep.Chains[i]
 	w := watchCommits(dep)
 	var plantHeight int64
 	c.Engine.OnCommit(func(cb *store.CommittedBlock) {
@@ -207,16 +208,17 @@ func plantedOnce(t *testing.T, i int, plant func(c *chain.Chain, h int64) bool) 
 	if c.Store.Height() <= plantHeight {
 		t.Fatalf("%s ended at height %d, the height of the plant", c.ID, plantHeight)
 	}
-	if q := check(dep, DefaultAssertions(), w); len(q) < len(w.out) || !slices.Equal(q[:len(w.out)], w.out) {
-		t.Fatalf("check after the per-commit check = %v, want it to lead with %v", q, w.out)
+	if all = check(dep, DefaultAssertions(), w); len(all) < len(w.out) || !slices.Equal(all[:len(w.out)], w.out) {
+		t.Fatalf("check after the per-commit check = %v, want it to lead with %v", all, w.out)
 	}
-	return c, plantHeight, w.out, Check(dep, DefaultAssertions())
+	return c, plantHeight, w.out, all, Check(dep, DefaultAssertions())
 }
 
 // wantOneVerdict fails unless exactly one of the verdicts in all names
-// rule, and it is a verdict of assertion on c at height h whose detail
-// begins with prefix. (A planted defect may break other rules later.)
-func wantOneVerdict(t *testing.T, all []Violation, rule, assertion string, c *chain.Chain, h int64, prefix string) {
+// rule ("" matches every verdict), and it is a verdict of assertion on c
+// at height h whose detail begins with prefix; it returns that verdict.
+// (A planted defect may break other rules later.)
+func wantOneVerdict(t *testing.T, all []Violation, rule, assertion string, c *chain.Chain, h int64, prefix string) Violation {
 	t.Helper()
 	var got []Violation
 	for _, v := range all {
@@ -230,6 +232,7 @@ func wantOneVerdict(t *testing.T, all []Violation, rule, assertion string, c *ch
 	if v := got[0]; v.Assertion != assertion || v.Chain != c.ID || v.Height != h || !strings.HasPrefix(v.Detail, prefix) {
 		t.Fatalf("the per-commit check reported %+v, want %s on %s at height %d: %q", v, assertion, c.ID, h, prefix)
 	}
+	return got[0]
 }
 
 // TestPrematureDeletionCheckedPerCommit: the per-commit check reports a
@@ -240,7 +243,7 @@ func wantOneVerdict(t *testing.T, all []Violation, rule, assertion string, c *ch
 // relayer has had the chance to deliver it.
 func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
 	var key string
-	src, h, got, quiet := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
+	src, h, got, all, quiet := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
 		be := c.Events.At(h)
 		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
 			return false
@@ -250,11 +253,16 @@ func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
 		c.App.State().Delete([]byte(key))
 		return true
 	})
-	wantOneVerdict(t, got, "short of the timeout", AssertTimeoutRefunds, src, h+1,
+	// No rule but C5's deletion half breaks: the watch reports this one
+	// verdict, and check after it reports nothing more.
+	v := wantOneVerdict(t, got, "", AssertTimeoutRefunds, src, h+1,
 		fmt.Sprintf("after %s committed height %d: commitment %s deleted, but ", src.ID, h+1, key))
 	// The quiescent check sees a settled packet; only the watch reports it.
 	if len(quiet) != 0 {
 		t.Fatalf("quiescent Check = %v, want nothing", quiet)
+	}
+	if len(all) != 1 || all[0] != v {
+		t.Fatalf("check after the per-commit check = %v, want its verdict alone", all)
 	}
 }
 
@@ -264,7 +272,7 @@ func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
 // deletes that packet's receipt again.
 func TestDeletedReceiptCheckedPerCommit(t *testing.T) {
 	var key string
-	dst, h, got, _ := plantedOnce(t, 1, func(c *chain.Chain, h int64) bool {
+	dst, h, got, _, _ := plantedOnce(t, 1, func(c *chain.Chain, h int64) bool {
 		be := c.Events.At(h)
 		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].AckWrites) == 0 {
 			return false
@@ -284,7 +292,7 @@ func TestDeletedReceiptCheckedPerCommit(t *testing.T) {
 // on a channel sets its next send sequence back to 1.
 func TestLoweredSendSequenceCheckedPerCommit(t *testing.T) {
 	var key string
-	src, h, got, _ := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
+	src, h, got, _, _ := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
 		be := c.Events.At(h)
 		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
 			return false
@@ -298,12 +306,12 @@ func TestLoweredSendSequenceCheckedPerCommit(t *testing.T) {
 		fmt.Sprintf("after %s committed height %d: %s fell from ", src.ID, h+1, key))
 }
 
-// TestReplayCheckedPerCommit: the per-commit check reports a receipt
-// written again for one packet, at the height of the block that wrote it
-// again. The defect is planted as a receipt never written: after each
-// ibc-1 commit, the keys of the packets it acknowledged are deleted
-// again (the receipt, and the acknowledgement that would refuse the
-// second write). Relayer 0 is paused while
+// TestReplayCheckedPerCommit: the per-commit check reports an
+// acknowledgement written twice for one packet, at the height of the
+// block that wrote it again. The defect is planted as a receipt never
+// written: after each ibc-1 commit, the keys of the packets it
+// acknowledged are deleted again (the receipt, and the acknowledgement
+// that would refuse the second write). Relayer 0 is paused while
 // relayer 1 delivers; on resuming, its clearing pass finds no receipt
 // for the packets it missed and delivers them again, and ibc-1 takes
 // each for a first delivery.
@@ -354,7 +362,7 @@ func TestReplayCheckedPerCommit(t *testing.T) {
 	}
 	var replays []Violation
 	for _, v := range w.out {
-		if strings.Contains(v.Detail, "written again") {
+		if strings.Contains(v.Detail, "acknowledged again") {
 			replays = append(replays, v)
 		}
 	}
@@ -362,7 +370,7 @@ func TestReplayCheckedPerCommit(t *testing.T) {
 		t.Fatalf("the per-commit check reported no replay; its verdicts: %v", w.out)
 	}
 	v := replays[0]
-	at := fmt.Sprintf("after %s committed height %d: receipt %s written again: a replay was accepted",
+	at := fmt.Sprintf("after %s committed height %d: receipt %s acknowledged again: a replay was accepted",
 		dst.ID, replayHeight, replayKey)
 	if v.Assertion != AssertConservation || v.Chain != dst.ID || v.Height != replayHeight || !strings.HasPrefix(v.Detail, at) {
 		t.Fatalf("the first replay verdict is %+v, want %s on %s at height %d: %q", v, AssertConservation, dst.ID, replayHeight, at)
@@ -401,30 +409,5 @@ func TestSeqSetReportsExactlyTheRepeats(t *testing.T) {
 	}
 	if a.add(201) {
 		t.Fatal("add 201 reported a repeat")
-	}
-}
-
-// TestCutChannelKeyInvertsTheLayouts: the watch reads back the keys the
-// keeper builds.
-func TestCutChannelKeyInvertsTheLayouts(t *testing.T) {
-	for _, c := range []struct {
-		key  []byte
-		kind string
-		seq  uint64
-	}{
-		{ibc.AppendPacketCommitmentKey(nil, "transfer", "channel-3", 17), "commitments", 17},
-		{ibc.AppendPacketReceiptKey(nil, "transfer", "channel-3", 1), "receipts", 1},
-		{ibc.AppendPacketAckKey(nil, "transfer", "channel-3", 120), "acks", 120},
-		{ibc.AppendNextSequenceSendKey(nil, "transfer", "channel-3"), "nextSequenceSend", 0},
-	} {
-		kind, channel, seq, ok := cutChannelKey(string(c.key))
-		if !ok || kind != c.kind || channel != "channel-3" || seq != c.seq {
-			t.Errorf("cutChannelKey(%q) = %q %q %d %v", c.key, kind, channel, seq, ok)
-		}
-	}
-	for _, k := range []string{"supply/transfer/channel-0/stake", "balances/escrow/transfer/channel-0/stake", "clients/07-tendermint-0/clientState"} {
-		if _, _, _, ok := cutChannelKey(k); ok {
-			t.Errorf("cutChannelKey(%q) is ok", k)
-		}
 	}
 }
