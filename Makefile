@@ -5,6 +5,10 @@
 
 GO ?= go
 
+# Recipes use bash: rebaseline-bench needs `set -o pipefail`, which a
+# /bin/sh that is dash rejects.
+SHELL := /bin/bash
+
 .PHONY: test check fuzz bench bench-test virt-gate rebaseline-virt rebaseline-bench serve reach
 
 test:

@@ -2,6 +2,7 @@ package app
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,16 +18,20 @@ import (
 )
 
 // naiveState is the reference FuzzStateJournal diffs State against: no
-// journal, no marks. A transaction is a full copy of the map, the latest
-// height is another, the proof root is a full merkle.NewTree rebuild and the
-// non-proof root is the hash chain over the block's dirty keys as the
-// store defined it when it kept a map of them: every key a committed
-// transaction wrote, changed or not.
+// journal, no marks, no tables. A transaction is a full copy of the map,
+// the latest height is another, the proof root is a full merkle.NewTree
+// rebuild and the non-proof root is the hash chain over the block's
+// written keys: every key a committed transaction wrote, changed or not,
+// string keys in key order, then packet records by table prefix and
+// numeric sequence, each table's prefix hashed once before its records'
+// sequences. Whether a write was a string key or a record is what the
+// store decides when it makes it, so the model is told (write).
 type naiveState struct {
 	cur       map[string]string // what reads see, in-tx writes included
 	committed map[string]string // cur as of the last CommitTx/AbortTx/Commit
-	txDirty   map[string]bool
-	dirty     map[string]bool   // the block's dirty keys
+	txDirty   map[string]bool   // key -> whether it was written as a record
+	dirty     map[string]bool   // the block's string keys written
+	dirtyRecs map[string]bool   // the block's records written
 	height    int64             // the latest committed height
 	latest    map[string]string // the map at that height
 	root      merkle.Hash
@@ -37,6 +43,7 @@ func newNaiveState() *naiveState {
 		committed: map[string]string{},
 		txDirty:   map[string]bool{},
 		dirty:     map[string]bool{},
+		dirtyRecs: map[string]bool{},
 		root:      sha256.Sum256([]byte("ibcbench/genesis")),
 	}
 }
@@ -58,13 +65,44 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func (n *naiveState) set(k, v string) { n.cur[k] = v; n.txDirty[k] = true }
-func (n *naiveState) del(k string)    { delete(n.cur, k); n.txDirty[k] = true }
+// sortedRecords orders record keys as the store does: by prefix (up to
+// the last '/'), then by the sequence after it as a number.
+func sortedRecords(m map[string]bool) []string {
+	keys := sortedKeys(m)
+	split := func(k string) (string, uint64) {
+		i := strings.LastIndexByte(k, '/') + 1
+		seq, _ := strconv.ParseUint(k[i:], 10, 64)
+		return k[:i], seq
+	}
+	slices.SortFunc(keys, func(a, b string) int {
+		pa, sa := split(a)
+		pb, sb := split(b)
+		return cmp.Or(strings.Compare(pa, pb), cmp.Compare(sa, sb))
+	})
+	return keys
+}
+
+// write marks k written in the open transaction; a key written both ways
+// in one transaction is kept as both.
+func (n *naiveState) write(k string, record bool) {
+	if record {
+		n.txDirty["\x00"+k] = true
+	} else {
+		n.txDirty[k] = true
+	}
+}
+
+func (n *naiveState) set(k, v string, record bool) { n.cur[k] = v; n.write(k, record) }
+func (n *naiveState) del(k string, record bool)    { delete(n.cur, k); n.write(k, record) }
 
 func (n *naiveState) commitTx() {
 	n.committed = maps.Clone(n.cur)
 	for k := range n.txDirty {
-		n.dirty[k] = true
+		if r, ok := strings.CutPrefix(k, "\x00"); ok {
+			n.dirtyRecs[r] = true
+		} else {
+			n.dirty[k] = true
+		}
 	}
 	n.txDirty = map[string]bool{}
 }
@@ -72,6 +110,17 @@ func (n *naiveState) commitTx() {
 func (n *naiveState) abortTx() {
 	n.cur = maps.Clone(n.committed)
 	n.txDirty = map[string]bool{}
+}
+
+// written lists the block's writes as the store's Written does, each
+// with its key and whether it was left deleted.
+func (n *naiveState) written() []string {
+	var out []string
+	for _, k := range append(sortedKeys(n.dirty), sortedRecords(n.dirtyRecs)...) {
+		_, ok := n.cur[k]
+		out = append(out, fmt.Sprintf("%s deleted=%v", k, !ok))
+	}
+	return out
 }
 
 func (n *naiveState) commit(height int64, fullProofs bool) {
@@ -84,8 +133,21 @@ func (n *naiveState) commit(height int64, fullProofs bool) {
 		var be [8]byte
 		binary.BigEndian.PutUint64(be[:], uint64(height))
 		h.Write(be[:])
-		for _, k := range sortedKeys(n.dirty) {
-			h.Write([]byte(k))
+		prev := ""
+		for _, k := range append(sortedKeys(n.dirty), sortedRecords(n.dirtyRecs)...) {
+			if n.dirtyRecs[k] {
+				// A record: its table's prefix once, then its sequence.
+				i := strings.LastIndexByte(k, '/') + 1
+				if k[:i] != prev {
+					h.Write([]byte(k[:i]))
+				}
+				seq, _ := strconv.ParseUint(k[i:], 10, 64)
+				binary.BigEndian.PutUint64(be[:], seq)
+				h.Write(be[:])
+				prev = k[:i]
+			} else {
+				h.Write([]byte(k))
+			}
 			if v, ok := n.cur[k]; ok {
 				h.Write([]byte(v))
 			} else {
@@ -95,65 +157,129 @@ func (n *naiveState) commit(height int64, fullProofs bool) {
 		copy(n.root[:], h.Sum(nil))
 	}
 	n.height, n.latest = height, maps.Clone(n.cur)
-	n.dirty = map[string]bool{}
+	n.dirty, n.dirtyRecs = map[string]bool{}, map[string]bool{}
+}
+
+// The fuzzed key space: eight string keys under two prefixes, and eight
+// packet records, four sequences in each of two tables. The sequences
+// straddle 64-row words, and 130 before 1 makes a table grow downwards.
+var recordSeqs = [4]uint64{1, 2, 70, 130}
+
+func fuzzKey(b byte) string {
+	if b%16 < 8 {
+		return fmt.Sprintf("%c/k%02d", 'a'+b%2, b%16)
+	}
+	return fmt.Sprintf("r/t%d/%d", b%2, recordSeqs[(b%16-8)/2])
+}
+
+// fuzzRecords returns the table of record key k and its sequence, the
+// prefix built in buf as the keeper builds it.
+func fuzzRecords(buf []byte, k string) (Records, uint64, bool) {
+	prefix, num, ok := strings.Cut(k, "t")
+	if !ok || prefix != "r/" {
+		return Records{}, 0, false
+	}
+	seq, _ := strconv.ParseUint(num[2:], 10, 64)
+	return Records{Kind: Receipt + RecordKind(num[0]-'0'), Channel: "t" + num[:1], Prefix: append(buf, k[:len("r/t0/")]...)}, seq, true
 }
 
 // FuzzStateJournal drives one State per mode and the naive model with
 // operations decoded from the input, read in (op, key) pairs: op%8 == 0
 // commits the block, 1 commits the transaction, 2 aborts it, 3 deletes
-// (often an absent key), 4 sets the key to the value it already has, the
-// rest set a fresh value. The 16-key space under two prefixes makes the
-// same key being written many times per transaction and per block, and
-// re-creation after a delete, routine. Every key reaches the store through
-// one reused buffer that is scribbled over after each call (callerKeys),
-// so a store keeping caller key bytes anywhere diverges from the model.
+// (often an absent key), 4 sets the key to the value it already has, 5
+// sets a value every key shares (a fresh slice of equal bytes), the rest
+// set a fresh value. The 16-key space makes the same key being written
+// many times per transaction and per block, and re-creation after a
+// delete, routine. A packet record is written through SetRecord or
+// DeleteRecord, or, once its table exists and the key byte's bit 4 is
+// set, through Set and Delete by key. Every key reaches the store
+// through one reused buffer that is scribbled over after each call
+// (callerKeys), so a store keeping caller key bytes anywhere diverges
+// from the model.
 func FuzzStateJournal(f *testing.F) {
 	f.Add([]byte{5, 1, 5, 2, 1, 0, 0, 0, 5, 1, 3, 2, 5, 9, 2, 0, 0, 0})             // commit, then an aborted overwrite/delete/create
 	f.Add([]byte{5, 3, 1, 0, 5, 3, 3, 3, 5, 3, 3, 7, 2, 0, 4, 3, 1, 0, 0, 0})       // abort after a committed tx in the same block; equal-value set
 	f.Add([]byte{3, 4, 1, 0, 0, 0, 0, 0, 5, 4, 0, 0, 3, 4, 5, 4, 3, 4, 1, 0, 0, 0}) // delete of an absent key dirties it; empty block; uncommitted write dropped by Commit
 	f.Add([]byte{5, 0, 6, 0, 7, 0, 1, 0, 5, 0, 1, 0, 0, 0, 6, 8, 0, 0, 7, 8, 1, 0, 0, 0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// Records: shared values, then a fresh one; by key; deleted, aborted, re-made.
+	f.Add([]byte{5, 8, 5, 10, 5, 14, 1, 0, 0, 0, 6, 12, 5, 24, 1, 0, 0, 0, 3, 26, 3, 9, 2, 0, 3, 24, 1, 0, 0, 0, 5, 8, 1, 0, 0, 0})
+	// A table made by a delete at sequence 130 grows down to 1.
+	f.Add([]byte{3, 15, 1, 0, 6, 15, 6, 9, 1, 0, 0, 0, 7, 13, 4, 15, 1, 0, 0, 0, 3, 31, 2, 0, 0, 0})
 
-	key := func(b byte) string { return fmt.Sprintf("%c/k%02d", 'a'+b%2, b%16) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, fullProofs := range []bool{false, true} {
 			s, n, ck := NewState(fullProofs), newNaiveState(), &callerKeys{}
+			made := map[string]bool{} // the tables made, by prefix
 			height := int64(0)
 			for i := 0; i+1 < len(data); i += 2 {
-				switch op, k := data[i]%8, key(data[i+1]); op {
+				op, k := data[i]%8, fuzzKey(data[i+1])
+				var value []byte
+				switch op {
 				case 0:
 					height++
-					written := sortedKeys(n.dirty)
+					n.abortTx() // Commit drops the open transaction first
+					written := n.written()
 					n.commit(height, fullProofs)
 					if got := s.Commit(height); got != n.root {
 						t.Fatalf("fullProofs=%v height %d: root %x, model %x", fullProofs, height, got, n.root)
 					}
-					if got := s.Written(); !slices.Equal(got, written) {
+					var got []string
+					for _, w := range s.Written() {
+						got = append(got, fmt.Sprintf("%s deleted=%v", w.AppendKey(nil), w.Deleted))
+					}
+					if !slices.Equal(got, written) {
 						t.Fatalf("fullProofs=%v height %d: Written %q, model %q", fullProofs, height, got, written)
 					}
 					checkCommit(t, s, n)
-					checkLatest(t, s, n, fullProofs, key)
+					checkLatest(t, s, n, fullProofs)
 				case 1:
 					s.CommitTx()
 					n.commitTx()
 				case 2:
 					s.AbortTx()
 					n.abortTx()
-				case 3:
-					ck.do(k, s.Delete)
-					n.del(k)
 				case 4:
-					if v, ok := n.cur[k]; ok {
-						ck.do(k, func(b []byte) { s.Set(b, []byte(v)) })
-						n.set(k, v)
+					v, ok := n.cur[k]
+					if !ok {
+						break
 					}
+					value = []byte(v)
+				case 5:
+					value = []byte("s")
 				default:
-					v := fmt.Sprintf("v%d", i)
-					ck.do(k, func(b []byte) { s.Set(b, []byte(v)) })
-					n.set(k, v)
+					value = []byte(fmt.Sprintf("v%d", i))
 				}
-				checkReads(t, s, n, ck, key)
+				if op < 3 || op == 4 && value == nil {
+					checkReads(t, s, n, ck)
+					continue
+				}
+				r, seq, record := fuzzRecords(nil, k)
+				byKey := !record || made[string(r.Prefix)] && data[i+1]&16 != 0
+				switch {
+				case byKey && op == 3:
+					ck.do(k, s.Delete)
+					n.del(k, record)
+				case byKey:
+					ck.do(k, func(b []byte) { s.Set(b, value) })
+					n.set(k, string(value), record)
+				case op == 3:
+					ck.do(k, func(b []byte) {
+						r, _, _ := fuzzRecords(b[:0], k)
+						s.DeleteRecord(&r, seq)
+					})
+					made[string(r.Prefix)] = true
+					n.del(k, true)
+				default:
+					ck.do(k, func(b []byte) {
+						r, _, _ := fuzzRecords(b[:0], k)
+						s.SetRecord(&r, seq, value)
+					})
+					made[string(r.Prefix)] = true
+					n.set(k, string(value), true)
+				}
+				checkReads(t, s, n, ck)
 			}
-			checkLatest(t, s, n, fullProofs, key)
+			checkLatest(t, s, n, fullProofs)
 		}
 	})
 }
@@ -171,14 +297,15 @@ func (c *callerKeys) do(k string, f func(key []byte)) {
 	}
 }
 
-// checkReads compares every read the store offers with the model.
-func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys, key func(byte) string) {
+// checkReads compares every read the store offers with the model: by
+// key for all 16 keys, and through HasRecord for the records. RangePrefix visits string keys only.
+func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys) {
 	t.Helper()
 	if s.Len() != len(n.cur) {
 		t.Fatalf("Len = %d, model %d", s.Len(), len(n.cur))
 	}
 	for b := byte(0); b < 16; b++ {
-		k := key(b)
+		k := fuzzKey(b)
 		want, wantOK := n.cur[k]
 		var got []byte
 		var ok, has bool
@@ -187,8 +314,17 @@ func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys, key func(
 		if ok != wantOK || string(got) != want || has != wantOK {
 			t.Fatalf("Get(%q) = %q, %v (Has %v), model %q, %v", k, got, ok, has, want, wantOK)
 		}
+		if _, seq, record := fuzzRecords(nil, k); record {
+			ck.do(k, func(b []byte) {
+				r, _, _ := fuzzRecords(b[:0], k)
+				has = s.HasRecord(&r, seq)
+			})
+			if has != wantOK {
+				t.Fatalf("HasRecord(%q) = %v, model %v", k, has, wantOK)
+			}
+		}
 	}
-	for _, prefix := range []string{"", "a/", "b/", "c/"} {
+	for _, prefix := range []string{"", "a/", "b/", "c/", "r/"} {
 		var got []string
 		s.RangePrefix(prefix, func(k string, v []byte) bool {
 			got = append(got, k+"="+string(v))
@@ -196,7 +332,7 @@ func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys, key func(
 		})
 		var want []string
 		for _, k := range sortedKeys(n.cur) {
-			if strings.HasPrefix(k, prefix) {
+			if strings.HasPrefix(k, prefix) && !strings.HasPrefix(k, "r/") {
 				want = append(want, k+"="+n.cur[k])
 			}
 		}
@@ -225,7 +361,7 @@ func checkCommit(t *testing.T, s *State, n *naiveState) {
 // is the one handed out before, and it still verifies; and the height
 // below is refused. The fuzz loop calls it after each Commit, and at the
 // end while the last block's writes are still open.
-func checkLatest(t *testing.T, s *State, n *naiveState, fullProofs bool, key func(byte) string) {
+func checkLatest(t *testing.T, s *State, n *naiveState, fullProofs bool) {
 	t.Helper()
 	h := n.height
 	if !fullProofs {
@@ -241,20 +377,21 @@ func checkLatest(t *testing.T, s *State, n *naiveState, fullProofs bool, key fun
 	checkProof(t, s, ref, h, "a")
 	checkProof(t, s, ref, h, "z")
 	for b := byte(0); b < 16; b++ {
-		checkProof(t, s, ref, h, key(b))
-		checkProof(t, s, ref, h, key(b)+"!")
-		_, first, _ := s.ProveMembership(h, []byte(key(b)))
-		v, again, _ := s.ProveMembership(h, []byte(key(b)))
+		k := fuzzKey(b)
+		checkProof(t, s, ref, h, k)
+		checkProof(t, s, ref, h, k+"!")
+		_, first, _ := s.ProveMembership(h, []byte(k))
+		v, again, _ := s.ProveMembership(h, []byte(k))
 		if again != first {
-			t.Fatalf("height %d key %q: a repeated proof is a new one", h, key(b))
+			t.Fatalf("height %d key %q: a repeated proof is a new one", h, k)
 		}
 		if again != nil {
-			if err := merkle.VerifyMembership(ref.Root(), []byte(key(b)), v, again); err != nil {
-				t.Fatalf("height %d key %q: repeated proof: %v", h, key(b), err)
+			if err := merkle.VerifyMembership(ref.Root(), []byte(k), v, again); err != nil {
+				t.Fatalf("height %d key %q: repeated proof: %v", h, k, err)
 			}
 		}
 	}
-	if _, _, err := s.ProveMembership(h-1, []byte(key(0))); err == nil {
+	if _, _, err := s.ProveMembership(h-1, []byte(fuzzKey(0))); err == nil {
 		t.Fatalf("height %d served a proof at %d", h, h-1)
 	}
 }
@@ -291,13 +428,22 @@ func checkProof(t *testing.T, s *State, ref *merkle.Tree, h int64, k string) {
 
 // A read makes no string and a write makes one only when it inserts a
 // key: the map's own string is what the journal records for every later
-// write, and what AbortTx puts back.
+// write, and what AbortTx puts back. A packet record makes none: not on
+// insert, by SetRecord or by key, and in performance mode not when its
+// block commits either.
 func TestStateKeyAllocs(t *testing.T) {
 	for _, fullProofs := range []bool{false, true} {
 		s := NewState(fullProofs)
 		s.Set([]byte("present"), []byte("v"))
 		s.CommitTx()
 		present, absent, v := []byte("present"), []byte("absent"), []byte("w")
+		var b [KeyBufLen]byte
+		recs := func() Records {
+			return Records{Kind: Commitment, Channel: "channel-0", Prefix: append(b[:0], "commitments/channel-0/"...)}
+		}
+		r := recs()
+		s.SetRecord(&r, 1, v)
+		s.CommitTx()
 		for _, c := range []struct {
 			name string
 			want float64
@@ -311,9 +457,23 @@ func TestStateKeyAllocs(t *testing.T) {
 			{"Set of an existing key", 0, func() { s.Set(present, v); s.AbortTx() }},
 			{"Delete of an existing key", 0, func() { s.Delete(present); s.AbortTx() }},
 			{"Set of a new key", 1, func() { s.Set(absent, v); s.AbortTx() }},
+			{"HasRecord of a present record", 0, func() { r := recs(); s.HasRecord(&r, 1) }},
+			{"HasRecord of an absent record", 0, func() { r := recs(); s.HasRecord(&r, 2) }},
+			{"Get of a record by key", 0, func() { s.Get(append(b[:0], "commitments/channel-0/1"...)) }},
+			{"SetRecord of a new record", 0, func() { r := recs(); s.SetRecord(&r, 2, v); s.AbortTx() }},
+			{"Set of a new record by key", 0, func() { s.Set(append(b[:0], "commitments/channel-0/3"...), v); s.AbortTx() }},
+			{"DeleteRecord of a present record", 0, func() { r := recs(); s.DeleteRecord(&r, 1); s.AbortTx() }},
 		} {
 			if got := testing.AllocsPerRun(100, c.f); got != c.want {
 				t.Errorf("fullProofs=%v: %s took %.0f allocations, want %.0f", fullProofs, c.name, got, c.want)
+			}
+		}
+		if !fullProofs {
+			// The journal, the written set and the hashed bytes are reused.
+			height := int64(0)
+			commit := func() { r := recs(); s.SetRecord(&r, 2, v); s.CommitTx(); height++; s.Commit(height) }
+			if got := testing.AllocsPerRun(100, commit); got != 0 {
+				t.Errorf("a block writing a record committed with %.0f allocations, want 0", got)
 			}
 		}
 	}

@@ -204,3 +204,87 @@ func TestTimeoutOfReceivedPacketRefused(t *testing.T) {
 		t.Fatalf("alice holds %d uatom after the refused timeout, want 923", got)
 	}
 }
+
+// linkedTransfer links two chains, sends alice's 77 uatom from a to bob
+// on b at height 1, and updates b's client of a to height 2.
+func linkedTransfer(t *testing.T) (a, b *Chain, p *Pair, packet *ibc.Packet) {
+	t.Helper()
+	sched, net := harness(t)
+	a = newTestChain(t, sched, net, "a")
+	b = newTestChain(t, sched, net, "b")
+	p = Link(a, b)
+	a.App.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 1000})
+	for _, c := range []*Chain{a, b} {
+		c.App.CreateAccount("relayer", app.Coin{Denom: "stake", Amount: 1 << 40})
+	}
+	res := deliverBlock(t, a, 1, "alice", transfer.MsgTransfer{
+		Sender: "alice", Receiver: "bob", Token: app.Coin{Denom: "uatom", Amount: 77},
+		SourcePort: p.Port, SourceChannel: p.ChannelAB, TimeoutHeight: 10,
+	})
+	if !res.IsOK() {
+		t.Fatalf("transfer: %s", res.Log)
+	}
+	for _, ev := range res.Events {
+		if pk, ok := ev.Data.(*ibc.Packet); ok {
+			packet = pk
+		}
+	}
+	if packet == nil {
+		t.Fatal("transfer emitted no packet")
+	}
+	if res := deliverBlock(t, b, 1, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnB, Bundle: headerOf(a, 2)}); !res.IsOK() {
+		t.Fatalf("update b's client: %s", res.Log)
+	}
+	return a, b, p, packet
+}
+
+// TestForgedRecvRefused submits a MsgRecvPacket for a sequence the
+// source never sent, straight to the destination. In performance mode
+// no proof of its commitment is carried; the keeper checks the
+// counterparty's committed state, which holds no commitment for it, and
+// refuses to mint the voucher.
+func TestForgedRecvRefused(t *testing.T) {
+	_, b, _, packet := linkedTransfer(t)
+	forged := *packet
+	forged.Sequence++
+	res := deliverBlock(t, b, 2, "relayer", ibc.MsgRecvPacket{Packet: forged, ProofHeight: 2})
+	if res.IsOK() || !strings.Contains(res.Log, ibc.ErrProofVerify.Error()) {
+		t.Fatalf("recv of an unsent sequence: code %d log %q, want %v", res.Code, res.Log, ibc.ErrProofVerify)
+	}
+	voucher, _ := transfer.ReceivedDenom(forged, "uatom")
+	if got := b.App.Bank().Balance("bob", voucher); got != 0 {
+		t.Fatalf("bob holds %d %s after the refused recv, want 0", got, voucher)
+	}
+	// The packet that was sent is received.
+	if res := deliverBlock(t, b, 3, "relayer", ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
+		t.Fatalf("recv: %s", res.Log)
+	}
+}
+
+// TestErrorAckOfReceivedPacketRefused submits a MsgAcknowledgement with
+// an error ack for a packet the destination received and acknowledged
+// with success, straight to the source. In performance mode no proof of
+// the ack is carried; the keeper checks the counterparty's committed
+// ack, which is the success ack's, and refuses to refund the sender
+// while the voucher exists.
+func TestErrorAckOfReceivedPacketRefused(t *testing.T) {
+	a, b, p, packet := linkedTransfer(t)
+	if res := deliverBlock(t, b, 2, "relayer", ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
+		t.Fatalf("recv: %s", res.Log)
+	}
+	if res := deliverBlock(t, a, 2, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnA, Bundle: headerOf(b, 3)}); !res.IsOK() {
+		t.Fatalf("update a's client: %s", res.Log)
+	}
+	forged := ibc.Acknowledgement{Error: "forged"}.Bytes()
+	res := deliverBlock(t, a, 3, "relayer", ibc.MsgAcknowledgement{Packet: *packet, Ack: forged, ProofHeight: 3})
+	if res.IsOK() || !strings.Contains(res.Log, ibc.ErrProofVerify.Error()) {
+		t.Fatalf("error ack of a received packet: code %d log %q, want %v", res.Code, res.Log, ibc.ErrProofVerify)
+	}
+	if got := a.App.Bank().Balance("alice", "uatom"); got != 923 {
+		t.Fatalf("alice holds %d uatom after the refused ack, want 923", got)
+	}
+	// The ack the destination wrote is accepted.
+	if res := deliverBlock(t, a, 4, "relayer", ibc.MsgAcknowledgement{Packet: *packet, Ack: ibc.SuccessAck.Bytes(), ProofHeight: 3}); !res.IsOK() {
+		t.Fatalf("ack: %s", res.Log)
+	}
+}

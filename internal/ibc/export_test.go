@@ -18,7 +18,7 @@ var (
 var (
 	SuccessAckBytes      = successAckBytes
 	SuccessAckCommitment = successAckCommitment
-	HashAck              = hashAck
+	HashAck              = func(ack []byte) []byte { return appendHashAck(nil, ack) }
 )
 
 // The string forms of the state keys, for the tests that prove or read

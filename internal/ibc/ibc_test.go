@@ -678,12 +678,12 @@ func TestPacketCommitmentBinding(t *testing.T) {
 	p := ibc.Packet{Sequence: 1, Data: []byte("x"), TimeoutHeight: 5}
 	q := p
 	q.TimeoutHeight = 6
-	if string(p.CommitmentBytes()) == string(q.CommitmentBytes()) {
+	if string(p.AppendCommitment(nil)) == string(q.AppendCommitment(nil)) {
 		t.Fatal("commitment ignores timeout height")
 	}
 	r := p
 	r.Data = []byte("y")
-	if string(p.CommitmentBytes()) == string(r.CommitmentBytes()) {
+	if string(p.AppendCommitment(nil)) == string(r.AppendCommitment(nil)) {
 		t.Fatal("commitment ignores data")
 	}
 }

@@ -2,6 +2,7 @@ package ibc
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,6 +70,9 @@ type Keeper struct {
 	// counterparties holds, per light client, the state of the chain
 	// that client tracks (see SetCounterpartyState).
 	counterparties map[string]*app.State
+	// sums is the chunk packet commitments are computed into (sumSlot):
+	// the store keeps each by reference, and nothing writes it again.
+	sums []byte
 }
 
 // clientValset is a light client's validator set and the stored
@@ -93,12 +97,13 @@ func NewKeeper(a *app.App) *Keeper {
 func (k *Keeper) BindPort(port string, m PortModule) { k.ports[port] = m }
 
 // SetCounterpartyState hands the keeper the state of the chain that
-// light client clientID tracks. It is the simulator's stand-in for an
-// absence proof in performance mode, where none is carried: a timeout
-// is refused when that state holds the packet's receipt, which is what
-// the proof would disprove. A chain executes each block within one
-// event, so whenever this keeper runs, the counterparty's state is its
-// committed state.
+// light client clientID tracks. It is the simulator's stand-in for the
+// proofs performance mode does not carry: a recv is refused unless that
+// state holds the packet's commitment, an ack unless it holds the
+// acknowledgement's, and a timeout when it holds the packet's receipt,
+// which is what each proof would prove or disprove. A chain executes
+// each block within one event, so whenever this keeper runs, the
+// counterparty's state is its committed state.
 func (k *Keeper) SetCounterpartyState(clientID string, st *app.State) {
 	if k.counterparties == nil {
 		k.counterparties = make(map[string]*app.State)
@@ -241,14 +246,23 @@ func (k *Keeper) clientForChannel(ctx *app.Context, port, channel string) (strin
 
 // verifyMembership checks a counterparty state inclusion proof against
 // the consensus root at proofHeight. With proofs disabled (performance
-// mode) it only checks the consensus state exists, and key and value go
-// unread.
+// mode) it checks the counterparty's committed state instead, when the
+// keeper has it: key must hold value there. A packet's commitment and
+// acknowledgement records are what a recv and an ack prove, and neither
+// is rewritten once stored, so that state answers as the proof would:
+// recvPacket refuses a packet already received or timed out before it
+// asks, and an ack record is never deleted.
 func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, key, value []byte, proof *merkle.MembershipProof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
 	}
 	if !ctx.State.FullProofs() {
+		if cp := k.counterparties[clientID]; cp != nil {
+			if v, ok := cp.Get(key); !ok || !bytes.Equal(v, value) {
+				return fmt.Errorf("%w: %s is not committed on the counterparty", ErrProofVerify, string(key))
+			}
+		}
 		return nil
 	}
 	if proof == nil {
@@ -433,6 +447,7 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 		return Packet{}, fmt.Errorf("ibc: send sequence of %s/%s: %q is not a counter", port, channel, raw)
 	}
 	ctx.State.Set(seqKey, strconv.AppendUint(nil, seq+1, 10))
+	commitments := records(b[:0], app.Commitment, port, channel)
 	p := Packet{
 		Sequence:         seq,
 		SourcePort:       port,
@@ -443,7 +458,7 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 		TimeoutHeight:    timeoutHeight,
 		TimeoutTimestamp: timeoutTimestamp,
 	}
-	ctx.State.Set(AppendPacketCommitmentKey(b[:0], port, channel, seq), p.CommitmentBytes())
+	ctx.State.SetRecord(&commitments, seq, p.AppendCommitment(k.sumSlot()))
 	ctx.Emit(abci.Event{Type: "send_packet", Data: &p})
 	return p, nil
 }
@@ -468,19 +483,17 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 	}
 	// Unordered channel: exactly-once via receipts.
 	var b, pb [app.KeyBufLen]byte
-	receiptKey := AppendPacketReceiptKey(b[:0], p.DestPort, p.DestChannel, p.Sequence)
-	if ctx.State.Has(receiptKey) {
+	receipts := records(b[:0], app.Receipt, p.DestPort, p.DestChannel)
+	if ctx.State.HasRecord(&receipts, p.Sequence) {
 		return fmt.Errorf("%w: %s/%s seq %d", ErrRedundantPacket, p.SourcePort, p.SourceChannel, p.Sequence)
 	}
 	// Verify the source chain committed this packet.
-	var key, commitment []byte // proof-only work, skipped without proofs
-	if ctx.State.FullProofs() {
-		key, commitment = AppendPacketCommitmentKey(pb[:0], p.SourcePort, p.SourceChannel, p.Sequence), p.CommitmentBytes()
-	}
-	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, key, commitment, m.ProofCommitment); err != nil {
+	var sum [sha256.Size]byte
+	key := AppendPacketCommitmentKey(pb[:0], p.SourcePort, p.SourceChannel, p.Sequence)
+	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, key, p.AppendCommitment(sum[:0]), m.ProofCommitment); err != nil {
 		return err
 	}
-	ctx.State.Set(receiptKey, receiptValue)
+	ctx.State.SetRecord(&receipts, p.Sequence, receiptValue)
 
 	mod, ok := k.ports[p.DestPort]
 	if !ok {
@@ -505,17 +518,16 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 // commitment.
 func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledgement) error {
 	var b [app.KeyBufLen]byte
-	key := AppendPacketAckKey(b[:0], p.DestPort, p.DestChannel, p.Sequence)
-	if ctx.State.Has(key) {
+	acks := records(b[:0], app.Ack, p.DestPort, p.DestChannel)
+	if ctx.State.HasRecord(&acks, p.Sequence) {
 		return fmt.Errorf("ibc: acknowledgement for %s/%s seq %d already written",
 			p.DestPort, p.DestChannel, p.Sequence)
 	}
-	raw, commitment := successAckBytes, successAckCommitment
+	raw := successAckBytes
 	if ack.Error != "" || string(ack.Result) != string(SuccessAck.Result) {
 		raw = ack.Bytes()
-		commitment = hashAck(raw)
 	}
-	ctx.State.Set(key, commitment)
+	ctx.State.SetRecord(&acks, p.Sequence, ackCommitment(nil, raw))
 	ctx.Emit(abci.Event{Type: "write_acknowledgement", Data: &AckWrite{Packet: p, Ack: raw}})
 	return nil
 }
@@ -546,19 +558,17 @@ func (k *Keeper) acknowledgePacket(ctx *app.Context, m MsgAcknowledgement) error
 		return fmt.Errorf("%w: %s/%s", ErrChannelNotOpen, p.SourcePort, p.SourceChannel)
 	}
 	var b, pb [app.KeyBufLen]byte
-	commitKey := AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
-	if !ctx.State.Has(commitKey) {
+	commitments := records(b[:0], app.Commitment, p.SourcePort, p.SourceChannel)
+	if !ctx.State.HasRecord(&commitments, p.Sequence) {
 		// Already acknowledged or timed out: redundant relay.
 		return fmt.Errorf("%w: ack for seq %d", ErrRedundantPacket, p.Sequence)
 	}
-	var key, ackHash []byte // proof-only work, skipped without proofs
-	if ctx.State.FullProofs() {
-		key, ackHash = AppendPacketAckKey(pb[:0], p.DestPort, p.DestChannel, p.Sequence), hashAck(m.Ack)
-	}
-	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, key, ackHash, m.ProofAcked); err != nil {
+	var sum [sha256.Size]byte
+	key := AppendPacketAckKey(pb[:0], p.DestPort, p.DestChannel, p.Sequence)
+	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, key, ackCommitment(sum[:0], m.Ack), m.ProofAcked); err != nil {
 		return err
 	}
-	ctx.State.Delete(commitKey)
+	ctx.State.DeleteRecord(&commitments, p.Sequence)
 
 	mod, ok := k.ports[p.SourcePort]
 	if !ok {
@@ -580,8 +590,8 @@ func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 		return err
 	}
 	var b, pb [app.KeyBufLen]byte
-	commitKey := AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
-	if !ctx.State.Has(commitKey) {
+	commitments := records(b[:0], app.Commitment, p.SourcePort, p.SourceChannel)
+	if !ctx.State.HasRecord(&commitments, p.Sequence) {
 		return fmt.Errorf("%w: timeout for seq %d", ErrRedundantPacket, p.Sequence)
 	}
 	// The consensus state at proofHeight must be past the timeout.
@@ -603,7 +613,7 @@ func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 		AppendPacketReceiptKey(pb[:0], p.DestPort, p.DestChannel, p.Sequence), m.ProofUnreceived); err != nil {
 		return err
 	}
-	ctx.State.Delete(commitKey)
+	ctx.State.DeleteRecord(&commitments, p.Sequence)
 
 	mod, ok := k.ports[p.SourcePort]
 	if !ok {
@@ -612,21 +622,44 @@ func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 	return mod.OnTimeoutPacket(ctx, p)
 }
 
-// hashAck is the stored acknowledgement commitment.
-func hashAck(ack []byte) []byte {
+// sumSlot returns an empty slice with room for one packet commitment,
+// cut from k.sums.
+func (k *Keeper) sumSlot() []byte {
+	if cap(k.sums)-len(k.sums) < sha256.Size {
+		k.sums = make([]byte, 0, 256*sha256.Size)
+	}
+	n := len(k.sums)
+	k.sums = k.sums[:n+sha256.Size]
+	return k.sums[n : n : n+sha256.Size]
+}
+
+// appendHashAck appends the commitment of acknowledgement bytes ack.
+func appendHashAck(dst, ack []byte) []byte {
 	h := merkle.LeafHash([]byte("ack"), ack)
-	return h[:]
+	return append(dst, h[:]...)
+}
+
+// ackCommitment is what an acknowledgement's record stores for ack
+// bytes raw: the shared literal for the success ack, else its hash,
+// appended to dst.
+func ackCommitment(dst, raw []byte) []byte {
+	if string(raw) == string(successAckBytes) {
+		return successAckCommitment
+	}
+	return appendHashAck(dst, raw)
 }
 
 // HasCommitment reports whether a packet commitment is still stored
 // (pending, not yet acknowledged or timed out).
 func (k *Keeper) HasCommitment(ctx *app.Context, port, channel string, seq uint64) bool {
 	var b [app.KeyBufLen]byte
-	return ctx.State.Has(AppendPacketCommitmentKey(b[:0], port, channel, seq))
+	r := records(b[:0], app.Commitment, port, channel)
+	return ctx.State.HasRecord(&r, seq)
 }
 
 // HasReceipt reports whether a packet was received.
 func (k *Keeper) HasReceipt(ctx *app.Context, port, channel string, seq uint64) bool {
 	var b [app.KeyBufLen]byte
-	return ctx.State.Has(AppendPacketReceiptKey(b[:0], port, channel, seq))
+	r := records(b[:0], app.Receipt, port, channel)
+	return ctx.State.HasRecord(&r, seq)
 }

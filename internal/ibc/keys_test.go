@@ -94,7 +94,7 @@ func TestCommitmentBytesMatchFmtFormatting(t *testing.T) {
 				ref := sha256.New()
 				fmt.Fprintf(ref, "%d/%d/", h, ts)
 				ref.Write(data)
-				if got, want := p.CommitmentBytes(), ref.Sum(nil); !bytes.Equal(got, want) {
+				if got, want := p.AppendCommitment(nil), ref.Sum(nil); !bytes.Equal(got, want) {
 					t.Errorf("commitment(height %d, timestamp %d, %d data bytes) = %x, want %x",
 						h, int64(ts), len(data), got, want)
 				}

@@ -35,13 +35,13 @@ func TestCutEscrowBalanceKeyInvertsTheBank(t *testing.T) {
 	st.CommitTx()
 	st.Commit(1)
 	var got []string
-	for _, k := range st.Written() {
-		if port, channel, dn, ok := CutEscrowBalanceKey(k); ok {
+	for _, w := range st.Written() {
+		if port, channel, dn, ok := CutEscrowBalanceKey(w.Key); ok {
 			got = append(got, port+" "+channel+" "+dn)
 		}
 	}
 	if len(got) != 1 || got[0] != "transfer channel-3 transfer/channel-1/uatom" {
-		t.Fatalf("escrow balances among %q = %q", st.Written(), got)
+		t.Fatalf("escrow balances among %d writes = %q", len(st.Written()), got)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"ibcbench/internal/app"
 	"ibcbench/internal/merkle"
 )
 
@@ -47,9 +48,10 @@ type Packet struct {
 	TimeoutTimestamp time.Duration `json:"timeout_timestamp,omitempty"`
 }
 
-// CommitmentBytes is the value stored under the packet commitment key:
-// a digest of the packet data and timeouts.
-func (p *Packet) CommitmentBytes() []byte {
+// AppendCommitment appends the value stored in the packet's commitment
+// record, a digest of the packet data and timeouts, to dst: into a
+// caller's buffer of sha256.Size bytes, it allocates nothing.
+func (p *Packet) AppendCommitment(dst []byte) []byte {
 	h := sha256.New()
 	var buf [48]byte // two int64s in decimal and two slashes fit in 42
 	b := strconv.AppendInt(buf[:0], p.TimeoutHeight, 10)
@@ -58,7 +60,7 @@ func (p *Packet) CommitmentBytes() []byte {
 	b = append(b, '/')
 	h.Write(b)
 	h.Write(p.Data)
-	return h.Sum(nil)
+	return h.Sum(dst)
 }
 
 // Key paths in the application state (ICS-24 host requirements). Each
@@ -87,24 +89,38 @@ func AppendNextSequenceSendKey(dst []byte, port, channel string) []byte {
 	return appendChannelPath(append(dst, "nextSequenceSend"...), port, channel)
 }
 
+// recordPaths spells the first path segment of each kind of packet
+// record the store keeps in tables.
+var recordPaths = [...]string{app.Commitment: "commitments", app.Receipt: "receipts", app.Ack: "acks"}
+
 func AppendPacketCommitmentKey(dst []byte, port, channel string, seq uint64) []byte {
-	return AppendPacketKey(dst, "commitments", port, channel, seq)
+	return AppendPacketKey(dst, recordPaths[app.Commitment], port, channel, seq)
 }
 
 func AppendPacketReceiptKey(dst []byte, port, channel string, seq uint64) []byte {
-	return AppendPacketKey(dst, "receipts", port, channel, seq)
+	return AppendPacketKey(dst, recordPaths[app.Receipt], port, channel, seq)
 }
 
 func AppendPacketAckKey(dst []byte, port, channel string, seq uint64) []byte {
-	return AppendPacketKey(dst, "acks", port, channel, seq)
+	return AppendPacketKey(dst, recordPaths[app.Ack], port, channel, seq)
 }
 
 // AppendPacketKey appends "<kind>/ports/<port>/channels/<channel>/sequences/<seq>",
 // the path of every per-packet record (middleware keep theirs under it
 // too, with a kind of their own).
 func AppendPacketKey(dst []byte, kind, port, channel string, seq uint64) []byte {
-	dst = append(appendChannelPath(append(dst, kind...), port, channel), "/sequences/"...)
-	return strconv.AppendUint(dst, seq, 10)
+	return strconv.AppendUint(appendPacketPrefix(dst, kind, port, channel), seq, 10)
+}
+
+// appendPacketPrefix appends AppendPacketKey's path up to the sequence.
+func appendPacketPrefix(dst []byte, kind, port, channel string) []byte {
+	return append(appendChannelPath(append(dst, kind...), port, channel), "/sequences/"...)
+}
+
+// records names the store's table of one kind of packet record on
+// channel end port/channel, its prefix built in b.
+func records(b []byte, kind app.RecordKind, port, channel string) app.Records {
+	return app.Records{Kind: kind, Channel: channel, Prefix: appendPacketPrefix(b, recordPaths[kind], port, channel)}
 }
 
 // CutPacketKey splits a key of AppendPacketKey's layout, or of a

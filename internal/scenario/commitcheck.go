@@ -14,11 +14,12 @@ import (
 )
 
 // commitWatch checks, after every commit, the rules one block can break,
-// at the height that breaks them. It reads only the keys the block
-// wrote (app.State.Written) and the packets it sent and acknowledged,
-// and reads a value back only where the write may have been a deletion:
-// a commit costs a few table lookups per key written and per packet
-// event, however many packets are in flight.
+// at the height that breaks them. It reads only the keys and packet
+// records the block wrote (app.State.Written, which says whether each
+// was left deleted) and the packets it sent and acknowledged, and reads
+// a value back only for a nextSequenceSend key: a commit costs a few
+// table lookups per key written and per packet event, however many
+// packets are in flight.
 //
 //   - C3, conservation's over-minting half: a block that writes a
 //     voucher's supply, or the escrow behind it, re-checks that voucher
@@ -130,9 +131,10 @@ func (w *commitWatch) addSends(c *chain.Chain, h int64) {
 }
 
 // commit checks the packets c's block at height h acknowledged (a
-// repeat is C4's verdict) and every key it wrote. A key is read back
-// only where the write may have been a deletion: the commitment of a
-// packet sent before this block, or a receipt.
+// repeat is C4's verdict) and every key and packet record it wrote. A
+// record write names its kind, channel and sequence, and whether it left
+// the record deleted, so only a nextSequenceSend key is read back; a
+// verdict's key text is spelled only when it is reported.
 func (w *commitWatch) commit(c *chain.Chain, h int64) {
 	start := w.sent
 	w.addSends(c, h)
@@ -145,36 +147,37 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 		}
 	}
 	st := c.App.State()
-	for _, k := range st.Written() {
-		if dn, ok := strings.CutPrefix(k, app.SupplyPrefix); ok {
-			w.checkVoucher(c, h, c, dn)
-		} else if port, channel, inner, ok := transfer.CutEscrowBalanceKey(k); ok {
-			if end := w.ends[chanEnd{c, channel}]; end != nil && end.side.chain != nil {
-				w.checkVoucher(c, h, end.side.chain, port+"/"+end.side.channel+"/"+inner)
+	for _, wr := range st.Written() {
+		switch kind, channel := wr.Record(); kind {
+		case app.Commitment:
+			// A packet sent before this block (below the table, seq-base
+			// wraps past its length) settles. Its destination must have
+			// acknowledged it, in a block the watch saw (the relayer
+			// learns of it only after), or reached the timeout.
+			e := w.end(c, channel)
+			i := wr.Seq - e.base
+			if !wr.Deleted || i >= uint64(len(e.flight)) || e.flight[i].p == nil || e.flight[i].ord >= start {
+				continue
 			}
-		} else if kind, channel, seq, ok := ibc.CutPacketKey(k); ok {
-			switch kind {
-			case "commitments":
-				// A packet sent before this block (below the table, seq-base
-				// wraps past its length) settles. Its destination must have
-				// acknowledged it, in a block the watch saw (the relayer
-				// learns of it only after), or reached the timeout.
-				e := w.end(c, channel)
-				i := seq - e.base
-				if i >= uint64(len(e.flight)) || e.flight[i].p == nil || e.flight[i].ord >= start || st.Has([]byte(k)) {
-					continue
+			p, dst := e.flight[i].p, e.side.chain
+			e.flight[i] = inFlight{}
+			if dst != nil && !w.ends[e.side].received.has(wr.Seq) && !timeoutElapsed(p, dst) {
+				w.report(c, h, c, AssertTimeoutRefunds, "commitment %s deleted, but %s has not acknowledged it and is at height %d, short of the timeout (height %d/time %v)",
+					wr.AppendKey(nil), dst.ID, dst.Store.Height(), p.TimeoutHeight, p.TimeoutTimestamp)
+			}
+		case app.Receipt:
+			if wr.Deleted {
+				w.report(c, h, c, AssertTimeoutRefunds, "receipt %s deleted: receipts only grow", wr.AppendKey(nil))
+			}
+		case app.NoRecord:
+			k := wr.Key
+			if dn, ok := strings.CutPrefix(k, app.SupplyPrefix); ok {
+				w.checkVoucher(c, h, c, dn)
+			} else if port, channel, inner, ok := transfer.CutEscrowBalanceKey(k); ok {
+				if end := w.ends[chanEnd{c, channel}]; end != nil && end.side.chain != nil {
+					w.checkVoucher(c, h, end.side.chain, port+"/"+end.side.channel+"/"+inner)
 				}
-				p, dst := e.flight[i].p, e.side.chain
-				e.flight[i] = inFlight{}
-				if dst != nil && !w.ends[e.side].received.has(seq) && !timeoutElapsed(p, dst) {
-					w.report(c, h, c, AssertTimeoutRefunds, "commitment %s deleted, but %s has not acknowledged it and is at height %d, short of the timeout (height %d/time %v)",
-						k, dst.ID, dst.Store.Height(), p.TimeoutHeight, p.TimeoutTimestamp)
-				}
-			case "receipts":
-				if !st.Has([]byte(k)) {
-					w.report(c, h, c, AssertTimeoutRefunds, "receipt %s deleted: receipts only grow", k)
-				}
-			case "nextSequenceSend":
+			} else if kind, channel, _, ok := ibc.CutPacketKey(k); ok && kind == "nextSequenceSend" {
 				e := w.end(c, channel)
 				raw, _ := st.Get([]byte(k))
 				next, _ := strconv.ParseUint(string(raw), 10, 64)

@@ -240,15 +240,18 @@ func wantOneVerdict(t *testing.T, all []Violation, rule, assertion string, c *ch
 // timed out, at the height of the block that deleted it, under
 // timeout-refunds. The deletion is planted: the first ibc-0 commit that
 // sends a packet deletes that packet's commitment again, before a
-// relayer has had the chance to deliver it.
+// relayer has had the chance to deliver it. The destination then refuses
+// that packet's recv, as a proof of the commitment would fail, and the
+// relayer's one retry of the batch it rode in fails with it.
 func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
-	var key string
+	var key, id string
 	src, h, got, all, quiet := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
 		be := c.Events.At(h)
 		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
 			return false
 		}
 		p := be.Txs[0].Sends[0]
+		id = fmt.Sprintf("packet %s/%s#%d ", p.SourcePort, p.SourceChannel, p.Sequence)
 		key = string(ibc.AppendPacketCommitmentKey(nil, p.SourcePort, p.SourceChannel, p.Sequence))
 		c.App.State().Delete([]byte(key))
 		return true
@@ -257,12 +260,19 @@ func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
 	// verdict, and check after it reports nothing more.
 	v := wantOneVerdict(t, got, "", AssertTimeoutRefunds, src, h+1,
 		fmt.Sprintf("after %s committed height %d: commitment %s deleted, but ", src.ID, h+1, key))
-	// The quiescent check sees a settled packet; only the watch reports it.
-	if len(quiet) != 0 {
-		t.Fatalf("quiescent Check = %v, want nothing", quiet)
+	// The quiescent check sees the deleted packet settled; only the watch
+	// reports it. What the quiescent check reports is the rest of the
+	// refused batch, stuck in flight.
+	if len(quiet) == 0 {
+		t.Fatal("quiescent Check reports nothing, want the packets of the refused batch stuck")
 	}
-	if len(all) != 1 || all[0] != v {
-		t.Fatalf("check after the per-commit check = %v, want its verdict alone", all)
+	for _, q := range quiet {
+		if q.Assertion != AssertNoStuckPackets || strings.Contains(q.Detail, id) || !strings.Contains(q.Detail, "in flight (no receipt on ") {
+			t.Fatalf("quiescent Check = %v, want only packets other than the deleted one stuck in flight", quiet)
+		}
+	}
+	if len(all) != 1+len(quiet) || all[0] != v || !slices.Equal(all[1:], quiet) {
+		t.Fatalf("check after the per-commit check = %v, want its verdict, then the quiescent Check's", all)
 	}
 }
 

@@ -143,7 +143,7 @@ func appendRecordDigests(out [][sha256.Size]byte, be *eventindex.BlockEvents) []
 			b = append(append(b, s...), 0)
 		}
 		b = binary.BigEndian.AppendUint64(b, p.Sequence)
-		return append(b, p.CommitmentBytes()...)
+		return p.AppendCommitment(b)
 	}
 	for _, te := range be.Txs {
 		for _, p := range te.Sends {
