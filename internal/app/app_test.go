@@ -403,8 +403,11 @@ func TestProofsServeCommittedState(t *testing.T) {
 	for _, k := range keys {
 		checkProof(t, s, merkle.NewTree(h3), 3, k)
 	}
-	if v, _ := s.Get([]byte("d")); string(v) != "40" || s.Has([]byte("e")) {
-		t.Fatalf("proofs disturbed the executing block: d = %q, e present %v", v, s.Has([]byte("e")))
+	if v, _ := s.Get([]byte("d")); string(v) != "40" {
+		t.Fatalf("proofs disturbed the executing block: d = %q", v)
+	}
+	if _, ok := s.Get([]byte("e")); ok {
+		t.Fatal("proofs disturbed the executing block: e present")
 	}
 
 	// Committing block 4 drops the in-flight transaction; its height is
@@ -484,7 +487,8 @@ func TestAbortRestoresOverwrittenAndDeletedKeys(t *testing.T) {
 				if v, _ := s.Get([]byte("keep")); string(v) != "tx2b" {
 					t.Fatalf("in-tx read of keep = %q", v)
 				}
-				if s.Has([]byte("new")) || !s.Has([]byte("fresh")) {
+				_, hasNew := s.Get([]byte("new"))
+				if _, hasFresh := s.Get([]byte("fresh")); hasNew || !hasFresh {
 					t.Fatal("in-tx writes not visible")
 				}
 				s.AbortTx()
@@ -498,7 +502,8 @@ func TestAbortRestoresOverwrittenAndDeletedKeys(t *testing.T) {
 				t.Fatalf("fullProofs=%v: %s = %q, %v after abort, want %q", fullProofs, k, g, ok, v)
 			}
 		}
-		if got.Has([]byte("absent")) || got.Has([]byte("fresh")) || got.Len() != want.Len() {
+		_, hasAbsent := got.Get([]byte("absent"))
+		if _, hasFresh := got.Get([]byte("fresh")); hasAbsent || hasFresh || got.Len() != want.Len() {
 			t.Fatalf("fullProofs=%v: aborted tx left keys behind (len %d, want %d)", fullProofs, got.Len(), want.Len())
 		}
 		// The non-proof root hashes the dirty keys themselves: they must

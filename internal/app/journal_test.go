@@ -24,8 +24,8 @@ import (
 // written keys: every key a committed transaction wrote, changed or not,
 // string keys in key order, then packet records by table prefix and
 // numeric sequence, each table's prefix hashed once before its records'
-// sequences. Whether a write was a string key or a record is what the
-// store decides when it makes it, so the model is told (write).
+// sequences. Whether a write is a string key or a record is the method
+// it went through, so the model is told (write).
 type naiveState struct {
 	cur       map[string]string // what reads see, in-tx writes included
 	committed map[string]string // cur as of the last CommitTx/AbortTx/Commit
@@ -82,8 +82,8 @@ func sortedRecords(m map[string]bool) []string {
 	return keys
 }
 
-// write marks k written in the open transaction; a key written both ways
-// in one transaction is kept as both.
+// write marks k written in the open transaction, as a record or a string
+// key.
 func (n *naiveState) write(k string, record bool) {
 	if record {
 		n.txDirty["\x00"+k] = true
@@ -191,8 +191,7 @@ func fuzzRecords(buf []byte, k string) (Records, uint64, bool) {
 // set a fresh value. The 16-key space makes the same key being written
 // many times per transaction and per block, and re-creation after a
 // delete, routine. A packet record is written through SetRecord or
-// DeleteRecord, or, once its table exists and the key byte's bit 4 is
-// set, through Set and Delete by key. Every key reaches the store
+// DeleteRecord, the only way to it. Every key reaches the store
 // through one reused buffer that is scribbled over after each call
 // (callerKeys), so a store keeping caller key bytes anywhere diverges
 // from the model.
@@ -201,7 +200,7 @@ func FuzzStateJournal(f *testing.F) {
 	f.Add([]byte{5, 3, 1, 0, 5, 3, 3, 3, 5, 3, 3, 7, 2, 0, 4, 3, 1, 0, 0, 0})       // abort after a committed tx in the same block; equal-value set
 	f.Add([]byte{3, 4, 1, 0, 0, 0, 0, 0, 5, 4, 0, 0, 3, 4, 5, 4, 3, 4, 1, 0, 0, 0}) // delete of an absent key dirties it; empty block; uncommitted write dropped by Commit
 	f.Add([]byte{5, 0, 6, 0, 7, 0, 1, 0, 5, 0, 1, 0, 0, 0, 6, 8, 0, 0, 7, 8, 1, 0, 0, 0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	// Records: shared values, then a fresh one; by key; deleted, aborted, re-made.
+	// Records: shared values, then a fresh one; deleted, aborted, re-made.
 	f.Add([]byte{5, 8, 5, 10, 5, 14, 1, 0, 0, 0, 6, 12, 5, 24, 1, 0, 0, 0, 3, 26, 3, 9, 2, 0, 3, 24, 1, 0, 0, 0, 5, 8, 1, 0, 0, 0})
 	// A table made by a delete at sequence 130 grows down to 1.
 	f.Add([]byte{3, 15, 1, 0, 6, 15, 6, 9, 1, 0, 0, 0, 7, 13, 4, 15, 1, 0, 0, 0, 3, 31, 2, 0, 0, 0})
@@ -209,7 +208,6 @@ func FuzzStateJournal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, fullProofs := range []bool{false, true} {
 			s, n, ck := NewState(fullProofs), newNaiveState(), &callerKeys{}
-			made := map[string]bool{} // the tables made, by prefix
 			height := int64(0)
 			for i := 0; i+1 < len(data); i += 2 {
 				op, k := data[i]%8, fuzzKey(data[i+1])
@@ -253,28 +251,25 @@ func FuzzStateJournal(f *testing.F) {
 					checkReads(t, s, n, ck)
 					continue
 				}
-				r, seq, record := fuzzRecords(nil, k)
-				byKey := !record || made[string(r.Prefix)] && data[i+1]&16 != 0
+				_, seq, record := fuzzRecords(nil, k)
 				switch {
-				case byKey && op == 3:
+				case !record && op == 3:
 					ck.do(k, s.Delete)
-					n.del(k, record)
-				case byKey:
+					n.del(k, false)
+				case !record:
 					ck.do(k, func(b []byte) { s.Set(b, value) })
-					n.set(k, string(value), record)
+					n.set(k, string(value), false)
 				case op == 3:
 					ck.do(k, func(b []byte) {
 						r, _, _ := fuzzRecords(b[:0], k)
 						s.DeleteRecord(&r, seq)
 					})
-					made[string(r.Prefix)] = true
 					n.del(k, true)
 				default:
 					ck.do(k, func(b []byte) {
 						r, _, _ := fuzzRecords(b[:0], k)
 						s.SetRecord(&r, seq, value)
 					})
-					made[string(r.Prefix)] = true
 					n.set(k, string(value), true)
 				}
 				checkReads(t, s, n, ck)
@@ -297,8 +292,10 @@ func (c *callerKeys) do(k string, f func(key []byte)) {
 	}
 }
 
-// checkReads compares every read the store offers with the model: by
-// key for all 16 keys, and through HasRecord for the records. RangePrefix visits string keys only.
+// checkReads compares every read the store offers with the model: Get
+// for the string keys, GetRecord and HasRecord for the records. A record
+// is invisible to Get of its key, and RangePrefix visits string keys
+// only.
 func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys) {
 	t.Helper()
 	if s.Len() != len(n.cur) {
@@ -308,20 +305,26 @@ func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys) {
 		k := fuzzKey(b)
 		want, wantOK := n.cur[k]
 		var got []byte
-		var ok, has bool
+		var ok bool
 		ck.do(k, func(b []byte) { got, ok = s.Get(b) })
-		ck.do(k, func(b []byte) { has = s.Has(b) })
-		if ok != wantOK || string(got) != want || has != wantOK {
-			t.Fatalf("Get(%q) = %q, %v (Has %v), model %q, %v", k, got, ok, has, want, wantOK)
+		_, seq, record := fuzzRecords(nil, k)
+		if record && ok {
+			t.Fatalf("Get(%q) = %q, true: a record read as a string key", k, got)
 		}
-		if _, seq, record := fuzzRecords(nil, k); record {
-			ck.do(k, func(b []byte) {
-				r, _, _ := fuzzRecords(b[:0], k)
-				has = s.HasRecord(&r, seq)
-			})
-			if has != wantOK {
-				t.Fatalf("HasRecord(%q) = %v, model %v", k, has, wantOK)
-			}
+		if !record && (ok != wantOK || string(got) != want) {
+			t.Fatalf("Get(%q) = %q, %v, model %q, %v", k, got, ok, want, wantOK)
+		}
+		if !record {
+			continue
+		}
+		var has bool
+		ck.do(k, func(b []byte) {
+			r, _, _ := fuzzRecords(b[:0], k)
+			got, ok = s.GetRecord(&r, seq)
+			has = s.HasRecord(&r, seq)
+		})
+		if ok != wantOK || string(got) != want || has != wantOK {
+			t.Fatalf("GetRecord(%q) = %q, %v (HasRecord %v), model %q, %v", k, got, ok, has, want, wantOK)
 		}
 	}
 	for _, prefix := range []string{"", "a/", "b/", "c/", "r/"} {
@@ -429,8 +432,7 @@ func checkProof(t *testing.T, s *State, ref *merkle.Tree, h int64, k string) {
 // A read makes no string and a write makes one only when it inserts a
 // key: the map's own string is what the journal records for every later
 // write, and what AbortTx puts back. A packet record makes none: not on
-// insert, by SetRecord or by key, and in performance mode not when its
-// block commits either.
+// insert, and in performance mode not when its block commits either.
 func TestStateKeyAllocs(t *testing.T) {
 	for _, fullProofs := range []bool{false, true} {
 		s := NewState(fullProofs)
@@ -451,17 +453,15 @@ func TestStateKeyAllocs(t *testing.T) {
 		}{
 			{"Get of a present key", 0, func() { s.Get(present) }},
 			{"Get of an absent key", 0, func() { s.Get(absent) }},
-			{"Has of a present key", 0, func() { s.Has(present) }},
-			{"Has of an absent key", 0, func() { s.Has(absent) }},
 			// AbortTx keeps the journal at one entry and the map at one key.
 			{"Set of an existing key", 0, func() { s.Set(present, v); s.AbortTx() }},
 			{"Delete of an existing key", 0, func() { s.Delete(present); s.AbortTx() }},
 			{"Set of a new key", 1, func() { s.Set(absent, v); s.AbortTx() }},
+			{"GetRecord of a present record", 0, func() { r := recs(); s.GetRecord(&r, 1) }},
+			{"GetRecord of an absent record", 0, func() { r := recs(); s.GetRecord(&r, 2) }},
 			{"HasRecord of a present record", 0, func() { r := recs(); s.HasRecord(&r, 1) }},
 			{"HasRecord of an absent record", 0, func() { r := recs(); s.HasRecord(&r, 2) }},
-			{"Get of a record by key", 0, func() { s.Get(append(b[:0], "commitments/channel-0/1"...)) }},
 			{"SetRecord of a new record", 0, func() { r := recs(); s.SetRecord(&r, 2, v); s.AbortTx() }},
-			{"Set of a new record by key", 0, func() { s.Set(append(b[:0], "commitments/channel-0/3"...), v); s.AbortTx() }},
 			{"DeleteRecord of a present record", 0, func() { r := recs(); s.DeleteRecord(&r, 1); s.AbortTx() }},
 		} {
 			if got := testing.AllocsPerRun(100, c.f); got != c.want {

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -36,9 +35,10 @@ import (
 //     lookup makes no string, and only the first insert of a key makes the
 //     one string its map entry and journal entries share.
 //
-// Get, Has, Set and Delete take either kind by key: a key that is an
-// existing table's prefix plus a sequence is that table's record.
-// Values the store owns (see Set and Get).
+// Records are reached only through their tables (SetRecord,
+// DeleteRecord, GetRecord, HasRecord); Get, Set and Delete reach the
+// string map only, so a record is invisible to Get of its key. Values
+// the store owns (see Set and Get).
 //
 // Every write goes straight into the map or a table, leaving one undo
 // entry on the block's journal. A transaction is a mark on that journal:
@@ -58,11 +58,8 @@ type State struct {
 	data map[string]slot
 
 	// tables holds the packet-record tables by prefix, made on first
-	// write; loose holds the prefix of every key ever stored in the map
-	// that is a prefix plus a decimal sequence, so no table is made under
-	// records already stored as strings (see newTable).
+	// write.
 	tables map[string]*table
-	loose  map[string]bool
 
 	// journal holds one entry per write since the last Commit, oldest
 	// first; entries below txMark belong to committed transactions. It is
@@ -179,98 +176,39 @@ func NewState(fullProofs bool) *State {
 	return s
 }
 
-// Get reads a key, observing the executing transaction's writes. The
-// returned slice is the store's own: callers never write to it.
+// Get reads a string key, observing the executing transaction's writes.
+// The returned slice is the store's own: callers never write to it.
 func (s *State) Get(key []byte) ([]byte, bool) {
-	if t, seq := s.record(key); t != nil {
-		return t.lookup(seq)
-	}
 	e, ok := s.data[string(key)]
 	return e.val, ok
 }
 
-// Has reports key presence.
-func (s *State) Has(key []byte) bool {
-	_, ok := s.Get(key)
-	return ok
-}
-
-// Set writes a key for the executing transaction. The store owns value
-// from here on (it is kept by reference, here and in the journal), so the
-// caller hands over a slice nothing else will write to. A record key
-// whose table is not made yet is stored as a string key, and its table
-// is then never made (newTable panics): records are written by
-// SetRecord first.
+// Set writes a string key for the executing transaction. The store owns
+// value from here on (it is kept by reference, here and in the journal),
+// so the caller hands over a slice nothing else will write to. A packet
+// record is written by SetRecord, never by its key.
 func (s *State) Set(key, value []byte) {
-	if t, seq := s.record(key); t != nil {
-		s.setRow(t, seq, value)
-		return
-	}
-	k, had := s.write(key)
-	if i := strings.LastIndexByte(k, '/') + 1; !had && i > 0 && !s.loose[k[:i]] {
-		if _, ok := parseSeq(key[i:]); ok {
-			if s.loose == nil {
-				s.loose = make(map[string]bool)
-			}
-			s.loose[k[:i]] = true // k inserted reads as a record of prefix k[:i]
-		}
-	}
+	k := s.write(key)
 	s.data[k] = slot{k, value}
 }
 
-// Delete removes a key for the executing transaction. Like a Set of an
-// equal value, a Delete of an absent key still marks the key changed in
-// this block.
+// Delete removes a string key for the executing transaction. Like a Set
+// of an equal value, a Delete of an absent key still marks the key
+// changed in this block.
 func (s *State) Delete(key []byte) {
-	if t, seq := s.record(key); t != nil {
-		s.deleteRow(t, seq)
-		return
-	}
-	k, _ := s.write(key)
+	k := s.write(key)
 	delete(s.data, k)
 }
 
 // write journals what a write of string key replaces and returns the key
-// as the store owns it (the map's string, or a copy made on first insert)
-// and whether the map held it.
-func (s *State) write(key []byte) (string, bool) {
+// as the store owns it (the map's string, or a copy made on first insert).
+func (s *State) write(key []byte) string {
 	e, had := s.data[string(key)]
 	if !had {
 		e.key = string(key)
 	}
 	s.journal = append(s.journal, undo{key: e.key, prior: e.val, had: had})
-	return e.key, had
-}
-
-// record finds the table key belongs to: key is an existing table's
-// prefix followed by a sequence in decimal.
-func (s *State) record(key []byte) (*table, uint64) {
-	if len(s.tables) == 0 {
-		return nil, 0
-	}
-	i := bytes.LastIndexByte(key, '/') + 1
-	seq, ok := parseSeq(key[i:])
-	if i == 0 || !ok {
-		return nil, 0
-	}
-	return s.tables[string(key[:i])], seq
-}
-
-// parseSeq reads a sequence as strconv.AppendUint writes it: decimal
-// digits, no leading zero. Any other text is not a record's sequence.
-func parseSeq(b []byte) (uint64, bool) {
-	if len(b) == 0 || len(b) > 1 && b[0] == '0' {
-		return 0, false
-	}
-	var n uint64
-	for _, c := range b {
-		d := uint64(c - '0')
-		if c < '0' || c > '9' || n > (math.MaxUint64-d)/10 {
-			return 0, false
-		}
-		n = n*10 + d
-	}
-	return n, true
+	return e.key
 }
 
 // SetRecord writes record seq of r's table, making the table on its
@@ -293,28 +231,25 @@ func (s *State) DeleteRecord(r *Records, seq uint64) {
 	s.deleteRow(t, seq)
 }
 
-// HasRecord reports whether record seq of r's table is stored, as Has
-// does.
-func (s *State) HasRecord(r *Records, seq uint64) bool {
+// GetRecord reads record seq of r's table, as Get reads a string key.
+func (s *State) GetRecord(r *Records, seq uint64) ([]byte, bool) {
 	if t := s.tables[string(r.Prefix)]; t != nil {
-		_, ok := t.lookup(seq)
-		return ok
+		return t.lookup(seq)
 	}
-	// No table yet: a record written by key is a string key (see Set).
-	var b [KeyBufLen]byte
-	_, ok := s.data[string(strconv.AppendUint(append(b[:0], r.Prefix...), seq, 10))]
+	return nil, false
+}
+
+// HasRecord reports whether record seq of r's table is stored.
+func (s *State) HasRecord(r *Records, seq uint64) bool {
+	_, ok := s.GetRecord(r, seq)
 	return ok
 }
 
-// newTable makes r's table. Records written by key before it would be
-// string keys it cannot see, so it refuses to exist beside them.
+// newTable makes r's table.
 func (s *State) newTable(r *Records) *table {
 	p := string(r.Prefix)
 	if !strings.HasSuffix(p, "/") {
 		panic(fmt.Sprintf("state: record prefix %q does not end in '/'", p))
-	}
-	if s.loose[p] {
-		panic(fmt.Sprintf("state: records under %q were written by key before their table", p))
 	}
 	if s.tables == nil {
 		s.tables = make(map[string]*table)

@@ -68,8 +68,8 @@ func TestLinkSeedsBothEnds(t *testing.T) {
 	if endA.CounterpartyChan != p.ChannelBA || endB.CounterpartyChan != p.ChannelAB {
 		t.Fatalf("counterparty channels wrong: %+v / %+v", endA, endB)
 	}
-	if !a.App.State().Has(ibc.AppendClientStateKey(nil, p.ClientOnA)) ||
-		!b.App.State().Has(ibc.AppendClientStateKey(nil, p.ClientOnB)) {
+	_, onA := a.App.State().Get(ibc.AppendClientStateKey(nil, p.ClientOnA))
+	if _, onB := b.App.State().Get(ibc.AppendClientStateKey(nil, p.ClientOnB)); !onA || !onB {
 		t.Fatal("clients not seeded")
 	}
 }

@@ -610,6 +610,49 @@ func TestForgedProofRejected(t *testing.T) {
 	}
 }
 
+// A full proof the counterparty's state contradicts is a bug in the
+// proof path, not a refusal: the keeper checks every membership proof
+// it accepts against that state, and panics naming the chain, proof
+// height and key. Here the source deletes its commitment after the proof
+// was built, so the proof still verifies against the root at its height.
+func TestAcceptedProofOfAbsentRecordPanics(t *testing.T) {
+	a := newTestChain(t, "chain-a")
+	b := newTestChain(t, "chain-b")
+	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 1000})
+	b.app.CreateAccount("bob")
+	linkChains(t, a, b)
+	a.mustDeliver("alice", transfer.MsgTransfer{
+		Sender: "alice", Receiver: "bob",
+		Token:      app.Coin{Denom: "uatom", Amount: 10},
+		SourcePort: "transfer", SourceChannel: "channel-0",
+		TimeoutHeight: a.height + 1000,
+	})
+	sendHeight := a.height
+	packet := ibc.Packet{
+		Sequence: 1, SourcePort: "transfer", SourceChannel: "channel-0",
+		DestPort: "transfer", DestChannel: "channel-0",
+		Data:          mustPacketData(t, "uatom", 10, "alice", "bob"),
+		TimeoutHeight: sendHeight - 1 + 1000,
+	}
+	updateClientTo(b, a, sendHeight+1)
+	key := ibc.PacketCommitmentKey("transfer", "channel-0", 1)
+	_, proof := a.prove(sendHeight+1, key)
+	commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", "channel-0")
+	a.app.State().DeleteRecord(&commitments, 1)
+	a.app.State().CommitTx()
+	a.emptyBlock()
+
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		b.deliver("relayer", ibc.MsgRecvPacket{Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1})
+		return nil
+	}()
+	msg, _ := got.(string)
+	if want := fmt.Sprintf("%q on chain-a at proof height %d", key, sendHeight+1); !strings.Contains(msg, want) {
+		t.Fatalf("recv of a proof the source contradicts: panic %v, want one naming %s", got, want)
+	}
+}
+
 func TestUpdateClientRejectsForgedHeader(t *testing.T) {
 	a := newTestChain(t, "chain-a")
 	b := newTestChain(t, "chain-b")

@@ -101,9 +101,10 @@ func (k *Keeper) BindPort(port string, m PortModule) { k.ports[port] = m }
 // proofs performance mode does not carry: a recv is refused unless that
 // state holds the packet's commitment, an ack unless it holds the
 // acknowledgement's, and a timeout when it holds the packet's receipt,
-// which is what each proof would prove or disprove. A chain executes
-// each block within one event, so whenever this keeper runs, the
-// counterparty's state is its committed state.
+// which is what each proof would prove or disprove. Under full proofs
+// it is what every membership proof the keeper accepts is checked
+// against. A chain executes each block within one event, so whenever
+// this keeper runs, the counterparty's state is its committed state.
 func (k *Keeper) SetCounterpartyState(clientID string, st *app.State) {
 	if k.counterparties == nil {
 		k.counterparties = make(map[string]*app.State)
@@ -244,27 +245,34 @@ func (k *Keeper) clientForChannel(ctx *app.Context, port, channel string) (strin
 
 // --- proof verification ------------------------------------------------------
 
-// verifyMembership checks a counterparty state inclusion proof against
-// the consensus root at proofHeight. With proofs disabled (performance
-// mode) it checks the counterparty's committed state instead, when the
-// keeper has it: key must hold value there. A packet's commitment and
-// acknowledgement records are what a recv and an ack prove, and neither
-// is rewritten once stored, so that state answers as the proof would:
-// recvPacket refuses a packet already received or timed out before it
-// asks, and an ack record is never deleted.
-func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, key, value []byte, proof *merkle.MembershipProof) error {
+// verifyMembership checks a counterparty state inclusion proof of record
+// seq of r against the consensus root at proofHeight. The counterparty's
+// committed state, when the keeper has it, must hold value there too. A
+// packet's commitment and acknowledgement records are what a recv and an
+// ack prove, and neither is rewritten once stored, so that state answers
+// as the proof would: recvPacket refuses a packet already received or
+// timed out before it asks, and an ack record is never deleted. With
+// proofs disabled (performance mode) that state is the whole check; with
+// full proofs a proof it contradicts is a bug in the proof path, and
+// panics. The record's key is spelled out, onto r's prefix, only for the
+// merkle verifier and error text.
+func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, r app.Records, seq uint64, value []byte, proof *merkle.MembershipProof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
 	}
+	held := true
+	if cp := k.counterparties[clientID]; cp != nil {
+		v, ok := cp.GetRecord(&r, seq)
+		held = ok && bytes.Equal(v, value)
+	}
 	if !ctx.State.FullProofs() {
-		if cp := k.counterparties[clientID]; cp != nil {
-			if v, ok := cp.Get(key); !ok || !bytes.Equal(v, value) {
-				return fmt.Errorf("%w: %s is not committed on the counterparty", ErrProofVerify, string(key))
-			}
+		if !held {
+			return fmt.Errorf("%w: %s is not committed on the counterparty", ErrProofVerify, string(strconv.AppendUint(r.Prefix, seq, 10)))
 		}
 		return nil
 	}
+	key := strconv.AppendUint(r.Prefix, seq, 10)
 	if proof == nil {
 		return fmt.Errorf("%w: missing membership proof for %s", ErrProofVerify, string(key))
 	}
@@ -279,23 +287,31 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 	if err := v.VerifyMembership(cons.Root, key, value, proof); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrProofVerify, string(key), err)
 	}
+	if !held {
+		cs, _ := k.Client(ctx, clientID) // Consensus found it
+		panic(fmt.Sprintf("ibc: proof of %q on %s at proof height %d verified, but the chain does not hold that record",
+			string(key), cs.ChainID, proofHeight))
+	}
 	return nil
 }
 
-// verifyNonMembership checks a counterparty absence proof. With proofs
-// disabled (performance mode) it checks the counterparty's committed
-// state instead, when the keeper has it.
-func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, key []byte, proof *merkle.NonMembershipProof) error {
+// verifyNonMembership checks a counterparty absence proof of record seq
+// of r. With proofs disabled (performance mode) it checks the
+// counterparty's committed state instead, when the keeper has it. A
+// receipt written after the proof height legitimately contradicts a full
+// proof, so that state does not second-guess one.
+func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, r app.Records, seq uint64, proof *merkle.NonMembershipProof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
 	}
 	if !ctx.State.FullProofs() {
-		if cp := k.counterparties[clientID]; cp != nil && cp.Has(key) {
-			return fmt.Errorf("%w: %s is present on the counterparty", ErrProofVerify, string(key))
+		if cp := k.counterparties[clientID]; cp != nil && cp.HasRecord(&r, seq) {
+			return fmt.Errorf("%w: %s is present on the counterparty", ErrProofVerify, string(strconv.AppendUint(r.Prefix, seq, 10)))
 		}
 		return nil
 	}
+	key := strconv.AppendUint(r.Prefix, seq, 10)
 	if proof == nil {
 		return fmt.Errorf("%w: missing non-membership proof for %s", ErrProofVerify, string(key))
 	}
@@ -447,7 +463,7 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 		return Packet{}, fmt.Errorf("ibc: send sequence of %s/%s: %q is not a counter", port, channel, raw)
 	}
 	ctx.State.Set(seqKey, strconv.AppendUint(nil, seq+1, 10))
-	commitments := records(b[:0], app.Commitment, port, channel)
+	commitments := PacketRecords(b[:0], app.Commitment, port, channel)
 	p := Packet{
 		Sequence:         seq,
 		SourcePort:       port,
@@ -483,14 +499,14 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 	}
 	// Unordered channel: exactly-once via receipts.
 	var b, pb [app.KeyBufLen]byte
-	receipts := records(b[:0], app.Receipt, p.DestPort, p.DestChannel)
+	receipts := PacketRecords(b[:0], app.Receipt, p.DestPort, p.DestChannel)
 	if ctx.State.HasRecord(&receipts, p.Sequence) {
 		return fmt.Errorf("%w: %s/%s seq %d", ErrRedundantPacket, p.SourcePort, p.SourceChannel, p.Sequence)
 	}
 	// Verify the source chain committed this packet.
 	var sum [sha256.Size]byte
-	key := AppendPacketCommitmentKey(pb[:0], p.SourcePort, p.SourceChannel, p.Sequence)
-	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, key, p.AppendCommitment(sum[:0]), m.ProofCommitment); err != nil {
+	commitments := PacketRecords(pb[:0], app.Commitment, p.SourcePort, p.SourceChannel)
+	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, commitments, p.Sequence, p.AppendCommitment(sum[:0]), m.ProofCommitment); err != nil {
 		return err
 	}
 	ctx.State.SetRecord(&receipts, p.Sequence, receiptValue)
@@ -518,7 +534,7 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 // commitment.
 func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledgement) error {
 	var b [app.KeyBufLen]byte
-	acks := records(b[:0], app.Ack, p.DestPort, p.DestChannel)
+	acks := PacketRecords(b[:0], app.Ack, p.DestPort, p.DestChannel)
 	if ctx.State.HasRecord(&acks, p.Sequence) {
 		return fmt.Errorf("ibc: acknowledgement for %s/%s seq %d already written",
 			p.DestPort, p.DestChannel, p.Sequence)
@@ -558,14 +574,14 @@ func (k *Keeper) acknowledgePacket(ctx *app.Context, m MsgAcknowledgement) error
 		return fmt.Errorf("%w: %s/%s", ErrChannelNotOpen, p.SourcePort, p.SourceChannel)
 	}
 	var b, pb [app.KeyBufLen]byte
-	commitments := records(b[:0], app.Commitment, p.SourcePort, p.SourceChannel)
+	commitments := PacketRecords(b[:0], app.Commitment, p.SourcePort, p.SourceChannel)
 	if !ctx.State.HasRecord(&commitments, p.Sequence) {
 		// Already acknowledged or timed out: redundant relay.
 		return fmt.Errorf("%w: ack for seq %d", ErrRedundantPacket, p.Sequence)
 	}
 	var sum [sha256.Size]byte
-	key := AppendPacketAckKey(pb[:0], p.DestPort, p.DestChannel, p.Sequence)
-	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, key, ackCommitment(sum[:0], m.Ack), m.ProofAcked); err != nil {
+	acks := PacketRecords(pb[:0], app.Ack, p.DestPort, p.DestChannel)
+	if err := k.verifyMembership(ctx, clientID, m.ProofHeight, acks, p.Sequence, ackCommitment(sum[:0], m.Ack), m.ProofAcked); err != nil {
 		return err
 	}
 	ctx.State.DeleteRecord(&commitments, p.Sequence)
@@ -590,7 +606,7 @@ func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 		return err
 	}
 	var b, pb [app.KeyBufLen]byte
-	commitments := records(b[:0], app.Commitment, p.SourcePort, p.SourceChannel)
+	commitments := PacketRecords(b[:0], app.Commitment, p.SourcePort, p.SourceChannel)
 	if !ctx.State.HasRecord(&commitments, p.Sequence) {
 		return fmt.Errorf("%w: timeout for seq %d", ErrRedundantPacket, p.Sequence)
 	}
@@ -609,8 +625,8 @@ func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 	if !elapsed {
 		return fmt.Errorf("%w: seq %d at proof height %d", ErrTimeoutTooEarly, p.Sequence, m.ProofHeight)
 	}
-	if err := k.verifyNonMembership(ctx, clientID, m.ProofHeight,
-		AppendPacketReceiptKey(pb[:0], p.DestPort, p.DestChannel, p.Sequence), m.ProofUnreceived); err != nil {
+	receipts := PacketRecords(pb[:0], app.Receipt, p.DestPort, p.DestChannel)
+	if err := k.verifyNonMembership(ctx, clientID, m.ProofHeight, receipts, p.Sequence, m.ProofUnreceived); err != nil {
 		return err
 	}
 	ctx.State.DeleteRecord(&commitments, p.Sequence)
@@ -653,13 +669,13 @@ func ackCommitment(dst, raw []byte) []byte {
 // (pending, not yet acknowledged or timed out).
 func (k *Keeper) HasCommitment(ctx *app.Context, port, channel string, seq uint64) bool {
 	var b [app.KeyBufLen]byte
-	r := records(b[:0], app.Commitment, port, channel)
+	r := PacketRecords(b[:0], app.Commitment, port, channel)
 	return ctx.State.HasRecord(&r, seq)
 }
 
 // HasReceipt reports whether a packet was received.
 func (k *Keeper) HasReceipt(ctx *app.Context, port, channel string, seq uint64) bool {
 	var b [app.KeyBufLen]byte
-	r := records(b[:0], app.Receipt, port, channel)
+	r := PacketRecords(b[:0], app.Receipt, port, channel)
 	return ctx.State.HasRecord(&r, seq)
 }

@@ -172,8 +172,8 @@ func TestBadSendCounterFailsSend(t *testing.T) {
 		}}
 	}
 	c.mustDeliver("relayer", send("first"))
-	commitment := ibc.AppendPacketCommitmentKey(nil, "transfer", memoChan, 1)
-	before, ok := c.app.State().Get(commitment)
+	commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", memoChan)
+	before, ok := c.app.State().GetRecord(&commitments, 1)
 	if !ok {
 		t.Fatal("sequence 1 was not committed")
 	}
@@ -186,7 +186,7 @@ func TestBadSendCounterFailsSend(t *testing.T) {
 		if errs := c.deliver("relayer", send("second")); errs == nil {
 			t.Fatalf("%s counter: the send succeeded", name)
 		}
-		if after, _ := c.app.State().Get(commitment); !bytes.Equal(after, before) {
+		if after, _ := c.app.State().GetRecord(&commitments, 1); !bytes.Equal(after, before) {
 			t.Fatalf("%s counter: the commitment of sequence 1 became %x, was %x", name, after, before)
 		}
 	}

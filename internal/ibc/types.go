@@ -117,9 +117,10 @@ func appendPacketPrefix(dst []byte, kind, port, channel string) []byte {
 	return append(appendChannelPath(append(dst, kind...), port, channel), "/sequences/"...)
 }
 
-// records names the store's table of one kind of packet record on
-// channel end port/channel, its prefix built in b.
-func records(b []byte, kind app.RecordKind, port, channel string) app.Records {
+// PacketRecords names the store's table of one kind of packet record on
+// channel end port/channel, its prefix built in b: the one way to reach
+// a packet record in an app.State (SetRecord, GetRecord, ...).
+func PacketRecords(b []byte, kind app.RecordKind, port, channel string) app.Records {
 	return app.Records{Kind: kind, Channel: channel, Prefix: appendPacketPrefix(b, recordPaths[kind], port, channel)}
 }
 

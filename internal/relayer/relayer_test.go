@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
 	"ibcbench/internal/eventindex"
 	"ibcbench/internal/ibc"
@@ -254,8 +255,9 @@ func TestTimeoutsSkipReceivedPackets(t *testing.T) {
 	r.processBlock(r.b, r.a, &eventindex.BlockEvents{Height: 2, MsgCount: 1, Txs: []*eventindex.TxEvents{ack}})
 	r.Stop() // the block is parsed, its ack pull abandoned
 	st := tb.Pair.B.App.State()
+	receipts := ibc.PacketRecords(nil, app.Receipt, "transfer", r.b.channel)
 	for _, seq := range []uint64{4, 5} {
-		st.Set(ibc.AppendPacketReceiptKey(nil, "transfer", r.b.channel, seq), []byte{1})
+		st.SetRecord(&receipts, seq, []byte{1})
 	}
 	st.CommitTx()
 	r.a.packets.row(2).submitted()

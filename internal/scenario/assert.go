@@ -125,14 +125,15 @@ func check(d *topo.Deployment, names []string, w *commitWatch) []Violation {
 // in a block no commit hook saw.
 func classify(src, dst *chain.Chain, p *ibc.Packet) (assertion, detail string) {
 	var b [app.KeyBufLen]byte
-	if !src.App.State().Has(ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)) {
+	if r := ibc.PacketRecords(b[:0], app.Commitment, p.SourcePort, p.SourceChannel); !src.App.State().HasRecord(&r, p.Sequence) {
 		return "", ""
 	}
 	id := fmt.Sprintf("packet %s/%s#%d", p.SourcePort, p.SourceChannel, p.Sequence)
+	receipts := ibc.PacketRecords(b[:0], app.Receipt, p.DestPort, p.DestChannel)
 	switch {
 	case dst == nil:
 		return AssertNoStuckPackets, id + " sent on unknown channel"
-	case dst.App.State().Has(ibc.AppendPacketReceiptKey(b[:0], p.DestPort, p.DestChannel, p.Sequence)):
+	case dst.App.State().HasRecord(&receipts, p.Sequence):
 		return AssertNoStuckPackets, id + " stuck at deadline: received on " + dst.ID + " but its ack never settled"
 	case timeoutElapsed(p, dst):
 		return AssertTimeoutRefunds, fmt.Sprintf("%s timed out (height %d/time %v elapsed on %s) but was never refunded",

@@ -122,7 +122,7 @@ func (w *commitWatch) addSends(c *chain.Chain, h int64) {
 	var b [app.KeyBufLen]byte
 	for _, te := range c.Events.At(h).Txs {
 		for _, p := range te.Sends {
-			if c.App.State().Has(ibc.AppendPacketCommitmentKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)) {
+			if r := ibc.PacketRecords(b[:0], app.Commitment, p.SourcePort, p.SourceChannel); c.App.State().HasRecord(&r, p.Sequence) {
 				w.end(c, p.SourceChannel).send(inFlight{p, w.sent})
 			}
 			w.sent++

@@ -253,7 +253,8 @@ func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
 		p := be.Txs[0].Sends[0]
 		id = fmt.Sprintf("packet %s/%s#%d ", p.SourcePort, p.SourceChannel, p.Sequence)
 		key = string(ibc.AppendPacketCommitmentKey(nil, p.SourcePort, p.SourceChannel, p.Sequence))
-		c.App.State().Delete([]byte(key))
+		commitments := ibc.PacketRecords(nil, app.Commitment, p.SourcePort, p.SourceChannel)
+		c.App.State().DeleteRecord(&commitments, p.Sequence)
 		return true
 	})
 	// No rule but C5's deletion half breaks: the watch reports this one
@@ -289,7 +290,8 @@ func TestDeletedReceiptCheckedPerCommit(t *testing.T) {
 		}
 		p := be.Txs[0].AckWrites[0].Packet
 		key = string(ibc.AppendPacketReceiptKey(nil, p.DestPort, p.DestChannel, p.Sequence))
-		c.App.State().Delete([]byte(key))
+		receipts := ibc.PacketRecords(nil, app.Receipt, p.DestPort, p.DestChannel)
+		c.App.State().DeleteRecord(&receipts, p.Sequence)
 		return true
 	})
 	wantOneVerdict(t, got, "receipts only grow", AssertTimeoutRefunds, dst, h+1,
@@ -358,8 +360,10 @@ func TestReplayCheckedPerCommit(t *testing.T) {
 				} else if !again {
 					firstAck[key] = h
 				}
-				dst.App.State().Delete([]byte(key))
-				dst.App.State().Delete(ibc.AppendPacketAckKey(nil, p.DestPort, p.DestChannel, p.Sequence))
+				receipts := ibc.PacketRecords(nil, app.Receipt, p.DestPort, p.DestChannel)
+				acks := ibc.PacketRecords(nil, app.Ack, p.DestPort, p.DestChannel)
+				dst.App.State().DeleteRecord(&receipts, p.Sequence)
+				dst.App.State().DeleteRecord(&acks, p.Sequence)
 			}
 		}
 		dst.App.State().CommitTx()

@@ -37,7 +37,11 @@ func TestBuiltinNamesUnique(t *testing.T) {
 
 // TestShortBuiltinsHoldAssertions runs every Short builtin end to end:
 // the run succeeds, traffic completes, and all default assertions hold.
-// This is what `ibcbench suite -short` executes.
+// This is what `ibcbench suite -short` executes. Each also runs with
+// real merkle proofs at seeds 1 and 2: the keeper checks every
+// membership proof it accepts against the counterparty's state and
+// panics on a disagreement, so such a run is also a differential test
+// of the proof path against that state.
 func TestShortBuiltinsHoldAssertions(t *testing.T) {
 	ran := 0
 	for _, name := range Names() {
@@ -46,21 +50,29 @@ func TestShortBuiltinsHoldAssertions(t *testing.T) {
 			continue
 		}
 		ran++
-		t.Run(name, func(t *testing.T) {
-			rep, err := Run(e.Spec, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Passed() {
-				for _, v := range rep.Violations {
-					t.Errorf("violation: %s", v)
+		full := e.Spec
+		full.Deploy.FullProofs = true
+		for _, c := range []struct {
+			name string
+			spec Spec
+			seed int64
+		}{{name, e.Spec, 0}, {name + "/fullProofs/seed-1", full, 1}, {name + "/fullProofs/seed-2", full, 2}} {
+			t.Run(c.name, func(t *testing.T) {
+				rep, err := Run(c.spec, c.seed, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			total := rep.Result.Total[metrics.StatusCompleted] + rep.Result.RoutesCompleted
-			if total == 0 {
-				t.Error("builtin completed no traffic")
-			}
-		})
+				if !rep.Passed() {
+					for _, v := range rep.Violations {
+						t.Errorf("violation: %s", v)
+					}
+				}
+				total := rep.Result.Total[metrics.StatusCompleted] + rep.Result.RoutesCompleted
+				if total == 0 {
+					t.Error("builtin completed no traffic")
+				}
+			})
+		}
 	}
 	if ran == 0 {
 		t.Fatal("no Short builtins registered")
