@@ -24,9 +24,12 @@ check:
 # step): the append codecs of the two hashed per-packet documents against
 # encoding/json in both directions, the light-client state encoders
 # against json.Marshal, merkle.IncTree.Apply's roots and proofs against
-# the full-rebuild merkle.NewTree, merkle.Verifier's verdicts against
-# merkle.VerifyMembership's, app.State's undo
-# journal and proofs against a map-copy-per-tx model, the scenario spec's parse ⇄ encode round trip,
+# the full-rebuild merkle.NewTree, merkle.ArrayTree.Apply's roots, paths
+# and two-level record proofs against merkle.HashLeaves over the dense
+# leaf array, merkle.Verifier's verdicts against merkle.VerifyMembership's
+# and merkle.VerifyRecord's, app.State's undo
+# journal and proofs against a map-copy-per-tx model whose full-proof
+# root rebuilds each table's array, the scenario spec's parse ⇄ encode round trip,
 # VerifyCommit on mutated commits against a naive per-signature model, the
 # denom trace's parse ⇄ string and prefix round trips, the
 # forward-memo parser's validation and round trip, the packet
@@ -48,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStoredObjectCodecs -fuzztime 10s ./internal/ibc
 	$(GO) test -run '^$$' -fuzz FuzzPacketDataCodec -fuzztime 10s ./internal/ibc/transfer
 	$(GO) test -run '^$$' -fuzz FuzzIncTreeApply -fuzztime 10s ./internal/merkle
+	$(GO) test -run '^$$' -fuzz FuzzArrayTree -fuzztime 10s ./internal/merkle
 	$(GO) test -run '^$$' -fuzz FuzzVerifier -fuzztime 10s ./internal/merkle
 	$(GO) test -run '^$$' -fuzz FuzzStateJournal -fuzztime 10s ./internal/app
 	$(GO) test -run '^$$' -fuzz FuzzSpecRoundTrip -fuzztime 10s ./internal/scenario

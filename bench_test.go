@@ -8,6 +8,7 @@ package ibcbench_test
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"testing"
 	"time"
 
@@ -317,7 +318,10 @@ func TestKeeperRecvAckAllocs(t *testing.T) {
 // hashes, versus the old full merkle.NewTree rebuild over the state map.
 // The ratios to pin: a value-only block is ~40x cheaper than
 // full-rebuild, and a block with inserts costs no more than it however
-// many it carries.
+// many it carries. The records pair commits packet records as a
+// full-proof hub chain writes them, into per-table arrays (records)
+// against the same writes as string keys of the one sorted tree, where
+// each early insert re-hashes every leaf right of it (records-as-keys).
 func BenchmarkStateCommit(b *testing.B) {
 	const preload, dirtyPerBlock = 4096, 32
 	seedState := func(s *app.State) {
@@ -370,6 +374,59 @@ func BenchmarkStateCommit(b *testing.B) {
 			s.Commit(int64(i + 2))
 		}
 	})
+	// Each block writes, on each of four channels, 16 new commitments,
+	// the receipts and acks of 16 packets received, and deletes the 16
+	// commitments the block before wrote (acked): the span of sequences
+	// in flight that hub4-2r-proofs keeps. One of the chain's 84 string
+	// keys per channel rides along. The first 100 blocks, untimed, take
+	// each table past sequence 1 600.
+	records := func(b *testing.B, asKeys bool) {
+		const channels, perBlock, warm = 4, 16, 100
+		s := app.NewState(true)
+		for i := 0; i < 84; i++ {
+			s.Set(fmt.Appendf(nil, "key/%05d", i), fmt.Appendf(nil, "val-%d", i))
+		}
+		value := []byte("0123456789abcdef0123456789abcdef")
+		var kb [app.KeyBufLen]byte
+		write := func(kind app.RecordKind, ch int, seq uint64, del bool) {
+			r := ibc.PacketRecords(kb[:0], kind, "transfer", fmt.Sprintf("channel-%d", ch))
+			switch {
+			case asKeys && del:
+				s.Delete(strconv.AppendUint(r.Prefix, seq, 10))
+			case asKeys:
+				s.Set(strconv.AppendUint(r.Prefix, seq, 10), value)
+			case del:
+				s.DeleteRecord(&r, seq)
+			default:
+				s.SetRecord(&r, seq, value)
+			}
+		}
+		block := func(i int) {
+			for ch := 0; ch < channels; ch++ {
+				for d := 0; d < perBlock; d++ {
+					seq := uint64(i*perBlock + d + 1)
+					write(app.Commitment, ch, seq, false)
+					write(app.Receipt, ch, seq, false)
+					write(app.Ack, ch, seq, false)
+					if i > 0 {
+						write(app.Commitment, ch, seq-perBlock, true)
+					}
+				}
+				s.Set(fmt.Appendf(nil, "key/%05d", ch), fmt.Appendf(nil, "v%d", i))
+			}
+			s.CommitTx()
+			s.Commit(int64(i + 1))
+		}
+		for i := 0; i < warm; i++ {
+			block(i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			block(warm + i)
+		}
+	}
+	b.Run("records", func(b *testing.B) { records(b, false) })
+	b.Run("records-as-keys", func(b *testing.B) { records(b, true) })
 	b.Run("incremental-many-inserts", func(b *testing.B) {
 		// 256 new keys spread over the whole key space per block, each
 		// block also deleting the previous block's, so the tree stays at

@@ -30,6 +30,9 @@ var (
 // transaction rolls its bank effects back atomically.
 type Bank struct {
 	state *State
+	// vals is the chunk balance and supply values are cut from: the store
+	// keeps each by reference, and nothing writes it again.
+	vals chunk
 }
 
 // NewBank returns a bank keeper over the given state.
@@ -63,9 +66,7 @@ func (b *Bank) setUint(key []byte, v uint64) {
 		b.state.Delete(key)
 		return
 	}
-	var raw [8]byte
-	binary.BigEndian.PutUint64(raw[:], v)
-	b.state.Set(key, raw[:])
+	b.state.Set(key, binary.BigEndian.AppendUint64(b.vals.slot(8), v))
 }
 
 // Balance reports an account's balance in one denomination.

@@ -19,13 +19,17 @@ import (
 
 // naiveState is the reference FuzzStateJournal diffs State against: no
 // journal, no marks, no tables. A transaction is a full copy of the map,
-// the latest height is another, the proof root is a full merkle.NewTree
-// rebuild and the non-proof root is the hash chain over the block's
+// the latest height is another, and the non-proof root is the hash chain
+// over the block's
 // written keys: every key a committed transaction wrote, changed or not,
 // string keys in key order, then packet records by table prefix and
 // numeric sequence, each table's prefix hashed once before its records'
 // sequences. Whether a write is a string key or a record is the method
-// it went through, so the model is told (write).
+// it went through, so the model is told (write). The proof root is a
+// full merkle.NewTree rebuild over the string keys plus, for each table
+// with a committed write, its prefix bound to the root of
+// merkle.HashLeaves over its dense leaf array, from sequence 0 to the
+// highest one a committed write touched (tableLeaves).
 type naiveState struct {
 	cur       map[string]string // what reads see, in-tx writes included
 	committed map[string]string // cur as of the last CommitTx/AbortTx/Commit
@@ -34,6 +38,7 @@ type naiveState struct {
 	dirtyRecs map[string]bool   // the block's records written
 	height    int64             // the latest committed height
 	latest    map[string]string // the map at that height
+	tables    map[string]uint64 // table prefix -> the highest sequence a committed block wrote
 	root      merkle.Hash
 }
 
@@ -44,6 +49,7 @@ func newNaiveState() *naiveState {
 		txDirty:   map[string]bool{},
 		dirty:     map[string]bool{},
 		dirtyRecs: map[string]bool{},
+		tables:    map[string]uint64{},
 		root:      sha256.Sum256([]byte("ibcbench/genesis")),
 	}
 }
@@ -69,14 +75,9 @@ func sortedKeys[V any](m map[string]V) []string {
 // the last '/'), then by the sequence after it as a number.
 func sortedRecords(m map[string]bool) []string {
 	keys := sortedKeys(m)
-	split := func(k string) (string, uint64) {
-		i := strings.LastIndexByte(k, '/') + 1
-		seq, _ := strconv.ParseUint(k[i:], 10, 64)
-		return k[:i], seq
-	}
 	slices.SortFunc(keys, func(a, b string) int {
-		pa, sa := split(a)
-		pb, sb := split(b)
+		pa, sa := splitRecord(a)
+		pb, sb := splitRecord(b)
 		return cmp.Or(strings.Compare(pa, pb), cmp.Compare(sa, sb))
 	})
 	return keys
@@ -125,8 +126,14 @@ func (n *naiveState) written() []string {
 
 func (n *naiveState) commit(height int64, fullProofs bool) {
 	n.abortTx()
+	for k := range n.dirtyRecs { // order-free: a max per table
+		prefix, seq := splitRecord(k)
+		if hi, ok := n.tables[prefix]; !ok || seq > hi {
+			n.tables[prefix] = seq
+		}
+	}
 	if fullProofs {
-		n.root = merkle.NewTree(byteMap(n.cur)).Root()
+		n.root = n.tree(n.cur).Root()
 	} else {
 		h := sha256.New()
 		h.Write(n.root[:])
@@ -137,14 +144,13 @@ func (n *naiveState) commit(height int64, fullProofs bool) {
 		for _, k := range append(sortedKeys(n.dirty), sortedRecords(n.dirtyRecs)...) {
 			if n.dirtyRecs[k] {
 				// A record: its table's prefix once, then its sequence.
-				i := strings.LastIndexByte(k, '/') + 1
-				if k[:i] != prev {
-					h.Write([]byte(k[:i]))
+				prefix, seq := splitRecord(k)
+				if prefix != prev {
+					h.Write([]byte(prefix))
 				}
-				seq, _ := strconv.ParseUint(k[i:], 10, 64)
 				binary.BigEndian.PutUint64(be[:], seq)
 				h.Write(be[:])
-				prev = k[:i]
+				prev = prefix
 			} else {
 				h.Write([]byte(k))
 			}
@@ -158,6 +164,46 @@ func (n *naiveState) commit(height int64, fullProofs bool) {
 	}
 	n.height, n.latest = height, maps.Clone(n.cur)
 	n.dirty, n.dirtyRecs = map[string]bool{}, map[string]bool{}
+}
+
+// splitRecord splits record key k into its table's prefix and sequence.
+func splitRecord(k string) (string, uint64) {
+	i := strings.LastIndexByte(k, '/') + 1
+	seq, _ := strconv.ParseUint(k[i:], 10, 64)
+	return k[:i], seq
+}
+
+// tree rebuilds the full-proof tree of map m: its string keys, and each
+// table's prefix bound to its array's depth and root.
+func (n *naiveState) tree(m map[string]string) *merkle.Tree {
+	kv := map[string][]byte{}
+	for k, v := range m { // order-free: fills a map
+		if _, _, record := fuzzRecords(nil, k); !record {
+			kv[k] = []byte(v)
+		}
+	}
+	for prefix := range n.tables { // order-free: fills a map
+		leaves := n.tableLeaves(m, prefix)
+		depth := 0
+		for 1<<depth < len(leaves) {
+			depth++
+		}
+		kv[prefix] = merkle.AppendArrayValue(nil, depth, merkle.HashLeaves(leaves))
+	}
+	return merkle.NewTree(kv)
+}
+
+// tableLeaves is the dense leaf array of the table under prefix in map
+// m: the record's leaf at each stored sequence, the empty leaf elsewhere.
+func (n *naiveState) tableLeaves(m map[string]string, prefix string) []merkle.Hash {
+	leaves := make([]merkle.Hash, n.tables[prefix]+1)
+	for seq := range leaves {
+		leaves[seq] = merkle.EmptyLeaf()
+		if v, ok := m[prefix+strconv.Itoa(seq)]; ok {
+			leaves[seq] = merkle.ArrayLeafHash(uint64(seq), []byte(v))
+		}
+	}
+	return leaves
 }
 
 // The fuzzed key space: eight string keys under two prefixes, and eight
@@ -359,8 +405,10 @@ func checkCommit(t *testing.T, s *State, n *naiveState) {
 
 // checkLatest compares the latest committed height with the model's copy
 // of it. Performance mode serves no proof. With full proofs every proof
-// State serves there must equal the full rebuild's, for each key of the
-// key space, the gap after it and both ends; a repeated membership proof
+// of a string key State serves there must equal the full rebuild's, for
+// each string key of the key space, the gap after it, both ends and each
+// table's leaf; each record and an absent sequence beyond every table's
+// capacity get record proofs (checkRecord); a repeated membership proof
 // is the one handed out before, and it still verifies; and the height
 // below is refused. The fuzz loop calls it after each Commit, and at the
 // end while the last block's writes are still open.
@@ -371,16 +419,25 @@ func checkLatest(t *testing.T, s *State, n *naiveState, fullProofs bool) {
 		if _, _, err := s.ProveMembership(h, []byte("a/k00")); err == nil {
 			t.Fatal("performance mode served a proof")
 		}
+		r, seq, _ := fuzzRecords(nil, fuzzKey(8))
+		if _, _, err := s.ProveRecord(h, &r, seq); err == nil {
+			t.Fatal("performance mode served a record proof")
+		}
 		return
 	}
 	if h == 0 {
 		return
 	}
-	ref := merkle.NewTree(byteMap(n.latest))
-	checkProof(t, s, ref, h, "a")
-	checkProof(t, s, ref, h, "z")
+	ref := n.tree(n.latest)
+	for _, k := range []string{"a", "z", "r/t0/", "r/t1/"} {
+		checkProof(t, s, ref, h, k)
+	}
 	for b := byte(0); b < 16; b++ {
 		k := fuzzKey(b)
+		if _, _, record := fuzzRecords(nil, k); record {
+			checkRecord(t, s, n, ref, h, k)
+			continue
+		}
 		checkProof(t, s, ref, h, k)
 		checkProof(t, s, ref, h, k+"!")
 		_, first, _ := s.ProveMembership(h, []byte(k))
@@ -394,15 +451,77 @@ func checkLatest(t *testing.T, s *State, n *naiveState, fullProofs bool) {
 			}
 		}
 	}
+	checkRecord(t, s, n, ref, h, "r/t0/1000")
+	checkRecord(t, s, n, ref, h, "r/t1/1000")
 	if _, _, err := s.ProveMembership(h-1, []byte(fuzzKey(0))); err == nil {
 		t.Fatalf("height %d served a proof at %d", h, h-1)
 	}
 }
 
-// checkProof compares the proofs State serves for k at height h with
-// those of ref, the full rebuild of h's map: a present key's membership
-// proof, or an absent key's non-membership proof, must be deeply equal
-// and verify against ref's root, and the other kind must be nil.
+// checkRecord compares the record proofs State serves for record key k
+// at height h with the model: a stored record's proof carries its value
+// and verifies, a repeated one is the one handed out before, and neither
+// it nor the absence proof's verdict holds for the other kind; either
+// proof's table leaf (or its absence) and array depth and root are the
+// full rebuild's.
+func checkRecord(t *testing.T, s *State, n *naiveState, ref *merkle.Tree, h int64, k string) {
+	t.Helper()
+	r, seq, _ := fuzzRecords(nil, k)
+	prefix := string(r.Prefix)
+	v, mp, err := s.ProveRecord(h, &r, seq)
+	if err != nil {
+		t.Fatalf("ProveRecord(%d, %q) at version %d: %v", h, k, s.Version(), err)
+	}
+	nm, err := s.ProveRecordAbsent(h, &r, seq)
+	if err != nil {
+		t.Fatalf("ProveRecordAbsent(%d, %q) at version %d: %v", h, k, s.Version(), err)
+	}
+	want, present := n.latest[k]
+	p := nm
+	if present {
+		p = mp
+		if nm != nil || mp == nil || string(v) != want {
+			t.Fatalf("height %d record %q: value %q proof %v absence %v, model %q", h, k, v, mp, nm, want)
+		}
+		if err := merkle.VerifyRecord(ref.Root(), r.Prefix, seq, v, mp); err != nil {
+			t.Fatalf("height %d record %q: %v", h, k, err)
+		}
+		if merkle.VerifyRecordAbsent(ref.Root(), r.Prefix, seq, mp) == nil {
+			t.Fatalf("height %d record %q: its membership proof verifies its absence", h, k)
+		}
+		if _, again, _ := s.ProveRecord(h, &r, seq); again != mp {
+			t.Fatalf("height %d record %q: a repeated proof is a new one", h, k)
+		}
+	} else {
+		if mp != nil || nm == nil {
+			t.Fatalf("height %d absent record %q: proof %v absence %v", h, k, mp, nm)
+		}
+		if err := merkle.VerifyRecordAbsent(ref.Root(), r.Prefix, seq, nm); err != nil {
+			t.Fatalf("height %d absent record %q: %v", h, k, err)
+		}
+		if merkle.VerifyRecord(ref.Root(), r.Prefix, seq, nil, nm) == nil {
+			t.Fatalf("height %d absent record %q: its absence proof verifies a value", h, k)
+		}
+	}
+	if _, ok := n.tables[prefix]; !ok {
+		if wantNM, _ := ref.ProveNonMembership(r.Prefix); !present && !reflect.DeepEqual(p.NoTable, wantNM) {
+			t.Fatalf("height %d record %q of no table: %+v, full rebuild %+v", h, k, p.NoTable, wantNM)
+		}
+		return
+	}
+	_, wantTop, _ := ref.ProveMembership(r.Prefix)
+	leaves := n.tableLeaves(n.latest, prefix)
+	if p.NoTable != nil || !reflect.DeepEqual(p.Table, wantTop) || p.Root != merkle.HashLeaves(leaves) || 1<<p.Depth < len(leaves) || 1<<p.Depth >= 2*len(leaves) {
+		t.Fatalf("height %d record %q: table proof %+v depth %d root %x; full rebuild %+v over %d leaves, root %x",
+			h, k, p.Table, p.Depth, p.Root, wantTop, len(leaves), merkle.HashLeaves(leaves))
+	}
+}
+
+// checkProof compares the proofs State serves for string key k at
+// height h with those of ref, the full rebuild of h's map: a present
+// key's membership proof, or an absent key's non-membership proof, must
+// be deeply equal and verify against ref's root, and the other kind must
+// be nil.
 func checkProof(t *testing.T, s *State, ref *merkle.Tree, h int64, k string) {
 	t.Helper()
 	v, mp, err := s.ProveMembership(h, []byte(k))
@@ -432,7 +551,7 @@ func checkProof(t *testing.T, s *State, ref *merkle.Tree, h int64, k string) {
 // A read makes no string and a write makes one only when it inserts a
 // key: the map's own string is what the journal records for every later
 // write, and what AbortTx puts back. A packet record makes none: not on
-// insert, and in performance mode not when its block commits either.
+// insert, and not when its block commits either.
 func TestStateKeyAllocs(t *testing.T) {
 	for _, fullProofs := range []bool{false, true} {
 		s := NewState(fullProofs)
@@ -445,6 +564,8 @@ func TestStateKeyAllocs(t *testing.T) {
 		}
 		r := recs()
 		s.SetRecord(&r, 1, v)
+		bank := NewBank(s)
+		bank.Mint("alice", Coin{Denom: "uatom", Amount: 1})
 		s.CommitTx()
 		for _, c := range []struct {
 			name string
@@ -463,18 +584,20 @@ func TestStateKeyAllocs(t *testing.T) {
 			{"HasRecord of an absent record", 0, func() { r := recs(); s.HasRecord(&r, 2) }},
 			{"SetRecord of a new record", 0, func() { r := recs(); s.SetRecord(&r, 2, v); s.AbortTx() }},
 			{"DeleteRecord of a present record", 0, func() { r := recs(); s.DeleteRecord(&r, 1); s.AbortTx() }},
+			// A balance and the supply, each value cut from the bank's
+			// chunk: a new chunk every 64 writes.
+			{"Bank write of an existing balance", 0, func() { bank.Mint("alice", Coin{Denom: "uatom", Amount: 1}); s.AbortTx() }},
 		} {
 			if got := testing.AllocsPerRun(100, c.f); got != c.want {
 				t.Errorf("fullProofs=%v: %s took %.0f allocations, want %.0f", fullProofs, c.name, got, c.want)
 			}
 		}
-		if !fullProofs {
-			// The journal, the written set and the hashed bytes are reused.
-			height := int64(0)
-			commit := func() { r := recs(); s.SetRecord(&r, 2, v); s.CommitTx(); height++; s.Commit(height) }
-			if got := testing.AllocsPerRun(100, commit); got != 0 {
-				t.Errorf("a block writing a record committed with %.0f allocations, want 0", got)
-			}
+		// The journal, the written set, the hashed bytes and the edit
+		// lists are reused, and a table leaf's value is cut from a chunk.
+		height := s.Version()
+		commit := func() { r := recs(); s.SetRecord(&r, 2, v); s.CommitTx(); height++; s.Commit(height) }
+		if got := testing.AllocsPerRun(100, commit); got != 0 {
+			t.Errorf("fullProofs=%v: a block writing a record committed with %.0f allocations, want 0", fullProofs, got)
 		}
 	}
 }

@@ -26,10 +26,9 @@ import (
 //     its first SetRecord or DeleteRecord. A record's key is its table's
 //     prefix followed by the sequence in decimal; the store knows nothing
 //     else of the layout. A record write makes no string and no map
-//     entry. Its key is spelled out only where a string is consumed:
-//     under full proofs, as the merkle leaf's key, made once and kept
-//     with the record's row. The performance-mode commit hash takes the
-//     table's prefix and the sequence instead.
+//     entry, and no commit spells its key out: the full-proof tree and
+//     the performance-mode commit hash both take the table's prefix and
+//     the sequence instead.
 //   - Every other key (balances, supply, clients, connections, channel
 //     ends, nextSequenceSend, middleware records): a flat string map. A
 //     lookup makes no string, and only the first insert of a key makes the
@@ -48,8 +47,14 @@ import (
 // store and the journal until Commit. No older height is kept, so a
 // request for one is an error.
 //
-// The full-proof root is the merkle root over every key, records
-// included, as it always was. The performance-mode root chains each
+// The full-proof root has two levels. Each table commits to a
+// merkle.ArrayTree indexed by sequence, made on its first committed
+// write; the root is that of a merkle.IncTree over the string keys plus
+// one leaf per such table, keyed by its prefix, whose value binds the
+// array's depth and root (merkle.AppendArrayValue). A record's proof is
+// its array path plus that leaf's proof (ProveRecord). A state with no
+// tables has the root of its string keys alone, as before the tables.
+// The performance-mode root chains each
 // block's written string keys in key order, then its records by table
 // prefix and sequence, each table's prefix once and each sequence as 8
 // bytes (see Commit). That moved the root once, when the records left
@@ -77,15 +82,29 @@ type State struct {
 	fullProofs bool
 
 	// live is the incrementally-maintained merkle tree over the committed
-	// data (full-proof mode only): Commit folds the block's written keys
-	// into it instead of rebuilding the whole tree each height.
+	// string keys and table leaves (full-proof mode only): Commit folds
+	// the block's written keys and tables into it instead of rebuilding
+	// the whole tree each height.
 	live *merkle.IncTree
 
-	hashBuf []byte        // the bytes a non-proof Commit hashes, reused
-	keyBuf  []string      // the block's written string keys, reused
-	tabBuf  []*table      // the block's written tables, reused
-	written []Write       // the last block's writes (Written), reused
-	edits   []merkle.Edit // the block's edits in a full-proof Commit, reused
+	// proofs holds the record proofs handed out since the last Commit
+	// that changed the root (full-proof mode only).
+	proofs map[recordAt]*merkle.RecordProof
+	// vals is the chunk the table leaves' values are cut from.
+	vals chunk
+
+	hashBuf []byte             // the bytes a non-proof Commit hashes, reused
+	keyBuf  []string           // the block's written string keys, reused
+	tabBuf  []*table           // the block's written tables, reused
+	written []Write            // the last block's writes (Written), reused
+	edits   []merkle.Edit      // the block's edits in a full-proof Commit, reused
+	arrBuf  []merkle.ArrayEdit // one table's edits in a full-proof Commit, reused
+}
+
+// recordAt names record seq of table t.
+type recordAt struct {
+	t   *table
+	seq uint64
 }
 
 // slot is one map entry: the value, and the key string every later write
@@ -149,11 +168,9 @@ type table struct {
 	vals [][]byte
 	same []byte
 
-	// keys holds, under full proofs (keyed), row i's key once Commit made
-	// it: a record's leaf key is made on its first commit and reused by
-	// every later edit of the row, a delete included.
-	keys  []string
-	keyed bool
+	// arr commits the table's committed records, under full proofs, made
+	// by the first Commit that writes the table.
+	arr *merkle.ArrayTree
 
 	// written marks the rows the block being committed wrote, in words
 	// lo to hi; Commit reads the marks back in sequence order and clears
@@ -254,7 +271,7 @@ func (s *State) newTable(r *Records) *table {
 	if s.tables == nil {
 		s.tables = make(map[string]*table)
 	}
-	t := &table{kind: r.Kind, channel: strings.Clone(r.Channel), prefix: p, keyed: s.fullProofs}
+	t := &table{kind: r.Kind, channel: strings.Clone(r.Channel), prefix: p}
 	s.tables[p] = t
 	return t
 }
@@ -356,15 +373,35 @@ func (s *State) Commit(height int64) merkle.Hash {
 	}
 	s.keyBuf, s.written, s.tabBuf = keys, w, tabs
 	if s.fullProofs {
-		// Incremental commit: fold only the block's writes into the
-		// cached leaf hashes. The root is identical to a full
-		// merkle.NewTree rebuild over every key (golden-root tests pin
-		// this); merkle.IncTree states what a block costs instead.
+		// Incremental commit: fold each written table's rows into its
+		// array, then the block's string keys and those tables' new
+		// leaves into the live tree. merkle.IncTree and
+		// merkle.ArrayTree state what a block costs.
 		edits := s.edits[:0]
-		for i := range w {
-			v, ok := s.value(&w[i])
-			w[i].Deleted = !ok
-			edits = append(edits, merkle.Edit{Key: s.leafKey(&w[i]), Value: v, Delete: !ok})
+		for i := 0; i < len(w); {
+			t := w[i].t
+			if t == nil {
+				v, ok := s.value(&w[i])
+				w[i].Deleted = !ok
+				edits = append(edits, merkle.Edit{Key: w[i].Key, Value: v, Delete: !ok})
+				i++
+				continue
+			}
+			arr := s.arrBuf[:0]
+			for ; i < len(w) && w[i].t == t; i++ {
+				v, ok := s.value(&w[i])
+				w[i].Deleted = !ok
+				arr = append(arr, merkle.ArrayEdit{Index: w[i].Seq, Value: v, Delete: !ok})
+			}
+			if t.arr == nil {
+				t.arr = new(merkle.ArrayTree)
+			}
+			root := t.arr.Apply(arr)
+			edits = append(edits, merkle.Edit{Key: t.prefix, Value: merkle.AppendArrayValue(s.vals.slot(merkle.ArrayValueLen), t.arr.Depth(), root)})
+			s.arrBuf = arr
+		}
+		if len(edits) > 0 {
+			clear(s.proofs)
 		}
 		s.root, s.edits = s.live.Apply(edits), edits
 	} else {
@@ -397,20 +434,6 @@ func (s *State) Commit(height int64) merkle.Hash {
 	return s.root
 }
 
-// leafKey returns w's key as a merkle leaf key: a string key as it is, a
-// record's key made once and kept with its row.
-func (s *State) leafKey(w *Write) string {
-	if w.t == nil {
-		return w.Key
-	}
-	t, i := w.t, w.Seq-w.t.base
-	if t.keys[i] == "" {
-		s.hashBuf = w.AppendKey(s.hashBuf[:0]) // unused by a full-proof Commit
-		t.keys[i] = string(s.hashBuf)
-	}
-	return t.keys[i]
-}
-
 // Written returns what the latest Commit's block set or deleted: string
 // keys sorted, then records by table prefix and sequence, without
 // repeats. The slice is the store's own, reused by the next Commit: read
@@ -420,9 +443,9 @@ func (s *State) Written() []Write { return s.written }
 // Version returns the latest committed height (0 if none).
 func (s *State) Version() int64 { return s.version }
 
-// ProveMembership returns key's value at the latest committed height and
-// its proof against that height's root; the proof is nil when the key is
-// absent. Until the next Commit that changes the tree, every request for
+// ProveMembership returns string key's value at the latest committed
+// height and its proof against that height's root; the proof is nil when
+// the key is absent. Until the next Commit that changes the tree, every request for
 // a key gets the same proof, which no one may write to. Only available
 // with full proofs enabled, and only at Version().
 func (s *State) ProveMembership(height int64, key []byte) ([]byte, *merkle.MembershipProof, error) {
@@ -433,15 +456,86 @@ func (s *State) ProveMembership(height int64, key []byte) ([]byte, *merkle.Membe
 	return v, p, nil
 }
 
-// ProveNonMembership proves key absent at the latest committed height;
-// the proof is nil when the key is present. Only available with full
-// proofs enabled, and only at Version().
+// ProveNonMembership proves string key absent at the latest committed
+// height; the proof is nil when the key is present. Only available with
+// full proofs enabled, and only at Version().
 func (s *State) ProveNonMembership(height int64, key []byte) (*merkle.NonMembershipProof, error) {
 	if err := s.provable(height); err != nil {
 		return nil, err
 	}
 	p, _ := s.live.ProveNonMembership(key)
 	return p, nil
+}
+
+// ProveRecord returns record seq of r's table at the latest committed
+// height and its two-level proof against that height's root (see
+// merkle.VerifyRecord); the proof is nil when the record is absent.
+// Until the next Commit that changes the root, every request for a
+// record gets the same proof, which no one may write to. Only available
+// with full proofs enabled, and only at Version().
+func (s *State) ProveRecord(height int64, r *Records, seq uint64) ([]byte, *merkle.RecordProof, error) {
+	if err := s.provable(height); err != nil {
+		return nil, nil, err
+	}
+	t := s.tables[string(r.Prefix)]
+	if t == nil || t.arr == nil {
+		return nil, nil, nil
+	}
+	v, ok := s.committed(t, seq)
+	if !ok {
+		return nil, nil, nil
+	}
+	at := recordAt{t, seq}
+	p := s.proofs[at]
+	if p == nil {
+		if s.proofs == nil {
+			s.proofs = make(map[recordAt]*merkle.RecordProof)
+		}
+		p = s.proveRow(r.Prefix, t, seq)
+		s.proofs[at] = p
+	}
+	return v, p, nil
+}
+
+// ProveRecordAbsent proves record seq of r's table absent at the latest
+// committed height (see merkle.VerifyRecordAbsent): the empty leaf at
+// seq, a seq beyond the table's capacity, or, when no record of the
+// table was ever committed, the absence of its leaf. The proof is nil
+// when the record is present. Only available with full proofs enabled,
+// and only at Version().
+func (s *State) ProveRecordAbsent(height int64, r *Records, seq uint64) (*merkle.RecordProof, error) {
+	if err := s.provable(height); err != nil {
+		return nil, err
+	}
+	t := s.tables[string(r.Prefix)]
+	if t == nil || t.arr == nil {
+		nm, _ := s.live.ProveNonMembership(r.Prefix)
+		return &merkle.RecordProof{NoTable: nm}, nil
+	}
+	if _, ok := s.committed(t, seq); ok {
+		return nil, nil
+	}
+	return s.proveRow(r.Prefix, t, seq), nil
+}
+
+// proveRow builds the proof of row seq of t, whose prefix is prefix:
+// its array path, when seq lies within the capacity, and the table's
+// leaf proof.
+func (s *State) proveRow(prefix []byte, t *table, seq uint64) *merkle.RecordProof {
+	path, _ := t.arr.Prove(seq)
+	_, top, _ := s.live.ProveMembership(prefix)
+	return &merkle.RecordProof{Path: path, Depth: t.arr.Depth(), Root: t.arr.Root(), Table: top}
+}
+
+// committed reads record seq of t as of the latest Commit: the row's
+// oldest journal entry, if the executing block wrote it, holds that.
+func (s *State) committed(t *table, seq uint64) ([]byte, bool) {
+	for i := range s.journal {
+		if e := &s.journal[i]; e.t == t && e.seq == seq {
+			return e.prior, e.had
+		}
+	}
+	return t.lookup(seq)
 }
 
 // provable refuses a proof request the live tree cannot answer: any in
@@ -555,9 +649,6 @@ func (t *table) grow(seq uint64) int {
 		if t.vals != nil {
 			t.vals = slices.Insert(t.vals, 0, make([][]byte, 64*n)...)
 		}
-		if t.keyed {
-			t.keys = slices.Insert(t.keys, 0, make([]string, 64*n)...)
-		}
 		t.written = slices.Insert(t.written, 0, make([]uint64, n)...)
 		t.base -= 64 * n
 	}
@@ -566,9 +657,6 @@ func (t *table) grow(seq uint64) int {
 		t.present = append(t.present, make([]uint64, add)...)
 		if t.vals != nil {
 			t.vals = append(t.vals, make([][]byte, 64*add)...)
-		}
-		if t.keyed {
-			t.keys = append(t.keys, make([]string, 64*add)...)
 		}
 		t.written = append(t.written, make([]uint64, add)...)
 	}
@@ -601,4 +689,18 @@ func (t *table) appendMarked(w []Write) []Write {
 	}
 	t.marked = false
 	return w
+}
+
+// chunk hands out value slices cut from a shared block: the store keeps
+// values by reference, so none is ever written again once handed out.
+type chunk []byte
+
+// slot returns an empty slice with room for n bytes, cut from c.
+func (c *chunk) slot(n int) []byte {
+	if cap(*c)-len(*c) < n {
+		*c = make([]byte, 0, max(64*n, 512))
+	}
+	i := len(*c)
+	*c = (*c)[:i+n]
+	return (*c)[i : i : i+n]
 }

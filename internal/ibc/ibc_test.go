@@ -139,31 +139,35 @@ func (c *testChain) clientState() ibc.ClientState {
 	return ibc.ClientState{ChainID: c.chainID, Validators: vals}
 }
 
-// prove builds a membership proof of key in this chain's state as of
-// consensus height consHeight (state at consHeight-1).
-func (c *testChain) prove(consHeight int64, key string) ([]byte, *merkle.MembershipProof) {
+// prove builds the proof of record seq of the kind's table on port
+// transfer, channel, in this chain's state as of consensus height
+// consHeight (state at consHeight-1).
+func (c *testChain) prove(consHeight int64, kind app.RecordKind, channel string, seq uint64) ([]byte, *merkle.RecordProof) {
 	c.t.Helper()
-	value, mp, err := c.app.State().ProveMembership(consHeight-1, []byte(key))
+	r := ibc.PacketRecords(nil, kind, "transfer", channel)
+	value, p, err := c.app.State().ProveRecord(consHeight-1, &r, seq)
 	if err != nil {
 		c.t.Fatalf("proof at %d: %v", consHeight-1, err)
 	}
-	if mp == nil {
-		c.t.Fatalf("key %q absent at height %d", key, consHeight-1)
+	if p == nil {
+		c.t.Fatalf("record %s%d absent at height %d", r.Prefix, seq, consHeight-1)
 	}
-	return value, mp
+	return value, p
 }
 
-// proveAbsent builds a non-membership proof.
-func (c *testChain) proveAbsent(consHeight int64, key string) *merkle.NonMembershipProof {
+// proveAbsent builds the proof that record seq of the kind's table on
+// port transfer, channel, is absent.
+func (c *testChain) proveAbsent(consHeight int64, kind app.RecordKind, channel string, seq uint64) *merkle.RecordProof {
 	c.t.Helper()
-	nm, err := c.app.State().ProveNonMembership(consHeight-1, []byte(key))
+	r := ibc.PacketRecords(nil, kind, "transfer", channel)
+	p, err := c.app.State().ProveRecordAbsent(consHeight-1, &r, seq)
 	if err != nil {
 		c.t.Fatalf("proof at %d: %v", consHeight-1, err)
 	}
-	if nm == nil {
-		c.t.Fatalf("key %q present at height %d", key, consHeight-1)
+	if p == nil {
+		c.t.Fatalf("record %s%d present at height %d", r.Prefix, seq, consHeight-1)
 	}
-	return nm
+	return p
 }
 
 // updateClientTo relays a header so dst's client of src reaches height h.
@@ -340,7 +344,7 @@ func relayTransfer(t *testing.T, a, b *testChain, sender, receiver string, amoun
 	packet.TimeoutHeight = sendHeight - 1 + 1000
 
 	updateClientTo(b, a, sendHeight+1)
-	_, commitProof := a.prove(sendHeight+1, ibc.PacketCommitmentKey("transfer", "channel-0", seq))
+	_, commitProof := a.prove(sendHeight+1, app.Commitment, "channel-0", seq)
 	b.mustDeliver("relayer", ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: commitProof, ProofHeight: sendHeight + 1,
 	})
@@ -348,7 +352,7 @@ func relayTransfer(t *testing.T, a, b *testChain, sender, receiver string, amoun
 
 	ack := ibc.Acknowledgement{Result: []byte("AQ==")}
 	updateClientTo(a, b, recvHeight+1)
-	_, ackProof := b.prove(recvHeight+1, ibc.PacketAckKey("transfer", "channel-0", seq))
+	_, ackProof := b.prove(recvHeight+1, app.Ack, "channel-0", seq)
 	a.mustDeliver("relayer", ibc.MsgAcknowledgement{
 		Packet: packet, Ack: ack.Bytes(), ProofAcked: ackProof, ProofHeight: recvHeight + 1,
 	})
@@ -420,7 +424,7 @@ func TestVoucherRoundTripRestoresOriginalDenom(t *testing.T) {
 		TimeoutHeight: sendHeight - 1 + 1000,
 	}
 	updateClientTo(a, b, sendHeight+1)
-	_, proof := b.prove(sendHeight+1, ibc.PacketCommitmentKey("transfer", "channel-0", 1))
+	_, proof := b.prove(sendHeight+1, app.Commitment, "channel-0", 1)
 	a.mustDeliver("relayer", ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1,
 	})
@@ -478,7 +482,7 @@ func TestRedundantRecvRejected(t *testing.T) {
 		TimeoutHeight: sendHeight - 1 + 1000,
 	}
 	updateClientTo(b, a, sendHeight+1)
-	_, proof := a.prove(sendHeight+1, ibc.PacketCommitmentKey("transfer", "channel-0", 1))
+	_, proof := a.prove(sendHeight+1, app.Commitment, "channel-0", 1)
 	recv := ibc.MsgRecvPacket{Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1}
 	b.mustDeliver("relayer", recv)
 	// A second relayer delivering the same packet fails: "packet
@@ -525,7 +529,7 @@ func TestTimeoutRefundsEscrow(t *testing.T) {
 	}
 	// Receive must now be rejected on B.
 	updateClientTo(b, a, a.height+1)
-	_, proof := a.prove(a.height+1, ibc.PacketCommitmentKey("transfer", "channel-0", 1))
+	_, proof := a.prove(a.height+1, app.Commitment, "channel-0", 1)
 	errs := b.deliver("relayer", ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: proof, ProofHeight: a.height + 1,
 	})
@@ -534,7 +538,7 @@ func TestTimeoutRefundsEscrow(t *testing.T) {
 	}
 	// Relay the timeout to A with a non-receipt proof.
 	updateClientTo(a, b, b.height+1)
-	absent := b.proveAbsent(b.height+1, ibc.PacketReceiptKey("transfer", "channel-0", 1))
+	absent := b.proveAbsent(b.height+1, app.Receipt, "channel-0", 1)
 	a.mustDeliver("relayer", ibc.MsgTimeout{
 		Packet: packet, ProofUnreceived: absent, ProofHeight: b.height + 1,
 	})
@@ -568,7 +572,7 @@ func TestTimeoutTooEarlyRejected(t *testing.T) {
 		TimeoutHeight: b.height - 1 + 1000,
 	}
 	updateClientTo(a, b, b.height+1)
-	absent := b.proveAbsent(b.height+1, ibc.PacketReceiptKey("transfer", "channel-0", 1))
+	absent := b.proveAbsent(b.height+1, app.Receipt, "channel-0", 1)
 	errs := a.deliver("relayer", ibc.MsgTimeout{
 		Packet: packet, ProofUnreceived: absent, ProofHeight: b.height + 1,
 	})
@@ -594,10 +598,10 @@ func TestForgedProofRejected(t *testing.T) {
 		TimeoutHeight: 100000,
 	}
 	updateClientTo(b, a, a.height+1)
-	// Use a proof for an unrelated key.
-	_, wrongProof := a.prove(a.height+1, ibc.ConnectionKey("connection-0"))
+	// Use a proof for an unrelated key as the table level.
+	_, wrongProof, _ := a.app.State().ProveMembership(a.height, []byte(ibc.ConnectionKey("connection-0")))
 	errs := b.deliver("relayer", ibc.MsgRecvPacket{
-		Packet: packet, ProofCommitment: wrongProof, ProofHeight: a.height + 1,
+		Packet: packet, ProofCommitment: &merkle.RecordProof{Table: wrongProof}, ProofHeight: a.height + 1,
 	})
 	if errs == nil {
 		t.Fatal("forged packet accepted")
@@ -636,7 +640,7 @@ func TestAcceptedProofOfAbsentRecordPanics(t *testing.T) {
 	}
 	updateClientTo(b, a, sendHeight+1)
 	key := ibc.PacketCommitmentKey("transfer", "channel-0", 1)
-	_, proof := a.prove(sendHeight+1, key)
+	_, proof := a.prove(sendHeight+1, app.Commitment, "channel-0", 1)
 	commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", "channel-0")
 	a.app.State().DeleteRecord(&commitments, 1)
 	a.app.State().CommitTx()
@@ -755,13 +759,13 @@ func TestErrorAckRefunds(t *testing.T) {
 	// processes an error ack (proof checked against B's written ack, so
 	// use performance-mode-style direct call instead).
 	updateClientTo(b, a, sendHeight+1)
-	_, proof := a.prove(sendHeight+1, ibc.PacketCommitmentKey("transfer", "channel-0", 1))
+	_, proof := a.prove(sendHeight+1, app.Commitment, "channel-0", 1)
 	b.mustDeliver("relayer", ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1,
 	})
 	recvHeight := b.height
 	updateClientTo(a, b, recvHeight+1)
-	_, ackProof := b.prove(recvHeight+1, ibc.PacketAckKey("transfer", "channel-0", 1))
+	_, ackProof := b.prove(recvHeight+1, app.Ack, "channel-0", 1)
 	// The real ack was a success; verify the keeper rejects a mismatched
 	// (error) ack proof, which protects refund correctness.
 	errAck := ibc.Acknowledgement{Error: "boom"}

@@ -254,9 +254,10 @@ func (k *Keeper) clientForChannel(ctx *app.Context, port, channel string) (strin
 // timed out before it asks, and an ack record is never deleted. With
 // proofs disabled (performance mode) that state is the whole check; with
 // full proofs a proof it contradicts is a bug in the proof path, and
-// panics. The record's key is spelled out, onto r's prefix, only for the
-// merkle verifier and error text.
-func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, r app.Records, seq uint64, value []byte, proof *merkle.MembershipProof) error {
+// panics. A full proof is two-level (merkle.RecordProof): the record's
+// path in its table's array, then the table's leaf, keyed by r's prefix.
+// The record's key is spelled out only for error text.
+func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, r app.Records, seq uint64, value []byte, proof *merkle.RecordProof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
@@ -268,13 +269,12 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 	}
 	if !ctx.State.FullProofs() {
 		if !held {
-			return fmt.Errorf("%w: %s is not committed on the counterparty", ErrProofVerify, string(strconv.AppendUint(r.Prefix, seq, 10)))
+			return fmt.Errorf("%w: %s is not committed on the counterparty", ErrProofVerify, recordKey(r, seq))
 		}
 		return nil
 	}
-	key := strconv.AppendUint(r.Prefix, seq, 10)
 	if proof == nil {
-		return fmt.Errorf("%w: missing membership proof for %s", ErrProofVerify, string(key))
+		return fmt.Errorf("%w: missing membership proof for %s", ErrProofVerify, recordKey(r, seq))
 	}
 	v := k.verifiers[clientID]
 	if v == nil {
@@ -284,15 +284,20 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 		v = new(merkle.Verifier)
 		k.verifiers[clientID] = v
 	}
-	if err := v.VerifyMembership(cons.Root, key, value, proof); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrProofVerify, string(key), err)
+	if err := v.VerifyRecord(cons.Root, r.Prefix, seq, value, proof); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrProofVerify, recordKey(r, seq), err)
 	}
 	if !held {
 		cs, _ := k.Client(ctx, clientID) // Consensus found it
 		panic(fmt.Sprintf("ibc: proof of %q on %s at proof height %d verified, but the chain does not hold that record",
-			string(key), cs.ChainID, proofHeight))
+			recordKey(r, seq), cs.ChainID, proofHeight))
 	}
 	return nil
+}
+
+// recordKey spells record seq of r's table, for error text.
+func recordKey(r app.Records, seq uint64) string {
+	return string(strconv.AppendUint(r.Prefix, seq, 10))
 }
 
 // verifyNonMembership checks a counterparty absence proof of record seq
@@ -300,23 +305,22 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 // counterparty's committed state instead, when the keeper has it. A
 // receipt written after the proof height legitimately contradicts a full
 // proof, so that state does not second-guess one.
-func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, r app.Records, seq uint64, proof *merkle.NonMembershipProof) error {
+func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, r app.Records, seq uint64, proof *merkle.RecordProof) error {
 	cons, err := k.Consensus(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
 	}
 	if !ctx.State.FullProofs() {
 		if cp := k.counterparties[clientID]; cp != nil && cp.HasRecord(&r, seq) {
-			return fmt.Errorf("%w: %s is present on the counterparty", ErrProofVerify, string(strconv.AppendUint(r.Prefix, seq, 10)))
+			return fmt.Errorf("%w: %s is present on the counterparty", ErrProofVerify, recordKey(r, seq))
 		}
 		return nil
 	}
-	key := strconv.AppendUint(r.Prefix, seq, 10)
 	if proof == nil {
-		return fmt.Errorf("%w: missing non-membership proof for %s", ErrProofVerify, string(key))
+		return fmt.Errorf("%w: missing non-membership proof for %s", ErrProofVerify, recordKey(r, seq))
 	}
-	if err := merkle.VerifyNonMembership(cons.Root, key, proof); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrProofVerify, string(key), err)
+	if err := merkle.VerifyRecordAbsent(cons.Root, r.Prefix, seq, proof); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrProofVerify, recordKey(r, seq), err)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ type MsgUpdateClient struct {
 // steps. Relayers share one proof of a key, so no one writes to it.
 type MsgRecvPacket struct {
 	Packet          Packet
-	ProofCommitment *merkle.MembershipProof
+	ProofCommitment *merkle.RecordProof
 	ProofHeight     int64
 	Relayer         string
 }
@@ -45,7 +45,7 @@ type MsgRecvPacket struct {
 type MsgAcknowledgement struct {
 	Packet      Packet
 	Ack         []byte
-	ProofAcked  *merkle.MembershipProof
+	ProofAcked  *merkle.RecordProof
 	ProofHeight int64
 	Relayer     string
 }
@@ -54,7 +54,7 @@ type MsgAcknowledgement struct {
 // destination never received it before the timeout.
 type MsgTimeout struct {
 	Packet           Packet
-	ProofUnreceived  *merkle.NonMembershipProof
+	ProofUnreceived  *merkle.RecordProof
 	ProofHeight      int64
 	NextSequenceRecv uint64
 	Relayer          string

@@ -14,7 +14,9 @@ type Edit struct {
 }
 
 // IncTree is the incrementally-maintained Tree of the live application
-// state: it keeps the sorted leaf array and every inner level cached
+// state's string keys (a record table is one of them, its leaf keyed by
+// the table's prefix and binding its ArrayTree's depth and root): it
+// keeps the sorted leaf array and every inner level cached
 // between commits and re-hashes only what a block's dirty keys
 // invalidate, while committing to exactly the same root as
 // NewTree(snapshot) would. A block of d edits over n leaves costs:
@@ -24,8 +26,8 @@ type Edit struct {
 //   - with inserts or deletes: one merge pass of O(n + d) element moves
 //     (unchanged leaves keep their cached digests), then a re-hash of
 //     every inner node right of the first structural edit that covers
-//     a leaf — O(n) inner hashes in the worst case, which the
-//     sorted-array tree shape fixes.
+//     a leaf — O(n) inner hashes in the worst case. The packet records,
+//     whose inserts would land anywhere, live in ArrayTrees instead.
 //
 // Its proofs are read from the live arrays in place. Each copies its
 // siblings, so a proof taken before an Apply still verifies against the

@@ -4,16 +4,24 @@
 // Cosmos chains commit their application state to an AppHash in every
 // block header; IBC light clients verify packet commitments, receipts and
 // acknowledgements against that root via merkle membership and
-// non-membership proofs (ICS-23). This package provides a deterministic
-// SHA-256 merkle tree over sorted key-value leaves with both proof kinds.
+// non-membership proofs (ICS-23). This package provides deterministic
+// SHA-256 merkle trees of two shapes, with proofs of both kinds.
 //
-// The tree is a complete binary tree over the sorted leaves, padded to a
-// power of two. NewTree builds one from a snapshot, sorting and hashing
-// every leaf (O(n log n)); a proof is one binary search plus a copy of
-// log n siblings. The live state is an IncTree, which pays per block
-// instead: O(n + d) element moves for d edits, plus a re-hash of the
-// inner nodes right of the first insert or delete (value-only blocks
-// re-hash d root paths). It serves its proofs from those arrays in place.
+// A Tree is a complete binary tree over sorted string-keyed leaves,
+// padded to a power of two. NewTree builds one from a snapshot, sorting
+// and hashing every leaf (O(n log n)); a proof is one binary search plus
+// a copy of log n siblings. The live string-keyed state is an IncTree,
+// which pays per block instead: O(n + d) element moves for d edits, plus
+// a re-hash of the inner nodes right of the first insert or delete
+// (value-only blocks re-hash d root paths). It serves its proofs from
+// those arrays in place.
+//
+// An ArrayTree is a fixed-position array, leaf i for index i, where an
+// empty position is the pad leaf: nothing ever shifts, so every block
+// re-hashes only the root paths of what it wrote. A table of records
+// indexed by sequence commits to one, and the array's depth and root are
+// the value of the table's leaf in an IncTree: a RecordProof is the two
+// levels, the array path and that leaf's membership proof.
 package merkle
 
 import (
@@ -250,17 +258,38 @@ func indexMatchesPath(p *MembershipProof) bool {
 // verifierDepth is the longest path a Verifier remembers (2^32 leaves).
 const verifierDepth = 32
 
-// Verifier is VerifyMembership with a memory of the last proof it
-// accepted: its root, its index, and its node and sibling at every
-// level. The proofs of one batch share a root and most of their upper
-// path, so a later proof under the same root stops hashing at the first
-// level where its position meets the remembered one, if its node there
-// equals the remembered node and its siblings above equal the
-// remembered siblings: from that level up the two computations are the
-// same, and the remembered one reached the root. Its verdict is
-// VerifyMembership's for every input, whatever it accepted before. The
-// zero value remembers nothing.
+// Verifier is VerifyMembership and VerifyRecord with a memory of the
+// last path it accepted in each tree kind: the string-keyed tree's, and
+// the arrays' (each under the array root its proof claims). The proofs
+// of one batch share a root and most of their upper path, so a later
+// proof under the same root stops hashing at the first level where its
+// position meets the remembered one, if its node there equals the
+// remembered node and its siblings above equal the remembered siblings:
+// from that level up the two computations are the same, and the
+// remembered one reached the root. A record proof's table leaf also
+// remembers its key and value: the records of one table in one batch
+// share it, so after the first the table level costs no hash at all.
+// Its verdict is the package function's for every input, whatever it
+// accepted before. The zero value remembers nothing.
 type Verifier struct {
+	pathMemo          // the string-keyed tree's paths: keys and table leaves
+	array    pathMemo // array paths
+	table    leafMemo // the last table leaf accepted
+}
+
+// leafMemoLen is the longest table prefix a Verifier remembers.
+const leafMemoLen = 96
+
+// leafMemo is a table leaf's key and value, and its digest.
+type leafMemo struct {
+	key   [leafMemoLen]byte
+	n     int // the key's length; 0 = nothing remembered
+	value [ArrayValueLen]byte
+	leaf  Hash
+}
+
+// pathMemo is one tree kind's remembered path.
+type pathMemo struct {
 	root  Hash
 	n     int // the remembered path's length; 0 = nothing remembered
 	index int
@@ -274,22 +303,70 @@ func (v *Verifier) VerifyMembership(root Hash, key, value []byte, p *MembershipP
 	if p == nil || len(p.Path) == 0 || len(p.Path) > verifierDepth {
 		return VerifyMembership(root, key, value, p)
 	}
-	if !indexMatchesPath(p) {
+	if !indexMatchesPath(p) || !v.pathMemo.verify(root, LeafHash(key, value), p.Index, p.Path) {
 		return ErrProofInvalid
 	}
-	n := len(p.Path)
-	// meet is the first level at which p's position is the remembered
-	// proof's, or n (the root, no saving) when there is none.
+	return nil
+}
+
+// VerifyRecord checks that position seq of the table under prefix holds
+// value in the state committed by root, as the package function does.
+func (v *Verifier) VerifyRecord(root Hash, prefix []byte, seq uint64, value []byte, p *RecordProof) error {
+	if !recordPathOK(p, seq) {
+		return ErrProofInvalid
+	}
+	leaf := ArrayLeafHash(seq, value)
+	if len(p.Path) == 0 || len(p.Path) > verifierDepth {
+		if RootFromProof(leaf, p.Path) != p.Root {
+			return ErrProofInvalid
+		}
+	} else if !v.array.verify(p.Root, leaf, int(seq), p.Path) {
+		return ErrProofInvalid
+	}
+	var val [ArrayValueLen]byte
+	top := AppendArrayValue(val[:0], p.Depth, p.Root)
+	if v.sameTable(root, prefix, top, p.Table) {
+		return nil
+	}
+	if err := v.VerifyMembership(root, prefix, top, p.Table); err != nil {
+		return err
+	}
+	if len(prefix) <= leafMemoLen {
+		v.table.n = copy(v.table.key[:], prefix)
+		copy(v.table.value[:], top)
+		v.table.leaf = LeafHash(prefix, top)
+	}
+	return nil
+}
+
+// sameTable reports whether the table leaf (prefix, value) under root
+// with proof p is the one last accepted, on the path the string-keyed
+// memory holds for that leaf's digest: that path hashes the digest up to
+// root, so p verifies with no hash computed.
+func (v *Verifier) sameTable(root Hash, prefix, value []byte, p *MembershipProof) bool {
+	m := &v.pathMemo
+	return v.table.n > 0 && p != nil && m.n == len(p.Path) && m.root == root && m.index == p.Index &&
+		v.table.leaf == m.nodes[0] && string(prefix) == string(v.table.key[:v.table.n]) &&
+		string(value) == string(v.table.value[:]) && indexMatchesPath(p) && m.sameAbove(0, p.Path)
+}
+
+// verify reports whether leaf, at an index its 1..verifierDepth-step
+// path spells, hashes up the path to root, and remembers the path when it
+// does.
+func (m *pathMemo) verify(root, leaf Hash, index int, path []PathStep) bool {
+	n := len(path)
+	// meet is the first level at which the position is the remembered
+	// one's, or n (the root, no saving) when there is none.
 	meet := n
-	if v.n == n && v.root == root {
-		meet = bits.Len(uint(p.Index ^ v.index))
+	if m.n == n && m.root == root {
+		meet = bits.Len(uint(index ^ m.index))
 	}
 	var nodes [verifierDepth]Hash
-	cur := LeafHash(key, value)
-	for l, st := range p.Path {
-		if l == meet && cur == v.nodes[l] && v.sameAbove(l, p.Path) {
-			v.remember(l, p, &nodes)
-			return nil
+	cur := leaf
+	for l, st := range path {
+		if l == meet && cur == m.nodes[l] && m.sameAbove(l, path) {
+			m.remember(l, index, path, &nodes)
+			return true
 		}
 		nodes[l] = cur
 		if st.Left {
@@ -299,32 +376,32 @@ func (v *Verifier) VerifyMembership(root Hash, key, value []byte, p *MembershipP
 		}
 	}
 	if cur != root {
-		return ErrProofInvalid
+		return false
 	}
-	v.root, v.n = root, n
-	v.remember(n, p, &nodes)
-	return nil
+	m.root, m.n = root, n
+	m.remember(n, index, path, &nodes)
+	return true
 }
 
 // sameAbove reports whether path's siblings from level l up are the
 // remembered ones.
-func (v *Verifier) sameAbove(l int, path []PathStep) bool {
+func (m *pathMemo) sameAbove(l int, path []PathStep) bool {
 	for i := l; i < len(path); i++ {
-		if path[i].Sibling != v.sibs[i] {
+		if path[i].Sibling != m.sibs[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// remember records an accepted proof's nodes and siblings below level l
+// remember records an accepted path's nodes and siblings below level l
 // and its index; the levels from l up are already remembered.
-func (v *Verifier) remember(l int, p *MembershipProof, nodes *[verifierDepth]Hash) {
-	copy(v.nodes[:l], nodes[:l])
+func (m *pathMemo) remember(l, index int, path []PathStep, nodes *[verifierDepth]Hash) {
+	copy(m.nodes[:l], nodes[:l])
 	for i := 0; i < l; i++ {
-		v.sibs[i] = p.Path[i].Sibling
+		m.sibs[i] = path[i].Sibling
 	}
-	v.index = p.Index
+	m.index = index
 }
 
 // NonMembershipProof proves a key is absent from the committed snapshot.

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -426,7 +427,7 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 			dst.outbox = append(dst.outbox, outMsg{
 				msg: ibc.MsgRecvPacket{
 					Packet:          *p,
-					ProofCommitment: proveMember(src, proofHeight, ibc.AppendPacketCommitmentKey(kb[:0], p.SourcePort, p.SourceChannel, p.Sequence)),
+					ProofCommitment: proveMember(src, proofHeight, ibc.PacketRecords(kb[:0], app.Commitment, p.SourcePort, p.SourceChannel), p.Sequence),
 					ProofHeight:     proofHeight,
 					Relayer:         dst.account,
 				},
@@ -481,7 +482,7 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 				msg: ibc.MsgAcknowledgement{
 					Packet:      *p,
 					Ack:         ack,
-					ProofAcked:  proveMember(src, proofHeight, ibc.AppendPacketAckKey(kb[:0], p.DestPort, p.DestChannel, p.Sequence)),
+					ProofAcked:  proveMember(src, proofHeight, ibc.PacketRecords(kb[:0], app.Ack, p.DestPort, p.DestChannel), p.Sequence),
 					ProofHeight: proofHeight,
 					Relayer:     dst.account,
 				},
@@ -517,7 +518,7 @@ func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 			probes = append(probes, rpc.SettledProbe{Port: p.DestPort, Channel: p.DestChannel, Sequence: seq})
 			continue
 		}
-		proof := proveAbsent(dstChain, proofHeight, ibc.AppendPacketReceiptKey(kb[:0], p.DestPort, p.DestChannel, seq))
+		proof := proveAbsent(dstChain, proofHeight, ibc.PacketRecords(kb[:0], app.Receipt, p.DestPort, p.DestChannel), seq)
 		if proof == nil {
 			row.received()
 			continue
@@ -539,7 +540,7 @@ func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 }
 
 // queueTimeout queues p's MsgTimeout on its source.
-func (r *Relayer) queueTimeout(src *endpoint, p *ibc.Packet, proof *merkle.NonMembershipProof, proofHeight int64) {
+func (r *Relayer) queueTimeout(src *endpoint, p *ibc.Packet, proof *merkle.RecordProof, proofHeight int64) {
 	src.outbox = append(src.outbox, outMsg{
 		msg: ibc.MsgTimeout{
 			Packet:          *p,
@@ -563,36 +564,37 @@ func proofHeightOn(src *endpoint, h int64) int64 {
 	return h + 1
 }
 
-// proveMember fetches the proof of key on the counterparty chain src at
-// proofHeight-1 (the RPC cost of proof retrieval is folded into the
-// calibrated data-pull cost). It is nil in performance mode and when key
-// is absent.
-func proveMember(src *endpoint, proofHeight int64, key []byte) *merkle.MembershipProof {
+// proveMember fetches the proof of record seq of table r on the
+// counterparty chain src at proofHeight-1 (the RPC cost of proof
+// retrieval is folded into the calibrated data-pull cost). It is nil in
+// performance mode and when the record is absent.
+func proveMember(src *endpoint, proofHeight int64, r app.Records, seq uint64) *merkle.RecordProof {
 	st := src.chain.App.State()
 	if !st.FullProofs() {
 		return nil
 	}
-	_, proof, err := st.ProveMembership(proofHeight-1, key)
-	mustProve(src, proofHeight, key, err)
+	_, proof, err := st.ProveRecord(proofHeight-1, &r, seq)
+	mustProve(src, proofHeight, &r, seq, err)
 	return proof
 }
 
-// proveAbsent is proveMember for key's absence: nil when key is present.
-func proveAbsent(src *endpoint, proofHeight int64, key []byte) *merkle.NonMembershipProof {
+// proveAbsent is proveMember for the record's absence: nil when it is
+// present.
+func proveAbsent(src *endpoint, proofHeight int64, r app.Records, seq uint64) *merkle.RecordProof {
 	st := src.chain.App.State()
 	if !st.FullProofs() {
 		return nil
 	}
-	proof, err := st.ProveNonMembership(proofHeight-1, key)
-	mustProve(src, proofHeight, key, err)
+	proof, err := st.ProveRecordAbsent(proofHeight-1, &r, seq)
+	mustProve(src, proofHeight, &r, seq, err)
 	return proof
 }
 
 // mustProve panics on a State error (a height other than the latest
 // committed one, say): a simulator fault, not a failed relayer tx.
-func mustProve(src *endpoint, proofHeight int64, key []byte, err error) {
+func mustProve(src *endpoint, proofHeight int64, r *app.Records, seq uint64, err error) {
 	if err != nil {
-		panic(fmt.Sprintf("relayer: proof of %q on %s at height %d: %v", string(key), src.chain.ID, proofHeight-1, err))
+		panic(fmt.Sprintf("relayer: proof of %q on %s at height %d: %v", string(strconv.AppendUint(r.Prefix, seq, 10)), src.chain.ID, proofHeight-1, err))
 	}
 }
 

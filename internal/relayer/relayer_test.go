@@ -128,18 +128,19 @@ func TestProveOnPanicsOnStateError(t *testing.T) {
 	if h == 0 {
 		t.Fatal("no committed height after 30 s")
 	}
-	if p := proveMember(r.a, h+1, []byte("absent")); p != nil {
-		t.Fatalf("membership proof of an absent key = %+v, want nil", p)
+	absent := app.Records{Kind: app.Receipt, Channel: "channel-9", Prefix: []byte("absent/")}
+	if p := proveMember(r.a, h+1, absent, 7); p != nil {
+		t.Fatalf("membership proof of an absent record = %+v, want nil", p)
 	}
 	defer func() {
 		msg, _ := recover().(string)
-		for _, want := range []string{r.a.chain.ID, fmt.Sprintf("height %d", h+5), `"absent"`} {
+		for _, want := range []string{r.a.chain.ID, fmt.Sprintf("height %d", h+5), `"absent/7"`} {
 			if !strings.Contains(msg, want) {
 				t.Fatalf("panic %q does not name %s", msg, want)
 			}
 		}
 	}()
-	proveAbsent(r.a, h+6, []byte("absent"))
+	proveAbsent(r.a, h+6, absent, 7)
 }
 
 func TestTwoRelayersRedundancy(t *testing.T) {

@@ -28,7 +28,9 @@ import (
 //   - C4, exactly-once receipt: a chain acknowledges each packet it
 //     receives once, so a second write_acknowledgement for one sequence
 //     means a replay was accepted, its tokens delivered twice (a
-//     conservation verdict).
+//     conservation verdict). Its settle third: a commitment is deleted
+//     once, by one ack or one timeout, so a deletion of a packet that
+//     already settled paid out twice (a conservation verdict too).
 //   - C5, commitments and receipts only move forward (a timeout-refunds
 //     verdict): a commitment is deleted only once the destination has
 //     acknowledged the packet or its latest header meets the timeout
@@ -150,13 +152,24 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 	for _, wr := range st.Written() {
 		switch kind, channel := wr.Record(); kind {
 		case app.Commitment:
-			// A packet sent before this block (below the table, seq-base
-			// wraps past its length) settles. Its destination must have
-			// acknowledged it, in a block the watch saw (the relayer
-			// learns of it only after), or reached the timeout.
+			// A packet sent before this block settles. Its destination
+			// must have acknowledged it, in a block the watch saw (the
+			// relayer learns of it only after), or reached the timeout.
+			// One that settled already (a cleared row, or below the
+			// table: seq-base wraps past its length) settles twice; the
+			// keeper refuses an ack or timeout of an absent commitment.
 			e := w.end(c, channel)
 			i := wr.Seq - e.base
-			if !wr.Deleted || i >= uint64(len(e.flight)) || e.flight[i].p == nil || e.flight[i].ord >= start {
+			if !wr.Deleted {
+				continue
+			}
+			if i >= uint64(len(e.flight)) || e.flight[i].p == nil {
+				if wr.Seq < e.base || i < uint64(len(e.flight)) {
+					w.report(c, h, c, AssertConservation, "commitment %s deleted again: settled twice (ack and timeout, or two of either)", wr.AppendKey(nil))
+				}
+				continue
+			}
+			if e.flight[i].ord >= start {
 				continue
 			}
 			p, dst := e.flight[i].p, e.side.chain

@@ -298,6 +298,28 @@ func TestDeletedReceiptCheckedPerCommit(t *testing.T) {
 		fmt.Sprintf("after %s committed height %d: receipt %s deleted: receipts only grow", dst.ID, h+1, key))
 }
 
+// TestDoubleSettleCheckedPerCommit: C4's settle third reports a packet
+// commitment deleted after its packet already settled, at the height of
+// the block that deleted it again. The deletion is planted: the first
+// ibc-0 commit that deletes a commitment (an ack settling its packet)
+// deletes it once more.
+func TestDoubleSettleCheckedPerCommit(t *testing.T) {
+	var key string
+	src, h, got, _, _ := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
+		for _, wr := range c.App.State().Written() {
+			if kind, channel := wr.Record(); kind == app.Commitment && wr.Deleted {
+				key = string(wr.AppendKey(nil))
+				commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", channel)
+				c.App.State().DeleteRecord(&commitments, wr.Seq)
+				return true
+			}
+		}
+		return false
+	})
+	wantOneVerdict(t, got, "settled twice", AssertConservation, src, h+1,
+		fmt.Sprintf("after %s committed height %d: commitment %s deleted again: settled twice", src.ID, h+1, key))
+}
+
 // TestLoweredSendSequenceCheckedPerCommit: C5's growth half reports a
 // channel end's nextSequenceSend set back, at the height of the block
 // that set it. The write is planted: the first ibc-0 commit that sends
