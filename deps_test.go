@@ -106,3 +106,49 @@ func TestInternalTouchesNoHost(t *testing.T) {
 		t.Fatal("no non-test Go files under internal/")
 	}
 }
+
+// TestSimulatorTakesNoLocks pins the ownership rule stated on
+// topo.Deployment: everything a deployment builds belongs to the
+// goroutine running its scheduler, so simulator state takes no lock and
+// counts nothing atomically. Only state shared across deployments or
+// with the HTTP server may import sync: the valkey seed table, the
+// result store, and the fan-out that runs whole deployments side by
+// side.
+func TestSimulatorTakesNoLocks(t *testing.T) {
+	allowed := map[string]bool{
+		"internal/valkey/valkey.go":     true,
+		"internal/store/store.go":       true,
+		"internal/scenario/parallel.go": true,
+	}
+	fset := token.NewFileSet()
+	var got []string
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p != "sync" && p != "sync/atomic" {
+				continue
+			}
+			path = filepath.ToSlash(path)
+			got = append(got, path)
+			if !allowed[path] {
+				t.Errorf("%s imports %s: a deployment's state is owned by the goroutine running its scheduler (see topo.Deployment) and takes no lock", path, p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path := range allowed {
+		if !slices.Contains(got, path) {
+			t.Errorf("%s no longer imports sync: drop it from the allowed set", path)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ibcbench/internal/app"
@@ -116,8 +117,28 @@ type inFlight struct {
 	Unescrowed bool `json:"unescrowed"`
 }
 
+// inFlightKind is the path before the outgoing hop's channel path in an
+// in-flight record's key.
+const inFlightKind = "pfm/inflight"
+
 func appendInFlightKey(dst []byte, port, channel string, seq uint64) []byte {
-	return ibc.AppendPacketKey(dst, "pfm/inflight", port, channel, seq)
+	return ibc.AppendPacketKey(dst, inFlightKind, port, channel, seq)
+}
+
+// CutInFlightKey splits an in-flight record's key into the outgoing
+// hop's port, channel and sequence; ok is false for any other key.
+func CutInFlightKey(k string) (port, channel string, seq uint64, ok bool) {
+	rest, ok := strings.CutPrefix(k, inFlightKind+"/ports/")
+	if !ok {
+		return "", "", 0, false
+	}
+	port, rest, ok = strings.Cut(rest, "/channels/")
+	channel, num, hasSeq := strings.Cut(rest, "/sequences/")
+	if !ok || !hasSeq {
+		return "", "", 0, false
+	}
+	seq, err := strconv.ParseUint(num, 10, 64)
+	return port, channel, seq, err == nil
 }
 
 // Stats counts middleware outcomes.

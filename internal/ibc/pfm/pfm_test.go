@@ -574,7 +574,8 @@ func TestUndecodableForwardMemoRefused(t *testing.T) {
 }
 
 // The in-flight record's key is built by append; it is pinned against the
-// fmt formatting it replaced, after a prefix the builder must keep.
+// fmt formatting it replaced, after a prefix the builder must keep, and
+// CutInFlightKey takes it apart again.
 func TestKeysMatchFmtFormatting(t *testing.T) {
 	long := strings.Repeat("channel-", 20)
 	for _, id := range [][2]string{{"transfer", "channel-0"}, {"", ""}, {"a/b", "channel-4294967295"}, {"transfer", long}} {
@@ -584,6 +585,20 @@ func TestKeysMatchFmtFormatting(t *testing.T) {
 			if got := appendInFlightKey(append(b[:0], "dst/"...), id[0], id[1], seq); string(got) != want {
 				t.Errorf("in-flight key = %q, want %q", got, want)
 			}
+			port, channel, got, ok := CutInFlightKey(strings.TrimPrefix(want, "dst/"))
+			if !ok || port != id[0] || channel != id[1] || got != seq {
+				t.Errorf("CutInFlightKey(%q) = %q, %q, %d, %v", want, port, channel, got, ok)
+			}
+		}
+	}
+	for _, k := range []string{
+		"pfm/inflight/ports/transfer/channels/channel-0",
+		"pfm/inflight/ports/transfer/channels/channel-0/sequences/x",
+		"pfm/inflight/ports/transfer/sequences/1",
+		"commitments/ports/transfer/channels/channel-0/sequences/1",
+	} {
+		if _, _, _, ok := CutInFlightKey(k); ok {
+			t.Errorf("CutInFlightKey(%q) is ok", k)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -142,13 +141,7 @@ var unseen Lifecycle
 // channels, with no hashing, and walks go in (chain, channel, sequence)
 // order. Records are inline and pointer-free, in chunks allocated on
 // first touch, so growth never copies one.
-//
-// Writers lock: one link's tracker receives records from actors on both
-// of its chains, though a serial run never contends. Readers (the
-// analysis pass, the scenario driver's route polling) run between
-// events and need no lock.
 type Tracker struct {
-	mu     sync.Mutex
 	tables []channelTable
 
 	// requested counts transfers requested from the workload, including
@@ -161,11 +154,7 @@ func NewTracker() *Tracker { return &Tracker{} }
 
 // AddRequested registers transfers submitted by the workload before they
 // reach the chain.
-func (t *Tracker) AddRequested(n int) {
-	t.mu.Lock()
-	t.requested += n
-	t.mu.Unlock()
-}
+func (t *Tracker) AddRequested(n int) { t.requested += n }
 
 // find returns the index of the key's table, or where it belongs.
 func (t *Tracker) find(key PacketKey) (int, bool) {
@@ -212,8 +201,6 @@ func (t *Tracker) Record(key PacketKey, step Step, at time.Duration) {
 	if i < 0 || i >= NumSteps {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rec := t.slot(key, true)
 	if rec.set&(1<<i) != 0 && rec.at[i] <= at {
 		return

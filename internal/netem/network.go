@@ -17,8 +17,6 @@ package netem
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ibcbench/internal/sim"
@@ -91,22 +89,15 @@ type Network struct {
 	// netSeed derives every host's private latency/drop RNG stream, so a
 	// host's draw sequence depends only on its own send order, not on
 	// which other hosts sent in between.
-	netSeed int64
-	// rngMu guards the stream map only; each stream is drawn from only
-	// by its own host's sends.
-	rngMu    sync.RWMutex
+	netSeed  int64
 	hostRNGs map[Host]*sim.RNG
 
-	// linkMu guards links: Send only reads, and links change only at
-	// deploy time and in chaos events.
-	linkMu sync.RWMutex
 	// links holds per-directed-pair overrides (latencies, overlays,
 	// partitions). The hot path consults it with a single lookup, skipped
 	// entirely while the map is empty.
 	links map[linkKey]*linkState
 
-	sent    atomic.Uint64
-	dropped atomic.Uint64
+	sent, dropped uint64
 }
 
 type linkKey struct{ from, to Host }
@@ -126,15 +117,8 @@ func New(s *sim.Scheduler, rng *sim.RNG, cfg Config) *Network {
 // hostRNG returns the sender's private stream, derived from the network
 // seed and the host name so creation order cannot perturb it.
 func (n *Network) hostRNG(h Host) *sim.RNG {
-	n.rngMu.RLock()
 	r := n.hostRNGs[h]
-	n.rngMu.RUnlock()
-	if r != nil {
-		return r
-	}
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	if r = n.hostRNGs[h]; r == nil {
+	if r == nil {
 		seed := n.netSeed
 		for _, b := range []byte(h) {
 			seed = seed*1099511628211 + int64(b)
@@ -166,8 +150,6 @@ func (n *Network) dropState(from, to Host, st *linkState) {
 // SetLinkLatency overrides the base one-way latency from one host to
 // another.
 func (n *Network) SetLinkLatency(from, to Host, d time.Duration) {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
 	st := n.state(from, to)
 	st.hasLatency = true
 	st.latency = d
@@ -177,8 +159,6 @@ func (n *Network) SetLinkLatency(from, to Host, d time.Duration) {
 // fault overlay (0 clears it; the drop component is untouched, so
 // spikes and bursts on one pair compose).
 func (n *Network) SetLinkExtraLatency(from, to Host, extra time.Duration) {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
 	if extra == 0 {
 		if st, ok := n.links[linkKey{from, to}]; ok {
 			st.extraLatency = 0
@@ -192,8 +172,6 @@ func (n *Network) SetLinkExtraLatency(from, to Host, extra time.Duration) {
 // SetLinkExtraDrop sets the drop component of a directed pair's fault
 // overlay (0 clears it; the latency component is untouched).
 func (n *Network) SetLinkExtraDrop(from, to Host, extra float64) {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
 	if extra == 0 {
 		if st, ok := n.links[linkKey{from, to}]; ok {
 			st.extraDrop = 0
@@ -208,16 +186,12 @@ func (n *Network) SetLinkExtraDrop(from, to Host, extra float64) {
 // Partitions are counted: overlapping faults hitting the same pair
 // compose, and the pair heals only when every partition has healed.
 func (n *Network) Partition(a, b Host) {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
 	n.state(a, b).partitioned++
 	n.state(b, a).partitioned++
 }
 
 // Heal removes one partition between two hosts (no-op beyond balance).
 func (n *Network) Heal(a, b Host) {
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
 	for _, k := range [2]linkKey{{a, b}, {b, a}} {
 		if st, ok := n.links[k]; ok && st.partitioned > 0 {
 			st.partitioned--
@@ -227,10 +201,10 @@ func (n *Network) Heal(a, b Host) {
 }
 
 // Sent reports the number of messages handed to the network.
-func (n *Network) Sent() uint64 { return n.sent.Load() }
+func (n *Network) Sent() uint64 { return n.sent }
 
 // Dropped reports messages lost to DropRate, overlays or partitions.
-func (n *Network) Dropped() uint64 { return n.dropped.Load() }
+func (n *Network) Dropped() uint64 { return n.dropped }
 
 // Send delivers fn on the destination host after the emulated latency.
 // Messages may be dropped by partitions or the configured drop rate.
@@ -243,19 +217,17 @@ func (n *Network) Send(from, to Host, fn func()) { n.SendHandler(from, to, sim.F
 // whether the message was scheduled (false: dropped). A caller that
 // counts its messages in flight counts only the scheduled ones.
 func (n *Network) SendHandler(from, to Host, h sim.Handler) bool {
-	n.sent.Add(1)
+	n.sent++
 	base := n.cfg.OneWayLatency
 	drop := n.cfg.DropRate
 	if from == to {
 		base = n.cfg.LoopbackLatency
 	}
 	// One lookup resolves latency, overlay and partition together.
-	n.linkMu.RLock()
 	if len(n.links) > 0 {
 		if st, ok := n.links[linkKey{from, to}]; ok {
 			if st.partitioned > 0 {
-				n.linkMu.RUnlock()
-				n.dropped.Add(1)
+				n.dropped++
 				return false
 			}
 			if st.hasLatency {
@@ -265,10 +237,9 @@ func (n *Network) SendHandler(from, to Host, h sim.Handler) bool {
 			drop += st.extraDrop
 		}
 	}
-	n.linkMu.RUnlock()
 	rng := n.hostRNG(from)
 	if drop > 0 && rng.Float64() < drop {
-		n.dropped.Add(1)
+		n.dropped++
 		return false
 	}
 	n.sched.AfterHandler(time.Duration(rng.Jitter(float64(base), n.cfg.JitterRelStd)), h)
@@ -277,8 +248,6 @@ func (n *Network) SendHandler(from, to Host, h sim.Handler) bool {
 
 // String summarizes the network configuration.
 func (n *Network) String() string {
-	n.linkMu.RLock()
-	defer n.linkMu.RUnlock()
 	return fmt.Sprintf("netem(one-way=%v loopback=%v jitter=%.2f drop=%.3f overrides=%d)",
 		n.cfg.OneWayLatency, n.cfg.LoopbackLatency, n.cfg.JitterRelStd, n.cfg.DropRate, len(n.links))
 }

@@ -15,10 +15,7 @@
 // chrome://tracing).
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // chunkSize is the event-buffer chunk granularity. Recording is
 // allocation-free while the current chunk has room; crossing a chunk
@@ -58,12 +55,6 @@ type Event struct {
 // zero value is not usable; create one through New. A nil *Tracer is a
 // valid no-op target for every recording method.
 type Tracer struct {
-	// mu guards interning and the event buffer. A serial run pays one
-	// uncontended lock per event. Export-side readers (Events, Len) run
-	// only between events but take the lock anyway for -race
-	// cleanliness.
-	mu sync.Mutex
-
 	names    []string
 	nameIDs  map[string]NameID
 	tracks   []string
@@ -88,8 +79,6 @@ func (t *Tracer) Track(name string) TrackID {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if id, ok := t.trackIDs[name]; ok {
 		return id
 	}
@@ -105,8 +94,6 @@ func (t *Tracer) Name(s string) NameID {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if id, ok := t.nameIDs[s]; ok {
 		return id
 	}
@@ -121,8 +108,6 @@ func (t *Tracer) NameString(id NameID) string {
 	if t == nil {
 		return ""
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if int(id) >= len(t.names) {
 		return ""
 	}
@@ -131,8 +116,6 @@ func (t *Tracer) NameString(id NameID) string {
 
 // record appends one event, sealing the current chunk when full.
 func (t *Tracer) record(ev Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if len(t.cur) == chunkSize {
 		t.full = append(t.full, t.cur)
 		t.cur = make([]Event, 0, chunkSize)
@@ -200,28 +183,20 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.full)*chunkSize + len(t.cur)
 }
 
-// Events visits every recorded event in recording order. The chunk
-// list is snapshotted under the lock and walked outside it, so the
-// callback may safely call back into the tracer (NameString etc.).
+// Events visits every recorded event in recording order.
 func (t *Tracer) Events(fn func(Event)) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	full := t.full
-	cur := t.cur
-	t.mu.Unlock()
-	for _, chunk := range full {
+	for _, chunk := range t.full {
 		for _, ev := range chunk {
 			fn(ev)
 		}
 	}
-	for _, ev := range cur {
+	for _, ev := range t.cur {
 		fn(ev)
 	}
 }

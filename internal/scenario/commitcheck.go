@@ -8,6 +8,7 @@ import (
 	"ibcbench/internal/app"
 	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc"
+	"ibcbench/internal/ibc/pfm"
 	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
@@ -36,6 +37,13 @@ import (
 //     acknowledged the packet or its latest header meets the timeout
 //     (the rule MsgTimeout applies), a receipt is never deleted, and
 //     nextSequenceSend never falls.
+//   - C6, a forward record lives exactly as long as its hop: the
+//     transaction that sends a forwarded packet's next hop stores its
+//     PFM in-flight record, and the one that settles the hop pops it, so
+//     a block leaves an in-flight key it wrote stored exactly when the
+//     hop's commitment is. Otherwise the forwarded funds sit in the
+//     forwarding account with no hop to release them (a conservation
+//     verdict).
 //
 // A packet stays in flight until the block that deletes its commitment,
 // so at quiescence the flight tables hold what Check classifies; Check
@@ -149,6 +157,7 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 		}
 	}
 	st := c.App.State()
+	var b [app.KeyBufLen]byte
 	for _, wr := range st.Written() {
 		switch kind, channel := wr.Record(); kind {
 		case app.Commitment:
@@ -198,6 +207,13 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 					w.report(c, h, c, AssertTimeoutRefunds, "%s fell from %d to %d: send sequences only grow", k, e.nextSend, next)
 				}
 				e.nextSend = next
+			} else if port, channel, seq, ok := pfm.CutInFlightKey(k); ok {
+				r := ibc.PacketRecords(b[:0], app.Commitment, port, channel)
+				if committed := st.HasRecord(&r, seq); committed && wr.Deleted {
+					w.report(c, h, c, AssertConservation, "forward record %s deleted while its hop's commitment is stored: settling the hop releases nothing", k)
+				} else if !committed && !wr.Deleted {
+					w.report(c, h, c, AssertConservation, "forward record %s stored without its hop's commitment: the forwarded funds are stranded", k)
+				}
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"ibcbench/internal/chain"
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/ibc/denom"
+	"ibcbench/internal/ibc/pfm"
 	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/sim"
 	"ibcbench/internal/tendermint/store"
@@ -189,6 +190,12 @@ func TestConservationCheckedPerCommit(t *testing.T) {
 func plantedOnce(t *testing.T, i int, plant func(c *chain.Chain, h int64) bool) (c *chain.Chain, h int64, got, all, quiet []Violation) {
 	t.Helper()
 	spec := Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 1}, Seed: 1}
+	return plantedOn(t, spec, i, plant)
+}
+
+// plantedOn is plantedOnce on spec.
+func plantedOn(t *testing.T, spec Spec, i int, plant func(c *chain.Chain, h int64) bool) (c *chain.Chain, h int64, got, all, quiet []Violation) {
+	t.Helper()
 	sc, dep := deployed(t, spec)
 	c = dep.Chains[i]
 	w := watchCommits(dep)
@@ -318,6 +325,34 @@ func TestDoubleSettleCheckedPerCommit(t *testing.T) {
 	})
 	wantOneVerdict(t, got, "settled twice", AssertConservation, src, h+1,
 		fmt.Sprintf("after %s committed height %d: commitment %s deleted again: settled twice", src.ID, h+1, key))
+}
+
+// TestStrandedForwardCheckedPerCommit: C6 reports a PFM forward record
+// deleted while its hop's commitment is stored, at the height of the
+// block that deleted it. The deletion is planted on a forwarded route
+// across three chains: the first commit of the middle chain that stores
+// an in-flight record deletes it again, so the hop's settlement finds
+// no record and never releases the origin's held acknowledgement.
+func TestStrandedForwardCheckedPerCommit(t *testing.T) {
+	spec := Spec{
+		Name:     "stranded",
+		Topology: TopologySpec{Preset: "line:3"},
+		Workload: WorkloadSpec{Routes: []RouteSpec{{Path: []int{0, 1, 2}, Transfers: 4, Forwarded: true}}},
+		Seed:     1,
+	}
+	var key string
+	mid, h, got, _, _ := plantedOn(t, spec, 1, func(c *chain.Chain, h int64) bool {
+		for _, wr := range c.App.State().Written() {
+			if _, _, _, ok := pfm.CutInFlightKey(wr.Key); ok && !wr.Deleted {
+				key = wr.Key
+				c.App.State().Delete([]byte(key))
+				return true
+			}
+		}
+		return false
+	})
+	wantOneVerdict(t, got, "", AssertConservation, mid, h+1,
+		fmt.Sprintf("after %s committed height %d: forward record %s deleted while its hop's commitment is stored", mid.ID, h+1, key))
 }
 
 // TestLoweredSendSequenceCheckedPerCommit: C5's growth half reports a

@@ -16,7 +16,6 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"ibcbench/internal/eventindex"
@@ -87,11 +86,7 @@ type Server struct {
 
 	subs []subscriber
 
-	// Counters are atomic: they increment at the client's call site.
-	// A run is serial, so nothing contends for them.
-	broadcasts  atomic.Uint64
-	queries     atomic.Uint64
-	frameErrors uint64
+	broadcasts, queries, frameErrors uint64
 }
 
 type subscriber struct {
@@ -156,7 +151,7 @@ func (s *Server) BusyTime() time.Duration { return s.serial.BusyTime() }
 
 // Stats reports (broadcasts, queries, frameErrors).
 func (s *Server) Stats() (uint64, uint64, uint64) {
-	return s.broadcasts.Load(), s.queries.Load(), s.frameErrors
+	return s.broadcasts, s.queries, s.frameErrors
 }
 
 // SetSettledQuery installs the packet-settlement resolver backing
@@ -247,7 +242,7 @@ func statusCost() time.Duration    { return simconf.StatusQueryCost }
 // BroadcastTxSync submits a transaction: it is accepted into the mempool
 // (after CheckTx) or rejected. The reply carries the CheckTx error.
 func (s *Server) BroadcastTxSync(from netem.Host, tx types.Tx, cb func(error)) {
-	s.broadcasts.Add(1)
+	s.broadcasts++
 	request(s, from, broadcastCost, func() (struct{}, error) {
 		return struct{}{}, s.pool.Add(tx)
 	}, func(_ struct{}, err error) {
@@ -260,7 +255,7 @@ func (s *Server) BroadcastTxSync(from netem.Host, tx types.Tx, cb func(error)) {
 // QueryTx checks whether a transaction is committed (light confirmation
 // query; returns ErrNotFound while pending).
 func (s *Server) QueryTx(from netem.Host, hash types.Hash, cb func(*store.TxInfo, error)) {
-	s.queries.Add(1)
+	s.queries++
 	request(s, from, statusCost, func() (*store.TxInfo, error) {
 		info, err := s.stor.Tx(hash)
 		if err != nil {
@@ -274,7 +269,7 @@ func (s *Server) QueryTx(from netem.Host, hash types.Hash, cb func(*store.TxInfo
 // with a service time proportional to the response size. This is the
 // operation behind 69% of the paper's cross-chain processing time.
 func (s *Server) QueryTxData(from netem.Host, hash types.Hash, cb func(*store.TxInfo, error)) {
-	s.queries.Add(1)
+	s.queries++
 	request(s, from, func() time.Duration {
 		// Costed server-side at arrival: callers pull data for committed
 		// transactions, so the lookup resolves the same tx it would have
@@ -312,7 +307,7 @@ func (s *Server) blockQueryCost(height int64) time.Duration {
 // per-channel packet records from the shared event index, not raw
 // transactions to re-parse.
 func (s *Server) QueryBlockEvents(from netem.Host, height int64, cb func(*eventindex.BlockEvents, error)) {
-	s.queries.Add(1)
+	s.queries++
 	request(s, from, func() time.Duration { return s.blockQueryCost(height) }, func() (*eventindex.BlockEvents, error) {
 		if s.events == nil {
 			return nil, ErrNotFound
@@ -327,7 +322,7 @@ func (s *Server) QueryBlockEvents(from netem.Host, height int64, cb func(*eventi
 
 // QueryAccountSequence resolves an account's committed sequence.
 func (s *Server) QueryAccountSequence(from netem.Host, account string, cb func(uint64, error)) {
-	s.queries.Add(1)
+	s.queries++
 	request(s, from, statusCost, func() (uint64, error) {
 		if s.accountSeq == nil {
 			return 0, ErrNotFound
@@ -352,7 +347,7 @@ type SettledProbe struct {
 // makes. One flat status query covers the batch (a single ABCI
 // multi-query round trip).
 func (s *Server) QuerySettled(from netem.Host, probes []SettledProbe, cb func([]bool, error)) {
-	s.queries.Add(1)
+	s.queries++
 	request(s, from, statusCost, func() ([]bool, error) {
 		if s.settled == nil {
 			return nil, ErrNotFound

@@ -6,7 +6,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"ibcbench/internal/abci"
 	"ibcbench/internal/tendermint/types"
@@ -31,12 +30,9 @@ type CommittedBlock struct {
 	Results []abci.TxResult
 }
 
-// Store is the append-only block store of one chain. Appends happen on
-// the owning chain's scheduler; the indexes are guarded by a read/write
-// lock, which a serial run never contends. The committed blocks
-// themselves are immutable once appended.
+// Store is the append-only block store of one chain. The committed
+// blocks are immutable once appended.
 type Store struct {
-	mu      sync.RWMutex
 	blocks  []*CommittedBlock // index 0 = height 1
 	txIndex map[types.Hash]*TxInfo
 	// txsByHeight caches each block's TxInfo slice (the same records the
@@ -51,17 +47,10 @@ func New() *Store {
 }
 
 // Height reports the latest committed height (0 before the first block).
-func (s *Store) Height() int64 {
-	s.mu.RLock()
-	h := int64(len(s.blocks))
-	s.mu.RUnlock()
-	return h
-}
+func (s *Store) Height() int64 { return int64(len(s.blocks)) }
 
 // Append adds the next block. Heights must be contiguous from 1.
 func (s *Store) Append(cb *CommittedBlock) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	want := int64(len(s.blocks)) + 1
 	if cb.Block.Header.Height != want {
 		return fmt.Errorf("store: appending height %d, want %d", cb.Block.Header.Height, want)
@@ -87,8 +76,6 @@ func (s *Store) Append(cb *CommittedBlock) error {
 
 // Block returns the committed block at height.
 func (s *Store) Block(height int64) (*CommittedBlock, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if height < 1 || height > int64(len(s.blocks)) {
 		return nil, ErrNotFound
 	}
@@ -97,8 +84,6 @@ func (s *Store) Block(height int64) (*CommittedBlock, error) {
 
 // Tx looks up an executed transaction by hash.
 func (s *Store) Tx(hash types.Hash) (*TxInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	info, ok := s.txIndex[hash]
 	if !ok {
 		return nil, ErrNotFound
@@ -111,8 +96,6 @@ func (s *Store) Tx(hash types.Hash) (*TxInfo, error) {
 // The returned slice is the store's cached materialization; callers must
 // treat it as read-only.
 func (s *Store) TxsAtHeight(height int64) ([]*TxInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if height < 1 || height > int64(len(s.blocks)) {
 		return nil, ErrNotFound
 	}

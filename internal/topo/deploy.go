@@ -40,9 +40,10 @@ type DeployConfig struct {
 	// to every edge.
 	Standby bool
 	// Obs attaches observability (span tracer + metrics registry) to the
-	// deployment; nil (the default) disables all instrumentation. Must be
-	// per-deployment — sweeps run seeds concurrently — so experiment
-	// drivers leave it nil and only single-run trace exports set it.
+	// deployment; nil (the default) disables all instrumentation. Like
+	// everything else the deployment builds, it belongs to this
+	// deployment alone; experiment drivers leave it nil and only
+	// single-run trace exports set it.
 	Obs *obs.Obs
 }
 
@@ -147,7 +148,10 @@ func (l *Link) ChannelFrom(from int) string {
 	return l.Pair.ChannelBA
 }
 
-// Deployment is one instantiated topology.
+// Deployment is one instantiated topology. Everything a deployment
+// builds (its network, chains, block stores, RPC servers, trackers and
+// tracer) is owned by the goroutine running its scheduler, and so takes
+// no lock; whole deployments may run side by side.
 type Deployment struct {
 	Topology Topology
 	Sched    *sim.Scheduler
