@@ -22,8 +22,9 @@ check:
 
 # Bounded run of the native fuzz targets (CI's "Differential fuzz"
 # step): the append codecs of the two hashed per-packet documents against
-# encoding/json in both directions, the light-client state encoders
-# against json.Marshal, merkle.IncTree.Apply's roots and proofs against
+# encoding/json in both directions, the encoders of the four stored host
+# objects (client, consensus, connection and channel states) against
+# json.Marshal, merkle.IncTree.Apply's roots and proofs against
 # the full-rebuild merkle.NewTree, merkle.ArrayTree.Apply's roots, paths
 # and two-level record proofs against merkle.HashLeaves over the dense
 # leaf array, merkle.Verifier's verdicts against merkle.VerifyMembership's

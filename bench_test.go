@@ -298,9 +298,12 @@ func BenchmarkKeeperRecvAck(b *testing.B) {
 // denom string and the success ack a shared literal 1 012; with every
 // receipt storing one shared value 912; with packet commitments,
 // receipts and acks in per-channel tables, where a record makes no key
-// string, it takes 712.
+// string, 712; it took 516 when the host objects came to live typed in
+// the store, which left it there: a read had already decoded nothing.
+// The ceiling is the count under the race detector (CI runs the package
+// with -race), whose instrumentation adds 6.
 func TestKeeperRecvAckAllocs(t *testing.T) {
-	const runs, ceiling = 5, 719
+	const runs, ceiling = 5, 522
 	r := newRecvAckRounds(t, runs+1) // AllocsPerRun adds a warm-up call
 	round := 0
 	got := testing.AllocsPerRun(runs, func() {

@@ -18,7 +18,9 @@ import (
 )
 
 // naiveState is the reference FuzzStateJournal diffs State against: no
-// journal, no marks, no tables. A transaction is a full copy of the map,
+// journal, no marks, no tables. Each key holds a cell: its bytes, and
+// the decoded value a typed write stored beside them (nil after a plain
+// one). A transaction is a full copy of the map,
 // the latest height is another, and the non-proof root is the hash chain
 // over the block's
 // written keys: every key a committed transaction wrote, changed or not,
@@ -31,27 +33,34 @@ import (
 // merkle.HashLeaves over its dense leaf array, from sequence 0 to the
 // highest one a committed write touched (tableLeaves).
 type naiveState struct {
-	cur       map[string]string // what reads see, in-tx writes included
-	committed map[string]string // cur as of the last CommitTx/AbortTx/Commit
+	cur       map[string]cell   // what reads see, in-tx writes included
+	committed map[string]cell   // cur as of the last CommitTx/AbortTx/Commit
 	txDirty   map[string]bool   // key -> whether it was written as a record
 	dirty     map[string]bool   // the block's string keys written
 	dirtyRecs map[string]bool   // the block's records written
 	height    int64             // the latest committed height
-	latest    map[string]string // the map at that height
+	latest    map[string]cell   // the map at that height
 	tables    map[string]uint64 // table prefix -> the highest sequence a committed block wrote
 	root      merkle.Hash
 }
 
 func newNaiveState() *naiveState {
 	return &naiveState{
-		cur:       map[string]string{},
-		committed: map[string]string{},
+		cur:       map[string]cell{},
+		committed: map[string]cell{},
 		txDirty:   map[string]bool{},
 		dirty:     map[string]bool{},
 		dirtyRecs: map[string]bool{},
 		tables:    map[string]uint64{},
 		root:      sha256.Sum256([]byte("ibcbench/genesis")),
 	}
+}
+
+// cell is one key's entry in naiveState: its bytes, and the decoded
+// value stored beside them.
+type cell struct {
+	val string
+	obj any
 }
 
 func byteMap(m map[string]string) map[string][]byte {
@@ -93,8 +102,8 @@ func (n *naiveState) write(k string, record bool) {
 	}
 }
 
-func (n *naiveState) set(k, v string, record bool) { n.cur[k] = v; n.write(k, record) }
-func (n *naiveState) del(k string, record bool)    { delete(n.cur, k); n.write(k, record) }
+func (n *naiveState) set(k string, c cell, record bool) { n.cur[k] = c; n.write(k, record) }
+func (n *naiveState) del(k string, record bool)         { delete(n.cur, k); n.write(k, record) }
 
 func (n *naiveState) commitTx() {
 	n.committed = maps.Clone(n.cur)
@@ -154,8 +163,8 @@ func (n *naiveState) commit(height int64, fullProofs bool) {
 			} else {
 				h.Write([]byte(k))
 			}
-			if v, ok := n.cur[k]; ok {
-				h.Write([]byte(v))
+			if c, ok := n.cur[k]; ok {
+				h.Write([]byte(c.val))
 			} else {
 				h.Write([]byte{0xff})
 			}
@@ -175,11 +184,11 @@ func splitRecord(k string) (string, uint64) {
 
 // tree rebuilds the full-proof tree of map m: its string keys, and each
 // table's prefix bound to its array's depth and root.
-func (n *naiveState) tree(m map[string]string) *merkle.Tree {
+func (n *naiveState) tree(m map[string]cell) *merkle.Tree {
 	kv := map[string][]byte{}
-	for k, v := range m { // order-free: fills a map
+	for k, c := range m { // order-free: fills a map
 		if _, _, record := fuzzRecords(nil, k); !record {
-			kv[k] = []byte(v)
+			kv[k] = []byte(c.val)
 		}
 	}
 	for prefix := range n.tables { // order-free: fills a map
@@ -195,12 +204,12 @@ func (n *naiveState) tree(m map[string]string) *merkle.Tree {
 
 // tableLeaves is the dense leaf array of the table under prefix in map
 // m: the record's leaf at each stored sequence, the empty leaf elsewhere.
-func (n *naiveState) tableLeaves(m map[string]string, prefix string) []merkle.Hash {
+func (n *naiveState) tableLeaves(m map[string]cell, prefix string) []merkle.Hash {
 	leaves := make([]merkle.Hash, n.tables[prefix]+1)
 	for seq := range leaves {
 		leaves[seq] = merkle.EmptyLeaf()
-		if v, ok := m[prefix+strconv.Itoa(seq)]; ok {
-			leaves[seq] = merkle.ArrayLeafHash(uint64(seq), []byte(v))
+		if c, ok := m[prefix+strconv.Itoa(seq)]; ok {
+			leaves[seq] = merkle.ArrayLeafHash(uint64(seq), []byte(c.val))
 		}
 	}
 	return leaves
@@ -234,7 +243,9 @@ func fuzzRecords(buf []byte, k string) (Records, uint64, bool) {
 // commits the block, 1 commits the transaction, 2 aborts it, 3 deletes
 // (often an absent key), 4 sets the key to the value it already has, 5
 // sets a value every key shares (a fresh slice of equal bytes), the rest
-// set a fresh value. The 16-key space makes the same key being written
+// set a fresh value; 7 writes a string key typed (SetObject), with a
+// fresh decoded value beside it, whose identity every read of the key
+// checks until a plain write drops it. The 16-key space makes the same key being written
 // many times per transaction and per block, and re-creation after a
 // delete, routine. A packet record is written through SetRecord or
 // DeleteRecord, the only way to it. Every key reaches the store
@@ -248,6 +259,9 @@ func FuzzStateJournal(f *testing.F) {
 	f.Add([]byte{5, 0, 6, 0, 7, 0, 1, 0, 5, 0, 1, 0, 0, 0, 6, 8, 0, 0, 7, 8, 1, 0, 0, 0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	// Records: shared values, then a fresh one; deleted, aborted, re-made.
 	f.Add([]byte{5, 8, 5, 10, 5, 14, 1, 0, 0, 0, 6, 12, 5, 24, 1, 0, 0, 0, 3, 26, 3, 9, 2, 0, 3, 24, 1, 0, 0, 0, 5, 8, 1, 0, 0, 0})
+	// Typed writes: one undone by AbortTx, one dropped by a plain Set of
+	// equal bytes, a delete of one undone, and one committed.
+	f.Add([]byte{7, 0, 1, 0, 7, 0, 2, 0, 4, 0, 7, 2, 0, 0, 3, 2, 2, 0, 7, 0, 1, 0, 0, 0})
 	// A table made by a delete at sequence 130 grows down to 1.
 	f.Add([]byte{3, 15, 1, 0, 6, 15, 6, 9, 1, 0, 0, 0, 7, 13, 4, 15, 1, 0, 0, 0, 3, 31, 2, 0, 0, 0})
 
@@ -258,6 +272,7 @@ func FuzzStateJournal(f *testing.F) {
 			for i := 0; i+1 < len(data); i += 2 {
 				op, k := data[i]%8, fuzzKey(data[i+1])
 				var value []byte
+				var obj any
 				switch op {
 				case 0:
 					height++
@@ -283,13 +298,16 @@ func FuzzStateJournal(f *testing.F) {
 					s.AbortTx()
 					n.abortTx()
 				case 4:
-					v, ok := n.cur[k]
+					c, ok := n.cur[k]
 					if !ok {
 						break
 					}
-					value = []byte(v)
+					value = []byte(c.val)
 				case 5:
 					value = []byte("s")
+				case 7:
+					obj = new(int) // compared by identity
+					fallthrough
 				default:
 					value = []byte(fmt.Sprintf("v%d", i))
 				}
@@ -302,9 +320,12 @@ func FuzzStateJournal(f *testing.F) {
 				case !record && op == 3:
 					ck.do(k, s.Delete)
 					n.del(k, false)
+				case !record && obj != nil:
+					ck.do(k, func(b []byte) { s.SetObject(b, value, obj) })
+					n.set(k, cell{string(value), obj}, false)
 				case !record:
 					ck.do(k, func(b []byte) { s.Set(b, value) })
-					n.set(k, string(value), false)
+					n.set(k, cell{val: string(value)}, false)
 				case op == 3:
 					ck.do(k, func(b []byte) {
 						r, _, _ := fuzzRecords(b[:0], k)
@@ -316,7 +337,7 @@ func FuzzStateJournal(f *testing.F) {
 						r, _, _ := fuzzRecords(b[:0], k)
 						s.SetRecord(&r, seq, value)
 					})
-					n.set(k, string(value), true)
+					n.set(k, cell{val: string(value)}, true)
 				}
 				checkReads(t, s, n, ck)
 			}
@@ -339,9 +360,9 @@ func (c *callerKeys) do(k string, f func(key []byte)) {
 }
 
 // checkReads compares every read the store offers with the model: Get
-// for the string keys, GetRecord and HasRecord for the records. A record
-// is invisible to Get of its key, and RangePrefix visits string keys
-// only.
+// and Object for the string keys, GetRecord and HasRecord for the
+// records. A record is invisible to Get and Object of its key, and
+// RangePrefix visits string keys only.
 func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys) {
 	t.Helper()
 	if s.Len() != len(n.cur) {
@@ -349,16 +370,21 @@ func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys) {
 	}
 	for b := byte(0); b < 16; b++ {
 		k := fuzzKey(b)
-		want, wantOK := n.cur[k]
+		c, wantOK := n.cur[k]
+		want := c.val
 		var got []byte
 		var ok bool
-		ck.do(k, func(b []byte) { got, ok = s.Get(b) })
+		var obj any
+		ck.do(k, func(b []byte) { got, ok = s.Get(b); obj = s.Object(b) })
 		_, seq, record := fuzzRecords(nil, k)
-		if record && ok {
-			t.Fatalf("Get(%q) = %q, true: a record read as a string key", k, got)
+		if record && (ok || obj != nil) {
+			t.Fatalf("Get(%q) = %q, %v, Object %v: a record read as a string key", k, got, ok, obj)
 		}
 		if !record && (ok != wantOK || string(got) != want) {
 			t.Fatalf("Get(%q) = %q, %v, model %q, %v", k, got, ok, want, wantOK)
+		}
+		if !record && obj != c.obj {
+			t.Fatalf("Object(%q) = %v, model %v", k, obj, c.obj)
 		}
 		if !record {
 			continue
@@ -382,7 +408,7 @@ func checkReads(t *testing.T, s *State, n *naiveState, ck *callerKeys) {
 		var want []string
 		for _, k := range sortedKeys(n.cur) {
 			if strings.HasPrefix(k, prefix) && !strings.HasPrefix(k, "r/") {
-				want = append(want, k+"="+n.cur[k])
+				want = append(want, k+"="+n.cur[k].val)
 			}
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -476,7 +502,8 @@ func checkRecord(t *testing.T, s *State, n *naiveState, ref *merkle.Tree, h int6
 	if err != nil {
 		t.Fatalf("ProveRecordAbsent(%d, %q) at version %d: %v", h, k, s.Version(), err)
 	}
-	want, present := n.latest[k]
+	c, present := n.latest[k]
+	want := c.val
 	p := nm
 	if present {
 		p = mp

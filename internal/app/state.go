@@ -32,7 +32,10 @@ import (
 //   - Every other key (balances, supply, clients, connections, channel
 //     ends, nextSequenceSend, middleware records): a flat string map. A
 //     lookup makes no string, and only the first insert of a key makes the
-//     one string its map entry and journal entries share.
+//     one string its map entry and journal entries share. A typed write
+//     (SetObject) keeps a decoded value beside the bytes, which Object
+//     returns; Set and Delete drop it. The store never looks inside the
+//     value: the bytes alone are hashed and proved.
 //
 // Records are reached only through their tables (SetRecord,
 // DeleteRecord, GetRecord, HasRecord); Get, Set and Delete reach the
@@ -72,6 +75,10 @@ type State struct {
 	// set are both read from it.
 	journal []undo
 	txMark  int
+	// objs holds the decoded values the journal's entries replaced, one
+	// per entry with obj set, oldest first: few writes are typed, so an
+	// entry carries a flag, not the value.
+	objs []any
 
 	version int64 // the latest committed height (0 if none)
 	root    merkle.Hash
@@ -107,11 +114,13 @@ type recordAt struct {
 	seq uint64
 }
 
-// slot is one map entry: the value, and the key string every later write
+// slot is one map entry: the value, the decoded value a typed write
+// stored beside it (nil after Set), and the key string every later write
 // of the key records in the journal.
 type slot struct {
 	key string
 	val []byte
+	obj any
 }
 
 // KeyBufLen sizes the stack buffer callers build a state key in; the
@@ -120,13 +129,15 @@ type slot struct {
 const KeyBufLen = 128
 
 // undo is what one write replaced: the value before it (had = false when
-// absent), of string key key, or of record seq of table t.
+// absent), of string key key, or of record seq of table t. obj is set
+// when that value had a decoded value beside it, kept in State.objs.
 type undo struct {
 	key   string
 	t     *table
 	seq   uint64
 	prior []byte
 	had   bool
+	obj   bool
 }
 
 // RecordKind is the kind of a packet record table.
@@ -204,10 +215,20 @@ func (s *State) Get(key []byte) ([]byte, bool) {
 // value from here on (it is kept by reference, here and in the journal),
 // so the caller hands over a slice nothing else will write to. A packet
 // record is written by SetRecord, never by its key.
-func (s *State) Set(key, value []byte) {
+func (s *State) Set(key, value []byte) { s.SetObject(key, value, nil) }
+
+// SetObject writes a string key as Set does, with obj, the decoded form
+// of value, beside it: Object returns obj until the key's next write.
+// The store keeps obj as it keeps value, so nothing writes to it either.
+func (s *State) SetObject(key, value []byte, obj any) {
 	k := s.write(key)
-	s.data[k] = slot{k, value}
+	s.data[k] = slot{k, value, obj}
 }
+
+// Object reads the decoded value the latest write of a string key
+// stored, as Get reads its bytes: nil when the key is absent or that
+// write was a Set.
+func (s *State) Object(key []byte) any { return s.data[string(key)].obj }
 
 // Delete removes a string key for the executing transaction. Like a Set
 // of an equal value, a Delete of an absent key still marks the key
@@ -224,7 +245,10 @@ func (s *State) write(key []byte) string {
 	if !had {
 		e.key = string(key)
 	}
-	s.journal = append(s.journal, undo{key: e.key, prior: e.val, had: had})
+	if e.obj != nil {
+		s.objs = append(s.objs, e.obj)
+	}
+	s.journal = append(s.journal, undo{key: e.key, prior: e.val, had: had, obj: e.obj != nil})
 	return e.key
 }
 
@@ -301,7 +325,11 @@ func (s *State) AbortTx() {
 	for i := len(s.journal) - 1; i >= s.txMark; i-- {
 		switch e := &s.journal[i]; {
 		case e.t == nil && e.had:
-			s.data[e.key] = slot{e.key, e.prior}
+			var obj any
+			if e.obj {
+				obj, s.objs = s.objs[len(s.objs)-1], s.objs[:len(s.objs)-1]
+			}
+			s.data[e.key] = slot{e.key, e.prior, obj}
 		case e.t == nil:
 			delete(s.data, e.key)
 		case e.had:
@@ -430,7 +458,7 @@ func (s *State) Commit(height int64) merkle.Hash {
 		s.root, s.hashBuf = sha256.Sum256(b), b
 	}
 	s.version = height
-	s.journal, s.txMark = s.journal[:0], 0 // the buffer is reused by the next block
+	s.journal, s.txMark, s.objs = s.journal[:0], 0, s.objs[:0] // the buffers are reused by the next block
 	return s.root
 }
 

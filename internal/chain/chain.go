@@ -190,9 +190,9 @@ type Pair struct {
 // both ends open with ibc.SeedOpenEnd. Each call consumes the next free
 // ordinal n on each chain, so on a the link uses channel-n, connection-n
 // and 07-tendermint-n, and a chain can be linked to many counterparties
-// (hub, mesh and line topologies). Each keeper gets the other chain's
-// state for its new client, the stand-in for an absence proof in
-// performance mode (ibc.Keeper.SetCounterpartyState).
+// (hub, mesh and line topologies). Each new client's stored state
+// carries the other chain's app.State, the stand-in for the proofs
+// performance mode does not carry (see ibc.SeedOpenEnd).
 func Link(a, b *Chain) *Pair {
 	ordA, ordB := a.links, b.links
 	a.links++
@@ -207,11 +207,9 @@ func Link(a, b *Chain) *Pair {
 	}
 	endA := ibc.EndIDs{Port: p.Port, Channel: p.ChannelAB, Connection: fmt.Sprintf("connection-%d", ordA), Client: p.ClientOnA}
 	endB := ibc.EndIDs{Port: p.Port, Channel: p.ChannelBA, Connection: fmt.Sprintf("connection-%d", ordB), Client: p.ClientOnB}
-	ibc.SeedOpenEnd(a.App.State(), endA, endB, b.ClientStateFor())
+	ibc.SeedOpenEnd(a.App.State(), endA, endB, b.ClientStateFor(), b.App.State())
 	a.App.State().CommitTx()
-	ibc.SeedOpenEnd(b.App.State(), endB, endA, a.ClientStateFor())
+	ibc.SeedOpenEnd(b.App.State(), endB, endA, a.ClientStateFor(), a.App.State())
 	b.App.State().CommitTx()
-	a.Keeper.SetCounterpartyState(p.ClientOnA, b.App.State())
-	b.Keeper.SetCounterpartyState(p.ClientOnB, a.App.State())
 	return p
 }

@@ -126,9 +126,9 @@ func FuzzAckCodec(f *testing.F) {
 	})
 }
 
-// The light-client states updateClient stores are written with appends.
-// Their bytes are hashed into the app root, so they must be exactly
-// json.Marshal's.
+// The host objects SeedOpenEnd and updateClient store are written with
+// appends. Their bytes are hashed into the app root, so they must be
+// exactly json.Marshal's.
 
 var clientStateCases = []ibc.ClientState{
 	{},
@@ -148,6 +148,9 @@ var consensusStateCases = []ibc.ConsensusState{
 	{Root: allBytes(0x80), Timestamp: -1 << 63},
 }
 
+// endCases are the strings of a connection and a channel end's fields.
+var endCases = []string{"", "connection-0", "07-tendermint-12", "ics20-1", "q\"uote\\ <tag> &   \x00 bad\xff"}
+
 func allBytes(b byte) (h merkle.Hash) {
 	for i := range h {
 		h[i] = b
@@ -155,7 +158,7 @@ func allBytes(b byte) (h merkle.Hash) {
 	return h
 }
 
-func checkStoredObjectCodecs(t *testing.T, cs ibc.ClientState, cons ibc.ConsensusState) {
+func checkStoredObjectCodecs(t *testing.T, cs ibc.ClientState, cons ibc.ConsensusState, conn ibc.ConnectionEnd, ch ibc.ChannelEnd) {
 	t.Helper()
 	for _, c := range []struct {
 		v   any
@@ -163,6 +166,8 @@ func checkStoredObjectCodecs(t *testing.T, cs ibc.ClientState, cons ibc.Consensu
 	}{
 		{cs, ibc.AppendClientState([]byte("prefix"), &cs)[len("prefix"):]},
 		{cons, ibc.AppendConsensusState(nil, &cons)},
+		{conn, ibc.AppendConnectionEnd([]byte("prefix"), &conn)[len("prefix"):]},
+		{ch, ibc.AppendChannelEnd(nil, &ch)},
 	} {
 		want, err := json.Marshal(c.v)
 		if err != nil {
@@ -174,21 +179,33 @@ func checkStoredObjectCodecs(t *testing.T, cs ibc.ClientState, cons ibc.Consensu
 	}
 }
 
+// ends builds a connection and a channel end of the given state and
+// ordering whose string fields take strs in turn, round-robin.
+func ends(state, order byte, strs ...string) (ibc.ConnectionEnd, ibc.ChannelEnd) {
+	at := func(i int) string { return strs[i%len(strs)] }
+	return ibc.ConnectionEnd{State: ibc.HandshakeState(state), ClientID: at(0), CounterpartyConnID: at(1), CounterpartyClientID: at(2)},
+		ibc.ChannelEnd{State: ibc.HandshakeState(state), Ordering: ibc.Order(order), CounterpartyPort: at(3),
+			CounterpartyChan: at(4), ConnectionID: at(5), Version: at(6)}
+}
+
 func TestStoredObjectCodecsMatchEncodingJSON(t *testing.T) {
-	for _, cs := range clientStateCases {
-		for _, cons := range consensusStateCases {
-			checkStoredObjectCodecs(t, cs, cons)
+	for i, cs := range clientStateCases {
+		for j, cons := range consensusStateCases {
+			conn, ch := ends(byte(3*i), byte(255-j), endCases[(i+j)%len(endCases):]...)
+			checkStoredObjectCodecs(t, cs, cons, conn, ch)
 		}
 	}
 }
 
 // FuzzStoredObjectCodecs builds a client state with one validator per
-// fuzzed key (nil when the key's first byte is odd) and a consensus state
-// whose root is the fuzzed bytes padded or cut to 32.
+// fuzzed key (nil when the key's first byte is odd), a consensus state
+// whose root is the fuzzed bytes padded or cut to 32, and a connection
+// and a channel end whose strings are the chain ID and the two fuzzed
+// strings in turn.
 func FuzzStoredObjectCodecs(f *testing.F) {
-	f.Add("ibc-0", int64(7), false, []byte("key-one"), []byte{0, 1, 2}, int64(10), []byte{}, int64(5e9))
-	f.Add("\x00\xff ", int64(-1), true, []byte{1}, []byte(nil), int64(-1), bytes.Repeat([]byte{0xff}, 40), int64(-1))
-	f.Fuzz(func(t *testing.T, chainID string, height int64, nilVals bool, key1, key2 []byte, power int64, root []byte, ts int64) {
+	f.Add("ibc-0", int64(7), false, []byte("key-one"), []byte{0, 1, 2}, int64(10), []byte{}, int64(5e9), byte(3), byte(1), "connection-0", "ics20-1")
+	f.Add("\x00\xff ", int64(-1), true, []byte{1}, []byte(nil), int64(-1), bytes.Repeat([]byte{0xff}, 40), int64(-1), byte(0), byte(255), "", "<&>\\")
+	f.Fuzz(func(t *testing.T, chainID string, height int64, nilVals bool, key1, key2 []byte, power int64, root []byte, ts int64, state, order byte, s1, s2 string) {
 		cs := ibc.ClientState{ChainID: chainID, LatestHeight: height}
 		if !nilVals {
 			cs.Validators = []ibc.ValidatorRecord{}
@@ -201,6 +218,7 @@ func FuzzStoredObjectCodecs(f *testing.F) {
 		}
 		cons := ibc.ConsensusState{Timestamp: time.Duration(ts)}
 		copy(cons.Root[:], root)
-		checkStoredObjectCodecs(t, cs, cons)
+		conn, ch := ends(state, order, chainID, s1, s2)
+		checkStoredObjectCodecs(t, cs, cons, conn, ch)
 	})
 }

@@ -1,16 +1,12 @@
 package ibc
 
-// MemoCap is the decode memo's bound, for the tests that fill it.
-const MemoCap = memoCap
-
-// MemoLen reports how many decoded objects the keeper remembers.
-func (k *Keeper) MemoLen() int { return len(k.memo) }
-
-// The light-client state encoders, for the tests that hold them to
+// The host object encoders, for the tests that hold them to
 // json.Marshal.
 var (
 	AppendClientState    = appendClientState
 	AppendConsensusState = appendConsensusState
+	AppendConnectionEnd  = appendConnectionEnd
+	AppendChannelEnd     = appendChannelEnd
 )
 
 // The success ack's literals and the ack commitment, for the test that

@@ -196,9 +196,8 @@ func linkChains(t *testing.T, a, b *testChain) (onA, onB ibc.EndIDs) {
 		host, peer *testChain
 		self, cp   ibc.EndIDs
 	}{{a, b, onA, onB}, {b, a, onB, onA}} {
-		ibc.SeedOpenEnd(s.host.app.State(), s.self, s.cp, s.peer.clientState())
+		ibc.SeedOpenEnd(s.host.app.State(), s.self, s.cp, s.peer.clientState(), s.peer.app.State())
 		s.host.app.State().CommitTx()
-		s.host.keeper.SetCounterpartyState(s.self.Client, s.peer.app.State())
 		s.host.clientOf[s.peer.chainID] = s.self.Client
 		s.host.emptyBlock() // commit the ends, so a proof can show them
 	}
@@ -697,7 +696,7 @@ func TestRewrittenClientVerifiesUnderItsNewSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.app.State().Set([]byte(ibc.ClientStateKey(client)), raw)
+	b.app.State().SetObject([]byte(ibc.ClientStateKey(client)), raw, rewritten)
 	b.app.State().CommitTx()
 	a.emptyBlock()
 	if errs := b.deliver("relayer", ibc.MsgUpdateClient{ClientID: client, Bundle: a.headerBundle(a.height)}); errs == nil {

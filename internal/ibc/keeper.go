@@ -3,10 +3,8 @@ package ibc
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -51,44 +49,20 @@ type PortModule interface {
 }
 
 // Keeper owns the IBC state of one chain and routes packets to port
-// modules.
+// modules. The host objects it reads (client and consensus states,
+// connection and channel ends) live typed in the chain's app.State
+// beside their bytes (see setObject), so a read decodes nothing.
 type Keeper struct {
 	ports map[string]PortModule
-	// memo remembers the decoded form of stored objects (see getJSON).
-	memo map[string]memoEntry
-	// enc is the buffer the light-client states are encoded into before
-	// they are copied out to the store (see setRemembered).
-	enc []byte
-	// verifiers holds one merkle.Verifier per light client, made on
-	// first use: the proofs of one relayed batch share a root and most
-	// of their path.
-	verifiers map[string]*merkle.Verifier
-	// valsets holds the validator set each light client verifies commits
-	// under, made on its first full-proof update: the set a client pins
-	// never changes, so it is built once and not per header.
-	valsets map[string]clientValset
-	// counterparties holds, per light client, the state of the chain
-	// that client tracks (see SetCounterpartyState).
-	counterparties map[string]*app.State
 	// sums is the chunk packet commitments are computed into (sumSlot):
 	// the store keeps each by reference, and nothing writes it again.
 	sums []byte
 }
 
-// clientValset is a light client's validator set and the stored
-// records it was built from.
-type clientValset struct {
-	recs []ValidatorRecord
-	set  *types.ValidatorSet
-}
-
 // NewKeeper creates the IBC keeper and registers its message handler on
 // the app under RouteIBC.
 func NewKeeper(a *app.App) *Keeper {
-	k := &Keeper{
-		ports: make(map[string]PortModule),
-		memo:  make(map[string]memoEntry),
-	}
+	k := &Keeper{ports: make(map[string]PortModule)}
 	a.RegisterRoute(RouteIBC, k.handle)
 	return k
 }
@@ -96,103 +70,35 @@ func NewKeeper(a *app.App) *Keeper {
 // BindPort attaches a module to a port.
 func (k *Keeper) BindPort(port string, m PortModule) { k.ports[port] = m }
 
-// SetCounterpartyState hands the keeper the state of the chain that
-// light client clientID tracks. It is the simulator's stand-in for the
-// proofs performance mode does not carry: a recv is refused unless that
-// state holds the packet's commitment, an ack unless it holds the
-// acknowledgement's, and a timeout when it holds the packet's receipt,
-// which is what each proof would prove or disprove. Under full proofs
-// it is what every membership proof the keeper accepts is checked
-// against. A chain executes each block within one event, so whenever
-// this keeper runs, the counterparty's state is its committed state.
-func (k *Keeper) SetCounterpartyState(clientID string, st *app.State) {
-	if k.counterparties == nil {
-		k.counterparties = make(map[string]*app.State)
+// --- stored objects ------------------------------------------------------------
+
+// setObject stores host object obj, a ClientState, ConsensusState,
+// ConnectionEnd or ChannelEnd, under key: the bytes json.Marshal writes
+// for it, which the root hashes and proofs carry, and obj itself, which
+// the keeper's reads return (app.State.Object). Like the bytes, obj is
+// never written to once stored; a read returns a copy of it.
+func setObject(st *app.State, key []byte, obj any) {
+	var buf [1024]byte // room for a client state pinning a dozen validators
+	var b []byte
+	switch o := obj.(type) {
+	case ClientState:
+		b = appendClientState(buf[:0], &o)
+	case ConsensusState:
+		b = appendConsensusState(buf[:0], &o)
+	case ConnectionEnd:
+		b = appendConnectionEnd(buf[:0], &o)
+	case ChannelEnd:
+		b = appendChannelEnd(buf[:0], &o)
+	default:
+		panic(fmt.Sprintf("ibc: %T is not a host object", obj))
 	}
-	k.counterparties[clientID] = st
-}
-
-// --- stored-object helpers -------------------------------------------------
-
-// memoEntry is one remembered decode: the stored bytes it was decoded
-// from and the decoded value (a *T for the key's object type).
-type memoEntry struct {
-	raw []byte
-	val any
-}
-
-// memoCap bounds the decode memo. Clients, connections and channels are
-// a handful of keys per chain, but every client update adds a consensus
-// state under a new key, so an unbounded memo would grow with the length
-// of the run. When it fills up it is dropped whole: the hot keys (the
-// ends of open channels, the consensus heights relayers currently prove
-// against) re-enter on their next read, which is cheaper and simpler
-// than tracking recency per read.
-const memoCap = 1024
-
-// getJSON reads and decodes a stored object. Every packet message reads
-// the same channel, connection and consensus state, so the decoded value
-// is remembered per key and reused while the stored bytes are unchanged.
-// The light-client states are remembered when they are written
-// (setRemembered), so their reads decode nothing.
-// The bytes still come from ctx.State on every call and are compared
-// against the remembered ones, which makes in-transaction writes, aborted
-// transactions and deletes visible without any invalidation hook. The
-// value is returned by value, so a memo hit allocates nothing and the
-// caller owns what it gets (a shallow copy: slices inside it, such as
-// ClientState.Validators, are shared and must not be written to).
-func getJSON[T any](k *Keeper, ctx *app.Context, key []byte) (zero T, ok bool) {
-	raw, ok := ctx.State.Get(key)
-	if !ok {
-		return zero, false
-	}
-	if e, ok := k.memo[string(key)]; ok && bytes.Equal(e.raw, raw) {
-		return *e.val.(*T), true // a key always holds the same object type
-	}
-	v := new(T)
-	if err := json.Unmarshal(raw, v); err != nil {
-		return zero, false
-	}
-	k.remember(key, raw, v)
-	return *v, true
-}
-
-// remember records v as the decode of raw, the bytes stored under key.
-func (k *Keeper) remember(key, raw []byte, v any) {
-	if len(k.memo) >= memoCap {
-		clear(k.memo)
-	}
-	// The store owns its values and nobody writes to a stored slice (the
-	// rule on State.Set and State.Get), so raw can be kept by reference.
-	k.memo[string(key)] = memoEntry{raw: raw, val: v}
-}
-
-// setRemembered stores a copy of k.enc, the encoding of *v, under key
-// and remembers *v as its decode, so the next read of key is a memo hit.
-// That holds only if json.Unmarshal makes *v again of those bytes. It
-// does for the light-client states updateClient writes: their strings
-// and slices come from an earlier decode, and the numbers it sets
-// round-trip. A write in a transaction that aborts leaves the memo
-// holding bytes the store no longer returns, so the next read misses.
-func setRemembered[T any](k *Keeper, st *app.State, key []byte, v *T) {
-	raw := bytes.Clone(k.enc)
-	st.Set(key, raw)
-	k.remember(key, raw, v)
-}
-
-func setJSON(st *app.State, key []byte, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		// Stored objects are plain structs; marshal cannot fail.
-		panic(err)
-	}
-	st.Set(key, raw)
+	st.SetObject(key, bytes.Clone(b), obj)
 }
 
 // Client returns a stored client state.
 func (k *Keeper) Client(ctx *app.Context, clientID string) (ClientState, error) {
 	var b [app.KeyBufLen]byte
-	cs, ok := getJSON[ClientState](k, ctx, AppendClientStateKey(b[:0], clientID))
+	cs, ok := ctx.State.Object(AppendClientStateKey(b[:0], clientID)).(ClientState)
 	if !ok {
 		return cs, fmt.Errorf("%w: %s", ErrClientNotFound, clientID)
 	}
@@ -202,7 +108,7 @@ func (k *Keeper) Client(ctx *app.Context, clientID string) (ClientState, error) 
 // Consensus returns a stored consensus state at a height.
 func (k *Keeper) Consensus(ctx *app.Context, clientID string, height int64) (ConsensusState, error) {
 	var b [app.KeyBufLen]byte
-	cs, ok := getJSON[ConsensusState](k, ctx, AppendConsensusStateKey(b[:0], clientID, height))
+	cs, ok := ctx.State.Object(AppendConsensusStateKey(b[:0], clientID, height)).(ConsensusState)
 	if !ok {
 		return cs, fmt.Errorf("%w: client %s height %d", ErrConsensusNotFound, clientID, height)
 	}
@@ -212,7 +118,7 @@ func (k *Keeper) Consensus(ctx *app.Context, clientID string, height int64) (Con
 // Channel returns a stored channel end.
 func (k *Keeper) Channel(ctx *app.Context, port, channel string) (ChannelEnd, error) {
 	var b [app.KeyBufLen]byte
-	ch, ok := getJSON[ChannelEnd](k, ctx, AppendChannelKey(b[:0], port, channel))
+	ch, ok := ctx.State.Object(AppendChannelKey(b[:0], port, channel)).(ChannelEnd)
 	if !ok {
 		return ch, fmt.Errorf("%w: %s/%s", ErrChannelNotFound, port, channel)
 	}
@@ -222,7 +128,7 @@ func (k *Keeper) Channel(ctx *app.Context, port, channel string) (ChannelEnd, er
 // Connection returns a stored connection end.
 func (k *Keeper) Connection(ctx *app.Context, connID string) (ConnectionEnd, error) {
 	var b [app.KeyBufLen]byte
-	c, ok := getJSON[ConnectionEnd](k, ctx, AppendConnectionKey(b[:0], connID))
+	c, ok := ctx.State.Object(AppendConnectionKey(b[:0], connID)).(ConnectionEnd)
 	if !ok {
 		return c, fmt.Errorf("%w: %s", ErrConnectionNotFound, connID)
 	}
@@ -247,7 +153,7 @@ func (k *Keeper) clientForChannel(ctx *app.Context, port, channel string) (strin
 
 // verifyMembership checks a counterparty state inclusion proof of record
 // seq of r against the consensus root at proofHeight. The counterparty's
-// committed state, when the keeper has it, must hold value there too. A
+// committed state, when the client has it, must hold value there too. A
 // packet's commitment and acknowledgement records are what a recv and an
 // ack prove, and neither is rewritten once stored, so that state answers
 // as the proof would: recvPacket refuses a packet already received or
@@ -258,12 +164,12 @@ func (k *Keeper) clientForChannel(ctx *app.Context, port, channel string) (strin
 // path in its table's array, then the table's leaf, keyed by r's prefix.
 // The record's key is spelled out only for error text.
 func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight int64, r app.Records, seq uint64, value []byte, proof *merkle.RecordProof) error {
-	cons, err := k.Consensus(ctx, clientID, proofHeight)
+	cs, cons, err := k.clientAt(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
 	}
 	held := true
-	if cp := k.counterparties[clientID]; cp != nil {
+	if cp := cs.counterparty; cp != nil {
 		v, ok := cp.GetRecord(&r, seq)
 		held = ok && bytes.Equal(v, value)
 	}
@@ -276,23 +182,31 @@ func (k *Keeper) verifyMembership(ctx *app.Context, clientID string, proofHeight
 	if proof == nil {
 		return fmt.Errorf("%w: missing membership proof for %s", ErrProofVerify, recordKey(r, seq))
 	}
-	v := k.verifiers[clientID]
-	if v == nil {
-		if k.verifiers == nil {
-			k.verifiers = make(map[string]*merkle.Verifier)
-		}
-		v = new(merkle.Verifier)
-		k.verifiers[clientID] = v
+	// A client no full-proof update has stored yet has no verifier.
+	if v := cs.verifier; v != nil {
+		err = v.VerifyRecord(cons.Root, r.Prefix, seq, value, proof)
+	} else {
+		err = merkle.VerifyRecord(cons.Root, r.Prefix, seq, value, proof)
 	}
-	if err := v.VerifyRecord(cons.Root, r.Prefix, seq, value, proof); err != nil {
+	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrProofVerify, recordKey(r, seq), err)
 	}
 	if !held {
-		cs, _ := k.Client(ctx, clientID) // Consensus found it
 		panic(fmt.Sprintf("ibc: proof of %q on %s at proof height %d verified, but the chain does not hold that record",
 			recordKey(r, seq), cs.ChainID, proofHeight))
 	}
 	return nil
+}
+
+// clientAt returns client clientID's state and its consensus state at
+// height.
+func (k *Keeper) clientAt(ctx *app.Context, clientID string, height int64) (ClientState, ConsensusState, error) {
+	cons, err := k.Consensus(ctx, clientID, height)
+	if err != nil {
+		return ClientState{}, cons, err
+	}
+	cs, err := k.Client(ctx, clientID)
+	return cs, cons, err
 }
 
 // recordKey spells record seq of r's table, for error text.
@@ -302,16 +216,16 @@ func recordKey(r app.Records, seq uint64) string {
 
 // verifyNonMembership checks a counterparty absence proof of record seq
 // of r. With proofs disabled (performance mode) it checks the
-// counterparty's committed state instead, when the keeper has it. A
+// counterparty's committed state instead, when the client has it. A
 // receipt written after the proof height legitimately contradicts a full
 // proof, so that state does not second-guess one.
 func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHeight int64, r app.Records, seq uint64, proof *merkle.RecordProof) error {
-	cons, err := k.Consensus(ctx, clientID, proofHeight)
+	cs, cons, err := k.clientAt(ctx, clientID, proofHeight)
 	if err != nil {
 		return err
 	}
 	if !ctx.State.FullProofs() {
-		if cp := k.counterparties[clientID]; cp != nil && cp.HasRecord(&r, seq) {
+		if cp := cs.counterparty; cp != nil && cp.HasRecord(&r, seq) {
 			return fmt.Errorf("%w: %s is present on the counterparty", ErrProofVerify, recordKey(r, seq))
 		}
 		return nil
@@ -358,37 +272,29 @@ func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
 	// validator set; performance mode trusts the header as it trusts
 	// proofs.
 	if ctx.State.FullProofs() {
-		vs, err := k.validatorSet(m.ClientID, cs.Validators)
-		if err != nil {
-			return err
+		if cs.valset == nil {
+			if cs.valset, err = validatorSet(m.ClientID, cs.Validators); err != nil {
+				return err
+			}
+			cs.verifier = new(merkle.Verifier)
 		}
 		blockID := types.BlockID{Hash: hdr.Hash()}
-		if err := vs.VerifyCommit(cs.ChainID, blockID, hdr.Height, m.Bundle.Commit); err != nil {
+		if err := cs.valset.VerifyCommit(cs.ChainID, blockID, hdr.Height, m.Bundle.Commit); err != nil {
 			return fmt.Errorf("ibc: header verification: %w", err)
 		}
 	}
 	var b [app.KeyBufLen]byte
 	if hdr.Height > cs.LatestHeight {
 		cs.LatestHeight = hdr.Height
-		k.enc = appendClientState(k.enc[:0], &cs)
-		setRemembered(k, ctx.State, AppendClientStateKey(b[:0], m.ClientID), &cs)
+		setObject(ctx.State, AppendClientStateKey(b[:0], m.ClientID), cs)
 	}
-	cons := ConsensusState{Root: hdr.AppHash, Timestamp: hdr.Time}
-	k.enc = appendConsensusState(k.enc[:0], &cons)
-	setRemembered(k, ctx.State, AppendConsensusStateKey(b[:0], m.ClientID, hdr.Height), &cons)
+	setObject(ctx.State, AppendConsensusStateKey(b[:0], m.ClientID, hdr.Height), ConsensusState{Root: hdr.AppHash, Timestamp: hdr.Time})
 	return nil
 }
 
-// validatorSet returns the set client clientID verifies commits under,
-// given its stored validator records. The set kept for the client is
-// reused only while the records are the ones it was built from, so a
-// rewritten client never verifies under a stale set.
-func (k *Keeper) validatorSet(clientID string, recs []ValidatorRecord) (*types.ValidatorSet, error) {
-	if c, ok := k.valsets[clientID]; ok && slices.EqualFunc(c.recs, recs, func(a, b ValidatorRecord) bool {
-		return a.Power == b.Power && bytes.Equal(a.PubKey, b.PubKey)
-	}) {
-		return c.set, nil
-	}
+// validatorSet builds the set client clientID verifies commits under
+// from its stored validator records.
+func validatorSet(clientID string, recs []ValidatorRecord) (*types.ValidatorSet, error) {
 	vals := make([]*types.Validator, len(recs))
 	for i, vr := range recs {
 		pk, err := valkey.PubKeyFromBytes(vr.PubKey)
@@ -397,12 +303,7 @@ func (k *Keeper) validatorSet(clientID string, recs []ValidatorRecord) (*types.V
 		}
 		vals[i] = &types.Validator{Address: pk.Address(), PubKey: pk, VotingPower: vr.Power}
 	}
-	if k.valsets == nil {
-		k.valsets = make(map[string]clientValset)
-	}
-	c := clientValset{recs: recs, set: types.NewValidatorSet(vals)}
-	k.valsets[clientID] = c
-	return c.set, nil
+	return types.NewValidatorSet(vals), nil
 }
 
 // --- opening a channel ---------------------------------------------------------
@@ -422,17 +323,29 @@ type EndIDs struct {
 // itself is not simulated: the paper opens its channel once, with
 // `hermes create channel`, before it measures. The writes join st's
 // current transaction; the caller commits it.
-func SeedOpenEnd(st *app.State, self, cp EndIDs, client ClientState) {
+//
+// counterparty, the state of the chain client describes, is the
+// simulator's stand-in for the proofs performance mode does not carry,
+// and hangs off the stored client state: a recv is refused unless that
+// state holds the packet's commitment, an ack unless it holds the
+// acknowledgement's, and a timeout when it holds the packet's receipt,
+// which is what each proof would prove or disprove. Under full proofs it
+// is what every membership proof the keeper accepts is checked against.
+// A chain executes each block within one event, so whenever this keeper
+// runs, the counterparty's state is its committed state. A nil
+// counterparty leaves the client without these checks.
+func SeedOpenEnd(st *app.State, self, cp EndIDs, client ClientState, counterparty *app.State) {
 	var b [app.KeyBufLen]byte
 	client.LatestHeight = 1
-	setJSON(st, AppendClientStateKey(b[:0], self.Client), client)
-	setJSON(st, AppendConnectionKey(b[:0], self.Connection), ConnectionEnd{
+	client.counterparty = counterparty
+	setObject(st, AppendClientStateKey(b[:0], self.Client), client)
+	setObject(st, AppendConnectionKey(b[:0], self.Connection), ConnectionEnd{
 		State:                StateOpen,
 		ClientID:             self.Client,
 		CounterpartyConnID:   cp.Connection,
 		CounterpartyClientID: cp.Client,
 	})
-	setJSON(st, AppendChannelKey(b[:0], self.Port, self.Channel), ChannelEnd{
+	setObject(st, AppendChannelKey(b[:0], self.Port, self.Channel), ChannelEnd{
 		State:            StateOpen,
 		Ordering:         Unordered,
 		CounterpartyPort: cp.Port,

@@ -142,15 +142,15 @@ func TestMsgDigestsMatchFmtFormatting(t *testing.T) {
 
 // The send counter is stored as decimal text, as fmt.Sprint wrote it.
 func TestNextSequenceSendStoredAsDecimal(t *testing.T) {
-	c := newMemoChain(t)
+	c := newObjectChain(t)
 	c.mustDeliver("relayer", openMsgs(7)...)
-	key := ibc.AppendNextSequenceSendKey(nil, "transfer", memoChan)
+	key := ibc.AppendNextSequenceSendKey(nil, "transfer", objChan)
 	for want := uint64(1); want <= 12; want++ {
 		if raw, _ := c.app.State().Get(key); string(raw) != fmt.Sprint(want) {
 			t.Fatalf("stored counter = %q, want %q", raw, fmt.Sprint(want))
 		}
 		c.mustDeliver("relayer", probeMsg{func(ctx *app.Context) error {
-			p, err := c.keeper.SendPacket(ctx, "transfer", memoChan, nil, 100, 0)
+			p, err := c.keeper.SendPacket(ctx, "transfer", objChan, nil, 100, 0)
 			if err == nil && p.Sequence != want {
 				t.Errorf("sent sequence %d, want %d", p.Sequence, want)
 			}
@@ -163,21 +163,21 @@ func TestNextSequenceSendStoredAsDecimal(t *testing.T) {
 // that is missing or not a number fails the send instead of being read as
 // 1, which would overwrite the live commitment of sequence 1.
 func TestBadSendCounterFailsSend(t *testing.T) {
-	c := newMemoChain(t)
+	c := newObjectChain(t)
 	c.mustDeliver("relayer", openMsgs(7)...)
 	send := func(data string) probeMsg {
 		return probeMsg{func(ctx *app.Context) error {
-			_, err := c.keeper.SendPacket(ctx, "transfer", memoChan, []byte(data), 100, 0)
+			_, err := c.keeper.SendPacket(ctx, "transfer", objChan, []byte(data), 100, 0)
 			return err
 		}}
 	}
 	c.mustDeliver("relayer", send("first"))
-	commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", memoChan)
+	commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", objChan)
 	before, ok := c.app.State().GetRecord(&commitments, 1)
 	if !ok {
 		t.Fatal("sequence 1 was not committed")
 	}
-	counter := ibc.AppendNextSequenceSendKey(nil, "transfer", memoChan)
+	counter := ibc.AppendNextSequenceSendKey(nil, "transfer", objChan)
 	for name, corrupt := range map[string]func(*app.State){
 		"garbage": func(s *app.State) { s.Set(counter, []byte("garbage")) },
 		"absent":  func(s *app.State) { s.Delete(counter) },

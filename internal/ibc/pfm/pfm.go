@@ -121,7 +121,9 @@ type inFlight struct {
 // in-flight record's key.
 const inFlightKind = "pfm/inflight"
 
-func appendInFlightKey(dst []byte, port, channel string, seq uint64) []byte {
+// AppendInFlightKey appends the key of the in-flight record of the hop
+// sent as sequence seq on port/channel.
+func AppendInFlightKey(dst []byte, port, channel string, seq uint64) []byte {
 	return ibc.AppendPacketKey(dst, inFlightKind, port, channel, seq)
 }
 
@@ -266,7 +268,7 @@ func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowle
 	rec := inFlight{Original: p, Coin: coin, Unescrowed: unescrowed}
 	raw, _ := json.Marshal(rec)
 	var b [app.KeyBufLen]byte
-	ctx.State.Set(appendInFlightKey(b[:0], fwd.Port, fwd.Channel, next.Sequence), raw)
+	ctx.State.Set(AppendInFlightKey(b[:0], fwd.Port, fwd.Channel, next.Sequence), raw)
 	mw.hops[hopRef{p.DestChannel, p.Sequence}] = hopRef{next.SourceChannel, next.Sequence}
 	mw.stats.Forwarded++
 	// Hold the origin's ack open until the next hop settles.
@@ -276,7 +278,7 @@ func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowle
 // takeInFlight pops the forwarding record of an outgoing packet, if any.
 func (mw *Middleware) takeInFlight(ctx *app.Context, p ibc.Packet) (inFlight, bool) {
 	var b [app.KeyBufLen]byte
-	key := appendInFlightKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
+	key := AppendInFlightKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
 	raw, ok := ctx.State.Get(key)
 	if !ok {
 		return inFlight{}, false

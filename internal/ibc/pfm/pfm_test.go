@@ -50,14 +50,6 @@ func (c *testChain) ctx() *app.Context {
 	return &app.Context{ChainID: c.id, State: c.app.State(), Bank: c.app.Bank(), App: c.app}
 }
 
-func set(ctx *app.Context, key []byte, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	ctx.State.Set(key, raw)
-}
-
 // link seeds an open client/connection/channel pair between two chains,
 // consuming each chain's next free ordinal (as chain.Link numbers them).
 func link(a, b *testChain) (chanOnA, chanOnB string) {
@@ -78,7 +70,7 @@ func link(a, b *testChain) (chanOnA, chanOnB string) {
 		self, cp   ibc.EndIDs
 	}{{a, b, endA, endB}, {b, a, endB, endA}} {
 		st := s.host.app.State()
-		ibc.SeedOpenEnd(st, s.self, s.cp, ibc.ClientState{ChainID: s.peer.id})
+		ibc.SeedOpenEnd(st, s.self, s.cp, ibc.ClientState{ChainID: s.peer.id}, s.peer.app.State())
 		st.CommitTx()
 		s.host.clientFor[s.self.Channel] = s.self.Client
 	}
@@ -86,12 +78,17 @@ func link(a, b *testChain) (chanOnA, chanOnB string) {
 }
 
 // seedConsensus materializes a counterparty consensus state so proof
-// checks (existence-only in performance mode) pass at proofHeight.
+// checks pass at proofHeight. It is written as the keeper writes one:
+// typed, beside the bytes json.Marshal writes for it.
 func (c *testChain) seedConsensus(channel string, height int64) {
-	ctx := c.ctx()
-	set(ctx, ibc.AppendConsensusStateKey(nil, c.clientFor[channel], height),
-		ibc.ConsensusState{Root: merkle.Hash{}, Timestamp: time.Duration(height) * time.Second})
-	ctx.State.CommitTx()
+	cons := ibc.ConsensusState{Root: merkle.Hash{}, Timestamp: time.Duration(height) * time.Second}
+	raw, err := json.Marshal(cons)
+	if err != nil {
+		panic(err)
+	}
+	st := c.app.State()
+	st.SetObject(ibc.AppendConsensusStateKey(nil, c.clientFor[channel], height), raw, cons)
+	st.CommitTx()
 }
 
 // deliver executes one transaction from signer and commits the block.
@@ -582,7 +579,7 @@ func TestKeysMatchFmtFormatting(t *testing.T) {
 		for _, seq := range []uint64{0, 1, 12345, math.MaxUint64} {
 			var b [app.KeyBufLen]byte
 			want := fmt.Sprintf("dst/pfm/inflight/ports/%s/channels/%s/sequences/%d", id[0], id[1], seq)
-			if got := appendInFlightKey(append(b[:0], "dst/"...), id[0], id[1], seq); string(got) != want {
+			if got := AppendInFlightKey(append(b[:0], "dst/"...), id[0], id[1], seq); string(got) != want {
 				t.Errorf("in-flight key = %q, want %q", got, want)
 			}
 			port, channel, got, ok := CutInFlightKey(strings.TrimPrefix(want, "dst/"))

@@ -19,6 +19,7 @@ import (
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/merkle"
+	"ibcbench/internal/tendermint/types"
 )
 
 // HandshakeState is the phase of a connection or channel end.
@@ -151,10 +152,24 @@ type ValidatorRecord struct {
 }
 
 // ClientState is the stored light-client state for a counterparty chain.
+// The unexported fields are what the keeper keeps for the client beside
+// what it stores: they are never encoded, and each updateClient carries
+// them forward into the state it writes.
 type ClientState struct {
 	ChainID      string            `json:"chain_id"`
 	LatestHeight int64             `json:"latest_height"`
 	Validators   []ValidatorRecord `json:"validators"`
+
+	// counterparty is the state of the chain the client tracks (see
+	// SeedOpenEnd); nil when the keeper does not have it.
+	counterparty *app.State
+	// valset is the set Validators names, and verifier the memory of the
+	// client's accepted proof paths: the proofs of one relayed batch share
+	// a root and most of their path. The client's first full-proof update
+	// makes both; a client state written with other Validators is a new
+	// value, which carries neither.
+	valset   *types.ValidatorSet
+	verifier *merkle.Verifier
 }
 
 // ConsensusState is the verified counterparty state at one height: the
@@ -211,6 +226,15 @@ type ConnectionEnd struct {
 	CounterpartyClientID string         `json:"counterparty_client_id"`
 }
 
+// appendConnectionEnd appends the bytes json.Marshal writes for c.
+func appendConnectionEnd(dst []byte, c *ConnectionEnd) []byte {
+	dst = strconv.AppendUint(append(dst, `{"state":`...), uint64(c.State), 10)
+	dst = AppendJSONString(append(dst, `,"client_id":`...), c.ClientID)
+	dst = AppendJSONString(append(dst, `,"counterparty_conn_id":`...), c.CounterpartyConnID)
+	dst = AppendJSONString(append(dst, `,"counterparty_client_id":`...), c.CounterpartyClientID)
+	return append(dst, '}')
+}
+
 // ChannelEnd is the stored channel state (ICS-4).
 type ChannelEnd struct {
 	State            HandshakeState `json:"state"`
@@ -219,6 +243,17 @@ type ChannelEnd struct {
 	CounterpartyChan string         `json:"counterparty_chan"`
 	ConnectionID     string         `json:"connection_id"`
 	Version          string         `json:"version"`
+}
+
+// appendChannelEnd appends the bytes json.Marshal writes for ch.
+func appendChannelEnd(dst []byte, ch *ChannelEnd) []byte {
+	dst = strconv.AppendUint(append(dst, `{"state":`...), uint64(ch.State), 10)
+	dst = strconv.AppendUint(append(dst, `,"ordering":`...), uint64(ch.Ordering), 10)
+	dst = AppendJSONString(append(dst, `,"counterparty_port":`...), ch.CounterpartyPort)
+	dst = AppendJSONString(append(dst, `,"counterparty_chan":`...), ch.CounterpartyChan)
+	dst = AppendJSONString(append(dst, `,"connection_id":`...), ch.ConnectionID)
+	dst = AppendJSONString(append(dst, `,"version":`...), ch.Version)
+	return append(dst, '}')
 }
 
 // Acknowledgement is the ICS-20-style result/error acknowledgement.

@@ -277,12 +277,12 @@ type Verifier struct {
 	table    leafMemo // the last table leaf accepted
 }
 
-// leafMemoLen is the longest table prefix a Verifier remembers.
-const leafMemoLen = 96
+// leafKeyLen is the longest table prefix a Verifier remembers.
+const leafKeyLen = 96
 
 // leafMemo is a table leaf's key and value, and its digest.
 type leafMemo struct {
-	key   [leafMemoLen]byte
+	key   [leafKeyLen]byte
 	n     int // the key's length; 0 = nothing remembered
 	value [ArrayValueLen]byte
 	leaf  Hash
@@ -331,7 +331,7 @@ func (v *Verifier) VerifyRecord(root Hash, prefix []byte, seq uint64, value []by
 	if err := v.VerifyMembership(root, prefix, top, p.Table); err != nil {
 		return err
 	}
-	if len(prefix) <= leafMemoLen {
+	if len(prefix) <= leafKeyLen {
 		v.table.n = copy(v.table.key[:], prefix)
 		copy(v.table.value[:], top)
 		v.table.leaf = LeafHash(prefix, top)

@@ -18,9 +18,9 @@ import (
 // at the height that breaks them. It reads only the keys and packet
 // records the block wrote (app.State.Written, which says whether each
 // was left deleted) and the packets it sent and acknowledged, and reads
-// a value back only for a nextSequenceSend key: a commit costs a few
-// table lookups per key written and per packet event, however many
-// packets are in flight.
+// a value back only for a nextSequenceSend key, and the forward record
+// of each commitment deleted: a commit costs a few table lookups per key
+// written and per packet event, however many packets are in flight.
 //
 //   - C3, conservation's over-minting half: a block that writes a
 //     voucher's supply, or the escrow behind it, re-checks that voucher
@@ -41,9 +41,10 @@ import (
 //     transaction that sends a forwarded packet's next hop stores its
 //     PFM in-flight record, and the one that settles the hop pops it, so
 //     a block leaves an in-flight key it wrote stored exactly when the
-//     hop's commitment is. Otherwise the forwarded funds sit in the
-//     forwarding account with no hop to release them (a conservation
-//     verdict).
+//     hop's commitment is, and a block that deletes a hop's commitment
+//     leaves no in-flight record of it. Otherwise the forwarded funds sit
+//     in the forwarding account with no hop to release them (a
+//     conservation verdict).
 //
 // A packet stays in flight until the block that deletes its commitment,
 // so at quiescence the flight tables hold what Check classifies; Check
@@ -143,8 +144,9 @@ func (w *commitWatch) addSends(c *chain.Chain, h int64) {
 // commit checks the packets c's block at height h acknowledged (a
 // repeat is C4's verdict) and every key and packet record it wrote. A
 // record write names its kind, channel and sequence, and whether it left
-// the record deleted, so only a nextSequenceSend key is read back; a
-// verdict's key text is spelled only when it is reported.
+// the record deleted, so only a nextSequenceSend key and a settled
+// hop's forward record are read back; a verdict's key text is spelled
+// only when it is reported.
 func (w *commitWatch) commit(c *chain.Chain, h int64) {
 	start := w.sent
 	w.addSends(c, h)
@@ -178,10 +180,14 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 				}
 				continue
 			}
+			p, dst := e.flight[i].p, e.side.chain
+			k := pfm.AppendInFlightKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
+			if _, stored := st.Get(k); stored {
+				w.report(c, h, c, AssertConservation, "commitment %s deleted while its forward record %s stays stored: the forwarded funds are stranded", wr.AppendKey(nil), k)
+			}
 			if e.flight[i].ord >= start {
 				continue
 			}
-			p, dst := e.flight[i].p, e.side.chain
 			e.flight[i] = inFlight{}
 			if dst != nil && !w.ends[e.side].received.has(wr.Seq) && !timeoutElapsed(p, dst) {
 				w.report(c, h, c, AssertTimeoutRefunds, "commitment %s deleted, but %s has not acknowledged it and is at height %d, short of the timeout (height %d/time %v)",

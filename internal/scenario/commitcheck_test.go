@@ -355,6 +355,37 @@ func TestStrandedForwardCheckedPerCommit(t *testing.T) {
 		fmt.Sprintf("after %s committed height %d: forward record %s deleted while its hop's commitment is stored", mid.ID, h+1, key))
 }
 
+// TestStrandedRecordAfterHopCheckedPerCommit: C6's other direction
+// reports a hop's commitment deleted while its PFM forward record stays
+// stored, at the height of the block that deleted it, which wrote no
+// in-flight key. The deletion is planted on the forwarded route of
+// TestStrandedForwardCheckedPerCommit: the first commit of the middle
+// chain that stores an in-flight record deletes its hop's commitment, so
+// no ack or timeout of the hop can pop the record and release the funds.
+func TestStrandedRecordAfterHopCheckedPerCommit(t *testing.T) {
+	spec := Spec{
+		Name:     "stranded-record",
+		Topology: TopologySpec{Preset: "line:3"},
+		Workload: WorkloadSpec{Routes: []RouteSpec{{Path: []int{0, 1, 2}, Transfers: 4, Forwarded: true}}},
+		Seed:     1,
+	}
+	var key, record string
+	mid, h, got, _, _ := plantedOn(t, spec, 1, func(c *chain.Chain, h int64) bool {
+		for _, wr := range c.App.State().Written() {
+			if port, channel, seq, ok := pfm.CutInFlightKey(wr.Key); ok && !wr.Deleted {
+				record = wr.Key
+				key = string(ibc.AppendPacketCommitmentKey(nil, port, channel, seq))
+				commitments := ibc.PacketRecords(nil, app.Commitment, port, channel)
+				c.App.State().DeleteRecord(&commitments, seq)
+				return true
+			}
+		}
+		return false
+	})
+	wantOneVerdict(t, got, "stays stored", AssertConservation, mid, h+1,
+		fmt.Sprintf("after %s committed height %d: commitment %s deleted while its forward record %s stays stored", mid.ID, h+1, key, record))
+}
+
 // TestLoweredSendSequenceCheckedPerCommit: C5's growth half reports a
 // channel end's nextSequenceSend set back, at the height of the block
 // that set it. The write is planted: the first ibc-0 commit that sends

@@ -56,7 +56,7 @@ func postIngest(t *testing.T, base, query, payload string) (ingestResp, int) {
 	return out, resp.StatusCode
 }
 
-func getJSON(t *testing.T, url string, out any) int {
+func fetchJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -116,7 +116,7 @@ func TestIngestTrendAndIdempotency(t *testing.T) {
 		Metric string             `json:"metric"`
 		Points []store.TrendPoint `json:"points"`
 	}
-	if code := getJSON(t, ts.URL+"/api/trend?metric=topo.Sample.BlocksPerSec", &trend); code != http.StatusOK {
+	if code := fetchJSON(t, ts.URL+"/api/trend?metric=topo.Sample.BlocksPerSec", &trend); code != http.StatusOK {
 		t.Fatalf("trend status=%d", code)
 	}
 	if len(trend.Points) != 3 {
@@ -137,7 +137,7 @@ func TestIngestTrendAndIdempotency(t *testing.T) {
 	var runs struct {
 		Runs []store.Meta `json:"runs"`
 	}
-	getJSON(t, ts.URL+"/api/runs", &runs)
+	fetchJSON(t, ts.URL+"/api/runs", &runs)
 	if len(runs.Runs) != 3 {
 		t.Fatalf("runs = %d, want 3", len(runs.Runs))
 	}
@@ -154,7 +154,7 @@ func TestRunEndpointsRoundTrip(t *testing.T) {
 		Meta    store.Meta      `json:"meta"`
 		Payload json.RawMessage `json:"payload"`
 	}
-	if code := getJSON(t, ts.URL+"/api/runs/"+out.Meta.ID, &run); code != http.StatusOK {
+	if code := fetchJSON(t, ts.URL+"/api/runs/"+out.Meta.ID, &run); code != http.StatusOK {
 		t.Fatalf("run status=%d", code)
 	}
 	if run.Meta.Seed != 7 {
@@ -179,7 +179,7 @@ func TestRegressionEndpointFlagsDegradedRun(t *testing.T) {
 	postIngest(t, ts.URL, "time=2026-08-02T00:00:00Z", doc("hub:3", 1, 60))
 
 	var reg store.Regression
-	if code := getJSON(t, ts.URL+"/api/regression?metric=topo.Sample.BlocksPerSec&k=5&tolerance=10", &reg); code != http.StatusOK {
+	if code := fetchJSON(t, ts.URL+"/api/regression?metric=topo.Sample.BlocksPerSec&k=5&tolerance=10", &reg); code != http.StatusOK {
 		t.Fatalf("regression status=%d", code)
 	}
 	if !reg.Flagged {
@@ -301,7 +301,7 @@ func TestDiffEndpointReportsConfigMismatch(t *testing.T) {
 		ConfigMismatch []string  `json:"config_mismatch"`
 		Changed        []diffRow `json:"changed"`
 	}
-	code := getJSON(t, fmt.Sprintf("%s/api/diff?a=%s&b=%s", ts.URL, a.Meta.ID, b.Meta.ID), &diff)
+	code := fetchJSON(t, fmt.Sprintf("%s/api/diff?a=%s&b=%s", ts.URL, a.Meta.ID, b.Meta.ID), &diff)
 	if code != http.StatusOK {
 		t.Fatalf("diff status=%d", code)
 	}
