@@ -676,3 +676,96 @@ func TestKeysMatchFmtFormatting(t *testing.T) {
 		}
 	}
 }
+
+// A Chunk hands out slots of exactly the room asked for that never
+// overlap, fills each block's size class, and makes no block before it
+// is asked.
+func TestChunkSlots(t *testing.T) {
+	var c Chunk[uint64]
+	if cap(c) != 0 {
+		t.Fatal("a zero Chunk holds a block")
+	}
+	seen := map[*uint64]bool{}
+	for i, n := range []int{1, 3, 8, 1, 200, 2} {
+		s := c.Slot(n)
+		if len(s) != 0 || cap(s) != n {
+			t.Fatalf("slot %d: len %d cap %d, want 0 and %d", i, len(s), cap(s), n)
+		}
+		s = s[:n]
+		for j := range s {
+			if seen[&s[j]] {
+				t.Fatalf("slot %d shares a value with an earlier one", i)
+			}
+			seen[&s[j]] = true
+		}
+		if cap(c) < 64*n && len(c) == n {
+			t.Fatalf("a block made for %d values holds %d", n, cap(c))
+		}
+	}
+	p := c.New()
+	if *p != 0 || seen[p] {
+		t.Fatal("New returned a used value")
+	}
+}
+
+// MintBytes and SendBytes are Mint and Send for names given as bytes:
+// the same writes, and the same refusal.
+func TestBankByteDoorsMatchStringDoors(t *testing.T) {
+	str, byt := NewBank(NewState(false)), NewBank(NewState(false))
+	str.Mint("alice", Coin{"transfer/channel-0/uatom", 9})
+	byt.MintBytes([]byte("alice"), []byte("transfer/channel-0/uatom"), 9)
+	errS := str.Send("alice", "bob", Coin{"transfer/channel-0/uatom", 4})
+	errB := byt.SendBytes([]byte("alice"), []byte("bob"), []byte("transfer/channel-0/uatom"), 4)
+	if errS != nil || errB != nil {
+		t.Fatalf("send: %v / %v", errS, errB)
+	}
+	errS = str.Send("bob", "alice", Coin{"transfer/channel-0/uatom", 5})
+	errB = byt.SendBytes([]byte("bob"), []byte("alice"), []byte("transfer/channel-0/uatom"), 5)
+	if !errors.Is(errB, ErrInsufficientFunds) || errS == nil || errS.Error() != errB.Error() {
+		t.Fatalf("overdraft: %v / %v", errS, errB)
+	}
+	for _, k := range []string{"alice", "bob"} {
+		if s, b := str.Balance(k, "transfer/channel-0/uatom"), byt.Balance(k, "transfer/channel-0/uatom"); s != b {
+			t.Fatalf("%s holds %d through the string doors, %d through the byte doors", k, s, b)
+		}
+	}
+	if str.Supply("transfer/channel-0/uatom") != 9 || byt.Supply("transfer/channel-0/uatom") != 9 {
+		t.Fatal("supply differs")
+	}
+}
+
+// Record proofs are cut from the state's chunks and checked after
+// network latency: each must keep proving its record against the root it
+// was taken at while later commits write the table and later proofs are
+// cut from the same chunks.
+func TestRecordProofsOutliveLaterCommits(t *testing.T) {
+	s := NewState(true)
+	r := Records{Kind: Commitment, Channel: "channel-0", Prefix: []byte("commitments/ports/transfer/channels/channel-0/sequences/")}
+	type taken struct {
+		root merkle.Hash
+		seq  uint64
+		val  []byte
+		p    *merkle.RecordProof
+	}
+	var proofs []taken
+	for h := int64(1); h <= 40; h++ {
+		for i := uint64(0); i < 3; i++ {
+			seq := uint64(h)*3 + i
+			s.SetRecord(&r, seq, []byte(fmt.Sprintf("v%d", seq)))
+		}
+		s.CommitTx()
+		root := s.Commit(h)
+		for _, seq := range []uint64{3, uint64(h) * 3, uint64(h)*3 + 2} {
+			v, p, err := s.ProveRecord(h, &r, seq)
+			if err != nil || p == nil {
+				t.Fatalf("height %d seq %d: proof %v, err %v", h, seq, p, err)
+			}
+			proofs = append(proofs, taken{root, seq, v, p})
+		}
+	}
+	for _, tk := range proofs {
+		if err := merkle.VerifyRecord(tk.root, r.Prefix, tk.seq, tk.val, tk.p); err != nil {
+			t.Fatalf("seq %d: a proof taken before later commits no longer verifies: %v", tk.seq, err)
+		}
+	}
+}

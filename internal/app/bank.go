@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Coin is an amount of a single denomination.
@@ -32,7 +33,7 @@ type Bank struct {
 	state *State
 	// vals is the chunk balance and supply values are cut from: the store
 	// keeps each by reference, and nothing writes it again.
-	vals chunk
+	vals Chunk[byte]
 }
 
 // NewBank returns a bank keeper over the given state.
@@ -44,12 +45,19 @@ func NewBank(state *State) *Bank {
 // SupplyPrefix + denom.
 const BalancePrefix, SupplyPrefix = "balances/", "supply/"
 
-func appendBalanceKey(dst []byte, account, denom string) []byte {
+// text is an account name or a denomination as the bank reads one: a
+// string, or bytes read in place (the transfer module reads a packet's
+// addresses and denom as sub-slices of its data, and builds a voucher's
+// denom and an escrow account's name on its stack). The bank copies what
+// it keeps, so neither escapes.
+type text interface{ ~string | ~[]byte }
+
+func appendBalanceKey[T text](dst []byte, account, denom T) []byte {
 	dst = append(append(append(dst, BalancePrefix...), account...), '/')
 	return append(dst, denom...)
 }
 
-func appendSupplyKey(dst []byte, denom string) []byte {
+func appendSupplyKey[T text](dst []byte, denom T) []byte {
 	return append(append(dst, SupplyPrefix...), denom...)
 }
 
@@ -66,7 +74,7 @@ func (b *Bank) setUint(key []byte, v uint64) {
 		b.state.Delete(key)
 		return
 	}
-	b.state.Set(key, binary.BigEndian.AppendUint64(b.vals.slot(8), v))
+	b.state.Set(key, binary.BigEndian.AppendUint64(b.vals.Slot(8), v))
 }
 
 // Balance reports an account's balance in one denomination.
@@ -84,33 +92,59 @@ func (b *Bank) Supply(denom string) uint64 {
 // add raises the amount under key by delta.
 func (b *Bank) add(key []byte, delta uint64) { b.setUint(key, b.getUint(key)+delta) }
 
-func (b *Bank) credit(account, denom string, amount uint64) {
+// The bank's one write path, for string and byte names alike. Its doors
+// (Mint, MintBytes, Burn, Send, SendBytes) are plain methods kept out of
+// line: inlined into another package, a door would leave a call into a
+// generic function instantiated here, which that package's escape
+// analysis does not see into, so a caller's stack-built name would move
+// to the heap.
+
+func credit[T text](b *Bank, account, denom T, amount uint64) {
 	var k [KeyBufLen]byte
 	b.add(appendBalanceKey(k[:0], account, denom), amount)
 }
 
-func (b *Bank) debit(account, denom string, amount uint64) error {
+func debit[T text](b *Bank, account, denom T, amount uint64) error {
 	var k [KeyBufLen]byte
 	key := appendBalanceKey(k[:0], account, denom)
 	have := b.getUint(key)
 	if have < amount {
+		// Copies: a name passed to fmt would escape, and a caller may
+		// have built it on its stack.
 		return fmt.Errorf("%w: %s has %d%s, need %d", ErrInsufficientFunds,
-			account, have, denom, amount)
+			strings.Clone(string(account)), have, strings.Clone(string(denom)), amount)
 	}
 	b.setUint(key, have-amount)
 	return nil
 }
 
-// Mint creates new supply credited to an account.
-func (b *Bank) Mint(account string, coin Coin) {
-	b.credit(account, coin.Denom, coin.Amount)
+func mint[T text](b *Bank, account, denom T, amount uint64) {
+	credit(b, account, denom, amount)
 	var k [KeyBufLen]byte
-	b.add(appendSupplyKey(k[:0], coin.Denom), coin.Amount)
+	b.add(appendSupplyKey(k[:0], denom), amount)
 }
+
+func send[T text](b *Bank, from, to, denom T, amount uint64) error {
+	if err := debit(b, from, denom, amount); err != nil {
+		return err
+	}
+	credit(b, to, denom, amount)
+	return nil
+}
+
+// Mint creates new supply credited to an account.
+//
+//go:noinline
+func (b *Bank) Mint(account string, coin Coin) { mint(b, account, coin.Denom, coin.Amount) }
+
+// MintBytes is Mint for an account and a denom given as bytes.
+//
+//go:noinline
+func (b *Bank) MintBytes(account, denom []byte, amount uint64) { mint(b, account, denom, amount) }
 
 // Burn destroys supply debited from an account.
 func (b *Bank) Burn(account string, coin Coin) error {
-	if err := b.debit(account, coin.Denom, coin.Amount); err != nil {
+	if err := debit(b, account, coin.Denom, coin.Amount); err != nil {
 		return err
 	}
 	var k [KeyBufLen]byte
@@ -120,10 +154,15 @@ func (b *Bank) Burn(account string, coin Coin) error {
 }
 
 // Send moves coins between accounts.
+//
+//go:noinline
 func (b *Bank) Send(from, to string, coin Coin) error {
-	if err := b.debit(from, coin.Denom, coin.Amount); err != nil {
-		return err
-	}
-	b.credit(to, coin.Denom, coin.Amount)
-	return nil
+	return send(b, from, to, coin.Denom, coin.Amount)
+}
+
+// SendBytes is Send for accounts and a denom given as bytes.
+//
+//go:noinline
+func (b *Bank) SendBytes(from, to, denom []byte, amount uint64) error {
+	return send(b, from, to, denom, amount)
 }

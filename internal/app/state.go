@@ -97,8 +97,11 @@ type State struct {
 	// proofs holds the record proofs handed out since the last Commit
 	// that changed the root (full-proof mode only).
 	proofs map[recordAt]*merkle.RecordProof
-	// vals is the chunk the table leaves' values are cut from.
-	vals chunk
+	// vals is the chunk the table leaves' values are cut from, and
+	// recordProofs and paths the chunks of the record proofs handed out.
+	vals         Chunk[byte]
+	recordProofs Chunk[merkle.RecordProof]
+	paths        Chunk[merkle.PathStep]
 
 	hashBuf []byte             // the bytes a non-proof Commit hashes, reused
 	keyBuf  []string           // the block's written string keys, reused
@@ -425,7 +428,7 @@ func (s *State) Commit(height int64) merkle.Hash {
 				t.arr = new(merkle.ArrayTree)
 			}
 			root := t.arr.Apply(arr)
-			edits = append(edits, merkle.Edit{Key: t.prefix, Value: merkle.AppendArrayValue(s.vals.slot(merkle.ArrayValueLen), t.arr.Depth(), root)})
+			edits = append(edits, merkle.Edit{Key: t.prefix, Value: merkle.AppendArrayValue(s.vals.Slot(merkle.ArrayValueLen), t.arr.Depth(), root)})
 			s.arrBuf = arr
 		}
 		if len(edits) > 0 {
@@ -548,11 +551,17 @@ func (s *State) ProveRecordAbsent(height int64, r *Records, seq uint64) (*merkle
 
 // proveRow builds the proof of row seq of t, whose prefix is prefix:
 // its array path, when seq lies within the capacity, and the table's
-// leaf proof.
+// leaf proof. The proof and its path are cut from the state's chunks: a
+// proof is checked after later commits, so it is a copy, never a view of
+// the live tree.
 func (s *State) proveRow(prefix []byte, t *table, seq uint64) *merkle.RecordProof {
-	path, _ := t.arr.Prove(seq)
-	_, top, _ := s.live.ProveMembership(prefix)
-	return &merkle.RecordProof{Path: path, Depth: t.arr.Depth(), Root: t.arr.Root(), Table: top}
+	p := s.recordProofs.New()
+	p.Depth, p.Root = t.arr.Depth(), t.arr.Root()
+	if seq>>p.Depth == 0 {
+		p.Path, _ = t.arr.Prove(s.paths.Slot(p.Depth), seq)
+	}
+	_, p.Table, _ = s.live.ProveMembership(prefix)
+	return p
 }
 
 // committed reads record seq of t as of the latest Commit: the row's
@@ -719,16 +728,24 @@ func (t *table) appendMarked(w []Write) []Write {
 	return w
 }
 
-// chunk hands out value slices cut from a shared block: the store keeps
-// values by reference, so none is ever written again once handed out.
-type chunk []byte
+// Chunk hands out values cut from shared blocks, for values that are kept
+// by reference once handed out and never written again (the store's
+// values, the keeper's emitted records, proofs): one allocation serves
+// many. The zero Chunk is empty, and a block is made only by a request
+// that finds no room in the current one: room for 64 requests of that
+// size, rounded up to fill the allocation's size class, so an owner
+// that is never asked allocates nothing.
+type Chunk[T any] []T
 
-// slot returns an empty slice with room for n bytes, cut from c.
-func (c *chunk) slot(n int) []byte {
+// Slot returns an empty slice with room for n values, cut from c.
+func (c *Chunk[T]) Slot(n int) []T {
 	if cap(*c)-len(*c) < n {
-		*c = make([]byte, 0, max(64*n, 512))
+		*c = slices.Grow(Chunk[T](nil), 64*n)
 	}
 	i := len(*c)
 	*c = (*c)[:i+n]
 	return (*c)[i : i : i+n]
 }
+
+// New returns a zero value cut from c.
+func (c *Chunk[T]) New() *T { return &c.Slot(1)[:1][0] }

@@ -167,7 +167,7 @@ func TestTimeoutOfReceivedPacketRefused(t *testing.T) {
 		c.App.CreateAccount("relayer", app.Coin{Denom: "stake", Amount: 1 << 40})
 	}
 
-	res := deliverBlock(t, a, 1, "alice", transfer.MsgTransfer{
+	res := deliverBlock(t, a, 1, "alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: "bob", Token: app.Coin{Denom: "uatom", Amount: 77},
 		SourcePort: p.Port, SourceChannel: p.ChannelAB, TimeoutHeight: 3,
 	})
@@ -188,7 +188,7 @@ func TestTimeoutOfReceivedPacketRefused(t *testing.T) {
 	if res := deliverBlock(t, b, 1, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnB, Bundle: headerOf(a, 2)}); !res.IsOK() {
 		t.Fatalf("update b's client: %s", res.Log)
 	}
-	if res := deliverBlock(t, b, 2, "relayer", ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
+	if res := deliverBlock(t, b, 2, "relayer", &ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
 		t.Fatalf("recv: %s", res.Log)
 	}
 
@@ -196,7 +196,7 @@ func TestTimeoutOfReceivedPacketRefused(t *testing.T) {
 	if res := deliverBlock(t, a, 2, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnA, Bundle: headerOf(b, 5)}); !res.IsOK() {
 		t.Fatalf("update a's client: %s", res.Log)
 	}
-	res = deliverBlock(t, a, 3, "relayer", ibc.MsgTimeout{Packet: *packet, ProofHeight: 5})
+	res = deliverBlock(t, a, 3, "relayer", &ibc.MsgTimeout{Packet: *packet, ProofHeight: 5})
 	if res.IsOK() || !strings.Contains(res.Log, ibc.ErrProofVerify.Error()) {
 		t.Fatalf("timeout of a received packet: code %d log %q, want %v", res.Code, res.Log, ibc.ErrProofVerify)
 	}
@@ -217,7 +217,7 @@ func linkedTransfer(t *testing.T) (a, b *Chain, p *Pair, packet *ibc.Packet) {
 	for _, c := range []*Chain{a, b} {
 		c.App.CreateAccount("relayer", app.Coin{Denom: "stake", Amount: 1 << 40})
 	}
-	res := deliverBlock(t, a, 1, "alice", transfer.MsgTransfer{
+	res := deliverBlock(t, a, 1, "alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: "bob", Token: app.Coin{Denom: "uatom", Amount: 77},
 		SourcePort: p.Port, SourceChannel: p.ChannelAB, TimeoutHeight: 10,
 	})
@@ -247,16 +247,16 @@ func TestForgedRecvRefused(t *testing.T) {
 	_, b, _, packet := linkedTransfer(t)
 	forged := *packet
 	forged.Sequence++
-	res := deliverBlock(t, b, 2, "relayer", ibc.MsgRecvPacket{Packet: forged, ProofHeight: 2})
+	res := deliverBlock(t, b, 2, "relayer", &ibc.MsgRecvPacket{Packet: forged, ProofHeight: 2})
 	if res.IsOK() || !strings.Contains(res.Log, ibc.ErrProofVerify.Error()) {
 		t.Fatalf("recv of an unsent sequence: code %d log %q, want %v", res.Code, res.Log, ibc.ErrProofVerify)
 	}
-	voucher, _ := transfer.ReceivedDenom(forged, "uatom")
-	if got := b.App.Bank().Balance("bob", voucher); got != 0 {
+	voucher, _ := transfer.ReceivedDenom(nil, forged, []byte("uatom"))
+	if got := b.App.Bank().Balance("bob", string(voucher)); got != 0 {
 		t.Fatalf("bob holds %d %s after the refused recv, want 0", got, voucher)
 	}
 	// The packet that was sent is received.
-	if res := deliverBlock(t, b, 3, "relayer", ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
+	if res := deliverBlock(t, b, 3, "relayer", &ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
 		t.Fatalf("recv: %s", res.Log)
 	}
 }
@@ -269,14 +269,14 @@ func TestForgedRecvRefused(t *testing.T) {
 // while the voucher exists.
 func TestErrorAckOfReceivedPacketRefused(t *testing.T) {
 	a, b, p, packet := linkedTransfer(t)
-	if res := deliverBlock(t, b, 2, "relayer", ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
+	if res := deliverBlock(t, b, 2, "relayer", &ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
 		t.Fatalf("recv: %s", res.Log)
 	}
 	if res := deliverBlock(t, a, 2, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnA, Bundle: headerOf(b, 3)}); !res.IsOK() {
 		t.Fatalf("update a's client: %s", res.Log)
 	}
 	forged := ibc.Acknowledgement{Error: "forged"}.Bytes()
-	res := deliverBlock(t, a, 3, "relayer", ibc.MsgAcknowledgement{Packet: *packet, Ack: forged, ProofHeight: 3})
+	res := deliverBlock(t, a, 3, "relayer", &ibc.MsgAcknowledgement{Packet: *packet, Ack: forged, ProofHeight: 3})
 	if res.IsOK() || !strings.Contains(res.Log, ibc.ErrProofVerify.Error()) {
 		t.Fatalf("error ack of a received packet: code %d log %q, want %v", res.Code, res.Log, ibc.ErrProofVerify)
 	}
@@ -284,7 +284,7 @@ func TestErrorAckOfReceivedPacketRefused(t *testing.T) {
 		t.Fatalf("alice holds %d uatom after the refused ack, want 923", got)
 	}
 	// The ack the destination wrote is accepted.
-	if res := deliverBlock(t, a, 4, "relayer", ibc.MsgAcknowledgement{Packet: *packet, Ack: ibc.SuccessAck.Bytes(), ProofHeight: 3}); !res.IsOK() {
+	if res := deliverBlock(t, a, 4, "relayer", &ibc.MsgAcknowledgement{Packet: *packet, Ack: ibc.SuccessAck.Bytes(), ProofHeight: 3}); !res.IsOK() {
 		t.Fatalf("ack: %s", res.Log)
 	}
 }

@@ -19,7 +19,7 @@ func ackEvent(p ibc.Packet, ack string) abci.Event {
 func txInfo(msgs int, code uint32, events ...abci.Event) *store.TxInfo {
 	m := make([]app.Msg, msgs)
 	for i := range m {
-		m[i] = ibc.MsgRecvPacket{}
+		m[i] = &ibc.MsgRecvPacket{}
 	}
 	return &store.TxInfo{
 		Tx:     app.NewTx("signer", 0, 1, m),

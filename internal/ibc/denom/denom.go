@@ -80,18 +80,18 @@ func (t Trace) IsNative() bool { return len(t.Hops) == 0 }
 
 // CutHop reports whether denom's outermost hop is (port, channel), that
 // is whether Parse(denom).Hops[0] is that hop, and if so returns the rest
-// of the denom after it: the trace with that hop removed, as a substring.
-// It reads the string without splitting it: Parse takes a leading
-// "port/channel/" as a hop exactly when the port is non-empty and has no
-// slash and the channel is a channel identifier.
-func CutHop(denom, port, channel string) (rest string, ok bool) {
+// of the denom after it: the trace with that hop removed, as a substring
+// (or, for bytes, a sub-slice). It reads the denom without splitting it:
+// Parse takes a leading "port/channel/" as a hop exactly when the port is
+// non-empty and has no slash and the channel is a channel identifier.
+func CutHop[S ~string | ~[]byte](denom S, port, channel string) (rest S, ok bool) {
 	if port == "" || strings.IndexByte(port, '/') >= 0 || !isChannelID(channel) {
-		return "", false
+		return rest, false
 	}
 	n := len(port) + 1 + len(channel) + 1
-	if len(denom) < n || denom[:len(port)] != port || denom[len(port)] != '/' ||
-		denom[len(port)+1:n-1] != channel || denom[n-1] != '/' {
-		return "", false
+	if len(denom) < n || string(denom[:len(port)]) != port || denom[len(port)] != '/' ||
+		string(denom[len(port)+1:n-1]) != channel || denom[n-1] != '/' {
+		return rest, false
 	}
 	return denom[n:], true
 }
@@ -101,7 +101,7 @@ func CutHop(denom, port, channel string) (rest string, ok bool) {
 // prefixed by the packet's *source* port and channel, meaning the
 // counterparty minted it as a voucher of this channel and the receiving
 // chain holds the escrowed original (ICS-20 unwind rule).
-func ReceiverChainIsSource(sourcePort, sourceChannel, packetDenom string) bool {
+func ReceiverChainIsSource[S ~string | ~[]byte](sourcePort, sourceChannel string, packetDenom S) bool {
 	_, ok := CutHop(packetDenom, sourcePort, sourceChannel)
 	return ok
 }

@@ -92,7 +92,7 @@ func checkHopRules(t *testing.T, d, port, channel, destPort, destChannel string)
 	if want {
 		wantDenom = tr.TrimPrefix().String()
 	}
-	if got, home := transfer.ReceivedDenom(p, d); got != wantDenom || home != want {
+	if got, home := transfer.ReceivedDenom(nil, p, []byte(d)); string(got) != wantDenom || home != want {
 		t.Fatalf("ReceivedDenom(%+v, %q) = %q, %v; want %q, %v", p, d, got, home, wantDenom, want)
 	}
 }

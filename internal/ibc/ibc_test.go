@@ -11,6 +11,7 @@ import (
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/ibc"
+	"ibcbench/internal/ibc/pfm"
 	"ibcbench/internal/ibc/transfer"
 	"ibcbench/internal/merkle"
 	"ibcbench/internal/tendermint/types"
@@ -51,6 +52,7 @@ func newTestChainProofs(t *testing.T, chainID string, fullProofs bool) *testChai
 	a := app.New(chainID, fullProofs)
 	k := ibc.NewKeeper(a)
 	tm := transfer.New(a, k)
+	pfm.New(k, tm) // the middleware binds the transfer port, as on every chain
 	c := &testChain{
 		t: t, chainID: chainID, app: a, keeper: k, transfer: tm,
 		appHash: make(map[int64]types.Hash), clientOf: make(map[string]string),
@@ -313,7 +315,7 @@ func mustJSON(t *testing.T, v any) []byte {
 // and returns the voucher denom minted on B.
 func relayTransfer(t *testing.T, a, b *testChain, sender, receiver string, amount uint64) string {
 	t.Helper()
-	a.mustDeliver(sender, transfer.MsgTransfer{
+	a.mustDeliver(sender, &transfer.MsgTransfer{
 		Sender: sender, Receiver: receiver,
 		Token:         app.Coin{Denom: "uatom", Amount: amount},
 		SourcePort:    "transfer",
@@ -344,7 +346,7 @@ func relayTransfer(t *testing.T, a, b *testChain, sender, receiver string, amoun
 
 	updateClientTo(b, a, sendHeight+1)
 	_, commitProof := a.prove(sendHeight+1, app.Commitment, "channel-0", seq)
-	b.mustDeliver("relayer", ibc.MsgRecvPacket{
+	b.mustDeliver("relayer", &ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: commitProof, ProofHeight: sendHeight + 1,
 	})
 	recvHeight := b.height
@@ -352,7 +354,7 @@ func relayTransfer(t *testing.T, a, b *testChain, sender, receiver string, amoun
 	ack := ibc.Acknowledgement{Result: []byte("AQ==")}
 	updateClientTo(a, b, recvHeight+1)
 	_, ackProof := b.prove(recvHeight+1, app.Ack, "channel-0", seq)
-	a.mustDeliver("relayer", ibc.MsgAcknowledgement{
+	a.mustDeliver("relayer", &ibc.MsgAcknowledgement{
 		Packet: packet, Ack: ack.Bytes(), ProofAcked: ackProof, ProofHeight: recvHeight + 1,
 	})
 	return "transfer/channel-0/uatom"
@@ -408,7 +410,7 @@ func TestVoucherRoundTripRestoresOriginalDenom(t *testing.T) {
 	voucher := relayTransfer(t, a, b, "alice", "bob", 400)
 
 	// Send the voucher back B -> A: burn on B, unescrow on A.
-	b.mustDeliver("bob", transfer.MsgTransfer{
+	b.mustDeliver("bob", &transfer.MsgTransfer{
 		Sender: "bob", Receiver: "alice",
 		Token:         app.Coin{Denom: voucher, Amount: 150},
 		SourcePort:    "transfer",
@@ -424,7 +426,7 @@ func TestVoucherRoundTripRestoresOriginalDenom(t *testing.T) {
 	}
 	updateClientTo(a, b, sendHeight+1)
 	_, proof := b.prove(sendHeight+1, app.Commitment, "channel-0", 1)
-	a.mustDeliver("relayer", ibc.MsgRecvPacket{
+	a.mustDeliver("relayer", &ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1,
 	})
 
@@ -467,7 +469,7 @@ func TestRedundantRecvRejected(t *testing.T) {
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 1000})
 	b.app.CreateAccount("bob")
 	linkChains(t, a, b)
-	a.mustDeliver("alice", transfer.MsgTransfer{
+	a.mustDeliver("alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: "bob",
 		Token:      app.Coin{Denom: "uatom", Amount: 10},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -482,7 +484,7 @@ func TestRedundantRecvRejected(t *testing.T) {
 	}
 	updateClientTo(b, a, sendHeight+1)
 	_, proof := a.prove(sendHeight+1, app.Commitment, "channel-0", 1)
-	recv := ibc.MsgRecvPacket{Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1}
+	recv := &ibc.MsgRecvPacket{Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1}
 	b.mustDeliver("relayer", recv)
 	// A second relayer delivering the same packet fails: "packet
 	// messages are redundant".
@@ -507,7 +509,7 @@ func TestTimeoutRefundsEscrow(t *testing.T) {
 	b.app.CreateAccount("bob")
 	linkChains(t, a, b)
 
-	a.mustDeliver("alice", transfer.MsgTransfer{
+	a.mustDeliver("alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: "bob",
 		Token:      app.Coin{Denom: "uatom", Amount: 77},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -529,7 +531,7 @@ func TestTimeoutRefundsEscrow(t *testing.T) {
 	// Receive must now be rejected on B.
 	updateClientTo(b, a, a.height+1)
 	_, proof := a.prove(a.height+1, app.Commitment, "channel-0", 1)
-	errs := b.deliver("relayer", ibc.MsgRecvPacket{
+	errs := b.deliver("relayer", &ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: proof, ProofHeight: a.height + 1,
 	})
 	if errs == nil {
@@ -538,7 +540,7 @@ func TestTimeoutRefundsEscrow(t *testing.T) {
 	// Relay the timeout to A with a non-receipt proof.
 	updateClientTo(a, b, b.height+1)
 	absent := b.proveAbsent(b.height+1, app.Receipt, "channel-0", 1)
-	a.mustDeliver("relayer", ibc.MsgTimeout{
+	a.mustDeliver("relayer", &ibc.MsgTimeout{
 		Packet: packet, ProofUnreceived: absent, ProofHeight: b.height + 1,
 	})
 	if got := a.app.Bank().Balance("alice", "uatom"); got != 1000 {
@@ -558,7 +560,7 @@ func TestTimeoutTooEarlyRejected(t *testing.T) {
 	b := newTestChain(t, "chain-b")
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 1000})
 	linkChains(t, a, b)
-	a.mustDeliver("alice", transfer.MsgTransfer{
+	a.mustDeliver("alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: "bob",
 		Token:      app.Coin{Denom: "uatom", Amount: 5},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -572,7 +574,7 @@ func TestTimeoutTooEarlyRejected(t *testing.T) {
 	}
 	updateClientTo(a, b, b.height+1)
 	absent := b.proveAbsent(b.height+1, app.Receipt, "channel-0", 1)
-	errs := a.deliver("relayer", ibc.MsgTimeout{
+	errs := a.deliver("relayer", &ibc.MsgTimeout{
 		Packet: packet, ProofUnreceived: absent, ProofHeight: b.height + 1,
 	})
 	if errs == nil {
@@ -599,7 +601,7 @@ func TestForgedProofRejected(t *testing.T) {
 	updateClientTo(b, a, a.height+1)
 	// Use a proof for an unrelated key as the table level.
 	_, wrongProof, _ := a.app.State().ProveMembership(a.height, []byte(ibc.ConnectionKey("connection-0")))
-	errs := b.deliver("relayer", ibc.MsgRecvPacket{
+	errs := b.deliver("relayer", &ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: &merkle.RecordProof{Table: wrongProof}, ProofHeight: a.height + 1,
 	})
 	if errs == nil {
@@ -624,7 +626,7 @@ func TestAcceptedProofOfAbsentRecordPanics(t *testing.T) {
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 1000})
 	b.app.CreateAccount("bob")
 	linkChains(t, a, b)
-	a.mustDeliver("alice", transfer.MsgTransfer{
+	a.mustDeliver("alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: "bob",
 		Token:      app.Coin{Denom: "uatom", Amount: 10},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -647,7 +649,7 @@ func TestAcceptedProofOfAbsentRecordPanics(t *testing.T) {
 
 	got := func() (v any) {
 		defer func() { v = recover() }()
-		b.deliver("relayer", ibc.MsgRecvPacket{Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1})
+		b.deliver("relayer", &ibc.MsgRecvPacket{Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1})
 		return nil
 	}()
 	msg, _ := got.(string)
@@ -739,7 +741,7 @@ func TestErrorAckRefunds(t *testing.T) {
 	b := newTestChain(t, "chain-b")
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 1000})
 	linkChains(t, a, b)
-	a.mustDeliver("alice", transfer.MsgTransfer{
+	a.mustDeliver("alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: "bob",
 		Token:      app.Coin{Denom: "uatom", Amount: 30},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -759,7 +761,7 @@ func TestErrorAckRefunds(t *testing.T) {
 	// use performance-mode-style direct call instead).
 	updateClientTo(b, a, sendHeight+1)
 	_, proof := a.prove(sendHeight+1, app.Commitment, "channel-0", 1)
-	b.mustDeliver("relayer", ibc.MsgRecvPacket{
+	b.mustDeliver("relayer", &ibc.MsgRecvPacket{
 		Packet: packet, ProofCommitment: proof, ProofHeight: sendHeight + 1,
 	})
 	recvHeight := b.height
@@ -768,7 +770,7 @@ func TestErrorAckRefunds(t *testing.T) {
 	// The real ack was a success; verify the keeper rejects a mismatched
 	// (error) ack proof, which protects refund correctness.
 	errAck := ibc.Acknowledgement{Error: "boom"}
-	errs := a.deliver("relayer", ibc.MsgAcknowledgement{
+	errs := a.deliver("relayer", &ibc.MsgAcknowledgement{
 		Packet: packet, Ack: errAck.Bytes(), ProofAcked: ackProof, ProofHeight: recvHeight + 1,
 	})
 	if errs == nil {

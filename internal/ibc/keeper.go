@@ -54,9 +54,13 @@ type PortModule interface {
 // beside their bytes (see setObject), so a read decodes nothing.
 type Keeper struct {
 	ports map[string]PortModule
-	// sums is the chunk packet commitments are computed into (sumSlot):
-	// the store keeps each by reference, and nothing writes it again.
-	sums []byte
+	// The chunks what the keeper stores and emits is cut from: the store
+	// keeps a packet commitment or a send counter by reference, and the
+	// event index, relayers and workload point at an emitted packet or
+	// acknowledgement. Nothing written there is written again.
+	vals    app.Chunk[byte]
+	packets app.Chunk[Packet]
+	acks    app.Chunk[AckWrite]
 }
 
 // NewKeeper creates the IBC keeper and registers its message handler on
@@ -246,11 +250,11 @@ func (k *Keeper) handle(ctx *app.Context, msg app.Msg) error {
 	switch m := msg.(type) {
 	case MsgUpdateClient:
 		return k.updateClient(ctx, m)
-	case MsgRecvPacket:
+	case *MsgRecvPacket:
 		return k.recvPacket(ctx, m)
-	case MsgAcknowledgement:
+	case *MsgAcknowledgement:
 		return k.acknowledgePacket(ctx, m)
-	case MsgTimeout:
+	case *MsgTimeout:
 		return k.timeoutPacket(ctx, m)
 	default:
 		return fmt.Errorf("ibc: unknown message %T", msg)
@@ -360,8 +364,9 @@ func SeedOpenEnd(st *app.State, self, cp EndIDs, client ClientState, counterpart
 
 // SendPacket stores a packet commitment and emits the send_packet event
 // the relayer watches for. Called by port modules (e.g. transfer). The
-// event carries a *Packet: the one record the event index, the relayers
-// and the workload all point at. It is immutable once emitted.
+// event carries a *Packet, cut from the keeper's chunk: the one record
+// the event index, the relayers and the workload all point at. It is
+// immutable once emitted.
 func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte, timeoutHeight int64, timeoutTimestamp time.Duration) (Packet, error) {
 	ch, err := k.Channel(ctx, port, channel)
 	if err != nil {
@@ -379,9 +384,10 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 	if err != nil {
 		return Packet{}, fmt.Errorf("ibc: send sequence of %s/%s: %q is not a counter", port, channel, raw)
 	}
-	ctx.State.Set(seqKey, strconv.AppendUint(nil, seq+1, 10))
+	ctx.State.Set(seqKey, strconv.AppendUint(k.vals.Slot(len(raw)+1), seq+1, 10))
 	commitments := PacketRecords(b[:0], app.Commitment, port, channel)
-	p := Packet{
+	p := k.packets.New()
+	*p = Packet{
 		Sequence:         seq,
 		SourcePort:       port,
 		SourceChannel:    channel,
@@ -391,15 +397,15 @@ func (k *Keeper) SendPacket(ctx *app.Context, port, channel string, data []byte,
 		TimeoutHeight:    timeoutHeight,
 		TimeoutTimestamp: timeoutTimestamp,
 	}
-	ctx.State.SetRecord(&commitments, seq, p.AppendCommitment(k.sumSlot()))
-	ctx.Emit(abci.Event{Type: "send_packet", Data: &p})
-	return p, nil
+	ctx.State.SetRecord(&commitments, seq, p.AppendCommitment(k.vals.Slot(sha256.Size)))
+	ctx.Emit(abci.Event{Type: "send_packet", Data: p})
+	return *p, nil
 }
 
 // recvPacket verifies and executes an inbound packet, writing the
 // receipt and — unless the port module answers asynchronously — the
 // acknowledgement.
-func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
+func (k *Keeper) recvPacket(ctx *app.Context, m *MsgRecvPacket) error {
 	p := m.Packet
 	clientID, ch, err := k.clientForChannel(ctx, p.DestPort, p.DestChannel)
 	if err != nil {
@@ -446,7 +452,8 @@ func (k *Keeper) recvPacket(ctx *app.Context, m MsgRecvPacket) error {
 // MsgAcknowledgements. Port modules answering synchronously never call
 // it directly; async middleware (packet forwarding) calls it when the
 // downstream hop acks, errors or times out. The event carries an
-// *AckWrite, shared and immutable once emitted like SendPacket's packet.
+// *AckWrite cut from the keeper's chunk, shared and immutable once
+// emitted like SendPacket's packet.
 // A success ack stores and emits the shared literals of its encoding and
 // commitment.
 func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledgement) error {
@@ -461,7 +468,9 @@ func (k *Keeper) WriteAcknowledgement(ctx *app.Context, p Packet, ack Acknowledg
 		raw = ack.Bytes()
 	}
 	ctx.State.SetRecord(&acks, p.Sequence, ackCommitment(nil, raw))
-	ctx.Emit(abci.Event{Type: "write_acknowledgement", Data: &AckWrite{Packet: p, Ack: raw}})
+	w := k.acks.New()
+	*w = AckWrite{Packet: p, Ack: raw}
+	ctx.Emit(abci.Event{Type: "write_acknowledgement", Data: w})
 	return nil
 }
 
@@ -481,7 +490,7 @@ func (k *Keeper) LatestClientHeight(ctx *app.Context, port, channel string) (int
 }
 
 // acknowledgePacket completes the transfer on the source chain.
-func (k *Keeper) acknowledgePacket(ctx *app.Context, m MsgAcknowledgement) error {
+func (k *Keeper) acknowledgePacket(ctx *app.Context, m *MsgAcknowledgement) error {
 	p := m.Packet
 	clientID, ch, err := k.clientForChannel(ctx, p.SourcePort, p.SourceChannel)
 	if err != nil {
@@ -516,7 +525,7 @@ func (k *Keeper) acknowledgePacket(ctx *app.Context, m MsgAcknowledgement) error
 
 // timeoutPacket aborts a packet on the source chain after proving
 // non-receipt on the destination past the timeout.
-func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
+func (k *Keeper) timeoutPacket(ctx *app.Context, m *MsgTimeout) error {
 	p := m.Packet
 	clientID, _, err := k.clientForChannel(ctx, p.SourcePort, p.SourceChannel)
 	if err != nil {
@@ -553,17 +562,6 @@ func (k *Keeper) timeoutPacket(ctx *app.Context, m MsgTimeout) error {
 		return fmt.Errorf("ibc: no module bound to port %s", p.SourcePort)
 	}
 	return mod.OnTimeoutPacket(ctx, p)
-}
-
-// sumSlot returns an empty slice with room for one packet commitment,
-// cut from k.sums.
-func (k *Keeper) sumSlot() []byte {
-	if cap(k.sums)-len(k.sums) < sha256.Size {
-		k.sums = make([]byte, 0, 256*sha256.Size)
-	}
-	n := len(k.sums)
-	k.sums = k.sums[:n+sha256.Size]
-	return k.sums[n : n : n+sha256.Size]
 }
 
 // appendHashAck appends the commitment of acknowledgement bytes ack.

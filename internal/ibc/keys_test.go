@@ -127,9 +127,9 @@ func TestMsgDigestsMatchFmtFormatting(t *testing.T) {
 		{SourcePort: "a/b", SourceChannel: "channel-4294967295", Sequence: math.MaxUint64},
 	} {
 		id := fmt.Sprintf("%s/%s/%d", p.SourcePort, p.SourceChannel, p.Sequence)
-		check(ibc.MsgRecvPacket{Packet: p}, "recv/"+id)
-		check(ibc.MsgAcknowledgement{Packet: p}, "ack/"+id)
-		check(ibc.MsgTimeout{Packet: p}, "timeout/"+id)
+		check(&ibc.MsgRecvPacket{Packet: p}, "recv/"+id)
+		check(&ibc.MsgAcknowledgement{Packet: p}, "ack/"+id)
+		check(&ibc.MsgTimeout{Packet: p}, "timeout/"+id)
 	}
 	for _, clientID := range []string{"07-tendermint-0", "", "a/b"} {
 		for _, h := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {

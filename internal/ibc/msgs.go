@@ -68,7 +68,10 @@ func appendPacketDigest(dst []byte, kind string, p *Packet) []byte {
 	return strconv.AppendUint(dst, p.Sequence, 10)
 }
 
-// Route/MsgType/WireSize/AppendDigest implementations.
+// Route/MsgType/WireSize/AppendDigest implementations. A packet message
+// is an app.Msg by pointer only: a relayer cuts a batch's messages from
+// one array and hands out pointers into it, which box without an
+// allocation.
 
 func (MsgUpdateClient) Route() string   { return RouteIBC }
 func (MsgUpdateClient) MsgType() string { return "MsgUpdateClient" }
@@ -78,24 +81,24 @@ func (m MsgUpdateClient) AppendDigest(dst []byte) []byte {
 	return strconv.AppendInt(dst, m.Bundle.Header.Height, 10)
 }
 
-func (MsgRecvPacket) Route() string   { return RouteIBC }
-func (MsgRecvPacket) MsgType() string { return "MsgRecvPacket" }
-func (MsgRecvPacket) WireSize() int   { return simconf.MsgRecvPacketBytes }
-func (m MsgRecvPacket) AppendDigest(dst []byte) []byte {
+func (*MsgRecvPacket) Route() string   { return RouteIBC }
+func (*MsgRecvPacket) MsgType() string { return "MsgRecvPacket" }
+func (*MsgRecvPacket) WireSize() int   { return simconf.MsgRecvPacketBytes }
+func (m *MsgRecvPacket) AppendDigest(dst []byte) []byte {
 	return appendPacketDigest(dst, "recv/", &m.Packet)
 }
 
-func (MsgAcknowledgement) Route() string   { return RouteIBC }
-func (MsgAcknowledgement) MsgType() string { return "MsgAcknowledgement" }
-func (MsgAcknowledgement) WireSize() int   { return simconf.MsgAckBytes }
-func (m MsgAcknowledgement) AppendDigest(dst []byte) []byte {
+func (*MsgAcknowledgement) Route() string   { return RouteIBC }
+func (*MsgAcknowledgement) MsgType() string { return "MsgAcknowledgement" }
+func (*MsgAcknowledgement) WireSize() int   { return simconf.MsgAckBytes }
+func (m *MsgAcknowledgement) AppendDigest(dst []byte) []byte {
 	return appendPacketDigest(dst, "ack/", &m.Packet)
 }
 
-func (MsgTimeout) Route() string   { return RouteIBC }
-func (MsgTimeout) MsgType() string { return "MsgTimeout" }
-func (MsgTimeout) WireSize() int   { return simconf.MsgAckBytes }
-func (m MsgTimeout) AppendDigest(dst []byte) []byte {
+func (*MsgTimeout) Route() string   { return RouteIBC }
+func (*MsgTimeout) MsgType() string { return "MsgTimeout" }
+func (*MsgTimeout) WireSize() int   { return simconf.MsgAckBytes }
+func (m *MsgTimeout) AppendDigest(dst []byte) []byte {
 	return appendPacketDigest(dst, "timeout/", &m.Packet)
 }
 

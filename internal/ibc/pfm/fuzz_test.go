@@ -25,7 +25,7 @@ func FuzzParseMemo(f *testing.F) {
 		f.Add(memo, "carol", "transfer", "channel-1", int64(0), "dave")
 	}
 	f.Fuzz(func(t *testing.T, memo, receiver, port, channel string, timeout int64, next string) {
-		got, ok, err := ParseMemo(memo)
+		got, ok, err := ParseMemo([]byte(memo))
 		if err != nil && !errors.Is(err, ErrBadForwardMemo) {
 			t.Fatalf("ParseMemo(%q): error %v does not wrap ErrBadForwardMemo", memo, err)
 		}
@@ -47,7 +47,7 @@ func FuzzParseMemo(f *testing.F) {
 		if next != "" {
 			fm.Next = &ForwardMetadata{Receiver: next, Port: port, Channel: channel}
 		}
-		back, ok, err := ParseMemo(Memo(fm))
+		back, ok, err := ParseMemo([]byte(Memo(fm)))
 		if err != nil || !ok || !reflect.DeepEqual(back, fm) {
 			t.Fatalf("ParseMemo(Memo(%+v)) = %+v, ok=%v, err=%v", fm, back, ok, err)
 		}

@@ -18,6 +18,7 @@
 package pfm
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,17 +78,17 @@ func Memo(f *ForwardMetadata) string {
 	return string(raw)
 }
 
-// ParseMemo extracts forward metadata from a memo ("" or non-forward
-// memos return ok=false; a memo with forward intent that fails to decode
-// returns an error so the packet can be refused rather than silently
-// delivered to the intermediate chain).
-func ParseMemo(memo string) (*ForwardMetadata, bool, error) {
-	if memo == "" {
+// ParseMemo extracts forward metadata from a memo, read in place from a
+// packet's data ("" or non-forward memos return ok=false; a memo with
+// forward intent that fails to decode returns an error so the packet can
+// be refused rather than silently delivered to the intermediate chain).
+func ParseMemo(memo []byte) (*ForwardMetadata, bool, error) {
+	if len(memo) == 0 {
 		return nil, false, nil
 	}
 	var w memoWrapper
-	if err := json.Unmarshal([]byte(memo), &w); err != nil {
-		if strings.Contains(memo, `"forward"`) {
+	if err := json.Unmarshal(memo, &w); err != nil {
+		if bytes.Contains(memo, []byte(`"forward"`)) {
 			// Undecodable but clearly meant to forward: refuse it.
 			return nil, false, fmt.Errorf("%w: %q", ErrBadForwardMemo, memo)
 		}
@@ -203,14 +204,15 @@ func (mw *Middleware) NextHop(destChannel string, seq uint64) (string, uint64, b
 	return out.channel, out.seq, ok
 }
 
-// OnRecvPacket implements ibc.PortModule. Packets without a forward memo
-// delegate straight to the transfer module; forward packets execute the
-// local receive to the forwarding account, emit the next hop and answer
-// asynchronously.
+// OnRecvPacket implements ibc.PortModule. The payload is read in place;
+// one that does not parse is refused here, for every packet of the port.
+// Packets without a forward memo delegate straight to the transfer
+// module; forward packets execute the local receive to the forwarding
+// account, emit the next hop and answer asynchronously.
 func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowledgement {
-	data, err := transfer.ParsePacketData(p.Data)
+	data, err := transfer.ReadPacketData(p.Data)
 	if err != nil {
-		return mw.inner.OnRecvPacket(ctx, p) // inner owns the error ack
+		return &ibc.Acknowledgement{Error: transfer.ErrBadPacketData.Error()}
 	}
 	fwd, ok, err := ParseMemo(data.Memo)
 	if err != nil {
@@ -237,10 +239,14 @@ func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowle
 		return &ibc.Acknowledgement{Error: fmt.Sprintf("pfm: forward client: %v", err)}
 	}
 
-	coin, unescrowed, err := mw.inner.ReceiveFunds(ctx, p, data, ModuleAccount)
+	var buf [app.KeyBufLen]byte
+	credited, unescrowed, err := mw.inner.ReceiveFunds(ctx, p, data, []byte(ModuleAccount), buf[:0])
 	if err != nil {
 		return &ibc.Acknowledgement{Error: err.Error()}
 	}
+	// The coin outlives the call, in the next hop's message and the
+	// in-flight record, so its denom is a string of its own.
+	coin := app.Coin{Denom: string(credited), Amount: data.Amount}
 
 	timeoutBlocks := fwd.TimeoutBlocks
 	if timeoutBlocks <= 0 {

@@ -147,7 +147,7 @@ func relayRecv(t *testing.T, dst *testChain, p ibc.Packet) abci.TxResult {
 	t.Helper()
 	proofHeight := int64(2)
 	dst.seedConsensus(p.DestChannel, proofHeight)
-	return dst.deliver(t, "relayer", ibc.MsgRecvPacket{Packet: p, ProofHeight: proofHeight})
+	return dst.deliver(t, "relayer", &ibc.MsgRecvPacket{Packet: p, ProofHeight: proofHeight})
 }
 
 // relayAck returns a written acknowledgement to the packet source chain.
@@ -155,7 +155,7 @@ func relayAck(t *testing.T, src *testChain, p ibc.Packet, ack []byte) abci.TxRes
 	t.Helper()
 	proofHeight := int64(2)
 	src.seedConsensus(p.SourceChannel, proofHeight)
-	return src.deliver(t, "relayer", ibc.MsgAcknowledgement{Packet: p, Ack: ack, ProofHeight: proofHeight})
+	return src.deliver(t, "relayer", &ibc.MsgAcknowledgement{Packet: p, Ack: ack, ProofHeight: proofHeight})
 }
 
 func bal(c *testChain, account, denom string) uint64 {
@@ -173,6 +173,20 @@ func lineNet(t *testing.T) (a, b, c *testChain) {
 	return a, b, c
 }
 
+// The middleware owns the transfer port's receive path: a payload that
+// does not parse is refused with the transfer module's error ack before
+// any memo is read, and its timeout refunds nothing.
+func TestOnRecvMalformedData(t *testing.T) {
+	c := newTestChain("c")
+	ack := c.mw.OnRecvPacket(c.ctx(), ibc.Packet{Data: []byte("not json")})
+	if ack == nil || ack.Error != transfer.ErrBadPacketData.Error() {
+		t.Fatalf("malformed packet acked %+v, want the error %q", ack, transfer.ErrBadPacketData)
+	}
+	if err := c.mw.OnTimeoutPacket(c.ctx(), ibc.Packet{Data: []byte("junk")}); err == nil {
+		t.Fatal("malformed timeout refunded")
+	}
+}
+
 // --- memo --------------------------------------------------------------------
 
 func TestMemoRoundTripAndValidation(t *testing.T) {
@@ -181,20 +195,20 @@ func TestMemoRoundTripAndValidation(t *testing.T) {
 		Next: &ForwardMetadata{Receiver: "dave", Port: "transfer", Channel: "channel-2"},
 	}
 	memo := Memo(f)
-	got, ok, err := ParseMemo(memo)
+	got, ok, err := ParseMemo([]byte(memo))
 	if err != nil || !ok {
 		t.Fatalf("parse: ok=%v err=%v", ok, err)
 	}
 	if got.Channel != "channel-1" || got.Next == nil || got.Next.Receiver != "dave" {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
-	if _, ok, err := ParseMemo(""); ok || err != nil {
+	if _, ok, err := ParseMemo(nil); ok || err != nil {
 		t.Fatal("empty memo should pass through")
 	}
-	if _, ok, err := ParseMemo("just a note"); ok || err != nil {
+	if _, ok, err := ParseMemo([]byte("just a note")); ok || err != nil {
 		t.Fatal("plain memo should pass through")
 	}
-	if _, ok, err := ParseMemo(`{"forward":{"receiver":"x"}}`); ok || err == nil {
+	if _, ok, err := ParseMemo([]byte(`{"forward":{"receiver":"x"}}`)); ok || err == nil {
 		t.Fatal("forward memo without channel must be rejected")
 	}
 	if Memo(nil) != "" {
@@ -213,7 +227,7 @@ func TestForwardMintPath(t *testing.T) {
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 100})
 
 	memo := Memo(&ForwardMetadata{Receiver: "carol", Port: "transfer", Channel: "channel-1"})
-	res := a.mustDeliver(t, "alice", transfer.MsgTransfer{
+	res := a.mustDeliver(t, "alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: ModuleAccount,
 		Token:      app.Coin{Denom: "uatom", Amount: 5},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -310,7 +324,7 @@ func TestFullUnwindRestoresOrigin(t *testing.T) {
 	c.app.CreateAccount("carol")
 
 	// Outbound: A -> B -> C.
-	res := a.mustDeliver(t, "alice", transfer.MsgTransfer{
+	res := a.mustDeliver(t, "alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: ModuleAccount,
 		Token:      app.Coin{Denom: "uatom", Amount: 9},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -331,7 +345,7 @@ func TestFullUnwindRestoresOrigin(t *testing.T) {
 	voucherB := "transfer/channel-0/uatom"
 
 	// Return: C -> B -> A, unwinding the trace one hop per chain.
-	resR := c.mustDeliver(t, "carol", transfer.MsgTransfer{
+	resR := c.mustDeliver(t, "carol", &transfer.MsgTransfer{
 		Sender: "carol", Receiver: ModuleAccount,
 		Token:      app.Coin{Denom: nested, Amount: 9},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -397,7 +411,7 @@ func TestForwardTimeoutRefundsOrigin(t *testing.T) {
 	a, b, _ := lineNet(t)
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 100})
 
-	res := a.mustDeliver(t, "alice", transfer.MsgTransfer{
+	res := a.mustDeliver(t, "alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: ModuleAccount,
 		Token:      app.Coin{Denom: "uatom", Amount: 7},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -415,7 +429,7 @@ func TestForwardTimeoutRefundsOrigin(t *testing.T) {
 	// The hop never reaches C; its timeout elapses and a relayer proves
 	// non-receipt at a height past the deadline.
 	b.seedConsensus("channel-1", p2.TimeoutHeight)
-	resT := b.deliver(t, "relayer", ibc.MsgTimeout{Packet: p2, ProofHeight: p2.TimeoutHeight})
+	resT := b.deliver(t, "relayer", &ibc.MsgTimeout{Packet: p2, ProofHeight: p2.TimeoutHeight})
 	if !resT.IsOK() {
 		t.Fatalf("timeout on B failed: %s", resT.Log)
 	}
@@ -464,7 +478,7 @@ func TestForwardTimeoutRefundsOrigin(t *testing.T) {
 func TestNonForwardPacketsDelegate(t *testing.T) {
 	a, b, _ := lineNet(t)
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 50})
-	res := a.mustDeliver(t, "alice", transfer.MsgTransfer{
+	res := a.mustDeliver(t, "alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: "bob",
 		Token:      app.Coin{Denom: "uatom", Amount: 3},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -498,7 +512,7 @@ func TestForwardToBadChannelRefusesBeforeFunds(t *testing.T) {
 	a, b, _ := lineNet(t)
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 100})
 
-	res := a.mustDeliver(t, "alice", transfer.MsgTransfer{
+	res := a.mustDeliver(t, "alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: ModuleAccount,
 		Token:      app.Coin{Denom: "uatom", Amount: 4},
 		SourcePort: "transfer", SourceChannel: "channel-0",
@@ -540,13 +554,13 @@ func TestForwardToBadChannelRefusesBeforeFunds(t *testing.T) {
 // broken JSON must be refused, not delivered as a plain transfer to the
 // intermediate chain's receiver field.
 func TestUndecodableForwardMemoRefused(t *testing.T) {
-	if _, ok, err := ParseMemo(`{"forward":{"receiver":"carol","port":"transfer"`); ok || err == nil {
+	if _, ok, err := ParseMemo([]byte(`{"forward":{"receiver":"carol","port":"transfer"`)); ok || err == nil {
 		t.Fatal("truncated forward memo must be rejected")
 	}
 
 	a, b, _ := lineNet(t)
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 100})
-	res := a.mustDeliver(t, "alice", transfer.MsgTransfer{
+	res := a.mustDeliver(t, "alice", &transfer.MsgTransfer{
 		Sender: "alice", Receiver: ModuleAccount,
 		Token:      app.Coin{Denom: "uatom", Amount: 2},
 		SourcePort: "transfer", SourceChannel: "channel-0",

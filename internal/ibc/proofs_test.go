@@ -21,7 +21,7 @@ func sendPackets(t *testing.T, timeouts ...int64) (a, b *testChain, packets []ib
 	b.app.CreateAccount("bob")
 	linkChains(t, a, b)
 	for i, timeout := range timeouts {
-		a.mustDeliver("alice", transfer.MsgTransfer{
+		a.mustDeliver("alice", &transfer.MsgTransfer{
 			Sender: "alice", Receiver: "bob",
 			Token:      app.Coin{Denom: "uatom", Amount: 10},
 			SourcePort: "transfer", SourceChannel: "channel-0",
@@ -41,7 +41,7 @@ func sendPackets(t *testing.T, timeouts ...int64) (a, b *testChain, packets []ib
 func recv(a, b *testChain, p ibc.Packet) {
 	updateClientTo(b, a, a.height+1)
 	_, proof := a.prove(a.height+1, app.Commitment, "channel-0", p.Sequence)
-	b.mustDeliver("relayer", ibc.MsgRecvPacket{Packet: p, ProofCommitment: proof, ProofHeight: a.height + 1})
+	b.mustDeliver("relayer", &ibc.MsgRecvPacket{Packet: p, ProofCommitment: proof, ProofHeight: a.height + 1})
 }
 
 // wantProofRefused fails unless the tx was refused with ErrProofVerify.
@@ -59,7 +59,7 @@ func TestProofOfAnotherSequenceRefused(t *testing.T) {
 	updateClientTo(b, a, a.height+1)
 	_, proof2 := a.prove(a.height+1, app.Commitment, "channel-0", 2)
 	wantProofRefused(t, "recv of packet 1 with commitment 2's proof",
-		b.deliver("relayer", ibc.MsgRecvPacket{Packet: packets[0], ProofCommitment: proof2, ProofHeight: a.height + 1}))
+		b.deliver("relayer", &ibc.MsgRecvPacket{Packet: packets[0], ProofCommitment: proof2, ProofHeight: a.height + 1}))
 }
 
 // A record's leaf in one table is no proof of the same sequence and
@@ -77,7 +77,7 @@ func TestProofOfAnotherTableRefused(t *testing.T) {
 	updateClientTo(b, a, a.height+1)
 	_, wrong := a.prove(a.height+1, app.Receipt, "channel-0", 1)
 	wantProofRefused(t, "recv with the receipt table's proof",
-		b.deliver("relayer", ibc.MsgRecvPacket{Packet: packets[0], ProofCommitment: wrong, ProofHeight: a.height + 1}))
+		b.deliver("relayer", &ibc.MsgRecvPacket{Packet: packets[0], ProofCommitment: wrong, ProofHeight: a.height + 1}))
 }
 
 // An absence proof is the empty leaf at the sequence: a stored receipt's
@@ -93,7 +93,7 @@ func TestEmptyLeafProofOfStoredReceiptRefused(t *testing.T) {
 	_, stored := b.prove(b.height+1, app.Receipt, "channel-0", 1)
 	forged := &merkle.RecordProof{Path: stored.Path, Depth: stored.Depth, Root: stored.Root, Table: stored.Table}
 	wantProofRefused(t, "timeout with an empty-leaf proof of a stored receipt",
-		a.deliver("relayer", ibc.MsgTimeout{Packet: packets[0], ProofUnreceived: forged, ProofHeight: b.height + 1}))
+		a.deliver("relayer", &ibc.MsgTimeout{Packet: packets[0], ProofUnreceived: forged, ProofHeight: b.height + 1}))
 	if !a.keeper.HasCommitment(ctxOf(a), "transfer", "channel-0", 1) {
 		t.Fatal("the refused timeout deleted the commitment")
 	}
@@ -115,14 +115,14 @@ func TestAbsenceBeyondOutgrownCapacityRefused(t *testing.T) {
 	}
 	updateClientTo(a, b, b.height+1)
 	wantProofRefused(t, "timeout with an absence proof beyond the outgrown capacity",
-		a.deliver("relayer", ibc.MsgTimeout{Packet: packets[2], ProofUnreceived: beyond, ProofHeight: b.height + 1}))
+		a.deliver("relayer", &ibc.MsgTimeout{Packet: packets[2], ProofUnreceived: beyond, ProofHeight: b.height + 1}))
 	// At the new height receipt 3 is an empty leaf inside the capacity,
 	// and that proof times the packet out.
 	inside := b.proveAbsent(b.height+1, app.Receipt, "channel-0", 3)
 	if inside.Path == nil || inside.Depth != 2 {
 		t.Fatalf("absence of receipt 3 beside receipts 1 and 2 = %+v, want an empty leaf of a depth-2 table", inside)
 	}
-	a.mustDeliver("relayer", ibc.MsgTimeout{Packet: packets[2], ProofUnreceived: inside, ProofHeight: b.height + 1})
+	a.mustDeliver("relayer", &ibc.MsgTimeout{Packet: packets[2], ProofUnreceived: inside, ProofHeight: b.height + 1})
 }
 
 // A destination that never received on the channel has no receipt
@@ -138,7 +138,7 @@ func TestAbsenceOnChannelWithoutTable(t *testing.T) {
 	if absent.NoTable == nil || absent.Table != nil {
 		t.Fatalf("absence proof on a channel with no receipt table = %+v, want the table's absence", absent)
 	}
-	a.mustDeliver("relayer", ibc.MsgTimeout{Packet: packets[0], ProofUnreceived: absent, ProofHeight: b.height + 1})
+	a.mustDeliver("relayer", &ibc.MsgTimeout{Packet: packets[0], ProofUnreceived: absent, ProofHeight: b.height + 1})
 	if a.keeper.HasCommitment(ctxOf(a), "transfer", "channel-0", 1) {
 		t.Fatal("commitment survives the timeout")
 	}

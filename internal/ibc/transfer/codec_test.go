@@ -11,10 +11,10 @@ import (
 	"ibcbench/internal/app"
 )
 
-// PacketData is written with appends and read back without encoding/json
-// when it is in that exact form. Its bytes are hashed into the packet
-// commitment and a relayer can submit any bytes at all, so both
-// directions are held against encoding/json: same bytes out, and for
+// PacketData is written with appends and read back in place, without
+// encoding/json, when it is in that exact form. Its bytes are hashed into
+// the packet commitment and a relayer can submit any bytes at all, so
+// both directions are held against encoding/json: same bytes out, and for
 // arbitrary bytes in the same value and the same accept/reject.
 
 // forwardMemo is a two-hop pfm memo as pfm.Memo writes it.
@@ -32,31 +32,38 @@ var packetDataCases = []PacketData{
 	{Denom: "bad\xffutf8", Sender: "\xc3", Receiver: "trunc\xe2\x80", Memo: "café 世界 \U0001F600"},
 }
 
-// checkPacketDataEncode holds Bytes against json.Marshal.
+// checkPacketDataEncode holds AppendBytes against json.Marshal.
 func checkPacketDataEncode(t *testing.T, d PacketData) []byte {
 	t.Helper()
 	want, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := d.Bytes()
+	got := d.AppendBytes(nil)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("Bytes(%+v)\n got %s\nwant %s", d, got, want)
+		t.Fatalf("AppendBytes(%+v)\n got %s\nwant %s", d, got, want)
+	}
+	if got := d.AppendBytes([]byte("prefix")); string(got) != "prefix"+string(want) {
+		t.Fatalf("AppendBytes after a prefix = %s, want prefix%s", got, want)
 	}
 	return got
 }
 
-// checkPacketDataDecode holds ParsePacketData against json.Unmarshal.
+// checkPacketDataDecode holds ReadPacketData against json.Unmarshal.
 func checkPacketDataDecode(t *testing.T, raw []byte) {
 	t.Helper()
 	var want PacketData
 	wantErr := json.Unmarshal(raw, &want)
-	got, err := ParsePacketData(raw)
+	got, err := ReadPacketData(raw)
 	if (err == nil) != (wantErr == nil) {
-		t.Fatalf("ParsePacketData(%q) error = %v, json.Unmarshal error = %v", raw, err, wantErr)
+		t.Fatalf("ReadPacketData(%q) error = %v, json.Unmarshal error = %v", raw, err, wantErr)
 	}
-	if err == nil && got != want {
-		t.Fatalf("ParsePacketData(%q)\n got %+v\nwant %+v", raw, got, want)
+	if err != nil {
+		return
+	}
+	if back := (PacketData{Denom: string(got.Denom), Amount: got.Amount, Sender: string(got.Sender),
+		Receiver: string(got.Receiver), Memo: string(got.Memo)}); back != want {
+		t.Fatalf("ReadPacketData(%q)\n got %+v\nwant %+v", raw, back, want)
 	}
 }
 
@@ -95,31 +102,43 @@ func TestPacketDataCodecMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// Bytes' own output must take the direct path, or the codec is
-// encoding/json with extra steps: it allocates the strings it returns
-// (plus the unescape buffer of an escaped memo) and nothing else.
-func TestParsePacketDataReadsItsOwnBytesDirectly(t *testing.T) {
+// within reports whether b is a sub-slice of raw: it ends where raw's
+// array ends.
+func within(b, raw []byte) bool {
+	return len(b) > 0 && &raw[:cap(raw)][cap(raw)-1] == &b[:cap(b)][cap(b)-1]
+}
+
+// AppendBytes' own output is read in place, or the codec is
+// encoding/json with extra steps: a field without escapes is a
+// sub-slice of the payload, and only an escaped memo costs the one
+// buffer it is unescaped into.
+func TestReadPacketDataReadsItsOwnBytesInPlace(t *testing.T) {
 	for _, c := range []struct {
 		d      PacketData
 		allocs float64
 	}{
-		{packetDataCases[1], 4},
-		{packetDataCases[3], 6},
+		{packetDataCases[1], 0},
+		{PacketData{Denom: "transfer/channel-3/uatom", Amount: 9, Sender: "a", Receiver: "b", Memo: "a note"}, 0},
+		{packetDataCases[3], 1},
 	} {
-		raw := c.d.Bytes()
+		raw := c.d.AppendBytes(nil)
 		if got := testing.AllocsPerRun(20, func() {
-			if _, err := ParsePacketData(raw); err != nil {
+			if _, err := ReadPacketData(raw); err != nil {
 				t.Fatal(err)
 			}
-		}); got > c.allocs {
-			t.Errorf("ParsePacketData(%s) took %.0f allocations, want at most %.0f", raw, got, c.allocs)
+		}); got != c.allocs {
+			t.Errorf("ReadPacketData(%s) took %.0f allocations, want %.0f", raw, got, c.allocs)
+		}
+		v, _ := ReadPacketData(raw)
+		if !within(v.Denom, raw) || !within(v.Sender, raw) || !within(v.Receiver, raw) {
+			t.Errorf("ReadPacketData(%s): denom, sender or receiver is a copy, not a view", raw)
 		}
 	}
 }
 
 func FuzzPacketDataCodec(f *testing.F) {
 	for _, d := range packetDataCases {
-		f.Add(d.Denom, d.Amount, d.Sender, d.Receiver, d.Memo, d.Bytes())
+		f.Add(d.Denom, d.Amount, d.Sender, d.Receiver, d.Memo, d.AppendBytes(nil))
 	}
 	f.Add("", uint64(0), "", "", "", []byte(`{"denom":"a","amount":1,"sender":"s","receiver":"r"} `))
 	f.Fuzz(func(t *testing.T, denom string, amount uint64, sender, receiver, memo string, raw []byte) {
@@ -163,7 +182,7 @@ func TestMsgTransferDigestMatchesFmtFormatting(t *testing.T) {
 func transferTx() *app.Tx {
 	msgs := make([]app.Msg, 100)
 	for i := range msgs {
-		m := MsgTransfer{Sender: "user-0007", Receiver: "receiver-user-0007", Token: app.Coin{Denom: "uatom", Amount: 1},
+		m := &MsgTransfer{Sender: "user-0007", Receiver: "receiver-user-0007", Token: app.Coin{Denom: "uatom", Amount: 1},
 			SourcePort: PortID, SourceChannel: "channel-0", TimeoutHeight: 10012, Nonce: uint64(4700 + i)}
 		if i == len(msgs)-1 {
 			m.Memo = forwardMemo

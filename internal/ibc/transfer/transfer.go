@@ -53,21 +53,22 @@ type MsgTransfer struct {
 	Nonce uint64
 }
 
-// Route implements app.Msg.
-func (MsgTransfer) Route() string { return PortID }
+// Route implements app.Msg. A MsgTransfer is an app.Msg by pointer only:
+// a workload transaction cuts its messages from one array.
+func (*MsgTransfer) Route() string { return PortID }
 
 // MsgType implements app.Msg.
-func (MsgTransfer) MsgType() string { return "MsgTransfer" }
+func (*MsgTransfer) MsgType() string { return "MsgTransfer" }
 
 // WireSize implements app.Msg.
-func (m MsgTransfer) WireSize() int { return simconf.MsgTransferBytes + len(m.Memo) }
+func (m *MsgTransfer) WireSize() int { return simconf.MsgTransferBytes + len(m.Memo) }
 
 // AppendDigest appends what binds the transfer's content into the
 // enclosing tx hash:
 // "xfer/<sender>/<receiver>/<amount><denom>/<channel>/<nonce>[/<memo>]".
 // The memo contributes only when present, keeping memo-less digests (and
 // the fingerprints pinned on them) unchanged.
-func (m MsgTransfer) AppendDigest(dst []byte) []byte {
+func (m *MsgTransfer) AppendDigest(dst []byte) []byte {
 	dst = append(append(append(dst, "xfer/"...), m.Sender...), '/')
 	dst = append(append(dst, m.Receiver...), '/')
 	dst = append(append(strconv.AppendUint(dst, m.Token.Amount, 10), m.Token.Denom...), '/')
@@ -79,7 +80,7 @@ func (m MsgTransfer) AppendDigest(dst []byte) []byte {
 	return dst
 }
 
-// PacketData is the ICS-20 packet payload.
+// PacketData is the ICS-20 packet payload as a sender writes it.
 type PacketData struct {
 	Denom    string `json:"denom"`
 	Amount   uint64 `json:"amount"`
@@ -88,49 +89,70 @@ type PacketData struct {
 	Memo     string `json:"memo,omitempty"`
 }
 
-// Bytes serializes the payload: the bytes json.Marshal writes (they are
-// hashed into the packet commitment), appended directly.
-func (d PacketData) Bytes() []byte {
-	b := make([]byte, 0, 72+len(d.Denom)+len(d.Sender)+len(d.Receiver)+len(d.Memo)+len(d.Memo)/8)
-	b = ibc.AppendJSONString(append(b, `{"denom":`...), d.Denom)
-	b = strconv.AppendUint(append(b, `,"amount":`...), d.Amount, 10)
-	b = ibc.AppendJSONString(append(b, `,"sender":`...), d.Sender)
-	b = ibc.AppendJSONString(append(b, `,"receiver":`...), d.Receiver)
+// AppendBytes appends the serialized payload to dst: the bytes
+// json.Marshal writes (they are hashed into the packet commitment).
+func (d *PacketData) AppendBytes(dst []byte) []byte {
+	dst = ibc.AppendJSONString(append(dst, `{"denom":`...), d.Denom)
+	dst = strconv.AppendUint(append(dst, `,"amount":`...), d.Amount, 10)
+	dst = ibc.AppendJSONString(append(dst, `,"sender":`...), d.Sender)
+	dst = ibc.AppendJSONString(append(dst, `,"receiver":`...), d.Receiver)
 	if d.Memo != "" {
-		b = ibc.AppendJSONString(append(b, `,"memo":`...), d.Memo)
+		dst = ibc.AppendJSONString(append(dst, `,"memo":`...), d.Memo)
 	}
-	return append(b, '}')
+	return append(dst, '}')
 }
 
-// ParsePacketData deserializes a packet payload. Bytes' own output is
-// read directly; any other document is json.Unmarshal's to accept or
-// refuse.
-func ParsePacketData(raw []byte) (PacketData, error) {
-	var d PacketData
+// PacketView is a packet payload read in place (ReadPacketData): a text
+// field that needs no unescaping is a sub-slice of the bytes read. A
+// packet's Data is never written after SendPacket, so a view of it stays
+// valid, and the transfer path builds its bank keys from these bytes.
+type PacketView struct {
+	Denom    []byte
+	Amount   uint64
+	Sender   []byte
+	Receiver []byte
+	Memo     []byte
+}
+
+// ReadPacketData reads a packet payload. AppendBytes' own output is read
+// in place: a field without escapes is a sub-slice of raw, and only an
+// escaped one is copied, unescaped. Any other document is
+// json.Unmarshal's to accept or refuse, and its fields are copies.
+func ReadPacketData(raw []byte) (PacketView, error) {
+	var v PacketView
 	r := ibc.JSONReader{Buf: raw}
 	r.Expect(`{"denom":`)
-	d.Denom = string(r.Bytes())
+	v.Denom = r.Bytes()
 	r.Expect(`,"amount":`)
-	d.Amount = r.Uint()
+	v.Amount = r.Uint()
 	r.Expect(`,"sender":`)
-	d.Sender = string(r.Bytes())
+	v.Sender = r.Bytes()
 	r.Expect(`,"receiver":`)
-	d.Receiver = string(r.Bytes())
+	v.Receiver = r.Bytes()
 	if r.Skip(`,"memo":`) {
-		d.Memo = string(r.Bytes())
+		v.Memo = r.Bytes()
 	}
 	r.Expect("}")
 	if r.Done() {
-		return d, nil
+		return v, nil
 	}
-	var slow PacketData // not d: the address taken would move d to the heap
-	err := json.Unmarshal(raw, &slow)
-	return slow, err
+	var d PacketData
+	if err := json.Unmarshal(raw, &d); err != nil {
+		return PacketView{}, err
+	}
+	return PacketView{Denom: []byte(d.Denom), Amount: d.Amount, Sender: []byte(d.Sender), Receiver: []byte(d.Receiver), Memo: []byte(d.Memo)}, nil
 }
 
-// Module is the ICS-20 application module for one chain.
+// Module is the ICS-20 application module for one chain. It is not a
+// port module of its own: the packet-forward middleware (internal/ibc/pfm)
+// is bound to the transfer port and hands it every packet it does not
+// forward.
 type Module struct {
 	keeper *ibc.Keeper
+	// data is the chunk packet payloads are written into: the keeper and
+	// the event that carries a packet keep its payload by reference, and
+	// nothing writes it again.
+	data app.Chunk[byte]
 
 	// Counters for analysis.
 	sent     uint64
@@ -139,12 +161,10 @@ type Module struct {
 	refunded uint64
 }
 
-var _ ibc.PortModule = (*Module)(nil)
-
-// New wires the transfer module into an app and its IBC keeper.
+// New wires the transfer module into an app, routing MsgTransfer to it,
+// over its IBC keeper. The port is bound by the middleware that wraps it.
 func New(a *app.App, k *ibc.Keeper) *Module {
 	m := &Module{keeper: k}
-	k.BindPort(PortID, m)
 	a.RegisterRoute(PortID, m.handleMsg)
 	return m
 }
@@ -157,7 +177,13 @@ func (m *Module) Stats() (sent, received, acked, refunded uint64) {
 // EscrowAccount names the module account holding escrowed tokens for a
 // channel.
 func EscrowAccount(port, channel string) string {
-	return "escrow/" + port + "/" + channel
+	var b [app.KeyBufLen]byte
+	return string(appendEscrowAccount(b[:0], port, channel))
+}
+
+// appendEscrowAccount appends EscrowAccount(port, channel) to dst.
+func appendEscrowAccount(dst []byte, port, channel string) []byte {
+	return append(append(append(append(dst, "escrow/"...), port...), '/'), channel...)
 }
 
 // CutEscrowBalanceKey splits the bank key of an EscrowAccount's balance
@@ -171,11 +197,11 @@ func CutEscrowBalanceKey(k string) (port, channel, dn string, ok bool) {
 
 // handleMsg executes MsgTransfer.
 func (m *Module) handleMsg(ctx *app.Context, msg app.Msg) error {
-	mt, ok := msg.(MsgTransfer)
+	mt, ok := msg.(*MsgTransfer)
 	if !ok {
 		return fmt.Errorf("transfer: unexpected msg %T", msg)
 	}
-	_, err := m.SendTransfer(ctx, mt)
+	_, err := m.SendTransfer(ctx, *mt)
 	return err
 }
 
@@ -196,15 +222,18 @@ func (m *Module) SendTransfer(ctx *app.Context, mt MsgTransfer) (ibc.Packet, err
 			return ibc.Packet{}, err
 		}
 	}
-	data := PacketData{
+	d := PacketData{
 		Denom:    mt.Token.Denom,
 		Amount:   mt.Token.Amount,
 		Sender:   mt.Sender,
 		Receiver: mt.Receiver,
 		Memo:     mt.Memo,
-	}.Bytes()
+	}
+	// Encoded on the stack, then copied into a slot of its exact size.
+	var buf [512]byte
+	enc := d.AppendBytes(buf[:0])
 	p, err := m.keeper.SendPacket(ctx, mt.SourcePort, mt.SourceChannel,
-		data, mt.TimeoutHeight, mt.TimeoutTimestamp)
+		append(m.data.Slot(len(enc)), enc...), mt.TimeoutHeight, mt.TimeoutTimestamp)
 	if err != nil {
 		return ibc.Packet{}, err
 	}
@@ -213,37 +242,39 @@ func (m *Module) SendTransfer(ctx *app.Context, mt MsgTransfer) (ibc.Packet, err
 }
 
 // ReceiveFunds executes the fund-movement half of packet receipt,
-// crediting `receiver` with the locally valid coin: trim-and-unescrow
-// when the token is returning to this zone, prefix-and-mint otherwise.
-// It reports the credited coin and whether the unescrow path ran (the
-// information an unwinding middleware needs to reverse it).
-func (m *Module) ReceiveFunds(ctx *app.Context, p ibc.Packet, data PacketData, receiver string) (app.Coin, bool, error) {
-	d, home := ReceivedDenom(p, data.Denom)
-	coin := app.Coin{Denom: d, Amount: data.Amount}
+// crediting receiver with the locally valid coin: trim-and-unescrow when
+// the token is returning to this zone, prefix-and-mint otherwise. It
+// returns the denom credited, a sub-slice of data.Denom or a voucher's
+// name appended to dst (see ReceivedDenom), and whether the unescrow path
+// ran: what an unwinding middleware needs to reverse it.
+func (m *Module) ReceiveFunds(ctx *app.Context, p ibc.Packet, data PacketView, receiver, dst []byte) ([]byte, bool, error) {
+	d, home := ReceivedDenom(dst, p, data.Denom)
 	if home {
 		// Token is returning home: release from this chain's escrow.
-		escrow := EscrowAccount(p.DestPort, p.DestChannel)
-		if err := ctx.Bank.Send(escrow, receiver, coin); err != nil {
-			return app.Coin{}, false, err
+		var b [app.KeyBufLen]byte
+		if err := ctx.Bank.SendBytes(appendEscrowAccount(b[:0], p.DestPort, p.DestChannel), receiver, d, data.Amount); err != nil {
+			return nil, false, err
 		}
-		return coin, true, nil
+		return d, true, nil
 	}
-	ctx.Bank.Mint(receiver, coin)
-	return coin, false, nil
+	ctx.Bank.MintBytes(receiver, d, data.Amount)
+	return d, false, nil
 }
 
 // ReceivedDenom is the denom a packet of p's route carrying packetDenom
 // credits on its destination, and whether the token is returning home
 // there: then its trace loses p's source hop and the escrow releases
-// it, and otherwise it gains p's destination hop as a minted voucher.
-// Only p's ports and channels are read. Going home allocates nothing
-// (the denom is a substring of packetDenom); a voucher allocates its
-// one new name.
-func ReceivedDenom(p ibc.Packet, packetDenom string) (string, bool) {
+// it, a sub-slice of packetDenom; otherwise it gains p's destination hop
+// as a minted voucher, "port/channel/packetDenom" appended to dst (the
+// pure function of the channel and the denom ICS-20 prefixes). Only p's
+// ports and channels are read, and into a dst with room nothing is
+// allocated.
+func ReceivedDenom(dst []byte, p ibc.Packet, packetDenom []byte) ([]byte, bool) {
 	if rest, ok := denom.CutHop(packetDenom, p.SourcePort, p.SourceChannel); ok {
 		return rest, true
 	}
-	return p.DestPort + "/" + p.DestChannel + "/" + packetDenom, false
+	dst = append(append(append(append(dst, p.DestPort...), '/'), p.DestChannel...), '/')
+	return append(dst, packetDenom...), false
 }
 
 // UndoReceive reverses a ReceiveFunds: re-escrow an unescrowed coin or
@@ -256,28 +287,21 @@ func (m *Module) UndoReceive(ctx *app.Context, p ibc.Packet, coin app.Coin, unes
 	return ctx.Bank.Burn(holder, coin)
 }
 
-// OnRecvPacket implements ibc.PortModule: mint a voucher or unescrow the
-// original token for the packet's receiver.
-func (m *Module) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowledgement {
-	data, err := ParsePacketData(p.Data)
-	if err != nil {
-		return &ibc.Acknowledgement{Error: ErrBadPacketData.Error()}
-	}
-	return m.ReceivePacket(ctx, p, data)
-}
-
-// ReceivePacket is OnRecvPacket for a caller that has already decoded
-// p.Data: middleware that had to read the memo hands its PacketData on
-// instead of having the payload parsed a second time.
-func (m *Module) ReceivePacket(ctx *app.Context, p ibc.Packet, data PacketData) *ibc.Acknowledgement {
-	if _, _, err := m.ReceiveFunds(ctx, p, data, data.Receiver); err != nil {
+// ReceivePacket receives a packet whose payload the caller has read in
+// place (the middleware bound to the port reads it for the memo): mint a
+// voucher or unescrow the original token for the packet's receiver.
+func (m *Module) ReceivePacket(ctx *app.Context, p ibc.Packet, data PacketView) *ibc.Acknowledgement {
+	var buf [app.KeyBufLen]byte
+	if _, _, err := m.ReceiveFunds(ctx, p, data, data.Receiver, buf[:0]); err != nil {
 		return &ibc.Acknowledgement{Error: err.Error()}
 	}
 	m.received++
 	return ibc.SuccessAck
 }
 
-// OnAcknowledgementPacket implements ibc.PortModule: refund on error ack.
+// OnAcknowledgementPacket refunds a packet on an error ack; the
+// middleware bound to the port hands it every ack of a packet it did not
+// forward.
 func (m *Module) OnAcknowledgementPacket(ctx *app.Context, p ibc.Packet, ack ibc.Acknowledgement) error {
 	if ack.Success() {
 		m.acked++
@@ -286,7 +310,7 @@ func (m *Module) OnAcknowledgementPacket(ctx *app.Context, p ibc.Packet, ack ibc
 	return m.RefundPacket(ctx, p)
 }
 
-// OnTimeoutPacket implements ibc.PortModule: undo the escrow/burn, the
+// OnTimeoutPacket undoes the escrow/burn of a timed-out packet, the
 // behaviour of the paper's Fig. 3 OnPacketTimeout step ("unlocking assets
 // that were previously held locked while the transfer request was
 // pending").
@@ -298,17 +322,17 @@ func (m *Module) OnTimeoutPacket(ctx *app.Context, p ibc.Packet) error {
 // burned voucher or release the escrow back to the sender. Exported so
 // forwarding middleware can unwind its own hop sends.
 func (m *Module) RefundPacket(ctx *app.Context, p ibc.Packet) error {
-	data, err := ParsePacketData(p.Data)
+	data, err := ReadPacketData(p.Data)
 	if err != nil {
 		return ErrBadPacketData
 	}
-	coin := app.Coin{Denom: data.Denom, Amount: data.Amount}
 	if denom.ReceiverChainIsSource(p.SourcePort, p.SourceChannel, data.Denom) {
 		// The burned voucher is re-minted.
-		ctx.Bank.Mint(data.Sender, coin)
+		ctx.Bank.MintBytes(data.Sender, data.Denom, data.Amount)
 	} else {
-		escrow := EscrowAccount(p.SourcePort, p.SourceChannel)
-		if err := ctx.Bank.Send(escrow, data.Sender, coin); err != nil {
+		var b [app.KeyBufLen]byte
+		escrow := appendEscrowAccount(b[:0], p.SourcePort, p.SourceChannel)
+		if err := ctx.Bank.SendBytes(escrow, data.Sender, data.Denom, data.Amount); err != nil {
 			return err
 		}
 	}

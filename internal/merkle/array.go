@@ -159,20 +159,20 @@ func (a *ArrayTree) grow(hi int) {
 	}
 }
 
-// Prove returns the audit path of position index, bottom-up, or false
-// when index lies beyond the capacity (or nothing was applied). The path
-// is a copy: it stays valid for the root it was taken at.
-func (a *ArrayTree) Prove(index uint64) ([]PathStep, bool) {
+// Prove appends the audit path of position index, bottom-up, to dst, or
+// reports false when index lies beyond the capacity (or nothing was
+// applied). The path is a copy: it stays valid for the root it was taken
+// at.
+func (a *ArrayTree) Prove(dst []PathStep, index uint64) ([]PathStep, bool) {
 	d := a.Depth()
 	if len(a.levels) == 0 || index>>d != 0 {
-		return nil, false
+		return dst, false
 	}
-	path := make([]PathStep, d)
-	for l := range path {
+	for l := 0; l < d; l++ {
 		i := int(index >> l)
-		path[l] = PathStep{Left: i&1 == 1, Sibling: a.node(l, i^1)}
+		dst = append(dst, PathStep{Left: i&1 == 1, Sibling: a.node(l, i^1)})
 	}
-	return path, true
+	return dst, true
 }
 
 // RecordProof proves one position of a table's ArrayTree, or that it is

@@ -37,7 +37,7 @@ func checkArray(t *testing.T, a *ArrayTree, model map[uint64][]byte, hi uint64) 
 		}
 	}
 	for i := uint64(0); i < uint64(len(levels[0])); i++ {
-		path, ok := a.Prove(i)
+		path, ok := a.Prove(nil, i)
 		if !ok || len(path) != a.Depth() || !spells(path, i) {
 			t.Fatalf("index %d: ok=%v path of %d steps", i, ok, len(path))
 		}
@@ -50,8 +50,33 @@ func checkArray(t *testing.T, a *ArrayTree, model map[uint64][]byte, hi uint64) 
 			t.Fatalf("index %d: path does not reach the root", i)
 		}
 	}
-	if _, ok := a.Prove(uint64(len(levels[0]))); ok {
+	if _, ok := a.Prove(nil, uint64(len(levels[0]))); ok {
 		t.Fatalf("a path beyond the capacity %d", len(levels[0]))
+	}
+}
+
+// Prove appends a path after what its destination holds, and into a
+// destination with room it allocates nothing.
+func TestArrayProveAppends(t *testing.T) {
+	a := new(ArrayTree)
+	a.Apply([]ArrayEdit{{Index: 5, Value: []byte("v")}, {Index: 40, Value: []byte("w")}})
+	want, _ := a.Prove(nil, 5)
+	head := PathStep{Left: true}
+	got, ok := a.Prove([]PathStep{head}, 5)
+	if !ok || len(got) != 1+len(want) || got[0] != head {
+		t.Fatalf("Prove after a step = %v, %v", got, ok)
+	}
+	for i := range want {
+		if got[1+i] != want[i] {
+			t.Fatalf("step %d of the appended path differs", i)
+		}
+	}
+	if back, ok := a.Prove(got[:1], 1<<a.Depth()); ok || len(back) != 1 {
+		t.Fatalf("a position beyond the capacity appended %d steps", len(back)-1)
+	}
+	dst := make([]PathStep, 0, a.Depth())
+	if n := testing.AllocsPerRun(20, func() { a.Prove(dst, 40) }); n != 0 {
+		t.Fatalf("Prove into a sized destination took %.0f allocations", n)
 	}
 }
 
@@ -61,7 +86,7 @@ func TestArrayTreeMatchesFullRebuild(t *testing.T) {
 	if a.Root() != HashLeaves(nil) || a.Depth() != 0 {
 		t.Fatal("an empty array is not the empty tree")
 	}
-	if _, ok := a.Prove(0); ok {
+	if _, ok := a.Prove(nil, 0); ok {
 		t.Fatal("an empty array proved a position")
 	}
 	model := map[uint64][]byte{}
@@ -118,7 +143,7 @@ func twoLevel(kv map[string][]byte, arrays map[string]*ArrayTree) *Tree {
 // recordProof builds the two-level proof of position seq of the array
 // under prefix in state tree st.
 func recordProof(st *Tree, prefix string, a *ArrayTree, seq uint64) *RecordProof {
-	path, _ := a.Prove(seq)
+	path, _ := a.Prove(nil, seq)
 	_, top, _ := st.ProveMembership([]byte(prefix))
 	return &RecordProof{Path: path, Depth: a.Depth(), Root: a.Root(), Table: top}
 }

@@ -242,7 +242,7 @@ func recordCase(t *testing.T, v *Verifier, trees []*Tree, arrays [2]*ArrayTree, 
 	case 7: // a deeper array claimed
 		p.Path, p.Depth = append(p.Path, PathStep{Sibling: padNodes[p.Depth]}), p.Depth+1
 	case 8: // a sibling spliced from the previous position's proof
-		if prev, ok := arrays[tb].Prove(seq - 1); ok && level < min(len(prev), len(p.Path)) {
+		if prev, ok := arrays[tb].Prove(nil, seq-1); ok && level < min(len(prev), len(p.Path)) {
 			p.Path[level].Sibling = prev[level].Sibling
 		}
 	}

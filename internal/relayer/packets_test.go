@@ -286,3 +286,28 @@ func TestSetsSeeOnlyTheEndpointChannel(t *testing.T) {
 		}
 	}
 }
+
+// TestSightingAfterReceivedBuildsARecv pins today's answer for a packet
+// known received before its send was sighted: its ack was sighted first,
+// and the failed batch that carried the ack gave the ack back, leaving
+// the row received with no send record. Sighting the send then builds a
+// recv the destination will refuse as redundant (ROADMAP item 5, R1).
+// The fix changes this test: such a sighting records the send and builds
+// nothing.
+func TestSightingAfterReceivedBuildsARecv(t *testing.T) {
+	p := &ibc.Packet{Sequence: 3, TimeoutHeight: 100}
+	var row packetRow
+	if !row.ackSighted() {
+		t.Fatal("an ack sighted before its send was not built")
+	}
+	row.released(kindAck, p)
+	if row.st != pktReceived || row.p != nil {
+		t.Fatalf("after the ack's release the row is %+v, want received with no send record", row)
+	}
+	if !row.sighted(p, false) {
+		t.Fatal("R1 is fixed: the send of a packet known received built no recv; update this test and ROADMAP item 5")
+	}
+	if row.st != pktReceived || row.p != p {
+		t.Fatalf("after the sighting the row is %+v, want received with the send record", row)
+	}
+}

@@ -122,9 +122,9 @@ type outMsg struct {
 // kind is what m does to its packet.
 func (m outMsg) kind() msgKind {
 	switch m.msg.(type) {
-	case ibc.MsgRecvPacket:
+	case *ibc.MsgRecvPacket:
 		return kindRecv
-	case ibc.MsgTimeout:
+	case *ibc.MsgTimeout:
 		return kindTimeout
 	}
 	return kindAck
@@ -422,15 +422,19 @@ func (r *Relayer) buildRecvBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 		r.tr.CompleteArg(r.otrack, r.nBuildRecv, done-build, done, uint64(len(fresh)))
 		proofHeight := proofHeightOn(src, te.Info.Height)
 		var kb [app.KeyBufLen]byte
-		for _, p := range fresh {
+		// One array holds the batch's messages: a pointer into it boxes
+		// into app.Msg without an allocation of its own.
+		msgs := make([]ibc.MsgRecvPacket, len(fresh))
+		for i, p := range fresh {
 			r.track(r.keyOf(src, p), metrics.StepRecvBuild, done)
+			msgs[i] = ibc.MsgRecvPacket{
+				Packet:          *p,
+				ProofCommitment: proveMember(src, proofHeight, ibc.PacketRecords(kb[:0], app.Commitment, p.SourcePort, p.SourceChannel), p.Sequence),
+				ProofHeight:     proofHeight,
+				Relayer:         dst.account,
+			}
 			dst.outbox = append(dst.outbox, outMsg{
-				msg: ibc.MsgRecvPacket{
-					Packet:          *p,
-					ProofCommitment: proveMember(src, proofHeight, ibc.PacketRecords(kb[:0], app.Commitment, p.SourcePort, p.SourceChannel), p.Sequence),
-					ProofHeight:     proofHeight,
-					Relayer:         dst.account,
-				},
+				msg:         &msgs[i],
 				packet:      p,
 				proofHeight: proofHeight,
 				origin:      te.Info.Height,
@@ -467,7 +471,8 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 		r.tr.CompleteArg(r.otrack, r.nBuildAck, done-build, done, uint64(len(fresh)))
 		proofHeight := proofHeightOn(src, te.Info.Height)
 		var kb [app.KeyBufLen]byte
-		for _, w := range fresh {
+		msgs := make([]ibc.MsgAcknowledgement, len(fresh)) // as buildRecvBatch's
+		for i, w := range fresh {
 			p := &w.Packet
 			key := r.keyOf(dst, p)
 			r.track(key, metrics.StepAckBuild, done)
@@ -478,14 +483,15 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 			if ack == nil {
 				ack = ibc.SuccessAck.Bytes()
 			}
+			msgs[i] = ibc.MsgAcknowledgement{
+				Packet:      *p,
+				Ack:         ack,
+				ProofAcked:  proveMember(src, proofHeight, ibc.PacketRecords(kb[:0], app.Ack, p.DestPort, p.DestChannel), p.Sequence),
+				ProofHeight: proofHeight,
+				Relayer:     dst.account,
+			}
 			dst.outbox = append(dst.outbox, outMsg{
-				msg: ibc.MsgAcknowledgement{
-					Packet:      *p,
-					Ack:         ack,
-					ProofAcked:  proveMember(src, proofHeight, ibc.PacketRecords(kb[:0], app.Ack, p.DestPort, p.DestChannel), p.Sequence),
-					ProofHeight: proofHeight,
-					Relayer:     dst.account,
-				},
+				msg:         &msgs[i],
 				packet:      p,
 				proofHeight: proofHeight,
 				origin:      te.Info.Height,
@@ -509,6 +515,8 @@ func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 	proofHeight := proofHeightOn(dstChain, dstChain.height)
 	full := dstChain.chain.App.State().FullProofs()
 	var probes []rpc.SettledProbe
+	var due []*ibc.Packet // full proofs: the packets to time out, with their proofs
+	var proofs []*merkle.RecordProof
 	var kb [app.KeyBufLen]byte
 	for seq, ok := t.expired(0, dstChain.height); ok; seq, ok = t.expired(seq+1, dstChain.height) {
 		row := t.row(seq)
@@ -524,33 +532,36 @@ func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 			continue
 		}
 		row.st = pktTimeoutBuilt
-		r.queueTimeout(srcChain, p, proof, proofHeight)
+		due, proofs = append(due, p), append(proofs, proof)
 	}
+	r.queueTimeouts(srcChain, due, proofs, proofHeight)
 	if len(probes) == 0 {
 		return
 	}
 	dstChain.rpc.QuerySettled(r.host, probes, func(settled []bool, err error) {
+		due := make([]*ibc.Packet, 0, len(probes))
 		for i, probe := range probes {
 			ok := err == nil && i < len(settled) && !r.stopped
 			if row := t.row(probe.Sequence); row.timeoutProbed(ok, ok && settled[i]) {
-				r.queueTimeout(srcChain, row.p, nil, proofHeight)
+				due = append(due, row.p)
 			}
 		}
+		r.queueTimeouts(srcChain, due, nil, proofHeight)
 	})
 }
 
-// queueTimeout queues p's MsgTimeout on its source.
-func (r *Relayer) queueTimeout(src *endpoint, p *ibc.Packet, proof *merkle.RecordProof, proofHeight int64) {
-	src.outbox = append(src.outbox, outMsg{
-		msg: ibc.MsgTimeout{
-			Packet:          *p,
-			ProofUnreceived: proof,
-			ProofHeight:     proofHeight,
-			Relayer:         src.account,
-		},
-		packet:      p,
-		proofHeight: proofHeight,
-	})
+// queueTimeouts queues a MsgTimeout for each packet of due on its
+// source, with its absence proof from proofs under full proofs (nil
+// otherwise), cut from one array as buildRecvBatch's messages are.
+func (r *Relayer) queueTimeouts(src *endpoint, due []*ibc.Packet, proofs []*merkle.RecordProof, proofHeight int64) {
+	msgs := make([]ibc.MsgTimeout, len(due))
+	for i, p := range due {
+		msgs[i] = ibc.MsgTimeout{Packet: *p, ProofHeight: proofHeight, Relayer: src.account}
+		if proofs != nil {
+			msgs[i].ProofUnreceived = proofs[i]
+		}
+		src.outbox = append(src.outbox, outMsg{msg: &msgs[i], packet: p, proofHeight: proofHeight})
+	}
 }
 
 // proofHeightOn is the proof height of a message built now from an event

@@ -263,7 +263,7 @@ func TestTimeoutsSkipReceivedPackets(t *testing.T) {
 	st.CommitTx()
 	r.a.packets.row(2).submitted()
 	r.a.packets.row(4).submitted()
-	r.retryUnsettled(r.b, []outMsg{{msg: ibc.MsgRecvPacket{Packet: *packet(4)}, packet: packet(4)}})
+	r.retryUnsettled(r.b, []outMsg{{msg: &ibc.MsgRecvPacket{Packet: *packet(4)}, packet: packet(4)}})
 	if err := tb.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestReleaseRescansTheEventHeight(t *testing.T) {
 	tb := newTestbed(1, false)
 	r := New(tb.Sched, tb.RNG, Config{Name: "hermes-t", ClearIntervalBlocks: 1}, tb.Pair)
 	p := &ibc.Packet{Sequence: 1, SourcePort: "transfer", SourceChannel: r.a.channel, DestPort: "transfer", DestChannel: r.b.channel}
-	r.releaseBatch(r.b, []outMsg{{msg: ibc.MsgRecvPacket{Packet: *p}, packet: p, proofHeight: 9, origin: 4}}, nil)
+	r.releaseBatch(r.b, []outMsg{{msg: &ibc.MsgRecvPacket{Packet: *p}, packet: p, proofHeight: 9, origin: 4}}, nil)
 	if !slices.Equal(r.a.missed, []int64{4}) {
 		t.Fatalf("missed = %v, want [4]", r.a.missed)
 	}

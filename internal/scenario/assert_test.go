@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -172,8 +173,8 @@ func TestPlainTimeoutRefundsSender(t *testing.T) {
 			return
 		}
 		sent++
-		data, err := transfer.ParsePacketData(p.Data)
-		if err != nil {
+		var data transfer.PacketData
+		if err := json.Unmarshal(p.Data, &data); err != nil {
 			t.Fatal(err)
 		}
 		if got := src.App.Bank().Balance(data.Sender, data.Denom); got != start {
@@ -297,8 +298,8 @@ func TestRoundTripComesHome(t *testing.T) {
 	sent, vouchers := 0, map[string]bool{}
 	eachSent(dep, func(c *chain.Chain, p *ibc.Packet) {
 		sent++
-		data, err := transfer.ParsePacketData(p.Data)
-		if err != nil {
+		var data transfer.PacketData
+		if err := json.Unmarshal(p.Data, &data); err != nil {
 			t.Fatal(err)
 		}
 		if data.Receiver != data.Sender {

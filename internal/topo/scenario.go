@@ -279,11 +279,11 @@ func (d *Deployment) startLeg(rr *routeRun) {
 		gen.RoundTrip = true
 		if rr.hop > 0 {
 			prev, pl := rr.legs[rr.hop-1], rr.links[rr.hop-1]
-			held, _ := transfer.ReceivedDenom(ibc.Packet{
+			held, _ := transfer.ReceivedDenom(nil, ibc.Packet{
 				SourcePort: transfer.PortID, SourceChannel: pl.ChannelFrom(path[rr.hop-1]),
 				DestPort: transfer.PortID, DestChannel: pl.ChannelFrom(from),
-			}, prev.Denom)
-			gen.Carry(prev, held)
+			}, []byte(prev.Denom))
+			gen.Carry(prev, string(held))
 		}
 	}
 	d.submitAndAwait(rr, link, gen)

@@ -250,10 +250,13 @@ func (g *Generator) transferTx(account string, n int) (*app.Tx, uint64) {
 	if !g.RoundTrip {
 		receiver = g.receiverOf(account)
 	}
+	// One array holds the transaction's messages: a pointer into it boxes
+	// into app.Msg without an allocation of its own.
+	transfers := make([]transfer.MsgTransfer, n)
 	msgs := make([]app.Msg, n)
 	for j := range msgs {
 		g.nonce++
-		msgs[j] = transfer.MsgTransfer{
+		transfers[j] = transfer.MsgTransfer{
 			Sender:        account,
 			Receiver:      receiver,
 			Token:         app.Coin{Denom: g.Denom, Amount: 1},
@@ -263,6 +266,7 @@ func (g *Generator) transferTx(account string, n int) (*app.Tx, uint64) {
 			Memo:          g.Memo,
 			Nonce:         g.nonce,
 		}
+		msgs[j] = &transfers[j]
 	}
 	seq := g.nextSeq[account]
 	tx := app.NewTx(account, seq, g.nonce, msgs)

@@ -117,7 +117,7 @@ func TestPacketKeysFollowEventOrderAcrossChannels(t *testing.T) {
 	channels := []string{g.SourceChannel, second, second, g.SourceChannel, second}
 	msgs := make([]app.Msg, len(channels))
 	for i, ch := range channels {
-		msgs[i] = transfer.MsgTransfer{
+		msgs[i] = &transfer.MsgTransfer{
 			Sender: account, Receiver: "receiver", Token: app.Coin{Denom: "uatom", Amount: 1},
 			SourcePort: transfer.PortID, SourceChannel: ch, TimeoutHeight: 1000, Nonce: uint64(i),
 		}
