@@ -31,11 +31,20 @@ import (
 // full sweeps with more seeds.
 var benchOpts = experiments.Options{Seeds: 1}
 
+// must returns a driver's result and panics on its error, which fails
+// the benchmark.
+func must[R any](r R, err error) R {
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 func BenchmarkFig6TendermintThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Tendermint(experiments.Options{
+		res := must(experiments.Tendermint(experiments.Options{
 			Seeds: 1, Rates: []int{500, 3000, 9000}, Windows: 10,
-		})
+		}))
 		peak := 0.0
 		for _, d := range res.Fig6.Y {
 			if d.Mean > peak {
@@ -48,9 +57,9 @@ func BenchmarkFig6TendermintThroughput(b *testing.B) {
 
 func BenchmarkFig7BlockInterval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Tendermint(experiments.Options{
+		res := must(experiments.Tendermint(experiments.Options{
 			Seeds: 1, Rates: []int{500, 9000}, Windows: 10,
-		})
+		}))
 		last := res.Fig7.Y[len(res.Fig7.Y)-1]
 		b.ReportMetric(last.Mean, "interval-sec-at-9000rps")
 	}
@@ -58,9 +67,9 @@ func BenchmarkFig7BlockInterval(b *testing.B) {
 
 func BenchmarkTable1ExecutionSummary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Tendermint(experiments.Options{
+		res := must(experiments.Tendermint(experiments.Options{
 			Seeds: 1, Rates: []int{3000, 13000}, Windows: 10,
-		})
+		}))
 		row := res.Table1[len(res.Table1)-1]
 		b.ReportMetric(100*float64(row.Submitted)/float64(row.Requested), "submitted-pct-at-13000rps")
 	}
@@ -68,9 +77,9 @@ func BenchmarkTable1ExecutionSummary(b *testing.B) {
 
 func BenchmarkFig8SingleRelayer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiments.RelayerSweep(experiments.Options{
+		pts := must(experiments.RelayerSweep(experiments.Options{
 			Seeds: 1, Rates: []int{100, 140}, Windows: 30,
-		}, 1, false)
+		}, 1, false))
 		peak := 0.0
 		for _, p := range pts {
 			if p.Throughput.Mean > peak {
@@ -83,9 +92,9 @@ func BenchmarkFig8SingleRelayer(b *testing.B) {
 
 func BenchmarkFig9TwoRelayers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiments.RelayerSweep(experiments.Options{
+		pts := must(experiments.RelayerSweep(experiments.Options{
 			Seeds: 1, Rates: []int{140}, Windows: 30,
-		}, 2, false)
+		}, 2, false))
 		b.ReportMetric(pts[0].Throughput.Mean, "TFPS")
 		b.ReportMetric(pts[0].RedundantErrors, "redundant-errors")
 	}
@@ -93,9 +102,9 @@ func BenchmarkFig9TwoRelayers(b *testing.B) {
 
 func BenchmarkFig10CompletionOneRelayer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiments.RelayerSweep(experiments.Options{
+		pts := must(experiments.RelayerSweep(experiments.Options{
 			Seeds: 1, Rates: []int{220}, Windows: 30,
-		}, 1, false)
+		}, 1, false))
 		b.ReportMetric(pts[0].Completed, "completed")
 		b.ReportMetric(pts[0].Partial, "partial")
 		b.ReportMetric(pts[0].Initiated, "initiated")
@@ -104,9 +113,9 @@ func BenchmarkFig10CompletionOneRelayer(b *testing.B) {
 
 func BenchmarkFig11CompletionTwoRelayers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiments.RelayerSweep(experiments.Options{
+		pts := must(experiments.RelayerSweep(experiments.Options{
 			Seeds: 1, Rates: []int{220}, Windows: 30,
-		}, 2, false)
+		}, 2, false))
 		b.ReportMetric(pts[0].Completed, "completed")
 		b.ReportMetric(pts[0].Partial, "partial")
 	}
@@ -114,7 +123,7 @@ func BenchmarkFig11CompletionTwoRelayers(b *testing.B) {
 
 func BenchmarkFig12LatencyBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig12(5000, int64(42+i))
+		res := must(experiments.Fig12(5000, int64(42+i)))
 		b.ReportMetric(res.Total.Seconds(), "total-sec")
 		pulls := res.TransferDataPull + res.RecvDataPull
 		b.ReportMetric(100*pulls.Seconds()/res.Total.Seconds(), "datapull-pct")
@@ -123,7 +132,7 @@ func BenchmarkFig12LatencyBreakdown(b *testing.B) {
 
 func BenchmarkFig13SubmissionStrategies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig13(5000, []int{1, 16, 64}, int64(7+i))
+		rows := must(experiments.Fig13(5000, []int{1, 16, 64}, int64(7+i)))
 		b.ReportMetric(rows[0].Completion.Seconds(), "1-block-sec")
 		b.ReportMetric(rows[1].Completion.Seconds(), "16-block-sec")
 		b.ReportMetric(rows[2].Completion.Seconds(), "64-block-sec")
@@ -132,7 +141,7 @@ func BenchmarkFig13SubmissionStrategies(b *testing.B) {
 
 func BenchmarkGasPerMessageClass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.GasTable(int64(3 + i))
+		rows := must(experiments.GasTable(int64(3 + i)))
 		for _, r := range rows {
 			b.ReportMetric(float64(r.Measured), "gas-"+r.MsgType)
 		}
@@ -141,7 +150,7 @@ func BenchmarkGasPerMessageClass(b *testing.B) {
 
 func BenchmarkWebSocketLimit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.WebSocketLimit(int64(5+i), 1000, 60)
+		res := must(experiments.WebSocketLimit(int64(5+i), 1000, 60))
 		total := float64(res.Transfers)
 		b.ReportMetric(100*float64(res.Completed)/total, "completed-pct")
 		b.ReportMetric(100*float64(res.Stuck)/total, "stuck-pct")
@@ -492,11 +501,11 @@ func BenchmarkVoteFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioRunChecks measures what the assertions cost a run:
-// the two-peak benchmark workload through scenario.Run at seed 11, with
-// the default assertions (on: the per-commit checks and the quiescent
-// Check) and with no-stuck-packets alone (off: no per-commit watch, and
-// no quiescent conservation pass).
+// BenchmarkScenarioRunChecks measures what the per-commit checks cost a
+// run: the two-peak benchmark workload at seed 11 through scenario.Run
+// with the default assertions (on: the per-commit checks, then the
+// quiescent Check), and through Compile, RunDeployed and Check, the
+// benchmark's own path (off: the quiescent Check alone).
 func BenchmarkScenarioRunChecks(b *testing.B) {
 	data, err := os.ReadFile("bench/workloads/two-peak.json")
 	if err != nil {
@@ -506,25 +515,30 @@ func BenchmarkScenarioRunChecks(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name       string
-		assertions []string
-	}{
-		{"on", nil},
-		{"off", []string{scenario.AssertNoStuckPackets}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := spec
-			s.Assertions = bc.assertions
-			for i := 0; i < b.N; i++ {
-				rep, err := scenario.Run(s, 11, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Passed() {
-					b.Fatalf("violations: %v", rep.Violations)
-				}
+	b.Run("on", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rep, err := scenario.Run(spec, 11, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if !rep.Passed() {
+				b.Fatalf("violations: %v", rep.Violations)
+			}
+		}
+	})
+	b.Run("off", func(b *testing.B) {
+		sc, err := scenario.Compile(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			_, d, err := sc.RunDeployed(11)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if v := scenario.Check(d, nil); len(v) > 0 {
+				b.Fatalf("violations: %v", v)
+			}
+		}
+	})
 }

@@ -177,6 +177,8 @@ func TestSweepFlagErrors(t *testing.T) {
 		{[]string{"-experiment", "topo", "-topology", "two", "-rate", "1", "-seeds", "0", "-windows", "1"}, "-seeds"},
 		{[]string{"-experiment", "topo", "-topology", "two", "-rate", "1", "-seeds", "1", "-windows", "-2"}, "-windows"},
 		{[]string{"-experiment", "forward", "-topology", "line:3", "-rate", "-4", "-seeds", "1"}, "-rate"},
+		// A spec's seed 0 means its default, so a cell cannot run at 0.
+		{[]string{"-experiment", "gas", "-seed", "0"}, "-seed"},
 	} {
 		var out bytes.Buffer
 		err := runSweep(tc.args, &out)

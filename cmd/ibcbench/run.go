@@ -46,6 +46,29 @@ func loadSpec(path, name string) (scenario.Spec, error) {
 	}
 }
 
+// saveDoc writes v as an indented JSON document to outPath and archives
+// it into the store at storeDir, each when set; what names it.
+func saveDoc(v any, what, outPath, storeDir, kind string, trace []byte) error {
+	if outPath == "" && storeDir == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("marshal %s: %w", what, err)
+	}
+	data = append(data, '\n')
+	if outPath != "" {
+		if err := os.WriteFile(outPath, data, 0o644); err != nil {
+			return fmt.Errorf("write %s: %w", outPath, err)
+		}
+		fmt.Fprintf(os.Stderr, "%s written to %s\n", what, outPath)
+	}
+	if storeDir != "" {
+		return archiveRun(storeDir, kind, data, trace, os.Stderr)
+	}
+	return nil
+}
+
 // runScenarioCmd executes one declarative scenario:
 //
 //	ibcbench run -scenario spec.json [-seed N] [-out report.json] [-trace trace.json] [-store DIR]
@@ -105,23 +128,8 @@ func runScenarioCmd(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(os.Stderr, "trace (%d events) written to %s\n", o.Tracer.Len(), *tracePath)
 	}
-	if *outPath != "" || *storeDir != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return fmt.Errorf("marshal report: %w", err)
-		}
-		data = append(data, '\n')
-		if *outPath != "" {
-			if err := os.WriteFile(*outPath, data, 0o644); err != nil {
-				return fmt.Errorf("write %s: %w", *outPath, err)
-			}
-			fmt.Fprintf(os.Stderr, "report written to %s\n", *outPath)
-		}
-		if *storeDir != "" {
-			if err := archiveRun(*storeDir, "scenario", data, trace, os.Stderr); err != nil {
-				return err
-			}
-		}
+	if err := saveDoc(rep, "report", *outPath, *storeDir, "scenario", trace); err != nil {
+		return err
 	}
 	switch {
 	case *expect && rep.Passed():

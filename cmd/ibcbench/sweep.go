@@ -5,11 +5,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -30,7 +28,7 @@ func runSweep(args []string, w io.Writer) error {
 		seed       = fs.Int64("seed", 42, "base RNG seed")
 		topology   = fs.String("topology", "hub:4", "topo/forward/failover experiment graph: two|line:n|hub:n|mesh:n")
 		rate       = fs.Int("rate", 20, "per-edge input rate (rps) for topo/failover; transfers per route for forward")
-		regions    = fs.String("regions", "", "geo region preset for topo/failover deployments: 3wan (\"\" = the paper's uniform WAN)")
+		regions    = fs.String("regions", "", "geo region preset for topo/failover deployments: 3wan or lan (\"\" = the paper's uniform WAN)")
 		validators = fs.String("validators", "", "validator-set sizes: votescale sweeps the comma list (default 4,8,12,16,24,32); other topology experiments use the first value (\"\" = the paper's 5)")
 		forwarding = fs.Bool("forwarding", false, "run topo multi-hop routes through the packet-forward middleware instead of sequential legs")
 		out        = fs.String("out", "", "write every experiment's result as JSON to this file (cross-PR regression tracking)")
@@ -40,11 +38,12 @@ func runSweep(args []string, w io.Writer) error {
 		return err
 	}
 	// An out-of-range count is refused, never swapped for a default the
-	// -out header would misreport. -windows 0 is the paper default.
+	// -out header would misreport. -windows 0 is the paper default; a
+	// seed is at least 1, since a spec's seed 0 means its default seed.
 	for _, f := range []struct {
 		name     string
-		val, min int
-	}{{"transfers", *transfers, 1}, {"seeds", *seeds, 1}, {"windows", *windows, 0}, {"rate", *rate, 1}} {
+		val, min int64
+	}{{"transfers", int64(*transfers), 1}, {"seeds", int64(*seeds), 1}, {"windows", int64(*windows), 0}, {"rate", int64(*rate), 1}, {"seed", *seed, 1}} {
 		if f.val < f.min {
 			return fmt.Errorf("ibcbench: -%s %d: must be at least %d", f.name, f.val, f.min)
 		}
@@ -95,24 +94,8 @@ func runSweep(args []string, w io.Writer) error {
 			"rate": *rate, "regions": *regions, "forwarding": *forwarding,
 			"validators": *validators, "netem": netem.DefaultWAN(),
 		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return fmt.Errorf("marshal results: %w", err)
-		}
-		data = append(data, '\n')
-		if *out != "" {
-			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				return fmt.Errorf("write %s: %w", *out, err)
-			}
-			fmt.Fprintf(os.Stderr, "results written to %s\n", *out)
-		}
-		if *storeDir != "" {
-			if err := archiveRun(*storeDir, "experiment", data, nil, os.Stderr); err != nil {
-				return err
-			}
-		}
 	}
-	return nil
+	return saveDoc(report, "results", *out, *storeDir, "experiment", nil)
 }
 
 // parseValidatorList parses the -validators comma list ("" = nil).

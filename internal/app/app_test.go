@@ -252,6 +252,27 @@ func TestTxSize(t *testing.T) {
 	}
 }
 
+// proveKey proves string key k present at height h, through the live
+// tree and at the latest committed height only, the way State proves a
+// table's leaf; the proof is nil when k is absent. No run proves a
+// string key on its own.
+func proveKey(s *State, h int64, k []byte) ([]byte, *merkle.MembershipProof, error) {
+	if err := s.provable(h); err != nil {
+		return nil, nil, err
+	}
+	v, p, _ := s.live.ProveMembership(k)
+	return v, p, nil
+}
+
+// proveKeyAbsent is proveKey's absence proof; nil when k is present.
+func proveKeyAbsent(s *State, h int64, k []byte) (*merkle.NonMembershipProof, error) {
+	if err := s.provable(h); err != nil {
+		return nil, err
+	}
+	p, _ := s.live.ProveNonMembership(k)
+	return p, nil
+}
+
 func TestStateSnapshotAndProofs(t *testing.T) {
 	s := NewState(true)
 	s.Set([]byte("a"), []byte("1"))
@@ -268,14 +289,14 @@ func TestStateSnapshotAndProofs(t *testing.T) {
 		t.Fatal("roots did not change")
 	}
 
-	nm, err := s.ProveNonMembership(2, []byte("a"))
+	nm, err := proveKeyAbsent(s, 2, []byte("a"))
 	if err != nil || nm == nil {
 		t.Fatalf("deleted key not provably absent at height 2: %v", err)
 	}
 	if err := merkle.VerifyNonMembership(root2, []byte("a"), nm); err != nil {
 		t.Fatalf("absence proof of a: %v", err)
 	}
-	v, p, err := s.ProveMembership(2, []byte("b"))
+	v, p, err := proveKey(s, 2, []byte("b"))
 	if err != nil || string(v) != "3" {
 		t.Fatalf("b at height 2 = %q, %v", v, err)
 	}
@@ -288,7 +309,7 @@ func TestStateSnapshotAndProofs(t *testing.T) {
 // a height not yet committed and a state with no commit are all refused.
 func TestProofsOnlyAtLatestHeight(t *testing.T) {
 	s := NewState(true)
-	if _, _, err := s.ProveMembership(0, []byte("a")); err == nil {
+	if _, _, err := proveKey(s, 0, []byte("a")); err == nil {
 		t.Fatal("a state with no commit served a proof")
 	}
 	for h := int64(1); h <= 3; h++ {
@@ -297,14 +318,14 @@ func TestProofsOnlyAtLatestHeight(t *testing.T) {
 		s.Commit(h)
 	}
 	for _, h := range []int64{0, 1, 2, 4} {
-		if _, _, err := s.ProveMembership(h, []byte("a")); err == nil {
+		if _, _, err := proveKey(s, h, []byte("a")); err == nil {
 			t.Errorf("membership proof served at height %d, latest 3", h)
 		}
-		if _, err := s.ProveNonMembership(h, []byte("b")); err == nil {
+		if _, err := proveKeyAbsent(s, h, []byte("b")); err == nil {
 			t.Errorf("non-membership proof served at height %d, latest 3", h)
 		}
 	}
-	if v, p, err := s.ProveMembership(3, []byte("a")); err != nil || p == nil || string(v) != "3" {
+	if v, p, err := proveKey(s, 3, []byte("a")); err != nil || p == nil || string(v) != "3" {
 		t.Fatalf("a at the latest height = %q, %v, %v", v, p, err)
 	}
 }
@@ -320,15 +341,15 @@ func TestRepeatedProofIsShared(t *testing.T) {
 	}
 	s.CommitTx()
 	root1 := s.Commit(1)
-	v1, p1, _ := s.ProveMembership(1, []byte("c"))
-	if _, again, _ := s.ProveMembership(1, []byte("c")); again != p1 || p1 == nil {
+	v1, p1, _ := proveKey(s, 1, []byte("c"))
+	if _, again, _ := proveKey(s, 1, []byte("c")); again != p1 || p1 == nil {
 		t.Fatalf("second proof of c at height 1 is %p, first %p", again, p1)
 	}
 
 	s.Set([]byte("d"), []byte("changed"))
 	s.CommitTx()
 	root2 := s.Commit(2)
-	v2, p2, _ := s.ProveMembership(2, []byte("c"))
+	v2, p2, _ := proveKey(s, 2, []byte("c"))
 	if p2 == p1 {
 		t.Fatal("a Commit that changed the tree kept the old proof")
 	}
@@ -441,7 +462,7 @@ func TestLiveProofAllocs(t *testing.T) {
 			s.Set(other, vals[h%2])
 			s.CommitTx()
 			s.Commit(h)
-			s.ProveMembership(h, key)
+			proveKey(s, h, key)
 		})
 		if got > 2 {
 			t.Fatalf("n=%d: a proof at a new live height took %.0f allocations, want <= 2", n, got)
@@ -525,10 +546,10 @@ func TestStateRootChainsWithoutProofs(t *testing.T) {
 	if r1 == r2 {
 		t.Fatal("empty commit left root unchanged")
 	}
-	if _, _, err := s.ProveMembership(1, []byte("a")); err == nil {
+	if _, _, err := proveKey(s, 1, []byte("a")); err == nil {
 		t.Fatal("performance mode served a membership proof")
 	}
-	if _, err := s.ProveNonMembership(1, []byte("b")); err == nil {
+	if _, err := proveKeyAbsent(s, 1, []byte("b")); err == nil {
 		t.Fatal("performance mode served a non-membership proof")
 	}
 }

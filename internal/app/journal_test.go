@@ -442,7 +442,7 @@ func checkLatest(t *testing.T, s *State, n *naiveState, fullProofs bool) {
 	t.Helper()
 	h := n.height
 	if !fullProofs {
-		if _, _, err := s.ProveMembership(h, []byte("a/k00")); err == nil {
+		if _, _, err := proveKey(s, h, []byte("a/k00")); err == nil {
 			t.Fatal("performance mode served a proof")
 		}
 		r, seq, _ := fuzzRecords(nil, fuzzKey(8))
@@ -466,8 +466,8 @@ func checkLatest(t *testing.T, s *State, n *naiveState, fullProofs bool) {
 		}
 		checkProof(t, s, ref, h, k)
 		checkProof(t, s, ref, h, k+"!")
-		_, first, _ := s.ProveMembership(h, []byte(k))
-		v, again, _ := s.ProveMembership(h, []byte(k))
+		_, first, _ := proveKey(s, h, []byte(k))
+		v, again, _ := proveKey(s, h, []byte(k))
 		if again != first {
 			t.Fatalf("height %d key %q: a repeated proof is a new one", h, k)
 		}
@@ -479,7 +479,7 @@ func checkLatest(t *testing.T, s *State, n *naiveState, fullProofs bool) {
 	}
 	checkRecord(t, s, n, ref, h, "r/t0/1000")
 	checkRecord(t, s, n, ref, h, "r/t1/1000")
-	if _, _, err := s.ProveMembership(h-1, []byte(fuzzKey(0))); err == nil {
+	if _, _, err := proveKey(s, h-1, []byte(fuzzKey(0))); err == nil {
 		t.Fatalf("height %d served a proof at %d", h, h-1)
 	}
 }
@@ -551,11 +551,11 @@ func checkRecord(t *testing.T, s *State, n *naiveState, ref *merkle.Tree, h int6
 // be nil.
 func checkProof(t *testing.T, s *State, ref *merkle.Tree, h int64, k string) {
 	t.Helper()
-	v, mp, err := s.ProveMembership(h, []byte(k))
+	v, mp, err := proveKey(s, h, []byte(k))
 	if err != nil {
 		t.Fatalf("ProveMembership(%d, %q) at version %d: %v", h, k, s.Version(), err)
 	}
-	nm, err := s.ProveNonMembership(h, []byte(k))
+	nm, err := proveKeyAbsent(s, h, []byte(k))
 	if err != nil {
 		t.Fatalf("ProveNonMembership(%d, %q) at version %d: %v", h, k, s.Version(), err)
 	}

@@ -474,30 +474,6 @@ func (s *State) Written() []Write { return s.written }
 // Version returns the latest committed height (0 if none).
 func (s *State) Version() int64 { return s.version }
 
-// ProveMembership returns string key's value at the latest committed
-// height and its proof against that height's root; the proof is nil when
-// the key is absent. Until the next Commit that changes the tree, every request for
-// a key gets the same proof, which no one may write to. Only available
-// with full proofs enabled, and only at Version().
-func (s *State) ProveMembership(height int64, key []byte) ([]byte, *merkle.MembershipProof, error) {
-	if err := s.provable(height); err != nil {
-		return nil, nil, err
-	}
-	v, p, _ := s.live.ProveMembership(key)
-	return v, p, nil
-}
-
-// ProveNonMembership proves string key absent at the latest committed
-// height; the proof is nil when the key is present. Only available with
-// full proofs enabled, and only at Version().
-func (s *State) ProveNonMembership(height int64, key []byte) (*merkle.NonMembershipProof, error) {
-	if err := s.provable(height); err != nil {
-		return nil, err
-	}
-	p, _ := s.live.ProveNonMembership(key)
-	return p, nil
-}
-
 // ProveRecord returns record seq of r's table at the latest committed
 // height and its two-level proof against that height's root (see
 // merkle.VerifyRecord); the proof is nil when the record is absent.

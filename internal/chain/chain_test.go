@@ -23,7 +23,8 @@ func harness(t *testing.T) (*sim.Scheduler, *netem.Network) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(1)
-	return sched, netem.New(sched, rng, netem.DefaultLAN())
+	lan := netem.Config{OneWayLatency: 200 * time.Microsecond, LoopbackLatency: 50 * time.Microsecond, JitterRelStd: 0.05}
+	return sched, netem.New(sched, rng, lan)
 }
 
 func TestNewAssemblesComponents(t *testing.T) {

@@ -66,7 +66,7 @@ func Failover(opt Options, spec string, rate int) (FailoverResult, error) {
 		specs[i] = failoverSpec(opt, spec, rate, w)
 	}
 	seedOf := func(w, i int) int64 { return int64(9000*(w+1) + i) }
-	perWin, err := specGrid(opt, "failover "+spec, specs, seedOf)
+	perWin, err := specGrid(opt, "failover "+spec, specs, seedOf, result)
 	if err != nil {
 		return FailoverResult{}, err
 	}
@@ -146,4 +146,5 @@ func (r FailoverResult) Render(w io.Writer) {
 			row.Window, q(0.25).Round(time.Second), q(0.5).Round(time.Second),
 			q(0.75).Round(time.Second), c[len(c)-1].Round(time.Second))
 	}
+	fmt.Fprintln(w) // the blank line that ends a sweep section
 }

@@ -55,7 +55,7 @@ func ForwardingComparison(opt Options, spec string, transfers int) (ForwardingRe
 		specs[h] = forwardingSpec(opt, spec, path, transfers)
 	}
 	seedOf := func(h, i int) int64 { return int64(1000*(h+1) + i) }
-	perHop, err := specGrid(opt, "forwarding "+spec, specs, seedOf)
+	perHop, err := specGrid(opt, "forwarding "+spec, specs, seedOf, result)
 	if err != nil {
 		return ForwardingResult{}, err
 	}
@@ -140,6 +140,7 @@ func (r ForwardingResult) Render(w io.Writer) {
 			fmtMeanSec(row.Sequential), fmtMeanSec(row.Forwarded),
 			row.Speedup, row.SeqCompleted, row.FwdCompleted)
 	}
+	fmt.Fprintln(w) // the blank line that ends a sweep section
 }
 
 func fmtMeanSec(d metrics.Dist) string {

@@ -23,7 +23,13 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		opt.Rates = []int{60}
 		opt.Windows = 8
 	}
-	sweep := func() string { return fmt.Sprintf("%+v", RelayerSweep(opt, 1, false)) }
+	sweep := func() string {
+		pts, err := RelayerSweep(opt, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v", pts)
+	}
 	serial, parallel := atProcs(1, sweep), atProcs(4, sweep)
 	if serial != parallel {
 		t.Fatalf("relayer sweep diverged:\nserial:   %s\nparallel: %s", serial, parallel)
@@ -34,7 +40,13 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		return
 	}
 	opt.Rates, opt.Windows = []int{500, 2000}, 5
-	sweep = func() string { return fmt.Sprintf("%+v", Tendermint(opt)) }
+	sweep = func() string {
+		res, err := Tendermint(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v", res)
+	}
 	serial, parallel = atProcs(1, sweep), atProcs(4, sweep)
 	if serial != parallel {
 		t.Fatalf("tendermint sweep diverged:\nserial:   %s\nparallel: %s", serial, parallel)

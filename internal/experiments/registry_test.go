@@ -25,7 +25,7 @@ func TestRegistryOrderAndShape(t *testing.T) {
 		if e.Desc == "" {
 			t.Errorf("entry %q: empty description", e.Name)
 		}
-		if e.Run == nil {
+		if e.run == nil {
 			t.Errorf("entry %q: nil driver", e.Name)
 		}
 		if len(e.Selectors) == 0 {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -99,7 +98,7 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := func(sc topo.Scenario) string {
-				res, err := sc.Run(c.seed)
+				res, _, err := sc.RunDeployed(c.seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,15 +116,17 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 }
 
 // TestGrid pins the sweep loop the drivers share: cells run
-// variant-major in seed order, results come back grouped by variant, and
-// the first failing cell in input order is the one reported.
+// variant-major in seed order through scenario.Run, results come back
+// grouped by variant, and the first cell in input order that fails, to
+// run or on one of its assertions, is the one reported.
 func TestGrid(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // a 4-wide pool
 	opt := Options{Seeds: 3}
 	seedOf := func(v, i int) int64 { return int64(100*(v+1) + i) }
-	got, err := grid(opt, "demo", 2, seedOf, func(v int, seed int64) (string, error) {
-		return fmt.Sprintf("v%d/s%d", v, seed), nil
-	})
+	settled := testbedSpec("settled", scenario.WorkloadSpec{Transfers: 1, Windows: 1})
+	settled.Until = scenario.Duration(time.Minute)
+	label := func(v int, rep *scenario.Report) string { return fmt.Sprintf("v%d/s%d", v, rep.Result.Seed) }
+	got, err := specGrid(opt, "demo", []scenario.Spec{settled, settled}, seedOf, label)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +134,84 @@ func TestGrid(t *testing.T) {
 		t.Fatalf("grid = %v, want %s", got, want)
 	}
 
-	boom := errors.New("boom")
-	_, err = grid(opt, "demo", 2, seedOf, func(v int, seed int64) (string, error) {
-		if seed == 102 || seed == 201 {
-			return "", boom
+	// Stopped before its one packet is relayed: no-stuck-packets fails on
+	// every cell of variant 1, and the first of them is reported.
+	stuck := settled
+	stuck.Until = scenario.Duration(6 * time.Second)
+	_, err = specGrid(opt, "demo", []scenario.Spec{settled, stuck}, seedOf, label)
+	if err == nil || !strings.Contains(err.Error(), "demo (cell 3, seed 200)") || !strings.Contains(err.Error(), scenario.AssertNoStuckPackets) {
+		t.Fatalf("grid error = %v, want the first violating cell (3, seed 200) naming %s", err, scenario.AssertNoStuckPackets)
+	}
+	nameless := settled
+	nameless.Name = ""
+	if _, err = specGrid(opt, "demo", []scenario.Spec{nameless}, seedOf, label); err == nil || !strings.Contains(err.Error(), "demo (cell 0, seed 100)") {
+		t.Fatalf("grid error = %v, want the invalid spec's first cell (0, seed 100)", err)
+	}
+}
+
+// TestCellSpecsRoundTrip: every cell spec each registry entry builds, at
+// the sweep's defaults, encodes, parses back to the same bytes and
+// compiles, so any cell can be written out and rerun with `ibcbench run
+// -scenario`.
+func TestCellSpecsRoundTrip(t *testing.T) {
+	opt := Options{Seeds: 1}
+	hub4 := topo.Hub(4)
+	var tendermint, fig13, forward, failover, votescale []scenario.Spec
+	for _, rate := range DefaultTendermintRates {
+		tendermint = append(tendermint, tendermintSpec(rate, opt.windows(15)))
+	}
+	relayers := func(n int, lan bool) (out []scenario.Spec) {
+		for _, rate := range DefaultRelayerRates {
+			out = append(out, relayerSpec(rate, opt.windows(50), n, lan))
 		}
-		return "", nil
-	})
-	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "demo (cell 2, seed 102)") {
-		t.Fatalf("grid error = %v, want the first failing cell (2, seed 102) wrapping boom", err)
+		return out
+	}
+	for _, blocks := range DefaultStrategies {
+		fig13 = append(fig13, burstSpec(5000, blocks))
+	}
+	for _, path := range hopPaths(hub4) {
+		forward = append(forward, forwardingSpec(opt, "hub:4", path, 20))
+	}
+	for _, w := range DefaultFaultWindows {
+		failover = append(failover, failoverSpec(opt, "hub:4", 20, w))
+	}
+	for _, v := range DefaultVoteScaleSizes {
+		votescale = append(votescale, voteScaleSpec(opt, "hub:4", 20, v))
+	}
+	cells := map[string][]scenario.Spec{
+		"tendermint": tendermint,
+		"fig8":       relayers(1, false),
+		"fig8-lan":   relayers(1, true),
+		"fig9":       relayers(2, false),
+		"fig9-lan":   relayers(2, true),
+		"fig12":      {burstSpec(5000, 1)},
+		"fig13":      fig13,
+		"gas":        {gasSpec()},
+		"topo":       {topologySpec(opt, hub4, "hub:4", 20, false), topologySpec(opt, hub4, "hub:4", 20, true)},
+		"forward":    forward,
+		"failover":   failover,
+		"votescale":  votescale,
+		"ws":         {wsSpec(1000, 60)},
+	}
+	for _, e := range Registry() {
+		if len(cells[e.Name]) == 0 {
+			t.Errorf("registry entry %q: no cell specs listed here", e.Name)
+		}
+		for _, s := range cells[e.Name] {
+			enc, err := scenario.Encode(s)
+			if err != nil {
+				t.Fatalf("%s: encode %s: %v", e.Name, s.Name, err)
+			}
+			back, err := scenario.Parse(enc)
+			if err != nil {
+				t.Fatalf("%s: re-parse %s: %v\n%s", e.Name, s.Name, err, enc)
+			}
+			if again, _ := scenario.Encode(back); string(again) != string(enc) {
+				t.Errorf("%s: %s does not round-trip:\n%s\n%s", e.Name, s.Name, enc, again)
+			}
+			if _, err := scenario.Compile(back); err != nil {
+				t.Errorf("%s: compile %s: %v", e.Name, s.Name, err)
+			}
+		}
 	}
 }

@@ -32,7 +32,7 @@ type TopologyResult struct {
 // three or more chains — one multi-hop route between the two
 // lowest-indexed non-adjacent leaves, run as sequential transfers or,
 // when forwarded, through the packet-forward middleware. Seeds run as
-// whole runs side by side on scenario.ParallelMap (see grid).
+// whole runs side by side on scenario.ParallelMap (see specGrid).
 func TopologySweep(opt Options, spec string, rate int, forwarded bool) (TopologyResult, error) {
 	tp, err := topo.ParseSpec(spec)
 	if err != nil {
@@ -41,20 +41,15 @@ func TopologySweep(opt Options, spec string, rate int, forwarded bool) (Topology
 	if rate <= 0 {
 		return TopologyResult{}, fmt.Errorf("experiments: topology sweep needs a per-edge rate >= 1 (got %d)", rate)
 	}
-	sc, err := scenario.Compile(topologySpec(opt, tp, spec, rate, forwarded))
-	if err != nil {
-		return TopologyResult{}, err
-	}
 	seedOf := func(_, i int) int64 { return int64(100*rate + i) }
-	runs, err := grid(opt, "topo "+spec, 1, seedOf, func(_ int, seed int64) (*topo.Result, error) {
-		return sc.Run(seed)
-	})
+	specs := []scenario.Spec{topologySpec(opt, tp, spec, rate, forwarded)}
+	runs, err := specGrid(opt, "topo "+spec, specs, seedOf, result)
 	if err != nil {
 		return TopologyResult{}, err
 	}
 	out := TopologyResult{Spec: spec, Rate: rate, Seeds: opt.seeds(), Sample: runs[0][0]}
 	var tputs []float64
-	perEdge := make([][]float64, len(sc.Topology.Edges))
+	perEdge := make([][]float64, len(tp.Edges))
 	for _, res := range runs[0] {
 		tputs = append(tputs, res.Throughput)
 		out.RoutesCompleted += res.RoutesCompleted
@@ -98,7 +93,7 @@ func demoRoute(tp topo.Topology) []int {
 	return nil
 }
 
-// Render writes the sweep summary.
+// Render writes the sweep summary as a section of the sweep output.
 func (r TopologyResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# topology %s: %d rps per edge, %d seeds\n", r.Spec, r.Rate, r.Seeds)
 	fmt.Fprintf(w, "aggregate TFPS: %s\n", r.Throughput)
@@ -113,4 +108,5 @@ func (r TopologyResult) Render(w io.Writer) {
 		fmt.Fprintf(w, "--- sample run (seed %d) ---\n", r.Sample.Seed)
 		r.Sample.Render(w)
 	}
+	fmt.Fprintln(w) // the blank line that ends a sweep section
 }

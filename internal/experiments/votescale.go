@@ -56,7 +56,7 @@ func VoteScale(opt Options, spec string, rate int, sizes []int) (VoteScaleResult
 		specs[i] = voteScaleSpec(opt, spec, rate, v)
 	}
 	seedOf := func(v, i int) int64 { return int64(700*(v+1) + i) }
-	perSize, err := specGrid(opt, "votescale "+spec, specs, seedOf)
+	perSize, err := specGrid(opt, "votescale "+spec, specs, seedOf, result)
 	if err != nil {
 		return VoteScaleResult{}, err
 	}
@@ -106,4 +106,5 @@ func (r VoteScaleResult) Render(w io.Writer) {
 			fmt.Sprintf("%.1f [%.1f..%.1f]", row.Latency.Mean, row.Latency.Min, row.Latency.Max),
 			fmt.Sprintf("%.0f (n=%d)", row.Completed.Mean, row.Completed.N))
 	}
+	fmt.Fprintln(w) // the blank line that ends a sweep section
 }

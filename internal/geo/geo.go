@@ -6,10 +6,11 @@
 // The paper's testbed enforces one uniform 200 ms RTT between all
 // machines (§III-C); real interchain deployments span continents, so
 // chains, validators and relayers placed in different regions should see
-// heterogeneous paths. The one preset, ThreeRegionWAN, spans eu-west,
-// us-east and ap-south with asymmetric paths; no model at all is the
-// paper's uniform testbed. A table sets latency only: jitter and drop
-// stay the network config's on every path.
+// heterogeneous paths. ThreeRegionWAN spans eu-west, us-east and
+// ap-south with asymmetric paths; LAN puts every host in one region, the
+// paper's LAN runs; no model at all is the paper's uniform testbed. A
+// table sets latency only: jitter and drop stay the network config's on
+// every path.
 package geo
 
 import (
@@ -66,16 +67,28 @@ func ThreeRegionWAN() *Model {
 	}
 }
 
-// ParseSpec parses a CLI region preset: "3wan" (three-region WAN). Empty
-// and "none" return nil (no region model).
+// LAN is the paper's local-area baseline (§IV): every host in one
+// region, 200 µs apart, its "<0.5 ms" observation.
+func LAN() *Model {
+	return &Model{
+		Name:    "lan",
+		Regions: []Region{"lan"},
+		OneWay:  [][]time.Duration{{200 * time.Microsecond}},
+	}
+}
+
+// ParseSpec parses a CLI region preset: "3wan" (three-region WAN) or
+// "lan" (one LAN region). Empty and "none" return nil (no region model).
 func ParseSpec(s string) (*Model, error) {
 	switch strings.TrimSpace(strings.ToLower(s)) {
 	case "", "none":
 		return nil, nil
 	case "3wan":
 		return ThreeRegionWAN(), nil
+	case "lan":
+		return LAN(), nil
 	default:
-		return nil, fmt.Errorf("geo: unknown region preset %q (want 3wan or none)", s)
+		return nil, fmt.Errorf("geo: unknown region preset %q (want 3wan, lan or none)", s)
 	}
 }
 

@@ -69,13 +69,17 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("%q parsed as %s", spec, m.Name)
 		}
 	}
+	// "lan" is the paper's LAN baseline: one region, RTT under 0.5 ms.
+	if m, err := ParseSpec("lan"); err != nil || m.Name != "lan" || len(m.Regions) != 1 || 2*m.OneWay[0][0] >= 500*time.Microsecond {
+		t.Fatalf("lan parsed as %+v (%v), want one region with an RTT under 0.5ms", m, err)
+	}
 	for _, spec := range []string{"", "none"} {
 		if m, err := ParseSpec(spec); err != nil || m != nil {
 			t.Fatalf("%q should parse to no model (got %v, %v)", spec, m, err)
 		}
 	}
 	// The hub-and-spoke and uniform presets and the long 3wan alias are
-	// gone: 3wan is the one region model.
+	// gone: 3wan is the one multi-region model.
 	for _, spec := range []string{"mars", "hubspoke", "uniform:1", "hubspoke:x", "uniform:257", "hubspoke:99999999",
 		"hubspoke:3", "uniform:2", "three-region-wan"} {
 		if _, err := ParseSpec(spec); err == nil {

@@ -591,6 +591,12 @@ func TestForgedProofRejected(t *testing.T) {
 	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 1000})
 	b.app.CreateAccount("bob")
 	linkChains(t, a, b)
+	a.mustDeliver("alice", &transfer.MsgTransfer{
+		Sender: "alice", Receiver: "bob",
+		Token:      app.Coin{Denom: "uatom", Amount: 10},
+		SourcePort: "transfer", SourceChannel: "channel-0",
+		TimeoutHeight: a.height + 1000,
+	})
 	// Forge a packet that A never committed.
 	packet := ibc.Packet{
 		Sequence: 9, SourcePort: "transfer", SourceChannel: "channel-0",
@@ -599,10 +605,10 @@ func TestForgedProofRejected(t *testing.T) {
 		TimeoutHeight: 100000,
 	}
 	updateClientTo(b, a, a.height+1)
-	// Use a proof for an unrelated key as the table level.
-	_, wrongProof, _ := a.app.State().ProveMembership(a.height, []byte(ibc.ConnectionKey("connection-0")))
+	// Present the proof of the packet A did commit, sequence 1.
+	_, wrongProof := a.prove(a.height+1, app.Commitment, "channel-0", 1)
 	errs := b.deliver("relayer", &ibc.MsgRecvPacket{
-		Packet: packet, ProofCommitment: &merkle.RecordProof{Table: wrongProof}, ProofHeight: a.height + 1,
+		Packet: packet, ProofCommitment: wrongProof, ProofHeight: a.height + 1,
 	})
 	if errs == nil {
 		t.Fatal("forged packet accepted")

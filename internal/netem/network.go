@@ -53,15 +53,6 @@ func DefaultWAN() Config {
 	}
 }
 
-// DefaultLAN reproduces the paper's "<0.5 ms" local-area baseline runs.
-func DefaultLAN() Config {
-	return Config{
-		OneWayLatency:   200 * time.Microsecond,
-		LoopbackLatency: 50 * time.Microsecond,
-		JitterRelStd:    0.05,
-	}
-}
-
 // linkState is the resolved per-pair state: the base latency, any chaos
 // overlay and the partition flag. One struct — and therefore one map
 // lookup — covers everything Send needs to know about a pair.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/simconf"
 	"ibcbench/internal/tendermint/rpc"
 	"ibcbench/internal/workload"
 )
@@ -53,5 +54,67 @@ func TestClearRecoversDroppedFrames(t *testing.T) {
 	// independent draw order the parallel runner relies on).
 	if first, last := lat[0], lat[len(lat)-1]; first != 29792861428*time.Nanosecond || last != 30143147904*time.Nanosecond {
 		t.Fatalf("completion span = [%v, %v], want [29.792861428s, 30.143147904s]", first, last)
+	}
+}
+
+// TestLostHeightsLedger pins the clearing ledger the per-commit check
+// reads: a queued height is safe while a pass is pending or its query
+// is in flight, and lost once neither holds and it was never re-scanned;
+// a relayer that does not clear, or is stopped, reports nothing, and
+// Resume gives what a stop left queued a pass.
+func TestLostHeightsLedger(t *testing.T) {
+	tb := newTestbed(5, false)
+	r := New(tb.Sched, tb.RNG, Config{Name: "hermes-ledger", ClearIntervalBlocks: 1}, tb.Pair)
+	if lost := r.LostHeights("ibc-0"); lost != nil {
+		t.Fatalf("fresh relayer lost %v", lost)
+	}
+	r.a.queue(7)
+	if lost := r.LostHeights("ibc-0"); len(lost) != 1 || lost[0] != 7 {
+		t.Fatalf("queued height with no pass pending: lost = %v, want [7]", lost)
+	}
+	if lost := r.LostHeights("ibc-1"); lost != nil {
+		t.Fatalf("ibc-1 lost %v, queued nothing", lost)
+	}
+	r.scheduleClear(r.a, r.b)
+	if lost := r.LostHeights("ibc-0"); lost != nil {
+		t.Fatalf("queued height with a pass pending: lost = %v", lost)
+	}
+	// The pass takes the height off the list and queries it: still safe.
+	if err := tb.Run(simconf.MinBlockInterval); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.a.missed) != 0 || r.a.querying[7] != 1 {
+		t.Fatalf("after the pass: missed %v, querying %v", r.a.missed, r.a.querying)
+	}
+	if lost := r.LostHeights("ibc-0"); lost != nil {
+		t.Fatalf("height queried now: lost = %v", lost)
+	}
+	// A query answered without a re-scan or a requeue is a loss (the
+	// planted defect: drop the ledger's query and leave the height).
+	delete(r.a.querying, 7)
+	if lost := r.LostHeights("ibc-0"); len(lost) != 1 {
+		t.Fatalf("dropped query: lost = %v, want height 7", lost)
+	}
+	// A pass that falls due while the relayer is stopped does not run;
+	// Resume schedules another for what is still queued.
+	r.Stop()
+	if lost := r.LostHeights("ibc-0"); lost != nil {
+		t.Fatalf("stopped relayer: lost = %v", lost)
+	}
+	r.b.queue(9)
+	r.scheduleClear(r.b, r.a)
+	if err := tb.Run(tb.Sched.Now() + simconf.MinBlockInterval); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.b.missed) != 1 || r.b.passes != 0 {
+		t.Fatalf("pass while stopped: missed %v, passes %d", r.b.missed, r.b.passes)
+	}
+	r.Resume()
+	if lost := r.LostHeights("ibc-1"); lost != nil {
+		t.Fatalf("after Resume: lost = %v, want a pass pending", lost)
+	}
+	r.cfg.ClearIntervalBlocks = 0
+	if lost := r.LostHeights("ibc-0"); lost != nil {
+		t.Fatalf("relayer that does not clear: lost = %v", lost)
 	}
 }

@@ -107,6 +107,11 @@ type endpoint struct {
 	packets packetTable
 
 	missed []int64 // heights of this chain queued for the clearing pass
+	// The ledger LostHeights reads: heights queued and not re-scanned,
+	// pass queries in flight per height, and passes scheduled.
+	uncleared map[int64]bool
+	querying  map[int64]int
+	passes    int
 
 	outbox   []outMsg // built messages awaiting submission
 	flushing bool     // guards the sequential submission loop
@@ -241,8 +246,17 @@ func (r *Relayer) Start() {
 // Stop makes the relayer ignore all future events (crash injection).
 func (r *Relayer) Stop() { r.stopped = true }
 
-// Resume restarts a stopped relayer.
-func (r *Relayer) Resume() { r.stopped = false }
+// Resume restarts a stopped relayer. A clearing pass that came due
+// while it was stopped did not run, so the heights still queued get a
+// new one, as Hermes clears on start.
+func (r *Relayer) Resume() {
+	r.stopped = false
+	for _, e := range [2]*endpoint{r.a, r.b} {
+		if len(e.missed) > 0 && e.passes == 0 {
+			r.scheduleClear(e, r.counterpartOf(e))
+		}
+	}
+}
 
 // Stopped reports whether the relayer is currently paused — a crashed
 // process answers no health probes (failover supervisors ping this).
@@ -261,7 +275,7 @@ func (r *Relayer) onFrame(src, dst *endpoint, frame *rpc.EventFrame) {
 		// the shared event index makes the re-scan one indexed query per
 		// height instead of a per-relayer decode.
 		for h := src.height + 1; h < frame.Height; h++ {
-			src.missed = append(src.missed, h)
+			src.queue(h)
 		}
 		r.scheduleClear(src, dst)
 	}
@@ -274,7 +288,7 @@ func (r *Relayer) onFrame(src, dst *endpoint, frame *rpc.EventFrame) {
 		// "Failed to collect events": the block's packets are invisible.
 		r.stats.FramesLost++
 		if r.cfg.ClearIntervalBlocks > 0 {
-			src.missed = append(src.missed, frame.Height)
+			src.queue(frame.Height)
 			r.scheduleClear(src, dst)
 		}
 	}
@@ -863,7 +877,7 @@ func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg, upd []int64) {
 		// A recv or an ack was built from an event on the counterparty (a
 		// timeout has no origin); re-scan its height.
 		if r.cfg.ClearIntervalBlocks > 0 && m.origin > 0 {
-			src.missed = append(src.missed, m.origin)
+			src.queue(m.origin)
 			requeued = true
 		}
 	}
@@ -872,10 +886,21 @@ func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg, upd []int64) {
 	}
 }
 
+// queue puts height h of this chain on the clearing pass's list.
+func (e *endpoint) queue(h int64) {
+	e.missed = append(e.missed, h)
+	if e.uncleared == nil {
+		e.uncleared = make(map[int64]bool)
+	}
+	e.uncleared[h] = true
+}
+
 // scheduleClear arranges a packet-clear pass over missed heights.
 func (r *Relayer) scheduleClear(src, dst *endpoint) {
 	interval := time.Duration(r.cfg.ClearIntervalBlocks) * simconf.MinBlockInterval
+	src.passes++
 	r.sched.After(interval, func() {
+		src.passes--
 		if r.stopped {
 			return
 		}
@@ -898,21 +923,33 @@ func (r *Relayer) scheduleClear(src, dst *endpoint) {
 				continue
 			}
 			seen[h] = true
+			if src.querying == nil {
+				src.querying = make(map[int64]int)
+			}
+			src.querying[h]++
 			src.rpc.QueryBlockEvents(r.host, h, func(be *eventindex.BlockEvents, err error) {
+				if src.querying[h]--; src.querying[h] == 0 {
+					delete(src.querying, h)
+				}
 				if err != nil {
 					// A lost query or reply: nothing else would ever
 					// re-scan this height, so it goes back on the list for
 					// another pass. A node that answers but does not have
 					// the height will not have it next time either.
 					if !errors.Is(err, rpc.ErrNotFound) {
-						src.missed = append(src.missed, h)
+						src.queue(h)
 						r.scheduleClear(src, dst)
+					} else {
+						delete(src.uncleared, h)
 					}
 					return
 				}
 				if r.stopped {
+					// The height goes back on the list, for Resume.
+					src.queue(h)
 					return
 				}
+				delete(src.uncleared, h)
 				r.processBlock(src, dst, be)
 				r.tryFlush(dst)
 			})
@@ -921,6 +958,29 @@ func (r *Relayer) scheduleClear(src, dst *endpoint) {
 		// re-scanned heights.
 		r.tr.InstantArg(r.otrack, r.nClear, r.sched.Now(), uint64(len(seen)))
 	})
+}
+
+// LostHeights reports, in order, the heights of the given chain this
+// relayer queued for a clearing pass and lost: not re-scanned
+// (processed, or answered ErrNotFound), not queried now, and not queued
+// with a pass pending. It is nil for a relayer that does not clear, or
+// is stopped.
+func (r *Relayer) LostHeights(chainID string) []int64 {
+	if r.cfg.ClearIntervalBlocks <= 0 || r.stopped {
+		return nil
+	}
+	e := r.a
+	if e.chain.ID != chainID {
+		e = r.b
+	}
+	var lost []int64
+	for h := range e.uncleared { // order-free: sorted below
+		if e.querying[h] == 0 && (e.passes == 0 || !slices.Contains(e.missed, h)) {
+			lost = append(lost, h)
+		}
+	}
+	slices.Sort(lost)
+	return lost
 }
 
 // --- helpers -----------------------------------------------------------------

@@ -90,13 +90,18 @@ func check(d *topo.Deployment, names []string, w *commitWatch) []Violation {
 		Violation
 		chain, ord int
 	}
+	// Once a packet is stuck the deployment is not quiescent, and with
+	// no packet assertion named nothing more is classified.
 	var stuck []stuckPacket
+	quiescent := true
+	packets := slices.Contains(names, AssertNoStuckPackets) || slices.Contains(names, AssertTimeoutRefunds)
 	for at, e := range w.ends { // order-free: sorted into chain/send order below
 		for _, f := range e.flight {
-			if f.p == nil {
+			if f.p == nil || !quiescent && !packets {
 				continue
 			}
 			if assertion, detail := classify(at.chain, e.side.chain, f.p); assertion != "" {
+				quiescent = false
 				stuck = append(stuck, stuckPacket{Violation{Assertion: assertion, Chain: at.chain.ID, Detail: detail}, slices.Index(d.Chains, at.chain), f.ord})
 			}
 		}
@@ -114,7 +119,7 @@ func check(d *topo.Deployment, names []string, w *commitWatch) []Violation {
 		}
 	}
 	if slices.Contains(names, AssertConservation) {
-		out = append(out, checkConservation(d, w, len(stuck) == 0)...)
+		out = append(out, checkConservation(d, w, quiescent)...)
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/ibc/pfm"
 	"ibcbench/internal/ibc/transfer"
+	"ibcbench/internal/relayer"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
 )
@@ -45,6 +46,12 @@ import (
 //     leaves no in-flight record of it. Otherwise the forwarded funds sit
 //     in the forwarding account with no hop to release them (a
 //     conservation verdict).
+//   - C7, a clearing relayer loses no missed height: every height it
+//     queued for a clearing pass is re-scanned (processed, or answered
+//     that the node has no such height), queried now, or still queued
+//     with a pass pending (relayer.LostHeights). A lost height's packets
+//     are never relayed by it (a no-stuck-packets verdict). A relayer
+//     that does not clear is exempt, and so is one while it is stopped.
 //
 // A packet stays in flight until the block that deletes its commitment,
 // so at quiescence the flight tables hold what Check classifies; Check
@@ -54,6 +61,8 @@ type commitWatch struct {
 	minted map[string]bool // "chain-ID denom" of each voucher C3 reported
 	sent   int             // packets sent so far, for send order
 	out    []Violation     // every per-commit verdict, in the order found
+	links  []*topo.Link
+	lost   map[*relayer.Relayer]bool // each relayer C7 reported
 }
 
 // chanEnd names one channel end; channel ids are per-chain ordinals.
@@ -98,7 +107,7 @@ func (e *endWatch) send(f inFlight) {
 }
 
 func newCommitWatch(d *topo.Deployment) *commitWatch {
-	w := &commitWatch{ends: make(map[chanEnd]*endWatch, 2*len(d.Links)), minted: make(map[string]bool)}
+	w := &commitWatch{ends: make(map[chanEnd]*endWatch, 2*len(d.Links)), minted: make(map[string]bool), links: d.Links}
 	for _, l := range d.Links {
 		p := l.Pair
 		w.ends[chanEnd{p.A, p.ChannelAB}] = &endWatch{side: chanEnd{p.B, p.ChannelBA}}
@@ -122,7 +131,10 @@ func (w *commitWatch) end(c *chain.Chain, channel string) *endWatch {
 func watchCommits(d *topo.Deployment) *commitWatch {
 	w := newCommitWatch(d)
 	for _, c := range d.Chains {
-		c.Engine.OnCommit(func(cb *store.CommittedBlock) { w.commit(c, cb.Block.Header.Height) })
+		c.Engine.OnCommit(func(cb *store.CommittedBlock) {
+			w.commit(c, cb.Block.Header.Height)
+			w.checkClearing(c, cb.Block.Header.Height)
+		})
 	}
 	return w
 }
@@ -219,6 +231,31 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 					w.report(c, h, c, AssertConservation, "forward record %s deleted while its hop's commitment is stored: settling the hop releases nothing", k)
 				} else if !committed && !wr.Deleted {
 					w.report(c, h, c, AssertConservation, "forward record %s stored without its hop's commitment: the forwarded funds are stranded", k)
+				}
+			}
+		}
+	}
+}
+
+// checkClearing reports, after c's commit at height h, the missed
+// heights a relayer has lost (C7), at the first commit that shows any.
+func (w *commitWatch) checkClearing(c *chain.Chain, h int64) {
+	for _, l := range w.links {
+		for i := 0; i <= len(l.Relayers); i++ {
+			r := l.Standby // the last ordinal
+			if i < len(l.Relayers) {
+				r = l.Relayers[i]
+			}
+			if r == nil || w.lost[r] {
+				continue
+			}
+			for _, on := range [2]*chain.Chain{l.Pair.A, l.Pair.B} {
+				for _, lost := range r.LostHeights(on.ID) {
+					if w.lost == nil {
+						w.lost = make(map[*relayer.Relayer]bool)
+					}
+					w.lost[r] = true
+					w.report(c, h, on, AssertNoStuckPackets, "relayer %s lost missed height %d of %s: not re-scanned, not queried and not queued for a pending clearing pass", r.Name(), lost, on.ID)
 				}
 			}
 		}

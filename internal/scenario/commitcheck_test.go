@@ -13,6 +13,7 @@ import (
 	"ibcbench/internal/ibc/denom"
 	"ibcbench/internal/ibc/pfm"
 	"ibcbench/internal/ibc/transfer"
+	"ibcbench/internal/metrics"
 	"ibcbench/internal/sim"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
@@ -511,5 +512,38 @@ func TestSeqSetReportsExactlyTheRepeats(t *testing.T) {
 	}
 	if a.add(201) {
 		t.Fatal("add 201 reported a repeat")
+	}
+}
+
+// TestLostQueriesAreRequeued: a clearing relayer loses its event frames
+// to a drop burst and then, in a second burst, the queries of the
+// clearing pass that re-scans them. Each lost query times out into the
+// pass's error branch, which puts its height back on the list, so C7
+// finds no lost height and every packet settles. With that requeue
+// deleted (checked on a copy of the relayer), this test fails at run
+// seeds 1–3: C7 reports heights 7 and 8 of both chains after ibc-1
+// commits height 35, the first commit after their queries timed out,
+// and the packets of those heights end stuck.
+func TestLostQueriesAreRequeued(t *testing.T) {
+	burst := func(at time.Duration, drop float64) EventSpec {
+		return EventSpec{At: Duration(at), Kind: "drop-burst", Edge: 0, ExtraDrop: drop}
+	}
+	spec := Spec{
+		Name:         "lostquery",
+		Topology:     TopologySpec{Preset: "two"},
+		Deploy:       DeploySpec{ClearIntervalBlocks: 1},
+		Workload:     WorkloadSpec{Rate: 20, Windows: 30},
+		Chaos:        []EventSpec{burst(30*time.Second, 1), burst(36*time.Second, 0), burst(42*time.Second, 1), burst(80*time.Second, 0)},
+		SettleBlocks: 40,
+	}
+	rep, err := Run(spec, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Passed() {
+		t.Fatalf("violations: %v", rep.Violations)
+	}
+	if done := rep.Result.Total[metrics.StatusCompleted]; done != 3000 {
+		t.Fatalf("completed %d of 3000", done)
 	}
 }

@@ -39,11 +39,15 @@ func Compile(s Spec) (topo.Scenario, error) {
 			ClearIntervalBlocks: s.Deploy.ClearIntervalBlocks,
 			Standby:             s.Deploy.Standby,
 		},
-		Rate:         s.Workload.Rate,
-		Windows:      s.Workload.Windows,
-		RecordCurves: s.RecordCurves,
-		Until:        s.Until.D(),
-		ExtraSettle:  time.Duration(s.SettleBlocks) * simconf.MinBlockInterval,
+		Rate:          s.Workload.Rate,
+		Windows:       s.Workload.Windows,
+		Transfers:     s.Workload.Transfers,
+		Inject:        s.Workload.Inject,
+		TimeoutBlocks: s.Workload.TimeoutBlocks,
+		RecordCurves:  s.RecordCurves,
+		Until:         s.Until.D(),
+		UntilHeight:   s.UntilHeight,
+		ExtraSettle:   time.Duration(s.SettleBlocks) * simconf.MinBlockInterval,
 	}
 	for _, rt := range s.Workload.Routes {
 		sc.Routes = append(sc.Routes, topo.Route{

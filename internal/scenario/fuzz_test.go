@@ -9,8 +9,20 @@ import (
 
 // FuzzSpecRoundTrip: any input Parse accepts encodes to canonical bytes
 // that parse back and re-encode to the same bytes. Seeds are every
-// registered spec, the golden specs and the benchmark's workload specs.
+// registered spec, the golden specs, the benchmark's workload specs and
+// the paper figures' kinds of cell: a LAN sweep cell stopped at a
+// height, a total spread over windows and an injected block.
 func FuzzSpecRoundTrip(f *testing.F) {
+	for _, raw := range []string{
+		`{"name":"relayer","topology":{"preset":"two"},"regions":"lan","deploy":{"relayersPerEdge":2},"workload":{"rate":140,"windows":50},"assertions":["token-conservation"],"untilHeight":50}`,
+		`{"name":"burst","topology":{"preset":"two"},"deploy":{},"workload":{"windows":16,"transfers":5000},"until":"45m0s"}`,
+		`{"name":"ws","topology":{"preset":"two"},"deploy":{},"workload":{"transfers":100000,"inject":true,"timeoutBlocks":60},"assertions":["token-conservation"],"until":"23m20s"}`,
+	} {
+		if _, err := Parse([]byte(raw)); err != nil {
+			f.Fatalf("seed %s: %v", raw, err)
+		}
+		f.Add([]byte(raw))
+	}
 	for _, name := range Names() {
 		e, _ := Lookup(name)
 		data, err := Encode(e.Spec)

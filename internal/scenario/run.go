@@ -9,7 +9,6 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"ibcbench/internal/obs"
 	"ibcbench/internal/topo"
@@ -24,6 +23,10 @@ type Report struct {
 	// the spec names none).
 	Assertions []string    `json:"assertions"`
 	Violations []Violation `json:"violations,omitempty"`
+	// Deployment is the quiescent deployment the run leaves, for readers
+	// of its stores and trackers (the paper's figures); read-only, and
+	// not part of the report's JSON.
+	Deployment *topo.Deployment `json:"-"`
 }
 
 // Passed reports whether every assertion held.
@@ -56,10 +59,7 @@ func Run(s Spec, seed int64, o *obs.Obs) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	var w *commitWatch
-	if slices.Contains(names, AssertConservation) || slices.Contains(names, AssertTimeoutRefunds) {
-		w = watchCommits(dep)
-	}
+	w := watchCommits(dep)
 	res, err := sc.RunOn(dep, seed)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
@@ -69,6 +69,7 @@ func Run(s Spec, seed int64, o *obs.Obs) (*Report, error) {
 		Result:     res,
 		Assertions: names,
 		Violations: check(dep, names, w),
+		Deployment: dep,
 	}, nil
 }
 

@@ -1,8 +1,11 @@
 // Package scenario is the declarative run description layer: one JSON
-// spec covers the topology preset, the region preset, deploy knobs, the
-// workload (one rate on every edge plus multi-hop routes), a chaos fault
-// timeline, and the invariant assertions checked after the run —
-// everything an experiment driver expresses in Go, as data.
+// spec covers the topology preset, the region preset (a geo table, or
+// "lan" for the paper's LAN runs), deploy knobs, the workload (one rate,
+// or a total split over windows or injected into one block, on every
+// edge, plus multi-hop routes), a chaos fault timeline, the stop rule (a
+// deadline, or a height chain 0 must commit) and the invariant
+// assertions checked after the run: everything an experiment does, as
+// data. Every paper figure is a set of specs run through Run.
 //
 // Specs round-trip: Parse(Encode(s)) == s, and Encode is canonical
 // (stable field order, duration strings), so a spec file is diffable and
@@ -96,14 +99,26 @@ type RouteSpec struct {
 	TimeoutBlocks int64 `json:"timeoutBlocks,omitempty"`
 }
 
-// WorkloadSpec describes the constant-rate traffic and routes.
+// WorkloadSpec describes the edge traffic and routes.
 type WorkloadSpec struct {
 	// Rate applies to every edge (requests/second, A->B). Zero means no
 	// constant-rate traffic, only the routes.
 	Rate int `json:"rate,omitempty"`
-	// Windows is the number of constant-rate submission windows
-	// (0 = the topo default of 10).
+	// Windows is the number of submission windows (0 = the topo default
+	// of 10).
 	Windows int `json:"windows,omitempty"`
+	// Transfers is every edge's total, split evenly over Windows
+	// (Fig. 13's submission strategies; one window is Fig. 12's
+	// single-block burst). A spec sets Rate or Transfers, not both.
+	Transfers int `json:"transfers,omitempty"`
+	// Inject stages the Transfers straight into each source mempool at
+	// 1 ms, bypassing RPC, so they all land in one block (§V's
+	// frame-overflow block). It needs Transfers and at most one window.
+	Inject bool `json:"inject,omitempty"`
+	// TimeoutBlocks is the edge traffic's packet timeout margin in
+	// destination blocks, as RouteSpec.TimeoutBlocks is a route's
+	// (0 = the generator's default).
+	TimeoutBlocks int64 `json:"timeoutBlocks,omitempty"`
 	// Routes are multi-hop flows started at scenario begin.
 	Routes []RouteSpec `json:"routes,omitempty"`
 }
@@ -151,8 +166,9 @@ type FaultSpace struct {
 type Spec struct {
 	Name     string       `json:"name"`
 	Topology TopologySpec `json:"topology"`
-	// Regions selects a geo model by spec string ("3wan"); empty or
-	// "none" = no geo model.
+	// Regions selects a geo model by spec string ("3wan", or "lan": one
+	// region at the paper's sub-millisecond LAN latency); empty or "none"
+	// = no geo model, the paper's uniform 200 ms WAN.
 	Regions  string       `json:"regions,omitempty"`
 	Deploy   DeploySpec   `json:"deploy"`
 	Workload WorkloadSpec `json:"workload"`
@@ -166,6 +182,10 @@ type Spec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Until fixes the virtual deadline (0 = derived from the workload).
 	Until Duration `json:"until,omitempty"`
+	// UntilHeight stops the run early, at the first block-interval step
+	// at which chain 0 has committed this height (0 = run to the
+	// deadline, which still bounds it).
+	UntilHeight int64 `json:"untilHeight,omitempty"`
 	// SettleBlocks extends the derived deadline by that many block
 	// intervals so refunds and backlog clearing quiesce before the
 	// assertions run. A spec sets Until or SettleBlocks, not both.
@@ -254,6 +274,9 @@ func (s Spec) Validate() error {
 		{"deploy.parallelWorkers", int64(s.Deploy.ParallelWorkers)},
 		{"workload.rate", int64(s.Workload.Rate)},
 		{"workload.windows", int64(s.Workload.Windows)},
+		{"workload.transfers", int64(s.Workload.Transfers)},
+		{"workload.timeoutBlocks", s.Workload.TimeoutBlocks},
+		{"untilHeight", s.UntilHeight},
 		{"settleBlocks", int64(s.SettleBlocks)},
 		{"until", int64(s.Until)},
 		{"seed", s.Seed},
@@ -264,6 +287,11 @@ func (s Spec) Validate() error {
 	}
 	if s.Until != 0 && s.SettleBlocks != 0 {
 		return fmt.Errorf("scenario: until %v and settleBlocks %d are exclusive (settleBlocks extends only a derived deadline)", s.Until, s.SettleBlocks)
+	}
+	if w := s.Workload; w.Transfers != 0 && w.Rate != 0 {
+		return fmt.Errorf("scenario: workload.transfers %d and rate %d are exclusive", w.Transfers, w.Rate)
+	} else if w.Inject && (w.Transfers == 0 || w.Windows > 1) {
+		return fmt.Errorf("scenario: workload.inject stages transfers into one block: it needs transfers and at most one window (transfers %d, windows %d)", w.Transfers, w.Windows)
 	}
 	for i, rt := range s.Workload.Routes {
 		if len(rt.Path) < 2 {

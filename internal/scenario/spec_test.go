@@ -115,16 +115,30 @@ func TestParseRejects(t *testing.T) {
 		"negative spike":             `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{},"chaos":[{"at":"1s","kind":"latency-spike","edge":0,"extraLatency":"-1s"}]}`,
 		"one-node path":              `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"routes":[{"path":[0],"transfers":1}]}}`,
 		"zero transfers":             `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"routes":[{"path":[0,1],"transfers":0}]}}`,
+		// An edge's traffic is a rate or a total, and an injected total
+		// lands in one block.
+		"transfers with rate":             `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"rate":1,"transfers":10}}`,
+		"inject without transfers":        `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"inject":true}}`,
+		"inject over windows":             `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"transfers":10,"windows":2,"inject":true}}`,
+		"negative transfers":              `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"transfers":-10}}`,
+		"negative workload timeoutBlocks": `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"transfers":10,"timeoutBlocks":-1}}`,
+		"negative untilHeight":            `{"name":"x","topology":{"preset":"two"},"deploy":{},"workload":{"rate":1},"untilHeight":-3}`,
 	}
 	// The removed graph surface is refused by name, not ignored.
 	named := map[string]string{
-		"topology.chains":          `"chains"`,
-		"topology.edges":           `"edges"`,
-		"workload.edgeRates":       `"edgeRates"`,
-		"regions hubspoke:3":       `"hubspoke:3"`,
-		"regions uniform:2":        `"uniform:2"`,
-		"regions three-region-wan": `"three-region-wan"`,
-		"until with settleBlocks":  "until",
+		"topology.chains":                 `"chains"`,
+		"topology.edges":                  `"edges"`,
+		"workload.edgeRates":              `"edgeRates"`,
+		"regions hubspoke:3":              `"hubspoke:3"`,
+		"regions uniform:2":               `"uniform:2"`,
+		"regions three-region-wan":        `"three-region-wan"`,
+		"until with settleBlocks":         "until",
+		"transfers with rate":             "transfers",
+		"inject without transfers":        "inject",
+		"inject over windows":             "inject",
+		"negative transfers":              "workload.transfers",
+		"negative workload timeoutBlocks": "workload.timeoutBlocks",
+		"negative untilHeight":            "untilHeight",
 	}
 	// The pair is refused naming both fields.
 	if _, err := Parse([]byte(cases["until with settleBlocks"])); err == nil || !strings.Contains(err.Error(), "settleBlocks") {

@@ -253,7 +253,7 @@ func TestChaosScenarioDeterminism(t *testing.T) {
 				{At: 95 * time.Second, Kind: chaos.RelayerResume, Edge: 1, Relayer: 0},
 			}},
 		}
-		res, err := sc.Run(77)
+		res, _, err := sc.RunDeployed(77)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Scenario: a topology bundled with a workload mix — one constant
-// transfer rate on every edge plus multi-hop routes executed as
-// sequential transfers — and run options, producing per-edge and
-// aggregate reports.
+// transfer rate, or a total over windows or injected into one block, on
+// every edge, plus multi-hop routes — and run options, producing
+// per-edge and aggregate reports.
 package topo
 
 import (
@@ -58,8 +58,16 @@ type Scenario struct {
 	// direction) sustained for Windows block windows; 0 = no constant-rate
 	// traffic.
 	Rate int
-	// Windows is the number of constant-rate submission windows.
+	// Windows is the number of submission windows.
 	Windows int
+	// Transfers, in place of Rate, is every edge's total, split evenly
+	// over Windows; Inject stages it into the source mempool at 1 ms
+	// instead, so it lands in one block.
+	Transfers int
+	Inject    bool
+	// TimeoutBlocks overrides the edge traffic's packet timeout margin
+	// (0 = the generator's default).
+	TimeoutBlocks int64
 	// Routes are multi-hop flows started at scenario begin.
 	Routes []Route
 	// Chaos is the fault timeline injected during the run; the applied
@@ -70,6 +78,9 @@ type Scenario struct {
 	RecordCurves bool
 	// Until is the virtual run deadline (0 = derived from the workload).
 	Until time.Duration
+	// UntilHeight stops the run at the first block-interval step at
+	// which chain 0 has committed this height (0 = at the deadline).
+	UntilHeight int64
 	// ExtraSettle extends the derived deadline — room for timeout refunds
 	// and backlog clearing to quiesce before post-run invariant checks.
 	// Ignored when Until is set explicitly.
@@ -158,20 +169,16 @@ type routeRun struct {
 	links []*Link
 }
 
-// Run deploys the scenario's topology and drives the workload mix to the
-// deadline, returning per-edge and aggregate reports.
-func (s Scenario) Run(seed int64) (*Result, error) {
-	res, _, err := s.RunDeployed(seed)
-	return res, err
-}
-
-// RunDeployed is Run exposing the finished deployment alongside the
-// result, so callers (the scenario assertion engine) can inspect chain
-// state, trackers and links after the deadline. The returned deployment
-// is quiescent — its scheduler has drained to the deadline — and must be
-// treated as read-only.
+// RunDeployed deploys the scenario's topology and drives the workload
+// mix to the deadline, returning per-edge and aggregate reports and the
+// finished deployment, so callers (the scenario assertion engine) can
+// inspect chain state, trackers and links after the deadline. The
+// returned deployment is quiescent — its scheduler has drained to the
+// deadline — and must be treated as read-only.
 func (s Scenario) RunDeployed(seed int64) (*Result, *Deployment, error) {
-	d, err := Deploy(s.Topology, s.withSeed(seed))
+	cfg := s.Deploy
+	cfg.Seed = seed
+	d, err := Deploy(s.Topology, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -191,9 +198,20 @@ func (s Scenario) RunOn(d *Deployment, seed int64) (*Result, error) {
 	if windows <= 0 {
 		windows = 10
 	}
-	if s.Rate > 0 {
+	if s.Rate > 0 || s.Transfers > 0 {
 		for _, l := range d.Links {
-			l.Forward().RunConstantRate(s.Rate, windows)
+			g := l.Forward()
+			if s.TimeoutBlocks > 0 {
+				g.TimeoutBlocks = s.TimeoutBlocks
+			}
+			switch {
+			case s.Inject:
+				d.Sched.At(time.Millisecond, func() { g.InjectDirect(s.Transfers) })
+			case s.Transfers > 0:
+				g.SubmitSpread(s.Transfers, windows)
+			default:
+				g.RunConstantRate(s.Rate, windows)
+			}
 		}
 	}
 	runs := make([]*routeRun, 0, len(s.Routes))
@@ -217,7 +235,17 @@ func (s Scenario) RunOn(d *Deployment, seed int64) (*Result, error) {
 		inj = chaos.Inject(d.Sched, d, s.Chaos)
 	}
 	d.Start()
-	if err := d.Run(s.deadline(windows)); err != nil {
+	deadline := s.deadline(windows)
+	if s.UntilHeight > 0 {
+		// Step block interval by block interval until chain 0 has
+		// committed the height (the paper's throughput sweeps stop
+		// there, mid-flight).
+		for now := d.Sched.Now(); now < deadline && d.Chains[0].Store.Height() < s.UntilHeight; now = d.Sched.Now() {
+			if err := d.Run(min(now+simconf.MinBlockInterval, deadline)); err != nil {
+				return nil, err
+			}
+		}
+	} else if err := d.Run(deadline); err != nil {
 		return nil, err
 	}
 	res := s.analyze(d, seed, runs)
@@ -228,12 +256,6 @@ func (s Scenario) RunOn(d *Deployment, seed int64) (*Result, error) {
 		foldObs(d, res, runs)
 	}
 	return res, nil
-}
-
-func (s Scenario) withSeed(seed int64) DeployConfig {
-	cfg := s.Deploy
-	cfg.Seed = seed
-	return cfg
 }
 
 // deadline derives a generous virtual deadline covering the constant-rate

@@ -139,7 +139,7 @@ func TestMultiHopScenario(t *testing.T) {
 		Topology: Line(3),
 		Routes:   []Route{{Path: []int{0, 1, 2}, Transfers: 4}},
 	}
-	res, err := sc.Run(21)
+	res, _, err := sc.RunDeployed(21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestReverseDirection(t *testing.T) {
 		// reverse.
 		Routes: []Route{{Path: []int{1, 0, 2}, Transfers: 3}},
 	}
-	res, err := sc.Run(9)
+	res, _, err := sc.RunDeployed(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestScenarioRate(t *testing.T) {
 		Rate:     4,
 		Windows:  4,
 	}
-	res, err := sc.Run(5)
+	res, _, err := sc.RunDeployed(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestDeterminism(t *testing.T) {
 			Rate:     2,
 			Windows:  3,
 		}
-		res, err := sc.Run(77)
+		res, _, err := sc.RunDeployed(77)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func TestForwardedRouteSharedTraceID(t *testing.T) {
 		}},
 		Until: 15 * time.Minute,
 	}
-	res, err := sc.Run(11)
+	res, _, err := sc.RunDeployed(11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestForwardedTimeoutUnwindLinksOrigin(t *testing.T) {
 		}},
 		Until: 20 * time.Minute,
 	}
-	res, err := sc.Run(7)
+	res, _, err := sc.RunDeployed(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func traceScenario(o *obs.Obs) Scenario {
 func TestTraceDeterminism(t *testing.T) {
 	run := func() ([]byte, []byte) {
 		o := obs.New()
-		res, err := traceScenario(o).Run(23)
+		res, _, err := traceScenario(o).RunDeployed(23)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,13 +151,13 @@ func TestTraceDeterminism(t *testing.T) {
 // the uninstrumented run's, modulo the Metrics snapshot field.
 func TestObservedRunResultUnchanged(t *testing.T) {
 	o := obs.New()
-	observed, err := traceScenario(o).Run(23)
+	observed, _, err := traceScenario(o).RunDeployed(23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := traceScenario(nil)
 	plain.Deploy.Obs = nil
-	bare, err := plain.Run(23)
+	bare, _, err := plain.RunDeployed(23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestObservedRunResultUnchanged(t *testing.T) {
 // relayer work and simulator totals all land in the snapshot.
 func TestFoldedCounters(t *testing.T) {
 	o := obs.New()
-	res, err := traceScenario(o).Run(29)
+	res, _, err := traceScenario(o).RunDeployed(29)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func forwardedScenario(o *obs.Obs) topo.Scenario {
 func runForwarded(t *testing.T, seed int64) ([]traceview.Event, []byte) {
 	t.Helper()
 	o := obs.New()
-	if _, err := forwardedScenario(o).Run(seed); err != nil {
+	if _, _, err := forwardedScenario(o).RunDeployed(seed); err != nil {
 		t.Fatal(err)
 	}
 	var doc bytes.Buffer

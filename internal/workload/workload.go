@@ -31,10 +31,26 @@ import (
 type Stats struct {
 	// Requested counts transfers handed to the connector.
 	Requested int
-	// Submitted counts transfers whose transaction entered the mempool.
+	// Submitted counts transfers whose transaction, first or retried,
+	// entered the mempool: a reply said so, or it committed.
 	Submitted int
-	// Failed counts transfers whose submission was rejected or timed out.
+	// Failed counts transfers whose every attempt failed and which have
+	// not committed.
 	Failed int
+}
+
+// broadcast is one broadcast transaction: when it left, and the
+// submission (an index into Generator.subs) it is an attempt of.
+type broadcast struct {
+	at  time.Duration
+	sub int
+}
+
+// submission is one transaction's worth of requested transfers and the
+// Stats counter holding them (nil: none yet).
+type submission struct {
+	n       int
+	counted *int
 }
 
 // Generator drives transfer submission against the source chain.
@@ -84,7 +100,8 @@ type Generator struct {
 	// paper's latency origin ("from the moment transfer messages are
 	// broadcast") can be keyed per packet once sequences are assigned at
 	// commit time.
-	broadcastAt map[types.Hash]time.Duration
+	broadcastAt map[types.Hash]broadcast
+	subs        []submission
 
 	// keys accumulates, in commit order, the packet keys this generator's
 	// transfers produced — the attribution handle for callers that must
@@ -111,7 +128,7 @@ func NewOnChannel(sched *sim.Scheduler, rng *sim.RNG, src, dst *chain.Chain, sou
 		AccountPrefix: "user",
 		Denom:         "uatom",
 		nextSeq:       make(map[string]uint64),
-		broadcastAt:   make(map[types.Hash]time.Duration),
+		broadcastAt:   make(map[types.Hash]broadcast),
 	}
 	if tracker != nil {
 		src.Engine.OnCommit(func(cb *store.CommittedBlock) { g.recordBroadcasts(src.ID, cb) })
@@ -129,11 +146,12 @@ func NewOnChannel(sched *sim.Scheduler, rng *sim.RNG, src, dst *chain.Chain, sou
 func (g *Generator) recordBroadcasts(chainID string, cb *store.CommittedBlock) {
 	for _, te := range g.source.Events.At(cb.Block.Header.Height).Txs {
 		hash := te.Info.Tx.Hash()
-		at, ok := g.broadcastAt[hash]
+		b, ok := g.broadcastAt[hash]
 		if !ok {
 			continue
 		}
 		delete(g.broadcastAt, hash)
+		g.count(b.sub, &g.stats.Submitted)
 		for _, ev := range te.Info.Result.Events {
 			if ev.Type != "send_packet" {
 				continue
@@ -141,7 +159,7 @@ func (g *Generator) recordBroadcasts(chainID string, cb *store.CommittedBlock) {
 			p := ev.Data.(*ibc.Packet)
 			key := metrics.PacketKey{SrcChain: chainID, Channel: p.SourceChannel, Sequence: p.Sequence}
 			g.keys = append(g.keys, key)
-			g.tracker.Record(key, metrics.StepTransferBroadcast, at)
+			g.tracker.Record(key, metrics.StepTransferBroadcast, b.at)
 			// The Analysis module reads commitment directly from chain
 			// data (the Cross-chain Data Connector), so confirmation is
 			// recorded even when the relayer loses the event frame.
@@ -217,9 +235,23 @@ func (g *Generator) SubmitBatch(transfers int) {
 		g.EnsureAccounts(3 * txCount)
 	}
 	for i := 0; i < txCount; i++ {
-		g.submitTx(g.accounts[g.acctCursor%len(g.accounts)], txSize(transfers, i), 0)
+		g.subs = append(g.subs, submission{n: txSize(transfers, i)})
+		g.submitTx(g.accounts[g.acctCursor%len(g.accounts)], len(g.subs)-1, 0)
 		g.acctCursor++
 	}
+}
+
+// count moves submission i's transfers to counter c, Submitted or
+// Failed; once submitted, they stay.
+func (g *Generator) count(i int, c *int) {
+	sub := &g.subs[i]
+	if sub.counted == &g.stats.Submitted {
+		return
+	}
+	if sub.counted != nil {
+		*sub.counted -= sub.n
+	}
+	sub.counted, *c = c, *c+sub.n
 }
 
 // request counts transfers as requested and returns how many
@@ -241,10 +273,11 @@ func txSize(transfers, i int) int {
 	return min(simconf.RelayerMaxMsgsPerTx, transfers-i*simconf.RelayerMaxMsgsPerTx)
 }
 
-// transferTx builds one batch transaction of n transfers from account at
-// its tracked sequence, numbering the messages from the generator's nonce,
-// and stamps its broadcast time.
-func (g *Generator) transferTx(account string, n int) (*app.Tx, uint64) {
+// transferTx builds one attempt of submission sub, a batch transaction
+// of its transfers from account at its tracked sequence, numbering the
+// messages from the generator's nonce, and stamps its broadcast time.
+func (g *Generator) transferTx(account string, sub int) (*app.Tx, uint64) {
+	n := g.subs[sub].n
 	timeoutHeight := g.destTop() + g.TimeoutBlocks
 	receiver := account
 	if !g.RoundTrip {
@@ -270,7 +303,7 @@ func (g *Generator) transferTx(account string, n int) (*app.Tx, uint64) {
 	}
 	seq := g.nextSeq[account]
 	tx := app.NewTx(account, seq, g.nonce, msgs)
-	g.broadcastAt[tx.Hash()] = g.sched.Now()
+	g.broadcastAt[tx.Hash()] = broadcast{g.sched.Now(), sub}
 	return tx, seq
 }
 
@@ -288,24 +321,25 @@ func (g *Generator) receiverOf(account string) string {
 	return r
 }
 
-// submitTx builds and broadcasts one batch transaction for an account.
-func (g *Generator) submitTx(account string, n int, attempt int) {
-	tx, seq := g.transferTx(account, n)
+// submitTx builds and broadcasts one attempt of submission sub for an
+// account.
+func (g *Generator) submitTx(account string, sub int, attempt int) {
+	tx, seq := g.transferTx(account, sub)
 	g.rpcNode.BroadcastTxSync(g.host, tx, func(err error) {
 		switch {
 		case err == nil:
 			g.nextSeq[account] = seq + 1
-			g.stats.Submitted += n
+			g.count(sub, &g.stats.Submitted)
 		case attempt < 2:
 			// CLI behaviour: re-query the committed sequence and retry.
 			g.rpcNode.QueryAccountSequence(g.host, account, func(s uint64, qerr error) {
 				if qerr == nil {
 					g.nextSeq[account] = s
 				}
-				g.submitTx(account, n, attempt+1)
+				g.submitTx(account, sub, attempt+1)
 			})
 		default:
-			g.stats.Failed += n
+			g.count(sub, &g.stats.Failed)
 		}
 	})
 }
@@ -348,14 +382,14 @@ func (g *Generator) InjectDirect(transfers int) {
 	txCount := g.request(transfers)
 	g.EnsureAccounts(txCount)
 	for i := 0; i < txCount; i++ {
-		n := txSize(transfers, i)
+		g.subs = append(g.subs, submission{n: txSize(transfers, i)})
 		account := g.accounts[i]
-		tx, seq := g.transferTx(account, n)
+		tx, seq := g.transferTx(account, len(g.subs)-1)
 		if err := g.source.Pool.Add(tx); err == nil {
 			g.nextSeq[account] = seq + 1
-			g.stats.Submitted += n
+			g.count(len(g.subs)-1, &g.stats.Submitted)
 		} else {
-			g.stats.Failed += n
+			g.count(len(g.subs)-1, &g.stats.Failed)
 		}
 	}
 }

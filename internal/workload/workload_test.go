@@ -123,7 +123,8 @@ func TestPacketKeysFollowEventOrderAcrossChannels(t *testing.T) {
 		}
 	}
 	tx := app.NewTx(account, 0, 1, msgs)
-	g.broadcastAt[tx.Hash()] = 0
+	g.subs = append(g.subs, submission{n: len(msgs)})
+	g.broadcastAt[tx.Hash()] = broadcast{sub: len(g.subs) - 1}
 	if err := tb.Pair.A.Pool.Add(tx); err != nil {
 		t.Fatal(err)
 	}
