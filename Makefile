@@ -108,10 +108,11 @@ rebaseline-bench:
 # Reachability report, a measuring tool and not a gate: build ibcbench
 # and the benchmark (bench/, whose children read counters no command
 # prints) with coverage over every package into .reach/, run the
-# commands a user runs (the benchmark workloads, the built-in and
-# testdata scenarios, the full sweep, a chaos search, the suite and both
-# trace tools) and one observed benchmark child per workload, then print
-# every function under internal/ that none of them executed. The service
+# commands a user runs (the benchmark workloads, every built-in scenario
+# `suite -lint` names, the testdata scenarios, the full sweep, a chaos
+# search, the short suite and both trace tools) and one observed
+# benchmark child per workload, then print every function under
+# internal/ that none of them executed. The service
 # and viewer packages are left out: the service runs no simulation. The
 # planted search finds its counterexample and exits 1, by design. About a
 # minute on two cores.
@@ -125,12 +126,11 @@ reach:
 	set -e; export GOCOVERDIR=$(CURDIR)/$(REACH)/cov; bin=$(REACH)/ibcbench; \
 	for w in bench/workloads/*.json; do $$bin run -scenario $$w -seed 11 -out $(REACH)/out.json >/dev/null; \
 		$(REACH)/bench -child -workload $$(basename $$w .json) -seed 11 -mode obs >/dev/null; done; \
-	for x in failover hub mesh pfmroute plaintimeout quickstart roundtrip timeoutproofs timeoutstorm; do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
+	for x in $$($$bin suite -lint | sed -n 's/^lint \(.*\): ok$$/\1/p'); do $$bin run -name $$x -out $(REACH)/out.json >/dev/null; done; \
 	for s in internal/scenario/testdata/*.json; do $$bin run -scenario $$s >/dev/null; done; \
 	$$bin sweep -experiment all -transfers 500 -out $(REACH)/out.json >/dev/null; \
 	$$bin search -scenario internal/scenario/testdata/planted.json -budget 6 >/dev/null || true; \
 	$$bin suite -short >/dev/null; \
-	$$bin suite -lint >/dev/null; \
 	$$bin run -name pfmroute -trace $(REACH)/trace.json >/dev/null; \
 	$$bin trace -validate $(REACH)/trace.json >/dev/null; \
 	$$bin trace -analyze $(REACH)/trace.json >/dev/null

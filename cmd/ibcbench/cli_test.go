@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"ibcbench/internal/experiments"
 	"ibcbench/internal/scenario"
 )
 
@@ -56,15 +57,51 @@ func TestDocsUseSubcommands(t *testing.T) {
 	}
 }
 
-// The help page is generated from the registries — every experiment
-// entry and registered scenario must appear.
+// The help page is generated from the catalogue: every figure and
+// built-in appears on exactly one line, with its name and description.
 func TestHelpListsRegistries(t *testing.T) {
 	var buf bytes.Buffer
 	printUsage(&buf)
 	out := buf.String()
-	for _, want := range []string{"sweep", "search", "bench2json", "fig13", "votescale", "quickstart", "timeoutstorm"} {
+	for _, want := range []string{"sweep", "search", "bench2json"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("help output missing %q", want)
+		}
+	}
+	lines := strings.Split(out, "\n")
+	for _, e := range experiments.Catalogue() {
+		n := 0
+		for _, l := range lines {
+			if strings.HasSuffix(l, " "+e.Desc) && strings.Contains(l, e.Name+" ") {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("help lists %s (%q) on %d lines, want 1", e.Name, e.Desc, n)
+		}
+	}
+}
+
+// A figure's name goes to sweep, a built-in's to run and search: each
+// refusal names the subcommand that takes it.
+func TestCatalogueNamesRouteToTheirSubcommand(t *testing.T) {
+	for _, tc := range []struct {
+		cmd  func([]string, io.Writer) error
+		args []string
+		want string
+	}{
+		{runScenarioCmd, []string{"-name", "fig12"}, "ibcbench sweep -experiment fig12"},
+		{runSearchCmd, []string{"-name", "fig12"}, "ibcbench sweep -experiment fig12"},
+		{runScenarioCmd, []string{"-name", "table1", "-print"}, "ibcbench sweep -experiment table1"},
+		{runSweep, []string{"-experiment", "quickstart"}, "ibcbench run -name quickstart"},
+	} {
+		var out bytes.Buffer
+		err := tc.cmd(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: got error %v, want one naming `%s`", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v: printed output before refusing:\n%s", tc.args, out.String())
 		}
 	}
 }
@@ -131,18 +168,18 @@ func TestRunScenarioCmdFromFile(t *testing.T) {
 	}
 }
 
-// -print must emit the canonical encoding of the registered spec —
+// -print must emit the canonical encoding of the catalogue's spec —
 // the starting point for a spec file of one's own.
 func TestRunScenarioCmdPrint(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runScenarioCmd([]string{"-name", "failover", "-print"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := scenario.Lookup("failover")
-	if !ok {
-		t.Fatal("failover not registered")
+	spec, err := experiments.Builtin("failover")
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, err := scenario.Encode(e.Spec)
+	want, err := scenario.Encode(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +271,7 @@ func TestSuiteShort(t *testing.T) {
 		t.Fatalf("suite -short: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
-	if !strings.Contains(out, "PASS quickstart") || !strings.Contains(out, "scenario(s) passed") {
+	if !strings.Contains(out, "PASS quickstart") || !strings.Contains(out, "6 entries passed") {
 		t.Errorf("unexpected suite output:\n%s", out)
 	}
 	if strings.Contains(out, "FAIL") {

@@ -13,8 +13,8 @@
 //	ibcbench run -scenario spec.json         # one declarative scenario
 //	ibcbench run -name failover              # a built-in scenario
 //	ibcbench run -name hub -trace trace.json # the same run, traced (Perfetto)
-//	ibcbench suite -short                    # smoke the scenario library
-//	ibcbench suite -lint                     # registry round-trip lint
+//	ibcbench suite -short                    # smoke the short built-in scenarios
+//	ibcbench suite -lint                     # built-in specs' round-trip lint
 //	ibcbench search -scenario spec.json -budget 32  # seeded chaos search
 //	ibcbench trace -validate trace.json      # structural check of a trace file
 //	ibcbench trace -analyze trace.json -top 30      # flame/critical path
@@ -39,7 +39,6 @@ import (
 	"strings"
 
 	"ibcbench/internal/experiments"
-	"ibcbench/internal/scenario"
 )
 
 func main() {
@@ -58,7 +57,7 @@ var subcommands = []struct {
 	{"run", "execute one declarative scenario spec (-scenario FILE | -name NAME) and check its assertions; -trace FILE records the run's Chrome trace", runScenarioCmd},
 	{"sweep", "run the paper's experiments (-experiment NAME|all)", runSweep},
 	{"search", "seeded chaos search over a spec's declared fault space; shrinks violations to a minimal replay", runSearchCmd},
-	{"suite", "run (or -lint) every registered scenario and report assertion verdicts", runSuiteCmd},
+	{"suite", "run every catalogue entry (figures at sweep's defaults), or -lint the built-in specs, and report verdicts", runSuiteCmd},
 	{"trace", "validate (-validate FILE) or analyze (-analyze FILE [-top N]) a trace file recorded by `run -trace`", runTraceCmd},
 	{"diff", "compare two result documents metric by metric (old.json new.json [-fail-on-change pct])", runDiffCmd},
 	{"serve", "HTTP dashboard + ingest API over an experiment store", runServe},
@@ -94,18 +93,17 @@ func printUsage(w io.Writer) {
 		fmt.Fprintf(w, "  %-11s %s\n", sc.name, sc.desc)
 	}
 	fmt.Fprintln(w, "\nsweep, suite and search run on GOMAXPROCS workers; GOMAXPROCS=1 runs them\nserially, with the same output.")
-	fmt.Fprintln(w, "\nexperiments (ibcbench sweep -experiment X):")
-	for _, e := range experiments.Registry() {
-		fmt.Fprintf(w, "  %-11s %s\n", e.Name, e.Desc)
-	}
-	fmt.Fprintf(w, "  selectors: %s|all\n", strings.Join(experiments.Selectors(), "|"))
-	fmt.Fprintln(w, "\nscenarios (ibcbench run -name X; * = in `suite -short`):")
-	for _, name := range scenario.Names() {
-		e, _ := scenario.Lookup(name)
-		mark := " "
-		if e.Short {
-			mark = "*"
+	fmt.Fprintln(w, "\ncatalogue (ibcbench suite runs every entry; * = in `suite -short`):")
+	for _, e := range experiments.Catalogue() {
+		kind, mark := "figure", " "
+		if e.Spec != nil {
+			kind = "scenario"
+			if e.Short {
+				mark = "*"
+			}
 		}
-		fmt.Fprintf(w, " %s%-11s %s\n", mark, name, e.Desc)
+		fmt.Fprintf(w, "  %-8s %s%-13s %s\n", kind, mark, e.Name, e.Desc)
 	}
+	fmt.Fprintf(w, "a figure runs with `sweep -experiment X`, X one of %s|all;\n", strings.Join(experiments.Selectors(), "|"))
+	fmt.Fprintln(w, "a scenario with `run -name X` or `search -name X`.")
 }

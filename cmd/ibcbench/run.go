@@ -1,8 +1,8 @@
 // The scenario entry points: `ibcbench run` executes one declarative
-// spec (a file or a registry name) and checks its assertions,
-// `ibcbench suite` runs the whole registered library, and `ibcbench
-// search` explores a spec's declared fault space for assertion
-// violations and shrinks what it finds to a minimal replay.
+// spec (a file or a built-in's name) and checks its assertions,
+// `ibcbench suite` runs the whole catalogue, and `ibcbench search`
+// explores a spec's declared fault space for assertion violations and
+// shrinks what it finds to a minimal replay.
 package main
 
 import (
@@ -12,15 +12,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"ibcbench/internal/experiments"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/obs"
 	"ibcbench/internal/scenario"
 )
 
 // loadSpec resolves the shared -scenario/-name flag pair: a spec file
-// on disk or a registered scenario by name, exactly one of the two.
+// on disk or a built-in scenario of the catalogue by name, exactly one
+// of the two.
 func loadSpec(path, name string) (scenario.Spec, error) {
 	switch {
 	case path != "" && name != "":
@@ -36,11 +37,7 @@ func loadSpec(path, name string) (scenario.Spec, error) {
 		}
 		return s, nil
 	case name != "":
-		e, ok := scenario.Lookup(name)
-		if !ok {
-			return scenario.Spec{}, fmt.Errorf("ibcbench: unknown scenario %q (registered: %s)", name, strings.Join(scenario.Names(), ", "))
-		}
-		return e.Spec, nil
+		return experiments.Builtin(name)
 	default:
 		return scenario.Spec{}, fmt.Errorf("ibcbench: need -scenario FILE or -name NAME")
 	}
@@ -84,7 +81,7 @@ func runScenarioCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench run", flag.ContinueOnError)
 	var (
 		specPath  = fs.String("scenario", "", "scenario spec file (JSON)")
-		name      = fs.String("name", "", "registered scenario name (see `ibcbench help`)")
+		name      = fs.String("name", "", "built-in scenario name (see `ibcbench help`)")
 		seed      = fs.Int64("seed", 0, "override the spec's run seed (0 = spec seed, default 1)")
 		outPath   = fs.String("out", "", "write the full report (spec, result, verdicts) as JSON to this file")
 		tracePath = fs.String("trace", "", "instrument the run and write its Chrome trace-event file (Perfetto-loadable) here")
@@ -140,78 +137,92 @@ func runScenarioCmd(args []string, w io.Writer) error {
 	return nil
 }
 
-// runSuiteCmd runs every registered scenario and reports one verdict
-// line each:
+// runSuiteCmd runs every catalogue entry, each figure at the sweep's
+// defaults, and reports one verdict line each:
 //
 //	ibcbench suite [-short] [-seed N]
-//	ibcbench suite -lint     # round-trip/compile lint only, no runs
+//	ibcbench suite -lint     # round-trip/compile lint of the built-in specs, no runs
 func runSuiteCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench suite", flag.ContinueOnError)
 	var (
-		short = fs.Bool("short", false, "run only the scenarios marked cheap enough for smoke suites")
-		lint  = fs.Bool("lint", false, "lint the registry (validate, compile, canonical round trip) without running anything")
-		seed  = fs.Int64("seed", 0, "override every spec's run seed (0 = each spec's own)")
+		short = fs.Bool("short", false, "run only the built-in scenarios marked cheap enough for smoke suites")
+		lint  = fs.Bool("lint", false, "lint every built-in spec (validate, compile, canonical round trip) without running anything")
+		seed  = fs.Int64("seed", 0, "override every run's seed (0 = each built-in spec's own, and the sweep's default for the figures)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	names := scenario.Names()
+	var entries []experiments.Entry
+	for _, e := range experiments.Catalogue() {
+		if (*lint && e.Spec == nil) || (*short && !e.Short) {
+			continue
+		}
+		entries = append(entries, e)
+	}
 	if *lint {
 		failed := 0
-		for _, n := range names {
-			if err := scenario.Lint(n); err != nil {
+		for _, e := range entries {
+			if err := e.Lint(); err != nil {
 				failed++
-				fmt.Fprintf(w, "lint %s: %v\n", n, err)
+				fmt.Fprintf(w, "lint %s: %v\n", e.Name, err)
 				continue
 			}
-			fmt.Fprintf(w, "lint %s: ok\n", n)
+			fmt.Fprintf(w, "lint %s: ok\n", e.Name)
 		}
 		if failed > 0 {
-			return fmt.Errorf("suite: %d of %d scenario(s) failed lint", failed, len(names))
+			return fmt.Errorf("suite: %d of %d scenario(s) failed lint", failed, len(entries))
 		}
-		fmt.Fprintf(w, "suite: %d scenario(s) lint clean\n", len(names))
+		fmt.Fprintf(w, "suite: %d scenario(s) lint clean\n", len(entries))
 		return nil
 	}
-	if *short {
-		kept := names[:0]
-		for _, n := range names {
-			if e, _ := scenario.Lookup(n); e.Short {
-				kept = append(kept, n)
-			}
-		}
-		names = kept
-	}
 	type verdict struct {
-		rep *scenario.Report
+		rep *scenario.Report // a built-in's; a figure records no report
 		err error
 	}
-	verdicts := scenario.ParallelMap(names, func(n string) verdict {
-		e, _ := scenario.Lookup(n)
-		rep, err := scenario.Run(e.Spec, *seed, nil)
-		return verdict{rep, err}
-	})
+	run := func(e experiments.Entry) (v verdict) {
+		// A built-in's seed 0 is its spec's own; a figure keeps the
+		// sweep's default base seed unless -seed is given.
+		ctx := experiments.Defaults
+		if e.Spec != nil || *seed != 0 {
+			ctx.Seed = *seed
+		}
+		ctx.Out = io.Discard
+		ctx.Record = func(_ string, res any) { v.rep, _ = res.(*scenario.Report) }
+		v.err = e.Run(ctx)
+		return v
+	}
+	// The built-ins run side by side. A figure runs its own cells side by
+	// side, so the figures run one after another.
+	verdicts := make([]verdict, len(entries))
+	var builtins []int
+	for i, e := range entries {
+		if e.Spec == nil {
+			verdicts[i] = run(e)
+		} else {
+			builtins = append(builtins, i)
+		}
+	}
+	for j, v := range scenario.ParallelMap(builtins, func(i int) verdict { return run(entries[i]) }) {
+		verdicts[builtins[j]] = v
+	}
 	failed := 0
 	for i, v := range verdicts {
-		switch {
+		switch name := entries[i].Name; {
 		case v.err != nil:
 			failed++
-			fmt.Fprintf(w, "FAIL %-13s %v\n", names[i], v.err)
-		case !v.rep.Passed():
-			failed++
-			fmt.Fprintf(w, "FAIL %-13s %d violation(s)\n", names[i], len(v.rep.Violations))
-			for _, viol := range v.rep.Violations {
-				fmt.Fprintf(w, "     VIOLATION %s\n", viol)
-			}
+			fmt.Fprintf(w, "FAIL %-13s %v\n", name, v.err)
+		case v.rep == nil:
+			fmt.Fprintf(w, "PASS %-13s every cell's assertions held\n", name)
 		default:
 			done := v.rep.Result.Total[metrics.StatusCompleted] + v.rep.Result.RoutesCompleted
 			fmt.Fprintf(w, "PASS %-13s %d assertion(s) held, %d transfer(s)/route(s) completed\n",
-				names[i], len(v.rep.Assertions), done)
+				name, len(v.rep.Assertions), done)
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("suite: %d of %d scenario(s) failed", failed, len(names))
+		return fmt.Errorf("suite: %d of %d entries failed", failed, len(entries))
 	}
-	fmt.Fprintf(w, "suite: %d scenario(s) passed\n", len(names))
+	fmt.Fprintf(w, "suite: %d entries passed\n", len(entries))
 	return nil
 }
 
@@ -227,7 +238,7 @@ func runSearchCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench search", flag.ContinueOnError)
 	var (
 		specPath = fs.String("scenario", "", "scenario spec file (JSON) with a faults block")
-		name     = fs.String("name", "", "registered scenario name (see `ibcbench help`)")
+		name     = fs.String("name", "", "built-in scenario name (see `ibcbench help`)")
 		budget   = fs.Int("budget", 0, "candidate timelines to generate and run (0 = 16)")
 		seed     = fs.Int64("seed", 0, "timeline-generator seed (0 = 1); the run seed comes from the spec")
 		outPath  = fs.String("out", "", "write the minimal counterexample spec to this file")

@@ -20,17 +20,18 @@ import (
 //	ibcbench sweep -experiment topo -topology hub:4 -rate 20 [...]
 func runSweep(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench sweep", flag.ContinueOnError)
+	def := experiments.Defaults
 	var (
 		exp        = fs.String("experiment", "all", strings.Join(experiments.Selectors(), "|")+"|all")
-		seeds      = fs.Int("seeds", 3, "executions per configuration (paper: 20)")
-		windows    = fs.Int("windows", 0, "submission block windows (0 = paper default)")
-		transfers  = fs.Int("transfers", 5000, "transfers for fig12/fig13")
-		seed       = fs.Int64("seed", 42, "base RNG seed")
-		topology   = fs.String("topology", "hub:4", "topo/forward/failover experiment graph: two|line:n|hub:n|mesh:n")
-		rate       = fs.Int("rate", 20, "per-edge input rate (rps) for topo/failover; transfers per route for forward")
-		regions    = fs.String("regions", "", "geo region preset for topo/failover deployments: 3wan or lan (\"\" = the paper's uniform WAN)")
+		seeds      = fs.Int("seeds", def.Opt.Seeds, "executions per configuration (paper: 20)")
+		windows    = fs.Int("windows", def.Opt.Windows, "submission block windows (0 = paper default)")
+		transfers  = fs.Int("transfers", def.Transfers, "transfers for fig12/fig13")
+		seed       = fs.Int64("seed", def.Seed, "base RNG seed")
+		topology   = fs.String("topology", def.Topology, "topo/forward/failover experiment graph: two|line:n|hub:n|mesh:n")
+		rate       = fs.Int("rate", def.Rate, "per-edge input rate (rps) for topo/failover; transfers per route for forward")
+		regions    = fs.String("regions", def.Opt.Regions, "geo region preset for topo/failover deployments: 3wan or lan (\"\" = the paper's uniform WAN)")
 		validators = fs.String("validators", "", "validator-set sizes: votescale sweeps the comma list (default 4,8,12,16,24,32); other topology experiments use the first value (\"\" = the paper's 5)")
-		forwarding = fs.Bool("forwarding", false, "run topo multi-hop routes through the packet-forward middleware instead of sequential legs")
+		forwarding = fs.Bool("forwarding", def.Forwarding, "run topo multi-hop routes through the packet-forward middleware instead of sequential legs")
 		out        = fs.String("out", "", "write every experiment's result as JSON to this file (cross-PR regression tracking)")
 		storeDir   = fs.String("store", "", "archive the result document (the -out payload) into this experiment-store directory; browse it with `ibcbench serve -store DIR`")
 	)

@@ -3,7 +3,9 @@
 // of scenario specs, one per cell, run through scenario.Run (specGrid)
 // under the per-commit checks and the assertions each spec names, and a
 // reducer over the reports and the quiescent deployments they carry.
-// The registry (registry.go) is the experiment index.
+// The catalogue (registry.go) holds every figure and every built-in
+// scenario in one table, the one the CLI's help, run, search, suite and
+// sweep read.
 package experiments
 
 import (

@@ -6,30 +6,31 @@ import (
 	"testing"
 )
 
-// The registry's execution order is the result-document key order the
-// VIRT gate and the store's trend analysis rely on; pin it.
+// The figures' execution order is the result-document key order the
+// VIRT gate and the store's trend analysis rely on, and help lists the
+// built-ins after them; pin both.
 func TestRegistryOrderAndShape(t *testing.T) {
 	wantNames := []string{
 		"tendermint", "fig8", "fig8-lan", "fig9", "fig9-lan",
 		"fig12", "fig13", "gas", "topo", "forward",
 		"failover", "votescale", "ws",
+		"quickstart", "hub", "mesh", "pfmroute", "roundtrip",
+		"failover", "plaintimeout", "timeoutstorm", "timeoutproofs",
 	}
-	reg := Registry()
-	if len(reg) != len(wantNames) {
-		t.Fatalf("registry has %d entries, want %d", len(reg), len(wantNames))
+	cat := Catalogue()
+	if len(cat) != len(wantNames) {
+		t.Fatalf("catalogue has %d entries, want %d", len(cat), len(wantNames))
 	}
-	for i, e := range reg {
+	for i, e := range cat {
 		if e.Name != wantNames[i] {
 			t.Errorf("entry %d: name %q, want %q", i, e.Name, wantNames[i])
 		}
-		if e.Desc == "" {
-			t.Errorf("entry %q: empty description", e.Name)
-		}
 		if e.run == nil {
-			t.Errorf("entry %q: nil driver", e.Name)
+			t.Errorf("entry %q: nil run", e.Name)
 		}
-		if len(e.Selectors) == 0 {
-			t.Errorf("entry %q: no selectors", e.Name)
+		if figure := i < 13; figure != (len(e.Selectors) > 0) || figure != (e.Spec == nil) || figure && e.Short {
+			t.Errorf("entry %q: selectors %v, spec %v, short %v: want a figure's selectors or a built-in's spec",
+				e.Name, e.Selectors, e.Spec != nil, e.Short)
 		}
 	}
 }
@@ -67,6 +68,9 @@ func TestSelect(t *testing.T) {
 			t.Errorf("Select(%q) = %v, want %v", c.sel, names(got), c.want)
 		}
 	}
+	if _, err := Select("quickstart"); err == nil || !strings.Contains(err.Error(), "run -name quickstart") {
+		t.Errorf("Select(quickstart): want an error naming `run -name`, got %v", err)
+	}
 	if _, err := Select("nope"); err == nil {
 		t.Fatal("Select(nope): expected an error")
 	} else if !strings.Contains(err.Error(), "fig12") {
@@ -83,7 +87,10 @@ func TestSelectorsCoverEveryEntry(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	for _, e := range Registry() {
+	for _, e := range Catalogue() {
+		if e.Spec != nil {
+			continue
+		}
 		found := false
 		for _, s := range e.Selectors {
 			if seen[s] {

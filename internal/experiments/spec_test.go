@@ -149,7 +149,7 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-// TestCellSpecsRoundTrip: every cell spec each registry entry builds, at
+// TestCellSpecsRoundTrip: every cell spec each figure builds, at
 // the sweep's defaults, encodes, parses back to the same bytes and
 // compiles, so any cell can be written out and rerun with `ibcbench run
 // -scenario`.
@@ -193,9 +193,12 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 		"votescale":  votescale,
 		"ws":         {wsSpec(1000, 60)},
 	}
-	for _, e := range Registry() {
+	for _, e := range Catalogue() {
+		if e.Spec != nil {
+			continue
+		}
 		if len(cells[e.Name]) == 0 {
-			t.Errorf("registry entry %q: no cell specs listed here", e.Name)
+			t.Errorf("figure %q: no cell specs listed here", e.Name)
 		}
 		for _, s := range cells[e.Name] {
 			enc, err := scenario.Encode(s)

@@ -831,10 +831,14 @@ func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, upd []int
 func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
 	var candidates []outMsg
 	var probes []rpc.SettledProbe
-	for _, m := range batch {
+	for i, m := range batch {
 		p := m.packet
 		if !r.rowOf(dst, m).failed(m.kind()) {
 			continue
+		}
+		if candidates == nil {
+			candidates = make([]outMsg, 0, len(batch)-i)
+			probes = make([]rpc.SettledProbe, 0, len(batch)-i)
 		}
 		probe := rpc.SettledProbe{Port: p.DestPort, Channel: p.DestChannel, Sequence: p.Sequence}
 		if m.kind() != kindRecv {
@@ -847,15 +851,14 @@ func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
 		return
 	}
 	dst.rpc.QuerySettled(r.host, probes, func(settled []bool, err error) {
-		var retry []outMsg
+		queued := len(dst.outbox)
 		for i, m := range candidates {
 			ok := err == nil && i < len(settled) && settled[i]
 			if r.rowOf(dst, m).probed(m.kind(), ok, !r.stopped) {
-				retry = append(retry, m)
+				dst.outbox = append(dst.outbox, m)
 			}
 		}
-		if len(retry) > 0 {
-			dst.outbox = append(dst.outbox, retry...)
+		if len(dst.outbox) > queued {
 			r.tryFlush(dst)
 		}
 	})

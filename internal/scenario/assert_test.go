@@ -73,11 +73,7 @@ func TestCleanRunHoldsAllAssertions(t *testing.T) {
 // timeouts; once quiescent, every refund must have unwound (and the
 // conservation invariant must survive the unwinding).
 func TestTimeoutRefundsHold(t *testing.T) {
-	e, ok := Lookup("timeoutstorm")
-	if !ok {
-		t.Fatal("timeoutstorm builtin missing")
-	}
-	rep, err := Run(e.Spec, 0, nil)
+	rep, err := Run(timeoutstormSpec(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +87,7 @@ func TestTimeoutRefundsHold(t *testing.T) {
 // their traces through both links without reporting violations (a
 // mis-mapped counterparty channel would flag every voucher).
 func TestConservationSeesVouchers(t *testing.T) {
-	e, ok := Lookup("pfmroute")
-	if !ok {
-		t.Fatal("pfmroute builtin missing")
-	}
-	rep, err := Run(e.Spec, 0, nil)
+	rep, err := Run(pfmrouteSpec(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +139,12 @@ func TestLostClearQueryIsRetried(t *testing.T) {
 // has expired, proves the timeouts once healed, and each sender ends
 // with the balance it started with while the escrow holds nothing.
 func TestPlainTimeoutRefundsSender(t *testing.T) {
-	e, ok := Lookup("plaintimeout")
-	if !ok {
-		t.Fatal("plaintimeout builtin missing")
-	}
-	sc, err := Compile(e.Spec)
+	spec := plaintimeoutSpec()
+	sc, err := Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dep, err := sc.RunDeployed(e.Spec.Seed)
+	_, dep, err := sc.RunDeployed(spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +174,7 @@ func TestPlainTimeoutRefundsSender(t *testing.T) {
 			t.Errorf("escrow %s still holds %d %s", escrow, got, data.Denom)
 		}
 	})
-	if want := e.Spec.Workload.Routes[0].Transfers; sent != want {
+	if want := spec.Workload.Routes[0].Transfers; sent != want {
 		t.Fatalf("source sent %d packets, want %d", sent, want)
 	}
 }
@@ -197,11 +186,7 @@ func TestPlainTimeoutRefundsSender(t *testing.T) {
 // reaches the relayer.
 func receivedTimeoutSpec(t *testing.T) Spec {
 	t.Helper()
-	e, ok := Lookup("plaintimeout")
-	if !ok {
-		t.Fatal("plaintimeout builtin missing")
-	}
-	spec := e.Spec
+	spec := plaintimeoutSpec()
 	route := spec.Workload.Routes[0]
 	route.TimeoutBlocks = 5
 	spec.Workload.Routes = []RouteSpec{route}
@@ -241,21 +226,13 @@ func TestReceivedPacketIsNotTimedOut(t *testing.T) {
 // proves at its latest height only, so the relayer must prove there, not
 // at the height it saw the event at (which panicked on both).
 func TestFullProofsSurviveRelayerFaults(t *testing.T) {
-	tp, ok := Lookup("timeoutproofs")
-	if !ok {
-		t.Fatal("timeoutproofs builtin missing")
-	}
-	fo, ok := Lookup("failover")
-	if !ok {
-		t.Fatal("failover builtin missing")
-	}
-	cleared := tp.Spec
+	cleared := timeoutproofsSpec()
 	cleared.Deploy.ClearIntervalBlocks = 1
 	cleared.Chaos = []EventSpec{
 		{At: Duration(3 * time.Second), Kind: "partition", Edge: 0, Relayer: intp(0)},
 		{At: Duration(9 * time.Second), Kind: "heal", Edge: 0, Relayer: intp(0)},
 	}
-	standby := fo.Spec
+	standby := failoverSpec()
 	standby.Deploy.FullProofs = true
 	for _, spec := range []Spec{cleared, standby} {
 		rep, err := Run(spec, 0, nil)
@@ -274,22 +251,19 @@ func TestFullProofsSurviveRelayerFaults(t *testing.T) {
 // account is back at its starting balance on every chain, no voucher
 // supply is outstanding and no escrow holds anything.
 func TestRoundTripComesHome(t *testing.T) {
-	e, ok := Lookup("roundtrip")
-	if !ok {
-		t.Fatal("roundtrip builtin missing")
-	}
-	sc, err := Compile(e.Spec)
+	spec := roundtripSpec()
+	sc, err := Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, dep, err := sc.RunDeployed(e.Spec.Seed)
+	res, dep, err := sc.RunDeployed(spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := Check(dep, DefaultAssertions()); len(v) != 0 {
 		t.Fatalf("violations: %v", v)
 	}
-	route := e.Spec.Workload.Routes[0]
+	route := spec.Workload.Routes[0]
 	if res.RoutesCompleted != 1 {
 		t.Fatalf("%d routes completed, want 1", res.RoutesCompleted)
 	}
@@ -341,11 +315,7 @@ func TestRoundTripComesHome(t *testing.T) {
 // sequence, and the packets are still refunded with every assertion
 // holding.
 func TestRelayerRetriesAfterPartition(t *testing.T) {
-	e, ok := Lookup("plaintimeout")
-	if !ok {
-		t.Fatal("plaintimeout builtin missing")
-	}
-	spec := e.Spec
+	spec := plaintimeoutSpec()
 	spec.Workload.Routes = []RouteSpec{spec.Workload.Routes[0]}
 	spec.Workload.Routes[0].TimeoutBlocks = 4
 	spec.Chaos = append([]EventSpec(nil), spec.Chaos...)

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -117,369 +116,291 @@ func deployed(t *testing.T, spec Spec) (topo.Scenario, *topo.Deployment) {
 	return sc, dep
 }
 
-// A planted write lands after a commit, in the chain's next block: its
-// app hash is the first to hold the write, and the block's write set is
-// where the watch reads it. So each planted test below expects its
-// verdict at the planting chain's next height.
-
-// TestConservationCheckedPerCommit: the per-commit check reports a
-// refund of a received packet at the height of the ibc-0 block that
-// refunded, not at quiescence. The refund is planted after the fact: the
-// first ibc-0 commit that sees a voucher minted on ibc-1 releases one
-// escrowed token behind it, as the timeout of a received packet did.
-func TestConservationCheckedPerCommit(t *testing.T) {
-	spec := missedReceiptSpec()
-	sc, dep := deployed(t, spec)
-	src, dst := dep.Chains[0], dep.Chains[1]
-	w := watchCommits(dep)
-	var plantHeight int64
-	src.Engine.OnCommit(func(cb *store.CommittedBlock) {
-		if plantHeight != 0 {
-			return
-		}
-		var voucher denom.Trace
-		dst.App.State().RangePrefix(app.SupplyPrefix, func(key string, _ []byte) bool {
-			voucher = denom.Parse(strings.TrimPrefix(key, app.SupplyPrefix))
-			return voucher.IsNative()
-		})
-		if voucher.IsNative() {
-			return
-		}
-		escrow := transfer.EscrowAccount(voucher.Hops[0].Port, dep.Links[0].Pair.ChannelAB)
-		if err := src.App.Bank().Send(escrow, "refunded", app.Coin{Denom: voucher.Base, Amount: 1}); err != nil {
-			t.Fatal(err)
-		}
-		src.App.State().CommitTx()
-		plantHeight = cb.Block.Header.Height
-	})
-	if _, err := sc.RunOn(dep, spec.Seed); err != nil {
-		t.Fatal(err)
-	}
-	if plantHeight == 0 {
-		t.Fatal("ibc-1 minted no voucher: nothing was refunded")
-	}
-	if len(w.out) != 1 {
-		t.Fatalf("the per-commit check reported %d violations, want 1: %v", len(w.out), w.out)
-	}
-	v := w.out[0]
-	refundHeight := plantHeight + 1
-	at := fmt.Sprintf("after %s committed height %d: voucher ", src.ID, refundHeight)
-	if v.Assertion != AssertConservation || v.Chain != dst.ID || v.Height != refundHeight ||
-		!strings.HasPrefix(v.Detail, at) {
-		t.Fatalf("the per-commit check reported %+v, want %s on %s at %s height %d",
-			v, AssertConservation, dst.ID, src.ID, refundHeight)
-	}
-	if last := src.Store.Height(); last <= refundHeight {
-		t.Fatalf("ibc-0 ended at height %d: the refund at %d was not before quiescence", last, refundHeight)
-	}
-	// Alone, the quiescent check finds the same voucher, with no height;
-	// after the per-commit check it does not report it a second time.
-	if q := Check(dep, DefaultAssertions()); len(q) != 1 || q[0].Assertion != AssertConservation || q[0].Height != 0 {
-		t.Fatalf("quiescent Check = %v, want the one conservation verdict", q)
-	}
-	if all := check(dep, DefaultAssertions(), w); len(all) != 1 || all[0] != v {
-		t.Fatalf("check after the per-commit check = %v, want its verdict alone", all)
-	}
+// plantedDefect is one row of the table of planted defects: a defect
+// planted by a commit hook of one chain, and the per-commit verdict that
+// catches it. A planted write lands after a commit, in the chain's next
+// block: its app hash is the first to hold the write, and the block's
+// write set is where the watch reads it.
+type plantedDefect struct {
+	name string
+	spec Spec // run at its own seed
+	on   int  // the planting chain
+	// plant runs after each commit of chain on, until it reports a write
+	// planted, or after every commit if every is set.
+	plant func(dep *topo.Deployment, c *chain.Chain, h int64) bool
+	every bool
+	// The oracle: the per-commit verdicts whose detail holds rule ("" is
+	// every verdict), how many there are, and the first one's assertion,
+	// chain, height and detail prefix. (A planted defect may break other
+	// rules later.)
+	rule      string
+	count     int
+	assertion string
+	chain     string
+	height    int64
+	prefix    string
+	// quiescent, when set, checks what the quiescent Check reports alone
+	// (quiet) and after the per-commit check (all), given the verdict v.
+	quiescent func(t *testing.T, v Violation, all, quiet []Violation)
 }
 
-// plantedOnce runs a two-chain, one-window spec at seed 1 with a watch,
-// after running plant at each commit of chain i until it reports a
-// planted write, and returns the planting chain, the height of the
-// commit after which it planted, the watch's verdicts, those of check
-// after the watch (which lead with the watch's), and those of the
-// quiescent Check alone.
-func plantedOnce(t *testing.T, i int, plant func(c *chain.Chain, h int64) bool) (c *chain.Chain, h int64, got, all, quiet []Violation) {
-	t.Helper()
-	spec := Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 1}, Seed: 1}
-	return plantedOn(t, spec, i, plant)
-}
-
-// plantedOn is plantedOnce on spec.
-func plantedOn(t *testing.T, spec Spec, i int, plant func(c *chain.Chain, h int64) bool) (c *chain.Chain, h int64, got, all, quiet []Violation) {
-	t.Helper()
-	sc, dep := deployed(t, spec)
-	c = dep.Chains[i]
-	w := watchCommits(dep)
-	var plantHeight int64
-	c.Engine.OnCommit(func(cb *store.CommittedBlock) {
-		if h := cb.Block.Header.Height; plantHeight == 0 && plant(c, h) {
-			c.App.State().CommitTx()
-			plantHeight = h
-		}
-	})
-	if _, err := sc.RunOn(dep, spec.Seed); err != nil {
-		t.Fatal(err)
-	}
-	if plantHeight == 0 {
-		t.Fatalf("%s: nothing was planted", c.ID)
-	}
-	if c.Store.Height() <= plantHeight {
-		t.Fatalf("%s ended at height %d, the height of the plant", c.ID, plantHeight)
-	}
-	if all = check(dep, DefaultAssertions(), w); len(all) < len(w.out) || !slices.Equal(all[:len(w.out)], w.out) {
-		t.Fatalf("check after the per-commit check = %v, want it to lead with %v", all, w.out)
-	}
-	return c, plantHeight, w.out, all, Check(dep, DefaultAssertions())
-}
-
-// wantOneVerdict fails unless exactly one of the verdicts in all names
-// rule ("" matches every verdict), and it is a verdict of assertion on c
-// at height h whose detail begins with prefix; it returns that verdict.
-// (A planted defect may break other rules later.)
-func wantOneVerdict(t *testing.T, all []Violation, rule, assertion string, c *chain.Chain, h int64, prefix string) Violation {
-	t.Helper()
-	var got []Violation
-	for _, v := range all {
-		if strings.Contains(v.Detail, rule) {
-			got = append(got, v)
-		}
-	}
-	if len(got) != 1 {
-		t.Fatalf("the per-commit check reported %d violations of %q, want 1: %v", len(got), rule, all)
-	}
-	if v := got[0]; v.Assertion != assertion || v.Chain != c.ID || v.Height != h || !strings.HasPrefix(v.Detail, prefix) {
-		t.Fatalf("the per-commit check reported %+v, want %s on %s at height %d: %q", v, assertion, c.ID, h, prefix)
-	}
-	return got[0]
-}
-
-// TestPrematureDeletionCheckedPerCommit: the per-commit check reports a
-// packet commitment deleted while its packet is neither received nor
-// timed out, at the height of the block that deleted it, under
-// timeout-refunds. The deletion is planted: the first ibc-0 commit that
-// sends a packet deletes that packet's commitment again, before a
-// relayer has had the chance to deliver it. The destination then refuses
-// that packet's recv, as a proof of the commitment would fail, and the
-// relayer's one retry of the batch it rode in fails with it.
-func TestPrematureDeletionCheckedPerCommit(t *testing.T) {
-	var key, id string
-	src, h, got, all, quiet := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
-		be := c.Events.At(h)
-		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
-			return false
-		}
-		p := be.Txs[0].Sends[0]
-		id = fmt.Sprintf("packet %s/%s#%d ", p.SourcePort, p.SourceChannel, p.Sequence)
-		key = string(ibc.AppendPacketCommitmentKey(nil, p.SourcePort, p.SourceChannel, p.Sequence))
-		commitments := ibc.PacketRecords(nil, app.Commitment, p.SourcePort, p.SourceChannel)
-		c.App.State().DeleteRecord(&commitments, p.Sequence)
-		return true
-	})
-	// No rule but C5's deletion half breaks: the watch reports this one
-	// verdict, and check after it reports nothing more.
-	v := wantOneVerdict(t, got, "", AssertTimeoutRefunds, src, h+1,
-		fmt.Sprintf("after %s committed height %d: commitment %s deleted, but ", src.ID, h+1, key))
-	// The quiescent check sees the deleted packet settled; only the watch
-	// reports it. What the quiescent check reports is the rest of the
-	// refused batch, stuck in flight.
-	if len(quiet) == 0 {
-		t.Fatal("quiescent Check reports nothing, want the packets of the refused batch stuck")
-	}
-	for _, q := range quiet {
-		if q.Assertion != AssertNoStuckPackets || strings.Contains(q.Detail, id) || !strings.Contains(q.Detail, "in flight (no receipt on ") {
-			t.Fatalf("quiescent Check = %v, want only packets other than the deleted one stuck in flight", quiet)
-		}
-	}
-	if len(all) != 1+len(quiet) || all[0] != v || !slices.Equal(all[1:], quiet) {
-		t.Fatalf("check after the per-commit check = %v, want its verdict, then the quiescent Check's", all)
-	}
-}
-
-// TestDeletedReceiptCheckedPerCommit: C5's growth half reports a receipt
-// deleted, at the height of the block that deleted it. The deletion is
-// planted: the first ibc-1 commit that writes an acknowledgement
-// deletes that packet's receipt again.
-func TestDeletedReceiptCheckedPerCommit(t *testing.T) {
-	var key string
-	dst, h, got, _, _ := plantedOnce(t, 1, func(c *chain.Chain, h int64) bool {
-		be := c.Events.At(h)
-		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].AckWrites) == 0 {
-			return false
-		}
-		p := be.Txs[0].AckWrites[0].Packet
-		key = string(ibc.AppendPacketReceiptKey(nil, p.DestPort, p.DestChannel, p.Sequence))
-		receipts := ibc.PacketRecords(nil, app.Receipt, p.DestPort, p.DestChannel)
-		c.App.State().DeleteRecord(&receipts, p.Sequence)
-		return true
-	})
-	wantOneVerdict(t, got, "receipts only grow", AssertTimeoutRefunds, dst, h+1,
-		fmt.Sprintf("after %s committed height %d: receipt %s deleted: receipts only grow", dst.ID, h+1, key))
-}
-
-// TestDoubleSettleCheckedPerCommit: C4's settle third reports a packet
-// commitment deleted after its packet already settled, at the height of
-// the block that deleted it again. The deletion is planted: the first
-// ibc-0 commit that deletes a commitment (an ack settling its packet)
-// deletes it once more.
-func TestDoubleSettleCheckedPerCommit(t *testing.T) {
-	var key string
-	src, h, got, _, _ := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
-		for _, wr := range c.App.State().Written() {
-			if kind, channel := wr.Record(); kind == app.Commitment && wr.Deleted {
-				key = string(wr.AppendKey(nil))
-				commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", channel)
-				c.App.State().DeleteRecord(&commitments, wr.Seq)
-				return true
-			}
-		}
-		return false
-	})
-	wantOneVerdict(t, got, "settled twice", AssertConservation, src, h+1,
-		fmt.Sprintf("after %s committed height %d: commitment %s deleted again: settled twice", src.ID, h+1, key))
-}
-
-// TestStrandedForwardCheckedPerCommit: C6 reports a PFM forward record
-// deleted while its hop's commitment is stored, at the height of the
-// block that deleted it. The deletion is planted on a forwarded route
-// across three chains: the first commit of the middle chain that stores
-// an in-flight record deletes it again, so the hop's settlement finds
-// no record and never releases the origin's held acknowledgement.
-func TestStrandedForwardCheckedPerCommit(t *testing.T) {
-	spec := Spec{
+// TestPlantedDefectsDetected is the table of planted defects: each row
+// plants one defect and names the oracle that catches it, the chain,
+// and the exact height.
+func TestPlantedDefectsDetected(t *testing.T) {
+	// One window of transfers on two chains, and a forwarded route
+	// across three.
+	two := Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 1}, Seed: 1}
+	forwarded := Spec{
 		Name:     "stranded",
 		Topology: TopologySpec{Preset: "line:3"},
 		Workload: WorkloadSpec{Routes: []RouteSpec{{Path: []int{0, 1, 2}, Transfers: 4, Forwarded: true}}},
 		Seed:     1,
 	}
-	var key string
-	mid, h, got, _, _ := plantedOn(t, spec, 1, func(c *chain.Chain, h int64) bool {
-		for _, wr := range c.App.State().Written() {
-			if _, _, _, ok := pfm.CutInFlightKey(wr.Key); ok && !wr.Deleted {
-				key = wr.Key
-				c.App.State().Delete([]byte(key))
-				return true
-			}
-		}
-		return false
-	})
-	wantOneVerdict(t, got, "", AssertConservation, mid, h+1,
-		fmt.Sprintf("after %s committed height %d: forward record %s deleted while its hop's commitment is stored", mid.ID, h+1, key))
-}
-
-// TestStrandedRecordAfterHopCheckedPerCommit: C6's other direction
-// reports a hop's commitment deleted while its PFM forward record stays
-// stored, at the height of the block that deleted it, which wrote no
-// in-flight key. The deletion is planted on the forwarded route of
-// TestStrandedForwardCheckedPerCommit: the first commit of the middle
-// chain that stores an in-flight record deletes its hop's commitment, so
-// no ack or timeout of the hop can pop the record and release the funds.
-func TestStrandedRecordAfterHopCheckedPerCommit(t *testing.T) {
-	spec := Spec{
-		Name:     "stranded-record",
-		Topology: TopologySpec{Preset: "line:3"},
-		Workload: WorkloadSpec{Routes: []RouteSpec{{Path: []int{0, 1, 2}, Transfers: 4, Forwarded: true}}},
-		Seed:     1,
-	}
-	var key, record string
-	mid, h, got, _, _ := plantedOn(t, spec, 1, func(c *chain.Chain, h int64) bool {
-		for _, wr := range c.App.State().Written() {
-			if port, channel, seq, ok := pfm.CutInFlightKey(wr.Key); ok && !wr.Deleted {
-				record = wr.Key
-				key = string(ibc.AppendPacketCommitmentKey(nil, port, channel, seq))
-				commitments := ibc.PacketRecords(nil, app.Commitment, port, channel)
-				c.App.State().DeleteRecord(&commitments, seq)
-				return true
-			}
-		}
-		return false
-	})
-	wantOneVerdict(t, got, "stays stored", AssertConservation, mid, h+1,
-		fmt.Sprintf("after %s committed height %d: commitment %s deleted while its forward record %s stays stored", mid.ID, h+1, key, record))
-}
-
-// TestLoweredSendSequenceCheckedPerCommit: C5's growth half reports a
-// channel end's nextSequenceSend set back, at the height of the block
-// that set it. The write is planted: the first ibc-0 commit that sends
-// on a channel sets its next send sequence back to 1.
-func TestLoweredSendSequenceCheckedPerCommit(t *testing.T) {
-	var key string
-	src, h, got, _, _ := plantedOnce(t, 0, func(c *chain.Chain, h int64) bool {
-		be := c.Events.At(h)
-		if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
-			return false
-		}
-		p := be.Txs[0].Sends[0]
-		key = string(ibc.AppendNextSequenceSendKey(nil, p.SourcePort, p.SourceChannel))
-		c.App.State().Set([]byte(key), []byte("1"))
-		return true
-	})
-	wantOneVerdict(t, got, "send sequences only grow", AssertTimeoutRefunds, src, h+1,
-		fmt.Sprintf("after %s committed height %d: %s fell from ", src.ID, h+1, key))
-}
-
-// TestReplayCheckedPerCommit: the per-commit check reports an
-// acknowledgement written twice for one packet, at the height of the
-// block that wrote it again. The defect is planted as a receipt never
-// written: after each ibc-1 commit, the keys of the packets it
-// acknowledged are deleted again (the receipt, and the acknowledgement
-// that would refuse the second write). Relayer 0 is paused while
-// relayer 1 delivers; on resuming, its clearing pass finds no receipt
-// for the packets it missed and delivers them again, and ibc-1 takes
-// each for a first delivery.
-func TestReplayCheckedPerCommit(t *testing.T) {
-	spec := Spec{
-		Name:     "replay",
-		Topology: TopologySpec{Preset: "two"},
-		Deploy:   DeploySpec{RelayersPerEdge: 2, ClearIntervalBlocks: 1},
-		Workload: WorkloadSpec{Rate: 2, Windows: 2},
-		Chaos: []EventSpec{
-			{At: Duration(12 * time.Second), Kind: "relayer-pause", Edge: 0, Relayer: intp(0)},
-			{At: Duration(30 * time.Second), Kind: "relayer-resume", Edge: 0, Relayer: intp(0)},
-		},
-		Seed: 1,
-	}
-	sc, dep := deployed(t, spec)
-	dst := dep.Chains[1]
-	firstAck := map[string]int64{} // receipt key -> height first acknowledged
-	var replayHeight int64
-	var replayKey string
-	w := watchCommits(dep)
-	dst.Engine.OnCommit(func(cb *store.CommittedBlock) {
-		h := cb.Block.Header.Height
-		be := dst.Events.At(h)
-		if be == nil {
-			return
-		}
-		for _, te := range be.Txs {
-			for _, aw := range te.AckWrites {
-				p := aw.Packet
-				key := string(ibc.AppendPacketReceiptKey(nil, p.DestPort, p.DestChannel, p.Sequence))
-				if _, again := firstAck[key]; again && replayHeight == 0 {
-					replayHeight, replayKey = h, key
-				} else if !again {
-					firstAck[key] = h
+	for _, d := range []plantedDefect{
+		{
+			// A refund of a received packet: the first ibc-0 commit that
+			// sees a voucher minted on ibc-1 releases one escrowed token
+			// behind it, as the timeout of a received packet did. The
+			// verdict comes at the height of the ibc-0 block that
+			// refunded, not at quiescence.
+			name: "refund-of-received", spec: missedReceiptSpec(), on: 0,
+			plant: func(dep *topo.Deployment, src *chain.Chain, _ int64) bool {
+				var voucher denom.Trace
+				dep.Chains[1].App.State().RangePrefix(app.SupplyPrefix, func(key string, _ []byte) bool {
+					voucher = denom.Parse(strings.TrimPrefix(key, app.SupplyPrefix))
+					return voucher.IsNative()
+				})
+				if voucher.IsNative() {
+					return false
 				}
+				escrow := transfer.EscrowAccount(voucher.Hops[0].Port, dep.Links[0].Pair.ChannelAB)
+				if err := src.App.Bank().Send(escrow, "refunded", app.Coin{Denom: voucher.Base, Amount: 1}); err != nil {
+					panic(err)
+				}
+				return true
+			},
+			count: 1, assertion: AssertConservation, chain: "ibc-1", height: 6,
+			prefix: "after ibc-0 committed height 6: voucher ",
+			// Alone, the quiescent check finds the same voucher, with no
+			// height; after the per-commit check it does not report it a
+			// second time.
+			quiescent: func(t *testing.T, v Violation, all, quiet []Violation) {
+				if len(quiet) != 1 || quiet[0].Assertion != AssertConservation || quiet[0].Height != 0 {
+					t.Fatalf("quiescent Check = %v, want the one conservation verdict", quiet)
+				}
+				if len(all) != 1 {
+					t.Fatalf("check after the per-commit check = %v, want its verdict alone", all)
+				}
+			},
+		},
+		{
+			// A commitment deleted before its packet is received or timed
+			// out: the first ibc-0 commit that sends a packet deletes that
+			// packet's commitment again. The destination then refuses that
+			// packet's recv, as a proof of the commitment would fail, and
+			// the relayer's one retry of the batch it rode in fails with it.
+			name: "premature-deletion", spec: two, on: 0,
+			plant: func(_ *topo.Deployment, c *chain.Chain, h int64) bool {
+				be := c.Events.At(h)
+				if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
+					return false
+				}
+				p := be.Txs[0].Sends[0]
+				commitments := ibc.PacketRecords(nil, app.Commitment, p.SourcePort, p.SourceChannel)
+				c.App.State().DeleteRecord(&commitments, p.Sequence)
+				return true
+			},
+			count: 1, assertion: AssertTimeoutRefunds, chain: "ibc-0", height: 3,
+			prefix: "after ibc-0 committed height 3: commitment commitments/ports/transfer/channels/channel-0/sequences/1 deleted, but ",
+			// The quiescent check sees the deleted packet settled; only
+			// the watch reports it. What the quiescent check reports is
+			// the rest of the refused batch, stuck in flight.
+			quiescent: func(t *testing.T, v Violation, all, quiet []Violation) {
+				if len(quiet) == 0 {
+					t.Fatal("quiescent Check reports nothing, want the packets of the refused batch stuck")
+				}
+				for _, q := range quiet {
+					if q.Assertion != AssertNoStuckPackets || strings.Contains(q.Detail, "packet transfer/channel-0#1 ") || !strings.Contains(q.Detail, "in flight (no receipt on ") {
+						t.Fatalf("quiescent Check = %v, want only packets other than the deleted one stuck in flight", quiet)
+					}
+				}
+				if len(all) != 1+len(quiet) || !slices.Equal(all[1:], quiet) {
+					t.Fatalf("check after the per-commit check = %v, want its verdict, then the quiescent Check's", all)
+				}
+			},
+		},
+		{
+			// C5's growth half: the first ibc-1 commit that writes an
+			// acknowledgement deletes that packet's receipt again.
+			name: "deleted-receipt", spec: two, on: 1,
+			plant: func(_ *topo.Deployment, c *chain.Chain, h int64) bool {
+				be := c.Events.At(h)
+				if be == nil || len(be.Txs) == 0 || len(be.Txs[0].AckWrites) == 0 {
+					return false
+				}
+				p := be.Txs[0].AckWrites[0].Packet
 				receipts := ibc.PacketRecords(nil, app.Receipt, p.DestPort, p.DestChannel)
-				acks := ibc.PacketRecords(nil, app.Ack, p.DestPort, p.DestChannel)
-				dst.App.State().DeleteRecord(&receipts, p.Sequence)
-				dst.App.State().DeleteRecord(&acks, p.Sequence)
-			}
+				c.App.State().DeleteRecord(&receipts, p.Sequence)
+				return true
+			},
+			rule: "receipts only grow", count: 1, assertion: AssertTimeoutRefunds, chain: "ibc-1", height: 5,
+			prefix: "after ibc-1 committed height 5: receipt receipts/ports/transfer/channels/channel-0/sequences/1 deleted: receipts only grow",
+		},
+		{
+			// C4's settle third: the first ibc-0 commit that deletes a
+			// commitment (an ack settling its packet) deletes it once more.
+			name: "double-settle", spec: two, on: 0,
+			plant: func(_ *topo.Deployment, c *chain.Chain, _ int64) bool {
+				for _, wr := range c.App.State().Written() {
+					if kind, channel := wr.Record(); kind == app.Commitment && wr.Deleted {
+						commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", channel)
+						c.App.State().DeleteRecord(&commitments, wr.Seq)
+						return true
+					}
+				}
+				return false
+			},
+			rule: "settled twice", count: 1, assertion: AssertConservation, chain: "ibc-0", height: 7,
+			prefix: "after ibc-0 committed height 7: commitment commitments/ports/transfer/channels/channel-0/sequences/1 deleted again: settled twice",
+		},
+		{
+			// C6: the first commit of the middle chain that stores a PFM
+			// in-flight record deletes it again, so the hop's settlement
+			// finds no record and never releases the origin's held
+			// acknowledgement.
+			name: "stranded-forward", spec: forwarded, on: 1,
+			plant: func(_ *topo.Deployment, c *chain.Chain, _ int64) bool {
+				for _, wr := range c.App.State().Written() {
+					if _, _, _, ok := pfm.CutInFlightKey(wr.Key); ok && !wr.Deleted {
+						c.App.State().Delete([]byte(wr.Key))
+						return true
+					}
+				}
+				return false
+			},
+			count: 1, assertion: AssertConservation, chain: "ibc-1", height: 5,
+			prefix: "after ibc-1 committed height 5: forward record pfm/inflight/ports/transfer/channels/channel-1/sequences/1 deleted while its hop's commitment is stored",
+		},
+		{
+			// C6's other direction: the first commit of the middle chain
+			// that stores an in-flight record deletes its hop's commitment,
+			// in a block that writes no in-flight key, so no ack or timeout
+			// of the hop can pop the record and release the funds.
+			name: "stranded-record-after-hop", spec: forwarded, on: 1,
+			plant: func(_ *topo.Deployment, c *chain.Chain, _ int64) bool {
+				for _, wr := range c.App.State().Written() {
+					if port, channel, seq, ok := pfm.CutInFlightKey(wr.Key); ok && !wr.Deleted {
+						commitments := ibc.PacketRecords(nil, app.Commitment, port, channel)
+						c.App.State().DeleteRecord(&commitments, seq)
+						return true
+					}
+				}
+				return false
+			},
+			rule: "stays stored", count: 1, assertion: AssertConservation, chain: "ibc-1", height: 5,
+			prefix: "after ibc-1 committed height 5: commitment commitments/ports/transfer/channels/channel-1/sequences/1 deleted while its forward record pfm/inflight/ports/transfer/channels/channel-1/sequences/1 stays stored",
+		},
+		{
+			// C5's growth half: the first ibc-0 commit that sends on a
+			// channel sets its next send sequence back to 1.
+			name: "lowered-send-sequence", spec: two, on: 0,
+			plant: func(_ *topo.Deployment, c *chain.Chain, h int64) bool {
+				be := c.Events.At(h)
+				if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
+					return false
+				}
+				p := be.Txs[0].Sends[0]
+				c.App.State().Set(ibc.AppendNextSequenceSendKey(nil, p.SourcePort, p.SourceChannel), []byte("1"))
+				return true
+			},
+			rule: "send sequences only grow", count: 1, assertion: AssertTimeoutRefunds, chain: "ibc-0", height: 3,
+			prefix: "after ibc-0 committed height 3: nextSequenceSend/ports/transfer/channels/channel-0 fell from ",
+		},
+		{
+			// A receipt never written, and the replay it lets through:
+			// after each ibc-1 commit, the keys of the packets it
+			// acknowledged are deleted again (the receipt, and the
+			// acknowledgement that would refuse the second write). Relayer
+			// 0 is paused while relayer 1 delivers; on resuming, its
+			// clearing pass finds no receipt for the packets it missed and
+			// delivers them again, and ibc-1 takes each for a first
+			// delivery.
+			name: "receipt-not-written",
+			spec: Spec{
+				Name:     "replay",
+				Topology: TopologySpec{Preset: "two"},
+				Deploy:   DeploySpec{RelayersPerEdge: 2, ClearIntervalBlocks: 1},
+				Workload: WorkloadSpec{Rate: 2, Windows: 2},
+				Chaos: []EventSpec{
+					{At: Duration(12 * time.Second), Kind: "relayer-pause", Edge: 0, Relayer: intp(0)},
+					{At: Duration(30 * time.Second), Kind: "relayer-resume", Edge: 0, Relayer: intp(0)},
+				},
+				Seed: 1,
+			},
+			on: 1, every: true,
+			plant: func(_ *topo.Deployment, c *chain.Chain, h int64) bool {
+				planted := false
+				for _, te := range c.Events.At(h).Txs {
+					for _, aw := range te.AckWrites {
+						p := aw.Packet
+						receipts := ibc.PacketRecords(nil, app.Receipt, p.DestPort, p.DestChannel)
+						acks := ibc.PacketRecords(nil, app.Ack, p.DestPort, p.DestChannel)
+						c.App.State().DeleteRecord(&receipts, p.Sequence)
+						c.App.State().DeleteRecord(&acks, p.Sequence)
+						planted = true
+					}
+				}
+				return planted
+			},
+			rule: "acknowledged again", count: 20, assertion: AssertConservation, chain: "ibc-1", height: 8,
+			prefix: "after ibc-1 committed height 8: receipt receipts/ports/transfer/channels/channel-0/sequences/11 acknowledged again: a replay was accepted",
+		},
+	} {
+		t.Run(d.name, func(t *testing.T) { d.detect(t) })
+	}
+}
+
+// detect runs the row's spec with the per-commit check and its plant,
+// and checks the row's verdict.
+func (d plantedDefect) detect(t *testing.T) {
+	sc, dep := deployed(t, d.spec)
+	c := dep.Chains[d.on]
+	w := watchCommits(dep)
+	planted := false
+	c.Engine.OnCommit(func(cb *store.CommittedBlock) {
+		if (!planted || d.every) && d.plant(dep, c, cb.Block.Header.Height) {
+			c.App.State().CommitTx()
+			planted = true
 		}
-		dst.App.State().CommitTx()
 	})
-	if _, err := sc.RunOn(dep, spec.Seed); err != nil {
+	if _, err := sc.RunOn(dep, d.spec.Seed); err != nil {
 		t.Fatal(err)
 	}
-	if replayHeight == 0 {
-		t.Fatal("no packet was delivered twice: nothing was replayed")
+	if !planted {
+		t.Fatalf("%s: nothing was planted", c.ID)
 	}
-	var replays []Violation
+	if last := c.Store.Height(); last <= d.height {
+		t.Fatalf("%s ended at height %d: the verdict at %d was not before quiescence", c.ID, last, d.height)
+	}
+	var got []Violation
 	for _, v := range w.out {
-		if strings.Contains(v.Detail, "acknowledged again") {
-			replays = append(replays, v)
+		if strings.Contains(v.Detail, d.rule) {
+			got = append(got, v)
 		}
 	}
-	if len(replays) == 0 {
-		t.Fatalf("the per-commit check reported no replay; its verdicts: %v", w.out)
+	if len(got) != d.count {
+		t.Fatalf("the per-commit check reported %d violations of %q, want %d: %v", len(got), d.rule, d.count, w.out)
 	}
-	v := replays[0]
-	at := fmt.Sprintf("after %s committed height %d: receipt %s acknowledged again: a replay was accepted",
-		dst.ID, replayHeight, replayKey)
-	if v.Assertion != AssertConservation || v.Chain != dst.ID || v.Height != replayHeight || !strings.HasPrefix(v.Detail, at) {
-		t.Fatalf("the first replay verdict is %+v, want %s on %s at height %d: %q", v, AssertConservation, dst.ID, replayHeight, at)
+	if v := got[0]; v.Assertion != d.assertion || v.Chain != d.chain || v.Height != d.height || !strings.HasPrefix(v.Detail, d.prefix) {
+		t.Fatalf("the per-commit check reported %+v, want %s on %s at height %d: %q", v, d.assertion, d.chain, d.height, d.prefix)
 	}
-	if all := check(dep, DefaultAssertions(), w); !slices.Contains(all, v) {
-		t.Fatalf("check after the per-commit check = %v, want it to carry %v", all, v)
+	all := check(dep, DefaultAssertions(), w)
+	if len(all) < len(w.out) || !slices.Equal(all[:len(w.out)], w.out) {
+		t.Fatalf("check after the per-commit check = %v, want it to lead with %v", all, w.out)
+	}
+	if d.quiescent != nil {
+		d.quiescent(t, got[0], all, Check(dep, DefaultAssertions()))
 	}
 }
 

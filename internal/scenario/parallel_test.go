@@ -61,13 +61,7 @@ func TestTracedRunsSideBySide(t *testing.T) {
 		report string
 		events int
 	}
-	run := func(name string) traced {
-		e, ok := Lookup(name)
-		if !ok {
-			t.Errorf("%s builtin missing", name)
-			return traced{}
-		}
-		spec := e.Spec
+	run := func(spec Spec) traced {
 		spec.Deploy.FullProofs = true
 		o := obs.New()
 		rep, err := Run(spec, 0, o)
@@ -79,11 +73,12 @@ func TestTracedRunsSideBySide(t *testing.T) {
 		rep.Render(&b)
 		return traced{b.String(), o.Tracer.Len()}
 	}
-	names := []string{"pfmroute", "failover"}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(len(names)))
-	side := ParallelMap(names, run)
-	for i, name := range names {
-		serial := run(name)
+	specs := []Spec{pfmrouteSpec(), failoverSpec()}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(len(specs)))
+	side := ParallelMap(specs, run)
+	for i, spec := range specs {
+		name := spec.Name
+		serial := run(spec)
 		if serial.events == 0 {
 			t.Errorf("%s: the run recorded no trace events", name)
 		}

@@ -85,6 +85,8 @@ func resolveFaults(s Spec) (FaultSpace, error) {
 	return f, nil
 }
 
+func intp(i int) *int { return &i }
+
 // generateTimeline draws one candidate fault timeline. All times are
 // millisecond-quantized so emitted specs stay readable, and recovery
 // events (heal, spike/burst clear, resume) pair each fault unless the

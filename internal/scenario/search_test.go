@@ -98,11 +98,7 @@ func TestSearchDeterminism(t *testing.T) {
 // TestSearchNeedsFaultSpace: specs without a declared space refuse to
 // search instead of guessing one.
 func TestSearchNeedsFaultSpace(t *testing.T) {
-	e, ok := Lookup("quickstart")
-	if !ok {
-		t.Fatal("quickstart builtin missing")
-	}
-	if _, err := Search(e.Spec, SearchOptions{Budget: 1}); err == nil {
+	if _, err := Search(quickstartSpec(), SearchOptions{Budget: 1}); err == nil {
 		t.Fatal("search without a fault space succeeded")
 	}
 }
@@ -115,10 +111,7 @@ func TestSearchNeedsFaultSpace(t *testing.T) {
 // open, and end on a verdict of an assertion that failed on the same
 // chain originally.
 func TestShrinkKeepsHealedFaultsHealed(t *testing.T) {
-	e, ok := Lookup("failover")
-	if !ok {
-		t.Fatal("failover builtin missing")
-	}
+	spec := failoverSpec()
 	openFaults := func(events []EventSpec) (open []EventSpec) {
 		for _, u := range faultUnits(events) {
 			if len(u) == 1 {
@@ -128,7 +121,7 @@ func TestShrinkKeepsHealedFaultsHealed(t *testing.T) {
 		return open
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		res, err := Search(e.Spec, SearchOptions{Budget: 32, Seed: seed})
+		res, err := Search(spec, SearchOptions{Budget: 32, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,9 @@
 // edge, plus multi-hop routes), a chaos fault timeline, the stop rule (a
 // deadline, or a height chain 0 must commit) and the invariant
 // assertions checked after the run: everything an experiment does, as
-// data. Every paper figure is a set of specs run through Run.
+// data. Every paper figure is a set of specs run through Run, and the
+// named built-in specs sit beside the figures in one catalogue
+// (internal/experiments) that the CLI reads.
 //
 // Specs round-trip: Parse(Encode(s)) == s, and Encode is canonical
 // (stable field order, duration strings), so a spec file is diffable and

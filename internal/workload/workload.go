@@ -11,6 +11,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -326,6 +327,14 @@ func (g *Generator) receiverOf(account string) string {
 func (g *Generator) submitTx(account string, sub int, attempt int) {
 	tx, seq := g.transferTx(account, sub)
 	g.rpcNode.BroadcastTxSync(g.host, tx, func(err error) {
+		// A refusal means the attempt never entered the mempool, so it
+		// can never commit, and a retry is a new transaction with a new
+		// hash: its broadcast time goes. A client timeout keeps it, since
+		// the node may have admitted the attempt before the reply was
+		// lost, and it may still commit.
+		if err != nil && !errors.Is(err, rpc.ErrTimeout) {
+			delete(g.broadcastAt, tx.Hash())
+		}
 		switch {
 		case err == nil:
 			g.nextSeq[account] = seq + 1
@@ -389,6 +398,7 @@ func (g *Generator) InjectDirect(transfers int) {
 			g.nextSeq[account] = seq + 1
 			g.count(len(g.subs)-1, &g.stats.Submitted)
 		} else {
+			delete(g.broadcastAt, tx.Hash())
 			g.count(len(g.subs)-1, &g.stats.Failed)
 		}
 	}

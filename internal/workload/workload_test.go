@@ -70,6 +70,33 @@ func TestSubmitBatchCommits(t *testing.T) {
 	}
 }
 
+// TestRefusedAttemptLeavesNoEntry: an attempt the node refuses can
+// never commit, so it keeps no broadcast time, while its retry, a new
+// transaction, commits and takes its own. The first attempt here is
+// stamped with a sequence the account has not reached, and CheckTx
+// refuses it.
+func TestRefusedAttemptLeavesNoEntry(t *testing.T) {
+	tb, g, tracker := testEnv(5)
+	g.EnsureAccounts(3)
+	g.nextSeq[g.accounts[0]] = 7
+	tb.Sched.At(time.Second, func() { g.SubmitBatch(100) })
+	if err := tb.Run(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := g.Stats(); st.Submitted != 100 || st.Failed != 0 {
+		t.Fatalf("stats = %+v, want the retry submitted", st)
+	}
+	if rejected := tb.Pair.A.Pool.Rejected(); rejected != 1 {
+		t.Fatalf("the mempool refused %d attempts, want 1", rejected)
+	}
+	if n := trackedPackets(tracker); n != 100 {
+		t.Fatalf("tracked = %d, want the retry's 100 packets", n)
+	}
+	if n := len(g.broadcastAt); n != 0 {
+		t.Fatalf("%d broadcast entries left after every attempt committed or was refused", n)
+	}
+}
+
 func TestAccountsRotateAcrossWindows(t *testing.T) {
 	tb, g, _ := testEnv(2)
 	g.RunConstantRate(40, 3) // 200 transfers = 2 txs per window, 3 windows
