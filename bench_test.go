@@ -311,13 +311,14 @@ func BenchmarkKeeperRecvAck(b *testing.B) {
 // the store, which left it there: a read had already decoded nothing.
 // With the packet data read in place, the voucher denom appended into the
 // bank's key buffer and the emitted acknowledgements cut from the
-// keeper's chunk, 17: what is left is each transaction's context, the
-// growth of its event list and the chunk blocks values and
-// acknowledgements are cut from. The ceiling is the count under the race
+// keeper's chunk, 17; with each transaction's event list cut from the
+// app's chunk at one event per message, 9: what is left is each
+// transaction's context and the chunk blocks values, acknowledgements
+// and event lists are cut from. The ceiling is the count under the race
 // detector (CI runs the package with -race), whose instrumentation adds
 // 11.
 func TestKeeperRecvAckAllocs(t *testing.T) {
-	const runs, ceiling = 5, 28
+	const runs, ceiling = 5, 20
 	r := newRecvAckRounds(t, runs+1) // AllocsPerRun adds a warm-up call
 	round := 0
 	got := testing.AllocsPerRun(runs, func() {

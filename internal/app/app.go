@@ -52,10 +52,21 @@ type Context struct {
 	// emit here, in execution order. DeliverTx hands it to the result of a
 	// successful transaction and drops it with the writes of a failed one.
 	events []abci.Event
+	// msgs is the transaction's message count: its event list starts
+	// with room for one event per message.
+	msgs int
 }
 
-// Emit appends events to the transaction's event stream.
-func (c *Context) Emit(evs ...abci.Event) { c.events = append(c.events, evs...) }
+// Emit appends events to the transaction's event stream. The list is
+// cut from the app's chunk of events (a result keeps its list, so none
+// is reused), with room for one event per message at the first event,
+// and cut anew at twice the size when it fills.
+func (c *Context) Emit(evs ...abci.Event) {
+	if n := len(c.events) + len(evs); n > cap(c.events) && c.App != nil {
+		c.events = append(c.App.events.Slot(max(n, 2*cap(c.events), c.msgs)), c.events...)
+	}
+	c.events = append(c.events, evs...)
+}
 
 // Handler executes one message kind. Gas is not its business: DeliverTx
 // charges MsgGas(msg.MsgType()) for every routed message, failed or not.
@@ -180,6 +191,9 @@ type App struct {
 	curHeight int64
 	curTime   time.Duration
 
+	// events is what transactions' event lists are cut from.
+	events Chunk[abci.Event]
+
 	txsOK     uint64
 	txsFailed uint64
 }
@@ -297,6 +311,7 @@ func (a *App) DeliverTx(tx types.Tx) abci.TxResult {
 		State:   a.state,
 		Bank:    a.bank,
 		App:     a,
+		msgs:    len(t.Msgs),
 	}
 	res := abci.TxResult{GasUsed: simconf.GasTxOverhead}
 	for i, msg := range t.Msgs {

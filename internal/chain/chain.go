@@ -57,6 +57,8 @@ type Chain struct {
 	// Events is the chain's shared event index: one decode pass per
 	// committed block, consumed by every RPC node's subscribers.
 	Events *eventindex.Index
+	// feed is the NewBlock frame every full node of the chain delivers.
+	feed rpc.Feed
 
 	sched    *sim.Scheduler
 	network  *netem.Network
@@ -124,7 +126,7 @@ func New(sched *sim.Scheduler, network *netem.Network, cfg Config) *Chain {
 // newRPCNode creates an RPC server backed by this chain's state.
 func (c *Chain) newRPCNode(host netem.Host, clientTimeout time.Duration) *rpc.Server {
 	srv := rpc.New(c.sched, c.network, host, clientTimeout, c.Store, c.Pool,
-		app.TxQueryCost, app.EventFrameBytes, c.App.AccountSequence, app.MsgCount, c.Events.At)
+		app.TxQueryCost, app.EventFrameBytes, c.App.AccountSequence, app.MsgCount, c.Events.At, &c.feed)
 	srv.SetSettledQuery(func(p rpc.SettledProbe) bool {
 		ctx := &app.Context{ChainID: c.ID, State: c.App.State(), Bank: c.App.Bank(), App: c.App}
 		if p.Ack {
@@ -172,6 +174,21 @@ func (c *Chain) ClientStateFor() ibc.ClientState {
 		vals = append(vals, ibc.ValidatorRecord{PubKey: v.PubKey.Bytes(), Power: v.VotingPower})
 	}
 	return ibc.ClientState{ChainID: c.ID, Validators: vals}
+}
+
+// TimeoutElapsed reports whether p's timeout passed on c, its
+// destination, by c's committed blocks: the condition under which a
+// relayer could prove the timeout and trigger the refund.
+func (c *Chain) TimeoutElapsed(p *ibc.Packet) bool {
+	if p.TimeoutHeight > 0 && c.Store.Height() >= p.TimeoutHeight {
+		return true
+	}
+	if p.TimeoutTimestamp > 0 {
+		if be := c.Events.At(c.Events.Height()); be != nil && be.BlockTime >= p.TimeoutTimestamp {
+			return true
+		}
+	}
+	return false
 }
 
 // Pair is two chains linked by an IBC channel.

@@ -25,7 +25,7 @@ func newProbe() probe {
 func (p probe) latency(from, to netem.Host) time.Duration {
 	start := p.s.Now()
 	var at time.Duration
-	p.n.Send(from, to, func() { at = p.s.Now() })
+	p.n.SendHandler(from, to, sim.Func(func() { at = p.s.Now() }))
 	p.s.RunUntil(start + time.Hour)
 	return at - start
 }

@@ -197,16 +197,15 @@ func (n *Network) Sent() uint64 { return n.sent }
 // Dropped reports messages lost to DropRate, overlays or partitions.
 func (n *Network) Dropped() uint64 { return n.dropped }
 
-// Send delivers fn on the destination host after the emulated latency.
-// Messages may be dropped by partitions or the configured drop rate.
+// SendHandler fires h on the destination host after the emulated
+// latency, and reports whether the message was scheduled: it may be
+// dropped by a partition or the configured drop rate (false). A caller
+// that counts its messages in flight counts only the scheduled ones. h
+// is a record the caller owns (a plain func is a sim.Func), so a send
+// allocates nothing.
 //
 // Latency and drop draws consume the sender host's private stream, so
 // they depend only on that host's own send order.
-func (n *Network) Send(from, to Host, fn func()) { n.SendHandler(from, to, sim.Func(fn)) }
-
-// SendHandler is Send for a handler the caller owns, and reports
-// whether the message was scheduled (false: dropped). A caller that
-// counts its messages in flight counts only the scheduled ones.
 func (n *Network) SendHandler(from, to Host, h sim.Handler) bool {
 	n.sent++
 	base := n.cfg.OneWayLatency

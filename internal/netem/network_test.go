@@ -17,7 +17,7 @@ func TestSendLatency(t *testing.T) {
 	cfg := Config{OneWayLatency: 100 * time.Millisecond}
 	s, n := newNet(cfg)
 	var at time.Duration
-	n.Send("a", "b", func() { at = s.Now() })
+	n.SendHandler("a", "b", sim.Func(func() { at = s.Now() }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -30,7 +30,7 @@ func TestLoopback(t *testing.T) {
 	cfg := Config{OneWayLatency: 100 * time.Millisecond, LoopbackLatency: time.Millisecond}
 	s, n := newNet(cfg)
 	var at time.Duration
-	n.Send("a", "a", func() { at = s.Now() })
+	n.SendHandler("a", "a", sim.Func(func() { at = s.Now() }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -44,9 +44,9 @@ func TestLinkOverride(t *testing.T) {
 	s, n := newNet(cfg)
 	n.SetLinkLatency("a", "b", 5*time.Millisecond)
 	var at time.Duration
-	n.Send("a", "b", func() { at = s.Now() })
+	n.SendHandler("a", "b", sim.Func(func() { at = s.Now() }))
 	var back time.Duration
-	n.Send("b", "a", func() { back = s.Now() })
+	n.SendHandler("b", "a", sim.Func(func() { back = s.Now() }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -62,9 +62,9 @@ func TestPartitionAndHeal(t *testing.T) {
 	s, n := newNet(Config{OneWayLatency: time.Millisecond})
 	n.Partition("a", "b")
 	delivered := 0
-	n.Send("a", "b", func() { delivered++ })
-	n.Send("b", "a", func() { delivered++ })
-	n.Send("a", "c", func() { delivered++ })
+	n.SendHandler("a", "b", sim.Func(func() { delivered++ }))
+	n.SendHandler("b", "a", sim.Func(func() { delivered++ }))
+	n.SendHandler("a", "c", sim.Func(func() { delivered++ }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestPartitionAndHeal(t *testing.T) {
 		t.Fatalf("dropped = %d", n.Dropped())
 	}
 	n.Heal("a", "b")
-	n.Send("a", "b", func() { delivered++ })
+	n.SendHandler("a", "b", sim.Func(func() { delivered++ }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestDropRate(t *testing.T) {
 	delivered := 0
 	const total = 2000
 	for i := 0; i < total; i++ {
-		n.Send("a", "b", func() { delivered++ })
+		n.SendHandler("a", "b", sim.Func(func() { delivered++ }))
 	}
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
@@ -135,7 +135,7 @@ func TestJitterVariesDelivery(t *testing.T) {
 	s, n := newNet(cfg)
 	seen := make(map[time.Duration]bool)
 	for i := 0; i < 50; i++ {
-		n.Send("a", "b", func() { seen[s.Now()] = true })
+		n.SendHandler("a", "b", sim.Func(func() { seen[s.Now()] = true }))
 	}
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
@@ -151,7 +151,7 @@ func TestLinkLatencyKeepsConfigDrop(t *testing.T) {
 	s, n := newNet(Config{OneWayLatency: 100 * time.Millisecond, DropRate: 1})
 	n.SetLinkLatency("a", "b", 10*time.Millisecond)
 	delivered := 0
-	n.Send("a", "b", func() { delivered++ })
+	n.SendHandler("a", "b", sim.Func(func() { delivered++ }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestLinkOverlaySpikeAndClear(t *testing.T) {
 	s, n := newNet(cfg)
 	n.SetLinkExtraLatency("a", "b", 40*time.Millisecond)
 	var at time.Duration
-	n.Send("a", "b", func() { at = s.Now() })
+	n.SendHandler("a", "b", sim.Func(func() { at = s.Now() }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestLinkOverlaySpikeAndClear(t *testing.T) {
 	}
 	n.SetLinkExtraLatency("a", "b", 0)
 	start := s.Now()
-	n.Send("a", "b", func() { at = s.Now() - start })
+	n.SendHandler("a", "b", sim.Func(func() { at = s.Now() - start }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestLinkOverlayDropBurst(t *testing.T) {
 	s, n := newNet(Config{OneWayLatency: time.Millisecond})
 	n.SetLinkExtraDrop("a", "b", 1)
 	delivered := 0
-	n.Send("a", "b", func() { delivered++ })
+	n.SendHandler("a", "b", sim.Func(func() { delivered++ }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestLinkOverlayDropBurst(t *testing.T) {
 		t.Fatalf("burst did not drop: delivered=%d dropped=%d", delivered, n.Dropped())
 	}
 	n.SetLinkExtraDrop("a", "b", 0)
-	n.Send("a", "b", func() { delivered++ })
+	n.SendHandler("a", "b", sim.Func(func() { delivered++ }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestOverlayComponentsCompose(t *testing.T) {
 	n.SetLinkExtraLatency("a", "b", 40*time.Millisecond)
 	n.SetLinkExtraDrop("a", "b", 1)
 	delivered := 0
-	n.Send("a", "b", func() { delivered++ })
+	n.SendHandler("a", "b", sim.Func(func() { delivered++ }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestOverlayComponentsCompose(t *testing.T) {
 	n.SetLinkExtraDrop("a", "b", 0)
 	var at time.Duration
 	start := s.Now()
-	n.Send("a", "b", func() { at = s.Now() - start })
+	n.SendHandler("a", "b", sim.Func(func() { at = s.Now() - start }))
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -237,7 +237,7 @@ func TestPartitionsRefcount(t *testing.T) {
 	// other arrives.
 	delivers := func(from, to Host) bool {
 		ok := false
-		n.Send(from, to, func() { ok = true })
+		n.SendHandler(from, to, sim.Func(func() { ok = true }))
 		if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -269,13 +269,13 @@ func TestSendSteadyStateAllocs(t *testing.T) {
 	s, n := newNet(DefaultWAN())
 	fn := func() {}
 	for i := 0; i < 64; i++ { // warm the event freelist and queue capacity
-		n.Send("a", "b", fn)
+		n.SendHandler("a", "b", sim.Func(fn))
 	}
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		n.Send("a", "b", fn)
+		n.SendHandler("a", "b", sim.Func(fn))
 		if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -298,7 +298,7 @@ func BenchmarkNetemSend(b *testing.B) {
 		s, n := newNet(DefaultWAN())
 		setup(n)
 		for i := 0; i < 64; i++ {
-			n.Send("a", "b", fn)
+			n.SendHandler("a", "b", sim.Func(fn))
 		}
 		if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 			b.Fatal(err)
@@ -306,7 +306,7 @@ func BenchmarkNetemSend(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			n.Send("a", "b", fn)
+			n.SendHandler("a", "b", sim.Func(fn))
 			if i%1024 == 1023 { // 1 024 events queued
 				if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 					b.Fatal(err)

@@ -24,14 +24,14 @@ func TestClearRecoversDroppedFrames(t *testing.T) {
 	// Subscribe through a shim instead of r.Start(): frames of heights
 	// 2-6 on chain A are corrupted into frame-too-large errors.
 	drop := func(h int64) bool { return h >= 2 && h <= 6 }
-	r.a.rpc.Subscribe(r.host, func(f *rpc.EventFrame) {
+	r.a.rpc.Subscribe(r.host, onFrame(func(f *rpc.EventFrame) {
 		if drop(f.Height) {
 			r.onFrame(r.a, r.b, &rpc.EventFrame{Height: f.Height, BlockTime: f.BlockTime, Err: rpc.ErrFrameTooLarge})
 			return
 		}
 		r.onFrame(r.a, r.b, f)
-	})
-	r.b.rpc.Subscribe(r.host, func(f *rpc.EventFrame) { r.onFrame(r.b, r.a, f) })
+	}))
+	r.b.rpc.Subscribe(r.host, r.b)
 	gen := workload.NewOnChannel(tb.Sched, tb.RNG, tb.Pair.A, tb.Pair.B, tb.Pair.ChannelAB, r.EndpointRPC("ibc-0"), tracker)
 	tb.Start()
 	tb.Sched.At(time.Second, func() { gen.SubmitBatch(300) })
@@ -118,3 +118,8 @@ func TestLostHeightsLedger(t *testing.T) {
 		t.Fatalf("relayer that does not clear: lost = %v", lost)
 	}
 }
+
+// onFrame adapts a func literal to a subscription's frame handler.
+type onFrame func(*rpc.EventFrame)
+
+func (f onFrame) OnFrame(fr *rpc.EventFrame) { f(fr) }

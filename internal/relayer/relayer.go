@@ -80,11 +80,19 @@ type Stats struct {
 	// Retries counts submission re-attempts (sequence-mismatch recovery
 	// plus network backoff), before a batch is failed or released.
 	Retries uint64
+	// Abandoned counts messages given up (released with their batch, or
+	// dropped by a failed batch's retry) while the chains' committed
+	// state said they could still land. Only a clearing pass, if the
+	// relayer runs one, brings such a message back. A fault such as a
+	// relayer pause makes it nonzero; it is left out of result documents,
+	// which keep the bytes they had before it was counted.
+	Abandoned uint64 `json:"-"`
 }
 
 // endpoint is one Chain Endpoint (Fig. 4): the relayer's view of and
 // submission pipeline into one chain.
 type endpoint struct {
+	r        *Relayer
 	chain    *chain.Chain
 	rpc      *rpc.Server
 	clientID string // client on this chain tracking the counterparty
@@ -157,10 +165,7 @@ type Relayer struct {
 
 	a, b *endpoint
 
-	// pullQueue serializes data pulls: Hermes issues its RPC queries one
-	// at a time and waits for each response (§IV-B).
-	pullQueue   []func(func())
-	pullRunning bool
+	pulls pulls
 
 	// Batch-build freelists: the fresh-packet/ack staging slices live
 	// only until the build closure consumes them, so steady-state
@@ -200,6 +205,7 @@ func New(sched *sim.Scheduler, rng *sim.RNG, cfg Config, pair *chain.Pair) *Rela
 		host: netem.Host("relayer/" + cfg.Name),
 		cpu:  sim.NewSerialResource(sched),
 	}
+	r.pulls.r = r
 	if cfg.Obs != nil {
 		r.tr = cfg.Obs.Tracer
 		r.otrack = r.tr.Track("relayer/" + cfg.Name)
@@ -214,8 +220,8 @@ func New(sched *sim.Scheduler, rng *sim.RNG, cfg Config, pair *chain.Pair) *Rela
 	acctB := cfg.Name + "-on-" + pair.B.ID
 	pair.A.App.CreateAccount(acctA, app.Coin{Denom: "stake", Amount: 1 << 50})
 	pair.B.App.CreateAccount(acctB, app.Coin{Denom: "stake", Amount: 1 << 50})
-	r.a = &endpoint{chain: pair.A, rpc: pair.A.AddRPCNode(fullNodeClientTimeout), clientID: pair.ClientOnA, channel: pair.ChannelAB, account: acctA, clientHeights: make(map[int64]bool)}
-	r.b = &endpoint{chain: pair.B, rpc: pair.B.AddRPCNode(fullNodeClientTimeout), clientID: pair.ClientOnB, channel: pair.ChannelBA, account: acctB, clientHeights: make(map[int64]bool)}
+	r.a = &endpoint{r: r, chain: pair.A, rpc: pair.A.AddRPCNode(fullNodeClientTimeout), clientID: pair.ClientOnA, channel: pair.ChannelAB, account: acctA, clientHeights: make(map[int64]bool)}
+	r.b = &endpoint{r: r, chain: pair.B, rpc: pair.B.AddRPCNode(fullNodeClientTimeout), clientID: pair.ClientOnB, channel: pair.ChannelBA, account: acctB, clientHeights: make(map[int64]bool)}
 	return r
 }
 
@@ -239,9 +245,12 @@ func (r *Relayer) EndpointRPC(chainID string) *rpc.Server {
 
 // Start subscribes to both chains (the Supervisor of Fig. 4).
 func (r *Relayer) Start() {
-	r.a.rpc.Subscribe(r.host, func(f *rpc.EventFrame) { r.onFrame(r.a, r.b, f) })
-	r.b.rpc.Subscribe(r.host, func(f *rpc.EventFrame) { r.onFrame(r.b, r.a, f) })
+	r.a.rpc.Subscribe(r.host, r.a)
+	r.b.rpc.Subscribe(r.host, r.b)
 }
+
+// OnFrame is the Supervisor's subscription to e's chain.
+func (e *endpoint) OnFrame(f *rpc.EventFrame) { e.r.onFrame(e, e.r.counterpartOf(e), f) }
 
 // Stop makes the relayer ignore all future events (crash injection).
 func (r *Relayer) Stop() { r.stopped = true }
@@ -306,18 +315,12 @@ func (r *Relayer) onFrame(src, dst *endpoint, frame *rpc.EventFrame) {
 // virtual time — Hermes pays it per instance — only the simulator's own
 // redundant decode work is gone.
 func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
-	// Message extraction: identify txs carrying work for our channel (on
-	// a multi-channel chain, packets of other links are someone else's).
-	var recvTxs, ackTxs []*eventindex.TxEvents
-	for _, te := range be.Txs {
-		if len(te.SendPackets(src.channel)) > 0 {
-			recvTxs = append(recvTxs, te)
-		}
-		if len(te.Acks(src.channel)) > 0 {
-			ackTxs = append(ackTxs, te)
-		}
-	}
-	if len(recvTxs) == 0 && len(ackTxs) == 0 {
+	// Message extraction: a block with no packet of our channel (on a
+	// multi-channel chain, packets of other links are someone else's) is
+	// no work.
+	if !slices.ContainsFunc(be.Txs, func(te *eventindex.TxEvents) bool {
+		return len(te.SendPackets(src.channel)) > 0 || len(te.Acks(src.channel)) > 0
+	}) {
 		return
 	}
 	parse := simconf.RelayerSchedulingOverheadPerBatch + time.Duration(be.MsgCount)*simconf.RelayerEventParseCostPerMsg
@@ -326,14 +329,14 @@ func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
 		// The scan span covers the charged parse service time.
 		r.tr.CompleteArg(r.otrack, r.nScan, now-parse, now, uint64(be.MsgCount))
 		// Record extraction + confirmation for every packet seen.
-		for _, te := range recvTxs {
+		for _, te := range be.Txs {
 			for _, p := range te.SendPackets(src.channel) {
 				key := r.keyOf(src, p)
 				r.track(key, metrics.StepTransferExtraction, now)
 				r.track(key, metrics.StepTransferConfirmation, now)
 			}
 		}
-		for _, te := range ackTxs {
+		for _, te := range be.Txs {
 			for _, w := range te.Acks(src.channel) {
 				dst.packets.row(w.Packet.Sequence).received()
 				key := r.keyOf(dst, &w.Packet) // packet's source is the counterparty
@@ -343,56 +346,104 @@ func (r *Relayer) processBlock(src, dst *endpoint, be *eventindex.BlockEvents) {
 				r.track(key, metrics.StepRecvConfirmation, now)
 			}
 		}
-		// Data pulls: one heavy query per tx, serial on the source RPC.
-		for _, te := range recvTxs {
-			r.pullTxData(src, te, func() { r.buildRecvBatch(src, dst, te) })
+		// Data pulls: one heavy query per tx with packets of our channel,
+		// serial on the source RPC.
+		for _, te := range be.Txs {
+			if len(te.SendPackets(src.channel)) > 0 {
+				r.pulls.push(pullJob{src: src, dst: dst, te: te})
+			}
 		}
-		for _, te := range ackTxs {
-			r.pullTxData(src, te, func() { r.buildAckBatch(src, dst, te) })
+		for _, te := range be.Txs {
+			if len(te.Acks(src.channel)) > 0 {
+				r.pulls.push(pullJob{src: src, dst: dst, te: te, ack: true})
+			}
 		}
 	})
 }
 
-// pullTxData enqueues a heavy data-pull query on the relayer's serial
-// pull queue (Hermes waits for each query response before issuing the
-// next — §IV-B), retrying on timeouts. The response payload itself is
-// already decoded in the event index; the pull pays the wire/service
-// cost and fn consumes the indexed records.
-func (r *Relayer) pullTxData(src *endpoint, te *eventindex.TxEvents, fn func()) {
-	r.pullQueue = append(r.pullQueue, func(done func()) { r.doPull(src, 0, te, fn, done) })
-	r.runPulls()
+// pullJob is one queued data pull: a source tx whose indexed records
+// build a batch of recvs (ack: acks) for dst once the pull is answered.
+type pullJob struct {
+	src, dst *endpoint
+	te       *eventindex.TxEvents
+	ack      bool
 }
 
-func (r *Relayer) runPulls() {
-	if r.pullRunning || len(r.pullQueue) == 0 {
+// pulls is the relayer's serial data-pull queue: Hermes issues its
+// heavy queries one at a time and waits for each response (§IV-B),
+// retrying on timeouts. The response payload itself is already decoded
+// in the event index; a pull pays the wire and service cost, and its
+// batch is built from the indexed records. The queue is the handler of
+// the running pull's reply and of its retry timer.
+type pulls struct {
+	r       *Relayer
+	queue   []pullJob
+	head    int
+	cur     pullJob
+	attempt int
+	running bool
+}
+
+// push queues a pull and starts it if none is running.
+func (q *pulls) push(j pullJob) {
+	q.queue = append(q.queue, j)
+	q.next()
+}
+
+// next starts the oldest queued pull, unless one is running.
+func (q *pulls) next() {
+	if q.running || q.head == len(q.queue) {
 		return
 	}
-	r.pullRunning = true
-	job := r.pullQueue[0]
-	r.pullQueue = r.pullQueue[1:]
-	job(func() {
-		r.pullRunning = false
-		r.runPulls()
-	})
+	q.running = true
+	q.cur, q.attempt = q.queue[q.head], 0
+	q.queue[q.head] = pullJob{}
+	if q.head++; q.head == len(q.queue) {
+		q.queue, q.head = q.queue[:0], 0
+	}
+	q.pull()
 }
 
-func (r *Relayer) doPull(src *endpoint, attempt int, te *eventindex.TxEvents, fn func(), done func()) {
-	if r.stopped || attempt > 10 {
-		done()
+// pull queries the running job's tx, or drops the job once the relayer
+// stopped or its retries ran out.
+func (q *pulls) pull() {
+	if q.r.stopped || q.attempt > 10 {
+		q.done()
 		return
 	}
-	src.rpc.QueryTxData(r.host, te.Info.Tx.Hash(), func(_ *store.TxInfo, err error) {
-		if r.stopped {
-			done()
-			return
-		}
-		if err != nil {
-			r.sched.After(simconf.RelayerConfirmPollInterval, func() { r.doPull(src, attempt+1, te, fn, done) })
-			return
-		}
-		fn()
-		done()
-	})
+	q.cur.src.rpc.QueryTxData(q.r.host, q.cur.te.Info.Tx.Hash(), q)
+}
+
+// OnTx builds the running job's batch, or retries a failed pull after a
+// poll interval.
+func (q *pulls) OnTx(_ *store.TxInfo, err error) {
+	r := q.r
+	if r.stopped {
+		q.done()
+		return
+	}
+	if err != nil {
+		r.sched.AfterHandler(simconf.RelayerConfirmPollInterval, q)
+		return
+	}
+	if j := q.cur; j.ack {
+		r.buildAckBatch(j.src, j.dst, j.te)
+	} else {
+		r.buildRecvBatch(j.src, j.dst, j.te)
+	}
+	q.done()
+}
+
+// Fire retries the running pull.
+func (q *pulls) Fire() {
+	q.attempt++
+	q.pull()
+}
+
+// done ends the running pull and starts the next.
+func (q *pulls) done() {
+	q.running, q.cur = false, pullJob{}
+	q.next()
 }
 
 // popBuf pops a pooled staging slice (or makes one); the caller appends
@@ -525,13 +576,13 @@ func (r *Relayer) buildAckBatch(src, dst *endpoint, te *eventindex.TxEvents) {
 // has seen dstChain at or past the timeout height, where every recv is
 // rejected, so a receipt absent now stays absent.
 func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
-	t := &srcChain.packets
 	proofHeight := proofHeightOn(dstChain, dstChain.height)
 	full := dstChain.chain.App.State().FullProofs()
 	var probes []rpc.SettledProbe
 	var due []*ibc.Packet // full proofs: the packets to time out, with their proofs
 	var proofs []*merkle.RecordProof
 	var kb [app.KeyBufLen]byte
+	t := &srcChain.packets
 	for seq, ok := t.expired(0, dstChain.height); ok; seq, ok = t.expired(seq+1, dstChain.height) {
 		row := t.row(seq)
 		p := row.p
@@ -552,16 +603,28 @@ func (r *Relayer) checkTimeouts(dstChain, srcChain *endpoint) {
 	if len(probes) == 0 {
 		return
 	}
-	dstChain.rpc.QuerySettled(r.host, probes, func(settled []bool, err error) {
-		due := make([]*ibc.Packet, 0, len(probes))
-		for i, probe := range probes {
-			ok := err == nil && i < len(settled) && !r.stopped
-			if row := t.row(probe.Sequence); row.timeoutProbed(ok, ok && settled[i]) {
-				due = append(due, row.p)
-			}
+	dstChain.rpc.QuerySettled(r.host, probes, &timeoutProbe{src: srcChain, probes: probes, proofHeight: proofHeight})
+}
+
+// timeoutProbe is checkTimeouts' batched receipt probe of the expired
+// packets sourced on src, and the handler of its reply.
+type timeoutProbe struct {
+	src         *endpoint
+	probes      []rpc.SettledProbe
+	proofHeight int64
+}
+
+// OnSettled times out each probed packet found without a receipt.
+func (tp *timeoutProbe) OnSettled(settled []bool, err error) {
+	r := tp.src.r
+	due := make([]*ibc.Packet, 0, len(tp.probes))
+	for i, probe := range tp.probes {
+		ok := err == nil && i < len(settled) && !r.stopped
+		if row := tp.src.packets.row(probe.Sequence); row.timeoutProbed(ok, ok && settled[i]) {
+			due = append(due, row.p)
 		}
-		r.queueTimeouts(srcChain, due, nil, proofHeight)
-	})
+	}
+	r.queueTimeouts(tp.src, due, nil, tp.proofHeight)
 }
 
 // queueTimeouts queues a MsgTimeout for each packet of due on its
@@ -696,7 +759,7 @@ func (r *Relayer) flushNext(dst *endpoint) {
 	for _, m := range batch {
 		msgs = append(msgs, m.msg)
 	}
-	r.submitTx(dst, msgs, batch, updHeights, 0)
+	(&flight{dst: dst, msgs: msgs, batch: batch, upd: updHeights}).submit()
 }
 
 // rollbackClient undoes the optimistic client-update advances upd of a
@@ -708,117 +771,159 @@ func (r *Relayer) rollbackClient(dst *endpoint, upd []int64) {
 	}
 }
 
-// submitTx broadcasts one relayer transaction, handling sequence
-// initialization, mismatch recovery and confirmation polling.
-func (r *Relayer) submitTx(dst *endpoint, msgs []app.Msg, batch []outMsg, upd []int64, attempt int) {
+// flight is one relayer transaction from its first broadcast to its
+// confirmation or release: the handler of its broadcast reply, of its
+// sequence re-query, of its backoff and poll timers and of its QueryTx
+// replies, one at a time.
+type flight struct {
+	dst   *endpoint
+	msgs  []app.Msg
+	batch []outMsg
+	upd   []int64 // the client-update heights it advanced
+	tx    *app.Tx
+	// attempt counts the broadcasts retried, polls the confirmation
+	// polls answered "not found".
+	attempt, polls int
+	subStart       time.Duration
+	// polling: the timer polls for confirmation; else it resubmits.
+	polling bool
+}
+
+// submit broadcasts the transaction, handling sequence initialization;
+// a relayer stopped mid-submission abandons the batch like the
+// confirmation path does, so a post-resume clearing pass can rebuild it.
+func (f *flight) submit() {
+	dst := f.dst
+	r := dst.r
 	if r.stopped {
-		// Crash injection mid-submission: abandon the batch like the
-		// confirmation path does, so a post-resume clearing pass can
-		// rebuild it.
 		dst.flushing = false
-		r.releaseBatch(dst, batch, upd)
+		r.releaseBatch(dst, f.batch, f.upd)
 		return
 	}
 	if !dst.seqInit {
-		dst.rpc.QueryAccountSequence(r.host, dst.account, func(seq uint64, err error) {
-			if err != nil {
-				r.sched.After(simconf.RelayerConfirmPollInterval, func() { r.submitTx(dst, msgs, batch, upd, attempt) })
-				return
-			}
-			dst.seq = seq
-			dst.seqInit = true
-			r.submitTx(dst, msgs, batch, upd, attempt)
-		})
+		dst.rpc.QueryAccountSequence(r.host, dst.account, f)
 		return
 	}
-	tx := app.NewTx(dst.account, dst.seq, uint64(r.rng.Int63n(1<<62)), msgs)
+	f.tx = app.NewTx(dst.account, dst.seq, uint64(r.rng.Int63n(1<<62)), f.msgs)
 	r.stats.TxsSubmitted++
-	subStart := r.sched.Now()
-	dst.rpc.BroadcastTxSync(r.host, tx, func(err error) {
-		if err == nil {
-			dst.seq++
-			now := r.sched.Now()
-			r.tr.CompleteArg(r.otrack, r.nSubmit, subStart, now, uint64(len(batch)))
-			for _, m := range batch {
-				r.track(r.keyOf(r.sourceOf(dst, m), m.packet), m.step(), now)
-			}
-			r.confirmTx(dst, tx, batch, upd, 0)
-			// Pipeline: submit the next batch immediately.
-			r.flushNext(dst)
-			return
-		}
-		// A sequence mismatch re-reads the account sequence; a full
-		// mempool, an RPC timeout or a partitioned path backs off. Either
-		// retries, then gives the batch up to a later clearing pass.
-		backoff := 5 * simconf.RelayerConfirmPollInterval
-		if errors.Is(err, app.ErrSequenceMismatch) {
-			r.stats.SeqMismatchErrors++
-			dst.seqInit = false
-			backoff = simconf.RelayerConfirmPollInterval
-		}
-		if attempt < 5 {
-			r.stats.Retries++
-			r.sched.After(backoff, func() { r.submitTx(dst, msgs, batch, upd, attempt+1) })
-			return
-		}
-		r.stats.TxsFailed++
-		r.releaseBatch(dst, batch, upd)
-		r.flushNext(dst)
-	})
+	f.subStart = r.sched.Now()
+	dst.rpc.BroadcastTxSync(r.host, f.tx, f)
 }
 
-// confirmTx polls for a submitted transaction's commitment, recording
-// confirmation steps and handling redundant-packet failures.
-func (r *Relayer) confirmTx(dst *endpoint, tx *app.Tx, batch []outMsg, upd []int64, attempt int) {
-	if attempt >= confirmAttempts || r.stopped {
-		r.stats.TxsFailed++
-		r.releaseBatch(dst, batch, upd)
+// OnSequence initializes the account sequence and submits, or retries
+// the query after a poll interval.
+func (f *flight) OnSequence(seq uint64, err error) {
+	if err != nil {
+		f.dst.r.sched.AfterHandler(simconf.RelayerConfirmPollInterval, f)
 		return
 	}
-	r.sched.After(simconf.RelayerConfirmPollInterval, func() {
-		dst.rpc.QueryTx(r.host, tx.Hash(), func(info *store.TxInfo, err error) {
-			if err != nil {
-				r.confirmTx(dst, tx, batch, upd, attempt+1)
-				return
+	f.dst.seq = seq
+	f.dst.seqInit = true
+	f.submit()
+}
+
+// OnBroadcast starts confirmation polling for an accepted transaction
+// and pipelines the next batch. A sequence mismatch re-reads the account
+// sequence; a full mempool, an RPC timeout or a partitioned path backs
+// off. Either retries, then gives the batch up to a later clearing pass.
+func (f *flight) OnBroadcast(err error) {
+	dst := f.dst
+	r := dst.r
+	if err == nil {
+		dst.seq++
+		now := r.sched.Now()
+		r.tr.CompleteArg(r.otrack, r.nSubmit, f.subStart, now, uint64(len(f.batch)))
+		for _, m := range f.batch {
+			r.track(r.keyOf(r.sourceOf(dst, m), m.packet), m.step(), now)
+		}
+		f.polling = true
+		f.confirm()
+		// Pipeline: submit the next batch immediately.
+		r.flushNext(dst)
+		return
+	}
+	backoff := 5 * simconf.RelayerConfirmPollInterval
+	if errors.Is(err, app.ErrSequenceMismatch) {
+		r.stats.SeqMismatchErrors++
+		dst.seqInit = false
+		backoff = simconf.RelayerConfirmPollInterval
+	}
+	if f.attempt < 5 {
+		r.stats.Retries++
+		f.attempt++
+		r.sched.AfterHandler(backoff, f)
+		return
+	}
+	r.stats.TxsFailed++
+	r.releaseBatch(dst, f.batch, f.upd)
+	r.flushNext(dst)
+}
+
+// confirm polls for the transaction's commitment one poll interval from
+// now, or gives the batch up after confirmAttempts polls.
+func (f *flight) confirm() {
+	r := f.dst.r
+	if f.polls >= confirmAttempts || r.stopped {
+		r.stats.TxsFailed++
+		r.releaseBatch(f.dst, f.batch, f.upd)
+		return
+	}
+	r.sched.AfterHandler(simconf.RelayerConfirmPollInterval, f)
+}
+
+// Fire polls for confirmation, or resubmits after a backoff.
+func (f *flight) Fire() {
+	if f.polling {
+		f.dst.rpc.QueryTx(f.dst.r.host, f.tx.Hash(), f)
+		return
+	}
+	f.submit()
+}
+
+// OnTx records a committed transaction's confirmation steps, or handles
+// its failure (with two relayers typically "packet messages are
+// redundant"); a pending one is polled again.
+func (f *flight) OnTx(info *store.TxInfo, err error) {
+	if err != nil {
+		f.polls++
+		f.confirm()
+		return
+	}
+	dst := f.dst
+	r := dst.r
+	now := r.sched.Now()
+	if info.Result.IsOK() {
+		for _, m := range f.batch {
+			key := r.keyOf(r.sourceOf(dst, m), m.packet)
+			k := m.kind()
+			r.rowOf(dst, m).confirmed(k)
+			switch k {
+			case kindRecv:
+				r.stats.RecvDelivered++
+				r.track(key, metrics.StepRecvConfirmation, now)
+				continue
+			case kindTimeout:
+				r.stats.TimeoutsDelivered++
+			default:
+				r.stats.AcksDelivered++
 			}
-			now := r.sched.Now()
-			if info.Result.IsOK() {
-				for _, m := range batch {
-					key := r.keyOf(r.sourceOf(dst, m), m.packet)
-					k := m.kind()
-					r.rowOf(dst, m).confirmed(k)
-					switch k {
-					case kindRecv:
-						r.stats.RecvDelivered++
-						r.track(key, metrics.StepRecvConfirmation, now)
-						continue
-					case kindTimeout:
-						r.stats.TimeoutsDelivered++
-					default:
-						r.stats.AcksDelivered++
-					}
-					r.track(key, metrics.StepAckExtraction, now)
-					r.track(key, metrics.StepAckConfirmation, now)
-				}
-				return
-			}
-			// Failed transaction: with two relayers this is typically
-			// "packet messages are redundant".
-			r.stats.TxsFailed++
-			r.rollbackClient(dst, upd)
-			if strings.Contains(info.Result.Log, "redundant") {
-				r.stats.RedundantErrors++
-			}
-			// Retry each message once: a partially redundant
-			// batch reverts its legitimate messages too. Messages whose
-			// packet another relayer already settled on chain are filtered
-			// out first (Hermes re-queries unreceived_packets before
-			// rebuilding), so a backlog-clearing batch colliding with
-			// prior deliveries still lands its fresh messages on the
-			// retry.
-			r.retryUnsettled(dst, batch)
-		})
-	})
+			r.track(key, metrics.StepAckExtraction, now)
+			r.track(key, metrics.StepAckConfirmation, now)
+		}
+		return
+	}
+	r.stats.TxsFailed++
+	r.rollbackClient(dst, f.upd)
+	if strings.Contains(info.Result.Log, "redundant") {
+		r.stats.RedundantErrors++
+	}
+	// Retry each message once: a partially redundant batch reverts its
+	// legitimate messages too. Messages whose packet another relayer
+	// already settled on chain are filtered out first (Hermes re-queries
+	// unreceived_packets before rebuilding), so a backlog-clearing batch
+	// colliding with prior deliveries still lands its fresh messages on
+	// the retry.
+	r.retryUnsettled(dst, f.batch)
 }
 
 // retryUnsettled re-queues a failed batch's messages on their first
@@ -834,6 +939,7 @@ func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
 	for i, m := range batch {
 		p := m.packet
 		if !r.rowOf(dst, m).failed(m.kind()) {
+			r.abandon(dst, m)
 			continue
 		}
 		if candidates == nil {
@@ -850,18 +956,32 @@ func (r *Relayer) retryUnsettled(dst *endpoint, batch []outMsg) {
 	if len(candidates) == 0 {
 		return
 	}
-	dst.rpc.QuerySettled(r.host, probes, func(settled []bool, err error) {
-		queued := len(dst.outbox)
-		for i, m := range candidates {
-			ok := err == nil && i < len(settled) && settled[i]
-			if r.rowOf(dst, m).probed(m.kind(), ok, !r.stopped) {
-				dst.outbox = append(dst.outbox, m)
-			}
+	dst.rpc.QuerySettled(r.host, probes, &retryProbe{dst: dst, candidates: candidates})
+}
+
+// retryProbe is retryUnsettled's settlement probe of a failed batch's
+// candidates for a retry on dst, and the handler of its reply.
+type retryProbe struct {
+	dst        *endpoint
+	candidates []outMsg
+}
+
+// OnSettled queues each unsettled candidate once more.
+func (rp *retryProbe) OnSettled(settled []bool, err error) {
+	dst := rp.dst
+	r := dst.r
+	queued := len(dst.outbox)
+	for i, m := range rp.candidates {
+		ok := err == nil && i < len(settled) && settled[i]
+		if r.rowOf(dst, m).probed(m.kind(), ok, !r.stopped) {
+			dst.outbox = append(dst.outbox, m)
+		} else if !ok {
+			r.abandon(dst, m)
 		}
-		if len(dst.outbox) > queued {
-			r.tryFlush(dst)
-		}
-	})
+	}
+	if len(dst.outbox) > queued {
+		r.tryFlush(dst)
+	}
 }
 
 // releaseBatch gives back messages whose delivery could not be confirmed
@@ -876,6 +996,7 @@ func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg, upd []int64) {
 	src := r.counterpartOf(dst)
 	requeued := false
 	for _, m := range batch {
+		r.abandon(dst, m)
 		r.rowOf(dst, m).released(m.kind(), m.packet)
 		// A recv or an ack was built from an event on the counterparty (a
 		// timeout has no origin); re-scan its height.
@@ -887,6 +1008,29 @@ func (r *Relayer) releaseBatch(dst *endpoint, batch []outMsg, upd []int64) {
 	if requeued {
 		r.scheduleClear(src, dst)
 	}
+}
+
+// abandon counts m, submitted to dst and given up, if it could still
+// land. The truth comes from the chains' committed state, as the full
+// nodes' settlement probes read it, and decides nothing: the packet's
+// source holds its commitment, and a recv finds no receipt on the
+// destination and its timeout not passed there, a timeout no receipt
+// and its timeout passed; an ack needs no more.
+func (r *Relayer) abandon(dst *endpoint, m outMsg) {
+	p := m.packet
+	src := r.sourceOf(dst, m)
+	dest := r.counterpartOf(src).chain
+	var b [app.KeyBufLen]byte
+	if rec := ibc.PacketRecords(b[:0], app.Commitment, p.SourcePort, p.SourceChannel); !src.chain.App.State().HasRecord(&rec, p.Sequence) {
+		return
+	}
+	if k := m.kind(); k != kindAck {
+		rec := ibc.PacketRecords(b[:0], app.Receipt, p.DestPort, p.DestChannel)
+		if dest.App.State().HasRecord(&rec, p.Sequence) || dest.TimeoutElapsed(p) != (k == kindTimeout) {
+			return
+		}
+	}
+	r.stats.Abandoned++
 }
 
 // queue puts height h of this chain on the clearing pass's list.
@@ -930,37 +1074,49 @@ func (r *Relayer) scheduleClear(src, dst *endpoint) {
 				src.querying = make(map[int64]int)
 			}
 			src.querying[h]++
-			src.rpc.QueryBlockEvents(r.host, h, func(be *eventindex.BlockEvents, err error) {
-				if src.querying[h]--; src.querying[h] == 0 {
-					delete(src.querying, h)
-				}
-				if err != nil {
-					// A lost query or reply: nothing else would ever
-					// re-scan this height, so it goes back on the list for
-					// another pass. A node that answers but does not have
-					// the height will not have it next time either.
-					if !errors.Is(err, rpc.ErrNotFound) {
-						src.queue(h)
-						r.scheduleClear(src, dst)
-					} else {
-						delete(src.uncleared, h)
-					}
-					return
-				}
-				if r.stopped {
-					// The height goes back on the list, for Resume.
-					src.queue(h)
-					return
-				}
-				delete(src.uncleared, h)
-				r.processBlock(src, dst, be)
-				r.tryFlush(dst)
-			})
+			src.rpc.QueryBlockEvents(r.host, h, &clearQuery{src: src, dst: dst, h: h})
 		}
 		// One clear-pass instant per pass, tagged with the number of
 		// re-scanned heights.
 		r.tr.InstantArg(r.otrack, r.nClear, r.sched.Now(), uint64(len(seen)))
 	})
+}
+
+// clearQuery is a clearing pass's query of height h of src, and the
+// handler of its reply.
+type clearQuery struct {
+	src, dst *endpoint
+	h        int64
+}
+
+// OnBlockEvents re-scans the height, or puts it back on the list.
+func (q *clearQuery) OnBlockEvents(be *eventindex.BlockEvents, err error) {
+	src, dst, h := q.src, q.dst, q.h
+	r := src.r
+	if src.querying[h]--; src.querying[h] == 0 {
+		delete(src.querying, h)
+	}
+	if err != nil {
+		// A lost query or reply: nothing else would ever re-scan this
+		// height, so it goes back on the list for another pass. A node
+		// that answers but does not have the height will not have it next
+		// time either.
+		if !errors.Is(err, rpc.ErrNotFound) {
+			src.queue(h)
+			r.scheduleClear(src, dst)
+		} else {
+			delete(src.uncleared, h)
+		}
+		return
+	}
+	if r.stopped {
+		// The height goes back on the list, for Resume.
+		src.queue(h)
+		return
+	}
+	delete(src.uncleared, h)
+	r.processBlock(src, dst, be)
+	r.tryFlush(dst)
 }
 
 // LostHeights reports, in order, the heights of the given chain this

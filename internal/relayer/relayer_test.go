@@ -14,6 +14,7 @@ import (
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/netem"
 	"ibcbench/internal/sim"
+	"ibcbench/internal/simconf"
 	"ibcbench/internal/workload"
 )
 
@@ -293,5 +294,72 @@ func TestReleaseRescansTheEventHeight(t *testing.T) {
 	r.releaseBatch(r.b, []outMsg{{msg: &ibc.MsgRecvPacket{Packet: *p}, packet: p, proofHeight: 9, origin: 4}}, nil)
 	if !slices.Equal(r.a.missed, []int64{4}) {
 		t.Fatalf("missed = %v, want [4]", r.a.missed)
+	}
+}
+
+// TestAbandonedCountsDeliverableMessages: a message given up counts as
+// abandoned only while the chains' committed state says it could still
+// land. A recv counts while the source holds the commitment and the
+// destination has no receipt; an ack while the commitment is held.
+func TestAbandonedCountsDeliverableMessages(t *testing.T) {
+	tb := newTestbed(1, false)
+	r := New(tb.Sched, tb.RNG, Config{Name: "hermes-t"}, tb.Pair)
+	packet := func(seq uint64) *ibc.Packet {
+		return &ibc.Packet{Sequence: seq, SourcePort: "transfer", SourceChannel: r.a.channel, DestPort: "transfer", DestChannel: r.b.channel, TimeoutHeight: 100}
+	}
+	recv := func(seq uint64) []outMsg {
+		return []outMsg{{msg: &ibc.MsgRecvPacket{Packet: *packet(seq)}, packet: packet(seq)}}
+	}
+	plant := func(c *chain.Chain, kind app.RecordKind, channel string, seq uint64) {
+		st := c.App.State()
+		rec := ibc.PacketRecords(nil, kind, "transfer", channel)
+		st.SetRecord(&rec, seq, []byte{1})
+		st.CommitTx()
+	}
+	plant(tb.Pair.A, app.Commitment, r.a.channel, 1)
+	plant(tb.Pair.A, app.Commitment, r.a.channel, 2)
+	plant(tb.Pair.B, app.Receipt, r.b.channel, 2)
+	steps := []struct {
+		what  string
+		give  func()
+		total uint64
+	}{
+		{"deliverable recv released", func() { r.releaseBatch(r.b, recv(1), nil) }, 1},
+		{"received recv released", func() { r.releaseBatch(r.b, recv(2), nil) }, 1},
+		{"recv without commitment released", func() { r.releaseBatch(r.b, recv(3), nil) }, 1},
+		{"ack of a held commitment released", func() {
+			r.releaseBatch(r.a, []outMsg{{msg: &ibc.MsgAcknowledgement{Packet: *packet(2)}, packet: packet(2)}}, nil)
+		}, 2},
+	}
+	for _, s := range steps {
+		s.give()
+		if got := r.Stats().Abandoned; got != s.total {
+			t.Fatalf("after a %s: Abandoned = %d, want %d", s.what, got, s.total)
+		}
+	}
+}
+
+// TestPollingAllocatesAtMostOnePerPoll: a submitted transaction's
+// confirmation polls reuse its flight record, the RPC call and the
+// scheduler's events, so polling a transaction that never commits
+// allocates at most one object per poll.
+func TestPollingAllocatesAtMostOnePerPoll(t *testing.T) {
+	tb := newTestbed(1, false) // chains not started: nothing commits
+	r := New(tb.Sched, tb.RNG, Config{Name: "hermes-t"}, tb.Pair)
+	f := &flight{dst: r.b, tx: app.NewTx(r.b.account, 0, 1, []app.Msg{&ibc.MsgRecvPacket{}}), polling: true}
+	f.confirm()
+	poll := func() { // runs until one more poll is answered "not found"
+		for n := f.polls; f.polls == n; {
+			if err := tb.Run(tb.Sched.Now() + simconf.RelayerConfirmPollInterval/10); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	poll()
+	if a := testing.AllocsPerRun(50, poll); a > 1 {
+		t.Fatalf("a confirmation poll allocates %.1f times, want at most 1", a)
+	}
+	if _, q, _ := r.b.rpc.Stats(); f.polls != 52 || q != 52 {
+		t.Fatalf("%d polls answered, %d queries, want 52 of each", f.polls, q)
 	}
 }

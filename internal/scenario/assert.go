@@ -140,26 +140,11 @@ func classify(src, dst *chain.Chain, p *ibc.Packet) (assertion, detail string) {
 		return AssertNoStuckPackets, id + " sent on unknown channel"
 	case dst.App.State().HasRecord(&receipts, p.Sequence):
 		return AssertNoStuckPackets, id + " stuck at deadline: received on " + dst.ID + " but its ack never settled"
-	case timeoutElapsed(p, dst):
+	case dst.TimeoutElapsed(p):
 		return AssertTimeoutRefunds, fmt.Sprintf("%s timed out (height %d/time %v elapsed on %s) but was never refunded",
 			id, p.TimeoutHeight, p.TimeoutTimestamp, dst.ID)
 	}
 	return AssertNoStuckPackets, id + " stuck at deadline: in flight (no receipt on " + dst.ID + ")"
-}
-
-// timeoutElapsed reports whether the packet's timeout passed on the
-// destination chain — the condition under which a relayer could prove
-// the timeout and trigger the refund.
-func timeoutElapsed(p *ibc.Packet, dst *chain.Chain) bool {
-	if p.TimeoutHeight > 0 && dst.Store.Height() >= p.TimeoutHeight {
-		return true
-	}
-	if p.TimeoutTimestamp > 0 {
-		if be := dst.Events.At(dst.Events.Height()); be != nil && be.BlockTime >= p.TimeoutTimestamp {
-			return true
-		}
-	}
-	return false
 }
 
 // checkConservation verifies every voucher denom's backing. quiescent

@@ -201,7 +201,7 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 				continue
 			}
 			e.flight[i] = inFlight{}
-			if dst != nil && !w.ends[e.side].received.has(wr.Seq) && !timeoutElapsed(p, dst) {
+			if dst != nil && !w.ends[e.side].received.has(wr.Seq) && !dst.TimeoutElapsed(p) {
 				w.report(c, h, c, AssertTimeoutRefunds, "commitment %s deleted, but %s has not acknowledged it and is at height %d, short of the timeout (height %d/time %v)",
 					wr.AppendKey(nil), dst.ID, dst.Store.Height(), p.TimeoutHeight, p.TimeoutTimestamp)
 			}

@@ -84,19 +84,21 @@ type Server struct {
 	// state (installed by the owning chain; nil rejects QuerySettled).
 	settled func(SettledProbe) bool
 
-	subs []subscriber
+	// feed is the NewBlock frame this server shares with the other full
+	// nodes of its chain.
+	feed *Feed
+	subs []*subscription
+
+	// free holds calls whose last event has fired, for reuse.
+	free []*call
 
 	broadcasts, queries, frameErrors uint64
 }
 
-type subscriber struct {
-	host netem.Host
-	fn   func(*EventFrame)
-}
-
 // New creates the RPC server for a chain. Its service costs are the
 // calibrated simconf model; clientTimeout bounds how long callers wait
-// for a reply.
+// for a reply. The full nodes of one chain pass one feed, so each
+// block's frame is built once for all of them.
 func New(
 	sched *sim.Scheduler,
 	net *netem.Network,
@@ -109,6 +111,7 @@ func New(
 	accountSeq func(string) (uint64, error),
 	msgCount func(types.Tx) int,
 	events func(int64) *eventindex.BlockEvents,
+	feed *Feed,
 ) *Server {
 	return &Server{
 		sched:           sched,
@@ -123,6 +126,7 @@ func New(
 		accountSeq:      accountSeq,
 		msgCount:        msgCount,
 		events:          events,
+		feed:            feed,
 	}
 }
 
@@ -158,35 +162,75 @@ func (s *Server) Stats() (uint64, uint64, uint64) {
 // QuerySettled. The owning chain wires it at assembly time.
 func (s *Server) SetSettledQuery(fn func(SettledProbe) bool) { s.settled = fn }
 
-// request runs fn on the serial resource after the client->server hop,
-// then delivers the reply after the server->client hop. A client-side
-// timeout aborts waiting (the server still does the work); a reply that
-// arrives first cancels the timeout, so an answered request leaves
-// nothing queued.
-//
-// The service cost is resolved on the server at arrival time, from the
-// store as it is then. The timeout and the reply touch only the call's
-// own state.
-func request[T any](s *Server, from netem.Host, service func() time.Duration, fn func() (T, error), cb func(T, error)) {
-	c := &call[T]{s: s, from: from, service: service, fn: fn, cb: cb}
-	c.timer = s.sched.AfterHandler(s.clientTimeout, (*callTimeout[T])(c))
-	s.net.SendHandler(from, s.host, c)
-}
+// Reply handlers. A request's caller passes a handler it owns, usually
+// a pointer to a record it keeps anyway, which converts to the interface
+// without an allocation. The handler is called once per request, with
+// the reply or with ErrTimeout and a zero value, whichever comes first;
+// a nil handler is not called.
+type (
+	// BroadcastHandler receives BroadcastTxSync's CheckTx result.
+	BroadcastHandler interface{ OnBroadcast(err error) }
+	// TxHandler receives QueryTx's and QueryTxData's transaction.
+	TxHandler interface {
+		OnTx(info *store.TxInfo, err error)
+	}
+	// BlockEventsHandler receives QueryBlockEvents' decoded block.
+	BlockEventsHandler interface {
+		OnBlockEvents(be *eventindex.BlockEvents, err error)
+	}
+	// SequenceHandler receives QueryAccountSequence's sequence.
+	SequenceHandler interface{ OnSequence(seq uint64, err error) }
+	// SettledHandler receives QuerySettled's verdicts, one per probe.
+	SettledHandler interface {
+		OnSettled(settled []bool, err error)
+	}
+	// FrameHandler receives a subscription's NewBlock frames.
+	FrameHandler interface{ OnFrame(f *EventFrame) }
+)
 
-// call is one request in flight: the single allocation of a request,
-// holding what the hops, the service and the timeout share. It is the
-// handler of its own hops, which run one after another (stage), and,
-// converted to callTimeout, of its timeout, which races them.
-type call[T any] struct {
-	s       *Server
-	from    netem.Host
-	service func() time.Duration
-	fn      func() (T, error)
-	cb      func(T, error)
-	timer   sim.Timer
-	stage   callStage
-	done    bool
-	v       T
+// callKind is what a request asks: it picks the service cost, the reply
+// and the handler type.
+type callKind uint8
+
+const (
+	callBroadcast callKind = iota
+	callTx
+	callTxData
+	callBlockEvents
+	callSequence
+	callSettled
+)
+
+// call is one request in flight, holding its arguments, its reply and
+// the caller's handler. It is the handler of its own hops, which run one
+// after another (stage), and, converted to callTimeout, of its client
+// timeout, which races them. A call goes back on the server's free list
+// at its last event: once the caller has its answer and neither the
+// timeout nor a hop is still queued, so a reply that lands after the
+// timeout finds the call it belongs to, never a later request's.
+type call struct {
+	s      *Server
+	from   netem.Host
+	kind   callKind
+	stage  callStage
+	done   bool // the handler was called
+	armed  bool // the client timeout is queued
+	queued bool // the current hop (or the service) is queued
+	timer  sim.Timer
+
+	// Arguments, by kind.
+	hash    types.Hash
+	height  int64
+	tx      types.Tx
+	account string
+	probes  []SettledProbe
+	h       any // the handler for the kind's reply
+
+	// Reply, by kind.
+	info    *store.TxInfo
+	be      *eventindex.BlockEvents
+	seq     uint64
+	settled []bool
 	err     error
 }
 
@@ -199,93 +243,182 @@ const (
 	stageReply                   // server -> client: call back
 )
 
+// newCall takes a call of the given kind for a request from a host,
+// from the free list or new.
+func (s *Server) newCall(kind callKind, from netem.Host, h any) *call {
+	c := pop(&s.free)
+	if c == nil {
+		c = &call{s: s}
+	}
+	c.kind, c.from, c.h = kind, from, h
+	return c
+}
+
+// send starts c: it arms the client timeout, then sends the request over
+// the client->server hop. The server resolves the service cost and the
+// reply at arrival and at service completion, from the store as it is
+// then.
+func (s *Server) send(c *call) {
+	c.timer = s.sched.AfterHandler(s.clientTimeout, (*callTimeout)(c))
+	c.armed = true
+	c.queued = s.net.SendHandler(c.from, s.host, c)
+}
+
 // Fire ends the call's current hop and starts the next.
-func (c *call[T]) Fire() {
+func (c *call) Fire() {
+	c.queued = false
 	switch c.stage {
 	case stageArrive:
 		c.stage = stageServe
-		c.s.serial.SubmitHandler(c.service(), c)
+		c.queued = true
+		c.s.serial.SubmitHandler(c.cost(), c)
 	case stageServe:
-		c.v, c.err = c.fn()
+		c.serve()
 		c.stage = stageReply
-		c.s.net.SendHandler(c.s.host, c.from, c)
+		c.queued = c.s.net.SendHandler(c.s.host, c.from, c)
 	case stageReply:
-		c.finish(c.v, c.err)
+		c.finish(false)
 	}
+	c.release()
 }
 
 // callTimeout is a call seen as the handler of its client-side timeout.
-type callTimeout[T any] call[T]
+type callTimeout call
 
 // Fire expires the call, unless its reply came first.
-func (t *callTimeout[T]) Fire() {
-	var zero T
-	(*call[T])(t).finish(zero, ErrTimeout)
+func (t *callTimeout) Fire() {
+	c := (*call)(t)
+	c.armed = false
+	c.finish(true)
+	c.release()
 }
 
 // finish calls back once, with whichever of the reply and the timeout
 // came first, and unschedules the timeout.
-func (c *call[T]) finish(v T, err error) {
+func (c *call) finish(timedOut bool) {
 	if c.done {
 		return
 	}
 	c.done = true
-	c.s.sched.Cancel(c.timer)
-	c.cb(v, err)
+	if c.armed {
+		c.s.sched.Cancel(c.timer)
+		c.armed = false
+	}
+	if c.h == nil {
+		return
+	}
+	if timedOut {
+		c.info, c.be, c.seq, c.settled, c.err = nil, nil, 0, nil, ErrTimeout
+	}
+	switch c.kind {
+	case callBroadcast:
+		c.h.(BroadcastHandler).OnBroadcast(c.err)
+	case callTx, callTxData:
+		c.h.(TxHandler).OnTx(c.info, c.err)
+	case callBlockEvents:
+		c.h.(BlockEventsHandler).OnBlockEvents(c.be, c.err)
+	case callSequence:
+		c.h.(SequenceHandler).OnSequence(c.seq, c.err)
+	case callSettled:
+		c.h.(SettledHandler).OnSettled(c.settled, c.err)
+	}
 }
 
-// Flat service costs, as top-level funcs so passing one allocates
-// nothing.
-func broadcastCost() time.Duration { return simconf.BroadcastTxCost }
-func statusCost() time.Duration    { return simconf.StatusQueryCost }
+// release puts the call on the free list once nothing can reach it any
+// more: answered, its timeout unscheduled or fired, no hop queued.
+func (c *call) release() {
+	if !c.done || c.armed || c.queued {
+		return
+	}
+	s := c.s
+	*c = call{s: s}
+	s.free = append(s.free, c)
+}
+
+// cost is the call's service time, resolved at arrival.
+func (c *call) cost() time.Duration {
+	s := c.s
+	switch c.kind {
+	case callBroadcast:
+		return simconf.BroadcastTxCost
+	case callTxData:
+		// Callers pull data for committed transactions, so the lookup
+		// resolves the same tx it would have at the client's call time.
+		info, err := s.stor.Tx(c.hash)
+		if err != nil || s.txQueryCost == nil {
+			return simconf.StatusQueryCost
+		}
+		return time.Duration(float64(s.txQueryCost(info.Tx)) * s.pageFactor(info.Height))
+	case callBlockEvents:
+		return s.blockQueryCost(c.height)
+	}
+	return simconf.StatusQueryCost
+}
+
+// serve computes the call's reply when its service completes.
+func (c *call) serve() {
+	s := c.s
+	switch c.kind {
+	case callBroadcast:
+		c.err = s.pool.Add(c.tx)
+	case callTx, callTxData:
+		info, err := s.stor.Tx(c.hash)
+		if err != nil {
+			c.err = ErrNotFound
+			return
+		}
+		c.info = info
+	case callBlockEvents:
+		if s.events != nil {
+			c.be = s.events(c.height)
+		}
+		if c.be == nil {
+			c.err = ErrNotFound
+		}
+	case callSequence:
+		if s.accountSeq == nil {
+			c.err = ErrNotFound
+			return
+		}
+		c.seq, c.err = s.accountSeq(c.account)
+	case callSettled:
+		if s.settled == nil {
+			c.err = ErrNotFound
+			return
+		}
+		c.settled = make([]bool, len(c.probes))
+		for i, p := range c.probes {
+			c.settled[i] = s.settled(p)
+		}
+	}
+}
 
 // BroadcastTxSync submits a transaction: it is accepted into the mempool
 // (after CheckTx) or rejected. The reply carries the CheckTx error.
-func (s *Server) BroadcastTxSync(from netem.Host, tx types.Tx, cb func(error)) {
+func (s *Server) BroadcastTxSync(from netem.Host, tx types.Tx, h BroadcastHandler) {
 	s.broadcasts++
-	request(s, from, broadcastCost, func() (struct{}, error) {
-		return struct{}{}, s.pool.Add(tx)
-	}, func(_ struct{}, err error) {
-		if cb != nil {
-			cb(err)
-		}
-	})
+	c := s.newCall(callBroadcast, from, h)
+	c.tx = tx
+	s.send(c)
 }
 
 // QueryTx checks whether a transaction is committed (light confirmation
 // query; returns ErrNotFound while pending).
-func (s *Server) QueryTx(from netem.Host, hash types.Hash, cb func(*store.TxInfo, error)) {
+func (s *Server) QueryTx(from netem.Host, hash types.Hash, h TxHandler) {
 	s.queries++
-	request(s, from, statusCost, func() (*store.TxInfo, error) {
-		info, err := s.stor.Tx(hash)
-		if err != nil {
-			return nil, ErrNotFound
-		}
-		return info, nil
-	}, cb)
+	c := s.newCall(callTx, from, h)
+	c.hash = hash
+	s.send(c)
 }
 
 // QueryTxData is the heavy data pull: it returns the full transaction
 // with a service time proportional to the response size. This is the
 // operation behind 69% of the paper's cross-chain processing time.
-func (s *Server) QueryTxData(from netem.Host, hash types.Hash, cb func(*store.TxInfo, error)) {
+func (s *Server) QueryTxData(from netem.Host, hash types.Hash, h TxHandler) {
 	s.queries++
-	request(s, from, func() time.Duration {
-		// Costed server-side at arrival: callers pull data for committed
-		// transactions, so the lookup resolves the same tx it would have
-		// at the client's call time.
-		info, lookupErr := s.stor.Tx(hash)
-		if lookupErr != nil || s.txQueryCost == nil {
-			return simconf.StatusQueryCost
-		}
-		return time.Duration(float64(s.txQueryCost(info.Tx)) * s.pageFactor(info.Height))
-	}, func() (*store.TxInfo, error) {
-		got, err := s.stor.Tx(hash)
-		if err != nil {
-			return nil, ErrNotFound
-		}
-		return got, nil
-	}, cb)
+	c := s.newCall(callTxData, from, h)
+	c.hash = hash
+	s.send(c)
 }
 
 // blockQueryCost is the tx_search service cost for one height: the
@@ -306,29 +439,19 @@ func (s *Server) blockQueryCost(height int64) time.Duration {
 // (blockQueryCost), but the reply is the block's already-decoded
 // per-channel packet records from the shared event index, not raw
 // transactions to re-parse.
-func (s *Server) QueryBlockEvents(from netem.Host, height int64, cb func(*eventindex.BlockEvents, error)) {
+func (s *Server) QueryBlockEvents(from netem.Host, height int64, h BlockEventsHandler) {
 	s.queries++
-	request(s, from, func() time.Duration { return s.blockQueryCost(height) }, func() (*eventindex.BlockEvents, error) {
-		if s.events == nil {
-			return nil, ErrNotFound
-		}
-		be := s.events(height)
-		if be == nil {
-			return nil, ErrNotFound
-		}
-		return be, nil
-	}, cb)
+	c := s.newCall(callBlockEvents, from, h)
+	c.height = height
+	s.send(c)
 }
 
 // QueryAccountSequence resolves an account's committed sequence.
-func (s *Server) QueryAccountSequence(from netem.Host, account string, cb func(uint64, error)) {
+func (s *Server) QueryAccountSequence(from netem.Host, account string, h SequenceHandler) {
 	s.queries++
-	request(s, from, statusCost, func() (uint64, error) {
-		if s.accountSeq == nil {
-			return 0, ErrNotFound
-		}
-		return s.accountSeq(account)
-	}, cb)
+	c := s.newCall(callSequence, from, h)
+	c.account = account
+	s.send(c)
 }
 
 // SettledProbe asks whether one packet's lifecycle step has settled on
@@ -345,28 +468,110 @@ type SettledProbe struct {
 // committed application state — the relayer's post-failure redundancy
 // check, performed over RPC like every other state read a relayer
 // makes. One flat status query covers the batch (a single ABCI
-// multi-query round trip).
-func (s *Server) QuerySettled(from netem.Host, probes []SettledProbe, cb func([]bool, error)) {
+// multi-query round trip). The call reads probes when its service
+// completes, so the caller leaves them alone until its reply.
+func (s *Server) QuerySettled(from netem.Host, probes []SettledProbe, h SettledHandler) {
 	s.queries++
-	request(s, from, statusCost, func() ([]bool, error) {
-		if s.settled == nil {
-			return nil, ErrNotFound
+	c := s.newCall(callSettled, from, h)
+	c.probes = probes
+	s.send(c)
+}
+
+// Feed is the NewBlock frame the full nodes of one chain share: the
+// first of them to publish a block builds its frame, and the others
+// deliver the same one. The zero Feed is ready: frames are cut from
+// blocks of 64 made as they are needed, and deliveries are reused once
+// they fire.
+type Feed struct {
+	last   *EventFrame
+	frames []EventFrame
+	free   []*frameSend
+}
+
+// pop takes the last entry off a free list, or returns nil.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	v := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return v
+}
+
+// frame returns the frame of cb's block, building it on the first
+// request.
+func (f *Feed) frame(s *Server, cb *store.CommittedBlock) *EventFrame {
+	height := cb.Block.Header.Height
+	if f.last != nil && f.last.Height == height {
+		return f.last
+	}
+	if len(f.frames) == cap(f.frames) {
+		f.frames = make([]EventFrame, 0, 64)
+	}
+	f.frames = f.frames[:len(f.frames)+1]
+	frame := &f.frames[len(f.frames)-1]
+	frame.Height, frame.BlockTime = height, cb.Block.Header.Time
+	if s.eventFrameBytes != nil {
+		frame.FrameBytes = s.eventFrameBytes(cb.Block.Data)
+	}
+	if frame.FrameBytes > simconf.WebSocketMaxFrameBytes {
+		frame.Err = ErrFrameTooLarge
+	} else {
+		// The block is already appended (commit hooks fire post-append),
+		// so the store's cached materialization and the chain's shared
+		// event index are both available — no per-server re-decode. A
+		// missing height is a hook-ordering bug, not a degraded frame.
+		infos, err := s.stor.TxsAtHeight(height)
+		if err != nil {
+			panic(fmt.Sprintf("rpc %s: publishing height %d before store append: %v", s.host, height, err))
 		}
-		out := make([]bool, len(probes))
-		for i, p := range probes {
-			out[i] = s.settled(p)
+		frame.Txs = infos
+		if s.events != nil {
+			frame.Events = s.events(height)
 		}
-		return out, nil
-	}, cb)
+	}
+	f.last = frame
+	return frame
+}
+
+// subscription is one registered subscriber, and the handler of its own
+// registration hop.
+type subscription struct {
+	s    *Server
+	host netem.Host
+	h    FrameHandler
+}
+
+// Fire registers the subscription on arrival.
+func (sub *subscription) Fire() { sub.s.subs = append(sub.s.subs, sub) }
+
+// frameSend is one frame on its way to one subscriber.
+type frameSend struct {
+	feed  *Feed
+	h     FrameHandler
+	frame *EventFrame
+}
+
+// Fire delivers the frame and frees the delivery.
+func (d *frameSend) Fire() {
+	h, frame := d.h, d.frame
+	d.free()
+	h.OnFrame(frame)
+}
+
+// free puts the delivery back on its feed's free list.
+func (d *frameSend) free() {
+	d.h, d.frame = nil, nil
+	d.feed.free = append(d.feed.free, d)
 }
 
 // Subscribe registers a WebSocket NewBlock subscription from a host.
 // The registration rides the network like a real subscription request
 // and takes effect one client->server hop later.
-func (s *Server) Subscribe(from netem.Host, fn func(*EventFrame)) {
-	s.net.Send(from, s.host, func() {
-		s.subs = append(s.subs, subscriber{host: from, fn: fn})
-	})
+func (s *Server) Subscribe(from netem.Host, h FrameHandler) {
+	s.net.SendHandler(from, s.host, &subscription{s: s, host: from, h: h})
 }
 
 // PublishBlock pushes a committed block to subscribers. Call from the
@@ -375,35 +580,19 @@ func (s *Server) PublishBlock(cb *store.CommittedBlock) {
 	if len(s.subs) == 0 {
 		return
 	}
-	frameBytes := 0
-	if s.eventFrameBytes != nil {
-		frameBytes = s.eventFrameBytes(cb.Block.Data)
-	}
-	frame := &EventFrame{
-		Height:     cb.Block.Header.Height,
-		BlockTime:  cb.Block.Header.Time,
-		FrameBytes: frameBytes,
-	}
-	if frameBytes > simconf.WebSocketMaxFrameBytes {
+	feed := s.feed
+	frame := feed.frame(s, cb)
+	if frame.Err != nil {
 		s.frameErrors++
-		frame.Err = ErrFrameTooLarge
-	} else {
-		// The block is already appended (commit hooks fire post-append),
-		// so the store's cached materialization and the chain's shared
-		// event index are both available — no per-server re-decode. A
-		// missing height is a hook-ordering bug, not a degraded frame.
-		infos, err := s.stor.TxsAtHeight(cb.Block.Header.Height)
-		if err != nil {
-			panic(fmt.Sprintf("rpc %s: publishing height %d before store append: %v",
-				s.host, cb.Block.Header.Height, err))
-		}
-		frame.Txs = infos
-		if s.events != nil {
-			frame.Events = s.events(cb.Block.Header.Height)
-		}
 	}
 	for _, sub := range s.subs {
-		sub := sub
-		s.net.Send(s.host, sub.host, func() { sub.fn(frame) })
+		d := pop(&feed.free)
+		if d == nil {
+			d = &frameSend{feed: feed}
+		}
+		d.h, d.frame = sub.h, frame
+		if !s.net.SendHandler(s.host, sub.host, d) {
+			d.free()
+		}
 	}
 }

@@ -35,6 +35,9 @@ type fixture struct {
 	pool   *mempool.Pool
 	idx    *eventindex.Index
 	client netem.Host
+
+	feed    *Feed
+	timeout time.Duration
 }
 
 // timeout is the client timeout a chain gives its primary node.
@@ -46,10 +49,14 @@ func newFixture(clientTimeout time.Duration) *fixture {
 		OneWayLatency:   100 * time.Millisecond,
 		LoopbackLatency: time.Millisecond,
 	})
-	stor := store.New()
-	idx := eventindex.New()
-	pool := mempool.New(nil)
-	srv := New(sched, net, "chain-a/val0", clientTimeout, stor, pool,
+	f := &fixture{sched: sched, net: net, stor: store.New(), pool: mempool.New(nil), idx: eventindex.New(), feed: new(Feed), timeout: clientTimeout, client: "relayer-host"}
+	f.server = f.newServer("chain-a/val0")
+	return f
+}
+
+// newServer adds a full node on the fixture's chain.
+func (f *fixture) newServer(host netem.Host) *Server {
+	return New(f.sched, f.net, host, f.timeout, f.stor, f.pool,
 		func(t types.Tx) time.Duration {
 			// 10ms per message: easy arithmetic for tests.
 			if tt, ok := t.(tx); ok {
@@ -76,8 +83,7 @@ func newFixture(clientTimeout time.Duration) *fixture {
 			}
 			return 0
 		},
-		idx.At)
-	return &fixture{sched: sched, net: net, server: srv, stor: stor, pool: pool, idx: idx, client: "relayer-host"}
+		f.idx.At, f.feed)
 }
 
 func commitBlock(f *fixture, height int64, txs ...types.Tx) *store.CommittedBlock {
@@ -102,10 +108,10 @@ func TestBroadcastAddsToMempool(t *testing.T) {
 	f := newFixture(timeout)
 	var got error
 	called := false
-	f.server.BroadcastTxSync(f.client, tx{id: "t1"}, func(err error) {
+	f.server.BroadcastTxSync(f.client, tx{id: "t1"}, onBroadcast(func(err error) {
 		called = true
 		got = err
-	})
+	}))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +127,7 @@ func TestBroadcastReportsCheckTxError(t *testing.T) {
 	f := newFixture(timeout)
 	f.server.BroadcastTxSync(f.client, tx{id: "dup"}, nil)
 	var got error
-	f.server.BroadcastTxSync(f.client, tx{id: "dup"}, func(err error) { got = err })
+	f.server.BroadcastTxSync(f.client, tx{id: "dup"}, onBroadcast(func(err error) { got = err }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +143,8 @@ func TestSerialQueryProcessing(t *testing.T) {
 	heavy := tx{id: "h", msgs: 100} // 1s service each
 	commitBlock(f, 1, heavy)
 	var first, second time.Duration
-	f.server.QueryTxData(f.client, heavy.Hash(), func(*store.TxInfo, error) { first = f.sched.Now() })
-	f.server.QueryTxData(f.client, heavy.Hash(), func(*store.TxInfo, error) { second = f.sched.Now() })
+	f.server.QueryTxData(f.client, heavy.Hash(), onTx(func(*store.TxInfo, error) { first = f.sched.Now() }))
+	f.server.QueryTxData(f.client, heavy.Hash(), onTx(func(*store.TxInfo, error) { second = f.sched.Now() }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +158,7 @@ func TestQueryTxConfirmation(t *testing.T) {
 	f := newFixture(timeout)
 	pending := tx{id: "pending"}
 	var err1 error
-	f.server.QueryTx(f.client, pending.Hash(), func(_ *store.TxInfo, err error) { err1 = err })
+	f.server.QueryTx(f.client, pending.Hash(), onTx(func(_ *store.TxInfo, err error) { err1 = err }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestQueryTxConfirmation(t *testing.T) {
 	}
 	commitBlock(f, 1, pending)
 	var info *store.TxInfo
-	f.server.QueryTx(f.client, pending.Hash(), func(i *store.TxInfo, err error) { info = i })
+	f.server.QueryTx(f.client, pending.Hash(), onTx(func(i *store.TxInfo, err error) { info = i }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +182,9 @@ func TestClientTimeoutUnderBacklog(t *testing.T) {
 	commitBlock(f, 1, heavy)
 	// The first request monopolizes the serial resource; the second
 	// times out client-side ("failed tx: no confirmation").
-	f.server.QueryTxData(f.client, heavy.Hash(), nil1)
+	f.server.QueryTxData(f.client, heavy.Hash(), nil)
 	var got error
-	f.server.QueryTx(f.client, heavy.Hash(), func(_ *store.TxInfo, err error) { got = err })
+	f.server.QueryTx(f.client, heavy.Hash(), onTx(func(_ *store.TxInfo, err error) { got = err }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +193,15 @@ func TestClientTimeoutUnderBacklog(t *testing.T) {
 	}
 }
 
-func nil1(*store.TxInfo, error) {}
-
 // TestAnsweredRequestLeavesNothingQueued: the reply cancels the client
 // timeout, so no event fires after the callback.
 func TestAnsweredRequestLeavesNothingQueued(t *testing.T) {
 	f := newFixture(timeout)
 	var at time.Duration
 	var fired uint64
-	f.server.QueryAccountSequence(f.client, "alice", func(uint64, error) {
+	f.server.QueryAccountSequence(f.client, "alice", onSequence(func(uint64, error) {
 		at, fired = f.sched.Now(), f.sched.Processed()
-	})
+	}))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +222,10 @@ func TestDroppedReplyTimesOut(t *testing.T) {
 	calls := 0
 	var got error
 	var at time.Duration
-	f.server.QueryAccountSequence(f.client, "alice", func(_ uint64, err error) {
+	f.server.QueryAccountSequence(f.client, "alice", onSequence(func(_ uint64, err error) {
 		calls++
 		got, at = err, f.sched.Now()
-	})
+	}))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +243,10 @@ func TestLateReplyCallsBackOnce(t *testing.T) {
 	f := newFixture(150 * time.Millisecond) // under the 200 ms round trip
 	calls := 0
 	var got error
-	f.server.QueryAccountSequence(f.client, "alice", func(_ uint64, err error) {
+	f.server.QueryAccountSequence(f.client, "alice", onSequence(func(_ uint64, err error) {
 		calls++
 		got = err
-	})
+	}))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -256,15 +260,15 @@ func TestLateReplyCallsBackOnce(t *testing.T) {
 }
 
 // TestQueryTxAllocatesTheCallAlone: after warm-up, a QueryTx round trip
-// allocates the call and QueryTx's own lookup closure, and nothing per
-// hop.
+// allocates nothing: its one record, the call, comes back off the
+// server's free list, and no hop allocates.
 func TestQueryTxAllocatesTheCallAlone(t *testing.T) {
 	f := newFixture(timeout)
 	committed := tx{id: "c"}
 	commitBlock(f, 1, committed)
 	hash := committed.Hash()
 	var info *store.TxInfo
-	cb := func(i *store.TxInfo, _ error) { info = i }
+	cb := onTx(func(i *store.TxInfo, _ error) { info = i })
 	roundTrip := func() {
 		f.server.QueryTx(f.client, hash, cb)
 		if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
@@ -275,8 +279,86 @@ func TestQueryTxAllocatesTheCallAlone(t *testing.T) {
 	if info == nil || info.Height != 1 {
 		t.Fatalf("info = %+v", info)
 	}
-	if a := testing.AllocsPerRun(100, roundTrip); a > 2 {
-		t.Fatalf("a QueryTx round trip allocates %.1f times, want at most 2", a)
+	if a := testing.AllocsPerRun(100, roundTrip); a > 0 {
+		t.Fatalf("a QueryTx round trip allocates %.1f times, want 0", a)
+	}
+}
+
+// TestLateReplyNeverReachesTheNextOwner: a call whose client timed out
+// is not reused while its reply is still on the wire, so a request made
+// from the timeout's callback gets its own answer (here its own
+// timeout), never the first request's late reply.
+func TestLateReplyNeverReachesTheNextOwner(t *testing.T) {
+	f := newFixture(150 * time.Millisecond) // under the 200 ms round trip
+	var first, second []error
+	var secondAt time.Duration
+	f.server.QueryAccountSequence(f.client, "alice", onSequence(func(_ uint64, err error) {
+		first = append(first, err)
+		f.server.QueryAccountSequence(f.client, "alice", onSequence(func(_ uint64, err error) {
+			second = append(second, err)
+			secondAt = f.sched.Now()
+		}))
+	}))
+	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 1 || !errors.Is(first[0], ErrTimeout) {
+		t.Fatalf("first request answered %v, want one ErrTimeout", first)
+	}
+	if len(second) != 1 || !errors.Is(second[0], ErrTimeout) || secondAt != 300*time.Millisecond {
+		t.Fatalf("second request answered %v at %v, want one ErrTimeout at 300ms", second, secondAt)
+	}
+	if n := len(f.server.free); n != 2 {
+		t.Fatalf("%d calls on the free list after both finished, want 2", n)
+	}
+}
+
+// TestPublishBlockAllocatesPerChainNotPerNode: the full nodes of one
+// chain share its feed, so publishing a block to a subscriber on each
+// of 8 nodes allocates what publishing it on 1 does, and every
+// subscriber gets the same frame.
+func TestPublishBlockAllocatesPerChainNotPerNode(t *testing.T) {
+	publish := func(nodes int) (float64, map[*EventFrame]int) {
+		f := newFixture(timeout)
+		servers := []*Server{f.server}
+		for i := 1; i < nodes; i++ {
+			servers = append(servers, f.newServer(netem.Host(fmt.Sprintf("chain-a/fullnode%d", i))))
+		}
+		got := map[*EventFrame]int{}
+		for i, srv := range servers {
+			srv.Subscribe(netem.Host(fmt.Sprintf("relayer-%d", i)), onFrame(func(fr *EventFrame) { got[fr]++ }))
+		}
+		if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		height := int64(0)
+		block := func() {
+			height++
+			cb := commitBlock(f, height, tx{id: fmt.Sprint(height), bytes: 100})
+			for _, srv := range servers {
+				srv.PublishBlock(cb)
+			}
+			if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		block()
+		clear(got)
+		block()
+		if len(got) != 1 {
+			t.Fatalf("%d nodes delivered %d distinct frames of one block, want 1", nodes, len(got))
+		}
+		return testing.AllocsPerRun(100, block), got
+	}
+	one, _ := publish(1)
+	eight, frames := publish(8)
+	for _, n := range frames {
+		if n != 8 {
+			t.Fatalf("frame delivered %d times, want 8", n)
+		}
+	}
+	if eight != one {
+		t.Fatalf("a block on 8 full nodes allocates %.0f times, on 1 %.0f: want the same", eight, one)
 	}
 }
 
@@ -292,9 +374,9 @@ func TestQueryBlockEvents(t *testing.T) {
 	}
 	var at time.Duration
 	var be *eventindex.BlockEvents
-	f.server.QueryBlockEvents(f.client, 1, func(b *eventindex.BlockEvents, err error) {
+	f.server.QueryBlockEvents(f.client, 1, onBlockEvents(func(b *eventindex.BlockEvents, err error) {
 		be, at = b, f.sched.Now()
-	})
+	}))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +390,7 @@ func TestQueryBlockEvents(t *testing.T) {
 		t.Fatal("query did not serve the shared index instance")
 	}
 	var missErr error
-	f.server.QueryBlockEvents(f.client, 9, func(_ *eventindex.BlockEvents, err error) { missErr = err })
+	f.server.QueryBlockEvents(f.client, 9, onBlockEvents(func(_ *eventindex.BlockEvents, err error) { missErr = err }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +402,7 @@ func TestQueryBlockEvents(t *testing.T) {
 func TestSubscriptionCarriesSharedIndex(t *testing.T) {
 	f := newFixture(timeout)
 	var frame *EventFrame
-	f.server.Subscribe(f.client, func(fr *EventFrame) { frame = fr })
+	f.server.Subscribe(f.client, onFrame(func(fr *EventFrame) { frame = fr }))
 	// Registration rides the network; let it land before publishing.
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
@@ -341,7 +423,7 @@ func TestSubscriptionCarriesSharedIndex(t *testing.T) {
 func TestQueryAccountSequence(t *testing.T) {
 	f := newFixture(timeout)
 	var seq uint64
-	f.server.QueryAccountSequence(f.client, "alice", func(s uint64, err error) { seq = s })
+	f.server.QueryAccountSequence(f.client, "alice", onSequence(func(s uint64, err error) { seq = s }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +435,7 @@ func TestQueryAccountSequence(t *testing.T) {
 func TestSubscriptionDeliversEvents(t *testing.T) {
 	f := newFixture(timeout)
 	var frames []*EventFrame
-	f.server.Subscribe(f.client, func(fr *EventFrame) { frames = append(frames, fr) })
+	f.server.Subscribe(f.client, onFrame(func(fr *EventFrame) { frames = append(frames, fr) }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +455,7 @@ func TestSubscriptionDeliversEvents(t *testing.T) {
 func TestWebSocketFrameLimit(t *testing.T) {
 	f := newFixture(timeout)
 	var frame *EventFrame
-	f.server.Subscribe(f.client, func(fr *EventFrame) { frame = fr })
+	f.server.Subscribe(f.client, onFrame(func(fr *EventFrame) { frame = fr }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +486,7 @@ func TestBroadcastContentionDelaysConfirmation(t *testing.T) {
 	probe := tx{id: "probe"}
 	commitBlock(f, 1, probe)
 	var baseline time.Duration
-	f.server.QueryTx(f.client, probe.Hash(), func(*store.TxInfo, error) { baseline = f.sched.Now() })
+	f.server.QueryTx(f.client, probe.Hash(), onTx(func(*store.TxInfo, error) { baseline = f.sched.Now() }))
 	if err := f.sched.RunUntil(f.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +497,7 @@ func TestBroadcastContentionDelaysConfirmation(t *testing.T) {
 		f2.server.BroadcastTxSync(f2.client, tx{id: fmt.Sprintf("flood-%d", i)}, nil)
 	}
 	var loaded time.Duration
-	f2.server.QueryTx(f2.client, probe.Hash(), func(*store.TxInfo, error) { loaded = f2.sched.Now() })
+	f2.server.QueryTx(f2.client, probe.Hash(), onTx(func(*store.TxInfo, error) { loaded = f2.sched.Now() }))
 	if err := f2.sched.RunUntil(f2.sched.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -423,3 +505,18 @@ func TestBroadcastContentionDelaysConfirmation(t *testing.T) {
 		t.Fatalf("confirmation under load at %v vs %v baseline: no contention", loaded, baseline)
 	}
 }
+
+// Function adapters: each test's reply handler is a func literal.
+type (
+	onBroadcast   func(error)
+	onTx          func(*store.TxInfo, error)
+	onBlockEvents func(*eventindex.BlockEvents, error)
+	onSequence    func(uint64, error)
+	onFrame       func(*EventFrame)
+)
+
+func (f onBroadcast) OnBroadcast(err error)                                { f(err) }
+func (f onTx) OnTx(i *store.TxInfo, err error)                             { f(i, err) }
+func (f onBlockEvents) OnBlockEvents(b *eventindex.BlockEvents, err error) { f(b, err) }
+func (f onSequence) OnSequence(s uint64, err error)                        { f(s, err) }
+func (f onFrame) OnFrame(fr *EventFrame)                                   { f(fr) }

@@ -77,12 +77,7 @@ func newFailover(d *Deployment, l *Link) *Failover {
 // probe sends one health ping and evaluates the detection window.
 func (f *Failover) probe() {
 	now := f.dep.Sched.Now()
-	f.dep.Net.Send(f.host, f.primary.Host(), func() {
-		if f.primary.Stopped() {
-			return // crashed process: no pong
-		}
-		f.dep.Net.Send(f.primary.Host(), f.host, func() { f.pong() })
-	})
+	f.dep.Net.SendHandler(f.host, f.primary.Host(), (*failoverPing)(f))
 	if now-f.lastPong <= failoverDetectBlocks*simconf.MinBlockInterval {
 		return
 	}
@@ -100,6 +95,26 @@ func (f *Failover) probe() {
 		f.standby.Start()
 	}
 }
+
+// failoverPing is a Failover seen as the handler of a ping's arrival at
+// the primary's host, and failoverPong of a pong's at the standby's: the
+// probe allocates nothing.
+type (
+	failoverPing Failover
+	failoverPong Failover
+)
+
+// Fire answers the ping, unless the primary crashed.
+func (p *failoverPing) Fire() {
+	f := (*Failover)(p)
+	if f.primary.Stopped() {
+		return // crashed process: no pong
+	}
+	f.dep.Net.SendHandler(f.primary.Host(), f.host, (*failoverPong)(f))
+}
+
+// Fire records the pong.
+func (p *failoverPong) Fire() { (*Failover)(p).pong() }
 
 // pong records a healthy primary, closing any open outage window.
 func (f *Failover) pong() {

@@ -10,6 +10,8 @@ import (
 	"ibcbench/internal/geo"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/netem"
+	"ibcbench/internal/sim"
+	"ibcbench/internal/simconf"
 )
 
 // flatWAN is the paper's WAN without jitter: a message arrives exactly
@@ -22,7 +24,7 @@ var flatWAN = netem.Config{OneWayLatency: 100 * time.Millisecond, LoopbackLatenc
 func oneWay(d *Deployment, from, to netem.Host) time.Duration {
 	start := d.Sched.Now()
 	var at time.Duration
-	d.Net.Send(from, to, func() { at = d.Sched.Now() })
+	d.Net.SendHandler(from, to, sim.Func(func() { at = d.Sched.Now() }))
 	d.Sched.RunUntil(start + time.Second)
 	return at - start
 }
@@ -279,6 +281,35 @@ func TestChaosScenarioDeterminism(t *testing.T) {
 	for _, want := range []string{"fault @12s", "latency spike", "pause relayer", "failover"} {
 		if !strings.Contains(text1, want) {
 			t.Fatalf("rendered result missing %q:\n%s", want, text1)
+		}
+	}
+}
+
+// TestFailoverProbeAllocatesNothing: a supervisor's health ping and its
+// pong are the Failover itself, seen as two handler types, so probing
+// allocates nothing. The deployment is not started, so the probes are
+// its only events: a ping and a pong per edge per probe interval.
+func TestFailoverProbeAllocatesNothing(t *testing.T) {
+	d, err := Deploy(Hub(2), DeployConfig{Seed: 7, Standby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := func() {
+		if err := d.Sched.RunUntil(d.Sched.Now() + simconf.MinBlockInterval/5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe()
+	sent := d.Net.Sent()
+	if a := testing.AllocsPerRun(20, probe); a != 0 {
+		t.Fatalf("a probe round allocates %.1f times, want 0", a)
+	}
+	if got := d.Net.Sent() - sent; got != 21*2*2 {
+		t.Fatalf("%d messages sent over 21 probe intervals, want a ping and a pong per edge in each (84)", got)
+	}
+	for i, l := range d.Links {
+		if rep := l.Failover.Report(); rep.Takeovers != 0 {
+			t.Fatalf("edge %d standby activated %d times under healthy probes", i, rep.Takeovers)
 		}
 	}
 }

@@ -56,13 +56,18 @@ type submission struct {
 
 // Generator drives transfer submission against the source chain.
 type Generator struct {
-	sched   *sim.Scheduler
-	rng     *sim.RNG
-	source  *chain.Chain
-	destTop func() int64 // destination height, for timeouts
-	rpcNode *rpc.Server
-	host    netem.Host
-	tracker *metrics.Tracker
+	sched  *sim.Scheduler
+	rng    *sim.RNG
+	source *chain.Chain
+	// dest is the destination chain, whose height stamps timeouts:
+	// its store's, or, once observing is set, the height observed in
+	// its frames.
+	dest      *chain.Chain
+	observing bool
+	observed  int64
+	rpcNode   *rpc.Server
+	host      netem.Host
+	tracker   *metrics.Tracker
 
 	// TimeoutBlocks sets packet timeout height = dest height + this.
 	TimeoutBlocks int64
@@ -120,7 +125,7 @@ func NewOnChannel(sched *sim.Scheduler, rng *sim.RNG, src, dst *chain.Chain, sou
 		sched:         sched,
 		rng:           rng,
 		source:        src,
-		destTop:       func() int64 { return dst.Store.Height() },
+		dest:          dst,
 		rpcNode:       node,
 		host:          netem.Host("workload/driver-" + src.ID + "-" + sourceChannel),
 		tracker:       tracker,
@@ -176,13 +181,19 @@ func (g *Generator) recordBroadcasts(chainID string, cb *store.CommittedBlock) {
 // frame's network delivery, as a client's view of another chain does,
 // and every deployed generator stamps its timeouts this way.
 func (g *Generator) ObserveDestHeight(node *rpc.Server) {
-	var observed int64
-	g.destTop = func() int64 { return observed }
-	node.Subscribe(g.host, func(f *rpc.EventFrame) {
-		if f.Height > observed {
-			observed = f.Height
-		}
-	})
+	g.observing = true
+	node.Subscribe(g.host, g)
+}
+
+// OnFrame observes a destination block frame.
+func (g *Generator) OnFrame(f *rpc.EventFrame) { g.observed = max(g.observed, f.Height) }
+
+// destHeight is the destination height timeouts are stamped from.
+func (g *Generator) destHeight() int64 {
+	if g.observing {
+		return g.observed
+	}
+	return g.dest.Store.Height()
 }
 
 // Stats reports submission outcomes so far.
@@ -237,7 +248,7 @@ func (g *Generator) SubmitBatch(transfers int) {
 	}
 	for i := 0; i < txCount; i++ {
 		g.subs = append(g.subs, submission{n: txSize(transfers, i)})
-		g.submitTx(g.accounts[g.acctCursor%len(g.accounts)], len(g.subs)-1, 0)
+		g.submit(&attempt{g: g, account: g.accounts[g.acctCursor%len(g.accounts)], sub: len(g.subs) - 1})
 		g.acctCursor++
 	}
 }
@@ -279,7 +290,7 @@ func txSize(transfers, i int) int {
 // messages from the generator's nonce, and stamps its broadcast time.
 func (g *Generator) transferTx(account string, sub int) (*app.Tx, uint64) {
 	n := g.subs[sub].n
-	timeoutHeight := g.destTop() + g.TimeoutBlocks
+	timeoutHeight := g.destHeight() + g.TimeoutBlocks
 	receiver := account
 	if !g.RoundTrip {
 		receiver = g.receiverOf(account)
@@ -322,35 +333,54 @@ func (g *Generator) receiverOf(account string) string {
 	return r
 }
 
-// submitTx builds and broadcasts one attempt of submission sub for an
-// account.
-func (g *Generator) submitTx(account string, sub int, attempt int) {
-	tx, seq := g.transferTx(account, sub)
-	g.rpcNode.BroadcastTxSync(g.host, tx, func(err error) {
-		// A refusal means the attempt never entered the mempool, so it
-		// can never commit, and a retry is a new transaction with a new
-		// hash: its broadcast time goes. A client timeout keeps it, since
-		// the node may have admitted the attempt before the reply was
-		// lost, and it may still commit.
-		if err != nil && !errors.Is(err, rpc.ErrTimeout) {
-			delete(g.broadcastAt, tx.Hash())
-		}
-		switch {
-		case err == nil:
-			g.nextSeq[account] = seq + 1
-			g.count(sub, &g.stats.Submitted)
-		case attempt < 2:
-			// CLI behaviour: re-query the committed sequence and retry.
-			g.rpcNode.QueryAccountSequence(g.host, account, func(s uint64, qerr error) {
-				if qerr == nil {
-					g.nextSeq[account] = s
-				}
-				g.submitTx(account, sub, attempt+1)
-			})
-		default:
-			g.count(sub, &g.stats.Failed)
-		}
-	})
+// attempt is one broadcast attempt of submission sub for an account,
+// and the handler of its broadcast reply and of the sequence re-query
+// before its retry, which reuses it.
+type attempt struct {
+	g       *Generator
+	account string
+	sub, n  int // n counts the attempts before this one
+	tx      *app.Tx
+	seq     uint64
+}
+
+// submit builds and broadcasts attempt a.
+func (g *Generator) submit(a *attempt) {
+	a.tx, a.seq = g.transferTx(a.account, a.sub)
+	g.rpcNode.BroadcastTxSync(g.host, a.tx, a)
+}
+
+// OnBroadcast counts an admitted attempt, or re-queries the committed
+// sequence and retries (the CLI's behaviour), or gives the submission up.
+func (a *attempt) OnBroadcast(err error) {
+	g := a.g
+	// A refusal means the attempt never entered the mempool, so it can
+	// never commit, and a retry is a new transaction with a new hash: its
+	// broadcast time goes. A client timeout keeps it, since the node may
+	// have admitted the attempt before the reply was lost, and it may
+	// still commit.
+	if err != nil && !errors.Is(err, rpc.ErrTimeout) {
+		delete(g.broadcastAt, a.tx.Hash())
+	}
+	switch {
+	case err == nil:
+		g.nextSeq[a.account] = a.seq + 1
+		g.count(a.sub, &g.stats.Submitted)
+	case a.n < 2:
+		g.rpcNode.QueryAccountSequence(g.host, a.account, a)
+	default:
+		g.count(a.sub, &g.stats.Failed)
+	}
+}
+
+// OnSequence takes the committed sequence, if the query answered, and
+// retries.
+func (a *attempt) OnSequence(seq uint64, err error) {
+	if err == nil {
+		a.g.nextSeq[a.account] = seq
+	}
+	a.n++
+	a.g.submit(a)
 }
 
 // RunConstantRate submits batches of rate*5 transfers at every block
