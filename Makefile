@@ -33,7 +33,9 @@ check:
 # root rebuilds each table's array, the scenario spec's parse ⇄ encode round trip,
 # VerifyCommit on mutated commits against a naive per-signature model, the
 # denom trace's parse ⇄ string and prefix round trips, the
-# forward-memo parser's validation and round trip, the packet
+# forward-memo parser's validation and round trip and its in-place
+# reader against encoding/json, the forwarding middleware's in-flight
+# record encoder against json.Marshal, the packet
 # tracker's per-channel table against a map-keyed model, the relayer's
 # per-endpoint packet table against a map-keyed model over a destination
 # chain's ground truth (no timeout for a received packet), the trace
@@ -59,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzVerifyCommit -fuzztime 10s ./internal/tendermint/types
 	$(GO) test -run '^$$' -fuzz FuzzDenomTrace -fuzztime 10s ./internal/ibc/denom
 	$(GO) test -run '^$$' -fuzz FuzzParseMemo -fuzztime 10s ./internal/ibc/pfm
+	$(GO) test -run '^$$' -fuzz FuzzInFlightCodec -fuzztime 10s ./internal/ibc/pfm
 	$(GO) test -run '^$$' -fuzz FuzzTracker -fuzztime 10s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzRelayerPackets -fuzztime 10s ./internal/relayer
 	$(GO) test -run '^$$' -fuzz FuzzTracecheck -fuzztime 10s ./internal/tracecheck

@@ -243,9 +243,9 @@ func newRecvAckRounds(tb testing.TB, rounds int) *recvAckRounds {
 	r.a.App.BeginBlock(1, 5*time.Second)
 	r.b.App.BeginBlock(1, 5*time.Second)
 	// Both clients learn the counterparty height the proofs refer to.
-	must(r.a, app.NewTx("relayer", 0, 0, []app.Msg{ibc.MsgUpdateClient{ClientID: pair.ClientOnA,
+	must(r.a, app.NewTx("relayer", 0, 0, []app.Msg{&ibc.MsgUpdateClient{ClientID: pair.ClientOnA,
 		Bundle: ibc.HeaderBundle{Header: types.Header{ChainID: r.b.ID, Height: proofHeight}}}}))
-	must(r.b, app.NewTx("relayer", 0, 0, []app.Msg{ibc.MsgUpdateClient{ClientID: pair.ClientOnB,
+	must(r.b, app.NewTx("relayer", 0, 0, []app.Msg{&ibc.MsgUpdateClient{ClientID: pair.ClientOnB,
 		Bundle: ibc.HeaderBundle{Header: types.Header{ChainID: r.a.ID, Height: proofHeight}}}}))
 	ack := ibc.Acknowledgement{Result: []byte("AQ==")}.Bytes()
 	for round := 0; round < rounds; round++ {
@@ -312,13 +312,13 @@ func BenchmarkKeeperRecvAck(b *testing.B) {
 // With the packet data read in place, the voucher denom appended into the
 // bank's key buffer and the emitted acknowledgements cut from the
 // keeper's chunk, 17; with each transaction's event list cut from the
-// app's chunk at one event per message, 9: what is left is each
-// transaction's context and the chunk blocks values, acknowledgements
-// and event lists are cut from. The ceiling is the count under the race
-// detector (CI runs the package with -race), whose instrumentation adds
-// 11.
+// app's chunk at one event per message, 9; with one context per app,
+// reset for each transaction, 7: what is left is the chunk blocks
+// values, acknowledgements and event lists are cut from. The ceiling is
+// the count under the race detector (CI runs the package with -race),
+// whose instrumentation adds 11.
 func TestKeeperRecvAckAllocs(t *testing.T) {
-	const runs, ceiling = 5, 20
+	const runs, ceiling = 5, 18
 	r := newRecvAckRounds(t, runs+1) // AllocsPerRun adds a warm-up call
 	round := 0
 	got := testing.AllocsPerRun(runs, func() {

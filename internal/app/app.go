@@ -193,6 +193,9 @@ type App struct {
 
 	// events is what transactions' event lists are cut from.
 	events Chunk[abci.Event]
+	// ctx is the context DeliverTx hands each transaction's handlers,
+	// reset for each: no handler keeps it past its call.
+	ctx Context
 
 	txsOK     uint64
 	txsFailed uint64
@@ -304,7 +307,8 @@ func (a *App) DeliverTx(tx types.Tx) abci.TxResult {
 		acct.checkSequence = acct.Sequence
 	}
 
-	ctx := &Context{
+	ctx := &a.ctx
+	*ctx = Context{
 		ChainID: a.chainID,
 		Height:  a.curHeight,
 		Time:    a.curTime,

@@ -186,7 +186,7 @@ func TestTimeoutOfReceivedPacketRefused(t *testing.T) {
 	}
 
 	// b receives the packet at height 2, before its timeout height.
-	if res := deliverBlock(t, b, 1, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnB, Bundle: headerOf(a, 2)}); !res.IsOK() {
+	if res := deliverBlock(t, b, 1, "relayer", &ibc.MsgUpdateClient{ClientID: p.ClientOnB, Bundle: headerOf(a, 2)}); !res.IsOK() {
 		t.Fatalf("update b's client: %s", res.Log)
 	}
 	if res := deliverBlock(t, b, 2, "relayer", &ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
@@ -194,7 +194,7 @@ func TestTimeoutOfReceivedPacketRefused(t *testing.T) {
 	}
 
 	// A timeout at a proof height past the timeout height, with no proof.
-	if res := deliverBlock(t, a, 2, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnA, Bundle: headerOf(b, 5)}); !res.IsOK() {
+	if res := deliverBlock(t, a, 2, "relayer", &ibc.MsgUpdateClient{ClientID: p.ClientOnA, Bundle: headerOf(b, 5)}); !res.IsOK() {
 		t.Fatalf("update a's client: %s", res.Log)
 	}
 	res = deliverBlock(t, a, 3, "relayer", &ibc.MsgTimeout{Packet: *packet, ProofHeight: 5})
@@ -233,7 +233,7 @@ func linkedTransfer(t *testing.T) (a, b *Chain, p *Pair, packet *ibc.Packet) {
 	if packet == nil {
 		t.Fatal("transfer emitted no packet")
 	}
-	if res := deliverBlock(t, b, 1, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnB, Bundle: headerOf(a, 2)}); !res.IsOK() {
+	if res := deliverBlock(t, b, 1, "relayer", &ibc.MsgUpdateClient{ClientID: p.ClientOnB, Bundle: headerOf(a, 2)}); !res.IsOK() {
 		t.Fatalf("update b's client: %s", res.Log)
 	}
 	return a, b, p, packet
@@ -273,7 +273,7 @@ func TestErrorAckOfReceivedPacketRefused(t *testing.T) {
 	if res := deliverBlock(t, b, 2, "relayer", &ibc.MsgRecvPacket{Packet: *packet, ProofHeight: 2}); !res.IsOK() {
 		t.Fatalf("recv: %s", res.Log)
 	}
-	if res := deliverBlock(t, a, 2, "relayer", ibc.MsgUpdateClient{ClientID: p.ClientOnA, Bundle: headerOf(b, 3)}); !res.IsOK() {
+	if res := deliverBlock(t, a, 2, "relayer", &ibc.MsgUpdateClient{ClientID: p.ClientOnA, Bundle: headerOf(b, 3)}); !res.IsOK() {
 		t.Fatalf("update a's client: %s", res.Log)
 	}
 	forged := ibc.Acknowledgement{Error: "forged"}.Bytes()

@@ -174,7 +174,7 @@ func (c *testChain) proveAbsent(consHeight int64, kind app.RecordKind, channel s
 
 // updateClientTo relays a header so dst's client of src reaches height h.
 func updateClientTo(dst, src *testChain, h int64) {
-	dst.mustDeliver("relayer", ibc.MsgUpdateClient{ClientID: dst.clientOf[src.chainID], Bundle: src.headerBundle(h)})
+	dst.mustDeliver("relayer", &ibc.MsgUpdateClient{ClientID: dst.clientOf[src.chainID], Bundle: src.headerBundle(h)})
 }
 
 // linkChains opens a transfer channel between two chains the way
@@ -671,7 +671,7 @@ func TestUpdateClientRejectsForgedHeader(t *testing.T) {
 	// A header signed by the wrong chain's validators must be rejected.
 	forged := b.headerBundle(b.height + 1)
 	forged.Header.ChainID = "chain-a"
-	errs := b.deliver("relayer", ibc.MsgUpdateClient{ClientID: b.clientOf[a.chainID], Bundle: forged})
+	errs := b.deliver("relayer", &ibc.MsgUpdateClient{ClientID: b.clientOf[a.chainID], Bundle: forged})
 	if errs == nil {
 		t.Fatal("forged header accepted")
 	}
@@ -679,7 +679,7 @@ func TestUpdateClientRejectsForgedHeader(t *testing.T) {
 	// signature binds the header).
 	tampered := a.headerBundle(a.height + 1)
 	tampered.Header.AppHash[0] ^= 1
-	errs = b.deliver("relayer", ibc.MsgUpdateClient{ClientID: b.clientOf[a.chainID], Bundle: tampered})
+	errs = b.deliver("relayer", &ibc.MsgUpdateClient{ClientID: b.clientOf[a.chainID], Bundle: tampered})
 	if errs == nil {
 		t.Fatal("tampered header accepted")
 	}
@@ -696,7 +696,7 @@ func TestRewrittenClientVerifiesUnderItsNewSet(t *testing.T) {
 	linkChains(t, a, b)
 	client := b.clientOf[a.chainID]
 	a.emptyBlock()
-	b.mustDeliver("relayer", ibc.MsgUpdateClient{ClientID: client, Bundle: a.headerBundle(a.height)})
+	b.mustDeliver("relayer", &ibc.MsgUpdateClient{ClientID: client, Bundle: a.headerBundle(a.height)})
 
 	rewritten := c.clientState()
 	rewritten.ChainID, rewritten.LatestHeight = a.chainID, a.height
@@ -707,7 +707,7 @@ func TestRewrittenClientVerifiesUnderItsNewSet(t *testing.T) {
 	b.app.State().SetObject([]byte(ibc.ClientStateKey(client)), raw, rewritten)
 	b.app.State().CommitTx()
 	a.emptyBlock()
-	if errs := b.deliver("relayer", ibc.MsgUpdateClient{ClientID: client, Bundle: a.headerBundle(a.height)}); errs == nil {
+	if errs := b.deliver("relayer", &ibc.MsgUpdateClient{ClientID: client, Bundle: a.headerBundle(a.height)}); errs == nil {
 		t.Fatal("a header signed by the validators the client no longer pins was accepted")
 	}
 }

@@ -124,3 +124,18 @@ func (r *JSONReader) Bytes() []byte {
 	r.failed = true // unterminated
 	return nil
 }
+
+// String reads a quoted string as Bytes does and returns it as a
+// substring of src, which holds the same bytes as Buf, when it has no
+// escapes: the strings of one document then share src's one allocation.
+func (r *JSONReader) String(src string) string {
+	start := r.pos + 1
+	b := r.Bytes()
+	if r.failed {
+		return ""
+	}
+	if end := r.pos - 1; end-start == len(b) {
+		return src[start:end]
+	}
+	return string(b)
+}

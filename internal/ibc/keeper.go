@@ -248,7 +248,7 @@ func (k *Keeper) verifyNonMembership(ctx *app.Context, clientID string, proofHei
 // handle is the app.Handler for all core IBC messages.
 func (k *Keeper) handle(ctx *app.Context, msg app.Msg) error {
 	switch m := msg.(type) {
-	case MsgUpdateClient:
+	case *MsgUpdateClient:
 		return k.updateClient(ctx, m)
 	case *MsgRecvPacket:
 		return k.recvPacket(ctx, m)
@@ -263,7 +263,7 @@ func (k *Keeper) handle(ctx *app.Context, msg app.Msg) error {
 
 // --- clients -----------------------------------------------------------------
 
-func (k *Keeper) updateClient(ctx *app.Context, m MsgUpdateClient) error {
+func (k *Keeper) updateClient(ctx *app.Context, m *MsgUpdateClient) error {
 	cs, err := k.Client(ctx, m.ClientID)
 	if err != nil {
 		return err

@@ -135,7 +135,7 @@ func TestMsgDigestsMatchFmtFormatting(t *testing.T) {
 		for _, h := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
 			m := ibc.MsgUpdateClient{ClientID: clientID}
 			m.Bundle.Header.Height = h
-			check(m, fmt.Sprintf("update/%s/%d", clientID, h))
+			check(&m, fmt.Sprintf("update/%s/%d", clientID, h))
 		}
 	}
 }

@@ -68,15 +68,15 @@ func appendPacketDigest(dst []byte, kind string, p *Packet) []byte {
 	return strconv.AppendUint(dst, p.Sequence, 10)
 }
 
-// Route/MsgType/WireSize/AppendDigest implementations. A packet message
+// Route/MsgType/WireSize/AppendDigest implementations. Every IBC message
 // is an app.Msg by pointer only: a relayer cuts a batch's messages from
-// one array and hands out pointers into it, which box without an
-// allocation.
+// one array, and its client updates from a chunk, and hands out pointers
+// into them, which box without an allocation.
 
-func (MsgUpdateClient) Route() string   { return RouteIBC }
-func (MsgUpdateClient) MsgType() string { return "MsgUpdateClient" }
-func (MsgUpdateClient) WireSize() int   { return 1200 }
-func (m MsgUpdateClient) AppendDigest(dst []byte) []byte {
+func (*MsgUpdateClient) Route() string   { return RouteIBC }
+func (*MsgUpdateClient) MsgType() string { return "MsgUpdateClient" }
+func (*MsgUpdateClient) WireSize() int   { return 1200 }
+func (m *MsgUpdateClient) AppendDigest(dst []byte) []byte {
 	dst = append(append(append(dst, "update/"...), m.ClientID...), '/')
 	return strconv.AppendInt(dst, m.Bundle.Header.Height, 10)
 }

@@ -57,8 +57,8 @@ var seedMsg = probeMsg{func(ctx *app.Context) error {
 	return nil
 }}
 
-func updateMsg(height int64) ibc.MsgUpdateClient {
-	return ibc.MsgUpdateClient{ClientID: objClient, Bundle: ibc.HeaderBundle{Header: types.Header{
+func updateMsg(height int64) *ibc.MsgUpdateClient {
+	return &ibc.MsgUpdateClient{ClientID: objClient, Bundle: ibc.HeaderBundle{Header: types.Header{
 		ChainID: "chain-x", Height: height, Time: time.Duration(height) * time.Second,
 	}}}
 }

@@ -19,9 +19,11 @@ package pfm
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -66,26 +68,49 @@ type memoWrapper struct {
 	Forward *ForwardMetadata `json:"forward"`
 }
 
-// Memo serializes forward metadata into a packet memo string.
+// Memo serializes forward metadata into a packet memo string: the bytes
+// json.Marshal writes for its {"forward": ...} wrapper.
 func Memo(f *ForwardMetadata) string {
 	if f == nil {
 		return ""
 	}
-	raw, err := json.Marshal(memoWrapper{Forward: f})
-	if err != nil {
-		return ""
+	var buf [256]byte
+	return string(append(appendForward(append(buf[:0], `{"forward":`...), f), '}'))
+}
+
+// appendForward appends the bytes json.Marshal writes for f.
+func appendForward(dst []byte, f *ForwardMetadata) []byte {
+	dst = ibc.AppendJSONString(append(dst, `{"receiver":`...), f.Receiver)
+	dst = ibc.AppendJSONString(append(dst, `,"port":`...), f.Port)
+	dst = ibc.AppendJSONString(append(dst, `,"channel":`...), f.Channel)
+	if f.TimeoutBlocks != 0 {
+		dst = strconv.AppendInt(append(dst, `,"timeout_blocks":`...), f.TimeoutBlocks, 10)
 	}
-	return string(raw)
+	if f.Next != nil {
+		dst = appendForward(append(dst, `,"next":`...), f.Next)
+	}
+	return append(dst, '}')
 }
 
 // ParseMemo extracts forward metadata from a memo, read in place from a
 // packet's data ("" or non-forward memos return ok=false; a memo with
 // forward intent that fails to decode returns an error so the packet can
 // be refused rather than silently delivered to the intermediate chain).
+// What Memo writes is read directly; any other memo goes to
+// encoding/json (decodeMemo), which decides what it holds.
 func ParseMemo(memo []byte) (*ForwardMetadata, bool, error) {
 	if len(memo) == 0 {
 		return nil, false, nil
 	}
+	f, read := readMemo(memo)
+	if !read {
+		return decodeMemo(memo)
+	}
+	return checkForward(f, memo)
+}
+
+// decodeMemo is ParseMemo through encoding/json.
+func decodeMemo(memo []byte) (*ForwardMetadata, bool, error) {
 	var w memoWrapper
 	if err := json.Unmarshal(memo, &w); err != nil {
 		if bytes.Contains(memo, []byte(`"forward"`)) {
@@ -98,11 +123,61 @@ func ParseMemo(memo []byte) (*ForwardMetadata, bool, error) {
 	if w.Forward == nil {
 		return nil, false, nil
 	}
-	f := w.Forward
+	return checkForward(w.Forward, memo)
+}
+
+// checkForward accepts a decoded forward hop that names a port, a
+// channel and a receiver.
+func checkForward(f *ForwardMetadata, memo []byte) (*ForwardMetadata, bool, error) {
 	if f.Port == "" || f.Channel == "" || f.Receiver == "" {
 		return nil, false, fmt.Errorf("%w: %q", ErrBadForwardMemo, memo)
 	}
 	return f, true, nil
+}
+
+// maxMemoHops bounds the hops readMemo reads; a deeper memo goes to
+// encoding/json, whose own nesting limit then applies.
+const maxMemoHops = 64
+
+// readMemo reads a memo laid out as Memo writes it, its strings cut
+// from one copy of memo; read is false for any other memo.
+func readMemo(memo []byte) (f *ForwardMetadata, read bool) {
+	const open = `{"forward":`
+	if !bytes.HasPrefix(memo, []byte(open)) {
+		return nil, false
+	}
+	r := ibc.JSONReader{Buf: memo}
+	r.Expect(open)
+	f = readForward(&r, string(memo), maxMemoHops)
+	r.Expect("}")
+	return f, r.Done()
+}
+
+// readForward reads one hop and, up to hops deep, the hops after it.
+func readForward(r *ibc.JSONReader, src string, hops int) *ForwardMetadata {
+	f := new(ForwardMetadata)
+	r.Expect(`{"receiver":`)
+	f.Receiver = r.String(src)
+	r.Expect(`,"port":`)
+	f.Port = r.String(src)
+	r.Expect(`,"channel":`)
+	f.Channel = r.String(src)
+	if r.Skip(`,"timeout_blocks":`) {
+		n := r.Uint()
+		if n > math.MaxInt64 {
+			r.Fail()
+		}
+		f.TimeoutBlocks = int64(n)
+	}
+	if r.Skip(`,"next":`) {
+		if hops == 1 {
+			r.Fail()
+			return f
+		}
+		f.Next = readForward(r, src, hops-1)
+	}
+	r.Expect("}")
+	return f
 }
 
 // inFlight is the state-backed record of one forwarded packet, keyed by
@@ -116,6 +191,33 @@ type inFlight struct {
 	// Unescrowed records whether the receive leg released escrow (true)
 	// or minted a voucher (false).
 	Unescrowed bool `json:"unescrowed"`
+}
+
+// appendInFlight appends the bytes json.Marshal writes for rec, the
+// record's stored value.
+func appendInFlight(dst []byte, rec *inFlight) []byte {
+	p := &rec.Original
+	dst = strconv.AppendUint(append(dst, `{"original":{"sequence":`...), p.Sequence, 10)
+	dst = ibc.AppendJSONString(append(dst, `,"source_port":`...), p.SourcePort)
+	dst = ibc.AppendJSONString(append(dst, `,"source_channel":`...), p.SourceChannel)
+	dst = ibc.AppendJSONString(append(dst, `,"dest_port":`...), p.DestPort)
+	dst = ibc.AppendJSONString(append(dst, `,"dest_channel":`...), p.DestChannel)
+	dst = append(dst, `,"data":`...)
+	if p.Data == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(base64.StdEncoding.AppendEncode(append(dst, '"'), p.Data), '"')
+	}
+	if p.TimeoutHeight != 0 {
+		dst = strconv.AppendInt(append(dst, `,"timeout_height":`...), p.TimeoutHeight, 10)
+	}
+	if p.TimeoutTimestamp != 0 {
+		dst = strconv.AppendInt(append(dst, `,"timeout_timestamp":`...), int64(p.TimeoutTimestamp), 10)
+	}
+	dst = ibc.AppendJSONString(append(dst, `},"coin":{"Denom":`...), rec.Coin.Denom)
+	dst = strconv.AppendUint(append(dst, `,"Amount":`...), rec.Coin.Amount, 10)
+	dst = strconv.AppendBool(append(dst, `},"unescrowed":`...), rec.Unescrowed)
+	return append(dst, '}')
 }
 
 // inFlightKind is the path before the outgoing hop's channel path in an
@@ -171,6 +273,12 @@ type Middleware struct {
 	TimeoutBlocks int64
 
 	stats Stats
+
+	// recs and vals are the chunks in-flight records and their stored
+	// bytes are cut from; the store keeps both by reference, and nothing
+	// writes them again.
+	recs app.Chunk[inFlight]
+	vals app.Chunk[byte]
 
 	// hops maps an inbound packet (dest channel, sequence) to the
 	// outbound hop it spawned — reporting metadata for per-hop latency
@@ -271,30 +379,35 @@ func (mw *Middleware) OnRecvPacket(ctx *app.Context, p ibc.Packet) *ibc.Acknowle
 		return &ibc.Acknowledgement{Error: fmt.Sprintf("pfm: forward failed: %v", err)}
 	}
 
-	rec := inFlight{Original: p, Coin: coin, Unescrowed: unescrowed}
-	raw, _ := json.Marshal(rec)
 	var b [app.KeyBufLen]byte
-	ctx.State.Set(AppendInFlightKey(b[:0], fwd.Port, fwd.Channel, next.Sequence), raw)
+	mw.setInFlight(ctx, AppendInFlightKey(b[:0], fwd.Port, fwd.Channel, next.Sequence), inFlight{Original: p, Coin: coin, Unescrowed: unescrowed})
 	mw.hops[hopRef{p.DestChannel, p.Sequence}] = hopRef{next.SourceChannel, next.Sequence}
 	mw.stats.Forwarded++
 	// Hold the origin's ack open until the next hop settles.
 	return nil
 }
 
-// takeInFlight pops the forwarding record of an outgoing packet, if any.
+// setInFlight stores rec under key typed, beside the bytes json.Marshal
+// writes for it, which the app hash covers (app.State.SetObject).
+func (mw *Middleware) setInFlight(ctx *app.Context, key []byte, rec inFlight) {
+	obj := mw.recs.New()
+	*obj = rec
+	var buf [1024]byte // room for a packet of about 600 data bytes
+	raw := appendInFlight(buf[:0], obj)
+	ctx.State.SetObject(key, append(mw.vals.Slot(len(raw)), raw...), obj)
+}
+
+// takeInFlight pops the forwarding record of an outgoing packet, if any:
+// a key stored without its typed record is read as absent.
 func (mw *Middleware) takeInFlight(ctx *app.Context, p ibc.Packet) (inFlight, bool) {
 	var b [app.KeyBufLen]byte
 	key := AppendInFlightKey(b[:0], p.SourcePort, p.SourceChannel, p.Sequence)
-	raw, ok := ctx.State.Get(key)
+	rec, ok := ctx.State.Object(key).(*inFlight)
 	if !ok {
 		return inFlight{}, false
 	}
-	var rec inFlight
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return inFlight{}, false
-	}
 	ctx.State.Delete(key)
-	return rec, true
+	return *rec, true
 }
 
 // OnAcknowledgementPacket implements ibc.PortModule: forwarded hops

@@ -613,3 +613,126 @@ func TestKeysMatchFmtFormatting(t *testing.T) {
 		}
 	}
 }
+
+// --- the in-flight record and the cost of a forward ----------------------------
+
+// The in-flight record lives typed in the store beside the bytes
+// json.Marshal writes for it, and a transaction that fails after storing
+// it takes both back: the hop's ack then finds no record to settle.
+func TestInFlightStoredTypedAndRolledBack(t *testing.T) {
+	a, b, _ := lineNet(t)
+	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 100})
+	res := a.mustDeliver(t, "alice", &transfer.MsgTransfer{
+		Sender: "alice", Receiver: ModuleAccount,
+		Token:      app.Coin{Denom: "uatom", Amount: 3},
+		SourcePort: "transfer", SourceChannel: "channel-0",
+		TimeoutHeight: 1000,
+		Memo:          Memo(&ForwardMetadata{Receiver: "carol", Port: "transfer", Channel: "channel-1"}),
+		Nonce:         1,
+	})
+	p1 := packetOf(t, eventsOf(res, "send_packet")[0])
+	p2 := packetOf(t, eventsOf(relayRecv(t, b, p1), "send_packet")[0])
+
+	st := b.app.State()
+	key := AppendInFlightKey(nil, p2.SourcePort, p2.SourceChannel, p2.Sequence)
+	raw, _ := st.Get(key)
+	rec, ok := st.Object(key).(*inFlight)
+	if !ok {
+		t.Fatalf("in-flight record stored as %T, want *inFlight", st.Object(key))
+	}
+	if want, _ := json.Marshal(rec); string(raw) != string(want) {
+		t.Fatalf("stored bytes %s, want json.Marshal's %s", raw, want)
+	}
+	if rec.Original.Sequence != p1.Sequence || rec.Coin != (app.Coin{Denom: "transfer/channel-0/uatom", Amount: 3}) || rec.Unescrowed {
+		t.Fatalf("record %+v does not describe the receive leg of %+v", rec, p1)
+	}
+
+	// Taken by an ack whose transaction then fails: both come back.
+	ctx := b.ctx()
+	if err := b.mw.OnAcknowledgementPacket(ctx, p2, *ibc.SuccessAck); err != nil {
+		t.Fatal(err)
+	}
+	if _, stored := st.Get(key); stored {
+		t.Fatal("the ack left the in-flight record stored")
+	}
+	st.AbortTx()
+	if back, _ := st.Get(key); string(back) != string(raw) || st.Object(key) != any(rec) {
+		t.Fatal("rollback did not restore the in-flight record and its bytes")
+	}
+
+	// A record stored without its typed value is not one (the counters
+	// are not state: the rolled-back ack still counts).
+	st.Set(key, raw)
+	st.CommitTx()
+	if err := b.mw.OnAcknowledgementPacket(ctx, p2, *ibc.SuccessAck); err != nil {
+		t.Fatal(err)
+	}
+	if _, stored := st.Get(key); !stored || b.mw.Stats().Completed != 1 {
+		t.Fatal("a key without its typed record settled a forward")
+	}
+}
+
+// TestForwardAllocs puts a ceiling on the middleware's own work per
+// round: one forwarded recv whose hop is acked and one whose hop times
+// out and unwinds, called on the middleware directly. With encoding/json
+// reading the memo and writing and reading the in-flight record it took
+// 64. What is left is, per forward, the unescaped memo, its one string
+// and its metadata, the forwarded coin's denom, the record's key and the
+// forwarding account's balance key, which each receive makes again once
+// the hop's send has emptied it; per unwind, that key again for the
+// refund, and the error acknowledgement's bytes and hash; and the route
+// map's growth. The record, its bytes and every emitted event are cut
+// from chunks. The race detector adds nothing here.
+func TestForwardAllocs(t *testing.T) {
+	const runs, ceiling = 20, 17
+	a, b, _ := lineNet(t)
+	a.app.CreateAccount("alice", app.Coin{Denom: "uatom", Amount: 1000})
+	send := func(nonce uint64) ibc.Packet {
+		res := a.mustDeliver(t, "alice", &transfer.MsgTransfer{
+			Sender: "alice", Receiver: ModuleAccount,
+			Token:      app.Coin{Denom: "uatom", Amount: 1},
+			SourcePort: "transfer", SourceChannel: "channel-0",
+			TimeoutHeight: 1000,
+			Memo:          Memo(&ForwardMetadata{Receiver: "carol", Port: "transfer", Channel: "channel-1"}),
+			Nonce:         nonce,
+		})
+		return packetOf(t, eventsOf(res, "send_packet")[0])
+	}
+	// A first forward through whole transactions gives the hop every
+	// later one repeats, up to its sequence.
+	hop := packetOf(t, eventsOf(relayRecv(t, b, send(0)), "send_packet")[0])
+	origins := make([]ibc.Packet, 2*(runs+1)) // AllocsPerRun adds a warm-up call
+	for i := range origins {
+		origins[i] = send(uint64(i + 1))
+	}
+
+	ctx, base := b.ctx(), *b.ctx()
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		*ctx = base
+		for _, timeout := range []bool{false, true} {
+			if ack := b.mw.OnRecvPacket(ctx, origins[next]); ack != nil {
+				t.Fatalf("forward refused: %s", ack.Error)
+			}
+			next++
+			hop.Sequence++
+			var err error
+			if timeout {
+				err = b.mw.OnTimeoutPacket(ctx, hop)
+			} else {
+				err = b.mw.OnAcknowledgementPacket(ctx, hop, *ibc.SuccessAck)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.app.State().CommitTx()
+	})
+	if st := b.mw.Stats(); st.Forwarded != 1+2*(runs+1) || st.Completed != runs+1 || st.Unwound != runs+1 {
+		t.Fatalf("stats %+v after %d rounds", st, runs+1)
+	}
+	if got > ceiling {
+		t.Fatalf("two forwards and their hops' ack and timeout took %.0f allocations, ceiling %d", got, ceiling)
+	}
+	t.Logf("%.0f allocations per round", got)
+}

@@ -175,6 +175,9 @@ type Relayer struct {
 	pktBuf    [][]*ibc.Packet
 	ackBuf    [][]*ibc.AckWrite
 	clearSeen map[int64]bool
+	// updates is the chunk client-update messages are cut from: a
+	// submitted transaction keeps its messages, and nothing writes them.
+	updates app.Chunk[ibc.MsgUpdateClient]
 
 	stats   Stats
 	stopped bool
@@ -705,9 +708,20 @@ func (r *Relayer) counterpartOf(e *endpoint) *endpoint {
 
 // flushNext submits one batch (≤100 msgs) to dst, then continues.
 func (r *Relayer) flushNext(dst *endpoint) {
-	if r.stopped || len(dst.outbox) == 0 {
+	f := r.nextFlight(dst)
+	if f == nil {
 		dst.flushing = false
 		return
+	}
+	f.submit()
+}
+
+// nextFlight takes the next batch off dst's outbox as a transaction to
+// submit, or returns nil when no message can go yet: three objects, the
+// batch, its message list and the flight.
+func (r *Relayer) nextFlight(dst *endpoint) *flight {
+	if r.stopped || len(dst.outbox) == 0 {
+		return nil
 	}
 	src := r.counterpartOf(dst)
 	r.backlog.Observe(float64(len(dst.outbox)))
@@ -723,10 +737,9 @@ func (r *Relayer) flushNext(dst *endpoint) {
 		n++
 	}
 	if n == 0 {
-		dst.flushing = false
-		return
+		return nil
 	}
-	batch := append([]outMsg(nil), dst.outbox[:n]...)
+	f := &flight{dst: dst, batch: append([]outMsg(nil), dst.outbox[:n]...)}
 	dst.outbox = append(dst.outbox[:0], dst.outbox[n:]...)
 
 	// Prepend a client update for every distinct proof height the batch
@@ -735,8 +748,8 @@ func (r *Relayer) flushNext(dst *endpoint) {
 	// batch spans several historical blocks and needs one per height.
 	// The advance is optimistic: a failed transaction reverts its
 	// updates, so the submission path rolls the local view back.
-	var updHeights []int64
-	for _, m := range batch {
+	f.upd = f.updBuf[:0]
+	for _, m := range f.batch {
 		if m.kind() == kindRecv {
 			src.packets.row(m.packet.Sequence).submitted()
 		}
@@ -745,21 +758,23 @@ func (r *Relayer) flushNext(dst *endpoint) {
 			continue
 		}
 		dst.clientHeights[h] = true
-		updHeights = append(updHeights, h)
+		f.upd = append(f.upd, h)
 	}
-	slices.Sort(updHeights)
-	msgs := make([]app.Msg, 0, n+len(updHeights))
-	for _, h := range updHeights {
+	slices.Sort(f.upd)
+	f.msgs = make([]app.Msg, 0, n+len(f.upd))
+	for _, h := range f.upd {
 		// dst's client of src is updated with the signed header in src's
 		// store.
 		if blk, err := src.chain.Store.Block(h); err == nil {
-			msgs = append(msgs, ibc.MsgUpdateClient{ClientID: dst.clientID, Bundle: ibc.HeaderBundle{Header: blk.Block.Header, Commit: blk.Commit}})
+			u := r.updates.New()
+			*u = ibc.MsgUpdateClient{ClientID: dst.clientID, Bundle: ibc.HeaderBundle{Header: blk.Block.Header, Commit: blk.Commit}}
+			f.msgs = append(f.msgs, u)
 		}
 	}
-	for _, m := range batch {
-		msgs = append(msgs, m.msg)
+	for _, m := range f.batch {
+		f.msgs = append(f.msgs, m.msg)
 	}
-	(&flight{dst: dst, msgs: msgs, batch: batch, upd: updHeights}).submit()
+	return f
 }
 
 // rollbackClient undoes the optimistic client-update advances upd of a
@@ -779,8 +794,11 @@ type flight struct {
 	dst   *endpoint
 	msgs  []app.Msg
 	batch []outMsg
-	upd   []int64 // the client-update heights it advanced
-	tx    *app.Tx
+	// upd holds the client-update heights it advanced, in updBuf when
+	// they fit (a live flow advances one).
+	upd    []int64
+	updBuf [2]int64
+	tx     *app.Tx
 	// attempt counts the broadcasts retried, polls the confirmation
 	// polls answered "not found".
 	attempt, polls int

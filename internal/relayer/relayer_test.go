@@ -363,3 +363,37 @@ func TestPollingAllocatesAtMostOnePerPoll(t *testing.T) {
 		t.Fatalf("%d polls answered, %d queries, want 52 of each", f.polls, q)
 	}
 }
+
+// TestFlushAllocatesThreeObjectsPerBatch: taking a batch off the outbox
+// makes the batch's copy of it, its message list and its flight, and
+// nothing else: the client update it needs is cut from the relayer's
+// chunk, and its one update height lives on the flight.
+func TestFlushAllocatesThreeObjectsPerBatch(t *testing.T) {
+	tb := newTestbed(1, false)
+	r := New(tb.Sched, tb.RNG, Config{Name: "hermes-t"}, tb.Pair)
+	tb.Start()
+	if err := tb.Run(20 * time.Second); err != nil { // a few blocks to update the client with
+		t.Fatal(err)
+	}
+	src, dst := r.a, r.b
+	h := src.chain.Store.Height()
+	src.height = h
+	p := &ibc.Packet{Sequence: 1, SourcePort: "transfer", SourceChannel: src.channel, DestPort: "transfer", DestChannel: dst.channel}
+	m := outMsg{msg: &ibc.MsgAcknowledgement{Packet: *p, ProofHeight: h}, packet: p, proofHeight: h}
+	var f *flight
+	build := func() {
+		delete(dst.clientHeights, h) // each batch updates the client again
+		dst.outbox = append(dst.outbox[:0], m)
+		f = r.nextFlight(dst)
+	}
+	if a := testing.AllocsPerRun(100, build); a > 3 {
+		t.Fatalf("taking a one-message batch allocates %.1f times, want at most 3", a)
+	}
+	if len(f.msgs) != 2 || len(f.upd) != 1 || f.upd[0] != h || len(dst.outbox) != 0 {
+		t.Fatalf("flight of %d messages updating heights %v, %d left in the outbox; want 2 messages, height %d and none",
+			len(f.msgs), f.upd, len(dst.outbox), h)
+	}
+	if u, ok := f.msgs[0].(*ibc.MsgUpdateClient); !ok || u.Bundle.Header.Height != h {
+		t.Fatalf("first message %T, want the client update to height %d", f.msgs[0], h)
+	}
+}

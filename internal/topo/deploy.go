@@ -126,6 +126,7 @@ func (l *Link) newRouteGenerator(from, route, hop int) *workload.Generator {
 	g := workload.NewOnChannel(d.Sched, d.RNG, src, dst, channel,
 		l.Relayers[0].EndpointRPC(src.ID), l.Tracker)
 	g.AccountPrefix = fmt.Sprintf("route-r%d-h%d", route, hop)
+	g.KeepPacketKeys()
 	d.attachDriver(g, src, dst)
 	l.legGens = append(l.legGens, g)
 	return g

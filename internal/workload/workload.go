@@ -110,9 +110,12 @@ type Generator struct {
 	subs        []submission
 
 	// keys accumulates, in commit order, the packet keys this generator's
-	// transfers produced — the attribution handle for callers that must
-	// follow exactly their own packets on a shared channel.
-	keys []metrics.PacketKey
+	// transfers produced, once KeepPacketKeys set keepKeys — the
+	// attribution handle for callers that must follow exactly their own
+	// packets on a shared channel. Every other caller reads its packets
+	// off the tracker, which indexes them by channel and sequence.
+	keys     []metrics.PacketKey
+	keepKeys bool
 
 	stats Stats
 }
@@ -164,7 +167,9 @@ func (g *Generator) recordBroadcasts(chainID string, cb *store.CommittedBlock) {
 			}
 			p := ev.Data.(*ibc.Packet)
 			key := metrics.PacketKey{SrcChain: chainID, Channel: p.SourceChannel, Sequence: p.Sequence}
-			g.keys = append(g.keys, key)
+			if g.keepKeys {
+				g.keys = append(g.keys, key)
+			}
 			g.tracker.Record(key, metrics.StepTransferBroadcast, b.at)
 			// The Analysis module reads commitment directly from chain
 			// data (the Cross-chain Data Connector), so confirmation is
@@ -202,8 +207,13 @@ func (g *Generator) Stats() Stats { return g.stats }
 // Host reports the generator's network address (geo placement).
 func (g *Generator) Host() netem.Host { return g.host }
 
+// KeepPacketKeys makes the generator list the keys of the packets its
+// committed transfers produce from now on, for PacketKeys.
+func (g *Generator) KeepPacketKeys() { g.keepKeys = true }
+
 // PacketKeys returns, in commit order, the keys of every packet this
-// generator's committed transfers produced (requires a tracker).
+// generator's committed transfers produced since KeepPacketKeys (requires
+// a tracker); nil for a generator that keeps none.
 func (g *Generator) PacketKeys() []metrics.PacketKey { return g.keys }
 
 // EnsureAccounts pre-funds n workload accounts on the source chain.

@@ -70,6 +70,28 @@ func TestSubmitBatchCommits(t *testing.T) {
 	}
 }
 
+// TestEdgeGeneratorKeepsNoKeys: a generator not asked to keep its
+// packet keys lists none, however many packets the tracker records for
+// it; one asked midway lists only the packets committed after.
+func TestEdgeGeneratorKeepsNoKeys(t *testing.T) {
+	tb, g, tracker := testEnv(1)
+	tb.Sched.At(time.Second, func() { g.SubmitBatch(150) })
+	if err := tb.Run(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := trackedPackets(tracker); n != 150 || g.keys != nil {
+		t.Fatalf("tracked %d packets (want 150) and kept %d keys (want none)", n, len(g.keys))
+	}
+	g.KeepPacketKeys()
+	tb.Sched.At(tb.Sched.Now()+time.Second, func() { g.SubmitBatch(50) })
+	if err := tb.Run(tb.Sched.Now() + 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n, keys := trackedPackets(tracker), g.PacketKeys(); n != 200 || len(keys) != 50 || keys[0].Sequence != 151 {
+		t.Fatalf("tracked %d packets (want 200) and kept %d keys from %v (want 50 from sequence 151)", n, len(keys), keys[:min(1, len(keys))])
+	}
+}
+
 // TestRefusedAttemptLeavesNoEntry: an attempt the node refuses can
 // never commit, so it keeps no broadcast time, while its retry, a new
 // transaction, commits and takes its own. The first attempt here is
@@ -134,10 +156,12 @@ func TestInjectDirectSingleBlock(t *testing.T) {
 }
 
 // TestPacketKeysFollowEventOrderAcrossChannels: the event index groups a
-// transaction's sends by channel, and PacketKeys must still list them in
-// the order the transaction emitted them.
+// transaction's sends by channel, and a route leg's generator (one that
+// keeps its keys) must still list them in the order the transaction
+// emitted them.
 func TestPacketKeysFollowEventOrderAcrossChannels(t *testing.T) {
 	tb, g, tracker := testEnv(4)
+	g.KeepPacketKeys()
 	second := chain.Link(tb.Pair.A, tb.Pair.B).ChannelAB
 	g.EnsureAccounts(1)
 	account := g.accounts[0]
