@@ -1,7 +1,8 @@
 # Developer entry points. CI's virtual-metric gate calls `make
-# virt-gate`; refresh a committed baseline with the rebaseline targets
-# whenever an intentional change moves the gated metrics, and commit the
-# result.
+# virt-gate`, and tier-1's TestWorkLedger compares every benchmark
+# workload with BENCH_work.json; refresh a committed baseline with the
+# rebaseline targets whenever an intentional change moves the gated
+# metrics, and commit the result.
 
 GO ?= go
 
@@ -9,7 +10,7 @@ GO ?= go
 # /bin/sh that is dash rejects.
 SHELL := /bin/bash
 
-.PHONY: test check fuzz bench bench-test virt-gate rebaseline-virt rebaseline-bench serve reach
+.PHONY: test check fuzz bench bench-test virt-gate rebaseline-virt rebaseline-work rebaseline-bench serve reach
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -97,6 +98,17 @@ virt-gate:
 rebaseline-virt:
 	$(VIRT_SWEEP) -out VIRT_baseline.json
 	$(VIRT_3WAN_SWEEP) -out VIRT_3wan_baseline.json
+
+# Refresh BENCH_work.json, the exact half of the host-cost benchmark:
+# per bench/workloads/*.json at the benchmark's own seed, the result
+# fingerprint, the work counts, allocs_per_pkt, bytes_per_pkt and
+# setup_allocs (allocations of one Parse + Compile + topo.Deploy), and
+# the Go toolchain that measured them. TestWorkLedger compares the
+# allocation fields only on that toolchain's go1.N, so run this on the
+# release CI's ledger leg uses (go 1.24). A PR's before/after row is the
+# file's git diff.
+rebaseline-work:
+	$(GO) test -run '^TestWorkLedger$$' -count=1 . -update
 
 # Refresh BENCH_baseline.json — the micro-benchmark trajectory. Mirrors
 # the CI bench job's "Hot-path benchmarks" step; run on a quiet machine.

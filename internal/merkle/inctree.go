@@ -1,6 +1,7 @@
 package merkle
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -172,10 +173,7 @@ func (t *IncTree) rebuildFrom(from int) {
 	}
 	if len(t.levels) == 0 || len(t.levels[0]) != m {
 		// Size change: allocate fresh levels and recompute everything.
-		depth := 1
-		for w := m; w > 1; w /= 2 {
-			depth++
-		}
+		depth := bits.Len(uint(m)) // m is a power of two: log2(m)+1 levels
 		t.levels = make([][]Hash, depth)
 		for l, w := 0, m; l < depth; l, w = l+1, w/2 {
 			t.levels[l] = make([]Hash, w)

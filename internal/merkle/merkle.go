@@ -79,37 +79,46 @@ func InnerHash(left, right Hash) Hash {
 	return sha256.Sum256(buf[:])
 }
 
-// levels builds the full tree bottom-up from (padded) leaves.
-func buildLevels(leaves []Hash) [][]Hash {
+// padded copies the leaves, filled out with the pad leaf to a power of two.
+func padded(leaves []Hash) []Hash {
 	m := 1
 	for m < len(leaves) {
 		m *= 2
 	}
 	level := make([]Hash, m)
-	copy(level, leaves)
-	for i := len(leaves); i < m; i++ {
+	for i := copy(level, leaves); i < m; i++ {
 		level[i] = padLeaf
 	}
-	out := [][]Hash{level}
-	for len(level) > 1 {
+	return level
+}
+
+// buildLevels builds the full tree bottom-up from (padded) leaves.
+func buildLevels(leaves []Hash) [][]Hash {
+	out := [][]Hash{padded(leaves)}
+	for level := out[0]; len(level) > 1; {
 		next := make([]Hash, len(level)/2)
 		for i := range next {
 			next[i] = InnerHash(level[2*i], level[2*i+1])
 		}
-		out = append(out, next)
-		level = next
+		out, level = append(out, next), next
 	}
 	return out
 }
 
 // HashLeaves computes the root commitment over a sequence of leaf
-// digests (used for block data and commit hashes).
+// digests (block data and commit hashes), folding one padded copy in
+// place: node i of a level overwrites slot i after reading 2i and 2i+1.
 func HashLeaves(leaves []Hash) Hash {
 	if len(leaves) == 0 {
 		return emptyRoot
 	}
-	lv := buildLevels(leaves)
-	return lv[len(lv)-1][0]
+	level := padded(leaves)
+	for n := len(level); n > 1; n /= 2 {
+		for i := 0; i < n/2; i++ {
+			level[i] = InnerHash(level[2*i], level[2*i+1])
+		}
+	}
+	return level[0]
 }
 
 // Tree is a merkle tree over a sorted key-value set. NewTree builds an

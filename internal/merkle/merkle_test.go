@@ -30,6 +30,38 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
+// HashLeaves folds one padded copy in place; it must give the top of
+// the level-by-level build for every leaf count across several powers of
+// two, with the pad leaf also among the real leaves (as an ArrayTree's
+// empty slots are), and make that copy its one allocation.
+func TestHashLeavesIsTopOfLevels(t *testing.T) {
+	if got := HashLeaves(nil); got != emptyRoot {
+		t.Fatalf("no leaves: %x, want the empty root", got)
+	}
+	for n := 1; n <= 65; n++ {
+		leaves := make([]Hash, n)
+		for i := range leaves {
+			leaves[i] = sha256.Sum256(binary.BigEndian.AppendUint64(nil, uint64(i)))
+			if i%3 == 2 {
+				leaves[i] = padLeaf
+			}
+		}
+		kept := append([]Hash(nil), leaves...)
+		lv := buildLevels(leaves)
+		if got, want := HashLeaves(leaves), lv[len(lv)-1][0]; got != want {
+			t.Fatalf("%d leaves: %x, top of levels %x", n, got, want)
+		}
+		for i := range leaves {
+			if leaves[i] != kept[i] {
+				t.Fatalf("%d leaves: leaf %d overwritten", n, i)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { HashLeaves(leaves) }); allocs != 1 {
+			t.Fatalf("%d leaves: %.0f allocations, want 1", n, allocs)
+		}
+	}
+}
+
 func TestSingleLeaf(t *testing.T) {
 	tr := NewTree(map[string][]byte{"k": []byte("v")})
 	v, p, ok := tr.ProveMembership([]byte("k"))

@@ -13,64 +13,6 @@ import (
 	"ibcbench/internal/topo"
 )
 
-// Set-up cost guard: one Parse + Compile + topo.Deploy of each benchmark
-// workload spec, counted in allocations. This is the deterministic twin
-// of the benchmark's setup_s (which times the same three calls and moves
-// with host noise): work that a packet-path optimisation pushes into
-// construction — a table, a pool, a pre-sized map — shows here exactly.
-// The ceilings are the measured counts plus the one-allocation jitter:
-// 364/1239/757/3871/3956 since valkey.Derive stopped generating curve
-// keys (two allocations per validator). mesh8-par2 is 3784 since its
-// parallelWorkers setting stopped building a parallel runner; the other
-// four grew by two allocations per chain when each keeper got its
-// counterparties' state in a map of its own. The counts were
-// 352/1184/728/3678/3679 when that map and the keeper's decode memo went
-// and the host objects were stored typed beside bytes appended by hand
-// (SeedOpenEnd), 346/1169/719/3654/3654 after, and 344/1153/715/3598/
-// 3598 once a chain's full nodes shared one frame feed and subscribers,
-// generators and the relayer's pull queue stopped being closures. Lower
-// them when set-up gets cheaper, and treat a rise as a regression to
-// explain.
-func TestSetupAllocsPerWorkload(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's own allocations are counted")
-	}
-	for _, w := range []struct {
-		name    string
-		ceiling float64 // the last digit moves by one between runs
-	}{
-		{"two-peak", 345},
-		{"hub4-2r-proofs", 1154},
-		{"line3-pfm-chaos", 716},
-		{"mesh8", 3599},
-		{"mesh8-par2", 3599},
-	} {
-		data, err := os.ReadFile(filepath.Join("..", "..", "bench", "workloads", w.name+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := testing.AllocsPerRun(10, func() {
-			spec, err := Parse(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := Compile(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := sc.Deploy
-			cfg.Seed = 11
-			if _, err := topo.Deploy(sc.Topology, cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("%s: %.0f allocations per set-up", w.name, got)
-		if got > w.ceiling {
-			t.Errorf("%s: set-up took %.0f allocations, ceiling %.0f", w.name, got, w.ceiling)
-		}
-	}
-}
-
 // The keeper emits one *ibc.Packet per send and one *ibc.AckWrite per
 // acknowledgement, and the event index, every relayer and the workload
 // read that one record without copying it. A reader that wrote through

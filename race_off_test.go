@@ -1,5 +1,5 @@
 //go:build !race
 
-package scenario
+package ibcbench_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package scenario
+package ibcbench_test
 
 // raceEnabled reports that the race detector is on: its instrumentation
 // allocates, so exact allocation counts do not hold.
