@@ -1,6 +1,7 @@
 # Developer entry points. CI's virtual-metric gate calls `make
-# virt-gate`, and tier-1's TestWorkLedger compares every benchmark
-# workload with BENCH_work.json; refresh a committed baseline with the
+# virt-gate`, tier-1's TestWorkLedger compares every benchmark workload
+# with BENCH_work.json, and TestFidelity the paper's findings with
+# FIDELITY.json; refresh a committed baseline with the
 # rebaseline targets whenever an intentional change moves the gated
 # metrics, and commit the result.
 
@@ -85,7 +86,10 @@ bench-test:
 # deterministic per seed, so a fresh file differs from the committed one
 # only when simulation behavior moved. The second gate is the failover
 # sweep on the 3wan region table, the one run of the CLI that places
-# hosts in regions.
+# hosts in regions. rebaseline-virt also rewrites FIDELITY.json, the
+# paper's findings at `sweep -experiment all -seeds 1`, which tier-1's
+# TestFidelity compares and which moves only when simulation behavior
+# moves too.
 VIRT_SWEEP = $(GO) run ./cmd/ibcbench sweep -experiment topo -topology hub:3 -rate 5 -seeds 2 -windows 3
 VIRT_3WAN_SWEEP = $(GO) run ./cmd/ibcbench sweep -experiment failover -topology hub:3 -regions 3wan -rate 2 -seeds 1 -windows 2
 
@@ -98,6 +102,7 @@ virt-gate:
 rebaseline-virt:
 	$(VIRT_SWEEP) -out VIRT_baseline.json
 	$(VIRT_3WAN_SWEEP) -out VIRT_3wan_baseline.json
+	$(GO) test -run '^TestFidelity$$' -count=1 . -update
 
 # Refresh BENCH_work.json, the exact half of the host-cost benchmark:
 # per bench/workloads/*.json at the benchmark's own seed, the result

@@ -1,8 +1,5 @@
-// Package ibcbench's top-level benchmarks regenerate every table and
-// figure of the paper's evaluation section (§IV). Each bench runs the
-// corresponding experiment driver once per iteration and reports the
-// headline metric via b.ReportMetric, so `go test -bench=. -benchmem`
-// reprints the paper's rows/series.
+// Package ibcbench's top-level benchmarks run every figure of the
+// paper's evaluation section (§IV) and the hot paths under them.
 package ibcbench_test
 
 import (
@@ -27,133 +24,22 @@ import (
 	"ibcbench/internal/tendermint/types"
 )
 
-// benchOpts keeps bench iterations affordable; `cmd/ibcbench` runs the
-// full sweeps with more seeds.
-var benchOpts = experiments.Options{Seeds: 1}
-
-// must returns a driver's result and panics on its error, which fails
-// the benchmark.
-func must[R any](r R, err error) R {
+// BenchmarkFigure runs each figure of the catalogue at the fidelity
+// report's context, output discarded: `-bench 'BenchmarkFigure/fig8$'`
+// profiles one figure.
+func BenchmarkFigure(b *testing.B) {
+	figures, err := experiments.Select("all")
 	if err != nil {
-		panic(err)
+		b.Fatal(err)
 	}
-	return r
-}
-
-func BenchmarkFig6TendermintThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := must(experiments.Tendermint(experiments.Options{
-			Seeds: 1, Rates: []int{500, 3000, 9000}, Windows: 10,
-		}))
-		peak := 0.0
-		for _, d := range res.Fig6.Y {
-			if d.Mean > peak {
-				peak = d.Mean
+	for _, e := range figures {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(fidelityContext(func(string, any) {})); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(peak, "peak-TFPS")
-	}
-}
-
-func BenchmarkFig7BlockInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := must(experiments.Tendermint(experiments.Options{
-			Seeds: 1, Rates: []int{500, 9000}, Windows: 10,
-		}))
-		last := res.Fig7.Y[len(res.Fig7.Y)-1]
-		b.ReportMetric(last.Mean, "interval-sec-at-9000rps")
-	}
-}
-
-func BenchmarkTable1ExecutionSummary(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := must(experiments.Tendermint(experiments.Options{
-			Seeds: 1, Rates: []int{3000, 13000}, Windows: 10,
-		}))
-		row := res.Table1[len(res.Table1)-1]
-		b.ReportMetric(100*float64(row.Submitted)/float64(row.Requested), "submitted-pct-at-13000rps")
-	}
-}
-
-func BenchmarkFig8SingleRelayer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := must(experiments.RelayerSweep(experiments.Options{
-			Seeds: 1, Rates: []int{100, 140}, Windows: 30,
-		}, 1, false))
-		peak := 0.0
-		for _, p := range pts {
-			if p.Throughput.Mean > peak {
-				peak = p.Throughput.Mean
-			}
-		}
-		b.ReportMetric(peak, "peak-TFPS")
-	}
-}
-
-func BenchmarkFig9TwoRelayers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := must(experiments.RelayerSweep(experiments.Options{
-			Seeds: 1, Rates: []int{140}, Windows: 30,
-		}, 2, false))
-		b.ReportMetric(pts[0].Throughput.Mean, "TFPS")
-		b.ReportMetric(pts[0].RedundantErrors, "redundant-errors")
-	}
-}
-
-func BenchmarkFig10CompletionOneRelayer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := must(experiments.RelayerSweep(experiments.Options{
-			Seeds: 1, Rates: []int{220}, Windows: 30,
-		}, 1, false))
-		b.ReportMetric(pts[0].Completed, "completed")
-		b.ReportMetric(pts[0].Partial, "partial")
-		b.ReportMetric(pts[0].Initiated, "initiated")
-	}
-}
-
-func BenchmarkFig11CompletionTwoRelayers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := must(experiments.RelayerSweep(experiments.Options{
-			Seeds: 1, Rates: []int{220}, Windows: 30,
-		}, 2, false))
-		b.ReportMetric(pts[0].Completed, "completed")
-		b.ReportMetric(pts[0].Partial, "partial")
-	}
-}
-
-func BenchmarkFig12LatencyBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := must(experiments.Fig12(5000, int64(42+i)))
-		b.ReportMetric(res.Total.Seconds(), "total-sec")
-		pulls := res.TransferDataPull + res.RecvDataPull
-		b.ReportMetric(100*pulls.Seconds()/res.Total.Seconds(), "datapull-pct")
-	}
-}
-
-func BenchmarkFig13SubmissionStrategies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := must(experiments.Fig13(5000, []int{1, 16, 64}, int64(7+i)))
-		b.ReportMetric(rows[0].Completion.Seconds(), "1-block-sec")
-		b.ReportMetric(rows[1].Completion.Seconds(), "16-block-sec")
-		b.ReportMetric(rows[2].Completion.Seconds(), "64-block-sec")
-	}
-}
-
-func BenchmarkGasPerMessageClass(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := must(experiments.GasTable(int64(3 + i)))
-		for _, r := range rows {
-			b.ReportMetric(float64(r.Measured), "gas-"+r.MsgType)
-		}
-	}
-}
-
-func BenchmarkWebSocketLimit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := must(experiments.WebSocketLimit(int64(5+i), 1000, 60))
-		total := float64(res.Transfers)
-		b.ReportMetric(100*float64(res.Completed)/total, "completed-pct")
-		b.ReportMetric(100*float64(res.Stuck)/total, "stuck-pct")
+		})
 	}
 }
 

@@ -138,7 +138,8 @@ func runScenarioCmd(args []string, w io.Writer) error {
 }
 
 // runSuiteCmd runs every catalogue entry, each figure at the sweep's
-// defaults, and reports one verdict line each:
+// defaults, and reports one verdict line each, then the fidelity report
+// of the figures, a failing row of which fails the suite too:
 //
 //	ibcbench suite [-short] [-seed N]
 //	ibcbench suite -lint     # round-trip/compile lint of the built-in specs, no runs
@@ -179,6 +180,7 @@ func runSuiteCmd(args []string, w io.Writer) error {
 		rep *scenario.Report // a built-in's; a figure records no report
 		err error
 	}
+	figures := map[string]any{}
 	run := func(e experiments.Entry) (v verdict) {
 		// A built-in's seed 0 is its spec's own; a figure keeps the
 		// sweep's default base seed unless -seed is given.
@@ -187,7 +189,11 @@ func runSuiteCmd(args []string, w io.Writer) error {
 			ctx.Seed = *seed
 		}
 		ctx.Out = io.Discard
-		ctx.Record = func(_ string, res any) { v.rep, _ = res.(*scenario.Report) }
+		ctx.Record = func(name string, res any) {
+			if v.rep, _ = res.(*scenario.Report); e.Spec == nil {
+				figures[name] = res // the figures run one at a time
+			}
+		}
 		v.err = e.Run(ctx)
 		return v
 	}
@@ -219,8 +225,9 @@ func runSuiteCmd(args []string, w io.Writer) error {
 				name, len(v.rep.Assertions), done)
 		}
 	}
-	if failed > 0 {
-		return fmt.Errorf("suite: %d of %d entries failed", failed, len(entries))
+	claims := experiments.Fidelity(figures)
+	if failed += experiments.RenderClaims(w, claims); failed > 0 {
+		return fmt.Errorf("suite: %d of %d entries and fidelity rows failed", failed, len(entries)+len(claims))
 	}
 	fmt.Fprintf(w, "suite: %d entries passed\n", len(entries))
 	return nil

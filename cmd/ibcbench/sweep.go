@@ -15,7 +15,8 @@ import (
 	"ibcbench/internal/netem"
 )
 
-// runSweep executes the selected experiments:
+// runSweep executes the selected experiments, then prints the fidelity
+// report of the figures it ran:
 //
 //	ibcbench sweep -experiment topo -topology hub:4 -rate 20 [...]
 func runSweep(args []string, w io.Writer) error {
@@ -61,13 +62,7 @@ func runSweep(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	keep := *out != "" || *storeDir != ""
 	report := map[string]any{}
-	record := func(key string, v any) {
-		if keep {
-			report[key] = v
-		}
-	}
 	ctx := experiments.RunContext{
 		Opt:        opt,
 		Seed:       *seed,
@@ -77,14 +72,15 @@ func runSweep(args []string, w io.Writer) error {
 		Forwarding: *forwarding,
 		Validators: valSizes,
 		Out:        w,
-		Record:     record,
+		Record:     func(key string, v any) { report[key] = v },
 	}
 	for _, e := range selected {
 		if err := e.Run(ctx); err != nil {
 			return err
 		}
 	}
-	if keep {
+	experiments.RenderClaims(w, experiments.Fidelity(report))
+	if *out != "" || *storeDir != "" {
 		// The config header identifies what produced a result document;
 		// `ibcbench diff` warns field by field when comparing results whose
 		// headers disagree, and the store's trend/regression analysis treats

@@ -11,6 +11,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"ibcbench/internal/app"
@@ -438,7 +439,7 @@ func (r Fig12Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "phases: transfer=%s receive=%s ack=%s\n",
 		fmtSeconds(r.TransferPhase), fmtSeconds(r.ReceivePhase), fmtSeconds(r.AckPhase))
 	pulls := r.TransferDataPull + r.RecvDataPull
-	fmt.Fprintf(w, "data pulls: %s (%.0f%% of total; paper: 69%%)\n\n",
+	fmt.Fprintf(w, "data pulls: %s (%.0f%% of total)\n\n",
 		fmtSeconds(pulls), 100*pulls.Seconds()/r.Total.Seconds())
 }
 
@@ -484,18 +485,17 @@ type Fig13Row struct {
 	Blocks     int
 	Completion time.Duration // first broadcast -> last completion
 	Completed  int
+	Transfers  int `json:"-"`
 }
 
 // DefaultStrategies mirrors the paper: split 5,000 transfers over
 // 1..64 blocks.
 var DefaultStrategies = []int{1, 2, 4, 8, 16, 32, 64}
 
-// Fig13 measures completion latency for each submission strategy, one
+// Fig13 measures completion latency for each of DefaultStrategies, one
 // run per strategy at seed+blocks.
-func Fig13(transfers int, strategies []int, seed int64) ([]Fig13Row, error) {
-	if strategies == nil {
-		strategies = DefaultStrategies
-	}
+func Fig13(transfers int, seed int64) ([]Fig13Row, error) {
+	strategies := DefaultStrategies
 	specs := make([]scenario.Spec, len(strategies))
 	for v, blocks := range strategies {
 		specs[v] = burstSpec(transfers, blocks)
@@ -505,7 +505,7 @@ func Fig13(transfers int, strategies []int, seed int64) ([]Fig13Row, error) {
 		t := rep.Deployment.Links[0].Tracker
 		first, _, ok1 := t.StepSpan(metrics.StepTransferBroadcast)
 		_, last, ok2 := t.StepSpan(metrics.StepAckConfirmation)
-		row := Fig13Row{Blocks: strategies[v], Completed: t.CompletionCounts()[metrics.StatusCompleted]}
+		row := Fig13Row{Blocks: strategies[v], Completed: t.CompletionCounts()[metrics.StatusCompleted], Transfers: transfers}
 		if ok1 && ok2 {
 			row.Completion = last - first
 		}
@@ -527,16 +527,13 @@ func Fig13(transfers int, strategies []int, seed int64) ([]Fig13Row, error) {
 type GasRow struct {
 	MsgType  string
 	Measured uint64
-	Paper    uint64
 }
+
+// gasClasses are the transaction classes of the gas table, in its order.
+var gasClasses = []string{"MsgTransfer", "MsgRecvPacket", "MsgAcknowledgement"}
 
 // GasTable measures per-class gas on a live run of 100 transfers.
 func GasTable(seed int64) ([]GasRow, error) {
-	want := map[string]uint64{
-		"MsgTransfer":        3669161,
-		"MsgRecvPacket":      7238699,
-		"MsgAcknowledgement": 3107462,
-	}
 	return runOne("gas", gasSpec(), seed, func(_ int, rep *scenario.Report) []GasRow {
 		got := map[string]uint64{}
 		for _, c := range rep.Deployment.Chains {
@@ -548,15 +545,15 @@ func GasTable(seed int64) ([]GasRow, error) {
 						continue
 					}
 					kind := t.Msgs[len(t.Msgs)-1].MsgType() // last msg: batch class
-					if _, tracked := want[kind]; tracked && got[kind] == 0 {
+					if slices.Contains(gasClasses, kind) && got[kind] == 0 {
 						got[kind] = cb.Results[i].GasUsed
 					}
 				}
 			}
 		}
 		var out []GasRow
-		for _, k := range []string{"MsgTransfer", "MsgRecvPacket", "MsgAcknowledgement"} {
-			out = append(out, GasRow{MsgType: k, Measured: got[k], Paper: want[k]})
+		for _, k := range gasClasses {
+			out = append(out, GasRow{MsgType: k, Measured: got[k]})
 		}
 		return out
 	})
@@ -582,15 +579,15 @@ type WebSocketResult struct {
 }
 
 // WebSocketLimit reproduces §V's overflow experiment: a block containing
-// `txs` transactions with 100 transfers each, relayer clear interval 0.
-func WebSocketLimit(seed int64, txs, timeoutBlocks int) (WebSocketResult, error) {
-	res0, err := runOne("ws", wsSpec(txs, timeoutBlocks), seed, result)
+// wsTxs transactions with 100 transfers each, relayer clear interval 0.
+func WebSocketLimit(seed int64) (WebSocketResult, error) {
+	res0, err := runOne("ws", wsSpec(), seed, result)
 	if err != nil {
 		return WebSocketResult{}, err
 	}
 	e := res0.Edges[0]
 	res := WebSocketResult{
-		Transfers: txs * 100,
+		Transfers: wsTxs * 100,
 		Completed: e.Completion[metrics.StatusCompleted],
 	}
 	for _, r := range e.Relayers {
@@ -602,7 +599,7 @@ func WebSocketLimit(seed int64, txs, timeoutBlocks int) (WebSocketResult, error)
 	return res, nil
 }
 
-// Render writes the classification against the paper's.
+// Render writes the classification.
 func (r WebSocketResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "# WebSocket frame-limit experiment (§V)")
 	fmt.Fprintf(w, "transfers=%d framesLost=%d\n", r.Transfers, r.FramesLost)
@@ -610,17 +607,21 @@ func (r WebSocketResult) Render(w io.Writer) {
 		r.Completed, pctOf(r.Completed, r.Transfers),
 		int(r.TimedOut), pctOf(int(r.TimedOut), r.Transfers),
 		r.Stuck, pctOf(r.Stuck, r.Transfers))
-	fmt.Fprintln(w, "paper: 2.5% completed / 15.7% timed out / 81.8% stuck")
+	fmt.Fprintln(w)
 }
 
+// §V's block: wsTxs transactions of 100 transfers, each with a
+// wsTimeoutBlocks margin.
+const wsTxs, wsTimeoutBlocks = 1000, 60
+
 // wsSpec is §V's cell: the transfers injected straight into the source
-// mempool so they land in a single block, as in the paper, each with a
-// timeoutBlocks margin, run for 4x the timeout horizon, as the paper
-// does. It names token-conservation only: the packets of the lost
-// frames stay stuck unrefunded, which is §V's finding.
-func wsSpec(txs, timeoutBlocks int) scenario.Spec {
-	s := testbedSpec("ws", scenario.WorkloadSpec{Transfers: txs * 100, Inject: true, TimeoutBlocks: int64(timeoutBlocks)})
-	s.Until = scenario.Duration(time.Duration(4*timeoutBlocks+40) * simconf.MinBlockInterval)
+// mempool so they land in a single block, as in the paper, run for 4x
+// the timeout horizon, as the paper does. It names token-conservation
+// only: the packets of the lost frames stay stuck unrefunded, which is
+// §V's finding.
+func wsSpec() scenario.Spec {
+	s := testbedSpec("ws", scenario.WorkloadSpec{Transfers: wsTxs * 100, Inject: true, TimeoutBlocks: wsTimeoutBlocks})
+	s.Until = scenario.Duration(time.Duration(4*wsTimeoutBlocks+40) * simconf.MinBlockInterval)
 	s.Assertions = []string{scenario.AssertConservation}
 	return s
 }

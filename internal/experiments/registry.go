@@ -158,7 +158,7 @@ var catalogue = []Entry{
 		run:  func(c RunContext) (renderer, error) { return adapt(VoteScale(c.Opt, c.Topology, c.Rate, c.Validators)) }},
 	{Name: "ws", Selectors: []string{"ws"},
 		Desc: "WebSocket frame-limit experiment: completion under event-subscription frame loss (§V)",
-		run:  func(c RunContext) (renderer, error) { return adapt(WebSocketLimit(c.Seed, 1000, 60)) }},
+		run:  func(c RunContext) (renderer, error) { return adapt(WebSocketLimit(c.Seed)) }},
 
 	// The paper's minimal testbed: two chains, one relayer, a trickle of
 	// transfers.
@@ -356,7 +356,7 @@ func relayerSection(name string, opt Options, relayers int, lan bool) (renderer,
 }
 
 func fig13Section(c RunContext) (renderer, error) {
-	rows, err := Fig13(c.Transfers, nil, c.Seed)
+	rows, err := Fig13(c.Transfers, c.Seed)
 	return section{rows, func(w io.Writer) {
 		fmt.Fprintf(w, "# Fig13: %d transfers, submission spread over N blocks\n", c.Transfers)
 		fmt.Fprintf(w, "%-10s %-14s %-10s\n", "blocks", "completion", "completed")
@@ -371,9 +371,9 @@ func gasSection(seed int64) (renderer, error) {
 	rows, err := GasTable(seed)
 	return section{rows, func(w io.Writer) {
 		fmt.Fprintln(w, "# Gas per 100-message transaction class (§IV-A)")
-		fmt.Fprintf(w, "%-22s %-12s %-12s\n", "class", "measured", "paper")
+		fmt.Fprintf(w, "%-22s %-12s\n", "class", "measured")
 		for _, r := range rows {
-			fmt.Fprintf(w, "%-22s %-12d %-12d\n", r.MsgType, r.Measured, r.Paper)
+			fmt.Fprintf(w, "%-22s %-12d\n", r.MsgType, r.Measured)
 		}
 		fmt.Fprintln(w)
 	}}, err

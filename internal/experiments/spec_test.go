@@ -191,7 +191,7 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 		"forward":    forward,
 		"failover":   failover,
 		"votescale":  votescale,
-		"ws":         {wsSpec(1000, 60)},
+		"ws":         {wsSpec()},
 	}
 	for _, e := range Catalogue() {
 		if e.Spec != nil {

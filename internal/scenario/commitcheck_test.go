@@ -146,7 +146,8 @@ type plantedDefect struct {
 
 // TestPlantedDefectsDetected is the table of planted defects: each row
 // plants one defect and names the oracle that catches it, the chain,
-// and the exact height.
+// and the exact height. A defect the per-commit check misses stays in
+// the table with a count of 0, pinning what the checks report instead.
 func TestPlantedDefectsDetected(t *testing.T) {
 	// One window of transfers on two chains, and a forwarded route
 	// across three.
@@ -157,6 +158,7 @@ func TestPlantedDefectsDetected(t *testing.T) {
 		Workload: WorkloadSpec{Routes: []RouteSpec{{Path: []int{0, 1, 2}, Transfers: 4, Forwarded: true}}},
 		Seed:     1,
 	}
+	leftBehind := map[uint64][]byte{} // ibc-0's commitments, by sequence
 	for _, d := range []plantedDefect{
 		{
 			// A refund of a received packet: the first ibc-0 commit that
@@ -263,6 +265,39 @@ func TestPlantedDefectsDetected(t *testing.T) {
 			},
 			rule: "settled twice", count: 1, assertion: AssertConservation, chain: "ibc-0", height: 7,
 			prefix: "after ibc-0 committed height 7: commitment commitments/ports/transfer/channels/channel-0/sequences/1 deleted again: settled twice",
+		},
+		{
+			// An ack commitment left behind: the first ibc-0 commit that
+			// deletes a commitment (an ack settling its packet) stores it
+			// again, with the value it had. C4 and C5 read deletions only.
+			name: "ack-commitment-left-behind", spec: two, on: 0,
+			plant: func(_ *topo.Deployment, c *chain.Chain, _ int64) bool {
+				st := c.App.State()
+				for _, wr := range st.Written() {
+					kind, channel := wr.Record()
+					if kind != app.Commitment {
+						continue
+					}
+					commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", channel)
+					if !wr.Deleted {
+						leftBehind[wr.Seq], _ = st.GetRecord(&commitments, wr.Seq)
+						continue
+					}
+					st.SetRecord(&commitments, wr.Seq, leftBehind[wr.Seq])
+					return true
+				}
+				return false
+			},
+			// Undetected under Run: no per-commit verdict, and the
+			// quiescent check after the watch takes the packet as settled,
+			// since the watch saw its commitment deleted. Check alone reads
+			// the stored commitment and reports the packet stuck.
+			quiescent: func(t *testing.T, _ Violation, all, quiet []Violation) {
+				if len(all) != 0 || len(quiet) != 1 || quiet[0].Assertion != AssertNoStuckPackets || quiet[0].Chain != "ibc-0" ||
+					!strings.HasPrefix(quiet[0].Detail, "packet transfer/channel-0#1 stuck at deadline: received on ibc-1 but its ack never settled") {
+					t.Fatalf("check after the per-commit check = %v, quiescent Check = %v; want nothing, then packet #1 stuck", all, quiet)
+				}
+			},
 		},
 		{
 			// C6: the first commit of the middle chain that stores a PFM
@@ -392,15 +427,18 @@ func (d plantedDefect) detect(t *testing.T) {
 	if len(got) != d.count {
 		t.Fatalf("the per-commit check reported %d violations of %q, want %d: %v", len(got), d.rule, d.count, w.out)
 	}
-	if v := got[0]; v.Assertion != d.assertion || v.Chain != d.chain || v.Height != d.height || !strings.HasPrefix(v.Detail, d.prefix) {
-		t.Fatalf("the per-commit check reported %+v, want %s on %s at height %d: %q", v, d.assertion, d.chain, d.height, d.prefix)
+	var v Violation // the first verdict, if the per-commit check caught the defect
+	if d.count > 0 {
+		if v = got[0]; v.Assertion != d.assertion || v.Chain != d.chain || v.Height != d.height || !strings.HasPrefix(v.Detail, d.prefix) {
+			t.Fatalf("the per-commit check reported %+v, want %s on %s at height %d: %q", v, d.assertion, d.chain, d.height, d.prefix)
+		}
 	}
 	all := check(dep, DefaultAssertions(), w)
 	if len(all) < len(w.out) || !slices.Equal(all[:len(w.out)], w.out) {
 		t.Fatalf("check after the per-commit check = %v, want it to lead with %v", all, w.out)
 	}
 	if d.quiescent != nil {
-		d.quiescent(t, got[0], all, Check(dep, DefaultAssertions()))
+		d.quiescent(t, v, all, Check(dep, DefaultAssertions()))
 	}
 }
 

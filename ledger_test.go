@@ -23,7 +23,7 @@ import (
 	"ibcbench/internal/topo"
 )
 
-var update = flag.Bool("update", false, "rewrite BENCH_work.json from this run (make rebaseline-work)")
+var update = flag.Bool("update", false, "rewrite BENCH_work.json (make rebaseline-work) or FIDELITY.json (make rebaseline-virt), as -run selects, from this run")
 
 const ledgerFile = "BENCH_work.json"
 
