@@ -7,11 +7,7 @@
 
 GO ?= go
 
-# Recipes use bash: rebaseline-bench needs `set -o pipefail`, which a
-# /bin/sh that is dash rejects.
-SHELL := /bin/bash
-
-.PHONY: test check fuzz bench bench-test virt-gate rebaseline-virt rebaseline-work rebaseline-bench serve reach
+.PHONY: test check fuzz bench bench-test virt-gate rebaseline-virt rebaseline-work serve reach
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -43,14 +39,11 @@ check:
 # chain's ground truth (no timeout for a received packet), the trace
 # validator on arbitrary bytes (it must never panic), the store's
 # journal replay on arbitrary index bytes (it must never panic or keep
-# a line that does not parse), bench2json on arbitrary bytes (it
-# must never panic, and whatever it accepts must marshal to JSON), and
-# the scheduler's heap with cancellation against a sorted-slice model.
-# The store target writes files on every
-# input, so it caps minimization, which would otherwise spend the whole
-# run shrinking its first new input. A
-# failure leaves its input under the package's testdata/fuzz/; commit it
-# with the fix.
+# a line that does not parse), and the scheduler's heap with
+# cancellation against a sorted-slice model. The store target writes
+# files on every input, so it caps minimization, which would otherwise
+# spend the whole run shrinking its first new input. A failure leaves
+# its input under the package's testdata/fuzz/; commit it with the fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAckCodec -fuzztime 10s ./internal/ibc
 	$(GO) test -run '^$$' -fuzz FuzzStoredObjectCodecs -fuzztime 10s ./internal/ibc
@@ -68,7 +61,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRelayerPackets -fuzztime 10s ./internal/relayer
 	$(GO) test -run '^$$' -fuzz FuzzTracecheck -fuzztime 10s ./internal/tracecheck
 	$(GO) test -run '^$$' -fuzz FuzzStoreReplay -fuzztime 10s -fuzzminimizetime 100x ./internal/store
-	$(GO) test -run '^$$' -fuzz FuzzBench2JSON -fuzztime 10s ./cmd/ibcbench
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerQueue -fuzztime 10s ./internal/sim
 
 # The host-cost benchmark (bench/, a module of its own that the targets
@@ -114,16 +106,6 @@ rebaseline-virt:
 # file's git diff.
 rebaseline-work:
 	$(GO) test -run '^TestWorkLedger$$' -count=1 . -update
-
-# Refresh BENCH_baseline.json — the micro-benchmark trajectory. Mirrors
-# the CI bench job's "Hot-path benchmarks" step; run on a quiet machine.
-rebaseline-bench:
-	set -o pipefail; \
-	$(GO) test -run '^$$' -bench 'BenchmarkVoteFanout|BenchmarkStateCommit|BenchmarkEventDecode|BenchmarkKeeperRecvAck|BenchmarkScenarioRunChecks' -benchtime=3x -count=3 . | tee bench_raw.txt; \
-	$(GO) test -run '^$$' -bench 'BenchmarkNetemSend' -benchtime=3x -count=3 ./internal/netem | tee -a bench_raw.txt; \
-	$(GO) test -run '^$$' -bench 'BenchmarkQuorumTally' -benchtime=100x -count=3 ./internal/tendermint/consensus | tee -a bench_raw.txt
-	$(GO) run ./cmd/ibcbench bench2json bench_raw.txt -out BENCH_baseline.json
-	rm -f bench_raw.txt
 
 # Reachability report, a measuring tool and not a gate: build ibcbench
 # and the benchmark (bench/, whose children read counters no command

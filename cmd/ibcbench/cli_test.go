@@ -17,8 +17,10 @@ import (
 )
 
 func TestUnknownSubcommand(t *testing.T) {
-	if err := run([]string{"nope"}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
-		t.Fatalf("expected unknown-subcommand error, got %v", err)
+	for _, name := range []string{"nope", "bench2json"} {
+		if err := run([]string{name}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("%s: expected unknown-subcommand error, got %v", name, err)
+		}
 	}
 }
 
@@ -63,7 +65,7 @@ func TestHelpListsRegistries(t *testing.T) {
 	var buf bytes.Buffer
 	printUsage(&buf)
 	out := buf.String()
-	for _, want := range []string{"sweep", "search", "bench2json"} {
+	for _, want := range []string{"sweep", "search"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("help output missing %q", want)
 		}
@@ -350,28 +352,6 @@ func TestDiffCmdPositionalsAndTrailingFlags(t *testing.T) {
 	}
 	if err := runDiffCmd([]string{oldP, mk("worse.json", 200), "-fail-on-change", "10"}, &bytes.Buffer{}); err == nil {
 		t.Error("big move with armed gate: expected an error")
-	}
-}
-
-func TestBench2JSONCmd(t *testing.T) {
-	dir := t.TempDir()
-	raw := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(raw, []byte("BenchmarkThing-8   10   1500 ns/op\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "bench.json")
-	if err := runBench2JSONCmd([]string{raw, "-out", outPath}, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "BenchmarkThing") {
-		t.Errorf("converted doc missing benchmark name:\n%s", data)
-	}
-	if err := runBench2JSONCmd(nil, &bytes.Buffer{}); err == nil {
-		t.Error("no positional: expected usage error")
 	}
 }
 

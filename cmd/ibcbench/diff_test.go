@@ -1,9 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -234,106 +231,4 @@ func TestDiffFailOnChangeErrorsOnConfigMismatch(t *testing.T) {
 			t.Errorf("throughput %s: unarmed diff: err=%v, want a warning only:\n%s", tput, err, sb.String())
 		}
 	}
-}
-
-// --- bench2json --------------------------------------------------------------
-
-func TestBench2JSONParsesAndAverages(t *testing.T) {
-	raw := `goos: linux
-goarch: amd64
-pkg: ibcbench
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkVoteFanout/vals-13-8         	       3	  30000000 ns/op	        12.00 blocks-per-vmin
-BenchmarkVoteFanout/vals-13-8         	       3	  32000000 ns/op	        12.00 blocks-per-vmin
-BenchmarkVoteFanout/vals-13-8         	       3	  34000000 ns/op	        12.00 blocks-per-vmin
-BenchmarkNetemSend-8                  	       3	       100 ns/op	       0 B/op	       0 allocs/op
-PASS
-ok  	ibcbench	1.234s
-`
-	doc, err := parseBenchOutput(strings.NewReader(raw), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fan, ok := doc["BenchmarkVoteFanout/vals-13"]
-	if !ok {
-		t.Fatalf("GOMAXPROCS suffix not stripped: %v", doc)
-	}
-	// On a single-proc run go test appends no suffix; a name ending in
-	// digits must survive unstripped.
-	doc1, err := parseBenchOutput(strings.NewReader("BenchmarkVoteFanout/vals-13 \t 3 \t 100 ns/op\n"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := doc1["BenchmarkVoteFanout/vals-13"]; !ok {
-		t.Fatalf("suffix-less name mangled: %v", doc1)
-	}
-	if got := fan["ns/op"]; got != 32000000 {
-		t.Fatalf("ns/op mean = %v, want 32000000 (average of 3 repeats)", got)
-	}
-	if got := fan["blocks-per-vmin"]; got != 12 {
-		t.Fatalf("custom metric = %v, want 12", got)
-	}
-	if got := doc["BenchmarkNetemSend"]["allocs/op"]; got != 0 {
-		t.Fatalf("allocs/op = %v, want 0", got)
-	}
-}
-
-func TestBench2JSONRoundTripsThroughDiff(t *testing.T) {
-	// The converter's output must be diffable: same shape both sides,
-	// gate trips on a regression beyond tolerance.
-	mk := func(name string, ns float64) string {
-		raw := writeTemp(t, name+".txt",
-			"BenchmarkVoteFanout/vals-13-8 \t 3 \t "+fmtFloat(ns)+" ns/op\n")
-		out := filepath.Join(t.TempDir(), name+".json")
-		if err := runBench2JSON(raw, out, os.Stdout); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	oldJSON, newJSON := mk("old", 100000), mk("new", 200000)
-	var sb strings.Builder
-	if err := runDiff(oldJSON, newJSON, 25, &sb); err == nil {
-		t.Fatalf("2x bench regression passed the 25%% gate:\n%s", sb.String())
-	}
-}
-
-func TestBench2JSONRejectsEmptyInput(t *testing.T) {
-	p := writeTemp(t, "empty.txt", "no benchmarks here\n")
-	if err := runBench2JSON(p, "", io.Discard); err == nil {
-		t.Fatal("empty bench output accepted")
-	}
-}
-
-// JSON has no NaN or infinity, so a non-finite value or mean must fail
-// the conversion with the benchmark, unit and line that caused it.
-func TestBench2JSONRejectsNonFinite(t *testing.T) {
-	cases := map[string]struct{ raw, want string }{
-		"NaN metric":       {"BenchmarkRatio \t 3 \t 100 ns/op \t NaN hits/op\n", "line 1: non-finite value \"NaN\" for BenchmarkRatio hits/op"},
-		"+Inf metric":      {"goos: linux\nBenchmarkRate \t 1 \t +Inf tfps\n", "line 2: non-finite value \"+Inf\" for BenchmarkRate tfps"},
-		"overflowing mean": {"BenchmarkHuge \t 1 \t 1e308 ns/op\nBenchmarkHuge \t 1 \t 1e308 ns/op\n", "line 2: mean of BenchmarkHuge ns/op overflows"},
-	}
-	for name, c := range cases {
-		p := writeTemp(t, "nonfinite.txt", c.raw)
-		err := runBench2JSON(p, "", io.Discard)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want it to contain %q", name, err, c.want)
-		}
-	}
-}
-
-// FuzzBench2JSON: the parser never panics on arbitrary bytes, and
-// whatever it accepts marshals to JSON.
-func FuzzBench2JSON(f *testing.F) {
-	f.Add([]byte("BenchmarkVoteFanout/vals-13-8 \t 3 \t 30000000 ns/op \t 12.00 blocks-per-vmin\nPASS\n"), uint8(8))
-	f.Add([]byte("BenchmarkNetemSend \t 3 \t 100 ns/op \t 0 B/op \t 0 allocs/op\n"), uint8(1))
-	f.Add([]byte("BenchmarkX \t 1 \t NaN ns/op\nBenchmarkX \t 1 \t 1e308 ns/op\n"), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, procs uint8) {
-		doc, err := parseBenchOutput(bytes.NewReader(data), int(procs))
-		if err != nil {
-			return
-		}
-		if _, err := json.Marshal(map[string]any{"bench": doc}); err != nil {
-			t.Fatalf("accepted output does not marshal: %v", err)
-		}
-	})
 }

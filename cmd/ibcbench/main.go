@@ -19,7 +19,6 @@
 //	ibcbench trace -validate trace.json      # structural check of a trace file
 //	ibcbench trace -analyze trace.json -top 30      # flame/critical path
 //	ibcbench diff old.json new.json -fail-on-change 10
-//	ibcbench bench2json bench.txt -out BENCH.json
 //	ibcbench serve -store runs/ -addr :8321  # HTTP dashboard over a store
 //
 // sweep, suite and search fan their independent runs out over a pool of
@@ -61,7 +60,6 @@ var subcommands = []struct {
 	{"trace", "validate (-validate FILE) or analyze (-analyze FILE [-top N]) a trace file recorded by `run -trace`", runTraceCmd},
 	{"diff", "compare two result documents metric by metric (old.json new.json [-fail-on-change pct])", runDiffCmd},
 	{"serve", "HTTP dashboard + ingest API over an experiment store", runServe},
-	{"bench2json", "convert `go test -bench` output to a JSON metrics document", runBench2JSONCmd},
 }
 
 func run(args []string) error {

@@ -37,7 +37,8 @@ import (
 //     verdict): a commitment is deleted only once the destination has
 //     acknowledged the packet or its latest header meets the timeout
 //     (the rule MsgTimeout applies), a receipt is never deleted, and
-//     nextSequenceSend never falls.
+//     nextSequenceSend never falls. A block stores no commitment it did
+//     not send; one left behind is stuck (no-stuck-packets, as in Check).
 //   - C6, a forward record lives exactly as long as its hop: the
 //     transaction that sends a forwarded packet's next hop stores its
 //     PFM in-flight record, and the one that settles the hop pops it, so
@@ -80,6 +81,8 @@ type endWatch struct {
 	base     uint64
 	received seqSet // sequences acknowledged here
 	nextSend uint64 // the last nextSequenceSend value seen
+	sentFrom uint64 // the value before it: its block sent sentFrom to nextSend-1
+	sentAt   int64  // the height of that block
 }
 
 // inFlight is one sent packet and its place in send order.
@@ -175,17 +178,21 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 	for _, wr := range st.Written() {
 		switch kind, channel := wr.Record(); kind {
 		case app.Commitment:
+			e := w.end(c, channel)
+			if !wr.Deleted {
+				// Only a send stores one (its nextSequenceSend key came first).
+				if e.sentAt != h || wr.Seq < e.sentFrom || wr.Seq >= e.nextSend {
+					w.report(c, h, c, AssertNoStuckPackets, "commitment %s stored outside the sequences this block's nextSequenceSend advanced over, so no send stored it: a commitment left behind never settles", wr.AppendKey(nil))
+				}
+				continue
+			}
 			// A packet sent before this block settles. Its destination
 			// must have acknowledged it, in a block the watch saw (the
 			// relayer learns of it only after), or reached the timeout.
 			// One that settled already (a cleared row, or below the
 			// table: seq-base wraps past its length) settles twice; the
 			// keeper refuses an ack or timeout of an absent commitment.
-			e := w.end(c, channel)
 			i := wr.Seq - e.base
-			if !wr.Deleted {
-				continue
-			}
 			if i >= uint64(len(e.flight)) || e.flight[i].p == nil {
 				if wr.Seq < e.base || i < uint64(len(e.flight)) {
 					w.report(c, h, c, AssertConservation, "commitment %s deleted again: settled twice (ack and timeout, or two of either)", wr.AppendKey(nil))
@@ -223,8 +230,9 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 				next, _ := strconv.ParseUint(string(raw), 10, 64)
 				if next < e.nextSend {
 					w.report(c, h, c, AssertTimeoutRefunds, "%s fell from %d to %d: send sequences only grow", k, e.nextSend, next)
+					e.nextSend = 0 // any sequence below next may be resent
 				}
-				e.nextSend = next
+				e.sentFrom, e.sentAt, e.nextSend = e.nextSend, h, next
 			} else if port, channel, seq, ok := pfm.CutInFlightKey(k); ok {
 				r := ibc.PacketRecords(b[:0], app.Commitment, port, channel)
 				if committed := st.HasRecord(&r, seq); committed && wr.Deleted {

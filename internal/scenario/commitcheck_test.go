@@ -158,7 +158,8 @@ func TestPlantedDefectsDetected(t *testing.T) {
 		Workload: WorkloadSpec{Routes: []RouteSpec{{Path: []int{0, 1, 2}, Transfers: 4, Forwarded: true}}},
 		Seed:     1,
 	}
-	leftBehind := map[uint64][]byte{} // ibc-0's commitments, by sequence
+	busy := two // ten windows: ibc-0 sends up to height 11
+	busy.Workload.Windows = 10
 	for _, d := range []plantedDefect{
 		{
 			// A refund of a received packet: the first ibc-0 commit that
@@ -269,35 +270,29 @@ func TestPlantedDefectsDetected(t *testing.T) {
 		{
 			// An ack commitment left behind: the first ibc-0 commit that
 			// deletes a commitment (an ack settling its packet) stores it
-			// again, with the value it had. C4 and C5 read deletions only.
-			name: "ack-commitment-left-behind", spec: two, on: 0,
-			plant: func(_ *topo.Deployment, c *chain.Chain, _ int64) bool {
-				st := c.App.State()
-				for _, wr := range st.Written() {
-					kind, channel := wr.Record()
-					if kind != app.Commitment {
-						continue
-					}
-					commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", channel)
-					if !wr.Deleted {
-						leftBehind[wr.Seq], _ = st.GetRecord(&commitments, wr.Seq)
-						continue
-					}
-					st.SetRecord(&commitments, wr.Seq, leftBehind[wr.Seq])
-					return true
-				}
-				return false
-			},
-			// Undetected under Run: no per-commit verdict, and the
-			// quiescent check after the watch takes the packet as settled,
-			// since the watch saw its commitment deleted. Check alone reads
-			// the stored commitment and reports the packet stuck.
-			quiescent: func(t *testing.T, _ Violation, all, quiet []Violation) {
-				if len(all) != 0 || len(quiet) != 1 || quiet[0].Assertion != AssertNoStuckPackets || quiet[0].Chain != "ibc-0" ||
+			// again, with the value it had, in a block that sends nothing
+			// at its sequence (C5).
+			name: "ack-commitment-left-behind", spec: two, on: 0, plant: leaveCommitmentBehind(),
+			count: 1, assertion: AssertNoStuckPackets, chain: "ibc-0", height: 7,
+			prefix: "after ibc-0 committed height 7: commitment commitments/ports/transfer/channels/channel-0/sequences/1 stored outside the sequences this block's nextSequenceSend advanced over",
+			// The quiescent check after the watch takes the packet as
+			// settled, since the watch saw its commitment deleted. Check
+			// alone reads the stored commitment and reports the packet
+			// stuck, by the per-commit verdict's assertion.
+			quiescent: func(t *testing.T, v Violation, all, quiet []Violation) {
+				if len(all) != 1 || len(quiet) != 1 || quiet[0].Assertion != v.Assertion || quiet[0].Chain != v.Chain ||
 					!strings.HasPrefix(quiet[0].Detail, "packet transfer/channel-0#1 stuck at deadline: received on ibc-1 but its ack never settled") {
-					t.Fatalf("check after the per-commit check = %v, quiescent Check = %v; want nothing, then packet #1 stuck", all, quiet)
+					t.Fatalf("check after the per-commit check = %v, quiescent Check = %v; want its verdict alone, then packet #1 stuck", all, quiet)
 				}
 			},
+		},
+		{
+			// The same under traffic that goes on: the block that stores
+			// the commitment again sends packets of its own.
+			name: "ack-commitment-left-behind-busy", spec: busy,
+			on: 0, plant: leaveCommitmentBehind(),
+			count: 1, assertion: AssertNoStuckPackets, chain: "ibc-0", height: 7,
+			prefix: "after ibc-0 committed height 7: commitment commitments/ports/transfer/channels/channel-0/sequences/1 stored outside the sequences this block's nextSequenceSend advanced over",
 		},
 		{
 			// C6: the first commit of the middle chain that stores a PFM
@@ -339,18 +334,29 @@ func TestPlantedDefectsDetected(t *testing.T) {
 		{
 			// C5's growth half: the first ibc-0 commit that sends on a
 			// channel sets its next send sequence back to 1.
-			name: "lowered-send-sequence", spec: two, on: 0,
-			plant: func(_ *topo.Deployment, c *chain.Chain, h int64) bool {
-				be := c.Events.At(h)
-				if be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
-					return false
-				}
-				p := be.Txs[0].Sends[0]
-				c.App.State().Set(ibc.AppendNextSequenceSendKey(nil, p.SourcePort, p.SourceChannel), []byte("1"))
-				return true
-			},
+			name: "lowered-send-sequence", spec: two, on: 0, plant: lowerSendSequence(0),
 			rule: "send sequences only grow", count: 1, assertion: AssertTimeoutRefunds, chain: "ibc-0", height: 3,
 			prefix: "after ibc-0 committed height 3: nextSequenceSend/ports/transfer/channels/channel-0 fell from ",
+		},
+		{
+			// The same defect under traffic that goes on: set back once
+			// the first packets settled, ibc-0 sends sequences 1–15 again
+			// in blocks 9–11. Each commitment stored is one its block
+			// sent, so C5's fall at height 9 is the only verdict.
+			name: "lowered-send-sequence-resent", spec: busy,
+			on: 0, plant: lowerSendSequence(8),
+			count: 1, assertion: AssertTimeoutRefunds, chain: "ibc-0", height: 9,
+			prefix: "after ibc-0 committed height 9: nextSequenceSend/ports/transfer/channels/channel-0 fell from 36 to 6: send sequences only grow",
+		},
+		{
+			// The sequence set back in a block whose sends take it up to
+			// where it was: C5's fall is not seen at block grain, and the
+			// commitments of sequences 1–5 stored again over packets still
+			// in flight are.
+			name: "lowered-send-sequence-reused", spec: Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 4}, Seed: 1},
+			on: 0, plant: lowerSendSequence(0),
+			count: 5, assertion: AssertNoStuckPackets, chain: "ibc-0", height: 3,
+			prefix: "after ibc-0 committed height 3: commitment commitments/ports/transfer/channels/channel-0/sequences/1 stored outside the sequences this block's nextSequenceSend advanced over",
 		},
 		{
 			// A receipt never written, and the replay it lets through:
@@ -393,6 +399,44 @@ func TestPlantedDefectsDetected(t *testing.T) {
 		},
 	} {
 		t.Run(d.name, func(t *testing.T) { d.detect(t) })
+	}
+}
+
+// leaveCommitmentBehind plants, after the first commit that deletes a
+// commitment (an ack settling its packet), that commitment stored again
+// with the value it had.
+func leaveCommitmentBehind() func(*topo.Deployment, *chain.Chain, int64) bool {
+	values := map[uint64][]byte{} // the chain's commitments, by sequence
+	return func(_ *topo.Deployment, c *chain.Chain, _ int64) bool {
+		st := c.App.State()
+		for _, wr := range st.Written() {
+			kind, channel := wr.Record()
+			if kind != app.Commitment {
+				continue
+			}
+			commitments := ibc.PacketRecords(nil, app.Commitment, "transfer", channel)
+			if !wr.Deleted {
+				values[wr.Seq], _ = st.GetRecord(&commitments, wr.Seq)
+				continue
+			}
+			st.SetRecord(&commitments, wr.Seq, values[wr.Seq])
+			return true
+		}
+		return false
+	}
+}
+
+// lowerSendSequence plants, after the first commit at height from or
+// above that sends, the channel's next send sequence back to 1.
+func lowerSendSequence(from int64) func(*topo.Deployment, *chain.Chain, int64) bool {
+	return func(_ *topo.Deployment, c *chain.Chain, h int64) bool {
+		be := c.Events.At(h)
+		if h < from || be == nil || len(be.Txs) == 0 || len(be.Txs[0].Sends) == 0 {
+			return false
+		}
+		p := be.Txs[0].Sends[0]
+		c.App.State().Set(ibc.AppendNextSequenceSendKey(nil, p.SourcePort, p.SourceChannel), []byte("1"))
+		return true
 	}
 }
 

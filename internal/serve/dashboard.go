@@ -71,8 +71,7 @@ var defaultMetricCandidates = []string{
 	"topo.Sample.Throughput",
 	"result.BlocksPerSec",
 	"result.Throughput",
-	"bench.BenchmarkNetemSend/uniform.ns/op",
-	"bench.BenchmarkVoteFanout/vals-13.ns/op",
+	"metrics.wall_s.value",
 }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {

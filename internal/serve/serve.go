@@ -151,9 +151,10 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIngest archives a run document posted by CI or the CLI. The
-// body is the payload verbatim (a -out document, bench2json output, or
-// a scenario report); query parameters carry the provenance the bytes
-// don't: ?kind=experiment|bench|scenario, ?commit=<rev>, ?time=<rfc3339>.
+// body is the payload verbatim (a -out document, a `bench/run.sh`
+// result line, or a scenario report); query parameters carry the
+// provenance the bytes don't: ?kind=experiment|bench|scenario,
+// ?commit=<rev>, ?time=<rfc3339>.
 // Re-posting identical content is idempotent — the response reports
 // created=false and nothing is written.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -1,10 +1,10 @@
 // Package store is the persistent experiment archive behind `ibcbench
 // serve` and `-store`: a stdlib-only, append-only run database on a
-// plain directory. Every run — a sweep's `-out` result document, a
-// bench2json bench document, or a scenario report — is persisted verbatim
-// under a content-addressed run ID derived from (kind, commit, config
-// header, seed, timestamp, payload), so re-posting the same run is
-// idempotent by construction and archived bytes round-trip identically.
+// plain directory. Every run — a sweep's `-out` document, a
+// `bench/run.sh` result line, or a scenario report — is persisted
+// verbatim under a content-addressed run ID derived from (kind, commit,
+// config header, seed, timestamp, payload), so re-posting the same run
+// is idempotent by construction and archived bytes round-trip identically.
 //
 // Layout:
 //
@@ -48,8 +48,8 @@ type Meta struct {
 	// in Seq order.
 	Seq int64 `json:"seq"`
 	// Kind classifies the payload: "experiment" (a sweep's -out
-	// document), "bench" (a bench2json document), "scenario" (a `run`
-	// report, its trace attached when the run was traced).
+	// document), "bench" (a `bench/run.sh` result line), "scenario" (a
+	// `run` report, its trace attached when the run was traced).
 	Kind string `json:"kind"`
 	// Commit is the VCS revision that produced the run ("" if unknown).
 	Commit string `json:"commit,omitempty"`

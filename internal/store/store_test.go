@@ -295,7 +295,7 @@ func TestTrendOrderAndValues(t *testing.T) {
 	if _, _, err := s.Ingest("experiment", "cx", "tx", doc("mesh:4", 42, 9.9)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Ingest("bench", "cb", "tb", []byte(`{"bench": {"BenchmarkNetemSend": {"ns/op": 100}}}`)); err != nil {
+	if _, _, err := s.Ingest("bench", "cb", "tb", []byte(`{"correct":true,"attempted":100,"failed":0,"metrics":{"wall_s":{"value":0.25,"unit":"s"}}}`)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Ingest("experiment", "c2", "t2", doc("hub:3", 42, 1.0)); err != nil {
@@ -318,8 +318,8 @@ func TestTrendOrderAndValues(t *testing.T) {
 			t.Fatalf("sequence not monotone: %+v", points)
 		}
 	}
-	bench, err := s.Trend("bench.BenchmarkNetemSend.ns/op", "bench")
-	if err != nil || len(bench) != 1 || bench[0].Value != 100 {
+	bench, err := s.Trend("metrics.wall_s.value", "bench")
+	if err != nil || len(bench) != 1 || bench[0].Value != 0.25 {
 		t.Fatalf("bench trend = %v (%v)", bench, err)
 	}
 	if _, err := s.Trend("", ""); err == nil {
