@@ -24,13 +24,13 @@ func runSweep(args []string, w io.Writer) error {
 	def := experiments.Defaults
 	var (
 		exp        = fs.String("experiment", "all", strings.Join(experiments.Selectors(), "|")+"|all")
-		seeds      = fs.Int("seeds", def.Opt.Seeds, "executions per configuration (paper: 20)")
-		windows    = fs.Int("windows", def.Opt.Windows, "submission block windows (0 = paper default)")
+		seeds      = fs.Int("seeds", def.Seeds, "executions per configuration (paper: 20)")
+		windows    = fs.Int("windows", def.Windows, "submission block windows (0 = paper default)")
 		transfers  = fs.Int("transfers", def.Transfers, "transfers for fig12/fig13")
 		seed       = fs.Int64("seed", def.Seed, "base RNG seed")
 		topology   = fs.String("topology", def.Topology, "topo/forward/failover experiment graph: two|line:n|hub:n|mesh:n")
 		rate       = fs.Int("rate", def.Rate, "per-edge input rate (rps) for topo/failover; transfers per route for forward")
-		regions    = fs.String("regions", def.Opt.Regions, "geo region preset for topo/failover deployments: 3wan or lan (\"\" = the paper's uniform WAN)")
+		regions    = fs.String("regions", def.Regions, "geo region preset for topo/failover deployments: 3wan or lan (\"\" = the paper's uniform WAN)")
 		validators = fs.String("validators", "", "validator-set sizes: votescale sweeps the comma list (default 4,8,12,16,24,32); other topology experiments use the first value (\"\" = the paper's 5)")
 		forwarding = fs.Bool("forwarding", def.Forwarding, "run topo multi-hop routes through the packet-forward middleware instead of sequential legs")
 		out        = fs.String("out", "", "write every experiment's result as JSON to this file (cross-PR regression tracking)")
@@ -54,23 +54,21 @@ func runSweep(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opt := experiments.Options{Seeds: *seeds, Windows: *windows, Regions: *regions}
-	if len(valSizes) > 0 {
-		opt.Validators = valSizes[0]
-	}
 	selected, err := experiments.Select(*exp)
 	if err != nil {
 		return err
 	}
 	report := map[string]any{}
 	ctx := experiments.RunContext{
-		Opt:        opt,
+		Seeds:      *seeds,
+		Windows:    *windows,
+		Regions:    *regions,
+		Validators: valSizes,
 		Seed:       *seed,
 		Transfers:  *transfers,
 		Topology:   *topology,
 		Rate:       *rate,
 		Forwarding: *forwarding,
-		Validators: valSizes,
 		Out:        w,
 		Record:     func(key string, v any) { report[key] = v },
 	}

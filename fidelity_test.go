@@ -14,7 +14,7 @@ import (
 // -experiment all -seeds 1`: the sweep's defaults at one seed.
 func fidelityContext(record func(string, any)) experiments.RunContext {
 	ctx := experiments.Defaults
-	ctx.Opt.Seeds, ctx.Out, ctx.Record = 1, io.Discard, record
+	ctx.Seeds, ctx.Out, ctx.Record = 1, io.Discard, record
 	return ctx
 }
 

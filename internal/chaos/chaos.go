@@ -1,18 +1,20 @@
 // Package chaos is the deterministic fault-injection subsystem: a
-// timeline of typed events applied at virtual times on the shared
-// sim.Scheduler clock, driven against a Target (the deployed topology).
+// timeline of typed events (a []Event) applied at virtual times on the
+// shared sim.Scheduler clock, driven against a Target (the deployed
+// topology).
 //
 // Faults are declarative — PartitionLink, HealLink, LatencySpike,
 // DropBurst, RelayerPause, RelayerResume — so a scenario's chaos
 // schedule is part of its configuration: the same seed and timeline
-// reproduce byte-identical results, and every applied fault is recorded
-// in a Log folded into the scenario result. A timeline is checked once,
-// by the scenario spec that declares it; the injector trusts it.
+// reproduce byte-identical results, and every applied fault is appended
+// to a log folded into the scenario result. A timeline is checked once,
+// by the scenario spec that declares it; Inject trusts it.
 package chaos
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ibcbench/internal/sim"
@@ -85,14 +87,6 @@ type Event struct {
 	ExtraDrop float64
 }
 
-// Timeline is an ordered fault schedule.
-type Timeline struct {
-	Events []Event
-}
-
-// Empty reports whether the timeline schedules nothing.
-func (t Timeline) Empty() bool { return len(t.Events) == 0 }
-
 // Target is the deployment surface a timeline drives. Implemented by
 // topo.Deployment.
 type Target interface {
@@ -118,33 +112,21 @@ type Applied struct {
 	Desc  string
 }
 
-// Log records faults in application order.
-type Log struct {
-	Applied []Applied
-}
-
-// Injector schedules a timeline against a target on the virtual clock.
-type Injector struct {
-	log Log
-}
-
-// Inject schedules every event. Events are scheduled in (At, index)
+// Inject schedules every event against target, and each one, as it
+// applies, appends its entry to *log, so *log holds the faults applied
+// so far in application order. Events are scheduled in (At, index)
 // order before the simulation starts, so runs are deterministic. The
 // timeline is trusted: scenario.Spec.Validate checked its times, edges,
 // relayer ordinals and magnitudes against the deployment it targets.
-// The returned injector exposes the fault log.
-func Inject(sched *sim.Scheduler, target Target, tl Timeline) *Injector {
-	events := append([]Event(nil), tl.Events...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	in := &Injector{}
+func Inject(sched *sim.Scheduler, target Target, events []Event, log *[]Applied) {
+	events = slices.Clone(events)
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	for _, ev := range events {
-		ev := ev
-		sched.At(ev.At, func() { in.apply(target, ev) })
+		sched.At(ev.At, func() { *log = append(*log, apply(target, ev)) })
 	}
-	return in
 }
 
-func (in *Injector) apply(target Target, ev Event) {
+func apply(target Target, ev Event) Applied {
 	var desc string
 	switch ev.Kind {
 	case PartitionLink:
@@ -166,7 +148,7 @@ func (in *Injector) apply(target Target, ev Event) {
 		target.ResumeRelayer(ev.Edge, ev.Relayer)
 		desc = fmt.Sprintf("resume relayer %d on edge %d", ev.Relayer, ev.Edge)
 	}
-	in.log.Applied = append(in.log.Applied, Applied{At: ev.At, Event: ev, Desc: desc})
+	return Applied{At: ev.At, Event: ev, Desc: desc}
 }
 
 func relayerDesc(r int) string {
@@ -175,6 +157,3 @@ func relayerDesc(r int) string {
 	}
 	return fmt.Sprintf("(relayer %d host)", r)
 }
-
-// Log returns the faults applied so far.
-func (in *Injector) Log() Log { return in.log }

@@ -32,16 +32,17 @@ func (f *fakeTarget) ResumeRelayer(e, r int) {
 // records each application.
 func TestInjectAppliesInTimeOrder(t *testing.T) {
 	target := &fakeTarget{}
-	tl := Timeline{Events: []Event{
+	events := []Event{
 		{At: 30 * time.Second, Kind: HealLink, Edge: 0, Relayer: -1},
 		{At: 10 * time.Second, Kind: PartitionLink, Edge: 0, Relayer: -1},
 		{At: 20 * time.Second, Kind: LatencySpike, Edge: 1, ExtraLatency: 50 * time.Millisecond},
 		{At: 20 * time.Second, Kind: RelayerPause, Edge: 1, Relayer: 1},
 		{At: 40 * time.Second, Kind: RelayerResume, Edge: 1, Relayer: 1},
 		{At: 40 * time.Second, Kind: DropBurst, Edge: 1, ExtraDrop: 0.5},
-	}}
+	}
 	s := sim.NewScheduler()
-	inj := Inject(s, target, tl)
+	var log []Applied
+	Inject(s, target, events, &log)
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +62,13 @@ func TestInjectAppliesInTimeOrder(t *testing.T) {
 			t.Fatalf("fault %d = %s, want %s (full: %v)", i, target.log[i], w, target.log)
 		}
 	}
-	log := inj.Log()
-	if len(log.Applied) != len(want) {
-		t.Fatalf("log has %d entries", len(log.Applied))
+	if len(log) != len(want) {
+		t.Fatalf("log has %d entries", len(log))
 	}
-	if log.Applied[0].At != 10*time.Second || log.Applied[0].Event.Kind != PartitionLink {
-		t.Fatalf("log[0] = %+v", log.Applied[0])
+	if log[0].At != 10*time.Second || log[0].Event.Kind != PartitionLink {
+		t.Fatalf("log[0] = %+v", log[0])
 	}
-	for _, e := range log.Applied {
+	for _, e := range log {
 		if e.Desc == "" {
 			t.Fatalf("empty description for %+v", e.Event)
 		}
@@ -80,19 +80,19 @@ func TestStandbyOrdinalAllowedForPartition(t *testing.T) {
 	// link, the last ordinal for the standby, each logged by what it
 	// severed.
 	target := &fakeTarget{}
-	tl := Timeline{Events: []Event{
+	events := []Event{
 		{Kind: PartitionLink, Edge: 0, Relayer: -1},
 		{Kind: PartitionLink, Edge: 0, Relayer: 1},
-	}}
+	}
 	s := sim.NewScheduler()
-	inj := Inject(s, target, tl)
+	var log []Applied
+	Inject(s, target, events, &log)
 	if err := s.RunUntil(s.Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(target.log, " "); got != "part:0/-1 part:0/1" {
 		t.Fatalf("applied %s", got)
 	}
-	log := inj.Log().Applied
 	if log[0].Desc != "partition edge 0 (whole link)" || log[1].Desc != "partition edge 0 (relayer 1 host)" {
 		t.Fatalf("descriptions %q / %q", log[0].Desc, log[1].Desc)
 	}

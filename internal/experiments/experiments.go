@@ -23,48 +23,40 @@ import (
 	"ibcbench/internal/workload"
 )
 
-// Options bounds an experiment's cost. The paper runs 20 executions per
-// configuration; tests and benches default lower.
-type Options struct {
-	Seeds int
-	// Rates overrides the swept input rates (requests/second).
-	Rates []int
-	// Windows is the number of submission block-windows.
-	Windows int
-	// Regions optionally places topology deployments on a geo region
-	// preset (see geo.ParseSpec; "" = the paper's uniform WAN).
-	Regions string
-	// Validators overrides every chain's validator-set size in topology
-	// deployments (0 = the paper's five); the votescale experiment sweeps
-	// this axis explicitly.
-	Validators int
-}
-
-func (o Options) seeds() int {
-	if o.Seeds <= 0 {
+func (c RunContext) seeds() int {
+	if c.Seeds <= 0 {
 		return 3
 	}
-	return o.Seeds
+	return c.Seeds
 }
 
 // windows resolves the submission-window count against a driver's default.
-func (o Options) windows(def int) int {
-	if o.Windows <= 0 {
+func (c RunContext) windows(def int) int {
+	if c.Windows <= 0 {
 		return def
 	}
-	return o.Windows
+	return c.Windows
+}
+
+// validators is every chain's validator-set size in a topology
+// deployment: the first of c.Validators (0 = the paper's five).
+func (c RunContext) validators() (v int) {
+	if len(c.Validators) > 0 {
+		v = c.Validators[0]
+	}
+	return v
 }
 
 // specGrid runs every (variant, seed) cell of a sweep through
 // scenario.Run on the scenario.ParallelMap pool: specs[v] is variant v's
-// scenario and seedOf(v, i) its i-th seed. reduce reads one cell's report,
-// and the quiescent deployment it carries, on the worker that ran it, so
-// no deployment outlives its cell. Each cell is an independent
-// deterministic simulation, so the pool width never changes a result.
-// Results come back grouped by variant, in seed order; the first cell in
-// input order that fails to run or breaks one of its spec's assertions
-// aborts the sweep.
-func specGrid[R any](opt Options, label string, specs []scenario.Spec,
+// scenario and seedOf(v, i), for i below seeds, its i-th seed. reduce
+// reads one cell's report, and the quiescent deployment it carries, on
+// the worker that ran it, so no deployment outlives its cell. Each cell
+// is an independent deterministic simulation, so the pool width never
+// changes a result. Results come back grouped by variant, in seed order;
+// the first cell in input order that fails to run or breaks one of its
+// spec's assertions aborts the sweep.
+func specGrid[R any](seeds int, label string, specs []scenario.Spec,
 	seedOf func(variant, i int) int64, reduce func(variant int, rep *scenario.Report) R) ([][]R, error) {
 	type cell struct {
 		variant int
@@ -72,7 +64,7 @@ func specGrid[R any](opt Options, label string, specs []scenario.Spec,
 	}
 	var cells []cell
 	for v := range specs {
-		for i := 0; i < opt.seeds(); i++ {
+		for i := 0; i < seeds; i++ {
 			cells = append(cells, cell{v, seedOf(v, i)})
 		}
 	}
@@ -102,7 +94,7 @@ func specGrid[R any](opt Options, label string, specs []scenario.Spec,
 
 // runOne is specGrid over one spec at one seed.
 func runOne[R any](label string, spec scenario.Spec, seed int64, reduce func(int, *scenario.Report) R) (R, error) {
-	runs, err := specGrid(Options{Seeds: 1}, label, []scenario.Spec{spec}, func(_, _ int) int64 { return seed }, reduce)
+	runs, err := specGrid(1, label, []scenario.Spec{spec}, func(_, _ int) int64 { return seed }, reduce)
 	if err != nil {
 		var zero R
 		return zero, err
@@ -114,22 +106,22 @@ func runOne[R any](label string, spec scenario.Spec, seed int64, reduce func(int
 func result(_ int, rep *scenario.Report) *topo.Result { return rep.Result }
 
 // topoSpec is the part every topology driver's spec shares: the preset
-// graph on opt's region preset and validator-set size, with every edge
+// graph on c's region preset and validator-set size, with every edge
 // sustaining rate requests/second for the given windows.
-func (o Options) topoSpec(name, preset string, rate, windows int) scenario.Spec {
+func (c RunContext) topoSpec(name, preset string, rate, windows int) scenario.Spec {
 	return scenario.Spec{
 		Name:     name,
 		Topology: scenario.TopologySpec{Preset: preset},
-		Regions:  o.Regions,
-		Deploy:   scenario.DeploySpec{Validators: o.Validators},
-		Workload: scenario.WorkloadSpec{Rate: rate, Windows: windows},
+		Regions:  c.Regions,
+		Deploy:   scenario.DeploySpec{Validators: c.validators()},
+		Workload: topo.Workload{Rate: rate, Windows: windows},
 	}
 }
 
 // testbedSpec is the paper's two-chain testbed (§III-C: 200 ms WAN,
 // five validators per chain, one relayer) carrying workload on its one
 // edge.
-func testbedSpec(name string, workload scenario.WorkloadSpec) scenario.Spec {
+func testbedSpec(name string, workload topo.Workload) scenario.Spec {
 	return scenario.Spec{Name: name, Topology: scenario.TopologySpec{Preset: "two"}, Workload: workload}
 }
 
@@ -154,15 +146,12 @@ type TendermintResult struct {
 // 250–14,000 RPS sweep.
 var DefaultTendermintRates = []int{250, 500, 1000, 2000, 3000, 5000, 7000, 9000, 11000, 13000}
 
-// Tendermint runs the MsgTransfer inclusion sweep (Figs. 6, 7; Table I):
-// submit transfer batches for `Windows` consecutive block windows and
-// measure inclusion throughput and block intervals.
-func Tendermint(opt Options) (TendermintResult, error) {
-	rates := opt.Rates
-	if rates == nil {
-		rates = DefaultTendermintRates
-	}
-	windows := opt.windows(15)
+// tendermint runs the MsgTransfer inclusion sweep (Figs. 6, 7; Table I)
+// over rates (the figure's are DefaultTendermintRates): submit transfer
+// batches for `Windows` consecutive block windows and measure inclusion
+// throughput and block intervals.
+func tendermint(c RunContext, rates []int) (TendermintResult, error) {
+	windows := c.windows(15)
 	res := TendermintResult{
 		Fig6: Series{Name: "Fig6 Tendermint throughput", XLabel: "rate(rps)", YLabel: "TFPS"},
 		Fig7: Series{Name: "Fig7 block interval", XLabel: "rate(rps)", YLabel: "seconds"},
@@ -179,7 +168,7 @@ func Tendermint(opt Options) (TendermintResult, error) {
 		specs[v] = tendermintSpec(rate, windows)
 	}
 	seedOf := func(v, i int) int64 { return int64(1000*rates[v] + i) }
-	runs, err := specGrid(opt, "tendermint", specs, seedOf, func(_ int, rep *scenario.Report) run {
+	runs, err := specGrid(c.seeds(), "tendermint", specs, seedOf, func(_ int, rep *scenario.Report) run {
 		st := rep.Deployment.Chains[0].Store
 		committed, span := committedTransfers(st, int64(windows))
 		r := run{interval: meanInterval(st).Seconds(), stats: rep.Result.Edges[0].Workload, commit: committed}
@@ -232,7 +221,7 @@ func (r TendermintResult) Render(w io.Writer) {
 // slack. It names token-conservation only: it stops mid-flight, with
 // packets still to relay.
 func tendermintSpec(rate, windows int) scenario.Spec {
-	s := testbedSpec(fmt.Sprintf("tendermint-%drps", rate), scenario.WorkloadSpec{Rate: rate, Windows: windows})
+	s := testbedSpec(fmt.Sprintf("tendermint-%drps", rate), topo.Workload{Rate: rate, Windows: windows})
 	s.UntilHeight = int64(windows) + 2
 	s.Until = scenario.Duration(time.Duration(windows+4) * simconf.MinBlockInterval * 16)
 	s.Assertions = []string{scenario.AssertConservation}
@@ -312,14 +301,11 @@ type RelayerPoint struct {
 // 20–300 RPS sweep.
 var DefaultRelayerRates = []int{20, 60, 100, 140, 180, 220, 300}
 
-// RelayerSweep measures end-to-end cross-chain throughput within 50
-// source-chain blocks (Figs. 8–11).
-func RelayerSweep(opt Options, relayers int, lan bool) ([]RelayerPoint, error) {
-	rates := opt.Rates
-	if rates == nil {
-		rates = DefaultRelayerRates
-	}
-	windows := opt.windows(50)
+// relayerSweep measures end-to-end cross-chain throughput within 50
+// source-chain blocks over rates (the figures' are DefaultRelayerRates;
+// Figs. 8–11).
+func relayerSweep(c RunContext, rates []int, relayers int, lan bool) ([]RelayerPoint, error) {
+	windows := c.windows(50)
 	specs := make([]scenario.Spec, len(rates))
 	for v, rate := range rates {
 		specs[v] = relayerSpec(rate, windows, relayers, lan)
@@ -331,19 +317,19 @@ func RelayerSweep(opt Options, relayers int, lan bool) ([]RelayerPoint, error) {
 		tput []float64
 	}
 	seedOf := func(v, i int) int64 { return int64(7000*rates[v] + 31*relayers + i) }
-	runs, err := specGrid(opt, "relayer sweep", specs, seedOf, func(_ int, rep *scenario.Report) (c cell) {
+	runs, err := specGrid(c.seeds(), "relayer sweep", specs, seedOf, func(_ int, rep *scenario.Report) (pt cell) {
 		e := rep.Result.Edges[0]
-		c.Completed = float64(e.Completion[metrics.StatusCompleted])
-		c.Partial = float64(e.Completion[metrics.StatusPartial])
-		c.Initiated = float64(e.Completion[metrics.StatusInitiated])
-		c.NotCommitted = float64(e.Completion[metrics.StatusNotCommitted])
+		pt.Completed = float64(e.Completion[metrics.StatusCompleted])
+		pt.Partial = float64(e.Completion[metrics.StatusPartial])
+		pt.Initiated = float64(e.Completion[metrics.StatusInitiated])
+		pt.NotCommitted = float64(e.Completion[metrics.StatusNotCommitted])
 		for _, rs := range e.Relayers {
-			c.RedundantErrors += float64(rs.RedundantErrors)
+			pt.RedundantErrors += float64(rs.RedundantErrors)
 		}
 		if now := rep.Result.Duration; now > 0 {
-			c.tput = []float64{c.Completed / now.Seconds()}
+			pt.tput = []float64{pt.Completed / now.Seconds()}
 		}
-		return c
+		return pt
 	})
 	if err != nil {
 		return nil, err
@@ -352,15 +338,15 @@ func RelayerSweep(opt Options, relayers int, lan bool) ([]RelayerPoint, error) {
 	for i, rate := range rates {
 		pt := RelayerPoint{Rate: rate, Relayers: relayers, LAN: lan}
 		var tputs []float64
-		for _, c := range runs[i] {
-			tputs = append(tputs, c.tput...)
-			pt.Completed += c.Completed
-			pt.Partial += c.Partial
-			pt.Initiated += c.Initiated
-			pt.NotCommitted += c.NotCommitted
-			pt.RedundantErrors += c.RedundantErrors
+		for _, r := range runs[i] {
+			tputs = append(tputs, r.tput...)
+			pt.Completed += r.Completed
+			pt.Partial += r.Partial
+			pt.Initiated += r.Initiated
+			pt.NotCommitted += r.NotCommitted
+			pt.RedundantErrors += r.RedundantErrors
 		}
-		n := float64(opt.seeds())
+		n := float64(c.seeds())
 		pt.Completed /= n
 		pt.Partial /= n
 		pt.Initiated /= n
@@ -377,7 +363,7 @@ func RelayerSweep(opt Options, relayers int, lan bool) ([]RelayerPoint, error) {
 // chain 0 commits `windows` blocks. It names token-conservation only: it
 // stops mid-flight, with packets still to relay.
 func relayerSpec(rate, windows, relayers int, lan bool) scenario.Spec {
-	s := testbedSpec(fmt.Sprintf("relayer-%drps-%dr", rate, relayers), scenario.WorkloadSpec{Rate: rate, Windows: windows})
+	s := testbedSpec(fmt.Sprintf("relayer-%drps-%dr", rate, relayers), topo.Workload{Rate: rate, Windows: windows})
 	s.Deploy.RelayersPerEdge = relayers
 	if lan {
 		s.Name += "-lan"
@@ -423,7 +409,7 @@ func Fig12(transfers int, seed int64) (Fig12Result, error) {
 // burstSpec is Figs. 12 and 13's cell: `transfers` spread over `blocks`
 // submission windows, run 45 virtual minutes, to completion.
 func burstSpec(transfers, blocks int) scenario.Spec {
-	s := testbedSpec(fmt.Sprintf("burst-%dblocks", blocks), scenario.WorkloadSpec{Transfers: transfers, Windows: blocks})
+	s := testbedSpec(fmt.Sprintf("burst-%dblocks", blocks), topo.Workload{Transfers: transfers, Windows: blocks})
 	s.Until = scenario.Duration(45 * time.Minute)
 	return s
 }
@@ -501,7 +487,7 @@ func Fig13(transfers int, seed int64) ([]Fig13Row, error) {
 		specs[v] = burstSpec(transfers, blocks)
 	}
 	seedOf := func(v, _ int) int64 { return seed + int64(strategies[v]) }
-	runs, err := specGrid(Options{Seeds: 1}, "fig13", specs, seedOf, func(v int, rep *scenario.Report) Fig13Row {
+	runs, err := specGrid(1, "fig13", specs, seedOf, func(v int, rep *scenario.Report) Fig13Row {
 		t := rep.Deployment.Links[0].Tracker
 		first, _, ok1 := t.StepSpan(metrics.StepTransferBroadcast)
 		_, last, ok2 := t.StepSpan(metrics.StepAckConfirmation)
@@ -562,7 +548,7 @@ func GasTable(seed int64) ([]GasRow, error) {
 // gasSpec is the gas table's cell: one block of 100 transfers, relayed
 // to completion.
 func gasSpec() scenario.Spec {
-	s := testbedSpec("gas", scenario.WorkloadSpec{Transfers: 100, Windows: 1})
+	s := testbedSpec("gas", topo.Workload{Transfers: 100, Windows: 1})
 	s.Until = scenario.Duration(10 * time.Minute)
 	return s
 }
@@ -620,7 +606,7 @@ const wsTxs, wsTimeoutBlocks = 1000, 60
 // only: the packets of the lost frames stay stuck unrefunded, which is
 // §V's finding.
 func wsSpec() scenario.Spec {
-	s := testbedSpec("ws", scenario.WorkloadSpec{Transfers: wsTxs * 100, Inject: true, TimeoutBlocks: wsTimeoutBlocks})
+	s := testbedSpec("ws", topo.Workload{Transfers: wsTxs * 100, Inject: true, TimeoutBlocks: wsTimeoutBlocks})
 	s.Until = scenario.Duration(time.Duration(4*wsTimeoutBlocks+40) * simconf.MinBlockInterval)
 	s.Assertions = []string{scenario.AssertConservation}
 	return s

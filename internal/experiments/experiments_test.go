@@ -8,13 +8,14 @@ import (
 
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/scenario"
+	"ibcbench/internal/topo"
 )
 
 // The paper's LAN variant of the two-chain testbed (`regions: "lan"`)
 // completes a transfer faster than the 200 ms WAN default.
 func TestTwoChainLANIsFaster(t *testing.T) {
 	run := func(regions string) float64 {
-		spec := testbedSpec("lan-"+regions, scenario.WorkloadSpec{Transfers: 1, Windows: 1})
+		spec := testbedSpec("lan-"+regions, topo.Workload{Transfers: 1, Windows: 1})
 		spec.Regions = regions
 		spec.Until = scenario.Duration(2 * time.Minute)
 		rep, err := scenario.Run(spec, 12, nil)
@@ -48,10 +49,10 @@ func TestSeriesRenderSortsByX(t *testing.T) {
 
 func TestForwardingComparisonShape(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a serial pool
-	if _, err := ForwardingComparison(Options{Seeds: 1}, "line:3", 0); err == nil {
+	if _, err := ForwardingComparison(RunContext{Seeds: 1}, "line:3", 0); err == nil {
 		t.Fatal("zero transfers per route accepted")
 	}
-	res, err := ForwardingComparison(Options{Seeds: 1}, "line:3", 2)
+	res, err := ForwardingComparison(RunContext{Seeds: 1}, "line:3", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,23 +56,23 @@ type FailoverResult struct {
 
 // Failover runs the relayer-failover experiment on the given topology
 // (every edge gets a standby; edge 0's primary is the fault target).
-// opt.Regions optionally places the deployment on a geo preset.
-func Failover(opt Options, spec string, rate int) (FailoverResult, error) {
+// c.Regions optionally places the deployment on a geo preset.
+func Failover(c RunContext, spec string, rate int) (FailoverResult, error) {
 	if rate <= 0 {
 		return FailoverResult{}, fmt.Errorf("experiments: failover needs a per-edge rate >= 1 (got %d)", rate)
 	}
 	specs := make([]scenario.Spec, len(DefaultFaultWindows))
 	for i, w := range DefaultFaultWindows {
-		specs[i] = failoverSpec(opt, spec, rate, w)
+		specs[i] = failoverSpec(c, spec, rate, w)
 	}
 	seedOf := func(w, i int) int64 { return int64(9000*(w+1) + i) }
-	perWin, err := specGrid(opt, "failover "+spec, specs, seedOf, result)
+	perWin, err := specGrid(c.seeds(), "failover "+spec, specs, seedOf, result)
 	if err != nil {
 		return FailoverResult{}, err
 	}
 	out := FailoverResult{
-		Spec: spec, Regions: opt.Regions, Rate: rate,
-		Seeds: opt.seeds(), FaultStart: failoverFaultStart,
+		Spec: spec, Regions: c.Regions, Rate: rate,
+		Seeds: c.seeds(), FaultStart: failoverFaultStart,
 	}
 	for w, runs := range perWin {
 		row := FailoverRow{Window: DefaultFaultWindows[w]}
@@ -104,8 +104,8 @@ const failoverFaultStart = 3 * simconf.MinBlockInterval
 // failoverSpec is one fault window's scenario: a standby on every edge,
 // and edge 0's primary relayer partitioned for the window's duration
 // (0 = the fault-free baseline).
-func failoverSpec(opt Options, spec string, rate int, window time.Duration) scenario.Spec {
-	s := opt.topoSpec(fmt.Sprintf("failover-%s-w%ds", spec, int(window.Seconds())), spec, rate, opt.windows(6))
+func failoverSpec(c RunContext, spec string, rate int, window time.Duration) scenario.Spec {
+	s := c.topoSpec(fmt.Sprintf("failover-%s-w%ds", spec, int(window.Seconds())), spec, rate, c.windows(6))
 	s.Deploy.Standby = true
 	s.RecordCurves = true
 	if window > 0 {

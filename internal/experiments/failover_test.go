@@ -17,7 +17,7 @@ func TestFailoverShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover sweep runs several fault windows")
 	}
-	res, err := Failover(Options{Seeds: 1, Windows: 2, Regions: "3wan"}, "two", 2)
+	res, err := Failover(RunContext{Seeds: 1, Windows: 2, Regions: "3wan"}, "two", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +64,13 @@ func TestFailoverShape(t *testing.T) {
 
 // TestFailoverRejectsBadInput covers spec validation.
 func TestFailoverRejectsBadInput(t *testing.T) {
-	if _, err := Failover(Options{Seeds: 1}, "ring:3", 2); err == nil {
+	if _, err := Failover(RunContext{Seeds: 1}, "ring:3", 2); err == nil {
 		t.Fatal("bad topology accepted")
 	}
-	if _, err := Failover(Options{Seeds: 1, Regions: "mars"}, "two", 2); err == nil {
+	if _, err := Failover(RunContext{Seeds: 1, Regions: "mars"}, "two", 2); err == nil {
 		t.Fatal("bad region preset accepted")
 	}
-	if _, err := Failover(Options{Seeds: 1}, "two", 0); err == nil {
+	if _, err := Failover(RunContext{Seeds: 1}, "two", 0); err == nil {
 		t.Fatal("zero rate accepted")
 	}
 }
@@ -82,7 +82,7 @@ func TestTopologySweepWithRegions(t *testing.T) {
 	if testing.Short() {
 		seeds = 1
 	}
-	res, err := TopologySweep(Options{Seeds: seeds, Windows: 2, Regions: "3wan"}, "two", 2, false)
+	res, err := TopologySweep(RunContext{Seeds: seeds, Windows: 2, Regions: "3wan"}, "two", 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTopologySweepWithRegions(t *testing.T) {
 	if res.Sample.Total[metrics.StatusCompleted] == 0 {
 		t.Fatal("no completions under region model")
 	}
-	if _, err := TopologySweep(Options{Seeds: 1, Regions: "nowhere"}, "two", 2, false); err == nil {
+	if _, err := TopologySweep(RunContext{Seeds: 1, Regions: "nowhere"}, "two", 2, false); err == nil {
 		t.Fatal("bad region preset accepted")
 	}
 }

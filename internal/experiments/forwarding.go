@@ -38,7 +38,7 @@ type ForwardingResult struct {
 // latency-vs-hops curve come from the same execution. Hub topologies
 // exercise the paper's hub scenario (spoke -> hub -> spoke); line
 // topologies extend the curve to deeper nestings.
-func ForwardingComparison(opt Options, spec string, transfers int) (ForwardingResult, error) {
+func ForwardingComparison(c RunContext, spec string, transfers int) (ForwardingResult, error) {
 	tp, err := topo.ParseSpec(spec)
 	if err != nil {
 		return ForwardingResult{}, err
@@ -52,14 +52,14 @@ func ForwardingComparison(opt Options, spec string, transfers int) (ForwardingRe
 	}
 	specs := make([]scenario.Spec, len(paths))
 	for h, path := range paths {
-		specs[h] = forwardingSpec(opt, spec, path, transfers)
+		specs[h] = forwardingSpec(c, spec, path, transfers)
 	}
 	seedOf := func(h, i int) int64 { return int64(1000*(h+1) + i) }
-	perHop, err := specGrid(opt, "forwarding "+spec, specs, seedOf, result)
+	perHop, err := specGrid(c.seeds(), "forwarding "+spec, specs, seedOf, result)
 	if err != nil {
 		return ForwardingResult{}, err
 	}
-	out := ForwardingResult{Spec: spec, Transfers: transfers, Seeds: opt.seeds()}
+	out := ForwardingResult{Spec: spec, Transfers: transfers, Seeds: c.seeds()}
 	for h, path := range paths {
 		row := ForwardingRow{Hops: len(path) - 1, Path: path}
 		var seqLat, fwdLat []float64
@@ -86,12 +86,12 @@ func ForwardingComparison(opt Options, spec string, transfers int) (ForwardingRe
 // forwardingSpec is one hop count's scenario: the same route in both
 // modes and no other traffic. No region preset: the comparison runs on
 // the paper's uniform WAN.
-func forwardingSpec(opt Options, spec string, path []int, transfers int) scenario.Spec {
+func forwardingSpec(c RunContext, spec string, path []int, transfers int) scenario.Spec {
 	return scenario.Spec{
 		Name:     fmt.Sprintf("%s-hops%d", spec, len(path)-1),
 		Topology: scenario.TopologySpec{Preset: spec},
-		Deploy:   scenario.DeploySpec{Validators: opt.Validators},
-		Workload: scenario.WorkloadSpec{Routes: []scenario.RouteSpec{
+		Deploy:   scenario.DeploySpec{Validators: c.validators()},
+		Workload: topo.Workload{Routes: []topo.Route{
 			{Path: path, Transfers: transfers},
 			{Path: path, Transfers: transfers, Forwarded: true},
 		}},

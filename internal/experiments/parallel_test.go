@@ -18,13 +18,13 @@ func atProcs[R any](n int, fn func() R) R {
 // seed runner: for a fixed seed grid, the worker pool must produce
 // byte-identical results to serial execution.
 func TestParallelSweepMatchesSerial(t *testing.T) {
-	opt := Options{Seeds: 2, Rates: []int{40, 120}, Windows: 10}
+	c, rates := RunContext{Seeds: 2, Windows: 10}, []int{40, 120}
 	if testing.Short() {
-		opt.Rates = []int{60}
-		opt.Windows = 8
+		rates = []int{60}
+		c.Windows = 8
 	}
 	sweep := func() string {
-		pts, err := RelayerSweep(opt, 1, false)
+		pts, err := relayerSweep(c, rates, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,9 +39,9 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		// mode keeps the relayer identity plus the (fast) topology one.
 		return
 	}
-	opt.Rates, opt.Windows = []int{500, 2000}, 5
+	rates, c.Windows = []int{500, 2000}, 5
 	sweep = func() string {
-		res, err := Tendermint(opt)
+		res, err := tendermint(c, rates)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +54,8 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 }
 
 func TestTopologySweep(t *testing.T) {
-	opt := Options{Seeds: 2, Windows: 3}
-	res, err := TopologySweep(opt, "hub:2", 4, false)
+	c := RunContext{Seeds: 2, Windows: 3}
+	res, err := TopologySweep(c, "hub:2", 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestTopologySweep(t *testing.T) {
 		}
 	}
 	// hub:2 has a spoke-to-spoke non-adjacent pair -> a demo route runs.
-	if res.RoutesCompleted != opt.Seeds {
-		t.Fatalf("routes completed = %d, want %d", res.RoutesCompleted, opt.Seeds)
+	if res.RoutesCompleted != c.Seeds {
+		t.Fatalf("routes completed = %d, want %d", res.RoutesCompleted, c.Seeds)
 	}
 	var sb strings.Builder
 	res.Render(&sb)
@@ -82,14 +82,14 @@ func TestTopologySweep(t *testing.T) {
 		}
 	}
 
-	if _, err := TopologySweep(opt, "ring:9", 4, false); err == nil {
+	if _, err := TopologySweep(c, "ring:9", 4, false); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 }
 
 func TestTopologySweepParallelMatchesSerial(t *testing.T) {
 	run := func() string {
-		res, err := TopologySweep(Options{Seeds: 2, Windows: 3}, "line:3", 3, false)
+		res, err := TopologySweep(RunContext{Seeds: 2, Windows: 3}, "line:3", 3, false)
 		if err != nil {
 			t.Fatal(err)
 		}

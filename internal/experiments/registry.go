@@ -20,16 +20,27 @@ import (
 )
 
 // RunContext carries the flag-derived inputs shared by every entry's
-// run. Record sinks the result struct under the entry's name into the
-// run's result document (a no-op sink is fine).
+// run, each sweep flag in one field. Record sinks the result struct
+// under the entry's name into the run's result document (a no-op sink is
+// fine).
 type RunContext struct {
-	Opt        Options
+	// Seeds is the executions per configuration (0 = 3; the paper runs 20).
+	Seeds int
+	// Windows is the number of submission block-windows (0 = each
+	// driver's default).
+	Windows int
+	// Regions optionally places topology deployments on a geo region
+	// preset (see geo.ParseSpec; "" = the paper's uniform WAN).
+	Regions string
+	// Validators is the validator-set sizes votescale sweeps (nil = its
+	// defaults); every other topology deployment runs each chain with
+	// the first (nil = the paper's five).
+	Validators []int
 	Seed       int64
 	Transfers  int
 	Topology   string
 	Rate       int
 	Forwarding bool
-	Validators []int
 	Out        io.Writer
 	Record     func(key string, v any)
 }
@@ -37,7 +48,7 @@ type RunContext struct {
 // Defaults is the context of a sweep whose flags are left unset, and
 // the one `suite` runs every figure in. A built-in's run reads only
 // Seed, where 0 means the spec's own seed.
-var Defaults = RunContext{Opt: Options{Seeds: 3}, Seed: 42, Transfers: 5000, Topology: "hub:4", Rate: 20}
+var Defaults = RunContext{Seeds: 3, Seed: 42, Transfers: 5000, Topology: "hub:4", Rate: 20}
 
 // Entry is one catalogue entry: a figure, which Selectors name to
 // `sweep` (besides "all"), or a built-in scenario, whose Spec `run -name`
@@ -116,19 +127,19 @@ func intp(i int) *int { return &i }
 var catalogue = []Entry{
 	{Name: "tendermint", Selectors: []string{"fig6", "fig7", "table1"},
 		Desc: "single-chain Tendermint sweep: commit latency, throughput and the execution summary (Figs. 6-7, Table I)",
-		run:  func(c RunContext) (renderer, error) { return adapt(Tendermint(c.Opt)) }},
+		run:  func(c RunContext) (renderer, error) { return adapt(tendermint(c, DefaultTendermintRates)) }},
 	{Name: "fig8", Selectors: []string{"fig8", "fig10"},
 		Desc: "one relayer, WAN: transfer throughput and completion breakdown vs input rate (Figs. 8, 10)",
-		run:  func(c RunContext) (renderer, error) { return relayerSection("fig8", c.Opt, 1, false) }},
+		run:  func(c RunContext) (renderer, error) { return relayerSection("fig8", c, 1, false) }},
 	{Name: "fig8-lan", Selectors: []string{"fig8-lan", "fig10"},
 		Desc: "one relayer, LAN latencies: the fig8 sweep without WAN delay",
-		run:  func(c RunContext) (renderer, error) { return relayerSection("fig8-lan", c.Opt, 1, true) }},
+		run:  func(c RunContext) (renderer, error) { return relayerSection("fig8-lan", c, 1, true) }},
 	{Name: "fig9", Selectors: []string{"fig9", "fig11"},
 		Desc: "two redundant relayers, WAN: throughput vs input rate plus redundant-submission errors (Figs. 9, 11)",
-		run:  func(c RunContext) (renderer, error) { return relayerSection("fig9", c.Opt, 2, false) }},
+		run:  func(c RunContext) (renderer, error) { return relayerSection("fig9", c, 2, false) }},
 	{Name: "fig9-lan", Selectors: []string{"fig9-lan", "fig11"},
 		Desc: "two redundant relayers, LAN latencies: the fig9 sweep without WAN delay",
-		run:  func(c RunContext) (renderer, error) { return relayerSection("fig9-lan", c.Opt, 2, true) }},
+		run:  func(c RunContext) (renderer, error) { return relayerSection("fig9-lan", c, 2, true) }},
 	{Name: "fig12", Selectors: []string{"fig12"},
 		Desc: "one-block burst: 13-step relay breakdown of N transfers submitted in a single block (Fig. 12)",
 		run:  func(c RunContext) (renderer, error) { return adapt(Fig12(c.Transfers, c.Seed)) }},
@@ -141,21 +152,21 @@ var catalogue = []Entry{
 	{Name: "topo", Selectors: []string{"topo"},
 		Desc: "multi-chain topology sweep (-topology two|line:n|hub:n|mesh:n) with optional forwarding and geo regions",
 		run: func(c RunContext) (renderer, error) {
-			return adapt(TopologySweep(c.Opt, c.Topology, c.Rate, c.Forwarding))
+			return adapt(TopologySweep(c, c.Topology, c.Rate, c.Forwarding))
 		}},
 	{Name: "forward", Selectors: []string{"forward"},
 		Desc: "latency vs hop count: sequential-leg routes against the packet-forward middleware, side by side",
-		run:  func(c RunContext) (renderer, error) { return adapt(ForwardingComparison(c.Opt, c.Topology, c.Rate)) }},
+		run:  func(c RunContext) (renderer, error) { return adapt(ForwardingComparison(c, c.Topology, c.Rate)) }},
 	// The failover figure shares its name with the failover built-in:
 	// the figure's selector and result-document key and the built-in's
 	// spec name all reach committed outputs, and each subcommand reads
 	// only one kind of entry.
 	{Name: "failover", Selectors: []string{"failover"},
 		Desc: "relayer failover: supervised standbys under primary-host partitions of increasing duration",
-		run:  func(c RunContext) (renderer, error) { return adapt(Failover(c.Opt, c.Topology, c.Rate)) }},
+		run:  func(c RunContext) (renderer, error) { return adapt(Failover(c, c.Topology, c.Rate)) }},
 	{Name: "votescale", Selectors: []string{"votescale"},
 		Desc: "validator-set scaling sweep: block rate, latency and completion vs set size (host cost: BenchmarkVoteFanout)",
-		run:  func(c RunContext) (renderer, error) { return adapt(VoteScale(c.Opt, c.Topology, c.Rate, c.Validators)) }},
+		run:  func(c RunContext) (renderer, error) { return adapt(VoteScale(c, c.Topology, c.Rate)) }},
 	{Name: "ws", Selectors: []string{"ws"},
 		Desc: "WebSocket frame-limit experiment: completion under event-subscription frame loss (§V)",
 		run:  func(c RunContext) (renderer, error) { return adapt(WebSocketLimit(c.Seed)) }},
@@ -165,25 +176,25 @@ var catalogue = []Entry{
 	builtin("two chains, one relayer, one window of transfers", true, scenario.Spec{
 		Name:     "quickstart",
 		Topology: scenario.TopologySpec{Preset: "two"},
-		Workload: scenario.WorkloadSpec{Rate: 1, Windows: 1},
+		Workload: topo.Workload{Rate: 1, Windows: 1},
 		Seed:     1,
 	}),
 
 	// The CI topology smoke (`sweep -experiment topo -topology hub:3
 	// -rate 5 -windows 3`), demo route included.
 	builtin("hub:3 sweep workload, 5 rps per edge plus the demo route", true,
-		named(topologySpec(Options{Windows: 3}, topo.Hub(3), "hub:3", 5, false), "hub", 500)),
+		named(topologySpec(RunContext{Windows: 3}, topo.Hub(3), "hub:3", 5, false), "hub", 500)),
 
 	// Full mesh under uniform load (`sweep -experiment topo -topology
 	// mesh:3 -rate 4 -windows 4`).
 	builtin("mesh:3 under 4 rps on every edge", false,
-		named(topologySpec(Options{Windows: 4}, topo.Mesh(3), "mesh:3", 4, false), "mesh", 400)),
+		named(topologySpec(RunContext{Windows: 4}, topo.Mesh(3), "mesh:3", 4, false), "mesh", 400)),
 
 	// One multi-hop route in both modes across a 3-chain line —
 	// sequential legs vs packet-forward middleware (the two-hop row of
 	// `sweep -experiment forward -topology line:3 -rate 4`).
 	builtin("line:3 route comparison, sequential legs vs packet forwarding", true,
-		named(forwardingSpec(Options{}, "line:3", []int{0, 1, 2}, 4), "pfmroute", 1)),
+		named(forwardingSpec(RunContext{}, "line:3", []int{0, 1, 2}, 4), "pfmroute", 1)),
 
 	// A sequential route that comes home: each leg spends what the last
 	// one delivered, so the tokens go out as vouchers of vouchers and
@@ -192,7 +203,7 @@ var catalogue = []Entry{
 	builtin("line:3 round trip 0->1->2->1->0, each leg spending what the last delivered", true, scenario.Spec{
 		Name:     "roundtrip",
 		Topology: scenario.TopologySpec{Preset: "line:3"},
-		Workload: scenario.WorkloadSpec{Routes: []scenario.RouteSpec{
+		Workload: topo.Workload{Routes: []topo.Route{
 			{Path: []int{0, 1, 2, 1, 0}, Transfers: 4},
 		}},
 		Seed: 1,
@@ -206,7 +217,7 @@ var catalogue = []Entry{
 		Topology: scenario.TopologySpec{Preset: "hub:2"},
 		Regions:  "3wan",
 		Deploy:   scenario.DeploySpec{Standby: true},
-		Workload: scenario.WorkloadSpec{Rate: 3, Windows: 4},
+		Workload: topo.Workload{Rate: 3, Windows: 4},
 		Chaos: []scenario.EventSpec{
 			{At: scenario.Duration(12 * time.Second), Kind: "partition", Edge: 0, Relayer: intp(0)},
 			{At: scenario.Duration(30 * time.Second), Kind: "latency-spike", Edge: 1, ExtraLatency: scenario.Duration(100 * time.Millisecond)},
@@ -232,7 +243,7 @@ var catalogue = []Entry{
 		Name:     "plaintimeout",
 		Topology: scenario.TopologySpec{Preset: "two"},
 		Deploy:   scenario.DeploySpec{ClearIntervalBlocks: 1},
-		Workload: scenario.WorkloadSpec{Routes: []scenario.RouteSpec{
+		Workload: topo.Workload{Routes: []topo.Route{
 			{Path: []int{0, 1}, Transfers: 3, TimeoutBlocks: 2},
 		}},
 		Chaos: []scenario.EventSpec{
@@ -260,7 +271,7 @@ func timeoutStorm(name string, fullProofs bool) scenario.Spec {
 		Name:     name,
 		Topology: scenario.TopologySpec{Preset: "line:3"},
 		Deploy:   scenario.DeploySpec{FullProofs: fullProofs},
-		Workload: scenario.WorkloadSpec{Routes: []scenario.RouteSpec{
+		Workload: topo.Workload{Routes: []topo.Route{
 			{Path: []int{0, 1, 2}, Transfers: 3, Forwarded: true, TimeoutBlocks: 1},
 		}},
 		Seed:         7,
@@ -340,8 +351,8 @@ func (s section) MarshalJSON() ([]byte, error) { return json.Marshal(s.data) }
 
 // relayerSection is one entry of the relayer-sweep family (Figs. 8-11):
 // a relayer count and a LAN/WAN switch.
-func relayerSection(name string, opt Options, relayers int, lan bool) (renderer, error) {
-	pts, err := RelayerSweep(opt, relayers, lan)
+func relayerSection(name string, c RunContext, relayers int, lan bool) (renderer, error) {
+	pts, err := relayerSweep(c, DefaultRelayerRates, relayers, lan)
 	return section{pts, func(w io.Writer) {
 		fmt.Fprintf(w, "# %s: %d relayer(s), lan=%v (Figs. 8-11)\n", name, relayers, lan)
 		fmt.Fprintf(w, "%-8s %-10s %-11s %-9s %-10s %-13s %-10s\n",

@@ -25,7 +25,7 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultStart := 3 * simconf.MinBlockInterval
-	topoOpt := Options{Windows: 2}
+	topoCtx := RunContext{Windows: 2}
 	cases := []struct {
 		name string
 		seed int64
@@ -35,60 +35,63 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 		{
 			name: "topo hub:3 sequential", seed: 300, // 100*rate + 0
 			hand: topo.Scenario{
-				Name: "hub:3", Topology: topo.Hub(3), Rate: 3, Windows: 2,
-				Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3}},
+				Name: "hub:3", Topology: topo.Hub(3),
+				Workload: topo.Workload{Rate: 3, Windows: 2,
+					Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3}}},
 			},
 			spec: func() (topo.Scenario, error) {
-				return scenario.Compile(topologySpec(topoOpt, topo.Hub(3), "hub:3", 3, false))
+				return scenario.Compile(topologySpec(topoCtx, topo.Hub(3), "hub:3", 3, false))
 			},
 		},
 		{
 			name: "topo hub:3 forwarded", seed: 300,
 			hand: topo.Scenario{
-				Name: "hub:3", Topology: topo.Hub(3), Rate: 3, Windows: 2,
-				Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3, Forwarded: true}},
+				Name: "hub:3", Topology: topo.Hub(3),
+				Workload: topo.Workload{Rate: 3, Windows: 2,
+					Routes: []topo.Route{{Path: []int{1, 0, 2}, Transfers: 3, Forwarded: true}}},
 			},
 			spec: func() (topo.Scenario, error) {
-				return scenario.Compile(topologySpec(topoOpt, topo.Hub(3), "hub:3", 3, true))
+				return scenario.Compile(topologySpec(topoCtx, topo.Hub(3), "hub:3", 3, true))
 			},
 		},
 		{
 			name: "forward line:3 two hops", seed: 2000, // 1000*(hop index 1 + 1) + 0
 			hand: topo.Scenario{
 				Name: "line:3-hops2", Topology: topo.Line(3),
-				Routes: []topo.Route{
+				Workload: topo.Workload{Routes: []topo.Route{
 					{Path: []int{0, 1, 2}, Transfers: 2},
 					{Path: []int{0, 1, 2}, Transfers: 2, Forwarded: true},
-				},
+				}},
 			},
 			spec: func() (topo.Scenario, error) {
-				return scenario.Compile(forwardingSpec(Options{}, "line:3", []int{0, 1, 2}, 2))
+				return scenario.Compile(forwardingSpec(RunContext{}, "line:3", []int{0, 1, 2}, 2))
 			},
 		},
 		{
 			name: "failover hub:2 3wan 30s", seed: 18000, // 9000*(window index 1 + 1) + 0
 			hand: topo.Scenario{
 				Name: "failover-hub:2-w30s", Topology: topo.Hub(2),
-				Deploy: topo.DeployConfig{Geo: threeWAN, Standby: true},
-				Rate:   2, Windows: 2, RecordCurves: true,
-				Chaos: chaos.Timeline{Events: []chaos.Event{
+				Deploy:       topo.DeployConfig{Geo: threeWAN, Standby: true},
+				Workload:     topo.Workload{Rate: 2, Windows: 2},
+				RecordCurves: true,
+				Chaos: []chaos.Event{
 					{At: faultStart, Kind: chaos.PartitionLink, Edge: 0, Relayer: 0},
 					{At: faultStart + 30*time.Second, Kind: chaos.HealLink, Edge: 0, Relayer: 0},
-				}},
+				},
 			},
 			spec: func() (topo.Scenario, error) {
-				opt := Options{Windows: 2, Regions: "3wan"}
-				return scenario.Compile(failoverSpec(opt, "hub:2", 2, 30*time.Second))
+				c := RunContext{Windows: 2, Regions: "3wan"}
+				return scenario.Compile(failoverSpec(c, "hub:2", 2, 30*time.Second))
 			},
 		},
 		{
 			name: "votescale two V=8", seed: 1400, // 700*(size index 1 + 1) + 0
 			hand: topo.Scenario{
 				Name: "votescale-two-v8", Topology: topo.TwoChain(),
-				Deploy: topo.DeployConfig{Validators: 8},
-				Rate:   2, Windows: 4,
+				Deploy:   topo.DeployConfig{Validators: 8},
+				Workload: topo.Workload{Rate: 2, Windows: 4},
 			},
-			spec: func() (topo.Scenario, error) { return scenario.Compile(voteScaleSpec(Options{}, "two", 2, 8)) },
+			spec: func() (topo.Scenario, error) { return scenario.Compile(voteScaleSpec(RunContext{}, "two", 2, 8)) },
 		},
 	}
 	for _, c := range cases {
@@ -121,12 +124,11 @@ func TestSpecBuiltMatchesHandBuilt(t *testing.T) {
 // run or on one of its assertions, is the one reported.
 func TestGrid(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // a 4-wide pool
-	opt := Options{Seeds: 3}
 	seedOf := func(v, i int) int64 { return int64(100*(v+1) + i) }
-	settled := testbedSpec("settled", scenario.WorkloadSpec{Transfers: 1, Windows: 1})
+	settled := testbedSpec("settled", topo.Workload{Transfers: 1, Windows: 1})
 	settled.Until = scenario.Duration(time.Minute)
 	label := func(v int, rep *scenario.Report) string { return fmt.Sprintf("v%d/s%d", v, rep.Result.Seed) }
-	got, err := specGrid(opt, "demo", []scenario.Spec{settled, settled}, seedOf, label)
+	got, err := specGrid(3, "demo", []scenario.Spec{settled, settled}, seedOf, label)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +140,13 @@ func TestGrid(t *testing.T) {
 	// every cell of variant 1, and the first of them is reported.
 	stuck := settled
 	stuck.Until = scenario.Duration(6 * time.Second)
-	_, err = specGrid(opt, "demo", []scenario.Spec{settled, stuck}, seedOf, label)
+	_, err = specGrid(3, "demo", []scenario.Spec{settled, stuck}, seedOf, label)
 	if err == nil || !strings.Contains(err.Error(), "demo (cell 3, seed 200)") || !strings.Contains(err.Error(), scenario.AssertNoStuckPackets) {
 		t.Fatalf("grid error = %v, want the first violating cell (3, seed 200) naming %s", err, scenario.AssertNoStuckPackets)
 	}
 	nameless := settled
 	nameless.Name = ""
-	if _, err = specGrid(opt, "demo", []scenario.Spec{nameless}, seedOf, label); err == nil || !strings.Contains(err.Error(), "demo (cell 0, seed 100)") {
+	if _, err = specGrid(3, "demo", []scenario.Spec{nameless}, seedOf, label); err == nil || !strings.Contains(err.Error(), "demo (cell 0, seed 100)") {
 		t.Fatalf("grid error = %v, want the invalid spec's first cell (0, seed 100)", err)
 	}
 }
@@ -154,15 +156,15 @@ func TestGrid(t *testing.T) {
 // compiles, so any cell can be written out and rerun with `ibcbench run
 // -scenario`.
 func TestCellSpecsRoundTrip(t *testing.T) {
-	opt := Options{Seeds: 1}
+	c := Defaults
 	hub4 := topo.Hub(4)
 	var tendermint, fig13, forward, failover, votescale []scenario.Spec
 	for _, rate := range DefaultTendermintRates {
-		tendermint = append(tendermint, tendermintSpec(rate, opt.windows(15)))
+		tendermint = append(tendermint, tendermintSpec(rate, c.windows(15)))
 	}
 	relayers := func(n int, lan bool) (out []scenario.Spec) {
 		for _, rate := range DefaultRelayerRates {
-			out = append(out, relayerSpec(rate, opt.windows(50), n, lan))
+			out = append(out, relayerSpec(rate, c.windows(50), n, lan))
 		}
 		return out
 	}
@@ -170,13 +172,13 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 		fig13 = append(fig13, burstSpec(5000, blocks))
 	}
 	for _, path := range hopPaths(hub4) {
-		forward = append(forward, forwardingSpec(opt, "hub:4", path, 20))
+		forward = append(forward, forwardingSpec(c, "hub:4", path, 20))
 	}
 	for _, w := range DefaultFaultWindows {
-		failover = append(failover, failoverSpec(opt, "hub:4", 20, w))
+		failover = append(failover, failoverSpec(c, "hub:4", 20, w))
 	}
 	for _, v := range DefaultVoteScaleSizes {
-		votescale = append(votescale, voteScaleSpec(opt, "hub:4", 20, v))
+		votescale = append(votescale, voteScaleSpec(c, "hub:4", 20, v))
 	}
 	cells := map[string][]scenario.Spec{
 		"tendermint": tendermint,
@@ -187,7 +189,7 @@ func TestCellSpecsRoundTrip(t *testing.T) {
 		"fig12":      {burstSpec(5000, 1)},
 		"fig13":      fig13,
 		"gas":        {gasSpec()},
-		"topo":       {topologySpec(opt, hub4, "hub:4", 20, false), topologySpec(opt, hub4, "hub:4", 20, true)},
+		"topo":       {topologySpec(c, hub4, "hub:4", 20, false), topologySpec(c, hub4, "hub:4", 20, true)},
 		"forward":    forward,
 		"failover":   failover,
 		"votescale":  votescale,

@@ -33,7 +33,7 @@ type TopologyResult struct {
 // lowest-indexed non-adjacent leaves, run as sequential transfers or,
 // when forwarded, through the packet-forward middleware. Seeds run as
 // whole runs side by side on scenario.ParallelMap (see specGrid).
-func TopologySweep(opt Options, spec string, rate int, forwarded bool) (TopologyResult, error) {
+func TopologySweep(c RunContext, spec string, rate int, forwarded bool) (TopologyResult, error) {
 	tp, err := topo.ParseSpec(spec)
 	if err != nil {
 		return TopologyResult{}, err
@@ -42,12 +42,12 @@ func TopologySweep(opt Options, spec string, rate int, forwarded bool) (Topology
 		return TopologyResult{}, fmt.Errorf("experiments: topology sweep needs a per-edge rate >= 1 (got %d)", rate)
 	}
 	seedOf := func(_, i int) int64 { return int64(100*rate + i) }
-	specs := []scenario.Spec{topologySpec(opt, tp, spec, rate, forwarded)}
-	runs, err := specGrid(opt, "topo "+spec, specs, seedOf, result)
+	specs := []scenario.Spec{topologySpec(c, tp, spec, rate, forwarded)}
+	runs, err := specGrid(c.seeds(), "topo "+spec, specs, seedOf, result)
 	if err != nil {
 		return TopologyResult{}, err
 	}
-	out := TopologyResult{Spec: spec, Rate: rate, Seeds: opt.seeds(), Sample: runs[0][0]}
+	out := TopologyResult{Spec: spec, Rate: rate, Seeds: c.seeds(), Sample: runs[0][0]}
 	var tputs []float64
 	perEdge := make([][]float64, len(tp.Edges))
 	for _, res := range runs[0] {
@@ -68,10 +68,10 @@ func TopologySweep(opt Options, spec string, rate int, forwarded bool) (Topology
 
 // topologySpec is the sweep's scenario: uniform per-edge load plus the
 // demo multi-hop route on graphs that have one.
-func topologySpec(opt Options, tp topo.Topology, spec string, rate int, forwarded bool) scenario.Spec {
-	s := opt.topoSpec(spec, spec, rate, opt.windows(10))
+func topologySpec(c RunContext, tp topo.Topology, spec string, rate int, forwarded bool) scenario.Spec {
+	s := c.topoSpec(spec, spec, rate, c.windows(10))
 	if route := demoRoute(tp); route != nil {
-		s.Workload.Routes = []scenario.RouteSpec{{Path: route, Transfers: rate, Forwarded: forwarded}}
+		s.Workload.Routes = []topo.Route{{Path: route, Transfers: rate, Forwarded: forwarded}}
 	}
 	return s
 }

@@ -37,14 +37,16 @@ type VoteScaleResult struct {
 	Rows  []VoteScalePoint
 }
 
-// VoteScale sweeps the validator-set size on one topology: every chain
-// runs V validators, every edge sustains `rate` requests/second, and each
-// (V, seed) cell records block production and end-to-end transfer
-// latency. The host cost against V is BenchmarkVoteFanout's to measure.
-func VoteScale(opt Options, spec string, rate int, sizes []int) (VoteScaleResult, error) {
+// VoteScale sweeps the validator-set size V over c.Validators
+// (DefaultVoteScaleSizes when empty) on one topology: every chain runs V
+// validators, every edge sustains `rate` requests/second, and each (V,
+// seed) cell records block production and end-to-end transfer latency.
+// The host cost against V is BenchmarkVoteFanout's to measure.
+func VoteScale(c RunContext, spec string, rate int) (VoteScaleResult, error) {
 	if rate <= 0 {
 		return VoteScaleResult{}, fmt.Errorf("experiments: votescale needs a per-edge rate >= 1 (got %d)", rate)
 	}
+	sizes := c.Validators
 	if len(sizes) == 0 {
 		sizes = DefaultVoteScaleSizes
 	}
@@ -53,14 +55,14 @@ func VoteScale(opt Options, spec string, rate int, sizes []int) (VoteScaleResult
 		if v < 4 {
 			return VoteScaleResult{}, fmt.Errorf("experiments: votescale needs >= 4 validators for BFT quorums (got %d)", v)
 		}
-		specs[i] = voteScaleSpec(opt, spec, rate, v)
+		specs[i] = voteScaleSpec(c, spec, rate, v)
 	}
 	seedOf := func(v, i int) int64 { return int64(700*(v+1) + i) }
-	perSize, err := specGrid(opt, "votescale "+spec, specs, seedOf, result)
+	perSize, err := specGrid(c.seeds(), "votescale "+spec, specs, seedOf, result)
 	if err != nil {
 		return VoteScaleResult{}, err
 	}
-	out := VoteScaleResult{Spec: spec, Rate: rate, Seeds: opt.seeds()}
+	out := VoteScaleResult{Spec: spec, Rate: rate, Seeds: c.seeds()}
 	for i, runs := range perSize {
 		row := VoteScalePoint{Validators: sizes[i]}
 		var bps, latency, completed []float64
@@ -89,8 +91,8 @@ func VoteScale(opt Options, spec string, rate int, sizes []int) (VoteScaleResult
 
 // voteScaleSpec is one set size's scenario: every chain runs v
 // validators and every edge sustains rate requests/second.
-func voteScaleSpec(opt Options, spec string, rate, v int) scenario.Spec {
-	s := opt.topoSpec(fmt.Sprintf("votescale-%s-v%d", spec, v), spec, rate, opt.windows(4))
+func voteScaleSpec(c RunContext, spec string, rate, v int) scenario.Spec {
+	s := c.topoSpec(fmt.Sprintf("votescale-%s-v%d", spec, v), spec, rate, c.windows(4))
 	s.Deploy.Validators = v
 	return s
 }

@@ -1,5 +1,7 @@
 package ibc
 
+import "ibcbench/internal/app"
+
 // The host object encoders, for the tests that hold them to
 // json.Marshal.
 var (
@@ -41,13 +43,13 @@ func NextSequenceSendKey(port, channel string) string {
 }
 
 func PacketCommitmentKey(port, channel string, seq uint64) string {
-	return string(AppendPacketCommitmentKey(nil, port, channel, seq))
+	return recordKey(PacketRecords(nil, app.Commitment, port, channel), seq)
 }
 
 func PacketReceiptKey(port, channel string, seq uint64) string {
-	return string(AppendPacketReceiptKey(nil, port, channel, seq))
+	return recordKey(PacketRecords(nil, app.Receipt, port, channel), seq)
 }
 
 func PacketAckKey(port, channel string, seq uint64) string {
-	return string(AppendPacketAckKey(nil, port, channel, seq))
+	return recordKey(PacketRecords(nil, app.Ack, port, channel), seq)
 }

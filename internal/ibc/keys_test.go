@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -40,6 +41,12 @@ func TestKeysMatchFmtFormatting(t *testing.T) {
 			t.Errorf("CutPacketKey(%q) = %q %q %d %v, want %q %q %d", key, k, c, s, ok, kind, channel, seq)
 		}
 	}
+	// A packet record's key is its table's prefix plus the sequence.
+	record := func(kind app.RecordKind, port, channel string, seq uint64) func(dst []byte) []byte {
+		return func(dst []byte) []byte {
+			return strconv.AppendUint(ibc.PacketRecords(dst, kind, port, channel).Prefix, seq, 10)
+		}
+	}
 	seqs := []uint64{0, 1, 9, 10, 12345, 10_000_000_000_000_000_000, math.MaxUint64}
 	for _, id := range [][2]string{{"transfer", "channel-0"}, {"", ""}, {"a/b", "channel-4294967295"}, {"transfer", long}} {
 		port, channel := id[0], id[1]
@@ -50,13 +57,13 @@ func TestKeysMatchFmtFormatting(t *testing.T) {
 			ibc.NextSequenceSendKey(port, channel), fmt.Sprintf("nextSequenceSend/ports/%s/channels/%s", port, channel))
 		cut(ibc.NextSequenceSendKey(port, channel), "nextSequenceSend", channel, 0)
 		for _, seq := range seqs {
-			check("commitment", func(dst []byte) []byte { return ibc.AppendPacketCommitmentKey(dst, port, channel, seq) },
+			check("commitment", record(app.Commitment, port, channel, seq),
 				ibc.PacketCommitmentKey(port, channel, seq), fmt.Sprintf("commitments/ports/%s/channels/%s/sequences/%d", port, channel, seq))
 			cut(ibc.PacketCommitmentKey(port, channel, seq), "commitments", channel, seq)
-			check("receipt", func(dst []byte) []byte { return ibc.AppendPacketReceiptKey(dst, port, channel, seq) },
+			check("receipt", record(app.Receipt, port, channel, seq),
 				ibc.PacketReceiptKey(port, channel, seq), fmt.Sprintf("receipts/ports/%s/channels/%s/sequences/%d", port, channel, seq))
 			cut(ibc.PacketReceiptKey(port, channel, seq), "receipts", channel, seq)
-			check("ack", func(dst []byte) []byte { return ibc.AppendPacketAckKey(dst, port, channel, seq) },
+			check("ack", record(app.Ack, port, channel, seq),
 				ibc.PacketAckKey(port, channel, seq), fmt.Sprintf("acks/ports/%s/channels/%s/sequences/%d", port, channel, seq))
 			cut(ibc.PacketAckKey(port, channel, seq), "acks", channel, seq)
 		}

@@ -94,18 +94,6 @@ func AppendNextSequenceSendKey(dst []byte, port, channel string) []byte {
 // record the store keeps in tables.
 var recordPaths = [...]string{app.Commitment: "commitments", app.Receipt: "receipts", app.Ack: "acks"}
 
-func AppendPacketCommitmentKey(dst []byte, port, channel string, seq uint64) []byte {
-	return AppendPacketKey(dst, recordPaths[app.Commitment], port, channel, seq)
-}
-
-func AppendPacketReceiptKey(dst []byte, port, channel string, seq uint64) []byte {
-	return AppendPacketKey(dst, recordPaths[app.Receipt], port, channel, seq)
-}
-
-func AppendPacketAckKey(dst []byte, port, channel string, seq uint64) []byte {
-	return AppendPacketKey(dst, recordPaths[app.Ack], port, channel, seq)
-}
-
 // AppendPacketKey appends "<kind>/ports/<port>/channels/<channel>/sequences/<seq>",
 // the path of every per-packet record (middleware keep theirs under it
 // too, with a kind of their own).

@@ -20,7 +20,7 @@ func TestStuckPacketsDetected(t *testing.T) {
 	spec := Spec{
 		Name:     "stuck",
 		Topology: TopologySpec{Preset: "two"},
-		Workload: WorkloadSpec{Rate: 1, Windows: 1},
+		Workload: topo.Workload{Rate: 1, Windows: 1},
 		Chaos: []EventSpec{
 			{At: Duration(500 * time.Millisecond), Kind: "partition", Edge: 0},
 		},
@@ -54,7 +54,7 @@ func TestCleanRunHoldsAllAssertions(t *testing.T) {
 	spec := Spec{
 		Name:     "clean",
 		Topology: TopologySpec{Preset: "two"},
-		Workload: WorkloadSpec{Rate: 2, Windows: 1},
+		Workload: topo.Workload{Rate: 2, Windows: 1},
 		Seed:     11,
 	}
 	rep, err := Run(spec, 0, nil)
@@ -109,7 +109,7 @@ func TestLostClearQueryIsRetried(t *testing.T) {
 		Name:     "clear-lost-query",
 		Topology: TopologySpec{Preset: "line:3"},
 		Deploy:   DeploySpec{Standby: true, ClearIntervalBlocks: 1},
-		Workload: WorkloadSpec{Rate: 20, Windows: 12},
+		Workload: topo.Workload{Rate: 20, Windows: 12},
 		Chaos: []EventSpec{
 			{At: Duration(20 * time.Second), Kind: "drop-burst", Edge: 1, ExtraDrop: 0.2},
 			{At: Duration(50 * time.Second), Kind: "drop-burst", Edge: 1},
@@ -189,7 +189,7 @@ func receivedTimeoutSpec(t *testing.T) Spec {
 	spec := plaintimeoutSpec()
 	route := spec.Workload.Routes[0]
 	route.TimeoutBlocks = 5
-	spec.Workload.Routes = []RouteSpec{route}
+	spec.Workload.Routes = []topo.Route{route}
 	spec.Chaos = []EventSpec{
 		{At: Duration(11 * time.Second), Kind: "partition", Edge: 0, Relayer: intp(0)},
 		{At: Duration(16 * time.Second), Kind: "heal", Edge: 0, Relayer: intp(0)},
@@ -316,7 +316,7 @@ func TestRoundTripComesHome(t *testing.T) {
 // holding.
 func TestRelayerRetriesAfterPartition(t *testing.T) {
 	spec := plaintimeoutSpec()
-	spec.Workload.Routes = []RouteSpec{spec.Workload.Routes[0]}
+	spec.Workload.Routes = []topo.Route{spec.Workload.Routes[0]}
 	spec.Workload.Routes[0].TimeoutBlocks = 4
 	spec.Chaos = append([]EventSpec(nil), spec.Chaos...)
 	spec.Chaos[0].At = Duration(16 * time.Second)

@@ -169,7 +169,7 @@ func (w *commitWatch) commit(c *chain.Chain, h int64) {
 		for _, aw := range te.AckWrites {
 			if p := &aw.Packet; w.end(c, p.DestChannel).received.add(p.Sequence) {
 				w.report(c, h, c, AssertConservation, "receipt %s acknowledged again: a replay was accepted",
-					ibc.AppendPacketReceiptKey(nil, p.DestPort, p.DestChannel, p.Sequence))
+					strconv.AppendUint(ibc.PacketRecords(nil, app.Receipt, p.DestPort, p.DestChannel).Prefix, p.Sequence, 10))
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func missedReceiptSpec() Spec {
 		Name:     "missedreceipt",
 		Topology: TopologySpec{Preset: "two"},
 		Deploy:   DeploySpec{RelayersPerEdge: 2, ClearIntervalBlocks: 1},
-		Workload: WorkloadSpec{Routes: []RouteSpec{
+		Workload: topo.Workload{Routes: []topo.Route{
 			{Path: []int{0, 1}, Transfers: 4, TimeoutBlocks: 5},
 		}},
 		Chaos: []EventSpec{
@@ -151,11 +151,11 @@ type plantedDefect struct {
 func TestPlantedDefectsDetected(t *testing.T) {
 	// One window of transfers on two chains, and a forwarded route
 	// across three.
-	two := Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 1}, Seed: 1}
+	two := Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: topo.Workload{Rate: 1, Windows: 1}, Seed: 1}
 	forwarded := Spec{
 		Name:     "stranded",
 		Topology: TopologySpec{Preset: "line:3"},
-		Workload: WorkloadSpec{Routes: []RouteSpec{{Path: []int{0, 1, 2}, Transfers: 4, Forwarded: true}}},
+		Workload: topo.Workload{Routes: []topo.Route{{Path: []int{0, 1, 2}, Transfers: 4, Forwarded: true}}},
 		Seed:     1,
 	}
 	busy := two // ten windows: ibc-0 sends up to height 11
@@ -353,7 +353,7 @@ func TestPlantedDefectsDetected(t *testing.T) {
 			// where it was: C5's fall is not seen at block grain, and the
 			// commitments of sequences 1–5 stored again over packets still
 			// in flight are.
-			name: "lowered-send-sequence-reused", spec: Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: WorkloadSpec{Rate: 1, Windows: 4}, Seed: 1},
+			name: "lowered-send-sequence-reused", spec: Spec{Name: "planted", Topology: TopologySpec{Preset: "two"}, Workload: topo.Workload{Rate: 1, Windows: 4}, Seed: 1},
 			on: 0, plant: lowerSendSequence(0),
 			count: 5, assertion: AssertNoStuckPackets, chain: "ibc-0", height: 3,
 			prefix: "after ibc-0 committed height 3: commitment commitments/ports/transfer/channels/channel-0/sequences/1 stored outside the sequences this block's nextSequenceSend advanced over",
@@ -372,7 +372,7 @@ func TestPlantedDefectsDetected(t *testing.T) {
 				Name:     "replay",
 				Topology: TopologySpec{Preset: "two"},
 				Deploy:   DeploySpec{RelayersPerEdge: 2, ClearIntervalBlocks: 1},
-				Workload: WorkloadSpec{Rate: 2, Windows: 2},
+				Workload: topo.Workload{Rate: 2, Windows: 2},
 				Chaos: []EventSpec{
 					{At: Duration(12 * time.Second), Kind: "relayer-pause", Edge: 0, Relayer: intp(0)},
 					{At: Duration(30 * time.Second), Kind: "relayer-resume", Edge: 0, Relayer: intp(0)},
@@ -535,7 +535,7 @@ func TestLostQueriesAreRequeued(t *testing.T) {
 		Name:         "lostquery",
 		Topology:     TopologySpec{Preset: "two"},
 		Deploy:       DeploySpec{ClearIntervalBlocks: 1},
-		Workload:     WorkloadSpec{Rate: 20, Windows: 30},
+		Workload:     topo.Workload{Rate: 20, Windows: 30},
 		Chaos:        []EventSpec{burst(30*time.Second, 1), burst(36*time.Second, 0), burst(42*time.Second, 1), burst(80*time.Second, 0)},
 		SettleBlocks: 40,
 	}

@@ -1,8 +1,12 @@
-// Compile lowers a declarative spec onto the existing run APIs:
-// topo.Scenario + topo.DeployConfig + chaos.Timeline + geo.Model. The
-// lowering adds no behaviour of its own — a spec equivalent to a
-// hand-built topo.Scenario produces a byte-identical same-seed
-// topo.Result (pinned by experiments.TestSpecBuiltMatchesHandBuilt).
+// Compile lowers a declarative spec onto a runnable topo.Scenario. The
+// workload passes through as it is (the spec's block is topo.Workload);
+// Compile resolves only what the file spells differently from the run:
+// the topology and region presets (a topo.Topology and a geo.Model), the
+// chaos events' kind names and default relayers (chaos.Event), and
+// settle blocks as a duration. The lowering adds no behaviour of its
+// own — a spec equivalent to a hand-built topo.Scenario produces a
+// byte-identical same-seed topo.Result (pinned by
+// experiments.TestSpecBuiltMatchesHandBuilt).
 package scenario
 
 import (
@@ -39,26 +43,14 @@ func Compile(s Spec) (topo.Scenario, error) {
 			ClearIntervalBlocks: s.Deploy.ClearIntervalBlocks,
 			Standby:             s.Deploy.Standby,
 		},
-		Rate:          s.Workload.Rate,
-		Windows:       s.Workload.Windows,
-		Transfers:     s.Workload.Transfers,
-		Inject:        s.Workload.Inject,
-		TimeoutBlocks: s.Workload.TimeoutBlocks,
-		RecordCurves:  s.RecordCurves,
-		Until:         s.Until.D(),
-		UntilHeight:   s.UntilHeight,
-		ExtraSettle:   time.Duration(s.SettleBlocks) * simconf.MinBlockInterval,
-	}
-	for _, rt := range s.Workload.Routes {
-		sc.Routes = append(sc.Routes, topo.Route{
-			Path:          append([]int(nil), rt.Path...),
-			Transfers:     rt.Transfers,
-			Forwarded:     rt.Forwarded,
-			TimeoutBlocks: rt.TimeoutBlocks,
-		})
+		Workload:     s.Workload,
+		RecordCurves: s.RecordCurves,
+		Until:        s.Until.D(),
+		UntilHeight:  s.UntilHeight,
+		ExtraSettle:  time.Duration(s.SettleBlocks) * simconf.MinBlockInterval,
 	}
 	for _, ev := range s.Chaos {
-		sc.Chaos.Events = append(sc.Chaos.Events, compileEvent(ev))
+		sc.Chaos = append(sc.Chaos, compileEvent(ev))
 	}
 	return sc, nil
 }

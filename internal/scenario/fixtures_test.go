@@ -1,6 +1,10 @@
 package scenario
 
-import "time"
+import (
+	"time"
+
+	"ibcbench/internal/topo"
+)
 
 // The specs of the catalogue's built-in scenarios, as literals for the
 // tests here: the catalogue lives in internal/experiments, which
@@ -10,7 +14,7 @@ func quickstartSpec() Spec {
 	return Spec{
 		Name:     "quickstart",
 		Topology: TopologySpec{Preset: "two"},
-		Workload: WorkloadSpec{Rate: 1, Windows: 1},
+		Workload: topo.Workload{Rate: 1, Windows: 1},
 		Seed:     1,
 	}
 }
@@ -19,10 +23,10 @@ func hubSpec() Spec {
 	return Spec{
 		Name:     "hub",
 		Topology: TopologySpec{Preset: "hub:3"},
-		Workload: WorkloadSpec{
+		Workload: topo.Workload{
 			Rate:    5,
 			Windows: 3,
-			Routes:  []RouteSpec{{Path: []int{1, 0, 2}, Transfers: 5}},
+			Routes:  []topo.Route{{Path: []int{1, 0, 2}, Transfers: 5}},
 		},
 		Seed: 500,
 	}
@@ -32,7 +36,7 @@ func meshSpec() Spec {
 	return Spec{
 		Name:     "mesh",
 		Topology: TopologySpec{Preset: "mesh:3"},
-		Workload: WorkloadSpec{Rate: 4, Windows: 4},
+		Workload: topo.Workload{Rate: 4, Windows: 4},
 		Seed:     400,
 	}
 }
@@ -41,7 +45,7 @@ func pfmrouteSpec() Spec {
 	return Spec{
 		Name:     "pfmroute",
 		Topology: TopologySpec{Preset: "line:3"},
-		Workload: WorkloadSpec{Routes: []RouteSpec{
+		Workload: topo.Workload{Routes: []topo.Route{
 			{Path: []int{0, 1, 2}, Transfers: 4},
 			{Path: []int{0, 1, 2}, Transfers: 4, Forwarded: true},
 		}},
@@ -53,7 +57,7 @@ func roundtripSpec() Spec {
 	return Spec{
 		Name:     "roundtrip",
 		Topology: TopologySpec{Preset: "line:3"},
-		Workload: WorkloadSpec{Routes: []RouteSpec{
+		Workload: topo.Workload{Routes: []topo.Route{
 			{Path: []int{0, 1, 2, 1, 0}, Transfers: 4},
 		}},
 		Seed: 1,
@@ -66,7 +70,7 @@ func failoverSpec() Spec {
 		Topology: TopologySpec{Preset: "hub:2"},
 		Regions:  "3wan",
 		Deploy:   DeploySpec{Standby: true},
-		Workload: WorkloadSpec{Rate: 3, Windows: 4},
+		Workload: topo.Workload{Rate: 3, Windows: 4},
 		Chaos: []EventSpec{
 			{At: Duration(12 * time.Second), Kind: "partition", Edge: 0, Relayer: intp(0)},
 			{At: Duration(30 * time.Second), Kind: "latency-spike", Edge: 1, ExtraLatency: Duration(100 * time.Millisecond)},
@@ -89,7 +93,7 @@ func plaintimeoutSpec() Spec {
 		Name:     "plaintimeout",
 		Topology: TopologySpec{Preset: "two"},
 		Deploy:   DeploySpec{ClearIntervalBlocks: 1},
-		Workload: WorkloadSpec{Routes: []RouteSpec{
+		Workload: topo.Workload{Routes: []topo.Route{
 			{Path: []int{0, 1}, Transfers: 3, TimeoutBlocks: 2},
 		}},
 		Chaos: []EventSpec{
@@ -104,7 +108,7 @@ func timeoutstormSpec() Spec {
 	return Spec{
 		Name:     "timeoutstorm",
 		Topology: TopologySpec{Preset: "line:3"},
-		Workload: WorkloadSpec{Routes: []RouteSpec{
+		Workload: topo.Workload{Routes: []topo.Route{
 			{Path: []int{0, 1, 2}, Transfers: 3, Forwarded: true, TimeoutBlocks: 1},
 		}},
 		Seed:         7,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ibcbench/internal/tendermint/types"
+	"ibcbench/internal/topo"
 )
 
 // lastHeaders runs the spec at its own seed and returns every chain's
@@ -42,7 +43,7 @@ func TestSameSeedSameBlocks(t *testing.T) {
 		Name:     "timeouts-behind-partition",
 		Topology: TopologySpec{Preset: "line:3"},
 		Deploy:   DeploySpec{ClearIntervalBlocks: 1},
-		Workload: WorkloadSpec{Rate: 2, Windows: 4, Routes: []RouteSpec{
+		Workload: topo.Workload{Rate: 2, Windows: 4, Routes: []topo.Route{
 			{Path: []int{0, 1, 2}, Transfers: 12, Forwarded: true, TimeoutBlocks: 1},
 		}},
 		Chaos: []EventSpec{

@@ -11,10 +11,12 @@
 //
 // Specs round-trip: Parse(Encode(s)) == s, and Encode is canonical
 // (stable field order, duration strings), so a spec file is diffable and
-// a chaos-search counterexample commits as a regression test. Compile
-// lowers a spec onto the existing topo/chaos/geo APIs without
-// behavioural additions of its own — a spec equivalent to a hand-built
-// topo.Scenario produces a byte-identical same-seed topo.Result.
+// a chaos-search counterexample commits as a regression test. The
+// workload block is topo.Workload itself, so a file's traffic is the
+// run's with no copy between them. Compile lowers the rest (compile.go)
+// without behavioural additions of its own — a spec equivalent to a
+// hand-built topo.Scenario produces a byte-identical same-seed
+// topo.Result.
 package scenario
 
 import (
@@ -88,43 +90,6 @@ type DeploySpec struct {
 	ParallelWorkers int `json:"parallelWorkers,omitempty"`
 }
 
-// RouteSpec is one multi-hop transfer flow (topo.Route as data).
-type RouteSpec struct {
-	Path      []int `json:"path"`
-	Transfers int   `json:"transfers"`
-	Forwarded bool  `json:"forwarded,omitempty"`
-	// TimeoutBlocks sets the packet timeout margin: each sequential
-	// leg's packets time out this many destination blocks after they
-	// are sent, and a forwarded route (three or more nodes) carries it as
-	// the forward middleware's per-hop margin. Tiny values inject
-	// timeouts; 0 keeps the defaults.
-	TimeoutBlocks int64 `json:"timeoutBlocks,omitempty"`
-}
-
-// WorkloadSpec describes the edge traffic and routes.
-type WorkloadSpec struct {
-	// Rate applies to every edge (requests/second, A->B). Zero means no
-	// constant-rate traffic, only the routes.
-	Rate int `json:"rate,omitempty"`
-	// Windows is the number of submission windows (0 = the topo default
-	// of 10).
-	Windows int `json:"windows,omitempty"`
-	// Transfers is every edge's total, split evenly over Windows
-	// (Fig. 13's submission strategies; one window is Fig. 12's
-	// single-block burst). A spec sets Rate or Transfers, not both.
-	Transfers int `json:"transfers,omitempty"`
-	// Inject stages the Transfers straight into each source mempool at
-	// 1 ms, bypassing RPC, so they all land in one block (§V's
-	// frame-overflow block). It needs Transfers and at most one window.
-	Inject bool `json:"inject,omitempty"`
-	// TimeoutBlocks is the edge traffic's packet timeout margin in
-	// destination blocks, as RouteSpec.TimeoutBlocks is a route's
-	// (0 = the generator's default).
-	TimeoutBlocks int64 `json:"timeoutBlocks,omitempty"`
-	// Routes are multi-hop flows started at scenario begin.
-	Routes []RouteSpec `json:"routes,omitempty"`
-}
-
 // EventSpec is one chaos timeline entry. Kind names match
 // chaos.Kind.String(): partition, heal, latency-spike, drop-burst,
 // relayer-pause, relayer-resume.
@@ -171,10 +136,10 @@ type Spec struct {
 	// Regions selects a geo model by spec string ("3wan", or "lan": one
 	// region at the paper's sub-millisecond LAN latency); empty or "none"
 	// = no geo model, the paper's uniform 200 ms WAN.
-	Regions  string       `json:"regions,omitempty"`
-	Deploy   DeploySpec   `json:"deploy"`
-	Workload WorkloadSpec `json:"workload"`
-	Chaos    []EventSpec  `json:"chaos,omitempty"`
+	Regions  string        `json:"regions,omitempty"`
+	Deploy   DeploySpec    `json:"deploy"`
+	Workload topo.Workload `json:"workload"`
+	Chaos    []EventSpec   `json:"chaos,omitempty"`
 	// Assertions names the invariants checked after the run; empty means
 	// the full default set (see DefaultAssertions).
 	Assertions []string `json:"assertions,omitempty"`

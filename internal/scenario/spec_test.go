@@ -10,41 +10,44 @@ import (
 	"ibcbench/internal/chaos"
 )
 
-// TestGoldenRoundTrip pins the canonical encoding: every golden file
-// parses, and re-encoding reproduces the file byte for byte. Regenerate
+// TestGoldenRoundTrip pins the canonical encoding: every golden file and
+// every benchmark workload spec parses, re-encodes to the file byte for
+// byte, and compiles. Regenerate the golden files (never the benchmark's)
 // with UPDATE_GOLDEN=1 go test ./internal/scenario -run Golden.
 func TestGoldenRoundTrip(t *testing.T) {
-	files, err := filepath.Glob("testdata/*.json")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no golden specs found: %v", err)
-	}
-	for _, file := range files {
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			data, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec, err := Parse(data)
-			if err != nil {
-				t.Fatalf("parse %s: %v", file, err)
-			}
-			enc, err := Encode(spec)
-			if err != nil {
-				t.Fatalf("encode %s: %v", file, err)
-			}
-			if os.Getenv("UPDATE_GOLDEN") != "" {
-				if err := os.WriteFile(file, enc, 0o644); err != nil {
+	for _, dir := range []string{"testdata", "../../bench/workloads"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no specs found in %s: %v", dir, err)
+		}
+		for _, file := range files {
+			t.Run(filepath.Base(file), func(t *testing.T) {
+				data, err := os.ReadFile(file)
+				if err != nil {
 					t.Fatal(err)
 				}
-				return
-			}
-			if string(enc) != string(data) {
-				t.Errorf("%s is not canonical:\n--- file ---\n%s\n--- encode ---\n%s", file, data, enc)
-			}
-			if _, err := Compile(spec); err != nil {
-				t.Errorf("compile %s: %v", file, err)
-			}
-		})
+				spec, err := Parse(data)
+				if err != nil {
+					t.Fatalf("parse %s: %v", file, err)
+				}
+				enc, err := Encode(spec)
+				if err != nil {
+					t.Fatalf("encode %s: %v", file, err)
+				}
+				if os.Getenv("UPDATE_GOLDEN") != "" && dir == "testdata" {
+					if err := os.WriteFile(file, enc, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				if string(enc) != string(data) {
+					t.Errorf("%s is not canonical:\n--- file ---\n%s\n--- encode ---\n%s", file, data, enc)
+				}
+				if _, err := Compile(spec); err != nil {
+					t.Errorf("compile %s: %v", file, err)
+				}
+			})
+		}
 	}
 }
 
@@ -185,13 +188,13 @@ func TestRelayerResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sc.Chaos.Events[0].Relayer; got != -1 {
+	if got := sc.Chaos[0].Relayer; got != -1 {
 		t.Errorf("bare partition relayer = %d, want -1 (whole link)", got)
 	}
-	if got := sc.Chaos.Events[1].Relayer; got != 1 {
+	if got := sc.Chaos[1].Relayer; got != 1 {
 		t.Errorf("explicit partition relayer = %d, want 1", got)
 	}
-	if got := sc.Chaos.Events[2].Relayer; got != 0 {
+	if got := sc.Chaos[2].Relayer; got != 0 {
 		t.Errorf("bare pause relayer = %d, want 0", got)
 	}
 }

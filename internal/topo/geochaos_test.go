@@ -119,11 +119,10 @@ func TestPartitionTimeoutRefund(t *testing.T) {
 	}
 	gen := d.Links[0].Forward()
 	gen.TimeoutBlocks = 8 // expires on the destination mid-partition
-	tl := chaos.Timeline{Events: []chaos.Event{
+	chaos.Inject(d.Sched, d, []chaos.Event{
 		{At: time.Millisecond, Kind: chaos.PartitionLink, Edge: 0, Relayer: -1},
 		{At: 150 * time.Second, Kind: chaos.HealLink, Edge: 0, Relayer: -1},
-	}}
-	chaos.Inject(d.Sched, d, tl)
+	}, new([]chaos.Applied))
 	d.Sched.At(time.Second, func() { gen.SubmitBatch(transfers) })
 	d.Start()
 	if err := d.Run(10 * time.Minute); err != nil {
@@ -162,11 +161,10 @@ func failoverRun(t *testing.T, fault bool) (*Deployment, map[metrics.Status]int)
 		l.Forward().RunConstantRate(2, 3)
 	}
 	if fault {
-		tl := chaos.Timeline{Events: []chaos.Event{
+		chaos.Inject(d.Sched, d, []chaos.Event{
 			{At: 12 * time.Second, Kind: chaos.PartitionLink, Edge: 0, Relayer: 0},
 			{At: 4 * time.Minute, Kind: chaos.HealLink, Edge: 0, Relayer: 0},
-		}}
-		chaos.Inject(d.Sched, d, tl)
+		}, new([]chaos.Applied))
 	}
 	d.Start()
 	if err := d.Run(6 * time.Minute); err != nil {
@@ -243,17 +241,16 @@ func TestChaosScenarioDeterminism(t *testing.T) {
 			Name:         "chaos-det",
 			Topology:     Hub(2),
 			Deploy:       DeployConfig{Standby: true},
-			Rate:         2,
-			Windows:      3,
+			Workload:     Workload{Rate: 2, Windows: 3},
 			RecordCurves: true,
-			Chaos: chaos.Timeline{Events: []chaos.Event{
+			Chaos: []chaos.Event{
 				{At: 12 * time.Second, Kind: chaos.PartitionLink, Edge: 0, Relayer: 0},
 				{At: 20 * time.Second, Kind: chaos.LatencySpike, Edge: 1, ExtraLatency: 80 * time.Millisecond},
 				{At: 60 * time.Second, Kind: chaos.HealLink, Edge: 0, Relayer: 0},
 				{At: 70 * time.Second, Kind: chaos.LatencySpike, Edge: 1},
 				{At: 75 * time.Second, Kind: chaos.RelayerPause, Edge: 1, Relayer: 0},
 				{At: 95 * time.Second, Kind: chaos.RelayerResume, Edge: 1, Relayer: 0},
-			}},
+			},
 		}
 		res, _, err := sc.RunDeployed(77)
 		if err != nil {

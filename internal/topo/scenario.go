@@ -20,6 +20,32 @@ import (
 	"ibcbench/internal/workload"
 )
 
+// Workload is the traffic of a run: one constant rate, or a total over
+// windows or injected into one block, on every edge, plus multi-hop
+// routes. It is also the "workload" block of a scenario spec file, so its
+// JSON tags and field order are that file format.
+type Workload struct {
+	// Rate applies to every edge (requests/second, A->B). Zero means no
+	// constant-rate traffic, only the routes.
+	Rate int `json:"rate,omitempty"`
+	// Windows is the number of submission windows (0 = 10).
+	Windows int `json:"windows,omitempty"`
+	// Transfers is every edge's total, split evenly over Windows
+	// (Fig. 13's submission strategies; one window is Fig. 12's
+	// single-block burst). A spec sets Rate or Transfers, not both.
+	Transfers int `json:"transfers,omitempty"`
+	// Inject stages the Transfers straight into each source mempool at
+	// 1 ms, bypassing RPC, so they all land in one block (§V's
+	// frame-overflow block). It needs Transfers and at most one window.
+	Inject bool `json:"inject,omitempty"`
+	// TimeoutBlocks is the edge traffic's packet timeout margin in
+	// destination blocks, as Route.TimeoutBlocks is a route's (0 = the
+	// generator's default).
+	TimeoutBlocks int64 `json:"timeoutBlocks,omitempty"`
+	// Routes are multi-hop flows started at scenario begin.
+	Routes []Route `json:"routes,omitempty"`
+}
+
 // Route is one multi-hop transfer flow: Transfers tokens moved along the
 // node path. The default (sequential) mode submits each leg as its own
 // user transfer once the previous leg's transfers have fully completed
@@ -31,17 +57,17 @@ import (
 type Route struct {
 	// Path is the node sequence, at least two nodes; consecutive nodes
 	// must share an edge. The spec checks it (scenario.Spec.Validate).
-	Path []int
+	Path []int `json:"path"`
 	// Transfers is the batch size moved along the path, at least one.
-	Transfers int
+	Transfers int `json:"transfers"`
 	// Forwarded selects native packet forwarding over sequential legs.
-	Forwarded bool
+	Forwarded bool `json:"forwarded,omitempty"`
 	// TimeoutBlocks overrides the packet timeout margin (0 = defaults):
 	// each sequential leg's packets time out this many destination
 	// blocks after they are sent; in Forwarded mode it is the
 	// middleware's per-hop margin. Tiny values inject timeouts for
 	// refund experiments.
-	TimeoutBlocks int64
+	TimeoutBlocks int64 `json:"timeoutBlocks,omitempty"`
 }
 
 // RouteReceiver names the final recipient account of route idx, the
@@ -54,25 +80,11 @@ type Scenario struct {
 	Name     string
 	Topology Topology
 	Deploy   DeployConfig
-	// Rate is every edge's constant input rate (requests/second, A -> B
-	// direction) sustained for Windows block windows; 0 = no constant-rate
-	// traffic.
-	Rate int
-	// Windows is the number of submission windows.
-	Windows int
-	// Transfers, in place of Rate, is every edge's total, split evenly
-	// over Windows; Inject stages it into the source mempool at 1 ms
-	// instead, so it lands in one block.
-	Transfers int
-	Inject    bool
-	// TimeoutBlocks overrides the edge traffic's packet timeout margin
-	// (0 = the generator's default).
-	TimeoutBlocks int64
-	// Routes are multi-hop flows started at scenario begin.
-	Routes []Route
-	// Chaos is the fault timeline injected during the run; the applied
-	// faults are folded into the result.
-	Chaos chaos.Timeline
+	// Workload is the traffic the run drives.
+	Workload Workload
+	// Chaos is the fault timeline injected during the run, in any order;
+	// the applied faults are folded into the result.
+	Chaos []chaos.Event
 	// RecordCurves includes per-edge cleared-backlog curves in the
 	// result (one sample per completed packet — skip for large sweeps).
 	RecordCurves bool
@@ -194,28 +206,29 @@ func (s Scenario) RunDeployed(seed int64) (*Result, *Deployment, error) {
 // the deadline. A caller that deploys itself can attach commit hooks to
 // d's chains before the run starts.
 func (s Scenario) RunOn(d *Deployment, seed int64) (*Result, error) {
-	windows := s.Windows
+	w := s.Workload
+	windows := w.Windows
 	if windows <= 0 {
 		windows = 10
 	}
-	if s.Rate > 0 || s.Transfers > 0 {
+	if w.Rate > 0 || w.Transfers > 0 {
 		for _, l := range d.Links {
 			g := l.Forward()
-			if s.TimeoutBlocks > 0 {
-				g.TimeoutBlocks = s.TimeoutBlocks
+			if w.TimeoutBlocks > 0 {
+				g.TimeoutBlocks = w.TimeoutBlocks
 			}
 			switch {
-			case s.Inject:
-				d.Sched.At(time.Millisecond, func() { g.InjectDirect(s.Transfers) })
-			case s.Transfers > 0:
-				g.SubmitSpread(s.Transfers, windows)
+			case w.Inject:
+				d.Sched.At(time.Millisecond, func() { g.InjectDirect(w.Transfers) })
+			case w.Transfers > 0:
+				g.SubmitSpread(w.Transfers, windows)
 			default:
-				g.RunConstantRate(s.Rate, windows)
+				g.RunConstantRate(w.Rate, windows)
 			}
 		}
 	}
-	runs := make([]*routeRun, 0, len(s.Routes))
-	for i, rt := range s.Routes {
+	runs := make([]*routeRun, 0, len(w.Routes))
+	for i, rt := range w.Routes {
 		rr := &routeRun{route: rt, idx: i}
 		runs = append(runs, rr)
 		// Route starts sit off the constant-rate submission grid
@@ -230,10 +243,8 @@ func (s Scenario) RunOn(d *Deployment, seed int64) (*Result, error) {
 			d.Sched.At(startAt, func() { d.startLeg(rr) })
 		}
 	}
-	var inj *chaos.Injector
-	if !s.Chaos.Empty() {
-		inj = chaos.Inject(d.Sched, d, s.Chaos)
-	}
+	var faults []chaos.Applied
+	chaos.Inject(d.Sched, d, s.Chaos, &faults)
 	d.Start()
 	deadline := s.deadline(windows)
 	if s.UntilHeight > 0 {
@@ -249,9 +260,7 @@ func (s Scenario) RunOn(d *Deployment, seed int64) (*Result, error) {
 		return nil, err
 	}
 	res := s.analyze(d, seed, runs)
-	if inj != nil {
-		res.Faults = inj.Log().Applied
-	}
+	res.Faults = faults
 	if d.Obs != nil {
 		foldObs(d, res, runs)
 	}
@@ -265,7 +274,7 @@ func (s Scenario) deadline(windows int) time.Duration {
 		return s.Until
 	}
 	d := time.Duration(windows+8) * simconf.MinBlockInterval * 4
-	for _, rt := range s.Routes {
+	for _, rt := range s.Workload.Routes {
 		// ~12 block windows per leg bounds one ack'd transfer comfortably.
 		legs := time.Duration(len(rt.Path)-1) * 12 * simconf.MinBlockInterval * 2
 		if legs > d {
@@ -274,7 +283,7 @@ func (s Scenario) deadline(windows int) time.Duration {
 	}
 	// Leave recovery room after the last injected fault: detection,
 	// backlog clearing and timeout refunds all happen behind it.
-	for _, ev := range s.Chaos.Events {
+	for _, ev := range s.Chaos {
 		if after := ev.At + 16*simconf.MinBlockInterval; after > d {
 			d = after
 		}

@@ -137,7 +137,7 @@ func TestMultiHopScenario(t *testing.T) {
 	sc := Scenario{
 		Name:     "line3-multihop",
 		Topology: Line(3),
-		Routes:   []Route{{Path: []int{0, 1, 2}, Transfers: 4}},
+		Workload: Workload{Routes: []Route{{Path: []int{0, 1, 2}, Transfers: 4}}},
 	}
 	res, _, err := sc.RunDeployed(21)
 	if err != nil {
@@ -172,7 +172,7 @@ func resTrackerSpan(t *testing.T, sc Scenario, seed int64, edge int) (time.Durat
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := &routeRun{route: sc.Routes[0]}
+	rr := &routeRun{route: sc.Workload.Routes[0]}
 	d.Sched.At(time.Millisecond, func() { d.startLeg(rr) })
 	d.Start()
 	if err := d.Run(10 * time.Minute); err != nil {
@@ -322,17 +322,17 @@ func TestForwardedTimeoutUnwindEndToEnd(t *testing.T) {
 	sc := Scenario{
 		Name:     "line3-forward-timeout",
 		Topology: Line(3),
-		Routes: []Route{{
+		Workload: Workload{Routes: []Route{{
 			Path: []int{0, 1, 2}, Transfers: transfers,
 			Forwarded: true, TimeoutBlocks: 1,
-		}},
+		}}},
 		Until: 20 * time.Minute,
 	}
 	d, err := Deploy(sc.Topology, DeployConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := &routeRun{route: sc.Routes[0]}
+	rr := &routeRun{route: sc.Workload.Routes[0]}
 	d.Sched.At(time.Millisecond, func() { d.startForwardedRoute(rr) })
 	d.Start()
 	if err := d.Run(sc.Until); err != nil {
@@ -374,7 +374,7 @@ func TestReverseDirection(t *testing.T) {
 		Topology: Hub(2),
 		// Edges are hub->spoke; spoke1 -> hub -> spoke2 crosses edge 0 in
 		// reverse.
-		Routes: []Route{{Path: []int{1, 0, 2}, Transfers: 3}},
+		Workload: Workload{Routes: []Route{{Path: []int{1, 0, 2}, Transfers: 3}}},
 	}
 	res, _, err := sc.RunDeployed(9)
 	if err != nil {
@@ -392,8 +392,7 @@ func TestScenarioRate(t *testing.T) {
 	sc := Scenario{
 		Name:     "hub2-rates",
 		Topology: Hub(2),
-		Rate:     4,
-		Windows:  4,
+		Workload: Workload{Rate: 4, Windows: 4},
 	}
 	res, _, err := sc.RunDeployed(5)
 	if err != nil {
@@ -425,8 +424,7 @@ func TestDeterminism(t *testing.T) {
 		sc := Scenario{
 			Name:     "hub2",
 			Topology: Hub(2),
-			Rate:     2,
-			Windows:  3,
+			Workload: Workload{Rate: 2, Windows: 3},
 		}
 		res, _, err := sc.RunDeployed(77)
 		if err != nil {

@@ -34,9 +34,9 @@ func TestForwardedRouteSharedTraceID(t *testing.T) {
 		Name:     "line3-forward-trace",
 		Topology: Line(3),
 		Deploy:   DeployConfig{Obs: o},
-		Routes: []Route{{
+		Workload: Workload{Routes: []Route{{
 			Path: []int{0, 1, 2}, Transfers: transfers, Forwarded: true,
-		}},
+		}}},
 		Until: 15 * time.Minute,
 	}
 	res, _, err := sc.RunDeployed(11)
@@ -72,10 +72,10 @@ func TestForwardedTimeoutUnwindLinksOrigin(t *testing.T) {
 		Name:     "line3-forward-timeout-trace",
 		Topology: Line(3),
 		Deploy:   DeployConfig{Obs: o},
-		Routes: []Route{{
+		Workload: Workload{Routes: []Route{{
 			Path: []int{0, 1, 2}, Transfers: transfers,
 			Forwarded: true, TimeoutBlocks: 1,
-		}},
+		}}},
 		Until: 20 * time.Minute,
 	}
 	res, _, err := sc.RunDeployed(7)
@@ -107,9 +107,8 @@ func traceScenario(o *obs.Obs) Scenario {
 		Name:     "hub3-trace",
 		Topology: Hub(3),
 		Deploy:   DeployConfig{Obs: o},
-		Rate:     3,
-		Windows:  2,
-		Routes:   []Route{{Path: []int{1, 0, 2}, Transfers: 2, Forwarded: true}},
+		Workload: Workload{Rate: 3, Windows: 2,
+			Routes: []Route{{Path: []int{1, 0, 2}, Transfers: 2, Forwarded: true}}},
 	}
 }
 

@@ -20,9 +20,8 @@ func forwardedScenario(o *obs.Obs) topo.Scenario {
 		Name:     "line3-forward-analytics",
 		Topology: topo.Line(3),
 		Deploy:   topo.DeployConfig{Obs: o},
-		Rate:     2,
-		Windows:  2,
-		Routes:   []topo.Route{{Path: []int{0, 1, 2}, Transfers: 2, Forwarded: true}},
+		Workload: topo.Workload{Rate: 2, Windows: 2,
+			Routes: []topo.Route{{Path: []int{0, 1, 2}, Transfers: 2, Forwarded: true}}},
 	}
 }
 
